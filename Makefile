@@ -16,7 +16,7 @@ FUSION ?= on
 EPOCH ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
-	serve telemetry-smoke regress profile clean
+	serve telemetry-smoke procs-smoke regress profile clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -45,6 +45,23 @@ check:
 	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 50 --fault drop-wake --expect-fail
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 50 --fault drop-wake --expect-fail
 	$(PY) -m repro.check explore --scenario fcfs-race --runtime threads --repeats 10
+	$(PY) -m repro.check explore --scenario fcfs-race --runtime procs --repeats 10
+	$(PY) -m repro.check explore --scenario mixed-protocol --runtime procs --repeats 10
+	$(PY) -m repro.check explore --scenario ring-wrap --runtime procs --repeats 10
+
+# Real-process smoke: both ledger pipes (the benchmark is run, not
+# edited) as is and confined to one CPU — spin-then-park must stay
+# correct with fewer CPUs than processes — each failing unless its last
+# line says "correct": true; then the ring-wrap scenario on forked
+# processes.  See docs/performance.md, "Real-process synchronization".
+LEDGER = $(PY) benchmarks/ledger/run.py --quick --workload
+CORRECT = tail -n 1 | grep -q '"correct": true'
+procs-smoke:
+	$(LEDGER) procs_pipe_ring | $(CORRECT)
+	$(LEDGER) procs_pipe_freelist | $(CORRECT)
+	taskset -c 0 $(LEDGER) procs_pipe_ring | $(CORRECT)
+	taskset -c 0 $(LEDGER) procs_pipe_freelist | $(CORRECT)
+	$(PY) -m repro.check explore --scenario ring-wrap --runtime procs --repeats 10
 
 # Causal-tracing smoke: run the fig4 contention sweep with per-message
 # tracing, then validate the Prometheus exposition and the DOT flow

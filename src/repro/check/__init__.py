@@ -51,7 +51,7 @@ from .scheduler import (
     explore,
     explore_dfs,
     run_schedule,
-    run_threads,
+    run_real,
 )
 
 __all__ = [
@@ -66,7 +66,7 @@ __all__ = [
     "run_schedule",
     "explore",
     "explore_dfs",
-    "run_threads",
+    "run_real",
     "make_trace",
     "replay_trace",
     "minimize_trace",

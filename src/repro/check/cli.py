@@ -24,7 +24,7 @@ import time
 from ..obs import format_causal_tail, read_decision_trace, write_decision_trace
 from .replay import make_trace, minimize_trace, replay_trace
 from .scenarios import SCENARIOS
-from .scheduler import PrefixPolicy, explore, explore_dfs, run_schedule, run_threads
+from .scheduler import PrefixPolicy, explore, explore_dfs, run_schedule, run_real
 
 __all__ = ["main"]
 
@@ -51,10 +51,11 @@ def _add_explore(sub) -> None:
                    help="minimize the failing schedule before writing")
     p.add_argument("--expect-fail", action="store_true",
                    help="exit 0 iff a failure IS found (fault-injection CI)")
-    p.add_argument("--runtime", choices=("sim", "threads"), default="sim",
-                   help="threads: cross-validate on the real thread runtime")
+    p.add_argument("--runtime", choices=("sim", "threads", "procs"),
+                   default="sim",
+                   help="threads/procs: cross-validate on a real runtime")
     p.add_argument("--repeats", type=int, default=20,
-                   help="thread-runtime repetitions (--runtime threads)")
+                   help="real-runtime repetitions (--runtime threads|procs)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,15 +126,16 @@ def _explore(args) -> int:
               f"{args.fault!r} (has: {', '.join(scenario.faults) or 'none'})")
         return 2
 
-    if args.runtime == "threads":
-        violations = run_threads(scenario, fault=args.fault,
-                                 repeats=args.repeats)
+    if args.runtime != "sim":
+        violations = run_real(scenario, fault=args.fault,
+                                 repeats=args.repeats, runtime=args.runtime)
         if violations:
-            print(f"{scenario.name} [threads]: FAIL")
+            print(f"{scenario.name} [{args.runtime}]: FAIL")
             for v in violations:
                 print("  " + v)
             return 0 if args.expect_fail else 1
-        print(f"{scenario.name} [threads]: clean over {args.repeats} runs")
+        print(f"{scenario.name} [{args.runtime}]: clean over "
+              f"{args.repeats} runs")
         return 1 if args.expect_fail else 0
 
     t0 = time.perf_counter()

@@ -44,7 +44,7 @@ __all__ = [
     "run_schedule",
     "explore",
     "explore_dfs",
-    "run_threads",
+    "run_real",
 ]
 
 
@@ -357,37 +357,50 @@ def explore_dfs(
     return res
 
 
-def run_threads(
+def run_real(
     scenario: Scenario,
     fault: str | None = None,
     repeats: int = 20,
     join_timeout: float = 10.0,
+    runtime: str = "threads",
 ) -> list[str]:
-    """Cross-validate the scenario on the real thread runtime.
+    """Cross-validate the scenario on a real runtime.
 
-    The thread scheduler explores interleavings the controlled engine
-    may never pick (real preemption is not aligned to effect
-    boundaries), so a clean sim exploration is re-validated here: run
-    the same workers ``repeats`` times on
-    :class:`~repro.runtime.threads.ThreadRuntime` and apply the same
+    The OS scheduler explores interleavings the controlled engine may
+    never pick (real preemption is not aligned to effect boundaries;
+    on ``runtime="procs"`` two workers really do run at once), so a
+    clean sim exploration is re-validated here: run the same workers
+    ``repeats`` times on :class:`~repro.runtime.threads.ThreadRuntime`
+    or :class:`~repro.runtime.procs.ProcRuntime` and apply the same
     final invariants and delivery oracle.  Returns violation strings.
     """
+    from ..runtime.procs import ProcRuntime
     from ..runtime.threads import ThreadRuntime
+
+    def final(view) -> list[str]:
+        return collect_violations(
+            view, level="final", expect_empty=scenario.expect_empty
+        )
 
     out: list[str] = []
     for rep in range(repeats):
-        rt = ThreadRuntime(join_timeout=join_timeout)
+        workers = scenario.build(fault)
         try:
-            result = rt.run(scenario.build(fault), cfg=scenario.cfg)
+            if runtime == "procs":
+                # The segment is gone when run() returns: judge it inside.
+                result = ProcRuntime(join_timeout=join_timeout).run(
+                    workers, cfg=scenario.cfg, final_check=final)
+                violations = result.final
+            else:
+                rt = ThreadRuntime(join_timeout=join_timeout)
+                result = rt.run(workers, cfg=scenario.cfg)
+                violations = final(rt.last_view)
         except DeadlockSuspectedError as exc:
             out.append(f"run {rep}: suspected deadlock: {exc}")
             break
         except MPFError as exc:
             out.append(f"run {rep}: {type(exc).__name__}: {exc}")
             break
-        violations = collect_violations(
-            rt.last_view, level="final", expect_empty=scenario.expect_empty
-        )
         violations += scenario.oracle(result.results)
         if violations:
             out.append(f"run {rep}: " + "; ".join(violations))

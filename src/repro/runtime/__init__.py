@@ -7,7 +7,9 @@
 * :class:`~repro.runtime.procs.ProcRuntime` — forked Unix processes over
   POSIX shared memory (the paper's actual deployment shape),
 * :class:`~repro.runtime.blocking.MPFSystem` — a plain blocking API for
-  thread code not written in generator style.
+  thread code not written in generator style,
+* :mod:`~repro.runtime.sync` — the four synchronization methods
+  (``acquire``/``release``/``wait``/``wake``) the real runtimes share.
 """
 
 from .base import Env, RunResult, Runtime, Worker

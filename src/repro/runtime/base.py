@@ -145,6 +145,14 @@ class RunResult:
     header: dict[str, int] = field(default_factory=dict)
     #: Machine counters; sim runtime only.
     report: object | None = None
+    #: Real runtimes: per-worker synchronization counters
+    #: (:data:`repro.runtime.sync.COUNTERS`), keyed by process name in
+    #: rank order — how often locks were spun or slept for, how many
+    #: waits parked, how many wakes found nobody to wake.
+    sync: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: ``ProcRuntime.run(final_check=...)``: what the callable returned
+    #: when handed the final view, before the segment was unlinked.
+    final: object | None = None
 
     def result_list(self) -> list[object]:
         """Return values ordered by process rank (``p0``, ``p1``, ...)."""

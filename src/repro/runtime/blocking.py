@@ -19,15 +19,14 @@ objects; clients are cheap views bound to a process id.
 
 from __future__ import annotations
 
-import threading
-
 from ..core import ops
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.protocol import Protocol
 from ..core.region import SharedRegion
-from .threads import RealSync, drive
+from .sync import RealSync, SyncBase
+from .threads import drive
 
 __all__ = ["MPFSystem", "BlockingMPF"]
 
@@ -44,7 +43,7 @@ class MPFSystem:
         region = SharedRegion(bytearray(SegmentLayout(self.cfg).total_size))
         layout = format_region(region, self.cfg)
         self.view = MPFView(region, layout, costs)
-        self.sync = RealSync(self.cfg, threading.Lock, threading.Condition)
+        self.sync = RealSync(self.cfg)
 
     def client(self, pid: int, recorder=None) -> "BlockingMPF":
         """A blocking client bound to process id ``pid``.
@@ -56,7 +55,8 @@ class MPFSystem:
         """
         if not 0 <= pid < self.cfg.max_processes:
             raise ValueError(f"pid {pid} outside [0, {self.cfg.max_processes})")
-        return BlockingMPF(self.view, self.sync, pid, recorder=recorder)
+        return BlockingMPF(self.view, self.sync.bind(pid), pid,
+                           recorder=recorder)
 
 
 class BlockingMPF:
@@ -64,7 +64,7 @@ class BlockingMPF:
 
     __slots__ = ("view", "sync", "pid", "recorder", "process")
 
-    def __init__(self, view: MPFView, sync: RealSync, pid: int,
+    def __init__(self, view: MPFView, sync: SyncBase, pid: int,
                  recorder=None, process: str | None = None) -> None:
         self.view = view
         self.sync = sync

@@ -12,7 +12,7 @@ rendezvousing purely by name:
   (``/dev/shm/<name>``),
 * each MPF lock is an ``flock``-ed file under a per-segment directory,
 * the blocking-receive wait channel degrades to polling (release the
-  lock, sleep briefly, reacquire, recheck) — correct against the
+  lock, yield or nap, reacquire, recheck) — correct against the
   ``WaitOn`` contract, merely less efficient than a condition variable.
   This is exactly the spirit of the paper's portability claim: any
   system with "locking and memory sharing between concurrently
@@ -42,11 +42,11 @@ from multiprocessing import shared_memory
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.layout import MPFConfig, SegmentLayout, check_region, format_region
 from ..core.ops import MPFView
-from ..core.protocol import FIRST_LNVC_LOCK
 from ..core.region import SharedRegion
 from .blocking import BlockingMPF
+from .sync import WAIT_SPIN_NS, SpinBudget, SyncBase
 
-__all__ = ["FileLock", "PollingCondition", "FlockSync", "PosixSegment"]
+__all__ = ["FileLock", "FlockSync", "PosixSegment"]
 
 
 class FileLock:
@@ -82,49 +82,56 @@ class FileLock:
         self._fh.close()
 
 
-class PollingCondition:
-    """Degraded condition variable: wait = unlock, nap, relock.
+class FlockSync(SyncBase):
+    """The four :mod:`~repro.runtime.sync` methods over flock files.
 
-    Satisfies the ``WaitOn`` contract (the caller re-holds the lock on
-    return and re-checks its predicate in a loop); ``notify_all`` is a
-    no-op because sleepers poll.  ``interval`` bounds wake-up latency.
+    There is nothing to sleep on between unrelated processes, so
+    ``wait`` polls: unlock, pause, relock, and let the caller's
+    ``WaitOn`` loop re-read its predicate; ``wake`` has nothing to do.
+    The pause climbs the same ladder as :class:`ProcSync`'s waiter: the
+    polls of one wait episode yield the CPU for the first
+    :data:`~repro.runtime.sync.WAIT_SPIN_NS` (a peer that answers in
+    microseconds is seen in microseconds), then nap ``poll_interval``
+    each.  An episode ends when the waiter releases the circuit lock
+    itself — it found what it was waiting for.
     """
-
-    __slots__ = ("lock", "interval")
-
-    def __init__(self, lock: FileLock, interval: float = 0.002) -> None:
-        self.lock = lock
-        self.interval = interval
-
-    def wait(self) -> None:
-        self.lock.release()
-        time.sleep(self.interval)
-        self.lock.acquire()
-
-    def notify_all(self) -> None:  # sleepers poll; nothing to do
-        pass
-
-    def __enter__(self) -> "PollingCondition":
-        self.lock.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.lock.release()
-
-
-class FlockSync:
-    """Drop-in for :class:`~repro.runtime.threads.RealSync` over flocks."""
 
     def __init__(self, lock_dir: str, cfg: MPFConfig,
                  poll_interval: float = 0.002) -> None:
+        super().__init__()
         self.locks = [
             FileLock(os.path.join(lock_dir, f"lock{i}"))
             for i in range(cfg.n_locks)
         ]
-        self.conditions = [
-            PollingCondition(self.locks[FIRST_LNVC_LOCK + slot], poll_interval)
-            for slot in range(cfg.n_channels)
-        ]
+        self.poll_interval = poll_interval
+        #: lock id -> spin budget of the wait episode in progress on it.
+        self._episodes: dict[int, SpinBudget] = {}
+
+    def bind(self, rank: int) -> "FlockSync":
+        handle = super().bind(rank)
+        handle._episodes = {}
+        return handle
+
+    def release(self, lock_id: int) -> None:
+        if self._episodes:
+            self._episodes.pop(lock_id, None)
+        super().release(lock_id)
+
+    def wait(self, chan: int, lock_id: int) -> None:
+        self.check_wait(chan, lock_id)
+        self.waits += 1
+        budget = self._episodes.get(lock_id)
+        if budget is None:
+            budget = self._episodes[lock_id] = SpinBudget(WAIT_SPIN_NS)
+        lock = self.locks[lock_id]
+        lock.release()
+        if not budget.spin():
+            time.sleep(self.poll_interval)
+        lock.acquire()
+
+    def wake(self, chan: int) -> int:  # sleepers poll; nothing to do
+        self.wakes_skipped += 1
+        return 0
 
     def close(self) -> None:
         for lock in self.locks:
@@ -205,7 +212,8 @@ class PosixSegment:
         """
         if not 0 <= pid < self.cfg.max_processes:
             raise ValueError(f"pid {pid} outside [0, {self.cfg.max_processes})")
-        return BlockingMPF(self.view, self._sync, pid, recorder=recorder)
+        return BlockingMPF(self.view, self._sync.bind(pid), pid,
+                           recorder=recorder)
 
     def close(self) -> None:
         """Detach this process (the segment itself survives)."""

@@ -4,7 +4,10 @@ Here the shared region is a plain ``bytearray`` visible to every thread,
 locks are ``threading.Lock`` objects and the per-circuit wait channels are
 ``threading.Condition`` objects built *on the circuit's lock* — which
 gives :class:`~repro.core.effects.WaitOn` its atomic
-release-sleep-reacquire semantics for free.
+release-sleep-reacquire semantics for free
+(:class:`~repro.runtime.sync.RealSync`).  :func:`drive`, the effect
+trampoline every real runtime shares, lives here too; it talks to the
+host only through the four :mod:`~repro.runtime.sync` methods.
 
 The GIL means threads cannot add parallel *speed* (and on this repo's
 reference host there is one CPU anyway), but they add real *concurrency*:
@@ -24,11 +27,12 @@ from ..core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
 from ..core.errors import DeadlockSuspectedError
 from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
-from ..core.protocol import FIRST_LNVC_LOCK
 from ..core.region import SharedRegion
 from .base import Env, RunResult, Runtime, Worker, snapshot_header
+from .sync import RealSync, SyncBase
 
-__all__ = ["ThreadRuntime", "drive", "RealSync", "ThreadState"]
+__all__ = ["ThreadRuntime", "drive", "RealSync", "ThreadState",
+           "deadlock_error"]
 
 
 class ThreadState:
@@ -53,25 +57,30 @@ class ThreadState:
         return {"blocked_on": self.blocked_on, "held": list(self.held)}
 
 
-class RealSync:
-    """Locks and conditions for a real (non-simulated) runtime.
+def deadlock_error(stuck: dict[str, dict], died: dict[str, str],
+                   join_timeout: float | None) -> DeadlockSuspectedError:
+    """The join-timeout error both real runtimes raise.
 
-    ``conditions[slot]`` shares the lock object of circuit ``slot``; a
-    ``WaitOn(chan=slot, lock_id=FIRST_LNVC_LOCK + slot)`` maps directly to
-    ``conditions[slot].wait()``.
+    ``stuck`` maps each unfinished worker to its :meth:`ThreadState.dump`;
+    ``died`` maps workers that raised to a description — a worker that
+    died early (its peers now wait forever on it) is the likelier root
+    cause than a true deadlock, so those are named instead of masked.
     """
-
-    def __init__(self, cfg: MPFConfig, lock_factory, condition_factory) -> None:
-        self.locks = [lock_factory() for _ in range(cfg.n_locks)]
-        self.conditions = [
-            condition_factory(self.locks[FIRST_LNVC_LOCK + slot])
-            for slot in range(cfg.n_channels)
-        ]
+    lines = [
+        f"  {n}: blocked_on={d['blocked_on']} held={d['held']}"
+        for n, d in sorted(stuck.items())
+    ]
+    lines += [f"  {n}: died with {died[n]}" for n in sorted(died)]
+    return DeadlockSuspectedError(
+        f"{len(stuck)} worker(s) did not finish within {join_timeout}s "
+        "(blocked receive?):\n" + "\n".join(lines),
+        threads=stuck,
+    )
 
 
 def drive(
     gen: Generator,
-    sync: RealSync,
+    sync: SyncBase,
     recorder=None,
     process: str = "p0",
     clock=None,
@@ -80,14 +89,17 @@ def drive(
     """Trampoline: run an effect generator against real primitives.
 
     Returns the generator's return value.  ``Charge`` effects are free —
-    real time passes on its own.
+    real time passes on its own.  ``sync`` is any
+    :class:`~repro.runtime.sync.SyncBase`: one code path per effect,
+    whatever hosts the locks.
 
     With a :class:`repro.obs.Recorder` attached, the trampoline measures
     each blocking primitive with ``clock`` (default
-    ``time.perf_counter``): lock wait time (via a non-blocking first
-    attempt where the lock supports it), lock hold time, and condition
-    sleep time — the same profile the simulated engine records in
-    simulated time.  ``Charge`` labels are tallied by instruction budget
+    ``time.perf_counter``): lock wait time (an acquire is contended when
+    its first attempt failed, and its wait then includes any spinning
+    the sync did before it slept), lock hold time, and condition sleep
+    time — the same profile the simulated engine records in simulated
+    time.  ``Charge`` labels are tallied by instruction budget
     (their wall time is zero: real compute takes real time by itself).
     """
     if state is None:
@@ -105,32 +117,22 @@ def drive(
                 continue
             if isinstance(effect, Acquire):
                 state.blocked_on = ("lock", effect.lock_id)
-                sync.locks[effect.lock_id].acquire()
+                sync.acquire(effect.lock_id)
                 state.blocked_on = None
                 state.held.append(effect.lock_id)
             elif isinstance(effect, Release):
-                sync.locks[effect.lock_id].release()
+                sync.release(effect.lock_id)
                 state.held.remove(effect.lock_id)
             elif isinstance(effect, WaitOn):
-                expected = FIRST_LNVC_LOCK + effect.chan
-                if effect.lock_id != expected:
-                    raise RuntimeError(
-                        f"WaitOn(chan={effect.chan}) under lock {effect.lock_id}; "
-                        f"expected circuit lock {expected}"
-                    )
-                # The caller holds the circuit lock, which is exactly the
-                # condition's lock: wait() releases and reacquires atomically.
+                # The caller holds the circuit lock; wait() releases it,
+                # sleeps and returns holding it again.
                 state.blocked_on = ("chan", effect.chan)
                 state.held.remove(effect.lock_id)
-                sync.conditions[effect.chan].wait()
+                sync.wait(effect.chan, effect.lock_id)
                 state.blocked_on = None
                 state.held.append(effect.lock_id)
             elif isinstance(effect, Wake):
-                cond = sync.conditions[effect.chan]
-                # MPF wakes after releasing the circuit lock, so take the
-                # condition's lock briefly to notify.
-                with cond:
-                    cond.notify_all()
+                sync.wake(effect.chan)
             else:
                 raise RuntimeError(
                     f"non-effect {effect!r} yielded to real runtime"
@@ -139,7 +141,7 @@ def drive(
                            clock or time.perf_counter, state)
 
 
-def _drive_recorded(gen: Generator, sync: RealSync, recorder,
+def _drive_recorded(gen: Generator, sync: SyncBase, recorder,
                     process: str, clock, state: ThreadState) -> object:
     """The instrumented twin of :func:`drive` (kept separate so the
     common uninstrumented path stays allocation-free)."""
@@ -162,46 +164,29 @@ def _drive_recorded(gen: Generator, sync: RealSync, recorder,
                 recorder.on_charge(now, process, w.label, 0.0,
                                    w.instrs, w.flops)
         elif isinstance(effect, Acquire):
-            lock = sync.locks[effect.lock_id]
-            contended = False
-            try:
-                got = lock.acquire(False)
-            except TypeError:  # lock type without a non-blocking mode
-                got = False
-            if not got:
-                state.blocked_on = ("lock", effect.lock_id)
-                t0 = clock()
-                lock.acquire()
-                wait = clock() - t0
-                contended = True
-            else:
-                wait = 0.0
+            state.blocked_on = ("lock", effect.lock_id)
+            t0 = clock()
+            contended = sync.acquire(effect.lock_id)
+            now = clock()
             state.blocked_on = None
             state.held.append(effect.lock_id)
-            now = clock()
-            recorder.on_acquire(now, process, effect.lock_id, wait, contended)
+            recorder.on_acquire(now, process, effect.lock_id,
+                                now - t0 if contended else 0.0, contended)
             held_since[effect.lock_id] = now
         elif isinstance(effect, Release):
-            lock = sync.locks[effect.lock_id]
-            lock.release()
+            sync.release(effect.lock_id)
             state.held.remove(effect.lock_id)
             now = clock()
             recorder.on_release(now, process, effect.lock_id,
                                 now - held_since.pop(effect.lock_id, now))
         elif isinstance(effect, WaitOn):
-            expected = FIRST_LNVC_LOCK + effect.chan
-            if effect.lock_id != expected:
-                raise RuntimeError(
-                    f"WaitOn(chan={effect.chan}) under lock {effect.lock_id}; "
-                    f"expected circuit lock {expected}"
-                )
             t0 = clock()
             recorder.on_release(t0, process, effect.lock_id,
                                 t0 - held_since.pop(effect.lock_id, t0),
                                 counted=False)
             state.blocked_on = ("chan", effect.chan)
             state.held.remove(effect.lock_id)
-            sync.conditions[effect.chan].wait()
+            sync.wait(effect.chan, effect.lock_id)
             state.blocked_on = None
             state.held.append(effect.lock_id)
             now = clock()
@@ -212,11 +197,8 @@ def _drive_recorded(gen: Generator, sync: RealSync, recorder,
                                 contended=False, counted=False)
             held_since[effect.lock_id] = now
         elif isinstance(effect, Wake):
-            cond = sync.conditions[effect.chan]
-            with cond:
-                cond.notify_all()
-            # Real conditions do not report how many sleepers they woke.
-            recorder.on_wake(clock(), process, effect.chan, 0)
+            woken = sync.wake(effect.chan)
+            recorder.on_wake(clock(), process, effect.chan, woken)
         else:
             raise RuntimeError(f"non-effect {effect!r} yielded to real runtime")
 
@@ -251,7 +233,7 @@ class ThreadRuntime(Runtime):
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
         view = MPFView(region, layout, costs)
-        sync = RealSync(cfg, threading.Lock, threading.Condition)
+        sync = RealSync(cfg)
 
         t0 = time.perf_counter()
         clock = lambda: time.perf_counter() - t0  # noqa: E731
@@ -280,6 +262,7 @@ class ThreadRuntime(Runtime):
                 view.timeline = timeline
 
         states = {name: ThreadState() for name in names}
+        syncs = {name: sync.bind(rank) for rank, name in enumerate(names)}
 
         def body(name: str, rank: int, worker: Worker) -> None:
             env = Env(view, rank, nprocs, clock)
@@ -287,7 +270,7 @@ class ThreadRuntime(Runtime):
             if self.recorder is not None:
                 rec = locals_[name] = self.recorder.child()
             try:
-                results[name] = drive(worker(env), sync, recorder=rec,
+                results[name] = drive(worker(env), syncs[name], recorder=rec,
                                       process=name, clock=clock,
                                       state=states[name])
             except BaseException as exc:  # surfaced after join
@@ -306,24 +289,9 @@ class ThreadRuntime(Runtime):
                     th.name: states[th.name].dump()
                     for th in threads if th.is_alive()
                 }
-                lines = [
-                    f"  {n}: blocked_on={d['blocked_on']} held={d['held']}"
-                    for n, d in sorted(stuck.items())
-                ]
-                # A worker that died early (its peers now wait forever on
-                # it) is the likelier root cause than a true deadlock —
-                # name those errors instead of masking them.
-                lines += [
-                    f"  {n}: died with {errors[n]!r}"
-                    for n in sorted(errors)
-                ]
-                raise DeadlockSuspectedError(
-                    f"worker {t.name!r} did not finish within "
-                    f"{self.join_timeout}s (blocked receive?); "
-                    f"{len(stuck)} thread(s) still alive:\n"
-                    + "\n".join(lines),
-                    threads=stuck,
-                )
+                raise deadlock_error(
+                    stuck, {n: repr(e) for n, e in errors.items()},
+                    self.join_timeout)
         if self.recorder is not None:
             for name in names:  # deterministic merge order
                 rec = locals_.get(name)
@@ -338,4 +306,5 @@ class ThreadRuntime(Runtime):
             elapsed=time.perf_counter() - t0,
             kind=self.kind,
             header=snapshot_header(view),
+            sync={name: syncs[name].counters() for name in names},
         )

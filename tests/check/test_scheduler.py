@@ -12,7 +12,7 @@ from repro.check import (
     explore,
     explore_dfs,
     run_schedule,
-    run_threads,
+    run_real,
 )
 
 
@@ -86,5 +86,17 @@ def test_bounded_policy_respects_bound():
 
 
 def test_threads_cross_validation_clean():
-    assert run_threads(SCENARIOS["fcfs-race"], repeats=3,
-                       join_timeout=30.0) == []
+    assert run_real(SCENARIOS["fcfs-race"], repeats=3,
+                    join_timeout=30.0) == []
+
+
+def test_procs_cross_validation_clean_and_catches_a_dropped_wake():
+    """The same oracles on forked processes: the final invariants are
+    collected inside ``ProcRuntime.run`` (``final_check``), before the
+    segment is unlinked."""
+    assert run_real(SCENARIOS["ring-wrap"], repeats=3, join_timeout=30.0,
+                    runtime="procs") == []
+    found = run_real(SCENARIOS["mixed-protocol"], fault="drop-wake",
+                     repeats=3, join_timeout=2.0, runtime="procs")
+    assert found and "suspected deadlock" in found[0]
+    assert "blocked_on=('chan'" in found[0]

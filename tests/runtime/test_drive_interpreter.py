@@ -13,8 +13,7 @@ from repro.runtime.threads import RealSync, drive
 
 @pytest.fixture
 def sync():
-    return RealSync(MPFConfig(max_lnvcs=4, max_processes=2),
-                    threading.Lock, threading.Condition)
+    return RealSync(MPFConfig(max_lnvcs=4, max_processes=2))
 
 
 def gen_of(*effects, result=None):

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import textwrap
+import time
 import uuid
 
 import pytest
@@ -149,3 +150,56 @@ def test_truly_independent_processes():
         mpf.close_receive(results)
     finally:
         seg.unlink()
+
+
+ECHO_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from repro.core.layout import MPFConfig
+    from repro.core.protocol import FCFS
+    from repro.runtime.posix import PosixSegment
+
+    name, count = sys.argv[1], int(sys.argv[2])
+    cfg = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
+                    message_pool_bytes=1 << 16)
+    seg = PosixSegment.attach(name, cfg)
+    try:
+        mpf = seg.client(1)
+        ping = mpf.open_receive("ping", FCFS)
+        pong = mpf.open_send("pong")
+        for _ in range(count):
+            mpf.message_send(pong, mpf.message_receive(ping))
+        mpf.close_receive(ping)
+        mpf.close_send(pong)
+    finally:
+        seg.close()
+    """
+)
+
+
+def test_ping_pong_does_not_pay_the_nap_per_hop():
+    """``FlockSync.wait`` yields before it naps: a peer that answers in
+    microseconds is seen in microseconds.  A flat 2 ms nap per empty
+    poll made 200 round trips (400 hops) cost up to 800 ms."""
+    name = fresh_name()
+    rounds = 200
+    with PosixSegment.create(name, MPFConfig(**CFG)) as seg:
+        mpf = seg.client(0)
+        ping = mpf.open_send("ping")
+        pong = mpf.open_receive("pong", FCFS)
+        child = subprocess.Popen(
+            [sys.executable, "-c", ECHO_SCRIPT, name, str(rounds + 1)],
+            stderr=subprocess.PIPE, text=True,
+        )
+        mpf.message_send(ping, b"warm-up")  # the peer has attached and opened
+        assert mpf.message_receive(pong) == b"warm-up"
+        t0 = time.perf_counter()
+        for i in range(rounds):
+            mpf.message_send(ping, bytes([i]))
+            assert mpf.message_receive(pong) == bytes([i])
+        elapsed = time.perf_counter() - t0
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        mpf.close_send(ping)
+        mpf.close_receive(pong)
+    assert elapsed < 0.300, f"{rounds} round trips took {elapsed * 1e3:.0f} ms"

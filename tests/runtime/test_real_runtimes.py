@@ -5,7 +5,9 @@ loss-free joining discipline of :mod:`repro.patterns` wherever a circuit
 must outlive its sender.
 """
 
+import os
 import sys
+import time
 
 import pytest
 
@@ -158,6 +160,45 @@ def test_procs_worker_failure_reported():
 
     with pytest.raises(RuntimeError, match="proc bug"):
         ProcRuntime(join_timeout=30).run([bad])
+
+
+def test_procs_join_timeout_fires_when_a_peer_blocks_forever():
+    """One worker raises, its peer waits for it in ``message_receive``:
+    ``run`` must come back at ``join_timeout`` (it used to sit in the
+    result queue forever), name the blocked worker's wait state and the
+    dead worker's error, and leave no segment behind."""
+
+    def bad(env):
+        yield from env.open_send("data")
+        yield from barrier(env, "go", 2)
+        raise ValueError("sender bug")
+
+    def waits_forever(env):
+        data = yield from env.open_receive("data", FCFS)
+        yield from barrier(env, "go", 2)
+        yield from env.message_receive(data)
+
+    shm_before = set(os.listdir("/dev/shm"))
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockSuspectedError) as excinfo:
+        ProcRuntime(join_timeout=1.5).run([bad, waits_forever])
+    assert time.monotonic() - t0 < 1.5 + 2.0
+    dump = excinfo.value.threads
+    assert list(dump) == ["p1"]
+    assert dump["p1"]["blocked_on"][0] == "chan" and dump["p1"]["held"] == []
+    assert "sender bug" in str(excinfo.value)
+    assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+def test_procs_worker_killed_without_reporting_is_an_error_not_a_hang():
+    def dies(env):
+        yield from env.compute(instrs=1)
+        os._exit(7)
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        ProcRuntime(join_timeout=30).run([dies])
+    assert time.monotonic() - t0 < 10
 
 
 def test_cross_runtime_parity():
