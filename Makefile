@@ -16,7 +16,7 @@ FUSION ?= on
 EPOCH ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
-	serve telemetry-smoke procs-smoke regress profile clean
+	serve telemetry-smoke procs-smoke regress profile identity clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -138,6 +138,16 @@ compare:
 	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --jobs $(JOBS) \
 		--json /tmp/mpf_after.json >/dev/null && \
 	$(PY) -m repro.bench.compare figures_full.json /tmp/mpf_after.json
+
+# Byte-identity gate: the full serial sweep must reproduce the committed
+# archive exactly, with the engine's escape hatches on and off (~25 s
+# each).  Every change to core/, the engine or a runtime runs this.
+identity:
+	$(PY) -m repro.bench all --json /tmp/mpf_full.json >/dev/null
+	cmp /tmp/mpf_full.json figures_full.json
+	MPF_FUSION=off MPF_EPOCH=off $(PY) -m repro.bench all \
+		--json /tmp/mpf_full_off.json >/dev/null
+	cmp /tmp/mpf_full_off.json figures_full.json
 
 # cProfile one figure plus the hottest-effect-label report.
 # `make profile FIG=fig6 FUSION=off` profiles the unfused paths.

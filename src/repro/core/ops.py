@@ -58,9 +58,19 @@ from .errors import (
     OutOfDescriptorsError,
     OutOfMessageMemoryError,
     ProtocolViolationError,
+    RegionFormatError,
     UnknownLNVCError,
 )
-from .freelist import fl_alloc, fl_free
+from .freelist import (
+    drain_chain,
+    fill_chain,
+    fl_alloc,
+    fl_free,
+    pop_chain,
+    pop_some,
+    push_chain,
+    walk_chain,
+)
 from .layout import HDR, MPFConfig, SegmentLayout
 from .protocol import (
     ALLOC_LOCK,
@@ -68,11 +78,12 @@ from .protocol import (
     GLOBAL_LOCK,
     NAME_MAX,
     NIL,
+    SLOT_BITS,
     MsgFlags,
     Protocol,
 )
 from .region import SharedRegion
-from .structs import BLK_NEXT, LNVC, MSG, RECV, SEND
+from .structs import LNVC, MSG, RECV, SEND
 from .transport import (
     ring_attach,
     ring_check,
@@ -123,10 +134,6 @@ def set_fusion(on: bool) -> None:
 
 OpGen = Generator[Effect, None, object]
 
-#: Bits of an LNVC identifier that address the table slot; the remaining
-#: high bits carry the slot's generation so identifiers from a deleted
-#: circuit are detected instead of silently aliasing a new one.
-SLOT_BITS = 10
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 # Field offsets resolved once at import time.  The hot primitives
@@ -558,31 +565,34 @@ def _retire_check(view: MPFView, msg: int) -> bool:
     return True
 
 
-def _free_chain(view: MPFView, msg: int) -> int:
-    """Return a message header and its block chain to the free lists.
+def _bad_chain(msg: int, exc: RegionFormatError) -> RegionFormatError:
+    """``exc`` from a chain kernel, naming the message header it is under."""
+    return RegionFormatError(f"message header {msg}: {exc}")
+
+
+def _msg_chain(view: MPFView, msg: int) -> list[int]:
+    """Blocks of the message at ``msg``, bounded by its own block count."""
+    u32 = view.region.u32
+    try:
+        return walk_chain(
+            view.region, u32(msg + _M_FIRST_BLK), u32(msg + _M_NBLOCKS))
+    except RegionFormatError as exc:
+        raise _bad_chain(msg, exc) from None
+
+
+def _free_chain(view: MPFView, msg: int, blocks: list) -> int:
+    """Return a message header and its chain ``blocks`` to the free lists.
 
     Caller holds ``ALLOC_LOCK``.  Returns the number of blocks freed.
     """
     r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
-    nblk = 0
-    blk = u32(msg + _M_FIRST_BLK)
-    # Inlined fl_free: push each block onto the free list head.
-    head = u32(_H_FREE_BLK)
-    while blk != NIL:
-        nxt = u32(blk + BLK_NEXT)
-        set_u32(blk, head)
-        head = blk
-        blk = nxt
-        nblk += 1
-    set_u32(_H_FREE_BLK, head)
-    length = u32(msg + _M_LENGTH)
+    push_chain(r, _H_FREE_BLK, blocks)
+    length = r.u32(msg + _M_LENGTH)
     fl_free(r, _H_FREE_MSG, msg)
     r.add_u32(_H_LIVE_MSGS, -1)
-    r.add_u32(_H_LIVE_BLOCKS, -nblk)
+    r.add_u32(_H_LIVE_BLOCKS, -len(blocks))
     r.add_u32(_H_LIVE_BYTES, -length)
-    return nblk
+    return len(blocks)
 
 
 def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
@@ -596,8 +606,6 @@ def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
     committed is rolled back (to its home shard) and False is returned.
     """
     r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
     causal = view.causal
     heads = view._blk_heads
     nshards = len(heads)
@@ -610,14 +618,10 @@ def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
         s = (home + k) % nshards
         head_off = heads[s]
         yield view._shard_acq[s]
-        got = 0
-        blk = u32(head_off)
-        while taken + got < nblk and blk != NIL:
-            blocks.append(blk)
-            got += 1
-            blk = u32(blk + BLK_NEXT)
+        popped = pop_some(r, head_off, nblk - taken)
+        got = len(popped)
         if got:
-            set_u32(head_off, blk)
+            blocks += popped
             r.add_u32(_H_LIVE_BLOCKS, got)
             taken += got
             if causal is not None:
@@ -652,14 +656,13 @@ def _shard_free(view: MPFView, blocks: list) -> OpGen:
     for s in sorted(by_shard):
         group = by_shard[s]
         yield view._shard_acq[s]
-        for b in group:
-            fl_free(r, heads[s], b)
+        push_chain(r, heads[s], group)
         r.add_u32(_H_LIVE_BLOCKS, -len(group))
         yield view._shard_rel[s]
 
 
-def _free_chain_sharded(view: MPFView, msg: int) -> OpGen:
-    """Sharded twin of :func:`_free_chain` (caller holds ``ALLOC_LOCK``).
+def _free_chains_sharded(view: MPFView, msgs: list, chains: list) -> OpGen:
+    """Sharded twin of a :func:`_free_chain` loop (caller holds ``ALLOC_LOCK``).
 
     Blocks go back to their home shards under the per-shard locks
     (consistent with the ALLOC → shard order); the header free and the
@@ -667,37 +670,74 @@ def _free_chain_sharded(view: MPFView, msg: int) -> OpGen:
     Returns the number of blocks freed.
     """
     r = view.region
-    u32 = r.u32
-    blocks: list[int] = []
-    blk = u32(msg + _M_FIRST_BLK)
-    while blk != NIL:
-        blocks.append(blk)
-        blk = u32(blk + BLK_NEXT)
-    yield from _shard_free(view, blocks)
-    length = u32(msg + _M_LENGTH)
-    fl_free(r, _H_FREE_MSG, msg)
+    for msg, chain in zip(msgs, chains):
+        yield from _shard_free(view, chain)
+        length = r.u32(msg + _M_LENGTH)
+        fl_free(r, _H_FREE_MSG, msg)
+        r.add_u32(_H_LIVE_MSGS, -1)
+        r.add_u32(_H_LIVE_BYTES, -length)
+    return sum(map(len, chains))
+
+
+def _unsend(
+    view: MPFView, lock: int, hdr: int, blocks: list, length: int, exc: Exception
+) -> OpGen:
+    """Undo a send refused at its link step, then raise ``exc``.
+
+    The header and the chain are allocated and counted but not linked;
+    the caller holds the circuit lock ``lock``.
+    """
+    r = view.region
+    yield Release(lock)
+    if view._blk_heads is not None:
+        yield from _shard_free(view, blocks)
+    yield Acquire(ALLOC_LOCK)
+    if view._blk_heads is None:
+        push_chain(r, _H_FREE_BLK, blocks)
+        r.add_u32(_H_LIVE_BLOCKS, -len(blocks))
+    fl_free(r, _H_FREE_MSG, hdr)
     r.add_u32(_H_LIVE_MSGS, -1)
     r.add_u32(_H_LIVE_BYTES, -length)
-    return len(blocks)
+    yield from _release_and_raise([ALLOC_LOCK], exc)
 
 
-def _reap_head(view: MPFView, base: int) -> OpGen:
+def _reap_head(
+    view: MPFView,
+    base: int,
+    held: tuple,
+    drained: int = NIL,
+    blocks: list | None = None,
+) -> OpGen:
     """Unlink and free retired messages at the FIFO head.
 
     Retirement marks messages lazily; physical reclamation happens here,
     only from the head, so the singly linked FIFO never needs a backward
     unlink — our answer to the paper's "particularly vexing" problem.
-    Caller holds the circuit lock.
+    Caller holds the locks ``held`` (the circuit lock first).
+
+    Every doomed chain is collected, read-only, before anything is
+    unlinked and before the allocator lock is taken: a corrupt chain
+    raises (``held`` released first) while the segment is still
+    consistent, and the walks stay out of the allocator's critical
+    section.  ``drained``/``blocks`` name the message the calling
+    receive has just copied out of and the chain it walked doing so — it
+    was busy-pinned from that walk until this lock section, so its chain
+    is still ``blocks`` and is not walked again.
     """
     r = view.region
     c = view.costs
     u32 = r.u32
     set_u32 = r.set_u32
     doomed: list[int] = []
+    chains: list[list[int]] = []
     head = u32(base + _L_FIFO_HEAD)
-    while head != NIL and (u32(head + _M_FLAGS) & _F_RETIRED):
-        doomed.append(head)
-        head = u32(head + _M_NEXT_MSG)
+    try:
+        while head != NIL and (u32(head + _M_FLAGS) & _F_RETIRED):
+            doomed.append(head)
+            chains.append(blocks if head == drained else _msg_chain(view, head))
+            head = u32(head + _M_NEXT_MSG)
+    except RegionFormatError as exc:
+        yield from _release_and_raise(held, exc)
     if not doomed:
         return 0
     set_u32(base + _L_FIFO_HEAD, head)
@@ -712,7 +752,6 @@ def _reap_head(view: MPFView, base: int) -> OpGen:
     fcfs = u32(base + _L_FCFS_HEAD)
     if fcfs in doomed:
         set_u32(base + _L_FCFS_HEAD, _first_untaken(view, head))
-    nblk = 0
     yield view._alloc_acq
     causal = view.causal
     if causal is not None:
@@ -726,11 +765,11 @@ def _reap_head(view: MPFView, base: int) -> OpGen:
             causal.on_free(u32(msg + _M_SENDER), slot, gen,
                            u32(msg + _M_SEQNO), u32(msg + _M_LENGTH), depth)
     if view._blk_heads is None:
-        for msg in doomed:
-            nblk += _free_chain(view, msg)
+        nblk = 0
+        for msg, chain in zip(doomed, chains):
+            nblk += _free_chain(view, msg, chain)
     else:
-        for msg in doomed:
-            nblk += yield from _free_chain_sharded(view, msg)
+        nblk = yield from _free_chains_sharded(view, doomed, chains)
     yield view._alloc_rel
     yield Charge(
         Work(instrs=len(doomed) * c.msg_discard + nblk * c.blk_free, label="reap")
@@ -757,10 +796,15 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     c = view.costs
     base = view.layout.lnvc_off(slot)
     msgs: list[int] = []
+    chains: list[list[int]] = []
     msg = LNVC.get(r, base, "fifo_head")
-    while msg != NIL:
-        msgs.append(msg)
-        msg = MSG.get(r, msg, "next_msg")
+    try:
+        while msg != NIL:
+            msgs.append(msg)
+            chains.append(_msg_chain(view, msg))
+            msg = MSG.get(r, msg, "next_msg")
+    except RegionFormatError as exc:
+        yield from _release_and_raise((view.lnvc_lock(slot), GLOBAL_LOCK), exc)
     nblk = 0
     if msgs:
         yield Acquire(ALLOC_LOCK)
@@ -774,11 +818,10 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
                                MSG.get(r, m, "seqno"),
                                MSG.get(r, m, "length"), depth, discard=1)
         if view._blk_heads is None:
-            for m in msgs:
-                nblk += _free_chain(view, m)
+            for m, chain in zip(msgs, chains):
+                nblk += _free_chain(view, m, chain)
         else:
-            for m in msgs:
-                nblk += yield from _free_chain_sharded(view, m)
+            nblk = yield from _free_chains_sharded(view, msgs, chains)
         yield Release(ALLOC_LOCK)
     if LNVC.get(r, base, "transport"):
         # Ring circuits have no FIFO to discard (msgs is empty above);
@@ -1052,7 +1095,7 @@ def close_receive(view: MPFView, pid: int, lnvc_id: int) -> OpGen:
         )
     )
     if not is_ring:
-        yield from _reap_head(view, base)
+        yield from _reap_head(view, base, (lock, GLOBAL_LOCK))
     if _conn_count(view, base) == 0:
         yield from _delete_lnvc(view, slot)
     yield Release(lock)
@@ -1099,24 +1142,19 @@ def _make_send_section(view, slot, pid, gen, lnvc_id):
 
     def _alloc():
         nblk = ctx[_SX_NBLK]
-        blocks = ctx[_SX_BLOCKS]
         hdr = fl_alloc(r, _H_FREE_MSG,
                        causal.on_pool if causal is not None else None)
         ctx[_SX_HDR] = hdr
         if hdr == NIL:
             return (D_BAIL,
                     OutOfMessageMemoryError("message header pool exhausted"))
-        blk = u32(_H_FREE_BLK)
-        while len(blocks) < nblk and blk != NIL:
-            blocks.append(blk)
-            blk = u32(blk + BLK_NEXT)
-        if len(blocks) < nblk:
+        blocks = ctx[_SX_BLOCKS] = pop_chain(r, _H_FREE_BLK, nblk)
+        if blocks is None:
             fl_free(r, _H_FREE_MSG, hdr)
             if causal is not None:
                 causal.on_pool(_H_FREE_BLK, NIL)
             return (D_BAIL, OutOfMessageMemoryError(
                 f"block pool exhausted ({nblk}-block message)"))
-        set_u32(_H_FREE_BLK, blk)
         if causal is not None:
             causal.on_pool_bulk(_H_FREE_BLK, nblk)
         r.add_u32(_H_LIVE_MSGS, 1)
@@ -1270,8 +1308,6 @@ def _send_fused(
     ctx = ent[1]
     ctx[_SX_LEN] = length
     ctx[_SX_NBLK] = nblk
-    blocks: list[int] = []
-    ctx[_SX_BLOCKS] = blocks
     ctx[_SX_T_ENTRY] = t_entry
 
     if prelude is None:
@@ -1293,15 +1329,10 @@ def _send_fused(
     if causal is not None:
         ctx[_SX_T_ALLOC] = causal.clock()
     hdr = ctx[_SX_HDR]
+    blocks = ctx[_SX_BLOCKS]
 
     # Fill the private chain — outside every lock, same as classic.
-    set_u32 = r.set_u32
-    write = r.write
-    bs = view.cfg.block_size
-    last = nblk - 1
-    for i, blk in enumerate(blocks):
-        set_u32(blk + BLK_NEXT, blocks[i + 1] if i < last else NIL)
-        write(blk + 4, data[i * bs : min((i + 1) * bs, length)])
+    fill_chain(r, blocks, data, view.cfg.block_size)
 
     sec2_memo = ent[5]
     section2 = sec2_memo.get(length)
@@ -1325,15 +1356,7 @@ def _send_fused(
         return res
     # Validation failed at the link step: the circuit lock is still
     # held; roll the allocation back exactly as the classic path does.
-    yield Release(lock)
-    yield Acquire(ALLOC_LOCK)
-    for b in blocks:
-        fl_free(r, _H_FREE_BLK, b)
-    fl_free(r, _H_FREE_MSG, hdr)
-    r.add_u32(_H_LIVE_MSGS, -1)
-    r.add_u32(_H_LIVE_BLOCKS, -nblk)
-    r.add_u32(_H_LIVE_BYTES, -length)
-    yield from _release_and_raise([ALLOC_LOCK], res)
+    yield from _unsend(view, lock, hdr, blocks, length, res)
 
 
 def message_send(
@@ -1409,8 +1432,8 @@ def message_send(
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
-    blocks: list[int] = []
     if view._blk_heads is not None:
+        blocks: list[int] = []
         # Sharded pool: the allocator section covers only the header pop
         # and the message/byte counters; block pops move under the
         # per-shard locks (same total charge, split across sections).
@@ -1434,13 +1457,8 @@ def message_send(
                     f"block pool exhausted ({nblk}-block message)"),
             )
     else:
-        # Pop the whole chain in one walk (the free list is only mutated on
-        # shortfall once the full count is known, so no rollback is needed).
-        blk = u32(_H_FREE_BLK)
-        while len(blocks) < nblk and blk != NIL:
-            blocks.append(blk)
-            blk = u32(blk + BLK_NEXT)
-        if len(blocks) < nblk:
+        blocks = pop_chain(r, _H_FREE_BLK, nblk)
+        if blocks is None:
             fl_free(r, _H_FREE_MSG, hdr)
             if causal is not None:
                 causal.on_pool(_H_FREE_BLK, NIL)
@@ -1448,7 +1466,6 @@ def message_send(
                 [ALLOC_LOCK],
                 OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
             )
-        set_u32(_H_FREE_BLK, blk)
         if causal is not None:
             causal.on_pool_bulk(_H_FREE_BLK, nblk)
         r.add_u32(_H_LIVE_MSGS, 1)
@@ -1466,11 +1483,7 @@ def message_send(
     t_alloc = causal.clock() if causal is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.
-    write = r.write
-    last = nblk - 1
-    for i, blk in enumerate(blocks):
-        set_u32(blk + BLK_NEXT, blocks[i + 1] if i < last else NIL)
-        write(blk + 4, data[i * bs : min((i + 1) * bs, length)])
+    fill_chain(r, blocks, data, bs)
     yield Charge(
         Work(
             instrs=nblk * c.blk_fill + length * c.copy_byte,
@@ -1504,22 +1517,7 @@ def message_send(
                 )
             view._send_cache[(slot, pid)] = (sd, steps, gen, epoch)
     except (UnknownLNVCError, NotConnectedError) as exc:
-        yield Release(lock)
-        if view._blk_heads is not None:
-            yield from _shard_free(view, blocks)
-            yield Acquire(ALLOC_LOCK)
-            fl_free(r, _H_FREE_MSG, hdr)
-            r.add_u32(_H_LIVE_MSGS, -1)
-            r.add_u32(_H_LIVE_BYTES, -length)
-            yield from _release_and_raise([ALLOC_LOCK], exc)
-        yield Acquire(ALLOC_LOCK)
-        for b in blocks:
-            fl_free(r, _H_FREE_BLK, b)
-        fl_free(r, _H_FREE_MSG, hdr)
-        r.add_u32(_H_LIVE_MSGS, -1)
-        r.add_u32(_H_LIVE_BLOCKS, -nblk)
-        r.add_u32(_H_LIVE_BYTES, -length)
-        yield from _release_and_raise([ALLOC_LOCK], exc)
+        yield from _unsend(view, lock, hdr, blocks, length, exc)
 
     n_fcfs = u32(base + _L_N_FCFS)
     n_bcast = u32(base + _L_N_BCAST)
@@ -1579,7 +1577,7 @@ def message_send(
 # Context-list indices for the cached fused receive closures (see
 # _make_recv_section) — the receive-side analogue of the _SX_* slots.
 _RX_DESC, _RX_FCFS, _RX_MSG, _RX_LEN, _RX_NBLK, _RX_FIRST, _RX_T_CLAIM, \
-    _RX_SEQNO, _RX_CLAIMED, _RX_MAXLEN, _RX_T_DRAIN = range(11)
+    _RX_SEQNO, _RX_CLAIMED, _RX_MAXLEN, _RX_T_DRAIN, _RX_BLOCKS = range(12)
 
 
 def _make_recv_section(view, slot, pid, gen, lnvc_id):
@@ -1604,7 +1602,7 @@ def _make_recv_section(view, slot, pid, gen, lnvc_id):
     rkey = (slot, pid)
     fs_find = view._fs_recv_find
     fs_rel = view._fs_rel[slot]
-    ctx: list = [None] * 11
+    ctx: list = [None] * 12
     find_splices: dict = {}
     reap_splices: dict = {}
     reap_state: list = []
@@ -1677,10 +1675,17 @@ def _make_recv_section(view, slot, pid, gen, lnvc_id):
 
     def _reap1():
         doomed: list[int] = []
+        chains: list[list[int]] = []
+        drained = ctx[_RX_MSG]
         head = u32(base + _L_FIFO_HEAD)
-        while head != NIL and (u32(head + _M_FLAGS) & _F_RETIRED):
-            doomed.append(head)
-            head = u32(head + _M_NEXT_MSG)
+        try:
+            while head != NIL and (u32(head + _M_FLAGS) & _F_RETIRED):
+                doomed.append(head)
+                chains.append(ctx[_RX_BLOCKS] if head == drained
+                              else _msg_chain(view, head))
+                head = u32(head + _M_NEXT_MSG)
+        except RegionFormatError as exc:
+            return (D_BAIL, exc)
         if not doomed:
             _totals()
             return (D_SPLICE, rel_splice)
@@ -1694,11 +1699,11 @@ def _make_recv_section(view, slot, pid, gen, lnvc_id):
         fcfs = u32(base + _L_FCFS_HEAD)
         if fcfs in doomed:
             set_u32(base + _L_FCFS_HEAD, _first_untaken(view, head))
-        reap_state.append((doomed, depth_after))
+        reap_state.append((doomed, chains, depth_after))
         return (D_SPLICE, reapacq_splice)
 
     def _reap2():
-        doomed, depth_after = reap_state.pop()
+        doomed, chains, depth_after = reap_state.pop()
         if causal is not None:
             cur_gen = u32(base + _L_GEN)
             depth = depth_after + len(doomed)
@@ -1708,8 +1713,8 @@ def _make_recv_section(view, slot, pid, gen, lnvc_id):
                                u32(m + _M_SEQNO), u32(m + _M_LENGTH),
                                depth)
         nblk_f = 0
-        for m in doomed:
-            nblk_f += _free_chain(view, m)
+        for m, chain in zip(doomed, chains):
+            nblk_f += _free_chain(view, m, chain)
         key = (len(doomed), nblk_f)
         spl = reap_splices.get(key)
         if spl is None:
@@ -1890,16 +1895,12 @@ def message_receive(
         yield view._rel[slot] if in_table else Release(lock)
 
     # Copy phase — concurrent with other receivers of the same message.
-    bs = view.cfg.block_size
-    read = r.read
-    parts: list[bytes] = []
-    blk, remaining = first, length
-    while blk != NIL and remaining > 0:
-        take = bs if remaining > bs else remaining
-        parts.append(read(blk + 4, take))
-        remaining -= take
-        blk = u32(blk + BLK_NEXT)
-    payload = b"".join(parts)
+    # The busy pin keeps the chain as walked here until the completion
+    # section below, which hands ``blocks`` to the reap.
+    try:
+        blocks, payload = drain_chain(r, first, nblk, length, view.cfg.block_size)
+    except RegionFormatError as exc:
+        raise _bad_chain(msg, exc) from None
 
     if fuse:
         # Fused completion: (copy charge, acquire, unpin/retire closure
@@ -1913,6 +1914,7 @@ def message_receive(
         ctx[_RX_MSG] = msg
         ctx[_RX_FCFS] = is_fcfs
         ctx[_RX_LEN] = length
+        ctx[_RX_BLOCKS] = blocks
         comp_memo = ent[3]
         section = comp_memo.get((length, nblk))
         if section is None:
@@ -1927,7 +1929,12 @@ def message_receive(
             steps_b += [view._fs_acq[slot], ent[5]]
             section = comp_memo[(length, nblk)] = FusedSection(tuple(steps_b))
             section.contention_horizon()
-        yield section
+        try:
+            res = yield section
+        finally:
+            ctx[_RX_BLOCKS] = None
+        if res is not None:  # corrupt chain found by the reap
+            yield from _release_and_raise([lock], res)
         t_drain = ctx[_RX_T_DRAIN] if causal is not None else 0.0
     else:
         yield Charge(Work(
@@ -1945,7 +1952,7 @@ def message_receive(
             r.add_u32(msg + _M_BCAST_PENDING, -1)
         _retire_check(view, msg)
         yield view._recv_retire
-        yield from _reap_head(view, base)
+        yield from _reap_head(view, base, (lock,), msg, blocks)
         r.add_u64(_H_TOTAL_RECEIVES, 1)
         r.add_u64(_H_TOTAL_BYTES_RECEIVED, length)
         yield view._rel[slot] if in_table else Release(lock)

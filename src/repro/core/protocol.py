@@ -16,6 +16,7 @@ __all__ = [
     "FCFS",
     "BROADCAST",
     "NIL",
+    "SLOT_BITS",
     "MAGIC",
     "VERSION",
     "NAME_MAX",
@@ -44,6 +45,11 @@ BROADCAST = Protocol.BROADCAST
 #: byte offsets; ``NIL`` marks the end of a list, exactly as a NULL pointer
 #: does in the paper's C implementation.
 NIL = 0xFFFFFFFF
+
+#: Bits of an LNVC identifier that address the table slot; the remaining
+#: high bits carry the slot's generation so identifiers from a deleted
+#: circuit are detected instead of silently aliasing a new one.
+SLOT_BITS = 10
 
 #: Magic word written at offset 0 of a formatted segment ("MPF!" little-endian).
 MAGIC = 0x4D504621

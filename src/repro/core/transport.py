@@ -73,7 +73,7 @@ from .errors import (
 )
 from .freelist import fl_alloc, fl_free
 from .layout import HDR
-from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, Protocol
+from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, SLOT_BITS, Protocol
 from .structs import (
     CACHE_LINE,
     LNVC,
@@ -108,8 +108,7 @@ OpGen = Generator[Effect, None, object]
 
 # Constant-folded field offsets, as in ops.py: the ring primitives run
 # once per message in figure sweeps.
-_SLOT_BITS = 10
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 _L_IN_USE = LNVC.offsets["in_use"]
 _L_GEN = LNVC.offsets["gen"]
@@ -414,7 +413,7 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
         yield ChargeMany((prelude, view._ring_send_fixed_work))
 
     slot = lnvc_id & _SLOT_MASK
-    gen = lnvc_id >> _SLOT_BITS
+    gen = lnvc_id >> SLOT_BITS
     in_table = slot < cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
     yield view._acq[slot] if in_table else Acquire(lock)
@@ -540,7 +539,7 @@ def ring_receive(view, pid: int, lnvc_id: int,
     t_entry = causal.clock() if causal is not None else 0.0
     yield view._ring_recv_fixed
     slot = lnvc_id & _SLOT_MASK
-    gen = lnvc_id >> _SLOT_BITS
+    gen = lnvc_id >> SLOT_BITS
     in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
     base = lay.lnvc_off(slot)
@@ -818,7 +817,7 @@ def ring_check(view, pid: int, lnvc_id: int,
     c = view.costs
     lay = view.layout
     slot = lnvc_id & _SLOT_MASK
-    gen = lnvc_id >> _SLOT_BITS
+    gen = lnvc_id >> SLOT_BITS
     in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
 

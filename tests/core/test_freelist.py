@@ -2,9 +2,24 @@
 
 import pytest
 
-from repro.core.freelist import fl_alloc, fl_count, fl_free, init_freelist
-from repro.core.protocol import NIL
+from repro.core import ops
+from repro.core.errors import RegionFormatError
+from repro.core.freelist import (
+    drain_chain,
+    fill_chain,
+    fl_alloc,
+    fl_count,
+    fl_free,
+    init_freelist,
+    pop_chain,
+    push_chain,
+    walk_chain,
+)
+from repro.core.layout import HDR
+from repro.core.protocol import FCFS, NIL
 from repro.core.region import SharedRegion
+from repro.core.structs import LNVC, MSG
+from repro.testing import DirectRunner, make_view
 
 HEAD = 0
 BASE = 16
@@ -78,3 +93,107 @@ def test_single_record_pool():
     assert fl_alloc(r, HEAD) == NIL
     fl_free(r, HEAD, BASE)
     assert fl_alloc(r, HEAD) == BASE
+
+
+# -- block-chain kernels ---------------------------------------------------------
+
+
+def _chain(r, n):
+    blocks = pop_chain(r, HEAD, n)
+    fill_chain(r, blocks, bytes(n * (STRIDE - 4)), STRIDE - 4)
+    return blocks
+
+
+def test_pop_chain_shortfall_leaves_the_list_untouched():
+    r = _region(5)
+    before = r.read(0, r.size)
+    assert pop_chain(r, HEAD, 6) is None
+    assert r.read(0, r.size) == before
+    assert pop_chain(r, HEAD, 5) == [BASE + i * STRIDE for i in range(5)]
+    assert r.u32(HEAD) == NIL
+
+
+def test_push_chain_matches_block_by_block_free():
+    a, b = _region(6), _region(6)
+    blocks = [fl_alloc(a, HEAD) for _ in range(6)]
+    assert pop_chain(b, HEAD, 6) == blocks
+    order = [blocks[i] for i in (4, 0, 5, 2)]
+    for off in order:
+        fl_free(a, HEAD, off)
+    push_chain(b, HEAD, order)
+    assert a.read(0, a.size) == b.read(0, b.size)
+    push_chain(b, HEAD, [])  # a zero-block message frees nothing
+    assert a.read(0, a.size) == b.read(0, b.size)
+
+
+@pytest.mark.parametrize("n", [3, 40])  # block-by-block and bulk paths
+def test_walk_is_bounded_by_the_block_count(n):
+    """A cyclic chain used to spin ``_free_chain`` forever with the
+    allocator locked; the walk now stops at the header's block count."""
+    r = _region(n + 2)
+    blocks = _chain(r, n)
+    assert walk_chain(r, blocks[0], n) == blocks
+    r.set_u32(blocks[-1], blocks[1])  # cycle back into the chain
+    with pytest.raises(RegionFormatError, match=(
+            f"chain from {blocks[0]} does not end after {n} blocks: "
+            f"block {blocks[-1]} links to {blocks[1]}")):
+        walk_chain(r, blocks[0], n)
+    with pytest.raises(RegionFormatError, match="does not end"):
+        drain_chain(r, blocks[0], n, n * (STRIDE - 4), STRIDE - 4)
+
+
+def test_walk_refuses_a_chain_that_ends_early():
+    r = _region(6)
+    blocks = _chain(r, 4)
+    r.set_u32(blocks[1], NIL)
+    with pytest.raises(RegionFormatError, match=(
+            f"chain from {blocks[0]} ends after 2 of 4 blocks "
+            f"\\(last block {blocks[1]}\\)")):
+        walk_chain(r, blocks[0], 4)
+
+
+def test_corrupt_chain_releases_every_lock_and_names_the_message():
+    """Found by a reap (here: the discard when the last connection
+    closes), a cyclic chain raises with the circuit, global and
+    allocator locks free — the other processes keep running."""
+    view = make_view()
+    runner = DirectRunner(view)  # fails the test if an op raises locked
+    sid = runner.run(ops.open_send(view, 0, "c"))
+    runner.run(ops.message_send(view, 0, sid, bytes(45)))
+    base = view.layout.lnvc_off(0)
+    msg = LNVC.get(view.region, base, "fifo_head")
+    first = MSG.get(view.region, msg, "first_blk")
+    view.region.set_u32(view.region.follow(first, 5)[0][-1], first)
+    with pytest.raises(RegionFormatError, match=(
+            f"message header {msg}: block chain from {first} does not end")):
+        runner.run(ops.close_send(view, 0, sid))
+    assert runner.held == []
+
+
+def test_reap_of_another_receivers_message_checks_its_chain():
+    """Two FCFS receivers: the second finishes first, so the first one's
+    completion reaps both messages — one chain handed over from its own
+    drain, the other walked (bounded) under the circuit lock."""
+    view = make_view()
+    runner = DirectRunner(view)
+    sid = runner.run(ops.open_send(view, 0, "c"))
+    for pid in (1, 2):
+        runner.run(ops.open_receive(view, pid, "c", FCFS))
+    runner.run(ops.message_send(view, 0, sid, b"a" * 25))
+    runner.run(ops.message_send(view, 0, sid, b"b" * 25))
+    slow = ops.message_receive(view, 1, sid)
+
+    def until_copy():
+        effect = next(slow)
+        while getattr(getattr(effect, "work", None), "label", "") != "recv-copy":
+            effect = slow.send((yield effect))
+
+    runner.run(until_copy())  # pid 1 has claimed and drained message "a"
+    assert runner.run(ops.message_receive(view, 2, sid)) == b"b" * 25
+    second = MSG.get(view.region, LNVC.get(view.region, view.layout.lnvc_off(0),
+                                           "fifo_tail"), "first_blk")
+    view.region.set_u32(second, second)  # message "b": a one-block cycle
+    with pytest.raises(RegionFormatError, match="does not end after 3 blocks"):
+        runner.run(slow)
+    assert runner.held == []
+    assert HDR.get(view.region, "live_msgs") == 2  # nothing was half-freed

@@ -33,6 +33,19 @@ class TestIdentifiers:
         # The id encoding must address every legal slot.
         assert MPFConfig(max_lnvcs=1 << SLOT_BITS).max_lnvcs == 1024
 
+    @pytest.mark.parametrize("transport", ["freelist", "ring"])
+    def test_generation_bits_round_trip_through_both_transports(self, transport):
+        # One SLOT_BITS (core/protocol.py): the generation each
+        # transport's send/receive checks is the one the open encoded.
+        v = make_view(transport=transport)
+        r = DirectRunner(v)
+        r.run(ops.close_send(v, 0, r.run(ops.open_send(v, 0, "c"))))
+        cid = r.run(ops.open_send(v, 0, "c"))
+        assert r.run(ops.open_receive(v, 0, "c", FCFS)) == cid
+        assert cid >> SLOT_BITS == LNVC.get(v.region, v.layout.lnvc_off(0), "gen") == 1
+        r.run(ops.message_send(v, 0, cid, b"x"))
+        assert r.run(ops.message_receive(v, 0, cid)) == b"x"
+
     def test_generation_survives_multiple_recycles(self, v, r):
         ids = []
         for i in range(5):

@@ -1,7 +1,11 @@
 """Unit tests for the shared byte region."""
 
+from multiprocessing import shared_memory
+
+import numpy as np
 import pytest
 
+from repro.core.protocol import NIL
 from repro.core.region import SharedRegion
 
 
@@ -104,3 +108,64 @@ def test_writes_visible_through_backing():
     r = SharedRegion(backing)
     r.write(0, b"xy")
     assert bytes(backing[:2]) == b"xy"
+
+
+# -- bulk accessors (the block-chain kernels' way into the region) -------------
+
+
+def test_gather_scatter_roundtrip_at_unaligned_offsets():
+    r = SharedRegion(bytearray(64))
+    rows = np.arange(15, dtype=np.uint8).reshape(3, 5)
+    r.scatter([3, 21, 50], rows)
+    assert r.read(21, 5) == bytes(range(5, 10))
+    assert r.read(8, 13) == bytes(13)  # nothing between the records moved
+    assert (r.gather([50, 3, 21], 5) == rows[[2, 0, 1]]).all()
+
+
+def test_gather_and_scatter_keep_the_range_checks_of_read_and_write():
+    # A memoryview slice past the end silently truncates; the bulk
+    # accessors must refuse exactly what read()/write() refuse.
+    r = SharedRegion(bytearray(16))
+    row = np.zeros((1, 4), np.uint8)
+    for bad in ([13], [-1], [4, 1 << 40], [16]):
+        with pytest.raises(IndexError, match="outside region of 16"):
+            r.gather(bad, 4)
+        with pytest.raises(IndexError, match="outside region of 16"):
+            r.scatter(bad, row[[0] * len(bad)])
+    assert (r.gather([12], 4) == row).all()  # the last record that fits
+
+
+def test_scatter_writes_nothing_when_any_record_is_out_of_range():
+    r = SharedRegion(bytearray(16))
+    with pytest.raises(IndexError):
+        r.scatter([0, 14], np.full((2, 4), 7, np.uint8))
+    assert r.read(0, 16) == bytes(16)
+
+
+def test_follow_walks_links_and_stops_at_nil_or_n():
+    r = SharedRegion(bytearray(64))
+    for off, nxt in ((8, 30), (30, 17), (17, NIL)):
+        r.set_u32(off, nxt)
+    assert r.follow(8, 2) == ([8, 30], 17)
+    assert r.follow(8, 5) == ([8, 30, 17], NIL)
+    assert r.follow(NIL, 3) == ([], NIL)
+    assert r.follow(8, 0) == ([], 8)
+
+
+def test_follow_refuses_a_link_outside_the_region():
+    r = SharedRegion(bytearray(64))
+    r.set_u32(8, 62)
+    with pytest.raises(IndexError, match="outside region of 64"):
+        r.follow(8, 3)
+
+
+def test_release_drops_array_views_before_the_memoryview():
+    # SharedMemory.close() raises BufferError while any export is alive.
+    shm = shared_memory.SharedMemory(create=True, size=4096)
+    try:
+        r = SharedRegion(shm.buf)
+        r.gather([0, 100], 14)
+        r.release()
+        shm.close()
+    finally:
+        shm.unlink()

@@ -1,8 +1,20 @@
 """Property-based tests for the intrusive free lists."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.freelist import fl_alloc, fl_count, fl_free, init_freelist
+from repro.core.freelist import (
+    drain_chain,
+    fill_chain,
+    fl_alloc,
+    fl_count,
+    fl_free,
+    init_freelist,
+    pop_chain,
+    pop_some,
+    push_chain,
+)
 from repro.core.protocol import NIL
 from repro.core.region import SharedRegion
 
@@ -65,3 +77,156 @@ def test_free_order_irrelevant_to_capacity(free_order):
     for i in free_order:
         fl_free(region, HEAD, offs[i])
     assert fl_count(region, HEAD) == len(free_order)
+
+
+# -- block-chain kernels against the per-block loops they replaced -------------
+#
+# The loops below are the code ``core/ops.py`` carried before the kernels
+# existed, kept here as the reference: after any history, a kernel must
+# leave *every byte of the region* as its loop does.
+
+SLACK = 7  # blocks beyond the largest message, so shortfall is reachable
+
+
+def ref_pop(region, head_off, n):
+    blocks, blk = [], region.u32(head_off)
+    while len(blocks) < n and blk != NIL:
+        blocks.append(blk)
+        blk = region.u32(blk)
+    if len(blocks) < n:
+        return None
+    region.set_u32(head_off, blk)
+    return blocks
+
+
+def ref_pop_some(region, head_off, n):
+    blocks, blk = [], region.u32(head_off)
+    while len(blocks) < n and blk != NIL:
+        blocks.append(blk)
+        blk = region.u32(blk)
+    if blocks:
+        region.set_u32(head_off, blk)
+    return blocks
+
+
+def ref_fill(region, blocks, data, bs):
+    length, last = len(data), len(blocks) - 1
+    for i, blk in enumerate(blocks):
+        region.set_u32(blk, blocks[i + 1] if i < last else NIL)
+        region.write(blk + 4, data[i * bs : min((i + 1) * bs, length)])
+
+
+def ref_drain(region, first, length, bs):
+    parts, blocks, blk, remaining = [], [], first, length
+    while blk != NIL and remaining > 0:
+        take = min(bs, remaining)
+        parts.append(region.read(blk + 4, take))
+        blocks.append(blk)
+        remaining -= take
+        blk = region.u32(blk)
+    return blocks, b"".join(parts)
+
+
+def ref_push(region, head_off, blocks):
+    for blk in blocks:
+        fl_free(region, head_off, blk)
+
+
+@st.composite
+def scrambled_pool(draw):
+    """Block size, shard count, message length, payload flavour and a
+    seed for the alloc/free history that scrambles the lists."""
+    bs = draw(st.sampled_from([1, 10, 64]))
+    shards = draw(st.integers(1, 4))
+    length = draw(st.one_of(st.integers(0, 3 * bs + 1), st.just(2048)))
+    flavour = draw(st.sampled_from([bytes, bytearray, memoryview]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return bs, shards, length, flavour, seed
+
+
+def _twin_pools(bs, shards, nblk, seed):
+    """Two byte-identical regions whose ``shards`` free lists went
+    through the same random alloc/free history; returns ``(kernel
+    region, reference region, head offsets)``."""
+    stride = 4 + bs
+    per = nblk // shards + SLACK
+    heads = [4 * s for s in range(shards)]
+    base = 4 * shards + 3  # deliberately unaligned, like the 14-byte stride
+    size = base + shards * per * stride
+    buf = bytearray(random.Random(seed).randbytes(size))  # stale bytes everywhere
+    region = SharedRegion(buf)
+    for s, head in enumerate(heads):
+        init_freelist(region, head, base + s * per * stride, stride, per)
+    rng = random.Random(seed)
+    for head in heads:
+        held = []
+        for _ in range(rng.randrange(0, 40)):
+            if held and rng.random() < 0.5:
+                fl_free(region, head, held.pop(rng.randrange(len(held))))
+            else:
+                off = fl_alloc(region, head)
+                if off != NIL:
+                    held.append(off)
+        rng.shuffle(held)
+        for off in held:
+            fl_free(region, head, off)
+    return region, SharedRegion(bytearray(buf)), heads
+
+
+@given(scrambled_pool())
+@settings(max_examples=150, deadline=None)
+def test_chain_kernels_leave_the_region_byte_equal_to_the_loops(params):
+    bs, shards, length, flavour, seed = params
+    nblk = (length + bs - 1) // bs
+    got, want, heads = _twin_pools(bs, shards, nblk, seed)
+
+    def same():
+        return got.read(0, got.size) == want.read(0, want.size)
+
+    payload = random.Random(seed + 1).randbytes(length)
+
+    # Pop: home shard first, then steal from the others in order.
+    blocks, ref_blocks = [], []
+    for head in heads:
+        blocks += pop_some(got, head, nblk - len(blocks))
+        ref_blocks += ref_pop_some(want, head, nblk - len(ref_blocks))
+    assert blocks == ref_blocks and len(blocks) == nblk
+    assert same()
+
+    fill_chain(got, blocks, flavour(payload), bs)
+    ref_fill(want, ref_blocks, payload, bs)
+    assert same()
+
+    first = blocks[0] if blocks else NIL
+    assert drain_chain(got, first, nblk, length, bs) == (blocks, payload)
+    assert ref_drain(want, first, length, bs) == (blocks, payload)
+    assert same()  # draining writes nothing
+
+    # Push back in chain order, split over the lists the way a sharded
+    # free splits a chain by home shard.
+    rng = random.Random(seed + 2)
+    homes = [rng.randrange(shards) for _ in blocks]
+    for s, head in enumerate(heads):
+        group = [b for b, h in zip(blocks, homes) if h == s]
+        push_chain(got, head, group)
+        ref_push(want, head, group)
+    assert same()
+
+
+@given(scrambled_pool())
+@settings(max_examples=100, deadline=None)
+def test_pop_chain_is_all_or_nothing(params):
+    bs, _, length, _, seed = params
+    nblk = (length + bs - 1) // bs
+    got, want, (head,) = _twin_pools(bs, 1, nblk, seed)
+    free = fl_count(got, head)
+    before = got.read(0, got.size)
+
+    assert pop_chain(got, head, free + 1) is None
+    assert ref_pop(want, head, free + 1) is None
+    assert got.read(0, got.size) == before  # list, links and head untouched
+
+    blocks = pop_chain(got, head, nblk)
+    assert blocks == ref_pop(want, head, nblk)
+    assert got.read(0, got.size) == want.read(0, want.size)
+    assert fl_count(got, head) == free - nblk

@@ -13,9 +13,11 @@ import os
 import struct
 import sys
 import time
+import zlib
 
 import pytest
 
+from repro.core.inspect import collect_violations
 from repro.core.layout import MPFConfig
 from repro.core.protocol import BROADCAST, FCFS, FIRST_LNVC_LOCK
 from repro.obs import Recorder
@@ -329,3 +331,62 @@ def test_no_lost_wakeup_under_stress(transport, pinned):
     assert total["parked"] == total["wakes_posted"]
     assert total["waits"] == total["woke_spinning"] + total["parked"]
     assert result.header["live_msgs"] == 0
+
+
+# -- block-chain kernels between two real processes -----------------------------
+
+
+def _crc_stream_workers(n: int, window: int):
+    """Sender -> one FCFS receiver, sizes cycling through one-block,
+    block-by-block and bulk chains; every message carries its sequence
+    number and the CRC32 of its body."""
+    sizes = (16, 256, 2048, 12, 1024)
+
+    def message(seq: int) -> bytes:
+        body = bytes((seq + i) & 0xFF for i in range(sizes[seq % len(sizes)] - 8))
+        return struct.pack("<II", seq, zlib.crc32(body)) + body
+
+    def sender(env):
+        data = yield from env.open_send("data")
+        credit = yield from env.open_receive("credit", FCFS)
+        yield from barrier(env, "go", 2)
+        for seq in range(n):
+            if seq >= window and seq % (window // 2) == 0:
+                yield from env.message_receive(credit)
+            yield from env.message_send(data, message(seq))
+        yield from barrier(env, "done", 2)
+        yield from env.close_send(data)
+        yield from env.close_receive(credit)
+
+    def receiver(env):
+        data = yield from env.open_receive("data", FCFS)
+        credit = yield from env.open_send("credit")
+        yield from barrier(env, "go", 2)
+        bad = 0
+        for want in range(n):
+            msg = yield from env.message_receive(data)
+            seq, crc = struct.unpack_from("<II", msg)
+            bad += (seq != want or crc != zlib.crc32(msg[8:])
+                    or len(msg) != sizes[want % len(sizes)])
+            if want % (window // 2) == window // 2 - 1:
+                yield from env.message_send(credit, b"c")
+        yield from barrier(env, "done", 2)
+        yield from env.close_receive(data)
+        yield from env.close_send(credit)
+        return bad
+
+    return [sender, receiver]
+
+
+def test_crc_stream_over_the_free_list_stays_correct():
+    """20,000 messages of mixed chain lengths through pop/fill on one
+    process and drain/push on another: a wrong link, a torn payload or
+    a leaked block shows as a bad CRC, a hang or a non-empty pool."""
+    cfg = MPFConfig(max_lnvcs=8, max_processes=2, max_messages=256,
+                    message_pool_bytes=1 << 19)
+    result = ProcRuntime(join_timeout=60).run(
+        _crc_stream_workers(N_STRESS, WINDOW), cfg=cfg,
+        final_check=lambda view: collect_violations(view, expect_empty=True))
+    assert result.results["p1"] == 0
+    assert result.final == []
+    assert result.header["total_sends"] > N_STRESS

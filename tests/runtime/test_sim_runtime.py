@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.errors import RegionFormatError
 from repro.core.layout import MPFConfig
-from repro.core.protocol import BROADCAST, FCFS
+from repro.core.protocol import BROADCAST, FCFS, MsgFlags
+from repro.core.structs import LNVC, MSG
 from repro.machine.balance import BALANCE_21000, MachineConfig
 from repro.machine.engine import DeadlockError
 from repro.machine.stats import MachineReport
+from repro.patterns import barrier
 from repro.runtime.sim import SimRuntime
 
 
@@ -175,3 +178,35 @@ def test_explicit_config_respected():
                     message_pool_bytes=1 << 10)
     result = SimRuntime().run([proc], cfg=cfg)
     assert result.results["p0"] is True
+
+
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "classic"])
+def test_reap_refuses_a_cyclic_chain_instead_of_spinning(fusion):
+    """p2 drains the short message while p1 still copies the long one at
+    the FIFO head, so p1's completion reaps a message it never walked.
+    Its chain is made cyclic meanwhile: the reap must raise (it used to
+    walk "until NIL" forever, holding the allocator lock)."""
+    def sender(env):
+        sid = yield from env.open_send("c")
+        yield from barrier(env, "go", 3)
+        yield from env.message_send(sid, bytes(2000))
+        yield from env.message_send(sid, bytes(10))
+        r, base = env.view.region, env.view.layout.lnvc_off(0)
+        tail = LNVC.get(r, base, "fifo_tail")
+        while not MSG.get(r, tail, "flags") & MsgFlags.RETIRED:
+            yield from env.compute(instrs=200)
+        assert MSG.get(r, LNVC.get(r, base, "fifo_head"), "busy") == 1
+        blk = MSG.get(r, tail, "first_blk")
+        r.set_u32(blk, blk)
+
+    def receiver(env):
+        rid = yield from env.open_receive("c", FCFS)
+        yield from barrier(env, "go", 3)
+        if env.rank == 2:
+            yield from env.compute(instrs=5000)  # p1 claims the long one
+        yield from env.message_receive(rid)
+
+    with pytest.raises(RegionFormatError, match="message header .* does not end"):
+        SimRuntime(fusion=fusion).run(
+            [sender, receiver, receiver],
+            cfg=MPFConfig(max_lnvcs=8, max_processes=3))
