@@ -210,6 +210,24 @@ def trace_main(argv: list[str]) -> int:
     return 0
 
 
+def polling_line(labels: dict) -> str:
+    """Simulated ``check_receive`` charges per ``message_receive``.
+
+    Read off the label profile — what the simulated machine pays for
+    polling.  ``select_receive``'s idle wait runs inside the engine, so
+    host-side call counts (cProfile rows, the ledger's
+    ``checks_per_receive``) no longer show it.  Empty when the figure
+    never checks.
+    """
+    checks = labels.get("check-fixed", (0,))[0]
+    recvs = sum(labels.get(k, (0,))[0]
+                for k in ("recv-fixed", "ring-recv-fixed"))
+    if not (checks and recvs):
+        return ""
+    return (f"{checks:,} check_receive for {recvs:,} message_receive = "
+            f"{checks / recvs:.1f} checks per receive")
+
+
 def profile_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench profile",
@@ -275,6 +293,9 @@ def profile_main(argv: list[str]) -> int:
         for label, (n, secs) in ranked[: args.top]:
             print(f"  {label:<16} {n:>10} {100 * n / total_n:>5.1f}% "
                   f"{secs:>12.6f} {100 * secs / total_s:>5.1f}%")
+        polling = polling_line(labels)
+        if polling:
+            print(f"\nsimulated polling ({args.figure}): {polling}")
     if crossings is not None and crossings["runs"]:
         ev = crossings["events"]
         pops = crossings["heap_pops"]

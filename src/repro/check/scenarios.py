@@ -31,6 +31,7 @@ from typing import Callable
 from ..core.layout import MPFConfig
 from ..core.errors import OutOfMessageMemoryError
 from ..core.protocol import Protocol
+from ..patterns import select_receive
 from ..runtime.base import Env, Worker
 from .faults import drop_wake, unlocked_send
 from .invariants import check_broadcast_delivery, check_fcfs_delivery
@@ -465,6 +466,78 @@ def _wrap_oracle(results: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# select-poll: pollers multiplexing a shared and a private circuit
+# ---------------------------------------------------------------------------
+
+_POLL_POLLERS = 2
+_POLL_NEWS = 2  # broadcasts, heard by every poller
+_POLL_MAIL = 2  # private FCFS messages per poller
+
+
+def _poll_build(fault: str | None) -> list[Worker]:
+    """Pollers wait on "news or my mailbox" with ``select_receive``.
+
+    The Gauss-Jordan worker's idiom (paper §2: no select, poll with
+    ``check_receive``), and the one program whose idle wait runs inside
+    the engine as a looping section (``ops.poll_receive``): under the
+    explorer every step of that loop is a choice point, so the sender's
+    links, other pollers' checks and receives, and the loop's own
+    acquire/walk/release interleave every way the per-check loop allows.
+    Both circuits satisfy ``select_receive``'s reliability rule
+    (BROADCAST, or sole FCFS receiver), so a positive check can never
+    be stolen and every interleaving must terminate.
+    """
+
+    def sender(env: Env):  # rank 0: lead
+        news = yield from env.open_send("news")
+        boxes = []
+        for rank in range(1, 1 + _POLL_POLLERS):
+            boxes.append((yield from env.open_send(f"box{rank}")))
+        gate = yield from env.open_receive("gate", Protocol.FCFS)
+        for _ in range(_POLL_POLLERS):
+            yield from env.message_receive(gate)
+        for i in range(max(_POLL_NEWS, _POLL_MAIL)):
+            if i < _POLL_NEWS:
+                yield from env.message_send(news, b"n%d" % i)
+            if i < _POLL_MAIL:
+                for rank, box in enumerate(boxes, start=1):
+                    yield from env.message_send(box, b"m%d.%d" % (rank, i))
+        yield from env.close_receive(gate)
+        for cid in [news] + boxes:
+            yield from env.close_send(cid)
+        return "sender"
+
+    def poller(env: Env):
+        news = yield from env.open_receive("news", Protocol.BROADCAST)
+        box = yield from env.open_receive(f"box{env.rank}", Protocol.FCFS)
+        gate = yield from env.open_send("gate")
+        yield from env.message_send(gate, b"ready")
+        got = []
+        for _ in range(_POLL_NEWS + _POLL_MAIL):
+            _, msg = yield from select_receive(env, (news, box))
+            got.append(bytes(msg))
+        yield from env.close_receive(news)
+        yield from env.close_receive(box)
+        yield from env.close_send(gate)
+        return got
+
+    return [sender] + [poller] * _POLL_POLLERS
+
+
+def _poll_oracle(results: dict) -> list[str]:
+    news = [b"n%d" % i for i in range(_POLL_NEWS)]
+    out = []
+    for rank in range(1, 1 + _POLL_POLLERS):
+        got = results[f"p{rank}"]
+        mail = [b"m%d.%d" % (rank, i) for i in range(_POLL_MAIL)]
+        # Each payload once, and each circuit's messages in FIFO order.
+        out += check_broadcast_delivery(
+            news, [m for m in got if m[:1] == b"n"], who=f"p{rank} news")
+        out += check_fcfs_delivery(mail, [[m for m in got if m[:1] == b"m"]])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -527,6 +600,17 @@ SCENARIOS: dict[str, Scenario] = {
             build=_wrap_build,
             oracle=_wrap_oracle,
             faults=("drop-wake",),
+        ),
+        Scenario(
+            name="select-poll",
+            doc=f"{_POLL_POLLERS} pollers select_receive over a shared "
+                "BROADCAST circuit and a private FCFS mailbox each while "
+                "one sender feeds both (each payload once, pollers finish)",
+            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
+                          message_pool_bytes=1 << 12),
+            build=_poll_build,
+            oracle=_poll_oracle,
+            faults=(),
         ),
         Scenario(
             name="mixed-protocol",

@@ -51,10 +51,12 @@ __all__ = [
     "S_REL",
     "S_WAKE",
     "S_CALL",
+    "S_NEXT",
     "D_RESULT",
     "D_SPLICE",
     "D_RESULT_SPLICE",
     "D_BAIL",
+    "D_JUMP",
 ]
 
 # -- fused-section step opcodes and call directives -------------------------
@@ -79,6 +81,13 @@ S_WAKE = 4
 #: two yields in the unfused sequence.  ``fn`` returns ``None`` or a
 #: directive tuple (below).
 S_CALL = 5
+#: ``(S_NEXT, None)`` — a section boundary inside one effect: exactly the
+#: event accounting of "this section ends, the generator resumes, the
+#: next section starts" (the resume's event tick, no simulated time),
+#: without the generator round-trip.  How a section that loops
+#: (:func:`repro.core.ops.poll_receive`) stays event-for-event the
+#: sequence of sections it replaces.
+S_NEXT = 6
 
 #: ``(D_RESULT, value)`` — set the section's result (sent into the
 #: generator when the section completes).
@@ -95,6 +104,11 @@ D_RESULT_SPLICE = 2
 #: fire, a validation error, a full ring) bails back to the generator's
 #: classic unfused code with all acquired locks still held.
 D_BAIL = 3
+#: ``(D_JUMP, value, steps)`` — set the result and *replace* the
+#: remaining steps with ``steps`` (a pre-built tuple; nothing is
+#: concatenated, so a closure can return one memoized directive for as
+#: long as the shared state it depends on is unchanged).
+D_JUMP = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,8 +254,10 @@ def steps_horizon(steps: tuple, idx: int = 0):
     stretch), bit-for-bit what ``BalanceTiming.price`` computes for it.
     The scan stops at the first step that can interact with anything
     outside the process: a lock acquire/release, a wake, a call (whose
-    directive may splice), or a charge carrying ``copy_bytes`` /
-    ``blocks`` / ``page_bytes`` (stateful bus/cache/VM inputs).
+    directive may splice or jump), a section boundary (``S_NEXT`` — the
+    generator resume it stands for may observe anything), or a charge
+    carrying ``copy_bytes`` / ``blocks`` / ``page_bytes`` (stateful
+    bus/cache/VM inputs).
 
     Returns ``(parts, stop_idx, stop_op)`` where ``parts`` is the flat
     tuple of :class:`Work` parts (one simulated event each — the flat

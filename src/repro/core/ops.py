@@ -30,16 +30,19 @@ concurrently, higher throughputs can be achieved").
 from __future__ import annotations
 
 import os
-from typing import Generator, Iterable
+import struct
+from typing import Generator, Iterable, Sequence
 
 from .costmodel import DEFAULT_COSTS, Costs
 from .effects import (
     D_BAIL,
+    D_JUMP,
     D_RESULT_SPLICE,
     D_SPLICE,
     S_CALL,
     S_CHARGE,
     S_MANY,
+    S_NEXT,
     Acquire,
     Charge,
     ChargeMany,
@@ -104,6 +107,7 @@ __all__ = [
     "message_send",
     "message_receive",
     "check_receive",
+    "poll_receive",
     "encode_lnvc_id",
     "decode_lnvc_id",
     "SLOT_BITS",
@@ -167,6 +171,11 @@ _R_PROTO = RECV.offsets["proto"]
 _R_HEAD = RECV.offsets["head"]
 _R_NEXT = RECV.offsets["next"]
 _R_NREADS = RECV.offsets["nreads"]
+
+#: What a poll probe needs of an LNVC descriptor — ``in_use``, ``gen``,
+#: ``fcfs_head``, ``conn_epoch`` — as one read.
+_L_PROBE = struct.Struct(
+    f"<II{_L_FCFS_HEAD - 8}xI{_L_CONN_EPOCH - _L_FCFS_HEAD - 4}xI")
 
 _M_LENGTH = MSG.offsets["length"]
 _M_NBLOCKS = MSG.offsets["nblocks"]
@@ -275,6 +284,7 @@ class MPFView:
         "_fs_ring_commit",
         "_fs_ring_consume",
         "_fs_check_cache",
+        "_fs_poll_cache",
         "_fs_send_sec",
         "_fs_recv_sec",
     )
@@ -375,6 +385,7 @@ class MPFView:
         # with the generator.  A generation mismatch (slot recycled)
         # rebuilds the entry.
         self._fs_check_cache: dict = {}
+        self._fs_poll_cache: dict = {}
         self._fs_send_sec: dict = {}
         self._fs_recv_sec: dict = {}
         #: Optional :class:`repro.obs.causal.CausalTracer` attached by a
@@ -2126,3 +2137,100 @@ def check_receive(
     )
     yield view._rel[slot] if in_table else Release(lock)
     return count
+
+
+def _make_poll_section(view, pid, ids, backoff):
+    """Build :func:`poll_receive`'s looping section over circuits ``ids``.
+
+    One head per circuit — entry charge (the first circuit's carries the
+    backoff), acquire, walk call.  The walk finishes the check itself: it
+    jumps to ``walk charge, release`` with the circuit's id as the result
+    when there is traffic, else to ``walk charge, release, S_NEXT, <next
+    circuit's head>``.  The empty jump is memoized under the
+    ``conn_epoch`` it was resolved at (with ``gen`` that fixes descriptor,
+    protocol and walk length), so an idle check is one read of the LNVC
+    record and allocates nothing.  Returns ``None`` for a ring circuit or
+    an id outside the table (``check_receive`` routes those itself).
+    """
+    u32, lay, n_slots = view.region.u32, view.layout, view.cfg.max_lnvcs
+    if not all(cid & _SLOT_MASK < n_slots
+               and not u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT)
+               for cid in ids):
+        return None
+    probe = view.region.reader(_L_PROBE)
+    heads: list = []
+
+    def head(i, lnvc_id):
+        slot = lnvc_id & _SLOT_MASK
+        gen = lnvc_id >> SLOT_BITS
+        base = lay.lnvc_off(slot)
+        ent = view._fs_check_cache.get((slot, pid))
+        if ent is None or ent[0] != gen:
+            ent = _make_check_section(view, slot, pid, gen, lnvc_id)
+            view._fs_check_cache[slot, pid] = ent
+        check_walk = ent[1]
+        m_epoch = -1  # conn_epoch the three cells below were resolved at
+        m_desc = m_fcfs = m_empty = None
+
+        def _walk():
+            nonlocal m_epoch, m_desc, m_fcfs, m_empty
+            in_use, g, fcfs_head, epoch = probe(base)
+            if epoch == m_epoch and g == gen and in_use and (
+                    fcfs_head if m_fcfs else u32(m_desc + _R_HEAD)) == NIL:
+                return m_empty
+            d = check_walk()
+            if d[0] == D_BAIL:
+                return (D_BAIL, (FIRST_LNVC_LOCK + slot, d[1]))
+            if d[1]:
+                return (D_JUMP, lnvc_id, d[2])
+            m_desc = view._recv_cache[slot, pid][0]
+            m_fcfs = u32(m_desc + _R_PROTO) == _P_FCFS
+            m_epoch = epoch
+            m_empty = (D_JUMP, None,
+                       d[2] + ((S_NEXT, None),) + heads[(i + 1) % len(ids)])
+            return m_empty
+
+        fixed = view._fs_check_fixed if i else (
+            S_MANY, (backoff, view._check_fixed_work))
+        return (fixed, view._fs_acq[slot], (S_CALL, _walk))
+
+    heads.extend(head(i, cid) for i, cid in enumerate(ids))
+    return FusedSection(heads[0])
+
+
+def poll_receive(
+    view: MPFView, pid: int, lnvc_ids: Sequence[int], backoff: Work
+) -> OpGen:
+    """Poll circuits in order, round after round; return the first with traffic.
+
+    Not a ninth primitive: the effect stream is exactly that of
+    :func:`check_receive` on each circuit in turn, ``backoff``
+    (compute-only work) fused into the first check of every round.  On
+    the simulator the whole wait is one looping section
+    (:func:`_make_poll_section`) and the generator is resumed only when a
+    circuit has traffic or a check fails; real runtimes, unfused runs,
+    ring circuits and ids outside the table take the loop below.
+    """
+    ids = tuple(lnvc_ids)
+    if not ids:
+        raise ValueError("need at least one circuit to poll")
+    if view.fuse:
+        # One entry per (process, first slot) keeps the cache bounded by
+        # the table; polling another set from there rebuilds it.
+        key = (pid, ids[0] & _SLOT_MASK)
+        ent = view._fs_poll_cache.get(key)
+        if ent is None or ent[0] != (ids, backoff):
+            ent = view._fs_poll_cache[key] = (
+                (ids, backoff), _make_poll_section(view, pid, ids, backoff))
+        if ent[1] is not None:
+            res = yield ent[1]
+            if res.__class__ is not tuple:  # a bail is (lock, error)
+                return res
+            yield from _release_and_raise([res[0]], res[1])
+    pending: Work | None = backoff
+    while True:
+        for cid in ids:
+            if (yield from check_receive(view, pid, cid, pending)):
+                return cid
+            pending = None
+        pending = backoff

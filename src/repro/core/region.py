@@ -22,6 +22,7 @@ address identically.
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -97,6 +98,15 @@ class SharedRegion:
         self.u32 = u32
         self.set_u32 = set_u32
         self.follow = follow
+
+    def reader(self, record: struct.Struct):
+        """A C-level callable ``f(off)`` unpacking ``record`` at ``off``.
+
+        One call reads several fields of a descriptor at once — the
+        multi-field form of :attr:`u32` for paths hot enough that a call
+        per field shows (the :func:`repro.core.ops.poll_receive` probe).
+        """
+        return partial(record.unpack_from, self._mv)
 
     def add_u32(self, off: int, delta: int) -> int:
         """Add ``delta`` (may be negative) to the u32 at ``off``.

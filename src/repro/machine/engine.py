@@ -410,7 +410,7 @@ class Engine:
                     self.now = t
                     stats.events += 1
                     if stats.events > max_events:
-                        raise SimulationError(f"exceeded {max_events} events")
+                        raise self._over_budget()
                     step(self._pend_proc)
                     continue
                 if epoch and heap and (until is None or t <= until):
@@ -434,7 +434,7 @@ class Engine:
             self.now = t
             stats.events += 1
             if stats.events > max_events:
-                raise SimulationError(f"exceeded {max_events} events")
+                raise self._over_budget()
             state = proc.state
             if state is _DONE or state is _FAILED:
                 continue
@@ -489,7 +489,7 @@ class Engine:
             stats.heap_pops += 1
             stats.events += 1
             if stats.events > self._max_events:
-                raise SimulationError(f"exceeded {self._max_events} events")
+                raise self._over_budget()
             self._step(entry[2])
             t = self._pend_t
             if t >= 0.0:
@@ -601,8 +601,7 @@ class Engine:
                         ev += 1
                         if ev > max_events:
                             now = t
-                            raise SimulationError(
-                                f"exceeded {max_events} events")
+                            raise self._over_budget()
                     else:
                         # Park exactly like a classic heappush: fresh
                         # sequence number, so ties resolve to the older
@@ -654,8 +653,7 @@ class Engine:
                         ev += 1
                         if ev > max_events:
                             now = tn
-                            raise SimulationError(
-                                f"exceeded {max_events} events")
+                            raise self._over_budget()
                         st = cand.state
                         if st is _DONE or st is _FAILED:
                             now = tn  # classic advances the clock here too
@@ -700,13 +698,25 @@ class Engine:
                                 proc._fused = None
                                 proc._inbox = state[2]
                                 if not external:
-                                    ev += 1
+                                    ev += 1  # the resume's own tick
+                                    if ev > max_events:
+                                        raise self._over_budget()
                                 external = True
                                 state = None
                                 break  # resume the generator, same event
                             op, arg = steps[idx]
                             idx += 1
-                            if op == 5:  # S_CALL
+                            if op >= 5:  # S_CALL / S_NEXT
+                                if op == 6:  # S_NEXT
+                                    if not external:
+                                        ev += 1
+                                        if ev > max_events:
+                                            raise self._over_budget()
+                                        external = True
+                                    continue
+                                if op != 5:
+                                    raise SimulationError(
+                                        f"bad fused step opcode {op!r}")
                                 state[1] = idx
                                 self.now = now
                                 d = arg()
@@ -723,19 +733,21 @@ class Engine:
                                         steps = steps[:idx] + d[2] + steps[idx:]
                                         state[0] = steps
                                         n = len(steps)
-                                    else:  # D_BAIL
-                                        proc._fused = None
-                                        proc._inbox = d[1]
-                                        if not external:
-                                            ev += 1
-                                        external = True
-                                        state = None
-                                        break
+                                    elif k == 4:  # D_JUMP
+                                        state[2] = d[1]
+                                        state[0] = steps = d[2]
+                                        n = len(steps)
+                                        idx = 0
+                                    else:  # D_BAIL: the section ends here
+                                        state[2] = d[1]
+                                        n = idx
                                 continue
                             if external:
                                 external = False
                             else:
                                 ev += 1
+                                if ev > max_events:
+                                    raise self._over_budget()
                             if op == 0:  # S_CHARGE (_do_charge inlined)
                                 work = arg
                                 if analytic and not (
@@ -796,6 +808,8 @@ class Engine:
                                             t2, proc.name, work.label,
                                             dt, work.instrs, work.flops)
                                 ev += len(works) - 1
+                                if ev > max_events:
+                                    raise self._over_budget()
                             else:
                                 state[1] = idx
                                 self.now = now
@@ -1018,6 +1032,8 @@ class Engine:
                                 recorder.on_charge(t2, proc.name, work.label,
                                                    dt, work.instrs, work.flops)
                         ev += len(works) - 1
+                        if ev > max_events:
+                            raise self._over_budget()
                     elif cls is Acquire:
                         self._do_acquire(proc, effect.lock_id)
                         t2 = self._pend_t
@@ -1068,8 +1084,7 @@ class Engine:
                         ev += 1
                         if ev > max_events:
                             now = t2
-                            raise SimulationError(
-                                f"exceeded {max_events} events")
+                            raise self._over_budget()
                         now = t2
                         if proc._copying:
                             proc._copying = False
@@ -1101,6 +1116,9 @@ class Engine:
                 # on the heap so engine state matches the classic loop's
                 # (which would have had them there all along).
                 self._flush_arena(arena)
+
+    def _over_budget(self) -> SimulationError:
+        return SimulationError(f"exceeded {self._max_events} events")
 
     def _flush_arena(self, arena: list) -> None:
         """Return epoch-arena entries to the heap, keys preserved."""
@@ -1234,20 +1252,27 @@ class Engine:
         ctl = self._scheduler is not None
         timing = self.timing
         recorder = self._recorder
+        max_events = self._max_events
         external = True
         now = self.now
         while True:
             if idx >= n:
-                proc._fused = None
                 proc._inbox = state[2]
-                if not external:
-                    stats.events += 1
-                return True
+                break
             op, arg = steps[idx]
             idx += 1
             state[1] = idx
-            if op == 5:  # S_CALL: body code, free, at the current instant
-                d = arg()
+            if op >= 5:  # free, at the current instant: call or boundary
+                if op == 6:  # S_NEXT: the tick of the resume it replaces
+                    if not external:
+                        stats.events += 1
+                        if stats.events > max_events:
+                            raise self._over_budget()
+                        external = True
+                    continue
+                if op != 5:
+                    raise SimulationError(f"bad fused step opcode {op!r}")
+                d = arg()  # S_CALL: generator-body code
                 if d is not None:
                     k = d[0]
                     if k == 0:  # D_RESULT
@@ -1261,17 +1286,21 @@ class Engine:
                         steps = steps[:idx] + d[2] + steps[idx:]
                         state[0] = steps
                         n = len(steps)
+                    elif k == 4:  # D_JUMP
+                        state[2] = d[1]
+                        state[0] = steps = d[2]
+                        n = len(steps)
+                        idx = 0
                     else:  # D_BAIL
-                        proc._fused = None
                         proc._inbox = d[1]
-                        if not external:
-                            stats.events += 1
-                        return True
+                        break
                 continue
             if external:
                 external = False
             else:
                 stats.events += 1
+                if stats.events > max_events:
+                    raise self._over_budget()
             if op == 0:  # S_CHARGE — _do_charge inlined (hottest step kind)
                 if trace is not None:
                     trace(now, proc.name, f"Charge(work={arg!r})")
@@ -1335,6 +1364,13 @@ class Engine:
             if proc._copying:
                 proc._copying = False
                 timing.copy_finished()
+        # Complete or bailed: the resume costs an event unless one is unspent.
+        proc._fused = None
+        if not external:
+            stats.events += 1
+            if stats.events > max_events:
+                raise self._over_budget()
+        return True
 
     def _dispatch(self, proc: SimProcess, effect: object) -> None:
         """Traced / subclass dispatch path (the pre-fast-path semantics)."""
@@ -1425,6 +1461,8 @@ class Engine:
                 recorder.on_charge(t, proc.name, work.label,
                                    dt, work.instrs, work.flops)
         stats.events += len(works) - 1
+        if stats.events > self._max_events:
+            raise self._over_budget()
         # Resume at the absolute accumulated time (not now + total).
         self._pend_t = t
         self._pend_proc = proc

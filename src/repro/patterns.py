@@ -271,21 +271,20 @@ def select_receive(env: Env, lnvc_ids: Sequence[int], backoff_instrs: int = 400)
     another has traffic — exactly the §2 hazard, which no polling
     wrapper can remove.
     """
-    if not lnvc_ids:
-        raise ValueError("select_receive needs at least one circuit")
-    # The backoff charge is fused into the next round's first check
-    # (ChargeMany via ``prelude``), halving the poll loop's scheduler
-    # round-trips; the charge stream — and hence all simulated timing —
-    # is identical to a separate ``env.compute`` between rounds.
-    backoff = Work(instrs=backoff_instrs, label="app-compute")
-    pending: Work | None = None
-    while True:
-        for cid in lnvc_ids:
-            if (yield from env.check_receive(cid, prelude=pending)):
-                payload = yield from env.message_receive(cid)
-                return cid, payload
-            pending = None
-        pending = backoff
+    # First round through the primitive itself; a wait that outlasts it
+    # moves to ``poll_receive``, which fuses each round's backoff charge
+    # into its first check and, on the simulator, stays inside the engine
+    # until a circuit has traffic.  The charge stream — and hence all
+    # simulated timing — is identical to ``env.compute(backoff)`` plus a
+    # ``check_receive`` per circuit, round after round.
+    for cid in lnvc_ids:
+        if (yield from env.check_receive(cid)):
+            break
+    else:
+        cid = yield from env.poll_receive(
+            lnvc_ids, Work(instrs=backoff_instrs, label="app-compute"))
+    payload = yield from env.message_receive(cid)
+    return cid, payload
 
 
 def exchange(env: Env, name: str, peer: int, payload: bytes):

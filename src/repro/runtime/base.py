@@ -103,6 +103,15 @@ class Env:
         """
         return ops.check_receive(self.view, self.rank, lnvc_id, prelude)
 
+    def poll_receive(self, lnvc_ids: Sequence[int], backoff: Work):
+        """Poll circuits round after round; returns the first id with traffic.
+
+        A helper over ``check_receive``'s cost stream, not a ninth
+        primitive: ``backoff`` (compute-only work) precedes every round.
+        See :func:`repro.core.ops.poll_receive`.
+        """
+        return ops.poll_receive(self.view, self.rank, lnvc_ids, backoff)
+
     # -- machine interaction ---------------------------------------------------
 
     def compute(self, *, flops: int = 0, instrs: int = 0):

@@ -54,3 +54,12 @@ def test_cli_plot_flag(capsys):
 def test_cli_rejects_unknown_figure(capsys):
     with pytest.raises(SystemExit):
         bench_main(["nonsense"])
+
+
+def test_profile_reports_simulated_checks_per_receive():
+    from repro.bench.__main__ import polling_line
+
+    labels = {"check-fixed": [884, 0.2], "recv-fixed": [8, 0.02],
+              "ring-recv-fixed": [2, 0.01], "app-compute": [5, 1.0]}
+    assert polling_line(labels).endswith("= 88.4 checks per receive")
+    assert polling_line({"recv-fixed": [8, 0.02]}) == ""

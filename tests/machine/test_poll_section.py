@@ -1,0 +1,410 @@
+"""The engine-resident poll section: identity, budget, and step semantics.
+
+``ops.poll_receive`` retires the idle wait of ``select_receive`` as one
+looping :class:`~repro.core.effects.FusedSection` (``S_NEXT`` boundaries,
+``D_JUMP`` tails).  It rides on the same gate as every engine fast path
+— the simulated schedule is the classic one, event for event — and this
+module pins it:
+
+* a 3-poller + 1-sender program gives the same clock, event count,
+  per-lock acquire/contended counts, trace stream and per-label charge
+  counts under fusion x epoch x {plain, ``until``-sliced, controlled
+  seeded walk, ``Tracer``, ``Recorder``};
+* the simulated polling cost of Gauss-Jordan 64x64 (seed 1987) is
+  88.44 ``check-fixed`` charges per ``select_receive``, whatever the
+  host-side call count reads;
+* the event budget fires inside a section that never returns to the
+  generator (the lone-poller hang);
+* ``S_NEXT`` is exactly "section ends, generator resumes, next section
+  starts", ``D_JUMP`` replaces the remaining steps, the contention
+  horizon stops at a boundary, and ``drop_wake`` leaves poll sections
+  alone.
+"""
+
+import itertools
+
+import pytest
+
+from repro.apps import gauss_jordan as gj
+from repro.bench.figures import reset_run_cache
+from repro.check.faults import drop_wake
+from repro.check.scheduler import ControlledPolicy, RandomPolicy
+from repro.core import ops
+from repro.core.costmodel import DEFAULT_COSTS
+from repro.core.effects import (
+    D_JUMP,
+    S_ACQ,
+    S_CALL,
+    S_CHARGE,
+    S_MANY,
+    S_NEXT,
+    S_REL,
+    ChargeMany,
+    FusedSection,
+    steps_horizon,
+)
+from repro.core.protocol import BROADCAST, FCFS
+from repro.core.work import Work
+from repro.machine import engine as engine_mod
+from repro.machine.balance import BALANCE_21000
+from repro.machine.cpu import BalanceTiming
+from repro.machine.engine import Engine, SimulationError, ZeroTimingModel
+from repro.machine.trace import Tracer
+from repro.obs import Recorder
+from repro.patterns import select_receive
+from repro.runtime.base import Env
+from repro.testing import make_view
+
+HATCHES = list(itertools.product([True, False], [True, False]))
+HATCH_IDS = [f"fusion-{'on' if f else 'off'}-epoch-{'on' if e else 'off'}"
+             for f, e in HATCHES]
+
+
+@pytest.fixture
+def restore_hatches():
+    fusion, epoch = ops.fusion_enabled(), engine_mod.epoch_enabled()
+    yield
+    ops.set_fusion(fusion)
+    engine_mod.set_epoch(epoch)
+    engine_mod.disable_label_profile()
+    reset_run_cache()
+
+
+def _engine(fusion, nprocs, timing=None, **kw):
+    """An engine over a fresh segment, as SimRuntime would build it."""
+    view = make_view(max_processes=max(2, nprocs))
+    view.fuse = fusion
+    eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
+                 timing or BalanceTiming(BALANCE_21000, DEFAULT_COSTS), **kw)
+    return eng, view
+
+
+def _spawn(eng, view, workers):
+    for rank, worker in enumerate(workers):
+        env = Env(view, rank, len(workers), lambda: eng.now)
+        eng.spawn(f"p{rank}", worker(env))
+
+
+# -- identity matrix ----------------------------------------------------------
+
+_NEWS = 3  # broadcasts every poller hears
+_MAIL = 2  # private messages per poller
+
+
+def _poller(env):
+    news = yield from env.open_receive("news", BROADCAST)
+    box = yield from env.open_receive(f"box{env.rank}", FCFS)
+    rdy = yield from env.open_send("rdy")
+    yield from env.message_send(rdy, b"up")
+    got = []
+    for _ in range(_NEWS + _MAIL):
+        cid, payload = yield from select_receive(env, (news, box))
+        got.append(("news" if cid == news else "box", bytes(payload)))
+    yield from env.close_send(rdy)
+    return got
+
+
+def _sender(env):
+    rdy = yield from env.open_receive("rdy", FCFS)
+    for _ in range(3):
+        yield from env.message_receive(rdy)
+    news = yield from env.open_send("news")
+    boxes = []
+    for rank in range(3):
+        boxes.append((yield from env.open_send(f"box{rank}")))
+    for i in range(_NEWS):
+        # Long enough that every poller goes idle between messages.
+        yield from env.compute(instrs=30_000)
+        yield from env.message_send(news, b"n%d" % i)
+        if i < _MAIL:
+            for rank, box in enumerate(boxes):
+                yield from env.compute(instrs=7_000)
+                yield from env.message_send(box, b"m%d.%d" % (rank, i))
+    return "sent"
+
+
+_WORKERS = [_poller, _poller, _poller, _sender]
+
+
+def _run_matrix_cell(mode, fusion, epoch):
+    engine_mod.set_epoch(epoch)
+    labels = engine_mod.enable_label_profile()
+    tracer = Tracer() if mode == "tracer" else None
+    recorder = Recorder() if mode == "recorder" else None
+    policy = None
+    timing = None
+    if mode == "controlled":
+        policy = ControlledPolicy(RandomPolicy(seed=11))
+        timing = ZeroTimingModel()  # every pending event is a choice
+    eng, view = _engine(fusion, len(_WORKERS), timing=timing, trace=tracer,
+                        recorder=recorder, scheduler=policy)
+    _spawn(eng, view, _WORKERS)
+    if mode == "sliced":
+        t = 0.0
+        while any(p.state not in ("done", "failed") for p in eng.processes):
+            t += 0.0137
+            eng.run(until=t)
+    eng.run()
+    engine_mod.disable_label_profile()
+    out = {
+        "sim_seconds": eng.now,
+        "events": eng.stats.events,
+        "lock_acquires": eng.stats.lock_acquires,
+        "lock_contended": eng.stats.lock_contended,
+        "label_counts": {k: v[0] for k, v in labels.items()},
+        "results": eng.results(),
+    }
+    if tracer is not None:
+        out["trace"] = [(e.time, e.process, e.text) for e in tracer.events]
+        out["per_lock"] = dict(tracer.lock_profile())
+    if recorder is not None:
+        out["per_lock"] = {
+            lock: (st.acquires, st.contended)
+            for lock, st in recorder.lock_table().items()}
+        out["recorder_labels"] = dict(recorder.charge_breakdown())
+    if policy is not None:
+        out["decisions"] = (policy.decisions, policy.widths)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode", ["plain", "sliced", "controlled", "tracer", "recorder"])
+def test_identity_matrix(mode, restore_hatches):
+    """Every hatch combination retires the classic schedule, per mode."""
+    cells = {h: _run_matrix_cell(mode, *h) for h in HATCHES}
+    classic = cells[(False, False)]
+    for poller in ("p0", "p1", "p2"):
+        got = classic["results"][poller]
+        assert len(got) == _NEWS + _MAIL
+        assert [p for which, p in got if which == "news"] == [
+            b"n%d" % i for i in range(_NEWS)]
+    assert classic["label_counts"]["check-fixed"] > 50, (
+        "the program must actually idle-poll for the matrix to mean much")
+    for hatch, cell in cells.items():
+        assert cell == classic, f"{mode}: {hatch} diverged from classic"
+
+
+def test_matrix_modes_agree_on_the_schedule(restore_hatches):
+    """Observation and slicing are free: same clock, events, lock totals."""
+    keys = ("sim_seconds", "events", "lock_acquires", "lock_contended",
+            "label_counts")
+    plain = _run_matrix_cell("plain", True, True)
+    for mode in ("sliced", "tracer", "recorder"):
+        cell = _run_matrix_cell(mode, True, True)
+        assert {k: cell[k] for k in keys} == {k: plain[k] for k in keys}, mode
+
+
+def test_gauss64_simulated_checks_per_receive(restore_hatches):
+    """The simulated polling cost, read off the charge stream.
+
+    The ledger's ``patterns.select_receive.checks_per_receive`` counts
+    host calls to ``Env.check_receive`` and reads ~2 once the idle wait
+    lives in the engine; what the simulated machine pays is this number.
+    """
+    calls = []
+
+    def counting(env, ids, backoff_instrs=400):
+        calls.append(1)
+        return (yield from select_receive(env, ids, backoff_instrs))
+
+    a, b = gj.make_system(64, 1987)
+    labels = engine_mod.enable_label_profile()
+    real = gj.select_receive
+    gj.select_receive = counting
+    try:
+        gj.gauss_jordan_parallel(a, b, 12)
+    finally:
+        gj.select_receive = real
+        engine_mod.disable_label_profile()
+    per_receive = labels["check-fixed"][0] / len(calls)
+    assert round(per_receive, 2) == 88.44
+
+
+# -- the event budget ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("pollers", [1, 2])
+@pytest.mark.parametrize("fusion,epoch", HATCHES, ids=HATCH_IDS)
+def test_lone_pollers_hit_the_event_budget(pollers, fusion, epoch,
+                                           restore_hatches):
+    """A poll nobody answers must raise, not hang (was: fused, 1 poller)."""
+    engine_mod.set_epoch(epoch)
+
+    def poller(env):
+        box = yield from env.open_receive(f"box{env.rank}", FCFS)
+        yield from select_receive(env, (box,))
+
+    eng, view = _engine(fusion, pollers, max_events=50_000)
+    _spawn(eng, view, [poller] * pollers)
+    with pytest.raises(SimulationError, match="exceeded 50000 events"):
+        eng.run()
+    assert eng.stats.events == 50_001
+
+
+@pytest.mark.parametrize("epoch", [True, False])
+def test_budget_inside_a_plain_fused_loop(epoch, restore_hatches):
+    """Section after section with no heap crossing is budgeted too."""
+    engine_mod.set_epoch(epoch)
+    sec = FusedSection(((S_CHARGE, Work(instrs=1, label="spin")),) * 3)
+
+    def spinner():
+        while True:
+            yield sec
+
+    eng = Engine(n_locks=1, n_channels=0, max_events=1_000)
+    eng.spawn("p0", spinner())
+    eng.spawn("p1", spinner())
+    with pytest.raises(SimulationError, match="exceeded 1000 events"):
+        eng.run()
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+@pytest.mark.parametrize("epoch", [True, False])
+@pytest.mark.parametrize("fused", [True, False])
+def test_budget_is_tested_at_a_multi_part_charge(fused, epoch, procs,
+                                                 restore_hatches):
+    """A ``ChargeMany`` ticks ``len(works) - 1`` events on its own: the
+    budget fires there, at the same count in every interpreter, not one
+    step later."""
+    engine_mod.set_epoch(epoch)
+    works = (Work(instrs=1, label="spin"),) * 4
+    effect = FusedSection(((S_MANY, works),)) if fused else ChargeMany(works)
+
+    def spinner():
+        while True:
+            yield effect
+
+    eng = Engine(n_locks=1, n_channels=0, max_events=10)
+    for i in range(procs):
+        eng.spawn(f"p{i}", spinner())
+    with pytest.raises(SimulationError, match="exceeded 10 events"):
+        eng.run()
+    # Third four-part charge: 12 events, and nothing ran after it.
+    assert (eng.stats.events, eng.stats.charges) == (12, 12)
+
+
+# -- step and directive semantics --------------------------------------------
+
+
+class _UnitTiming(ZeroTimingModel):
+    def price(self, work, running):
+        return work.instrs * 1e-6
+
+    def acquire_cost(self):
+        return 2e-6
+
+    def release_cost(self):
+        return 1e-6
+
+
+_CHECK = ((S_CHARGE, Work(instrs=5, label="fixed")), (S_ACQ, 0),
+          (S_CHARGE, Work(instrs=2, label="walk")), (S_REL, 0))
+
+
+def _looping(rounds):
+    """One section that jumps back to its own head ``rounds - 1`` times."""
+    left = [rounds]
+
+    def call():
+        left[0] -= 1
+        if left[0]:
+            return (D_JUMP, None, _CHECK[2:] + ((S_NEXT, None),) + head)
+        return (D_JUMP, "done", _CHECK[2:])
+
+    head = _CHECK[:2] + ((S_CALL, call),)
+
+    def body():
+        return (yield FusedSection(head))
+
+    return body()
+
+
+def _one_by_one(rounds):
+    def body():
+        for _ in range(rounds):
+            yield FusedSection(_CHECK)
+        return "done"
+
+    return body()
+
+
+@pytest.mark.parametrize("mode", ["plain", "epoch", "controlled", "sliced"])
+def test_s_next_is_a_section_boundary(mode, restore_hatches):
+    """A looping section is event-for-event the sections it replaces."""
+    engine_mod.set_epoch(mode == "epoch")
+
+    def run(make):
+        lines = []
+        sched = (ControlledPolicy(RandomPolicy(seed=3))
+                 if mode == "controlled" else None)
+        eng = Engine(n_locks=1, n_channels=0, timing=_UnitTiming(),
+                     scheduler=sched,
+                     trace=None if mode == "epoch" else (
+                         lambda t, n, s: lines.append((t, n, s))))
+        # Two loopers contending for lock 0, so parks land mid-loop.
+        eng.spawn("p0", make(40))
+        eng.spawn("p1", make(25))
+        if mode == "sliced":
+            for k in range(1, 30):
+                eng.run(until=k * 17e-6)
+        eng.run()
+        return (eng.now, eng.stats.as_dict() if mode != "epoch" else
+                eng.stats.events, eng.results(), lines,
+                sched and (sched.decisions, sched.widths))
+
+    assert run(_looping) == run(_one_by_one)
+
+
+def test_d_jump_replaces_the_remaining_steps():
+    ran = []
+
+    def call():
+        return (D_JUMP, 7, ((S_CALL, lambda: ran.append("tail")),))
+
+    def body():
+        return (yield FusedSection((
+            (S_CALL, call),
+            (S_CALL, lambda: ran.append("skipped")),
+        )))
+
+    eng = Engine(n_locks=1, n_channels=0)
+    eng.spawn("p0", body())
+    eng.run()
+    assert ran == ["tail"]
+    assert eng.results() == {"p0": 7}
+
+
+def test_unknown_opcode_still_refused():
+    def body():
+        yield FusedSection(((7, None),))
+
+    eng = Engine(n_locks=1, n_channels=0)
+    eng.spawn("p0", body())
+    with pytest.raises(SimulationError, match="bad fused step opcode"):
+        eng.run()
+
+
+def test_steps_horizon_stops_at_a_boundary():
+    w = Work(instrs=4, label="a")
+    steps = ((S_CHARGE, w), (S_NEXT, None), (S_CHARGE, w))
+    assert steps_horizon(steps) == ((w,), 1, S_NEXT)
+
+
+def test_drop_wake_passes_poll_sections_untouched():
+    """Poll sections hold no S_WAKE: the injector must forward them as is."""
+    eng, view = _engine(True, 1)
+    seen = []
+
+    def opener():
+        box = yield from ops.open_receive(view, 0, "box", FCFS)
+        gen = drop_wake(ops.poll_receive(
+            view, 0, (box,), Work(instrs=400, label="app-compute")))
+        section = next(gen)
+        seen.append(section)
+        gen.close()
+
+    _spawn(eng, view, [lambda env: opener()])
+    eng.run()
+    (section,) = seen
+    assert section is next(iter(view._fs_poll_cache.values()))[1]
+    assert all(step[0] != 4 for step in section.steps)
