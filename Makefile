@@ -4,10 +4,12 @@ PY ?= python
 # Point-runner processes for figure sweeps; output is byte-identical to
 # a serial run (each point is an independent deterministic simulation).
 JOBS ?= 4
-# Section-fusion escape hatch: `make figures FUSION=off` forces the
-# unfused effect-per-event engine paths.  Output is byte-identical
-# either way (the fused engine's acceptance gate); the knob exists for
-# debugging and A/B timing.
+# Poll-section escape hatch: `make figures FUSION=off` sends every
+# `poll_receive` round through the generator instead of keeping the
+# wait in-engine (the only thing the knob still selects: send, receive
+# and check are classic generators either way).  Output is
+# byte-identical both ways (the section's acceptance gate); the knob
+# exists for debugging and A/B timing.
 FUSION ?= on
 # Epoch-batching escape hatch: `make figures EPOCH=off` forces the
 # classic one-heap-pop-per-event loop.  Output is byte-identical either
@@ -40,6 +42,7 @@ check:
 	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 200
 	$(PY) -m repro.check explore --scenario shard-steal --seeds 200
 	$(PY) -m repro.check explore --scenario select-poll --seeds 200
+	MPF_FUSION=off $(PY) -m repro.check explore --scenario select-poll --seeds 200
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200 --policy dfs
 	$(PY) -m repro.check explore --scenario fcfs-race --seeds 200 --fault torn-send --expect-fail
@@ -151,7 +154,7 @@ identity:
 	cmp /tmp/mpf_full_off.json figures_full.json
 
 # cProfile one figure plus the hottest-effect-label report.
-# `make profile FIG=fig6 FUSION=off` profiles the unfused paths.
+# `make profile FIG=fig6 FUSION=off` profiles with poll waits unfused.
 FIG ?= fig7
 profile:
 	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench profile $(FIG) --quick --top 10

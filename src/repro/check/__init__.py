@@ -36,6 +36,7 @@ from .invariants import (
     check_broadcast_delivery,
     check_fcfs_delivery,
     check_invariants,
+    check_traffic_counts,
     collect_violations,
     segment_quiescent,
 )
@@ -80,4 +81,5 @@ __all__ = [
     "SteadyProbe",
     "check_fcfs_delivery",
     "check_broadcast_delivery",
+    "check_traffic_counts",
 ]

@@ -11,7 +11,8 @@ model checking:
   alarms (see :func:`segment_quiescent` and :class:`SteadyProbe`);
 * **delivery oracles** — end-to-end contracts (FCFS exactly-once and
   per-sender FIFO order, BROADCAST every-receiver in-order delivery,
-  paper §2) evaluated on worker return values after a run.
+  paper §2; the segment's traffic counters against what the workers
+  themselves counted) evaluated on worker return values after a run.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "SteadyProbe",
     "check_fcfs_delivery",
     "check_broadcast_delivery",
+    "check_traffic_counts",
 ]
 
 
@@ -125,3 +127,20 @@ def check_broadcast_delivery(
             f"expected {list(sent)!r}"
         ]
     return []
+
+
+def check_traffic_counts(header: dict, sends: int, receives: int) -> list[str]:
+    """Header counts == delivered counts.
+
+    ``sends`` / ``receives`` are the ``message_send`` / ``message_receive``
+    calls the workers saw return; ``header`` is the run's
+    :attr:`~repro.runtime.base.RunResult.header`.  A mismatch on a real
+    runtime means a counter was updated outside the lock that guards it.
+    """
+    out = []
+    for what, counted in (("sends", sends), ("receives", receives)):
+        read = header[f"total_{what}"]
+        if read != counted:
+            out.append(f"header counts {read} {what}, workers completed "
+                       f"{counted}")
+    return out

@@ -31,6 +31,7 @@ from .deadlock import StallReport, analyze_stall
 from .invariants import (
     InvariantViolation,
     SteadyProbe,
+    check_traffic_counts,
     collect_violations,
 )
 from .scenarios import Scenario
@@ -196,11 +197,11 @@ def run_schedule(
     region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
     layout = format_region(region, cfg)
     view = MPFView(region, layout, DEFAULT_COSTS)
-    # Fusion stays on under the controlled scheduler: the engine parks
-    # every fused step as its own heap event there, so the policy sees
-    # the identical choice points (and decision traces replay) either
-    # way — while the checker exercises the same fused code paths the
-    # figure runs use.
+    # Poll sections stay on under the controlled scheduler: the engine
+    # parks every section step as its own heap event there, so the
+    # policy sees the identical choice points (and decision traces
+    # replay) either way — while the checker exercises the same section
+    # interpreter the figure runs use.
     view.fuse = fusion_enabled()
     probe = SteadyProbe(view) if check_steady else None
     ctl = ControlledPolicy(policy, probe=probe)
@@ -357,6 +358,34 @@ def explore_dfs(
     return res
 
 
+class _CountingEnv(Env):
+    """An :class:`Env` that counts the sends and receives it completed."""
+
+    __slots__ = ("sends", "receives")
+
+    def message_send(self, lnvc_id, data, prelude=None):
+        seqno = yield from super().message_send(lnvc_id, data, prelude)
+        self.sends += 1
+        return seqno
+
+    def message_receive(self, lnvc_id, max_len=None):
+        payload = yield from super().message_receive(lnvc_id, max_len)
+        self.receives += 1
+        return payload
+
+
+def _counted(worker):
+    """``worker`` returning ``(its result, sends, receives completed)``."""
+
+    def body(env: Env):
+        env = _CountingEnv(env.view, env.rank, env.nprocs, env.now)
+        env.sends = env.receives = 0
+        result = yield from worker(env)
+        return result, env.sends, env.receives
+
+    return body
+
+
 def run_real(
     scenario: Scenario,
     fault: str | None = None,
@@ -372,7 +401,11 @@ def run_real(
     clean sim exploration is re-validated here: run the same workers
     ``repeats`` times on :class:`~repro.runtime.threads.ThreadRuntime`
     or :class:`~repro.runtime.procs.ProcRuntime` and apply the same
-    final invariants and delivery oracle.  Returns violation strings.
+    final invariants and delivery oracle, plus one only real
+    concurrency can break: the header's traffic counters must equal the
+    sends and receives the workers completed
+    (:func:`~repro.check.invariants.check_traffic_counts`).  Returns
+    violation strings.
     """
     from ..runtime.procs import ProcRuntime
     from ..runtime.threads import ThreadRuntime
@@ -384,7 +417,7 @@ def run_real(
 
     out: list[str] = []
     for rep in range(repeats):
-        workers = scenario.build(fault)
+        workers = [_counted(w) for w in scenario.build(fault)]
         try:
             if runtime == "procs":
                 # The segment is gone when run() returns: judge it inside.
@@ -401,7 +434,12 @@ def run_real(
         except MPFError as exc:
             out.append(f"run {rep}: {type(exc).__name__}: {exc}")
             break
-        violations += scenario.oracle(result.results)
+        counted = result.results.values()
+        violations += scenario.oracle(
+            {name: c[0] for name, c in result.results.items()})
+        violations += check_traffic_counts(
+            result.header,
+            sum(c[1] for c in counted), sum(c[2] for c in counted))
         if violations:
             out.append(f"run {rep}: " + "; ".join(violations))
             break

@@ -49,12 +49,8 @@ __all__ = [
     "S_MANY",
     "S_ACQ",
     "S_REL",
-    "S_WAKE",
     "S_CALL",
     "S_NEXT",
-    "D_RESULT",
-    "D_SPLICE",
-    "D_RESULT_SPLICE",
     "D_BAIL",
     "D_JUMP",
 ]
@@ -64,7 +60,8 @@ __all__ = [
 # A FusedSection's ``steps`` are small ``(opcode, arg)`` tuples.  Plain
 # ints (not an Enum) keep the simulator's per-step dispatch at a couple of
 # machine comparisons — these run once per protocol step, millions of
-# times per figure sweep.
+# times per figure sweep.  The interpreters compare against the literal
+# values; opcode 4 and directives 0-2 are unassigned.
 
 #: ``(S_CHARGE, work)`` — one :class:`Charge` event.
 S_CHARGE = 0
@@ -74,8 +71,6 @@ S_MANY = 1
 S_ACQ = 2
 #: ``(S_REL, lock_id)`` — one :class:`Release` event.
 S_REL = 3
-#: ``(S_WAKE, chan)`` — one :class:`Wake` event.
-S_WAKE = 4
 #: ``(S_CALL, fn)`` — run ``fn()`` at the current instant (no event, no
 #: simulated time): the generator-body code that would execute between
 #: two yields in the unfused sequence.  ``fn`` returns ``None`` or a
@@ -89,25 +84,17 @@ S_CALL = 5
 #: sequence of sections it replaces.
 S_NEXT = 6
 
-#: ``(D_RESULT, value)`` — set the section's result (sent into the
-#: generator when the section completes).
-D_RESULT = 0
-#: ``(D_SPLICE, steps)`` — splice more steps right after the call;
-#: how a body whose continuation depends on shared state (list walks,
-#: retirement reaps) extends the section it is part of.
-D_SPLICE = 1
-#: ``(D_RESULT_SPLICE, value, steps)`` — both at once.
-D_RESULT_SPLICE = 2
 #: ``(D_BAIL, value)`` — abandon the remaining steps and resume the
-#: generator *now* with ``value``.  The fusion guard: any precondition
-#: the fused fast path cannot handle (queue empty and a WaitOn must
-#: fire, a validation error, a full ring) bails back to the generator's
-#: classic unfused code with all acquired locks still held.
+#: generator *now* with ``value``.  The guard for whatever the section
+#: cannot handle (a validation error): the generator's own code takes
+#: over with all acquired locks still held.
 D_BAIL = 3
-#: ``(D_JUMP, value, steps)`` — set the result and *replace* the
-#: remaining steps with ``steps`` (a pre-built tuple; nothing is
-#: concatenated, so a closure can return one memoized directive for as
-#: long as the shared state it depends on is unchanged).
+#: ``(D_JUMP, value, steps)`` — set the section's result (sent into the
+#: generator when the section completes) and *replace* the remaining
+#: steps with ``steps`` (a pre-built tuple; nothing is concatenated, so
+#: a closure can return one memoized directive for as long as the shared
+#: state it depends on is unchanged).  How a body whose continuation
+#: depends on shared state (a list walk) extends its section.
 D_JUMP = 4
 
 
@@ -185,29 +172,34 @@ class Wake:
 
 @dataclass(frozen=True, slots=True)
 class FusedSection:
-    """An entire protocol section retired as one effect (sim engine only).
+    """A run of protocol steps retired as one effect (sim engine only).
 
     ``steps`` is a tuple of ``(opcode, arg)`` pairs (see the ``S_*``
-    constants above): the acquire + fixed charges + list/copy work +
-    release of one uncontended protocol step, interleaved with
+    constants above): acquires, charges and releases interleaved with
     ``S_CALL`` closures holding the generator-body code that runs
-    between the unfused yields.  The simulated engine executes the
-    whole section inline while no other process can interact — same
-    events, same clock arithmetic, same recorder/trace stream as the
-    unfused sequence, but one generator round-trip instead of ~10 —
-    and falls back to event-at-a-time stepping on lock contention, in
-    controlled-scheduler runs, or when a call bails (``D_BAIL``).
+    between the equivalent classic yields.  The simulated engine
+    executes the steps inline while no other process can interact —
+    same events, same clock arithmetic, same recorder/trace stream as
+    the effect-per-yield sequence, without the generator round-trips —
+    and falls back to event-at-a-time stepping on lock contention and
+    in controlled-scheduler runs.
+
+    The one producer is :func:`repro.core.ops.poll_receive`, whose idle
+    wait loops inside the engine (``S_NEXT``, ``D_JUMP``) instead of
+    resuming a generator 88 times per receive.  The eight primitives
+    themselves yield classic effects on every runtime: a section that
+    runs once costs more host time to build and interpret than the
+    generator resumes it saves (docs/performance.md).
 
     Conventions that keep fused and unfused runs byte-identical:
 
-    * Only the sim engine sees this effect.  Primitives consult
+    * Only the sim engine sees this effect.  ``poll_receive`` consults
       ``view.fuse`` (set by :class:`~repro.runtime.sim.SimRuntime` and
-      the model checker only) and yield classic effects on the real
-      runtimes — and when ``MPF_FUSION=off``.
-    * ``S_WAKE`` steps must appear *statically* in ``steps`` as yielded
-      — never introduced by a splice — so fault injectors
-      (:func:`repro.check.faults.drop_wake`) can strip them; a wake
-      whose firing is conditional stays a classic :class:`Wake` yield.
+      the model checker only) and runs its classic ``check_receive``
+      loop on the real runtimes — and when ``MPF_FUSION=off``.
+    * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
+      step form, so fault injectors that filter wakes
+      (:func:`repro.check.faults.drop_wake`) forward sections as is.
     * Copy charges (``copy_bytes > 0``) are allowed: the engine opens
       and closes the bus-tracking copy phase at the same instants as
       the unfused charge.
@@ -230,12 +222,11 @@ class FusedSection:
         """The section's analytically-priceable prefix, memoized.
 
         Returns ``(parts, stop_idx, stop_op)`` — see :func:`steps_horizon`.
-        Sections are cached per ``(slot, pid)`` in ``core/ops.py`` /
-        ``core/transport.py`` and reused across millions of events, so
-        the flattening runs once per cached section, not once per send.
-        The memo only ever describes the *static* ``steps`` tuple: a
-        spliced continuation replaces the interpreter's local steps
-        list, never this object's field.
+        Sections are cached per polled set in ``core/ops.py`` and reused
+        across millions of events, so the flattening runs once per
+        cached section.  The memo only ever describes the *static*
+        ``steps`` tuple: a jump replaces the interpreter's local steps,
+        never this object's field.
         """
         h = self._hzn
         if h is None:
@@ -253,8 +244,8 @@ def steps_horizon(steps: tuple, idx: int = 0):
     expression ``instrs*t_instr + flops*t_flop`` (× the oversubscription
     stretch), bit-for-bit what ``BalanceTiming.price`` computes for it.
     The scan stops at the first step that can interact with anything
-    outside the process: a lock acquire/release, a wake, a call (whose
-    directive may splice or jump), a section boundary (``S_NEXT`` — the
+    outside the process: a lock acquire/release, a call (whose
+    directive may jump), a section boundary (``S_NEXT`` — the
     generator resume it stands for may observe anything), or a charge
     carrying ``copy_bytes`` / ``blocks`` / ``page_bytes`` (stateful
     bus/cache/VM inputs).

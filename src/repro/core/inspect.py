@@ -37,7 +37,7 @@ from .structs import (
 )
 
 __all__ = ["MessageInfo", "ConnectionInfo", "CircuitInfo", "SegmentInfo",
-           "inspect_segment", "render_segment",
+           "inspect_segment", "render_segment", "traffic_totals",
            "InvariantViolation", "collect_violations", "check_invariants"]
 
 
@@ -210,9 +210,33 @@ def _walk_connections(view: MPFView, base: int) -> list[ConnectionInfo]:
     return out
 
 
+def traffic_totals(view: MPFView) -> dict[str, int]:
+    """The ``total_*`` traffic counters of the segment.
+
+    Each circuit counts its own traffic under its own lock; the header
+    words hold only what deleted circuits left behind
+    (``ops._delete_lnvc``).  The totals are the two summed.
+    """
+    r = view.region
+    totals = {f: HDR.get(r, f) for f in (
+        "total_sends", "total_receives",
+        "total_bytes_sent", "total_bytes_received")}
+    for slot in range(view.cfg.max_lnvcs):
+        base = view.layout.lnvc_off(slot)
+        if LNVC.get(r, base, "in_use"):
+            totals["total_sends"] += LNVC.get(r, base, "seq")
+            totals["total_receives"] += LNVC.get(r, base, "nrecvs")
+            totals["total_bytes_sent"] += r.u64(
+                base + LNVC.offsets["bytes_sent"])
+            totals["total_bytes_received"] += r.u64(
+                base + LNVC.offsets["bytes_received"])
+    return totals
+
+
 def inspect_segment(view: MPFView) -> SegmentInfo:
     """Walk the segment read-only and return its structured state."""
     r = view.region
+    totals = traffic_totals(view)
     circuits = []
     for slot in range(view.cfg.max_lnvcs):
         base = view.layout.lnvc_off(slot)
@@ -247,8 +271,8 @@ def inspect_segment(view: MPFView) -> SegmentInfo:
         free_recv=fl_count(r, HDR.u32["free_recv"]),
         free_msg=fl_count(r, HDR.u32["free_msg"]),
         free_blk=sum(fl_count(r, h) for h in view.layout.shard_heads),
-        total_sends=HDR.get(r, "total_sends"),
-        total_receives=HDR.get(r, "total_receives"),
+        total_sends=totals["total_sends"],
+        total_receives=totals["total_receives"],
     )
 
 

@@ -37,12 +37,12 @@ from .costmodel import DEFAULT_COSTS, Costs
 from .effects import (
     D_BAIL,
     D_JUMP,
-    D_RESULT_SPLICE,
-    D_SPLICE,
+    S_ACQ,
     S_CALL,
     S_CHARGE,
     S_MANY,
     S_NEXT,
+    S_REL,
     Acquire,
     Charge,
     ChargeMany,
@@ -115,19 +115,20 @@ __all__ = [
     "set_fusion",
 ]
 
-# Section fusion default for the *simulated* runtimes.  The primitives
-# below yield FusedSection fast paths only when ``view.fuse`` is set;
-# SimRuntime and the model checker set it from this flag, so the real
-# runtimes (threads/procs/posix), which interpret classic effects, are
-# never exposed.  ``MPF_FUSION=off`` is the debugging escape hatch: it
-# forces the unfused effect-per-event paths, which are byte-identical.
+# Whether the *simulated* runtimes keep a poll wait inside the engine.
+# The eight primitives are classic effect generators on every runtime;
+# only :func:`poll_receive` yields a FusedSection, and only when
+# ``view.fuse`` is set.  SimRuntime and the model checker set it from
+# this flag, so the real runtimes (threads/procs/posix) never see one.
+# ``MPF_FUSION=off`` is the debugging escape hatch: every poll round
+# goes through the generator, which is byte-identical.
 _fusion_default = os.environ.get("MPF_FUSION", "").lower() not in (
     "0", "off", "false", "no",
 )
 
 
 def fusion_enabled() -> bool:
-    """Whether sim runtimes fuse protocol sections (MPF_FUSION env knob)."""
+    """Whether sim runtimes run poll waits in-engine (MPF_FUSION env knob)."""
     return _fusion_default
 
 
@@ -162,6 +163,9 @@ _L_SEQ = LNVC.offsets["seq"]
 _L_HWM_NMSGS = LNVC.offsets["hwm_nmsgs"]
 _L_CONN_EPOCH = LNVC.offsets["conn_epoch"]
 _L_TRANSPORT = LNVC.offsets["transport"]
+_L_NRECVS = LNVC.offsets["nrecvs"]
+_L_BYTES_SENT = LNVC.offsets["bytes_sent"]
+_L_BYTES_RECEIVED = LNVC.offsets["bytes_received"]
 
 _S_PID = SEND.offsets["pid"]
 _S_NEXT = SEND.offsets["next"]
@@ -192,10 +196,6 @@ _H_FREE_BLK = HDR.u32["free_blk"]
 _H_LIVE_MSGS = HDR.u32["live_msgs"]
 _H_LIVE_BLOCKS = HDR.u32["live_blocks"]
 _H_LIVE_BYTES = HDR.u32["live_bytes"]
-_H_TOTAL_SENDS = HDR.u64["total_sends"]
-_H_TOTAL_RECEIVES = HDR.u64["total_receives"]
-_H_TOTAL_BYTES_SENT = HDR.u64["total_bytes_sent"]
-_H_TOTAL_BYTES_RECEIVED = HDR.u64["total_bytes_received"]
 _H_HWM_LIVE_BYTES = HDR.u64["hwm_live_bytes"]
 _H_HWM_LIVE_MSGS = HDR.u64["hwm_live_msgs"]
 
@@ -266,27 +266,7 @@ class MPFView:
         "causal",
         "timeline",
         "fuse",
-        "_fs_acq",
-        "_fs_rel",
-        "_fs_wake",
-        "_fs_alloc_acq",
-        "_fs_alloc_rel",
-        "_fs_send_fixed",
-        "_fs_recv_fixed",
-        "_fs_check_fixed",
-        "_fs_recv_retire",
-        "_fs_recv_find",
-        "_fs_check_walk",
-        "_fs_ring_send_fixed",
-        "_fs_ring_recv_fixed",
-        "_fs_ring_claim",
-        "_fs_ring_cursor",
-        "_fs_ring_commit",
-        "_fs_ring_consume",
-        "_fs_check_cache",
         "_fs_poll_cache",
-        "_fs_send_sec",
-        "_fs_recv_sec",
     )
 
     def __init__(
@@ -377,17 +357,9 @@ class MPFView:
         # other views (processes) reshape the lists.
         self._send_cache: dict = {}
         self._recv_cache: dict = {}
-        # Fused-section caches, (slot, pid) -> cache entry (see
-        # _make_check_section / _make_send_section / _make_recv_section).
-        # The hot primitives build their section tuples and closures once
-        # per connection instead of per call — per-call state travels
-        # through a small mutable context list the cached closures share
-        # with the generator.  A generation mismatch (slot recycled)
-        # rebuilds the entry.
-        self._fs_check_cache: dict = {}
+        # (pid, first slot) -> ((ids, backoff), section): the looping
+        # sections of poll_receive, built once per polled set.
         self._fs_poll_cache: dict = {}
-        self._fs_send_sec: dict = {}
-        self._fs_recv_sec: dict = {}
         #: Optional :class:`repro.obs.causal.CausalTracer` attached by a
         #: runtime.  When set, the hot primitives call its hooks inline —
         #: plain attribute-gated Python calls, never new effects, so the
@@ -399,31 +371,11 @@ class MPFView:
         #: calls — never a new effect — so telemetry cannot perturb a
         #: simulated schedule.
         self.timeline = None
-        #: Section fusion opt-in (sim engine only; see
-        #: :class:`~repro.core.effects.FusedSection`).  Off by default so
-        #: real runtimes never see a fused effect; SimRuntime and the
-        #: model checker set it from :func:`fusion_enabled`.
+        #: In-engine poll waits opt-in (sim engine only; see
+        #: :func:`poll_receive`).  Off by default so real runtimes never
+        #: see a :class:`~repro.core.effects.FusedSection`; SimRuntime
+        #: and the model checker set it from :func:`fusion_enabled`.
         self.fuse = False
-        # Fused-step twins of the prebuilt effects above: ``(opcode,
-        # arg)`` pairs sharing the same Work instances, assembled once so
-        # the hot paths build a FusedSection from cached parts.
-        self._fs_acq = tuple((2, FIRST_LNVC_LOCK + s) for s in range(n))
-        self._fs_rel = tuple((3, FIRST_LNVC_LOCK + s) for s in range(n))
-        self._fs_wake = tuple((4, s) for s in range(n))
-        self._fs_alloc_acq = (2, ALLOC_LOCK)
-        self._fs_alloc_rel = (3, ALLOC_LOCK)
-        self._fs_send_fixed = (S_CHARGE, self._send_fixed_work)
-        self._fs_recv_fixed = (S_CHARGE, self._recv_fixed.work)
-        self._fs_check_fixed = (S_CHARGE, self._check_fixed_work)
-        self._fs_recv_retire = (S_CHARGE, self._recv_retire.work)
-        self._fs_recv_find = tuple((S_CHARGE, ch.work) for ch in self._recv_find)
-        self._fs_check_walk = tuple((S_CHARGE, ch.work) for ch in self._check_walk)
-        self._fs_ring_send_fixed = (S_CHARGE, self._ring_send_fixed_work)
-        self._fs_ring_recv_fixed = (S_CHARGE, self._ring_recv_fixed.work)
-        self._fs_ring_claim = (S_CHARGE, self._ring_claim.work)
-        self._fs_ring_cursor = (S_CHARGE, self._ring_cursor.work)
-        self._fs_ring_commit = (S_CHARGE, self._ring_commit.work)
-        self._fs_ring_consume = (S_CHARGE, self._ring_consume.work)
 
     # -- names -------------------------------------------------------------
 
@@ -500,14 +452,6 @@ class MPFView:
 # ---------------------------------------------------------------------------
 # internal helpers (all expect the documented locks to be held)
 # ---------------------------------------------------------------------------
-
-
-#: Fused-section bail sentinels.  A section closure bails with an
-#: exception instance for error paths (the generator releases the held
-#: locks and raises) or with one of these to fall back to a classic
-#: unfused continuation that fusion cannot express (wait loops).
-_OK = object()
-_EMPTY = object()
 
 
 def _release_and_raise(locks: Iterable[int], exc: Exception) -> OpGen:
@@ -838,6 +782,12 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
         # Ring circuits have no FIFO to discard (msgs is empty above);
         # unread slots die with the ring, which returns to the pool.
         yield from ring_release(view, base)
+    # The circuit's lifetime traffic joins the header totals, which only
+    # this fold writes — under GLOBAL_LOCK, whichever circuit is dying.
+    HDR.add(r, "total_sends", LNVC.get(r, base, "seq"))
+    HDR.add(r, "total_receives", LNVC.get(r, base, "nrecvs"))
+    HDR.add(r, "total_bytes_sent", r.u64(base + _L_BYTES_SENT))
+    HDR.add(r, "total_bytes_received", r.u64(base + _L_BYTES_RECEIVED))
     gen = LNVC.get(r, base, "gen")
     LNVC.clear(r, base)
     LNVC.set(r, base, "gen", (gen + 1) & 0x3FFFFF)
@@ -1118,258 +1068,6 @@ def close_receive(view: MPFView, pid: int, lnvc_id: int) -> OpGen:
     return None
 
 
-# Context-list indices for the cached fused send closures (see
-# _make_send_section): one mutable list per connection carries the
-# per-call values the reusable closures read and write, replacing the
-# per-call closure cells the first fused implementation allocated on
-# every send.
-_SX_LEN, _SX_NBLK, _SX_HDR, _SX_BLOCKS, _SX_SEQNO, _SX_DEPTH, \
-    _SX_T_ENTRY, _SX_T_ALLOC, _SX_T_FILL = range(9)
-
-
-def _make_send_section(view, slot, pid, gen, lnvc_id):
-    """Build a fused :func:`message_send` cache entry for
-    ``view._fs_send_sec``.
-
-    Returns ``[gen, ctx, section1, prelude_obj, prelude_section1,
-    section2_memo, alloc_call, link_call, tfill_call]``.  The closures
-    are the same statements as the classic generator body; per-call
-    state (payload length, allocated header/blocks, link results,
-    causal timestamps) travels through ``ctx``.  The variable-cost
-    charge steps are memoized by their cost inputs — equal-valued
-    :class:`Work` prices identically, so reuse is exact.
-    """
-    r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
-    c = view.costs
-    causal = view.causal
-    base = view.layout.lnvc_off(slot)
-    send_cache = view._send_cache
-    skey = (slot, pid)
-    ctx: list = [None] * 9
-    alloc_splices: dict = {}
-    link_splices: dict = {}
-
-    def _alloc():
-        nblk = ctx[_SX_NBLK]
-        hdr = fl_alloc(r, _H_FREE_MSG,
-                       causal.on_pool if causal is not None else None)
-        ctx[_SX_HDR] = hdr
-        if hdr == NIL:
-            return (D_BAIL,
-                    OutOfMessageMemoryError("message header pool exhausted"))
-        blocks = ctx[_SX_BLOCKS] = pop_chain(r, _H_FREE_BLK, nblk)
-        if blocks is None:
-            fl_free(r, _H_FREE_MSG, hdr)
-            if causal is not None:
-                causal.on_pool(_H_FREE_BLK, NIL)
-            return (D_BAIL, OutOfMessageMemoryError(
-                f"block pool exhausted ({nblk}-block message)"))
-        if causal is not None:
-            causal.on_pool_bulk(_H_FREE_BLK, nblk)
-        r.add_u32(_H_LIVE_MSGS, 1)
-        live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
-        tl = view.timeline
-        if tl is not None:
-            tl.tap_pool(live_blk)
-        live = r.add_u32(_H_LIVE_BYTES, ctx[_SX_LEN])
-        if live > r.u64(_H_HWM_LIVE_BYTES):
-            r.set_u64(_H_HWM_LIVE_BYTES, live)
-        live_msgs = u32(_H_LIVE_MSGS)
-        if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
-            r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
-        spl = alloc_splices.get(nblk)
-        if spl is None:
-            spl = alloc_splices[nblk] = (
-                (S_CHARGE, Work(instrs=(nblk + 1) * c.blk_alloc,
-                                label="send-alloc")),
-                view._fs_alloc_rel,
-            )
-        return (D_RESULT_SPLICE, _OK, spl)
-
-    def _tfill():
-        ctx[_SX_T_FILL] = causal.clock()
-
-    def _onsend():
-        causal.on_send(pid, slot, gen, ctx[_SX_SEQNO], ctx[_SX_LEN],
-                       ctx[_SX_NBLK], ctx[_SX_DEPTH], ctx[_SX_T_ENTRY],
-                       ctx[_SX_T_ALLOC], ctx[_SX_T_FILL])
-
-    def _link():
-        hdr = ctx[_SX_HDR]
-        length = ctx[_SX_LEN]
-        nblk = ctx[_SX_NBLK]
-        blocks = ctx[_SX_BLOCKS]
-        try:
-            if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-                view.resolve(lnvc_id)  # raises with the precise message
-            epoch = u32(base + _L_CONN_EPOCH)
-            hit = send_cache.get(skey)
-            if hit is not None and hit[2] == gen and hit[3] == epoch:
-                steps = hit[1]
-            else:
-                sd, _, steps = _find_send(view, base, pid)
-                if sd == NIL:
-                    raise NotConnectedError(
-                        f"pid {pid} holds no send connection here"
-                    )
-                send_cache[skey] = (sd, steps, gen, epoch)
-        except (UnknownLNVCError, NotConnectedError) as exc:
-            return (D_BAIL, exc)
-        n_fcfs = u32(base + _L_N_FCFS)
-        n_bcast = u32(base + _L_N_BCAST)
-        flags = 0
-        if n_fcfs:
-            flags |= _F_FCFS_EXPECTED
-        if n_fcfs or n_bcast:
-            flags |= _F_HAD_RECEIVERS
-        seqno = u32(base + _L_SEQ)
-        ctx[_SX_SEQNO] = seqno
-        set_u32(base + _L_SEQ, seqno + 1)
-        set_u32(hdr + _M_LENGTH, length)
-        set_u32(hdr + _M_NBLOCKS, nblk)
-        set_u32(hdr + _M_FIRST_BLK, blocks[0] if blocks else NIL)
-        set_u32(hdr + _M_NEXT_MSG, NIL)
-        set_u32(hdr + _M_BCAST_PENDING, n_bcast)
-        set_u32(hdr + _M_BUSY, 0)
-        set_u32(hdr + _M_FLAGS, flags)
-        set_u32(hdr + _M_SEQNO, seqno)
-        set_u32(hdr + _M_SENDER, pid)
-        tail = u32(base + _L_FIFO_TAIL)
-        if tail == NIL:
-            set_u32(base + _L_FIFO_HEAD, hdr)
-        else:
-            set_u32(tail + _M_NEXT_MSG, hdr)
-        set_u32(base + _L_FIFO_TAIL, hdr)
-        depth = r.add_u32(base + _L_NMSGS, 1)
-        ctx[_SX_DEPTH] = depth
-        if depth > u32(base + _L_HWM_NMSGS):
-            set_u32(base + _L_HWM_NMSGS, depth)
-        if u32(base + _L_FCFS_HEAD) == NIL:
-            set_u32(base + _L_FCFS_HEAD, hdr)
-        rsteps = 0
-        desc = u32(base + _L_RECV_LIST)
-        while desc != NIL:
-            rsteps += 1
-            if u32(desc + _R_PROTO) != _P_FCFS and u32(desc + _R_HEAD) == NIL:
-                set_u32(desc + _R_HEAD, hdr)
-            desc = u32(desc + _R_NEXT)
-        r.add_u64(_H_TOTAL_SENDS, 1)
-        r.add_u64(_H_TOTAL_BYTES_SENT, length)
-        tl = view.timeline
-        if tl is not None:
-            tl.tap_send(slot, length, depth)
-        total = steps + rsteps
-        spl = link_splices.get(total)
-        if spl is None:
-            lst = [(S_CHARGE, Work(
-                instrs=c.msg_link + total * c.list_step,
-                label="send-link",
-            ))]
-            if causal is not None:
-                lst.append((S_CALL, _onsend))
-            lst.append(view._fs_rel[slot])
-            spl = link_splices[total] = tuple(lst)
-        return (D_RESULT_SPLICE, seqno, spl)
-
-    alloc_call = (S_CALL, _alloc)
-    section1 = FusedSection(
-        (view._fs_send_fixed, view._fs_alloc_acq, alloc_call)
-    )
-    # Warm the epoch batcher's horizon memo while the section is being
-    # cached (here and below): one flattening per (slot, pid) cache
-    # entry instead of a lazy fill on the first simulated send.
-    section1.contention_horizon()
-    return [gen, ctx, section1, None, None, {},
-            alloc_call, (S_CALL, _link), (S_CALL, _tfill)]
-
-
-def _send_fused(
-    view: MPFView,
-    pid: int,
-    lnvc_id: int,
-    data: bytes,
-    prelude: Work | None,
-    slot: int,
-    gen: int,
-    lock: int,
-    nblk: int,
-    length: int,
-    t_entry: float,
-) -> OpGen:
-    """Fused twin of :func:`message_send`'s free-list path (sim only).
-
-    Two fused sections replace the nine classic effects: (entry charge,
-    allocator acquire, alloc closure → alloc charge + allocator release)
-    and (copy charge, circuit acquire, link closure → link charge +
-    causal hook + release, wake).  The closures — cached per connection
-    by :func:`_make_send_section` — are the same statements as the
-    classic generator body, executed at the same simulated instants;
-    error paths bail back to the classic rollback sequences with the
-    held lock intact, so failure behavior is also identical.
-    """
-    r = view.region
-    causal = view.causal
-    skey = (slot, pid)
-    ent = view._fs_send_sec.get(skey)
-    if ent is None or ent[0] != gen:
-        ent = _make_send_section(view, slot, pid, gen, lnvc_id)
-        view._fs_send_sec[skey] = ent
-    ctx = ent[1]
-    ctx[_SX_LEN] = length
-    ctx[_SX_NBLK] = nblk
-    ctx[_SX_T_ENTRY] = t_entry
-
-    if prelude is None:
-        section1 = ent[2]
-    elif prelude is ent[3]:
-        section1 = ent[4]
-    else:
-        section1 = FusedSection((
-            (S_MANY, (prelude, view._send_fixed_work)),
-            view._fs_alloc_acq,
-            ent[6],
-        ))
-        section1.contention_horizon()
-        ent[3] = prelude
-        ent[4] = section1
-    res = yield section1
-    if res is not _OK:
-        yield from _release_and_raise([ALLOC_LOCK], res)
-    if causal is not None:
-        ctx[_SX_T_ALLOC] = causal.clock()
-    hdr = ctx[_SX_HDR]
-    blocks = ctx[_SX_BLOCKS]
-
-    # Fill the private chain — outside every lock, same as classic.
-    fill_chain(r, blocks, data, view.cfg.block_size)
-
-    sec2_memo = ent[5]
-    section2 = sec2_memo.get(length)
-    if section2 is None:
-        c = view.costs
-        lay = view.layout
-        steps2 = [(S_CHARGE, Work(
-            instrs=nblk * c.blk_fill + length * c.copy_byte,
-            copy_bytes=length,
-            blocks=nblk,
-            page_bytes=nblk * lay.blk_stride + MSG.size,
-            label="send-copy",
-        ))]
-        if causal is not None:
-            steps2.append(ent[8])
-        steps2 += [view._fs_acq[slot], ent[7], view._fs_wake[slot]]
-        section2 = sec2_memo[length] = FusedSection(tuple(steps2))
-        section2.contention_horizon()
-    res = yield section2
-    if res.__class__ is int:
-        return res
-    # Validation failed at the link step: the circuit lock is still
-    # held; roll the allocation back exactly as the classic path does.
-    yield from _unsend(view, lock, hdr, blocks, length, res)
-
-
 def message_send(
     view: MPFView,
     pid: int,
@@ -1400,7 +1098,8 @@ def message_send(
     # free-list circuits keep a bit-identical simulated schedule.  A
     # stale identifier is caught by the generation check either way.
     slot = lnvc_id & _SLOT_MASK
-    if slot < view.cfg.max_lnvcs and view.region.u32(
+    in_table = slot < view.cfg.max_lnvcs
+    if in_table and view.region.u32(
         view.layout.lnvc_off(slot) + _L_TRANSPORT
     ):
         return (yield from ring_send(view, pid, lnvc_id, data, prelude))
@@ -1417,17 +1116,8 @@ def message_send(
     nblk = (length + bs - 1) // bs
     causal = view.causal
     t_entry = causal.clock() if causal is not None else 0.0
-    slot = lnvc_id & _SLOT_MASK
     gen = lnvc_id >> SLOT_BITS
-    in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
-
-    # Fused sections bake in the single-list allocator, so a sharded
-    # pool always takes the classic generator paths.
-    if view.fuse and in_table and view._blk_heads is None:
-        return (yield from _send_fused(
-            view, pid, lnvc_id, data, prelude, slot, gen, lock,
-            nblk, length, t_entry))
 
     if prelude is None:
         yield view._send_fixed
@@ -1567,8 +1257,7 @@ def message_send(
         if u32(desc + _R_PROTO) != _P_FCFS and u32(desc + _R_HEAD) == NIL:
             set_u32(desc + _R_HEAD, hdr)
         desc = u32(desc + _R_NEXT)
-    r.add_u64(_H_TOTAL_SENDS, 1)
-    r.add_u64(_H_TOTAL_BYTES_SENT, length)
+    r.add_u64(base + _L_BYTES_SENT, length)
     yield Charge(
         Work(
             instrs=c.msg_link + (steps + rsteps) * c.list_step,
@@ -1583,177 +1272,6 @@ def message_send(
     yield view._rel[slot] if in_table else Release(lock)
     yield view._wake[slot] if in_table else Wake(slot)
     return seqno
-
-
-# Context-list indices for the cached fused receive closures (see
-# _make_recv_section) — the receive-side analogue of the _SX_* slots.
-_RX_DESC, _RX_FCFS, _RX_MSG, _RX_LEN, _RX_NBLK, _RX_FIRST, _RX_T_CLAIM, \
-    _RX_SEQNO, _RX_CLAIMED, _RX_MAXLEN, _RX_T_DRAIN, _RX_BLOCKS = range(12)
-
-
-def _make_recv_section(view, slot, pid, gen, lnvc_id):
-    """Build a fused :func:`message_receive` cache entry for
-    ``view._fs_recv_sec``.
-
-    Returns ``[gen, ctx, entry_section, completion_memo, tdrain_call,
-    done_call]``.  The closures are the same statements as the classic
-    generator body; per-call state (descriptor, claimed message, copy
-    geometry, causal timestamps) travels through ``ctx``.  Find/reap
-    charge splices are memoized by their cost inputs, the completion
-    section by ``(length, nblk)`` — equal-valued :class:`Work` prices
-    identically, so reuse is exact.
-    """
-    r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
-    c = view.costs
-    causal = view.causal
-    base = view.layout.lnvc_off(slot)
-    recv_cache = view._recv_cache
-    rkey = (slot, pid)
-    fs_find = view._fs_recv_find
-    fs_rel = view._fs_rel[slot]
-    ctx: list = [None] * 12
-    find_splices: dict = {}
-    reap_splices: dict = {}
-    reap_state: list = []
-
-    def _find():
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-            try:
-                view.resolve(lnvc_id)  # raises with the precise message
-            except UnknownLNVCError as exc:
-                return (D_BAIL, exc)
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = recv_cache.get(rkey)
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            desc = hit[0]
-            steps = hit[1]
-        else:
-            desc, _, steps = _find_recv(view, base, pid)
-            if desc == NIL:
-                return (D_BAIL, NotConnectedError(
-                    f"pid {pid} holds no receive connection here"))
-            recv_cache[rkey] = (desc, steps, gen, epoch)
-        ctx[_RX_DESC] = desc
-        ctx[_RX_FCFS] = u32(desc + _R_PROTO) == _P_FCFS
-        spl = find_splices.get(steps)
-        if spl is None:
-            fstep = fs_find[steps] if steps < 8 else (
-                S_CHARGE, Work(instrs=steps * c.list_step, label="recv-find"))
-            spl = find_splices[steps] = (fstep, headcheck_call)
-        return (D_SPLICE, spl)
-
-    def _headcheck():
-        desc = ctx[_RX_DESC]
-        is_fcfs = ctx[_RX_FCFS]
-        msg = u32(base + _L_FCFS_HEAD) if is_fcfs else u32(desc + _R_HEAD)
-        if msg == NIL:
-            return (D_BAIL, _EMPTY)
-        ctx[_RX_MSG] = msg
-        length = u32(msg + _M_LENGTH)
-        ctx[_RX_LEN] = length
-        max_len = ctx[_RX_MAXLEN]
-        if max_len is not None and length > max_len:
-            return (D_BAIL, BufferOverflowError(
-                f"next message is {length} bytes, buffer holds {max_len}"))
-        r.add_u32(msg + _M_BUSY, 1)
-        if is_fcfs:
-            set_u32(msg + _M_FLAGS, u32(msg + _M_FLAGS) | _F_FCFS_TAKEN)
-            set_u32(base + _L_FCFS_HEAD,
-                    _first_untaken(view, u32(msg + _M_NEXT_MSG)))
-        else:
-            set_u32(desc + _R_HEAD, u32(msg + _M_NEXT_MSG))
-        r.add_u32(desc + _R_NREADS, 1)
-        ctx[_RX_NBLK] = u32(msg + _M_NBLOCKS)
-        ctx[_RX_FIRST] = u32(msg + _M_FIRST_BLK)
-        if causal is not None:
-            ctx[_RX_T_CLAIM] = causal.clock()
-            ctx[_RX_SEQNO] = u32(msg + _M_SEQNO)
-        ctx[_RX_CLAIMED] = True
-        return (D_SPLICE, rel_splice)
-
-    def _tdrain():
-        ctx[_RX_T_DRAIN] = causal.clock()
-
-    def _done():
-        msg = ctx[_RX_MSG]
-        r.add_u32(msg + _M_BUSY, -1)
-        if not ctx[_RX_FCFS]:
-            r.add_u32(msg + _M_BCAST_PENDING, -1)
-        _retire_check(view, msg)
-        return (D_SPLICE, done_splice)
-
-    def _reap1():
-        doomed: list[int] = []
-        chains: list[list[int]] = []
-        drained = ctx[_RX_MSG]
-        head = u32(base + _L_FIFO_HEAD)
-        try:
-            while head != NIL and (u32(head + _M_FLAGS) & _F_RETIRED):
-                doomed.append(head)
-                chains.append(ctx[_RX_BLOCKS] if head == drained
-                              else _msg_chain(view, head))
-                head = u32(head + _M_NEXT_MSG)
-        except RegionFormatError as exc:
-            return (D_BAIL, exc)
-        if not doomed:
-            _totals()
-            return (D_SPLICE, rel_splice)
-        set_u32(base + _L_FIFO_HEAD, head)
-        if head == NIL:
-            set_u32(base + _L_FIFO_TAIL, NIL)
-        depth_after = r.add_u32(base + _L_NMSGS, -len(doomed))
-        tl = view.timeline
-        if tl is not None:
-            tl.tap_depth(slot, depth_after)
-        fcfs = u32(base + _L_FCFS_HEAD)
-        if fcfs in doomed:
-            set_u32(base + _L_FCFS_HEAD, _first_untaken(view, head))
-        reap_state.append((doomed, chains, depth_after))
-        return (D_SPLICE, reapacq_splice)
-
-    def _reap2():
-        doomed, chains, depth_after = reap_state.pop()
-        if causal is not None:
-            cur_gen = u32(base + _L_GEN)
-            depth = depth_after + len(doomed)
-            for m in doomed:
-                depth -= 1
-                causal.on_free(u32(m + _M_SENDER), slot, cur_gen,
-                               u32(m + _M_SEQNO), u32(m + _M_LENGTH),
-                               depth)
-        nblk_f = 0
-        for m, chain in zip(doomed, chains):
-            nblk_f += _free_chain(view, m, chain)
-        key = (len(doomed), nblk_f)
-        spl = reap_splices.get(key)
-        if spl is None:
-            spl = reap_splices[key] = (
-                view._fs_alloc_rel,
-                (S_CHARGE, Work(
-                    instrs=len(doomed) * c.msg_discard + nblk_f * c.blk_free,
-                    label="reap",
-                )),
-                totals_call,
-                fs_rel,
-            )
-        return (D_SPLICE, spl)
-
-    def _totals():
-        r.add_u64(_H_TOTAL_RECEIVES, 1)
-        r.add_u64(_H_TOTAL_BYTES_RECEIVED, ctx[_RX_LEN])
-
-    headcheck_call = (S_CALL, _headcheck)
-    totals_call = (S_CALL, _totals)
-    rel_splice = (fs_rel,)
-    done_splice = (view._fs_recv_retire, (S_CALL, _reap1))
-    reapacq_splice = (view._fs_alloc_acq, (S_CALL, _reap2))
-    entry_sec = FusedSection(
-        (view._fs_recv_fixed, view._fs_acq[slot], (S_CALL, _find))
-    )
-    entry_sec.contention_horizon()
-    return [gen, ctx, entry_sec, {}, (S_CALL, _tdrain), (S_CALL, _done)]
 
 
 def message_receive(
@@ -1772,7 +1290,8 @@ def message_receive(
     safe analogue of the C interface's caller-supplied buffer.
     """
     slot = lnvc_id & _SLOT_MASK
-    if slot < view.cfg.max_lnvcs and view.region.u32(
+    in_table = slot < view.cfg.max_lnvcs
+    if in_table and view.region.u32(
         view.layout.lnvc_off(slot) + _L_TRANSPORT
     ):
         return (yield from ring_receive(view, pid, lnvc_id, max_len))
@@ -1782,128 +1301,73 @@ def message_receive(
     c = view.costs
     causal = view.causal
     t_entry = causal.clock() if causal is not None else 0.0
-    slot = lnvc_id & _SLOT_MASK
     gen = lnvc_id >> SLOT_BITS
-    in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
     base = view.layout.lnvc_off(slot)
-    fuse = view.fuse and in_table and view._blk_heads is None
 
-    desc = NIL
-    is_fcfs = False
-    msg = NIL
-    length = 0
-    nblk = 0
-    first = NIL
-    t_claim = 0.0
-    claimed_seqno = 0
-    claimed = False
-
-    ent = None
-    if fuse:
-        # Fused fast path: (entry charge, acquire, validate/find closure
-        # → find charge + head-check closure → claim + release) as one
-        # effect when a message is already queued.  An empty queue bails
-        # to the classic WaitOn loop below with the lock held — fusion
-        # never spans a sleep.  The closures are cached per connection
-        # (_make_recv_section); this call's state rides in ``ctx``.
-        rkey = (slot, pid)
-        ent = view._fs_recv_sec.get(rkey)
-        if ent is None or ent[0] != gen:
-            ent = _make_recv_section(view, slot, pid, gen, lnvc_id)
-            view._fs_recv_sec[rkey] = ent
-        ctx = ent[1]
-        ctx[_RX_MAXLEN] = max_len
-        ctx[_RX_CLAIMED] = False
-        res = yield ent[2]
-        if res is not None and res is not _EMPTY:
-            yield from _release_and_raise([lock], res)
-        desc = ctx[_RX_DESC]
-        is_fcfs = ctx[_RX_FCFS]
-        if ctx[_RX_CLAIMED]:
-            claimed = True
-            msg = ctx[_RX_MSG]
-            length = ctx[_RX_LEN]
-            nblk = ctx[_RX_NBLK]
-            first = ctx[_RX_FIRST]
-            if causal is not None:
-                t_claim = ctx[_RX_T_CLAIM]
-                claimed_seqno = ctx[_RX_SEQNO]
+    yield view._recv_fixed
+    yield view._acq[slot] if in_table else Acquire(lock)
+    if not in_table or not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
+        try:
+            view.resolve(lnvc_id)  # raises with the precise message
+        except UnknownLNVCError as exc:
+            yield from _release_and_raise([lock], exc)
+    epoch = u32(base + _L_CONN_EPOCH)
+    hit = view._recv_cache.get((slot, pid))
+    if hit is not None and hit[2] == gen and hit[3] == epoch:
+        desc = hit[0]
+        steps = hit[1]
     else:
-        yield view._recv_fixed
-        yield view._acq[slot] if in_table else Acquire(lock)
-        if not in_table:
-            try:
-                view.resolve(lnvc_id)
-            except UnknownLNVCError as exc:
-                yield from _release_and_raise([lock], exc)
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-            try:
-                view.resolve(lnvc_id)  # raises with the precise message
-            except UnknownLNVCError as exc:
-                yield from _release_and_raise([lock], exc)
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = view._recv_cache.get((slot, pid))
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            desc = hit[0]
-            steps = hit[1]
-        else:
-            desc, _, steps = _find_recv(view, base, pid)
-            if desc == NIL:
-                yield from _release_and_raise(
-                    [lock],
-                    NotConnectedError(f"pid {pid} holds no receive connection here"),
-                )
-            view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
-        is_fcfs = u32(desc + _R_PROTO) == _P_FCFS
-        yield view._recv_find[steps] if steps < 8 else Charge(
-            Work(instrs=steps * c.list_step, label="recv-find")
-        )
-
-    if not claimed:
-        # Fused entry already observed an empty queue at this instant,
-        # so it starts with the sleep; the classic entry checks first.
-        skip_check = fuse
-        while True:
-            if not skip_check:
-                if is_fcfs:
-                    msg = u32(base + _L_FCFS_HEAD)
-                else:
-                    msg = u32(desc + _R_HEAD)
-                if msg != NIL:
-                    break
-            skip_check = False
-            # Nothing available: sleep on the circuit's wait channel.  WaitOn
-            # atomically releases the lock and reacquires it on wake, closing
-            # the lost wake-up window.
-            yield view._waiton[slot]
-            yield view._recv_wakeup
-
-        length = u32(msg + _M_LENGTH)
-        if max_len is not None and length > max_len:
+        desc, _, steps = _find_recv(view, base, pid)
+        if desc == NIL:
             yield from _release_and_raise(
                 [lock],
-                BufferOverflowError(
-                    f"next message is {length} bytes, buffer holds {max_len}"
-                ),
+                NotConnectedError(f"pid {pid} holds no receive connection here"),
             )
+        view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
+    is_fcfs = u32(desc + _R_PROTO) == _P_FCFS
+    yield view._recv_find[steps] if steps < 8 else Charge(
+        Work(instrs=steps * c.list_step, label="recv-find")
+    )
 
-        # Claim the message under the lock, then copy outside it.
-        r.add_u32(msg + _M_BUSY, 1)
+    while True:
         if is_fcfs:
-            set_u32(msg + _M_FLAGS, u32(msg + _M_FLAGS) | _F_FCFS_TAKEN)
-            set_u32(
-                base + _L_FCFS_HEAD, _first_untaken(view, u32(msg + _M_NEXT_MSG))
-            )
+            msg = u32(base + _L_FCFS_HEAD)
         else:
-            set_u32(desc + _R_HEAD, u32(msg + _M_NEXT_MSG))
-        r.add_u32(desc + _R_NREADS, 1)
-        nblk = u32(msg + _M_NBLOCKS)
-        first = u32(msg + _M_FIRST_BLK)
-        if causal is not None:
-            t_claim = causal.clock()
-            claimed_seqno = u32(msg + _M_SEQNO)
-        yield view._rel[slot] if in_table else Release(lock)
+            msg = u32(desc + _R_HEAD)
+        if msg != NIL:
+            break
+        # Nothing available: sleep on the circuit's wait channel.  WaitOn
+        # atomically releases the lock and reacquires it on wake, closing
+        # the lost wake-up window.
+        yield view._waiton[slot]
+        yield view._recv_wakeup
+
+    length = u32(msg + _M_LENGTH)
+    if max_len is not None and length > max_len:
+        yield from _release_and_raise(
+            [lock],
+            BufferOverflowError(
+                f"next message is {length} bytes, buffer holds {max_len}"
+            ),
+        )
+
+    # Claim the message under the lock, then copy outside it.
+    r.add_u32(msg + _M_BUSY, 1)
+    if is_fcfs:
+        set_u32(msg + _M_FLAGS, u32(msg + _M_FLAGS) | _F_FCFS_TAKEN)
+        set_u32(
+            base + _L_FCFS_HEAD, _first_untaken(view, u32(msg + _M_NEXT_MSG))
+        )
+    else:
+        set_u32(desc + _R_HEAD, u32(msg + _M_NEXT_MSG))
+    r.add_u32(desc + _R_NREADS, 1)
+    nblk = u32(msg + _M_NBLOCKS)
+    first = u32(msg + _M_FIRST_BLK)
+    if causal is not None:
+        t_claim = causal.clock()
+        claimed_seqno = u32(msg + _M_SEQNO)
+    yield view._rel[slot] if in_table else Release(lock)
 
     # Copy phase — concurrent with other receivers of the same message.
     # The busy pin keeps the chain as walked here until the completion
@@ -1912,122 +1376,31 @@ def message_receive(
         blocks, payload = drain_chain(r, first, nblk, length, view.cfg.block_size)
     except RegionFormatError as exc:
         raise _bad_chain(msg, exc) from None
+    yield Charge(Work(
+        instrs=nblk * c.blk_drain + length * c.copy_byte,
+        copy_bytes=length,
+        blocks=nblk,
+        label="recv-copy",
+    ))
+    t_drain = causal.clock() if causal is not None else 0.0
 
-    if fuse:
-        # Fused completion: (copy charge, acquire, unpin/retire closure
-        # → retire charge + reap closures + release) as one effect; the
-        # reap's allocator excursion splices in only when messages
-        # actually retire, mirroring _reap_head's conditional yields.
-        # The section (including the copy-cost Work) is memoized by the
-        # copy geometry; the wait-loop path may have claimed classically,
-        # so the claim results are (re)written into ctx first.
-        ctx = ent[1]
-        ctx[_RX_MSG] = msg
-        ctx[_RX_FCFS] = is_fcfs
-        ctx[_RX_LEN] = length
-        ctx[_RX_BLOCKS] = blocks
-        comp_memo = ent[3]
-        section = comp_memo.get((length, nblk))
-        if section is None:
-            steps_b: list = [(S_CHARGE, Work(
-                instrs=nblk * c.blk_drain + length * c.copy_byte,
-                copy_bytes=length,
-                blocks=nblk,
-                label="recv-copy",
-            ))]
-            if causal is not None:
-                steps_b.append(ent[4])
-            steps_b += [view._fs_acq[slot], ent[5]]
-            section = comp_memo[(length, nblk)] = FusedSection(tuple(steps_b))
-            section.contention_horizon()
-        try:
-            res = yield section
-        finally:
-            ctx[_RX_BLOCKS] = None
-        if res is not None:  # corrupt chain found by the reap
-            yield from _release_and_raise([lock], res)
-        t_drain = ctx[_RX_T_DRAIN] if causal is not None else 0.0
-    else:
-        yield Charge(Work(
-            instrs=nblk * c.blk_drain + length * c.copy_byte,
-            copy_bytes=length,
-            blocks=nblk,
-            label="recv-copy",
-        ))
-        t_drain = causal.clock() if causal is not None else 0.0
-
-        # Completion: drop the busy pin, account the read, retire and reap.
-        yield view._acq[slot] if in_table else Acquire(lock)
-        r.add_u32(msg + _M_BUSY, -1)
-        if not is_fcfs:
-            r.add_u32(msg + _M_BCAST_PENDING, -1)
-        _retire_check(view, msg)
-        yield view._recv_retire
-        yield from _reap_head(view, base, (lock,), msg, blocks)
-        r.add_u64(_H_TOTAL_RECEIVES, 1)
-        r.add_u64(_H_TOTAL_BYTES_RECEIVED, length)
-        yield view._rel[slot] if in_table else Release(lock)
+    # Completion: drop the busy pin, account the read, retire and reap.
+    yield view._acq[slot] if in_table else Acquire(lock)
+    r.add_u32(msg + _M_BUSY, -1)
+    if not is_fcfs:
+        r.add_u32(msg + _M_BCAST_PENDING, -1)
+    _retire_check(view, msg)
+    yield view._recv_retire
+    yield from _reap_head(view, base, (lock,), msg, blocks)
+    r.add_u32(base + _L_NRECVS, 1)
+    r.add_u64(base + _L_BYTES_RECEIVED, length)
+    yield view._rel[slot] if in_table else Release(lock)
     if causal is not None:
         causal.on_recv(pid, slot, gen, claimed_seqno, length, is_fcfs,
                        t_entry, t_claim, t_drain)
     if view.timeline is not None:
         view.timeline.tap_recv(slot, length)
     return payload
-
-
-def _make_check_section(view, slot, pid, gen, lnvc_id):
-    """Build a :func:`check_receive` fused-section cache entry.
-
-    Returns ``[gen, walk_closure, section, prelude_obj, prelude_section]``
-    for ``view._fs_check_cache``.  Everything the walk closure touches is
-    hoisted into its cells once, here, instead of per call — and the
-    closure itself is reused for every check on this connection until
-    the slot's generation changes.
-    """
-    r = view.region
-    u32 = r.u32
-    c = view.costs
-    base = view.layout.lnvc_off(slot)
-    recv_cache = view._recv_cache
-    rkey = (slot, pid)
-    fs_walk = view._fs_check_walk
-    fs_rel = view._fs_rel[slot]
-
-    def _walk():
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-            try:
-                view.resolve(lnvc_id)  # raises with the precise message
-            except UnknownLNVCError as exc:
-                return (D_BAIL, exc)
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = recv_cache.get(rkey)
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            desc = hit[0]
-            steps = hit[1]
-        else:
-            desc, _, steps = _find_recv(view, base, pid)
-            if desc == NIL:
-                return (D_BAIL, NotConnectedError(
-                    f"pid {pid} holds no receive connection here"))
-            recv_cache[rkey] = (desc, steps, gen, epoch)
-        if u32(desc + _R_PROTO) == _P_FCFS:
-            msg = u32(base + _L_FCFS_HEAD)
-        else:
-            msg = u32(desc + _R_HEAD)
-        count = 0
-        while msg != NIL:
-            count += 1
-            msg = u32(msg + _M_NEXT_MSG)
-        walked = steps + count
-        wstep = fs_walk[walked] if walked < 8 else (
-            S_CHARGE, Work(instrs=walked * c.list_step, label="check-walk"))
-        return (D_RESULT_SPLICE, count, (wstep, fs_rel))
-
-    section = FusedSection(
-        (view._fs_check_fixed, view._fs_acq[slot], (S_CALL, _walk))
-    )
-    section.contention_horizon()
-    return [gen, _walk, section, None, None]
 
 
 def check_receive(
@@ -2049,63 +1422,23 @@ def check_receive(
     :func:`repro.patterns.select_receive`).
     """
     slot = lnvc_id & _SLOT_MASK
-    if slot < view.cfg.max_lnvcs and view.region.u32(
+    in_table = slot < view.cfg.max_lnvcs
+    if in_table and view.region.u32(
         view.layout.lnvc_off(slot) + _L_TRANSPORT
     ):
         return (yield from ring_check(view, pid, lnvc_id, prelude))
-    r = view.region
-    u32 = r.u32
+    u32 = view.region.u32
     c = view.costs
-    slot = lnvc_id & _SLOT_MASK
     gen = lnvc_id >> SLOT_BITS
-    in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
-
-    if view.fuse and in_table:
-        # Fused fast path: entry charge + acquire + (validate, walk,
-        # walk charge, release) retire as one engine effect.  Same
-        # code, clock arithmetic and error behavior as the classic
-        # sequence below — the closure runs at the acquire-grant
-        # instant, exactly when the unfused generator body would.
-        # Section and closure come from the per-connection cache; the
-        # prelude variant is memoized by object identity because poll
-        # loops (select_receive) reuse one backoff Work for their whole
-        # lifetime.
-        ckey = (slot, pid)
-        ent = view._fs_check_cache.get(ckey)
-        if ent is None or ent[0] != gen:
-            ent = _make_check_section(view, slot, pid, gen, lnvc_id)
-            view._fs_check_cache[ckey] = ent
-        if prelude is None:
-            section = ent[2]
-        elif prelude is ent[3]:
-            section = ent[4]
-        else:
-            section = FusedSection((
-                (S_MANY, (prelude, view._check_fixed_work)),
-                view._fs_acq[slot],
-                (S_CALL, ent[1]),
-            ))
-            section.contention_horizon()
-            ent[3] = prelude
-            ent[4] = section
-        res = yield section
-        if res.__class__ is int:
-            return res
-        yield from _release_and_raise([lock], res)
 
     if prelude is None:
         yield view._check_fixed
     else:
         yield ChargeMany((prelude, view._check_fixed_work))
     yield view._acq[slot] if in_table else Acquire(lock)
-    if not in_table:
-        try:
-            view.resolve(lnvc_id)
-        except UnknownLNVCError as exc:
-            yield from _release_and_raise([lock], exc)
     base = view.layout.lnvc_off(slot)
-    if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
+    if not in_table or not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
         try:
             view.resolve(lnvc_id)  # raises with the precise message
         except UnknownLNVCError as exc:
@@ -2143,32 +1476,37 @@ def _make_poll_section(view, pid, ids, backoff):
     """Build :func:`poll_receive`'s looping section over circuits ``ids``.
 
     One head per circuit — entry charge (the first circuit's carries the
-    backoff), acquire, walk call.  The walk finishes the check itself: it
-    jumps to ``walk charge, release`` with the circuit's id as the result
-    when there is traffic, else to ``walk charge, release, S_NEXT, <next
-    circuit's head>``.  The empty jump is memoized under the
-    ``conn_epoch`` it was resolved at (with ``gen`` that fixes descriptor,
-    protocol and walk length), so an idle check is one read of the LNVC
-    record and allocates nothing.  Returns ``None`` for a ring circuit or
-    an id outside the table (``check_receive`` routes those itself).
+    backoff), acquire, walk call — the steps of :func:`check_receive`
+    with its generator body between acquire and walk charge as the call.
+    The walk finishes the check itself: it jumps to ``walk charge,
+    release`` with the circuit's id as the result when there is traffic,
+    else to ``walk charge, release, S_NEXT, <next circuit's head>``; an
+    error bails with ``(lock held, exception)``.  The empty jump is
+    memoized under the ``conn_epoch`` it was resolved at (with ``gen``
+    that fixes descriptor, protocol and walk length), so an idle check
+    is one read of the LNVC record and allocates nothing.  Returns
+    ``None`` for a ring circuit or an id outside the table
+    (``check_receive`` routes those itself).
     """
-    u32, lay, n_slots = view.region.u32, view.layout, view.cfg.max_lnvcs
+    r = view.region
+    u32, lay, n_slots = r.u32, view.layout, view.cfg.max_lnvcs
     if not all(cid & _SLOT_MASK < n_slots
                and not u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT)
                for cid in ids):
         return None
-    probe = view.region.reader(_L_PROBE)
+    probe = r.reader(_L_PROBE)
+    c = view.costs
+    recv_cache = view._recv_cache
+    walk_steps = tuple((S_CHARGE, ch.work) for ch in view._check_walk)
     heads: list = []
 
     def head(i, lnvc_id):
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
         base = lay.lnvc_off(slot)
-        ent = view._fs_check_cache.get((slot, pid))
-        if ent is None or ent[0] != gen:
-            ent = _make_check_section(view, slot, pid, gen, lnvc_id)
-            view._fs_check_cache[slot, pid] = ent
-        check_walk = ent[1]
+        lock = FIRST_LNVC_LOCK + slot
+        rkey = (slot, pid)
+        rel = (S_REL, lock)
         m_epoch = -1  # conn_epoch the three cells below were resolved at
         m_desc = m_fcfs = m_empty = None
 
@@ -2178,21 +1516,41 @@ def _make_poll_section(view, pid, ids, backoff):
             if epoch == m_epoch and g == gen and in_use and (
                     fcfs_head if m_fcfs else u32(m_desc + _R_HEAD)) == NIL:
                 return m_empty
-            d = check_walk()
-            if d[0] == D_BAIL:
-                return (D_BAIL, (FIRST_LNVC_LOCK + slot, d[1]))
-            if d[1]:
-                return (D_JUMP, lnvc_id, d[2])
-            m_desc = view._recv_cache[slot, pid][0]
-            m_fcfs = u32(m_desc + _R_PROTO) == _P_FCFS
-            m_epoch = epoch
+            if not in_use or g != gen:
+                try:
+                    view.resolve(lnvc_id)  # raises with the precise message
+                except UnknownLNVCError as exc:
+                    return (D_BAIL, (lock, exc))
+            hit = recv_cache.get(rkey)
+            if hit is not None and hit[2] == gen and hit[3] == epoch:
+                desc = hit[0]
+                steps = hit[1]
+            else:
+                desc, _, steps = _find_recv(view, base, pid)
+                if desc == NIL:
+                    return (D_BAIL, (lock, NotConnectedError(
+                        f"pid {pid} holds no receive connection here")))
+                recv_cache[rkey] = (desc, steps, gen, epoch)
+            fcfs = u32(desc + _R_PROTO) == _P_FCFS
+            msg = fcfs_head if fcfs else u32(desc + _R_HEAD)
+            count = 0
+            while msg != NIL:
+                count += 1
+                msg = u32(msg + _M_NEXT_MSG)
+            walked = steps + count
+            tail = (walk_steps[walked] if walked < 8 else (
+                S_CHARGE, Work(instrs=walked * c.list_step,
+                               label="check-walk")), rel)
+            if count:
+                return (D_JUMP, lnvc_id, tail)
+            m_desc, m_fcfs, m_epoch = desc, fcfs, epoch
             m_empty = (D_JUMP, None,
-                       d[2] + ((S_NEXT, None),) + heads[(i + 1) % len(ids)])
+                       tail + ((S_NEXT, None),) + heads[(i + 1) % len(ids)])
             return m_empty
 
-        fixed = view._fs_check_fixed if i else (
+        fixed = (S_CHARGE, view._check_fixed_work) if i else (
             S_MANY, (backoff, view._check_fixed_work))
-        return (fixed, view._fs_acq[slot], (S_CALL, _walk))
+        return (fixed, (S_ACQ, lock), (S_CALL, _walk))
 
     heads.extend(head(i, cid) for i, cid in enumerate(ids))
     return FusedSection(heads[0])

@@ -56,8 +56,9 @@ MAGIC = 0x4D504621
 
 #: On-disk/in-memory format version of the segment layout.  v2 added the
 #: ring transport pools (control blocks, reader cursors, slot arrays)
-#: after the message block pool.
-VERSION = 2
+#: after the message block pool; v3 the per-circuit traffic counters in
+#: the LNVC record.
+VERSION = 3
 
 #: Maximum LNVC name length in bytes (UTF-8 encoded).
 NAME_MAX = 63

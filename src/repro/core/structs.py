@@ -112,6 +112,15 @@ LNVC = Record(
         "conn_epoch",  # bumped on every send/recv list mutation (see ops)
         "transport",   # 0 = free-list FIFO, 1 = ring (fixed at creation)
         "ring",        # RING control-block offset (ring circuits only)
+        # Traffic counts of this circuit's lifetime, written under its own
+        # lock (``seq`` is the send count) and folded into the header's
+        # ``total_*`` when the circuit is deleted.  The byte counts are
+        # u64: a low word and a high word, accessed as one.
+        "nrecvs",      # receives completed
+        "bytes_sent",
+        "bytes_sent_hi",
+        "bytes_received",
+        "bytes_received_hi",
     ),
     tail_bytes=NAME_MAX + 1,
 )

@@ -50,20 +50,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable
 
-from .effects import (
-    D_BAIL,
-    D_RESULT_SPLICE,
-    S_CALL,
-    S_CHARGE,
-    S_MANY,
-    Acquire,
-    Charge,
-    ChargeMany,
-    Effect,
-    FusedSection,
-    Release,
-    Wake,
-)
+from .effects import Acquire, Charge, ChargeMany, Effect, Release, Wake
 from .errors import (
     BufferOverflowError,
     NotConnectedError,
@@ -121,6 +108,9 @@ _L_SEQ = LNVC.offsets["seq"]
 _L_HWM_NMSGS = LNVC.offsets["hwm_nmsgs"]
 _L_CONN_EPOCH = LNVC.offsets["conn_epoch"]
 _L_RING = LNVC.offsets["ring"]
+_L_NRECVS = LNVC.offsets["nrecvs"]
+_L_BYTES_SENT = LNVC.offsets["bytes_sent"]
+_L_BYTES_RECEIVED = LNVC.offsets["bytes_received"]
 
 _S_PID = SEND.offsets["pid"]
 _S_NEXT = SEND.offsets["next"]
@@ -145,10 +135,6 @@ _RC_NEXT_SEQ = RCUR.offsets["next_seq"]
 _RC_NREADS = RCUR.offsets["nreads"]
 
 _H_FREE_RING = HDR.u32["free_ring"]
-_H_TOTAL_SENDS = HDR.u64["total_sends"]
-_H_TOTAL_RECEIVES = HDR.u64["total_receives"]
-_H_TOTAL_BYTES_SENT = HDR.u64["total_bytes_sent"]
-_H_TOTAL_BYTES_RECEIVED = HDR.u64["total_bytes_received"]
 
 _P_FCFS = int(Protocol.FCFS)
 
@@ -465,8 +451,7 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     depth = r.add_u32(base + _L_NMSGS, 1)
     if depth > u32(base + _L_HWM_NMSGS):
         set_u32(base + _L_HWM_NMSGS, depth)
-    r.add_u64(_H_TOTAL_SENDS, 1)
-    r.add_u64(_H_TOTAL_BYTES_SENT, length)
+    r.add_u64(base + _L_BYTES_SENT, length)
     yield view._ring_claim
     t_claim = causal.clock() if causal is not None else 0.0
 
@@ -716,8 +701,8 @@ def ring_receive(view, pid: int, lnvc_id: int,
         == u32(ring + _RG_NEXT_WRITE) % nslots
     )
     yield view._ring_consume
-    r.add_u64(_H_TOTAL_RECEIVES, 1)
-    r.add_u64(_H_TOTAL_BYTES_RECEIVED, length)
+    r.add_u32(base + _L_NRECVS, 1)
+    r.add_u64(base + _L_BYTES_RECEIVED, length)
     yield view._rel[slot] if in_table else Release(lock)
     if wake_sender:
         yield view._wake[slot] if in_table else Wake(slot)
@@ -731,119 +716,16 @@ def ring_receive(view, pid: int, lnvc_id: int,
     return payload
 
 
-def _count_ready(view, lay, u32, base: int, desc: int, nslots: int) -> int:
-    """Deliverable-message count for ``desc`` on the slot's ring — the
-    walk :func:`ring_check` charges for (shared by both step modes)."""
-    ring = u32(base + _L_RING)
-    ridx = lay.ring_index(ring)
-    count = 0
-    if u32(desc + _R_PROTO) == _P_FCFS:
-        f = u32(ring + _RG_FCFS_NEXT)
-        w = u32(ring + _RG_NEXT_WRITE)
-        while f < w:
-            s = lay.ring_slot_off(ridx, f % nslots)
-            if u32(s + _RS_SEQ) != f + 1:
-                break
-            st = u32(s + _RS_STATE)
-            if st & RS_FCFS_AVAILABLE and not st & (RS_FCFS_TAKEN | RS_RETIRED):
-                count += 1
-            f += 1
-    else:
-        cseq = u32(desc + _R_HEAD)  # reader bit
-        cur = lay.ring_cur_off(ridx, cseq)
-        cseq = u32(cur + _RC_NEXT_SEQ)
-        while u32(lay.ring_slot_off(ridx, cseq % nslots) + _RS_SEQ) == cseq + 1:
-            count += 1
-            cseq += 1
-    return count
-
-
-def _make_ring_check_section(view, slot, pid, gen, lnvc_id):
-    """Build a :func:`ring_check` fused-section cache entry.
-
-    Same entry shape as ``ops._make_check_section`` — ``[gen,
-    walk_closure, section, prelude_obj, prelude_section]`` — and stored
-    in the same ``view._fs_check_cache`` (a (slot, gen) pair has exactly
-    one transport, so the generation check that invalidates stale
-    entries also routes rebuilds to the right factory).
-    """
-    r = view.region
-    u32 = r.u32
-    c = view.costs
-    lay = view.layout
-    base = lay.lnvc_off(slot)
-    recv_cache = view._recv_cache
-    rkey = (slot, pid)
-    fs_walk = view._fs_check_walk
-    fs_rel = view._fs_rel[slot]
-    nslots = view.cfg.ring_slots
-
-    def _walk():
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-            try:
-                view.resolve(lnvc_id)  # raises with the precise message
-            except UnknownLNVCError as exc:
-                return (D_BAIL, exc)
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = recv_cache.get(rkey)
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            desc = hit[0]
-            steps = hit[1]
-        else:
-            desc, steps = _find_recv(view, base, pid)
-            if desc == NIL:
-                return (D_BAIL, NotConnectedError(
-                    f"pid {pid} holds no receive connection here"))
-            recv_cache[rkey] = (desc, steps, gen, epoch)
-        count = _count_ready(view, lay, u32, base, desc, nslots)
-        walked = steps + count
-        wstep = fs_walk[walked] if walked < 8 else (
-            S_CHARGE, Work(instrs=walked * c.list_step, label="check-walk"))
-        return (D_RESULT_SPLICE, count, (wstep, fs_rel))
-
-    section = FusedSection(
-        (view._fs_check_fixed, view._fs_acq[slot], (S_CALL, _walk))
-    )
-    # Warm the epoch batcher's horizon memo with the cached section.
-    section.contention_horizon()
-    return [gen, _walk, section, None, None]
-
-
 def ring_check(view, pid: int, lnvc_id: int,
                prelude: Work | None = None) -> OpGen:
     """check_receive over the ring transport (advisory, as ever for FCFS)."""
-    r = view.region
-    u32 = r.u32
+    u32 = view.region.u32
     c = view.costs
     lay = view.layout
     slot = lnvc_id & _SLOT_MASK
     gen = lnvc_id >> SLOT_BITS
     in_table = slot < view.cfg.max_lnvcs
     lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
-
-    if view.fuse and in_table:
-        # Fused fast path, the ring twin of ops.check_receive's: entry
-        # charge, acquire, then the validate/walk/charge/release tail as
-        # one effect, with cached per-connection closures.
-        ckey = (slot, pid)
-        ent = view._fs_check_cache.get(ckey)
-        if ent is None or ent[0] != gen:
-            ent = _make_ring_check_section(view, slot, pid, gen, lnvc_id)
-            view._fs_check_cache[ckey] = ent
-        if prelude is None:
-            section = ent[2]
-        elif prelude is ent[3]:
-            section = ent[4]
-        else:
-            section = FusedSection(((S_MANY, (prelude, view._check_fixed_work)),
-                                    view._fs_acq[slot], (S_CALL, ent[1])))
-            section.contention_horizon()
-            ent[3] = prelude
-            ent[4] = section
-        res = yield section
-        if res.__class__ is int:
-            return res
-        yield from _release_and_raise([lock], res)
 
     if prelude is None:
         yield view._check_fixed
@@ -873,7 +755,27 @@ def ring_check(view, pid: int, lnvc_id: int,
                 NotConnectedError(f"pid {pid} holds no receive connection here"),
             )
         view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
-    count = _count_ready(view, lay, u32, base, desc, view.cfg.ring_slots)
+    ring = u32(base + _L_RING)
+    ridx = lay.ring_index(ring)
+    nslots = view.cfg.ring_slots
+    count = 0
+    if u32(desc + _R_PROTO) == _P_FCFS:
+        f = u32(ring + _RG_FCFS_NEXT)
+        w = u32(ring + _RG_NEXT_WRITE)
+        while f < w:
+            s = lay.ring_slot_off(ridx, f % nslots)
+            if u32(s + _RS_SEQ) != f + 1:
+                break
+            st = u32(s + _RS_STATE)
+            if st & RS_FCFS_AVAILABLE and not st & (RS_FCFS_TAKEN | RS_RETIRED):
+                count += 1
+            f += 1
+    else:
+        cur = lay.ring_cur_off(ridx, u32(desc + _R_HEAD))  # reader bit
+        cseq = u32(cur + _RC_NEXT_SEQ)
+        while u32(lay.ring_slot_off(ridx, cseq % nslots) + _RS_SEQ) == cseq + 1:
+            count += 1
+            cseq += 1
     walked = steps + count
     yield view._check_walk[walked] if walked < 8 else Charge(
         Work(instrs=walked * c.list_step, label="check-walk")

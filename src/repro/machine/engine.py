@@ -721,25 +721,12 @@ class Engine:
                                 self.now = now
                                 d = arg()
                                 if d is not None:
-                                    k = d[0]
-                                    if k == 0:  # D_RESULT
-                                        state[2] = d[1]
-                                    elif k == 1:  # D_SPLICE
-                                        steps = steps[:idx] + d[1] + steps[idx:]
-                                        state[0] = steps
-                                        n = len(steps)
-                                    elif k == 2:  # D_RESULT_SPLICE
-                                        state[2] = d[1]
-                                        steps = steps[:idx] + d[2] + steps[idx:]
-                                        state[0] = steps
-                                        n = len(steps)
-                                    elif k == 4:  # D_JUMP
-                                        state[2] = d[1]
+                                    state[2] = d[1]
+                                    if d[0] == 4:  # D_JUMP
                                         state[0] = steps = d[2]
                                         n = len(steps)
                                         idx = 0
                                     else:  # D_BAIL: the section ends here
-                                        state[2] = d[1]
                                         n = idx
                                 continue
                             if external:
@@ -817,8 +804,6 @@ class Engine:
                                     self._do_acquire(proc, arg)
                                 elif op == 3:  # S_REL
                                     self._do_release(proc, arg)
-                                elif op == 4:  # S_WAKE
-                                    self._do_wake(proc, arg)
                                 else:
                                     raise SimulationError(
                                         f"bad fused step opcode {op!r}")
@@ -1181,7 +1166,7 @@ class Engine:
             cls = effect.__class__
             if cls is FusedSection:
                 # The steps tuple is shared with the (possibly cached)
-                # effect and never mutated: a splice replaces the whole
+                # effect and never mutated: a jump replaces the whole
                 # tuple in the state cell instead of editing in place.
                 proc._fused = [effect.steps, 0, None]
                 if self._advance_fused(proc):
@@ -1274,19 +1259,7 @@ class Engine:
                     raise SimulationError(f"bad fused step opcode {op!r}")
                 d = arg()  # S_CALL: generator-body code
                 if d is not None:
-                    k = d[0]
-                    if k == 0:  # D_RESULT
-                        state[2] = d[1]
-                    elif k == 1:  # D_SPLICE
-                        steps = steps[:idx] + d[1] + steps[idx:]
-                        state[0] = steps
-                        n = len(steps)
-                    elif k == 2:  # D_RESULT_SPLICE
-                        state[2] = d[1]
-                        steps = steps[:idx] + d[2] + steps[idx:]
-                        state[0] = steps
-                        n = len(steps)
-                    elif k == 4:  # D_JUMP
+                    if d[0] == 4:  # D_JUMP
                         state[2] = d[1]
                         state[0] = steps = d[2]
                         n = len(steps)
@@ -1332,10 +1305,6 @@ class Engine:
                     self._do_release(proc, arg)
                 elif op == 1:  # S_MANY (handler traces per part itself)
                     self._do_charge_many(proc, arg)
-                elif op == 4:  # S_WAKE
-                    if trace is not None:
-                        trace(now, proc.name, f"Wake(chan={arg})")
-                    self._do_wake(proc, arg)
                 else:
                     raise SimulationError(f"bad fused step opcode {op!r}")
                 t = self._pend_t

@@ -237,10 +237,10 @@ class CausalTracer:
                 length: int, depth: int, discard: int = 0) -> None:
         """Message header returned to the free list."""
         if self._pending is not None:
-            # The fused receive path reaps a just-retired message inside
-            # the same section, *before* its own recv hook fires — so a
-            # freed entry lingers briefly in a small grace buffer instead
-            # of vanishing, keeping the e2e sketch complete.
+            # A receive's completion section reaps the message it just
+            # retired (``_reap_head``) *before* its own recv hook fires —
+            # so a freed entry lingers briefly in a small grace buffer
+            # instead of vanishing, keeping the e2e sketch complete.
             t0 = self._pending.pop((slot, gen, seqno), None)
             if t0 is not None:
                 g = self._grace

@@ -29,6 +29,7 @@ from typing import Callable, Generator, Sequence
 from ..core import ops
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.effects import Charge
+from ..core.inspect import traffic_totals
 from ..core.layout import HDR, MPFConfig
 from ..core.ops import MPFView
 from ..core.protocol import Protocol
@@ -174,9 +175,14 @@ def _rank_key(name: str) -> tuple[int, str]:
 
 
 def snapshot_header(view: MPFView) -> dict[str, int]:
-    """Read every header counter (for :attr:`RunResult.header`)."""
+    """Read every header counter (for :attr:`RunResult.header`).
+
+    The ``total_*`` traffic counters include the circuits still open.
+    """
     fields = list(HDR.u32) + list(HDR.u64)
-    return {f: HDR.get(view.region, f) for f in fields}
+    header = {f: HDR.get(view.region, f) for f in fields}
+    header.update(traffic_totals(view))
+    return header
 
 
 class Runtime(abc.ABC):

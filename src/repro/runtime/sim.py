@@ -40,9 +40,9 @@ class SimRuntime(Runtime):
         self.machine = machine
         self._trace = trace
         self._until = until
-        #: Section fusion override: ``None`` follows the module default
-        #: (:func:`repro.core.ops.fusion_enabled`, MPF_FUSION env knob);
-        #: tests pass an explicit bool for fused-vs-unfused A/B runs.
+        #: In-engine poll waits override: ``None`` follows the module
+        #: default (:func:`repro.core.ops.fusion_enabled`, MPF_FUSION env
+        #: knob); tests pass an explicit bool for on-vs-off A/B runs.
         self.fusion = fusion
         #: Optional :class:`repro.obs.Recorder` fed simulated-time
         #: metrics (lock wait/hold, per-label charges) during runs.

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import FCFS, MPFConfig
 from repro.check import (
     SCENARIOS,
     BoundedPolicy,
+    Scenario,
     PrefixPolicy,
     RandomPolicy,
     explore,
@@ -125,3 +127,45 @@ def test_procs_cross_validation_clean_and_catches_a_dropped_wake():
                      repeats=3, join_timeout=2.0, runtime="procs")
     assert found and "suspected deadlock" in found[0]
     assert "blocked_on=('chan'" in found[0]
+
+
+def _duplex_workers(bursts: int, burst: int):
+    """Two peers, one circuit per direction, both sending at once."""
+
+    def peer(out_name: str, in_name: str):
+        def body(env):
+            inbox = yield from env.open_receive(in_name, FCFS)
+            outbox = yield from env.open_send(out_name)
+            got = 0
+            for b in range(bursts):
+                for i in range(burst):
+                    yield from env.message_send(outbox, b"%d.%d" % (b, i))
+                for i in range(burst):
+                    msg = yield from env.message_receive(inbox)
+                    got += msg == b"%d.%d" % (b, i)
+            yield from env.close_receive(inbox)
+            yield from env.close_send(outbox)
+            return got
+
+        return body
+
+    return [peer("ab", "ba"), peer("ba", "ab")]
+
+
+@pytest.mark.parametrize("runtime", ["threads", "procs"])
+def test_header_counts_equal_delivered_counts_on_two_busy_circuits(runtime):
+    """The traffic oracle under the shape that used to lose updates: two
+    real workers counting on two circuits at the same moment, each under
+    its own circuit's lock."""
+    bursts, burst = 400, 8
+    stress = Scenario(
+        name="duplex-stress", doc="", faults=(),
+        cfg=MPFConfig(max_lnvcs=4, max_processes=2, max_messages=64,
+                      message_pool_bytes=1 << 12),
+        build=lambda fault: _duplex_workers(bursts, burst),
+        oracle=lambda results: [
+            f"{name} matched {got} of {bursts * burst} payloads"
+            for name, got in results.items() if got != bursts * burst],
+    )
+    assert run_real(stress, repeats=2, join_timeout=60.0,
+                    runtime=runtime) == []

@@ -9,6 +9,7 @@ from repro.core.errors import (
     OutOfMessageMemoryError,
     UnknownLNVCError,
 )
+from repro.core.inspect import traffic_totals
 from repro.core.layout import HDR
 from repro.core.protocol import BROADCAST, FCFS
 from repro.testing import BlockedError, DirectRunner, make_view
@@ -193,10 +194,16 @@ def test_traffic_statistics(view, runner):
     runner.run(ops.message_send(view, 0, cid, b"abc"))
     runner.run(ops.message_send(view, 0, cid, b"de"))
     runner.run(ops.message_receive(view, 0, cid))
-    assert HDR.get(view.region, "total_sends") == 2
-    assert HDR.get(view.region, "total_receives") == 1
-    assert HDR.get(view.region, "total_bytes_sent") == 5
-    assert HDR.get(view.region, "total_bytes_received") == 3
+    want = {"total_sends": 2, "total_receives": 1,
+            "total_bytes_sent": 5, "total_bytes_received": 3}
+    # Counted on the circuit while it lives, ...
+    assert traffic_totals(view) == want
+    assert all(HDR.get(view.region, f) == 0 for f in want)
+    # ... folded into the header when the last connection closes.
+    runner.run(ops.close_receive(view, 0, cid))
+    runner.run(ops.close_send(view, 0, cid))
+    assert traffic_totals(view) == want
+    assert {f: HDR.get(view.region, f) for f in want} == want
 
 
 def test_receive_charges_copy_work(view, runner):

@@ -375,13 +375,14 @@ def test_d_jump_replaces_the_remaining_steps():
 
 
 def test_unknown_opcode_still_refused():
-    def body():
-        yield FusedSection(((7, None),))
+    def body(op):
+        yield FusedSection(((op, 0),))
 
-    eng = Engine(n_locks=1, n_channels=0)
-    eng.spawn("p0", body())
-    with pytest.raises(SimulationError, match="bad fused step opcode"):
-        eng.run()
+    for op in (4, 7):  # 4: the retired wake step; 7: past the last one
+        eng = Engine(n_locks=1, n_channels=1)
+        eng.spawn("p0", body(op))
+        with pytest.raises(SimulationError, match="bad fused step opcode"):
+            eng.run()
 
 
 def test_steps_horizon_stops_at_a_boundary():
@@ -391,7 +392,7 @@ def test_steps_horizon_stops_at_a_boundary():
 
 
 def test_drop_wake_passes_poll_sections_untouched():
-    """Poll sections hold no S_WAKE: the injector must forward them as is."""
+    """No section can wake anybody: the injector forwards the very object."""
     eng, view = _engine(True, 1)
     seen = []
 
@@ -407,4 +408,3 @@ def test_drop_wake_passes_poll_sections_untouched():
     eng.run()
     (section,) = seen
     assert section is next(iter(view._fs_poll_cache.values()))[1]
-    assert all(step[0] != 4 for step in section.steps)

@@ -1,18 +1,21 @@
 """Section fusion and epoch fast-forward: the identity guarantees.
 
-The epoch-fused engine retires a whole uncontended protocol section as
-one :class:`~repro.core.effects.FusedSection` effect and fast-forwards
-the clock across steps no other process can observe.  All of it is
-gated on byte-identity with classic stepping; this module pins the
-three load-bearing guarantees:
+The engine can retire a run of protocol steps as one
+:class:`~repro.core.effects.FusedSection` effect and fast-forward the
+clock across steps no other process can observe.  The one producer is
+``ops.poll_receive``'s idle wait; the eight primitives are classic
+generators on every runtime.  All of it is gated on byte-identity with
+classic stepping; this module pins the load-bearing guarantees:
 
-* reduced fig4 + fig6 sweeps are byte-identical fused vs unfused;
+* one definition per primitive: send, receive and check yield only
+  classic effects with ``view.fuse`` set, on both transports, and a poll
+  is exactly one section built from the surviving step vocabulary;
+* reduced fig4 + fig6 sweeps are byte-identical with the hatch on and off;
 * a causal tracer sees the identical event stream and sojourn
-  quantiles with fusion on and off, on both transports;
-* fusion never fires across an actual lock conflict — the fused
-  section parks at the contended acquire and its remaining steps
-  retire only after the holder's release, in the same order classic
-  stepping produces.
+  quantiles either way, on both transports;
+* a section never runs across an actual lock conflict — it parks at the
+  contended acquire and its remaining steps retire only after the
+  holder's release, in the same order classic stepping produces.
 """
 
 import json
@@ -24,19 +27,29 @@ from repro.bench.workloads import fcfs_throughput
 from repro.core import ops
 from repro.core.costmodel import DEFAULT_COSTS
 from repro.core.effects import (
+    D_BAIL,
+    D_JUMP,
     S_ACQ,
+    S_CALL,
     S_CHARGE,
+    S_MANY,
+    S_NEXT,
     S_REL,
     Acquire,
     Charge,
+    ChargeMany,
     FusedSection,
     Release,
+    WaitOn,
+    Wake,
 )
+from repro.core.protocol import BROADCAST, FCFS
 from repro.core.work import Work
 from repro.machine.balance import BALANCE_21000
 from repro.machine.cpu import BalanceTiming
 from repro.machine.engine import Engine
 from repro.obs import Recorder, sojourn_stats
+from repro.testing import make_view
 
 
 @pytest.fixture
@@ -47,9 +60,70 @@ def restore_fusion():
     reset_run_cache()
 
 
+_CLASSIC = (Acquire, Release, Charge, ChargeMany, WaitOn, Wake)
+_STEP_OPS = {S_CHARGE, S_MANY, S_ACQ, S_REL, S_CALL, S_NEXT}
+
+
+def _drive(gen, effects):
+    """Run ``gen`` alone (every acquire granted), collecting its effects."""
+    try:
+        while True:
+            effects.append(next(gen))
+    except StopIteration as stop:
+        return stop.value
+
+
+@pytest.mark.parametrize("transport", ["freelist", "ring"])
+def test_primitives_are_classic_generators_even_with_the_hatch_on(transport):
+    view = make_view(transport=transport)
+    view.fuse = True
+    seen = []
+    _drive(ops.open_send(view, 0, "c"), [])
+    cid = _drive(ops.open_receive(view, 0, "c", BROADCAST), [])
+    prelude = Work(instrs=3, label="app-compute")
+    _drive(ops.message_send(view, 0, cid, b"payload", prelude), seen)
+    assert _drive(ops.check_receive(view, 0, cid, prelude), seen) == 1
+    assert _drive(ops.message_receive(view, 0, cid), seen) == b"payload"
+    assert _drive(ops.check_receive(view, 0, cid), seen) == 0
+    assert seen and all(e.__class__ in _CLASSIC for e in seen)
+
+
+def test_a_poll_is_one_section_of_the_surviving_step_vocabulary():
+    view = make_view()
+    view.fuse = True
+    _drive(ops.open_send(view, 0, "c"), [])
+    cid = _drive(ops.open_receive(view, 0, "c", FCFS), [])
+    poll = ops.poll_receive(view, 0, (cid,), Work(instrs=9, label="app-compute"))
+    section = next(poll)
+    assert section.__class__ is FusedSection
+    lock = view.lnvc_lock(ops.decode_lnvc_id(cid)[0])
+    walk = section.steps[-1]
+    assert walk[0] == S_CALL
+
+    # Every tuple the interpreter can be handed: the head, the jump of
+    # an empty check (loops back through S_NEXT), the jump of a hit.
+    empty = walk[1]()
+    _drive(ops.message_send(view, 0, cid, b"x"), [])
+    hit = walk[1]()
+    assert (empty[0], empty[1]) == (D_JUMP, None) and (S_NEXT, None) in empty[2]
+    assert (hit[0], hit[1]) == (D_JUMP, cid) and hit[2][-1] == (S_REL, lock)
+    for steps in (section.steps, empty[2], hit[2]):
+        assert {op for op, _ in steps} <= _STEP_OPS
+
+    # The generator's whole effect stream was that one section.
+    with pytest.raises(StopIteration) as done:
+        poll.send(cid)
+    assert done.value.value == cid
+
+    # An error is a bail carrying the lock the section still holds.
+    _drive(ops.close_receive(view, 0, cid), [])
+    bail = walk[1]()
+    assert bail[0] == D_BAIL and bail[1][0] == lock
+
+
 @pytest.mark.parametrize("fig", [fig4, fig6], ids=["fig4", "fig6"])
 def test_reduced_figures_byte_identical(fig, restore_fusion):
-    """The acceptance gate, in miniature: quick sweeps, fused vs not."""
+    """The acceptance gate, in miniature: quick sweeps, hatch on vs off."""
     ops.set_fusion(True)
     reset_run_cache()
     fused = json.dumps(fig(quick=True).to_dict(), sort_keys=True)
@@ -61,7 +135,7 @@ def test_reduced_figures_byte_identical(fig, restore_fusion):
 
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
 def test_causal_stream_and_sojourns_identical(transport, restore_fusion):
-    """Fusion is invisible to the causal tracer, on both transports."""
+    """The hatch is invisible to the causal tracer, on both transports."""
 
     def run(fused):
         ops.set_fusion(fused)
