@@ -11,11 +11,6 @@ JOBS ?= 4
 # byte-identical both ways (the section's acceptance gate); the knob
 # exists for debugging and A/B timing.
 FUSION ?= on
-# Epoch-batching escape hatch: `make figures EPOCH=off` forces the
-# classic one-heap-pop-per-event loop.  Output is byte-identical either
-# way (the batcher's acceptance gate); the knob exists for debugging
-# and A/B timing of the quiescent-stretch retirer.
-EPOCH ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke procs-smoke regress profile identity clean
@@ -130,26 +125,26 @@ regress:
 	$(PY) -m repro.bench regress
 
 figures:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --jobs $(JOBS) \
+	MPF_FUSION=$(FUSION) $(PY) -m repro.bench all --jobs $(JOBS) \
 		--json figures_full.json | tee figures_full.txt
 
 figures-quick:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --quick --plot
+	MPF_FUSION=$(FUSION) $(PY) -m repro.bench all --quick --plot
 
 # Re-measure against the committed archive (figures_full.json is reused
 # as the reference, not regenerated).
 compare:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench all --jobs $(JOBS) \
+	MPF_FUSION=$(FUSION) $(PY) -m repro.bench all --jobs $(JOBS) \
 		--json /tmp/mpf_after.json >/dev/null && \
 	$(PY) -m repro.bench.compare figures_full.json /tmp/mpf_after.json
 
 # Byte-identity gate: the full serial sweep must reproduce the committed
-# archive exactly, with the engine's escape hatches on and off (~25 s
-# each).  Every change to core/, the engine or a runtime runs this.
+# archive exactly, with the poll-section hatch on and off (~20 s each).
+# Every change to core/, the engine or a runtime runs this.
 identity:
 	$(PY) -m repro.bench all --json /tmp/mpf_full.json >/dev/null
 	cmp /tmp/mpf_full.json figures_full.json
-	MPF_FUSION=off MPF_EPOCH=off $(PY) -m repro.bench all \
+	MPF_FUSION=off $(PY) -m repro.bench all \
 		--json /tmp/mpf_full_off.json >/dev/null
 	cmp /tmp/mpf_full_off.json figures_full.json
 
@@ -157,7 +152,7 @@ identity:
 # `make profile FIG=fig6 FUSION=off` profiles with poll waits unfused.
 FIG ?= fig7
 profile:
-	MPF_FUSION=$(FUSION) MPF_EPOCH=$(EPOCH) $(PY) -m repro.bench profile $(FIG) --quick --top 10
+	MPF_FUSION=$(FUSION) $(PY) -m repro.bench profile $(FIG) --quick --top 10
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -21,6 +21,10 @@ effect                simulated machine              real runtimes
 :class:`Wake`         wake every channel sleeper    ``condition.notify_all()``
 ====================  ============================  =========================
 
+The effect classes are final: frozen, slotted dataclasses that nothing
+subclasses.  Interpreters dispatch on the exact class, and anything else
+a process yields is a ``yielded non-effect`` error.
+
 ``WaitOn`` has condition-variable semantics: the caller must hold
 ``lock_id``; on resumption the lock is held again.  This closes the lost
 wake-up window between "queue is empty" and "go to sleep" on every
@@ -31,7 +35,7 @@ it returns only after a message has been received").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .work import Work
 
@@ -44,7 +48,6 @@ __all__ = [
     "Wake",
     "FusedSection",
     "Effect",
-    "steps_horizon",
     "S_CHARGE",
     "S_MANY",
     "S_ACQ",
@@ -60,7 +63,7 @@ __all__ = [
 # A FusedSection's ``steps`` are small ``(opcode, arg)`` tuples.  Plain
 # ints (not an Enum) keep the simulator's per-step dispatch at a couple of
 # machine comparisons — these run once per protocol step, millions of
-# times per figure sweep.  The interpreters compare against the literal
+# times per figure sweep.  The engine compares against the literal
 # values; opcode 4 and directives 0-2 are unassigned.
 
 #: ``(S_CHARGE, work)`` — one :class:`Charge` event.
@@ -76,11 +79,11 @@ S_REL = 3
 #: two yields in the unfused sequence.  ``fn`` returns ``None`` or a
 #: directive tuple (below).
 S_CALL = 5
-#: ``(S_NEXT, None)`` — a section boundary inside one effect: exactly the
-#: event accounting of "this section ends, the generator resumes, the
-#: next section starts" (the resume's event tick, no simulated time),
-#: without the generator round-trip.  How a section that loops
-#: (:func:`repro.core.ops.poll_receive`) stays event-for-event the
+#: ``(S_NEXT, None)`` — a section boundary inside one effect: where the
+#: sections this one replaces had "section ends, the generator resumes,
+#: the next section starts".  Free: the engine counts one event per
+#: resumption of a timeline either way, so a section that loops
+#: (:func:`repro.core.ops.poll_receive`) is event for event the
 #: sequence of sections it replaces.
 S_NEXT = 6
 
@@ -177,12 +180,12 @@ class FusedSection:
     ``steps`` is a tuple of ``(opcode, arg)`` pairs (see the ``S_*``
     constants above): acquires, charges and releases interleaved with
     ``S_CALL`` closures holding the generator-body code that runs
-    between the equivalent classic yields.  The simulated engine
-    executes the steps inline while no other process can interact —
-    same events, same clock arithmetic, same recorder/trace stream as
-    the effect-per-yield sequence, without the generator round-trips —
-    and falls back to event-at-a-time stepping on lock contention and
-    in controlled-scheduler runs.
+    between the equivalent classic yields.  ``Engine.run`` executes an
+    ``S_CHARGE`` / ``S_MANY`` / ``S_ACQ`` / ``S_REL`` step with the very
+    code that executes a yielded ``Charge`` / ``ChargeMany`` /
+    ``Acquire`` / ``Release`` (an effect is a one-step section), so the
+    events, clock arithmetic and recorder/trace stream are those of the
+    effect-per-yield sequence, without the generator round-trips.
 
     The one producer is :func:`repro.core.ops.poll_receive`, whose idle
     wait loops inside the engine (``S_NEXT``, ``D_JUMP``) instead of
@@ -206,77 +209,6 @@ class FusedSection:
     """
 
     steps: tuple
-    #: Memoized :func:`steps_horizon` of ``steps`` (lazy; excluded from
-    #: equality/hash so memoized sections stay interchangeable).
-    _hzn: object = field(default=None, compare=False, repr=False)
-    #: Priced-horizon memo owned by the sim engine's epoch batcher
-    #: (``machine/engine.py``): ``(analytic_key, parts, stop_idx,
-    #: base_dts, base_total)`` where ``base_dts`` are the horizon parts'
-    #: un-oversubscribed durations under ``analytic_key``'s timing
-    #: constants.  Keyed by the timing model's ``analytic_charge`` tuple
-    #: (identity-checked) so a section can never be replayed under
-    #: constants it was not priced for.
-    _priced: object = field(default=None, compare=False, repr=False)
-
-    def contention_horizon(self):
-        """The section's analytically-priceable prefix, memoized.
-
-        Returns ``(parts, stop_idx, stop_op)`` — see :func:`steps_horizon`.
-        Sections are cached per polled set in ``core/ops.py`` and reused
-        across millions of events, so the flattening runs once per
-        cached section.  The memo only ever describes the *static*
-        ``steps`` tuple: a jump replaces the interpreter's local steps,
-        never this object's field.
-        """
-        h = self._hzn
-        if h is None:
-            h = steps_horizon(self.steps)
-            object.__setattr__(self, "_hzn", h)
-        return h
-
-
-def steps_horizon(steps: tuple, idx: int = 0):
-    """Flatten the pure-compute prefix of a fused-section step list.
-
-    Scans ``steps`` from ``idx`` collecting ``S_CHARGE``/``S_MANY`` parts
-    whose :class:`~repro.core.work.Work` is instruction/flop-only —
-    exactly the work the engine can price with the closed-form
-    expression ``instrs*t_instr + flops*t_flop`` (× the oversubscription
-    stretch), bit-for-bit what ``BalanceTiming.price`` computes for it.
-    The scan stops at the first step that can interact with anything
-    outside the process: a lock acquire/release, a call (whose
-    directive may jump), a section boundary (``S_NEXT`` — the
-    generator resume it stands for may observe anything), or a charge
-    carrying ``copy_bytes`` / ``blocks`` / ``page_bytes`` (stateful
-    bus/cache/VM inputs).
-
-    Returns ``(parts, stop_idx, stop_op)`` where ``parts`` is the flat
-    tuple of :class:`Work` parts (one simulated event each — the flat
-    length IS the event count, since ``S_MANY`` with ``k`` parts retires
-    ``k`` events), ``stop_idx`` indexes the first unconsumed step, and
-    ``stop_op`` is its opcode (``None`` if the section ends first).
-    This is the "contention horizon" of the epoch batcher
-    (``machine/engine.py``): until ``stop_idx`` the process provably
-    cannot contend, so its timeline may be advanced in one batch.
-    """
-    parts: list = []
-    i = idx
-    n = len(steps)
-    while i < n:
-        op, arg = steps[i]
-        if op == S_CHARGE:
-            if arg.copy_bytes or arg.blocks or arg.page_bytes:
-                break
-            parts.append(arg)
-        elif op == S_MANY:
-            if not arg or any(
-                    w.copy_bytes or w.blocks or w.page_bytes for w in arg):
-                break
-            parts.extend(arg)
-        else:
-            break
-        i += 1
-    return tuple(parts), i, (steps[i][0] if i < n else None)
 
 
 Effect = Acquire | Release | Charge | ChargeMany | WaitOn | Wake | FusedSection

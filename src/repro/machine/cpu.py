@@ -50,8 +50,8 @@ class BalanceTiming:
         self._t_flop = config.flop_seconds
         self._bus_byte = 1.0 / config.bus_bytes_per_second
         self._n_cpus = config.n_cpus
-        # Contract with the epoch batcher (machine/engine.py): for work
-        # with no copy_bytes/blocks/page_bytes, price() is exactly
+        # Contract with Engine.run's inline pricing (machine/engine.py):
+        # for work with no copy_bytes/blocks/page_bytes, price() is exactly
         #   dt = instrs*t_instr [+ flops*t_flop] [* running/n_cpus]
         # — stateless, so the engine may inline it from these constants
         # bit-for-bit.  Timing models without this attribute (custom

@@ -20,22 +20,20 @@ __all__ = [
 ]
 
 #: When enabled (``python -m repro.bench profile --top N``), every
-#: :func:`collect_report` folds its engine's heap-crossing counters into
+#: :func:`collect_report` folds its engine's event-queue counters into
 #: this accumulator, summing across all the simulations a figure runs —
 #: the engine-level analog of the effect-label profile.
 _REPORT_PROF: dict[str, int] | None = None
 
 
 def enable_report_profile() -> dict[str, int]:
-    """Start accumulating heap-crossing counters across reports."""
+    """Start accumulating event-queue counters across reports."""
     global _REPORT_PROF
     _REPORT_PROF = {
         "runs": 0,
         "events": 0,
         "heap_pushes": 0,
         "heap_pops": 0,
-        "epoch_batches": 0,
-        "epoch_events": 0,
     }
     return _REPORT_PROF
 
@@ -73,16 +71,13 @@ class MachineReport:
     #: Cache read-miss stalls (block-equivalents) and time lost (cache model).
     cache_stalled_blocks: float
     cache_stall_seconds: float
-    #: Event-heap crossings: how many events actually travelled through
-    #: the heap (push + pop) versus being retired inline by the
-    #: pending-resume slot or the epoch batcher.  ``events / heap_pops``
-    #: is the events-retired-per-pop ratio — the jitter-proof evidence
-    #: that batching removed scheduler traffic (wall clocks drift with
-    #: machine load; these counters are deterministic).
+    #: Entries parked in / taken from the engine's event queue, as
+    #: opposed to events continued inline.  Deterministic (wall clocks
+    #: drift with machine load; these do not): ``events / heap_pops`` is
+    #: the mean straight-line run between two queue crossings.
     heap_pushes: int = 0
     heap_pops: int = 0
-    #: Epoch batches entered and events retired inside them; their ratio
-    #: is the mean quiescent-stretch (batch) size.
+    # Constant zero, read by benchmarks/ledger on every rep; goes with ROADMAP 2(e).
     epoch_batches: int = 0
     epoch_events: int = 0
 
@@ -99,8 +94,6 @@ def collect_report(engine: Engine, timing: BalanceTiming) -> MachineReport:
         prof["events"] += s.events
         prof["heap_pushes"] += s.heap_pushes
         prof["heap_pops"] += s.heap_pops
-        prof["epoch_batches"] += s.epoch_batches
-        prof["epoch_events"] += s.epoch_events
     return MachineReport(
         sim_seconds=engine.now,
         events=engine.stats.events,
@@ -118,6 +111,4 @@ def collect_report(engine: Engine, timing: BalanceTiming) -> MachineReport:
         cache_stall_seconds=timing.cache.stall_time,
         heap_pushes=engine.stats.heap_pushes,
         heap_pops=engine.stats.heap_pops,
-        epoch_batches=engine.stats.epoch_batches,
-        epoch_events=engine.stats.epoch_events,
     )

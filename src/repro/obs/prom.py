@@ -103,13 +103,9 @@ def prometheus_exposition(rec: "Recorder") -> str:
     if machine:
         for key, help_ in (
             ("events", "Engine events retired (simulated runs)."),
-            ("heap_pushes", "Events that travelled through the event heap "
-                            "(pushes)."),
-            ("heap_pops", "Events that travelled through the event heap "
-                          "(pops)."),
-            ("epoch_batches", "Quiescent cross-process epoch batches "
-                              "entered."),
-            ("epoch_events", "Events retired inside epoch batches."),
+            ("heap_pushes", "Entries parked in the engine's event queue."),
+            ("heap_pops", "Entries taken from the engine's event queue "
+                          "(the other events continued inline)."),
         ):
             if key in machine:
                 w.metric(f"mpf_engine_{key}_total", "counter", help_,

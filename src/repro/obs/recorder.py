@@ -213,8 +213,8 @@ class Recorder:
         self.kinds: dict[str, Counter] = {}
         self.chan_waits: Counter = Counter()
         self.chan_wait_seconds: float = 0.0
-        #: Simulated-engine counters (events, heap crossings, epoch
-        #: batches) accumulated by SimRuntime after each run.
+        #: Simulated-engine counters (events, event-queue pushes and
+        #: pops) accumulated by SimRuntime after each run.
         self.machine: dict[str, int] = {}
         self._merge_mutex = threading.Lock()
         if causal:

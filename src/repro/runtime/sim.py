@@ -107,12 +107,11 @@ class SimRuntime(Runtime):
         self.last_view = view
         report = collect_report(engine, timing)
         if self.recorder is not None:
-            # Surface the engine's heap-crossing economics (PR 9) on the
-            # recorder so the Prometheus exposition and bench trace can
-            # report them without holding the engine itself.
+            # Surface the engine's event-queue counters on the recorder
+            # so the Prometheus exposition and bench trace can report
+            # them without holding the engine itself.
             m = self.recorder.machine
-            for k in ("events", "heap_pushes", "heap_pops",
-                      "epoch_batches", "epoch_events"):
+            for k in ("events", "heap_pushes", "heap_pops"):
                 m[k] = m.get(k, 0) + getattr(report, k)
         return RunResult(
             results=engine.results(),

@@ -283,6 +283,47 @@ def test_run_until_repeated_windows():
     assert eng.run() == 60.0
 
 
+@pytest.mark.parametrize("nprocs", [1, 2])
+def test_run_until_in_the_past_is_a_noop(nprocs):
+    """A bound at or before the clock must not move it backwards.
+
+    ``run(until=1.5)`` then ``run(until=0.5)`` used to return 0.5 and
+    leave ``now == 0.5`` with the event at 1.0 already executed, so a
+    later spawn scheduled into the past.
+    """
+    def program():
+        eng = make_engine(timing=UnitTiming())
+        stamps = []
+
+        def proc(k):
+            for _ in range(4):
+                yield Charge(Work(instrs=1))
+                stamps.append((k, eng.now))
+
+        for k in range(nprocs):
+            eng.spawn(f"p{k}", proc(k))
+        return eng, stamps
+
+    straight, want = program()
+    final = straight.run()
+
+    eng, stamps = program()
+    assert eng.run(until=1.5) == 1.5
+    events = eng.stats.events
+    for bound in (0.5, 1.5, 0.0, -1.0):
+        assert eng.run(until=bound) == 1.5
+        assert (eng.now, eng.stats.events) == (1.5, events)
+
+    def late():
+        yield Charge(Work(instrs=0))
+        return eng.now
+
+    eng.spawn("late", late())
+    assert eng.run() == final == 4.0
+    assert stamps == want
+    assert eng.results()["late"] == 1.5  # spawned at the clock, not before it
+
+
 def test_determinism():
     def program(eng):
         def worker(k):

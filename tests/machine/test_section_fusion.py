@@ -1,4 +1,4 @@
-"""Section fusion and epoch fast-forward: the identity guarantees.
+"""Section fusion: the identity guarantees.
 
 The engine can retire a run of protocol steps as one
 :class:`~repro.core.effects.FusedSection` effect and fast-forward the
