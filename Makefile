@@ -35,7 +35,7 @@ check:
 	$(PY) -m repro.check explore --scenario connect-churn --seeds 200
 	$(PY) -m repro.check explore --scenario freelist-churn --seeds 200
 	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 200
-	$(PY) -m repro.check explore --scenario shard-steal --seeds 200
+	$(PY) -m repro.check explore --scenario block-churn --seeds 200
 	$(PY) -m repro.check explore --scenario select-poll --seeds 200
 	MPF_FUSION=off $(PY) -m repro.check explore --scenario select-poll --seeds 200
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200
@@ -44,7 +44,10 @@ check:
 	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 50 --fault drop-wake --expect-fail
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 50 --fault drop-wake --expect-fail
 	$(PY) -m repro.check explore --scenario fcfs-race --runtime threads --repeats 10
+	$(PY) -m repro.check explore --scenario block-churn --runtime threads --repeats 10
 	$(PY) -m repro.check explore --scenario fcfs-race --runtime procs --repeats 10
+	$(PY) -m repro.check explore --scenario freelist-churn --runtime procs --repeats 10
+	$(PY) -m repro.check explore --scenario block-churn --runtime procs --repeats 10
 	$(PY) -m repro.check explore --scenario mixed-protocol --runtime procs --repeats 10
 	$(PY) -m repro.check explore --scenario ring-wrap --runtime procs --repeats 10
 

@@ -37,7 +37,7 @@ threads/processes)::
 
 The ``serve`` subcommand runs the open-loop serving sweep
 (:mod:`repro.serve`) — goodput and SLO latency vs offered load for the
-unbatched baseline against send batching and the sharded free list;
+unbatched baseline against send batching;
 ``--timeline`` adds the windowed-telemetry document and health findings
 and ``--live`` a mid-run scrape endpoint (docs/telemetry.md)::
 

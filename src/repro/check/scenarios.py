@@ -206,10 +206,20 @@ def _pool_build(fault: str | None) -> list[Worker]:
     def receiver(env: Env):  # rank 0: drains, releasing pool capacity
         data = yield from env.open_receive("data", Protocol.FCFS)
         go = yield from env.open_send("go")
-        for _ in range(_POOL_SENDERS):
-            yield from env.message_send(go, b"g")
         got = 0
-        for _ in range(total):
+        for _ in range(_POOL_SENDERS):
+            while True:
+                try:
+                    yield from env.message_send(go, b"g")
+                    break
+                except OutOfMessageMemoryError:
+                    # The first sender released can fill the pool before
+                    # the next "go" goes out (seen on forked processes,
+                    # when this one loses its CPU in between): only a
+                    # drain makes room, and only this process drains.
+                    yield from env.message_receive(data)
+                    got += 1
+        while got < total:
             yield from env.message_receive(data)
             got += 1
         yield from env.close_receive(data)
@@ -247,23 +257,24 @@ def _pool_oracle(results: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# shard-steal: sharded pool, steal-on-empty racing concurrent frees
+# block-churn: multi-block messages exhaust the block pool, not the headers
 # ---------------------------------------------------------------------------
 
-_STEAL_SENDERS = 2
-_STEAL_MSGS = 4  # per sender
-#: Payload sized to span several blocks, so one allocation commits
-#: blocks from more than one shard whenever a steal happens mid-pop.
-_STEAL_PAYLOAD = 30
+_BLK_SENDERS = 2
+_BLK_MSGS = 4  # per sender
+#: Payload sized to span several blocks (3 of 10 bytes), so the pool
+#: runs out of blocks with headers to spare: ``pop_chain`` comes back
+#: empty-handed and the send returns its header before raising.
+_BLK_PAYLOAD = 30
 
 
-def _steal_build(fault: str | None) -> list[Worker]:
-    total = _STEAL_SENDERS * _STEAL_MSGS
+def _blk_build(fault: str | None) -> list[Worker]:
+    total = _BLK_SENDERS * _BLK_MSGS
 
-    def receiver(env: Env):  # rank 0: drains, freeing blocks to home shards
+    def receiver(env: Env):  # rank 0: drains, freeing chains to the pool
         data = yield from env.open_receive("data", Protocol.FCFS)
         go = yield from env.open_send("go")
-        for _ in range(_STEAL_SENDERS):
+        for _ in range(_BLK_SENDERS):
             yield from env.message_send(go, b"g")
         got = []
         for _ in range(total):
@@ -273,18 +284,16 @@ def _steal_build(fault: str | None) -> list[Worker]:
         yield from env.close_send(go)
         return got
 
-    # Ranks 1 and 2 live on different home shards (pid % 2), so each
-    # sender first drains its own shard, then steals from the other —
-    # racing both the peer's allocations and the receiver's frees,
-    # which always land back on a block's *home* shard.
+    # Each sender races its peer's allocations and the receiver's
+    # frees for the last blocks of the pool.
     def sender(env: Env):
         go = yield from env.open_receive("go", Protocol.FCFS)
         yield from env.message_receive(go)
         yield from env.close_receive(go)
         data = yield from env.open_send("data")
-        pad = b"\0" * (_STEAL_PAYLOAD - 2)
+        pad = b"\0" * (_BLK_PAYLOAD - 2)
         retries = 0
-        for i in range(_STEAL_MSGS):
+        for i in range(_BLK_MSGS):
             for _ in range(_POOL_RETRY_CAP):
                 try:
                     yield from env.message_send(
@@ -298,21 +307,21 @@ def _steal_build(fault: str | None) -> list[Worker]:
         yield from env.close_send(data)
         return retries
 
-    return [receiver] + [sender] * _STEAL_SENDERS
+    return [receiver] + [sender] * _BLK_SENDERS
 
 
-def _steal_oracle(results: dict) -> list[str]:
+def _blk_oracle(results: dict) -> list[str]:
     out = []
     got = sorted(results["p0"])
     want = sorted(
         bytes([rank, i])
-        for rank in range(1, 1 + _STEAL_SENDERS)
-        for i in range(_STEAL_MSGS)
+        for rank in range(1, 1 + _BLK_SENDERS)
+        for i in range(_BLK_MSGS)
     )
     if got != want:
         out.append(
             f"receiver saw {len(got)} payload prefixes, expected the exact "
-            f"multiset of {len(want)} sent across both shards"
+            f"multiset of {len(want)} sent"
         )
     return out
 
@@ -575,17 +584,16 @@ SCENARIOS: dict[str, Scenario] = {
             faults=(),
         ),
         Scenario(
-            name="shard-steal",
-            doc=f"{_STEAL_SENDERS} senders on different home shards of a "
-                "2-shard free list exhaust their own shard and steal from "
-                "the other, racing the receiver's concurrent frees "
-                "(cross-shard conservation, steal-then-rollback)",
-            # 14 blocks across 2 shards of 7; 3-block messages, so the
-            # pool holds 4 in flight and every sender must steal.
+            name="block-churn",
+            doc=f"{_BLK_SENDERS} senders exhaust a 14-block pool with "
+                "3-block messages, back off on OutOfMessageMemoryError "
+                "and retry, racing the receiver's concurrent frees "
+                "(block conservation, exact payload multiset)",
+            # 14 blocks, 3-block messages: the pool holds 4 in flight.
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=16,
-                          message_pool_bytes=196, freelist_shards=2),
-            build=_steal_build,
-            oracle=_steal_oracle,
+                          message_pool_bytes=196),
+            build=_blk_build,
+            oracle=_blk_oracle,
             faults=(),
         ),
         Scenario(

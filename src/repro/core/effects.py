@@ -36,6 +36,7 @@ it returns only after a message has been received").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator, Iterable
 
 from .work import Work
 
@@ -48,6 +49,7 @@ __all__ = [
     "Wake",
     "FusedSection",
     "Effect",
+    "OpGen",
     "S_CHARGE",
     "S_MANY",
     "S_ACQ",
@@ -212,3 +214,14 @@ class FusedSection:
 
 
 Effect = Acquire | Release | Charge | ChargeMany | WaitOn | Wake | FusedSection
+
+#: What a primitive is: a generator of effects whose return value is the
+#: primitive's result.
+OpGen = Generator[Effect, None, object]
+
+
+def _release_and_raise(locks: Iterable[int], exc: Exception) -> OpGen:
+    """Release ``locks`` (outermost last) and raise ``exc``."""
+    for lock in locks:
+        yield Release(lock)
+    raise exc

@@ -21,9 +21,9 @@ Block-chain kernels
 
 A message body is a chain of blocks popped from the block free list
 (§3.1), and every primitive that touches one — send, receive, reap,
-rollback, the sharded allocator, the model checker's torn send — goes
-through the kernels below instead of its own per-block loop:
-:func:`pop_chain` / :func:`pop_some` take blocks off a list,
+rollback, the model checker's torn send — goes through the kernels
+below instead of its own per-block loop:
+:func:`pop_chain` takes blocks off a list,
 :func:`fill_chain` links them and scatters a payload over them,
 :func:`walk_chain` / :func:`drain_chain` follow a message's chain (and
 gather its payload), :func:`push_chain` returns blocks to a list.  They
@@ -56,7 +56,6 @@ __all__ = [
     "fl_free",
     "fl_count",
     "pop_chain",
-    "pop_some",
     "fill_chain",
     "walk_chain",
     "drain_chain",
@@ -172,17 +171,6 @@ def fl_count(region: SharedRegion, head_off: int, limit: int = 1 << 32) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pop_some(region: SharedRegion, head_off: int, n: int) -> list[int]:
-    """Pop up to ``n`` records in list order; fewer when the list runs dry.
-
-    The sharded allocator's step: take what this shard has and move on.
-    """
-    blocks, nxt = region.follow(region.u32(head_off), n)
-    if blocks:
-        region.set_u32(head_off, nxt)
-    return blocks
-
-
 def pop_chain(region: SharedRegion, head_off: int, n: int) -> list[int] | None:
     """Pop exactly ``n`` records in list order, or none.
 
@@ -212,8 +200,8 @@ def fill_chain(region: SharedRegion, blocks: list[int], data, block_size: int) -
     Block ``i`` gets the offset of block ``i + 1`` in its link word and
     bytes ``[i * block_size, (i + 1) * block_size)`` of ``data`` after
     it; a partial last block keeps whatever lay beyond its share.
-    Every link is written, because blocks popped from different shards
-    are not linked to one another.  ``data`` is any bytes-like object of
+    Every link is written, so ``blocks`` need not come from one pop.
+    ``data`` is any bytes-like object of
     ``len(blocks)`` blocks' worth (the last may be partial).
     """
     n = len(blocks)

@@ -270,7 +270,7 @@ def inspect_segment(view: MPFView) -> SegmentInfo:
         free_send=fl_count(r, HDR.u32["free_send"]),
         free_recv=fl_count(r, HDR.u32["free_recv"]),
         free_msg=fl_count(r, HDR.u32["free_msg"]),
-        free_blk=sum(fl_count(r, h) for h in view.layout.shard_heads),
+        free_blk=fl_count(r, HDR.u32["free_blk"]),
         total_sends=totals["total_sends"],
         total_receives=totals["total_receives"],
     )
@@ -404,12 +404,7 @@ def collect_violations(
     out: list[str] = []
 
     free_msg = fl_count(r, HDR.u32["free_msg"], limit=cfg.max_messages + 1)
-    # Sharded segments keep one free list per shard (shard 0 is the
-    # header's ``free_blk`` word); conservation sums them all.
-    free_blk = sum(
-        fl_count(r, h, limit=cfg.n_blocks + 1)
-        for h in view.layout.shard_heads
-    )
+    free_blk = fl_count(r, HDR.u32["free_blk"], limit=cfg.n_blocks + 1)
     live_msgs = HDR.get(r, "live_msgs")
     live_blocks = HDR.get(r, "live_blocks")
     live_bytes = HDR.get(r, "live_bytes")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Generator, Iterable, Sequence
+from typing import Sequence
 
 from .costmodel import DEFAULT_COSTS, Costs
 from .effects import (
@@ -46,11 +46,12 @@ from .effects import (
     Acquire,
     Charge,
     ChargeMany,
-    Effect,
     FusedSection,
+    OpGen,
     Release,
     WaitOn,
     Wake,
+    _release_and_raise,
 )
 from .errors import (
     BufferOverflowError,
@@ -70,7 +71,6 @@ from .freelist import (
     fl_alloc,
     fl_free,
     pop_chain,
-    pop_some,
     push_chain,
     walk_chain,
 )
@@ -136,8 +136,6 @@ def set_fusion(on: bool) -> None:
     """Override the fusion default (tests and A/B comparisons)."""
     global _fusion_default
     _fusion_default = bool(on)
-
-OpGen = Generator[Effect, None, object]
 
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
@@ -242,9 +240,6 @@ class MPFView:
         "_waiton",
         "_alloc_acq",
         "_alloc_rel",
-        "_blk_heads",
-        "_shard_acq",
-        "_shard_rel",
         "_send_fixed_work",
         "_send_fixed",
         "_recv_fixed",
@@ -286,24 +281,6 @@ class MPFView:
         self._waiton = tuple(WaitOn(s, FIRST_LNVC_LOCK + s) for s in range(n))
         self._alloc_acq = Acquire(ALLOC_LOCK)
         self._alloc_rel = Release(ALLOC_LOCK)
-        # Sharded block pool (serving optimisation; off by default).
-        # ``_blk_heads is None`` selects the paper's single-list code
-        # paths untouched; a tuple of per-shard head offsets selects the
-        # sharded allocator with per-shard locks (innermost tier of the
-        # locking order, at most one held at a time).
-        shards = self.cfg.freelist_shards
-        if shards > 1:
-            self._blk_heads = layout.shard_heads
-            self._shard_acq = tuple(
-                Acquire(self.cfg.shard_lock(s)) for s in range(shards)
-            )
-            self._shard_rel = tuple(
-                Release(self.cfg.shard_lock(s)) for s in range(shards)
-            )
-        else:
-            self._blk_heads = None
-            self._shard_acq = ()
-            self._shard_rel = ()
         self._send_fixed_work = Work(instrs=costs.send_fixed, label="send-fixed")
         self._send_fixed = Charge(self._send_fixed_work)
         self._recv_fixed = Charge(Work(instrs=costs.recv_fixed, label="recv-fixed"))
@@ -405,14 +382,21 @@ class MPFView:
         """Lock index guarding LNVC table slot ``slot``."""
         return FIRST_LNVC_LOCK + slot
 
+    def slot_of(self, lnvc_id: int) -> int:
+        """Table slot a public identifier names, live or not; raises when
+        it lies outside the table.  Reads no shared state, so the hot
+        primitives call it before their first effect."""
+        slot = lnvc_id & _SLOT_MASK
+        if slot >= self.cfg.max_lnvcs:
+            raise UnknownLNVCError(f"lnvc id {lnvc_id}: no such slot")
+        return slot
+
     def resolve(self, lnvc_id: int) -> int:
         """Map a public identifier to a live slot or raise.
 
         Caller must hold either the global lock or the slot's lock.
         """
-        slot = lnvc_id & _SLOT_MASK
-        if slot >= self.cfg.max_lnvcs:
-            raise UnknownLNVCError(f"lnvc id {lnvc_id}: no such slot")
+        slot = self.slot_of(lnvc_id)
         base = self.layout.lnvc_off(slot)
         u32 = self.region.u32
         if not u32(base + _L_IN_USE):
@@ -420,6 +404,68 @@ class MPFView:
         if u32(base + _L_GEN) != lnvc_id >> SLOT_BITS:
             raise UnknownLNVCError(f"lnvc id {lnvc_id}: stale generation")
         return slot
+
+    # -- connection lookup (caller holds the circuit lock) ------------------
+
+    def recv_conn(self, pid: int, lnvc_id: int) -> tuple[int, int]:
+        """``pid``'s receive descriptor on the live circuit ``lnvc_id``:
+        ``(desc_off, steps)``, ``steps`` being the list-walk length the
+        cost model charges (cached or walked, the same number).
+
+        Raises :class:`UnknownLNVCError` for a deleted or recycled
+        circuit and :class:`NotConnectedError` when ``pid`` holds no
+        receive connection; ``lnvc_id`` must be inside the table
+        (:meth:`slot_of`).
+        """
+        slot = lnvc_id & _SLOT_MASK
+        gen = lnvc_id >> SLOT_BITS
+        base = self.layout.lnvc_off(slot)
+        u32 = self.region.u32
+        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
+            self.resolve(lnvc_id)  # raises with the precise message
+        epoch = u32(base + _L_CONN_EPOCH)
+        hit = self._recv_cache.get((slot, pid))
+        if hit is not None and hit[2] == gen and hit[3] == epoch:
+            return hit[0], hit[1]
+        desc, _, steps = _find_recv(self, base, pid)
+        if desc == NIL:
+            raise NotConnectedError(f"pid {pid} holds no receive connection here")
+        self._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
+        return desc, steps
+
+    def cached_recv(self, pid: int, lnvc_id: int) -> int:
+        """``pid``'s receive descriptor if the cache still vouches for
+        it, else ``NIL`` — never a list walk, so (unlike
+        :meth:`recv_conn`) it is safe with no lock held."""
+        slot = lnvc_id & _SLOT_MASK
+        gen = lnvc_id >> SLOT_BITS
+        base = self.layout.lnvc_off(slot)
+        u32 = self.region.u32
+        hit = self._recv_cache.get((slot, pid))
+        if hit is None or hit[2] != gen or not u32(base + _L_IN_USE):
+            return NIL
+        if u32(base + _L_GEN) != gen or u32(base + _L_CONN_EPOCH) != hit[3]:
+            return NIL
+        return hit[0]
+
+    def send_conn(self, pid: int, lnvc_id: int) -> int:
+        """Walk length to ``pid``'s send descriptor on the live circuit
+        ``lnvc_id``; the send-side twin of :meth:`recv_conn`."""
+        slot = lnvc_id & _SLOT_MASK
+        gen = lnvc_id >> SLOT_BITS
+        base = self.layout.lnvc_off(slot)
+        u32 = self.region.u32
+        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
+            self.resolve(lnvc_id)  # raises with the precise message
+        epoch = u32(base + _L_CONN_EPOCH)
+        hit = self._send_cache.get((slot, pid))
+        if hit is not None and hit[2] == gen and hit[3] == epoch:
+            return hit[1]
+        sd, _, steps = _find_send(self, base, pid)
+        if sd == NIL:
+            raise NotConnectedError(f"pid {pid} holds no send connection here")
+        self._send_cache[(slot, pid)] = (sd, steps, gen, epoch)
+        return steps
 
     # -- table search (caller holds GLOBAL_LOCK) ----------------------------
 
@@ -452,13 +498,6 @@ class MPFView:
 # ---------------------------------------------------------------------------
 # internal helpers (all expect the documented locks to be held)
 # ---------------------------------------------------------------------------
-
-
-def _release_and_raise(locks: Iterable[int], exc: Exception) -> OpGen:
-    """Release ``locks`` (outermost last) and raise ``exc``."""
-    for lock in locks:
-        yield Release(lock)
-    raise exc
 
 
 def _find_send(view: MPFView, base: int, pid: int) -> tuple[int, int, int]:
@@ -550,90 +589,6 @@ def _free_chain(view: MPFView, msg: int, blocks: list) -> int:
     return len(blocks)
 
 
-def _shard_alloc(view: MPFView, pid: int, nblk: int, blocks: list) -> OpGen:
-    """Pop ``nblk`` blocks from the sharded pool into ``blocks``.
-
-    Prefers the caller's home shard (``pid % S``) and steals from the
-    other shards round-robin when it runs dry.  Each shard is visited
-    under its own lock; the live-block counter moves with each pop in
-    the same scheduler step, so pool conservation holds at every yield
-    point.  Returns True on success; on shortfall every pop already
-    committed is rolled back (to its home shard) and False is returned.
-    """
-    r = view.region
-    causal = view.causal
-    heads = view._blk_heads
-    nshards = len(heads)
-    c_alloc = view.costs.blk_alloc
-    home = pid % nshards
-    taken = 0
-    for k in range(nshards):
-        if taken == nblk:
-            break
-        s = (home + k) % nshards
-        head_off = heads[s]
-        yield view._shard_acq[s]
-        popped = pop_some(r, head_off, nblk - taken)
-        got = len(popped)
-        if got:
-            blocks += popped
-            r.add_u32(_H_LIVE_BLOCKS, got)
-            taken += got
-            if causal is not None:
-                causal.on_pool_bulk(head_off, got)
-            yield Charge(Work(instrs=got * c_alloc, label="send-alloc"))
-        elif causal is not None:
-            causal.on_pool(head_off, NIL)
-        yield view._shard_rel[s]
-    if taken == nblk:
-        return True
-    yield from _shard_free(view, blocks)
-    del blocks[:]
-    return False
-
-
-def _shard_free(view: MPFView, blocks: list) -> OpGen:
-    """Push ``blocks`` back to their home shards.
-
-    Groups by home shard and visits each group under that shard's lock
-    (ascending order, one at a time); the live-block counter moves with
-    each group in the same scheduler step.  Safe to call with or
-    without ``ALLOC_LOCK`` held — shard locks are strictly inner.
-    """
-    if not blocks:
-        return
-    lay = view.layout
-    heads = view._blk_heads
-    by_shard: dict = {}
-    for b in blocks:
-        by_shard.setdefault(lay.blk_shard(b), []).append(b)
-    r = view.region
-    for s in sorted(by_shard):
-        group = by_shard[s]
-        yield view._shard_acq[s]
-        push_chain(r, heads[s], group)
-        r.add_u32(_H_LIVE_BLOCKS, -len(group))
-        yield view._shard_rel[s]
-
-
-def _free_chains_sharded(view: MPFView, msgs: list, chains: list) -> OpGen:
-    """Sharded twin of a :func:`_free_chain` loop (caller holds ``ALLOC_LOCK``).
-
-    Blocks go back to their home shards under the per-shard locks
-    (consistent with the ALLOC → shard order); the header free and the
-    message/byte counters stay under the caller's ``ALLOC_LOCK``.
-    Returns the number of blocks freed.
-    """
-    r = view.region
-    for msg, chain in zip(msgs, chains):
-        yield from _shard_free(view, chain)
-        length = r.u32(msg + _M_LENGTH)
-        fl_free(r, _H_FREE_MSG, msg)
-        r.add_u32(_H_LIVE_MSGS, -1)
-        r.add_u32(_H_LIVE_BYTES, -length)
-    return sum(map(len, chains))
-
-
 def _unsend(
     view: MPFView, lock: int, hdr: int, blocks: list, length: int, exc: Exception
 ) -> OpGen:
@@ -644,12 +599,9 @@ def _unsend(
     """
     r = view.region
     yield Release(lock)
-    if view._blk_heads is not None:
-        yield from _shard_free(view, blocks)
     yield Acquire(ALLOC_LOCK)
-    if view._blk_heads is None:
-        push_chain(r, _H_FREE_BLK, blocks)
-        r.add_u32(_H_LIVE_BLOCKS, -len(blocks))
+    push_chain(r, _H_FREE_BLK, blocks)
+    r.add_u32(_H_LIVE_BLOCKS, -len(blocks))
     fl_free(r, _H_FREE_MSG, hdr)
     r.add_u32(_H_LIVE_MSGS, -1)
     r.add_u32(_H_LIVE_BYTES, -length)
@@ -719,12 +671,9 @@ def _reap_head(
             depth -= 1
             causal.on_free(u32(msg + _M_SENDER), slot, gen,
                            u32(msg + _M_SEQNO), u32(msg + _M_LENGTH), depth)
-    if view._blk_heads is None:
-        nblk = 0
-        for msg, chain in zip(doomed, chains):
-            nblk += _free_chain(view, msg, chain)
-    else:
-        nblk = yield from _free_chains_sharded(view, doomed, chains)
+    nblk = 0
+    for msg, chain in zip(doomed, chains):
+        nblk += _free_chain(view, msg, chain)
     yield view._alloc_rel
     yield Charge(
         Work(instrs=len(doomed) * c.msg_discard + nblk * c.blk_free, label="reap")
@@ -772,11 +721,8 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
                 causal.on_free(MSG.get(r, m, "sender"), slot, cur_gen,
                                MSG.get(r, m, "seqno"),
                                MSG.get(r, m, "length"), depth, discard=1)
-        if view._blk_heads is None:
-            for m, chain in zip(msgs, chains):
-                nblk += _free_chain(view, m, chain)
-        else:
-            nblk = yield from _free_chains_sharded(view, msgs, chains)
+        for m, chain in zip(msgs, chains):
+            nblk += _free_chain(view, m, chain)
         yield Release(ALLOC_LOCK)
     if LNVC.get(r, base, "transport"):
         # Ring circuits have no FIFO to discard (msgs is empty above);
@@ -1097,11 +1043,8 @@ def message_send(
     # Transport dispatch on a plain u32 read: no effect is yielded, so
     # free-list circuits keep a bit-identical simulated schedule.  A
     # stale identifier is caught by the generation check either way.
-    slot = lnvc_id & _SLOT_MASK
-    in_table = slot < view.cfg.max_lnvcs
-    if in_table and view.region.u32(
-        view.layout.lnvc_off(slot) + _L_TRANSPORT
-    ):
+    slot = view.slot_of(lnvc_id)
+    if view.region.u32(view.layout.lnvc_off(slot) + _L_TRANSPORT):
         return (yield from ring_send(view, pid, lnvc_id, data, prelude))
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
@@ -1117,7 +1060,7 @@ def message_send(
     causal = view.causal
     t_entry = causal.clock() if causal is not None else 0.0
     gen = lnvc_id >> SLOT_BITS
-    lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
+    lock = FIRST_LNVC_LOCK + slot
 
     if prelude is None:
         yield view._send_fixed
@@ -1133,54 +1076,29 @@ def message_send(
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
-    if view._blk_heads is not None:
-        blocks: list[int] = []
-        # Sharded pool: the allocator section covers only the header pop
-        # and the message/byte counters; block pops move under the
-        # per-shard locks (same total charge, split across sections).
-        r.add_u32(_H_LIVE_MSGS, 1)
-        live = r.add_u32(_H_LIVE_BYTES, length)
-        if live > r.u64(_H_HWM_LIVE_BYTES):
-            r.set_u64(_H_HWM_LIVE_BYTES, live)
-        live_msgs = u32(_H_LIVE_MSGS)
-        if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
-            r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
-        yield Charge(Work(instrs=c.blk_alloc, label="send-alloc"))
-        yield view._alloc_rel
-        if not (yield from _shard_alloc(view, pid, nblk, blocks)):
-            yield view._alloc_acq
-            fl_free(r, _H_FREE_MSG, hdr)
-            r.add_u32(_H_LIVE_MSGS, -1)
-            r.add_u32(_H_LIVE_BYTES, -length)
-            yield from _release_and_raise(
-                [ALLOC_LOCK],
-                OutOfMessageMemoryError(
-                    f"block pool exhausted ({nblk}-block message)"),
-            )
-    else:
-        blocks = pop_chain(r, _H_FREE_BLK, nblk)
-        if blocks is None:
-            fl_free(r, _H_FREE_MSG, hdr)
-            if causal is not None:
-                causal.on_pool(_H_FREE_BLK, NIL)
-            yield from _release_and_raise(
-                [ALLOC_LOCK],
-                OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
-            )
+    blocks = pop_chain(r, _H_FREE_BLK, nblk)
+    if blocks is None:
+        fl_free(r, _H_FREE_MSG, hdr)
         if causal is not None:
-            causal.on_pool_bulk(_H_FREE_BLK, nblk)
-        r.add_u32(_H_LIVE_MSGS, 1)
-        live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
-        if view.timeline is not None:
-            view.timeline.tap_pool(live_blk)
-        live = r.add_u32(_H_LIVE_BYTES, length)
-        if live > r.u64(_H_HWM_LIVE_BYTES):
-            r.set_u64(_H_HWM_LIVE_BYTES, live)
-        live_msgs = u32(_H_LIVE_MSGS)
-        if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
-            r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
-        yield Charge(Work(instrs=(nblk + 1) * c.blk_alloc, label="send-alloc"))
-        yield view._alloc_rel
+            causal.on_pool(_H_FREE_BLK, NIL)
+        yield from _release_and_raise(
+            [ALLOC_LOCK],
+            OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
+        )
+    if causal is not None:
+        causal.on_pool_bulk(_H_FREE_BLK, nblk)
+    r.add_u32(_H_LIVE_MSGS, 1)
+    live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
+    if view.timeline is not None:
+        view.timeline.tap_pool(live_blk)
+    live = r.add_u32(_H_LIVE_BYTES, length)
+    if live > r.u64(_H_HWM_LIVE_BYTES):
+        r.set_u64(_H_HWM_LIVE_BYTES, live)
+    live_msgs = u32(_H_LIVE_MSGS)
+    if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
+        r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
+    yield Charge(Work(instrs=(nblk + 1) * c.blk_alloc, label="send-alloc"))
+    yield view._alloc_rel
     t_alloc = causal.clock() if causal is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.
@@ -1197,29 +1115,13 @@ def message_send(
     t_fill = causal.clock() if causal is not None else 0.0
 
     # Phase 3: link at the FIFO tail under the circuit lock.
-    yield view._acq[slot] if in_table else Acquire(lock)
+    yield view._acq[slot]
     try:
-        base = lay.lnvc_off(slot)
-        if (
-            not in_table
-            or not u32(base + _L_IN_USE)
-            or u32(base + _L_GEN) != gen
-        ):
-            view.resolve(lnvc_id)  # raises with the precise message
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = view._send_cache.get((slot, pid))
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            steps = hit[1]
-        else:
-            sd, _, steps = _find_send(view, base, pid)
-            if sd == NIL:
-                raise NotConnectedError(
-                    f"pid {pid} holds no send connection here"
-                )
-            view._send_cache[(slot, pid)] = (sd, steps, gen, epoch)
+        steps = view.send_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _unsend(view, lock, hdr, blocks, length, exc)
 
+    base = lay.lnvc_off(slot)
     n_fcfs = u32(base + _L_N_FCFS)
     n_bcast = u32(base + _L_N_BCAST)
     flags = 0
@@ -1269,8 +1171,8 @@ def message_send(
                        t_entry, t_alloc, t_fill)
     if view.timeline is not None:
         view.timeline.tap_send(slot, length, depth)
-    yield view._rel[slot] if in_table else Release(lock)
-    yield view._wake[slot] if in_table else Wake(slot)
+    yield view._rel[slot]
+    yield view._wake[slot]
     return seqno
 
 
@@ -1289,11 +1191,8 @@ def message_receive(
     :class:`BufferOverflowError` *without* consuming the message — the
     safe analogue of the C interface's caller-supplied buffer.
     """
-    slot = lnvc_id & _SLOT_MASK
-    in_table = slot < view.cfg.max_lnvcs
-    if in_table and view.region.u32(
-        view.layout.lnvc_off(slot) + _L_TRANSPORT
-    ):
+    slot = view.slot_of(lnvc_id)
+    if view.region.u32(view.layout.lnvc_off(slot) + _L_TRANSPORT):
         return (yield from ring_receive(view, pid, lnvc_id, max_len))
     r = view.region
     u32 = r.u32
@@ -1302,29 +1201,15 @@ def message_receive(
     causal = view.causal
     t_entry = causal.clock() if causal is not None else 0.0
     gen = lnvc_id >> SLOT_BITS
-    lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
+    lock = FIRST_LNVC_LOCK + slot
     base = view.layout.lnvc_off(slot)
 
     yield view._recv_fixed
-    yield view._acq[slot] if in_table else Acquire(lock)
-    if not in_table or not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-        try:
-            view.resolve(lnvc_id)  # raises with the precise message
-        except UnknownLNVCError as exc:
-            yield from _release_and_raise([lock], exc)
-    epoch = u32(base + _L_CONN_EPOCH)
-    hit = view._recv_cache.get((slot, pid))
-    if hit is not None and hit[2] == gen and hit[3] == epoch:
-        desc = hit[0]
-        steps = hit[1]
-    else:
-        desc, _, steps = _find_recv(view, base, pid)
-        if desc == NIL:
-            yield from _release_and_raise(
-                [lock],
-                NotConnectedError(f"pid {pid} holds no receive connection here"),
-            )
-        view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
+    yield view._acq[slot]
+    try:
+        desc, steps = view.recv_conn(pid, lnvc_id)
+    except (UnknownLNVCError, NotConnectedError) as exc:
+        yield from _release_and_raise([lock], exc)
     is_fcfs = u32(desc + _R_PROTO) == _P_FCFS
     yield view._recv_find[steps] if steps < 8 else Charge(
         Work(instrs=steps * c.list_step, label="recv-find")
@@ -1367,7 +1252,7 @@ def message_receive(
     if causal is not None:
         t_claim = causal.clock()
         claimed_seqno = u32(msg + _M_SEQNO)
-    yield view._rel[slot] if in_table else Release(lock)
+    yield view._rel[slot]
 
     # Copy phase — concurrent with other receivers of the same message.
     # The busy pin keeps the chain as walked here until the completion
@@ -1385,7 +1270,7 @@ def message_receive(
     t_drain = causal.clock() if causal is not None else 0.0
 
     # Completion: drop the busy pin, account the read, retire and reap.
-    yield view._acq[slot] if in_table else Acquire(lock)
+    yield view._acq[slot]
     r.add_u32(msg + _M_BUSY, -1)
     if not is_fcfs:
         r.add_u32(msg + _M_BCAST_PENDING, -1)
@@ -1394,7 +1279,7 @@ def message_receive(
     yield from _reap_head(view, base, (lock,), msg, blocks)
     r.add_u32(base + _L_NRECVS, 1)
     r.add_u64(base + _L_BYTES_RECEIVED, length)
-    yield view._rel[slot] if in_table else Release(lock)
+    yield view._rel[slot]
     if causal is not None:
         causal.on_recv(pid, slot, gen, claimed_seqno, length, is_fcfs,
                        t_entry, t_claim, t_drain)
@@ -1421,41 +1306,22 @@ def check_receive(
     loops that back off with compute between rounds (see
     :func:`repro.patterns.select_receive`).
     """
-    slot = lnvc_id & _SLOT_MASK
-    in_table = slot < view.cfg.max_lnvcs
-    if in_table and view.region.u32(
-        view.layout.lnvc_off(slot) + _L_TRANSPORT
-    ):
+    slot = view.slot_of(lnvc_id)
+    base = view.layout.lnvc_off(slot)
+    if view.region.u32(base + _L_TRANSPORT):
         return (yield from ring_check(view, pid, lnvc_id, prelude))
     u32 = view.region.u32
     c = view.costs
-    gen = lnvc_id >> SLOT_BITS
-    lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
 
     if prelude is None:
         yield view._check_fixed
     else:
         yield ChargeMany((prelude, view._check_fixed_work))
-    yield view._acq[slot] if in_table else Acquire(lock)
-    base = view.layout.lnvc_off(slot)
-    if not in_table or not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
-        try:
-            view.resolve(lnvc_id)  # raises with the precise message
-        except UnknownLNVCError as exc:
-            yield from _release_and_raise([lock], exc)
-    epoch = u32(base + _L_CONN_EPOCH)
-    hit = view._recv_cache.get((slot, pid))
-    if hit is not None and hit[2] == gen and hit[3] == epoch:
-        desc = hit[0]
-        steps = hit[1]
-    else:
-        desc, _, steps = _find_recv(view, base, pid)
-        if desc == NIL:
-            yield from _release_and_raise(
-                [lock],
-                NotConnectedError(f"pid {pid} holds no receive connection here"),
-            )
-        view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
+    yield view._acq[slot]
+    try:
+        desc, steps = view.recv_conn(pid, lnvc_id)
+    except (UnknownLNVCError, NotConnectedError) as exc:
+        yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
     if u32(desc + _R_PROTO) == _P_FCFS:
         msg = u32(base + _L_FCFS_HEAD)
     else:
@@ -1468,7 +1334,7 @@ def check_receive(
     yield view._check_walk[walked] if walked < 8 else Charge(
         Work(instrs=walked * c.list_step, label="check-walk")
     )
-    yield view._rel[slot] if in_table else Release(lock)
+    yield view._rel[slot]
     return count
 
 
@@ -1485,18 +1351,15 @@ def _make_poll_section(view, pid, ids, backoff):
     memoized under the ``conn_epoch`` it was resolved at (with ``gen``
     that fixes descriptor, protocol and walk length), so an idle check
     is one read of the LNVC record and allocates nothing.  Returns
-    ``None`` for a ring circuit or an id outside the table
-    (``check_receive`` routes those itself).
+    ``None`` when a circuit is a ring (``check_receive`` routes those
+    itself); ``ids`` are inside the table.
     """
     r = view.region
-    u32, lay, n_slots = r.u32, view.layout, view.cfg.max_lnvcs
-    if not all(cid & _SLOT_MASK < n_slots
-               and not u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT)
-               for cid in ids):
+    u32, lay = r.u32, view.layout
+    if any(u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT) for cid in ids):
         return None
     probe = r.reader(_L_PROBE)
     c = view.costs
-    recv_cache = view._recv_cache
     walk_steps = tuple((S_CHARGE, ch.work) for ch in view._check_walk)
     heads: list = []
 
@@ -1505,7 +1368,6 @@ def _make_poll_section(view, pid, ids, backoff):
         gen = lnvc_id >> SLOT_BITS
         base = lay.lnvc_off(slot)
         lock = FIRST_LNVC_LOCK + slot
-        rkey = (slot, pid)
         rel = (S_REL, lock)
         m_epoch = -1  # conn_epoch the three cells below were resolved at
         m_desc = m_fcfs = m_empty = None
@@ -1516,21 +1378,10 @@ def _make_poll_section(view, pid, ids, backoff):
             if epoch == m_epoch and g == gen and in_use and (
                     fcfs_head if m_fcfs else u32(m_desc + _R_HEAD)) == NIL:
                 return m_empty
-            if not in_use or g != gen:
-                try:
-                    view.resolve(lnvc_id)  # raises with the precise message
-                except UnknownLNVCError as exc:
-                    return (D_BAIL, (lock, exc))
-            hit = recv_cache.get(rkey)
-            if hit is not None and hit[2] == gen and hit[3] == epoch:
-                desc = hit[0]
-                steps = hit[1]
-            else:
-                desc, _, steps = _find_recv(view, base, pid)
-                if desc == NIL:
-                    return (D_BAIL, (lock, NotConnectedError(
-                        f"pid {pid} holds no receive connection here")))
-                recv_cache[rkey] = (desc, steps, gen, epoch)
+            try:
+                desc, steps = view.recv_conn(pid, lnvc_id)
+            except (UnknownLNVCError, NotConnectedError) as exc:
+                return (D_BAIL, (lock, exc))
             fcfs = u32(desc + _R_PROTO) == _P_FCFS
             msg = fcfs_head if fcfs else u32(desc + _R_HEAD)
             count = 0
@@ -1566,12 +1417,14 @@ def poll_receive(
     (compute-only work) fused into the first check of every round.  On
     the simulator the whole wait is one looping section
     (:func:`_make_poll_section`) and the generator is resumed only when a
-    circuit has traffic or a check fails; real runtimes, unfused runs,
-    ring circuits and ids outside the table take the loop below.
+    circuit has traffic or a check fails; real runtimes, unfused runs
+    and ring circuits take the loop below.
     """
     ids = tuple(lnvc_ids)
     if not ids:
         raise ValueError("need at least one circuit to poll")
+    for cid in ids:  # or a bad id is refused only once its turn comes
+        view.slot_of(cid)
     if view.fuse:
         # One entry per (process, first slot) keeps the cache bounded by
         # the table; polling another set from there rebuilds it.

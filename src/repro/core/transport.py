@@ -48,9 +48,7 @@ lock and *models* the coherence cost of the lock-free original
 
 from __future__ import annotations
 
-from typing import Generator, Iterable
-
-from .effects import Acquire, Charge, ChargeMany, Effect, Release, Wake
+from .effects import Charge, ChargeMany, OpGen, _release_and_raise
 from .errors import (
     BufferOverflowError,
     NotConnectedError,
@@ -74,7 +72,6 @@ from .structs import (
     RS_FCFS_AVAILABLE,
     RS_FCFS_TAKEN,
     RS_RETIRED,
-    SEND,
 )
 from .work import Work
 
@@ -91,33 +88,20 @@ __all__ = [
     "ring_unregister_reader",
 ]
 
-OpGen = Generator[Effect, None, object]
-
 # Constant-folded field offsets, as in ops.py: the ring primitives run
 # once per message in figure sweeps.
-_SLOT_MASK = (1 << SLOT_BITS) - 1
-
-_L_IN_USE = LNVC.offsets["in_use"]
-_L_GEN = LNVC.offsets["gen"]
 _L_NMSGS = LNVC.offsets["nmsgs"]
-_L_SEND_LIST = LNVC.offsets["send_list"]
-_L_RECV_LIST = LNVC.offsets["recv_list"]
 _L_N_FCFS = LNVC.offsets["n_fcfs"]
 _L_N_BCAST = LNVC.offsets["n_bcast"]
 _L_SEQ = LNVC.offsets["seq"]
 _L_HWM_NMSGS = LNVC.offsets["hwm_nmsgs"]
-_L_CONN_EPOCH = LNVC.offsets["conn_epoch"]
 _L_RING = LNVC.offsets["ring"]
 _L_NRECVS = LNVC.offsets["nrecvs"]
 _L_BYTES_SENT = LNVC.offsets["bytes_sent"]
 _L_BYTES_RECEIVED = LNVC.offsets["bytes_received"]
 
-_S_PID = SEND.offsets["pid"]
-_S_NEXT = SEND.offsets["next"]
-_R_PID = RECV.offsets["pid"]
 _R_PROTO = RECV.offsets["proto"]
 _R_HEAD = RECV.offsets["head"]
-_R_NEXT = RECV.offsets["next"]
 _R_NREADS = RECV.offsets["nreads"]
 
 _RG_NEXT_WRITE = RING.offsets["next_write"]
@@ -171,39 +155,8 @@ TRANSPORTS = {t.kind: t for t in (FreelistTransport, RingTransport)}
 
 
 # ---------------------------------------------------------------------------
-# helpers (mirrors of the ops.py helpers; ops imports this module, so
-# these are redeclared here rather than imported)
+# helpers
 # ---------------------------------------------------------------------------
-
-
-def _release_and_raise(locks: Iterable[int], exc: Exception) -> OpGen:
-    for lock in locks:
-        yield Release(lock)
-    raise exc
-
-
-def _find_send(view, base: int, pid: int) -> tuple[int, int]:
-    """Locate ``pid``'s send descriptor: ``(desc_off|NIL, steps)``."""
-    u32 = view.region.u32
-    off, steps = u32(base + _L_SEND_LIST), 0
-    while off != NIL:
-        steps += 1
-        if u32(off + _S_PID) == pid:
-            return off, steps
-        off = u32(off + _S_NEXT)
-    return NIL, steps
-
-
-def _find_recv(view, base: int, pid: int) -> tuple[int, int]:
-    """Locate ``pid``'s receive descriptor: ``(desc_off|NIL, steps)``."""
-    u32 = view.region.u32
-    off, steps = u32(base + _L_RECV_LIST), 0
-    while off != NIL:
-        steps += 1
-        if u32(off + _R_PID) == pid:
-            return off, steps
-        off = u32(off + _R_NEXT)
-    return NIL, steps
 
 
 def _lines(length: int) -> int:
@@ -376,6 +329,8 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     backpressure where the free-list transport raises
     ``OutOfMessageMemoryError``.
     """
+    slot = view.slot_of(lnvc_id)
+    gen = lnvc_id >> SLOT_BITS
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
     data = bytes(data)
@@ -398,33 +353,13 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     else:
         yield ChargeMany((prelude, view._ring_send_fixed_work))
 
-    slot = lnvc_id & _SLOT_MASK
-    gen = lnvc_id >> SLOT_BITS
-    in_table = slot < cfg.max_lnvcs
-    lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
-    yield view._acq[slot] if in_table else Acquire(lock)
+    yield view._acq[slot]
     try:
-        base = lay.lnvc_off(slot)
-        if (
-            not in_table
-            or not u32(base + _L_IN_USE)
-            or u32(base + _L_GEN) != gen
-        ):
-            view.resolve(lnvc_id)  # raises with the precise message
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = view._send_cache.get((slot, pid))
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            steps = hit[1]
-        else:
-            sd, steps = _find_send(view, base, pid)
-            if sd == NIL:
-                raise NotConnectedError(
-                    f"pid {pid} holds no send connection here"
-                )
-            view._send_cache[(slot, pid)] = (sd, steps, gen, epoch)
+        steps = view.send_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _release_and_raise([lock], exc)
+        yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
 
+    base = lay.lnvc_off(slot)
     ring = u32(base + _L_RING)
     ridx = lay.ring_index(ring)
     nslots = cfg.ring_slots
@@ -480,7 +415,7 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     set_u32(sl + _RS_SEQ, w + 1)
     ring_retire_check(view, base, sl)
     yield view._ring_commit
-    yield view._rel[slot] if in_table else Release(lock)
+    yield view._rel[slot]
     if causal is not None:
         causal.on_send(pid, slot, gen, seqno, length, _lines(length), depth,
                        t_entry, t_claim, t_fill)
@@ -488,7 +423,7 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     if tl is not None:
         tl.tap_send(slot, length, depth)
         tl.tap_ring(slot, depth)
-    yield view._wake[slot] if in_table else Wake(slot)
+    yield view._wake[slot]
     return seqno
 
 
@@ -522,12 +457,11 @@ def ring_receive(view, pid: int, lnvc_id: int,
     lay = view.layout
     causal = view.causal
     t_entry = causal.clock() if causal is not None else 0.0
-    yield view._ring_recv_fixed
-    slot = lnvc_id & _SLOT_MASK
+    slot = view.slot_of(lnvc_id)
     gen = lnvc_id >> SLOT_BITS
-    in_table = slot < view.cfg.max_lnvcs
-    lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
+    lock = FIRST_LNVC_LOCK + slot
     base = lay.lnvc_off(slot)
+    yield view._ring_recv_fixed
     nslots = view.cfg.ring_slots
 
     # -- lock-free BROADCAST fast path -----------------------------------
@@ -539,64 +473,36 @@ def ring_receive(view, pid: int, lnvc_id: int,
     # slot whose ``seq`` matches our cursor is fully filled.
     is_fcfs = True
     taken = NIL
-    hit = view._recv_cache.get((slot, pid)) if in_table else None
-    if (
-        hit is not None
-        and hit[2] == gen
-        and u32(base + _L_IN_USE)
-        and u32(base + _L_GEN) == gen
-        and hit[3] == u32(base + _L_CONN_EPOCH)
-    ):
-        desc = hit[0]
-        if u32(desc + _R_PROTO) != _P_FCFS:
-            is_fcfs = False
-            ring = u32(base + _L_RING)
-            ridx = lay.ring_index(ring)
-            bit = u32(desc + _R_HEAD)
-            cur = lay.ring_cur_off(ridx, bit)
-            cseq = u32(cur + _RC_NEXT_SEQ)
-            sl = lay.ring_slot_off(ridx, cseq % nslots)
-            if u32(sl + _RS_SEQ) == cseq + 1:
-                length = u32(sl + _RS_LENGTH)
-                if max_len is not None and length > max_len:
-                    raise BufferOverflowError(
-                        f"next message is {length} bytes, "
-                        f"buffer holds {max_len}"
-                    )
-                set_u32(cur + _RC_NEXT_SEQ, cseq + 1)
-                r.add_u32(cur + _RC_NREADS, 1)
-                r.add_u32(desc + _R_NREADS, 1)
-                taken = sl
+    desc = view.cached_recv(pid, lnvc_id)
+    if desc != NIL and u32(desc + _R_PROTO) != _P_FCFS:
+        is_fcfs = False
+        ring = u32(base + _L_RING)
+        ridx = lay.ring_index(ring)
+        bit = u32(desc + _R_HEAD)
+        cur = lay.ring_cur_off(ridx, bit)
+        cseq = u32(cur + _RC_NEXT_SEQ)
+        sl = lay.ring_slot_off(ridx, cseq % nslots)
+        if u32(sl + _RS_SEQ) == cseq + 1:
+            length = u32(sl + _RS_LENGTH)
+            if max_len is not None and length > max_len:
+                raise BufferOverflowError(
+                    f"next message is {length} bytes, "
+                    f"buffer holds {max_len}"
+                )
+            set_u32(cur + _RC_NEXT_SEQ, cseq + 1)
+            r.add_u32(cur + _RC_NREADS, 1)
+            r.add_u32(desc + _R_NREADS, 1)
+            taken = sl
 
     if taken != NIL:
         yield view._ring_cursor
         t_claim = causal.clock() if causal is not None else 0.0
     else:
-        yield view._acq[slot] if in_table else Acquire(lock)
-        if (
-            not in_table
-            or not u32(base + _L_IN_USE)
-            or u32(base + _L_GEN) != gen
-        ):
-            try:
-                view.resolve(lnvc_id)
-            except UnknownLNVCError as exc:
-                yield from _release_and_raise([lock], exc)
-        epoch = u32(base + _L_CONN_EPOCH)
-        hit = view._recv_cache.get((slot, pid))
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            desc = hit[0]
-            steps = hit[1]
-        else:
-            desc, steps = _find_recv(view, base, pid)
-            if desc == NIL:
-                yield from _release_and_raise(
-                    [lock],
-                    NotConnectedError(
-                        f"pid {pid} holds no receive connection here"
-                    ),
-                )
-            view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
+        yield view._acq[slot]
+        try:
+            desc, steps = view.recv_conn(pid, lnvc_id)
+        except (UnknownLNVCError, NotConnectedError) as exc:
+            yield from _release_and_raise([lock], exc)
         is_fcfs = u32(desc + _R_PROTO) == _P_FCFS
         yield view._recv_find[steps] if steps < 8 else Charge(
             Work(instrs=steps * c.list_step, label="recv-find")
@@ -669,7 +575,7 @@ def ring_receive(view, pid: int, lnvc_id: int,
             yield view._ring_cursor
         r.add_u32(desc + _R_NREADS, 1)
         t_claim = causal.clock() if causal is not None else 0.0
-        yield view._rel[slot] if in_table else Release(lock)
+        yield view._rel[slot]
     seqno = u32(sl + _RS_SEQNO)
 
     # Copy phase — concurrent with other readers of the same slot.
@@ -685,7 +591,7 @@ def ring_receive(view, pid: int, lnvc_id: int,
 
     # Completion: drop the pin (busy for FCFS, our pending bit for
     # BROADCAST), retire.
-    yield view._acq[slot] if in_table else Acquire(lock)
+    yield view._acq[slot]
     if is_fcfs:
         r.add_u32(sl + _RS_BUSY, -1)
     else:
@@ -703,9 +609,9 @@ def ring_receive(view, pid: int, lnvc_id: int,
     yield view._ring_consume
     r.add_u32(base + _L_NRECVS, 1)
     r.add_u64(base + _L_BYTES_RECEIVED, length)
-    yield view._rel[slot] if in_table else Release(lock)
+    yield view._rel[slot]
     if wake_sender:
-        yield view._wake[slot] if in_table else Wake(slot)
+        yield view._wake[slot]
     if causal is not None:
         causal.on_recv(pid, slot, gen, seqno, length, is_fcfs,
                        t_entry, t_claim, t_drain)
@@ -722,39 +628,18 @@ def ring_check(view, pid: int, lnvc_id: int,
     u32 = view.region.u32
     c = view.costs
     lay = view.layout
-    slot = lnvc_id & _SLOT_MASK
-    gen = lnvc_id >> SLOT_BITS
-    in_table = slot < view.cfg.max_lnvcs
-    lock = FIRST_LNVC_LOCK + slot if in_table else GLOBAL_LOCK
+    slot = view.slot_of(lnvc_id)
 
     if prelude is None:
         yield view._check_fixed
     else:
         yield ChargeMany((prelude, view._check_fixed_work))
-    yield view._acq[slot] if in_table else Acquire(lock)
+    yield view._acq[slot]
+    try:
+        desc, steps = view.recv_conn(pid, lnvc_id)
+    except (UnknownLNVCError, NotConnectedError) as exc:
+        yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
     base = lay.lnvc_off(slot)
-    if (
-        not in_table
-        or not u32(base + _L_IN_USE)
-        or u32(base + _L_GEN) != gen
-    ):
-        try:
-            view.resolve(lnvc_id)
-        except UnknownLNVCError as exc:
-            yield from _release_and_raise([lock], exc)
-    epoch = u32(base + _L_CONN_EPOCH)
-    hit = view._recv_cache.get((slot, pid))
-    if hit is not None and hit[2] == gen and hit[3] == epoch:
-        desc = hit[0]
-        steps = hit[1]
-    else:
-        desc, steps = _find_recv(view, base, pid)
-        if desc == NIL:
-            yield from _release_and_raise(
-                [lock],
-                NotConnectedError(f"pid {pid} holds no receive connection here"),
-            )
-        view._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
     ring = u32(base + _L_RING)
     ridx = lay.ring_index(ring)
     nslots = view.cfg.ring_slots
@@ -780,5 +665,5 @@ def ring_check(view, pid: int, lnvc_id: int,
     yield view._check_walk[walked] if walked < 8 else Charge(
         Work(instrs=walked * c.list_step, label="check-walk")
     )
-    yield view._rel[slot] if in_table else Release(lock)
+    yield view._rel[slot]
     return count

@@ -150,9 +150,8 @@ class SimProcess:
     gen: ProcGen
     pid: int
     state: str = _RUNNABLE
-    #: Value (or exception) to inject at the next resume.
+    #: Value to inject at the next resume.
     _inbox: object = None
-    _throw: BaseException | None = None
     #: Generator return value once finished.
     result: object = None
     #: Exception that terminated the process, if any.
@@ -462,12 +461,8 @@ class Engine:
                     if state is None:
                         self.now = now  # bodies may observe the clock
                         try:
-                            if proc._throw is not None:
-                                exc, proc._throw = proc._throw, None
-                                arg = proc.gen.throw(exc)
-                            else:
-                                value, proc._inbox = proc._inbox, None
-                                arg = proc.gen.send(value)
+                            value, proc._inbox = proc._inbox, None
+                            arg = proc.gen.send(value)
                         except StopIteration as stop:
                             proc.state = _DONE
                             proc.result = stop.value

@@ -379,14 +379,14 @@ class StageStats:
         """Nearest-rank quantile; 0.0 on an empty sample set."""
         if not self.samples:
             return 0.0
-        rank = max(1, -(-int(q * 100) * len(self.samples) // 100))
+        rank = max(1, -(-round(q * 100) * len(self.samples) // 100))
         return self.samples[min(rank, len(self.samples)) - 1]
 
     def quantile_fine(self, q: float) -> float:
         """Nearest-rank quantile at per-mille resolution.
 
-        :meth:`quantile` truncates ``q`` to centiles (0.999 would
-        silently degrade to p99); this variant resolves thousandths.
+        :meth:`quantile` rounds ``q`` to centiles (0.999 would
+        silently become the maximum); this variant resolves thousandths.
         Kept separate so the centile quantiles in archived expositions
         stay byte-identical.
         """

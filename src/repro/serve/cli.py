@@ -1,8 +1,7 @@
 """``python -m repro.bench serve`` — the open-loop serving benchmark.
 
-Sweeps offered load over three configurations of the same service shape
-(unbatched baseline, send batching, batching + sharded free list),
-prints the SLO table with detected saturation knees, and optionally
+Sweeps offered load over two configurations of the same service shape
+(unbatched baseline, send batching), prints the SLO table with detected saturation knees, and optionally
 archives the SLO JSON document, Prometheus metrics, and the message
 flow graph of a causally-traced knee point::
 
@@ -31,7 +30,7 @@ from .topology import ServeShape
 __all__ = ["serve_main"]
 
 #: Sweep presets: (loads in aggregate requests/s, schedule seconds).
-#: Sized so the three-config sweep pushes >1M MPF messages through the
+#: Sized so the two-config sweep pushes >1M MPF messages through the
 #: simulator (the unbatched baseline dominates the message count).
 FULL_LOADS = (100.0, 200.0, 300.0, 400.0, 500.0, 700.0, 900.0, 1100.0,
               1300.0)
@@ -39,11 +38,10 @@ FULL_DURATION = 120.0
 QUICK_LOADS = (60.0, 200.0, 400.0)
 QUICK_DURATION = 2.0
 
-#: The three A/B configurations every sweep reports.
+#: The two A/B configurations every sweep reports.
 CONFIG_BUILDERS = {
     "baseline": lambda s: s,
     "batched": lambda s: s.with_load_features(batch=8),
-    "batched+sharded": lambda s: s.with_load_features(batch=8, shards=8),
 }
 
 
@@ -116,7 +114,7 @@ def serve_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench serve",
         description="Open-loop serving sweep: goodput and SLO latency vs "
-        "offered load, baseline vs batched vs batched+sharded.",
+        "offered load, baseline vs batched.",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -223,7 +221,7 @@ def serve_main(argv: list[str]) -> int:
         probe_rec = None
     try:
         point, rec = run_point(
-            configs["batched+sharded"], probe_rate, probe_n, seed=args.seed,
+            configs["batched"], probe_rate, probe_n, seed=args.seed,
             runtime=args.runtime, causal=True, recorder=probe_rec)
     finally:
         if server is not None:

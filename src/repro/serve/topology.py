@@ -20,8 +20,7 @@ the client ``send_fixed + nblk·(blk_fill + copy)`` instructions, each
 frontend pays a receive and a forward, workers add ``service_instrs``
 per request, and every hop round-trips the shared block pool.  With
 batching amortising the fixed costs, the binding constraint at the
-knee becomes the **allocator lock** — which is exactly the regime the
-sharded free list (``freelist_shards``) exists to relieve.
+knee becomes the **allocator lock**.
 """
 
 from __future__ import annotations
@@ -70,8 +69,6 @@ class ServeShape:
     policy: str = "shed"
     #: Admission queue bound, in batches, per client.
     queue_cap: int = 32
-    #: Free-list shards for the run's :class:`MPFConfig` (1 = classic).
-    freelist_shards: int = 1
     #: Backoff before retrying a refused send, seconds.
     backoff_seconds: float = 0.002
     #: Shared block pool budget, in request batches (sizes the config).
@@ -99,15 +96,9 @@ class ServeShape:
         """Data circuits the topology opens (excluding barrier gates)."""
         return self.frontends + self.workers + 1
 
-    def with_load_features(self, *, batch: int | None = None,
-                           shards: int | None = None) -> "ServeShape":
-        """Clone with batching/sharding toggled (A/B sweeps)."""
-        out = self
-        if batch is not None:
-            out = replace(out, batch=batch)
-        if shards is not None:
-            out = replace(out, freelist_shards=shards)
-        return out
+    def with_load_features(self, *, batch: int | None = None) -> "ServeShape":
+        """Clone with batching toggled (A/B sweeps)."""
+        return self if batch is None else replace(self, batch=batch)
 
 
 def serve_config(shape: ServeShape) -> MPFConfig:
@@ -139,7 +130,6 @@ def serve_config(shape: ServeShape) -> MPFConfig:
         # fan-in replies must hit the same backpressure as requests.
         max_messages=pool_bytes // 10 + 128,
         message_pool_bytes=pool_bytes,
-        freelist_shards=shape.freelist_shards,
     )
 
 

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import ops
-from repro.core.errors import UnknownLNVCError
+from repro.core.effects import Acquire, Release
+from repro.core.errors import NotConnectedError, UnknownLNVCError
 from repro.core.inspect import check_invariants, inspect_segment
-from repro.core.protocol import FCFS
+from repro.core.protocol import ALLOC_LOCK, FCFS, NIL
 from repro.core.structs import LNVC
+from repro.core.work import Work
 from repro.core.ops import SLOT_BITS, decode_lnvc_id, encode_lnvc_id
 from repro.testing import DirectRunner, make_view
 
@@ -66,6 +68,62 @@ class TestIdentifiers:
             r.run(ops.message_send(v, 0, old, b"stale"))
         r.run(ops.open_receive(v, 0, "x", FCFS))
         assert r.run(ops.message_receive(v, 0, new)) == b"fresh"
+
+
+_HOT_OPS = {
+    "send": lambda v, pid, cid: ops.message_send(v, pid, cid, b"x" * 25),
+    "receive": ops.message_receive,
+    "check": ops.check_receive,
+    "poll": lambda v, pid, cid: ops.poll_receive(
+        v, pid, (cid,), Work(instrs=400, label="app-compute")),
+}
+
+
+class TestIdsOutsideTheTable:
+    """A garbage id costs nothing: no charge, no lock, no allocation."""
+
+    @pytest.mark.parametrize("transport", ["freelist", "ring"])
+    @pytest.mark.parametrize("op", ["send", "receive", "check", "poll"])
+    def test_rejected_before_the_first_effect(self, op, transport):
+        v = make_view(transport=transport)
+        r = DirectRunner(v)
+        live = r.run(ops.open_send(v, 0, "c"))
+        r.run(ops.open_receive(v, 0, "c", FCFS))
+        r.run(ops.message_send(v, 0, live, b"queued"))
+        garbage = encode_lnvc_id(v.cfg.max_lnvcs, 0)
+        before = v.region.read(0, v.layout.total_size)
+        with pytest.raises(UnknownLNVCError, match="no such slot"):
+            next(_HOT_OPS[op](v, 0, garbage))  # raises instead of yielding
+        # live_msgs / live_blocks / live_bytes, both free lists, the lot.
+        assert v.region.read(0, v.layout.total_size) == before
+        assert not v._fs_poll_cache
+
+    def test_poll_checks_the_whole_set_first(self, v, r):
+        live = r.run(ops.open_receive(v, 0, "c", FCFS))
+        gen = ops.poll_receive(v, 0, (live, 31337), Work(instrs=1))
+        with pytest.raises(UnknownLNVCError, match="31337: no such slot"):
+            next(gen)
+
+    @pytest.mark.parametrize("op", ["send", "receive", "check", "poll"])
+    @pytest.mark.parametrize("how,match", [
+        ("deleted", "circuit deleted"), ("recycled", "stale generation")])
+    def test_ids_inside_it_are_still_judged_under_the_circuit_lock(
+            self, v, op, how, match):
+        r = DirectRunner(v)
+        stale = r.run(ops.open_send(v, 0, "c"))
+        r.run(ops.close_send(v, 0, stale))
+        if how == "recycled":
+            r.run(ops.open_send(v, 0, "c"))
+        lock = v.lnvc_lock(decode_lnvc_id(stale)[0])
+        gen, seen = _HOT_OPS[op](v, 0, stale), []
+        with pytest.raises(UnknownLNVCError, match=match):
+            while True:
+                seen.append(gen.send(None))
+        locks = [(type(e), e.lock_id) for e in seen
+                 if isinstance(e, (Acquire, Release))]
+        assert (Acquire, lock) in locks
+        assert locks[-1] == (Release, ALLOC_LOCK if op == "send" else lock)
+        check_invariants(v, level="steady")
 
 
 class TestQueueHighWaterMark:
@@ -152,3 +210,27 @@ class TestSearchCosts:
         r.run(ops.check_receive(v, 5, cid))  # opened last -> list head
         shallow = r.total_instrs()
         assert deep > shallow
+
+    def test_connection_lookup_is_the_walk_cached_or_not(self, v):
+        """`recv_conn` / `send_conn` answer what the list walk answers;
+        `cached_recv` only ever repeats them, and forgets on any list
+        change (`conn_epoch`)."""
+        r = DirectRunner(v)
+        cid = r.run(ops.open_send(v, 0, "q"))
+        for pid in (1, 2, 3):
+            r.run(ops.open_receive(v, pid, "q", FCFS))
+        base = v.layout.lnvc_off(decode_lnvc_id(cid)[0])
+        assert v.cached_recv(1, cid) == NIL
+        for _ in range(2):  # walked, then cached
+            for pid in (1, 2, 3):
+                desc, _, steps = ops._find_recv(v, base, pid)
+                assert v.recv_conn(pid, cid) == (desc, steps)
+                assert v.cached_recv(pid, cid) == desc
+            assert v.send_conn(0, cid) == ops._find_send(v, base, 0)[2] == 1
+        r.run(ops.open_receive(v, 4, "q", FCFS))  # pushes at the list head
+        assert v.cached_recv(1, cid) == NIL
+        assert v.recv_conn(1, cid)[1] == 4
+        with pytest.raises(NotConnectedError, match="no receive connection"):
+            v.recv_conn(0, cid)
+        with pytest.raises(NotConnectedError, match="no send connection"):
+            v.send_conn(1, cid)

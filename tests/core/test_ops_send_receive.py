@@ -161,8 +161,12 @@ def test_block_pool_exhaustion_frees_partial_allocation():
     r = DirectRunner(v)
     cid = r.run(ops.open_send(v, 0, "c"))
     r.run(ops.open_receive(v, 0, "c", FCFS))
+    before = v.region.read(0, v.layout.total_size)
     with pytest.raises(OutOfMessageMemoryError, match="block"):
         r.run(ops.message_send(v, 0, cid, b"x" * 50))  # needs 5 blocks
+    # Nothing was taken: the header went back where it came from, the
+    # block list and every counter are untouched.
+    assert v.region.read(0, v.layout.total_size) == before
     # The partial allocation was rolled back: 40 bytes still fit.
     r.run(ops.message_send(v, 0, cid, b"y" * 40))
     assert r.run(ops.message_receive(v, 0, cid)) == b"y" * 40

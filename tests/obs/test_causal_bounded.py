@@ -117,6 +117,15 @@ def test_quantile_fine_nearest_rank():
     assert stats.quantile(0.5) == stats.p50
 
 
+def test_quantile_ranks_every_centile_exactly():
+    """``q * 100`` lands just below the centile for 0.29, 0.57, 0.58...:
+    rounding, not truncation, picks the rank."""
+    stats = StageStats([float(i) for i in range(1, 101)])
+    assert [stats.quantile(k / 100) for k in range(1, 100)] == [
+        float(k) for k in range(1, 100)]
+    assert (stats.p50, stats.p95, stats.p99) == (50.0, 95.0, 99.0)
+
+
 def test_stats_quantiles_empty_and_singleton():
     assert StageStats([]).quantile_fine(0.99) == 0.0
     assert StageStats([3.5]).p999 == 3.5

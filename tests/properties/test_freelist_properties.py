@@ -12,7 +12,6 @@ from repro.core.freelist import (
     fl_free,
     init_freelist,
     pop_chain,
-    pop_some,
     push_chain,
 )
 from repro.core.protocol import NIL
@@ -99,16 +98,6 @@ def ref_pop(region, head_off, n):
     return blocks
 
 
-def ref_pop_some(region, head_off, n):
-    blocks, blk = [], region.u32(head_off)
-    while len(blocks) < n and blk != NIL:
-        blocks.append(blk)
-        blk = region.u32(blk)
-    if blocks:
-        region.set_u32(head_off, blk)
-    return blocks
-
-
 def ref_fill(region, blocks, data, bs):
     length, last = len(data), len(blocks) - 1
     for i, blk in enumerate(blocks):
@@ -134,29 +123,31 @@ def ref_push(region, head_off, blocks):
 
 @st.composite
 def scrambled_pool(draw):
-    """Block size, shard count, message length, payload flavour and a
+    """Block size, list count, message length, payload flavour and a
     seed for the alloc/free history that scrambles the lists."""
     bs = draw(st.sampled_from([1, 10, 64]))
-    shards = draw(st.integers(1, 4))
+    lists = draw(st.integers(1, 4))
     length = draw(st.one_of(st.integers(0, 3 * bs + 1), st.just(2048)))
     flavour = draw(st.sampled_from([bytes, bytearray, memoryview]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return bs, shards, length, flavour, seed
+    return bs, lists, length, flavour, seed
 
 
-def _twin_pools(bs, shards, nblk, seed):
-    """Two byte-identical regions whose ``shards`` free lists went
+def _twin_pools(bs, lists, nblk, seed):
+    """Two byte-identical regions whose ``lists`` free lists went
     through the same random alloc/free history; returns ``(kernel
-    region, reference region, head offsets)``."""
+    region, reference region, head offsets)``.  The first list holds a
+    whole message and more; the others exist to be pushed onto."""
     stride = 4 + bs
-    per = nblk // shards + SLACK
-    heads = [4 * s for s in range(shards)]
-    base = 4 * shards + 3  # deliberately unaligned, like the 14-byte stride
-    size = base + shards * per * stride
+    counts = [nblk + SLACK] + [SLACK] * (lists - 1)
+    heads = [4 * s for s in range(lists)]
+    base = 4 * lists + 3  # deliberately unaligned, like the 14-byte stride
+    size = base + sum(counts) * stride
     buf = bytearray(random.Random(seed).randbytes(size))  # stale bytes everywhere
     region = SharedRegion(buf)
-    for s, head in enumerate(heads):
-        init_freelist(region, head, base + s * per * stride, stride, per)
+    for head, count in zip(heads, counts):
+        init_freelist(region, head, base, stride, count)
+        base += count * stride
     rng = random.Random(seed)
     for head in heads:
         held = []
@@ -176,20 +167,17 @@ def _twin_pools(bs, shards, nblk, seed):
 @given(scrambled_pool())
 @settings(max_examples=150, deadline=None)
 def test_chain_kernels_leave_the_region_byte_equal_to_the_loops(params):
-    bs, shards, length, flavour, seed = params
+    bs, lists, length, flavour, seed = params
     nblk = (length + bs - 1) // bs
-    got, want, heads = _twin_pools(bs, shards, nblk, seed)
+    got, want, heads = _twin_pools(bs, lists, nblk, seed)
 
     def same():
         return got.read(0, got.size) == want.read(0, want.size)
 
     payload = random.Random(seed + 1).randbytes(length)
 
-    # Pop: home shard first, then steal from the others in order.
-    blocks, ref_blocks = [], []
-    for head in heads:
-        blocks += pop_some(got, head, nblk - len(blocks))
-        ref_blocks += ref_pop_some(want, head, nblk - len(ref_blocks))
+    blocks = pop_chain(got, heads[0], nblk)
+    ref_blocks = ref_pop(want, heads[0], nblk)
     assert blocks == ref_blocks and len(blocks) == nblk
     assert same()
 
@@ -202,10 +190,10 @@ def test_chain_kernels_leave_the_region_byte_equal_to_the_loops(params):
     assert ref_drain(want, first, length, bs) == (blocks, payload)
     assert same()  # draining writes nothing
 
-    # Push back in chain order, split over the lists the way a sharded
-    # free splits a chain by home shard.
+    # Push back in chain order, split over the lists: a push takes any
+    # blocks, not only a chain popped whole from the list it lands on.
     rng = random.Random(seed + 2)
-    homes = [rng.randrange(shards) for _ in blocks]
+    homes = [rng.randrange(lists) for _ in blocks]
     for s, head in enumerate(heads):
         group = [b for b, h in zip(blocks, homes) if h == s]
         push_chain(got, head, group)

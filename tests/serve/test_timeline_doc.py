@@ -24,7 +24,7 @@ KNEE_RPS, KNEE_N = 400.0, 800
 @pytest.fixture(scope="module")
 def knee_probe():
     """One causally-traced, timelined sim point at quick-sweep knee load."""
-    shape = ServeShape(policy="shed").with_load_features(batch=8, shards=8)
+    shape = ServeShape(policy="shed").with_load_features(batch=8)
     point, rec = run_point(shape, KNEE_RPS, KNEE_N, seed=1987,
                            runtime="sim", causal=True, timeline=True)
     health = HealthEngine(rec.timeline, tier_of=serve_tier_of)
@@ -135,7 +135,7 @@ def test_live_scrape_during_threads_probe():
 
     from repro.obs import LiveTelemetryServer, fetch_metrics
 
-    shape = ServeShape(policy="stall").with_load_features(batch=8, shards=8)
+    shape = ServeShape(policy="stall").with_load_features(batch=8)
     rec = Recorder(causal=True, causal_max_events=65536, timeline=True)
     health = HealthEngine(rec.timeline, tier_of=serve_tier_of)
     server = LiveTelemetryServer(rec, health=health)
@@ -173,7 +173,7 @@ def test_series_parity_sim_vs_threads_by_digest():
     """Same seeded below-knee point, stall policy (no timing-dependent
     sheds): circuit-name-level counter totals agree across runtimes
     even though the wall-clock windowing differs."""
-    shape = ServeShape(policy="stall").with_load_features(batch=8, shards=8)
+    shape = ServeShape(policy="stall").with_load_features(batch=8)
 
     def digest(runtime):
         _, rec = run_point(shape, 60.0, 60, seed=7, runtime=runtime,

@@ -250,18 +250,21 @@ def test_ring_circuit_in_the_set_takes_the_classic_loop():
     assert [ent[1] for ent in view._fs_poll_cache.values()] == [None]
 
 
-def test_id_outside_the_table_takes_the_classic_loop():
+def test_id_outside_the_table_is_rejected_at_entry():
+    """Not even the live circuit ahead of it in the set is checked."""
+
     def poller(env):
         box = yield from env.open_receive("box", FCFS)
+        t0 = env.now()
         try:
             yield from env.poll_receive(
                 (box, 31337), Work(instrs=400, label="app-compute"))
-        except UnknownLNVCError:
-            return env.now()
+        except UnknownLNVCError as exc:
+            return str(exc), env.now() - t0
 
     view, (results, *_) = _both([poller])
-    assert results["p0"] > 0
-    assert [ent[1] for ent in view._fs_poll_cache.values()] == [None]
+    assert results["p0"] == ("lnvc id 31337: no such slot", 0.0)
+    assert not view._fs_poll_cache
 
 
 @pytest.mark.parametrize("wrap", [
