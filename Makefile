@@ -13,7 +13,8 @@ JOBS ?= 4
 FUSION ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
-	serve telemetry-smoke procs-smoke regress profile identity clean
+	serve telemetry-smoke telemetry-budget procs-smoke regress profile \
+	identity clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -120,6 +121,38 @@ telemetry-smoke:
 	      'clock', doc['timeline']['clock'])"
 	$(PY) -m pytest tests/obs/test_live.py tests/obs/test_health.py \
 		tests/serve/test_timeline_doc.py -q
+
+# Timeline wall-overhead budget: the observers must stay observational
+# taps — a traced, timelined knee probe returns the bare probe's SLO
+# point and may not cost integer factors over it.  The 3x + 1 s budget
+# is deliberately generous (hosted runners are noisy): the gate catches
+# a hot-path tap turning into real work, not percent-level drift.
+define TELEMETRY_BUDGET
+import time
+from repro.serve.sweep import run_point
+from repro.serve.topology import ServeShape
+
+shape = ServeShape().with_load_features(batch=8)
+
+def wall(**kw):
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        point, _ = run_point(shape, 400.0, 800, seed=1987,
+                             runtime="sim", **kw)
+        best = min(best, time.perf_counter() - t0)
+    return best, point
+
+bare, p0 = wall()
+timed, p1 = wall(causal=True, timeline=True)
+assert p1 == p0, "telemetry moved the SLO point"
+assert timed < 3 * bare + 1.0, (
+    f"timeline overhead blew the budget: {bare:.2f}s -> {timed:.2f}s")
+print(f"overhead ok: bare {bare:.2f}s, timelined {timed:.2f}s")
+endef
+export TELEMETRY_BUDGET
+telemetry-budget:
+	$(PY) -c "$$TELEMETRY_BUDGET"
 
 # Wall-clock trajectory gate over the committed BENCH_*.json archives:
 # fails when the newest snapshot regressed figure-by-figure past the

@@ -5,9 +5,10 @@ smoke job and the acceptance tests run one *mutated* operation per
 scenario and require the checker to flag it.  Two mutants cover the two
 failure families a schedule explorer can surface:
 
-* :func:`unlocked_send` — a clone of :func:`repro.core.ops.message_send`
-  whose FIFO-link phase skips the circuit lock **and** yields between
-  reading the tail and writing the link, opening a torn-update window.
+* :func:`unlocked_send` — :func:`repro.core.ops.message_send` with its
+  link step (the same ``_link_tail`` helper) run without the circuit
+  lock **and** after a yield that follows the reads of the sequence
+  number and the tail, opening a torn-update window.
   Two racing sends through the window orphan a message (allocated and
   counted, but unreachable from the FIFO) — exactly the corruption the
   per-circuit lock exists to prevent, caught by the structural
@@ -28,37 +29,19 @@ from typing import Generator
 
 from ..core.effects import Acquire, Charge, Release, Wake
 from ..core.freelist import fill_chain, fl_alloc, pop_chain
-from ..core.ops import (  # noqa: F401  (private ops internals, on purpose)
+from ..core.ops import (  # private ops internals, on purpose
     _H_FREE_BLK,
     _H_FREE_MSG,
     _H_LIVE_BLOCKS,
     _H_LIVE_BYTES,
     _H_LIVE_MSGS,
-    _L_FCFS_HEAD,
-    _L_FIFO_HEAD,
     _L_FIFO_TAIL,
     _L_GEN,
-    _L_HWM_NMSGS,
-    _L_N_BCAST,
-    _L_N_FCFS,
-    _L_NMSGS,
     _L_SEQ,
     _SLOT_MASK,
     MPFView,
     OpGen,
-)
-from ..core.ops import (
-    _F_FCFS_EXPECTED,
-    _F_HAD_RECEIVERS,
-    _M_BCAST_PENDING,
-    _M_BUSY,
-    _M_FIRST_BLK,
-    _M_FLAGS,
-    _M_LENGTH,
-    _M_NBLOCKS,
-    _M_NEXT_MSG,
-    _M_SENDER,
-    _M_SEQNO,
+    _link_tail,
 )
 from ..core.protocol import ALLOC_LOCK, NIL
 from ..core.work import Work
@@ -99,15 +82,14 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     data = bytes(data)
     r = view.region
     u32 = r.u32
-    set_u32 = r.set_u32
-    lay = view.layout
     bs = view.cfg.block_size
     length = len(data)
     nblk = (length + bs - 1) // bs
-    # Torn sends still report to the causal tracer: a failure's message
-    # history must include the very sends that corrupt the segment.
-    causal = view.causal
-    t_entry = causal.clock() if causal is not None else 0.0
+    # Torn sends still report to the probe: a failure's message history
+    # must include the very sends that corrupt the segment (its stages
+    # are not timed apart: the checker's clock stands still).
+    probe = view.probe
+    t_entry = probe.now() if probe is not None else 0.0
 
     # Phase 1: allocation, correctly under the allocator lock.
     yield Acquire(ALLOC_LOCK)
@@ -124,43 +106,17 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     fill_chain(r, blocks, data, bs)
 
     # Phase 3: link at the FIFO tail -- THE BUG: no circuit lock, and a
-    # scheduler yield splits the read-tail / write-link critical section.
+    # scheduler yield between reading the sequence number and the tail
+    # and the link that is only correct for fresh values of both.
     slot = lnvc_id & _SLOT_MASK
-    base = lay.lnvc_off(slot)
-    n_fcfs = u32(base + _L_N_FCFS)
-    n_bcast = u32(base + _L_N_BCAST)
-    flags = 0
-    if n_fcfs:
-        flags |= _F_FCFS_EXPECTED
-    if n_fcfs or n_bcast:
-        flags |= _F_HAD_RECEIVERS
+    base = view.layout.lnvc_off(slot)
     seqno = u32(base + _L_SEQ)
     tail = u32(base + _L_FIFO_TAIL)
     yield Charge(Work(instrs=1, label="fault-torn-window"))
-    set_u32(base + _L_SEQ, seqno + 1)
-    set_u32(hdr + _M_LENGTH, length)
-    set_u32(hdr + _M_NBLOCKS, nblk)
-    set_u32(hdr + _M_FIRST_BLK, blocks[0] if blocks else NIL)
-    set_u32(hdr + _M_NEXT_MSG, NIL)
-    set_u32(hdr + _M_BCAST_PENDING, n_bcast)
-    set_u32(hdr + _M_BUSY, 0)
-    set_u32(hdr + _M_FLAGS, flags)
-    set_u32(hdr + _M_SEQNO, seqno)
-    set_u32(hdr + _M_SENDER, pid)
-    if tail == NIL:
-        set_u32(base + _L_FIFO_HEAD, hdr)
-    else:
-        set_u32(tail + _M_NEXT_MSG, hdr)
-    set_u32(base + _L_FIFO_TAIL, hdr)
-    depth = r.add_u32(base + _L_NMSGS, 1)
-    if depth > u32(base + _L_HWM_NMSGS):
-        set_u32(base + _L_HWM_NMSGS, depth)
-    if u32(base + _L_FCFS_HEAD) == NIL:
-        set_u32(base + _L_FCFS_HEAD, hdr)
-    if causal is not None:
-        t = causal.clock()
-        causal.on_send(pid, slot, u32(base + _L_GEN), seqno, length, nblk,
-                       depth, t_entry, t, t)
+    depth, _ = _link_tail(view, base, hdr, pid, length, blocks, seqno, tail)
+    if probe is not None:
+        probe.msg_sent(pid, slot, u32(base + _L_GEN), seqno, length, nblk,
+                       depth, t_entry, t_entry, t_entry)
     yield Wake(slot)
     return seqno
 

@@ -215,10 +215,11 @@ def run_schedule(
     clock = lambda: engine.now  # noqa: E731
     tracer = None
     if causal:
-        from ..obs import CausalTracer
+        from ..obs import Recorder
 
-        tracer = CausalTracer(clock=clock)
-        view.causal = tracer
+        rec = Recorder(causal=True)
+        rec.attach(view, clock, "sim")
+        tracer = rec.causal
     nprocs = len(workers)
     for rank, worker in enumerate(workers):
         engine.spawn(f"p{rank}", worker(Env(view, rank, nprocs, clock)))

@@ -123,24 +123,12 @@ def init_freelist(region: SharedRegion, head_off: int, base: int, stride: int, c
     region.set_u32(head_off, base)
 
 
-def fl_alloc(region: SharedRegion, head_off: int, watch=None) -> int:
-    """Pop one record; returns its byte offset, or ``NIL`` if exhausted.
-
-    ``watch``, when given, is called as ``watch(head_off, result)`` after
-    every pop attempt — including exhausted ones, which return ``NIL``.
-    This is the observation point the causal tracer
-    (:class:`repro.obs.causal.CausalTracer`) uses to spot free-list
-    pressure; the default ``None`` keeps the hot path branch-free beyond
-    a single falsy test.
-    """
+def fl_alloc(region: SharedRegion, head_off: int) -> int:
+    """Pop one record; returns its byte offset, or ``NIL`` if exhausted."""
     head = region.u32(head_off)
     if head == NIL:
-        if watch is not None:
-            watch(head_off, NIL)
         return NIL
     region.set_u32(head_off, region.u32(head))
-    if watch is not None:
-        watch(head_off, head)
     return head
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .errors import MPFConfigError, RegionFormatError
 from .freelist import init_freelist
-from .protocol import FIRST_LNVC_LOCK, MAGIC, VERSION
+from .protocol import FIRST_LNVC_LOCK, MAGIC, SLOT_BITS, VERSION
 from .region import SharedRegion
 from .structs import (
     LNVC,
@@ -120,6 +120,10 @@ class MPFConfig:
     def __post_init__(self) -> None:
         if self.max_lnvcs < 1:
             raise MPFConfigError("max_lnvcs must be >= 1")
+        if self.max_lnvcs > 1 << SLOT_BITS:
+            raise MPFConfigError(
+                f"max_lnvcs {self.max_lnvcs} exceeds the {1 << SLOT_BITS} "
+                f"slots an identifier can address (SLOT_BITS = {SLOT_BITS})")
         if self.max_processes < 1:
             raise MPFConfigError("max_processes must be >= 1")
         if self.block_size < 1:

@@ -138,6 +138,8 @@ def set_fusion(on: bool) -> None:
     _fusion_default = bool(on)
 
 _SLOT_MASK = (1 << SLOT_BITS) - 1
+# A 32-bit identifier's bits above the slot carry the generation.
+_GEN_MASK = (1 << (32 - SLOT_BITS)) - 1
 
 # Field offsets resolved once at import time.  The hot primitives
 # (message_send / message_receive / check_receive and their helpers) run
@@ -174,9 +176,9 @@ _R_HEAD = RECV.offsets["head"]
 _R_NEXT = RECV.offsets["next"]
 _R_NREADS = RECV.offsets["nreads"]
 
-#: What a poll probe needs of an LNVC descriptor — ``in_use``, ``gen``,
+#: What a poll round peeks at in an LNVC descriptor — ``in_use``, ``gen``,
 #: ``fcfs_head``, ``conn_epoch`` — as one read.
-_L_PROBE = struct.Struct(
+_L_PEEK = struct.Struct(
     f"<II{_L_FCFS_HEAD - 8}xI{_L_CONN_EPOCH - _L_FCFS_HEAD - 4}xI")
 
 _M_LENGTH = MSG.offsets["length"]
@@ -258,8 +260,7 @@ class MPFView:
         "_ring_consume",
         "_send_cache",
         "_recv_cache",
-        "causal",
-        "timeline",
+        "probe",
         "fuse",
         "_fs_poll_cache",
     )
@@ -337,17 +338,13 @@ class MPFView:
         # (pid, first slot) -> ((ids, backoff), section): the looping
         # sections of poll_receive, built once per polled set.
         self._fs_poll_cache: dict = {}
-        #: Optional :class:`repro.obs.causal.CausalTracer` attached by a
-        #: runtime.  When set, the hot primitives call its hooks inline —
-        #: plain attribute-gated Python calls, never new effects, so the
-        #: simulated schedule is untouched by observation.
-        self.causal = None
-        #: Optional :class:`repro.obs.timeline.Timeline` attached by a
-        #: runtime.  Same contract as ``causal``: the hot paths gate on
-        #: ``is not None`` and feed windowed counters/gauges with plain
-        #: calls — never a new effect — so telemetry cannot perturb a
-        #: simulated schedule.
-        self.timeline = None
+        #: The one observer slot: ``None``, or whatever a runtime's
+        #: :meth:`repro.obs.Recorder.attach` put here.  Every observation
+        #: instant of the message path tests this once and makes at most
+        #: one plain call on it — never a new effect, so observation
+        #: cannot perturb a simulated schedule (docs/observability.md,
+        #: "Attaching observers").
+        self.probe = None
         #: In-engine poll waits opt-in (sim engine only; see
         #: :func:`poll_receive`).  Off by default so real runtimes never
         #: see a :class:`~repro.core.effects.FusedSection`; SimRuntime
@@ -651,8 +648,9 @@ def _reap_head(
     if head == NIL:
         set_u32(base + _L_FIFO_TAIL, NIL)
     depth_after = r.add_u32(base + _L_NMSGS, -len(doomed))
-    if view.timeline is not None:
-        view.timeline.tap_depth(view.layout.lnvc_slot(base), depth_after)
+    probe = view.probe
+    if probe is not None:
+        probe.queue_depth(view.layout.lnvc_slot(base), depth_after)
     # The shared FCFS head can never point *behind* the new physical head:
     # if it pointed at a reaped message, advance it to the first survivor
     # that is not FCFS-taken.
@@ -660,17 +658,13 @@ def _reap_head(
     if fcfs in doomed:
         set_u32(base + _L_FCFS_HEAD, _first_untaken(view, head))
     yield view._alloc_acq
-    causal = view.causal
-    if causal is not None:
+    if probe is not None:
         # Header fields must be read before _free_chain overwrites the
         # record's first word with the free-list link.
-        slot = view.layout.lnvc_slot(base)
-        gen = u32(base + _L_GEN)
-        depth = depth_after + len(doomed)
-        for msg in doomed:
-            depth -= 1
-            causal.on_free(u32(msg + _M_SENDER), slot, gen,
-                           u32(msg + _M_SEQNO), u32(msg + _M_LENGTH), depth)
+        probe.msgs_freed(
+            view.layout.lnvc_slot(base), u32(base + _L_GEN), depth_after,
+            [(u32(m + _M_SENDER), u32(m + _M_SEQNO), u32(m + _M_LENGTH))
+             for m in doomed])
     nblk = 0
     for msg, chain in zip(doomed, chains):
         nblk += _free_chain(view, msg, chain)
@@ -712,15 +706,13 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     nblk = 0
     if msgs:
         yield Acquire(ALLOC_LOCK)
-        causal = view.causal
-        if causal is not None:
-            cur_gen = LNVC.get(r, base, "gen")
-            depth = len(msgs)
-            for m in msgs:
-                depth -= 1
-                causal.on_free(MSG.get(r, m, "sender"), slot, cur_gen,
-                               MSG.get(r, m, "seqno"),
-                               MSG.get(r, m, "length"), depth, discard=1)
+        probe = view.probe
+        if probe is not None:
+            probe.msgs_freed(
+                slot, LNVC.get(r, base, "gen"), 0,
+                [(MSG.get(r, m, "sender"), MSG.get(r, m, "seqno"),
+                  MSG.get(r, m, "length")) for m in msgs],
+                discard=1)
         for m, chain in zip(msgs, chains):
             nblk += _free_chain(view, m, chain)
         yield Release(ALLOC_LOCK)
@@ -736,7 +728,7 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     HDR.add(r, "total_bytes_received", r.u64(base + _L_BYTES_RECEIVED))
     gen = LNVC.get(r, base, "gen")
     LNVC.clear(r, base)
-    LNVC.set(r, base, "gen", (gen + 1) & 0x3FFFFF)
+    LNVC.set(r, base, "gen", (gen + 1) & _GEN_MASK)
     LNVC.set(r, base, "fifo_head", NIL)
     LNVC.set(r, base, "fifo_tail", NIL)
     LNVC.set(r, base, "fcfs_head", NIL)
@@ -752,10 +744,62 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     return len(msgs)
 
 
+def _link_tail(view: MPFView, base: int, hdr: int, pid: int, length: int,
+               blocks: list, seqno: int, tail: int) -> tuple[int, int]:
+    """Fill the header ``hdr`` and link it behind ``tail`` as message
+    ``seqno`` of the circuit at ``base``; returns ``(queue depth, receive
+    descriptors walked)``.
+
+    Yield-free, and correct only when ``seqno`` and ``tail`` were read in
+    the same circuit-lock section: a stale pair orphans a message — the
+    window :func:`repro.check.faults.unlocked_send` opens on purpose.
+    """
+    r = view.region
+    u32 = r.u32
+    set_u32 = r.set_u32
+    n_fcfs = u32(base + _L_N_FCFS)
+    n_bcast = u32(base + _L_N_BCAST)
+    flags = 0
+    if n_fcfs:
+        flags |= _F_FCFS_EXPECTED
+    if n_fcfs or n_bcast:
+        flags |= _F_HAD_RECEIVERS
+    set_u32(base + _L_SEQ, seqno + 1)
+    set_u32(hdr + _M_LENGTH, length)
+    set_u32(hdr + _M_NBLOCKS, len(blocks))
+    set_u32(hdr + _M_FIRST_BLK, blocks[0] if blocks else NIL)
+    set_u32(hdr + _M_NEXT_MSG, NIL)
+    set_u32(hdr + _M_BCAST_PENDING, n_bcast)
+    set_u32(hdr + _M_BUSY, 0)
+    set_u32(hdr + _M_FLAGS, flags)
+    set_u32(hdr + _M_SEQNO, seqno)
+    set_u32(hdr + _M_SENDER, pid)
+    if tail == NIL:
+        set_u32(base + _L_FIFO_HEAD, hdr)
+    else:
+        set_u32(tail + _M_NEXT_MSG, hdr)
+    set_u32(base + _L_FIFO_TAIL, hdr)
+    depth = r.add_u32(base + _L_NMSGS, 1)
+    if depth > u32(base + _L_HWM_NMSGS):
+        set_u32(base + _L_HWM_NMSGS, depth)
+    if u32(base + _L_FCFS_HEAD) == NIL:
+        set_u32(base + _L_FCFS_HEAD, hdr)
+    # Point every caught-up BROADCAST receiver at the new message.
+    rsteps = 0
+    desc = u32(base + _L_RECV_LIST)
+    while desc != NIL:
+        rsteps += 1
+        if u32(desc + _R_PROTO) != _P_FCFS and u32(desc + _R_HEAD) == NIL:
+            set_u32(desc + _R_HEAD, hdr)
+        desc = u32(desc + _R_NEXT)
+    return depth, rsteps
+
+
 def _open_common(view: MPFView, data: bytes) -> OpGen:
     """Find or create the circuit named ``data`` (pre-encoded); returns its slot.
 
-    Caller holds the global lock.  On failure releases it and raises.
+    Caller holds the global lock.  On failure releases it and raises;
+    on success tells the probe which circuit the slot is.
     """
     r = view.region
     c = view.costs
@@ -783,6 +827,9 @@ def _open_common(view: MPFView, data: bytes) -> OpGen:
         if view.cfg.transport_for(data.decode("utf-8")) == "ring":
             yield from ring_attach(view, slot, base)
     yield Charge(Work(instrs=c.open_fixed + steps * c.list_step, label="open"))
+    probe = view.probe
+    if probe is not None:
+        probe.circuit_opened(slot, data.decode("utf-8"))
     return slot
 
 
@@ -803,8 +850,6 @@ def open_send(view: MPFView, pid: int, name: str) -> OpGen:
     data = view.encode_name(name)  # validate before touching any lock
     yield Acquire(GLOBAL_LOCK)
     slot = yield from _open_common(view, data)
-    if view.timeline is not None:
-        view.timeline.name_slot(slot, name)
     base = view.layout.lnvc_off(slot)
     lock = view.lnvc_lock(slot)
     yield Acquire(lock)
@@ -848,8 +893,6 @@ def open_receive(view: MPFView, pid: int, name: str, protocol: Protocol) -> OpGe
     data = view.encode_name(name)  # validate before touching any lock
     yield Acquire(GLOBAL_LOCK)
     slot = yield from _open_common(view, data)
-    if view.timeline is not None:
-        view.timeline.name_slot(slot, name)
     base = view.layout.lnvc_off(slot)
     lock = view.lnvc_lock(slot)
     yield Acquire(lock)
@@ -1051,15 +1094,13 @@ def message_send(
     data = bytes(data)
     r = view.region
     u32 = r.u32
-    set_u32 = r.set_u32
     c = view.costs
     lay = view.layout
     bs = view.cfg.block_size
     length = len(data)
     nblk = (length + bs - 1) // bs
-    causal = view.causal
-    t_entry = causal.clock() if causal is not None else 0.0
-    gen = lnvc_id >> SLOT_BITS
+    probe = view.probe
+    t_entry = probe.now() if probe is not None else 0.0
     lock = FIRST_LNVC_LOCK + slot
 
     if prelude is None:
@@ -1070,27 +1111,27 @@ def message_send(
     # Phase 1: allocation.  Blocks are private until linked, so only the
     # free lists need the allocator lock.
     yield view._alloc_acq
-    hdr = fl_alloc(r, _H_FREE_MSG,
-                   causal.on_pool if causal is not None else None)
+    hdr = fl_alloc(r, _H_FREE_MSG)
     if hdr == NIL:
+        if probe is not None:
+            probe.pool(dry=_H_FREE_MSG)
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
     blocks = pop_chain(r, _H_FREE_BLK, nblk)
     if blocks is None:
         fl_free(r, _H_FREE_MSG, hdr)
-        if causal is not None:
-            causal.on_pool(_H_FREE_BLK, NIL)
+        if probe is not None:
+            probe.pool(((_H_FREE_MSG, 1),), dry=_H_FREE_BLK)
         yield from _release_and_raise(
             [ALLOC_LOCK],
             OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
         )
-    if causal is not None:
-        causal.on_pool_bulk(_H_FREE_BLK, nblk)
     r.add_u32(_H_LIVE_MSGS, 1)
     live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
-    if view.timeline is not None:
-        view.timeline.tap_pool(live_blk)
+    if probe is not None:
+        probe.pool(((_H_FREE_MSG, 1), (_H_FREE_BLK, nblk)),
+                   live_blocks=live_blk)
     live = r.add_u32(_H_LIVE_BYTES, length)
     if live > r.u64(_H_HWM_LIVE_BYTES):
         r.set_u64(_H_HWM_LIVE_BYTES, live)
@@ -1099,7 +1140,7 @@ def message_send(
         r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
     yield Charge(Work(instrs=(nblk + 1) * c.blk_alloc, label="send-alloc"))
     yield view._alloc_rel
-    t_alloc = causal.clock() if causal is not None else 0.0
+    t_alloc = probe.now() if probe is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.
     fill_chain(r, blocks, data, bs)
@@ -1112,7 +1153,7 @@ def message_send(
             label="send-copy",
         )
     )
-    t_fill = causal.clock() if causal is not None else 0.0
+    t_fill = probe.now() if probe is not None else 0.0
 
     # Phase 3: link at the FIFO tail under the circuit lock.
     yield view._acq[slot]
@@ -1122,43 +1163,9 @@ def message_send(
         yield from _unsend(view, lock, hdr, blocks, length, exc)
 
     base = lay.lnvc_off(slot)
-    n_fcfs = u32(base + _L_N_FCFS)
-    n_bcast = u32(base + _L_N_BCAST)
-    flags = 0
-    if n_fcfs:
-        flags |= _F_FCFS_EXPECTED
-    if n_fcfs or n_bcast:
-        flags |= _F_HAD_RECEIVERS
     seqno = u32(base + _L_SEQ)
-    set_u32(base + _L_SEQ, seqno + 1)
-    set_u32(hdr + _M_LENGTH, length)
-    set_u32(hdr + _M_NBLOCKS, nblk)
-    set_u32(hdr + _M_FIRST_BLK, blocks[0] if blocks else NIL)
-    set_u32(hdr + _M_NEXT_MSG, NIL)
-    set_u32(hdr + _M_BCAST_PENDING, n_bcast)
-    set_u32(hdr + _M_BUSY, 0)
-    set_u32(hdr + _M_FLAGS, flags)
-    set_u32(hdr + _M_SEQNO, seqno)
-    set_u32(hdr + _M_SENDER, pid)
-    tail = u32(base + _L_FIFO_TAIL)
-    if tail == NIL:
-        set_u32(base + _L_FIFO_HEAD, hdr)
-    else:
-        set_u32(tail + _M_NEXT_MSG, hdr)
-    set_u32(base + _L_FIFO_TAIL, hdr)
-    depth = r.add_u32(base + _L_NMSGS, 1)
-    if depth > u32(base + _L_HWM_NMSGS):
-        set_u32(base + _L_HWM_NMSGS, depth)
-    if u32(base + _L_FCFS_HEAD) == NIL:
-        set_u32(base + _L_FCFS_HEAD, hdr)
-    # Point every caught-up BROADCAST receiver at the new message.
-    rsteps = 0
-    desc = u32(base + _L_RECV_LIST)
-    while desc != NIL:
-        rsteps += 1
-        if u32(desc + _R_PROTO) != _P_FCFS and u32(desc + _R_HEAD) == NIL:
-            set_u32(desc + _R_HEAD, hdr)
-        desc = u32(desc + _R_NEXT)
+    depth, rsteps = _link_tail(view, base, hdr, pid, length, blocks,
+                               seqno, u32(base + _L_FIFO_TAIL))
     r.add_u64(base + _L_BYTES_SENT, length)
     yield Charge(
         Work(
@@ -1166,11 +1173,9 @@ def message_send(
             label="send-link",
         )
     )
-    if causal is not None:
-        causal.on_send(pid, slot, gen, seqno, length, nblk, depth,
-                       t_entry, t_alloc, t_fill)
-    if view.timeline is not None:
-        view.timeline.tap_send(slot, length, depth)
+    if probe is not None:
+        probe.msg_sent(pid, slot, lnvc_id >> SLOT_BITS, seqno, length, nblk,
+                       depth, t_entry, t_alloc, t_fill)
     yield view._rel[slot]
     yield view._wake[slot]
     return seqno
@@ -1198,9 +1203,8 @@ def message_receive(
     u32 = r.u32
     set_u32 = r.set_u32
     c = view.costs
-    causal = view.causal
-    t_entry = causal.clock() if causal is not None else 0.0
-    gen = lnvc_id >> SLOT_BITS
+    probe = view.probe
+    t_entry = probe.now() if probe is not None else 0.0
     lock = FIRST_LNVC_LOCK + slot
     base = view.layout.lnvc_off(slot)
 
@@ -1249,8 +1253,8 @@ def message_receive(
     r.add_u32(desc + _R_NREADS, 1)
     nblk = u32(msg + _M_NBLOCKS)
     first = u32(msg + _M_FIRST_BLK)
-    if causal is not None:
-        t_claim = causal.clock()
+    if probe is not None:
+        t_claim = probe.now()
         claimed_seqno = u32(msg + _M_SEQNO)
     yield view._rel[slot]
 
@@ -1267,7 +1271,7 @@ def message_receive(
         blocks=nblk,
         label="recv-copy",
     ))
-    t_drain = causal.clock() if causal is not None else 0.0
+    t_drain = probe.now() if probe is not None else 0.0
 
     # Completion: drop the busy pin, account the read, retire and reap.
     yield view._acq[slot]
@@ -1280,11 +1284,9 @@ def message_receive(
     r.add_u32(base + _L_NRECVS, 1)
     r.add_u64(base + _L_BYTES_RECEIVED, length)
     yield view._rel[slot]
-    if causal is not None:
-        causal.on_recv(pid, slot, gen, claimed_seqno, length, is_fcfs,
-                       t_entry, t_claim, t_drain)
-    if view.timeline is not None:
-        view.timeline.tap_recv(slot, length)
+    if probe is not None:
+        probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, claimed_seqno,
+                           length, is_fcfs, t_entry, t_claim, t_drain)
     return payload
 
 
@@ -1358,7 +1360,7 @@ def _make_poll_section(view, pid, ids, backoff):
     u32, lay = r.u32, view.layout
     if any(u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT) for cid in ids):
         return None
-    probe = r.reader(_L_PROBE)
+    peek = r.reader(_L_PEEK)
     c = view.costs
     walk_steps = tuple((S_CHARGE, ch.work) for ch in view._check_walk)
     heads: list = []
@@ -1374,7 +1376,7 @@ def _make_poll_section(view, pid, ids, backoff):
 
         def _walk():
             nonlocal m_epoch, m_desc, m_fcfs, m_empty
-            in_use, g, fcfs_head, epoch = probe(base)
+            in_use, g, fcfs_head, epoch = peek(base)
             if epoch == m_epoch and g == gen and in_use and (
                     fcfs_head if m_fcfs else u32(m_desc + _R_HEAD)) == NIL:
                 return m_empty

@@ -330,7 +330,6 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     ``OutOfMessageMemoryError``.
     """
     slot = view.slot_of(lnvc_id)
-    gen = lnvc_id >> SLOT_BITS
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
     data = bytes(data)
@@ -346,8 +345,8 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
             f"{length}-byte message exceeds ring slot capacity "
             f"of {cfg.ring_slot_bytes} bytes"
         )
-    causal = view.causal
-    t_entry = causal.clock() if causal is not None else 0.0
+    probe = view.probe
+    t_entry = probe.now() if probe is not None else 0.0
     if prelude is None:
         yield view._ring_send_fixed
     else:
@@ -388,7 +387,7 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
         set_u32(base + _L_HWM_NMSGS, depth)
     r.add_u64(base + _L_BYTES_SENT, length)
     yield view._ring_claim
-    t_claim = causal.clock() if causal is not None else 0.0
+    t_claim = probe.now() if probe is not None else 0.0
 
     # Fill — still under the lock, so the pending snapshot above stays
     # exact (nobody can open or close a receive connection mid-fill).
@@ -408,7 +407,7 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
             label="ring-fill",
         )
     )
-    t_fill = causal.clock() if causal is not None else 0.0
+    t_fill = probe.now() if probe is not None else 0.0
 
     # Commit: store the commit word, retire degenerate messages whose
     # audience is empty, release the single lock section.
@@ -416,13 +415,10 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     ring_retire_check(view, base, sl)
     yield view._ring_commit
     yield view._rel[slot]
-    if causal is not None:
-        causal.on_send(pid, slot, gen, seqno, length, _lines(length), depth,
-                       t_entry, t_claim, t_fill)
-    tl = view.timeline
-    if tl is not None:
-        tl.tap_send(slot, length, depth)
-        tl.tap_ring(slot, depth)
+    if probe is not None:
+        probe.msg_sent(pid, slot, lnvc_id >> SLOT_BITS, seqno, length,
+                       _lines(length), depth, t_entry, t_claim, t_fill,
+                       occupancy=depth)
     yield view._wake[slot]
     return seqno
 
@@ -455,10 +451,9 @@ def ring_receive(view, pid: int, lnvc_id: int,
     set_u32 = r.set_u32
     c = view.costs
     lay = view.layout
-    causal = view.causal
-    t_entry = causal.clock() if causal is not None else 0.0
+    probe = view.probe
+    t_entry = probe.now() if probe is not None else 0.0
     slot = view.slot_of(lnvc_id)
-    gen = lnvc_id >> SLOT_BITS
     lock = FIRST_LNVC_LOCK + slot
     base = lay.lnvc_off(slot)
     yield view._ring_recv_fixed
@@ -496,7 +491,7 @@ def ring_receive(view, pid: int, lnvc_id: int,
 
     if taken != NIL:
         yield view._ring_cursor
-        t_claim = causal.clock() if causal is not None else 0.0
+        t_claim = probe.now() if probe is not None else 0.0
     else:
         yield view._acq[slot]
         try:
@@ -574,7 +569,7 @@ def ring_receive(view, pid: int, lnvc_id: int,
             r.add_u32(cur + _RC_NREADS, 1)
             yield view._ring_cursor
         r.add_u32(desc + _R_NREADS, 1)
-        t_claim = causal.clock() if causal is not None else 0.0
+        t_claim = probe.now() if probe is not None else 0.0
         yield view._rel[slot]
     seqno = u32(sl + _RS_SEQNO)
 
@@ -587,7 +582,7 @@ def ring_receive(view, pid: int, lnvc_id: int,
             label="ring-copy",
         )
     )
-    t_drain = causal.clock() if causal is not None else 0.0
+    t_drain = probe.now() if probe is not None else 0.0
 
     # Completion: drop the pin (busy for FCFS, our pending bit for
     # BROADCAST), retire.
@@ -612,13 +607,10 @@ def ring_receive(view, pid: int, lnvc_id: int,
     yield view._rel[slot]
     if wake_sender:
         yield view._wake[slot]
-    if causal is not None:
-        causal.on_recv(pid, slot, gen, seqno, length, is_fcfs,
-                       t_entry, t_claim, t_drain)
-    tl = view.timeline
-    if tl is not None:
-        tl.tap_recv(slot, length)
-        tl.tap_ring(slot, u32(base + _L_NMSGS))
+    if probe is not None:
+        probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, seqno, length,
+                           is_fcfs, t_entry, t_claim, t_drain,
+                           occupancy=u32(base + _L_NMSGS))
     return payload
 
 

@@ -23,11 +23,13 @@ lock in :func:`repro.core.ops.message_send` plus the circuit's
 * ``free``  — one when the message header returns to the free list,
   from FIFO-head reaping or circuit deletion (``discard=True``).
 
-The hooks are plain attribute-gated calls inside the ops generators —
-no new effects are yielded, so attaching a tracer never adds scheduler
-round-trips and provably cannot perturb simulated timing (pinned by the
-fig3 byte-identity test).  Free-list pressure is watched through
-:meth:`CausalTracer.on_pool`, fed by :func:`repro.core.freelist.fl_alloc`.
+The tracer is a pure sink: the :class:`~repro.obs.recorder.Recorder`
+that carries it hears the message sites (docs/observability.md,
+"Attaching observers") and hands every hook its timestamps.  Nothing
+here reads a clock or yields an effect, so attaching a tracer never
+adds scheduler round-trips and provably cannot perturb simulated timing
+(pinned by the fig3 byte-identity test).  Free-list pressure arrives
+through :meth:`CausalTracer.on_pool`.
 
 Everything here is derived from the event list: per-stage sojourn
 latency quantiles (:func:`sojourn_stats`), queue-depth timelines
@@ -39,11 +41,8 @@ the Prometheus exposition in :mod:`repro.obs.prom`.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
-
-from ..core.protocol import NIL
 
 __all__ = [
     "MsgEvent",
@@ -119,9 +118,8 @@ class MsgEvent:
 class CausalTracer:
     """Collects :class:`MsgEvent` records plus free-list pressure counts.
 
-    Runtimes attach a tracer to the shared :class:`~repro.core.ops.MPFView`
-    (``view.causal``) and point :attr:`clock` at the run's timebase; the
-    ops generators then call the ``on_*`` hooks inline.  Like the
+    The carrying :class:`~repro.obs.recorder.Recorder` calls the ``on_*``
+    hooks with timestamps in the run's timebase.  Like the
     Recorder, the event list is bounded: :attr:`total` keeps counting
     past :attr:`limit` and :attr:`dropped` says how many events were not
     stored, so a truncated trace is never silently read as complete.
@@ -139,16 +137,14 @@ class CausalTracer:
     stays bounded.  :attr:`stride` is surfaced by the summary tables.
     """
 
-    __slots__ = ("limit", "clock", "events", "total", "dropped",
+    __slots__ = ("limit", "events", "total", "dropped",
                  "pool_allocs", "pool_failures",
                  "max_events", "stride", "e2e", "_pending", "_orphans",
-                 "_grace", "timeline")
+                 "_grace")
 
-    def __init__(self, limit: int = DEFAULT_LIMIT, clock=None,
+    def __init__(self, limit: int = DEFAULT_LIMIT,
                  max_events: int | None = None) -> None:
         self.limit = limit
-        #: Zero-argument callable returning "now" in the run's timebase.
-        self.clock = clock if clock is not None else time.perf_counter
         self.events: list[MsgEvent] = []
         self.total = 0
         self.dropped = 0
@@ -173,12 +169,8 @@ class CausalTracer:
             self._pending = None
             self._orphans = None
             self._grace = None
-        #: Optional :class:`~repro.obs.timeline.Timeline` fed the exact
-        #: e2e deliveries as per-circuit windowed latency digests
-        #: (bounded mode only — the sketch is what pairs send to recv).
-        self.timeline = None
 
-    # -- hooks called inline by repro.core.ops ------------------------------
+    # -- hooks called by the carrying Recorder ------------------------------
 
     def _emit(self, ev: MsgEvent) -> None:
         self.total += 1
@@ -204,38 +196,42 @@ class CausalTracer:
 
     def on_send(self, pid: int, slot: int, gen: int, seqno: int,
                 length: int, blocks: int, depth: int,
-                t0: float, t1: float, t2: float) -> None:
-        """Message linked at the FIFO tail; ``t3`` is sampled here."""
+                t0: float, t1: float, t2: float, t3: float) -> None:
+        """Message linked at the FIFO tail at ``t3``."""
         if self._pending is not None:
             self._pending[(slot, gen, seqno)] = t0
         self._emit(MsgEvent("send", pid, slot, gen, seqno, length,
-                            t0, t1, t2, self.clock(),
-                            blocks=blocks, depth=depth))
+                            t0, t1, t2, t3, blocks=blocks, depth=depth))
 
     def on_recv(self, pid: int, slot: int, gen: int, seqno: int,
                 length: int, fcfs: int, t0: float, t1: float,
-                t2: float) -> None:
-        """Receive complete (busy pin dropped); ``t3`` is sampled here."""
+                t2: float, t3: float) -> float | None:
+        """Receive complete (busy pin dropped) at ``t3``.
+
+        Returns the delivery's exact end-to-end latency when the sketch
+        paired it with its send (bounded mode only), else ``None`` — what
+        the recorder feeds its timeline's per-circuit e2e digests.
+        """
+        e2e = None
         if self._pending is not None:
             key = (slot, gen, seqno)
             s0 = self._pending.get(key)
             if s0 is None:
                 s0 = self._grace.pop(key, None)
             if s0 is not None:
-                self.e2e.append(t2 - s0 if t2 > s0 else 0.0)
-                if self.timeline is not None:
-                    self.timeline.tap_e2e(
-                        t2, slot, t2 - s0 if t2 > s0 else 0.0)
+                e2e = t2 - s0 if t2 > s0 else 0.0
+                self.e2e.append(e2e)
             elif len(self._orphans) < 65536:
                 # Cross-process delivery (procs runtime): the send lives
                 # in another child's tracer; matched at merge time.
                 self._orphans.setdefault(key, []).append(t2)
         self._emit(MsgEvent("recv", pid, slot, gen, seqno, length,
-                            t0, t1, t2, self.clock(), fcfs=1 if fcfs else 0))
+                            t0, t1, t2, t3, fcfs=1 if fcfs else 0))
+        return e2e
 
     def on_free(self, sender: int, slot: int, gen: int, seqno: int,
-                length: int, depth: int, discard: int = 0) -> None:
-        """Message header returned to the free list."""
+                length: int, depth: int, t: float, discard: int = 0) -> None:
+        """Message header returned to the free list at ``t``."""
         if self._pending is not None:
             # A receive's completion section reaps the message it just
             # retired (``_reap_head``) *before* its own recv hook fires —
@@ -248,17 +244,15 @@ class CausalTracer:
                 while len(g) > 256:
                     del g[next(iter(g))]
         self._emit(MsgEvent("free", sender, slot, gen, seqno, length,
-                            self.clock(), depth=depth,
-                            discard=1 if discard else 0))
+                            t, depth=depth, discard=1 if discard else 0))
 
-    def on_pool(self, head_off: int, off: int) -> None:
-        """:func:`fl_alloc` watch hook: one pop attempt on one pool."""
-        table = self.pool_failures if off == NIL else self.pool_allocs
-        table[head_off] = table.get(head_off, 0) + 1
-
-    def on_pool_bulk(self, head_off: int, n: int) -> None:
-        """``n`` records popped outside :func:`fl_alloc` (block chains)."""
-        self.pool_allocs[head_off] = self.pool_allocs.get(head_off, 0) + n
+    def on_pool(self, popped=(), dry: int | None = None) -> None:
+        """One allocation attempt: ``n`` records popped per ``(head_off,
+        n)`` of ``popped``; the pool at ``dry`` was found exhausted."""
+        for head_off, n in popped:
+            self.pool_allocs[head_off] = self.pool_allocs.get(head_off, 0) + n
+        if dry is not None:
+            self.pool_failures[dry] = self.pool_failures.get(dry, 0) + 1
 
     # -- simple queries ------------------------------------------------------
 

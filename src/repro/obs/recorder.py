@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import math
 import threading
+import time as _time
 from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, GLOBAL_LOCK
 
-__all__ = ["Histogram", "LockStats", "WorkStats", "Span", "Recorder", "lock_name"]
+__all__ = ["Histogram", "LockStats", "WorkStats", "Span", "Recorder",
+           "lock_name", "log2_us_bucket"]
 
 
 def lock_name(lock_id: int) -> str:
@@ -45,6 +47,13 @@ def lock_name(lock_id: int) -> str:
     if lock_id == ALLOC_LOCK:
         return "alloc"
     return f"lnvc{lock_id - FIRST_LNVC_LOCK}"
+
+
+def log2_us_bucket(seconds: float) -> int:
+    """Log₂ microsecond bucket of a duration: ``b`` covers
+    ``(2**(b-1), 2**b]`` µs, bucket 0 everything at or below 1 µs."""
+    us = seconds * 1e6
+    return 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
 
 
 class Histogram:
@@ -62,8 +71,7 @@ class Histogram:
         self.counts: dict[int, int] = dict(counts or {})
 
     def add(self, seconds: float) -> None:
-        us = seconds * 1e6
-        b = 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
+        b = log2_us_bucket(seconds)
         self.counts[b] = self.counts.get(b, 0) + 1
 
     def merge(self, counts: dict[int, int]) -> None:
@@ -179,12 +187,13 @@ class Recorder:
     event limit does: counters keep counting, span recording stops, and
     :attr:`dropped_spans` counts what was not stored so truncated traces
     are never silently read as complete.
-    ``clock`` names the timebase the producing runtime used (``"sim"``
-    or ``"wall"``); runtimes set it at the start of a run.
+    ``clock`` names the timebase (``"sim"`` or ``"wall"``) and
+    :attr:`now` reads it; :meth:`attach` sets both at the start of a run.
     ``causal=True`` additionally attaches a
     :class:`~repro.obs.causal.CausalTracer` (or pass a pre-built tracer
-    instance): the runtimes hand it to the ops layer, which records one
-    lifecycle event per message send/receive/free.
+    instance), which hears one lifecycle event per message
+    send/receive/free from the message sites (see *the observer seam*
+    below).
     ``causal_max_events=N`` puts that tracer in bounded mode: stride
     sampling caps the stored events at ``N`` while an exact sketch keeps
     e2e latency quantiles precise — how million-message serve runs trace
@@ -202,6 +211,14 @@ class Recorder:
                  timeline=False, timeline_width: float = 0.05) -> None:
         self.limit = limit
         self.clock = "wall"
+        t0 = _time.perf_counter()
+        #: Zero-argument "now" in the timebase :attr:`clock` names — the
+        #: one clock every stamp of a run is read from.  A runtime hands
+        #: its own to :meth:`attach`; until then (and for blocking
+        #: clients, which have no run) it is wall seconds since this
+        #: recorder was built, and :meth:`child` recorders inherit it, so
+        #: a tree of recorders shares one time axis.
+        self.now = lambda: _time.perf_counter() - t0
         self.spans: list[Span] = []
         #: Total spans seen, including those past ``limit``.
         self.total = 0
@@ -230,13 +247,110 @@ class Recorder:
 
             self.timeline = timeline if isinstance(timeline, Timeline) \
                 else Timeline(width=timeline_width)
-            if self.causal is not None:
-                # The causal e2e sketch feeds the timeline's per-circuit
-                # delivery-latency digests.
-                self.causal.timeline = self.timeline
         else:
             #: Optional :class:`~repro.obs.timeline.Timeline`.
             self.timeline = None
+
+    # -- the observer seam ------------------------------------------------------
+    #
+    # A recorder carrying a tracer or a timeline is the view's ``probe``:
+    # the message sites of repro.core test that one slot and make at most
+    # one call below per observation instant, and the recorder decides
+    # which of its sinks hear it — as on_acquire / on_chan_wait do for
+    # the lock and channel effects.  Plain calls, never effects: an
+    # attached probe cannot change a simulated schedule.
+
+    def attach(self, view, clock=None, kind: str = "wall") -> None:
+        """Observe ``view`` on ``clock`` (a zero-argument callable in the
+        ``kind`` timebase; ``None`` keeps this recorder's own wall clock).
+
+        The one place a run is wired for observation: tags the timebase,
+        sets :attr:`now`, and — when there is a tracer or a timeline to
+        hear them — makes this recorder the view's probe.
+        """
+        self.clock = kind
+        if clock is not None:
+            self.now = clock
+        if self.timeline is not None:
+            self.timeline.clock_kind = kind
+        if self.causal is not None or self.timeline is not None:
+            view.probe = self
+
+    def circuit_opened(self, slot: int, name: str) -> None:
+        """``open_send`` / ``open_receive`` resolved ``name`` to ``slot``."""
+        if self.timeline is not None:
+            self.timeline.name_slot(slot, name)
+
+    def pool(self, popped=(), dry: int | None = None,
+             live_blocks: int | None = None) -> None:
+        """One allocation attempt: ``popped`` lists ``(head_off, n)`` for
+        each pool ``n`` records were popped from, ``dry`` is the head
+        offset of the pool that ran out (the pops before it stand in the
+        counts although the caller returns them), ``live_blocks`` the
+        block-pool level a complete allocation left."""
+        if self.causal is not None:
+            self.causal.on_pool(popped, dry)
+        if live_blocks is not None and self.timeline is not None:
+            self.timeline.tap_pool(self.now(), live_blocks)
+
+    def msg_sent(self, pid: int, slot: int, gen: int, seqno: int,
+                 length: int, blocks: int, depth: int,
+                 t0: float, t1: float, t2: float,
+                 occupancy: int | None = None) -> None:
+        """A message became visible on its circuit at queue depth
+        ``depth``; ``t0..t2`` are the sender's entry / allocated (ring:
+        claimed) / filled stamps, ``occupancy`` a ring's slots in use."""
+        t = self.now()
+        if self.causal is not None:
+            self.causal.on_send(pid, slot, gen, seqno, length, blocks, depth,
+                                t0, t1, t2, t)
+        tl = self.timeline
+        if tl is not None:
+            tl.tap_send(t, slot, length, depth)
+            if occupancy is not None:
+                tl.tap_ring(t, slot, occupancy)
+
+    def msg_received(self, pid: int, slot: int, gen: int, seqno: int,
+                     length: int, fcfs: int,
+                     t0: float, t1: float, t2: float,
+                     occupancy: int | None = None) -> None:
+        """A receive completed (pin dropped); ``t0..t2`` are the
+        receiver's entry / claimed / copied-out stamps."""
+        t = self.now()
+        tl = self.timeline
+        if self.causal is not None:
+            e2e = self.causal.on_recv(pid, slot, gen, seqno, length, fcfs,
+                                      t0, t1, t2, t)
+            if e2e is not None and tl is not None:
+                tl.tap_e2e(t2, slot, e2e)
+        if tl is not None:
+            tl.tap_recv(t, slot, length)
+            if occupancy is not None:
+                tl.tap_ring(t, slot, occupancy)
+
+    def queue_depth(self, slot: int, depth: int) -> None:
+        """Messages were unlinked from ``slot``'s FIFO, leaving ``depth``."""
+        if self.timeline is not None:
+            self.timeline.tap_depth(self.now(), slot, depth)
+
+    def msgs_freed(self, slot: int, gen: int, depth: int, msgs,
+                   discard: int = 0) -> None:
+        """Unlinked headers are returning to the free list.  ``msgs`` is
+        ``(sender, seqno, length)`` per message in FIFO order, ``depth``
+        the queue depth after the last; ``discard`` marks circuit
+        deletion rather than a reap."""
+        if self.causal is not None:
+            t = self.now()
+            depth += len(msgs)
+            for sender, seqno, length in msgs:
+                depth -= 1
+                self.causal.on_free(sender, slot, gen, seqno, length, depth,
+                                    t, discard)
+
+    def gauge(self, series: str, value: float) -> None:
+        """An application-level sample (:meth:`repro.runtime.base.Env.gauge`)."""
+        if self.timeline is not None:
+            self.timeline.gauge(self.now(), series, value)
 
     # -- hooks called by runtimes ---------------------------------------------
 
@@ -376,6 +490,7 @@ class Recorder:
         """
         rec = Recorder(limit=self.limit)
         rec.clock = self.clock
+        rec.now = self.now
         if self.causal is not None:
             from .causal import CausalTracer
 
@@ -383,8 +498,6 @@ class Recorder:
                                       max_events=self.causal.max_events)
         if self.timeline is not None:
             rec.timeline = self.timeline.child()
-            if rec.causal is not None:
-                rec.causal.timeline = rec.timeline
         return rec
 
     def snapshot(self) -> dict:
@@ -408,6 +521,7 @@ class Recorder:
     def merge(self, snap: dict) -> None:
         """Fold a :meth:`snapshot` into this recorder (thread-safe)."""
         with self._merge_mutex:
+            self.clock = snap["clock"]  # merged workers define the timebase
             self.total += snap["total"]
             spans = snap["spans"]
             room = self.limit - len(self.spans)

@@ -21,10 +21,12 @@ Series keys are ``"<series>|<metric>"`` strings: ``circuit:<slot>``,
 circuit series are resolved to circuit names through :attr:`names`,
 populated by the ``open_send``/``open_receive`` taps.
 
-Feeding is attribute-gated exactly like causal tracing: the ops hot
-paths test ``view.timeline is not None`` and call plain Python methods —
-never a new effect — so a timeline-enabled simulation retires the
-byte-identical schedule (pinned by tests/obs/test_timeline.py).
+The timeline is a pure sink, exactly like the causal tracer: the
+:class:`~repro.obs.recorder.Recorder` that carries it hears the message
+sites and the lock / channel hooks and hands every tap its timestamp —
+plain Python calls, never a new effect, so a timeline-enabled simulation
+retires the byte-identical schedule (pinned by
+tests/obs/test_timeline.py).
 Timelines are mergeable across workers and processes the way Recorder
 snapshots are: each child snapshots to plain picklable data and the
 parent merges in rank order; the merge is associative and commutative,
@@ -35,25 +37,10 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 
-from ..core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, GLOBAL_LOCK
+from .recorder import lock_name, log2_us_bucket
 
 __all__ = ["Timeline", "digest_quantile", "merge_timelines"]
-
-
-def _lock_series(lock_id: int) -> str:
-    if lock_id == GLOBAL_LOCK:
-        return "lock:global"
-    if lock_id == ALLOC_LOCK:
-        return "lock:alloc"
-    return f"lock:lnvc{lock_id - FIRST_LNVC_LOCK}"
-
-
-def _bucket(seconds: float) -> int:
-    """Log₂ microsecond bucket; matches ``Histogram.add`` exactly."""
-    us = seconds * 1e6
-    return 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
 
 
 def digest_quantile(counts: dict[int, int], q: float) -> float:
@@ -81,23 +68,19 @@ def _new_window() -> dict:
 class Timeline:
     """Fixed-width windowed counters, gauges and quantile digests.
 
-    ``width`` is the window width in the run's timebase (seconds).
-    ``clock`` is a zero-argument callable returning "now"; runtimes
-    attach the same clock they give the causal tracer (simulated time on
-    sim, wall seconds since run start elsewhere).  Without one, the
-    timeline self-anchors at the first tap using ``time.perf_counter``
-    (the blocking posix client's behaviour).
+    ``width`` is the window width in the run's timebase (seconds);
+    every recording method takes the time ``t`` of its sample in that
+    timebase (simulated time on sim, wall seconds since run start
+    elsewhere) from the carrying recorder.
     """
 
-    def __init__(self, width: float = 0.05, clock=None) -> None:
+    def __init__(self, width: float = 0.05) -> None:
         if width <= 0:
             raise ValueError("window width must be positive")
         self.width = float(width)
         #: Timebase tag, mirroring ``Recorder.clock``: ``"sim"`` or
-        #: ``"wall"``; runtimes set it when they attach their clock.
+        #: ``"wall"``; set by :meth:`Recorder.attach`.
         self.clock_kind = "wall"
-        self.clock = clock
-        self._t0: float | None = None
         #: window index -> {"counters": {key: n}, "gauges":
         #: {key: [n, sum, min, max]}, "digests": {key: {bucket: n}}}
         self.windows: dict[int, dict] = {}
@@ -106,14 +89,7 @@ class Timeline:
         self._ck: dict[int, tuple] = {}
         self._merge_mutex = threading.Lock()
 
-    # -- clocks & windows -----------------------------------------------------
-
-    def _now(self) -> float:
-        if self.clock is not None:
-            return self.clock()
-        if self._t0 is None:
-            self._t0 = time.perf_counter()
-        return time.perf_counter() - self._t0
+    # -- windows --------------------------------------------------------------
 
     def window(self, t: float) -> dict:
         """The (created-on-demand) window containing time ``t``."""
@@ -150,10 +126,10 @@ class Timeline:
         dig = d.get(key)
         if dig is None:
             dig = d[key] = {}
-        b = _bucket(seconds)
+        b = log2_us_bucket(seconds)
         dig[b] = dig.get(b, 0) + 1
 
-    # -- ops-layer taps (attribute-gated in repro.core.ops/transport) ---------
+    # -- taps (called by the carrying Recorder) -------------------------------
 
     def _circuit_keys(self, slot: int) -> tuple:
         keys = self._ck.get(slot)
@@ -170,9 +146,8 @@ class Timeline:
         """Remember the circuit name occupying ``slot`` (first name wins)."""
         self.names.setdefault(slot, name)
 
-    def tap_send(self, slot: int, nbytes: int, depth: int) -> None:
+    def tap_send(self, t: float, slot: int, nbytes: int, depth: int) -> None:
         """A message was linked at the FIFO tail at queue depth ``depth``."""
-        t = self._now()
         k = self._circuit_keys(slot)
         win = self.window(t)
         c = win["counters"]
@@ -190,31 +165,28 @@ class Timeline:
             if depth > cell[3]:
                 cell[3] = depth
 
-    def tap_recv(self, slot: int, nbytes: int) -> None:
+    def tap_recv(self, t: float, slot: int, nbytes: int) -> None:
         """A receive completed (payload drained, pin dropped)."""
-        t = self._now()
         k = self._circuit_keys(slot)
         c = self.window(t)["counters"]
         c[k[3]] = c.get(k[3], 0) + 1
         c[k[4]] = c.get(k[4], 0) + nbytes
 
-    def tap_depth(self, slot: int, depth: int) -> None:
+    def tap_depth(self, t: float, slot: int, depth: int) -> None:
         """Queue-depth sample after a reap/retire drained messages."""
-        self.gauge(self._now(), self._circuit_keys(slot)[2], depth)
+        self.gauge(t, self._circuit_keys(slot)[2], depth)
 
-    def tap_pool(self, live_blocks: int) -> None:
+    def tap_pool(self, t: float, live_blocks: int) -> None:
         """Free-list pressure sample: blocks live after an allocation."""
-        self.gauge(self._now(), "pool|live_blocks", live_blocks)
+        self.gauge(t, "pool|live_blocks", live_blocks)
 
-    def tap_ring(self, slot: int, occupancy: int) -> None:
+    def tap_ring(self, t: float, slot: int, occupancy: int) -> None:
         """Ring-transport occupancy after a commit or consume."""
-        self.gauge(self._now(), f"ring:{slot}|occupancy", occupancy)
-
-    # -- recorder-layer taps (called from Recorder hooks with hook time) ------
+        self.gauge(t, f"ring:{slot}|occupancy", occupancy)
 
     def tap_lock(self, t: float, lock_id: int, wait_seconds: float,
                  contended: bool) -> None:
-        series = _lock_series(lock_id)
+        series = "lock:" + lock_name(lock_id)
         win = self.window(t)
         c = win["counters"]
         ka = series + "|acquires"
@@ -227,7 +199,7 @@ class Timeline:
         dig = d.get(kw)
         if dig is None:
             dig = d[kw] = {}
-        b = _bucket(wait_seconds)
+        b = log2_us_bucket(wait_seconds)
         dig[b] = dig.get(b, 0) + 1
 
     def tap_chan(self, t: float, chan: int, wait_seconds: float) -> None:
@@ -311,7 +283,7 @@ class Timeline:
 
     def child(self) -> "Timeline":
         """A fresh same-shape timeline for one worker (merge it back)."""
-        tl = Timeline(width=self.width, clock=self.clock)
+        tl = Timeline(width=self.width)
         tl.clock_kind = self.clock_kind
         return tl
 

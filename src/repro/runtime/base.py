@@ -129,16 +129,16 @@ class Env:
         return self._clock()
 
     def gauge(self, series: str, value: float) -> None:
-        """Sample an application-level gauge onto the run's timeline.
+        """Sample an application-level gauge onto the run's time axis.
 
         ``series`` is a ``"<series>|<metric>"`` key (the serve topology
         samples ``"tier:frontends|backlog"`` and friends).  A no-op —
-        not even a clock read — unless a timeline is attached, so
+        not even a clock read — unless the run is observed, so
         instrumented programs cost nothing to run unobserved.
         """
-        tl = self.view.timeline
-        if tl is not None:
-            tl.gauge(self._clock(), series, value)
+        probe = self.view.probe
+        if probe is not None:
+            probe.gauge(series, value)
 
 
 @dataclass

@@ -73,19 +73,12 @@ class BlockingMPF:
         self.recorder = recorder
         #: Process label used in recorded metrics; defaults to ``p<pid>``.
         self.process = process or f"p{pid}"
-        causal = getattr(recorder, "causal", None)
-        if causal is not None:
-            # A causal recorder makes this client's view emit lifecycle
-            # events (wall clock).  One tracer serves the whole segment
-            # in this process; clients of one segment should share a
-            # recorder — the last attached tracer wins otherwise.
-            self.view.causal = causal
-        timeline = getattr(recorder, "timeline", None)
-        if timeline is not None:
-            # A timeline-enabled recorder windows this client's traffic
-            # on wall seconds (the timeline self-anchors at its first
-            # tap); same last-attached-wins sharing rule as the tracer.
-            self.view.timeline = timeline
+        if recorder is not None:
+            # Wall seconds on the recorder's own clock.  One probe serves
+            # the whole segment in this process; clients of one segment
+            # should share a recorder (or children of one) — the last
+            # attached wins otherwise.
+            recorder.attach(view)
 
     def _drive(self, gen) -> object:
         return drive(gen, self.sync, recorder=self.recorder,

@@ -89,35 +89,24 @@ class ProcRuntime(Runtime):
 
             t0 = time.perf_counter()
             clock = lambda: time.perf_counter() - t0  # noqa: E731
-            if self.recorder is not None:
-                self.recorder.clock = "wall"
             recording = self.recorder is not None
 
             def body(name: str, rank: int, worker: Worker, tx) -> None:
                 env = Env(view, rank, nprocs, clock)
                 rec = self.recorder.child() if recording else None
-                if rec is not None and rec.causal is not None:
+                if rec is not None:
                     # Post-fork the view object is this process's private
-                    # copy, so attaching the child's tracer here records
-                    # only this worker's lifecycle events; they ride home
-                    # inside the child snapshot like every other metric.
-                    rec.causal.clock = clock
-                    view.causal = rec.causal
-                if rec is not None and rec.timeline is not None:
-                    # Same post-fork privacy: the child timeline rides
-                    # home in the snapshot and the parent merges the
-                    # children in rank order — the merge is associative
-                    # and commutative, so rank order is a convention,
-                    # not a correctness requirement.
-                    rec.timeline.clock = clock
-                    rec.timeline.clock_kind = "wall"
-                    view.timeline = rec.timeline
+                    # copy, so the child observes only this worker; its
+                    # snapshot rides home and the parent merges the
+                    # children in rank order (the merge is associative
+                    # and commutative: a convention, not a requirement).
+                    rec.attach(view, clock, "wall")
                 mine = sync.bind(rank)
                 mine.state = ThreadState()
                 try:
                     ok, payload = True, drive(
                         worker(env), mine, recorder=rec, process=name,
-                        clock=clock, state=mine.state)
+                        state=mine.state)
                 except BaseException as exc:  # boundary: reported to the parent
                     ok, payload = False, repr(exc)
                 mine.finish()

@@ -73,8 +73,6 @@ class SimRuntime(Runtime):
         timing.cache.set_demand_source(
             lambda: HDR.get(region, "live_blocks") * stride
         )
-        if self.recorder is not None:
-            self.recorder.clock = "sim"
         engine = Engine(
             n_locks=cfg.n_locks,
             n_channels=cfg.n_channels,
@@ -84,21 +82,8 @@ class SimRuntime(Runtime):
             recorder=self.recorder,
         )
         clock = lambda: engine.now  # noqa: E731 - tiny closure
-        causal = getattr(self.recorder, "causal", None)
-        if causal is not None:
-            # Causal hooks are inline calls in the ops generators (no
-            # effects), so attaching the tracer reads the simulated clock
-            # without ever perturbing the simulated schedule.
-            causal.clock = clock
-            view.causal = causal
-        timeline = getattr(self.recorder, "timeline", None)
-        if timeline is not None:
-            # Same contract as the causal tracer: plain inline calls, a
-            # read-only clock, zero new effects — timeline-enabled runs
-            # retire the byte-identical schedule (pinned by tests).
-            timeline.clock = clock
-            timeline.clock_kind = "sim"
-            view.timeline = timeline
+        if self.recorder is not None:
+            self.recorder.attach(view, clock, "sim")
         for rank, (name, worker) in enumerate(zip(names, workers)):
             env = Env(view, rank, nprocs, clock)
             engine.spawn(name, worker(env))

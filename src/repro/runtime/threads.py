@@ -83,7 +83,6 @@ def drive(
     sync: SyncBase,
     recorder=None,
     process: str = "p0",
-    clock=None,
     state: ThreadState | None = None,
 ) -> object:
     """Trampoline: run an effect generator against real primitives.
@@ -94,13 +93,14 @@ def drive(
     whatever hosts the locks.
 
     With a :class:`repro.obs.Recorder` attached, the trampoline measures
-    each blocking primitive with ``clock`` (default
-    ``time.perf_counter``): lock wait time (an acquire is contended when
-    its first attempt failed, and its wait then includes any spinning
-    the sync did before it slept), lock hold time, and condition sleep
-    time — the same profile the simulated engine records in simulated
-    time.  ``Charge`` labels are tallied by instruction budget
-    (their wall time is zero: real compute takes real time by itself).
+    each blocking primitive on the recorder's clock
+    (:attr:`~repro.obs.Recorder.now`): lock wait time (an acquire is
+    contended when its first attempt failed, and its wait then includes
+    any spinning the sync did before it slept), lock hold time, and
+    condition sleep time — the same profile the simulated engine records
+    in simulated time.  ``Charge`` labels are tallied by instruction
+    budget (their wall time is zero: real compute takes real time by
+    itself).
     """
     if state is None:
         state = ThreadState()
@@ -137,14 +137,14 @@ def drive(
                 raise RuntimeError(
                     f"non-effect {effect!r} yielded to real runtime"
                 )
-    return _drive_recorded(gen, sync, recorder, process,
-                           clock or time.perf_counter, state)
+    return _drive_recorded(gen, sync, recorder, process, state)
 
 
 def _drive_recorded(gen: Generator, sync: SyncBase, recorder,
-                    process: str, clock, state: ThreadState) -> object:
+                    process: str, state: ThreadState) -> object:
     """The instrumented twin of :func:`drive` (kept separate so the
     common uninstrumented path stays allocation-free)."""
+    clock = recorder.now
     held_since: dict[int, float] = {}
     value: object = None
     while True:
@@ -242,24 +242,11 @@ class ThreadRuntime(Runtime):
         errors: dict[str, BaseException] = {}
         locals_: dict[str, object] = {}
         if self.recorder is not None:
-            self.recorder.clock = "wall"
-            causal = getattr(self.recorder, "causal", None)
-            if causal is not None:
-                # One shared tracer on the shared view: list appends are
-                # GIL-atomic, and the parent tracer receiving events
-                # directly means the (empty) child tracers merge as
-                # no-ops after the join.
-                causal.clock = clock
-                view.causal = causal
-            timeline = getattr(self.recorder, "timeline", None)
-            if timeline is not None:
-                # One shared timeline on the shared view: dict updates to
-                # monotonic counters are GIL-atomic (the causal-tracer
-                # compromise), while recorder-hook taps (lock waits) land
-                # on per-thread child timelines merged in name order
-                # after the join.
-                timeline.clock = clock
-                view.timeline = timeline
+            # One shared probe on the shared view — list appends and dict
+            # updates to monotonic counters are GIL-atomic — while the
+            # lock and channel hooks land on per-thread children (which
+            # inherit this clock) merged in name order after the join.
+            self.recorder.attach(view, clock, "wall")
 
         states = {name: ThreadState() for name in names}
         syncs = {name: sync.bind(rank) for rank, name in enumerate(names)}
@@ -271,8 +258,7 @@ class ThreadRuntime(Runtime):
                 rec = locals_[name] = self.recorder.child()
             try:
                 results[name] = drive(worker(env), syncs[name], recorder=rec,
-                                      process=name, clock=clock,
-                                      state=states[name])
+                                      process=name, state=states[name])
             except BaseException as exc:  # surfaced after join
                 errors[name] = exc
 

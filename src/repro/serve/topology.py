@@ -112,18 +112,14 @@ def serve_config(shape: ServeShape) -> MPFConfig:
     """
     req_batch = batch_bytes(shape.batch, shape.request_bytes)
     rep_batch = batch_bytes(shape.batch, shape.reply_bytes)
-    # Gate circuits (two barriers can coexist) plus slack.
-    max_lnvcs = shape.circuits + 8
-    if max_lnvcs > 1024:
-        raise ValueError(
-            f"shape needs {max_lnvcs} circuits; the segment caps LNVC "
-            "slots at 1024 (SLOT_BITS) — shrink the tiers")
     # Request budget plus fan-in headroom: a few replies per worker
     # must always fit even when requests saturate their budget.
     pool_bytes = (shape.pool_batches * (req_batch + 64)
                   + 4 * shape.workers * (rep_batch + 64))
     return MPFConfig(
-        max_lnvcs=max_lnvcs,
+        # Gate circuits (two barriers can coexist) plus slack; a shape
+        # past what an identifier can address is refused by the config.
+        max_lnvcs=shape.circuits + 8,
         max_processes=shape.nprocs,
         # Headers must outnumber the worst case of all-minimal messages,
         # so the *block pool* is always the resource that binds — tiny

@@ -35,6 +35,23 @@ class TestIdentifiers:
         # The id encoding must address every legal slot.
         assert MPFConfig(max_lnvcs=1 << SLOT_BITS).max_lnvcs == 1024
 
+    def test_config_refuses_more_circuits_than_an_id_can_address(self):
+        # Slot 1024's id would decode as slot 0, generation 1.
+        from repro.core.errors import MPFConfigError
+        from repro.core.layout import MPFConfig
+
+        with pytest.raises(MPFConfigError, match="SLOT_BITS"):
+            MPFConfig(max_lnvcs=(1 << SLOT_BITS) + 1)
+
+    def test_generation_wraps_at_the_identifier_width(self, v, r):
+        base = v.layout.lnvc_off(0)
+        LNVC.set(v.region, base, "gen", (1 << (32 - SLOT_BITS)) - 1)
+        last = r.run(ops.open_send(v, 0, "wrap"))
+        assert last < 1 << 32 and decode_lnvc_id(last)[0] == 0
+        r.run(ops.close_send(v, 0, last))
+        assert LNVC.get(v.region, base, "gen") == 0
+        assert r.run(ops.open_send(v, 0, "wrap")) == encode_lnvc_id(0, 0)
+
     @pytest.mark.parametrize("transport", ["freelist", "ring"])
     def test_generation_bits_round_trip_through_both_transports(self, transport):
         # One SLOT_BITS (core/protocol.py): the generation each

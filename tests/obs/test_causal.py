@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.inspect import inspect_segment
 from repro.core.layout import MPFConfig
-from repro.core.protocol import BROADCAST, FCFS, NIL
+from repro.core.protocol import BROADCAST, FCFS
 from repro.obs import (
     CausalTracer,
     Recorder,
@@ -238,16 +238,16 @@ def test_format_causal_tail_lists_recent_events():
 
 def test_detect_stalls_flags_pool_exhaustion():
     c = CausalTracer()
-    c.on_pool(0, 123)  # a successful pop
-    c.on_pool(0, NIL)  # pool exhausted
+    c.on_pool([(0, 1)])  # a successful pop
+    c.on_pool(dry=0)  # pool exhausted
     findings = detect_stalls(c)
     assert any("exhausted" in f for f in findings)
 
 
 def test_detect_stalls_flags_undrained_queue():
-    c = CausalTracer(clock=lambda: 0.0)
+    c = CausalTracer()
     for i in range(8):
-        c.on_send(0, 0, 0, i, 4, 1, i + 1, 0.0, 0.0, 0.0)
+        c.on_send(0, 0, 0, i, 4, 1, i + 1, 0.0, 0.0, 0.0, 0.0)
     findings = detect_stalls(c)
     assert any("not draining" in f for f in findings)
 
@@ -388,9 +388,9 @@ def test_blocking_client_traces_wall_clock_lifecycles():
 
 
 def test_tracer_limit_bounds_events_not_totals():
-    c = CausalTracer(limit=2, clock=lambda: 0.0)
+    c = CausalTracer(limit=2)
     for i in range(5):
-        c.on_send(0, 0, 0, i, 4, 1, 1, 0.0, 0.0, 0.0)
+        c.on_send(0, 0, 0, i, 4, 1, 1, 0.0, 0.0, 0.0, 0.0)
     assert len(c.events) == 2
     assert c.total == 5
     assert c.dropped == 3
@@ -398,10 +398,10 @@ def test_tracer_limit_bounds_events_not_totals():
 
 
 def test_tracer_merge_accounts_for_drops():
-    child = CausalTracer(limit=2, clock=lambda: 0.0)
+    child = CausalTracer(limit=2)
     for i in range(5):
-        child.on_send(0, 0, 0, i, 4, 1, 1, 0.0, 0.0, 0.0)
-    child.on_pool(0, 123)
+        child.on_send(0, 0, 0, i, 4, 1, 1, 0.0, 0.0, 0.0, 0.0)
+    child.on_pool([(0, 1)])
     parent = CausalTracer(limit=3)
     parent.merge(child.snapshot())
     assert parent.total == 5

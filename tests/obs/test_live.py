@@ -95,7 +95,7 @@ def test_scrape_races_live_feeding():
     rec = Recorder(timeline=True)
     with LiveTelemetryServer(rec) as server:
         for i in range(50):
-            rec.timeline.tap_send(i % 4, 64, i % 3)
+            rec.timeline.tap_send(0.01 * i, i % 4, 64, i % 3)
             rec.timeline.name_slot(i % 4, f"c{i % 4}")
             metrics = fetch_metrics(server.url)
             assert "mpf_timeline_count_total" in metrics

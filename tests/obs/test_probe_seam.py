@@ -1,0 +1,344 @@
+"""The observer seam: one probe slot, one clock, no effects.
+
+``MPFView.probe`` is the only thing the message path knows about
+observers (docs/observability.md, "Attaching observers").  Pinned here:
+
+* the seam's contract, seen by a recording fake in the slot: per
+  delivered message one ``msg_sent``, one ``msg_received`` per receiver
+  and — free-list transport only — one free, with monotone stamps, on
+  both transports, on the simulator and on real threads, through the
+  discard path of circuit deletion and a send refused for want of
+  blocks;
+* its shape in the source: no tracer or timeline is named under
+  ``core/``, ``runtime/`` or in the fault mutants, and the parameters
+  the seam replaced are gone;
+* what is observed did not change when the seam went in: digests of
+  three traced simulator runs, recorded at the commit before it;
+* one time axis: a blocking client's counters, digests and causal stamps
+  land inside the run, whichever recorder of a tree heard them.
+"""
+
+import ast
+import hashlib
+import inspect
+import itertools
+import json
+import pathlib
+import sys
+import time
+import uuid
+
+import pytest
+
+import repro
+from repro.bench.workloads import broadcast_throughput, fcfs_throughput
+from repro.core import ops
+from repro.core.errors import OutOfMessageMemoryError
+from repro.core.freelist import fl_alloc
+from repro.core.layout import MPFConfig
+from repro.core.ops import MPFView
+from repro.core.protocol import BROADCAST, FCFS
+from repro.obs import Recorder
+from repro.runtime.blocking import MPFSystem
+from repro.runtime.posix import PosixSegment
+from repro.runtime.sim import SimRuntime
+from repro.runtime.threads import ThreadRuntime, drive
+from repro.serve.sweep import run_point
+from repro.serve.topology import ServeShape
+from repro.testing import DirectRunner, make_view
+
+# -- a recording fake in the slot ---------------------------------------------
+
+
+class FakeProbe:
+    """Whatever the sites call, in order; ``now`` never repeats a value."""
+
+    def __init__(self):
+        self.calls: list[tuple] = []
+        self._ticks = itertools.count(1)
+
+    def now(self) -> float:
+        return float(next(self._ticks))
+
+    def __getattr__(self, name):
+        def record(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+        return record
+
+    def named(self, name: str) -> list[tuple]:
+        return [(a, kw) for n, a, kw in self.calls if n == name]
+
+
+N_MSGS, N_RECEIVERS = 5, 2
+
+
+def fanout_workers(fake):
+    """1 sender -> 2 BROADCAST receivers, joined by a ready handshake
+    (real runtimes interleave arbitrarily; see docs/simulator.md)."""
+
+    def sender(env):
+        env.view.probe = fake
+        cid = yield from env.open_send("data")
+        rid = yield from env.open_receive("ready", FCFS)
+        for _ in range(N_RECEIVERS):
+            yield from env.message_receive(rid)
+        for i in range(N_MSGS):
+            yield from env.message_send(cid, bytes([i]) * 24)
+        yield from env.close_send(cid)
+        yield from env.close_receive(rid)
+
+    def receiver(env):
+        env.view.probe = fake
+        cid = yield from env.open_receive("data", BROADCAST)
+        rdy = yield from env.open_send("ready")
+        yield from env.message_send(rdy, b"up")
+        got = []
+        for _ in range(N_MSGS):
+            got.append((yield from env.message_receive(cid)))
+        yield from env.close_send(rdy)
+        yield from env.close_receive(cid)
+        return got
+
+    return [sender] + [receiver] * N_RECEIVERS
+
+
+@pytest.mark.parametrize("transport", ["freelist", "ring"])
+@pytest.mark.parametrize("runtime", [SimRuntime, ThreadRuntime])
+def test_one_call_per_message_event(runtime, transport):
+    fake = FakeProbe()
+    cfg = MPFConfig(max_lnvcs=8, max_processes=4, transport=transport)
+    result = runtime().run(fanout_workers(fake), cfg=cfg)
+    assert all(len(got) == N_MSGS for got in result.result_list()[1:])
+
+    names = dict(a for a, _ in fake.named("circuit_opened"))
+    by_name = {name: slot for slot, name in names.items()}
+    assert set(by_name) == {"data", "ready"}
+
+    # msg_sent(pid, slot, gen, seqno, length, blocks, depth, t0, t1, t2)
+    sent = [a for a, _ in fake.named("msg_sent")]
+    keys = [a[1:4] for a in sent]
+    assert len(set(keys)) == len(keys) == N_MSGS + N_RECEIVERS
+    # msg_received(pid, slot, gen, seqno, length, fcfs, t0, t1, t2)
+    received = [a for a, _ in fake.named("msg_received")]
+    for key in keys:
+        readers = [a[0] for a in received if a[1:4] == key]
+        want = N_RECEIVERS if key[0] == by_name["data"] else 1
+        assert len(readers) == len(set(readers)) == want, key
+    assert len(received) == N_MSGS * N_RECEIVERS + N_RECEIVERS
+    for a in sent:
+        assert 0 < a[7] < a[8] < a[9], a
+    for a in received:
+        assert 0 < a[6] < a[7] < a[8], a
+
+    # msgs_freed(slot, gen, depth, [(sender, seqno, length), ...])
+    freed = [(a[0], a[1], seqno) for a, _ in fake.named("msgs_freed")
+             for _, seqno, _ in a[3]]
+    if transport == "freelist":
+        assert sorted(freed) == sorted(keys)
+        assert fake.named("queue_depth")
+        # Every ring field stays unset on the free-list transport.
+        assert not any("occupancy" in kw for _, _, kw in fake.calls)
+    else:
+        assert freed == [] and not fake.named("queue_depth")
+        assert all("occupancy" in kw for _, kw in
+                   fake.named("msg_sent") + fake.named("msg_received"))
+
+
+def test_circuit_deletion_reports_its_discards_once():
+    view = make_view()
+    view.probe = fake = FakeProbe()
+    run = DirectRunner(view).run
+    cid = run(ops.open_send(view, 3, "doomed"))
+    for i in range(3):
+        run(ops.message_send(view, 3, cid, b"unread %d" % i))
+    run(ops.close_send(view, 3, cid))  # last connection: circuit deleted
+    (args, kwargs), = fake.named("msgs_freed")
+    slot, gen, depth, msgs = args
+    assert (slot, gen, depth) == (cid & 1023, cid >> 10, 0)
+    assert msgs == [(3, i, 8) for i in range(3)] and kwargs == {"discard": 1}
+    assert len(fake.named("msg_sent")) == 3 and not fake.named("msg_received")
+
+
+def test_refused_send_reports_the_dry_pool_and_no_message():
+    view = make_view(message_pool_bytes=120)  # a handful of 10-byte blocks
+    view.probe = fake = FakeProbe()
+    run = DirectRunner(view).run
+    cid = run(ops.open_send(view, 0, "tight"))
+    accepted = 0
+    with pytest.raises(OutOfMessageMemoryError, match="block pool"):
+        while True:
+            run(ops.message_send(view, 0, cid, b"x" * 30))
+            accepted += 1
+    assert accepted and len(fake.named("msg_sent")) == accepted
+    pools = fake.named("pool")
+    assert len(pools) == accepted + 1
+    # Complete allocations report the level they left; the refused one
+    # names the pool that ran dry and what it had popped by then.
+    assert all("live_blocks" in kw and "dry" not in kw for _, kw in pools[:-1])
+    (popped,), kwargs = pools[-1]
+    assert list(kwargs) == ["dry"] and [n for _, n in popped] == [1]
+    assert kwargs["dry"] not in [off for off, _ in popped]
+
+
+# -- the seam's shape in the source --------------------------------------------
+
+
+def _identifiers(path: pathlib.Path) -> set[str]:
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            out.add(node.arg)
+    return out
+
+
+def test_message_path_names_no_tracer_and_no_timeline():
+    src = pathlib.Path(repro.__file__).parent
+    files = [*(src / "core").glob("*.py"), *(src / "runtime").glob("*.py"),
+             src / "check" / "faults.py"]
+    assert len(files) > 15
+    for path in files:
+        assert not {"causal", "timeline"} & _identifiers(path), path
+
+
+def test_parameters_the_seam_replaced_are_gone():
+    assert "probe" in MPFView.__slots__
+    assert not {"causal", "timeline", "recorder"} & set(MPFView.__slots__)
+    assert "watch" not in inspect.signature(fl_alloc).parameters
+    assert "clock" not in inspect.signature(drive).parameters
+    from repro.obs import causal, timeline
+
+    for sink in (causal, timeline):  # pure sinks: handed their stamps
+        assert not hasattr(sink, "time")
+    assert "clock" not in inspect.signature(causal.CausalTracer).parameters
+    assert "clock" not in inspect.signature(timeline.Timeline).parameters
+
+
+# -- what is observed did not change -------------------------------------------
+
+
+def _digest(rec: Recorder) -> str:
+    blob = json.dumps(rec.snapshot(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _fcfs_freelist() -> Recorder:
+    rec = Recorder(causal=True, timeline=True)
+    fcfs_throughput(4, 16, messages=24, runtime="sim", recorder=rec)
+    return rec
+
+
+def _broadcast_ring() -> Recorder:
+    rec = Recorder(causal=True, timeline=True)
+    broadcast_throughput(4, 64, messages=24, runtime="sim", recorder=rec,
+                         transport="ring")
+    return rec
+
+
+def _serve_knee() -> Recorder:
+    # Bounded tracer: the e2e sketch and the timeline's e2e digests.
+    rec = Recorder(causal=True, causal_max_events=512, timeline=True)
+    run_point(ServeShape(), 300.0, 240, recorder=rec)
+    assert rec.causal.stride > 1 and len(rec.causal.e2e) > 500
+    return rec
+
+
+#: sha256 of the sorted-key JSON of ``Recorder.snapshot()`` — spans,
+#: causal events with all four stamps, timeline windows, pool counters —
+#: recorded at e3fa8f7, the commit before the seam.
+PINNED = {
+    _fcfs_freelist:
+        "dd7a492aefe77bf7279771ee397bbc80a74ceb75d76aa9b9e71ac6694f2aa0f2",
+    _broadcast_ring:
+        "580c1f7dcef3164f66a2691bc15d68e8e71f410343cb1078da5a472344448a21",
+    _serve_knee:
+        "b8fb3c41f3fa4c7a29f7a74a008825193ec483c46b988918f7f3f3967ee34f49",
+}
+
+
+@pytest.mark.parametrize("run", PINNED, ids=lambda f: f.__name__.strip("_"))
+def test_traced_snapshot_is_the_parents(run):
+    assert _digest(run()) == PINNED[run]
+
+
+# -- one time axis --------------------------------------------------------------
+
+BLOCKING_CFG = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
+                         message_pool_bytes=1 << 16)
+
+
+def _windows_with(tl, kind: str, suffix: str, prefix: str = "") -> set[int]:
+    return {idx for idx, win in tl.windows.items()
+            if any(k.startswith(prefix) and k.endswith(suffix)
+                   for k in win[kind])}
+
+
+def _assert_one_axis(rec: Recorder, elapsed: float) -> None:
+    tl = rec.timeline
+    assert tl.windows
+    for idx in tl.windows:
+        assert 0 <= idx <= elapsed / tl.width, (idx, elapsed)
+    sent = _windows_with(tl, "counters", "|sent", "circuit:")
+    e2e = _windows_with(tl, "digests", "|e2e", "circuit:")
+    wait = _windows_with(tl, "digests", "|wait", "lock:")
+    assert sent and e2e and wait
+    assert sent & e2e & wait, (sent, e2e, wait)
+    assert rec.causal.events
+    for e in rec.causal.events:
+        stamps = (e.t0,) if e.kind == "free" else (e.t0, e.t1, e.t2, e.t3)
+        assert all(0 <= t <= elapsed for t in stamps), e
+    for span in rec.spans:
+        assert 0 <= span.time <= elapsed, span
+
+
+def _ping_pong(sender, receiver, n: int = 5) -> None:
+    cid = sender.open_send("loop")
+    receiver.open_receive("loop", FCFS)
+    for i in range(n):
+        sender.message_send(cid, bytes([i]) * 32)
+        assert receiver.message_receive(cid) == bytes([i]) * 32
+    sender.close_send(cid)
+    receiver.close_receive(cid)
+
+
+def _traced() -> Recorder:
+    return Recorder(causal=True, causal_max_events=1000, timeline=True)
+
+
+def test_blocking_client_records_on_one_time_axis():
+    start = time.perf_counter()
+    rec = _traced()
+    mpf = MPFSystem(BLOCKING_CFG).client(0, recorder=rec)
+    _ping_pong(mpf, mpf)
+    _assert_one_axis(rec, time.perf_counter() - start)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="POSIX shared memory")
+def test_posix_client_records_on_one_time_axis():
+    start = time.perf_counter()
+    rec = _traced()
+    name = f"mpftest-{uuid.uuid4().hex[:12]}"
+    with PosixSegment.create(name, BLOCKING_CFG) as seg:
+        mpf = seg.client(0, recorder=rec)
+        _ping_pong(mpf, mpf)
+    _assert_one_axis(rec, time.perf_counter() - start)
+
+
+def test_child_recorders_of_two_clients_merge_onto_one_axis():
+    """docs/observability.md, "Recording blocking clients": one child per
+    client.  The message sites report to the last attached, the lock
+    hooks to each client's own — all on the clock the parent anchored."""
+    start = time.perf_counter()
+    rec = _traced()
+    system = MPFSystem(BLOCKING_CFG)
+    r0, r1 = rec.child(), rec.child()
+    _ping_pong(system.client(0, recorder=r0), system.client(1, recorder=r1))
+    assert r0.locks and r1.locks
+    rec.merge(r0.snapshot())
+    rec.merge(r1.snapshot())
+    _assert_one_axis(rec, time.perf_counter() - start)
+    assert system.view.probe is r1

@@ -22,8 +22,7 @@ import pytest
 
 from repro.core.protocol import FCFS
 from repro.obs import Recorder, Timeline, digest_quantile, merge_timelines
-from repro.obs.recorder import Histogram
-from repro.obs.timeline import _bucket
+from repro.obs.recorder import Histogram, log2_us_bucket
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
 from repro.runtime.threads import ThreadRuntime
@@ -155,7 +154,7 @@ def test_digest_buckets_match_histogram():
         hist.add(s)
         tl.observe(0.0, "x|wait", s)
     assert tl.totals()["digests"]["x|wait"] == hist.counts
-    assert all(_bucket(s) in hist.counts for s in samples)
+    assert all(log2_us_bucket(s) in hist.counts for s in samples)
 
 
 def test_digest_quantile_nearest_rank():
