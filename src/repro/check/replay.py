@@ -56,7 +56,7 @@ def make_trace(
     }
     if causal is not None and causal.events:
         trace["causal_events"] = [
-            e.as_dict() for e in causal.events[-CAUSAL_TAIL_EVENTS:]
+            e._asdict() for e in causal.events[-CAUSAL_TAIL_EVENTS:]
         ]
     return trace
 

@@ -31,7 +31,7 @@ __all__ = ["TraceEvent", "Tracer"]
 class Tracer(EffectLog):
     """Collects engine trace callbacks; pass as ``SimRuntime(trace=...)``.
 
-    Identical to :class:`~repro.obs.events.EffectLog` (the dataclass it
-    inherits everything from); retained so existing imports and pickles
-    keep working.
+    Identical to :class:`~repro.obs.events.EffectLog` (which it
+    inherits everything from); retained so existing imports keep
+    working.
     """

@@ -15,7 +15,11 @@ runtime rather than only the simulator:
   simulated time; threads, procs and posix runtimes feed it wall-clock
   time measured inside :func:`repro.runtime.threads.drive`;
 * exporters (:mod:`repro.obs.export`) — Tracer-style text tables, JSON
-  lines, and the Chrome ``chrome://tracing`` Trace Event Format.
+  lines, the Chrome ``chrome://tracing`` Trace Event Format and the
+  Prometheus text exposition;
+* one store (:mod:`repro.obs.store`) — the counter, gauge, digest and
+  bounded-log cells every sink above keeps its measurements in, and the
+  folds by which :meth:`Recorder.merge` joins two recordings.
 
 Attach a recorder with the runtime's ``recorder=`` parameter::
 
@@ -50,6 +54,8 @@ from .export import (
     format_summary,
     read_decision_trace,
     to_jsonl,
+    parse_exposition,
+    prometheus_exposition,
     write_chrome_trace,
     write_decision_trace,
     write_jsonl,
@@ -64,9 +70,9 @@ from .flow import (
 )
 from .health import SERVE_TIER_ORDER, Finding, HealthEngine, serve_tier_of
 from .live import LiveTelemetryServer, fetch_metrics, render_top, top_main
-from .prom import parse_exposition, prometheus_exposition
-from .recorder import Histogram, LockStats, Recorder, Span, WorkStats, lock_name
-from .timeline import Timeline, digest_quantile, merge_timelines
+from .recorder import LockStats, Recorder, Span, WorkStats, lock_name
+from .store import Histogram, Store
+from .timeline import Timeline
 
 __all__ = [
     "EffectLog",
@@ -76,6 +82,7 @@ __all__ = [
     "LockStats",
     "WorkStats",
     "Histogram",
+    "Store",
     "lock_name",
     "CausalTracer",
     "MsgEvent",
@@ -95,8 +102,6 @@ __all__ = [
     "flow_from_segment",
     "flow_json",
     "Timeline",
-    "digest_quantile",
-    "merge_timelines",
     "Finding",
     "HealthEngine",
     "serve_tier_of",

@@ -36,13 +36,15 @@ latency quantiles (:func:`sojourn_stats`), queue-depth timelines
 (:func:`queue_depth_timeline`, cross-checkable against the circuit's
 ``hwm_nmsgs`` high-water mark), and a backpressure/stall detector
 (:func:`detect_stalls`).  Flow graphs live in :mod:`repro.obs.flow`,
-the Prometheus exposition in :mod:`repro.obs.prom`.
+the Prometheus exposition in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .store import Log, add_counts
 
 __all__ = [
     "MsgEvent",
@@ -70,8 +72,7 @@ DEFAULT_LIMIT = 200_000
 STAGES = ("alloc", "copy_in", "link", "resident", "copy_out", "e2e")
 
 
-@dataclass(frozen=True)
-class MsgEvent:
+class MsgEvent(NamedTuple):
     """One lifecycle transition of one message.
 
     ``(slot, gen, seqno)`` is the message's causal identity; the four
@@ -105,15 +106,6 @@ class MsgEvent:
     def lnvc(self) -> tuple[int, int]:
         return (self.slot, self.gen)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind, "pid": self.pid, "slot": self.slot,
-            "gen": self.gen, "seqno": self.seqno, "length": self.length,
-            "t0": self.t0, "t1": self.t1, "t2": self.t2, "t3": self.t3,
-            "blocks": self.blocks, "depth": self.depth,
-            "fcfs": self.fcfs, "discard": self.discard,
-        }
-
 
 class CausalTracer:
     """Collects :class:`MsgEvent` records plus free-list pressure counts.
@@ -137,17 +129,17 @@ class CausalTracer:
     stays bounded.  :attr:`stride` is surfaced by the summary tables.
     """
 
-    __slots__ = ("limit", "events", "total", "dropped",
-                 "pool_allocs", "pool_failures",
+    __slots__ = ("events", "pool_allocs", "pool_failures",
                  "max_events", "stride", "e2e", "_pending", "_orphans",
                  "_grace")
 
     def __init__(self, limit: int = DEFAULT_LIMIT,
                  max_events: int | None = None) -> None:
-        self.limit = limit
-        self.events: list[MsgEvent] = []
-        self.total = 0
-        self.dropped = 0
+        #: The stored events with their ``total`` / ``dropped`` books, a
+        #: :class:`~repro.obs.store.Log`.  Classic mode keeps the first
+        #: ``limit``; bounded mode keeps its stride sample in the same
+        #: list and does the booking itself.
+        self.events: Log = Log(limit)
         #: Successful free-list pops, keyed by pool head offset.
         self.pool_allocs: dict[int, int] = {}
         #: Pops that found the pool exhausted (returned NIL).
@@ -170,38 +162,57 @@ class CausalTracer:
             self._orphans = None
             self._grace = None
 
-    # -- hooks called by the carrying Recorder ------------------------------
+    @property
+    def limit(self) -> int:
+        return self.events.limit
 
-    def _emit(self, ev: MsgEvent) -> None:
-        self.total += 1
-        if self.max_events is None:
-            if len(self.events) < self.limit:
-                self.events.append(ev)
-            else:
-                self.dropped += 1
-            return
-        if ev.seqno % self.stride:
-            self.dropped += 1
-            return
+    @property
+    def total(self) -> int:
+        """Events seen, stored or not."""
+        return self.events.total
+
+    @property
+    def dropped(self) -> int:
+        """Events seen and not stored."""
+        return self.events.dropped
+
+    # -- hooks called by the carrying Recorder ------------------------------
+    #
+    # Each hook first asks whether its event will be stored — the log's
+    # prefix rule in classic mode, the stride sample in bounded mode —
+    # and builds the MsgEvent only then.
+
+    def _sampled(self, seqno: int) -> bool:
+        """Bounded mode: book one event of message ``seqno`` and say
+        whether the stride sample keeps it."""
         events = self.events
+        events.total += 1
+        if seqno % self.stride:
+            events.dropped += 1
+            return False
         if len(events) >= self.max_events:
             self.stride *= 2
             kept = [e for e in events if e.seqno % self.stride == 0]
-            self.dropped += len(events) - len(kept)
-            self.events = events = kept
-            if ev.seqno % self.stride:
-                self.dropped += 1
-                return
-        events.append(ev)
+            events.dropped += len(events) - len(kept)
+            events[:] = kept
+            if seqno % self.stride:
+                events.dropped += 1
+                return False
+        return True
 
     def on_send(self, pid: int, slot: int, gen: int, seqno: int,
                 length: int, blocks: int, depth: int,
                 t0: float, t1: float, t2: float, t3: float) -> None:
         """Message linked at the FIFO tail at ``t3``."""
-        if self._pending is not None:
+        if self._pending is None:
+            keep = self.events.admit()
+        else:
             self._pending[(slot, gen, seqno)] = t0
-        self._emit(MsgEvent("send", pid, slot, gen, seqno, length,
-                            t0, t1, t2, t3, blocks=blocks, depth=depth))
+            keep = self._sampled(seqno)
+        if keep:
+            self.events.append(MsgEvent(
+                "send", pid, slot, gen, seqno, length, t0, t1, t2, t3,
+                blocks=blocks, depth=depth))
 
     def on_recv(self, pid: int, slot: int, gen: int, seqno: int,
                 length: int, fcfs: int, t0: float, t1: float,
@@ -213,7 +224,9 @@ class CausalTracer:
         the recorder feeds its timeline's per-circuit e2e digests.
         """
         e2e = None
-        if self._pending is not None:
+        if self._pending is None:
+            keep = self.events.admit()
+        else:
             key = (slot, gen, seqno)
             s0 = self._pending.get(key)
             if s0 is None:
@@ -225,14 +238,19 @@ class CausalTracer:
                 # Cross-process delivery (procs runtime): the send lives
                 # in another child's tracer; matched at merge time.
                 self._orphans.setdefault(key, []).append(t2)
-        self._emit(MsgEvent("recv", pid, slot, gen, seqno, length,
-                            t0, t1, t2, t3, fcfs=1 if fcfs else 0))
+            keep = self._sampled(seqno)
+        if keep:
+            self.events.append(MsgEvent(
+                "recv", pid, slot, gen, seqno, length, t0, t1, t2, t3,
+                fcfs=1 if fcfs else 0))
         return e2e
 
     def on_free(self, sender: int, slot: int, gen: int, seqno: int,
                 length: int, depth: int, t: float, discard: int = 0) -> None:
         """Message header returned to the free list at ``t``."""
-        if self._pending is not None:
+        if self._pending is None:
+            keep = self.events.admit()
+        else:
             # A receive's completion section reaps the message it just
             # retired (``_reap_head``) *before* its own recv hook fires —
             # so a freed entry lingers briefly in a small grace buffer
@@ -243,8 +261,11 @@ class CausalTracer:
                 g[(slot, gen, seqno)] = t0
                 while len(g) > 256:
                     del g[next(iter(g))]
-        self._emit(MsgEvent("free", sender, slot, gen, seqno, length,
-                            t, depth=depth, discard=1 if discard else 0))
+            keep = self._sampled(seqno)
+        if keep:
+            self.events.append(MsgEvent(
+                "free", sender, slot, gen, seqno, length, t,
+                depth=depth, discard=1 if discard else 0))
 
     def on_pool(self, popped=(), dry: int | None = None) -> None:
         """One allocation attempt: ``n`` records popped per ``(head_off,
@@ -282,70 +303,52 @@ class CausalTracer:
 
     # -- merge across workers / processes ------------------------------------
 
-    def snapshot(self) -> dict:
-        """Picklable plain-data form (crosses the fork boundary)."""
-        snap = {
-            "limit": self.limit,
-            "total": self.total,
-            "events": [e.as_dict() for e in self.events],
-            "pool_allocs": dict(self.pool_allocs),
-            "pool_failures": dict(self.pool_failures),
-        }
-        if self.max_events is not None:
-            snap["max_events"] = self.max_events
-            snap["stride"] = self.stride
-            snap["e2e"] = list(self.e2e)
-            snap["pending"] = [list(k) + [t0]
-                               for k, t0 in self._pending.items()]
-            snap["pending"] += [list(k) + [t0]
-                                for k, t0 in self._grace.items()]
-            snap["orphans"] = [list(k) + [t2]
-                               for k, ts in self._orphans.items()
-                               for t2 in ts]
-        return snap
+    def fold(self, other: "CausalTracer") -> None:
+        """Fold another tracer in (called by :meth:`Recorder.merge
+        <repro.obs.recorder.Recorder.merge>` on a snapshot's tracer).
 
-    def merge(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` into this tracer."""
-        self.total += snap["total"]
-        events = snap["events"]
-        if self.max_events is not None:
-            self.stride = max(self.stride, snap.get("stride", 1))
-            incoming = [MsgEvent(**d) for d in events]
-            merged = [e for e in self.events + incoming
+        The log and the pool counters fold as any do; what only a tracer
+        knows is how a bounded one re-prunes its stride sample and pairs
+        deliveries whose send and receive were seen in different
+        processes.
+        """
+        if self.max_events is None:
+            self.events.fold(other.events)
+        else:
+            events = self.events
+            self.stride = max(self.stride, other.stride)
+            merged = [e for e in events + other.events
                       if e.seqno % self.stride == 0]
             while len(merged) > self.max_events:
                 self.stride *= 2
                 merged = [e for e in merged if e.seqno % self.stride == 0]
-            self.dropped += (snap["total"] - len(events)) + (
-                len(self.events) + len(incoming) - len(merged))
-            self.events = merged
-            self.e2e.extend(snap.get("e2e", ()))
-            # Match cross-process deliveries: a child's unmatched sends
-            # against our orphan receives and vice versa.  BROADCAST
-            # sends stay pending (later merges may hold more receives).
-            for s, g, q, t0 in snap.get("pending", ()):
-                key = (s, g, q)
+            events.total += other.total
+            events.dropped += other.dropped + (
+                len(events) + len(other.events) - len(merged))
+            events[:] = merged
+            if other.max_events is not None:
+                self._pair_across(other)
+        add_counts(self.pool_allocs, other.pool_allocs)
+        add_counts(self.pool_failures, other.pool_failures)
+
+    def _pair_across(self, other: "CausalTracer") -> None:
+        """Take over ``other``'s sketch, and match cross-process
+        deliveries: its unmatched sends against our orphan receives and
+        vice versa.  BROADCAST sends stay pending (later merges may hold
+        more receives)."""
+        self.e2e.extend(other.e2e)
+        for sends in (other._pending, other._grace):
+            for key, t0 in sends.items():
                 for t2 in self._orphans.pop(key, ()):
                     self.e2e.append(t2 - t0 if t2 > t0 else 0.0)
                 self._pending[key] = t0
-            for s, g, q, t2 in snap.get("orphans", ()):
-                key = (s, g, q)
+        for key, stamps in other._orphans.items():
+            for t2 in stamps:
                 t0 = self._pending.get(key)
                 if t0 is not None:
                     self.e2e.append(t2 - t0 if t2 > t0 else 0.0)
                 elif len(self._orphans) < 65536:
                     self._orphans.setdefault(key, []).append(t2)
-        else:
-            room = self.limit - len(self.events)
-            fitted = min(len(events), room) if room > 0 else 0
-            self.events.extend(MsgEvent(**d) for d in events[:fitted])
-            self.dropped += (snap["total"] - len(events)) + (len(events) - fitted)
-        for off, n in snap["pool_allocs"].items():
-            off = int(off)
-            self.pool_allocs[off] = self.pool_allocs.get(off, 0) + n
-        for off, n in snap["pool_failures"].items():
-            off = int(off)
-            self.pool_failures[off] = self.pool_failures.get(off, 0) + n
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +373,8 @@ class StageStats:
         return sum(self.samples) / len(self.samples) if self.samples else 0.0
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank quantile; 0.0 on an empty sample set."""
-        if not self.samples:
-            return 0.0
-        rank = max(1, -(-round(q * 100) * len(self.samples) // 100))
-        return self.samples[min(rank, len(self.samples)) - 1]
-
-    def quantile_fine(self, q: float) -> float:
-        """Nearest-rank quantile at per-mille resolution.
-
-        :meth:`quantile` rounds ``q`` to centiles (0.999 would
-        silently become the maximum); this variant resolves thousandths.
-        Kept separate so the centile quantiles in archived expositions
-        stay byte-identical.
-        """
+        """Nearest-rank quantile, ``q`` resolved to thousandths; 0.0 on
+        an empty sample set."""
         if not self.samples:
             return 0.0
         rank = max(1, -(-round(q * 1000) * len(self.samples) // 1000))
@@ -403,7 +394,7 @@ class StageStats:
 
     @property
     def p999(self) -> float:
-        return self.quantile_fine(0.999)
+        return self.quantile(0.999)
 
 
 def pair_deliveries(tracer: CausalTracer) -> list[tuple[MsgEvent, MsgEvent]]:

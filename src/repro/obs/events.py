@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .store import Log
 
 __all__ = ["TraceEvent", "EffectLog"]
 
@@ -27,8 +29,7 @@ _CHARGE_RE = re.compile(r"Charge\(work=Work\((.*)\)\)")
 _FIELD_RE = re.compile(r"(\w+)=([^,)]+)")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One dispatched effect."""
 
     time: float
@@ -41,7 +42,6 @@ class TraceEvent:
         return self.text.split("(", 1)[0]
 
 
-@dataclass
 class EffectLog:
     """Collects engine trace callbacks; pass as ``SimRuntime(trace=...)``.
 
@@ -49,14 +49,21 @@ class EffectLog:
     after that many events.
     """
 
-    limit: int = 100_000
-    events: list[TraceEvent] = field(default_factory=list)
-    #: Total events seen, including those past ``limit``.
-    total: int = 0
+    def __init__(self, limit: int = 100_000) -> None:
+        #: The recorded events, a :class:`~repro.obs.store.Log`.
+        self.events: Log = Log(limit)
+
+    @property
+    def limit(self) -> int:
+        return self.events.limit
+
+    @property
+    def total(self) -> int:
+        """Events seen, including those past ``limit``."""
+        return self.events.total
 
     def __call__(self, time: float, process: str, text: str) -> None:
-        self.total += 1
-        if len(self.events) < self.limit:
+        if self.events.admit():
             self.events.append(TraceEvent(time, process, text))
 
     # -- analyses --------------------------------------------------------------

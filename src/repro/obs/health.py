@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .store import Gauge
 from .timeline import Timeline
 
 __all__ = ["Finding", "HealthEngine", "serve_tier_of", "SERVE_TIER_ORDER"]
@@ -69,10 +70,9 @@ class Finding:
         }
 
 
-def _avg_rows(rows: dict[int, list]) -> list[tuple[int, float]]:
+def _avg_rows(rows: dict[int, Gauge]) -> list[tuple[int, float]]:
     """Window-average gauge value per window, sorted by window index."""
-    return sorted((idx, cell[1] / cell[0]) for idx, cell in rows.items()
-                  if cell[0])
+    return sorted((idx, cell.mean) for idx, cell in rows.items())
 
 
 def _onset(seq: list[tuple[int, float]], threshold: float) -> tuple[int, float]:
@@ -111,15 +111,15 @@ class HealthEngine:
 
     # -- detectors -------------------------------------------------------------
 
-    def _depth_series(self) -> dict[str, dict[int, list]]:
-        out: dict[str, dict[int, list]] = {}
+    def _depth_series(self) -> dict[str, dict[int, Gauge]]:
+        out: dict[str, dict[int, Gauge]] = {}
         for idx, win in self.timeline.windows.items():
-            for k, cell in win["gauges"].items():
+            for k, cell in win.gauges.items():
                 if k.endswith("|depth") and k.startswith("circuit:"):
                     out.setdefault(k[:k.index("|")], {})[idx] = cell
         return out
 
-    def _growth(self, rows: dict[int, list], floor: float):
+    def _growth(self, rows: dict[int, Gauge], floor: float):
         """(onset_window, peak, early, late) if the series ramps, else None."""
         seq = _avg_rows(rows)
         if len(seq) < 2:
@@ -154,9 +154,9 @@ class HealthEngine:
         return out
 
     def _pool_finding(self) -> list[Finding]:
-        rows = {idx: win["gauges"]["pool|live_blocks"]
+        rows = {idx: win.gauges["pool|live_blocks"]
                 for idx, win in self.timeline.windows.items()
-                if "pool|live_blocks" in win["gauges"]}
+                if "pool|live_blocks" in win.gauges}
         if not rows:
             return []
         g = self._growth(rows, floor=1.0)

@@ -5,7 +5,7 @@ over plain ``http.server`` (no dependencies) so threads/procs/posix runs
 can be scraped *mid-run* with standard tooling:
 
 * ``GET /metrics``  — the Prometheus text exposition
-  (:func:`repro.obs.prom.prometheus_exposition`), including the
+  (:func:`repro.obs.export.prometheus_exposition`), including the
   windowed timeline series when a timeline is attached;
 * ``GET /findings`` — the health engine's current findings as JSON;
 * ``GET /timeline`` — the timeline document fragment as JSON.
@@ -27,7 +27,7 @@ import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .prom import parse_exposition, prometheus_exposition
+from .export import parse_exposition, prometheus_exposition
 
 __all__ = ["LiveTelemetryServer", "fetch_metrics", "render_top", "top_main"]
 

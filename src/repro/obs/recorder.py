@@ -19,25 +19,29 @@ else — and the recorder maintains:
 * a bounded list of structured :class:`Span` events feeding the JSONL
   and Chrome-trace exporters (:mod:`repro.obs.export`).
 
-Recorders are *mergeable*: each worker records into its own child
-recorder (no cross-thread contention perturbing the measurement), and
-the parent merges picklable :meth:`snapshot` dicts afterwards — which is
-also how measurements cross the fork boundary of
-:class:`~repro.runtime.procs.ProcRuntime`.
+Recorders are *mergeable*: each worker records into its own
+:meth:`~Recorder.child` (no cross-thread contention perturbing the
+measurement), and the parent folds each child's picklable
+:meth:`~Recorder.snapshot` with :meth:`~Recorder.merge` afterwards —
+the one protocol by which measurements cross a thread join or the fork
+boundary of :class:`~repro.runtime.procs.ProcRuntime`.  What the cells
+are and how each folds is :mod:`repro.obs.store`.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, GLOBAL_LOCK
+from .causal import CausalTracer
+from .store import Histogram, Log, add_counts, log2_us_bucket
+from .timeline import Timeline
 
-__all__ = ["Histogram", "LockStats", "WorkStats", "Span", "Recorder",
-           "lock_name", "log2_us_bucket"]
+__all__ = ["LockStats", "WorkStats", "Span", "Recorder", "lock_name"]
 
 
 def lock_name(lock_id: int) -> str:
@@ -47,52 +51,6 @@ def lock_name(lock_id: int) -> str:
     if lock_id == ALLOC_LOCK:
         return "alloc"
     return f"lnvc{lock_id - FIRST_LNVC_LOCK}"
-
-
-def log2_us_bucket(seconds: float) -> int:
-    """Log₂ microsecond bucket of a duration: ``b`` covers
-    ``(2**(b-1), 2**b]`` µs, bucket 0 everything at or below 1 µs."""
-    us = seconds * 1e6
-    return 0 if us <= 1.0 else int(math.ceil(math.log2(us)))
-
-
-class Histogram:
-    """Log₂-bucketed duration histogram (microsecond scale).
-
-    Bucket ``b`` counts durations in ``(2**(b-1), 2**b]`` microseconds;
-    bucket 0 collects everything at or below 1 µs.  Log buckets keep the
-    histogram tiny while separating the decades that matter (an
-    uncontended acquire, a contended wait, a descheduled process).
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict[int, int] | None = None) -> None:
-        self.counts: dict[int, int] = dict(counts or {})
-
-    def add(self, seconds: float) -> None:
-        b = log2_us_bucket(seconds)
-        self.counts[b] = self.counts.get(b, 0) + 1
-
-    def merge(self, counts: dict[int, int]) -> None:
-        for b, n in counts.items():
-            self.counts[b] = self.counts.get(b, 0) + n
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def buckets(self) -> list[tuple[str, int]]:
-        """Sorted ``(upper-bound label, count)`` pairs."""
-        out = []
-        for b in sorted(self.counts):
-            us = 2 ** b
-            label = f"≤{us}µs" if us < 1000 else f"≤{us / 1000:g}ms"
-            out.append((label, self.counts[b]))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({dict(sorted(self.counts.items()))})"
 
 
 @dataclass
@@ -114,27 +72,15 @@ class LockStats:
     wait_hist: Histogram = field(default_factory=Histogram)
     hold_hist: Histogram = field(default_factory=Histogram)
 
-    def as_dict(self) -> dict:
-        return {
-            "acquires": self.acquires,
-            "reacquires": self.reacquires,
-            "contended": self.contended,
-            "wait_seconds": self.wait_seconds,
-            "max_wait": self.max_wait,
-            "hold_seconds": self.hold_seconds,
-            "wait_hist": dict(self.wait_hist.counts),
-            "hold_hist": dict(self.hold_hist.counts),
-        }
-
-    def merge(self, d: dict) -> None:
-        self.acquires += d["acquires"]
-        self.reacquires += d["reacquires"]
-        self.contended += d["contended"]
-        self.wait_seconds += d["wait_seconds"]
-        self.max_wait = max(self.max_wait, d["max_wait"])
-        self.hold_seconds += d["hold_seconds"]
-        self.wait_hist.merge(d["wait_hist"])
-        self.hold_hist.merge(d["hold_hist"])
+    def fold(self, other: "LockStats") -> None:
+        self.acquires += other.acquires
+        self.reacquires += other.reacquires
+        self.contended += other.contended
+        self.wait_seconds += other.wait_seconds
+        self.max_wait = max(self.max_wait, other.max_wait)
+        self.hold_seconds += other.hold_seconds
+        self.wait_hist.fold(other.wait_hist)
+        self.hold_hist.fold(other.hold_hist)
 
 
 @dataclass
@@ -148,19 +94,14 @@ class WorkStats:
     #: free there — real time passes on its own).
     seconds: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {"count": self.count, "instrs": self.instrs,
-                "flops": self.flops, "seconds": self.seconds}
-
-    def merge(self, d: dict) -> None:
-        self.count += d["count"]
-        self.instrs += d["instrs"]
-        self.flops += d["flops"]
-        self.seconds += d["seconds"]
+    def fold(self, other: "WorkStats") -> None:
+        self.count += other.count
+        self.instrs += other.instrs
+        self.flops += other.flops
+        self.seconds += other.seconds
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One structured event, timestamped at its *end*.
 
     ``kind`` is one of ``charge``, ``acquire``, ``release``,
@@ -174,10 +115,6 @@ class Span:
     name: str
     duration: float = 0.0
     value: int = 0
-
-    def as_dict(self) -> dict:
-        return {"time": self.time, "process": self.process, "kind": self.kind,
-                "name": self.name, "duration": self.duration, "value": self.value}
 
 
 class Recorder:
@@ -209,7 +146,6 @@ class Recorder:
     def __init__(self, limit: int = 100_000, causal=False,
                  causal_max_events: int | None = None,
                  timeline=False, timeline_width: float = 0.05) -> None:
-        self.limit = limit
         self.clock = "wall"
         t0 = _time.perf_counter()
         #: Zero-argument "now" in the timebase :attr:`clock` names — the
@@ -219,12 +155,10 @@ class Recorder:
         #: recorder was built, and :meth:`child` recorders inherit it, so
         #: a tree of recorders shares one time axis.
         self.now = lambda: _time.perf_counter() - t0
-        self.spans: list[Span] = []
-        #: Total spans seen, including those past ``limit``.
-        self.total = 0
-        #: Spans not stored because ``limit`` was reached; the invariant
-        #: ``total == len(spans) + dropped_spans`` always holds.
-        self.dropped_spans = 0
+        #: The stored spans, a :class:`~repro.obs.store.Log`: the first
+        #: ``limit`` are kept, and ``total == len(spans) + dropped_spans``
+        #: always holds.
+        self.spans: Log = Log(limit)
         self.locks: dict[int, LockStats] = {}
         self.work: dict[str, WorkStats] = {}
         self.kinds: dict[str, Counter] = {}
@@ -234,22 +168,30 @@ class Recorder:
         #: pops) accumulated by SimRuntime after each run.
         self.machine: dict[str, int] = {}
         self._merge_mutex = threading.Lock()
+        #: Optional :class:`~repro.obs.causal.CausalTracer`.
+        self.causal = None
+        #: Optional :class:`~repro.obs.timeline.Timeline`.
+        self.timeline = None
         if causal:
-            from .causal import CausalTracer
-
             self.causal = causal if isinstance(causal, CausalTracer) \
                 else CausalTracer(max_events=causal_max_events)
-        else:
-            #: Optional :class:`~repro.obs.causal.CausalTracer`.
-            self.causal = None
         if timeline:
-            from .timeline import Timeline
-
             self.timeline = timeline if isinstance(timeline, Timeline) \
                 else Timeline(width=timeline_width)
-        else:
-            #: Optional :class:`~repro.obs.timeline.Timeline`.
-            self.timeline = None
+
+    @property
+    def limit(self) -> int:
+        return self.spans.limit
+
+    @property
+    def total(self) -> int:
+        """Spans seen, including those past ``limit``."""
+        return self.spans.total
+
+    @property
+    def dropped_spans(self) -> int:
+        """Spans not stored because ``limit`` was reached."""
+        return self.spans.dropped
 
     # -- the observer seam ------------------------------------------------------
     #
@@ -353,13 +295,9 @@ class Recorder:
             self.timeline.gauge(self.now(), series, value)
 
     # -- hooks called by runtimes ---------------------------------------------
-
-    def _span(self, span: Span) -> None:
-        self.total += 1
-        if len(self.spans) < self.limit:
-            self.spans.append(span)
-        else:
-            self.dropped_spans += 1
+    #
+    # Every hook ends by offering its span to the log, and builds the
+    # Span only if the log has room for it.
 
     def _count(self, process: str, kind: str) -> None:
         try:
@@ -379,7 +317,9 @@ class Recorder:
         ws.instrs += instrs
         ws.flops += flops
         ws.seconds += seconds
-        self._span(Span(time, process, "charge", label, seconds, instrs))
+        if self.spans.admit():
+            self.spans.append(
+                Span(time, process, "charge", label, seconds, instrs))
 
     def on_acquire(self, time: float, process: str, lock_id: int,
                    wait_seconds: float, contended: bool,
@@ -404,11 +344,14 @@ class Recorder:
         ls.wait_seconds += wait_seconds
         if wait_seconds > ls.max_wait:
             ls.max_wait = wait_seconds
-        ls.wait_hist.add(wait_seconds)
+        bucket = log2_us_bucket(wait_seconds)
+        ls.wait_hist.add_bucket(bucket)
+        name = lock_name(lock_id)
         if self.timeline is not None and counted:
-            self.timeline.tap_lock(time, lock_id, wait_seconds, contended)
-        self._span(Span(time, process, "acquire", lock_name(lock_id),
-                        wait_seconds, lock_id))
+            self.timeline.tap_lock(time, name, bucket, contended)
+        if self.spans.admit():
+            self.spans.append(
+                Span(time, process, "acquire", name, wait_seconds, lock_id))
 
     def on_release(self, time: float, process: str, lock_id: int,
                    hold_seconds: float, counted: bool = True) -> None:
@@ -424,9 +367,10 @@ class Recorder:
         if counted:
             self._count(process, "Release")
         ls.hold_seconds += hold_seconds
-        ls.hold_hist.add(hold_seconds)
-        self._span(Span(time, process, "release", lock_name(lock_id),
-                        hold_seconds, lock_id))
+        ls.hold_hist.add_bucket(log2_us_bucket(hold_seconds))
+        if self.spans.admit():
+            self.spans.append(Span(time, process, "release",
+                                   lock_name(lock_id), hold_seconds, lock_id))
 
     def on_chan_wait(self, time: float, process: str, chan: int,
                      wait_seconds: float) -> None:
@@ -436,13 +380,16 @@ class Recorder:
         self.chan_wait_seconds += wait_seconds
         if self.timeline is not None:
             self.timeline.tap_chan(time, chan, wait_seconds)
-        self._span(Span(time, process, "chan-wait", f"chan{chan}",
-                        wait_seconds, chan))
+        if self.spans.admit():
+            self.spans.append(Span(time, process, "chan-wait", f"chan{chan}",
+                                   wait_seconds, chan))
 
     def on_wake(self, time: float, process: str, chan: int, woken: int) -> None:
         """A ``Wake`` on channel ``chan`` roused ``woken`` sleepers."""
         self._count(process, "Wake")
-        self._span(Span(time, process, "wake", f"chan{chan}", 0.0, woken))
+        if self.spans.admit():
+            self.spans.append(
+                Span(time, process, "wake", f"chan{chan}", 0.0, woken))
 
     # -- Tracer-compatible tables ----------------------------------------------
 
@@ -475,99 +422,99 @@ class Recorder:
         agg = LockStats()
         for lid, ls in self.locks.items():
             if lid >= FIRST_LNVC_LOCK:
-                agg.merge(ls.as_dict())
+                agg.fold(ls)
         return agg
 
     # -- merge across workers / processes ---------------------------------------
 
+    def _adopt(self, causal, timeline) -> None:
+        """Grow an empty tracer / timeline shaped like the given one
+        wherever this recorder has none (and there is one to follow)."""
+        if causal is not None and self.causal is None:
+            self.causal = CausalTracer(limit=causal.limit,
+                                       max_events=causal.max_events)
+        if timeline is not None and self.timeline is None:
+            self.timeline = Timeline(width=timeline.width)
+            self.timeline.clock_kind = timeline.clock_kind
+
     def child(self) -> "Recorder":
         """A fresh recorder for one worker; merge its snapshot when done.
 
-        When this recorder carries a causal tracer the child gets its own
-        fresh tracer (same limit), so per-worker causal events can ride
-        home inside the child's picklable snapshot — how causal traces
-        cross the :class:`~repro.runtime.procs.ProcRuntime` fork.
+        The child reads this recorder's clock and carries empty sinks of
+        the same shape (a tracer with the same bounds, a timeline of the
+        same width), so whatever a worker observes rides home inside the
+        child's snapshot.
         """
         rec = Recorder(limit=self.limit)
         rec.clock = self.clock
         rec.now = self.now
-        if self.causal is not None:
-            from .causal import CausalTracer
-
-            rec.causal = CausalTracer(limit=self.causal.limit,
-                                      max_events=self.causal.max_events)
-        if self.timeline is not None:
-            rec.timeline = self.timeline.child()
+        rec._adopt(self.causal, self.timeline)
         return rec
 
     def snapshot(self) -> dict:
-        """Picklable plain-data form (crosses the fork boundary)."""
+        """Everything this recorder measured, as one picklable dict.
+
+        The dict holds the recorder's own cells, logs and sinks, not
+        copies: pickle it (as the procs pipe does) or :meth:`merge` it
+        and let the recorder go.  :meth:`merge` copies what it folds, so
+        no merged recorder ever shares state with a snapshot.
+        """
         return {
             "clock": self.clock,
-            "total": self.total,
-            "dropped_spans": self.dropped_spans,
-            "spans": [s.as_dict() for s in self.spans],
-            "locks": {lid: ls.as_dict() for lid, ls in self.locks.items()},
-            "work": {label: ws.as_dict() for label, ws in self.work.items()},
-            "kinds": {p: dict(c) for p, c in self.kinds.items()},
-            "chan_waits": dict(self.chan_waits),
+            "spans": self.spans,
+            "locks": self.locks,
+            "work": self.work,
+            "kinds": self.kinds,
+            "chan_waits": self.chan_waits,
             "chan_wait_seconds": self.chan_wait_seconds,
-            "machine": dict(self.machine),
-            "causal": None if self.causal is None else self.causal.snapshot(),
-            "timeline": None if self.timeline is None
-            else self.timeline.snapshot(),
+            "machine": self.machine,
+            "causal": self.causal,
+            "timeline": self.timeline,
         }
 
     def merge(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` into this recorder (thread-safe)."""
+        """Fold a :meth:`snapshot` into this recorder (thread-safe).
+
+        Whatever can refuse the snapshot is checked before the first
+        fold, so a refused merge leaves this recorder as it was.  A
+        recorder without a tracer or a timeline grows one like the
+        snapshot's; one that has recorded nothing takes its clock.
+        """
         with self._merge_mutex:
+            causal, timeline = snap["causal"], snap["timeline"]
+            if timeline is not None and self.timeline is not None and abs(
+                    timeline.width - self.timeline.width) > 1e-12:
+                raise ValueError(
+                    f"cannot merge timelines of width {timeline.width} "
+                    f"into width {self.timeline.width}")
+            if snap["clock"] != self.clock and self.total:
+                raise ValueError(
+                    f"cannot merge a snapshot on the {snap['clock']!r} "
+                    f"clock into spans on the {self.clock!r} clock")
+            self._adopt(causal, timeline)
             self.clock = snap["clock"]  # merged workers define the timebase
-            self.total += snap["total"]
-            spans = snap["spans"]
-            room = self.limit - len(self.spans)
-            fitted = min(len(spans), room) if room > 0 else 0
-            self.spans.extend(Span(**d) for d in spans[:fitted])
-            self.dropped_spans += (
-                snap.get("dropped_spans", 0) + (len(spans) - fitted)
-            )
-            for lid, d in snap["locks"].items():
-                lid = int(lid)
+            if self.timeline is not None:
+                self.timeline.clock_kind = self.clock
+            self.spans.fold(snap["spans"])
+            for lid, theirs in snap["locks"].items():
                 ls = self.locks.get(lid)
                 if ls is None:
                     ls = self.locks[lid] = LockStats()
-                ls.merge(d)
-            for label, d in snap["work"].items():
+                ls.fold(theirs)
+            for label, theirs in snap["work"].items():
                 ws = self.work.get(label)
                 if ws is None:
                     ws = self.work[label] = WorkStats()
-                ws.merge(d)
-            for p, c in snap["kinds"].items():
-                if p in self.kinds:
-                    self.kinds[p].update(c)
-                else:
-                    self.kinds[p] = Counter(c)
-            self.chan_waits.update(snap["chan_waits"])
+                ws.fold(theirs)
+            for process, counts in snap["kinds"].items():
+                add_counts(self.kinds.setdefault(process, Counter()), counts)
+            add_counts(self.chan_waits, snap["chan_waits"])
             self.chan_wait_seconds += snap["chan_wait_seconds"]
-            for key, n in snap.get("machine", {}).items():
-                self.machine[key] = self.machine.get(key, 0) + n
-            tl_snap = snap.get("timeline")
-            if tl_snap is not None:
-                if self.timeline is None:
-                    from .timeline import Timeline
-
-                    self.timeline = Timeline(width=tl_snap["width"])
-                    self.timeline.clock_kind = tl_snap.get(
-                        "clock_kind", "wall")
-                self.timeline.merge(tl_snap)
-            causal_snap = snap.get("causal")
-            if causal_snap is not None:
-                if self.causal is None:
-                    from .causal import CausalTracer
-
-                    self.causal = CausalTracer(
-                        limit=causal_snap.get("limit", 200_000),
-                        max_events=causal_snap.get("max_events"))
-                self.causal.merge(causal_snap)
+            add_counts(self.machine, snap["machine"])
+            if timeline is not None:
+                self.timeline.fold(timeline)
+            if causal is not None:
+                self.causal.fold(causal)
 
     # -- exporters (implemented in repro.obs.export) -----------------------------
 
@@ -607,6 +554,6 @@ class Recorder:
 
     def prometheus(self) -> str:
         """Metrics (and causal aggregates, if traced) as Prometheus text."""
-        from .prom import prometheus_exposition
+        from .export import prometheus_exposition
 
         return prometheus_exposition(self)

@@ -10,10 +10,12 @@ key:
 * **counters** (messages sent/received, bytes, lock acquisitions);
 * **gauges** (queue depth, free-list level, backlog size, ring
   occupancy) folded as ``(n, sum, min, max)`` so merges stay exact;
-* **quantile digests** — log₂-bucketed microsecond histograms (the same
-  buckets as :class:`~repro.obs.recorder.Histogram`) that merge by
-  bucket addition, so per-window latency quantiles survive rank-order
-  child merges unchanged.
+* **quantile digests** — log₂-bucketed microsecond histograms that
+  merge by bucket addition, so per-window latency quantiles survive
+  rank-order child merges unchanged.
+
+Each window is one :class:`~repro.obs.store.Store`, which defines the
+three cell kinds and their folds.
 
 Series keys are ``"<series>|<metric>"`` strings: ``circuit:<slot>``,
 ``lock:<name>``, ``pool``, ``ring:<slot>``, and (after
@@ -27,42 +29,18 @@ sites and the lock / channel hooks and hands every tap its timestamp —
 plain Python calls, never a new effect, so a timeline-enabled simulation
 retires the byte-identical schedule (pinned by
 tests/obs/test_timeline.py).
-Timelines are mergeable across workers and processes the way Recorder
-snapshots are: each child snapshots to plain picklable data and the
-parent merges in rank order; the merge is associative and commutative,
-so child order cannot change the result.
+A timeline crosses a thread join or a fork inside its recorder's
+snapshot and is folded, window by window, by :meth:`Recorder.merge
+<repro.obs.recorder.Recorder.merge>`.
 """
 
 from __future__ import annotations
 
-import math
-import threading
+from collections import defaultdict
 
-from .recorder import lock_name, log2_us_bucket
+from .store import Gauge, Store, log2_us_bucket
 
-__all__ = ["Timeline", "digest_quantile", "merge_timelines"]
-
-
-def digest_quantile(counts: dict[int, int], q: float) -> float:
-    """Nearest-rank quantile over a log₂-µs bucket digest, in seconds.
-
-    Returns the bucket's upper bound (``2**b`` µs), i.e. a conservative
-    estimate with the histogram's native resolution.
-    """
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    rank = max(1, math.ceil(q * total))
-    seen = 0
-    for b in sorted(counts):
-        seen += counts[b]
-        if seen >= rank:
-            return (2 ** b) * 1e-6
-    return (2 ** max(counts)) * 1e-6  # pragma: no cover - defensive
-
-
-def _new_window() -> dict:
-    return {"counters": {}, "gauges": {}, "digests": {}}
+__all__ = ["Timeline"]
 
 
 class Timeline:
@@ -81,23 +59,18 @@ class Timeline:
         #: Timebase tag, mirroring ``Recorder.clock``: ``"sim"`` or
         #: ``"wall"``; set by :meth:`Recorder.attach`.
         self.clock_kind = "wall"
-        #: window index -> {"counters": {key: n}, "gauges":
-        #: {key: [n, sum, min, max]}, "digests": {key: {bucket: n}}}
-        self.windows: dict[int, dict] = {}
+        #: window index -> that window's :class:`~repro.obs.store.Store`,
+        #: created on first use.
+        self.windows: dict[int, Store] = defaultdict(Store)
         #: slot -> circuit name, filled by the open_send/open_receive taps.
         self.names: dict[int, str] = {}
         self._ck: dict[int, tuple] = {}
-        self._merge_mutex = threading.Lock()
 
     # -- windows --------------------------------------------------------------
 
-    def window(self, t: float) -> dict:
+    def window(self, t: float) -> Store:
         """The (created-on-demand) window containing time ``t``."""
-        idx = int(t // self.width)
-        win = self.windows.get(idx)
-        if win is None:
-            win = self.windows[idx] = _new_window()
-        return win
+        return self.windows[int(t // self.width)]
 
     def window_indices(self) -> list[int]:
         return sorted(self.windows)
@@ -105,29 +78,13 @@ class Timeline:
     # -- primitive recording --------------------------------------------------
 
     def count(self, t: float, key: str, n: float = 1.0) -> None:
-        c = self.window(t)["counters"]
-        c[key] = c.get(key, 0) + n
+        self.window(t).counters[key] += n
 
     def gauge(self, t: float, key: str, value: float) -> None:
-        g = self.window(t)["gauges"]
-        cell = g.get(key)
-        if cell is None:
-            g[key] = [1, value, value, value]
-        else:
-            cell[0] += 1
-            cell[1] += value
-            if value < cell[2]:
-                cell[2] = value
-            if value > cell[3]:
-                cell[3] = value
+        self.window(t).gauge(key, value)
 
     def observe(self, t: float, key: str, seconds: float) -> None:
-        d = self.window(t)["digests"]
-        dig = d.get(key)
-        if dig is None:
-            dig = d[key] = {}
-        b = log2_us_bucket(seconds)
-        dig[b] = dig.get(b, 0) + 1
+        self.window(t).digests[key].add_bucket(log2_us_bucket(seconds))
 
     # -- taps (called by the carrying Recorder) -------------------------------
 
@@ -150,62 +107,46 @@ class Timeline:
         """A message was linked at the FIFO tail at queue depth ``depth``."""
         k = self._circuit_keys(slot)
         win = self.window(t)
-        c = win["counters"]
-        c[k[0]] = c.get(k[0], 0) + 1
-        c[k[1]] = c.get(k[1], 0) + nbytes
-        g = win["gauges"]
-        cell = g.get(k[2])
-        if cell is None:
-            g[k[2]] = [1, depth, depth, depth]
-        else:
-            cell[0] += 1
-            cell[1] += depth
-            if depth < cell[2]:
-                cell[2] = depth
-            if depth > cell[3]:
-                cell[3] = depth
+        win.counters[k[0]] += 1
+        win.counters[k[1]] += nbytes
+        win.gauge(k[2], depth)
 
     def tap_recv(self, t: float, slot: int, nbytes: int) -> None:
         """A receive completed (payload drained, pin dropped)."""
         k = self._circuit_keys(slot)
-        c = self.window(t)["counters"]
-        c[k[3]] = c.get(k[3], 0) + 1
-        c[k[4]] = c.get(k[4], 0) + nbytes
+        c = self.window(t).counters
+        c[k[3]] += 1
+        c[k[4]] += nbytes
 
     def tap_depth(self, t: float, slot: int, depth: int) -> None:
         """Queue-depth sample after a reap/retire drained messages."""
-        self.gauge(t, self._circuit_keys(slot)[2], depth)
+        self.window(t).gauge(self._circuit_keys(slot)[2], depth)
 
     def tap_pool(self, t: float, live_blocks: int) -> None:
         """Free-list pressure sample: blocks live after an allocation."""
-        self.gauge(t, "pool|live_blocks", live_blocks)
+        self.window(t).gauge("pool|live_blocks", live_blocks)
 
     def tap_ring(self, t: float, slot: int, occupancy: int) -> None:
         """Ring-transport occupancy after a commit or consume."""
-        self.gauge(t, f"ring:{slot}|occupancy", occupancy)
+        self.window(t).gauge(f"ring:{slot}|occupancy", occupancy)
 
-    def tap_lock(self, t: float, lock_id: int, wait_seconds: float,
+    def tap_lock(self, t: float, name: str, wait_bucket: int,
                  contended: bool) -> None:
-        series = "lock:" + lock_name(lock_id)
+        """Lock ``name`` (:func:`~repro.obs.recorder.lock_name`) was
+        granted after a wait of :func:`~repro.obs.store.log2_us_bucket`
+        ``wait_bucket`` — bucketed once, by the recorder."""
+        series = "lock:" + name
         win = self.window(t)
-        c = win["counters"]
-        ka = series + "|acquires"
-        c[ka] = c.get(ka, 0) + 1
+        win.counters[series + "|acquires"] += 1
         if contended:
-            kc = series + "|contended"
-            c[kc] = c.get(kc, 0) + 1
-        d = win["digests"]
-        kw = series + "|wait"
-        dig = d.get(kw)
-        if dig is None:
-            dig = d[kw] = {}
-        b = log2_us_bucket(wait_seconds)
-        dig[b] = dig.get(b, 0) + 1
+            win.counters[series + "|contended"] += 1
+        win.digests[series + "|wait"].add_bucket(wait_bucket)
 
     def tap_chan(self, t: float, chan: int, wait_seconds: float) -> None:
         k = self._circuit_keys(chan)[5]
-        self.count(t, k)
-        self.observe(t, k, wait_seconds)
+        win = self.window(t)
+        win.counters[k] += 1.0
+        win.digests[k].add_bucket(log2_us_bucket(wait_seconds))
 
     def tap_e2e(self, t: float, slot: int, seconds: float) -> None:
         """End-to-end delivery latency (fed by the causal e2e sketch)."""
@@ -213,28 +154,12 @@ class Timeline:
 
     # -- folds ----------------------------------------------------------------
 
-    def totals(self) -> dict:
-        """Whole-run fold: ``{"counters", "gauges", "digests"}``."""
-        counters: dict[str, float] = {}
-        gauges: dict[str, list] = {}
-        digests: dict[str, dict[int, int]] = {}
+    def totals(self) -> Store:
+        """Whole-run fold of every window into one store."""
+        total = Store()
         for win in self.windows.values():
-            for k, n in win["counters"].items():
-                counters[k] = counters.get(k, 0) + n
-            for k, cell in win["gauges"].items():
-                agg = gauges.get(k)
-                if agg is None:
-                    gauges[k] = list(cell)
-                else:
-                    agg[0] += cell[0]
-                    agg[1] += cell[1]
-                    agg[2] = min(agg[2], cell[2])
-                    agg[3] = max(agg[3], cell[3])
-            for k, dig in win["digests"].items():
-                out = digests.setdefault(k, {})
-                for b, n in dig.items():
-                    out[b] = out.get(b, 0) + n
-        return {"counters": counters, "gauges": gauges, "digests": digests}
+            total.fold(win)
+        return total
 
     def series_label(self, series: str) -> str:
         """Resolve ``circuit:<slot>`` to ``circuit:<name>`` when known."""
@@ -248,17 +173,17 @@ class Timeline:
                 return f"circuit:{name}"
         return series
 
-    def tier_series(self, tier_of) -> dict[str, dict[int, list]]:
-        """Per-tier queue-depth matrix: ``{tier: {window: [n,sum,min,max]}}``.
+    def tier_series(self, tier_of) -> dict[str, dict[int, Gauge]]:
+        """Per-tier queue-depth matrix: ``{tier: {window: Gauge}}``.
 
         ``tier_of(name)`` maps a circuit name to its tier (or ``None`` to
         drop it).  Unnamed slots are dropped.  Circuits in the same tier
-        have their per-window gauge cells folded, so the tier's ``sum/n``
-        is the average sampled depth across its circuits.
+        have their per-window gauge cells folded, so the tier's mean is
+        the average sampled depth across its circuits.
         """
-        out: dict[str, dict[int, list]] = {}
+        out: dict[str, dict[int, Gauge]] = {}
         for idx, win in self.windows.items():
-            for k, cell in win["gauges"].items():
+            for k, cell in win.gauges.items():
                 if not k.startswith("circuit:") or not k.endswith("|depth"):
                     continue
                 slot = int(k[8:k.index("|")])
@@ -270,77 +195,17 @@ class Timeline:
                     continue
                 rows = out.setdefault(tier, {})
                 agg = rows.get(idx)
-                if agg is None:
-                    rows[idx] = list(cell)
-                else:
-                    agg[0] += cell[0]
-                    agg[1] += cell[1]
-                    agg[2] = min(agg[2], cell[2])
-                    agg[3] = max(agg[3], cell[3])
+                rows[idx] = cell if agg is None else agg.fold(cell)
         return out
 
-    # -- merge / snapshot ------------------------------------------------------
-
-    def child(self) -> "Timeline":
-        """A fresh same-shape timeline for one worker (merge it back)."""
-        tl = Timeline(width=self.width)
-        tl.clock_kind = self.clock_kind
-        return tl
-
-    def snapshot(self) -> dict:
-        """Picklable plain-data form (crosses the fork boundary)."""
-        return {
-            "width": self.width,
-            "clock_kind": self.clock_kind,
-            "names": dict(self.names),
-            "windows": {
-                idx: {
-                    "counters": dict(win["counters"]),
-                    "gauges": {k: list(v) for k, v in win["gauges"].items()},
-                    "digests": {k: dict(v) for k, v in win["digests"].items()},
-                }
-                for idx, win in self.windows.items()
-            },
-        }
-
-    def merge(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` into this timeline (thread-safe).
-
-        Counter addition, gauge ``(n, sum, min, max)`` folds and digest
-        bucket addition are all associative and commutative, so merge
-        order cannot change the merged timeline — the property the
-        rank-order procs merge relies on (and tests pin).
-        """
-        if abs(snap["width"] - self.width) > 1e-12:
-            raise ValueError(
-                f"cannot merge timelines of width {snap['width']} "
-                f"into width {self.width}")
-        with self._merge_mutex:
-            for slot, name in snap.get("names", {}).items():
-                self.names.setdefault(int(slot), name)
-            for idx, win in snap["windows"].items():
-                idx = int(idx)
-                mine = self.windows.get(idx)
-                if mine is None:
-                    mine = self.windows[idx] = _new_window()
-                c = mine["counters"]
-                for k, n in win["counters"].items():
-                    c[k] = c.get(k, 0) + n
-                g = mine["gauges"]
-                for k, cell in win["gauges"].items():
-                    agg = g.get(k)
-                    if agg is None:
-                        g[k] = list(cell)
-                    else:
-                        agg[0] += cell[0]
-                        agg[1] += cell[1]
-                        agg[2] = min(agg[2], cell[2])
-                        agg[3] = max(agg[3], cell[3])
-                d = mine["digests"]
-                for k, dig in win["digests"].items():
-                    out = d.setdefault(k, {})
-                    for b, n in dig.items():
-                        out[int(b)] = out.get(int(b), 0) + n
+    def fold(self, other: "Timeline") -> None:
+        """Fold another timeline of the same width in, window by window
+        (:meth:`Recorder.merge <repro.obs.recorder.Recorder.merge>` has
+        checked the width).  Slot names: first name wins."""
+        for slot, name in other.names.items():
+            self.names.setdefault(slot, name)
+        for idx, win in other.windows.items():
+            self.windows[idx].fold(win)
 
     # -- export ----------------------------------------------------------------
 
@@ -354,30 +219,15 @@ class Timeline:
                 {
                     "index": idx,
                     "start": idx * self.width,
-                    "counters": {k: win["counters"][k]
-                                 for k in sorted(win["counters"])},
-                    "gauges": {
-                        k: {"n": cell[0], "sum": cell[1],
-                            "min": cell[2], "max": cell[3]}
-                        for k, cell in sorted(win["gauges"].items())
-                    },
+                    "counters": {k: win.counters[k]
+                                 for k in sorted(win.counters)},
+                    "gauges": {k: cell._asdict()
+                               for k, cell in sorted(win.gauges.items())},
                     "digests": {
-                        k: {str(b): n for b, n in sorted(dig.items())}
-                        for k, dig in sorted(win["digests"].items())
+                        k: {str(b): n for b, n in sorted(dig.counts.items())}
+                        for k, dig in sorted(win.digests.items())
                     },
                 }
                 for idx, win in sorted(self.windows.items())
             ],
         }
-
-
-def merge_timelines(snapshots, width: float | None = None) -> Timeline:
-    """Fold an iterable of timeline snapshots into one fresh timeline."""
-    out: Timeline | None = None
-    for snap in snapshots:
-        if out is None:
-            out = Timeline(width=width if width is not None
-                           else snap["width"])
-            out.clock_kind = snap.get("clock_kind", "wall")
-        out.merge(snap)
-    return out if out is not None else Timeline(width=width or 0.05)

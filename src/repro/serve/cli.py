@@ -59,7 +59,7 @@ def _sends_per_window(timeline) -> list[tuple[float, float]]:
     """(seconds-from-first-window, total sends) per non-empty window."""
     per: dict[int, float] = {}
     for idx, win in timeline.windows.items():
-        n = sum(v for k, v in win["counters"].items()
+        n = sum(v for k, v in win.counters.items()
                 if k.endswith("|sent"))
         if n:
             per[idx] = per.get(idx, 0) + n

@@ -121,8 +121,8 @@ def run_point(
         "stalls": sum(c["stalls"] for c in clients),
         "backpressure_events": sum(c["backpressure_events"]
                                    for c in clients),
-        "p50_ms": 1e3 * e2e.quantile_fine(0.5) if e2e else 0.0,
-        "p99_ms": 1e3 * e2e.quantile_fine(0.99) if e2e else 0.0,
+        "p50_ms": 1e3 * e2e.quantile(0.5) if e2e else 0.0,
+        "p99_ms": 1e3 * e2e.quantile(0.99) if e2e else 0.0,
         "p999_ms": 1e3 * e2e.p999 if e2e else 0.0,
         "window_s": window,
         "mpf_messages": result.header["total_sends"],

@@ -1,6 +1,8 @@
 """Bounded causal tracing (``causal_max_events=N``): stride sampling,
 the exact e2e latency sketch, and the fused-receive grace buffer."""
 
+import pickle
+
 import pytest
 
 from repro.core.protocol import FCFS
@@ -32,13 +34,17 @@ def receiver(env):
     return got
 
 
-def run_bounded(max_events, runtime="sim"):
+def record_bounded(max_events, runtime="sim") -> Recorder:
     rec = Recorder(causal=True, causal_max_events=max_events)
     rt = SimRuntime(recorder=rec) if runtime == "sim" \
         else ThreadRuntime(recorder=rec)
     result = rt.run([sender, receiver])
     assert result.results["p1"] == N_MSGS
-    return rec.causal
+    return rec
+
+
+def run_bounded(max_events, runtime="sim"):
+    return record_bounded(max_events, runtime).causal
 
 
 def test_stride_doubles_to_respect_the_bound():
@@ -64,7 +70,7 @@ def test_e2e_sketch_is_exact_not_sampled():
     # delivers N_MSGS + stop + barrier legs.
     assert len(tracer.e2e) >= N_MSGS
     stats = StageStats(list(tracer.e2e))
-    assert 0.0 < stats.quantile_fine(0.5) <= stats.p999
+    assert 0.0 < stats.quantile(0.5) <= stats.p999
 
 
 def test_unbounded_mode_keeps_every_event():
@@ -92,14 +98,14 @@ def test_grace_buffer_pairs_fused_reaps():
 
 
 def test_snapshot_roundtrip_preserves_sketch_and_stride():
-    tracer = run_bounded(64)
-    snap = tracer.snapshot()
-    assert snap["max_events"] == 64
-    assert snap["stride"] == tracer.stride
-    clone = CausalTracer(max_events=64)
-    clone.merge(snap)
-    assert clone.stride >= tracer.stride
-    assert len(clone.e2e) == len(tracer.e2e)
+    rec = record_bounded(64)
+    tracer = rec.causal
+    clone = Recorder()
+    clone.merge(pickle.loads(pickle.dumps(rec.snapshot())))
+    assert clone.causal.max_events == 64
+    assert clone.causal.stride == tracer.stride
+    assert clone.causal.events == tracer.events
+    assert list(clone.causal.e2e) == list(tracer.e2e)
 
 
 def test_bounded_tracing_on_threads_runtime():
@@ -110,11 +116,24 @@ def test_bounded_tracing_on_threads_runtime():
 
 def test_quantile_fine_nearest_rank():
     stats = StageStats([float(i) for i in range(1, 1001)])
-    assert stats.quantile_fine(0.5) == 500.0
-    assert stats.quantile_fine(0.999) == 999.0
+    assert stats.quantile(0.5) == 500.0 == stats.p50
+    assert stats.quantile(0.999) == 999.0
     assert stats.p999 == 999.0
-    # The coarse archive-facing quantile is untouched by the fine path.
-    assert stats.quantile(0.5) == stats.p50
+
+
+def test_one_quantile_method_keeps_every_centile_and_resolves_per_mille():
+    """``quantile`` resolves thousandths.  Its reference is the centile
+    formula it replaced, which is what every archived exposition was
+    computed with: equal at every centile, different only where the old
+    one silently rounded 0.999 up to the maximum."""
+    for n in range(1, 2001):
+        stats = StageStats([float(i) for i in range(1, n + 1)])
+        for k in range(0, 101):
+            centile = max(1, -(-round(k / 100 * 100) * n // 100))
+            assert stats.quantile(k / 100) == float(min(centile, n)), (n, k)
+    stats = StageStats([float(i) for i in range(1, 2001)])
+    assert stats.quantile(0.999) == 1998.0 == stats.p999
+    assert not hasattr(stats, "quantile_fine")
 
 
 def test_quantile_ranks_every_centile_exactly():
@@ -127,5 +146,5 @@ def test_quantile_ranks_every_centile_exactly():
 
 
 def test_stats_quantiles_empty_and_singleton():
-    assert StageStats([]).quantile_fine(0.99) == 0.0
+    assert StageStats([]).quantile(0.99) == 0.0
     assert StageStats([3.5]).p999 == 3.5

@@ -96,22 +96,41 @@ def test_dropped_spans_invariant_and_warning():
     assert "counters above remain complete" in text
 
 
+def test_a_span_past_the_bound_is_never_built(monkeypatch):
+    """``bench all`` records every figure point with ``Recorder(limit=0,
+    causal=True)``: one span offered per effect, none stored — and none
+    constructed, since the bound is tested first."""
+    import repro.obs.recorder as recorder_module
+    from repro.bench.workloads import fcfs_throughput
+
+    class Unbuildable:
+        def __init__(self, *fields):
+            raise AssertionError(f"built a span nobody stores: {fields}")
+
+    monkeypatch.setattr(recorder_module, "Span", Unbuildable)
+    rec = Recorder(limit=0, causal=True)
+    fcfs_throughput(4, 16, messages=24, runtime="sim", recorder=rec)
+    assert rec.total > 0 and rec.spans == []
+    assert rec.dropped_spans == rec.total
+    assert rec.lock_profile() and rec.causal.events  # everything else heard
+
+
 def test_unlimited_recorder_reports_no_drops():
     rec = run_limited(100_000)
     assert rec.dropped_spans == 0
     assert "dropped" not in rec.format_summary()
 
 
-def test_snapshot_roundtrip_preserves_dropped_spans():
+def test_snapshot_roundtrip_preserves_dropped_spans(exports):
     rec = run_limited(5)
     snap = rec.snapshot()
-    assert snap["dropped_spans"] == rec.dropped_spans
+    assert snap["spans"].dropped == rec.dropped_spans
     merged = Recorder(limit=5)
     merged.clock = rec.clock
     merged.merge(snap)
     assert merged.dropped_spans == rec.dropped_spans
     assert merged.total == rec.total
-    assert merged.snapshot() == snap
+    assert exports(merged) == exports(rec)
 
 
 def test_merge_counts_spans_that_do_not_fit():
@@ -141,7 +160,7 @@ def test_merge_accumulates_drops_from_both_sides():
 
 def test_chrome_trace_tolerates_unknown_span_kind():
     rec = Recorder()
-    rec._span(Span(0.5, "p0", "mystery", "custom-thing", 0.001))
+    rec.spans.append(Span(0.5, "p0", "mystery", "custom-thing", 0.001))
     doc = chrome_trace(rec)
     slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert [e["name"] for e in slices] == ["custom-thing"]

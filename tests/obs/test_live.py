@@ -23,7 +23,7 @@ from repro.obs import (
     serve_tier_of,
     top_main,
 )
-from repro.obs.prom import parse_exposition
+from repro.obs import parse_exposition
 from repro.runtime.sim import SimRuntime
 
 

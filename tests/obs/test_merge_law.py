@@ -1,0 +1,296 @@
+"""The merge law, through the one entry: ``child()`` / ``snapshot()`` /
+``merge()``.
+
+One simulated run's hook stream is written down, dealt to ``k`` child
+recorders the way the real runtimes deal it (each process's hooks to one
+child), and the children's pickled snapshots are merged back in every
+order, and pairwise first.  Whatever the order:
+
+* every export is equal — those that list stored records one by one are
+  compared as multisets, since merge order is the order records are
+  stored in;
+* the ``total`` / ``dropped`` books are equal, also when a log is too
+  tight to keep everything (then *which* prefix survives follows the
+  order, how much of it does not);
+* counters, gauges and digests hold the values the unsplit recorder
+  holds, and with one child the merged recorder exports the unsplit
+  recorder's bytes.  The e2e sketch pairs a send with receives heard by
+  other children at merge time — every sample it then holds is one the
+  unsplit recorder holds; a hand-fed case shows the pairing complete in
+  either order, and docs/observability.md says where it is not.
+
+The tape's floats are rounded to multiples of 2⁻²⁰ s, so every float sum
+in the test is exact and therefore order-free: a difference between two
+merge orders is a defect of a fold, never of float addition (which the
+runtimes sidestep by merging in rank order).
+
+Also here: a refused merge changes nothing (it used to fold spans, locks,
+work and kinds before the timeline's width check raised).
+"""
+
+import ast
+import itertools
+import json
+import pickle
+import types
+
+import pytest
+
+from repro.bench.workloads import broadcast_throughput
+from repro.obs import CausalTracer, Recorder, Timeline
+
+HOOKS = ("on_charge", "on_acquire", "on_release", "on_chan_wait", "on_wake",
+         "circuit_opened", "pool", "msg_sent", "msg_received", "queue_depth",
+         "msgs_freed", "gauge")
+
+GRID = 2.0 ** -20
+
+
+def _on_grid(x):
+    """Floats to the 2⁻²⁰ s grid (ints, strings and bools stay)."""
+    if isinstance(x, float):
+        return round(x / GRID) * GRID
+    if isinstance(x, (list, tuple)):
+        return type(x)(_on_grid(v) for v in x)
+    return x
+
+
+class Tape(Recorder):
+    """A recorder that also writes down every hook call it hears, with
+    the clock reading a probe call would stamp it with."""
+
+    def __init__(self) -> None:
+        super().__init__(causal=True, timeline=True)
+        self.calls: list[tuple] = []
+
+
+def _taped(name):
+    def hook(self, *args, **kwargs):
+        self.calls.append((name, _on_grid(self.now()), _on_grid(args),
+                           {k: _on_grid(v) for k, v in kwargs.items()}))
+        return getattr(Recorder, name)(self, *args, **kwargs)
+    return hook
+
+
+for _name in HOOKS:
+    setattr(Tape, _name, _taped(_name))
+
+
+@pytest.fixture(scope="module")
+def tape() -> list[tuple]:
+    rec = Tape()
+    broadcast_throughput(4, 64, messages=12, runtime="sim", recorder=rec)
+    names = {name for name, *_ in rec.calls}
+    assert names >= set(HOOKS) - {"gauge"}, set(HOOKS) - names
+    return rec.calls
+
+
+def _owner(name: str, args: tuple, last: int) -> int:
+    """Rank of the process a hook call belongs to: the lock and channel
+    hooks name it, ``msg_sent`` / ``msg_received`` carry its pid, and
+    the sites that carry neither go with the call before them."""
+    if name.startswith("on_"):
+        return int(args[1][1:])
+    if name in ("msg_sent", "msg_received"):
+        return args[0]
+    return last
+
+
+def _play(tape, make, k: int | None = None) -> list[Recorder]:
+    """Replay ``tape`` into ``make()`` itself (``k=None``) or into ``k``
+    of its children, process ``r`` to child ``r % k``."""
+    now = [0.0]
+    parent = make()
+    parent.attach(types.SimpleNamespace(), lambda: now[0], "sim")
+    sinks = [parent] if k is None else [parent.child() for _ in range(k)]
+    owner = 0
+    for name, t, args, kwargs in tape:
+        now[0] = t
+        owner = _owner(name, args, owner)
+        getattr(sinks[owner % len(sinks)], name)(*args, **kwargs)
+    return sinks
+
+
+def _merged(make, blobs) -> Recorder:
+    out = make()
+    for blob in blobs:
+        out.merge(pickle.loads(blob))
+    return out
+
+
+def _canonical(exported: dict[str, str]) -> dict[str, str]:
+    """Exports that list stored records, as multisets of records."""
+    out = dict(exported)
+    doc = json.loads(out["chrome_trace"])
+    doc["traceEvents"].sort(key=lambda ev: json.dumps(ev, sort_keys=True))
+    out["chrome_trace"] = json.dumps(doc, sort_keys=True)
+    if "causal_events" in out:
+        out["causal_events"] = repr(
+            sorted(ast.literal_eval(out["causal_events"])))
+        out["e2e"] = repr(sorted(ast.literal_eval(out["e2e"]) or ()))
+    return out
+
+
+def _cells(rec: Recorder) -> dict:
+    """Every counter, gauge and digest cell of ``rec``, plus the sketch."""
+    cells = {
+        "locks": {lid: (ls.acquires, ls.reacquires, ls.contended,
+                        ls.wait_seconds, ls.max_wait, ls.hold_seconds,
+                        ls.wait_hist.counts, ls.hold_hist.counts)
+                  for lid, ls in rec.locks.items()},
+        "work": {label: (ws.count, ws.instrs, ws.flops, ws.seconds)
+                 for label, ws in rec.work.items()},
+        "kinds": {p: dict(c) for p, c in rec.kinds.items()},
+        "chan_waits": (dict(rec.chan_waits), rec.chan_wait_seconds),
+    }
+    if rec.timeline is not None:
+        # A delivery whose send and receive were heard by different
+        # children is paired at merge time, after the window taps: its
+        # latency reaches the sketch, not the windows' e2e digests.
+        cells["windows"] = {
+            idx: (dict(win.counters), dict(win.gauges),
+                  {k: d.counts for k, d in win.digests.items()
+                   if not k.endswith("|e2e")})
+            for idx, win in rec.timeline.windows.items()}
+    if rec.causal is not None:
+        c = rec.causal
+        cells["causal"] = (c.total, c.dropped, sorted(c.events), c.stride,
+                           c.pool_allocs, c.pool_failures)
+    return cells
+
+
+def _books(rec: Recorder) -> tuple:
+    c = rec.causal
+    return (rec.total, rec.dropped_spans, len(rec.spans)) + (
+        () if c is None else (c.total, c.dropped, len(c.events)))
+
+
+#: Recorders roomy enough to store everything they are offered.
+ROOMY = {
+    "plain": lambda: Recorder(),
+    "causal": lambda: Recorder(causal=True),
+    "bounded-causal": lambda: Recorder(causal=True, causal_max_events=48),
+    "timeline": lambda: Recorder(timeline=True, timeline_width=0.002),
+    "all": lambda: Recorder(causal=True, causal_max_events=48,
+                            timeline=True, timeline_width=0.002),
+}
+
+#: Logs that overflow: a 40-span prefix, a 30-event prefix.
+TIGHT = {
+    "tight": lambda: Recorder(limit=40, causal=CausalTracer(limit=30)),
+}
+
+
+def _orders(blobs):
+    """Every order for up to three children, a spread of twelve beyond."""
+    perms = list(itertools.permutations(blobs))
+    return perms if len(perms) <= 6 else perms[::len(perms) // 12]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("config", [*ROOMY, *TIGHT])
+def test_merge_order_cannot_matter(tape, exports, config, k):
+    make = {**ROOMY, **TIGHT}[config]
+    unsplit, = _play(tape, make)
+    children = _play(tape, make, k)
+    blobs = [pickle.dumps(child.snapshot()) for child in children]
+
+    merged = [_merged(make, order) for order in _orders(blobs)]
+    if k > 2:  # pairwise first: (a + b) + (rest), as snapshots of merges
+        left, right = _merged(make, blobs[:2]), _merged(make, blobs[2:])
+        left.merge(pickle.loads(pickle.dumps(right.snapshot())))
+        merged.append(left)
+    if unsplit.timeline is not None:
+        # A slot keeps the first name it is given, so for a recycled
+        # slot the name follows the merge order — the one fold that
+        # does.  Checked here, then taken out of the comparison.
+        for m in merged:
+            for slot, name in m.timeline.names.items():
+                assert any(c.timeline.names.get(slot) == name
+                           for c in children), (slot, name)
+            m.timeline.names = dict(unsplit.timeline.names)
+
+    assert {_books(m) for m in merged} == {_books(unsplit)}
+    if config in TIGHT:  # the books above are all that is order-free
+        assert unsplit.dropped_spans and unsplit.causal.dropped
+        return
+    first = _canonical(exports(merged[0]))
+    for m in merged[1:]:
+        assert _canonical(exports(m)) == first
+    # What the sketch paired shows in these exports; with several
+    # children it pairs at merge time (see the module docstring).
+    late = {"e2e", "sojourn", "timeline_doc", "prometheus"} if k > 1 else ()
+    for name, text in _canonical(exports(unsplit)).items():
+        assert name in late or first[name] == text, name
+    for m in merged:
+        assert _cells(m) == _cells(unsplit)
+        if m.causal is not None and m.causal.e2e is not None:
+            theirs = list(unsplit.causal.e2e)
+            for sample in m.causal.e2e:
+                theirs.remove(sample)  # ValueError: a sample nobody took
+    if k == 1:  # one child: the unsplit recorder's bytes, unsorted
+        assert exports(merged[0]) == exports(unsplit)
+
+
+def test_the_tape_drives_the_stride_sample(tape):
+    unsplit, = _play(tape, ROOMY["all"])
+    assert unsplit.causal.stride > 1 and unsplit.causal.dropped
+    assert len(unsplit.causal.e2e) > 40 and len(unsplit.timeline.windows) > 3
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+def test_bounded_tracer_pairs_deliveries_across_children(order):
+    """The procs regime by hand: the sender's child hears the send, two
+    receivers' children each a BROADCAST receive, the second also the
+    free.  Whatever the merge order, both deliveries reach the sketch."""
+    parent = Recorder(causal=True, causal_max_events=8)
+    now = [0.0]
+    parent.attach(types.SimpleNamespace(), lambda: now[0], "wall")
+    sender, first, last = kids = [parent.child() for _ in range(3)]
+    now[0] = 0.5
+    sender.msg_sent(0, 3, 1, 0, 64, 7, 1, 0.125, 0.25, 0.375)
+    now[0] = 1.0
+    first.msg_received(1, 3, 1, 0, 64, 0, 0.625, 0.75, 0.875)
+    now[0] = 2.0
+    last.msgs_freed(3, 1, 0, [(0, 0, 64)])
+    last.msg_received(2, 3, 1, 0, 64, 0, 1.25, 1.5, 1.75)
+    assert [len(k.causal.e2e) for k in kids] == [0, 0, 0]
+    blobs = [pickle.dumps(k.snapshot()) for k in kids]
+    merged = _merged(lambda: Recorder(causal=True, causal_max_events=8),
+                     [blobs[i] for i in order])
+    assert sorted(merged.causal.e2e) == [0.875 - 0.125, 1.75 - 0.125]
+    assert not merged.causal._orphans and merged.causal.total == 4
+
+
+# -- a refused merge changes nothing -------------------------------------------
+
+
+def _fed(rec: Recorder, process: str = "p0") -> Recorder:
+    rec.on_acquire(0.010, process, 2, 0.004, contended=True)
+    rec.on_release(0.020, process, 2, 0.010)
+    rec.on_charge(0.030, process, "app", 0.001, instrs=7)
+    if rec.timeline is not None:
+        rec.timeline.gauge(0.020, "circuit:0|depth", 3.0)
+    return rec
+
+
+def test_refused_merge_leaves_the_recorder_as_it_was(exports):
+    a = _fed(Recorder(timeline=True, timeline_width=0.05))
+    before = exports(a)
+    wide = _fed(Recorder(timeline=Timeline(width=0.10)), "p1")
+    with pytest.raises(ValueError, match="width"):
+        a.merge(wide.snapshot())
+    assert exports(a) == before
+    assert (a.total, set(a.locks), set(a.work), set(a.kinds)) == (
+        3, {2}, {"app"}, {"p0"})
+
+    simulated = _fed(Recorder(timeline=True, timeline_width=0.05), "p1")
+    simulated.clock = "sim"
+    with pytest.raises(ValueError, match="clock"):
+        a.merge(simulated.snapshot())
+    assert exports(a) == before
+
+    a.merge(_fed(Recorder(timeline=True, timeline_width=0.05), "p1").snapshot())
+    assert a.total == 6 and set(a.kinds) == {"p0", "p1"}
+    assert a.locks[2].acquires == 2 and a.work["app"].instrs == 14
+    assert a.timeline.totals().gauges["circuit:0|depth"].n == 2

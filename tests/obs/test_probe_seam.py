@@ -12,8 +12,9 @@ observers (docs/observability.md, "Attaching observers").  Pinned here:
 * its shape in the source: no tracer or timeline is named under
   ``core/``, ``runtime/`` or in the fault mutants, and the parameters
   the seam replaced are gone;
-* what is observed did not change when the seam went in: digests of
-  three traced simulator runs, recorded at the commit before it;
+* what is observed did not change, when the seam went in or when the
+  one store went in behind it: digests of every export of three traced
+  simulator runs, recorded at the parent commit;
 * one time axis: a blocking client's counters, digests and causal stamps
   land inside the run, whichever recorder of a tree heard them.
 """
@@ -22,8 +23,8 @@ import ast
 import hashlib
 import inspect
 import itertools
-import json
 import pathlib
+import pickle
 import sys
 import time
 import uuid
@@ -220,11 +221,6 @@ def test_parameters_the_seam_replaced_are_gone():
 # -- what is observed did not change -------------------------------------------
 
 
-def _digest(rec: Recorder) -> str:
-    blob = json.dumps(rec.snapshot(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _fcfs_freelist() -> Recorder:
     rec = Recorder(causal=True, timeline=True)
     fcfs_throughput(4, 16, messages=24, runtime="sim", recorder=rec)
@@ -246,22 +242,55 @@ def _serve_knee() -> Recorder:
     return rec
 
 
-#: sha256 of the sorted-key JSON of ``Recorder.snapshot()`` — spans,
-#: causal events with all four stamps, timeline windows, pool counters —
-#: recorded at e3fa8f7, the commit before the seam.
+#: First 16 hex digits of the sha256 of each export of the run (the
+#: ``exports`` fixture, tests/obs/conftest.py): every text / JSON / DOT
+#: surface, the causal event tuples with all four stamps, the e2e sketch
+#: and the total / dropped books — recorded at e7455da, the last commit
+#: on which each sink stored and merged its own cells, before the first
+#: edit of the store that replaced them.
 PINNED = {
-    _fcfs_freelist:
-        "dd7a492aefe77bf7279771ee397bbc80a74ceb75d76aa9b9e71ac6694f2aa0f2",
-    _broadcast_ring:
-        "580c1f7dcef3164f66a2691bc15d68e8e71f410343cb1078da5a472344448a21",
-    _serve_knee:
-        "b8fb3c41f3fa4c7a29f7a74a008825193ec483c46b988918f7f3f3967ee34f49",
+    _fcfs_freelist: {
+        "books": "d59b0d4da199fe2b", "causal_events": "d6c41e64cbcb22a7",
+        "chrome_trace": "94ff4d968a0cc104", "e2e": "dc937b59892604f5",
+        "flow_dot": "e859db96f2bb6270", "jsonl": "ecdae6c37c593892",
+        "lock_profile": "6e80cc6049196688", "prometheus": "426a36266e54ceea",
+        "sojourn": "5831c63f605cee5a", "summary": "1833bd8db5cf997b",
+        "timeline_doc": "d73494471c3ce979",
+    },
+    _broadcast_ring: {
+        "books": "5797b50d05dbdeca", "causal_events": "cba2f54b837567a6",
+        "chrome_trace": "4e310f701e82a4d0", "e2e": "dc937b59892604f5",
+        "flow_dot": "d49c3245c3c9b6d0", "jsonl": "beda0658da366540",
+        "lock_profile": "d42c625dd4414661", "prometheus": "47e1610e1ef3cd4c",
+        "sojourn": "a1d097e4ae8c063a", "summary": "455f8e19b705a5f1",
+        "timeline_doc": "b16bc4f9aa772813",
+    },
+    _serve_knee: {
+        "books": "457850383d6f6724", "causal_events": "18ca1f148f31919d",
+        "chrome_trace": "2f8440e38e9b1d63", "e2e": "ee75a9f2da7314ac",
+        "flow_dot": "aa3c47f9d3c06563", "jsonl": "9a8ff112fefcaf86",
+        "lock_profile": "93883bf3b289f3a7", "prometheus": "ac782cb4e4a02a4f",
+        "sojourn": "3770f97d653c662f", "summary": "bc61c998b303a3e9",
+        "timeline_doc": "44c6225327e9421c",
+    },
 }
 
 
+def _digests(exported: dict[str, str]) -> dict[str, str]:
+    return {name: hashlib.sha256(text.encode()).hexdigest()[:16]
+            for name, text in exported.items()}
+
+
 @pytest.mark.parametrize("run", PINNED, ids=lambda f: f.__name__.strip("_"))
-def test_traced_snapshot_is_the_parents(run):
-    assert _digest(run()) == PINNED[run]
+def test_traced_snapshot_is_the_parents(run, exports):
+    """What a traced run exports is what it exported before the store —
+    read off the recorder itself, and again off a fresh ``Recorder()``
+    that merged the run's pickled snapshot."""
+    rec = run()
+    assert _digests(exports(rec)) == PINNED[run]
+    fresh = Recorder()
+    fresh.merge(pickle.loads(pickle.dumps(rec.snapshot())))
+    assert _digests(exports(fresh)) == PINNED[run]
 
 
 # -- one time axis --------------------------------------------------------------
@@ -273,7 +302,7 @@ BLOCKING_CFG = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
 def _windows_with(tl, kind: str, suffix: str, prefix: str = "") -> set[int]:
     return {idx for idx, win in tl.windows.items()
             if any(k.startswith(prefix) and k.endswith(suffix)
-                   for k in win[kind])}
+                   for k in getattr(win, kind))}
 
 
 def _assert_one_axis(rec: Recorder, elapsed: float) -> None:

@@ -5,24 +5,26 @@ The load-bearing guarantees pinned here:
 * attaching a timeline never perturbs the simulated schedule (fig3
   byte-identity — the tentpole's acceptance criterion, mirroring the
   causal-tracer pin in tests/obs/test_causal.py);
-* window merges are associative and commutative, so the rank-order
-  procs merge and any thread-join order produce the same timeline;
+* window merges (through ``Recorder.merge``, the one entry) are
+  associative and commutative, so the rank-order procs merge and any
+  thread-join order produce the same timeline;
 * the same program produces the same circuit-level counter totals on
   the simulator, real threads and forked processes — the windowed
   series are runtime-portable even though the time axis is not;
-* digest buckets match the Recorder Histogram exactly, so per-window
-  quantiles agree with the post-hoc aggregates.
+* a window's digests are the ``Histogram`` the lock profile uses, so
+  per-window quantiles agree with the post-hoc aggregates.
 """
 
 import itertools
 import json
+import pickle
 import sys
 
 import pytest
 
 from repro.core.protocol import FCFS
-from repro.obs import Recorder, Timeline, digest_quantile, merge_timelines
-from repro.obs.recorder import Histogram, log2_us_bucket
+from repro.obs import Histogram, Recorder, Timeline
+from repro.obs.store import log2_us_bucket
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
 from repro.runtime.threads import ThreadRuntime
@@ -77,7 +79,7 @@ DETERMINISTIC = ("sent", "recv", "bytes_sent", "bytes_recv")
 def named_counter_totals(tl: Timeline, metrics=None) -> dict[str, float]:
     """Circuit counter totals keyed by circuit *name* (slot-free)."""
     out: dict[str, float] = {}
-    for key, n in tl.totals()["counters"].items():
+    for key, n in tl.totals().counters.items():
         series, metric = key.split("|", 1)
         if not series.startswith("circuit:"):
             continue
@@ -92,58 +94,66 @@ def named_counter_totals(tl: Timeline, metrics=None) -> dict[str, float]:
 # -- merge algebra -----------------------------------------------------------
 
 
-def _synthetic(seed: int) -> Timeline:
-    """A deterministic hand-fed timeline (no runtime, explicit times)."""
-    tl = Timeline(width=0.5)
+def _synthetic(seed: int) -> Recorder:
+    """A recorder whose timeline is hand-fed (no runtime, explicit times)."""
+    rec = Recorder(timeline=Timeline(width=0.5))
+    tl = rec.timeline
     tl.name_slot(0, "jobs")
     for i in range(5):
         t = 0.3 * (i + seed)
         tl.count(t, "circuit:0|sent", 1 + seed)
         tl.gauge(t, "circuit:0|depth", float(i * seed + 1))
         tl.observe(t, "lock:global|wait", 1e-6 * (10 ** (i % 3)) * (seed + 1))
-    return tl
+    return rec
+
+
+def _merged(snaps) -> Recorder:
+    out = Recorder()
+    for snap in snaps:
+        out.merge(snap)
+    return out
+
+
+def _doc(rec: Recorder) -> str:
+    return json.dumps(rec.timeline.to_doc(), sort_keys=True)
 
 
 def test_merge_is_associative_and_commutative():
     snaps = [_synthetic(s).snapshot() for s in (1, 2, 3)]
-    docs = set()
-    for order in itertools.permutations(snaps):
-        merged = merge_timelines(order)
-        docs.add(json.dumps(merged.to_doc(), sort_keys=True))
+    docs = {_doc(_merged(order)) for order in itertools.permutations(snaps)}
     assert len(docs) == 1
     # Pairwise pre-merge (associativity) gives the same result too.
-    left = merge_timelines(snaps[:2])
+    left = _merged(snaps[:2])
     left.merge(snaps[2])
-    assert json.dumps(left.to_doc(), sort_keys=True) == docs.pop()
+    assert _doc(left) == docs.pop()
 
 
 def test_merge_totals_are_sums():
     a, b = _synthetic(1), _synthetic(2)
-    merged = merge_timelines([a.snapshot(), b.snapshot()])
-    ta, tb, tm = a.totals(), b.totals(), merged.totals()
+    merged = _merged([a.snapshot(), b.snapshot()])
+    ta, tb, tm = (r.timeline.totals() for r in (a, b, merged))
     key = "circuit:0|sent"
-    assert tm["counters"][key] == ta["counters"][key] + tb["counters"][key]
-    ga, gb, gm = (t["gauges"]["circuit:0|depth"] for t in (ta, tb, tm))
-    assert gm[0] == ga[0] + gb[0] and gm[1] == ga[1] + gb[1]
-    assert gm[2] == min(ga[2], gb[2]) and gm[3] == max(ga[3], gb[3])
+    assert tm.counters[key] == ta.counters[key] + tb.counters[key]
+    ga, gb, gm = (t.gauges["circuit:0|depth"] for t in (ta, tb, tm))
+    assert gm.n == ga.n + gb.n and gm.sum == ga.sum + gb.sum
+    assert gm.min == min(ga.min, gb.min) and gm.max == max(ga.max, gb.max)
 
 
 def test_merge_rejects_width_mismatch():
-    tl = Timeline(width=0.5)
+    rec = Recorder(timeline=Timeline(width=0.5))
     with pytest.raises(ValueError, match="width"):
-        tl.merge(Timeline(width=0.1).snapshot())
+        rec.merge(Recorder(timeline=Timeline(width=0.1)).snapshot())
 
 
 def test_snapshot_roundtrip_preserves_names_and_windows():
-    tl = _synthetic(1)
-    back = merge_timelines([tl.snapshot()])
-    assert back.names == tl.names
-    assert json.dumps(back.to_doc(), sort_keys=True) == json.dumps(
-        tl.to_doc(), sort_keys=True
-    )
+    rec = _synthetic(1)
+    back = _merged([pickle.loads(pickle.dumps(rec.snapshot()))])
+    assert back.timeline.names == rec.timeline.names
+    assert back.timeline.width == rec.timeline.width
+    assert _doc(back) == _doc(rec)
 
 
-# -- digests match the post-hoc Histogram ------------------------------------
+# -- a window's digest is the lock profile's Histogram -----------------------
 
 
 def test_digest_buckets_match_histogram():
@@ -151,18 +161,18 @@ def test_digest_buckets_match_histogram():
     hist = Histogram()
     tl = Timeline(width=1.0)
     for s in samples:
-        hist.add(s)
+        hist.add_bucket(log2_us_bucket(s))
         tl.observe(0.0, "x|wait", s)
-    assert tl.totals()["digests"]["x|wait"] == hist.counts
+    assert tl.totals().digests["x|wait"].counts == hist.counts
     assert all(log2_us_bucket(s) in hist.counts for s in samples)
 
 
 def test_digest_quantile_nearest_rank():
-    counts = {0: 50, 4: 40, 10: 10}  # <=1us, <=16us, <=1024us
-    assert digest_quantile(counts, 0.5) == pytest.approx(1e-6)
-    assert digest_quantile(counts, 0.9) == pytest.approx(16e-6)
-    assert digest_quantile(counts, 0.99) == pytest.approx(1024e-6)
-    assert digest_quantile({}, 0.5) == 0.0
+    digest = Histogram({0: 50, 4: 40, 10: 10})  # <=1us, <=16us, <=1024us
+    assert digest.quantile(0.5) == pytest.approx(1e-6)
+    assert digest.quantile(0.9) == pytest.approx(16e-6)
+    assert digest.quantile(0.99) == pytest.approx(1024e-6)
+    assert Histogram().quantile(0.5) == 0.0
 
 
 # -- tentpole acceptance: the timeline cannot perturb the simulation ---------
@@ -209,9 +219,9 @@ def test_sim_timeline_counts_match_segment_header():
     assert totals["circuit:jobs|sent"] == N_ITEMS
     assert totals["circuit:ready|sent"] == 2
     # Depth gauges and pool levels were sampled.
-    gauges = tl.totals()["gauges"]
+    gauges = tl.totals().gauges
     assert any(k.endswith("|depth") for k in gauges)
-    assert gauges["pool|live_blocks"][0] > 0
+    assert gauges["pool|live_blocks"].n > 0
     # The run's engine counters landed on the recorder.
     assert rec.machine["events"] > 0
     assert rec.machine["heap_pops"] > 0

@@ -180,7 +180,7 @@ def test_series_parity_sim_vs_threads_by_digest():
                            timeline=True)
         tl = rec.timeline
         out: dict[str, float] = {}
-        for key, n in tl.totals()["counters"].items():
+        for key, n in tl.totals().counters.items():
             series, metric = key.split("|", 1)
             if not series.startswith("circuit:") or metric not in (
                     "sent", "recv", "bytes_sent", "bytes_recv"):
