@@ -14,7 +14,7 @@ FUSION ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke telemetry-budget procs-smoke regress profile \
-	identity clean
+	identity hostcost clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -196,6 +196,14 @@ identity:
 	MPF_FUSION=off $(PY) -m repro.bench all \
 		--json /tmp/mpf_full_off.json >/dev/null
 	cmp /tmp/mpf_full_off.json figures_full.json
+
+# Host cost of the message path: the deterministic pin table (Python
+# and C calls, region accessor calls per loop-back send + receive pair,
+# per transport — what tests/core/test_host_cost.py pins) and the
+# loop-back microseconds per size, min of 5 x 200 pairs.  See
+# docs/performance.md, "Host cost of the message path".
+hostcost:
+	$(PY) tests/core/test_host_cost.py
 
 # cProfile one figure plus the hottest-effect-label report.
 # `make profile FIG=fig6 FUSION=off` profiles with poll waits unfused.

@@ -29,13 +29,10 @@ from typing import Generator
 
 from ..core.effects import Acquire, Charge, Release, Wake
 from ..core.freelist import fill_chain, fl_alloc, pop_chain
+from ..core.layout import HDR
 from ..core.ops import (  # private ops internals, on purpose
     _H_FREE_BLK,
     _H_FREE_MSG,
-    _H_LIVE_BLOCKS,
-    _H_LIVE_BYTES,
-    _H_LIVE_MSGS,
-    _L_FIFO_TAIL,
     _L_GEN,
     _L_SEQ,
     _SLOT_MASK,
@@ -44,7 +41,13 @@ from ..core.ops import (  # private ops internals, on purpose
     _link_tail,
 )
 from ..core.protocol import ALLOC_LOCK, NIL
+from ..core.structs import LNVC
 from ..core.work import Work
+
+_H_LIVE_MSGS = HDR.u32["live_msgs"]
+_H_LIVE_BLOCKS = HDR.u32["live_blocks"]
+_H_LIVE_BYTES = HDR.u32["live_bytes"]
+_L_FIFO_TAIL = LNVC.offsets["fifo_tail"]
 
 __all__ = ["FAULTS", "drop_wake", "unlocked_send"]
 
@@ -113,7 +116,8 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     seqno = u32(base + _L_SEQ)
     tail = u32(base + _L_FIFO_TAIL)
     yield Charge(Work(instrs=1, label="fault-torn-window"))
-    depth, _ = _link_tail(view, base, hdr, pid, length, blocks, seqno, tail)
+    _, depth, _ = _link_tail(view, base, hdr, pid, length, blocks,
+                             stale=(seqno, tail))
     if probe is not None:
         probe.msg_sent(pid, slot, u32(base + _L_GEN), seqno, length, nblk,
                        depth, t_entry, t_entry, t_entry)

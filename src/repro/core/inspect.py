@@ -403,6 +403,18 @@ def collect_violations(
     cfg = view.cfg
     out: list[str] = []
 
+    # The word accessors do not bounds-check (a bad offset raises from
+    # ``struct``, or counts from the end): nothing below walks from a
+    # head word that is neither NIL nor inside the region.
+    def wild(words: dict) -> list[str]:
+        return [f"{name} = {off} points outside the region of {r.size}"
+                for name, off in words.items() if r.size <= off != NIL]
+
+    out.extend(wild({f: HDR.get(r, f) for f in (
+        "free_send", "free_recv", "free_msg", "free_blk", "free_ring")}))
+    if out:
+        return out
+
     free_msg = fl_count(r, HDR.u32["free_msg"], limit=cfg.max_messages + 1)
     free_blk = fl_count(r, HDR.u32["free_blk"], limit=cfg.n_blocks + 1)
     live_msgs = HDR.get(r, "live_msgs")
@@ -432,6 +444,11 @@ def collect_violations(
             continue
         in_use_count += 1
         tag = f"lnvc slot {slot}"
+        lost = wild({f"{tag}: {f}": LNVC.get(r, base, f) for f in (
+            "fifo_head", "fifo_tail", "fcfs_head", "send_list", "recv_list")})
+        if lost:
+            out.extend(lost)
+            continue
         is_ring = bool(LNVC.get(r, base, "transport"))
         if is_ring:
             ring_count += 1

@@ -41,6 +41,7 @@ pure free-list segment is laid out byte-for-byte as before.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from .errors import MPFConfigError, RegionFormatError
@@ -239,6 +240,16 @@ class _Header:
         base = _align(4 * len(self._U32_FIELDS))
         self.u64 = {f: base + 8 * i for i, f in enumerate(self._U64_FIELDS)}
         self.size = base + 8 * len(self._U64_FIELDS)
+
+    def run(self, first: str, last: str) -> struct.Struct:
+        """The ``struct.Struct`` of the adjacent header fields ``first``
+        .. ``last``, all u32 or all u64, to be applied at the offset of
+        ``first`` (see :meth:`repro.core.structs.Record.run`)."""
+        for table, code, width in ((self.u32, "I", 4), (self.u64, "Q", 8)):
+            if first in table and last in table and table[first] <= table[last]:
+                return struct.Struct(
+                    "<" + code * ((table[last] - table[first]) // width + 1))
+        raise ValueError(f"header: no run {first!r}..{last!r}")
 
     def get(self, region: SharedRegion, f: str) -> int:
         if f in self.u32:

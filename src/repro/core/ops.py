@@ -30,7 +30,6 @@ concurrently, higher throughputs can be achieved").
 from __future__ import annotations
 
 import os
-import struct
 from typing import Sequence
 
 from .costmodel import DEFAULT_COSTS, Costs
@@ -52,6 +51,7 @@ from .effects import (
     WaitOn,
     Wake,
     _release_and_raise,
+    charge,
 )
 from .errors import (
     BufferOverflowError,
@@ -70,8 +70,7 @@ from .freelist import (
     fill_chain,
     fl_alloc,
     fl_free,
-    pop_chain,
-    push_chain,
+    stack_chain,
     walk_chain,
 )
 from .layout import HDR, MPFConfig, SegmentLayout
@@ -85,9 +84,11 @@ from .protocol import (
     MsgFlags,
     Protocol,
 )
-from .region import SharedRegion
+from .region import U32_MASK as _M32, U64_MASK as _M64, SharedRegion
 from .structs import LNVC, MSG, RECV, SEND
 from .transport import (
+    RING_READS,
+    RING_STORES,
     ring_attach,
     ring_check,
     ring_receive,
@@ -145,22 +146,19 @@ _GEN_MASK = (1 << (32 - SLOT_BITS)) - 1
 # (message_send / message_receive / check_receive and their helpers) run
 # millions of times per figure sweep; going through ``Record.get``'s dict
 # lookup and bound-method call was about a third of interpreter time in
-# profiles.  The hot paths below read fields as ``r.u32(base + _L_X)`` —
-# the same pointer-plus-field-offset arithmetic, with the offset folded
-# to a constant exactly as a C compiler folds ``lnvc->fifo_head``.  Cold
-# paths (open/close) keep the self-describing Record accessors.
+# profiles.  The hot paths below read a lone field as ``r.u32(base +
+# _L_X)`` — the same pointer-plus-field-offset arithmetic, with the offset
+# folded to a constant exactly as a C compiler folds ``lnvc->fifo_head`` —
+# and several fields of one record as one run (``READS`` / ``STORES``
+# below).  Cold paths (open/close) keep the self-describing Record
+# accessors.
 _L_IN_USE = LNVC.offsets["in_use"]
 _L_GEN = LNVC.offsets["gen"]
 _L_NMSGS = LNVC.offsets["nmsgs"]
-_L_FIFO_HEAD = LNVC.offsets["fifo_head"]
-_L_FIFO_TAIL = LNVC.offsets["fifo_tail"]
 _L_FCFS_HEAD = LNVC.offsets["fcfs_head"]
 _L_SEND_LIST = LNVC.offsets["send_list"]
 _L_RECV_LIST = LNVC.offsets["recv_list"]
-_L_N_FCFS = LNVC.offsets["n_fcfs"]
-_L_N_BCAST = LNVC.offsets["n_bcast"]
 _L_SEQ = LNVC.offsets["seq"]
-_L_HWM_NMSGS = LNVC.offsets["hwm_nmsgs"]
 _L_CONN_EPOCH = LNVC.offsets["conn_epoch"]
 _L_TRANSPORT = LNVC.offsets["transport"]
 _L_NRECVS = LNVC.offsets["nrecvs"]
@@ -171,33 +169,56 @@ _S_PID = SEND.offsets["pid"]
 _S_NEXT = SEND.offsets["next"]
 
 _R_PID = RECV.offsets["pid"]
-_R_PROTO = RECV.offsets["proto"]
 _R_HEAD = RECV.offsets["head"]
 _R_NEXT = RECV.offsets["next"]
 _R_NREADS = RECV.offsets["nreads"]
 
-#: What a poll round peeks at in an LNVC descriptor — ``in_use``, ``gen``,
-#: ``fcfs_head``, ``conn_epoch`` — as one read.
-_L_PEEK = struct.Struct(
-    f"<II{_L_FCFS_HEAD - 8}xI{_L_CONN_EPOCH - _L_FCFS_HEAD - 4}xI")
-
-_M_LENGTH = MSG.offsets["length"]
-_M_NBLOCKS = MSG.offsets["nblocks"]
-_M_FIRST_BLK = MSG.offsets["first_blk"]
 _M_NEXT_MSG = MSG.offsets["next_msg"]
 _M_BCAST_PENDING = MSG.offsets["bcast_pending"]
 _M_BUSY = MSG.offsets["busy"]
-_M_FLAGS = MSG.offsets["flags"]
-_M_SEQNO = MSG.offsets["seqno"]
-_M_SENDER = MSG.offsets["sender"]
 
 _H_FREE_MSG = HDR.u32["free_msg"]
 _H_FREE_BLK = HDR.u32["free_blk"]
-_H_LIVE_MSGS = HDR.u32["live_msgs"]
-_H_LIVE_BLOCKS = HDR.u32["live_blocks"]
-_H_LIVE_BYTES = HDR.u32["live_bytes"]
 _H_HWM_LIVE_BYTES = HDR.u64["hwm_live_bytes"]
-_H_HWM_LIVE_MSGS = HDR.u64["hwm_live_msgs"]
+
+# Record-at-a-time access.  A lock section reads each record it needs
+# once (one C call unpacks a whole run of adjacent fields), computes in
+# locals, and stores each run it changed once.  ``READS`` may be padded
+# picks; ``STORES`` are exact runs, and each covers only words whose
+# every writer holds the lock the storing section holds — named, run by
+# run, in tests/core/test_segment_identity.py.  A view binds both tables
+# to its region once (``view._rd_<name>(off)``, ``view._wr_<name>(off,
+# *values)``, ``off`` being the offset of the run's first field).
+READS = {
+    # what names a live circuit and dates its connection lists
+    "ident": LNVC.pick("in_use", "gen", "conn_epoch"),
+    "live": LNVC.run("in_use", "gen"),
+    # what a poll round peeks at, under the circuit lock
+    "peek": LNVC.pick("in_use", "gen", "fcfs_head", "conn_epoch"),
+    "queue": LNVC.run("nmsgs", "hwm_nmsgs"),
+    "fifo": LNVC.run("nmsgs", "fcfs_head"),
+    "sent": LNVC.run("bytes_sent", "bytes_sent_hi"),
+    "traffic": LNVC.run("nrecvs", "bytes_received_hi"),
+    "recv": RECV.run("pid", "nreads"),
+    "msg": MSG.run("length", "sender"),
+    "links": MSG.run("next_msg", "flags"),
+    "pins": MSG.run("bcast_pending", "flags"),
+    "pool": HDR.run("free_msg", "live_bytes"),
+    "hwm": HDR.run("hwm_live_bytes", "hwm_live_msgs"),
+    **RING_READS,
+}
+STORES = {
+    "fifo": READS["fifo"],
+    "seq_hwm": LNVC.run("seq", "hwm_nmsgs"),
+    "sent": READS["sent"],
+    "traffic": READS["traffic"],
+    "cursor": RECV.run("head", "nreads"),
+    "msg": READS["msg"],
+    "pins": READS["pins"],
+    "pool": READS["pool"],
+    "hwm": READS["hwm"],
+    **RING_STORES,
+}
 
 # Enum values as plain ints: constructing MsgFlags/Protocol instances per
 # field read is pure overhead when only bit tests are needed.
@@ -229,6 +250,9 @@ class MPFView:
     and the fixed-cost ``Charge`` effects whose work never varies.
     Effects are frozen dataclasses, so one instance per lock/channel can
     be yielded forever instead of allocating a fresh object per call.
+    Likewise the record accessors: one ``_rd_<run>`` / ``_wr_<run>``
+    callable per entry of :data:`READS` / :data:`STORES`, bound to the
+    region once.
     """
 
     __slots__ = (
@@ -249,8 +273,6 @@ class MPFView:
         "_check_fixed",
         "_recv_retire",
         "_recv_wakeup",
-        "_recv_find",
-        "_check_walk",
         "_ring_send_fixed_work",
         "_ring_send_fixed",
         "_ring_recv_fixed",
@@ -263,6 +285,8 @@ class MPFView:
         "probe",
         "fuse",
         "_fs_poll_cache",
+        *(f"_rd_{name}" for name in READS),
+        *(f"_wr_{name}" for name in STORES),
     )
 
     def __init__(
@@ -291,16 +315,6 @@ class MPFView:
         self._recv_wakeup = Charge(
             Work(instrs=costs.waiter_wakeup, label="recv-wakeup")
         )
-        # Small-step variable charges: descriptor lists are almost always
-        # one or two entries deep, so cache the first few step counts.
-        self._recv_find = tuple(
-            Charge(Work(instrs=k * costs.list_step, label="recv-find"))
-            for k in range(8)
-        )
-        self._check_walk = tuple(
-            Charge(Work(instrs=k * costs.list_step, label="check-walk"))
-            for k in range(8)
-        )
         # Ring transport fixed charges (see repro.core.transport).  The
         # claim/commit/consume charges each include one cacheline_xfer:
         # the shared control or header line is hot in another CPU's
@@ -325,6 +339,10 @@ class MPFView:
         self._ring_consume = Charge(
             Work(instrs=costs.ring_consume + costs.cacheline_xfer, label="ring-consume")
         )
+        for name, run in READS.items():
+            setattr(self, f"_rd_{name}", region.reader(run))
+        for name, run in STORES.items():
+            setattr(self, f"_wr_{name}", region.writer(run))
         # Connection-descriptor lookup caches: (slot, pid) -> (desc_off,
         # steps, gen, conn_epoch).  The circuit's ``conn_epoch`` field is
         # bumped (under the circuit lock) on every send/recv list
@@ -417,10 +435,9 @@ class MPFView:
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
         base = self.layout.lnvc_off(slot)
-        u32 = self.region.u32
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
+        in_use, g, epoch = self._rd_ident(base)
+        if not in_use or g != gen:
             self.resolve(lnvc_id)  # raises with the precise message
-        epoch = u32(base + _L_CONN_EPOCH)
         hit = self._recv_cache.get((slot, pid))
         if hit is not None and hit[2] == gen and hit[3] == epoch:
             return hit[0], hit[1]
@@ -433,15 +450,19 @@ class MPFView:
     def cached_recv(self, pid: int, lnvc_id: int) -> int:
         """``pid``'s receive descriptor if the cache still vouches for
         it, else ``NIL`` — never a list walk, so (unlike
-        :meth:`recv_conn`) it is safe with no lock held."""
+        :meth:`recv_conn`) it is safe with no lock held.  The epoch is
+        a word read of its own, ahead of the record read behind it: a
+        lock-free reader may not assume one call sees one instant."""
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
         base = self.layout.lnvc_off(slot)
-        u32 = self.region.u32
         hit = self._recv_cache.get((slot, pid))
-        if hit is None or hit[2] != gen or not u32(base + _L_IN_USE):
+        if hit is None or hit[2] != gen:
             return NIL
-        if u32(base + _L_GEN) != gen or u32(base + _L_CONN_EPOCH) != hit[3]:
+        if self.region.u32(base + _L_CONN_EPOCH) != hit[3]:
+            return NIL
+        in_use, g = self._rd_live(base)
+        if not in_use or g != gen:
             return NIL
         return hit[0]
 
@@ -451,10 +472,9 @@ class MPFView:
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
         base = self.layout.lnvc_off(slot)
-        u32 = self.region.u32
-        if not u32(base + _L_IN_USE) or u32(base + _L_GEN) != gen:
+        in_use, g, epoch = self._rd_ident(base)
+        if not in_use or g != gen:
             self.resolve(lnvc_id)  # raises with the precise message
-        epoch = u32(base + _L_CONN_EPOCH)
         hit = self._send_cache.get((slot, pid))
         if hit is not None and hit[2] == gen and hit[3] == epoch:
             return hit[1]
@@ -530,30 +550,30 @@ def _conn_count(view: MPFView, base: int) -> int:
     )
 
 
-def _retire_check(view: MPFView, msg: int) -> bool:
-    """Apply the retirement rule to one message header.
+def _retire_check(view: MPFView, msg: int, unpin: int = 0, unread: int = 0) -> bool:
+    """Drop ``unpin`` busy pins and ``unread`` owed broadcast reads from
+    one message header, then apply the retirement rule to it.
 
     A message retires (becomes reclaimable) when no broadcast receiver
     still owes it a read, nobody is copying out of it, and its FCFS
     obligation is discharged: either an FCFS receiver took it, or it never
     had an FCFS obligation *and* some receiver existed at enqueue time.
     Messages enqueued into an empty conversation are preserved for a
-    future FCFS joiner (paper §3.2).
+    future FCFS joiner (paper §3.2).  Caller holds the circuit lock.
     """
-    r = view.region
-    flags = r.u32(msg + _M_FLAGS)
-    if flags & _F_RETIRED:
+    pending, busy, flags = view._rd_pins(msg + _M_BCAST_PENDING)
+    if flags & _F_RETIRED and not (unpin or unread):
         return True
-    if r.u32(msg + _M_BCAST_PENDING) or r.u32(msg + _M_BUSY):
-        return False
-    if flags & _F_FCFS_TAKEN:
-        pass
-    elif (flags & _F_HAD_RECEIVERS) and not (flags & _F_FCFS_EXPECTED):
-        pass
-    else:
-        return False
-    r.set_u32(msg + _M_FLAGS, flags | _F_RETIRED)
-    return True
+    pending = (pending - unread) & _M32
+    busy = (busy - unpin) & _M32
+    retire = not (flags & _F_RETIRED or pending or busy) and bool(
+        flags & _F_FCFS_TAKEN
+        or (flags & _F_HAD_RECEIVERS and not flags & _F_FCFS_EXPECTED))
+    if retire:
+        flags |= _F_RETIRED
+    if retire or unpin or unread:
+        view._wr_pins(msg + _M_BCAST_PENDING, pending, busy, flags)
+    return bool(flags & _F_RETIRED)
 
 
 def _bad_chain(msg: int, exc: RegionFormatError) -> RegionFormatError:
@@ -561,29 +581,36 @@ def _bad_chain(msg: int, exc: RegionFormatError) -> RegionFormatError:
     return RegionFormatError(f"message header {msg}: {exc}")
 
 
-def _msg_chain(view: MPFView, msg: int) -> list[int]:
-    """Blocks of the message at ``msg``, bounded by its own block count."""
-    u32 = view.region.u32
+def _msg_chain(view: MPFView, msg: int, first: int, nblocks: int) -> list[int]:
+    """Blocks of the message at ``msg``, whose header says its chain is
+    ``nblocks`` long from ``first``; bounded by that count."""
     try:
-        return walk_chain(
-            view.region, u32(msg + _M_FIRST_BLK), u32(msg + _M_NBLOCKS))
+        return walk_chain(view.region, first, nblocks)
     except RegionFormatError as exc:
         raise _bad_chain(msg, exc) from None
 
 
-def _free_chain(view: MPFView, msg: int, blocks: list) -> int:
-    """Return a message header and its chain ``blocks`` to the free lists.
+def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
+    """Return the message headers ``msgs`` and their block ``chains``,
+    ``nbytes`` of payload in all, to the free lists — in order, each
+    chain ahead of its header, as one pass over the pool words.
 
     Caller holds ``ALLOC_LOCK``.  Returns the number of blocks freed.
     """
     r = view.region
-    push_chain(r, _H_FREE_BLK, blocks)
-    length = r.u32(msg + _M_LENGTH)
-    fl_free(r, _H_FREE_MSG, msg)
-    r.add_u32(_H_LIVE_MSGS, -1)
-    r.add_u32(_H_LIVE_BLOCKS, -len(blocks))
-    r.add_u32(_H_LIVE_BYTES, -length)
-    return len(blocks)
+    set_u32 = r.set_u32
+    free_msg, free_blk, live_msgs, live_blocks, live_bytes = view._rd_pool(
+        _H_FREE_MSG)
+    nblk = 0
+    for msg, chain in zip(msgs, chains):
+        free_blk = stack_chain(r, free_blk, chain)
+        set_u32(msg, free_msg)
+        free_msg = msg
+        nblk += len(chain)
+    view._wr_pool(_H_FREE_MSG, free_msg, free_blk,
+                  (live_msgs - len(msgs)) & _M32, (live_blocks - nblk) & _M32,
+                  (live_bytes - nbytes) & _M32)
+    return nblk
 
 
 def _unsend(
@@ -594,14 +621,9 @@ def _unsend(
     The header and the chain are allocated and counted but not linked;
     the caller holds the circuit lock ``lock``.
     """
-    r = view.region
     yield Release(lock)
     yield Acquire(ALLOC_LOCK)
-    push_chain(r, _H_FREE_BLK, blocks)
-    r.add_u32(_H_LIVE_BLOCKS, -len(blocks))
-    fl_free(r, _H_FREE_MSG, hdr)
-    r.add_u32(_H_LIVE_MSGS, -1)
-    r.add_u32(_H_LIVE_BYTES, -length)
+    _free_chain(view, [hdr], [blocks], length)
     yield from _release_and_raise([ALLOC_LOCK], exc)
 
 
@@ -628,58 +650,58 @@ def _reap_head(
     was busy-pinned from that walk until this lock section, so its chain
     is still ``blocks`` and is not walked again.
     """
-    r = view.region
     c = view.costs
-    u32 = r.u32
-    set_u32 = r.set_u32
+    rd_msg = view._rd_msg
     doomed: list[int] = []
     chains: list[list[int]] = []
-    head = u32(base + _L_FIFO_HEAD)
+    freed: list[tuple] = []  # (sender, seqno, length) of each, for the probe
+    nbytes = 0
+    nmsgs, head, tail, fcfs = view._rd_fifo(base + _L_NMSGS)
     try:
-        while head != NIL and (u32(head + _M_FLAGS) & _F_RETIRED):
+        while head != NIL:
+            length, nblocks, first, nxt, _, _, flags, seqno, sender = rd_msg(head)
+            if not flags & _F_RETIRED:
+                break
             doomed.append(head)
-            chains.append(blocks if head == drained else _msg_chain(view, head))
-            head = u32(head + _M_NEXT_MSG)
+            chains.append(blocks if head == drained
+                          else _msg_chain(view, head, first, nblocks))
+            freed.append((sender, seqno, length))
+            nbytes += length
+            head = nxt
     except RegionFormatError as exc:
         yield from _release_and_raise(held, exc)
     if not doomed:
         return 0
-    set_u32(base + _L_FIFO_HEAD, head)
-    if head == NIL:
-        set_u32(base + _L_FIFO_TAIL, NIL)
-    depth_after = r.add_u32(base + _L_NMSGS, -len(doomed))
-    probe = view.probe
-    if probe is not None:
-        probe.queue_depth(view.layout.lnvc_slot(base), depth_after)
+    depth_after = (nmsgs - len(doomed)) & _M32
     # The shared FCFS head can never point *behind* the new physical head:
     # if it pointed at a reaped message, advance it to the first survivor
     # that is not FCFS-taken.
-    fcfs = u32(base + _L_FCFS_HEAD)
     if fcfs in doomed:
-        set_u32(base + _L_FCFS_HEAD, _first_untaken(view, head))
+        fcfs = _first_untaken(view, head)
+    view._wr_fifo(base + _L_NMSGS, depth_after, head,
+                  NIL if head == NIL else tail, fcfs)
+    probe = view.probe
+    if probe is not None:
+        probe.queue_depth(view.layout.lnvc_slot(base), depth_after)
     yield view._alloc_acq
     if probe is not None:
-        # Header fields must be read before _free_chain overwrites the
-        # record's first word with the free-list link.
         probe.msgs_freed(
-            view.layout.lnvc_slot(base), u32(base + _L_GEN), depth_after,
-            [(u32(m + _M_SENDER), u32(m + _M_SEQNO), u32(m + _M_LENGTH))
-             for m in doomed])
-    nblk = 0
-    for msg, chain in zip(doomed, chains):
-        nblk += _free_chain(view, msg, chain)
+            view.layout.lnvc_slot(base), view.region.u32(base + _L_GEN),
+            depth_after, freed)
+    nblk = _free_chain(view, doomed, chains, nbytes)
     yield view._alloc_rel
-    yield Charge(
-        Work(instrs=len(doomed) * c.msg_discard + nblk * c.blk_free, label="reap")
-    )
+    yield charge(len(doomed) * c.msg_discard + nblk * c.blk_free, "reap")
     return len(doomed)
 
 
 def _first_untaken(view: MPFView, msg: int) -> int:
     """First message at or after ``msg`` not yet FCFS-taken (or NIL)."""
-    u32 = view.region.u32
-    while msg != NIL and (u32(msg + _M_FLAGS) & _F_FCFS_TAKEN):
-        msg = u32(msg + _M_NEXT_MSG)
+    rd_links = view._rd_links
+    while msg != NIL:
+        nxt, _, _, flags = rd_links(msg + _M_NEXT_MSG)
+        if not flags & _F_FCFS_TAKEN:
+            break
+        msg = nxt
     return msg
 
 
@@ -695,12 +717,17 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     base = view.layout.lnvc_off(slot)
     msgs: list[int] = []
     chains: list[list[int]] = []
+    freed: list[tuple] = []  # (sender, seqno, length) of each, for the probe
+    nbytes = 0
     msg = LNVC.get(r, base, "fifo_head")
     try:
         while msg != NIL:
+            length, nblocks, first, nxt, _, _, _, seqno, sender = view._rd_msg(msg)
             msgs.append(msg)
-            chains.append(_msg_chain(view, msg))
-            msg = MSG.get(r, msg, "next_msg")
+            chains.append(_msg_chain(view, msg, first, nblocks))
+            freed.append((sender, seqno, length))
+            nbytes += length
+            msg = nxt
     except RegionFormatError as exc:
         yield from _release_and_raise((view.lnvc_lock(slot), GLOBAL_LOCK), exc)
     nblk = 0
@@ -708,13 +735,9 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
         yield Acquire(ALLOC_LOCK)
         probe = view.probe
         if probe is not None:
-            probe.msgs_freed(
-                slot, LNVC.get(r, base, "gen"), 0,
-                [(MSG.get(r, m, "sender"), MSG.get(r, m, "seqno"),
-                  MSG.get(r, m, "length")) for m in msgs],
-                discard=1)
-        for m, chain in zip(msgs, chains):
-            nblk += _free_chain(view, m, chain)
+            probe.msgs_freed(slot, LNVC.get(r, base, "gen"), 0, freed,
+                             discard=1)
+        nblk = _free_chain(view, msgs, chains, nbytes)
         yield Release(ALLOC_LOCK)
     if LNVC.get(r, base, "transport"):
         # Ring circuits have no FIFO to discard (msgs is empty above);
@@ -735,64 +758,55 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     LNVC.set(r, base, "send_list", NIL)
     LNVC.set(r, base, "recv_list", NIL)
     HDR.add(r, "live_lnvcs", -1)
-    yield Charge(
-        Work(
-            instrs=len(msgs) * c.msg_discard + nblk * c.blk_free + c.close_fixed // 2,
-            label="lnvc-delete",
-        )
-    )
+    yield charge(
+        len(msgs) * c.msg_discard + nblk * c.blk_free + c.close_fixed // 2,
+        "lnvc-delete")
     return len(msgs)
 
 
 def _link_tail(view: MPFView, base: int, hdr: int, pid: int, length: int,
-               blocks: list, seqno: int, tail: int) -> tuple[int, int]:
-    """Fill the header ``hdr`` and link it behind ``tail`` as message
-    ``seqno`` of the circuit at ``base``; returns ``(queue depth, receive
-    descriptors walked)``.
+               blocks: list, stale: tuple | None = None) -> tuple[int, int, int]:
+    """Fill the header ``hdr`` and link it at the FIFO tail of the
+    circuit at ``base`` as its next message; returns ``(sequence number,
+    queue depth, receive descriptors walked)``.
 
-    Yield-free, and correct only when ``seqno`` and ``tail`` were read in
-    the same circuit-lock section: a stale pair orphans a message — the
-    window :func:`repro.check.faults.unlocked_send` opens on purpose.
+    Yield-free: the queue words are read here, once, and the caller
+    holds the circuit lock.  ``stale`` is the seam of
+    :func:`repro.check.faults.unlocked_send`: a ``(seq, fifo_tail)``
+    pair read in an *earlier* section, used in place of the fresh one —
+    which orphans a message, the bug that fault plants on purpose.
     """
-    r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
-    n_fcfs = u32(base + _L_N_FCFS)
-    n_bcast = u32(base + _L_N_BCAST)
+    set_u32 = view.region.set_u32
+    (nmsgs, fifo_head, tail, fcfs_head, _, desc, _, n_fcfs, n_bcast,
+     seqno, hwm) = view._rd_queue(base + _L_NMSGS)
+    if stale is not None:
+        seqno, tail = stale
     flags = 0
     if n_fcfs:
         flags |= _F_FCFS_EXPECTED
     if n_fcfs or n_bcast:
         flags |= _F_HAD_RECEIVERS
-    set_u32(base + _L_SEQ, seqno + 1)
-    set_u32(hdr + _M_LENGTH, length)
-    set_u32(hdr + _M_NBLOCKS, len(blocks))
-    set_u32(hdr + _M_FIRST_BLK, blocks[0] if blocks else NIL)
-    set_u32(hdr + _M_NEXT_MSG, NIL)
-    set_u32(hdr + _M_BCAST_PENDING, n_bcast)
-    set_u32(hdr + _M_BUSY, 0)
-    set_u32(hdr + _M_FLAGS, flags)
-    set_u32(hdr + _M_SEQNO, seqno)
-    set_u32(hdr + _M_SENDER, pid)
+    view._wr_msg(hdr, length, len(blocks), blocks[0] if blocks else NIL, NIL,
+                 n_bcast, 0, flags, seqno, pid & _M32)
     if tail == NIL:
-        set_u32(base + _L_FIFO_HEAD, hdr)
+        fifo_head = hdr
     else:
         set_u32(tail + _M_NEXT_MSG, hdr)
-    set_u32(base + _L_FIFO_TAIL, hdr)
-    depth = r.add_u32(base + _L_NMSGS, 1)
-    if depth > u32(base + _L_HWM_NMSGS):
-        set_u32(base + _L_HWM_NMSGS, depth)
-    if u32(base + _L_FCFS_HEAD) == NIL:
-        set_u32(base + _L_FCFS_HEAD, hdr)
+    depth = (nmsgs + 1) & _M32
+    view._wr_fifo(base + _L_NMSGS, depth, fifo_head, hdr,
+                  hdr if fcfs_head == NIL else fcfs_head)
+    view._wr_seq_hwm(base + _L_SEQ, (seqno + 1) & _M32,
+                     depth if depth > hwm else hwm)
     # Point every caught-up BROADCAST receiver at the new message.
     rsteps = 0
-    desc = u32(base + _L_RECV_LIST)
+    rd_recv = view._rd_recv
     while desc != NIL:
         rsteps += 1
-        if u32(desc + _R_PROTO) != _P_FCFS and u32(desc + _R_HEAD) == NIL:
+        _, proto, head, nxt, _ = rd_recv(desc)
+        if proto != _P_FCFS and head == NIL:
             set_u32(desc + _R_HEAD, hdr)
-        desc = u32(desc + _R_NEXT)
-    return depth, rsteps
+        desc = nxt
+    return seqno, depth, rsteps
 
 
 def _open_common(view: MPFView, data: bytes) -> OpGen:
@@ -826,7 +840,7 @@ def _open_common(view: MPFView, data: bytes) -> OpGen:
         HDR.add(r, "live_lnvcs", 1)
         if view.cfg.transport_for(data.decode("utf-8")) == "ring":
             yield from ring_attach(view, slot, base)
-    yield Charge(Work(instrs=c.open_fixed + steps * c.list_step, label="open"))
+    yield charge(c.open_fixed + steps * c.list_step, "open")
     probe = view.probe
     if probe is not None:
         probe.circuit_opened(slot, data.decode("utf-8"))
@@ -872,7 +886,7 @@ def open_send(view: MPFView, pid: int, name: str) -> OpGen:
     LNVC.set(r, base, "send_list", desc)
     LNVC.add(r, base, "n_senders", 1)
     LNVC.add(r, base, "conn_epoch", 1)
-    yield Charge(Work(instrs=steps * c.list_step + 4 * c.list_step, label="open_send"))
+    yield charge(steps * c.list_step + 4 * c.list_step, "open_send")
     yield Release(lock)
     yield Release(GLOBAL_LOCK)
     return encode_lnvc_id(slot, LNVC.get(r, base, "gen"))
@@ -935,9 +949,7 @@ def open_receive(view: MPFView, pid: int, name: str, protocol: Protocol) -> OpGe
     LNVC.set(r, base, "recv_list", desc)
     LNVC.add(r, base, "n_fcfs" if proto is Protocol.FCFS else "n_bcast", 1)
     LNVC.add(r, base, "conn_epoch", 1)
-    yield Charge(
-        Work(instrs=steps * c.list_step + 4 * c.list_step, label="open_receive")
-    )
+    yield charge(steps * c.list_step + 4 * c.list_step, "open_receive")
     yield Release(lock)
     yield Release(GLOBAL_LOCK)
     return encode_lnvc_id(slot, LNVC.get(r, base, "gen"))
@@ -975,7 +987,7 @@ def close_send(view: MPFView, pid: int, lnvc_id: int) -> OpGen:
     fl_free(r, HDR.u32["free_send"], desc)
     yield Release(ALLOC_LOCK)
     LNVC.add(r, base, "n_senders", -1)
-    yield Charge(Work(instrs=c.close_fixed + steps * c.list_step, label="close_send"))
+    yield charge(c.close_fixed + steps * c.list_step, "close_send")
     if _conn_count(view, base) == 0:
         yield from _delete_lnvc(view, slot)
     yield Release(lock)
@@ -1022,8 +1034,7 @@ def close_receive(view: MPFView, pid: int, lnvc_id: int) -> OpGen:
         else:
             msg = RECV.get(r, desc, "head")
             while msg != NIL:
-                MSG.add(r, msg, "bcast_pending", -1)
-                _retire_check(view, msg)
+                _retire_check(view, msg, unread=1)
                 msg = MSG.get(r, msg, "next_msg")
                 walked += 1
         LNVC.add(r, base, "n_bcast", -1)
@@ -1038,12 +1049,8 @@ def close_receive(view: MPFView, pid: int, lnvc_id: int) -> OpGen:
     yield Acquire(ALLOC_LOCK)
     fl_free(r, HDR.u32["free_recv"], desc)
     yield Release(ALLOC_LOCK)
-    yield Charge(
-        Work(
-            instrs=c.close_fixed + (steps + walked) * c.list_step,
-            label="close_receive",
-        )
-    )
+    yield charge(c.close_fixed + (steps + walked) * c.list_step,
+                 "close_receive")
     if not is_ring:
         yield from _reap_head(view, base, (lock, GLOBAL_LOCK))
     if _conn_count(view, base) == 0:
@@ -1083,17 +1090,25 @@ def message_send(
     Raises :class:`OutOfMessageMemoryError` when the header or block pool
     is exhausted — the hard edge of the ``init()`` sizing estimate.
     """
-    # Transport dispatch on a plain u32 read: no effect is yielded, so
-    # free-list circuits keep a bit-identical simulated schedule.  A
+    # Transport dispatch on a plain u32 read, and the transport's own
+    # generator handed back as is: no effect is yielded and no frame is
+    # added, so either transport runs two frames below its caller.  A
     # stale identifier is caught by the generation check either way.
     slot = view.slot_of(lnvc_id)
-    if view.region.u32(view.layout.lnvc_off(slot) + _L_TRANSPORT):
-        return (yield from ring_send(view, pid, lnvc_id, data, prelude))
+    base = view.layout.lnvc_off(slot)
+    if view.region.u32(base + _L_TRANSPORT):
+        return ring_send(view, pid, slot, base, lnvc_id, data, prelude)
+    return _freelist_send(view, pid, slot, base, lnvc_id, data, prelude)
+
+
+def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
+                   lnvc_id: int, data: bytes, prelude: Work | None) -> OpGen:
+    """:func:`message_send` over the free-list transport (``slot`` is
+    ``lnvc_id``'s, inside the table, ``base`` its descriptor's offset)."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
     data = bytes(data)
     r = view.region
-    u32 = r.u32
     c = view.costs
     lay = view.layout
     bs = view.cfg.block_size
@@ -1109,50 +1124,43 @@ def message_send(
         yield ChargeMany((prelude, view._send_fixed_work))
 
     # Phase 1: allocation.  Blocks are private until linked, so only the
-    # free lists need the allocator lock.
+    # free lists need the allocator lock.  Nothing is stored until both
+    # the header and the whole chain are known to be there.
     yield view._alloc_acq
-    hdr = fl_alloc(r, _H_FREE_MSG)
+    hdr, free_blk, live_msgs, live_blk, live = view._rd_pool(_H_FREE_MSG)
     if hdr == NIL:
         if probe is not None:
             probe.pool(dry=_H_FREE_MSG)
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
-    blocks = pop_chain(r, _H_FREE_BLK, nblk)
-    if blocks is None:
-        fl_free(r, _H_FREE_MSG, hdr)
+    blocks, free_blk = r.follow(free_blk, nblk)
+    if len(blocks) < nblk:
         if probe is not None:
             probe.pool(((_H_FREE_MSG, 1),), dry=_H_FREE_BLK)
         yield from _release_and_raise(
             [ALLOC_LOCK],
             OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
         )
-    r.add_u32(_H_LIVE_MSGS, 1)
-    live_blk = r.add_u32(_H_LIVE_BLOCKS, nblk)
+    live_msgs = (live_msgs + 1) & _M32
+    live_blk = (live_blk + nblk) & _M32
+    live = (live + length) & _M32
+    view._wr_pool(_H_FREE_MSG, r.u32(hdr), free_blk, live_msgs, live_blk, live)
     if probe is not None:
         probe.pool(((_H_FREE_MSG, 1), (_H_FREE_BLK, nblk)),
                    live_blocks=live_blk)
-    live = r.add_u32(_H_LIVE_BYTES, length)
-    if live > r.u64(_H_HWM_LIVE_BYTES):
-        r.set_u64(_H_HWM_LIVE_BYTES, live)
-    live_msgs = u32(_H_LIVE_MSGS)
-    if live_msgs > r.u64(_H_HWM_LIVE_MSGS):
-        r.set_u64(_H_HWM_LIVE_MSGS, live_msgs)
-    yield Charge(Work(instrs=(nblk + 1) * c.blk_alloc, label="send-alloc"))
+    hwm_bytes, hwm_msgs = view._rd_hwm(_H_HWM_LIVE_BYTES)
+    if live > hwm_bytes or live_msgs > hwm_msgs:
+        view._wr_hwm(_H_HWM_LIVE_BYTES, max(live, hwm_bytes),
+                     max(live_msgs, hwm_msgs))
+    yield charge((nblk + 1) * c.blk_alloc, "send-alloc")
     yield view._alloc_rel
     t_alloc = probe.now() if probe is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.
     fill_chain(r, blocks, data, bs)
-    yield Charge(
-        Work(
-            instrs=nblk * c.blk_fill + length * c.copy_byte,
-            copy_bytes=length,
-            blocks=nblk,
-            page_bytes=nblk * lay.blk_stride + MSG.size,
-            label="send-copy",
-        )
-    )
+    yield charge(nblk * c.blk_fill + length * c.copy_byte, "send-copy",
+                 length, nblk, nblk * lay.blk_stride + MSG.size)
     t_fill = probe.now() if probe is not None else 0.0
 
     # Phase 3: link at the FIFO tail under the circuit lock.
@@ -1162,17 +1170,10 @@ def message_send(
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _unsend(view, lock, hdr, blocks, length, exc)
 
-    base = lay.lnvc_off(slot)
-    seqno = u32(base + _L_SEQ)
-    depth, rsteps = _link_tail(view, base, hdr, pid, length, blocks,
-                               seqno, u32(base + _L_FIFO_TAIL))
-    r.add_u64(base + _L_BYTES_SENT, length)
-    yield Charge(
-        Work(
-            instrs=c.msg_link + (steps + rsteps) * c.list_step,
-            label="send-link",
-        )
-    )
+    seqno, depth, rsteps = _link_tail(view, base, hdr, pid, length, blocks)
+    (sent,) = view._rd_sent(base + _L_BYTES_SENT)
+    view._wr_sent(base + _L_BYTES_SENT, (sent + length) & _M64)
+    yield charge(c.msg_link + (steps + rsteps) * c.list_step, "send-link")
     if probe is not None:
         probe.msg_sent(pid, slot, lnvc_id >> SLOT_BITS, seqno, length, nblk,
                        depth, t_entry, t_alloc, t_fill)
@@ -1197,8 +1198,16 @@ def message_receive(
     safe analogue of the C interface's caller-supplied buffer.
     """
     slot = view.slot_of(lnvc_id)
-    if view.region.u32(view.layout.lnvc_off(slot) + _L_TRANSPORT):
-        return (yield from ring_receive(view, pid, lnvc_id, max_len))
+    base = view.layout.lnvc_off(slot)
+    if view.region.u32(base + _L_TRANSPORT):
+        return ring_receive(view, pid, slot, base, lnvc_id, max_len)
+    return _freelist_receive(view, pid, slot, base, lnvc_id, max_len)
+
+
+def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
+                      lnvc_id: int, max_len: int | None) -> OpGen:
+    """:func:`message_receive` over the free-list transport (``slot``,
+    ``base``: as for :func:`_freelist_send`)."""
     r = view.region
     u32 = r.u32
     set_u32 = r.set_u32
@@ -1206,7 +1215,6 @@ def message_receive(
     probe = view.probe
     t_entry = probe.now() if probe is not None else 0.0
     lock = FIRST_LNVC_LOCK + slot
-    base = view.layout.lnvc_off(slot)
 
     yield view._recv_fixed
     yield view._acq[slot]
@@ -1214,16 +1222,16 @@ def message_receive(
         desc, steps = view.recv_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _release_and_raise([lock], exc)
-    is_fcfs = u32(desc + _R_PROTO) == _P_FCFS
-    yield view._recv_find[steps] if steps < 8 else Charge(
-        Work(instrs=steps * c.list_step, label="recv-find")
-    )
+    yield charge(steps * c.list_step, "recv-find")
 
+    rd_recv = view._rd_recv
     while True:
+        # The descriptor is read again after every sleep: the lock was
+        # released, and a neighbour closing may have relinked ``rnext``.
+        _, proto, msg, rnext, nreads = rd_recv(desc)
+        is_fcfs = proto == _P_FCFS
         if is_fcfs:
             msg = u32(base + _L_FCFS_HEAD)
-        else:
-            msg = u32(desc + _R_HEAD)
         if msg != NIL:
             break
         # Nothing available: sleep on the circuit's wait channel.  WaitOn
@@ -1232,7 +1240,8 @@ def message_receive(
         yield view._waiton[slot]
         yield view._recv_wakeup
 
-    length = u32(msg + _M_LENGTH)
+    (length, nblk, first, next_msg, pending, busy, flags, claimed_seqno,
+     _) = view._rd_msg(msg)
     if max_len is not None and length > max_len:
         yield from _release_and_raise(
             [lock],
@@ -1242,20 +1251,17 @@ def message_receive(
         )
 
     # Claim the message under the lock, then copy outside it.
-    r.add_u32(msg + _M_BUSY, 1)
+    busy = (busy + 1) & _M32
+    nreads = (nreads + 1) & _M32
     if is_fcfs:
-        set_u32(msg + _M_FLAGS, u32(msg + _M_FLAGS) | _F_FCFS_TAKEN)
-        set_u32(
-            base + _L_FCFS_HEAD, _first_untaken(view, u32(msg + _M_NEXT_MSG))
-        )
+        view._wr_pins(msg + _M_BCAST_PENDING, pending, busy,
+                      flags | _F_FCFS_TAKEN)
+        set_u32(base + _L_FCFS_HEAD, _first_untaken(view, next_msg))
+        set_u32(desc + _R_NREADS, nreads)
     else:
-        set_u32(desc + _R_HEAD, u32(msg + _M_NEXT_MSG))
-    r.add_u32(desc + _R_NREADS, 1)
-    nblk = u32(msg + _M_NBLOCKS)
-    first = u32(msg + _M_FIRST_BLK)
-    if probe is not None:
-        t_claim = probe.now()
-        claimed_seqno = u32(msg + _M_SEQNO)
+        set_u32(msg + _M_BUSY, busy)
+        view._wr_cursor(desc + _R_HEAD, next_msg, rnext, nreads)
+    t_claim = probe.now() if probe is not None else 0.0
     yield view._rel[slot]
 
     # Copy phase — concurrent with other receivers of the same message.
@@ -1265,24 +1271,18 @@ def message_receive(
         blocks, payload = drain_chain(r, first, nblk, length, view.cfg.block_size)
     except RegionFormatError as exc:
         raise _bad_chain(msg, exc) from None
-    yield Charge(Work(
-        instrs=nblk * c.blk_drain + length * c.copy_byte,
-        copy_bytes=length,
-        blocks=nblk,
-        label="recv-copy",
-    ))
+    yield charge(nblk * c.blk_drain + length * c.copy_byte, "recv-copy",
+                 length, nblk)
     t_drain = probe.now() if probe is not None else 0.0
 
     # Completion: drop the busy pin, account the read, retire and reap.
     yield view._acq[slot]
-    r.add_u32(msg + _M_BUSY, -1)
-    if not is_fcfs:
-        r.add_u32(msg + _M_BCAST_PENDING, -1)
-    _retire_check(view, msg)
+    _retire_check(view, msg, 1, 0 if is_fcfs else 1)
     yield view._recv_retire
     yield from _reap_head(view, base, (lock,), msg, blocks)
-    r.add_u32(base + _L_NRECVS, 1)
-    r.add_u64(base + _L_BYTES_RECEIVED, length)
+    nrecvs, sent, received = view._rd_traffic(base + _L_NRECVS)
+    view._wr_traffic(base + _L_NRECVS, (nrecvs + 1) & _M32, sent,
+                     (received + length) & _M64)
     yield view._rel[slot]
     if probe is not None:
         probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, claimed_seqno,
@@ -1311,9 +1311,15 @@ def check_receive(
     slot = view.slot_of(lnvc_id)
     base = view.layout.lnvc_off(slot)
     if view.region.u32(base + _L_TRANSPORT):
-        return (yield from ring_check(view, pid, lnvc_id, prelude))
+        return ring_check(view, pid, slot, base, lnvc_id, prelude)
+    return _freelist_check(view, pid, slot, base, lnvc_id, prelude)
+
+
+def _freelist_check(view: MPFView, pid: int, slot: int, base: int,
+                    lnvc_id: int, prelude: Work | None) -> OpGen:
+    """:func:`check_receive` over the free-list transport (``slot``,
+    ``base``: as for :func:`_freelist_send`)."""
     u32 = view.region.u32
-    c = view.costs
 
     if prelude is None:
         yield view._check_fixed
@@ -1324,18 +1330,14 @@ def check_receive(
         desc, steps = view.recv_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
-    if u32(desc + _R_PROTO) == _P_FCFS:
+    _, proto, msg, _, _ = view._rd_recv(desc)
+    if proto == _P_FCFS:
         msg = u32(base + _L_FCFS_HEAD)
-    else:
-        msg = u32(desc + _R_HEAD)
     count = 0
     while msg != NIL:
         count += 1
         msg = u32(msg + _M_NEXT_MSG)
-    walked = steps + count
-    yield view._check_walk[walked] if walked < 8 else Charge(
-        Work(instrs=walked * c.list_step, label="check-walk")
-    )
+    yield charge((steps + count) * view.costs.list_step, "check-walk")
     yield view._rel[slot]
     return count
 
@@ -1360,9 +1362,8 @@ def _make_poll_section(view, pid, ids, backoff):
     u32, lay = r.u32, view.layout
     if any(u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT) for cid in ids):
         return None
-    peek = r.reader(_L_PEEK)
-    c = view.costs
-    walk_steps = tuple((S_CHARGE, ch.work) for ch in view._check_walk)
+    peek, rd_recv = view._rd_peek, view._rd_recv
+    list_step = view.costs.list_step
     heads: list = []
 
     def head(i, lnvc_id):
@@ -1384,16 +1385,16 @@ def _make_poll_section(view, pid, ids, backoff):
                 desc, steps = view.recv_conn(pid, lnvc_id)
             except (UnknownLNVCError, NotConnectedError) as exc:
                 return (D_BAIL, (lock, exc))
-            fcfs = u32(desc + _R_PROTO) == _P_FCFS
-            msg = fcfs_head if fcfs else u32(desc + _R_HEAD)
+            _, proto, msg, _, _ = rd_recv(desc)
+            fcfs = proto == _P_FCFS
+            if fcfs:
+                msg = fcfs_head
             count = 0
             while msg != NIL:
                 count += 1
                 msg = u32(msg + _M_NEXT_MSG)
-            walked = steps + count
-            tail = (walk_steps[walked] if walked < 8 else (
-                S_CHARGE, Work(instrs=walked * c.list_step,
-                               label="check-walk")), rel)
+            tail = ((S_CHARGE, charge((steps + count) * list_step,
+                                      "check-walk").work), rel)
             if count:
                 return (D_JUMP, lnvc_id, tail)
             m_desc, m_fcfs, m_epoch = desc, fcfs, epoch

@@ -18,10 +18,15 @@ These are the byte-level equivalents of the C structs sketched in paper
 A :class:`Record` maps field names to offsets; all fields are u32.  Access
 goes through a bound :class:`~repro.core.region.SharedRegion` plus the
 record's base offset — the same pointer-plus-field-offset arithmetic the C
-compiler would emit.
+compiler would emit.  The hot paths move a whole *run* of adjacent fields
+per call instead (:meth:`Record.run`, bound to a region with
+:meth:`SharedRegion.reader <repro.core.region.SharedRegion.reader>` /
+``writer``): one C call where a C compiler would emit one struct copy.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .protocol import NAME_MAX
 from .region import SharedRegion
@@ -55,15 +60,54 @@ class Record:
     ``tail_bytes`` reserves unstructured space after them (used for the
     LNVC name).  The first field of every record doubles as the free-list
     link while the record is unallocated (see :mod:`repro.core.freelist`).
+    ``u64`` names the fields that are the low word of a 64-bit counter
+    whose high word is the next field; a run reads the pair as one value.
     """
 
-    __slots__ = ("name", "offsets", "size", "tail_off")
+    __slots__ = ("name", "offsets", "size", "tail_off", "u64", "_high")
 
-    def __init__(self, name: str, fields: tuple[str, ...], tail_bytes: int = 0) -> None:
+    def __init__(self, name: str, fields: tuple[str, ...], tail_bytes: int = 0,
+                 u64: tuple[str, ...] = ()) -> None:
         self.name = name
         self.offsets = {f: 4 * i for i, f in enumerate(fields)}
         self.tail_off = 4 * len(fields)
         self.size = self.tail_off + tail_bytes
+        self.u64 = frozenset(u64)
+        # the high word of each pair travels with its low word
+        self._high = frozenset(fields[fields.index(f) + 1] for f in u64)
+
+    def run(self, first: str, last: str) -> struct.Struct:
+        """The ``struct.Struct`` of the adjacent fields ``first`` ..
+        ``last`` (inclusive), to be applied at ``base + offsets[first]``.
+
+        One value per field, except that a ``u64`` pair inside the run
+        is one 64-bit value.  A run has no padding, so it may be stored
+        (:meth:`SharedRegion.writer`) as well as read — by a caller who
+        holds the lock that guards *every* word in it.
+        """
+        lo, hi = self.offsets[first], self.offsets[last]
+        names = [f for f, off in self.offsets.items() if lo <= off <= hi]
+        if not names or names[0] in self._high or names[-1] in self.u64:
+            raise ValueError(
+                f"{self.name}: no run {first!r}..{last!r} (empty, or it "
+                f"splits a u64 pair)")
+        return self.pick(*(f for f in names if f not in self._high))
+
+    def pick(self, *fields: str) -> struct.Struct:
+        """The ``struct.Struct`` reading ``fields`` (ascending, gaps
+        skipped as pad bytes) in one call, applied at the first one's
+        offset.  Padded structs are for reading only: packing one would
+        store zeros over the words it skips.
+        """
+        fmt, end = "<", self.offsets[fields[0]]
+        for f in fields:
+            off = self.offsets[f]
+            if off < end:
+                raise ValueError(f"{self.name}: fields out of order at {f!r}")
+            fmt += f"{off - end}x" if off > end else ""
+            fmt += "Q" if f in self.u64 else "I"
+            end = off + (8 if f in self.u64 else 4)
+        return struct.Struct(fmt)
 
     def get(self, region: SharedRegion, base: int, field: str) -> int:
         """Read field ``field`` of the record at byte offset ``base``."""
@@ -123,6 +167,7 @@ LNVC = Record(
         "bytes_received_hi",
     ),
     tail_bytes=NAME_MAX + 1,
+    u64=("bytes_sent", "bytes_received"),
 )
 
 #: Send connection descriptor: just the owning process and the list link.

@@ -48,7 +48,7 @@ lock and *models* the coherence cost of the lock-free original
 
 from __future__ import annotations
 
-from .effects import Charge, ChargeMany, OpGen, _release_and_raise
+from .effects import ChargeMany, OpGen, _release_and_raise, charge
 from .errors import (
     BufferOverflowError,
     NotConnectedError,
@@ -59,6 +59,7 @@ from .errors import (
 from .freelist import fl_alloc, fl_free
 from .layout import HDR
 from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, SLOT_BITS, Protocol
+from .region import U32_MASK as _M32, U64_MASK as _M64
 from .structs import (
     CACHE_LINE,
     LNVC,
@@ -79,6 +80,8 @@ __all__ = [
     "FreelistTransport",
     "RingTransport",
     "TRANSPORTS",
+    "RING_READS",
+    "RING_STORES",
     "ring_send",
     "ring_receive",
     "ring_check",
@@ -91,17 +94,11 @@ __all__ = [
 # Constant-folded field offsets, as in ops.py: the ring primitives run
 # once per message in figure sweeps.
 _L_NMSGS = LNVC.offsets["nmsgs"]
-_L_N_FCFS = LNVC.offsets["n_fcfs"]
-_L_N_BCAST = LNVC.offsets["n_bcast"]
 _L_SEQ = LNVC.offsets["seq"]
-_L_HWM_NMSGS = LNVC.offsets["hwm_nmsgs"]
 _L_RING = LNVC.offsets["ring"]
 _L_NRECVS = LNVC.offsets["nrecvs"]
 _L_BYTES_SENT = LNVC.offsets["bytes_sent"]
-_L_BYTES_RECEIVED = LNVC.offsets["bytes_received"]
 
-_R_PROTO = RECV.offsets["proto"]
-_R_HEAD = RECV.offsets["head"]
 _R_NREADS = RECV.offsets["nreads"]
 
 _RG_NEXT_WRITE = RING.offsets["next_write"]
@@ -110,10 +107,7 @@ _RG_READER_MASK = RING.offsets["reader_mask"]
 
 _RS_SEQ = RSLOT.offsets["seq"]
 _RS_LENGTH = RSLOT.offsets["length"]
-_RS_SEQNO = RSLOT.offsets["seqno"]
-_RS_SENDER = RSLOT.offsets["sender"]
 _RS_STATE = RSLOT.offsets["state"]
-_RS_BUSY = RSLOT.offsets["busy"]
 
 _RC_NEXT_SEQ = RCUR.offsets["next_seq"]
 _RC_NREADS = RCUR.offsets["nreads"]
@@ -121,6 +115,24 @@ _RC_NREADS = RCUR.offsets["nreads"]
 _H_FREE_RING = HDR.u32["free_ring"]
 
 _P_FCFS = int(Protocol.FCFS)
+
+#: The ring records' share of :data:`repro.core.ops.READS` / ``STORES``
+#: (which see): runs of adjacent fields moved by one call.  A slot's
+#: commit word ``seq`` and its ``pending`` bitmap are in no stored run —
+#: the commit is a store of its own, last; the bitmap has its own line —
+#: and the cursor line belongs to its reader alone.
+RING_READS = {
+    "ring": RING.run("next_write", "reader_mask"),
+    "rslot": RSLOT.run("seq", "busy"),
+    "rslot_msg": RSLOT.run("length", "seqno"),
+    "rslot_pins": RSLOT.run("state", "busy"),
+    "rcur": RCUR.run("next_seq", "nreads"),
+}
+RING_STORES = {
+    "rslot_body": RSLOT.run("length", "busy"),
+    "rslot_pins": RING_READS["rslot_pins"],
+    "rcur": RING_READS["rcur"],
+}
 
 
 class FreelistTransport:
@@ -164,8 +176,10 @@ def _lines(length: int) -> int:
     return 2 + (length + CACHE_LINE - 1) // CACHE_LINE
 
 
-def ring_retire_check(view, base: int, sl: int) -> bool:
-    """Apply the retirement rule to the slot at ``sl``; True if it
+def ring_retire_check(view, base: int, sl: int, unpin: int = 0,
+                      unread: int = 0) -> bool:
+    """Drop ``unpin`` busy pins and the pending bits ``unread`` from the
+    slot at ``sl``, then apply the retirement rule to it; True if it
     retires (now or earlier).
 
     Mirrors ops._retire_check: a slot retires when its pending reader
@@ -176,16 +190,20 @@ def ring_retire_check(view, base: int, sl: int) -> bool:
     Caller holds the circuit lock.
     """
     r = view.region
-    st = r.u32(sl + _RS_STATE)
-    if st & RS_RETIRED:
-        return True
-    if r.u32(sl + RSLOT_PENDING_OFF) or r.u32(sl + _RS_BUSY):
-        return False
-    if (st & RS_FCFS_AVAILABLE) and not (st & RS_FCFS_TAKEN):
-        return False
-    r.set_u32(sl + _RS_STATE, st | RS_RETIRED)
-    r.add_u32(base + _L_NMSGS, -1)
-    return True
+    st, busy = view._rd_rslot_pins(sl + _RS_STATE)
+    pend = r.u32(sl + RSLOT_PENDING_OFF)
+    if unread:
+        pend &= ~unread
+        r.set_u32(sl + RSLOT_PENDING_OFF, pend)
+    busy = (busy - unpin) & _M32
+    retire = not (st & RS_RETIRED or pend or busy
+                  or (st & RS_FCFS_AVAILABLE and not st & RS_FCFS_TAKEN))
+    if retire:
+        st |= RS_RETIRED
+        r.add_u32(base + _L_NMSGS, -1)
+    if retire or unpin:
+        view._wr_rslot_pins(sl + _RS_STATE, st, busy)
+    return bool(st & RS_RETIRED)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +241,8 @@ def ring_attach(view, slot: int, base: int) -> OpGen:
     LNVC.set(r, base, "transport", RingTransport.tag)
     LNVC.set(r, base, "ring", ring)
     HDR.add(r, "live_rings", 1)
-    yield Charge(
-        Work(
-            instrs=view.costs.open_fixed // 2,
-            page_bytes=cfg.ring_slots * lay.ring_stride,
-            label="ring-setup",
-        )
-    )
+    yield charge(view.costs.open_fixed // 2, "ring-setup",
+                 page_bytes=cfg.ring_slots * lay.ring_stride)
     return ring
 
 
@@ -300,10 +313,8 @@ def ring_unregister_reader(view, base: int, desc: int) -> bool:
             continue
         if u32(sl + _RS_STATE) & RS_RETIRED:
             continue
-        pend = u32(sl + RSLOT_PENDING_OFF)
-        if pend & (1 << bit):
-            r.set_u32(sl + RSLOT_PENDING_OFF, pend & ~(1 << bit))
-            if ring_retire_check(view, base, sl):
+        if u32(sl + RSLOT_PENDING_OFF) & (1 << bit):
+            if ring_retire_check(view, base, sl, unread=1 << bit):
                 retired = True
     return retired
 
@@ -314,9 +325,11 @@ def ring_unregister_reader(view, base: int, desc: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ring_send(view, pid: int, lnvc_id: int, data: bytes,
+def ring_send(view, pid: int, slot: int, base: int, lnvc_id: int, data: bytes,
               prelude: Work | None = None) -> OpGen:
-    """message_send over the ring transport.
+    """message_send over the ring transport (``slot`` is ``lnvc_id``'s,
+    inside the table, ``base`` its descriptor's offset — what the
+    dispatch in :mod:`repro.core.ops` has worked out already).
 
     Claim an index, fill the slot and store the commit word in ONE
     circuit-lock section, then wake.  A single section matters: the
@@ -329,7 +342,6 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     backpressure where the free-list transport raises
     ``OutOfMessageMemoryError``.
     """
-    slot = view.slot_of(lnvc_id)
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
     data = bytes(data)
@@ -358,61 +370,58 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
 
-    base = lay.lnvc_off(slot)
     ring = u32(base + _L_RING)
-    ridx = lay.ring_index(ring)
+    slot0 = lay.ring_slot_off(lay.ring_index(ring), 0)
+    stride = lay.ring_stride
     nslots = cfg.ring_slots
+    rd_ring, rd_rslot = view._rd_ring, view._rd_rslot
     # Claim: wait until the target slot's previous tenant has retired.
     while True:
-        w = u32(ring + _RG_NEXT_WRITE)
-        sl = lay.ring_slot_off(ridx, w % nslots)
-        if u32(sl + _RS_SEQ) == 0 or u32(sl + _RS_STATE) & RS_RETIRED:
+        w, _, pending = rd_ring(ring)
+        sl = slot0 + (w % nslots) * stride
+        seq, _, _, _, st, _ = rd_rslot(sl)
+        if seq == 0 or st & RS_RETIRED:
             break
         yield view._waiton[slot]
         yield view._recv_wakeup
     set_u32(ring + _RG_NEXT_WRITE, w + 1)
-    pending = u32(ring + _RG_READER_MASK)
-    n_fcfs = u32(base + _L_N_FCFS)
+    (nmsgs, _, _, _, _, _, _, n_fcfs, n_bcast, seqno,
+     hwm) = view._rd_queue(base + _L_NMSGS)
     # Receivers-at-enqueue snapshot, as in the free-list transport: an
     # FCFS obligation when FCFS receivers exist, and a hold-for-future-
     # joiner obligation when no receiver of either kind exists.
-    if n_fcfs or not (pending or u32(base + _L_N_BCAST)):
+    if n_fcfs or not (pending or n_bcast):
         state = RS_FCFS_AVAILABLE
     else:
         state = 0
-    seqno = u32(base + _L_SEQ)
-    set_u32(base + _L_SEQ, seqno + 1)
-    depth = r.add_u32(base + _L_NMSGS, 1)
-    if depth > u32(base + _L_HWM_NMSGS):
-        set_u32(base + _L_HWM_NMSGS, depth)
-    r.add_u64(base + _L_BYTES_SENT, length)
+    depth = (nmsgs + 1) & _M32
+    set_u32(base + _L_NMSGS, depth)
+    view._wr_seq_hwm(base + _L_SEQ, (seqno + 1) & _M32,
+                     depth if depth > hwm else hwm)
+    (sent,) = view._rd_sent(base + _L_BYTES_SENT)
+    view._wr_sent(base + _L_BYTES_SENT, (sent + length) & _M64)
     yield view._ring_claim
     t_claim = probe.now() if probe is not None else 0.0
 
     # Fill — still under the lock, so the pending snapshot above stays
     # exact (nobody can open or close a receive connection mid-fill).
-    set_u32(sl + _RS_LENGTH, length)
-    set_u32(sl + _RS_SEQNO, seqno)
-    set_u32(sl + _RS_SENDER, pid)
-    set_u32(sl + _RS_STATE, state)
-    set_u32(sl + _RS_BUSY, 0)
+    # The header words behind the commit word are one store; the bitmap
+    # sits on a line of its own.
+    view._wr_rslot_body(sl + _RS_LENGTH, length, seqno, pid & _M32, state, 0)
     set_u32(sl + RSLOT_PENDING_OFF, pending)
     r.write(sl + RSLOT_DATA_OFF, data)
-    yield Charge(
-        Work(
-            instrs=length * c.copy_byte + _lines(length) * c.cacheline_xfer
-            + steps * c.list_step,
-            copy_bytes=length,
-            page_bytes=lay.ring_stride,
-            label="ring-fill",
-        )
-    )
+    yield charge(
+        length * c.copy_byte + _lines(length) * c.cacheline_xfer
+        + steps * c.list_step,
+        "ring-fill", length, 0, stride)
     t_fill = probe.now() if probe is not None else 0.0
 
-    # Commit: store the commit word, retire degenerate messages whose
-    # audience is empty, release the single lock section.
+    # Commit: store the commit word, retire a degenerate message whose
+    # audience is empty (nothing pending, no FCFS obligation: the rule
+    # cannot fire otherwise), release the single lock section.
     set_u32(sl + _RS_SEQ, w + 1)
-    ring_retire_check(view, base, sl)
+    if not (pending or state):
+        ring_retire_check(view, base, sl)
     yield view._ring_commit
     yield view._rel[slot]
     if probe is not None:
@@ -423,9 +432,10 @@ def ring_send(view, pid: int, lnvc_id: int, data: bytes,
     return seqno
 
 
-def ring_receive(view, pid: int, lnvc_id: int,
+def ring_receive(view, pid: int, slot: int, base: int, lnvc_id: int,
                  max_len: int | None = None) -> OpGen:
-    """message_receive over the ring transport.
+    """message_receive over the ring transport (``slot``, ``base``: as
+    for :func:`ring_send`).
 
     A BROADCAST reader takes committed slots on a *lock-free* fast
     path — the mpsoc read side.  Its cursor is private (one cache line,
@@ -453,11 +463,11 @@ def ring_receive(view, pid: int, lnvc_id: int,
     lay = view.layout
     probe = view.probe
     t_entry = probe.now() if probe is not None else 0.0
-    slot = view.slot_of(lnvc_id)
     lock = FIRST_LNVC_LOCK + slot
-    base = lay.lnvc_off(slot)
     yield view._ring_recv_fixed
     nslots = view.cfg.ring_slots
+    stride = lay.ring_stride
+    rd_recv, rd_rcur = view._rd_recv, view._rd_rcur
 
     # -- lock-free BROADCAST fast path -----------------------------------
     # Valid only on a connection-cache hit: our own receive connection
@@ -465,31 +475,34 @@ def ring_receive(view, pid: int, lnvc_id: int,
     # and the epoch check proves the cached descriptor offset is what a
     # fresh (locked) walk would find.  Reads here follow the seqlock
     # discipline: the sender publishes the commit word *last*, so any
-    # slot whose ``seq`` matches our cursor is fully filled.
+    # slot whose ``seq`` matches our cursor is fully filled — which is
+    # why ``seq`` is a word read of its own, ahead of the record read of
+    # the fields it publishes.  Stores cover only what this reader owns:
+    # its cursor line, and its descriptor's ``nreads`` word.
     is_fcfs = True
-    taken = NIL
+    taken = False
     desc = view.cached_recv(pid, lnvc_id)
-    if desc != NIL and u32(desc + _R_PROTO) != _P_FCFS:
-        is_fcfs = False
-        ring = u32(base + _L_RING)
-        ridx = lay.ring_index(ring)
-        bit = u32(desc + _R_HEAD)
-        cur = lay.ring_cur_off(ridx, bit)
-        cseq = u32(cur + _RC_NEXT_SEQ)
-        sl = lay.ring_slot_off(ridx, cseq % nslots)
-        if u32(sl + _RS_SEQ) == cseq + 1:
-            length = u32(sl + _RS_LENGTH)
-            if max_len is not None and length > max_len:
-                raise BufferOverflowError(
-                    f"next message is {length} bytes, "
-                    f"buffer holds {max_len}"
-                )
-            set_u32(cur + _RC_NEXT_SEQ, cseq + 1)
-            r.add_u32(cur + _RC_NREADS, 1)
-            r.add_u32(desc + _R_NREADS, 1)
-            taken = sl
+    if desc != NIL:
+        _, proto, bit, _, nreads = rd_recv(desc)
+        if proto != _P_FCFS:
+            is_fcfs = False
+            ring = u32(base + _L_RING)
+            ridx = lay.ring_index(ring)
+            cur = lay.ring_cur_off(ridx, bit)
+            idx, creads = rd_rcur(cur)
+            sl = lay.ring_slot_off(ridx, 0) + (idx % nslots) * stride
+            if u32(sl + _RS_SEQ) == idx + 1:
+                length, seqno = view._rd_rslot_msg(sl + _RS_LENGTH)
+                if max_len is not None and length > max_len:
+                    raise BufferOverflowError(
+                        f"next message is {length} bytes, "
+                        f"buffer holds {max_len}"
+                    )
+                view._wr_rcur(cur, (idx + 1) & _M32, (creads + 1) & _M32)
+                set_u32(desc + _R_NREADS, nreads + 1)
+                taken = True
 
-    if taken != NIL:
+    if taken:
         yield view._ring_cursor
         t_claim = probe.now() if probe is not None else 0.0
     else:
@@ -498,13 +511,15 @@ def ring_receive(view, pid: int, lnvc_id: int,
             desc, steps = view.recv_conn(pid, lnvc_id)
         except (UnknownLNVCError, NotConnectedError) as exc:
             yield from _release_and_raise([lock], exc)
-        is_fcfs = u32(desc + _R_PROTO) == _P_FCFS
-        yield view._recv_find[steps] if steps < 8 else Charge(
-            Work(instrs=steps * c.list_step, label="recv-find")
-        )
+        yield charge(steps * c.list_step, "recv-find")
 
         ring = u32(base + _L_RING)
         ridx = lay.ring_index(ring)
+        slot0 = lay.ring_slot_off(ridx, 0)
+        rd_rslot = view._rd_rslot
+        # ``nreads`` is this receiver's own word: no sleep below stales it.
+        _, proto, bit, _, nreads = rd_recv(desc)
+        is_fcfs = proto == _P_FCFS
         if is_fcfs:
             # Scan the shared cursor forward over committed slots; stop
             # at the first FCFS-available one, park at the first
@@ -512,27 +527,26 @@ def ring_receive(view, pid: int, lnvc_id: int,
             # but a later index may commit before an earlier one — FCFS
             # order waits).
             while True:
-                f = u32(ring + _RG_FCFS_NEXT)
-                w = u32(ring + _RG_NEXT_WRITE)
-                sl = NIL
-                while f < w:
-                    s = lay.ring_slot_off(ridx, f % nslots)
-                    if u32(s + _RS_SEQ) != f + 1:
+                w, idx, _ = view._rd_ring(ring)
+                found = False
+                while idx < w:
+                    sl = slot0 + (idx % nslots) * stride
+                    seq, length, seqno, _, st, busy = rd_rslot(sl)
+                    if seq != idx + 1:
                         break
-                    st = u32(s + _RS_STATE)
                     if st & RS_FCFS_AVAILABLE and not st & (
                         RS_FCFS_TAKEN | RS_RETIRED
                     ):
-                        sl = s
+                        found = True
                         break
-                    f += 1
-                set_u32(ring + _RG_FCFS_NEXT, f)
-                if sl != NIL:
+                    idx += 1
+                if found:
                     break
+                set_u32(ring + _RG_FCFS_NEXT, idx)
                 yield view._waiton[slot]
                 yield view._recv_wakeup
-            length = u32(sl + _RS_LENGTH)
             if max_len is not None and length > max_len:
+                set_u32(ring + _RG_FCFS_NEXT, idx)
                 yield from _release_and_raise(
                     [lock],
                     BufferOverflowError(
@@ -540,23 +554,22 @@ def ring_receive(view, pid: int, lnvc_id: int,
                         f"buffer holds {max_len}"
                     ),
                 )
-            set_u32(sl + _RS_STATE, u32(sl + _RS_STATE) | RS_FCFS_TAKEN)
-            set_u32(ring + _RG_FCFS_NEXT, f + 1)
+            set_u32(ring + _RG_FCFS_NEXT, idx + 1)
             # Pin against retirement while we copy outside the lock: an
             # FCFS claim clears no pending bit, so ``busy`` is its pin.
-            r.add_u32(sl + _RS_BUSY, 1)
+            view._wr_rslot_pins(sl + _RS_STATE, st | RS_FCFS_TAKEN,
+                                (busy + 1) & _M32)
             yield view._ring_claim
         else:
-            bit = u32(desc + _R_HEAD)
             cur = lay.ring_cur_off(ridx, bit)
             while True:
-                cseq = u32(cur + _RC_NEXT_SEQ)
-                sl = lay.ring_slot_off(ridx, cseq % nslots)
-                if u32(sl + _RS_SEQ) == cseq + 1:
+                idx, creads = rd_rcur(cur)
+                sl = slot0 + (idx % nslots) * stride
+                if u32(sl + _RS_SEQ) == idx + 1:
                     break
                 yield view._waiton[slot]
                 yield view._recv_wakeup
-            length = u32(sl + _RS_LENGTH)
+            length, seqno = view._rd_rslot_msg(sl + _RS_LENGTH)
             if max_len is not None and length > max_len:
                 yield from _release_and_raise(
                     [lock],
@@ -565,45 +578,37 @@ def ring_receive(view, pid: int, lnvc_id: int,
                         f"buffer holds {max_len}"
                     ),
                 )
-            set_u32(cur + _RC_NEXT_SEQ, cseq + 1)
-            r.add_u32(cur + _RC_NREADS, 1)
+            view._wr_rcur(cur, (idx + 1) & _M32, (creads + 1) & _M32)
             yield view._ring_cursor
-        r.add_u32(desc + _R_NREADS, 1)
+        set_u32(desc + _R_NREADS, nreads + 1)
         t_claim = probe.now() if probe is not None else 0.0
         yield view._rel[slot]
-    seqno = u32(sl + _RS_SEQNO)
 
     # Copy phase — concurrent with other readers of the same slot.
     payload = r.read(sl + RSLOT_DATA_OFF, length)
-    yield Charge(
-        Work(
-            instrs=length * c.copy_byte + _lines(length) * c.cacheline_xfer,
-            copy_bytes=length,
-            label="ring-copy",
-        )
-    )
+    yield charge(length * c.copy_byte + _lines(length) * c.cacheline_xfer,
+                 "ring-copy", length)
     t_drain = probe.now() if probe is not None else 0.0
 
     # Completion: drop the pin (busy for FCFS, our pending bit for
     # BROADCAST), retire.
     yield view._acq[slot]
     if is_fcfs:
-        r.add_u32(sl + _RS_BUSY, -1)
+        retired = ring_retire_check(view, base, sl, unpin=1)
     else:
-        pend = u32(sl + RSLOT_PENDING_OFF)
-        set_u32(sl + RSLOT_PENDING_OFF, pend & ~(1 << bit))
-    retired = ring_retire_check(view, base, sl)
+        retired = ring_retire_check(view, base, sl, unread=1 << bit)
     # A blocked sender always parks on slot ``next_write % nslots`` (it
     # waits *before* claiming), so a retire elsewhere in the ring cannot
     # unblock anyone: waking only on a match spares the receiver herd a
-    # futile wakeup per message.
+    # futile wakeup per message.  (``idx`` is the message this slot
+    # holds: nothing can reuse it before this section retires it.)
     wake_sender = retired and (
-        (u32(sl + _RS_SEQ) - 1) % nslots
-        == u32(ring + _RG_NEXT_WRITE) % nslots
+        idx % nslots == u32(ring + _RG_NEXT_WRITE) % nslots
     )
     yield view._ring_consume
-    r.add_u32(base + _L_NRECVS, 1)
-    r.add_u64(base + _L_BYTES_RECEIVED, length)
+    nrecvs, sent, received = view._rd_traffic(base + _L_NRECVS)
+    view._wr_traffic(base + _L_NRECVS, (nrecvs + 1) & _M32, sent,
+                     (received + length) & _M64)
     yield view._rel[slot]
     if wake_sender:
         yield view._wake[slot]
@@ -614,13 +619,12 @@ def ring_receive(view, pid: int, lnvc_id: int,
     return payload
 
 
-def ring_check(view, pid: int, lnvc_id: int,
+def ring_check(view, pid: int, slot: int, base: int, lnvc_id: int,
                prelude: Work | None = None) -> OpGen:
-    """check_receive over the ring transport (advisory, as ever for FCFS)."""
+    """check_receive over the ring transport (advisory, as ever for
+    FCFS; ``slot``, ``base``: as for :func:`ring_send`)."""
     u32 = view.region.u32
-    c = view.costs
     lay = view.layout
-    slot = view.slot_of(lnvc_id)
 
     if prelude is None:
         yield view._check_fixed
@@ -631,31 +635,28 @@ def ring_check(view, pid: int, lnvc_id: int,
         desc, steps = view.recv_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
-    base = lay.lnvc_off(slot)
     ring = u32(base + _L_RING)
     ridx = lay.ring_index(ring)
+    slot0 = lay.ring_slot_off(ridx, 0)
+    stride = lay.ring_stride
     nslots = view.cfg.ring_slots
     count = 0
-    if u32(desc + _R_PROTO) == _P_FCFS:
-        f = u32(ring + _RG_FCFS_NEXT)
-        w = u32(ring + _RG_NEXT_WRITE)
-        while f < w:
-            s = lay.ring_slot_off(ridx, f % nslots)
-            if u32(s + _RS_SEQ) != f + 1:
+    _, proto, bit, _, _ = view._rd_recv(desc)
+    if proto == _P_FCFS:
+        rd_rslot = view._rd_rslot
+        w, idx, _ = view._rd_ring(ring)
+        while idx < w:
+            seq, _, _, _, st, _ = rd_rslot(slot0 + (idx % nslots) * stride)
+            if seq != idx + 1:
                 break
-            st = u32(s + _RS_STATE)
             if st & RS_FCFS_AVAILABLE and not st & (RS_FCFS_TAKEN | RS_RETIRED):
                 count += 1
-            f += 1
+            idx += 1
     else:
-        cur = lay.ring_cur_off(ridx, u32(desc + _R_HEAD))  # reader bit
-        cseq = u32(cur + _RC_NEXT_SEQ)
-        while u32(lay.ring_slot_off(ridx, cseq % nslots) + _RS_SEQ) == cseq + 1:
+        (idx, _) = view._rd_rcur(lay.ring_cur_off(ridx, bit))
+        while u32(slot0 + (idx % nslots) * stride + _RS_SEQ) == idx + 1:
             count += 1
-            cseq += 1
-    walked = steps + count
-    yield view._check_walk[walked] if walked < 8 else Charge(
-        Work(instrs=walked * c.list_step, label="check-walk")
-    )
+            idx += 1
+    yield charge((steps + count) * view.costs.list_step, "check-walk")
     yield view._rel[slot]
     return count

@@ -26,9 +26,8 @@ general facility pays for its locks, blocks and allocator.
 
 from __future__ import annotations
 
-from ..core.effects import Charge
+from ..core.effects import charge
 from ..core.ops import MPFView
-from ..core.work import Work
 
 __all__ = ["O2ORing"]
 
@@ -105,23 +104,17 @@ class O2ORing:
                 f"message of {len(data)} exceeds slot size {self.slot_bytes}"
             )
         r = self.view.region
-        yield Charge(Work(instrs=O2O_FIXED, label="o2o-send"))
+        yield charge(O2O_FIXED, "o2o-send")
         while True:
             head = r.u32(self._head_off)
             tail = r.u32(self._tail_off)
             if (tail + 1) % self.capacity != head:
                 break
-            yield Charge(Work(instrs=SPIN_BACKOFF, label="o2o-spin"))
+            yield charge(SPIN_BACKOFF, "o2o-spin")
         slot = self._slot_off(tail)
         r.set_u32(slot, len(data))
         r.write(slot + 4, data)
-        yield Charge(
-            Work(
-                instrs=len(data) * O2O_COPY_BYTE,
-                copy_bytes=len(data),
-                label="o2o-copy",
-            )
-        )
+        yield charge(len(data) * O2O_COPY_BYTE, "o2o-copy", len(data))
         # Publish last: the consumer only reads a slot after seeing the
         # advanced tail.
         r.set_u32(self._tail_off, (tail + 1) % self.capacity)
@@ -130,22 +123,16 @@ class O2ORing:
     def receive(self):
         """Dequeue the oldest message; spins while the ring is empty."""
         r = self.view.region
-        yield Charge(Work(instrs=O2O_FIXED, label="o2o-recv"))
+        yield charge(O2O_FIXED, "o2o-recv")
         while True:
             head = r.u32(self._head_off)
             tail = r.u32(self._tail_off)
             if head != tail:
                 break
-            yield Charge(Work(instrs=SPIN_BACKOFF, label="o2o-spin"))
+            yield charge(SPIN_BACKOFF, "o2o-spin")
         slot = self._slot_off(head)
         length = r.u32(slot)
         data = r.read(slot + 4, length)
-        yield Charge(
-            Work(
-                instrs=length * O2O_COPY_BYTE,
-                copy_bytes=length,
-                label="o2o-copy",
-            )
-        )
+        yield charge(length * O2O_COPY_BYTE, "o2o-copy", length)
         r.set_u32(self._head_off, (head + 1) % self.capacity)
         return data

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import struct
 
-from ..core.effects import Acquire, Charge, Release, WaitOn, Wake
+from ..core.effects import Acquire, Release, WaitOn, Wake, charge
 from ..core.ops import MPFView
 from ..core.protocol import FIRST_LNVC_LOCK
-from ..core.work import Work
 
 __all__ = ["SharedDoubles", "LockedAccumulator", "CounterBarrier"]
 
@@ -85,30 +84,26 @@ class SharedDoubles:
 
     def read(self, i: int):
         """Read element ``i``, charging one shared reference."""
-        yield Charge(Work(instrs=SHARED_REF_INSTRS, label="shm-read"))
+        yield charge(SHARED_REF_INSTRS, "shm-read")
         return self.peek(i)
 
     def write(self, i: int, value: float):
         """Write element ``i``, charging one shared reference."""
         self.poke(i, value)
-        yield Charge(Work(instrs=SHARED_REF_INSTRS, label="shm-write"))
+        yield charge(SHARED_REF_INSTRS, "shm-write")
         return None
 
     def read_slice(self, lo: int, hi: int):
         """Read ``[lo, hi)``, charging per element."""
         values = [self.peek(i) for i in range(lo, hi)]
-        yield Charge(
-            Work(instrs=SHARED_REF_INSTRS * max(0, hi - lo), label="shm-read")
-        )
+        yield charge(SHARED_REF_INSTRS * max(0, hi - lo), "shm-read")
         return values
 
     def write_slice(self, lo: int, values):
         """Write ``values`` starting at ``lo``, charging per element."""
         for k, v in enumerate(values):
             self.poke(lo + k, v)
-        yield Charge(
-            Work(instrs=SHARED_REF_INSTRS * len(values), label="shm-write")
-        )
+        yield charge(SHARED_REF_INSTRS * len(values), "shm-write")
         return None
 
 
@@ -144,10 +139,7 @@ class LockedAccumulator:
         yield Acquire(self._lock)
         value = _F8.unpack(self.view.region.read(self.base, 8))[0] + delta
         self.view.region.write(self.base, _F8.pack(value))
-        yield Charge(
-            Work(instrs=CS_FIXED + 2 * SHARED_REF_INSTRS, flops=1,
-                 label="shm-accum")
-        )
+        yield charge(CS_FIXED + 2 * SHARED_REF_INSTRS, "shm-accum", flops=1)
         yield Release(self._lock)
         return value
 
@@ -187,7 +179,7 @@ class CounterBarrier:
         yield Acquire(self._lock)
         my_sense = r.u32(self.base + 4)
         arrived = r.u32(self.base) + 1
-        yield Charge(Work(instrs=CS_FIXED, label="shm-barrier"))
+        yield charge(CS_FIXED, "shm-barrier")
         if arrived == self.n:
             r.set_u32(self.base, 0)
             r.set_u32(self.base + 4, my_sense ^ 1)

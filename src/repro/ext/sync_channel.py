@@ -30,10 +30,9 @@ state, so a freshly formatted segment needs no extra setup.
 
 from __future__ import annotations
 
-from ..core.effects import Acquire, Charge, Release, WaitOn, Wake
+from ..core.effects import Acquire, Release, WaitOn, Wake, charge
 from ..core.ops import MPFView
 from ..core.protocol import FIRST_LNVC_LOCK
-from ..core.work import Work
 
 __all__ = ["SyncChannels"]
 
@@ -117,7 +116,7 @@ class SyncChannels:
             )
         r = self.view.region
         rec, slot, lock = self._rec(ch), self._slot(ch), self._lock(ch)
-        yield Charge(Work(instrs=SYNC_FIXED, label="sync-send"))
+        yield charge(SYNC_FIXED, "sync-send")
         yield Acquire(lock)
         while r.u32(rec) != _RECV_WAIT:
             yield WaitOn(slot, lock)
@@ -126,13 +125,7 @@ class SyncChannels:
         r.set_u32(rec + 8, pid)
         r.write(rec + _HDR_BYTES, data)
         r.set_u32(rec, _DATA_READY)
-        yield Charge(
-            Work(
-                instrs=len(data) * DIRECT_COPY_BYTE,
-                copy_bytes=len(data),
-                label="sync-copy",
-            )
-        )
+        yield charge(len(data) * DIRECT_COPY_BYTE, "sync-copy", len(data))
         yield Release(lock)
         yield Wake(slot)
         # Synchronous completion: wait until the receiver consumed it,
@@ -151,7 +144,7 @@ class SyncChannels:
         """Rendezvous receive: returns ``(sender_pid, data)``."""
         r = self.view.region
         rec, slot, lock = self._rec(ch), self._slot(ch), self._lock(ch)
-        yield Charge(Work(instrs=SYNC_FIXED, label="sync-recv"))
+        yield charge(SYNC_FIXED, "sync-recv")
         yield Acquire(lock)
         # Wait for the channel to be free of any other rendezvous.
         while r.u32(rec) != _IDLE:
@@ -166,7 +159,7 @@ class SyncChannels:
         sender = r.u32(rec + 8)
         data = r.read(rec + _HDR_BYTES, length)
         r.set_u32(rec, _PICKED)
-        yield Charge(Work(instrs=100, label="sync-pickup"))
+        yield charge(100, "sync-pickup")
         yield Release(lock)
         yield Wake(slot)  # release the sender; it retires PICKED -> IDLE
         return sender, data

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .export import parse_exposition, prometheus_exposition
 
@@ -48,13 +46,17 @@ class LiveTelemetryServer:
         self.health = health
         self._host = host
         self._port = port
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd = None  # a ThreadingHTTPServer while serving
         self._thread: threading.Thread | None = None
         self.url: str | None = None
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> str:
+        # Imported where it serves: ``import repro`` reaches this module
+        # on every workload start and should not pay for an HTTP stack.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -140,6 +142,8 @@ class LiveTelemetryServer:
 
 def fetch_metrics(url: str, timeout: float = 5.0):
     """Scrape ``url`` (a server base or full /metrics URL) and parse it."""
+    import urllib.request  # as in ``LiveTelemetryServer.start``
+
     if not url.rstrip("/").endswith("/metrics"):
         url = url.rstrip("/") + "/metrics"
     with urllib.request.urlopen(url, timeout=timeout) as resp:

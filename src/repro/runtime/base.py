@@ -28,7 +28,7 @@ from typing import Callable, Generator, Sequence
 
 from ..core import ops
 from ..core.costmodel import Costs, DEFAULT_COSTS
-from ..core.effects import Charge
+from ..core.effects import charge
 from ..core.inspect import traffic_totals
 from ..core.layout import HDR, MPFConfig
 from ..core.ops import MPFView
@@ -122,7 +122,7 @@ class Env:
         Gauss–Jordan and SOR figures depend on it); on real runtimes it is
         free — real compute takes real time by itself.
         """
-        yield Charge(Work(flops=flops, instrs=instrs, label="app-compute"))
+        yield charge(instrs, "app-compute", 0, 0, 0, flops)
 
     def now(self) -> float:
         """Current time: simulated seconds or wall-clock seconds."""

@@ -126,6 +126,7 @@ class FlockSync(SyncBase):
         lock = self.locks[lock_id]
         lock.release()
         if not budget.spin():
+            self.parked += 1  # a nap; nobody posts a wake for it
             time.sleep(self.poll_interval)
         lock.acquire()
 

@@ -74,6 +74,21 @@ def test_torn_fifo_link_detected():
     assert "FIFO holds" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("where", ["free_blk", "fifo_head", "recv_list"])
+def test_head_word_outside_the_region_is_a_violation_not_a_walk(where):
+    """The word accessors are unchecked: a walk from a wild head word
+    would raise from ``struct`` — or read from the end of the region."""
+    v, r, cid = _busy_view()
+    wild = v.region.size + 8
+    if where in HDR.u32:
+        HDR.set(v.region, where, wild)
+    else:
+        LNVC.set(v.region, v.layout.lnvc_off(0), where, wild)
+    found = collect_violations(v, level="steady")
+    assert any(f"{where} = {wild} points outside the region" in f
+               for f in found), found
+
+
 def test_fifo_cycle_detected_not_hung():
     v, r, cid = _busy_view()
     base = v.layout.lnvc_off(0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 
 import pytest
 
@@ -31,13 +30,18 @@ def test_trace_roundtrips_through_file(tmp_path):
     assert read_decision_trace(path) == trace
 
 
+#: Engine events a replay of the torn-send failure may run: the failing
+#: schedule is a few hundred events long, and a replay that lost its
+#: way would run on to ``replay_trace``'s 50,000-event cap.
+REPLAY_EVENTS = 2_000
+
+
 def test_replay_reproduces_failure_fast():
     trace = _failing_trace()
-    t0 = time.perf_counter()
     outcome = replay_trace(trace)
-    elapsed = time.perf_counter() - t0
     assert outcome.status == trace["status"]
-    assert elapsed < 1.0, f"replay took {elapsed:.2f}s (must be < 1s)"
+    assert outcome.decisions == trace["decisions"]
+    assert 0 < outcome.events <= REPLAY_EVENTS
 
 
 def test_minimized_trace_still_reproduces_fast():
@@ -46,11 +50,9 @@ def test_minimized_trace_still_reproduces_fast():
     assert stats["minimized_decisions"] <= stats["original_decisions"]
     assert stats["minimized_decisions"] == len(minimized["decisions"])
     assert minimized["minimized_from"] == stats["original_decisions"]
-    t0 = time.perf_counter()
     outcome = replay_trace(minimized)
-    elapsed = time.perf_counter() - t0
     assert outcome.status == trace["status"]
-    assert elapsed < 1.0, f"minimized replay took {elapsed:.2f}s"
+    assert 0 < outcome.events <= REPLAY_EVENTS
 
 
 def test_minimize_rejects_clean_trace():

@@ -1,10 +1,13 @@
 """Unit tests for the intrusive free lists."""
 
+import struct
+
 import pytest
 
 from repro.core import ops
 from repro.core.errors import RegionFormatError
 from repro.core.freelist import (
+    _pool_image,
     drain_chain,
     fill_chain,
     fl_alloc,
@@ -102,6 +105,26 @@ def _chain(r, n):
     blocks = pop_chain(r, HEAD, n)
     fill_chain(r, blocks, bytes(n * (STRIDE - 4)), STRIDE - 4)
     return blocks
+
+
+def _pool_image_by_record(base: int, stride: int, count: int) -> bytes:
+    """The first image of a pool as it was built before it was an array
+    operation: one ``bytes`` per record.  Kept as the reference."""
+    pack = struct.Struct("<I").pack
+    pad = bytes(stride - 4)
+    image = [pack(base + i * stride) + pad for i in range(1, count)]
+    image.append(pack(NIL) + pad)
+    return b"".join(image)
+
+
+@pytest.mark.parametrize("base, stride, count", [
+    (16, 12, 1), (16, 4, 7), (328, 14, 37449), (4096, 36, 1024),
+    (0xFFFF0000, 64, 8),
+])
+def test_pool_image_is_the_record_by_record_image(base, stride, count):
+    _pool_image.cache_clear()
+    assert _pool_image(base, stride, count) == _pool_image_by_record(
+        base, stride, count)
 
 
 def test_pop_chain_shortfall_leaves_the_list_untouched():

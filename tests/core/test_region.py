@@ -1,5 +1,6 @@
 """Unit tests for the shared byte region."""
 
+import struct
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -79,6 +80,64 @@ def test_fill():
     r.write(0, b"\xff" * 16)
     r.fill(4, 8)
     assert r.read(0, 16) == b"\xff" * 4 + b"\x00" * 8 + b"\xff" * 4
+
+
+def test_out_of_range_is_an_index_error_for_the_whole_byte_family():
+    """``fill`` raised ``ValueError`` from the memoryview, ``read`` of a
+    negative length returned ``b""``: both now refuse with ``write``'s
+    ``IndexError`` and leave the region alone."""
+    r = SharedRegion(bytearray(64))
+    r.write(0, b"\xff" * 64)
+    for off, n in ((60, 8), (-4, 4), (0, -1), (64, 1)):
+        with pytest.raises(IndexError, match="outside region of 64"):
+            r.fill(off, n)
+    for off, n in ((60, 8), (60, -8), (-4, 4)):
+        with pytest.raises(IndexError, match="outside region of 64"):
+            r.read(off, n)
+    assert r.read(0, 64) == b"\xff" * 64
+    r.fill(56, 8)  # the last fill that fits
+    assert r.read(56, 8) == bytes(8)
+
+
+def test_follow_refuses_a_negative_start():
+    r = SharedRegion(bytearray(64))
+    r.set_u32(60, NIL)
+    with pytest.raises(IndexError, match="outside region of 64"):
+        r.follow(-4, 1)  # would have walked from the last word
+    assert r.follow(60, 4) == ([60], NIL)
+
+
+def test_word_accessors_are_unchecked_and_say_so():
+    """The per-word closures keep their cost: no bounds check of their
+    own, so a negative offset counts from the end, as it does for
+    ``struct`` on any buffer.  Their docstrings say it."""
+    r = SharedRegion(bytearray(64))
+    r.set_u32(-4, 7)
+    assert r.u32(60) == 7 and r.add_u32(-4, 1) == 8
+    for accessor in (r.u32, r.set_u32, r.add_u32,
+                     SharedRegion.reader, SharedRegion.writer):
+        assert "negative" in accessor.__doc__
+    with pytest.raises(struct.error):
+        r.u32(64)
+
+
+def test_reader_and_writer_move_a_record_per_call():
+    r = SharedRegion(bytearray(64))
+    record = struct.Struct("<IIQ")
+    write, read = r.writer(record), r.reader(record)
+    write(8, 1, 2, 3 << 32)
+    assert read(8) == (1, 2, 3 << 32)
+    assert (r.u32(8), r.u32(12), r.u64(16)) == (1, 2, 3 << 32)
+    assert r.read(0, 8) == bytes(8) and r.read(24, 40) == bytes(40)
+    with pytest.raises(struct.error):
+        write(8, 1 << 32, 0, 0)  # unlike set_u32, no silent masking
+
+
+def test_writer_refuses_a_padded_record():
+    r = SharedRegion(bytearray(64))
+    with pytest.raises(ValueError, match="padded"):
+        r.writer(struct.Struct("<I4xI"))
+    assert r.reader(struct.Struct("<I4xI"))(0) == (0, 0)
 
 
 def test_fill_nonzero_byte():

@@ -1,5 +1,8 @@
 """Unit tests for record field layouts and accessors."""
 
+import pytest
+
+from repro.core.layout import HDR
 from repro.core.protocol import NAME_MAX
 from repro.core.region import SharedRegion
 from repro.core.structs import LNVC, MSG, RECV, SEND, Record, block_stride
@@ -90,3 +93,50 @@ def test_free_link_aliases_first_field():
     # at offset 0 so the aliasing is well defined.
     for rec in (SEND, RECV, MSG, LNVC):
         assert min(rec.offsets.values()) == 0
+
+
+def test_run_is_the_struct_of_adjacent_fields():
+    rec = Record("T", ("a", "b", "c", "d"))
+    assert rec.run("b", "d").format == "<III"
+    assert rec.run("c", "c").format == "<I"
+    r = SharedRegion(bytearray(64))
+    for i, f in enumerate("abcd"):
+        rec.set(r, 16, f, 10 + i)
+    assert r.reader(rec.run("b", "d"))(16 + rec.offsets["b"]) == (11, 12, 13)
+    with pytest.raises(ValueError):
+        rec.run("c", "b")
+
+
+def test_run_reads_a_u64_pair_as_one_value_and_never_splits_it():
+    assert LNVC.run("nrecvs", "bytes_received_hi").format == "<IQQ"
+    assert LNVC.run("bytes_sent", "bytes_sent_hi").format == "<Q"
+    for first, last in (("nrecvs", "bytes_sent"),
+                        ("bytes_sent_hi", "bytes_received_hi")):
+        with pytest.raises(ValueError, match="u64 pair"):
+            LNVC.run(first, last)
+    r = SharedRegion(bytearray(LNVC.size))
+    r.set_u64(LNVC.offsets["bytes_sent"], (5 << 32) | 9)
+    assert LNVC.get(r, 0, "bytes_sent_hi") == 5
+    assert r.reader(LNVC.run("bytes_sent", "bytes_sent_hi"))(
+        LNVC.offsets["bytes_sent"]) == ((5 << 32) | 9,)
+
+
+def test_pick_pads_the_gaps_it_skips():
+    peek = LNVC.pick("in_use", "gen", "fcfs_head", "conn_epoch")
+    assert peek.size == LNVC.offsets["conn_epoch"] + 4
+    r = SharedRegion(bytearray(2 * LNVC.size))
+    for f, v in (("in_use", 1), ("gen", 7), ("fcfs_head", 99),
+                 ("conn_epoch", 3), ("fifo_head", 55)):
+        LNVC.set(r, LNVC.size, f, v)
+    assert r.reader(peek)(LNVC.size) == (1, 7, 99, 3)
+    with pytest.raises(ValueError, match="out of order"):
+        LNVC.pick("gen", "in_use")
+
+
+def test_header_runs():
+    assert HDR.run("free_msg", "live_bytes").format == "<IIIII"
+    assert HDR.run("hwm_live_bytes", "hwm_live_msgs").format == "<QQ"
+    for first, last in (("live_bytes", "free_msg"),
+                        ("live_bytes", "total_sends")):
+        with pytest.raises(ValueError):
+            HDR.run(first, last)

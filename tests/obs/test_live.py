@@ -53,6 +53,18 @@ def get_json(url: str):
         return json.loads(resp.read().decode())
 
 
+def test_importing_repro_does_not_import_an_http_stack():
+    """Every workload start pays ``import repro``; the scrape endpoint's
+    ``http.server`` / ``urllib.request`` are imported where they serve
+    or fetch (~40 ms of ~350 at the commit that moved them)."""
+    import subprocess
+
+    code = ("import sys, repro, repro.obs.live; "
+            "assert 'http.server' not in sys.modules; "
+            "assert 'urllib.request' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
 def test_metrics_endpoint_serves_parseable_exposition():
     rec = fed_recorder()
     with LiveTelemetryServer(rec) as server:

@@ -54,6 +54,30 @@ def test_non_effect_rejected(sync):
         drive(gen_of("hello"), sync)
 
 
+@pytest.mark.parametrize("recorder", [None, "recorder"])
+def test_dispatch_is_on_the_exact_effect_class(sync, recorder):
+    """Effects are final classes and ``drive`` (like ``Engine.run``)
+    dispatches on the exact class, with and without a recorder: every
+    kind is interpreted, and a look-alike is a non-effect."""
+    from repro.core.effects import ChargeMany
+    from repro.obs import Recorder
+
+    rec = Recorder() if recorder else None
+    lock = FIRST_LNVC_LOCK + 1
+    w = Work(instrs=5, label="x")
+    assert drive(gen_of(Charge(w), ChargeMany((w, w)), Acquire(lock),
+                        Release(lock), Wake(1), result=7), sync,
+                 recorder=rec) == 7
+    assert sync.locks[lock].acquire(blocking=False)
+    sync.locks[lock].release()
+
+    class AlmostCharge(Charge):
+        pass
+
+    with pytest.raises(RuntimeError, match="non-effect"):
+        drive(gen_of(AlmostCharge(w)), sync, recorder=rec)
+
+
 def test_waiton_wake_handoff_between_threads(sync):
     """WaitOn really sleeps on the circuit's condition and Wake really
     resumes it, with the lock properly re-held on resume."""

@@ -7,7 +7,6 @@ must outlive its sender.
 
 import os
 import sys
-import time
 
 import pytest
 
@@ -179,10 +178,9 @@ def test_procs_join_timeout_fires_when_a_peer_blocks_forever():
         yield from env.message_receive(data)
 
     shm_before = set(os.listdir("/dev/shm"))
-    t0 = time.monotonic()
     with pytest.raises(DeadlockSuspectedError) as excinfo:
         ProcRuntime(join_timeout=1.5).run([bad, waits_forever])
-    assert time.monotonic() - t0 < 1.5 + 2.0
+    assert "within 1.5s" in str(excinfo.value)  # the join timeout fired
     dump = excinfo.value.threads
     assert list(dump) == ["p1"]
     assert dump["p1"]["blocked_on"][0] == "chan" and dump["p1"]["held"] == []
@@ -195,10 +193,10 @@ def test_procs_worker_killed_without_reporting_is_an_error_not_a_hang():
         yield from env.compute(instrs=1)
         os._exit(7)
 
-    t0 = time.monotonic()
+    # Noticed as a death, not waited out: the 30 s join timeout would
+    # raise ``DeadlockSuspectedError`` ("did not finish within") instead.
     with pytest.raises(RuntimeError, match="exited with code 7"):
         ProcRuntime(join_timeout=30).run([dies])
-    assert time.monotonic() - t0 < 10
 
 
 def test_cross_runtime_parity():
