@@ -205,7 +205,8 @@ identity:
 hostcost:
 	$(PY) tests/core/test_host_cost.py
 
-# cProfile one figure plus the hottest-effect-label report.
+# cProfile one figure plus the hottest-effect-label report (one Recorder
+# in SimRuntime.profile; pinned by tests/bench/test_profile_top.py).
 # `make profile FIG=fig6 FUSION=off` profiles with poll waits unfused.
 FIG ?= fig7
 profile:

@@ -40,8 +40,8 @@ from .core import (
     MPFError,
     Protocol,
 )
-from .machine import BALANCE_21000, DeadlockError, MachineConfig, Tracer
-from .obs import EffectLog, Recorder
+from .machine import BALANCE_21000, DeadlockError, MachineConfig
+from .obs import Recorder
 from .runtime import (
     BlockingMPF,
     Env,
@@ -76,8 +76,6 @@ __all__ = [
     "MPFSystem",
     "BlockingMPF",
     "PosixSegment",
-    "Tracer",
     "Recorder",
-    "EffectLog",
     "patterns",
 ]

@@ -207,18 +207,20 @@ def trace_main(argv: list[str]) -> int:
     return 0
 
 
-def polling_line(labels: dict) -> str:
+def polling_line(work: dict) -> str:
     """Simulated ``check_receive`` charges per ``message_receive``.
 
-    Read off the label profile — what the simulated machine pays for
-    polling.  ``select_receive``'s idle wait runs inside the engine, so
-    host-side call counts (cProfile rows, the ledger's
+    Read off a recorder's ``work`` table — what the simulated machine
+    pays for polling.  ``select_receive``'s idle wait runs inside the
+    engine, so host-side call counts (cProfile rows, the ledger's
     ``checks_per_receive``) no longer show it.  Empty when the figure
     never checks.
     """
-    checks = labels.get("check-fixed", (0,))[0]
-    recvs = sum(labels.get(k, (0,))[0]
-                for k in ("recv-fixed", "ring-recv-fixed"))
+    def count(label: str) -> int:
+        return work[label].count if label in work else 0
+
+    checks = count("check-fixed")
+    recvs = count("recv-fixed") + count("ring-recv-fixed")
     if not (checks and recvs):
         return ""
     return (f"{checks:,} check_receive for {recvs:,} message_receive = "
@@ -259,11 +261,11 @@ def profile_main(argv: list[str]) -> int:
     import cProfile
     import pstats
 
-    from ..machine.engine import disable_label_profile, enable_label_profile
-    from ..machine.stats import disable_report_profile, enable_report_profile
+    from ..obs import Recorder
+    from ..runtime.sim import SimRuntime
 
-    labels = enable_label_profile() if args.top else None
-    crossings = enable_report_profile() if args.top else None
+    # One recorder hears every simulation the figure runs.
+    rec = SimRuntime.profile = Recorder(limit=0) if args.top else None
     pr = cProfile.Profile()
     t0 = time.perf_counter()
     pr.enable()
@@ -271,35 +273,36 @@ def profile_main(argv: list[str]) -> int:
         result = FIGURES[args.figure](args.quick)  # profiling is always serial
     finally:
         pr.disable()
-        if labels is not None:
-            disable_label_profile()
-        if crossings is not None:
-            disable_report_profile()
+        SimRuntime.profile = None
     wall = time.perf_counter() - t0
     print(result.format_table())
     print(f"  [{wall:.1f}s wall under the profiler]\n")
     stats = pstats.Stats(pr)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    if labels is not None:
-        total_n = sum(v[0] for v in labels.values()) or 1
-        total_s = sum(v[1] for v in labels.values()) or 1.0
+    if rec is not None:
+        work = rec.work
+        total_n = sum(ws.count for ws in work.values()) or 1
+        total_s = sum(ws.seconds for ws in work.values()) or 1.0
         print(f"hottest effect labels ({args.figure}):")
         print(f"  {'label':<16} {'charges':>10} {'%':>6} "
               f"{'sim seconds':>12} {'%':>6}")
-        ranked = sorted(labels.items(), key=lambda kv: kv[1][1], reverse=True)
-        for label, (n, secs) in ranked[: args.top]:
-            print(f"  {label:<16} {n:>10} {100 * n / total_n:>5.1f}% "
-                  f"{secs:>12.6f} {100 * secs / total_s:>5.1f}%")
-        polling = polling_line(labels)
+        ranked = sorted(work.items(), key=lambda kv: kv[1].seconds,
+                        reverse=True)
+        for label, ws in ranked[: args.top]:
+            print(f"  {label:<16} {ws.count:>10} "
+                  f"{100 * ws.count / total_n:>5.1f}% "
+                  f"{ws.seconds:>12.6f} {100 * ws.seconds / total_s:>5.1f}%")
+        polling = polling_line(work)
         if polling:
             print(f"\nsimulated polling ({args.figure}): {polling}")
-    if crossings is not None and crossings["runs"]:
-        ev = crossings["events"]
-        pops = crossings["heap_pops"]
-        print(f"\nheap crossings ({args.figure}, summed over "
-              f"{crossings['runs']} simulations):")
-        print(f"  events {ev:,}  heap pushes {crossings['heap_pushes']:,}  "
-              f"pops {pops:,}  events/pop {ev / pops if pops else float('inf'):,.1f}")
+        if rec.machine:
+            ev = rec.machine["events"]
+            pops = rec.machine["heap_pops"]
+            print(f"\nheap crossings ({args.figure}, summed over "
+                  f"{rec.machine['runs']} simulations):")
+            print(f"  events {ev:,}  heap pushes "
+                  f"{rec.machine['heap_pushes']:,}  pops {pops:,}  "
+                  f"events/pop {ev / pops if pops else float('inf'):,.1f}")
     if args.out:
         stats.dump_stats(args.out)
         print(f"wrote {args.out}")

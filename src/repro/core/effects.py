@@ -154,9 +154,9 @@ class ChargeMany:
     followed by ``check_receive``'s entry charge).
 
     Each part keeps its own :class:`~repro.core.work.Work` label, so
-    per-label accounting (Tracer tables, Recorder charge splits) is
-    unchanged.  Restriction: parts must be instruction/flop-only work
-    (no ``copy_bytes``/``blocks``/``page_bytes``), because those feed
+    per-label accounting (the Recorder's charge split) is unchanged.
+    Restriction: parts must be instruction/flop-only work (no
+    ``copy_bytes``/``blocks``/``page_bytes``), because those feed
     stateful bus/cache/VM models whose inputs may move between two
     separate charge events; pure compute prices identically either way
     as long as the run is not oversubscribed (more runnable processes

@@ -14,7 +14,6 @@ from .cache import CacheModel
 from .cpu import BalanceTiming
 from .engine import DeadlockError, Engine, SimProcess, SimulationError, ZeroTimingModel
 from .stats import MachineReport, collect_report
-from .trace import TraceEvent, Tracer
 from .vm import VmModel
 
 __all__ = [
@@ -31,6 +30,4 @@ __all__ = [
     "ZeroTimingModel",
     "MachineReport",
     "collect_report",
-    "Tracer",
-    "TraceEvent",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import insort as _insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Protocol as TypingProtocol
+from typing import Generator, Protocol as TypingProtocol
 
 from ..core.effects import (
     Acquire,
@@ -44,34 +44,11 @@ __all__ = [
     "ZeroTimingModel",
     "SimProcess",
     "Engine",
-    "enable_label_profile",
-    "disable_label_profile",
 ]
 
 ProcGen = Generator[object, object, object]
 
 _INF = float("inf")
-
-#: Process-wide per-label charge aggregation, for ``python -m repro.bench
-#: profile --top N``: maps effect label -> [count, charged simulated
-#: seconds] while enabled, ``None`` otherwise.  Engine-level rather than
-#: Recorder-level so it sees every engine any figure constructs
-#: internally.  Switched between runs, never during one.
-_LABEL_PROF: dict | None = None
-
-
-def enable_label_profile() -> dict:
-    """Start aggregating charges by label; returns the live dict."""
-    global _LABEL_PROF
-    _LABEL_PROF = {}
-    return _LABEL_PROF
-
-
-def disable_label_profile() -> None:
-    """Stop aggregating (and stop paying the per-charge dict update)."""
-    global _LABEL_PROF
-    _LABEL_PROF = None
-
 
 def set_epoch(on: bool) -> None:
     """No-op: there is one loop.  Kept until ROADMAP 2(e) drops the ledger's import."""
@@ -254,13 +231,10 @@ class Engine:
         runnable than processors exist, charges stretch proportionally
         (coarse processor multiplexing; adequate because the paper never
         ran more processes than the Balance's 20 CPUs).
-    trace:
-        Optional callable receiving ``(time, process_name, event_str)``
-        for every effect and section step (``repr`` of the effect; one
-        ``Charge`` line per part of a multi-part charge).
     recorder:
-        Optional :class:`repro.obs.Recorder` receiving structured
-        metrics hooks (lock wait/hold times, charge labels) with
+        Optional :class:`repro.obs.Recorder`, the engine's one observer:
+        it hears every priced charge (one call per part of a multi-part
+        charge), lock grant and release, channel sleep and wake, with
         simulated timestamps.  Observational: never changes timing.
     scheduler:
         Optional schedule policy.  When set, nothing continues inline —
@@ -283,7 +257,6 @@ class Engine:
         n_channels: int,
         timing: TimingModel | None = None,
         n_cpus: int = 20,
-        trace: Callable[[float, str, str], None] | None = None,
         max_events: int = 200_000_000,
         recorder=None,
         scheduler=None,
@@ -305,7 +278,6 @@ class Engine:
         #: queue, so ``_seq`` *is* the push count and ``_seq -
         #: len(_queue)`` the take count.
         self._seq = 0
-        self._trace = trace
         self._recorder = recorder
         self._max_events = max_events
         self._scheduler = scheduler
@@ -365,9 +337,7 @@ class Engine:
         stats = self.stats
         timing = self.timing
         price = timing.price
-        trace = self._trace
-        watched = (trace is not None or self._recorder is not None
-                   or _LABEL_PROF is not None)
+        rec = self._recorder
         insort = _insort
         max_events = self._max_events
         # Contract with BalanceTiming (machine/cpu.py): pure-compute work
@@ -518,8 +488,10 @@ class Engine:
                         n_ch += 1
                         t_ch += dt
                         t2 = now + dt
-                        if watched:
-                            self._note_charge(proc.name, arg, now, dt, t2)
+                        if rec is not None:
+                            # Stamped at its end: the span is [t2 - dt, t2].
+                            rec.on_charge(t2, proc.name, arg.label, dt,
+                                          arg.instrs, arg.flops)
                     elif op == 1:
                         # Several compute-only charges as one step: each
                         # part is priced on its own and the clock advances
@@ -540,10 +512,10 @@ class Engine:
                                 dt = price(work, r)
                             n_ch += 1
                             t_ch += dt
-                            t1 = t2
                             t2 = t2 + dt
-                            if watched:
-                                self._note_charge(proc.name, work, t1, dt, t2)
+                            if rec is not None:
+                                rec.on_charge(t2, proc.name, work.label, dt,
+                                              work.instrs, work.flops)
                         ev += len(arg) - 1
                         if ev > max_events:
                             raise self._over_budget()
@@ -552,16 +524,10 @@ class Engine:
                             state[1] = idx  # an acquire may block mid-section
                         self.now = now
                         if op == 2:
-                            if trace is not None:
-                                trace(now, proc.name, repr(Acquire(arg)))
                             t2 = self._do_acquire(proc, arg)
                         elif op == 3:
-                            if trace is not None:
-                                trace(now, proc.name, repr(Release(arg)))
                             t2 = self._do_release(proc, arg)
                         elif state is None:
-                            if trace is not None:
-                                trace(now, proc.name, repr(arg))
                             if cls is Wake:
                                 t2 = self._do_wake(proc, arg.chan)
                             elif cls is WaitOn:
@@ -605,24 +571,6 @@ class Engine:
             stats.heap_pops = self._seq - len(queue)
         self._raise_if_stalled()
         return now
-
-    def _note_charge(self, name: str, work: Work, t0: float, dt: float,
-                     t1: float) -> None:
-        """Report one priced part over ``[t0, t1]`` to whoever is watching."""
-        if self._trace is not None:
-            self._trace(t0, name, repr(Charge(work)))
-        prof = _LABEL_PROF
-        if prof is not None:
-            e = prof.get(work.label)
-            if e is None:
-                prof[work.label] = [1, dt]
-            else:
-                e[0] += 1
-                e[1] += dt
-        if self._recorder is not None:
-            # Stamped at its end so exported spans cover [t1 - dt, t1].
-            self._recorder.on_charge(t1, name, work.label, dt,
-                                     work.instrs, work.flops)
 
     def _over_budget(self) -> SimulationError:
         return SimulationError(f"exceeded {self._max_events} events")

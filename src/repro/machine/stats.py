@@ -12,36 +12,7 @@ from dataclasses import dataclass
 from .cpu import BalanceTiming
 from .engine import Engine
 
-__all__ = [
-    "MachineReport",
-    "collect_report",
-    "enable_report_profile",
-    "disable_report_profile",
-]
-
-#: When enabled (``python -m repro.bench profile --top N``), every
-#: :func:`collect_report` folds its engine's event-queue counters into
-#: this accumulator, summing across all the simulations a figure runs —
-#: the engine-level analog of the effect-label profile.
-_REPORT_PROF: dict[str, int] | None = None
-
-
-def enable_report_profile() -> dict[str, int]:
-    """Start accumulating event-queue counters across reports."""
-    global _REPORT_PROF
-    _REPORT_PROF = {
-        "runs": 0,
-        "events": 0,
-        "heap_pushes": 0,
-        "heap_pops": 0,
-    }
-    return _REPORT_PROF
-
-
-def disable_report_profile() -> None:
-    """Stop accumulating (drops the reference; caller keeps the dict)."""
-    global _REPORT_PROF
-    _REPORT_PROF = None
+__all__ = ["MachineReport", "collect_report"]
 
 
 @dataclass(frozen=True)
@@ -87,13 +58,6 @@ class MachineReport:
 
 def collect_report(engine: Engine, timing: BalanceTiming) -> MachineReport:
     """Assemble a :class:`MachineReport` from a finished engine."""
-    prof = _REPORT_PROF
-    if prof is not None:
-        s = engine.stats
-        prof["runs"] += 1
-        prof["events"] += s.events
-        prof["heap_pushes"] += s.heap_pushes
-        prof["heap_pops"] += s.heap_pops
     return MachineReport(
         sim_seconds=engine.now,
         events=engine.stats.events,

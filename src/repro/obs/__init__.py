@@ -6,17 +6,15 @@ negligible cost.  Instead, message copying costs dominate").  This
 package is the reproduction's measurement layer, usable on *every*
 runtime rather than only the simulator:
 
-* :class:`EffectLog` — the raw effect stream recorder extracted from
-  the old ``repro.machine.trace.Tracer`` (which is now a compatibility
-  subclass);
-* :class:`Recorder` — structured counters: per-lock acquisition /
-  contention / wait / hold statistics with histograms, a per-Work-label
-  time split, and per-process effect counts.  The simulator feeds it
-  simulated time; threads, procs and posix runtimes feed it wall-clock
-  time measured inside :func:`repro.runtime.threads.drive`;
-* exporters (:mod:`repro.obs.export`) — Tracer-style text tables, JSON
-  lines, the Chrome ``chrome://tracing`` Trace Event Format and the
-  Prometheus text exposition;
+* :class:`Recorder` — the one observer of every runtime: per-lock
+  acquisition / contention / wait / hold statistics with histograms, a
+  per-Work-label time split, per-process effect counts and a bounded
+  log of structured spans.  The simulated engine feeds it simulated
+  time; threads, procs and posix runtimes feed it wall-clock time
+  measured inside :func:`repro.runtime.threads.drive`;
+* exporters (:mod:`repro.obs.export`) — text tables, JSON lines, the
+  Chrome ``chrome://tracing`` Trace Event Format and the Prometheus
+  text exposition;
 * one store (:mod:`repro.obs.store`) — the counter, gauge, digest and
   bounded-log cells every sink above keeps its measurements in, and the
   folds by which :meth:`Recorder.merge` joins two recordings.
@@ -47,7 +45,6 @@ from .causal import (
     queue_depth_timeline,
     sojourn_stats,
 )
-from .events import EffectLog, TraceEvent
 from .export import (
     chrome_trace,
     format_lock_profile,
@@ -75,8 +72,6 @@ from .store import Histogram, Store
 from .timeline import Timeline
 
 __all__ = [
-    "EffectLog",
-    "TraceEvent",
     "Recorder",
     "Span",
     "LockStats",

@@ -3,7 +3,7 @@
 Four output shapes, matching four audiences:
 
 * :func:`format_lock_profile` / :func:`format_summary` — aligned text
-  tables in the style of the Tracer analyses, for terminals and docs;
+  tables, for terminals and docs;
 * :func:`to_jsonl` — one JSON object per span, for ad-hoc analysis
   (``pandas.read_json(..., lines=True)``);
 * :func:`chrome_trace` — the Trace Event Format consumed by

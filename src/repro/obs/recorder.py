@@ -1,10 +1,9 @@
 """Runtime-agnostic metrics recording: counters, lock profiles, spans.
 
-The old :class:`~repro.machine.trace.Tracer` could only observe the
-simulator, because only the simulated engine produces a full effect
-stream.  A :class:`Recorder` is the portable counterpart: runtimes call
-a handful of *structured* hooks (``on_charge``, ``on_acquire``, ...)
-with whatever clock they have — simulated seconds on
+A :class:`Recorder` is the one observer of a run, on every runtime: the
+simulated engine and the real runtimes' ``drive`` loop call a handful of
+*structured* hooks (``on_charge``, ``on_acquire``, ...) with whatever
+clock they have — simulated seconds on
 :class:`~repro.runtime.sim.SimRuntime`, wall-clock seconds everywhere
 else — and the recorder maintains:
 
@@ -15,7 +14,7 @@ else — and the recorder maintains:
   "where does the time go" decomposition (charged seconds on the
   simulator, instruction budgets on real runtimes where charges are
   free);
-* per-process effect-kind counts matching ``Tracer.summary()``;
+* per-process effect-kind counts (:meth:`Recorder.summary`);
 * a bounded list of structured :class:`Span` events feeding the JSONL
   and Chrome-trace exporters (:mod:`repro.obs.export`).
 
@@ -32,8 +31,9 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 from ..core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, GLOBAL_LOCK
@@ -44,6 +44,7 @@ from .timeline import Timeline
 __all__ = ["LockStats", "WorkStats", "Span", "Recorder", "lock_name"]
 
 
+@cache  # a table filled on first sight: the hooks look a name up
 def lock_name(lock_id: int) -> str:
     """Human name for a lock index (layout of :mod:`repro.core.protocol`)."""
     if lock_id == GLOBAL_LOCK:
@@ -57,7 +58,7 @@ def lock_name(lock_id: int) -> str:
 class LockStats:
     """Everything recorded about one lock."""
 
-    #: Explicit ``Acquire`` effects granted (matches ``Tracer.lock_profile``).
+    #: Explicit ``Acquire`` effects granted.
     acquires: int = 0
     #: Lock re-entries on the way out of a ``WaitOn`` sleep (not Acquires).
     reacquires: int = 0
@@ -120,10 +121,9 @@ class Span(NamedTuple):
 class Recorder:
     """Portable observability hooks; pass to any runtime.
 
-    ``limit`` bounds the structured span list exactly as the Tracer's
-    event limit does: counters keep counting, span recording stops, and
-    :attr:`dropped_spans` counts what was not stored so truncated traces
-    are never silently read as complete.
+    ``limit`` bounds the structured span list: counters keep counting,
+    span recording stops, and :attr:`dropped_spans` counts what was not
+    stored so truncated traces are never silently read as complete.
     ``clock`` names the timebase (``"sim"`` or ``"wall"``) and
     :attr:`now` reads it; :meth:`attach` sets both at the start of a run.
     ``causal=True`` additionally attaches a
@@ -161,7 +161,8 @@ class Recorder:
         self.spans: Log = Log(limit)
         self.locks: dict[int, LockStats] = {}
         self.work: dict[str, WorkStats] = {}
-        self.kinds: dict[str, Counter] = {}
+        #: Effect-kind counts per process; each hook bumps its own kind.
+        self.kinds: dict[str, Counter] = defaultdict(Counter)
         self.chan_waits: Counter = Counter()
         self.chan_wait_seconds: float = 0.0
         #: Simulated-engine counters (events, event-queue pushes and
@@ -299,16 +300,10 @@ class Recorder:
     # Every hook ends by offering its span to the log, and builds the
     # Span only if the log has room for it.
 
-    def _count(self, process: str, kind: str) -> None:
-        try:
-            self.kinds[process][kind] += 1
-        except KeyError:
-            self.kinds[process] = Counter({kind: 1})
-
     def on_charge(self, time: float, process: str, label: str,
                   seconds: float, instrs: int = 0, flops: int = 0) -> None:
         """A ``Charge`` effect was priced (sim) or skipped for free (real)."""
-        self._count(process, "Charge")
+        self.kinds[process]["Charge"] += 1
         label = label or "(unlabeled)"
         ws = self.work.get(label)
         if ws is None:
@@ -328,14 +323,14 @@ class Recorder:
 
         ``counted=False`` marks the implicit reacquisition on the way out
         of a ``WaitOn`` sleep: its wait time is real contention evidence,
-        but it is not an ``Acquire`` effect, so it must not disturb the
-        Tracer-compatible acquisition counts.
+        but it is not an ``Acquire`` effect, so it is kept out of the
+        acquisition counts.
         """
         ls = self.locks.get(lock_id)
         if ls is None:
             ls = self.locks[lock_id] = LockStats()
         if counted:
-            self._count(process, "Acquire")
+            self.kinds[process]["Acquire"] += 1
             ls.acquires += 1
         else:
             ls.reacquires += 1
@@ -365,7 +360,7 @@ class Recorder:
         if ls is None:
             ls = self.locks[lock_id] = LockStats()
         if counted:
-            self._count(process, "Release")
+            self.kinds[process]["Release"] += 1
         ls.hold_seconds += hold_seconds
         ls.hold_hist.add_bucket(log2_us_bucket(hold_seconds))
         if self.spans.admit():
@@ -375,7 +370,7 @@ class Recorder:
     def on_chan_wait(self, time: float, process: str, chan: int,
                      wait_seconds: float) -> None:
         """A ``WaitOn`` sleep on channel ``chan`` ended after ``wait_seconds``."""
-        self._count(process, "WaitOn")
+        self.kinds[process]["WaitOn"] += 1
         self.chan_waits[chan] += 1
         self.chan_wait_seconds += wait_seconds
         if self.timeline is not None:
@@ -386,24 +381,26 @@ class Recorder:
 
     def on_wake(self, time: float, process: str, chan: int, woken: int) -> None:
         """A ``Wake`` on channel ``chan`` roused ``woken`` sleepers."""
-        self._count(process, "Wake")
+        self.kinds[process]["Wake"] += 1
         if self.spans.admit():
             self.spans.append(
                 Span(time, process, "wake", f"chan{chan}", 0.0, woken))
 
-    # -- Tracer-compatible tables ----------------------------------------------
+    # -- tables ------------------------------------------------------------------
 
     def summary(self) -> dict[str, Counter]:
-        """Per-process effect-kind counts (same shape as ``Tracer.summary``)."""
+        """Per-process effect-kind counts."""
         return {p: Counter(c) for p, c in self.kinds.items()}
 
     def lock_profile(self) -> Counter:
-        """Acquisitions per lock id (same shape as ``Tracer.lock_profile``)."""
+        """Explicit acquisitions per lock id (the Figure 4 evidence)."""
         return Counter({lid: ls.acquires for lid, ls in self.locks.items()
                         if ls.acquires})
 
     def charge_breakdown(self) -> Counter:
-        """Instruction budget per work label (``Tracer.charge_breakdown``)."""
+        """Instruction budget per work label, across all processes: the
+        "where does the time go" view — copy labels dominate at large
+        messages, fixed labels at small ones (the Figure 3 analysis)."""
         return Counter({label: ws.instrs for label, ws in self.work.items()
                         if ws.instrs})
 
@@ -507,7 +504,7 @@ class Recorder:
                     ws = self.work[label] = WorkStats()
                 ws.fold(theirs)
             for process, counts in snap["kinds"].items():
-                add_counts(self.kinds.setdefault(process, Counter()), counts)
+                add_counts(self.kinds[process], counts)
             add_counts(self.chan_waits, snap["chan_waits"])
             self.chan_wait_seconds += snap["chan_wait_seconds"]
             add_counts(self.machine, snap["machine"])

@@ -29,16 +29,20 @@ class SimRuntime(Runtime):
 
     kind = "sim"
 
+    #: ``python -m repro.bench profile --top`` puts a recorder here for
+    #: the length of a figure (``None`` otherwise) to hear every
+    #: simulation the figure runs: directly where a run has no recorder
+    #: of its own, as a fold of the run's recording where it has.
+    profile = None
+
     def __init__(
         self,
         machine: MachineConfig = BALANCE_21000,
-        trace=None,
         until: float | None = None,
         recorder=None,
         fusion: bool | None = None,
     ) -> None:
         self.machine = machine
-        self._trace = trace
         self._until = until
         #: In-engine poll waits override: ``None`` follows the module
         #: default (:func:`repro.core.ops.fusion_enabled`, MPF_FUSION env
@@ -47,7 +51,9 @@ class SimRuntime(Runtime):
         #: Optional :class:`repro.obs.Recorder` fed simulated-time
         #: metrics (lock wait/hold, per-label charges) during runs.
         self.recorder = recorder
-        #: Populated after each :meth:`run` for post-mortem inspection.
+        #: The engine and segment of the latest :meth:`run`, set before
+        #: its first event: after a deadlock or a worker exception they
+        #: hold the state to inspect.
         self.last_engine: Engine | None = None
         self.last_view: MPFView | None = None
 
@@ -73,35 +79,46 @@ class SimRuntime(Runtime):
         timing.cache.set_demand_source(
             lambda: HDR.get(region, "live_blocks") * stride
         )
+        # The engine has one observer: this run's recorder, else the
+        # profile's; with both, a child of this run's, folded into both.
+        own, profile = self.recorder, self.profile
+        both = own is not None and profile is not None
+        rec = own.child() if both else own if own is not None else profile
         engine = Engine(
             n_locks=cfg.n_locks,
             n_channels=cfg.n_channels,
             timing=timing,
             n_cpus=self.machine.n_cpus,
-            trace=self._trace,
-            recorder=self.recorder,
+            recorder=rec,
         )
+        self.last_engine = engine
+        self.last_view = view
         clock = lambda: engine.now  # noqa: E731 - tiny closure
-        if self.recorder is not None:
-            self.recorder.attach(view, clock, "sim")
+        if rec is not None:
+            rec.attach(view, clock, "sim")
         for rank, (name, worker) in enumerate(zip(names, workers)):
             env = Env(view, rank, nprocs, clock)
             engine.spawn(name, worker(env))
-        elapsed = engine.run(until=self._until)
-        self.last_engine = engine
-        self.last_view = view
-        report = collect_report(engine, timing)
-        if self.recorder is not None:
-            # Surface the engine's event-queue counters on the recorder
-            # so the Prometheus exposition and bench trace can report
-            # them without holding the engine itself.
-            m = self.recorder.machine
-            for k in ("events", "heap_pushes", "heap_pops"):
-                m[k] = m.get(k, 0) + getattr(report, k)
+        try:
+            elapsed = engine.run(until=self._until)
+        finally:
+            if rec is not None:
+                # Surface the engine's event-queue counters on the
+                # recorder so the Prometheus exposition and the bench
+                # tools report them without holding the engine itself —
+                # also for a run that ended in an error.
+                m = rec.machine
+                m["runs"] = m.get("runs", 0) + 1
+                for k in ("events", "heap_pushes", "heap_pops"):
+                    m[k] = m.get(k, 0) + getattr(engine.stats, k)
+                if both:
+                    snap = rec.snapshot()
+                    own.merge(snap)
+                    profile.merge(snap)
         return RunResult(
             results=engine.results(),
             elapsed=elapsed,
             kind=self.kind,
             header=snapshot_header(view),
-            report=report,
+            report=collect_report(engine, timing),
         )

@@ -221,6 +221,9 @@ class ThreadRuntime(Runtime):
         #: records into a private child recorder (so measurement adds no
         #: cross-thread contention of its own) merged after the join.
         self.recorder = recorder
+        #: The segment of the latest :meth:`run`, set before its threads
+        #: start: after a timeout or a worker exception it holds the
+        #: state to inspect.
         self.last_view: MPFView | None = None
 
     def run(
@@ -236,7 +239,7 @@ class ThreadRuntime(Runtime):
 
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
-        view = MPFView(region, layout, costs)
+        view = self.last_view = MPFView(region, layout, costs)
         sync = RealSync(cfg)
 
         t0 = time.perf_counter()
@@ -290,7 +293,6 @@ class ThreadRuntime(Runtime):
         if errors:
             name = sorted(errors)[0]
             raise errors[name]
-        self.last_view = view
         return RunResult(
             results=results,
             elapsed=time.perf_counter() - t0,

@@ -58,8 +58,11 @@ def test_cli_rejects_unknown_figure(capsys):
 
 def test_profile_reports_simulated_checks_per_receive():
     from repro.bench.__main__ import polling_line
+    from repro.obs import WorkStats
 
-    labels = {"check-fixed": [884, 0.2], "recv-fixed": [8, 0.02],
-              "ring-recv-fixed": [2, 0.01], "app-compute": [5, 1.0]}
-    assert polling_line(labels).endswith("= 88.4 checks per receive")
-    assert polling_line({"recv-fixed": [8, 0.02]}) == ""
+    work = {"check-fixed": WorkStats(884, seconds=0.2),
+            "recv-fixed": WorkStats(8, seconds=0.02),
+            "ring-recv-fixed": WorkStats(2, seconds=0.01),
+            "app-compute": WorkStats(5, seconds=1.0)}
+    assert polling_line(work).endswith("= 88.4 checks per receive")
+    assert polling_line({"recv-fixed": WorkStats(8, seconds=0.02)}) == ""

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro import BROADCAST, FCFS, SimRuntime, ThreadRuntime, Tracer
+from repro import BROADCAST, FCFS, Recorder, SimRuntime, ThreadRuntime
 from repro.machine.engine import DeadlockError
 from repro.patterns import Mailboxes
 
@@ -102,9 +102,9 @@ def test_section_5_halo_exchange():
 
 
 def test_section_6_measuring():
-    tracer = Tracer()
-    result = SimRuntime(trace=tracer).run([loner])
+    rec = Recorder()
+    result = SimRuntime(recorder=rec).run([loner])
     assert result.elapsed > 0
     assert result.report.lock_acquires > 0
-    breakdown = tracer.charge_breakdown()
+    breakdown = rec.charge_breakdown()
     assert breakdown["send-copy"] > 0

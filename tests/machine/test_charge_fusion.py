@@ -7,14 +7,14 @@ scheduler trip per call.  Semantically that must equal ``yield
 Charge(w)`` immediately before the unfused call: same simulated elapsed
 time (exact float equality — the engine charges each part at its own
 accumulated absolute time), same results, and the same per-label
-instruction totals in the Tracer's charge breakdown (the engine traces
-ChargeMany per part as ordinary ``Charge`` lines).
+instruction totals in the Recorder's charge breakdown (the engine
+reports a ChargeMany per part, as ordinary charges).
 """
 
 from repro.core.effects import Charge
 from repro.core.protocol import FCFS
 from repro.core.work import Work
-from repro.machine.trace import Tracer
+from repro.obs import Recorder
 from repro.runtime.sim import SimRuntime
 
 SEND_WORK = Work(instrs=53, label="app-send-prep")
@@ -60,9 +60,9 @@ def test_fusion_preserves_elapsed_and_results():
 
 
 def test_fusion_preserves_charge_breakdown():
-    t_unfused, t_fused = Tracer(), Tracer()
-    SimRuntime(trace=t_unfused).run(_workers(fused=False))
-    SimRuntime(trace=t_fused).run(_workers(fused=True))
+    t_unfused, t_fused = Recorder(), Recorder()
+    SimRuntime(recorder=t_unfused).run(_workers(fused=False))
+    SimRuntime(recorder=t_fused).run(_workers(fused=True))
     # Per-label totals agree exactly — fusion changes how work is
     # delivered to the engine, not how much of it there is.
     assert t_fused.charge_breakdown() == t_unfused.charge_breakdown()
@@ -75,17 +75,17 @@ def test_fusion_preserves_charge_breakdown():
 
 
 def test_fusion_preserves_per_process_event_streams():
-    # ChargeMany is traced per part at the unfused timestamps, so each
-    # process's own (time, text) event stream is identical.  Only the
-    # *interleaving* in the global log may differ: a fused pair is logged
-    # back-to-back, while in the unfused run another process's events can
-    # land between the two charges.
+    # ChargeMany is reported per part at the unfused timestamps, so each
+    # process's own span stream is identical.  Only the *interleaving* in
+    # the global log may differ: a fused pair is logged back-to-back,
+    # while in the unfused run another process's events can land between
+    # the two charges.
     streams = []
     for fused in (False, True):
-        t = Tracer()
-        SimRuntime(trace=t).run(_workers(fused=fused))
+        rec = Recorder()
+        SimRuntime(recorder=rec).run(_workers(fused=fused))
         per_proc: dict[str, list] = {}
-        for e in t.events:
-            per_proc.setdefault(e.process, []).append((e.time, e.text))
+        for span in rec.spans:
+            per_proc.setdefault(span.process, []).append(span)
         streams.append(per_proc)
     assert streams[0] == streams[1]

@@ -7,12 +7,12 @@ looping :class:`~repro.core.effects.FusedSection` (``S_NEXT`` boundaries,
 module pins it:
 
 * a 3-poller + 1-sender program gives the same clock, event count,
-  per-lock acquire/contended counts, trace stream and per-label charge
+  per-lock acquire/contended counts, span stream and per-label charge
   counts with fusion on and off under {plain, ``until``-sliced,
-  controlled seeded walk, ``Tracer``, ``Recorder``} — and the values the
-  parent commit's three interpreters produced (recorded there, pinned
-  here: the engine has one loop now, so there is no second path to
-  compare against);
+  controlled seeded walk, ``Recorder``, unobserved} — and the values
+  the parent commit's three interpreters produced (recorded there,
+  pinned here: the engine has one loop now, so there is no second path
+  to compare against);
 * the simulated polling cost of Gauss-Jordan 64x64 (seed 1987) is
   88.44 ``check-fixed`` charges per ``select_receive``, whatever the
   host-side call count reads;
@@ -46,14 +46,13 @@ from repro.core.effects import (
 )
 from repro.core.protocol import BROADCAST, FCFS
 from repro.core.work import Work
-from repro.machine import engine as engine_mod
 from repro.machine.balance import BALANCE_21000
 from repro.machine.cpu import BalanceTiming
 from repro.machine.engine import Engine, SimulationError, ZeroTimingModel
-from repro.machine.trace import Tracer
 from repro.obs import Recorder
 from repro.patterns import select_receive
 from repro.runtime.base import Env
+from repro.runtime.sim import SimRuntime
 from repro.testing import make_view
 
 
@@ -62,7 +61,6 @@ def restore_hatches():
     fusion = ops.fusion_enabled()
     yield
     ops.set_fusion(fusion)
-    engine_mod.disable_label_profile()
     reset_run_cache()
 
 
@@ -123,15 +121,16 @@ _WORKERS = [_poller, _poller, _poller, _sender]
 
 
 def _run_matrix_cell(mode, fusion):
-    labels = engine_mod.enable_label_profile()
-    tracer = Tracer() if mode == "tracer" else None
-    recorder = Recorder() if mode == "recorder" else None
+    """``recorder`` keeps every span, ``unobserved`` has no recorder,
+    the other modes count labels and locks only (``limit=0``)."""
+    recorder = (None if mode == "unobserved" else
+                Recorder() if mode == "recorder" else Recorder(limit=0))
     policy = None
     timing = None
     if mode == "controlled":
         policy = ControlledPolicy(RandomPolicy(seed=11))
         timing = ZeroTimingModel()  # every pending event is a choice
-    eng, view = _engine(fusion, len(_WORKERS), timing=timing, trace=tracer,
+    eng, view = _engine(fusion, len(_WORKERS), timing=timing,
                         recorder=recorder, scheduler=policy)
     _spawn(eng, view, _WORKERS)
     if mode == "sliced":
@@ -140,22 +139,21 @@ def _run_matrix_cell(mode, fusion):
             t += 0.0137
             eng.run(until=t)
     eng.run()
-    engine_mod.disable_label_profile()
     out = {
         "sim_seconds": eng.now,
         "events": eng.stats.events,
         "lock_acquires": eng.stats.lock_acquires,
         "lock_contended": eng.stats.lock_contended,
-        "label_counts": {k: v[0] for k, v in labels.items()},
         "results": eng.results(),
     }
-    if tracer is not None:
-        out["trace"] = [(e.time, e.process, e.text) for e in tracer.events]
-        out["per_lock"] = dict(tracer.lock_profile())
     if recorder is not None:
+        out["label_counts"] = {
+            label: ws.count for label, ws in recorder.work.items()}
         out["per_lock"] = {
             lock: (st.acquires, st.contended)
             for lock, st in recorder.lock_table().items()}
+    if mode == "recorder":
+        out["trace"] = [tuple(span) for span in recorder.spans]
         out["recorder_labels"] = dict(recorder.charge_breakdown())
     if policy is not None:
         out["decisions"] = (policy.decisions, policy.widths)
@@ -188,21 +186,29 @@ def _results(*orders):
     return out
 
 
-_TIMED = {
+_UNOBSERVED = {
     "sim_seconds": 0.199512299999999, "events": 4795,
     "lock_acquires": 1094, "lock_contended": 321,
-    "label_counts": {**_IDLE, **_STEADY},
     "results": _results("nbnbn", "nbnbn", "nbnbn"),
 }
+_TIMED = {
+    **_UNOBSERVED,
+    "label_counts": {**_IDLE, **_STEADY},
+    "per_lock": {
+        0: (17, 11), 1: (41, 0), 2: (515, 308), 3: (16, 0), 4: (170, 0),
+        5: (168, 1), 6: (167, 1)},
+}
 _PARENT = {
+    "unobserved": _UNOBSERVED,
     "plain": _TIMED,
     "sliced": _TIMED,
-    "tracer": {**_TIMED, "trace": (
-        4791,
-        "980d181594c1d13c27365995cc3b5ba16796195526acc6843ddf356578f493f9")},
-    "recorder": {**_TIMED, "per_lock": {
-        0: (17, 11), 1: (41, 0), 2: (515, 308), 3: (16, 0), 4: (170, 0),
-        5: (168, 1), 6: (167, 1)}},
+    # (len, sha256) of the run's `Recorder.spans` as (time, process,
+    # kind, name, duration, value) tuples, taken at 3b11bc4 — the last
+    # commit with a raw `trace=` stream — in this mode, hatch on and
+    # under MPF_FUSION=off (the same digest both ways).
+    "recorder": {**_TIMED, "trace": (
+        4793,
+        "dbe98196a43bf3e234ab8db7451b23efba264ce280c4cdd62feb8f5179cfbf38")},
     "controlled": {
         "sim_seconds": 0.0, "events": 718,
         "lock_acquires": 188, "lock_contended": 51,
@@ -218,7 +224,7 @@ _PARENT = {
 
 
 @pytest.mark.parametrize(
-    "mode", ["plain", "sliced", "controlled", "tracer", "recorder"])
+    "mode", ["plain", "sliced", "controlled", "recorder", "unobserved"])
 def test_identity_matrix(mode, restore_hatches):
     """Fusion on or off retires the parent's schedule, per mode."""
     fused, classic = (_run_matrix_cell(mode, f) for f in (True, False))
@@ -227,8 +233,9 @@ def test_identity_matrix(mode, restore_hatches):
         assert len(got) == _NEWS + _MAIL
         assert [p for which, p in got if which == "news"] == [
             b"n%d" % i for i in range(_NEWS)]
-    assert classic["label_counts"]["check-fixed"] > 50, (
-        "the program must actually idle-poll for the matrix to mean much")
+    if mode != "unobserved":
+        assert classic["label_counts"]["check-fixed"] > 50, (
+            "the program must actually idle-poll for the matrix to mean much")
     assert fused == classic, f"{mode}: fusion diverged from classic"
     pinned = dict(classic)
     if "trace" in pinned:
@@ -241,13 +248,14 @@ def test_identity_matrix(mode, restore_hatches):
 
 
 def test_matrix_modes_agree_on_the_schedule(restore_hatches):
-    """Observation and slicing are free: same clock, events, lock totals."""
-    keys = ("sim_seconds", "events", "lock_acquires", "lock_contended",
-            "label_counts")
+    """Observation and slicing are free: same clock, events, lock totals
+    as the unobserved run, same labels whatever the span limit."""
+    bare = _run_matrix_cell("unobserved", True)
     plain = _run_matrix_cell("plain", True)
-    for mode in ("sliced", "tracer", "recorder"):
+    assert {k: plain[k] for k in bare} == bare
+    for mode in ("sliced", "recorder"):
         cell = _run_matrix_cell(mode, True)
-        assert {k: cell[k] for k in keys} == {k: plain[k] for k in keys}, mode
+        assert {k: cell[k] for k in plain} == plain, mode
 
 
 def test_gauss64_simulated_checks_per_receive(restore_hatches):
@@ -264,23 +272,23 @@ def test_gauss64_simulated_checks_per_receive(restore_hatches):
         return (yield from select_receive(env, ids, backoff_instrs))
 
     a, b = gj.make_system(64, 1987)
-    labels = engine_mod.enable_label_profile()
+    rec = Recorder(limit=0)
     real = gj.select_receive
     gj.select_receive = counting
     try:
-        gj.gauss_jordan_parallel(a, b, 12)
+        gj.gauss_jordan_parallel(a, b, 12, runtime=SimRuntime(recorder=rec))
     finally:
         gj.select_receive = real
-        engine_mod.disable_label_profile()
-    per_receive = labels["check-fixed"][0] / len(calls)
+    per_receive = rec.work["check-fixed"].count / len(calls)
     assert round(per_receive, 2) == 88.44
 
 
 # -- the event budget ---------------------------------------------------------
 
 
-def _no_trace(time, name, text):
-    """A trace hook that keeps nothing: the budget tests' watched mode."""
+def _watcher(traced):
+    """The budget tests' watched mode: a recorder that keeps no span."""
+    return Recorder(limit=0) if traced else None
 
 
 @pytest.mark.parametrize("pollers", [1, 2])
@@ -296,7 +304,7 @@ def test_lone_pollers_hit_the_event_budget(pollers, fusion, traced,
         yield from select_receive(env, (box,))
 
     eng, view = _engine(fusion, pollers, max_events=50_000,
-                        trace=_no_trace if traced else None)
+                        recorder=_watcher(traced))
     _spawn(eng, view, [poller] * pollers)
     with pytest.raises(SimulationError, match="exceeded 50000 events"):
         eng.run()
@@ -313,7 +321,7 @@ def test_budget_inside_a_plain_fused_loop(traced):
             yield sec
 
     eng = Engine(n_locks=1, n_channels=0, max_events=1_000,
-                 trace=_no_trace if traced else None)
+                 recorder=_watcher(traced))
     eng.spawn("p0", spinner())
     eng.spawn("p1", spinner())
     with pytest.raises(SimulationError, match="exceeded 1000 events"):
@@ -335,7 +343,7 @@ def test_budget_is_tested_at_a_multi_part_charge(fused, traced, procs):
             yield effect
 
     eng = Engine(n_locks=1, n_channels=0, max_events=10,
-                 trace=_no_trace if traced else None)
+                 recorder=_watcher(traced))
     for i in range(procs):
         eng.spawn(f"p{i}", spinner())
     with pytest.raises(SimulationError, match="exceeded 10 events"):
@@ -395,13 +403,11 @@ def test_s_next_is_a_section_boundary(mode):
     """A looping section is event-for-event the sections it replaces."""
 
     def run(make):
-        lines = []
+        rec = None if mode == "untraced" else Recorder()
         sched = (ControlledPolicy(RandomPolicy(seed=3))
                  if mode == "controlled" else None)
         eng = Engine(n_locks=1, n_channels=0, timing=_UnitTiming(),
-                     scheduler=sched,
-                     trace=None if mode == "untraced" else (
-                         lambda t, n, s: lines.append((t, n, s))))
+                     scheduler=sched, recorder=rec)
         # Two loopers contending for lock 0, so parks land mid-loop.
         eng.spawn("p0", make(40))
         eng.spawn("p1", make(25))
@@ -409,7 +415,8 @@ def test_s_next_is_a_section_boundary(mode):
             for k in range(1, 30):
                 eng.run(until=k * 17e-6)
         eng.run()
-        return (eng.now, eng.stats.as_dict(), eng.results(), lines,
+        return (eng.now, eng.stats.as_dict(), eng.results(),
+                rec and list(rec.spans),
                 sched and (sched.decisions, sched.widths))
 
     assert run(_looping) == run(_one_by_one)

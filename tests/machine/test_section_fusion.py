@@ -183,15 +183,15 @@ def _conflict_program(eng, fused: bool):
 
 
 def _run_conflict(fused: bool):
-    lines = []
+    rec = Recorder()
     eng = Engine(
         n_locks=4, n_channels=2,
         timing=BalanceTiming(BALANCE_21000, DEFAULT_COSTS), n_cpus=4,
-        trace=lambda t, name, text: lines.append((t, name, text)),
+        recorder=rec,
     )
     _conflict_program(eng, fused)
     elapsed = eng.run()
-    return elapsed, eng.stats, lines
+    return elapsed, eng.stats, list(rec.spans)
 
 
 def test_fusion_never_fires_across_lock_conflict(restore_fusion):
@@ -199,23 +199,24 @@ def test_fusion_never_fires_across_lock_conflict(restore_fusion):
 
     If the section retired atomically despite the conflict, P1's
     critical charge would land inside P0's hold window; instead it must
-    start at (or after) P0's release, and the whole schedule — trace
+    start at (or after) P0's release, and the whole schedule — span
     stream, event count, final clock — must equal classic stepping's.
     """
-    f_elapsed, f_stats, f_lines = _run_conflict(fused=True)
-    c_elapsed, c_stats, c_lines = _run_conflict(fused=False)
+    f_elapsed, f_stats, f_spans = _run_conflict(fused=True)
+    c_elapsed, c_stats, c_spans = _run_conflict(fused=False)
 
-    t_release = next(t for (t, name, text) in f_lines
-                     if name == "p0" and text == "Release(lock_id=2)")
-    t_crit = next(t for (t, name, text) in f_lines
-                  if name == "p1" and "crit" in text)
+    t_release = next(s.time for s in f_spans if s.process == "p0"
+                     and s.kind == "release" and s.value == 2)
+    # A charge span is stamped at its end.
+    t_crit = next(s.time - s.duration for s in f_spans
+                  if s.process == "p1" and s.name == "crit")
     assert t_crit >= t_release, (
         "fused critical section ran inside the holder's critical section"
     )
 
-    # Fusion is an implementation detail: identical per-part trace
+    # Fusion is an implementation detail: identical per-part span
     # stream, identical accounting, identical clock.
-    assert f_lines == c_lines
+    assert f_spans == c_spans
     assert f_elapsed == c_elapsed
     assert f_stats.events == c_stats.events
     assert f_stats.charges == c_stats.charges

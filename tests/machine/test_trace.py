@@ -1,14 +1,14 @@
-"""Tests for the execution tracer."""
+"""The engine's observer on a simulated run: what a ``Recorder`` keeps."""
 
 from repro.core.protocol import FCFS
-from repro.machine.trace import Tracer
+from repro.obs import Recorder
 from repro.runtime.sim import SimRuntime
 
 
 def traced_run(workers, **kw):
-    tracer = Tracer(**kw)
-    result = SimRuntime(trace=tracer).run(workers)
-    return tracer, result
+    rec = Recorder(**kw)
+    result = SimRuntime(recorder=rec).run(workers)
+    return rec, result
 
 
 def loopback(env):
@@ -22,93 +22,73 @@ def loopback(env):
 
 
 def test_tracer_records_events():
-    tracer, result = traced_run([loopback])
-    assert tracer.total > 0
-    assert tracer.total == len(tracer.events)
-    assert result.report.events >= tracer.total
+    rec, result = traced_run([loopback])
+    assert rec.total > 0
+    assert rec.total == len(rec.spans)
+    assert result.report.events >= rec.total
 
 
 def test_events_time_ordered():
-    tracer, _ = traced_run([loopback])
-    times = [ev.time for ev in tracer.events]
+    rec, _ = traced_run([loopback])
+    times = [span.time for span in rec.spans]
     assert times == sorted(times)
 
 
 def test_summary_counts_by_kind():
-    tracer, _ = traced_run([loopback])
-    summary = tracer.summary()["p0"]
+    rec, _ = traced_run([loopback])
+    summary = rec.summary()["p0"]
     assert summary["Acquire"] == summary["Release"]
     assert summary["Wake"] == 4  # one per send
     assert summary["Charge"] > 8
 
 
 def test_charge_breakdown_labels():
-    tracer, _ = traced_run([loopback])
-    breakdown = tracer.charge_breakdown()
+    rec, _ = traced_run([loopback])
+    breakdown = rec.charge_breakdown()
     for label in ("send-fixed", "send-copy", "recv-fixed", "recv-copy",
                   "send-link", "open"):
         assert breakdown[label] > 0, f"missing label {label}"
 
 
-def test_copy_dominates_for_large_messages():
-    """The Figure 3 analysis, recovered from the trace: at large
-    messages the copy labels outweigh the fixed labels."""
-
-    def big(env):
+def _echo(nbytes):
+    def worker(env):
         sid = yield from env.open_send("loop")
         rid = yield from env.open_receive("loop", FCFS)
         for _ in range(4):
-            yield from env.message_send(sid, b"x" * 2048)
+            yield from env.message_send(sid, b"x" * nbytes)
             yield from env.message_receive(rid)
 
-    tracer, _ = traced_run([big])
-    b = tracer.charge_breakdown()
+    return worker
+
+
+def test_copy_dominates_for_large_messages():
+    """The Figure 3 analysis, recovered from the recording: at large
+    messages the copy labels outweigh the fixed labels."""
+    rec, _ = traced_run([_echo(2048)])
+    b = rec.charge_breakdown()
     copies = b["send-copy"] + b["recv-copy"]
     fixed = b["send-fixed"] + b["recv-fixed"]
     assert copies > 3 * fixed
 
 
 def test_fixed_dominates_for_small_messages():
-    def small(env):
-        sid = yield from env.open_send("loop")
-        rid = yield from env.open_receive("loop", FCFS)
-        for _ in range(4):
-            yield from env.message_send(sid, b"x" * 10)
-            yield from env.message_receive(rid)
-
-    tracer, _ = traced_run([small])
-    b = tracer.charge_breakdown()
+    rec, _ = traced_run([_echo(10)])
+    b = rec.charge_breakdown()
     copies = b["send-copy"] + b["recv-copy"]
     fixed = b["send-fixed"] + b["recv-fixed"]
     assert fixed > 3 * copies
 
 
 def test_lock_profile_counts_acquires():
-    tracer, _ = traced_run([loopback])
-    profile = tracer.lock_profile()
-    assert sum(profile.values()) > 0
+    rec, result = traced_run([loopback])
+    profile = rec.lock_profile()
+    assert sum(profile.values()) == result.report.lock_acquires > 0
     assert all(isinstance(k, int) for k in profile)
 
 
-def test_timeline_renders():
-    tracer, _ = traced_run([loopback])
-    text = tracer.timeline(first=10)
-    lines = text.splitlines()
-    assert "effect" in lines[0]
-    assert len(lines) == 12  # header + 10 + "more" line
-    assert "more events" in lines[-1]
-
-
 def test_limit_caps_recording_not_counting():
-    tracer, _ = traced_run([loopback], limit=5)
-    assert len(tracer.events) == 5
-    assert tracer.total > 5
-
-
-def test_between_filters_window():
-    tracer, result = traced_run([loopback])
-    mid = result.elapsed / 2
-    early = tracer.between(0.0, mid)
-    late = tracer.between(mid, result.elapsed + 1)
-    assert len(early) + len(late) == tracer.total
-    assert all(ev.time < mid for ev in early)
+    rec, _ = traced_run([loopback], limit=5)
+    assert len(rec.spans) == 5
+    assert rec.total == 5 + rec.dropped_spans > 5
+    full, _ = traced_run([loopback])
+    assert rec.summary() == full.summary()

@@ -1,27 +1,15 @@
-"""The Tracer extraction into ``repro.obs`` must be invisible.
+"""Deleting the raw ``trace=`` stream must be invisible in the tables.
 
-``repro.machine.trace.Tracer`` is now a thin subclass of
-``repro.obs.EffectLog``; these tests pin that the move changed nothing
-observable — the event stream a sim run produces through either name is
-byte-identical, and the Recorder's Tracer-compatible tables agree with
-the Tracer itself on the same run.
+Until 3b11bc4 a ``Tracer`` regex-parsed ``repr(effect)`` lines into
+per-process effect counts, acquisitions per lock and instructions per
+label, and a test compared them with the ``Recorder``'s on one run.  The
+``Recorder`` is the engine's only observer now; what the ``Tracer``
+reported for this program at 3b11bc4 is pinned here instead.
 """
 
 from repro.core.protocol import FCFS
-from repro.machine.trace import Tracer, TraceEvent
-from repro.obs import EffectLog, Recorder
-from repro.obs.events import TraceEvent as ObsTraceEvent
+from repro.obs import Recorder
 from repro.runtime.sim import SimRuntime
-
-
-def pingpong(env):
-    sid = yield from env.open_send("loop")
-    rid = yield from env.open_receive("loop", FCFS)
-    for _ in range(3):
-        yield from env.message_send(sid, b"y" * 48)
-        yield from env.message_receive(rid)
-    yield from env.close_send(sid)
-    yield from env.close_receive(rid)
 
 
 def fanout(env):
@@ -39,48 +27,27 @@ def fanout(env):
         yield from env.close_receive(cid)
 
 
-def test_tracer_is_effectlog():
-    assert issubclass(Tracer, EffectLog)
-    assert TraceEvent is ObsTraceEvent
-
-
-def test_event_stream_byte_identical():
-    """EffectLog passed as ``trace=`` records the exact same events the
-    Tracer name records — same times, processes, texts, same order."""
-    for workers in ([pingpong], [fanout, fanout, fanout]):
-        tracer, log = Tracer(), EffectLog()
-        SimRuntime(trace=tracer).run(workers)
-        SimRuntime(trace=log).run(workers)
-        assert tracer.total == log.total
-        assert tracer.events == log.events
-        assert repr(tracer.events[0]).replace("Tracer", "EffectLog") == repr(
-            log.events[0]
-        ).replace("Tracer", "EffectLog")
-
-
-def test_derived_tables_identical():
-    tracer, log = Tracer(), EffectLog()
-    SimRuntime(trace=tracer).run([fanout, fanout, fanout])
-    SimRuntime(trace=log).run([fanout, fanout, fanout])
-    assert tracer.summary() == log.summary()
-    assert tracer.lock_profile() == log.lock_profile()
-    assert tracer.charge_breakdown() == log.charge_breakdown()
-    assert tracer.timeline() == log.timeline()
-
-
 def test_recorder_matches_tracer_on_same_run():
-    """Tracer and Recorder attached to one run see the same effects."""
-    tracer, rec = Tracer(), Recorder()
-    SimRuntime(trace=tracer, recorder=rec).run([fanout, fanout, fanout])
-    assert rec.summary() == tracer.summary()
-    assert rec.lock_profile() == tracer.lock_profile()
-    assert rec.charge_breakdown() == tracer.charge_breakdown()
+    """The tables the ``Tracer`` printed at 3b11bc4, off the ``Recorder``."""
+    rec = Recorder()
+    SimRuntime(recorder=rec).run([fanout, fanout, fanout])
+    assert rec.summary() == {
+        "p0": {"Acquire": 18, "Charge": 27, "Release": 18, "Wake": 6},
+        "p1": {"Acquire": 15, "Charge": 24, "Release": 15, "WaitOn": 5},
+        "p2": {"Acquire": 15, "Charge": 21, "Release": 15, "WaitOn": 3},
+    }
+    assert rec.lock_profile() == {0: 6, 1: 18, 2: 24}
+    assert rec.charge_breakdown() == {
+        "close_receive": 1824, "close_send": 912, "lnvc-delete": 450,
+        "open": 3120, "open_receive": 108, "open_send": 48, "reap": 440,
+        "recv-copy": 1288, "recv-find": 108, "recv-fixed": 18000,
+        "recv-retire": 480, "recv-wakeup": 960, "send-alloc": 210,
+        "send-copy": 1368, "send-fixed": 21000, "send-link": 1104,
+    }
 
 
 def test_recording_does_not_perturb_timing():
     bare = SimRuntime().run([fanout, fanout, fanout])
-    observed = SimRuntime(trace=Tracer(), recorder=Recorder()).run(
-        [fanout, fanout, fanout]
-    )
-    assert observed.elapsed == bare.elapsed
+    observed = SimRuntime(recorder=Recorder()).run([fanout, fanout, fanout])
+    assert observed.elapsed == bare.elapsed == 0.02889080000000002
     assert observed.results == bare.results

@@ -8,10 +8,12 @@ constructors and everything outside ``repro.obs`` are not in it).  "Did
 an observer get heavier" is answered here, not by a host whose walls
 drift 10% (ROADMAP items 3(a) and 5).
 
-``PINNED`` was counted at e7455da — the parent of the commit that put
-one store behind the observer seam — before the first edit, with this
-file's ``obs_calls``.  Lower it when a change makes an observer lighter;
-a change that needs to raise it says why in its PR.
+``PINNED`` was first counted at e7455da — the parent of the commit that
+put one store behind the observer seam — with this file's ``obs_calls``
+(9,967 / 10,668 / 13,266 / 13,678 at 3b11bc4), and lowered when the
+hooks stopped calling ``Recorder._count`` per effect and formatting a
+lock's name per acquire and release.  Lower it when a change makes an
+observer lighter; a change that needs to raise it says why in its PR.
 """
 
 import collections
@@ -22,7 +24,7 @@ import pytest
 
 import repro.obs
 from repro.bench.workloads import broadcast_throughput
-from repro.obs import Recorder
+from repro.obs import Recorder, lock_name
 
 OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 
@@ -33,8 +35,9 @@ CONFIGS = {
     "all": {"causal": True, "timeline": True},
 }
 
-#: Calls under src/repro/obs/ at e7455da, per recorder configuration.
-PINNED = {"plain": 9967, "causal": 10668, "timeline": 13698, "all": 14110}
+#: Calls under src/repro/obs/ per recorder configuration, each run
+#: starting with an empty lock-name table (five locks: five calls).
+PINNED = {"plain": 6776, "causal": 7477, "timeline": 10075, "all": 10487}
 
 
 def obs_calls(rec: Recorder) -> collections.Counter:
@@ -46,6 +49,7 @@ def obs_calls(rec: Recorder) -> collections.Counter:
         if event == "call" and frame.f_code.co_filename.startswith(OBS_DIR):
             calls[frame.f_code.co_name] += 1
 
+    lock_name.cache_clear()
     before = sys.getprofile()
     sys.setprofile(profile)
     try:

@@ -19,7 +19,6 @@ import repro
 import repro.obs
 from repro.obs import Histogram, Recorder, Store, Timeline
 from repro.obs.causal import CausalTracer, MsgEvent, StageStats
-from repro.obs.events import TraceEvent
 from repro.obs.recorder import LockStats, Span, WorkStats
 from repro.obs.store import Gauge, Log, add_counts, log2_us_bucket
 
@@ -100,8 +99,7 @@ def test_records_are_tuples_and_spell_their_dicts():
         "kind", "pid", "slot", "gen", "seqno", "length", "t0", "t1", "t2",
         "t3", "blocks", "depth", "fcfs", "discard"]
     assert (ev.key, ev.lnvc, ev.fcfs, ev.discard) == ((2, 3, 4), (2, 3), 1, 0)
-    assert TraceEvent(0.0, "p0", "Acquire(lock=2)").kind == "Acquire"
-    for record in (span, ev, TraceEvent(0.0, "p0", "x")):
+    for record in (span, ev):
         assert isinstance(record, tuple)
         assert pickle.loads(pickle.dumps(record)) == record
 
@@ -184,13 +182,11 @@ def test_one_function_decides_whether_a_log_has_room():
     deciders = _where(lambda n: isinstance(n, (ast.Compare, ast.BinOp)) and any(
         reads_limit(m) for m in ast.walk(n)))
     assert deciders == {"obs/store.py:Log.admit"}
-    # The three logs of repro.obs are Logs, each offered records one way.
+    # The two logs of repro.obs are Logs, each offered records one way.
     assert _where(lambda n: _calls(n, "Log"), OBS) == {
-        "obs/recorder.py:Recorder.__init__", "obs/causal.py:CausalTracer.__init__",
-        "obs/events.py:EffectLog.__init__"}
+        "obs/recorder.py:Recorder.__init__", "obs/causal.py:CausalTracer.__init__"}
     admits = _where(lambda n: _calls(n, "admit"))
-    assert admits >= {"obs/events.py:EffectLog.__call__",
-                      "obs/recorder.py:Recorder.on_charge",
+    assert admits >= {"obs/recorder.py:Recorder.on_charge",
                       "obs/causal.py:CausalTracer.on_send",
                       "obs/store.py:Log.fold"}
     assert all(name.startswith("obs/") for name in admits)
@@ -219,13 +215,17 @@ def test_recorder_merge_is_the_one_way_across_a_join_or_a_fork():
                 target = ast.unparse(node.func.value)
                 protocol.setdefault(node.func.attr, set()).add(
                     (path.name, target))
-    # Only the two real runtimes cross one, and only through a recorder.
+    # Only the two real runtimes cross one; the simulator folds one run
+    # into two recorders while `bench profile` fills `SimRuntime.profile`
+    # — each through a recorder, nothing else.
     assert protocol == {
         "child": {("threads.py", "self.recorder"),
-                  ("procs.py", "self.recorder")},
-        "snapshot": {("threads.py", "rec"), ("procs.py", "rec")},
+                  ("procs.py", "self.recorder"), ("sim.py", "own")},
+        "snapshot": {("threads.py", "rec"), ("procs.py", "rec"),
+                     ("sim.py", "rec")},
         "merge": {("threads.py", "self.recorder"),
-                  ("procs.py", "self.recorder")},
+                  ("procs.py", "self.recorder"),
+                  ("sim.py", "own"), ("sim.py", "profile")},
     }
     # Inside repro.obs the sinks fold; nothing but the recorder merges,
     # snapshots or breeds children, and it holds the only mutex.
@@ -264,10 +264,10 @@ def test_what_the_store_replaced_is_gone():
 
 def test_repro_obs_did_not_grow():
     modules = sorted(p.stem for p in OBS.glob("*.py") if p.stem != "__init__")
-    assert modules == ["causal", "events", "export", "flow", "health", "live",
+    assert modules == ["causal", "export", "flow", "health", "live",
                        "recorder", "store", "timeline"]
     # 46 public names at e7455da; digest_quantile and merge_timelines
-    # went, the store's type came.
-    assert "Store" in repro.obs.__all__ and len(repro.obs.__all__) <= 46 + 1
+    # went and the store's type came, then EffectLog and TraceEvent went.
+    assert "Store" in repro.obs.__all__ and len(repro.obs.__all__) <= 43
     assert len(set(repro.obs.__all__)) == len(repro.obs.__all__)
     assert all(hasattr(repro.obs, name) for name in repro.obs.__all__)

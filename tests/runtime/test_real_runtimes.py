@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from repro.core.errors import DeadlockSuspectedError
+from repro.core.inspect import inspect_segment
 from repro.core.protocol import BROADCAST, FCFS
 from repro.patterns import all_to_all, barrier, broadcast, gather
 from repro.runtime.procs import ProcRuntime
@@ -150,6 +151,29 @@ def test_threads_blocked_worker_times_out():
     assert dump["blocked_on"] == ("chan", 0)
     assert dump["held"] == []
     assert "blocked_on=('chan', 0)" in str(excinfo.value)
+
+
+def test_threads_post_mortem_view_is_the_failed_runs():
+    """``last_view`` is set before the threads start: after a timeout or
+    a worker exception it is that run's segment, not the previous one's."""
+
+    def stuck(env):
+        rid = yield from env.open_receive("void", FCFS)
+        yield from env.message_receive(rid)
+
+    def bad(env):
+        yield from env.open_send("half-open")
+        raise ValueError("thread bug")
+
+    for worker, error in ((stuck, TimeoutError), (bad, ValueError)):
+        rt = ThreadRuntime(join_timeout=0.5)
+        rt.run(pipeline_workers())
+        clean_view = rt.last_view
+        with pytest.raises(error):
+            rt.run([worker])
+        assert rt.last_view is not clean_view
+        names = {c.name for c in inspect_segment(rt.last_view).circuits}
+        assert names == ({"void"} if worker is stuck else {"half-open"})
 
 
 def test_procs_worker_failure_reported():

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.errors import RegionFormatError
+from repro.core.inspect import inspect_segment
 from repro.core.layout import MPFConfig
 from repro.core.protocol import BROADCAST, FCFS, MsgFlags
 from repro.core.structs import LNVC, MSG
 from repro.machine.balance import BALANCE_21000, MachineConfig
 from repro.machine.engine import DeadlockError
 from repro.machine.stats import MachineReport
+from repro.obs import Recorder
 from repro.patterns import barrier
 from repro.runtime.sim import SimRuntime
 
@@ -84,6 +86,41 @@ def test_blocked_receive_raises_deadlock():
 
     with pytest.raises(DeadlockError):
         SimRuntime().run([stuck])
+
+
+def test_post_mortem_state_is_the_failed_runs():
+    """After a run that raised — a deadlock, a worker exception — a reused
+    runtime points at *that* run's engine and segment, and its recorder
+    has that run's event-queue counters (they were the previous run's)."""
+
+    def lonely(env):
+        rid = yield from env.open_receive("void", FCFS)
+        yield from env.message_receive(rid)
+
+    def bad(env):
+        yield from env.open_send("half-open")
+        raise ValueError("sim bug")
+
+    for worker, error in ((lonely, DeadlockError), (bad, ValueError)):
+        rec = Recorder()
+        rt = SimRuntime(recorder=rec)
+        rt.run([ping, pong])
+        clean_view, clean = rt.last_view, dict(rec.machine)
+        assert clean["runs"] == 1 and clean["events"] > 0
+        with pytest.raises(error):
+            rt.run([worker])
+        assert rt.last_view is not clean_view
+        assert rt.last_engine.processes[0].state != "done"
+        names = {c.name for c in inspect_segment(rt.last_view).circuits}
+        assert names == ({"void"} if worker is lonely else {"half-open"})
+        assert rec.machine["runs"] == 2
+        assert rec.machine["events"] == (
+            clean["events"] + rt.last_engine.stats.events)
+
+    rec = Recorder()
+    with pytest.raises(DeadlockError):  # also on a fresh runtime
+        SimRuntime(recorder=rec).run([lonely])
+    assert rec.machine["events"] > 0
 
 
 def test_lost_message_hazard_reproduced():

@@ -10,7 +10,7 @@ from repro.core.errors import NotConnectedError, UnknownLNVCError
 from repro.core.layout import MPFConfig
 from repro.core.protocol import BROADCAST, FCFS
 from repro.core.work import Work
-from repro.machine.trace import Tracer
+from repro.obs import Recorder
 from repro.patterns import barrier, select_receive
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
@@ -123,13 +123,12 @@ def _both(workers, cfg=None, trace=False):
     """Run unfused then fused; assert one schedule; return the fused run."""
     runs = []
     for fusion in (False, True):
-        tracer = Tracer() if trace else None
-        rt = SimRuntime(fusion=fusion, trace=tracer)
+        rec = Recorder() if trace else None
+        rt = SimRuntime(fusion=fusion, recorder=rec)
         result = rt.run(workers, cfg=cfg)
         assert all(lock.owner is None for lock in rt.last_engine.locks)
         runs.append((result.results, result.elapsed, result.report.events,
-                     tracer and [(e.time, e.process, e.text)
-                                 for e in tracer.events]))
+                     rec and list(rec.spans)))
     assert runs[0] == runs[1]
     return rt.last_view, runs[1]
 
@@ -172,8 +171,9 @@ def test_connection_closed_mid_poll():
 
 
 def _walk_instrs(trace, process="p0"):
-    return {text for _, who, text in trace
-            if who == process and "check-walk" in text}
+    """The distinct instruction budgets of ``process``'s walk charges."""
+    return {span.value for span in trace
+            if span.process == process and span.name == "check-walk"}
 
 
 def test_connection_churn_reprices_the_walk():
@@ -221,7 +221,7 @@ def test_more_descriptors_than_memoized_walk_charges():
         [poller] + [listener] * others + [speaker], trace=True)
     assert set(results.values()) == {b"all", None}
     step = view.costs.list_step
-    assert f"instrs={(others + 1) * step}," in "".join(_walk_instrs(trace))
+    assert (others + 1) * step in _walk_instrs(trace)
 
 
 def test_ring_circuit_in_the_set_takes_the_classic_loop():
