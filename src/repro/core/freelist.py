@@ -24,22 +24,30 @@ A message body is a chain of blocks popped from the block free list
 rollback, the model checker's torn send — goes through the kernels
 below instead of its own per-block loop:
 :func:`pop_chain` takes blocks off a list,
-:func:`fill_chain` links them and scatters a payload over them,
-:func:`walk_chain` / :func:`drain_chain` follow a message's chain (and
-gather its payload), :func:`push_chain` returns blocks to a list.  They
-leave every region byte exactly as the block-by-block loops did (same
-allocation order, same link words, same payload bytes, untouched slack
-in a partial last block); the simulated *charge* for the work stays
-with the callers, computed from the block count as before.
+:func:`fill_chain` terminates them as a chain and copies a payload over
+them, :func:`walk_chain` / :func:`drain_chain` follow a message's chain
+(and collect its payload), :func:`splice_chain` returns a chain to a
+list.  A link word is stored only when it changes: a pop leaves the
+blocks linked in the order popped, which is the order the chain needs,
+and a dead chain is still linked first → … → last, which is all a free
+list needs — so a message costs two link stores (last → ``NIL`` on fill,
+last → old head on free) however long it is, and a freed chain is
+handed out again in the order it was filled.  The order of the free
+list is not part of the segment format; everything else a peer can read
+is as the block-by-block loops left it (link values, payload bytes,
+untouched slack in a partial last block), and the simulated *charge*
+stays with the callers, computed per block from the block count: the
+modelled machine still walks.
 
-Long chains move through :meth:`SharedRegion.follow`, ``gather`` and
-``scatter``, whose fixed cost (a call, an index array, a handful of
-numpy operations: ~5 us) only pays off past a dozen blocks; shorter
-chains take the per-block loop inside the same kernel.
+The walk is a chain of dependent loads, so :func:`drain_chain` takes
+link and payload of a block in one C call, one loop at every length;
+:func:`fill_chain` knows its offsets beforehand and moves a long
+chain's payload with one :meth:`SharedRegion.scatter`.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -54,36 +62,30 @@ __all__ = [
     "fl_alloc",
     "fl_free",
     "fl_count",
+    "block_record",
     "pop_chain",
     "fill_chain",
     "walk_chain",
     "drain_chain",
-    "push_chain",
-    "stack_chain",
+    "splice_chain",
 ]
 
 _LE32 = np.dtype("<u4")
 
 # A message block is ``[u32 next | block_size payload bytes]``.  Its chain
 # link is the same first word the free list links through, which is what
-# lets one ``follow`` serve both lists and one row image carry a block's
-# link and payload together.
+# lets one ``follow`` serve both lists and a popped run of blocks be a
+# chain already.
 assert BLK_NEXT == 0
 _BLK_DATA = BLK_NEXT + 4
 
-#: Chains shorter than this pop, fill and drain block by block.  Measured
-#: crossover (10-byte blocks, scrambled list, real shared memory): at 2
-#: blocks the loop fills in 1.5 us and drains in 2.0 against 7.5 and 4.6
-#: through the index array; 7.5/6.6 against 8.1/6.6 at 12; 8.6/7.6
-#: against 8.4/6.8 at 14; 126/86 against 17/34 at 205.  The walk alone
-#: never loses to the loop once it is warm, but between two primitives it
-#: is not: each extra call cost a 2-block send ~0.5 us, so short pops and
-#: drains stay in one frame.
-_BULK_COPY_MIN = 14
-#: Chains shorter than this push block by block: a push writes one word
-#: per block, so the loop is cheap for longer (7.6 us against 8.0 at 50
-#: blocks, 9.4 against 8.6 at 64, 29 against 14 at 205).
-_BULK_PUSH_MIN = 64
+#: Chains shorter than this fill with one ``write`` of a payload slice
+#: per block, longer ones with one payload-only ``scatter``.  Measured
+#: crossover (10-byte blocks, scrambled list, real shared memory, us min
+#: of 80 alternating bursts): loop 0.9 against 5.9 at 2 blocks, 7.7
+#: against 7.5 at 26, 9.9 against 8.4 at 32, 66 against 15 at 205; the
+#: table is in docs/performance.md, "Block-chain kernels".
+_BULK_FILL_MIN = 32
 
 
 @lru_cache(maxsize=8)
@@ -159,22 +161,22 @@ def fl_count(region: SharedRegion, head_off: int, limit: int = 1 << 32) -> int:
 # ---------------------------------------------------------------------------
 
 
+def block_record(block_size: int) -> struct.Struct:
+    """A whole message block, ``[u32 next | block_size payload]``, as one
+    record: bound to a region once (:meth:`SharedRegion.reader`) it is
+    the ``read_block`` of :func:`drain_chain`."""
+    return struct.Struct(f"<I{block_size}s")
+
+
 def pop_chain(region: SharedRegion, head_off: int, n: int) -> list[int] | None:
     """Pop exactly ``n`` records in list order, or none.
 
     One walk; on shortfall the list is left untouched and ``None`` is
     returned, so callers need no rollback.  The records come back still
-    carrying their free-list links (:func:`fill_chain` rewrites them).
+    linked in the order popped, which is what :func:`fill_chain` builds
+    a chain from.
     """
-    if n < _BULK_COPY_MIN:
-        u32 = region.u32
-        blocks = []
-        nxt = u32(head_off)
-        while len(blocks) < n and nxt != NIL:
-            blocks.append(nxt)
-            nxt = u32(nxt)
-    else:
-        blocks, nxt = region.follow(region.u32(head_off), n)
+    blocks, nxt = region.follow(region.u32(head_off), n)
     if len(blocks) < n:
         return None
     if n:
@@ -183,39 +185,47 @@ def pop_chain(region: SharedRegion, head_off: int, n: int) -> list[int] | None:
 
 
 def fill_chain(region: SharedRegion, blocks: list[int], data, block_size: int) -> None:
-    """Link ``blocks`` into a ``NIL``-terminated chain carrying ``data``.
+    """Make ``blocks`` a ``NIL``-terminated chain carrying ``data``.
 
-    Block ``i`` gets the offset of block ``i + 1`` in its link word and
-    bytes ``[i * block_size, (i + 1) * block_size)`` of ``data`` after
-    it; a partial last block keeps whatever lay beyond its share.
-    Every link is written, so ``blocks`` need not come from one pop.
-    ``data`` is any bytes-like object of
-    ``len(blocks)`` blocks' worth (the last may be partial).
+    ``blocks`` must be what one ``follow`` / :func:`pop_chain` returned:
+    block ``i`` already links to block ``i + 1``, so the only link
+    stored is the last one's.  Block ``i`` gets bytes ``[i * block_size,
+    (i + 1) * block_size)`` of ``data`` after its link; a partial last
+    block keeps whatever lay beyond its share.  ``data`` is any
+    bytes-like object of ``len(blocks)`` blocks' worth (the last may be
+    partial).
     """
     n = len(blocks)
-    length = len(data)
-    if n < _BULK_COPY_MIN:
-        set_u32 = region.set_u32
-        write = region.write
-        last = n - 1
-        for i, blk in enumerate(blocks):
-            set_u32(blk + BLK_NEXT, blocks[i + 1] if i < last else NIL)
-            write(blk + _BLK_DATA,
-                  data[i * block_size : min((i + 1) * block_size, length)])
+    if not n:
         return
-    full = length // block_size
-    offs = np.array(blocks, dtype=np.intp)
-    links = np.empty(n, _LE32)
-    links[:-1] = offs[1:]
-    links[-1] = NIL
-    rows = np.empty((full, block_stride(block_size)), np.uint8)
-    rows[:, :_BLK_DATA] = links[:full].view(np.uint8).reshape(full, 4)
-    rows[:, _BLK_DATA:] = np.frombuffer(data, np.uint8, full * block_size).reshape(
-        full, block_size)
-    region.scatter(offs[:full], rows)
+    region.set_u32(blocks[-1] + BLK_NEXT, NIL)
+    if n < _BULK_FILL_MIN:
+        write = region.write
+        at = 0
+        for blk in blocks:
+            write(blk + _BLK_DATA, data[at : at + block_size])
+            at += block_size
+        return
+    full = len(data) // block_size
+    region.scatter(
+        np.array(blocks[:full], dtype=np.intp) + _BLK_DATA,
+        np.frombuffer(data, np.uint8, full * block_size).reshape(full, block_size))
     if full < n:
-        region.set_u32(blocks[-1] + BLK_NEXT, NIL)
         region.write(blocks[-1] + _BLK_DATA, data[full * block_size :])
+
+
+def _outside(region: SharedRegion, first: int, n: int, width: int) -> RegionFormatError:
+    """The error for a chain of ``width``-byte records whose walk left
+    the region: names the block that holds the bad link, and the link."""
+    holder, blk = None, first
+    for _ in range(n):
+        if blk + width > region.size:
+            break
+        holder, blk = blk, region.u32(blk)
+    return RegionFormatError(
+        f"block chain from {first}: "
+        + (f"block {holder} links to" if holder is not None else "it starts at")
+        + f" {blk}, outside the region of {region.size}")
 
 
 def walk_chain(region: SharedRegion, first: int, n: int) -> list[int]:
@@ -223,10 +233,14 @@ def walk_chain(region: SharedRegion, first: int, n: int) -> list[int]:
 
     The walk is bounded by ``n`` (the header's block count), so a cyclic
     chain cannot hang the caller — who may be holding the allocator
-    lock.  A chain that reaches ``NIL`` early, or is not ``NIL`` after
-    ``n`` blocks, raises :class:`RegionFormatError`.
+    lock.  A chain that reaches ``NIL`` early, is not ``NIL`` after
+    ``n`` blocks, or links outside the region raises
+    :class:`RegionFormatError`.
     """
-    blocks, nxt = region.follow(first, n)
+    try:
+        blocks, nxt = region.follow(first, n)
+    except IndexError:
+        raise _outside(region, first, n, 4) from None
     if len(blocks) < n:
         raise RegionFormatError(
             f"block chain from {first} ends after {len(blocks)} of {n} "
@@ -239,64 +253,44 @@ def walk_chain(region: SharedRegion, first: int, n: int) -> list[int]:
 
 
 def drain_chain(
-    region: SharedRegion, first: int, n: int, length: int, block_size: int
+    region: SharedRegion, first: int, n: int, length: int, block_size: int,
+    read_block,
 ) -> tuple[list[int], bytes]:
     """Walk a message's chain once: ``(blocks, payload)``.
 
     ``blocks`` is what :func:`walk_chain` returns, for the caller to
-    hand to :func:`push_chain` when the same call goes on to free the
+    hand to :func:`splice_chain` when the same call goes on to free the
     message; ``payload`` is the first ``length`` bytes the chain carries.
+    ``read_block`` is ``region.reader(block_record(block_size))``.
     """
     if length > n * block_size:
         raise RegionFormatError(
             f"block chain from {first}: {n} blocks cannot carry {length} bytes")
-    if n < _BULK_COPY_MIN:
-        # Walk and copy in one loop; only a chain that turns out wrong
-        # is walked again, by walk_chain, for its error.
-        u32 = region.u32
-        read = region.read
-        blocks, parts, blk = [], [], first
+    # Link and payload in one read per block; only a chain that turns
+    # out wrong is walked again, by walk_chain, for its error.
+    blocks, parts, blk = [], [], first
+    try:
         for _ in range(n):
             if blk == NIL:
                 break
             blocks.append(blk)
-            parts.append(read(blk + _BLK_DATA, block_size))
-            blk = u32(blk + BLK_NEXT)
-        if blk != NIL or len(blocks) < n:
-            walk_chain(region, first, n)
-        return blocks, b"".join(parts)[:length]
-    blocks = walk_chain(region, first, n)
-    rows = region.gather(blocks, block_stride(block_size))
-    return blocks, rows[:, _BLK_DATA:].tobytes()[:length]
+            blk, part = read_block(blk)
+            parts.append(part)
+    except struct.error:
+        raise _outside(region, first, n, block_stride(block_size)) from None
+    if blk != NIL or len(blocks) < n:
+        walk_chain(region, first, n)
+    return blocks, b"".join(parts)[:length]
 
 
-def push_chain(region: SharedRegion, head_off: int, blocks: list[int]) -> None:
-    """Push ``blocks`` onto the list, first block first.
+def splice_chain(region: SharedRegion, head: int, chain: list[int]) -> int:
+    """Free a whole chain with one store: link its last block to the
+    record ``head`` (or ``NIL``) and return the new head, its first.
 
-    The list ends up exactly as ``for b in blocks: fl_free(region,
-    head_off, b)`` leaves it: ``blocks[-1]`` at the head, each block
-    linked to the one pushed before it, ``blocks[0]`` to the old head.
+    ``chain`` must be a walked chain — first → … → last, as
+    :func:`walk_chain` / :func:`drain_chain` return it and
+    :func:`fill_chain` leaves it — and not empty.  The list then hands
+    the blocks out again in the order they were filled.
     """
-    if blocks:
-        region.set_u32(head_off,
-                       stack_chain(region, region.u32(head_off), blocks))
-
-
-def stack_chain(region: SharedRegion, head: int, blocks: list[int]) -> int:
-    """:func:`push_chain` on a list whose head the caller holds in a
-    local: link ``blocks`` on top of the record ``head`` (or ``NIL``)
-    and return the new head, storing nothing but the blocks' links.
-    """
-    n = len(blocks)
-    if n < _BULK_PUSH_MIN:
-        set_u32 = region.set_u32
-        for blk in blocks:
-            set_u32(blk, head)
-            head = blk
-        return head
-    offs = np.array(blocks, dtype=np.intp)
-    links = np.empty(n, _LE32)
-    links[0] = head
-    links[1:] = offs[:-1]
-    region.scatter(offs, links.view(np.uint8).reshape(n, 4))
-    return blocks[-1]
+    region.set_u32(chain[-1] + BLK_NEXT, head)
+    return chain[0]

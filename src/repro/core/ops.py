@@ -66,11 +66,12 @@ from .errors import (
     UnknownLNVCError,
 )
 from .freelist import (
+    block_record,
     drain_chain,
     fill_chain,
     fl_alloc,
     fl_free,
-    stack_chain,
+    splice_chain,
     walk_chain,
 )
 from .layout import HDR, MPFConfig, SegmentLayout
@@ -251,8 +252,9 @@ class MPFView:
     Effects are frozen dataclasses, so one instance per lock/channel can
     be yielded forever instead of allocating a fresh object per call.
     Likewise the record accessors: one ``_rd_<run>`` / ``_wr_<run>``
-    callable per entry of :data:`READS` / :data:`STORES`, bound to the
-    region once.
+    callable per entry of :data:`READS` / :data:`STORES`, and
+    ``_rd_block`` over a whole message block of the configured size,
+    bound to the region once.
     """
 
     __slots__ = (
@@ -286,6 +288,7 @@ class MPFView:
         "fuse",
         "_fs_poll_cache",
         *(f"_rd_{name}" for name in READS),
+        "_rd_block",
         *(f"_wr_{name}" for name in STORES),
     )
 
@@ -341,6 +344,7 @@ class MPFView:
         )
         for name, run in READS.items():
             setattr(self, f"_rd_{name}", region.reader(run))
+        self._rd_block = region.reader(block_record(self.cfg.block_size))
         for name, run in STORES.items():
             setattr(self, f"_wr_{name}", region.writer(run))
         # Connection-descriptor lookup caches: (slot, pid) -> (desc_off,
@@ -595,7 +599,12 @@ def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
     ``nbytes`` of payload in all, to the free lists — in order, each
     chain ahead of its header, as one pass over the pool words.
 
-    Caller holds ``ALLOC_LOCK``.  Returns the number of blocks freed.
+    Each chain is a walked one (the drain's own bounded walk,
+    :func:`_msg_chain`, or a send's fresh fill), so it goes back whole,
+    with one store.  The host pays per chain; the callers still charge
+    ``nblk * blk_free``, what the modelled machine's block-by-block free
+    costs.  Caller holds ``ALLOC_LOCK``.  Returns the number of blocks
+    freed.
     """
     r = view.region
     set_u32 = r.set_u32
@@ -603,10 +612,11 @@ def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
         _H_FREE_MSG)
     nblk = 0
     for msg, chain in zip(msgs, chains):
-        free_blk = stack_chain(r, free_blk, chain)
+        if chain:
+            free_blk = splice_chain(r, free_blk, chain)
+            nblk += len(chain)
         set_u32(msg, free_msg)
         free_msg = msg
-        nblk += len(chain)
     view._wr_pool(_H_FREE_MSG, free_msg, free_blk,
                   (live_msgs - len(msgs)) & _M32, (live_blocks - nblk) & _M32,
                   (live_bytes - nbytes) & _M32)
@@ -1157,7 +1167,9 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     yield view._alloc_rel
     t_alloc = probe.now() if probe is not None else 0.0
 
-    # Phase 2: fill the private chain — outside every lock.
+    # Phase 2: fill the private chain — outside every lock.  The blocks
+    # are still linked as the walk above found them: a chain but for its
+    # last link.
     fill_chain(r, blocks, data, bs)
     yield charge(nblk * c.blk_fill + length * c.copy_byte, "send-copy",
                  length, nblk, nblk * lay.blk_stride + MSG.size)
@@ -1268,7 +1280,8 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
     # The busy pin keeps the chain as walked here until the completion
     # section below, which hands ``blocks`` to the reap.
     try:
-        blocks, payload = drain_chain(r, first, nblk, length, view.cfg.block_size)
+        blocks, payload = drain_chain(r, first, nblk, length,
+                                      view.cfg.block_size, view._rd_block)
     except RegionFormatError as exc:
         raise _bad_chain(msg, exc) from None
     yield charge(nblk * c.blk_drain + length * c.copy_byte, "recv-copy",

@@ -195,13 +195,13 @@ class SharedRegion:
     # -- bulk access over scattered records ---------------------------------
     #
     # A message is a chain of small blocks at arbitrary offsets.  Touching
-    # them one ``u32``/``read``/``write`` call at a time costs ~0.8 us of
-    # interpreter per block; ``follow`` (bound in ``__init__``), ``gather``
-    # and ``scatter`` move a whole chain per call (see
+    # them one ``u32``/``write`` call at a time costs ~0.8 us of
+    # interpreter per block; ``follow`` (bound in ``__init__``) and
+    # ``scatter`` move a whole chain per call (see
     # :mod:`repro.core.freelist`, the only caller).
 
     def _rows(self, offs, width: int):
-        """``(index array, window view)`` for a gather/scatter of ``width``.
+        """``(index array, window view)`` for a scatter of ``width``.
 
         Row ``i`` of the window view is ``region[i : i + width]``, so one
         fancy index over it moves every record without building a
@@ -221,20 +221,6 @@ class SharedRegion:
                 np.frombuffer(self._mv, dtype=np.uint8),
                 shape=(self.size - width + 1, width), strides=(1, 1))
         return idx, win
-
-    def gather(self, offs, width: int) -> np.ndarray:
-        """Copy ``width`` bytes from each offset in ``offs``.
-
-        Returns a fresh ``(len(offs), width)`` ``uint8`` array.  Any
-        record reaching outside the region raises ``IndexError``.
-        """
-        idx, win = self._rows(offs, width)
-        try:
-            return win[idx]
-        except IndexError:
-            raise IndexError(
-                f"gather [{idx.max()}, {idx.max() + width}) outside region "
-                f"of {self.size}") from None
 
     def scatter(self, offs, rows: np.ndarray) -> None:
         """Copy row ``i`` of the 2-D ``uint8`` array ``rows`` to ``offs[i]``.

@@ -8,6 +8,7 @@ from repro.core import ops
 from repro.core.errors import RegionFormatError
 from repro.core.freelist import (
     _pool_image,
+    block_record,
     drain_chain,
     fill_chain,
     fl_alloc,
@@ -15,7 +16,7 @@ from repro.core.freelist import (
     fl_free,
     init_freelist,
     pop_chain,
-    push_chain,
+    splice_chain,
     walk_chain,
 )
 from repro.core.layout import HDR
@@ -107,6 +108,11 @@ def _chain(r, n):
     return blocks
 
 
+def _drain(r, first, n):
+    return drain_chain(r, first, n, n * (STRIDE - 4), STRIDE - 4,
+                       r.reader(block_record(STRIDE - 4)))
+
+
 def _pool_image_by_record(base: int, stride: int, count: int) -> bytes:
     """The first image of a pool as it was built before it was an array
     operation: one ``bytes`` per record.  Kept as the reference."""
@@ -136,17 +142,18 @@ def test_pop_chain_shortfall_leaves_the_list_untouched():
     assert r.u32(HEAD) == NIL
 
 
-def test_push_chain_matches_block_by_block_free():
-    a, b = _region(6), _region(6)
-    blocks = [fl_alloc(a, HEAD) for _ in range(6)]
-    assert pop_chain(b, HEAD, 6) == blocks
-    order = [blocks[i] for i in (4, 0, 5, 2)]
-    for off in order:
-        fl_free(a, HEAD, off)
-    push_chain(b, HEAD, order)
-    assert a.read(0, a.size) == b.read(0, b.size)
-    push_chain(b, HEAD, [])  # a zero-block message frees nothing
-    assert a.read(0, a.size) == b.read(0, b.size)
+def test_splice_frees_a_chain_with_one_store_in_the_order_filled():
+    r = _region(6)
+    fl_free(r, HEAD, fl_alloc(r, HEAD))  # a used list: links already stored
+    chain = _chain(r, 4)
+    rest = r.u32(HEAD)
+    before = r.read(0, r.size)
+    r.set_u32(HEAD, splice_chain(r, rest, chain))
+    after = r.read(0, r.size)
+    changed = {i // 4 * 4 for i in range(r.size) if before[i] != after[i]}
+    assert changed == {HEAD, chain[-1]}  # the head word and one link
+    assert r.follow(r.u32(HEAD), 7) == (chain + [rest, rest + STRIDE], NIL)
+    assert pop_chain(r, HEAD, 4) == chain  # handed out again as filled
 
 
 @pytest.mark.parametrize("n", [3, 40])  # block-by-block and bulk paths
@@ -162,7 +169,7 @@ def test_walk_is_bounded_by_the_block_count(n):
             f"block {blocks[-1]} links to {blocks[1]}")):
         walk_chain(r, blocks[0], n)
     with pytest.raises(RegionFormatError, match="does not end"):
-        drain_chain(r, blocks[0], n, n * (STRIDE - 4), STRIDE - 4)
+        _drain(r, blocks[0], n)
 
 
 def test_walk_refuses_a_chain_that_ends_early():
@@ -173,6 +180,65 @@ def test_walk_refuses_a_chain_that_ends_early():
             f"chain from {blocks[0]} ends after 2 of 4 blocks "
             f"\\(last block {blocks[1]}\\)")):
         walk_chain(r, blocks[0], 4)
+
+
+@pytest.mark.parametrize("n", [3, 45])
+def test_walk_and_drain_refuse_a_link_outside_the_region(n):
+    r = _region(n + 2)
+    blocks = _chain(r, n)
+    assert _drain(r, blocks[0], n) == (blocks, bytes(n * (STRIDE - 4)))
+    r.set_u32(blocks[1], r.size + 100)
+    where = (f"chain from {blocks[0]}: block {blocks[1]} links to "
+             f"{r.size + 100}, outside the region of {r.size}")
+    with pytest.raises(RegionFormatError, match=where):
+        walk_chain(r, blocks[0], n)
+    with pytest.raises(RegionFormatError, match=where):
+        _drain(r, blocks[0], n)
+    # a block that starts inside the region and ends outside it
+    r.set_u32(blocks[1], r.size - 6)
+    with pytest.raises(RegionFormatError, match=f"links to {r.size - 6}, outside"):
+        _drain(r, blocks[0], n)
+    with pytest.raises(RegionFormatError, match="it starts at"):
+        walk_chain(r, r.size + 4, n)
+
+
+def _corrupt_second_link(view, nblk):
+    """One ``nblk``-block message queued on circuit "c", its second
+    block's link pointing past the end of the region."""
+    runner = DirectRunner(view)  # fails the test if an op raises locked
+    sid = runner.run(ops.open_send(view, 0, "c"))
+    runner.run(ops.open_receive(view, 1, "c", FCFS))
+    runner.run(ops.message_send(view, 0, sid, bytes(10 * nblk)))
+    r = view.region
+    msg = LNVC.get(r, view.layout.lnvc_off(0), "fifo_head")
+    second = r.u32(MSG.get(r, msg, "first_blk"))
+    r.set_u32(second, r.size + 100)
+    return runner, sid, (f"message header {msg}: block chain from .* block "
+                         f"{second} links to {r.size + 100}, outside")
+
+
+@pytest.mark.parametrize("nblk", [3, 45])
+def test_reap_of_a_chain_that_leaves_the_region_releases_every_lock(nblk):
+    """``follow`` raised ``IndexError``, which nothing on the way caught:
+    the discard died holding the global and the circuit lock, and on
+    threads / procs the peers hung."""
+    view = make_view()
+    runner, sid, where = _corrupt_second_link(view, nblk)
+    runner.run(ops.close_receive(view, 1, sid))
+    with pytest.raises(RegionFormatError, match=where):
+        runner.run(ops.close_send(view, 0, sid))
+    assert runner.held == []
+    assert HDR.get(view.region, "live_msgs") == 1  # nothing was half-freed
+
+
+@pytest.mark.parametrize("nblk", [3, 45])
+def test_drain_of_a_chain_that_leaves_the_region_names_the_message(nblk):
+    view = make_view()
+    runner, sid, where = _corrupt_second_link(view, nblk)
+    with pytest.raises(RegionFormatError, match=where):
+        runner.run(ops.message_receive(view, 1, sid))
+    assert runner.held == []
+    assert HDR.get(view.region, "live_msgs") == 1
 
 
 def test_corrupt_chain_releases_every_lock_and_names_the_message():

@@ -8,15 +8,20 @@ circuit and a BROADCAST ring circuit, a seeded mix of 16 / 256 / 2048 B
 and the ``c_call`` events of ``sys.setprofile``, and with a counting
 ``SharedRegion`` the accessor calls: ``u32`` / ``set_u32`` / ``u64`` /
 ``set_u64`` / ``follow`` and every record ``reader`` / ``writer`` call
-("words"; ``add_u32`` counts two, the read and the store it performs),
-with the payload movers ``read`` / ``write`` / ``gather`` / ``scatter``
-kept apart ("bulk").  "Did the hot path get heavier" is answered here,
-not by a host whose walls drift 1.7x (ROADMAP item 1(b)).
+("words"; ``add_u32`` counts two, the read and the store it performs;
+the drain's read of a whole block, link and payload, is one record
+read), with the payload movers ``read`` / ``write`` / ``scatter`` kept
+apart ("bulk"), and the stores that land on a block's link word
+("links": two per message, however many blocks it has).  "Did the hot
+path get heavier" is answered here, not by a host whose walls drift
+1.7x (ROADMAP item 1(b)).
 
 ``PARENT`` was counted at 40d5717 — the parent of the commit that made
 the message path touch each shared record once per lock section —
 before the first edit, with this file's ``measure`` (``add_u32`` was a
-method over ``u32`` / ``set_u32`` then, and was counted through them).
+method over ``u32`` / ``set_u32`` then, and was counted through them);
+``PARENT_LINKS`` at cc8178e, the parent of the commit that stopped
+storing a link per block.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table and
@@ -45,21 +50,43 @@ TRANSPORTS = {"freelist": FCFS, "ring": BROADCAST}
 #: Word / record accessors and what a call of each counts.
 WORDS = {"u32": 1, "set_u32": 1, "add_u32": 2, "u64": 1, "set_u64": 1,
          "follow": 1, "reader": 1, "writer": 1}
-BULK = ("read", "write", "gather", "scatter")
+BULK = ("read", "write", "scatter")
 
 
 class CountingRegion(SharedRegion):
-    """A ``SharedRegion`` that counts every accessor call by name."""
+    """A ``SharedRegion`` that counts every accessor call by name, and
+    under ``"links"`` every block link word a ``set_u32`` / ``write`` /
+    ``scatter`` stores over, once ``pool`` says where the blocks are."""
 
-    __slots__ = ("counts",)
+    __slots__ = ("counts", "pool")
 
     def __init__(self, buf) -> None:
         super().__init__(buf)
         self.counts = collections.Counter()
+        #: ``(blk_base, blk_stride, n_blocks)`` of the formatted segment
+        self.pool = None
         # (``add_u32`` went through ``u32`` / ``set_u32`` at the parent and
         # is a closure of its own now: two words either way.)
-        for name in ("u32", "set_u32", "add_u32", "follow"):
+        for name in ("u32", "add_u32", "follow"):
             setattr(self, name, self._counted(name, getattr(self, name)))
+        set_u32 = self.set_u32
+
+        def counted_set_u32(off, value):
+            self.counts["set_u32"] += 1
+            self._stored(off, 4)
+            set_u32(off, value)
+
+        self.set_u32 = counted_set_u32
+
+    def _stored(self, off, width):
+        """Count the link words ``[off, off + width)`` overlaps."""
+        if self.pool is None:
+            return
+        base, stride, n = self.pool
+        first = max(0, -(-(off - base - 3) // stride))  # ceil
+        last = min(n - 1, (off + width - 1 - base) // stride)
+        if last >= first:
+            self.counts["links"] += last - first + 1
 
     def _counted(self, name, fn):
         counts = self.counts
@@ -90,14 +117,13 @@ class CountingRegion(SharedRegion):
 
     def write(self, off, data):
         self.counts["write"] += 1
+        self._stored(off, len(data))
         super().write(off, data)
-
-    def gather(self, offs, width):
-        self.counts["gather"] += 1
-        return super().gather(offs, width)
 
     def scatter(self, offs, rows):
         self.counts["scatter"] += 1
+        for off in offs:
+            self._stored(int(off), rows.shape[1])
         super().scatter(offs, rows)
 
 
@@ -105,7 +131,8 @@ def measure(transport: str, sizes=MIX, count: str | None = "calls") -> dict:
     """``len(sizes)`` loop-back pairs after a warm-up pair of each size.
 
     ``count="calls"`` gives ``{"py", "c", "work_inits"}``, ``"region"``
-    gives ``{"words", "bulk"}`` and ``None`` counts nothing, so that
+    gives ``{"words", "bulk", "links"}`` (``links``: stores over block
+    link words) and ``None`` counts nothing, so that
     ``"us"`` (wall microseconds per pair, always present) is the bare
     path's."""
     out: dict = {}
@@ -130,6 +157,9 @@ def measure(transport: str, sizes=MIX, count: str | None = "calls") -> dict:
                 calls["c"] += 1
 
         if count == "region":
+            lay = env.view.layout
+            env.view.region.pool = (lay.blk_base, lay.blk_stride,
+                                    env.view.cfg.n_blocks)
             before = +env.view.region.counts
         elif count == "calls":
             sys.setprofile(profile)
@@ -146,6 +176,7 @@ def measure(transport: str, sizes=MIX, count: str | None = "calls") -> dict:
             delta = env.view.region.counts - before
             out["words"] = sum(n * delta[k] for k, n in WORDS.items())
             out["bulk"] = sum(delta[k] for k in BULK)
+            out["links"] = delta["links"]
         elif count == "calls":
             # the closing ``sys.setprofile(None)`` is the one C call of
             # the harness itself inside the window
@@ -189,12 +220,12 @@ PARENT = {
              "words16": 3360, "bulk16": 120},
 }
 
-#: What the path costs now: per pair 127 Python + 218 C calls and 38
+#: What the path costs now: per pair 117 Python + 201 C calls and 36
 #: accessor calls on the free list (238 + 340 and 99 at the parent), 75 +
 #: 47 and 33 on the ring (145 + 110 and 56).
 PINNED = {
-    "freelist": {"py": 7620, "c": 13081, "work_inits": 0,
-                 "words16": 2280, "bulk16": 240},
+    "freelist": {"py": 7020, "c": 12061, "work_inits": 0,
+                 "words16": 2160, "bulk16": 120},
     "ring": {"py": 4500, "c": 2821, "work_inits": 0,
              "words16": 1980, "bulk16": 120},
 }
@@ -205,7 +236,14 @@ PINNED = {
 #: left apart are words that are apart in the segment (``nmsgs``, ``seq``
 #: and the traffic counters of one LNVC record) or that may not share a
 #: store (the commit word, the pending bitmap, the epoch word).
-WORDS16_PER_PAIR = {"freelist": 40, "ring": 33}
+WORDS16_PER_PAIR = {"freelist": 36, "ring": 33}
+
+#: Stores over block link words per free-list pair, by message size:
+#: counted at cc8178e before the first edit (every link once by the
+#: fill, once more by the reap's push: 2 x nblk), and the most a pair may
+#: make now (the fill ends the chain, the reap splices it).
+PARENT_LINKS = {16: 4, 256: 52, 2048: 410}
+LINKS_PER_PAIR = 2
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +258,12 @@ def test_accessor_calls_per_pair(rows, transport):
     assert row["words16"] <= PINNED[transport]["words16"]
     # payload movers: what the parent made, no more
     assert row["bulk16"] <= PARENT[transport]["bulk16"]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_two_link_stores_per_message(size):
+    got = measure("freelist", (size,) * PAIRS, count="region")["links"]
+    assert 0 < got <= LINKS_PER_PAIR * PAIRS < PARENT_LINKS[size] * PAIRS
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -257,9 +301,15 @@ if __name__ == "__main__":
                   f"{PARENT[transport][key] / PAIRS:>14.1f}"
                   f"{PINNED[transport][key] / PAIRS:>9.1f}"
                   f"{row[key] / PAIRS:>9.1f}")
+    print("  per size:              us/pair   words    bulk   links"
+          "   (ThreadRuntime; us: min of 5 x 200 pairs)")
     for transport in TRANSPORTS:
         for size in SIZES:
             us = min(measure(transport, (size,) * 200, count=None)["us"]
                      for _ in range(5))
-            print(f"  {transport:<9} loop-back {size:>4} B: {us:6.1f} us/pair "
-                  f"(ThreadRuntime, min of 5 x 200)")
+            row = measure(transport, (size,) * PAIRS, count="region")
+            print(f"  {transport:<9} {size:>5} B {us:>12.1f}"
+                  + "".join(f"{row[k] / PAIRS:>8.1f}"
+                            for k in ("words", "bulk", "links"))
+                  + (f"   (links at cc8178e: {PARENT_LINKS[size]})"
+                     if transport == "freelist" else ""))

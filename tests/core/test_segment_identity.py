@@ -1,16 +1,28 @@
-"""The segment is byte-for-byte what the field-at-a-time path left.
+"""The segment holds what the field-at-a-time path left — everything a
+peer is promised.
 
 A scripted program — three circuits opened (free-list FCFS, free-list
 BROADCAST x2, ring with a BROADCAST and an FCFS reader), sends of 0 / 1
 / 10 / 16 / 256 / 2048 B over each, checks, receives, a refused receive
 into a short buffer, a receiver joining late, a refused send on a
 closed circuit, a close with unread messages — run one primitive at a
-time through a ``DirectRunner``; ``sha256(region)`` after every
-primitive was recorded at 40d5717 (the parent of the commit that made
-the hot path read and store whole records) before the first edit, and
-must hold.  Every region byte a peer could read is therefore the byte
-it read before: field values, store results, and the slack nobody
-meant to write.
+time through a ``DirectRunner``, with a digest of the segment after
+every primitive (:func:`promised`):
+
+* every byte outside the block pool, the words that hold a block
+  *offset* masked — ``HDR.free_blk`` and ``MSG.first_blk`` (of every
+  header: a freed one keeps its last chain's until it is reused);
+* each live message's ``(nblk, payload read through its chain)``, per
+  circuit in FIFO order;
+* the free-block set, sorted, and its length.
+
+*Which* blocks carry a message, and in what order the free list hands
+them out, is not part of the segment format (DESIGN.md §4); field
+values, store results, the slack nobody meant to write and every
+payload byte a receiver can reach are.  The trail was recorded at
+cc8178e — the parent of the commit that made the reap a splice, the
+first to change the free list's order — with the function below, before
+the first edit, and must hold.
 
 The second half of the file pins the two rules that make whole-record
 stores safe on real cores (docs/performance.md, "Host cost of the
@@ -35,7 +47,7 @@ from repro.core.errors import (
 )
 from repro.core.inspect import check_invariants
 from repro.core.layout import HDR, MPFConfig
-from repro.core.protocol import BROADCAST, FCFS
+from repro.core.protocol import BROADCAST, FCFS, NIL
 from repro.core.structs import LNVC, MSG, RCUR, RECV, RSLOT
 from repro.patterns import barrier
 from repro.testing import DirectRunner, make_view
@@ -121,8 +133,45 @@ def script(view):
     yield op("close r send", lambda: ops.close_send(v, 0, ids["r"]))
 
 
+def promised(view) -> str:
+    """Digest of what the segment promises a peer (module docstring)."""
+    r, lay, cfg = view.region, view.layout, view.cfg
+    u32 = r.u32
+    image = bytearray(r.read(0, r.size))
+
+    def mask(off):
+        image[off:off + 4] = bytes(4)
+
+    mask(HDR.u32["free_blk"])
+    for i in range(cfg.max_messages):
+        mask(lay.msg_base + i * MSG.size + MSG.offsets["first_blk"])
+    pool_end = lay.blk_base + cfg.n_blocks * lay.blk_stride
+    digest = hashlib.sha256(image[:lay.blk_base] + image[pool_end:])
+
+    live = []
+    for slot in range(cfg.max_lnvcs):
+        base = lay.lnvc_off(slot)
+        if not LNVC.get(r, base, "in_use") or LNVC.get(r, base, "transport"):
+            continue
+        msg = LNVC.get(r, base, "fifo_head")
+        while msg != NIL:
+            left = MSG.get(r, msg, "length")
+            blk, parts = MSG.get(r, msg, "first_blk"), []
+            for _ in range(MSG.get(r, msg, "nblocks")):
+                parts.append(r.read(blk + 4, min(cfg.block_size, left)))
+                left -= len(parts[-1])
+                blk = u32(blk)
+            assert blk == NIL and left == 0
+            live.append((slot, len(parts), b"".join(parts)))
+            msg = MSG.get(r, msg, "next_msg")
+    free, end = r.follow(u32(HDR.u32["free_blk"]), cfg.n_blocks)
+    assert end == NIL
+    digest.update(repr((live, len(free), sorted(free))).encode())
+    return digest.hexdigest()[:12]
+
+
 def run_script() -> list[tuple[str, str]]:
-    """``[(label, sha256(region) after the step)]``."""
+    """``[(label, promised(view) after the step)]``."""
     view = make_view(transports=(("r", "ring"),), ring_slots=16,
                      ring_slot_bytes=2048)
     runner = DirectRunner(view)
@@ -134,83 +183,82 @@ def run_script() -> list[tuple[str, str]]:
             with pytest.raises(refusal):
                 runner.run(make())
         check_invariants(view)
-        trail.append((label, hashlib.sha256(
-            view.region.read(0, view.region.size)).hexdigest()[:12]))
+        trail.append((label, promised(view)))
     return trail
 
 
-#: Recorded at 40d5717 with ``run_script`` above.
-DIGESTS = [('open f send', '40a7d78a7f7a'),
- ('open f recv', 'b37924847f89'),
- ('open b send', 'c6f7ef884b67'),
- ('open b recv 1', 'a33f3f87e206'),
- ('open b recv 2', '6a16249a5933'),
- ('open r send', 'b006713063d0'),
- ('open r recv 1', 'ef61f04c60fb'),
- ('open r recv 2', '6ed5691a6302'),
- ('send f 0', 'bfeed9412856'),
- ('send f 1', 'e52b6eabb4c3'),
- ('send f 10', 'd68d6ae92a89'),
- ('send f 16', '57575a30f19b'),
- ('send f 256', '059b67a1f5cf'),
- ('send f 2048', '76adfce9e14a'),
- ('check f p1', '76adfce9e14a'),
- ('send b 0', '23458c9e17a6'),
- ('send b 1', '55c7ca2a9173'),
- ('send b 10', '44ea87036efb'),
- ('send b 16', '0f96459abd82'),
- ('send b 256', '2bb7cf6504f3'),
- ('send b 2048', 'c06c199fdde3'),
- ('check b p1', 'c06c199fdde3'),
- ('check b p2', 'c06c199fdde3'),
- ('send r 0', '87e3d93aff9c'),
- ('send r 1', '726022047731'),
- ('send r 10', '7918de19b316'),
- ('send r 16', '5534191344a4'),
- ('send r 256', 'b277cbcaf204'),
- ('send r 2048', '2335db628d14'),
- ('check r p1', '2335db628d14'),
- ('check r p2', '2335db628d14'),
- ('late join b', 'ae45ed2fddbd'),
- ('late join r', '52146e8cc24e'),
- ('send b late', '45888248d83e'),
- ('send r late', '8c8e148df488'),
- ('short buffer f', '81e8df89206c'),
- ('short buffer f 2', '81e8df89206c'),
- ('short buffer r', '3504c70f9869'),
- ('short buffer r 2', '3504c70f9869'),
- ('recv f p1', 'bd3eb40abb62'),
- ('recv f p1', '14e92753cae1'),
- ('recv f p1', '3cdee595478c'),
- ('recv b p1', '56b58e745de8'),
- ('recv b p2', 'fbaa064d367c'),
- ('recv b p1', '28e83bbed71f'),
- ('recv b p2', '632d8ab421af'),
- ('recv b p1', '54f01ee7758d'),
- ('recv b p2', 'f5d747f514d8'),
- ('recv r p1', '69ed9f54862b'),
- ('recv r p2', 'e8418a88222b'),
- ('recv r p1', '3c9de7c303ab'),
- ('recv r p2', '2d60e15e141d'),
- ('recv r p1', '9a60b9bd86bb'),
- ('recv r p2', '0bf5537ed6eb'),
- ('recv b late', 'e32b7f6eee57'),
- ('recv r late', 'dac3ecff1d91'),
- ('not connected', '35f473495f04'),
- ('not connected r', '35f473495f04'),
- ('close f recv', '446d56e45b64'),
- ('close f send', '780880dbc69c'),
- ('send closed', '420995eae6bd'),
- ('recv closed', '420995eae6bd'),
- ('check closed', '420995eae6bd'),
- ('close b p1', '51e8e9964706'),
- ('close r p1', '2fc5191a4bc5'),
- ('close b p2', '19875405a637'),
- ('close r p2', '211aad99edcf'),
- ('close b p3', 'ca78fa6085f0'),
- ('close r p3', 'e9d5c3cf3fc3'),
- ('close b send', '24a220afeff8'),
- ('close r send', '2b114c26cbd6')]
+#: Recorded at cc8178e with ``run_script`` above.
+DIGESTS = [('open f send', 'af61c9951ff1'),
+ ('open f recv', 'db7c2b295613'),
+ ('open b send', 'fce7391ebddc'),
+ ('open b recv 1', 'f47dc1426917'),
+ ('open b recv 2', 'a85a4b7ec565'),
+ ('open r send', '987857a78a37'),
+ ('open r recv 1', 'f97df3dd8def'),
+ ('open r recv 2', '17e6efa317e5'),
+ ('send f 0', '45f8b0d1c880'),
+ ('send f 1', '4bbf35ecbcd9'),
+ ('send f 10', '5fb7ef13c97c'),
+ ('send f 16', '23cf4f041cd5'),
+ ('send f 256', '865e623ba26d'),
+ ('send f 2048', 'd1da26ba219a'),
+ ('check f p1', 'd1da26ba219a'),
+ ('send b 0', 'ff3102894c94'),
+ ('send b 1', '9b7d722b5018'),
+ ('send b 10', '8d3e21b137f1'),
+ ('send b 16', '0da245771e6d'),
+ ('send b 256', '335351af4b38'),
+ ('send b 2048', '72c1dc652b6b'),
+ ('check b p1', '72c1dc652b6b'),
+ ('check b p2', '72c1dc652b6b'),
+ ('send r 0', '056b347473fd'),
+ ('send r 1', '7d75c3fa1b7a'),
+ ('send r 10', '6a5c5f5afb40'),
+ ('send r 16', '701ba25a53d8'),
+ ('send r 256', '4842a6324799'),
+ ('send r 2048', '8fb759835fef'),
+ ('check r p1', '8fb759835fef'),
+ ('check r p2', '8fb759835fef'),
+ ('late join b', 'b83647bf8723'),
+ ('late join r', '2dcdbf72110e'),
+ ('send b late', 'c4e98270b2c8'),
+ ('send r late', '629e5c430309'),
+ ('short buffer f', 'b8796c4e92cb'),
+ ('short buffer f 2', 'b8796c4e92cb'),
+ ('short buffer r', '4f4c89374a88'),
+ ('short buffer r 2', '4f4c89374a88'),
+ ('recv f p1', 'eb5dd59190cd'),
+ ('recv f p1', '7ad199ffea6f'),
+ ('recv f p1', '6a8a8543cd39'),
+ ('recv b p1', '4cf2372ea946'),
+ ('recv b p2', 'b6c7a09bf1de'),
+ ('recv b p1', 'c0b33d571ad0'),
+ ('recv b p2', '589dca9a11db'),
+ ('recv b p1', 'bb1706f9c71d'),
+ ('recv b p2', 'e2652f3942a2'),
+ ('recv r p1', 'aaefee394f12'),
+ ('recv r p2', '25059016fbe1'),
+ ('recv r p1', '4c677780fb14'),
+ ('recv r p2', '4cf6bccd0998'),
+ ('recv r p1', '97793eba8aa6'),
+ ('recv r p2', 'a1a43e86b0ee'),
+ ('recv b late', 'cf0fb68c9879'),
+ ('recv r late', '800e94fabc0b'),
+ ('not connected', '800e94fabc0b'),
+ ('not connected r', '800e94fabc0b'),
+ ('close f recv', 'cc67bf08249f'),
+ ('close f send', '3a66c438ff67'),
+ ('send closed', '3a66c438ff67'),
+ ('recv closed', '3a66c438ff67'),
+ ('check closed', '3a66c438ff67'),
+ ('close b p1', '1bf88d1a8080'),
+ ('close r p1', '93d69bcaab3c'),
+ ('close b p2', '70ff03424915'),
+ ('close r p2', '5a7760db34c2'),
+ ('close b p3', '16607ea70401'),
+ ('close r p3', 'd3ca61684afd'),
+ ('close b send', '406a11eb8912'),
+ ('close r send', 'e578eb9f187d')]
 
 
 def test_every_primitive_leaves_the_parents_bytes():
@@ -219,6 +267,32 @@ def test_every_primitive_leaves_the_parents_bytes():
     for (label, got), (want_label, want) in zip(trail, DIGESTS):
         assert (label, got) == (want_label, want), (
             f"first segment difference after {label!r}")
+
+
+@pytest.mark.parametrize("size", [16, 256, 2048])
+def test_a_freed_chain_is_handed_out_again_in_the_order_it_was_filled(size):
+    """The order the splice creates (and the trail above does not pin):
+    send, receive, send again → the same blocks in the same order."""
+    view = make_view()
+    r, runner = view.region, DirectRunner(view)
+    sid = runner.run(ops.open_send(view, 0, "c"))
+    runner.run(ops.open_receive(view, 1, "c", FCFS))
+    # leave the list in no particular order first
+    for n in (7, 300, 45):
+        runner.run(ops.message_send(view, 0, sid, bytes(n)))
+    for _ in range(3):
+        runner.run(ops.message_receive(view, 1, sid))
+
+    def send():
+        runner.run(ops.message_send(view, 0, sid, payload(size, 3)))
+        msg = LNVC.get(r, view.layout.lnvc_off(0), "fifo_head")
+        return r.follow(MSG.get(r, msg, "first_blk"),
+                        MSG.get(r, msg, "nblocks"))
+
+    first = send()
+    assert runner.run(ops.message_receive(view, 1, sid)) == payload(size, 3)
+    assert send() == first and first[1] == NIL
+    assert len(first[0]) == -(-size // view.cfg.block_size)
 
 
 # ---------------------------------------------------------------------------

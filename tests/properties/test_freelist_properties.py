@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.freelist import (
+    block_record,
     drain_chain,
     fill_chain,
     fl_alloc,
@@ -12,10 +13,13 @@ from repro.core.freelist import (
     fl_free,
     init_freelist,
     pop_chain,
-    push_chain,
+    splice_chain,
 )
+from repro.core.inspect import check_invariants
+from repro.core.layout import HDR
 from repro.core.protocol import NIL
 from repro.core.region import SharedRegion
+from repro.testing import make_view
 
 HEAD, BASE = 0, 16
 
@@ -81,8 +85,12 @@ def test_free_order_irrelevant_to_capacity(free_order):
 # -- block-chain kernels against the per-block loops they replaced -------------
 #
 # The loops below are the code ``core/ops.py`` carried before the kernels
-# existed, kept here as the reference: after any history, a kernel must
-# leave *every byte of the region* as its loop does.
+# existed, kept here as the reference: after any history, pop, fill and
+# drain must leave *every byte of the region* as their loops do (a fill
+# stores one link where its loop stores all of them — with the values the
+# pop left there).  The free is not the loop's: it splices, and is held to
+# what it promises instead — two words stored, the chain back at the head
+# of the list in the order it was filled.
 
 SLACK = 7  # blocks beyond the largest message, so shortfall is reachable
 
@@ -116,9 +124,11 @@ def ref_drain(region, first, length, bs):
     return blocks, b"".join(parts)
 
 
-def ref_push(region, head_off, blocks):
-    for blk in blocks:
-        fl_free(region, head_off, blk)
+def walk(region, head_off):
+    """The whole list at ``head_off``, bounded by the region's size."""
+    blocks, end = region.follow(region.u32(head_off), region.size)
+    assert end == NIL
+    return blocks
 
 
 @st.composite
@@ -186,19 +196,24 @@ def test_chain_kernels_leave_the_region_byte_equal_to_the_loops(params):
     assert same()
 
     first = blocks[0] if blocks else NIL
-    assert drain_chain(got, first, nblk, length, bs) == (blocks, payload)
+    read_block = got.reader(block_record(bs))
+    assert drain_chain(got, first, nblk, length, bs, read_block) == (
+        blocks, payload)
     assert ref_drain(want, first, length, bs) == (blocks, payload)
     assert same()  # draining writes nothing
 
-    # Push back in chain order, split over the lists: a push takes any
-    # blocks, not only a chain popped whole from the list it lands on.
-    rng = random.Random(seed + 2)
-    homes = [rng.randrange(lists) for _ in blocks]
-    for s, head in enumerate(heads):
-        group = [b for b, h in zip(blocks, homes) if h == s]
-        push_chain(got, head, group)
-        ref_push(want, head, group)
-    assert same()
+    # Splice the dead chain onto any list, not only the one it came from.
+    if blocks:
+        head = heads[random.Random(seed + 2).randrange(lists)]
+        rest = walk(got, head)
+        before = got.read(0, got.size)
+        got.set_u32(head, splice_chain(got, got.u32(head), blocks))
+        after = got.read(0, got.size)
+        changed = {i for i in range(got.size) if before[i] != after[i]}
+        assert changed <= {*range(head, head + 4),  # the head word, one link
+                           *range(blocks[-1], blocks[-1] + 4)}
+        assert walk(got, head) == blocks + rest
+        assert pop_chain(got, head, nblk) == blocks  # out again as filled
 
 
 @given(scrambled_pool())
@@ -218,3 +233,59 @@ def test_pop_chain_is_all_or_nothing(params):
     assert blocks == ref_pop(want, head, nblk)
     assert got.read(0, got.size) == want.read(0, want.size)
     assert fl_count(got, head) == free - nblk
+
+
+# -- the kernels against a list-of-lists model ---------------------------------
+
+STEPS = st.lists(st.tuples(st.sampled_from(["pop", "fill", "drain", "splice"]),
+                           st.integers(0, 1 << 16)), max_size=80)
+
+
+@given(st.sampled_from([1, 10, 64]), STEPS)
+@settings(max_examples=150, deadline=None)
+def test_kernels_follow_the_list_of_lists_model(bs, steps):
+    """Any interleaving of pops, fills, drains and splices over a
+    formatted segment's block pool, against a model that is a Python
+    list (the free list, in order) and a list of chains."""
+    view = make_view(block_size=bs, message_pool_bytes=48 * (4 + bs))
+    r, head = view.region, HDR.u32["free_blk"]
+    pool = walk(r, head)
+    assert len(pool) == view.cfg.n_blocks == 48
+    free = list(pool)
+    chains = []  # [blocks, payload or None while unfilled]
+    for what, k in steps:
+        if what == "pop":
+            n = k % 56  # past the 48 there are: shortfall is reachable
+            before = r.read(0, r.size)
+            got = pop_chain(r, head, n)
+            if n > len(free):
+                assert got is None and r.read(0, r.size) == before
+            else:
+                assert got == free[:n]
+                del free[:n]
+                if n:
+                    chains.append([got, None])
+        elif chains:
+            chain = chains[k % len(chains)]
+            blocks, payload = chain
+            if what == "fill":
+                chain[1] = random.Random(k).randbytes(
+                    len(blocks) * bs - k % bs)
+                fill_chain(r, blocks, chain[1], bs)
+            elif what == "drain" and payload is not None:
+                assert drain_chain(r, blocks[0], len(blocks), len(payload),
+                                   bs, view._rd_block) == (blocks, payload)
+            elif what == "splice" and payload is not None:
+                # (a chain is one only once a fill has ended it at NIL)
+                r.set_u32(head, splice_chain(r, r.u32(head), blocks))
+                free[:0] = blocks
+                chains.remove(chain)
+        assert walk(r, head) == free
+        assert fl_count(r, head) == len(free)
+        live = [b for blocks, _ in chains for b in blocks]
+        assert sorted(free + live) == sorted(pool)  # each block exactly once
+    for blocks, payload in chains:
+        if payload is None:
+            fill_chain(r, blocks, bytes(len(blocks) * bs), bs)
+        r.set_u32(head, splice_chain(r, r.u32(head), blocks))
+    check_invariants(view)
