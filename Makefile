@@ -30,7 +30,10 @@ shapes:
 
 # Model-check the primitives: every scenario over seeded schedules (must
 # stay clean), plus one injected bug per fault family (the checker must
-# catch it, or the target fails).  See docs/checking.md.
+# catch it, or the target fails), then the oracles on threads and forked
+# processes — both on ProcSync; mixed-protocol and ring-wrap are the
+# BROADCAST wake paths.  CI's check-smoke job runs exactly this list.
+# See docs/checking.md.
 check:
 	$(PY) -m repro.check explore --scenario fcfs-race --seeds 200
 	$(PY) -m repro.check explore --scenario connect-churn --seeds 200
@@ -46,6 +49,8 @@ check:
 	$(PY) -m repro.check explore --scenario ring-wrap --seeds 50 --fault drop-wake --expect-fail
 	$(PY) -m repro.check explore --scenario fcfs-race --runtime threads --repeats 10
 	$(PY) -m repro.check explore --scenario block-churn --runtime threads --repeats 10
+	$(PY) -m repro.check explore --scenario mixed-protocol --runtime threads --repeats 10
+	$(PY) -m repro.check explore --scenario ring-wrap --runtime threads --repeats 10
 	$(PY) -m repro.check explore --scenario fcfs-race --runtime procs --repeats 10
 	$(PY) -m repro.check explore --scenario freelist-churn --runtime procs --repeats 10
 	$(PY) -m repro.check explore --scenario block-churn --runtime procs --repeats 10

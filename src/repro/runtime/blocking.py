@@ -19,13 +19,15 @@ objects; clients are cheap views bound to a process id.
 
 from __future__ import annotations
 
+import threading
+
 from ..core import ops
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.protocol import Protocol
 from ..core.region import SharedRegion
-from .sync import RealSync, SyncBase
+from .sync import ProcSync, SyncBase
 from .threads import drive
 
 __all__ = ["MPFSystem", "BlockingMPF"]
@@ -43,7 +45,7 @@ class MPFSystem:
         region = SharedRegion(bytearray(SegmentLayout(self.cfg).total_size))
         layout = format_region(region, self.cfg)
         self.view = MPFView(region, layout, costs)
-        self.sync = RealSync(self.cfg)
+        self.sync = ProcSync(self.cfg, threading, self.cfg.max_processes)
 
     def client(self, pid: int, recorder=None) -> "BlockingMPF":
         """A blocking client bound to process id ``pid``.

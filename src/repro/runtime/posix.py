@@ -48,6 +48,9 @@ from .sync import WAIT_SPIN_NS, SpinBudget, SyncBase
 
 __all__ = ["FileLock", "FlockSync", "PosixSegment"]
 
+#: Seconds a waiter naps between polls once its spin budget is spent.
+POLL_INTERVAL = 0.002
+
 
 class FileLock:
     """An exclusive ``flock`` on one file; one instance per process."""
@@ -91,19 +94,18 @@ class FlockSync(SyncBase):
     The pause climbs the same ladder as :class:`ProcSync`'s waiter: the
     polls of one wait episode yield the CPU for the first
     :data:`~repro.runtime.sync.WAIT_SPIN_NS` (a peer that answers in
-    microseconds is seen in microseconds), then nap ``poll_interval``
+    microseconds is seen in microseconds), then nap :data:`POLL_INTERVAL`
     each.  An episode ends when the waiter releases the circuit lock
-    itself — it found what it was waiting for.
+    itself — it found what it was waiting for.  (Why flock and not
+    :class:`~repro.runtime.sync.ProcSync`: see that module.)
     """
 
-    def __init__(self, lock_dir: str, cfg: MPFConfig,
-                 poll_interval: float = 0.002) -> None:
+    def __init__(self, lock_dir: str, cfg: MPFConfig) -> None:
         super().__init__()
         self.locks = [
             FileLock(os.path.join(lock_dir, f"lock{i}"))
             for i in range(cfg.n_locks)
         ]
-        self.poll_interval = poll_interval
         #: lock id -> spin budget of the wait episode in progress on it.
         self._episodes: dict[int, SpinBudget] = {}
 
@@ -127,7 +129,7 @@ class FlockSync(SyncBase):
         lock.release()
         if not budget.spin():
             self.parked += 1  # a nap; nobody posts a wake for it
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)
         lock.acquire()
 
     def wake(self, chan: int) -> int:  # sleepers poll; nothing to do
@@ -159,8 +161,7 @@ class PosixSegment:
 
     @classmethod
     def create(cls, name: str, cfg: MPFConfig | None = None,
-               costs: Costs = DEFAULT_COSTS,
-               poll_interval: float = 0.002) -> "PosixSegment":
+               costs: Costs = DEFAULT_COSTS) -> "PosixSegment":
         """Create and format the named segment and its lock files."""
         cfg = cfg or MPFConfig()
         lock_dir = _lock_dir(name)
@@ -173,13 +174,12 @@ class PosixSegment:
         region = SharedRegion(shm.buf)
         layout = format_region(region, cfg)
         view = MPFView(region, layout, costs)
-        sync = FlockSync(lock_dir, cfg, poll_interval)
+        sync = FlockSync(lock_dir, cfg)
         return cls(name, cfg, shm, view, sync, owner=True)
 
     @classmethod
     def attach(cls, name: str, cfg: MPFConfig | None = None,
-               costs: Costs = DEFAULT_COSTS,
-               poll_interval: float = 0.002) -> "PosixSegment":
+               costs: Costs = DEFAULT_COSTS) -> "PosixSegment":
         """Attach to an existing named segment; validates the format."""
         cfg = cfg or MPFConfig()
         shm = shared_memory.SharedMemory(name=name)
@@ -199,7 +199,7 @@ class PosixSegment:
             shm.close()
             raise
         view = MPFView(region, layout, costs)
-        sync = FlockSync(_lock_dir(name), cfg, poll_interval)
+        sync = FlockSync(_lock_dir(name), cfg)
         return cls(name, cfg, shm, view, sync, owner=False)
 
     def client(self, pid: int, recorder=None) -> BlockingMPF:

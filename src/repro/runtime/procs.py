@@ -29,7 +29,7 @@ from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from .base import Env, RunResult, Runtime, Worker, snapshot_header
 from .sync import ProcSync
-from .threads import ThreadState, deadlock_error, drive
+from .threads import deadlock_error, drive
 
 __all__ = ["ProcRuntime"]
 
@@ -102,11 +102,9 @@ class ProcRuntime(Runtime):
                     # and commutative: a convention, not a requirement).
                     rec.attach(view, clock, "wall")
                 mine = sync.bind(rank)
-                mine.state = ThreadState()
                 try:
                     ok, payload = True, drive(
-                        worker(env), mine, recorder=rec, process=name,
-                        state=mine.state)
+                        worker(env), mine, recorder=rec, process=name)
                 except BaseException as exc:  # boundary: reported to the parent
                     ok, payload = False, repr(exc)
                 mine.finish()

@@ -1,4 +1,4 @@
-"""Synchronization for the real runtimes: one interface, three hosts.
+"""Synchronization for the real runtimes: one interface, two syncs.
 
 The effect protocol (:mod:`repro.core.effects`) asks a runtime for four
 things and nothing else, so that is the whole interface here:
@@ -15,11 +15,15 @@ things and nothing else, so that is the whole interface here:
     ``Wake``: resume every sleeper of the channel; returns how many it
     resumed (0 where the host cannot tell).
 
-:class:`RealSync` hosts them on ``threading`` primitives,
-:class:`ProcSync` on shared memory plus POSIX semaphores for forked
-processes, and :class:`repro.runtime.posix.FlockSync` on flock files.
-``sync.bind(rank)`` hands each worker its own handle (shared locks,
-private counters), so the counters are exact without any locking of
+:class:`ProcSync` hosts them for every set of workers that shares an
+ancestor — threads of one process (``ctx`` is the ``threading`` module)
+and forked processes (a ``multiprocessing`` context) — on shared wait
+bytes plus one semaphore per worker.  :class:`repro.runtime.posix.FlockSync`
+hosts them on flock files for processes that only share a segment's
+*name*: the kernel drops a flock when its holder dies, where a named
+semaphore held by a dead process stays taken.  ``sync.bind(rank)``
+hands each worker its own handle (shared locks, private counters and
+held-lock list), so the counters are exact without any locking of
 their own.
 
 Why processes do not simply use ``multiprocessing.Lock`` and
@@ -36,7 +40,9 @@ made the two-CPU pipe 3.5x slower than the same pipe confined to one CPU
 under ``taskset -c 0``).  :class:`ProcSync` spins briefly — always through
 ``sched_yield``, so a host with fewer CPUs than processes hands the CPU
 to the lock holder instead of burning a timeslice against it — and only
-then sleeps.
+then sleeps.  Threads take the same path: its lock-free wake skip spares
+them a condition variable's ``notify_all`` under the circuit lock on
+every ``Wake``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ import copy
 import mmap
 import os
 import struct
-import threading
 from time import perf_counter_ns
 
 from ..core.layout import MPFConfig
@@ -57,7 +62,6 @@ __all__ = [
     "WAIT_SPIN_NS",
     "SpinBudget",
     "SyncBase",
-    "RealSync",
     "ProcSync",
 ]
 
@@ -142,6 +146,9 @@ class SyncBase:
     def _zero(self) -> None:
         for name in COUNTERS:
             setattr(self, name, 0)
+        #: Lock ids the worker holds, in acquisition order; kept by
+        #: :func:`~repro.runtime.threads.drive` for the deadlock dump.
+        self.held: list[int] = []
 
     def bind(self, rank: int) -> "SyncBase":
         """A handle for worker ``rank``: shared primitives, own counters."""
@@ -177,48 +184,21 @@ class SyncBase:
             )
 
 
-class RealSync(SyncBase):
-    """The four methods over ``threading.Lock`` / ``threading.Condition``.
-
-    ``conditions[slot]`` is built *on* the lock of circuit ``slot``, so
-    ``wait`` is ``Condition.wait`` (atomic release-sleep-reacquire) and
-    ``wake`` takes the lock briefly to ``notify_all`` — MPF wakes after
-    releasing the circuit lock.
-    """
-
-    def __init__(self, cfg: MPFConfig) -> None:
-        super().__init__()
-        self.locks = [threading.Lock() for _ in range(cfg.n_locks)]
-        self.conditions = [
-            threading.Condition(self.locks[FIRST_LNVC_LOCK + slot])
-            for slot in range(cfg.n_channels)
-        ]
-
-    def wait(self, chan: int, lock_id: int) -> None:
-        self.check_wait(chan, lock_id)
-        self.waits += 1
-        self.conditions[chan].wait()
-
-    def wake(self, chan: int) -> int:
-        self.wakes_locked += 1
-        cond = self.conditions[chan]
-        with cond:
-            cond.notify_all()
-        return 0  # a Condition does not say how many it woke
-
-
-# -- processes ---------------------------------------------------------------
-
 _IDLE, _SPINNING, _PARKED = 0, 1, 2
 
-#: What a worker is blocked on, published for the parent's deadlock dump.
+#: What a worker is blocked on, published for the runtime's deadlock dump.
 _RUNNING, _ON_LOCK, _ON_CHAN, _DONE = 0, 1, 2, 3
 _MAX_HELD = 5
 _STATUS = struct.Struct(f"3i{_MAX_HELD}i")  # kind, id, nheld, held...
 
 
 class ProcSync(SyncBase):
-    """Spin-then-park locks and wait channels for forked processes.
+    """Spin-then-park locks and wait channels for threads or forked
+    processes.
+
+    ``ctx`` supplies ``Lock()`` and ``Semaphore(0)``: a ``multiprocessing``
+    context for forked processes, the ``threading`` module for threads
+    (to which the anonymous mmap is plain shared memory).
 
     Four cooperating mechanisms (ablation in docs/performance.md):
 
@@ -228,7 +208,7 @@ class ProcSync(SyncBase):
 
     **P, the parking condition.**  One shared byte per (channel, rank):
     idle, spinning or parked, *written only under the circuit lock*;
-    one semaphore per process (a process sleeps on at most one
+    one semaphore per worker (a worker sleeps on at most one
     channel).  ``wake`` clears every set byte of the channel and posts
     exactly one token per parked sleeper; it never waits for an
     acknowledgment.
@@ -259,9 +239,6 @@ class ProcSync(SyncBase):
         # bytes, then one status row per rank.
         self._mem = mmap.mmap(-1, self._status_off + nprocs * _STATUS.size)
         self._idle_row = bytes(nprocs)
-        #: The worker's :class:`~repro.runtime.threads.ThreadState`; its
-        #: ``held`` list is published whenever the worker blocks.
-        self.state = None
 
     def close(self) -> None:
         self._mem.close()
@@ -269,7 +246,7 @@ class ProcSync(SyncBase):
     # -- the deadlock dump ----------------------------------------------------
 
     def _publish(self, kind: int, ident: int = 0) -> None:
-        held = self.state.held[-_MAX_HELD:] if self.state is not None else []
+        held = self.held[-_MAX_HELD:]
         _STATUS.pack_into(
             self._mem, self._status_off + self.rank * _STATUS.size,
             kind, ident, len(held), *held, *([0] * (_MAX_HELD - len(held))),
@@ -280,7 +257,8 @@ class ProcSync(SyncBase):
         self._publish(_DONE)
 
     def status(self, rank: int) -> dict:
-        """``ThreadState.dump()`` of worker ``rank``, read by the parent.
+        """What worker ``rank`` is blocked on and which locks it holds,
+        read by the runtime for the deadlock dump.
 
         A worker publishes when it is about to *sleep* (blocking lock
         acquire, or parking on a channel) — the slow paths, so the hot
@@ -290,11 +268,11 @@ class ProcSync(SyncBase):
         """
         kind, ident, nheld, *held = _STATUS.unpack_from(
             self._mem, self._status_off + rank * _STATUS.size)
-        blocked_on = {
+        on = {
             _RUNNING: None, _ON_LOCK: ("lock", ident),
             _ON_CHAN: ("chan", ident), _DONE: ("done",),
         }[kind]
-        return {"blocked_on": blocked_on, "held": held[:nheld]}
+        return {"blocked_on": on, "held": held[:nheld]}
 
     # -- the four methods -----------------------------------------------------
 

@@ -1,13 +1,12 @@
 """The thread runtime: MPF over real ``threading`` primitives.
 
 Here the shared region is a plain ``bytearray`` visible to every thread,
-locks are ``threading.Lock`` objects and the per-circuit wait channels are
-``threading.Condition`` objects built *on the circuit's lock* — which
-gives :class:`~repro.core.effects.WaitOn` its atomic
-release-sleep-reacquire semantics for free
-(:class:`~repro.runtime.sync.RealSync`).  :func:`drive`, the effect
-trampoline every real runtime shares, lives here too; it talks to the
-host only through the four :mod:`~repro.runtime.sync` methods.
+and locks and per-circuit wait channels are the process runtime's own
+spin-then-park :class:`~repro.runtime.sync.ProcSync` built over
+``threading.Lock`` / ``threading.Semaphore`` — one sync for every set of
+workers that shares an ancestor.  :func:`drive`, the effect trampoline
+every real runtime shares, lives here too; it talks to the host only
+through the four :mod:`~repro.runtime.sync` methods.
 
 The GIL means threads cannot add parallel *speed* (and on this repo's
 reference host there is one CPU anyway), but they add real *concurrency*:
@@ -29,42 +28,20 @@ from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from .base import Env, RunResult, Runtime, Worker, snapshot_header
-from .sync import RealSync, SyncBase
+from .sync import ProcSync, SyncBase
 
-__all__ = ["ThreadRuntime", "drive", "RealSync", "ThreadState",
-           "deadlock_error"]
-
-
-class ThreadState:
-    """What one driven worker is doing right now, for deadlock dumps.
-
-    Updated by :func:`drive` *before* each blocking call, so when a join
-    timeout fires the runtime can report what every stuck thread was
-    last waiting on and which locks it still holds.  Plain attribute
-    writes only — cheap enough to keep on the uninstrumented path.
-    """
-
-    __slots__ = ("blocked_on", "held")
-
-    def __init__(self) -> None:
-        #: ``("lock", lock_id)`` / ``("chan", chan)`` while blocking,
-        #: ``None`` while running, ``("done",)`` after return.
-        self.blocked_on: tuple | None = None
-        #: lock ids currently held, in acquisition order.
-        self.held: list[int] = []
-
-    def dump(self) -> dict:
-        return {"blocked_on": self.blocked_on, "held": list(self.held)}
+__all__ = ["ThreadRuntime", "drive", "deadlock_error"]
 
 
 def deadlock_error(stuck: dict[str, dict], died: dict[str, str],
                    join_timeout: float | None) -> DeadlockSuspectedError:
     """The join-timeout error both real runtimes raise.
 
-    ``stuck`` maps each unfinished worker to its :meth:`ThreadState.dump`;
-    ``died`` maps workers that raised to a description — a worker that
-    died early (its peers now wait forever on it) is the likelier root
-    cause than a true deadlock, so those are named instead of masked.
+    ``stuck`` maps each unfinished worker to its
+    :meth:`~repro.runtime.sync.ProcSync.status`; ``died`` maps workers
+    that raised to a description — a worker that died early (its peers
+    now wait forever on it) is the likelier root cause than a true
+    deadlock, so those are named instead of masked.
     """
     lines = [
         f"  {n}: blocked_on={d['blocked_on']} held={d['held']}"
@@ -83,14 +60,14 @@ def drive(
     sync: SyncBase,
     recorder=None,
     process: str = "p0",
-    state: ThreadState | None = None,
 ) -> object:
     """Trampoline: run an effect generator against real primitives.
 
     Returns the generator's return value.  ``Charge`` effects are free —
     real time passes on its own.  ``sync`` is any
-    :class:`~repro.runtime.sync.SyncBase`: one code path per effect,
-    whatever hosts the locks.
+    :class:`~repro.runtime.sync.SyncBase` handle: one code path per
+    effect, whatever hosts the locks; ``sync.held`` tracks the locks
+    the worker holds, which the sync publishes when it blocks.
 
     With a :class:`repro.obs.Recorder` attached, the trampoline measures
     each blocking primitive on the recorder's clock
@@ -100,109 +77,74 @@ def drive(
     condition sleep time — the same profile the simulated engine records
     in simulated time.  ``Charge`` labels are tallied by instruction
     budget (their wall time is zero: real compute takes real time by
-    itself).
+    itself).  Without one, no branch makes a call of its own.
     """
-    if state is None:
-        state = ThreadState()
-    if recorder is None:
-        value: object = None
-        while True:
-            try:
-                effect = gen.send(value)
-            except StopIteration as stop:
-                state.blocked_on = ("done",)
-                return stop.value
-            value = None
-            # Effects are final classes: dispatch on the exact class,
-            # most frequent first, as ``Engine.run`` does.
-            cls = effect.__class__
-            if cls is Charge or cls is ChargeMany:
-                continue
-            if cls is Acquire:
-                state.blocked_on = ("lock", effect.lock_id)
-                sync.acquire(effect.lock_id)
-                state.blocked_on = None
-                state.held.append(effect.lock_id)
-            elif cls is Release:
-                sync.release(effect.lock_id)
-                state.held.remove(effect.lock_id)
-            elif cls is WaitOn:
-                # The caller holds the circuit lock; wait() releases it,
-                # sleeps and returns holding it again.
-                state.blocked_on = ("chan", effect.chan)
-                state.held.remove(effect.lock_id)
-                sync.wait(effect.chan, effect.lock_id)
-                state.blocked_on = None
-                state.held.append(effect.lock_id)
-            elif cls is Wake:
-                sync.wake(effect.chan)
-            else:
-                raise RuntimeError(
-                    f"non-effect {effect!r} yielded to real runtime"
-                )
-    return _drive_recorded(gen, sync, recorder, process, state)
-
-
-def _drive_recorded(gen: Generator, sync: SyncBase, recorder,
-                    process: str, state: ThreadState) -> object:
-    """The instrumented twin of :func:`drive` (kept separate so the
-    common uninstrumented path stays allocation-free)."""
-    clock = recorder.now
-    held_since: dict[int, float] = {}
+    if recorder is not None:
+        clock = recorder.now
+        held_since: dict[int, float] = {}
+    held = sync.held
     value: object = None
     while True:
         try:
             effect = gen.send(value)
         except StopIteration as stop:
-            state.blocked_on = ("done",)
             return stop.value
         value = None
+        # Effects are final classes: dispatch on the exact class,
+        # most frequent first, as ``Engine.run`` does.
         cls = effect.__class__
         if cls is Charge:
-            w = effect.work
-            recorder.on_charge(clock(), process, w.label, 0.0,
-                               w.instrs, w.flops)
-        elif cls is ChargeMany:
-            now = clock()
-            for w in effect.works:
-                recorder.on_charge(now, process, w.label, 0.0,
+            if recorder is not None:
+                w = effect.work
+                recorder.on_charge(clock(), process, w.label, 0.0,
                                    w.instrs, w.flops)
+        elif cls is ChargeMany:
+            if recorder is not None:
+                now = clock()
+                for w in effect.works:
+                    recorder.on_charge(now, process, w.label, 0.0,
+                                       w.instrs, w.flops)
         elif cls is Acquire:
-            state.blocked_on = ("lock", effect.lock_id)
-            t0 = clock()
-            contended = sync.acquire(effect.lock_id)
-            now = clock()
-            state.blocked_on = None
-            state.held.append(effect.lock_id)
-            recorder.on_acquire(now, process, effect.lock_id,
-                                now - t0 if contended else 0.0, contended)
-            held_since[effect.lock_id] = now
+            lock_id = effect.lock_id
+            if recorder is None:
+                sync.acquire(lock_id)
+            else:
+                t0 = clock()
+                contended = sync.acquire(lock_id)
+                now = held_since[lock_id] = clock()
+                recorder.on_acquire(now, process, lock_id,
+                                    now - t0 if contended else 0.0, contended)
+            held.append(lock_id)
         elif cls is Release:
-            sync.release(effect.lock_id)
-            state.held.remove(effect.lock_id)
-            now = clock()
-            recorder.on_release(now, process, effect.lock_id,
-                                now - held_since.pop(effect.lock_id, now))
+            lock_id = effect.lock_id
+            sync.release(lock_id)
+            held.remove(lock_id)
+            if recorder is not None:
+                now = clock()
+                recorder.on_release(now, process, lock_id,
+                                    now - held_since.pop(lock_id, now))
         elif cls is WaitOn:
-            t0 = clock()
-            recorder.on_release(t0, process, effect.lock_id,
-                                t0 - held_since.pop(effect.lock_id, t0),
-                                counted=False)
-            state.blocked_on = ("chan", effect.chan)
-            state.held.remove(effect.lock_id)
-            sync.wait(effect.chan, effect.lock_id)
-            state.blocked_on = None
-            state.held.append(effect.lock_id)
-            now = clock()
-            recorder.on_chan_wait(now, process, effect.chan, now - t0)
-            # wait() returns with the circuit lock re-held: a new hold
-            # span starts, without counting an Acquire effect.
-            recorder.on_acquire(now, process, effect.lock_id, 0.0,
-                                contended=False, counted=False)
-            held_since[effect.lock_id] = now
+            lock_id = effect.lock_id
+            if recorder is not None:
+                t0 = clock()
+                recorder.on_release(t0, process, lock_id,
+                                    t0 - held_since.pop(lock_id, t0),
+                                    counted=False)
+            # The caller holds the circuit lock; wait() releases it,
+            # sleeps and returns holding it again.
+            held.remove(lock_id)
+            sync.wait(effect.chan, lock_id)
+            held.append(lock_id)
+            if recorder is not None:
+                now = held_since[lock_id] = clock()
+                recorder.on_chan_wait(now, process, effect.chan, now - t0)
+                # A new hold span starts, without counting an Acquire.
+                recorder.on_acquire(now, process, lock_id, 0.0,
+                                    contended=False, counted=False)
         elif cls is Wake:
             woken = sync.wake(effect.chan)
-            recorder.on_wake(clock(), process, effect.chan, woken)
+            if recorder is not None:
+                recorder.on_wake(clock(), process, effect.chan, woken)
         else:
             raise RuntimeError(f"non-effect {effect!r} yielded to real runtime")
 
@@ -240,14 +182,15 @@ class ThreadRuntime(Runtime):
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
         view = self.last_view = MPFView(region, layout, costs)
-        sync = RealSync(cfg)
+        sync = ProcSync(cfg, threading, nprocs)
+        syncs = [sync.bind(rank) for rank in range(nprocs)]
 
         t0 = time.perf_counter()
         clock = lambda: time.perf_counter() - t0  # noqa: E731
 
         results: dict[str, object] = {}
         errors: dict[str, BaseException] = {}
-        locals_: dict[str, object] = {}
+        children: dict[str, object] = {}
         if self.recorder is not None:
             # One shared probe on the shared view — list appends and dict
             # updates to monotonic counters are GIL-atomic — while the
@@ -255,48 +198,52 @@ class ThreadRuntime(Runtime):
             # inherit this clock) merged in name order after the join.
             self.recorder.attach(view, clock, "wall")
 
-        states = {name: ThreadState() for name in names}
-        syncs = {name: sync.bind(rank) for rank, name in enumerate(names)}
-
         def body(name: str, rank: int, worker: Worker) -> None:
             env = Env(view, rank, nprocs, clock)
             rec = None
             if self.recorder is not None:
-                rec = locals_[name] = self.recorder.child()
+                rec = children[name] = self.recorder.child()
+            mine = syncs[rank]
             try:
-                results[name] = drive(worker(env), syncs[name], recorder=rec,
-                                      process=name, state=states[name])
+                results[name] = drive(worker(env), mine, recorder=rec,
+                                      process=name)
             except BaseException as exc:  # surfaced after join
                 errors[name] = exc
+            mine.finish()
 
         threads = [
             threading.Thread(target=body, args=(n, i, w), name=n, daemon=True)
             for i, (n, w) in enumerate(zip(names, workers))
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(self.join_timeout)
-            if t.is_alive():
-                stuck = {
-                    th.name: states[th.name].dump()
-                    for th in threads if th.is_alive()
-                }
+        try:
+            for t in threads:
+                t.start()
+            stuck: dict[str, dict] = {}
+            for t in threads:
+                t.join(self.join_timeout)
+                if t.is_alive():
+                    stuck = {th.name: sync.status(rank)
+                             for rank, th in enumerate(threads)
+                             if th.is_alive()}
+                    break
+            if self.recorder is not None:
+                for name in names:  # finished workers, deterministic order
+                    rec = children.get(name)
+                    if rec is not None and name not in stuck:
+                        self.recorder.merge(rec.snapshot())
+            if stuck:
                 raise deadlock_error(
                     stuck, {n: repr(e) for n, e in errors.items()},
                     self.join_timeout)
-        if self.recorder is not None:
-            for name in names:  # deterministic merge order
-                rec = locals_.get(name)
-                if rec is not None:
-                    self.recorder.merge(rec.snapshot())
-        if errors:
-            name = sorted(errors)[0]
-            raise errors[name]
-        return RunResult(
-            results=results,
-            elapsed=time.perf_counter() - t0,
-            kind=self.kind,
-            header=snapshot_header(view),
-            sync={name: syncs[name].counters() for name in names},
-        )
+            if errors:
+                raise errors[sorted(errors)[0]]
+            return RunResult(
+                results=results,
+                elapsed=time.perf_counter() - t0,
+                kind=self.kind,
+                header=snapshot_header(view),
+                sync={name: syncs[rank].counters()
+                      for rank, name in enumerate(names)},
+            )
+        finally:
+            sync.close()

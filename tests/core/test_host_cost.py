@@ -21,7 +21,11 @@ the message path touch each shared record once per lock section —
 before the first edit, with this file's ``measure`` (``add_u32`` was a
 method over ``u32`` / ``set_u32`` then, and was counted through them);
 ``PARENT_LINKS`` at cc8178e, the parent of the commit that stopped
-storing a link per block.
+storing a link per block.  The child of 8ab74ca lowered ``PINNED``'s
+Python / C calls by 4-5 per pair on both transports when it put
+``ThreadRuntime`` on ``ProcSync``: a ``Wake`` nobody waits for reads the
+channel's wait bytes and takes no lock, where ``RealSync`` took the
+circuit lock for a ``Condition.notify_all`` every time.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table and
@@ -220,13 +224,14 @@ PARENT = {
              "words16": 3360, "bulk16": 120},
 }
 
-#: What the path costs now: per pair 117 Python + 201 C calls and 36
-#: accessor calls on the free list (238 + 340 and 99 at the parent), 75 +
-#: 47 and 33 on the ring (145 + 110 and 56).
+#: What the path costs now: per pair 112 Python + 197 C calls and 36
+#: accessor calls on the free list (238 + 340 and 99 at the parent), 70 +
+#: 43 and 33 on the ring (145 + 110 and 56); 117 + 201 and 75 + 47 at
+#: 8ab74ca (see the module docstring).
 PINNED = {
-    "freelist": {"py": 7020, "c": 12061, "work_inits": 0,
+    "freelist": {"py": 6720, "c": 11821, "work_inits": 0,
                  "words16": 2160, "bulk16": 120},
-    "ring": {"py": 4500, "c": 2821, "work_inits": 0,
+    "ring": {"py": 4200, "c": 2581, "work_inits": 0,
              "words16": 1980, "bulk16": 120},
 }
 

@@ -1,6 +1,7 @@
 """Tests for the real-runtime effect interpreter (drive) in isolation."""
 
 import threading
+import time
 
 import pytest
 
@@ -8,12 +9,16 @@ from repro.core.effects import Acquire, Charge, Release, WaitOn, Wake
 from repro.core.layout import MPFConfig
 from repro.core.protocol import FIRST_LNVC_LOCK
 from repro.core.work import Work
-from repro.runtime.threads import RealSync, drive
+from repro.runtime.sync import ProcSync
+from repro.runtime.threads import drive
 
 
 @pytest.fixture
 def sync():
-    return RealSync(MPFConfig(max_lnvcs=4, max_processes=2))
+    """Rank 0's handle on the threads host; ``sync.bind(1)`` is a peer's."""
+    shared = ProcSync(MPFConfig(max_lnvcs=4, max_processes=2), threading, 2)
+    yield shared.bind(0)
+    shared.close()
 
 
 def gen_of(*effects, result=None):
@@ -79,11 +84,13 @@ def test_dispatch_is_on_the_exact_effect_class(sync, recorder):
 
 
 def test_waiton_wake_handoff_between_threads(sync):
-    """WaitOn really sleeps on the circuit's condition and Wake really
-    resumes it, with the lock properly re-held on resume."""
+    """WaitOn really sleeps on the circuit's channel and Wake really
+    resumes it, with the lock properly re-held on resume and the held
+    list kept for the deadlock dump."""
     slot = 2
     lock_id = FIRST_LNVC_LOCK + slot
     stages = []
+    sleeper_sync = sync.bind(1)
 
     def sleeper():
         def g():
@@ -92,19 +99,23 @@ def test_waiton_wake_handoff_between_threads(sync):
             yield WaitOn(slot, lock_id)
             # Lock must be held again here.
             assert not sync.locks[lock_id].acquire(blocking=False)
+            assert sleeper_sync.held == [lock_id]
             stages.append("woke")
             yield Release(lock_id)
 
-        drive(g(), sync)
+        drive(g(), sleeper_sync)
 
     t = threading.Thread(target=sleeper)
     t.start()
-    while "sleeping" not in stages:
-        pass  # the sleeper registers under its own lock; spin briefly
+    # A Wake before the sleeper's wait byte is set is skipped (MPF's
+    # WaitOn loop would re-read its predicate; this one has none).
+    while sync._mem[slot * 2 + 1] == 0:
+        time.sleep(0.001)
     drive(gen_of(Wake(slot)), sync)
     t.join(10)
     assert not t.is_alive()
     assert stages == ["sleeping", "woke"]
+    assert sleeper_sync.held == []
 
 
 def test_exception_propagates_from_generator(sync):

@@ -1,17 +1,20 @@
-"""The process runtime's spin-then-park wake protocol (runtime/sync.py).
+"""The spin-then-park wake protocol (runtime/sync.py) on forked processes.
 
 The four orderings of one wake against one waiter are forced, not
 hoped for: the spin budget is stretched or zeroed (the constants are
 read at call time) and the waker watches the waiter's shared byte to
 know which state it has reached.  The stress at the end is the
 probabilistic net under them — a lost wake-up hangs it, and
-``join_timeout`` turns the hang into a failure.
+``join_timeout`` turns the hang into a failure.  The ``host`` fixture
+says where the peers run: here forked processes; ``test_sync_threads``
+collects the same cases again with threads of the test process.
 """
 
 import multiprocessing as mp
 import os
 import struct
 import sys
+import threading
 import time
 import zlib
 
@@ -25,6 +28,7 @@ from repro.patterns import barrier
 from repro.runtime import sync as sync_mod
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sync import COUNTERS, ProcSync
+from repro.runtime.threads import ThreadRuntime
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="fork + POSIX semaphores"
@@ -33,19 +37,32 @@ pytestmark = pytest.mark.skipif(
 CTX = mp.get_context("fork")
 CHAN = 1
 LOCK = FIRST_LNVC_LOCK + CHAN
-WAITER = 1  # rank of the forked waiter; the test process is rank 0
+WAITER = 1  # rank of the waiter; the test itself is rank 0
+
+#: ``ProcSync``'s ``ctx`` and what starts the peer, per host.  The flag
+#: and the report pipe are the fork context's on both: shared memory and
+#: an OS pipe serve threads as well.
+HOSTS = {"procs": (CTX, CTX.Process), "threads": (threading, threading.Thread)}
+RUNTIMES = {"procs": ProcRuntime, "threads": ThreadRuntime}
 
 
 class Harness:
-    """A ``ProcSync`` plus one shared predicate byte and a forked waiter
-    running the canonical loop: lock; while not flag: wait; unlock."""
+    """A ``ProcSync`` plus one shared predicate byte and a waiter (a
+    forked process or a thread) running the canonical loop: lock; while
+    not flag: wait; unlock."""
 
-    def __init__(self) -> None:
-        self.sync = ProcSync(MPFConfig(max_lnvcs=4, max_processes=2), CTX, 2)
+    def __init__(self, host: str) -> None:
+        ctx, self.spawn = HOSTS[host]
+        self.sync = ProcSync(MPFConfig(max_lnvcs=4, max_processes=2), ctx, 2)
         self.waker = self.sync.bind(0)
         self.flag = CTX.RawValue("b", 0)
         self.rx, self.tx = CTX.Pipe(duplex=False)
         self.proc = None
+
+    def start(self, target):
+        peer = self.spawn(target=target, daemon=True)
+        peer.start()
+        return peer
 
     def start_waiter(self) -> None:
         def body() -> None:
@@ -56,8 +73,7 @@ class Harness:
             mine.release(LOCK)
             self.tx.send(mine.counters())
 
-        self.proc = CTX.Process(target=body, daemon=True)
-        self.proc.start()
+        self.proc = self.start(body)
 
     def waiter_byte(self) -> int:
         return self.sync._mem[CHAN * 2 + WAITER]
@@ -91,10 +107,16 @@ class Harness:
 
 
 @pytest.fixture
-def harness():
-    h = Harness()
+def host():
+    """Where the peers run, a key of ``HOSTS`` and ``RUNTIMES``."""
+    return "procs"
+
+
+@pytest.fixture
+def harness(host):
+    h = Harness(host)
     yield h
-    if h.proc is not None and h.proc.is_alive():
+    if h.proc is not None and h.proc.is_alive() and hasattr(h.proc, "kill"):
         h.proc.kill()
         h.proc.join()
     h.sync.close()
@@ -154,8 +176,8 @@ def test_wake_with_nobody_registered(harness):
 
 
 def _contend(harness, while_blocked) -> dict:
-    """Hold LOCK, fork a rank-1 acquirer, run ``while_blocked()`` once
-    the child is about to acquire, release, and return its counters."""
+    """Hold LOCK, start a rank-1 acquirer, run ``while_blocked()`` once
+    the peer is about to acquire, release, and return its counters."""
     holder, other = harness.sync.bind(0), harness.sync.bind(1)
     holder.acquire(LOCK)
     rx, tx = CTX.Pipe(duplex=False)
@@ -166,8 +188,7 @@ def _contend(harness, while_blocked) -> dict:
         other.release(LOCK)
         tx.send(other.counters())
 
-    proc = CTX.Process(target=body, daemon=True)
-    proc.start()
+    proc = harness.start(body)
     assert rx.poll(10) and rx.recv() == "ready"
     while_blocked()
     holder.release(LOCK)
@@ -235,17 +256,18 @@ def _pipe_workers(n: int):
     return [sender, receiver]
 
 
-def test_counters_account_for_every_wake_and_every_park():
-    """RunResult.sync explains the run: each Wake effect was either
-    skipped or took the lock, and every park consumed exactly the one
-    token posted for it."""
+def test_counters_account_for_every_wake_and_every_park(host):
+    """RunResult.sync explains the run, with the same counters on either
+    host: each Wake effect was either skipped or took the lock, and every
+    park consumed exactly the one token posted for it."""
     rec = Recorder()
     cfg = MPFConfig(max_lnvcs=8, max_processes=2, transport="ring",
                     ring_slots=16, ring_slot_bytes=64)
-    result = ProcRuntime(join_timeout=60, recorder=rec).run(
+    result = RUNTIMES[host](join_timeout=60, recorder=rec).run(
         _pipe_workers(2000), cfg=cfg)
     assert result.results["p1"] == list(range(2000))
     assert list(result.sync) == ["p0", "p1"]
+    assert all(tuple(c) == COUNTERS for c in result.sync.values())
     total = {k: sum(c[k] for c in result.sync.values()) for k in COUNTERS}
     wakes_driven = sum(kinds["Wake"] for kinds in rec.summary().values())
     assert wakes_driven > 2000
@@ -318,14 +340,16 @@ def _stress_workers(pin_cpu: int | None):
 
 @pytest.mark.parametrize("pinned", [False, True], ids=["spread", "one-cpu"])
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
-def test_no_lost_wakeup_under_stress(transport, pinned):
+def test_no_lost_wakeup_under_stress(host, transport, pinned):
     """More workers than CPUs, 100,000 blocking receives: one lost
-    wake-up and a worker sleeps forever (the 30 s watchdog fires)."""
+    wake-up and a worker sleeps forever (the 30 s watchdog fires).  A
+    thread pins only itself, so ``one-cpu`` confines the workers alone."""
     cpu = min(os.sched_getaffinity(0)) if pinned else None
     cfg = MPFConfig(max_lnvcs=8, max_processes=5, max_messages=512,
                     message_pool_bytes=1 << 17, transport=transport,
                     ring_slots=32, ring_slot_bytes=64)
-    result = ProcRuntime(join_timeout=30).run(_stress_workers(cpu), cfg=cfg)
+    result = RUNTIMES[host](join_timeout=30).run(_stress_workers(cpu),
+                                                 cfg=cfg)
     assert result.result_list() == [N_STRESS, 0, 0, 0, 0]
     total = {k: sum(c[k] for c in result.sync.values()) for k in COUNTERS}
     assert total["parked"] == total["wakes_posted"]

@@ -13,6 +13,7 @@ import pytest
 from repro.core.errors import DeadlockSuspectedError
 from repro.core.inspect import inspect_segment
 from repro.core.protocol import BROADCAST, FCFS
+from repro.obs import Recorder
 from repro.patterns import all_to_all, barrier, broadcast, gather
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
@@ -151,6 +152,33 @@ def test_threads_blocked_worker_times_out():
     assert dump["blocked_on"] == ("chan", 0)
     assert dump["held"] == []
     assert "blocked_on=('chan', 0)" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("runtime", [ThreadRuntime, ProcRuntime],
+                         ids=["threads", "procs"])
+def test_join_timeout_keeps_the_finished_workers_recording(runtime):
+    """A join timeout still merges what the finished workers recorded
+    (in name order, before raising); the stuck worker's child is left
+    out and its wait state is read from the sync's status row."""
+
+    def done(env):
+        cid = yield from env.open_send("out")
+        yield from env.close_send(cid)
+
+    def stuck(env):
+        rid = yield from env.open_receive("void", FCFS)
+        yield from env.message_receive(rid)
+
+    rec = Recorder()
+    with pytest.raises(DeadlockSuspectedError) as excinfo:
+        runtime(join_timeout=0.5, recorder=rec).run([done, stuck])
+    dump = excinfo.value.threads
+    assert list(dump) == ["p1"]
+    assert dump["p1"]["blocked_on"][0] == "chan" and dump["p1"]["held"] == []
+    kinds = rec.summary()
+    assert list(kinds) == ["p0"]
+    assert kinds["p0"]["Acquire"] == kinds["p0"]["Release"] > 0
+    assert rec.lock_profile()
 
 
 def test_threads_post_mortem_view_is_the_failed_runs():
