@@ -72,17 +72,21 @@ procs-smoke:
 	$(PY) -m repro.check explore --scenario ring-wrap --runtime procs --repeats 10
 
 # Causal-tracing smoke: run the fig4 contention sweep with per-message
-# tracing, then validate the Prometheus exposition and the DOT flow
-# graph it exported (per-runtime suffixed files).  See docs/tracing.md.
+# tracing in every recording regime (one recorder on sim, the shared
+# probe on threads, merged children on procs), then validate the
+# Prometheus exposition and the DOT flow graph each exported
+# (per-runtime suffixed files).  See docs/tracing.md.
 trace-smoke:
 	$(PY) -m repro.bench trace fig4 --quick --causal \
+		--runtime sim --runtime threads --runtime procs \
 		--prom /tmp/mpf_fig4.prom --flow /tmp/mpf_fig4.dot
 	$(PY) -c "\
 	from repro.obs import check_dot, parse_exposition; \
+	kinds = ('sim', 'threads', 'procs'); \
 	[parse_exposition(open(f'/tmp/mpf_fig4-{k}.prom').read()) \
-	 for k in ('sim', 'procs')]; \
+	 for k in kinds]; \
 	edges = [check_dot(open(f'/tmp/mpf_fig4-{k}.dot').read()) \
-	         for k in ('sim', 'procs')]; \
+	         for k in kinds]; \
 	assert min(edges) > 0, edges; \
 	print(f'trace smoke ok: flow edges {edges}')"
 

@@ -15,8 +15,8 @@ runtime rather than only the simulator:
 * exporters (:mod:`repro.obs.export`) — text tables, JSON lines, the
   Chrome ``chrome://tracing`` Trace Event Format and the Prometheus
   text exposition;
-* one store (:mod:`repro.obs.store`) — the counter, gauge, digest and
-  bounded-log cells every sink above keeps its measurements in, and the
+* one store (:mod:`repro.obs.store`) — the counter, gauge, digest,
+  log and sample cells every sink above keeps its measurements in, and the
   folds by which :meth:`Recorder.merge` joins two recordings.
 
 Attach a recorder with the runtime's ``recorder=`` parameter::

@@ -42,9 +42,10 @@ the Prometheus exposition in :mod:`repro.obs.export`.
 from __future__ import annotations
 
 from array import array
+from operator import attrgetter
 from typing import NamedTuple
 
-from .store import Log, add_counts
+from .store import Sample, add_counts
 
 __all__ = [
     "MsgEvent",
@@ -61,7 +62,7 @@ __all__ = [
     "causal_async_events",
 ]
 
-#: Default bound on the stored event list (see ``Recorder.limit``).
+#: Default bound on a tracer's stored events (its stride sample).
 DEFAULT_LIMIT = 200_000
 
 #: Lifecycle stages derived from a matched (send, recv) event pair, in
@@ -111,60 +112,53 @@ class CausalTracer:
     """Collects :class:`MsgEvent` records plus free-list pressure counts.
 
     The carrying :class:`~repro.obs.recorder.Recorder` calls the ``on_*``
-    hooks with timestamps in the run's timebase.  Like the
-    Recorder, the event list is bounded: :attr:`total` keeps counting
-    past :attr:`limit` and :attr:`dropped` says how many events were not
-    stored, so a truncated trace is never silently read as complete.
+    hooks with timestamps in the run's timebase.  The stored events are
+    a stride sample of at most ``limit`` keyed by seqno
+    (:class:`~repro.obs.store.Sample`): every event until the bound is
+    hit, then those of every ``stride``-th message.  A message's send,
+    receives and free share its seqno, so sampled messages keep their
+    complete lifecycle and every derived analysis works on the sample.
+    :attr:`total` and :attr:`dropped` say what was not stored, and
+    :attr:`stride` is surfaced by the summary tables.
 
-    **Bounded mode** (``max_events=N``): instead of keeping a prefix and
-    dropping the rest, the tracer keeps a deterministic *stride sample*
-    — events whose ``seqno % stride == 0``, with the stride doubling
-    (and the stored list re-pruned) whenever the store would exceed
-    ``N``.  Sends and receives of the same message share a seqno, so
-    sampled messages keep their complete lifecycle and every derived
-    analysis still works, on a 1-in-``stride`` subset.  End-to-end
-    latency is **not** sampled: an exact sketch pairs every send with
-    its receives as they happen (8 bytes per delivery), so p50/p99/p999
-    e2e quantiles over a million-message run stay exact while memory
-    stays bounded.  :attr:`stride` is surfaced by the summary tables.
+    End-to-end latency is **not** sampled: an exact sketch, :attr:`e2e`,
+    pairs every send with its receives as they happen (8 bytes per
+    delivery), so e2e quantiles over a million-message run stay exact.
+    A receive whose send another worker's tracer heard is paired when
+    the two merge (:meth:`fold`).
     """
 
-    __slots__ = ("events", "pool_allocs", "pool_failures",
-                 "max_events", "stride", "e2e", "_pending", "_orphans",
-                 "_grace")
+    __slots__ = ("events", "pool_allocs", "pool_failures", "e2e",
+                 "_pending", "_orphans", "_grace", "_keep")
 
-    def __init__(self, limit: int = DEFAULT_LIMIT,
-                 max_events: int | None = None) -> None:
+    def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
         #: The stored events with their ``total`` / ``dropped`` books, a
-        #: :class:`~repro.obs.store.Log`.  Classic mode keeps the first
-        #: ``limit``; bounded mode keeps its stride sample in the same
-        #: list and does the booking itself.
-        self.events: Log = Log(limit)
+        #: :class:`~repro.obs.store.Sample` keyed by seqno.
+        self.events: Sample = Sample(limit, attrgetter("seqno"))
         #: Successful free-list pops, keyed by pool head offset.
         self.pool_allocs: dict[int, int] = {}
         #: Pops that found the pool exhausted (returned NIL).
         self.pool_failures: dict[int, int] = {}
-        #: Bounded-mode event cap (``None`` = classic prefix-keep mode).
-        self.max_events = max_events
-        #: Current sampling stride (1 = every message; bounded mode only).
-        self.stride = 1
-        if max_events is not None:
-            if max_events < 1:
-                raise ValueError("max_events must be >= 1")
-            #: Exact e2e latency sketch, one float per delivery.
-            self.e2e = array("d")
-            self._pending: dict = {}   # key -> send t0, popped on free
-            self._orphans: dict = {}   # key -> [recv t2], matched on merge
-            self._grace: dict = {}     # recently freed key -> t0 (see below)
-        else:
-            self.e2e = None
-            self._pending = None
-            self._orphans = None
-            self._grace = None
+        #: Exact e2e latency sketch, one float per delivery.
+        self.e2e = array("d")
+        self._pending: dict = {}   # key -> send t0
+        self._orphans: dict = {}   # key -> [recv t2], matched on merge
+        self._grace: dict = {}     # recently freed key -> t0 (see on_free)
+        #: Set on a :meth:`Recorder.child
+        #: <repro.obs.recorder.Recorder.child>`'s tracer: keep every send
+        #: stamp, freed or not, for the merge to pair (see on_free).
+        self._keep = False
 
     @property
     def limit(self) -> int:
         return self.events.limit
+
+    @property
+    def stride(self) -> int:
+        """Sampling stride: 1 = every message stored."""
+        return self.events.stride
 
     @property
     def total(self) -> int:
@@ -178,38 +172,15 @@ class CausalTracer:
 
     # -- hooks called by the carrying Recorder ------------------------------
     #
-    # Each hook first asks whether its event will be stored — the log's
-    # prefix rule in classic mode, the stride sample in bounded mode —
-    # and builds the MsgEvent only then.
-
-    def _sampled(self, seqno: int) -> bool:
-        """Bounded mode: book one event of message ``seqno`` and say
-        whether the stride sample keeps it."""
-        events = self.events
-        events.total += 1
-        if seqno % self.stride:
-            events.dropped += 1
-            return False
-        if len(events) >= self.max_events:
-            self.stride *= 2
-            kept = [e for e in events if e.seqno % self.stride == 0]
-            events.dropped += len(events) - len(kept)
-            events[:] = kept
-            if seqno % self.stride:
-                events.dropped += 1
-                return False
-        return True
+    # Each hook first asks the stride sample whether its event will be
+    # stored, and builds the MsgEvent only then.
 
     def on_send(self, pid: int, slot: int, gen: int, seqno: int,
                 length: int, blocks: int, depth: int,
                 t0: float, t1: float, t2: float, t3: float) -> None:
         """Message linked at the FIFO tail at ``t3``."""
-        if self._pending is None:
-            keep = self.events.admit()
-        else:
-            self._pending[(slot, gen, seqno)] = t0
-            keep = self._sampled(seqno)
-        if keep:
+        self._pending[(slot, gen, seqno)] = t0
+        if self.events.admit(seqno):
             self.events.append(MsgEvent(
                 "send", pid, slot, gen, seqno, length, t0, t1, t2, t3,
                 blocks=blocks, depth=depth))
@@ -220,26 +191,22 @@ class CausalTracer:
         """Receive complete (busy pin dropped) at ``t3``.
 
         Returns the delivery's exact end-to-end latency when the sketch
-        paired it with its send (bounded mode only), else ``None`` — what
-        the recorder feeds its timeline's per-circuit e2e digests.
+        paired it with its send, else ``None`` — what the recorder feeds
+        its timeline's per-circuit e2e digests.
         """
         e2e = None
-        if self._pending is None:
-            keep = self.events.admit()
-        else:
-            key = (slot, gen, seqno)
-            s0 = self._pending.get(key)
-            if s0 is None:
-                s0 = self._grace.pop(key, None)
-            if s0 is not None:
-                e2e = t2 - s0 if t2 > s0 else 0.0
-                self.e2e.append(e2e)
-            elif len(self._orphans) < 65536:
-                # Cross-process delivery (procs runtime): the send lives
-                # in another child's tracer; matched at merge time.
-                self._orphans.setdefault(key, []).append(t2)
-            keep = self._sampled(seqno)
-        if keep:
+        key = (slot, gen, seqno)
+        s0 = self._pending.get(key)
+        if s0 is None:
+            s0 = self._grace.pop(key, None)
+        if s0 is not None:
+            e2e = t2 - s0 if t2 > s0 else 0.0
+            self.e2e.append(e2e)
+        elif len(self._orphans) < 65536:
+            # Cross-process delivery (procs runtime): the send lives in
+            # another child's tracer; matched at merge time.
+            self._orphans.setdefault(key, []).append(t2)
+        if self.events.admit(seqno):
             self.events.append(MsgEvent(
                 "recv", pid, slot, gen, seqno, length, t0, t1, t2, t3,
                 fcfs=1 if fcfs else 0))
@@ -248,21 +215,19 @@ class CausalTracer:
     def on_free(self, sender: int, slot: int, gen: int, seqno: int,
                 length: int, depth: int, t: float, discard: int = 0) -> None:
         """Message header returned to the free list at ``t``."""
-        if self._pending is None:
-            keep = self.events.admit()
-        else:
-            # A receive's completion section reaps the message it just
-            # retired (``_reap_head``) *before* its own recv hook fires —
-            # so a freed entry lingers briefly in a small grace buffer
-            # instead of vanishing, keeping the e2e sketch complete.
+        # A receive's completion section reaps the message it just
+        # retired (``_reap_head``) *before* its own recv hook fires — so
+        # a freed entry lingers briefly in a small grace buffer instead
+        # of vanishing, keeping the e2e sketch complete.  A child tracer
+        # keeps it outright: receives of it may be in other children.
+        if not self._keep:
             t0 = self._pending.pop((slot, gen, seqno), None)
             if t0 is not None:
                 g = self._grace
                 g[(slot, gen, seqno)] = t0
                 while len(g) > 256:
                     del g[next(iter(g))]
-            keep = self._sampled(seqno)
-        if keep:
+        if self.events.admit(seqno):
             self.events.append(MsgEvent(
                 "free", sender, slot, gen, seqno, length, t,
                 depth=depth, discard=1 if discard else 0))
@@ -291,64 +256,42 @@ class CausalTracer:
         return sorted({e.lnvc for e in self.events})
 
     def e2e_stats(self) -> "StageStats":
-        """Quantiles over the exact e2e sketch (bounded mode only).
-
-        In classic mode the sketch does not exist; callers should derive
-        e2e from :func:`sojourn_stats` instead.
-        """
-        if self.e2e is None:
-            raise ValueError(
-                "e2e sketch requires bounded mode (max_events=N)")
+        """Quantiles over the exact e2e sketch."""
         return StageStats(list(self.e2e))
 
     # -- merge across workers / processes ------------------------------------
 
-    def fold(self, other: "CausalTracer") -> None:
+    def fold(self, other: "CausalTracer") -> list[tuple[float, int, float]]:
         """Fold another tracer in (called by :meth:`Recorder.merge
         <repro.obs.recorder.Recorder.merge>` on a snapshot's tracer).
 
-        The log and the pool counters fold as any do; what only a tracer
-        knows is how a bounded one re-prunes its stride sample and pairs
-        deliveries whose send and receive were seen in different
-        processes.
+        The sample, the pool counters and the sketch fold as their cells
+        do; what only a tracer knows is how to pair deliveries whose send
+        and receive different tracers heard: ``other``'s sends against
+        our orphan receives and the reverse.  BROADCAST sends stay
+        pending, since later merges may hold more receives.  Returns the
+        pairs made here as ``(t2, slot, e2e)`` for the recorder's
+        timeline.
         """
-        if self.max_events is None:
-            self.events.fold(other.events)
-        else:
-            events = self.events
-            self.stride = max(self.stride, other.stride)
-            merged = [e for e in events + other.events
-                      if e.seqno % self.stride == 0]
-            while len(merged) > self.max_events:
-                self.stride *= 2
-                merged = [e for e in merged if e.seqno % self.stride == 0]
-            events.total += other.total
-            events.dropped += other.dropped + (
-                len(events) + len(other.events) - len(merged))
-            events[:] = merged
-            if other.max_events is not None:
-                self._pair_across(other)
+        self.events.fold(other.events)
         add_counts(self.pool_allocs, other.pool_allocs)
         add_counts(self.pool_failures, other.pool_failures)
-
-    def _pair_across(self, other: "CausalTracer") -> None:
-        """Take over ``other``'s sketch, and match cross-process
-        deliveries: its unmatched sends against our orphan receives and
-        vice versa.  BROADCAST sends stay pending (later merges may hold
-        more receives)."""
-        self.e2e.extend(other.e2e)
+        late = []
         for sends in (other._pending, other._grace):
             for key, t0 in sends.items():
                 for t2 in self._orphans.pop(key, ()):
-                    self.e2e.append(t2 - t0 if t2 > t0 else 0.0)
+                    late.append((t2, key[0], t2 - t0 if t2 > t0 else 0.0))
                 self._pending[key] = t0
         for key, stamps in other._orphans.items():
+            t0 = self._pending.get(key)
             for t2 in stamps:
-                t0 = self._pending.get(key)
                 if t0 is not None:
-                    self.e2e.append(t2 - t0 if t2 > t0 else 0.0)
+                    late.append((t2, key[0], t2 - t0 if t2 > t0 else 0.0))
                 elif len(self._orphans) < 65536:
                     self._orphans.setdefault(key, []).append(t2)
+        self.e2e.extend(other.e2e)
+        self.e2e.extend(e2e for _, _, e2e in late)
+        return late
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +516,12 @@ def format_sojourn(tracer: CausalTracer) -> str:
             _us(per["e2e"].p95), _us(per["e2e"].p99),
         ])
     lines = [_table(rows), "(latencies in µs)"]
-    if tracer.max_events is not None:
-        if tracer.stride > 1:
-            lines.append(
-                f"(~) bounded tracing: 1/{tracer.stride} stride sample "
-                f"({len(tracer.events)} of {tracer.total} events stored); "
-                f"per-stage quantiles cover the sample, e2e sketch stays "
-                f"exact ({len(tracer.e2e)} deliveries)"
-            )
-    elif tracer.dropped:
+    if tracer.stride > 1:
         lines.append(
-            f"(!) {tracer.dropped} of {tracer.total} causal events dropped "
-            f"(limit {tracer.limit}); quantiles cover the recorded prefix"
+            f"(~) bounded tracing: 1/{tracer.stride} stride sample "
+            f"({len(tracer.events)} of {tracer.total} events stored); "
+            f"per-stage quantiles cover the sample, e2e sketch stays "
+            f"exact ({len(tracer.e2e)} deliveries)"
         )
     return "\n".join(lines)
 
@@ -604,7 +541,8 @@ def format_causal_tail(tracer: CausalTracer, n: int = 12) -> str:
         who = f"p{e.pid}" + (" (sender)" if e.kind == "free" else "")
         lines.append(f"  {e.kind:<4} {ident:<18} {who:<12} {detail}")
     if tracer.dropped:
-        lines.append(f"  ... ({tracer.dropped} earlier events dropped)")
+        lines.append(f"  ... ({tracer.dropped} events dropped by the "
+                     f"1/{tracer.stride} stride sample)")
     return "\n".join(lines) if lines else "  (no causal events recorded)"
 
 

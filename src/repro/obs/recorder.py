@@ -127,14 +127,12 @@ class Recorder:
     ``clock`` names the timebase (``"sim"`` or ``"wall"``) and
     :attr:`now` reads it; :meth:`attach` sets both at the start of a run.
     ``causal=True`` additionally attaches a
-    :class:`~repro.obs.causal.CausalTracer` (or pass a pre-built tracer
-    instance), which hears one lifecycle event per message
-    send/receive/free from the message sites (see *the observer seam*
-    below).
-    ``causal_max_events=N`` puts that tracer in bounded mode: stride
-    sampling caps the stored events at ``N`` while an exact sketch keeps
-    e2e latency quantiles precise — how million-message serve runs trace
-    without unbounded memory (see docs/serving.md).
+    :class:`~repro.obs.causal.CausalTracer`, which hears one lifecycle
+    event per message send/receive/free from the message sites (see
+    *the observer seam* below): a stride sample of at most
+    :data:`~repro.obs.causal.DEFAULT_LIMIT` events plus an exact e2e
+    latency sketch.  For another bound pass a built tracer,
+    ``causal=CausalTracer(limit=N)``.
     ``timeline=True`` (or a pre-built
     :class:`~repro.obs.timeline.Timeline`) additionally slices the run
     into fixed-width time windows of counters, gauges and quantile
@@ -144,7 +142,6 @@ class Recorder:
     """
 
     def __init__(self, limit: int = 100_000, causal=False,
-                 causal_max_events: int | None = None,
                  timeline=False, timeline_width: float = 0.05) -> None:
         self.clock = "wall"
         t0 = _time.perf_counter()
@@ -175,7 +172,7 @@ class Recorder:
         self.timeline = None
         if causal:
             self.causal = causal if isinstance(causal, CausalTracer) \
-                else CausalTracer(max_events=causal_max_events)
+                else CausalTracer()
         if timeline:
             self.timeline = timeline if isinstance(timeline, Timeline) \
                 else Timeline(width=timeline_width)
@@ -428,8 +425,7 @@ class Recorder:
         """Grow an empty tracer / timeline shaped like the given one
         wherever this recorder has none (and there is one to follow)."""
         if causal is not None and self.causal is None:
-            self.causal = CausalTracer(limit=causal.limit,
-                                       max_events=causal.max_events)
+            self.causal = CausalTracer(limit=causal.limit)
         if timeline is not None and self.timeline is None:
             self.timeline = Timeline(width=timeline.width)
             self.timeline.clock_kind = timeline.clock_kind
@@ -438,14 +434,18 @@ class Recorder:
         """A fresh recorder for one worker; merge its snapshot when done.
 
         The child reads this recorder's clock and carries empty sinks of
-        the same shape (a tracer with the same bounds, a timeline of the
+        the same shape (a tracer with the same bound, a timeline of the
         same width), so whatever a worker observes rides home inside the
-        child's snapshot.
+        child's snapshot.  Other workers may receive what this one sends,
+        so the child's tracer keeps every send stamp it hears until the
+        merge pairs them.
         """
         rec = Recorder(limit=self.limit)
         rec.clock = self.clock
         rec.now = self.now
         rec._adopt(self.causal, self.timeline)
+        if rec.causal is not None:
+            rec.causal._keep = True
         return rec
 
     def snapshot(self) -> dict:
@@ -475,7 +475,9 @@ class Recorder:
         Whatever can refuse the snapshot is checked before the first
         fold, so a refused merge leaves this recorder as it was.  A
         recorder without a tracer or a timeline grows one like the
-        snapshot's; one that has recorded nothing takes its clock.
+        snapshot's; one that has recorded nothing takes its clock.  The
+        deliveries the tracer pairs across the two reach the timeline's
+        e2e digests here, like those paired as they happened.
         """
         with self._merge_mutex:
             causal, timeline = snap["causal"], snap["timeline"]
@@ -511,7 +513,10 @@ class Recorder:
             if timeline is not None:
                 self.timeline.fold(timeline)
             if causal is not None:
-                self.causal.fold(causal)
+                late = self.causal.fold(causal)
+                if self.timeline is not None:
+                    for t2, slot, e2e in late:
+                        self.timeline.tap_e2e(t2, slot, e2e)
 
     # -- exporters (implemented in repro.obs.export) -----------------------------
 

@@ -1,8 +1,8 @@
 """What a measurement is stored in, and how two of them become one.
 
 Every sink behind the observer seam keeps the same few things: numbers
-that add, samples of a level, durations worth a quantile, and a bounded
-list of records.  They are defined here, once each, with the one
+that add, samples of a level, durations worth a quantile, and bounded
+lists of records.  They are defined here, once each, with the one
 function that records into them and the one that folds two together:
 
 * a **counter** is a ``dict`` value: ``counts[key] += n`` records,
@@ -17,7 +17,10 @@ function that records into them and the one that folds two together:
   :meth:`Histogram.fold` / :meth:`Histogram.quantile` sit on it;
 * a **log** is a :class:`Log`: a list that stores a prefix and counts
   the rest, :meth:`Log.admit` being the only place that decides whether
-  there is room.
+  there is room;
+* a **sample** is a :class:`Sample`: a list that stores a stride sample
+  of keyed records and counts the rest, :meth:`Sample.admit` deciding
+  on the way in and :meth:`Sample.fold` on a merge.
 
 A :class:`Store` holds one of each cell kind per string key — a timeline
 window, or a whole-run fold of them.  All folds are associative and
@@ -35,7 +38,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 __all__ = ["log2_us_bucket", "add_counts", "Gauge", "Histogram", "Store",
-           "Log"]
+           "Log", "Sample"]
 
 
 def log2_us_bucket(seconds: float) -> int:
@@ -189,3 +192,55 @@ class Log(list):
         self.extend(other[:self.admit(len(other))])
         self.total += other.dropped
         self.dropped += other.dropped
+
+
+class Sample(list):
+    """A list that stores a stride sample of keyed records and counts
+    the rest.
+
+    Records sharing a key, ``key(record)``, are kept or dropped
+    together: those kept have a key that is a multiple of
+    :attr:`stride`, which starts at 1 and doubles (the stored records
+    pruned to it) whenever one more would pass :attr:`limit`.  So the
+    stored set depends on what was offered, not on the order of offers
+    or folds.  Key 0 survives every stride: offered more than ``limit``
+    of it, the sample keeps just those, past the bound.
+    ``total == len(sample) + dropped`` always holds.  Offer with::
+
+        if sample.admit(k):
+            sample.append(make_record(k))
+    """
+
+    def __init__(self, limit: int, key) -> None:
+        super().__init__()
+        self.limit = limit
+        self.key = key
+        self.stride = 1
+        self.total = 0
+        self.dropped = 0
+
+    def admit(self, k: int) -> bool:
+        """Book one offered record of key ``k``; whether it is kept."""
+        self.total += 1
+        while k % self.stride == 0:
+            if len(self) < self.limit or not (k or any(map(self.key, self))):
+                return True
+            self._prune(self.stride * 2)
+        self.dropped += 1
+        return False
+
+    def fold(self, other: "Sample") -> None:
+        """Keep the sample of both: pruned to the coarser stride, then
+        thinned further while over the bound."""
+        self.total += other.total
+        self.dropped += other.dropped
+        self.extend(other)
+        self._prune(max(self.stride, other.stride))
+        while len(self) > self.limit and any(map(self.key, self)):
+            self._prune(self.stride * 2)
+
+    def _prune(self, stride: int) -> None:
+        self.stride = stride
+        kept = [r for r in self if self.key(r) % stride == 0]
+        self.dropped += len(self) - len(kept)
+        self[:] = kept

@@ -8,8 +8,8 @@ workers that shares an ancestor.  :func:`drive`, the effect trampoline
 every real runtime shares, lives here too; it talks to the host only
 through the four :mod:`~repro.runtime.sync` methods.
 
-The GIL means threads cannot add parallel *speed* (and on this repo's
-reference host there is one CPU anyway), but they add real *concurrency*:
+The GIL means threads cannot add parallel *speed*, however many CPUs the
+host has, but they add real *concurrency*:
 preemption points interleave the byte-level data-structure manipulation
 arbitrarily, so this runtime is the one that stress-tests the locking
 discipline of :mod:`repro.core.ops` against real races.

@@ -155,7 +155,7 @@ def serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--prom", metavar="PATH",
-        help="rerun the knee point under the bounded causal tracer and "
+        help="rerun the knee point under the causal tracer and "
         "write its metrics in Prometheus text exposition format",
     )
     parser.add_argument(
@@ -208,8 +208,7 @@ def serve_main(argv: list[str]) -> int:
         from ..obs import HealthEngine, LiveTelemetryServer, Recorder, \
             serve_tier_of
 
-        probe_rec = Recorder(causal=True, causal_max_events=65536,
-                             timeline=True,
+        probe_rec = Recorder(causal=True, timeline=True,
                              timeline_width=args.timeline_width)
         health = HealthEngine(probe_rec.timeline, tier_of=serve_tier_of)
         if args.live is not None:

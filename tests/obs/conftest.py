@@ -34,7 +34,7 @@ def _exports(rec: Recorder) -> dict[str, str]:
         out["flow_dot"] = flow_dot(flow_from_causal(c))
         out["causal_events"] = repr(
             [tuple(getattr(e, f) for f in _EVENT_FIELDS) for e in c.events])
-        out["e2e"] = repr(None if c.e2e is None else list(c.e2e))
+        out["e2e"] = repr(list(c.e2e))
         books += [c.total, c.dropped, c.stride,
                   sorted(c.pool_allocs.items()),
                   sorted(c.pool_failures.items())]

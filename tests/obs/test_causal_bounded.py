@@ -1,14 +1,17 @@
-"""Bounded causal tracing (``causal_max_events=N``): stride sampling,
-the exact e2e latency sketch, and the fused-receive grace buffer."""
+"""The causal tracer's bound (``CausalTracer(limit=N)``): stride
+sampling, the exact e2e latency sketch, the fused-receive grace buffer,
+and the stamps a child tracer keeps for the merge."""
 
 import pickle
+import sys
 
 import pytest
 
-from repro.core.protocol import FCFS
+from repro.core.protocol import BROADCAST, FCFS
 from repro.obs import Recorder
-from repro.obs.causal import CausalTracer, StageStats
+from repro.obs.causal import DEFAULT_LIMIT, CausalTracer, StageStats
 from repro.patterns import barrier
+from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
 from repro.runtime.threads import ThreadRuntime
 
@@ -34,8 +37,8 @@ def receiver(env):
     return got
 
 
-def record_bounded(max_events, runtime="sim") -> Recorder:
-    rec = Recorder(causal=True, causal_max_events=max_events)
+def record_bounded(limit, runtime="sim") -> Recorder:
+    rec = Recorder(causal=CausalTracer(limit=limit))
     rt = SimRuntime(recorder=rec) if runtime == "sim" \
         else ThreadRuntime(recorder=rec)
     result = rt.run([sender, receiver])
@@ -43,8 +46,8 @@ def record_bounded(max_events, runtime="sim") -> Recorder:
     return rec
 
 
-def run_bounded(max_events, runtime="sim"):
-    return record_bounded(max_events, runtime).causal
+def run_bounded(limit, runtime="sim"):
+    return record_bounded(limit, runtime).causal
 
 
 def test_stride_doubles_to_respect_the_bound():
@@ -73,17 +76,21 @@ def test_e2e_sketch_is_exact_not_sampled():
     assert 0.0 < stats.quantile(0.5) <= stats.p999
 
 
-def test_unbounded_mode_keeps_every_event():
-    tracer = run_bounded(None)
-    assert tracer.stride == 1
+def test_under_the_bound_every_event_is_kept():
+    tracer = run_bounded(DEFAULT_LIMIT)
+    assert tracer.stride == 1 and not tracer.dropped
     sends = sum(1 for e in tracer.events if e.kind == "send")
     assert sends == N_MSGS + 1 + 2 + 1  # payloads, stop, barrier legs
 
 
-def test_e2e_requires_bounded_mode():
-    tracer = CausalTracer()
-    with pytest.raises(ValueError):
-        tracer.e2e_stats()
+def test_e2e_answers_on_every_tracer():
+    assert CausalTracer().e2e_stats().count == 0
+    rec = Recorder(causal=True)
+    SimRuntime(recorder=rec).run([sender, receiver])
+    stats = rec.causal.e2e_stats()
+    assert stats.count == len(rec.causal.recvs()) >= N_MSGS
+    with pytest.raises(ValueError, match="limit"):
+        CausalTracer(limit=0)
 
 
 def test_grace_buffer_pairs_fused_reaps():
@@ -102,7 +109,7 @@ def test_snapshot_roundtrip_preserves_sketch_and_stride():
     tracer = rec.causal
     clone = Recorder()
     clone.merge(pickle.loads(pickle.dumps(rec.snapshot())))
-    assert clone.causal.max_events == 64
+    assert clone.causal.limit == 64
     assert clone.causal.stride == tracer.stride
     assert clone.causal.events == tracer.events
     assert list(clone.causal.e2e) == list(tracer.e2e)
@@ -112,6 +119,50 @@ def test_bounded_tracing_on_threads_runtime():
     tracer = run_bounded(64, runtime="threads")
     assert len(tracer.events) <= 64
     assert len(tracer.e2e) >= N_MSGS
+
+
+#: More than the 256 freed stamps a single tracer keeps for late hooks.
+N_OWN = 300
+
+
+def own_broadcaster(env):
+    """Broadcasts to itself and p1, then takes its own copies."""
+    cid = yield from env.open_send("data")
+    rid = yield from env.open_receive("data", BROADCAST)
+    yield from barrier(env, "go", 2)
+    for i in range(N_OWN):
+        yield from env.message_send(cid, b"b%d" % i)
+    for _ in range(N_OWN):
+        yield from env.message_receive(rid)
+    yield from env.close_send(cid)
+    yield from env.close_receive(rid)
+
+
+def broadcast_listener(env):
+    rid = yield from env.open_receive("data", BROADCAST)
+    yield from barrier(env, "go", 2)
+    for _ in range(N_OWN):
+        yield from env.message_receive(rid)
+    yield from env.close_receive(rid)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ProcRuntime needs fork")
+def test_a_sender_receiving_its_own_broadcast_keeps_every_pair():
+    """Whenever p0's receive of its own message is the last, it frees
+    the message before its recv hook: its child tracer must keep the
+    stamp for p1's receive, paired at the merge."""
+    rec = Recorder(causal=True, timeline=True)
+    ProcRuntime(recorder=rec).run([own_broadcaster, broadcast_listener])
+    tracer = rec.causal
+    slot, = (s for s, name in rec.timeline.names.items() if name == "data")
+    assert sum(e.slot == slot for e in tracer.recvs()) == 2 * N_OWN
+    # Every delivery, barrier legs included, is in the sketch ...
+    assert len(tracer.e2e) == len(tracer.recvs())
+    assert not tracer._orphans
+    # ... and in the timeline's e2e digest of its circuit.
+    digests = rec.timeline.totals().digests
+    assert digests[f"circuit:{slot}|e2e"].total == 2 * N_OWN
 
 
 def test_quantile_fine_nearest_rank():

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.protocol import FCFS
 from repro.obs import (
+    CausalTracer,
     HealthEngine,
     LiveTelemetryServer,
     Recorder,
@@ -42,7 +43,7 @@ def fed_recorder() -> Recorder:
             pass
         yield from env.close_receive(cid)
 
-    rec = Recorder(causal=True, causal_max_events=4096, timeline=True)
+    rec = Recorder(causal=CausalTracer(limit=4096), timeline=True)
     SimRuntime(recorder=rec).run([sender, receiver])
     return rec
 

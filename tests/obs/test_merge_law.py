@@ -10,14 +10,15 @@ order, and pairwise first.  Whatever the order:
   compared as multisets, since merge order is the order records are
   stored in;
 * the ``total`` / ``dropped`` books are equal, also when a log is too
-  tight to keep everything (then *which* prefix survives follows the
-  order, how much of it does not);
-* counters, gauges and digests hold the values the unsplit recorder
-  holds, and with one child the merged recorder exports the unsplit
-  recorder's bytes.  The e2e sketch pairs a send with receives heard by
-  other children at merge time — every sample it then holds is one the
-  unsplit recorder holds; a hand-fed case shows the pairing complete in
-  either order, and docs/observability.md says where it is not.
+  tight to keep everything (then *which* spans survive follows the
+  order, how many do not; the tracer's stride sample is the same set
+  in every order);
+* counters, gauges, digests, the tracer's stored events and its e2e
+  sketch hold the values the unsplit recorder holds, and with one child
+  the merged recorder exports the unsplit recorder's bytes.  The sketch
+  pairs a send with receives heard by other children at merge time, and
+  those latencies reach the timeline's e2e digests then; two hand-fed
+  cases show the pairing complete in every order.
 
 The tape's floats are rounded to multiples of 2⁻²⁰ s, so every float sum
 in the test is exact and therefore order-free: a difference between two
@@ -127,7 +128,7 @@ def _canonical(exported: dict[str, str]) -> dict[str, str]:
     if "causal_events" in out:
         out["causal_events"] = repr(
             sorted(ast.literal_eval(out["causal_events"])))
-        out["e2e"] = repr(sorted(ast.literal_eval(out["e2e"]) or ()))
+        out["e2e"] = repr(sorted(ast.literal_eval(out["e2e"])))
     return out
 
 
@@ -144,19 +145,18 @@ def _cells(rec: Recorder) -> dict:
         "chan_waits": (dict(rec.chan_waits), rec.chan_wait_seconds),
     }
     if rec.timeline is not None:
-        # A delivery whose send and receive were heard by different
-        # children is paired at merge time, after the window taps: its
-        # latency reaches the sketch, not the windows' e2e digests.
         cells["windows"] = {
             idx: (dict(win.counters), dict(win.gauges),
-                  {k: d.counts for k, d in win.digests.items()
-                   if not k.endswith("|e2e")})
+                  {k: d.counts for k, d in win.digests.items()})
             for idx, win in rec.timeline.windows.items()}
     if rec.causal is not None:
-        c = rec.causal
-        cells["causal"] = (c.total, c.dropped, sorted(c.events), c.stride,
-                           c.pool_allocs, c.pool_failures)
+        cells["causal"] = _tracer_cells(rec.causal)
     return cells
+
+
+def _tracer_cells(c) -> tuple:
+    return (c.total, c.dropped, sorted(c.events), c.stride,
+            c.pool_allocs, c.pool_failures, sorted(c.e2e))
 
 
 def _books(rec: Recorder) -> tuple:
@@ -165,17 +165,18 @@ def _books(rec: Recorder) -> tuple:
         () if c is None else (c.total, c.dropped, len(c.events)))
 
 
-#: Recorders roomy enough to store everything they are offered.
+#: Recorders whose spans all fit (the tracers' stride samples are
+#: order-free at any bound).
 ROOMY = {
     "plain": lambda: Recorder(),
     "causal": lambda: Recorder(causal=True),
-    "bounded-causal": lambda: Recorder(causal=True, causal_max_events=48),
+    "bounded-causal": lambda: Recorder(causal=CausalTracer(limit=48)),
     "timeline": lambda: Recorder(timeline=True, timeline_width=0.002),
-    "all": lambda: Recorder(causal=True, causal_max_events=48,
+    "all": lambda: Recorder(causal=CausalTracer(limit=48),
                             timeline=True, timeline_width=0.002),
 }
 
-#: Logs that overflow: a 40-span prefix, a 30-event prefix.
+#: Logs that overflow: a 40-span prefix, a 30-event stride sample.
 TIGHT = {
     "tight": lambda: Recorder(limit=40, causal=CausalTracer(limit=30)),
 }
@@ -211,23 +212,18 @@ def test_merge_order_cannot_matter(tape, exports, config, k):
             m.timeline.names = dict(unsplit.timeline.names)
 
     assert {_books(m) for m in merged} == {_books(unsplit)}
-    if config in TIGHT:  # the books above are all that is order-free
+    if config in TIGHT:  # which spans survive follows the order
         assert unsplit.dropped_spans and unsplit.causal.dropped
+        assert unsplit.causal.stride > 1
+        for m in merged:
+            assert _tracer_cells(m.causal) == _tracer_cells(unsplit.causal)
         return
     first = _canonical(exports(merged[0]))
     for m in merged[1:]:
         assert _canonical(exports(m)) == first
-    # What the sketch paired shows in these exports; with several
-    # children it pairs at merge time (see the module docstring).
-    late = {"e2e", "sojourn", "timeline_doc", "prometheus"} if k > 1 else ()
-    for name, text in _canonical(exports(unsplit)).items():
-        assert name in late or first[name] == text, name
+    assert _canonical(exports(unsplit)) == first
     for m in merged:
         assert _cells(m) == _cells(unsplit)
-        if m.causal is not None and m.causal.e2e is not None:
-            theirs = list(unsplit.causal.e2e)
-            for sample in m.causal.e2e:
-                theirs.remove(sample)  # ValueError: a sample nobody took
     if k == 1:  # one child: the unsplit recorder's bytes, unsorted
         assert exports(merged[0]) == exports(unsplit)
 
@@ -238,12 +234,22 @@ def test_the_tape_drives_the_stride_sample(tape):
     assert len(unsplit.causal.e2e) > 40 and len(unsplit.timeline.windows) > 3
 
 
+def _bounded() -> Recorder:
+    return Recorder(causal=CausalTracer(limit=8), timeline=True,
+                    timeline_width=0.5)
+
+
+def _e2e_digest_total(rec: Recorder) -> int:
+    return rec.timeline.totals().digests["circuit:3|e2e"].total
+
+
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
 def test_bounded_tracer_pairs_deliveries_across_children(order):
     """The procs regime by hand: the sender's child hears the send, two
     receivers' children each a BROADCAST receive, the second also the
-    free.  Whatever the merge order, both deliveries reach the sketch."""
-    parent = Recorder(causal=True, causal_max_events=8)
+    free.  Whatever the merge order, both deliveries reach the sketch
+    and the timeline's e2e digest."""
+    parent = _bounded()
     now = [0.0]
     parent.attach(types.SimpleNamespace(), lambda: now[0], "wall")
     sender, first, last = kids = [parent.child() for _ in range(3)]
@@ -256,10 +262,39 @@ def test_bounded_tracer_pairs_deliveries_across_children(order):
     last.msg_received(2, 3, 1, 0, 64, 0, 1.25, 1.5, 1.75)
     assert [len(k.causal.e2e) for k in kids] == [0, 0, 0]
     blobs = [pickle.dumps(k.snapshot()) for k in kids]
-    merged = _merged(lambda: Recorder(causal=True, causal_max_events=8),
-                     [blobs[i] for i in order])
+    merged = _merged(_bounded, [blobs[i] for i in order])
     assert sorted(merged.causal.e2e) == [0.875 - 0.125, 1.75 - 0.125]
     assert not merged.causal._orphans and merged.causal.total == 4
+    assert _e2e_digest_total(merged) == len(merged.causal.e2e)
+    # Each latency lands in the window holding its receive's t2.
+    windows = {idx for idx, win in merged.timeline.windows.items()
+               if "circuit:3|e2e" in win.digests}
+    assert windows == {1, 3}
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_sender_that_receives_its_own_broadcast_last_keeps_its_stamp(
+        order):
+    """The sender's child also receives the broadcast, after the other
+    receiver's child, so its receive frees the message before its own
+    recv hook.  The stamp stays for the merge to pair the other child's
+    receive."""
+    parent = _bounded()
+    now = [0.0]
+    parent.attach(types.SimpleNamespace(), lambda: now[0], "wall")
+    sender, other = kids = [parent.child() for _ in range(2)]
+    now[0] = 0.5
+    sender.msg_sent(0, 3, 1, 0, 64, 7, 1, 0.125, 0.25, 0.375)
+    now[0] = 1.0
+    other.msg_received(1, 3, 1, 0, 64, 0, 0.625, 0.75, 0.875)
+    now[0] = 2.0
+    sender.msgs_freed(3, 1, 0, [(0, 0, 64)])
+    sender.msg_received(0, 3, 1, 0, 64, 0, 1.25, 1.5, 1.625)
+    assert [len(k.causal.e2e) for k in kids] == [1, 0]
+    blobs = [pickle.dumps(k.snapshot()) for k in kids]
+    merged = _merged(_bounded, [blobs[i] for i in order])
+    assert sorted(merged.causal.e2e) == [0.75, 1.5]
+    assert _e2e_digest_total(merged) == 2
 
 
 # -- a refused merge changes nothing -------------------------------------------

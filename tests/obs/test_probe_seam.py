@@ -23,6 +23,7 @@ import ast
 import hashlib
 import inspect
 import itertools
+import json
 import pathlib
 import pickle
 import sys
@@ -39,7 +40,7 @@ from repro.core.freelist import fl_alloc
 from repro.core.layout import MPFConfig
 from repro.core.ops import MPFView
 from repro.core.protocol import BROADCAST, FCFS
-from repro.obs import Recorder
+from repro.obs import CausalTracer, Recorder, pair_deliveries
 from repro.runtime.blocking import MPFSystem
 from repro.runtime.posix import PosixSegment
 from repro.runtime.sim import SimRuntime
@@ -235,8 +236,9 @@ def _broadcast_ring() -> Recorder:
 
 
 def _serve_knee() -> Recorder:
-    # Bounded tracer: the e2e sketch and the timeline's e2e digests.
-    rec = Recorder(causal=True, causal_max_events=512, timeline=True)
+    # A tight bound: the stride sample, the e2e sketch and the
+    # timeline's e2e digests.
+    rec = Recorder(causal=CausalTracer(limit=512), timeline=True)
     run_point(ServeShape(), 300.0, 240, recorder=rec)
     assert rec.causal.stride > 1 and len(rec.causal.e2e) > 500
     return rec
@@ -247,23 +249,26 @@ def _serve_knee() -> Recorder:
 #: surface, the causal event tuples with all four stamps, the e2e sketch
 #: and the total / dropped books — recorded at e7455da, the last commit
 #: on which each sink stored and merged its own cells, before the first
-#: edit of the store that replaced them.
+#: edit of the store that replaced them.  The first two runs' ``e2e``,
+#: ``timeline_doc`` and ``prometheus`` were re-pinned when every tracer
+#: gained the e2e sketch; without their e2e series they still hash to
+#: :data:`BEFORE_THE_SKETCH`.
 PINNED = {
     _fcfs_freelist: {
         "books": "d59b0d4da199fe2b", "causal_events": "d6c41e64cbcb22a7",
-        "chrome_trace": "94ff4d968a0cc104", "e2e": "dc937b59892604f5",
+        "chrome_trace": "94ff4d968a0cc104", "e2e": "f0f5e1dfb525e03f",
         "flow_dot": "e859db96f2bb6270", "jsonl": "ecdae6c37c593892",
-        "lock_profile": "6e80cc6049196688", "prometheus": "426a36266e54ceea",
+        "lock_profile": "6e80cc6049196688", "prometheus": "7de8f9f3c6c595aa",
         "sojourn": "5831c63f605cee5a", "summary": "1833bd8db5cf997b",
-        "timeline_doc": "d73494471c3ce979",
+        "timeline_doc": "93093d18e5577ce6",
     },
     _broadcast_ring: {
         "books": "5797b50d05dbdeca", "causal_events": "cba2f54b837567a6",
-        "chrome_trace": "4e310f701e82a4d0", "e2e": "dc937b59892604f5",
+        "chrome_trace": "4e310f701e82a4d0", "e2e": "4fd0d5ed293e5ce4",
         "flow_dot": "d49c3245c3c9b6d0", "jsonl": "beda0658da366540",
-        "lock_profile": "d42c625dd4414661", "prometheus": "47e1610e1ef3cd4c",
+        "lock_profile": "d42c625dd4414661", "prometheus": "10bdbddc9c8e809a",
         "sojourn": "a1d097e4ae8c063a", "summary": "455f8e19b705a5f1",
-        "timeline_doc": "b16bc4f9aa772813",
+        "timeline_doc": "6d12d54b175ae885",
     },
     _serve_knee: {
         "books": "457850383d6f6724", "causal_events": "18ca1f148f31919d",
@@ -291,6 +296,34 @@ def test_traced_snapshot_is_the_parents(run, exports):
     fresh = Recorder()
     fresh.merge(pickle.loads(pickle.dumps(rec.snapshot())))
     assert _digests(exports(fresh)) == PINNED[run]
+
+
+#: ``timeline_doc`` / ``prometheus`` of the first two runs at e7455da,
+#: when their tracers kept a prefix and no e2e sketch.
+BEFORE_THE_SKETCH = {
+    _fcfs_freelist: ("d73494471c3ce979", "426a36266e54ceea"),
+    _broadcast_ring: ("b16bc4f9aa772813", "47e1610e1ef3cd4c"),
+}
+
+
+@pytest.mark.parametrize("run", BEFORE_THE_SKETCH,
+                         ids=lambda f: f.__name__.strip("_"))
+def test_the_sketch_added_only_e2e_series(run, exports):
+    """The e2e sketch holds what post-hoc pairing of the stored events
+    finds, and the timeline's e2e digests are all it added."""
+    rec = run()
+    pairs = pair_deliveries(rec.causal)
+    assert sorted(rec.causal.e2e) == sorted(r.t2 - s.t0 for s, r in pairs)
+    doc = rec.timeline.to_doc()
+    for win in doc["windows"]:
+        win["digests"] = {k: d for k, d in win["digests"].items()
+                          if not k.endswith("|e2e")}
+    prom = "".join(line + "\n" for line in
+                   exports(rec)["prometheus"].splitlines()
+                   if 'metric="e2e"' not in line)
+    assert _digests({"doc": json.dumps(doc, sort_keys=True),
+                     "prom": prom}) == dict(zip(("doc", "prom"),
+                                                BEFORE_THE_SKETCH[run]))
 
 
 # -- one time axis --------------------------------------------------------------
@@ -334,7 +367,7 @@ def _ping_pong(sender, receiver, n: int = 5) -> None:
 
 
 def _traced() -> Recorder:
-    return Recorder(causal=True, causal_max_events=1000, timeline=True)
+    return Recorder(causal=CausalTracer(limit=1000), timeline=True)
 
 
 def test_blocking_client_records_on_one_time_axis():

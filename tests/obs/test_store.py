@@ -20,7 +20,7 @@ import repro.obs
 from repro.obs import Histogram, Recorder, Store, Timeline
 from repro.obs.causal import CausalTracer, MsgEvent, StageStats
 from repro.obs.recorder import LockStats, Span, WorkStats
-from repro.obs.store import Gauge, Log, add_counts, log2_us_bucket
+from repro.obs.store import Gauge, Log, Sample, add_counts, log2_us_bucket
 
 SRC = pathlib.Path(repro.__file__).parent
 OBS = SRC / "obs"
@@ -88,6 +88,40 @@ def test_log_keeps_a_prefix_and_counts_the_rest():
     back = pickle.loads(pickle.dumps(roomy))
     assert (list(back), back.limit, back.total, back.dropped) == (
         list(roomy), 4, 7, 3)
+
+
+def _offered(sample: Sample, keys) -> Sample:
+    for k in keys:
+        if sample.admit(k):
+            sample.append(k)
+    return sample
+
+
+def _state(sample: Sample) -> tuple:
+    return sorted(sample), sample.stride, sample.total, sample.dropped
+
+
+def test_sample_keeps_the_smallest_stride_that_fits_in_any_order():
+    keys = [k % 11 for k in range(40)]  # eleven keys, three or four each
+    whole = _offered(Sample(8, int), keys)
+    assert _state(whole) == ([0] * 4 + [8] * 3, 8, 40, 33)
+    for cut in (0, 7, 20, 33):
+        a = _offered(Sample(8, int), keys[:cut])
+        b = _offered(Sample(8, int), keys[cut:])
+        ab, ba = pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))
+        ab.fold(b)
+        ba.fold(a)
+        assert _state(ab) == _state(ba) == _state(whole)
+        backwards = _offered(Sample(8, int), keys[cut:] + keys[:cut])
+        assert _state(backwards) == _state(whole)
+
+
+def test_a_sample_past_its_bound_keeps_key_zero_only():
+    sample = _offered(Sample(3, int), [0, 5, 0, 6, 0, 0, 7])
+    assert _state(sample) == ([0] * 4, 4, 7, 3)
+    other = _offered(Sample(3, int), [0, 1, 2])
+    other.fold(sample)
+    assert _state(other) == ([0] * 5, 4, 10, 5)
 
 
 def test_records_are_tuples_and_spell_their_dicts():
@@ -181,10 +215,14 @@ def test_one_function_decides_whether_a_log_has_room():
         return _reads(n, "limit") and isinstance(n.ctx, ast.Load)
     deciders = _where(lambda n: isinstance(n, (ast.Compare, ast.BinOp)) and any(
         reads_limit(m) for m in ast.walk(n)))
-    assert deciders == {"obs/store.py:Log.admit"}
-    # The two logs of repro.obs are Logs, each offered records one way.
+    assert deciders == {"obs/store.py:Log.admit", "obs/store.py:Sample.admit",
+                        "obs/store.py:Sample.fold"}
+    # The two bounded lists of repro.obs are the span Log and the
+    # tracer's Sample, each offered records one way.
     assert _where(lambda n: _calls(n, "Log"), OBS) == {
-        "obs/recorder.py:Recorder.__init__", "obs/causal.py:CausalTracer.__init__"}
+        "obs/recorder.py:Recorder.__init__"}
+    assert _where(lambda n: _calls(n, "Sample"), OBS) == {
+        "obs/causal.py:CausalTracer.__init__"}
     admits = _where(lambda n: _calls(n, "admit"))
     assert admits >= {"obs/recorder.py:Recorder.on_charge",
                       "obs/causal.py:CausalTracer.on_send",

@@ -23,7 +23,7 @@ import sys
 import pytest
 
 from repro.core.protocol import FCFS
-from repro.obs import Histogram, Recorder, Timeline
+from repro.obs import CausalTracer, Histogram, Recorder, Timeline
 from repro.obs.store import log2_us_bucket
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
@@ -191,7 +191,7 @@ def test_fig3_output_byte_identical_with_timeline():
 
 def test_timeline_does_not_change_simulated_time_or_lock_profile():
     plain = Recorder()
-    timed = Recorder(causal=True, causal_max_events=4096, timeline=True)
+    timed = Recorder(causal=CausalTracer(limit=4096), timeline=True)
     a = SimRuntime(recorder=plain).run(WORKERS)
     b = SimRuntime(recorder=timed).run(WORKERS)
     assert b.elapsed == a.elapsed

@@ -136,7 +136,7 @@ def test_live_scrape_during_threads_probe():
     from repro.obs import LiveTelemetryServer, fetch_metrics
 
     shape = ServeShape(policy="stall").with_load_features(batch=8)
-    rec = Recorder(causal=True, causal_max_events=65536, timeline=True)
+    rec = Recorder(causal=True, timeline=True)
     health = HealthEngine(rec.timeline, tier_of=serve_tier_of)
     server = LiveTelemetryServer(rec, health=health)
     url = server.start()

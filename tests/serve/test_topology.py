@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import CausalTracer, Recorder
 from repro.serve import ServeShape, serve_config
 from repro.serve.sweep import client_schedules, run_point
 from repro.serve.topology import serve_machine
@@ -78,8 +79,8 @@ class TestEndToEnd:
 
     def test_causal_tracing_attaches_bounded_tracer(self):
         point, rec = run_point(SMALL, rate=100.0, n_requests=100,
-                               causal=True, causal_max_events=256)
-        assert rec is not None and rec.causal is not None
+                               recorder=Recorder(causal=CausalTracer(256)))
+        assert rec.causal.stride > 1
         assert len(rec.causal.events) <= 256
         assert point["completed"] == 100
 
