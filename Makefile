@@ -28,34 +28,31 @@ bench:
 shapes:
 	$(PY) -m pytest benchmarks/ --benchmark-disable -q
 
-# Model-check the primitives: every scenario over seeded schedules (must
-# stay clean), plus one injected bug per fault family (the checker must
-# catch it, or the target fails), then the oracles on threads and forked
-# processes — both on ProcSync; mixed-protocol and ring-wrap are the
-# BROADCAST wake paths.  CI's check-smoke job runs exactly this list.
-# See docs/checking.md.
+# Model-check the primitives, row by row from the scenario table
+# (repro.check.SCENARIOS: each name and the faults it declares): every
+# scenario clean over seeded schedules on the simulator and over repeated
+# runs on threads and forked processes (both on ProcSync), and every
+# declared fault caught on the simulator, or the target fails.  Two rows
+# more: select-poll with MPF_FUSION=off, and ring-wrap under exhaustive
+# DFS.  CI's check-smoke job runs exactly this target.  See
+# docs/checking.md.
+SCENARIO_TABLE = $(PY) -c "from repro.check import SCENARIOS; [print(n, *s.faults) for n, s in SCENARIOS.items()]"
+EXPLORE = $(PY) -m repro.check explore
 check:
-	$(PY) -m repro.check explore --scenario fcfs-race --seeds 200
-	$(PY) -m repro.check explore --scenario connect-churn --seeds 200
-	$(PY) -m repro.check explore --scenario freelist-churn --seeds 200
-	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 200
-	$(PY) -m repro.check explore --scenario block-churn --seeds 200
-	$(PY) -m repro.check explore --scenario select-poll --seeds 200
-	MPF_FUSION=off $(PY) -m repro.check explore --scenario select-poll --seeds 200
-	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200
-	$(PY) -m repro.check explore --scenario ring-wrap --seeds 200 --policy dfs
-	$(PY) -m repro.check explore --scenario fcfs-race --seeds 200 --fault torn-send --expect-fail
-	$(PY) -m repro.check explore --scenario mixed-protocol --seeds 50 --fault drop-wake --expect-fail
-	$(PY) -m repro.check explore --scenario ring-wrap --seeds 50 --fault drop-wake --expect-fail
-	$(PY) -m repro.check explore --scenario fcfs-race --runtime threads --repeats 10
-	$(PY) -m repro.check explore --scenario block-churn --runtime threads --repeats 10
-	$(PY) -m repro.check explore --scenario mixed-protocol --runtime threads --repeats 10
-	$(PY) -m repro.check explore --scenario ring-wrap --runtime threads --repeats 10
-	$(PY) -m repro.check explore --scenario fcfs-race --runtime procs --repeats 10
-	$(PY) -m repro.check explore --scenario freelist-churn --runtime procs --repeats 10
-	$(PY) -m repro.check explore --scenario block-churn --runtime procs --repeats 10
-	$(PY) -m repro.check explore --scenario mixed-protocol --runtime procs --repeats 10
-	$(PY) -m repro.check explore --scenario ring-wrap --runtime procs --repeats 10
+	@run() { echo "$$*"; "$$@"; }; \
+	table=$$($(SCENARIO_TABLE)) && [ -n "$$table" ] || exit 1; \
+	echo "$$table" | while read name faults; do \
+	  for how in "--seeds 200" "--runtime threads --repeats 10" \
+	             "--runtime procs --repeats 10"; do \
+	    run $(EXPLORE) --scenario $$name $$how || exit 1; \
+	  done; \
+	  for fault in $$faults; do \
+	    run $(EXPLORE) --scenario $$name --seeds 200 --fault $$fault \
+	      --expect-fail || exit 1; \
+	  done; \
+	done
+	MPF_FUSION=off $(EXPLORE) --scenario select-poll --seeds 200
+	$(EXPLORE) --scenario ring-wrap --seeds 200 --policy dfs
 
 # Real-process smoke: both ledger pipes (the benchmark is run, not
 # edited) as is and confined to one CPU — spin-then-park must stay

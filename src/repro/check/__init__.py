@@ -11,17 +11,23 @@ Pieces:
 
 * :mod:`~repro.check.scheduler` — policies (seeded random walk,
   preemption-bounded walk, exhaustive DFS), the controlled-run driver,
-  and thread-runtime cross-validation;
-* :mod:`~repro.check.invariants` — quiescence tiers plus delivery
-  oracles, over the structural checks of :mod:`repro.core.inspect`;
+  threads / procs cross-validation, and the one logging ``Env`` every
+  worker runs on: it records what the worker sent and received, and
+  injects the run's fault into its sends on the circuit named ``data``;
+* :mod:`~repro.check.invariants` — quiescence tiers plus the one
+  delivery law (:func:`check_delivery`, the paper's §2 contract),
+  over the structural checks of :mod:`repro.core.inspect`.  The law
+  assumes receivers connect before traffic starts and the run drains;
+  the scenarios' gate protocol and the final ``expect_empty`` tier
+  guarantee both;
 * :mod:`~repro.check.deadlock` — stall classification (lock cycle,
   lost wakeup, the paper's §3.2 lost-message hazard) with a wait-for
   report;
 * :mod:`~repro.check.replay` — decision-trace record/replay and greedy
   minimization;
 * :mod:`~repro.check.scenarios` — adversarial programs (racing FCFS
-  receivers, connect/disconnect churn, free-list exhaustion,
-  mixed-protocol circuits);
+  receivers, connect/disconnect churn, free-list and block-pool
+  exhaustion, mixed-protocol circuits, ring wrap, select polling);
 * :mod:`~repro.check.faults` — intentionally broken operations proving
   the checker detects what it claims to detect.
 
@@ -33,10 +39,8 @@ from .deadlock import BlockedInfo, StallReport, analyze_stall
 from .invariants import (
     InvariantViolation,
     SteadyProbe,
-    check_broadcast_delivery,
-    check_fcfs_delivery,
+    check_delivery,
     check_invariants,
-    check_traffic_counts,
     collect_violations,
     segment_quiescent,
 )
@@ -79,7 +83,5 @@ __all__ = [
     "collect_violations",
     "segment_quiescent",
     "SteadyProbe",
-    "check_fcfs_delivery",
-    "check_broadcast_delivery",
-    "check_traffic_counts",
+    "check_delivery",
 ]

@@ -10,9 +10,9 @@ Subcommands::
 Exit status: ``explore`` exits 0 when the verdict matches expectation
 (clean normally, failing under ``--expect-fail``) and 1 otherwise;
 ``replay`` exits 0 iff the recorded status reproduces; ``minimize``
-exits 0 on success.  The CI ``check-smoke`` job runs three clean
-explorations plus one ``--fault ... --expect-fail`` run, so a checker
-that stops detecting bugs fails CI.
+exits 0 on success.  The CI ``check-smoke`` job runs ``make check``:
+every scenario clean and every fault it declares ``--expect-fail``, so
+a checker that stops detecting bugs fails CI.
 """
 
 from __future__ import annotations

@@ -125,7 +125,8 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     return seqno
 
 
-#: Injectable faults by CLI name.  ``torn-send`` reroutes a scenario's
-#: sends through :func:`unlocked_send`; ``drop-wake`` wraps its senders'
-#: whole generator in :func:`drop_wake`.
+#: Injectable faults by CLI name.  The checker's ``Env`` injects one
+#: into every send on a scenario's ``data`` circuit: ``torn-send``
+#: reroutes the send through :func:`unlocked_send`, ``drop-wake`` wraps
+#: it in :func:`drop_wake`.
 FAULTS = ("torn-send", "drop-wake")

@@ -9,21 +9,24 @@ model checking:
 * **quiescence classification** — deciding at which points of a
   controlled run each invariant tier may be evaluated without false
   alarms (see :func:`segment_quiescent` and :class:`SteadyProbe`);
-* **delivery oracles** — end-to-end contracts (FCFS exactly-once and
-  per-sender FIFO order, BROADCAST every-receiver in-order delivery,
-  paper §2; the segment's traffic counters against what the workers
-  themselves counted) evaluated on worker return values after a run.
+* **the delivery law** — the paper's §2 contract stated once
+  (:func:`check_delivery`: FCFS exactly-once, BROADCAST every receiver
+  in one order, per-sender FIFO order, the segment's traffic counters
+  against the logged traffic), judged on what every worker of a run
+  sent and received.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import Counter, defaultdict
+from typing import Iterable
 
 from ..core.inspect import (
     InvariantViolation,
     check_invariants,
     collect_violations,
 )
+from ..core.protocol import BROADCAST, FCFS, Protocol
 
 __all__ = [
     "InvariantViolation",
@@ -31,9 +34,7 @@ __all__ = [
     "collect_violations",
     "segment_quiescent",
     "SteadyProbe",
-    "check_fcfs_delivery",
-    "check_broadcast_delivery",
-    "check_traffic_counts",
+    "check_delivery",
 ]
 
 
@@ -70,77 +71,88 @@ class SteadyProbe:
             check_invariants(self.view, level="steady")
 
 
-def check_fcfs_delivery(
-    sent: Sequence[bytes],
-    received: Sequence[Sequence[bytes]],
-    senders: Iterable[int] | None = None,
-) -> list[str]:
-    """FCFS contract: exactly-once delivery, FIFO order per sender.
+def check_delivery(logs: Iterable[tuple[list, list]], totals: dict) -> list[str]:
+    """The paper's §2 delivery contract over what a run's workers did.
 
-    ``sent`` is the full multiset of payloads enqueued (in per-sender
-    order); ``received`` holds each FCFS receiver's payloads in receive
-    order.  With ``senders`` given, payloads are ``bytes([sender, i])``
-    and FIFO order is checked per sender; without, ``sent`` is one
-    sender's sequence and each receiver's takes must respect its order.
+    ``logs`` holds one ``(sent, received)`` pair per worker, each in call
+    order: ``sent`` its completed ``message_send`` calls as ``(circuit,
+    rank, payload)``, ``received`` its completed ``message_receive`` calls
+    as ``(circuit, rank, protocol, payload)``.  ``totals`` carries the
+    segment's ``total_sends`` / ``total_receives``
+    (:func:`~repro.core.inspect.traffic_totals`).  Checked:
+
+    1. the segment's counters equal the logged counts (a counter updated
+       outside the lock that guards it breaks this);
+
+    and on every circuit:
+
+    2. if an FCFS receiver took from it, the FCFS receivers together
+       took exactly the multiset sent;
+    3. every BROADCAST receiver saw every payload, and all BROADCAST
+       receivers saw the same sequence;
+    4. every receiver took each sender's payloads in send order — over
+       the payloads that occur once on the circuit, since a repeated
+       token such as ``b"ready"`` carries no order.
+
+    The law assumes every receiver connected before traffic started and
+    the run drained.  Returns violation strings (empty = clean).
     """
-    out: list[str] = []
-    union = [m for got in received for m in got]
-    if sorted(union) != sorted(sent):
-        missing = set(sent) - set(union)
-        extra = [m for m in union if m not in set(sent)]
-        dupes = len(union) - len(set(union))
-        out.append(
-            "FCFS exactly-once broken: "
-            f"{len(union)} received vs {len(sent)} sent"
-            + (f", missing {sorted(missing)}" if missing else "")
-            + (f", unexpected {extra}" if extra else "")
-            + (f", {dupes} duplicate(s)" if dupes else "")
-        )
-    if senders is not None:
-        for ri, got in enumerate(received):
-            for s in senders:
-                idxs = [m[1] for m in got if m and m[0] == s]
-                if idxs != sorted(idxs):
-                    out.append(
-                        f"FCFS order broken: receiver {ri} saw sender {s}'s "
-                        f"messages as {idxs}"
-                    )
-    else:
-        pos = {m: i for i, m in enumerate(sent)}
-        for ri, got in enumerate(received):
-            idxs = [pos[m] for m in got if m in pos]
-            if idxs != sorted(idxs):
-                out.append(
-                    f"FCFS order broken: receiver {ri} took send positions "
-                    f"{idxs}"
-                )
+    sent: dict[str, list[tuple[int, bytes]]] = defaultdict(list)
+    took: dict[str, dict[tuple[int, Protocol], list[bytes]]] = \
+        defaultdict(dict)
+    logged = {"sends": 0, "receives": 0}
+    for sends, receives in logs:
+        logged["sends"] += len(sends)
+        logged["receives"] += len(receives)
+        for circuit, rank, payload in sends:
+            sent[circuit].append((rank, payload))
+        for circuit, rank, protocol, payload in receives:
+            took[circuit].setdefault((rank, protocol), []).append(payload)
+    out = [f"header counts {totals[f'total_{what}']} {what}, workers "
+           f"completed {n}"
+           for what, n in logged.items() if totals[f"total_{what}"] != n]
+    for circuit in sorted(sent.keys() | took.keys()):
+        out += _circuit_law(circuit, sent[circuit],
+                            sorted(took[circuit].items()))
     return out
 
 
-def check_broadcast_delivery(
-    sent: Sequence[bytes], got: Sequence[bytes], who: str = "receiver"
-) -> list[str]:
-    """BROADCAST contract: every receiver sees every message, in order."""
-    if list(got) != list(sent):
-        return [
-            f"BROADCAST delivery broken: {who} saw {list(got)!r}, "
-            f"expected {list(sent)!r}"
-        ]
-    return []
-
-
-def check_traffic_counts(header: dict, sends: int, receives: int) -> list[str]:
-    """Header counts == delivered counts.
-
-    ``sends`` / ``receives`` are the ``message_send`` / ``message_receive``
-    calls the workers saw return; ``header`` is the run's
-    :attr:`~repro.runtime.base.RunResult.header`.  A mismatch on a real
-    runtime means a counter was updated outside the lock that guards it.
-    """
+def _circuit_law(circuit: str, sent: list, took: list) -> list[str]:
+    """Items 2–4 of :func:`check_delivery` on one circuit: ``sent`` holds
+    its ``(rank, payload)`` sends, ``took`` its receivers'
+    ``((rank, protocol), payloads)``."""
     out = []
-    for what, counted in (("sends", sends), ("receives", receives)):
-        read = header[f"total_{what}"]
-        if read != counted:
-            out.append(f"header counts {read} {what}, workers completed "
-                       f"{counted}")
+    want = Counter(p for _, p in sent)
+    fcfs = Counter(p for (_, proto), got in took if proto == FCFS
+                   for p in got)
+    if fcfs and fcfs != want:
+        out.append(f"{circuit}: FCFS receivers took {fcfs.total()} of "
+                   f"{want.total()} sent" + _diff(fcfs, want))
+    bcast = [(rank, got) for (rank, proto), got in took if proto == BROADCAST]
+    for rank, got in bcast:
+        if Counter(got) != want:
+            out.append(f"{circuit}: BROADCAST receiver p{rank} saw "
+                       f"{len(got)} of {want.total()} sent"
+                       + _diff(Counter(got), want))
+    if len({tuple(got) for _, got in bcast}) > 1:
+        out.append(f"{circuit}: BROADCAST receivers saw different orders: "
+                   + "; ".join(f"p{rank} {got}" for rank, got in bcast))
+    pos = {p: (rank, i) for i, (rank, p) in enumerate(sent) if want[p] == 1}
+    for (rank, _), got in took:
+        last: dict[int, int] = {}
+        for p in got:
+            if p in pos:
+                sender, i = pos[p]
+                if i < last.get(sender, -1):
+                    out.append(f"{circuit}: p{rank} took p{sender}'s {p!r} "
+                               f"after one p{sender} sent later")
+                    break
+                last[sender] = i
     return out
+
+
+def _diff(got: Counter, want: Counter) -> str:
+    missing = sorted((want - got).elements())
+    extra = sorted((got - want).elements())
+    return ((f", missing {missing}" if missing else "")
+            + (f", unexpected {extra}" if extra else ""))

@@ -17,10 +17,20 @@ small **gate protocol** built from MPF itself:
   future FCFS joiner — BROADCAST deliveries would be lost if the
   schedule ran the lead first).
 
-With the gate in place, every interleaving of a clean scenario must
-terminate with every oracle satisfied; any deadlock, invariant
-violation, or oracle miss the explorer finds is a real bug (or a real
-injected fault).
+The gate is also what makes one delivery law enough to judge every
+scenario (:func:`~repro.check.invariants.check_delivery`, over what the
+workers sent and received): the law assumes every receiver connected
+before traffic started — the gate (or, where a stable receiver leads,
+its ``go``) orders every receive open before the first send it must
+see, and a ``go`` sent early waits for its FCFS joiner — and that the
+run drained, which the final invariant tier (``expect_empty``) demands
+of every scenario.  So every interleaving of a clean scenario must
+terminate drained and lawful; any deadlock, invariant violation or
+broken law the explorer finds is a real bug (or a real injected fault).
+
+A scenario declares the faults it is meant to catch; the checker's
+``Env`` injects one into every send on the circuit named ``data``, and
+no other.
 """
 
 from __future__ import annotations
@@ -33,36 +43,53 @@ from ..core.errors import OutOfMessageMemoryError
 from ..core.protocol import Protocol
 from ..patterns import select_receive
 from ..runtime.base import Env, Worker
-from .faults import drop_wake, unlocked_send
-from .invariants import check_broadcast_delivery, check_fcfs_delivery
 
 __all__ = ["Scenario", "SCENARIOS"]
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One checkable MPF program: workers, sizing, oracle, faults."""
+    """One checkable MPF program: workers, sizing, faults."""
 
     name: str
     doc: str
     cfg: MPFConfig
-    #: ``build(fault)`` returns the worker list; ``fault`` is ``None`` or
-    #: a member of :attr:`faults`.
-    build: Callable[[str | None], list[Worker]]
-    #: ``oracle(results)`` returns violation strings (empty = clean);
-    #: ``results`` maps process name to worker return value.
-    oracle: Callable[[dict], list[str]]
-    #: Fault names this scenario knows how to inject.
+    #: ``build()`` returns the worker list.
+    build: Callable[[], list[Worker]]
+    #: Fault names the checker may inject into this scenario's ``data``
+    #: sends.
     faults: tuple[str, ...] = ()
-    #: Whether a clean run must drain the segment completely.
-    expect_empty: bool = True
 
 
-def _maybe_torn(env: Env, lid: int, payload: bytes, fault: str | None):
-    """Route one send through the torn-link mutant when injected."""
-    if fault == "torn-send":
-        return unlocked_send(env.view, env.rank, lid, payload)
-    return env.message_send(lid, payload)
+def _gated_receiver(protocol: Protocol, n: int) -> Worker:
+    """Open ``data`` with ``protocol``, report ready on ``gate``, take ``n``."""
+
+    def body(env: Env):
+        data = yield from env.open_receive("data", protocol)
+        gate = yield from env.open_send("gate")
+        yield from env.message_send(gate, b"ready")
+        for _ in range(n):
+            yield from env.message_receive(data)
+        yield from env.close_receive(data)
+        yield from env.close_send(gate)
+
+    return body
+
+
+def _gated_sender(n_ready: int, payloads: list[bytes]) -> Worker:
+    """The lead: collect ``n_ready`` tokens, then send ``payloads``."""
+
+    def body(env: Env):
+        data = yield from env.open_send("data")
+        gate = yield from env.open_receive("gate", Protocol.FCFS)
+        for _ in range(n_ready):
+            yield from env.message_receive(gate)
+        for payload in payloads:
+            yield from env.message_send(data, payload)
+        yield from env.close_receive(gate)
+        yield from env.close_send(data)
+
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +102,7 @@ _RACE_MSGS = 4  # per sender
 _RACE_QUOTA = (3, 3, 2)  # per receiver; sums to _RACE_SENDERS * _RACE_MSGS
 
 
-def _race_build(fault: str | None) -> list[Worker]:
+def _race_build() -> list[Worker]:
     def lead(env: Env):  # rank 0: sender + gate collector
         data = yield from env.open_send("data")
         gate = yield from env.open_receive("gate", Protocol.FCFS)
@@ -85,11 +112,10 @@ def _race_build(fault: str | None) -> list[Worker]:
         for _ in range(_RACE_SENDERS - 1):
             yield from env.message_send(go, b"go")
         for i in range(_RACE_MSGS):
-            yield from _maybe_torn(env, data, bytes([env.rank, i]), fault)
+            yield from env.message_send(data, bytes([env.rank, i]))
         yield from env.close_receive(gate)
         yield from env.close_send(data)
         yield from env.close_send(go)
-        return "lead"
 
     def sender(env: Env):  # rank 1
         data = yield from env.open_send("data")
@@ -98,34 +124,13 @@ def _race_build(fault: str | None) -> list[Worker]:
         yield from env.message_send(gate, b"ready")
         yield from env.message_receive(go)
         for i in range(_RACE_MSGS):
-            yield from _maybe_torn(env, data, bytes([env.rank, i]), fault)
+            yield from env.message_send(data, bytes([env.rank, i]))
         yield from env.close_receive(go)
         yield from env.close_send(data)
         yield from env.close_send(gate)
-        return "sender"
 
-    def receiver(quota: int) -> Worker:
-        def body(env: Env):
-            data = yield from env.open_receive("data", Protocol.FCFS)
-            gate = yield from env.open_send("gate")
-            yield from env.message_send(gate, b"ready")
-            got = []
-            for _ in range(quota):
-                msg = yield from env.message_receive(data)
-                got.append(bytes(msg))
-            yield from env.close_receive(data)
-            yield from env.close_send(gate)
-            return got
-
-        return body
-
-    return [lead, sender] + [receiver(q) for q in _RACE_QUOTA]
-
-
-def _race_oracle(results: dict) -> list[str]:
-    sent = [bytes([s, i]) for s in range(_RACE_SENDERS) for i in range(_RACE_MSGS)]
-    received = [results[f"p{2 + k}"] for k in range(_RACE_RECEIVERS)]
-    return check_fcfs_delivery(sent, received, senders=range(_RACE_SENDERS))
+    return [lead, sender] + [_gated_receiver(Protocol.FCFS, q)
+                             for q in _RACE_QUOTA]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,7 @@ _CHURN_ROUNDS = 3
 _CHURN_MSGS = 2  # per round
 
 
-def _churn_build(fault: str | None) -> list[Worker]:
+def _churn_build() -> list[Worker]:
     total = _CHURN_PROCS * _CHURN_ROUNDS * _CHURN_MSGS
 
     def receiver(env: Env):  # rank 0: stable receiver, holds the circuit open
@@ -145,13 +150,10 @@ def _churn_build(fault: str | None) -> list[Worker]:
         go = yield from env.open_send("go")
         for _ in range(_CHURN_PROCS):
             yield from env.message_send(go, b"go")
-        got = []
         for _ in range(total):
-            msg = yield from env.message_receive(data)
-            got.append(bytes(msg))
+            yield from env.message_receive(data)
         yield from env.close_receive(data)
         yield from env.close_send(go)
-        return got
 
     def churner(env: Env):  # ranks 1..: connect, send, disconnect, repeat
         go = yield from env.open_receive("go", Protocol.FCFS)
@@ -160,29 +162,10 @@ def _churn_build(fault: str | None) -> list[Worker]:
         for r in range(_CHURN_ROUNDS):
             data = yield from env.open_send("data")
             for i in range(_CHURN_MSGS):
-                payload = bytes([env.rank, r, i])
-                yield from _maybe_torn(env, data, payload, fault)
+                yield from env.message_send(data, bytes([env.rank, r, i]))
             yield from env.close_send(data)
-        return _CHURN_ROUNDS
 
     return [receiver] + [churner] * _CHURN_PROCS
-
-
-def _churn_oracle(results: dict) -> list[str]:
-    out = []
-    got = sorted(results["p0"])
-    want = sorted(
-        bytes([rank, r, i])
-        for rank in range(1, 1 + _CHURN_PROCS)
-        for r in range(_CHURN_ROUNDS)
-        for i in range(_CHURN_MSGS)
-    )
-    if got != want:
-        out.append(
-            f"stable receiver saw {len(got)} payloads, expected the exact "
-            f"multiset of {len(want)} sent"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +183,7 @@ _POOL_MSGS = 5  # per sender
 _POOL_RETRY_CAP = 100_000
 
 
-def _pool_build(fault: str | None) -> list[Worker]:
+def _pool_build() -> list[Worker]:
     total = _POOL_SENDERS * _POOL_MSGS
 
     def receiver(env: Env):  # rank 0: drains, releasing pool capacity
@@ -224,36 +207,24 @@ def _pool_build(fault: str | None) -> list[Worker]:
             got += 1
         yield from env.close_receive(data)
         yield from env.close_send(go)
-        return got
 
     def sender(env: Env):
         go = yield from env.open_receive("go", Protocol.FCFS)
         yield from env.message_receive(go)
         yield from env.close_receive(go)
         data = yield from env.open_send("data")
-        retries = 0
         for i in range(_POOL_MSGS):
             for attempt in range(_POOL_RETRY_CAP):
                 try:
                     yield from env.message_send(data, bytes([env.rank, i]))
                     break
                 except OutOfMessageMemoryError:
-                    retries += 1
                     yield from env.compute(instrs=10)  # back off, then retry
             else:
                 raise RuntimeError("retry cap exceeded (livelocked schedule?)")
         yield from env.close_send(data)
-        return retries
 
     return [receiver] + [sender] * _POOL_SENDERS
-
-
-def _pool_oracle(results: dict) -> list[str]:
-    out = []
-    if results["p0"] != _POOL_SENDERS * _POOL_MSGS:
-        out.append(f"receiver drained {results['p0']} messages, "
-                   f"expected {_POOL_SENDERS * _POOL_MSGS}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +239,7 @@ _BLK_MSGS = 4  # per sender
 _BLK_PAYLOAD = 30
 
 
-def _blk_build(fault: str | None) -> list[Worker]:
+def _blk_build() -> list[Worker]:
     total = _BLK_SENDERS * _BLK_MSGS
 
     def receiver(env: Env):  # rank 0: drains, freeing chains to the pool
@@ -276,13 +247,10 @@ def _blk_build(fault: str | None) -> list[Worker]:
         go = yield from env.open_send("go")
         for _ in range(_BLK_SENDERS):
             yield from env.message_send(go, b"g")
-        got = []
         for _ in range(total):
-            msg = yield from env.message_receive(data)
-            got.append(bytes(msg[:2]))
+            yield from env.message_receive(data)
         yield from env.close_receive(data)
         yield from env.close_send(go)
-        return got
 
     # Each sender races its peer's allocations and the receiver's
     # frees for the last blocks of the pool.
@@ -292,7 +260,6 @@ def _blk_build(fault: str | None) -> list[Worker]:
         yield from env.close_receive(go)
         data = yield from env.open_send("data")
         pad = b"\0" * (_BLK_PAYLOAD - 2)
-        retries = 0
         for i in range(_BLK_MSGS):
             for _ in range(_POOL_RETRY_CAP):
                 try:
@@ -300,30 +267,12 @@ def _blk_build(fault: str | None) -> list[Worker]:
                         data, bytes([env.rank, i]) + pad)
                     break
                 except OutOfMessageMemoryError:
-                    retries += 1
                     yield from env.compute(instrs=10)
             else:
                 raise RuntimeError("retry cap exceeded (livelocked schedule?)")
         yield from env.close_send(data)
-        return retries
 
     return [receiver] + [sender] * _BLK_SENDERS
-
-
-def _blk_oracle(results: dict) -> list[str]:
-    out = []
-    got = sorted(results["p0"])
-    want = sorted(
-        bytes([rank, i])
-        for rank in range(1, 1 + _BLK_SENDERS)
-        for i in range(_BLK_MSGS)
-    )
-    if got != want:
-        out.append(
-            f"receiver saw {len(got)} payload prefixes, expected the exact "
-            f"multiset of {len(want)} sent"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,65 +284,11 @@ _MIX_FCFS = (2, 2)  # per-receiver quotas; sum to _MIX_MSGS
 _MIX_BCAST = 2
 
 
-def _mix_build(fault: str | None) -> list[Worker]:
-    n_ready = len(_MIX_FCFS) + _MIX_BCAST
-
-    def sender(env: Env):  # rank 0: lead
-        data = yield from env.open_send("data")
-        gate = yield from env.open_receive("gate", Protocol.FCFS)
-        for _ in range(n_ready):
-            yield from env.message_receive(gate)
-        body = sender_body(env, data)
-        if fault == "drop-wake":
-            body = drop_wake(body)
-        yield from body
-        yield from env.close_receive(gate)
-        yield from env.close_send(data)
-        return "sender"
-
-    def sender_body(env: Env, data: int):
-        for i in range(_MIX_MSGS):
-            yield from env.message_send(data, b"m%d" % i)
-
-    def fcfs(quota: int) -> Worker:
-        def body(env: Env):
-            data = yield from env.open_receive("data", Protocol.FCFS)
-            gate = yield from env.open_send("gate")
-            yield from env.message_send(gate, b"ready")
-            got = []
-            for _ in range(quota):
-                msg = yield from env.message_receive(data)
-                got.append(bytes(msg))
-            yield from env.close_receive(data)
-            yield from env.close_send(gate)
-            return got
-
-        return body
-
-    def bcast(env: Env):
-        data = yield from env.open_receive("data", Protocol.BROADCAST)
-        gate = yield from env.open_send("gate")
-        yield from env.message_send(gate, b"ready")
-        got = []
-        for _ in range(_MIX_MSGS):
-            msg = yield from env.message_receive(data)
-            got.append(bytes(msg))
-        yield from env.close_receive(data)
-        yield from env.close_send(gate)
-        return got
-
-    return [sender] + [fcfs(q) for q in _MIX_FCFS] + [bcast] * _MIX_BCAST
-
-
-def _mix_oracle(results: dict) -> list[str]:
-    sent = [b"m%d" % i for i in range(_MIX_MSGS)]
-    fcfs_got = [results[f"p{1 + k}"] for k in range(len(_MIX_FCFS))]
-    out = check_fcfs_delivery(sent, fcfs_got)
-    first_bcast = 1 + len(_MIX_FCFS)
-    for k in range(_MIX_BCAST):
-        out += check_broadcast_delivery(sent, results[f"p{first_bcast + k}"],
-                                        who=f"p{first_bcast + k}")
-    return out
+def _mix_build() -> list[Worker]:
+    return ([_gated_sender(len(_MIX_FCFS) + _MIX_BCAST,
+                           [b"m%d" % i for i in range(_MIX_MSGS)])]
+            + [_gated_receiver(Protocol.FCFS, q) for q in _MIX_FCFS]
+            + [_gated_receiver(Protocol.BROADCAST, _MIX_MSGS)] * _MIX_BCAST)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +300,7 @@ _WRAP_MSGS = 2 * _WRAP_SLOTS + 1  # every slot is reused at least twice
 _WRAP_BCAST = 2
 
 
-def _wrap_build(fault: str | None) -> list[Worker]:
+def _wrap_build() -> list[Worker]:
     """Mixed receivers drain a ring small enough to wrap mid-run.
 
     With {_WRAP_SLOTS} slots and {_WRAP_MSGS} messages, every slot is
@@ -419,59 +314,10 @@ def _wrap_build(fault: str | None) -> list[Worker]:
     (wake only when the retired slot is the one ``next_write`` points
     at).
     """
-    n_ready = 1 + _WRAP_BCAST
-
-    def sender(env: Env):  # rank 0: lead
-        data = yield from env.open_send("data")
-        gate = yield from env.open_receive("gate", Protocol.FCFS)
-        for _ in range(n_ready):
-            yield from env.message_receive(gate)
-        body = sender_body(env, data)
-        if fault == "drop-wake":
-            body = drop_wake(body)
-        yield from body
-        yield from env.close_receive(gate)
-        yield from env.close_send(data)
-        return "sender"
-
-    def sender_body(env: Env, data: int):
-        for i in range(_WRAP_MSGS):
-            yield from env.message_send(data, b"w%d" % i)
-
-    def fcfs(env: Env):
-        data = yield from env.open_receive("data", Protocol.FCFS)
-        gate = yield from env.open_send("gate")
-        yield from env.message_send(gate, b"ready")
-        got = []
-        for _ in range(_WRAP_MSGS):
-            msg = yield from env.message_receive(data)
-            got.append(bytes(msg))
-        yield from env.close_receive(data)
-        yield from env.close_send(gate)
-        return got
-
-    def bcast(env: Env):
-        data = yield from env.open_receive("data", Protocol.BROADCAST)
-        gate = yield from env.open_send("gate")
-        yield from env.message_send(gate, b"ready")
-        got = []
-        for _ in range(_WRAP_MSGS):
-            msg = yield from env.message_receive(data)
-            got.append(bytes(msg))
-        yield from env.close_receive(data)
-        yield from env.close_send(gate)
-        return got
-
-    return [sender, fcfs] + [bcast] * _WRAP_BCAST
-
-
-def _wrap_oracle(results: dict) -> list[str]:
-    sent = [b"w%d" % i for i in range(_WRAP_MSGS)]
-    out = check_fcfs_delivery(sent, [results["p1"]])
-    for k in range(_WRAP_BCAST):
-        out += check_broadcast_delivery(sent, results[f"p{2 + k}"],
-                                        who=f"p{2 + k}")
-    return out
+    return ([_gated_sender(1 + _WRAP_BCAST,
+                           [b"w%d" % i for i in range(_WRAP_MSGS)]),
+             _gated_receiver(Protocol.FCFS, _WRAP_MSGS)]
+            + [_gated_receiver(Protocol.BROADCAST, _WRAP_MSGS)] * _WRAP_BCAST)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +329,7 @@ _POLL_NEWS = 2  # broadcasts, heard by every poller
 _POLL_MAIL = 2  # private FCFS messages per poller
 
 
-def _poll_build(fault: str | None) -> list[Worker]:
+def _poll_build() -> list[Worker]:
     """Pollers wait on "news or my mailbox" with ``select_receive``.
 
     The Gauss-Jordan worker's idiom (paper §2: no select, poll with
@@ -514,36 +360,19 @@ def _poll_build(fault: str | None) -> list[Worker]:
         yield from env.close_receive(gate)
         for cid in [news] + boxes:
             yield from env.close_send(cid)
-        return "sender"
 
     def poller(env: Env):
         news = yield from env.open_receive("news", Protocol.BROADCAST)
         box = yield from env.open_receive(f"box{env.rank}", Protocol.FCFS)
         gate = yield from env.open_send("gate")
         yield from env.message_send(gate, b"ready")
-        got = []
         for _ in range(_POLL_NEWS + _POLL_MAIL):
-            _, msg = yield from select_receive(env, (news, box))
-            got.append(bytes(msg))
+            yield from select_receive(env, (news, box))
         yield from env.close_receive(news)
         yield from env.close_receive(box)
         yield from env.close_send(gate)
-        return got
 
     return [sender] + [poller] * _POLL_POLLERS
-
-
-def _poll_oracle(results: dict) -> list[str]:
-    news = [b"n%d" % i for i in range(_POLL_NEWS)]
-    out = []
-    for rank in range(1, 1 + _POLL_POLLERS):
-        got = results[f"p{rank}"]
-        mail = [b"m%d.%d" % (rank, i) for i in range(_POLL_MAIL)]
-        # Each payload once, and each circuit's messages in FIFO order.
-        out += check_broadcast_delivery(
-            news, [m for m in got if m[:1] == b"n"], who=f"p{rank} news")
-        out += check_fcfs_delivery(mail, [[m for m in got if m[:1] == b"m"]])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +389,6 @@ SCENARIOS: dict[str, Scenario] = {
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
                           message_pool_bytes=1 << 12),
             build=_race_build,
-            oracle=_race_oracle,
             faults=("torn-send",),
         ),
         Scenario(
@@ -570,7 +398,6 @@ SCENARIOS: dict[str, Scenario] = {
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
                           message_pool_bytes=1 << 12),
             build=_churn_build,
-            oracle=_churn_oracle,
             faults=("torn-send",),
         ),
         Scenario(
@@ -580,7 +407,6 @@ SCENARIOS: dict[str, Scenario] = {
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=3,
                           message_pool_bytes=1 << 10),
             build=_pool_build,
-            oracle=_pool_oracle,
             faults=(),
         ),
         Scenario(
@@ -593,7 +419,6 @@ SCENARIOS: dict[str, Scenario] = {
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=16,
                           message_pool_bytes=196),
             build=_blk_build,
-            oracle=_blk_oracle,
             faults=(),
         ),
         Scenario(
@@ -606,7 +431,6 @@ SCENARIOS: dict[str, Scenario] = {
                           message_pool_bytes=1 << 12, transport="ring",
                           ring_slots=_WRAP_SLOTS, ring_slot_bytes=16),
             build=_wrap_build,
-            oracle=_wrap_oracle,
             faults=("drop-wake",),
         ),
         Scenario(
@@ -617,7 +441,6 @@ SCENARIOS: dict[str, Scenario] = {
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
                           message_pool_bytes=1 << 12),
             build=_poll_build,
-            oracle=_poll_oracle,
             faults=(),
         ),
         Scenario(
@@ -627,7 +450,6 @@ SCENARIOS: dict[str, Scenario] = {
             cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
                           message_pool_bytes=1 << 12),
             build=_mix_build,
-            oracle=_mix_oracle,
             faults=("drop-wake",),
         ),
     )

@@ -22,16 +22,19 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.costmodel import DEFAULT_COSTS
 from ..core.errors import DeadlockSuspectedError, MPFError
+from ..core.inspect import traffic_totals
 from ..core.layout import SegmentLayout, format_region
 from ..core.ops import MPFView, fusion_enabled
+from ..core.protocol import Protocol
 from ..core.region import SharedRegion
 from ..machine.engine import DeadlockError, Engine, SimulationError, ZeroTimingModel
-from ..runtime.base import Env
+from ..runtime.base import Env, Worker
 from .deadlock import StallReport, analyze_stall
+from .faults import drop_wake, unlocked_send
 from .invariants import (
     InvariantViolation,
     SteadyProbe,
-    check_traffic_counts,
+    check_delivery,
     collect_violations,
 )
 from .scenarios import Scenario
@@ -159,6 +162,8 @@ class Outcome:
     #: Candidate-set width at each decision (for DFS/minimization).
     widths: list[int]
     events: int
+    #: Process name → its ``(sent, received)`` traffic log
+    #: (:func:`~repro.check.invariants.check_delivery`), on completed runs.
     results: dict | None = None
     report: StallReport | None = None
     view: MPFView | None = None
@@ -172,6 +177,69 @@ class Outcome:
     @property
     def failed(self) -> bool:
         return self.status != "ok"
+
+
+class _LogEnv(Env):
+    """An :class:`Env` that logs the traffic :func:`check_delivery` judges.
+
+    Each completed ``message_send`` is logged as ``(circuit, rank,
+    payload)`` and each completed ``message_receive`` as ``(circuit, rank,
+    protocol, payload)``, circuits named from this worker's own opens.
+    The run's fault is injected into every send on the circuit named
+    ``data``: ``torn-send`` routes it through
+    :func:`~repro.check.faults.unlocked_send`, ``drop-wake`` wraps it in
+    :func:`~repro.check.faults.drop_wake`.
+    """
+
+    __slots__ = ("fault", "names", "protocols", "sent", "received")
+
+    def __init__(self, env: Env, fault: str | None) -> None:
+        super().__init__(env.view, env.rank, env.nprocs, env.now)
+        self.fault = fault
+        self.names: dict[int, str] = {}
+        self.protocols: dict[int, Protocol] = {}
+        self.sent: list[tuple] = []
+        self.received: list[tuple] = []
+
+    def open_send(self, name):
+        lid = yield from super().open_send(name)
+        self.names[lid] = name
+        return lid
+
+    def open_receive(self, name, protocol):
+        lid = yield from super().open_receive(name, protocol)
+        self.names[lid] = name
+        self.protocols[lid] = protocol
+        return lid
+
+    def message_send(self, lnvc_id, data, prelude=None):
+        name = self.names[lnvc_id]
+        if name == "data" and self.fault == "torn-send":
+            op = unlocked_send(self.view, self.rank, lnvc_id, data)
+        else:
+            op = super().message_send(lnvc_id, data, prelude)
+            if name == "data" and self.fault == "drop-wake":
+                op = drop_wake(op)
+        seqno = yield from op
+        self.sent.append((name, self.rank, bytes(data)))
+        return seqno
+
+    def message_receive(self, lnvc_id, max_len=None):
+        payload = yield from super().message_receive(lnvc_id, max_len)
+        self.received.append((self.names[lnvc_id], self.rank,
+                              self.protocols[lnvc_id], bytes(payload)))
+        return payload
+
+
+def _logged(worker: Worker, fault: str | None) -> Worker:
+    """``worker`` on a :class:`_LogEnv`, returning its ``(sent, received)``."""
+
+    def body(env: Env):
+        env = _LogEnv(env, fault)
+        yield from worker(env)
+        return env.sent, env.received
+
+    return body
 
 
 def run_schedule(
@@ -193,7 +261,7 @@ def run_schedule(
     next to its decision trace.
     """
     cfg = scenario.cfg
-    workers = scenario.build(fault)
+    workers = [_logged(w, fault) for w in scenario.build()]
     region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
     layout = format_region(region, cfg)
     view = MPFView(region, layout, DEFAULT_COSTS)
@@ -262,10 +330,8 @@ def run_schedule(
         return out("crash", f"{type(exc).__name__}: {exc}")
 
     results = engine.results()
-    violations = collect_violations(
-        view, level="final", expect_empty=scenario.expect_empty
-    )
-    violations += scenario.oracle(results)
+    violations = collect_violations(view, level="final", expect_empty=True)
+    violations += check_delivery(results.values(), traffic_totals(view))
     if violations:
         return out("invariant", "\n".join(violations), results=results)
     return out("ok", f"clean ({engine.stats.events} events)", results=results)
@@ -359,34 +425,6 @@ def explore_dfs(
     return res
 
 
-class _CountingEnv(Env):
-    """An :class:`Env` that counts the sends and receives it completed."""
-
-    __slots__ = ("sends", "receives")
-
-    def message_send(self, lnvc_id, data, prelude=None):
-        seqno = yield from super().message_send(lnvc_id, data, prelude)
-        self.sends += 1
-        return seqno
-
-    def message_receive(self, lnvc_id, max_len=None):
-        payload = yield from super().message_receive(lnvc_id, max_len)
-        self.receives += 1
-        return payload
-
-
-def _counted(worker):
-    """``worker`` returning ``(its result, sends, receives completed)``."""
-
-    def body(env: Env):
-        env = _CountingEnv(env.view, env.rank, env.nprocs, env.now)
-        env.sends = env.receives = 0
-        result = yield from worker(env)
-        return result, env.sends, env.receives
-
-    return body
-
-
 def run_real(
     scenario: Scenario,
     fault: str | None = None,
@@ -401,24 +439,21 @@ def run_real(
     on ``runtime="procs"`` two workers really do run at once), so a
     clean sim exploration is re-validated here: run the same workers
     ``repeats`` times on :class:`~repro.runtime.threads.ThreadRuntime`
-    or :class:`~repro.runtime.procs.ProcRuntime` and apply the same
-    final invariants and delivery oracle, plus one only real
-    concurrency can break: the header's traffic counters must equal the
-    sends and receives the workers completed
-    (:func:`~repro.check.invariants.check_traffic_counts`).  Returns
+    or :class:`~repro.runtime.procs.ProcRuntime` and judge each run as
+    a controlled one is judged: the final invariants and
+    :func:`~repro.check.invariants.check_delivery`, whose header-count
+    item is the one real concurrency is likeliest to break.  Returns
     violation strings.
     """
     from ..runtime.procs import ProcRuntime
     from ..runtime.threads import ThreadRuntime
 
     def final(view) -> list[str]:
-        return collect_violations(
-            view, level="final", expect_empty=scenario.expect_empty
-        )
+        return collect_violations(view, level="final", expect_empty=True)
 
     out: list[str] = []
     for rep in range(repeats):
-        workers = [_counted(w) for w in scenario.build(fault)]
+        workers = [_logged(w, fault) for w in scenario.build()]
         try:
             if runtime == "procs":
                 # The segment is gone when run() returns: judge it inside.
@@ -435,12 +470,7 @@ def run_real(
         except MPFError as exc:
             out.append(f"run {rep}: {type(exc).__name__}: {exc}")
             break
-        counted = result.results.values()
-        violations += scenario.oracle(
-            {name: c[0] for name, c in result.results.items()})
-        violations += check_traffic_counts(
-            result.header,
-            sum(c[1] for c in counted), sum(c[2] for c in counted))
+        violations += check_delivery(result.results.values(), result.header)
         if violations:
             out.append(f"run {rep}: " + "; ".join(violations))
             break

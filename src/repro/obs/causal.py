@@ -125,11 +125,13 @@ class CausalTracer:
     pairs every send with its receives as they happen (8 bytes per
     delivery), so e2e quantiles over a million-message run stay exact.
     A receive whose send another worker's tracer heard is paired when
-    the two merge (:meth:`fold`).
+    the two merge (:meth:`fold`).  Nor are the traffic counts
+    (:attr:`msgs`, :attr:`nbytes`, read through :meth:`traffic`): the
+    message counters and the flow graph stay whole past the bound.
     """
 
     __slots__ = ("events", "pool_allocs", "pool_failures", "e2e",
-                 "_pending", "_orphans", "_grace", "_keep")
+                 "msgs", "nbytes", "_pending", "_orphans", "_grace", "_keep")
 
     def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
         if limit < 1:
@@ -143,6 +145,11 @@ class CausalTracer:
         self.pool_failures: dict[int, int] = {}
         #: Exact e2e latency sketch, one float per delivery.
         self.e2e = array("d")
+        #: Exact messages and payload bytes per ``(kind, pid, slot,
+        #: gen)``, ``kind`` ``"send"`` or ``"recv"``: counted before the
+        #: sample decides whether the event is stored.
+        self.msgs: dict[tuple, int] = {}
+        self.nbytes: dict[tuple, int] = {}
         self._pending: dict = {}   # key -> send t0
         self._orphans: dict = {}   # key -> [recv t2], matched on merge
         self._grace: dict = {}     # recently freed key -> t0 (see on_free)
@@ -180,6 +187,9 @@ class CausalTracer:
                 t0: float, t1: float, t2: float, t3: float) -> None:
         """Message linked at the FIFO tail at ``t3``."""
         self._pending[(slot, gen, seqno)] = t0
+        flow = ("send", pid, slot, gen)
+        self.msgs[flow] = self.msgs.get(flow, 0) + 1
+        self.nbytes[flow] = self.nbytes.get(flow, 0) + length
         if self.events.admit(seqno):
             self.events.append(MsgEvent(
                 "send", pid, slot, gen, seqno, length, t0, t1, t2, t3,
@@ -194,6 +204,9 @@ class CausalTracer:
         paired it with its send, else ``None`` — what the recorder feeds
         its timeline's per-circuit e2e digests.
         """
+        flow = ("recv", pid, slot, gen)
+        self.msgs[flow] = self.msgs.get(flow, 0) + 1
+        self.nbytes[flow] = self.nbytes.get(flow, 0) + length
         e2e = None
         key = (slot, gen, seqno)
         s0 = self._pending.get(key)
@@ -251,6 +264,13 @@ class CausalTracer:
     def frees(self) -> list[MsgEvent]:
         return [e for e in self.events if e.kind == "free"]
 
+    def traffic(self):
+        """``(kind, pid, (slot, gen), messages, bytes)`` per sender or
+        receiver of each circuit, exact whatever the sample stored."""
+        for key, n in self.msgs.items():
+            kind, pid, slot, gen = key
+            yield kind, pid, (slot, gen), n, self.nbytes[key]
+
     def lnvc_keys(self) -> list[tuple[int, int]]:
         """Distinct ``(slot, gen)`` pairs seen, sorted."""
         return sorted({e.lnvc for e in self.events})
@@ -265,17 +285,19 @@ class CausalTracer:
         """Fold another tracer in (called by :meth:`Recorder.merge
         <repro.obs.recorder.Recorder.merge>` on a snapshot's tracer).
 
-        The sample, the pool counters and the sketch fold as their cells
-        do; what only a tracer knows is how to pair deliveries whose send
-        and receive different tracers heard: ``other``'s sends against
-        our orphan receives and the reverse.  BROADCAST sends stay
-        pending, since later merges may hold more receives.  Returns the
-        pairs made here as ``(t2, slot, e2e)`` for the recorder's
-        timeline.
+        The sample, the pool and traffic counters and the sketch fold as
+        their cells do; what only a tracer knows is how to pair
+        deliveries whose send and receive different tracers heard:
+        ``other``'s sends against our orphan receives and the reverse.
+        BROADCAST sends stay pending, since later merges may hold more
+        receives.  Returns the pairs made here as ``(t2, slot, e2e)`` for
+        the recorder's timeline.
         """
         self.events.fold(other.events)
         add_counts(self.pool_allocs, other.pool_allocs)
         add_counts(self.pool_failures, other.pool_failures)
+        add_counts(self.msgs, other.msgs)
+        add_counts(self.nbytes, other.nbytes)
         late = []
         for sends in (other._pending, other._grace):
             for key, t0 in sends.items():
@@ -409,15 +431,15 @@ def peak_depth(tracer: CausalTracer, slot: int, gen: int) -> int:
 
 
 def busiest_lnvc(tracer: CausalTracer) -> tuple[int, int] | None:
-    """The ``(slot, gen)`` with the most send events (``None`` if no sends).
+    """The ``(slot, gen)`` with the most sends (``None`` if no sends).
 
     Benchmarks run control traffic (barriers) over the same segment as
     the measured circuit; the measured circuit is the busiest one.
     """
     counts: dict[tuple[int, int], int] = {}
-    for e in tracer.events:
-        if e.kind == "send":
-            counts[e.lnvc] = counts.get(e.lnvc, 0) + 1
+    for kind, _, lnvc, n, _ in tracer.traffic():
+        if kind == "send":
+            counts[lnvc] = counts.get(lnvc, 0) + n
     if not counts:
         return None
     return min(counts, key=lambda k: (-counts[k], k))

@@ -309,13 +309,11 @@ def prometheus_exposition(rec: "Recorder") -> str:
 
         sent: dict[tuple[int, int], list[int]] = {}
         received: dict[tuple[int, int], list[int]] = {}
-        for e in tracer.events:
-            table = (sent if e.kind == "send"
-                     else received if e.kind == "recv" else None)
-            if table is not None:
-                wgt = table.setdefault(e.lnvc, [0, 0])
-                wgt[0] += 1
-                wgt[1] += e.length
+        for kind, _, lnvc, msgs, nbytes in tracer.traffic():
+            wgt = (sent if kind == "send" else received).setdefault(
+                lnvc, [0, 0])
+            wgt[0] += msgs
+            wgt[1] += nbytes
         lab = lambda key: {"lnvc": f"lnvc{key[0]}.g{key[1]}"}  # noqa: E731
         w.metric("mpf_messages_sent_total", "counter",
                  "Messages enqueued per circuit (causal trace).",

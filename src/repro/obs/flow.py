@@ -4,9 +4,9 @@ MP net-style reconstruction of a run's communication structure: processes
 and circuits become nodes, send connections and receives become weighted
 edges.  Two builders feed the same graph shape:
 
-* :func:`flow_from_causal` — exact per-message weights from a
-  :class:`~repro.obs.causal.CausalTracer` event stream (message counts
-  and byte totals on every edge);
+* :func:`flow_from_causal` — exact weights from a
+  :class:`~repro.obs.causal.CausalTracer`'s traffic counts (message
+  counts and byte totals on every edge, whatever its sample stored);
 * :func:`flow_from_segment` — a point-in-time approximation from a
   :class:`~repro.core.inspect.SegmentInfo` snapshot (connection topology
   plus per-receiver read counts and currently queued messages), for
@@ -73,13 +73,13 @@ class FlowGraph:
 
 
 def flow_from_causal(tracer: "CausalTracer") -> FlowGraph:
-    """Exact flow weights from a causal event stream."""
+    """Exact flow weights from a tracer's traffic counts."""
     g = FlowGraph()
-    for e in tracer.events:
-        if e.kind == "send":
-            g.add_send(e.pid, e.lnvc, 1, e.length)
-        elif e.kind == "recv":
-            g.add_recv(e.lnvc, e.pid, 1, e.length)
+    for kind, pid, lnvc, msgs, nbytes in tracer.traffic():
+        if kind == "send":
+            g.add_send(pid, lnvc, msgs, nbytes)
+        else:
+            g.add_recv(lnvc, pid, msgs, nbytes)
     return g
 
 

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+from repro import FCFS, SimRuntime
 from repro.check import SCENARIOS, RandomPolicy, explore, run_schedule
+from repro.check.scheduler import _LogEnv, _logged
+from repro.core import ops
+from repro.obs import Recorder
+from repro.runtime.base import Env
+from repro.testing import DirectRunner, make_view
 
 
 def test_torn_send_caught_as_invariant_violation():
@@ -53,3 +59,36 @@ def test_fault_runs_are_deterministic():
     b = run_schedule(sc, RandomPolicy(5), fault="drop-wake")
     assert a.status == b.status
     assert a.decisions == b.decisions
+
+
+# -- where a fault lands -----------------------------------------------------
+
+
+def test_torn_send_takes_exactly_the_data_sends():
+    """fcfs-race sends 8 payloads on ``data`` and 5 tokens on ``gate`` and
+    ``go``: the 8 take the torn window, the 5 the locked path."""
+    sc = SCENARIOS["fcfs-race"]
+    rec = Recorder()
+    result = SimRuntime(recorder=rec).run(
+        [_logged(w, "torn-send") for w in sc.build()], cfg=sc.cfg)
+    sent = [s[0] for log, _ in result.results.values() for s in log]
+    assert sent.count("data") == 8 and len(sent) == 13
+    assert rec.work["fault-torn-window"].count == 8
+    assert rec.work["send-fixed"].count == 5
+
+
+def test_drop_wake_takes_only_the_data_sends_wake():
+    """A ``data`` send under drop-wake loses its ``Wake``; a ``gate`` send
+    keeps it."""
+    v = make_view()
+    r = DirectRunner(v)
+    env = _LogEnv(Env(v, 0, 2, float), "drop-wake")
+    wakes = {}
+    for name in ("data", "gate"):
+        lid = r.run(env.open_send(name))
+        r.run(ops.open_receive(v, 1, name, FCFS))
+        r.wakes.clear()
+        r.run(env.message_send(lid, b"x"))
+        wakes[name] = len(r.wakes)
+    assert wakes == {"data": 0, "gate": 1}
+    assert [s[0] for s in env.sent] == ["data", "gate"]

@@ -1,4 +1,5 @@
-"""The structural invariants: clean on correct state, loud on corruption."""
+"""The structural invariants and the delivery law: clean on correct
+state, loud on corruption."""
 
 from __future__ import annotations
 
@@ -11,12 +12,9 @@ from repro.core.inspect import (
     collect_violations,
 )
 from repro.core.layout import HDR
-from repro.core.protocol import FCFS, NIL
+from repro.core.protocol import BROADCAST, FCFS, NIL
 from repro.core.structs import LNVC, MSG
-from repro.check.invariants import (
-    check_broadcast_delivery,
-    check_fcfs_delivery,
-)
+from repro.check.invariants import check_delivery
 from repro.testing import DirectRunner, make_view
 
 
@@ -98,22 +96,113 @@ def test_fifo_cycle_detected_not_hung():
     assert any("cyclic" in f for f in found)
 
 
-def test_fcfs_oracle_accepts_exactly_once_in_order():
-    sent = [bytes([0, 0]), bytes([0, 1]), bytes([1, 0])]
-    received = [[bytes([0, 0]), bytes([1, 0])], [bytes([0, 1])]]
-    assert check_fcfs_delivery(sent, received, senders=(0, 1)) == []
+# -- the delivery law ---------------------------------------------------------
+#
+# Synthetic logs: one ``(sent, received)`` pair per worker, as the checker's
+# logging Env returns them.
 
 
-def test_fcfs_oracle_rejects_duplicate_and_reorder():
-    sent = [bytes([0, 0]), bytes([0, 1])]
-    dup = [[bytes([0, 0])], [bytes([0, 0])]]
-    assert check_fcfs_delivery(sent, dup, senders=(0,)) != []
-    swapped = [[bytes([0, 1]), bytes([0, 0])], []]
-    assert check_fcfs_delivery(sent, swapped, senders=(0,)) != []
+def _logs(sent: dict, took: dict) -> list:
+    """``sent``: rank -> [(circuit, payload)]; ``took``: rank ->
+    [(circuit, protocol, payload)]."""
+    return [([(c, rank, p) for c, p in sent.get(rank, ())],
+             [(c, rank, proto, p) for c, proto, p in took.get(rank, ())])
+            for rank in sorted(sent.keys() | took.keys())]
 
 
-def test_broadcast_oracle():
-    sent = [b"x", b"y"]
-    assert check_broadcast_delivery(sent, [b"x", b"y"], "p3") == []
-    assert check_broadcast_delivery(sent, [b"y", b"x"], "p3") != []
-    assert check_broadcast_delivery(sent, [b"x"], "p3") != []
+def _law(sent: dict, took: dict, totals: dict | None = None) -> list[str]:
+    logs = _logs(sent, took)
+    if totals is None:
+        totals = {"total_sends": sum(len(s) for s, _ in logs),
+                  "total_receives": sum(len(r) for _, r in logs)}
+    return check_delivery(logs, totals)
+
+
+#: A clean mixed circuit: two senders, two FCFS receivers splitting the
+#: traffic, two BROADCAST receivers seeing all of it in one order, and a
+#: ``gate`` circuit whose repeated ``ready`` tokens carry no order.
+CLEAN_SENT = {0: [("d", b"a0"), ("d", b"a1")],
+              1: [("d", b"b0"), ("d", b"b1"), ("gate", b"ready")],
+              2: [("gate", b"ready")]}
+BCAST_ORDER = [b"a0", b"b0", b"a1", b"b1"]
+CLEAN_TOOK = {2: [("d", FCFS, b"a0"), ("d", FCFS, b"b1")],
+              3: [("d", FCFS, b"b0"), ("d", FCFS, b"a1"),
+                  ("gate", FCFS, b"ready"), ("gate", FCFS, b"ready")],
+              4: [("d", BROADCAST, p) for p in BCAST_ORDER],
+              5: [("d", BROADCAST, p) for p in BCAST_ORDER]}
+
+
+def _edit(rank: int, took: list) -> dict:
+    return {**CLEAN_TOOK, rank: took}
+
+
+#: Single-circuit inputs: two FCFS senders, one of them alone, and one
+#: BROADCAST sender.
+FCFS_SENT = {0: [("c", bytes([0, 0])), ("c", bytes([0, 1]))],
+                 1: [("c", bytes([1, 0]))]}
+ONE_SENDER = {0: FCFS_SENT[0]}
+BCAST_SENT = {0: [("b", b"x"), ("b", b"y")]}
+
+
+def _bcast(*payloads: bytes) -> dict:
+    return {3: [("b", BROADCAST, p) for p in payloads]}
+
+
+@pytest.mark.parametrize("sent, took", [
+    pytest.param(CLEAN_SENT, CLEAN_TOOK, id="mixed-circuit"),
+    pytest.param(FCFS_SENT,
+                 {2: [("c", FCFS, bytes([0, 0])), ("c", FCFS, bytes([1, 0]))],
+                  3: [("c", FCFS, bytes([0, 1]))]},
+                 id="fcfs-exactly-once-in-order"),
+    pytest.param(BCAST_SENT, _bcast(b"x", b"y"), id="broadcast-in-order"),
+])
+def test_the_law_holds(sent, took):
+    assert _law(sent, took) == []
+
+
+@pytest.mark.parametrize("sent, took, totals, expect", [
+    pytest.param(CLEAN_SENT, _edit(3, [("d", FCFS, b"b0"), ("d", FCFS, b"b0")]
+                                   + CLEAN_TOOK[3][2:]), None,
+                 "FCFS receivers took 4 of 4 sent, missing [b'a1'], "
+                 "unexpected [b'b0']", id="duplicate-fcfs-take"),
+    pytest.param(CLEAN_SENT, _edit(3, [("d", FCFS, b"b0")]
+                                   + CLEAN_TOOK[3][2:]), None,
+                 "FCFS receivers took 3 of 4 sent, missing [b'a1']",
+                 id="lost-message"),
+    pytest.param(CLEAN_SENT,
+                 _edit(2, [("d", FCFS, b"a1"), ("d", FCFS, b"a0")]) | {
+                     3: [("d", FCFS, b"b0"), ("d", FCFS, b"b1")]
+                     + CLEAN_TOOK[3][2:]}, None,
+                 "p2 took p0's b'a0' after one p0 sent later",
+                 id="per-sender-reorder"),
+    pytest.param(CLEAN_SENT,
+                 _edit(5, [("d", BROADCAST, p) for p in BCAST_ORDER[:3]]),
+                 None, "BROADCAST receiver p5 saw 3 of 4 sent",
+                 id="broadcast-receiver-missing-a-payload"),
+    # Each order is still FIFO per sender (a0 < a1, b0 < b1).
+    pytest.param(CLEAN_SENT,
+                 _edit(5, [("d", BROADCAST, p)
+                           for p in (b"b0", b"a0", b"a1", b"b1")]), None,
+                 "BROADCAST receivers saw different orders",
+                 id="broadcast-receivers-disagree-on-order"),
+    pytest.param(CLEAN_SENT, CLEAN_TOOK,
+                 {"total_sends": 6, "total_receives": 13},
+                 "header counts 13 receives, workers completed 14",
+                 id="header-count-mismatch"),
+    pytest.param(ONE_SENDER, {2: [("c", FCFS, bytes([0, 0]))],
+                                  3: [("c", FCFS, bytes([0, 0]))]}, None,
+                 "FCFS receivers took 2 of 2 sent", id="fcfs-duplicate"),
+    pytest.param(ONE_SENDER, {2: [("c", FCFS, bytes([0, 1])),
+                                      ("c", FCFS, bytes([0, 0]))]}, None,
+                 "p2 took p0's b'\\x00\\x00' after one p0 sent later",
+                 id="fcfs-reorder"),
+    pytest.param(BCAST_SENT, _bcast(b"y", b"x"), None,
+                 "p3 took p0's b'x' after one p0 sent later",
+                 id="broadcast-reorder"),
+    pytest.param(BCAST_SENT, _bcast(b"x"), None,
+                 "BROADCAST receiver p3 saw 1 of 2 sent, missing [b'y']",
+                 id="broadcast-short"),
+])
+def test_the_law_catches(sent, took, totals, expect):
+    found = _law(sent, took, totals)
+    assert any(expect in f for f in found), found

@@ -118,7 +118,7 @@ def test_threads_cross_validation_clean():
 
 
 def test_procs_cross_validation_clean_and_catches_a_dropped_wake():
-    """The same oracles on forked processes: the final invariants are
+    """The same law on forked processes: the final invariants are
     collected inside ``ProcRuntime.run`` (``final_check``), before the
     segment is unlinked."""
     assert run_real(SCENARIOS["ring-wrap"], repeats=3, join_timeout=30.0,
@@ -136,16 +136,13 @@ def _duplex_workers(bursts: int, burst: int):
         def body(env):
             inbox = yield from env.open_receive(in_name, FCFS)
             outbox = yield from env.open_send(out_name)
-            got = 0
             for b in range(bursts):
                 for i in range(burst):
                     yield from env.message_send(outbox, b"%d.%d" % (b, i))
                 for i in range(burst):
-                    msg = yield from env.message_receive(inbox)
-                    got += msg == b"%d.%d" % (b, i)
+                    yield from env.message_receive(inbox)
             yield from env.close_receive(inbox)
             yield from env.close_send(outbox)
-            return got
 
         return body
 
@@ -154,18 +151,16 @@ def _duplex_workers(bursts: int, burst: int):
 
 @pytest.mark.parametrize("runtime", ["threads", "procs"])
 def test_header_counts_equal_delivered_counts_on_two_busy_circuits(runtime):
-    """The traffic oracle under the shape that used to lose updates: two
-    real workers counting on two circuits at the same moment, each under
-    its own circuit's lock."""
+    """The delivery law under the shape that used to lose counter
+    updates: two real workers counting on two circuits at the same
+    moment, each under its own circuit's lock — header counts equal the
+    logged traffic, and each circuit delivers exactly once, in order."""
     bursts, burst = 400, 8
     stress = Scenario(
         name="duplex-stress", doc="", faults=(),
         cfg=MPFConfig(max_lnvcs=4, max_processes=2, max_messages=64,
                       message_pool_bytes=1 << 12),
-        build=lambda fault: _duplex_workers(bursts, burst),
-        oracle=lambda results: [
-            f"{name} matched {got} of {bursts * burst} payloads"
-            for name, got in results.items() if got != bursts * burst],
+        build=lambda: _duplex_workers(bursts, burst),
     )
     assert run_real(stress, repeats=2, join_timeout=60.0,
                     runtime=runtime) == []

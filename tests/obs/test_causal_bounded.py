@@ -1,6 +1,7 @@
 """The causal tracer's bound (``CausalTracer(limit=N)``): stride
-sampling, the exact e2e latency sketch, the fused-receive grace buffer,
-and the stamps a child tracer keeps for the merge."""
+sampling, the exact e2e latency sketch and traffic counts, the
+fused-receive grace buffer, and the stamps a child tracer keeps for the
+merge."""
 
 import pickle
 import sys
@@ -8,8 +9,13 @@ import sys
 import pytest
 
 from repro.core.protocol import BROADCAST, FCFS
-from repro.obs import Recorder
-from repro.obs.causal import DEFAULT_LIMIT, CausalTracer, StageStats
+from repro.obs import Recorder, flow_from_causal, parse_exposition
+from repro.obs.causal import (
+    DEFAULT_LIMIT,
+    CausalTracer,
+    StageStats,
+    busiest_lnvc,
+)
 from repro.patterns import barrier
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
@@ -74,6 +80,38 @@ def test_e2e_sketch_is_exact_not_sampled():
     assert len(tracer.e2e) >= N_MSGS
     stats = StageStats(list(tracer.e2e))
     assert 0.0 < stats.quantile(0.5) <= stats.p999
+
+
+def loop_back(env):
+    cid = yield from env.open_send("c")
+    rid = yield from env.open_receive("c", FCFS)
+    for _ in range(500):
+        yield from env.message_send(cid, b"x" * 16)
+        yield from env.message_receive(rid)
+    yield from env.close_receive(rid)
+    yield from env.close_send(cid)
+
+
+def test_traffic_counts_are_exact_past_the_bound():
+    """500 × 16 B loop-backs under a 64-event bound (stride 32): the
+    message counters and the flow edges count every message, not the
+    sample's 16."""
+    rec = Recorder(causal=CausalTracer(limit=64))
+    SimRuntime(recorder=rec).run([loop_back])
+    tracer = rec.causal
+    assert tracer.stride == 32
+    prom = parse_exposition(rec.prometheus())
+    for family, n in (("messages_sent", 500), ("message_bytes_sent", 8000),
+                      ("messages_received", 500),
+                      ("message_bytes_received", 8000)):
+        assert prom[f"mpf_{family}_total"] == [({"lnvc": "lnvc0.g0"}, n)]
+    g = flow_from_causal(tracer)
+    assert g.sends == {(0, (0, 0)): [500, 8000]}
+    assert g.recvs == {((0, 0), 0): [500, 8000]}
+    assert busiest_lnvc(tracer) == (0, 0)
+    clone = Recorder()
+    clone.merge(pickle.loads(pickle.dumps(rec.snapshot())))
+    assert flow_from_causal(clone.causal).sends == g.sends
 
 
 def test_under_the_bound_every_event_is_kept():

@@ -156,7 +156,7 @@ def _cells(rec: Recorder) -> dict:
 
 def _tracer_cells(c) -> tuple:
     return (c.total, c.dropped, sorted(c.events), c.stride,
-            c.pool_allocs, c.pool_failures, sorted(c.e2e))
+            c.pool_allocs, c.pool_failures, c.msgs, c.nbytes, sorted(c.e2e))
 
 
 def _books(rec: Recorder) -> tuple:
