@@ -70,13 +70,18 @@ procs-smoke:
 
 # Causal-tracing smoke: run the fig4 contention sweep with per-message
 # tracing in every recording regime (one recorder on sim, the shared
-# probe on threads, merged children on procs), then validate the
-# Prometheus exposition and the DOT flow graph each exported
-# (per-runtime suffixed files).  See docs/tracing.md.
+# probe on threads, merged children on procs), fail if the health
+# engine prints any finding (fig4 is closed-loop: nothing can back up,
+# so a finding is a false positive), then validate the Prometheus
+# exposition and the DOT flow graph each exported (per-runtime suffixed
+# files).  See docs/tracing.md.
 trace-smoke:
 	$(PY) -m repro.bench trace fig4 --quick --causal \
 		--runtime sim --runtime threads --runtime procs \
-		--prom /tmp/mpf_fig4.prom --flow /tmp/mpf_fig4.dot
+		--prom /tmp/mpf_fig4.prom --flow /tmp/mpf_fig4.dot \
+		> /tmp/mpf_fig4-trace.txt
+	cat /tmp/mpf_fig4-trace.txt
+	! grep -F '(!)' /tmp/mpf_fig4-trace.txt
 	$(PY) -c "\
 	from repro.obs import check_dot, parse_exposition; \
 	kinds = ('sim', 'threads', 'procs'); \
@@ -126,7 +131,7 @@ telemetry-smoke:
 	      len(doc['findings']), 'finding(s),', \
 	      'clock', doc['timeline']['clock'])"
 	$(PY) -m pytest tests/obs/test_live.py tests/obs/test_health.py \
-		tests/serve/test_timeline_doc.py -q
+		tests/obs/test_health_recall.py tests/serve/test_timeline_doc.py -q
 
 # Observer wall-overhead budget: the observers must stay observational
 # taps — an observed knee probe returns the bare probe's SLO point and

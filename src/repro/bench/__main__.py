@@ -38,8 +38,8 @@ threads/processes)::
 The ``serve`` subcommand runs the open-loop serving sweep
 (:mod:`repro.serve`) — goodput and SLO latency vs offered load for the
 unbatched baseline against send batching;
-``--timeline`` adds the windowed-telemetry document and health findings
-and ``--live`` a mid-run scrape endpoint (docs/telemetry.md)::
+``--timeline`` writes the traced probe's windowed-telemetry document
+and ``--live`` serves a mid-run scrape endpoint (docs/telemetry.md)::
 
     python -m repro.bench serve --quick
     python -m repro.bench serve --jobs 4 --json slo.json --prom serve.prom
@@ -118,8 +118,9 @@ def trace_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--causal", action="store_true",
-        help="also trace per-message lifecycles: sojourn latency columns, "
-        "a per-LNVC stage breakdown and a stall report per runtime",
+        help="also trace per-message lifecycles and window them into a "
+        "timeline: sojourn latency columns, a per-LNVC stage breakdown "
+        "and the health findings per runtime",
     )
     parser.add_argument(
         "--prom", metavar="PATH",
@@ -167,19 +168,19 @@ def trace_main(argv: list[str]) -> int:
                   f"({ev / pops if pops else float('inf'):,.1f} events/pop)")
         if args.causal and rec.causal is not None:
             from ..obs import (
-                detect_stalls, flow_dot, flow_from_causal, format_sojourn,
+                HealthEngine, flow_dot, flow_from_causal, format_sojourn,
             )
 
             print()
             print(f"{args.figure} message sojourn — {kind} runtime, "
                   f"largest point:")
             print(format_sojourn(rec.causal))
-            stalls = detect_stalls(rec.causal)
-            if stalls:
+            findings = HealthEngine(rec.timeline).scan()
+            if findings:
                 print()
-                print("backpressure/stall findings:")
-                for s in stalls:
-                    print(f"  (!) {s}")
+                print("health findings:")
+                for f in findings:
+                    print(f"  (!) {f.detail}")
             if args.flow:
                 path = _suffixed(args.flow, kind)
                 with open(path, "w") as fh:

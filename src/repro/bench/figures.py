@@ -291,7 +291,7 @@ def _contention_sweep(figure: str, bench_name: str, fn, quick: bool,
     for kind in runtimes:
         series = result.new_series(kind)
         for n in counts:
-            rec = Recorder(causal=causal)
+            rec = Recorder(causal=causal, timeline=causal)
             m = fn(n, length, messages=msgs, runtime=kind, recorder=rec,
                    transport=transport)
             agg = rec.circuit_lock_stats()
@@ -333,10 +333,11 @@ def fig4_contention(quick: bool = False,
     :class:`repro.obs.Recorder` on each requested runtime and reports the
     per-message LNVC lock wait.  ``causal=True`` adds per-message sojourn
     latency columns (stage p50s, e2e p50/p95) from a
-    :class:`repro.obs.CausalTracer`.  The returned result carries a
-    ``recorders`` dict keyed ``(runtime, n)`` for exporting full traces.
-    Always serial: it keeps whole Recorder objects (not picklable cheap)
-    and itself spawns a process runtime.
+    :class:`repro.obs.CausalTracer`, and a :class:`repro.obs.Timeline`
+    for the health findings ``bench trace`` prints.  The returned result
+    carries a ``recorders`` dict keyed ``(runtime, n)`` for exporting full
+    traces.  Always serial: it keeps whole Recorder objects (not picklable
+    cheap) and itself spawns a process runtime.
     """
     return _contention_sweep("Figure 4 (contention)", "fcfs",
                              fcfs_throughput, quick, runtimes, length=16,
@@ -378,7 +379,7 @@ def fig3_contention(quick: bool = False,
     for kind in runtimes:
         series = result.new_series(kind)
         for length in lengths:
-            rec = Recorder(causal=causal)
+            rec = Recorder(causal=causal, timeline=causal)
             m = base_throughput(length, messages=msgs, runtime=kind,
                                 recorder=rec, transport=transport)
             agg = rec.circuit_lock_stats()

@@ -37,7 +37,6 @@ from .causal import (
     MsgEvent,
     busiest_lnvc,
     causal_async_events,
-    detect_stalls,
     format_causal_tail,
     format_sojourn,
     pair_deliveries,
@@ -83,7 +82,6 @@ __all__ = [
     "MsgEvent",
     "busiest_lnvc",
     "causal_async_events",
-    "detect_stalls",
     "format_causal_tail",
     "format_sojourn",
     "pair_deliveries",

@@ -1,4 +1,4 @@
-"""Per-message causal tracing: lifecycle events, sojourn times, stalls.
+"""Per-message causal tracing: lifecycle events and sojourn times.
 
 The :class:`~repro.obs.recorder.Recorder` aggregates (per-lock waits,
 per-``Work`` charges) answer "where did the run spend its time" but not
@@ -32,11 +32,12 @@ adds scheduler round-trips and provably cannot perturb simulated timing
 through :meth:`CausalTracer.on_pool`.
 
 Everything here is derived from the event list: per-stage sojourn
-latency quantiles (:func:`sojourn_stats`), queue-depth timelines
+latency quantiles (:func:`sojourn_stats`) and queue-depth timelines
 (:func:`queue_depth_timeline`, cross-checkable against the circuit's
-``hwm_nmsgs`` high-water mark), and a backpressure/stall detector
-(:func:`detect_stalls`).  Flow graphs live in :mod:`repro.obs.flow`,
-the Prometheus exposition in :mod:`repro.obs.export`.
+``hwm_nmsgs`` high-water mark).  Flow graphs live in
+:mod:`repro.obs.flow`, the Prometheus exposition in
+:mod:`repro.obs.export`; what is backing up is
+:class:`repro.obs.health.HealthEngine`'s verdict over a timeline.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "queue_depth_timeline",
     "peak_depth",
     "busiest_lnvc",
-    "detect_stalls",
     "format_sojourn",
     "format_causal_tail",
     "causal_async_events",
@@ -443,71 +443,6 @@ def busiest_lnvc(tracer: CausalTracer) -> tuple[int, int] | None:
     if not counts:
         return None
     return min(counts, key=lambda k: (-counts[k], k))
-
-
-def detect_stalls(
-    tracer: CausalTracer,
-    *,
-    growth_factor: float = 3.0,
-    spike_factor: float = 20.0,
-    depth_threshold: int = 4,
-    min_samples: int = 8,
-) -> list[str]:
-    """Backpressure findings, one human-readable string per flagged LNVC.
-
-    Flags, per circuit: queue residency whose second-half median grew
-    ``growth_factor``× over the first half (consumers falling behind);
-    a final queue depth still at ≥ half the peak with the peak at least
-    ``depth_threshold`` (queue not draining); allocation latency whose
-    p99 exceeds ``spike_factor``× its p50 (free-list convoy).  Pool
-    exhaustion (failed pops) is flagged globally.
-    """
-    findings: list[str] = []
-    stats = sojourn_stats(tracer)
-    pairs = pair_deliveries(tracer)
-    for key in tracer.lnvc_keys():
-        slot, gen = key
-        name = f"lnvc{slot}@g{gen}"
-        per = stats.get(key)
-        if per is not None and per["resident"].count >= min_samples:
-            # StageStats sorts its samples; growth detection needs them
-            # back in delivery order.
-            ordered = [
-                max(0.0, r.t1 - s.t3) for s, r in pairs if s.lnvc == key
-            ]
-            half = len(ordered) // 2
-            first = StageStats(ordered[:half]).p50
-            second = StageStats(ordered[half:]).p50
-            if first > 0 and second > growth_factor * first:
-                findings.append(
-                    f"{name}: queue residency growing (p50 "
-                    f"{first * 1e6:.1f}µs -> {second * 1e6:.1f}µs over the "
-                    f"run) — consumers falling behind"
-                )
-        if per is not None and per["alloc"].count >= min_samples:
-            p50, p99 = per["alloc"].p50, per["alloc"].p99
-            if p50 > 0 and p99 > spike_factor * p50:
-                findings.append(
-                    f"{name}: allocation latency spikes (p50 "
-                    f"{p50 * 1e6:.1f}µs, p99 {p99 * 1e6:.1f}µs) — free-list "
-                    f"convoy under the allocator lock"
-                )
-        timeline = queue_depth_timeline(tracer, slot, gen)
-        if timeline:
-            peak = max(d for _, d in timeline)
-            final = timeline[-1][1]
-            if peak >= depth_threshold and final * 2 >= peak:
-                findings.append(
-                    f"{name}: queue not draining (peak depth {peak}, "
-                    f"final depth {final})"
-                )
-    failed = sum(tracer.pool_failures.values())
-    if failed:
-        findings.append(
-            f"shared pools exhausted {failed} time(s) — the init() sizing "
-            f"estimate is too small for this workload"
-        )
-    return findings
 
 
 # ---------------------------------------------------------------------------

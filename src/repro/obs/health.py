@@ -1,25 +1,29 @@
 """Online health attribution over a :class:`~repro.obs.timeline.Timeline`.
 
-The ROADMAP's open serving observation — "traced stall findings show
-mid-pipeline circuits falling behind (growing queue residency)" — names
-a symptom but not a *place or time*.  The :class:`HealthEngine` folds
-timeline windows as they close into structured :class:`Finding`\\ s that
-do exactly that:
+The one place the repo says "something is backing up".  The
+:class:`HealthEngine` folds timeline windows as they close into
+structured :class:`Finding`\\ s, each localized to a series and an onset
+window, and each shown to recall an injected fault and to stay silent on
+the archived below-knee serve points (tests/obs/test_health_recall.py,
+table in docs/telemetry.md):
 
-* ``queue-growth`` — a circuit whose sampled queue depth ramps through
-  the run, localized to the circuit and its onset window;
-* ``alloc-pressure`` — the shared block pool's live level ramping
-  toward exhaustion (the paper's bounded 10-byte-block pool);
-* ``saturating-tier`` — the first tier whose queues reach their high
-  plateau, i.e. where the serving knee actually bites first;
-* ``backpressure-order`` — the tier saturation sequence, which shows
-  which direction pressure propagated across the pipeline.
+* ``queue-growth`` — a circuit whose sampled queue depth keeps growing
+  through the run (a consumer that stopped keeping up);
+* ``saturating-tier`` — the first :mod:`repro.serve` tier whose folded
+  queue depth passes the same growth test: in an open loop, a tier past
+  its knee is one whose queue keeps growing;
+* ``alloc-pressure`` — pops that found the shared block pool empty (the
+  paper's bounded pool of 10-byte blocks refusing a send).
+
+There is no tier *order* verdict: every serve tier but the slow one
+drains its inbound circuit into a private backlog, so only one tier's
+circuits grow.
 
 :meth:`poll` is the *online* mode: it re-evaluates after each batch of
-newly closed windows and emits each finding once, while the run is
-still in flight (the live scrape endpoint's ``/findings`` view and the
-threads-runtime poller use it).  :meth:`scan` is the terminal fold the
-``mpf-serve-timeline/1`` document embeds.
+newly closed windows and returns each finding once, while the run is
+still in flight (the live scrape endpoint's ``/findings`` view uses it).
+:meth:`scan` is the terminal fold the ``mpf-serve-timeline/1`` document
+embeds.
 """
 
 from __future__ import annotations
@@ -31,8 +35,29 @@ from .timeline import Timeline
 
 __all__ = ["Finding", "HealthEngine", "serve_tier_of", "SERVE_TIER_ORDER"]
 
-#: Pipeline order of the serve topology's tiers, upstream to downstream.
+#: Pipeline order of the serve topology's tiers, upstream to downstream;
+#: of two tiers that start growing in the same window, the upstream one
+#: is named.
 SERVE_TIER_ORDER = ("frontends", "workers", "aggregator")
+
+#: Fewest sampled windows a growth verdict is made on.  Thirds of a
+#: shorter series are one or two windows, so a queue or pool that fills
+#: at startup reads as growth: fig4 / fig5 ``--quick`` on procs span two
+#: 50 ms windows and reported ``alloc-pressure`` and ``queue-growth``.
+MIN_WINDOWS = 6
+
+#: Late-third over early-third mean depth that declares growth.  On the
+#: sim serve points below the archived knees no tier's late third
+#: averaged more than 1.5× its first (batched 700 rps: frontends 1.05 →
+#: 1.61 msgs); at baseline's 300 rps knee the aggregator's grew 4.0×
+#: (23.5 → 94.5), and workers throttled to 83 rps under 100 rps 2.8×.
+GROWTH_RATIO = 2.0
+
+#: Smallest late-third mean depth, in messages, that counts as a queue.
+#: An idle circuit's depth alternates 0 and 1, so it can double without
+#: backing up: the deepest late third of a circuit that grew on those
+#: clean points was 1.72 msgs (batched 700 rps, ``serve.front.5``).
+MIN_DEPTH = 2.0
 
 
 def serve_tier_of(name: str) -> str | None:
@@ -70,149 +95,96 @@ class Finding:
         }
 
 
-def _avg_rows(rows: dict[int, Gauge]) -> list[tuple[int, float]]:
-    """Window-average gauge value per window, sorted by window index."""
-    return sorted((idx, cell.mean) for idx, cell in rows.items())
-
-
-def _onset(seq: list[tuple[int, float]], threshold: float) -> tuple[int, float]:
-    """First window at or above ``threshold`` (falls back to the peak)."""
-    for idx, v in seq:
-        if v >= threshold:
-            return idx, v
-    return max(seq, key=lambda p: p[1])[0], max(v for _, v in seq)
+def _growth(rows: dict[int, Gauge]):
+    """(onset_window, peak, early, late) if the depth series keeps
+    growing — its last third's mean at least :data:`GROWTH_RATIO` times
+    its first third's and at least :data:`MIN_DEPTH` — else None.  The
+    onset is the first window at half the peak."""
+    seq = sorted((idx, cell.mean) for idx, cell in rows.items())
+    if len(seq) < MIN_WINDOWS:
+        return None
+    third = len(seq) // 3
+    early = sum(v for _, v in seq[:third]) / third
+    late = sum(v for _, v in seq[-third:]) / third
+    if late < max(MIN_DEPTH, early * GROWTH_RATIO):
+        return None
+    peak = max(v for _, v in seq)
+    onset = next(idx for idx, v in seq if v >= peak / 2)
+    return onset, peak, early, late
 
 
 class HealthEngine:
-    """Fold closed windows into findings, online or terminally.
+    """Fold the closed windows of ``timeline`` into findings, online or
+    terminally.  Circuits are put in tiers by :func:`serve_tier_of`, so
+    the tier kinds stay silent outside the serve topology."""
 
-    ``tier_of`` maps circuit names to tiers (e.g. :func:`serve_tier_of`);
-    without it the tier-level detectors stay silent and only per-circuit
-    and allocator findings fire.  ``tier_order`` orders tiers upstream →
-    downstream for the propagation-direction verdict.  ``min_depth`` is
-    the smallest window-average queue depth treated as saturation
-    evidence; ``growth_ratio`` is the late/early ramp factor that
-    declares growth.  ``emit`` (optional callable) receives each finding
-    once, as soon as a :meth:`poll` first detects it — that is the
-    "emitted during the run" path.
-    """
-
-    def __init__(self, timeline: Timeline, tier_of=None,
-                 tier_order=SERVE_TIER_ORDER, min_depth: float = 2.0,
-                 growth_ratio: float = 2.0, emit=None) -> None:
+    def __init__(self, timeline: Timeline) -> None:
         self.timeline = timeline
-        self.tier_of = tier_of
-        self.tier_order = tuple(tier_order)
-        self.min_depth = min_depth
-        self.growth_ratio = growth_ratio
-        self.emit = emit
         self._emitted: set[tuple[str, str]] = set()
         self.findings: list[Finding] = []
 
     # -- detectors -------------------------------------------------------------
 
-    def _depth_series(self) -> dict[str, dict[int, Gauge]]:
-        out: dict[str, dict[int, Gauge]] = {}
+    def _circuit_findings(self) -> list[Finding]:
+        series: dict[str, dict[int, Gauge]] = {}
         for idx, win in self.timeline.windows.items():
             for k, cell in win.gauges.items():
                 if k.endswith("|depth") and k.startswith("circuit:"):
-                    out.setdefault(k[:k.index("|")], {})[idx] = cell
-        return out
-
-    def _growth(self, rows: dict[int, Gauge], floor: float):
-        """(onset_window, peak, early, late) if the series ramps, else None."""
-        seq = _avg_rows(rows)
-        if len(seq) < 2:
-            return None
-        peak = max(v for _, v in seq)
-        if peak < floor:
-            return None
-        third = max(1, len(seq) // 3)
-        early = sum(v for _, v in seq[:third]) / third
-        late = sum(v for _, v in seq[-third:]) / third
-        if late < max(floor, early * self.growth_ratio):
-            return None
-        idx, _ = _onset(seq, peak / 2)
-        return idx, peak, early, late
-
-    def _circuit_findings(self) -> list[Finding]:
+                    series.setdefault(k[:k.index("|")], {})[idx] = cell
         out = []
-        for series, rows in sorted(self._depth_series().items()):
-            g = self._growth(rows, self.min_depth)
+        width = self.timeline.width
+        for key, rows in sorted(series.items()):
+            g = _growth(rows)
             if g is None:
                 continue
             idx, peak, early, late = g
-            label = self.timeline.series_label(series)
+            label = self.timeline.series_label(key)
             out.append(Finding(
                 kind="queue-growth", severity="warn", series=label,
                 detail=(f"{label} queue residency grows {early:.1f} → "
                         f"{late:.1f} msgs (peak {peak:.1f}); onset at "
-                        f"window {idx} (t≈{idx * self.timeline.width:.3g}s)"),
-                onset_window=idx, onset_time=idx * self.timeline.width,
+                        f"window {idx} (t≈{idx * width:.3g}s)"),
+                onset_window=idx, onset_time=idx * width,
                 data={"early_depth": early, "late_depth": late,
                       "peak_depth": peak}))
         return out
 
     def _pool_finding(self) -> list[Finding]:
-        rows = {idx: win.gauges["pool|live_blocks"]
-                for idx, win in self.timeline.windows.items()
-                if "pool|live_blocks" in win.gauges}
-        if not rows:
+        dry = sorted((idx, win.counters["pool|dry"])
+                     for idx, win in self.timeline.windows.items()
+                     if win.counters.get("pool|dry"))
+        if not dry:
             return []
-        g = self._growth(rows, floor=1.0)
-        if g is None:
-            return []
-        idx, peak, early, late = g
+        idx = dry[0][0]
+        total = sum(n for _, n in dry)
         return [Finding(
             kind="alloc-pressure", severity="warn", series="pool",
-            detail=(f"block-pool level ramps {early:.0f} → {late:.0f} live "
-                    f"blocks (peak {peak:.0f}); onset at window {idx}"),
+            detail=(f"block pool ran dry {total:.0f} time(s) in "
+                    f"{len(dry)} window(s); first at window {idx}"),
             onset_window=idx, onset_time=idx * self.timeline.width,
-            data={"early_level": early, "late_level": late,
-                  "peak_level": peak})]
+            data={"failed_pops": total, "windows": len(dry),
+                  "peak_per_window": max(n for _, n in dry)})]
 
     def _tier_findings(self) -> list[Finding]:
-        if self.tier_of is None:
+        width = self.timeline.width
+        rank = {t: i for i, t in enumerate(SERVE_TIER_ORDER)}
+        grown = []
+        for tier, rows in self.timeline.tier_series(serve_tier_of).items():
+            g = _growth(rows)
+            if g is not None:
+                grown.append((g[0], rank[tier], tier, g[1]))
+        if not grown:
             return []
-        tiers = self.timeline.tier_series(self.tier_of)
-        onsets: list[tuple[int, float, str, float]] = []
-        for tier, rows in tiers.items():
-            seq = _avg_rows(rows)
-            if not seq:
-                continue
-            peak = max(v for _, v in seq)
-            if peak < self.min_depth:
-                continue
-            idx, v = _onset(seq, max(self.min_depth, 0.5 * peak))
-            onsets.append((idx, idx * self.timeline.width, tier, peak))
-        if not onsets:
-            return []
-        order_rank = {t: i for i, t in enumerate(self.tier_order)}
-        onsets.sort(key=lambda o: (o[0], order_rank.get(o[2], 99)))
-        idx, t, tier, peak = onsets[0]
-        out = [Finding(
+        grown.sort()
+        idx, _, tier, peak = grown[0]
+        return [Finding(
             kind="saturating-tier", severity="warn", series=f"tier:{tier}",
-            detail=(f"{tier} is the first saturating tier: queue depth "
-                    f"reaches its plateau (peak {peak:.1f} msgs/circuit) "
-                    f"at window {idx} (t≈{t:.3g}s)"),
-            onset_window=idx, onset_time=t,
+            detail=(f"{tier} is the first saturating tier: its queues keep "
+                    f"growing (peak {peak:.1f} msgs/circuit) from window "
+                    f"{idx} (t≈{idx * width:.3g}s)"),
+            onset_window=idx, onset_time=idx * width,
             data={"tier": tier, "peak_depth": peak,
-                  "saturated_tiers": [o[2] for o in onsets]})]
-        if len(onsets) > 1:
-            seqd = ", ".join(f"{o[2]}@w{o[0]}" for o in onsets)
-            first, last = onsets[0][2], onsets[-1][2]
-            direction = "downstream → upstream" if (
-                order_rank.get(first, 0) > order_rank.get(last, 0)
-            ) else "upstream → downstream"
-            out.append(Finding(
-                kind="backpressure-order", severity="info",
-                series="pipeline",
-                detail=f"tier saturation order: {seqd} ({direction})",
-                onset_window=onsets[0][0], onset_time=onsets[0][1],
-                data={"order": [{"tier": o[2], "window": o[0],
-                                 "peak_depth": o[3]} for o in onsets],
-                      "direction": direction}))
-        return out
+                  "saturated_tiers": [g[2] for g in grown]})]
 
     # -- public API ------------------------------------------------------------
 
@@ -222,21 +194,18 @@ class HealthEngine:
                 + self._pool_finding())
 
     def poll(self) -> list[Finding]:
-        """Online fold: evaluate and emit findings not yet reported.
+        """Online fold: the findings not returned by an earlier poll.
 
-        Call periodically while the run is live (the scrape server's
-        poller does); each distinct ``(kind, series)`` finding is
-        emitted exactly once, with the evidence available at the time it
-        first crossed its threshold.
+        Call periodically while the run is live (the scrape server does
+        on every ``/findings``); each distinct ``(kind, series)`` finding
+        is returned — and appended to :attr:`findings` — exactly once,
+        with the evidence available when it first crossed its threshold.
         """
         fresh = []
         for f in self.scan():
             key = (f.kind, f.series)
-            if key in self._emitted:
-                continue
-            self._emitted.add(key)
-            self.findings.append(f)
-            fresh.append(f)
-            if self.emit is not None:
-                self.emit(f)
+            if key not in self._emitted:
+                self._emitted.add(key)
+                self.findings.append(f)
+                fresh.append(f)
         return fresh

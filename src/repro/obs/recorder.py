@@ -230,8 +230,11 @@ class Recorder:
         block-pool level a complete allocation left."""
         if self.causal is not None:
             self.causal.on_pool(popped, dry)
-        if live_blocks is not None and self.timeline is not None:
-            self.timeline.tap_pool(self.now(), live_blocks)
+        if self.timeline is not None:
+            if live_blocks is not None:
+                self.timeline.tap_pool(self.now(), live_blocks)
+            elif dry is not None:
+                self.timeline.count(self.now(), "pool|dry")
 
     def msg_sent(self, pid: int, slot: int, gen: int, seqno: int,
                  length: int, blocks: int, depth: int,

@@ -18,10 +18,11 @@ Each window is one :class:`~repro.obs.store.Store`, which defines the
 three cell kinds and their folds.
 
 Series keys are ``"<series>|<metric>"`` strings: ``circuit:<slot>``,
-``lock:<name>``, ``pool``, ``ring:<slot>``, and (after
-:meth:`tier_series` aggregation) ``tier:<name>``.  Slot-numbered
-circuit series are resolved to circuit names through :attr:`names`,
-populated by the ``open_send``/``open_receive`` taps.
+``lock:<name>``, ``pool`` (``live_blocks`` after each allocation,
+``dry`` counting the pops that found a pool empty), ``ring:<slot>``,
+and (after :meth:`tier_series` aggregation) ``tier:<name>``.
+Slot-numbered circuit series are resolved to circuit names through
+:attr:`names`, populated by the ``open_send``/``open_receive`` taps.
 
 The timeline is a pure sink, exactly like the causal tracer: the
 :class:`~repro.obs.recorder.Recorder` that carries it hears the message

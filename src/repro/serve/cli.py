@@ -160,8 +160,8 @@ def serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--timeline", nargs="?", const=True, default=None, metavar="PATH",
-        help="window the traced probe into a timeline and write the "
-        "mpf-serve-timeline/1 JSON document with online health findings "
+        help="write the traced probe's timeline as the "
+        "mpf-serve-timeline/1 JSON document with its health findings "
         "(default path: next to --json, else serve-timeline.json)",
     )
     parser.add_argument(
@@ -195,33 +195,27 @@ def serve_main(argv: list[str]) -> int:
                               seed=args.seed, runtime=args.runtime,
                               jobs=args.jobs)
 
-    # One extra causally-traced point at the most interesting load — the
-    # first detected knee, else the largest swept load — for the stall
+    # One extra traced point at the most interesting load — the first
+    # detected knee, else the largest swept load — for the health
     # findings and the observability exports.
     knees = [c["knee_rps"] for c in report.configs.values()
              if c["knee_rps"] is not None]
     probe_rate = min(knees) if knees else loads[-1]
     probe_n = max(1, round(probe_rate * min(duration, 5.0)))
-    want_timeline = args.timeline is not None or args.live is not None
-    health = server = None
-    if want_timeline:
-        from ..obs import HealthEngine, LiveTelemetryServer, Recorder, \
-            serve_tier_of
+    from ..obs import HealthEngine, LiveTelemetryServer, Recorder
 
-        probe_rec = Recorder(causal=True, timeline=True,
-                             timeline_width=args.timeline_width)
-        health = HealthEngine(probe_rec.timeline, tier_of=serve_tier_of)
-        if args.live is not None:
-            server = LiveTelemetryServer(probe_rec, port=args.live,
-                                         health=health)
-            print(f"live telemetry at {server.start()} "
-                  "(/metrics /findings /timeline; up during the probe)")
-    else:
-        probe_rec = None
+    rec = Recorder(causal=True, timeline=True,
+                   timeline_width=args.timeline_width)
+    health = HealthEngine(rec.timeline)
+    server = None
+    if args.live is not None:
+        server = LiveTelemetryServer(rec, port=args.live, health=health)
+        print(f"live telemetry at {server.start()} "
+              "(/metrics /findings /timeline; up during the probe)")
     try:
-        point, rec = run_point(
-            configs["batched"], probe_rate, probe_n, seed=args.seed,
-            runtime=args.runtime, causal=True, recorder=probe_rec)
+        point, _ = run_point(configs["batched"], probe_rate, probe_n,
+                             seed=args.seed, runtime=args.runtime,
+                             recorder=rec)
     finally:
         if server is not None:
             server.stop()
@@ -230,16 +224,8 @@ def serve_main(argv: list[str]) -> int:
         f"traced probe at {probe_rate:g} rps ({args.runtime}): "
         f"goodput {point['goodput_rps']:.1f} rps, p999 "
         f"{point['p999_ms']:.2f} ms, causal stride 1/{tracer.stride}")
-    from ..obs import detect_stalls
-
-    report.findings.extend(detect_stalls(tracer))
-    if health is not None:
-        # Online health attribution over the probe's timeline; the
-        # structured findings cross-link into the SLO report so the SLO
-        # document alone already names the first saturating tier.
-        health.poll()
-        report.findings.extend(f"telemetry: {f.detail}"
-                               for f in health.findings)
+    health.poll()
+    report.findings.extend(f.detail for f in health.findings)
     wall = time.perf_counter() - t0
 
     print(report.format_table())

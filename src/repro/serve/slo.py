@@ -64,7 +64,8 @@ class SLOReport:
     seed: int
     #: label -> {"shape": {...}, "points": [...], "knee_rps": float|None}
     configs: dict = field(default_factory=dict)
-    #: Free-form findings (stall reports, tracing notes).
+    #: Free-form lines: the traced probe's summary, then the details of
+    #: the health engine's findings over its timeline.
     findings: list = field(default_factory=list)
 
     def add_config(self, label: str, shape: dict,

@@ -65,11 +65,12 @@ def run_point(
 
     ``schedules`` overrides the generated Poisson arrivals (trace-driven
     serving: pass one absolute-time schedule per client).  ``causal``
-    attaches a causal tracer, whose e2e delivery sketch and stall
-    findings feed the observability exports.  ``timeline``
-    additionally windows the point's traffic into ``timeline_width``-
-    second buckets (:class:`repro.obs.Timeline`) — the substrate of the
-    ``mpf-serve-timeline/1`` document and the online health findings.
+    attaches a causal tracer, whose e2e delivery sketch feeds the
+    observability exports.  ``timeline`` additionally windows the
+    point's traffic into ``timeline_width``-second buckets
+    (:class:`repro.obs.Timeline`) — the substrate of the
+    ``mpf-serve-timeline/1`` document and of the health findings
+    (:class:`repro.obs.HealthEngine`).
     ``recorder`` supplies a pre-built recorder instead (the live scrape
     endpoint needs it *before* the run starts); it overrides the
     ``causal``/``timeline`` construction flags.

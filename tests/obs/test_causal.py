@@ -8,9 +8,10 @@ The load-bearing guarantees pinned here:
   segment's own header/inspect totals (three independent books);
 * the same program produces the same lifecycle counts on the simulator,
   real threads and forked processes;
-* derived analyses (queue timelines, peak depth, stall detection, flow
-  graphs, Prometheus exposition, Chrome async spans) stay consistent
-  with the raw event list.
+* derived analyses (queue timelines, peak depth, flow graphs,
+  Prometheus exposition, Chrome async spans) stay consistent with the
+  raw event list;
+* a failed pop reaches the timeline, where the health engine reads it.
 """
 
 import json
@@ -23,11 +24,11 @@ from repro.core.layout import MPFConfig
 from repro.core.protocol import BROADCAST, FCFS
 from repro.obs import (
     CausalTracer,
+    HealthEngine,
     Recorder,
     busiest_lnvc,
     causal_async_events,
     check_dot,
-    detect_stalls,
     flow_dot,
     flow_from_causal,
     flow_from_segment,
@@ -233,28 +234,33 @@ def test_format_causal_tail_lists_recent_events():
     assert "fcfs take" in text or "reaped" in text
 
 
-# -- stall / backpressure detection ------------------------------------------
+# -- what is backing up: the health engine over the recorder's timeline -------
 
 
-def test_detect_stalls_flags_pool_exhaustion():
-    c = CausalTracer()
-    c.on_pool([(0, 1)])  # a successful pop
-    c.on_pool(dry=0)  # pool exhausted
-    findings = detect_stalls(c)
-    assert any("exhausted" in f for f in findings)
+def test_health_flags_pool_exhaustion():
+    rec = Recorder(causal=True, timeline=True)
+    rec.pool([(0, 1)])  # a successful pop
+    rec.pool(dry=0)  # pool exhausted
+    assert rec.causal.pool_failures == {0: 1}
+    (f,) = HealthEngine(rec.timeline).scan()
+    assert f.kind == "alloc-pressure" and f.data["failed_pops"] == 1
 
 
-def test_detect_stalls_flags_undrained_queue():
-    c = CausalTracer()
-    for i in range(8):
-        c.on_send(0, 0, 0, i, 4, 1, i + 1, 0.0, 0.0, 0.0, 0.0)
-    findings = detect_stalls(c)
-    assert any("not draining" in f for f in findings)
+def test_health_flags_undrained_queue():
+    rec = Recorder(timeline=True)
+    rec.circuit_opened(0, "jobs")
+    for i in range(40):  # two sends per window, nothing received
+        rec.now = lambda t=i * 0.025: t
+        rec.msg_sent(0, 0, 0, i, 4, 1, i + 1, 0.0, 0.0, 0.0)
+    (f,) = HealthEngine(rec.timeline).scan()
+    assert (f.kind, f.series) == ("queue-growth", "circuit:jobs")
 
 
-def test_detect_stalls_quiet_on_healthy_run():
-    c = run_traced("sim").causal
-    assert detect_stalls(c) == []
+def test_health_quiet_on_healthy_run():
+    rec = Recorder(causal=True, timeline=True)
+    SimRuntime(recorder=rec).run([sender, receiver])
+    assert rec.timeline.windows
+    assert HealthEngine(rec.timeline).scan() == []
 
 
 # -- flow graphs -------------------------------------------------------------

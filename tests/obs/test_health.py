@@ -1,13 +1,14 @@
 """Online health attribution: detectors, onset localization, emit-once.
 
 Synthetic timelines with hand-placed ramps pin each detector's verdict
-exactly — which series, which onset window, which direction — and the
-online ``poll`` contract (each finding emitted exactly once, through
-the optional callback, while the run is still in flight).
+exactly — which series, which onset window — and the online ``poll``
+contract (each finding returned exactly once, while the run is still in
+flight).  Whether the kinds recall real faults and stay silent on clean
+runs is tests/obs/test_health_recall.py.
 """
 
 from repro.obs import HealthEngine, Timeline, serve_tier_of
-from repro.obs.health import SERVE_TIER_ORDER
+from repro.obs.health import MIN_WINDOWS, SERVE_TIER_ORDER
 
 WIDTH = 0.05
 
@@ -45,7 +46,7 @@ def test_serve_tier_of_maps_topology_names():
 
 
 def test_saturating_tier_names_first_tier_and_onset_window():
-    engine = HealthEngine(ramped_timeline(), tier_of=serve_tier_of)
+    engine = HealthEngine(ramped_timeline())
     kinds = by_kind(engine.scan())
     (sat,) = kinds["saturating-tier"]
     assert sat.series == "tier:workers"
@@ -55,19 +56,8 @@ def test_saturating_tier_names_first_tier_and_onset_window():
     assert sat.data["saturated_tiers"] == ["workers", "frontends"]
 
 
-def test_backpressure_order_reports_direction():
-    engine = HealthEngine(ramped_timeline(), tier_of=serve_tier_of)
-    kinds = by_kind(engine.scan())
-    (bp,) = kinds["backpressure-order"]
-    # workers (downstream of frontends) saturated first: pressure
-    # propagated downstream -> upstream.
-    assert bp.data["direction"] == "downstream → upstream"
-    assert [o["tier"] for o in bp.data["order"]] == ["workers", "frontends"]
-    assert "workers@w5" in bp.detail and "frontends@w7" in bp.detail
-
-
 def test_queue_growth_localizes_circuit_by_name():
-    engine = HealthEngine(ramped_timeline(), tier_of=serve_tier_of)
+    engine = HealthEngine(ramped_timeline())
     kinds = by_kind(engine.scan())
     series = {f.series for f in kinds["queue-growth"]}
     # Both ramping circuits fire, name-resolved; the flat tier-less
@@ -79,24 +69,40 @@ def test_queue_growth_localizes_circuit_by_name():
     assert worker.data["peak_depth"] == 8.0
 
 
-def test_tier_detectors_silent_without_tier_map():
-    engine = HealthEngine(ramped_timeline())
-    kinds = by_kind(engine.scan())
+def test_tier_detectors_silent_outside_serve_topology():
+    tl = ramped_timeline()
+    tl.names = {0: "jobs", 1: "results", 2: "gate"}
+    kinds = by_kind(HealthEngine(tl).scan())
     assert "saturating-tier" not in kinds
-    assert "backpressure-order" not in kinds
-    assert "queue-growth" in kinds  # circuit detector still fires
+    assert {f.series for f in kinds["queue-growth"]} == {"circuit:jobs",
+                                                         "circuit:results"}
 
 
 def test_alloc_pressure_from_pool_ramp():
+    """Pops that found the pool empty, more of them window by window."""
     tl = Timeline(width=WIDTH)
-    for idx, level in enumerate([1, 1, 1, 2, 4, 8, 10, 12, 12]):
-        tl.gauge((idx + 0.5) * WIDTH, "pool|live_blocks", float(level))
-    engine = HealthEngine(tl)
-    kinds = by_kind(engine.scan())
-    (pool,) = kinds["alloc-pressure"]
-    assert pool.series == "pool"
-    assert pool.onset_window is not None
-    assert pool.data["late_level"] > pool.data["early_level"]
+    for idx, dry in enumerate([0, 0, 0, 1, 2, 4, 8, 10, 12]):
+        if dry:
+            tl.count((idx + 0.5) * WIDTH, "pool|dry", dry)
+    tl.gauge(0.5 * WIDTH, "pool|live_blocks", 1.0)  # a level is no verdict
+    (pool,) = HealthEngine(tl).scan()
+    assert (pool.kind, pool.series) == ("alloc-pressure", "pool")
+    assert pool.onset_window == 3
+    assert pool.data == {"failed_pops": 37, "windows": 6,
+                         "peak_per_window": 12}
+
+
+def test_two_window_startup_fill_is_not_growth():
+    """A queue and a pool that fill while the run starts, seen in two
+    windows: the first is "early", the last "late", and a ramp detector
+    judging thirds of two windows called it growth."""
+    tl = Timeline(width=WIDTH)
+    tl.name_slot(0, "done.in")
+    for idx, (depth, live) in enumerate([(0.0, 1.0), (8.0, 120.0)]):
+        tl.gauge((idx + 0.5) * WIDTH, "circuit:0|depth", depth)
+        tl.gauge((idx + 0.5) * WIDTH, "pool|live_blocks", live)
+    assert len(tl.windows) == 2 < MIN_WINDOWS
+    assert HealthEngine(tl).scan() == []
 
 
 def test_healthy_run_produces_no_findings():
@@ -104,25 +110,26 @@ def test_healthy_run_produces_no_findings():
     tl.name_slot(0, "serve.work.0")
     for idx in range(10):
         tl.gauge((idx + 0.5) * WIDTH, "circuit:0|depth", 1.0)
-    assert HealthEngine(tl, tier_of=serve_tier_of).scan() == []
+    assert HealthEngine(tl).scan() == []
 
 
 def test_poll_emits_each_finding_exactly_once():
-    emitted = []
-    engine = HealthEngine(ramped_timeline(), tier_of=serve_tier_of,
-                          emit=emitted.append)
+    engine = HealthEngine(ramped_timeline())
     fresh = engine.poll()
-    assert fresh and emitted == fresh
+    assert [(f.kind, f.series) for f in fresh] == [
+        ("saturating-tier", "tier:workers"),
+        ("queue-growth", "circuit:serve.work.0"),
+        ("queue-growth", "circuit:serve.front.0"),
+    ]
+    assert engine.findings == fresh
     assert engine.poll() == []  # second poll: nothing new
-    assert emitted == engine.findings
-    keys = [(f.kind, f.series) for f in engine.findings]
-    assert len(keys) == len(set(keys))
+    assert engine.findings == fresh
 
 
 def test_poll_is_incremental_as_windows_close():
     tl = Timeline(width=WIDTH)
     tl.name_slot(0, "serve.work.0")
-    engine = HealthEngine(tl, tier_of=serve_tier_of)
+    engine = HealthEngine(tl)
     # Flat early phase: nothing to report yet.
     for idx in range(4):
         tl.gauge((idx + 0.5) * WIDTH, "circuit:0|depth", 0.5)
@@ -136,7 +143,7 @@ def test_poll_is_incremental_as_windows_close():
 
 
 def test_finding_to_dict_is_json_shaped():
-    engine = HealthEngine(ramped_timeline(), tier_of=serve_tier_of)
+    engine = HealthEngine(ramped_timeline())
     for f in engine.scan():
         d = f.to_dict()
         assert set(d) == {"kind", "severity", "series", "detail",

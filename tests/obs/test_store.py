@@ -240,7 +240,7 @@ def test_no_cell_is_read_by_position_outside_the_store():
     readers = _where(lambda n: _reads(n, "mean") or (
         _reads(n, "max", "min") and getattr(n.value, "id", "") == "cell"))
     assert {"obs/export.py:prometheus_exposition",
-            "obs/health.py:_avg_rows"} <= readers
+            "obs/health.py:_growth"} <= readers
 
 
 def test_recorder_merge_is_the_one_way_across_a_join_or_a_fork():

@@ -1,7 +1,7 @@
 """The ``mpf-serve-timeline/1`` document and the probe that feeds it.
 
-The ISSUE's acceptance shape: a quick traced serve point at knee load
-produces a valid timeline document whose findings name the first
+A traced serve point at the archived baseline knee (300 rps, probe
+size) produces a valid timeline document whose findings name the first
 saturating tier and its onset window; a strict validator rejects
 malformed documents; and the windowed series are runtime-portable at
 the circuit-name level (sim vs threads by counter digest).
@@ -13,21 +13,23 @@ import sys
 
 import pytest
 
-from repro.obs import HealthEngine, Recorder, serve_tier_of
+from repro.obs import HealthEngine, Recorder
 from repro.serve.slo import build_timeline_doc, validate_timeline
 from repro.serve.sweep import run_point
 from repro.serve.topology import ServeShape
 
-KNEE_RPS, KNEE_N = 400.0, 800
+#: The baseline configuration's archived knee (serve_slo.json), at the
+#: SLO probe's size: five seconds of schedule.
+KNEE_RPS, KNEE_N = 300.0, 1500
 
 
 @pytest.fixture(scope="module")
 def knee_probe():
-    """One causally-traced, timelined sim point at quick-sweep knee load."""
-    shape = ServeShape(policy="shed").with_load_features(batch=8)
-    point, rec = run_point(shape, KNEE_RPS, KNEE_N, seed=1987,
-                           runtime="sim", causal=True, timeline=True)
-    health = HealthEngine(rec.timeline, tier_of=serve_tier_of)
+    """One causally-traced, timelined sim point at the baseline knee."""
+    point, rec = run_point(ServeShape(policy="shed"), KNEE_RPS, KNEE_N,
+                           seed=1987, runtime="sim", causal=True,
+                           timeline=True)
+    health = HealthEngine(rec.timeline)
     health.poll()
     return point, rec, health
 
@@ -36,9 +38,8 @@ def test_knee_findings_name_first_saturating_tier(knee_probe):
     _, rec, health = knee_probe
     sat = [f for f in health.findings if f.kind == "saturating-tier"]
     assert len(sat) == 1
-    assert sat[0].series.startswith("tier:")
+    assert sat[0].series == "tier:aggregator"
     tier = sat[0].data["tier"]
-    assert tier in ("frontends", "workers", "aggregator")
     assert sat[0].onset_window is not None
     assert sat[0].onset_time == pytest.approx(
         sat[0].onset_window * rec.timeline.width)
@@ -137,7 +138,7 @@ def test_live_scrape_during_threads_probe():
 
     shape = ServeShape(policy="stall").with_load_features(batch=8)
     rec = Recorder(causal=True, timeline=True)
-    health = HealthEngine(rec.timeline, tier_of=serve_tier_of)
+    health = HealthEngine(rec.timeline)
     server = LiveTelemetryServer(rec, health=health)
     url = server.start()
     runner = threading.Thread(
