@@ -5,7 +5,7 @@ The paper ran "a group of Unix processes" over a mapped shared region
 (§4).  This example goes one step further than fork: it launches a
 completely separate ``python`` interpreter which attaches to the named
 segment created here and exchanges messages with us — two programs that
-share nothing but a segment name and a config.
+share nothing but a segment name.
 
 Run:  python examples/independent_processes.py
 """
@@ -25,12 +25,10 @@ CFG = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
 WORKER = textwrap.dedent(
     """
     import sys
-    from repro import FCFS, MPFConfig
+    from repro import FCFS
     from repro.runtime.posix import PosixSegment
 
-    cfg = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
-                    message_pool_bytes=1 << 16)
-    with PosixSegment.attach(sys.argv[1], cfg) as seg:
+    with PosixSegment.attach(sys.argv[1]) as seg:
         mpf = seg.client(1)
         work = mpf.open_receive("work", FCFS)
         answers = mpf.open_send("answers")

@@ -468,7 +468,9 @@ def _pair_time(make_workers, cfg) -> float:
     return SimRuntime().run(make_workers(), cfg=cfg).elapsed
 
 
-def _ablation_sync_lnvc_point(reps: int, length: int) -> tuple[float, dict]:
+def _ablation_lnvc_point(reps: int, length: int) -> tuple[float, dict]:
+    """The general LNVC, one sender to one FCFS receiver: the baseline
+    of Ablations A and B."""
     payload = b"x" * length
 
     def lnvc_pair():
@@ -527,32 +529,12 @@ def ablation_sync(quick: bool = False, jobs: int = 1) -> SweepResult:
     lengths = (16, 256, 2048) if quick else (16, 64, 256, 1024, 2048)
     reps = 8 if quick else 16
     run_series(result, "LNVC (async, double copy)", lengths,
-               partial(_ablation_sync_lnvc_point, reps), jobs=jobs)
+               partial(_ablation_lnvc_point, reps), jobs=jobs)
     run_series(result, "sync channel (rendezvous, direct)", lengths,
                partial(_ablation_sync_chan_point, reps), jobs=jobs)
     result.note("the gap grows with length: per-10-byte-block costs vs one "
                 "contiguous copy")
     return result
-
-
-def _ablation_o2o_lnvc_point(reps: int, length: int) -> tuple[float, dict]:
-    payload = b"x" * length
-
-    def lnvc_pair():
-        def sender(env):
-            cid = yield from env.open_send("c")
-            for _ in range(reps):
-                yield from env.message_send(cid, payload)
-
-        def receiver(env):
-            cid = yield from env.open_receive("c", FCFS)
-            for _ in range(reps):
-                yield from env.message_receive(cid)
-
-        return [sender, receiver]
-
-    t = _pair_time(lnvc_pair, MPFConfig(max_lnvcs=4, max_processes=2))
-    return 1e6 * t / reps, {}
 
 
 def _ablation_o2o_ring_point(reps: int, length: int) -> tuple[float, dict]:
@@ -588,7 +570,7 @@ def ablation_o2o(quick: bool = False, jobs: int = 1) -> SweepResult:
     lengths = (16, 64) if quick else (4, 16, 48, 64)
     reps = 12 if quick else 32
     run_series(result, "LNVC (locks + blocks + allocator)", lengths,
-               partial(_ablation_o2o_lnvc_point, reps), jobs=jobs)
+               partial(_ablation_lnvc_point, reps), jobs=jobs)
     run_series(result, "O2O ring (lock-free)", lengths,
                partial(_ablation_o2o_ring_point, reps), jobs=jobs)
     result.note('"if only one-to-one communication is implemented, all '

@@ -14,12 +14,17 @@ and renders a wait-for report.
 * **lost message** — sleepers with genuinely nothing to consume: the
   paper's §3.2 programming hazard (senders closed before receivers
   joined, discarding the traffic), or a counting bug in the program.
+
+A sleeper's circuit is read through :func:`repro.core.inspect.walk_list`,
+so a cyclic FIFO or descriptor list raises
+:class:`~repro.core.errors.RegionFormatError` instead of hanging the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.inspect import walk_list
 from ..core.ops import MPFView
 from ..core.protocol import NIL, Protocol
 from ..core.structs import LNVC, RECV
@@ -94,14 +99,15 @@ def _sleeper_status(view: MPFView, slot: int, pid: int) -> tuple[str | None, boo
     base = view.layout.lnvc_off(slot)
     if not LNVC.get(r, base, "in_use"):
         return None, False
-    desc = LNVC.get(r, base, "recv_list")
-    while desc != NIL:
+    # The traffic a sleeper could consume lies on the FIFO: vouch for it
+    # before reading heads into it.
+    walk_list(view, slot, "FIFO", LNVC.get(r, base, "fifo_head"))
+    for desc in walk_list(view, slot, "recv list", LNVC.get(r, base, "recv_list")):
         if RECV.get(r, desc, "pid") == pid:
             proto = Protocol(RECV.get(r, desc, "proto"))
             if proto is Protocol.FCFS:
                 return "FCFS", LNVC.get(r, base, "fcfs_head") != NIL
             return "BROADCAST", RECV.get(r, desc, "head") != NIL
-        desc = RECV.get(r, desc, "next")
     return None, False
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "S_ACQ",
     "S_REL",
     "S_CALL",
-    "S_NEXT",
     "D_BAIL",
     "D_JUMP",
 ]
@@ -68,7 +67,7 @@ __all__ = [
 # ints (not an Enum) keep the simulator's per-step dispatch at a couple of
 # machine comparisons — these run once per protocol step, millions of
 # times per figure sweep.  The engine compares against the literal
-# values; opcode 4 and directives 0-2 are unassigned.
+# values; opcodes 4 and 6 and directives 0-2 are unassigned.
 
 #: ``(S_CHARGE, work)`` — one :class:`Charge` event.
 S_CHARGE = 0
@@ -83,13 +82,6 @@ S_REL = 3
 #: two yields in the unfused sequence.  ``fn`` returns ``None`` or a
 #: directive tuple (below).
 S_CALL = 5
-#: ``(S_NEXT, None)`` — a section boundary inside one effect: where the
-#: sections this one replaces had "section ends, the generator resumes,
-#: the next section starts".  Free: the engine counts one event per
-#: resumption of a timeline either way, so a section that loops
-#: (:func:`repro.core.ops.poll_receive`) is event for event the
-#: sequence of sections it replaces.
-S_NEXT = 6
 
 #: ``(D_BAIL, value)`` — abandon the remaining steps and resume the
 #: generator *now* with ``value``.  The guard for whatever the section
@@ -209,7 +201,7 @@ class FusedSection:
     effect-per-yield sequence, without the generator round-trips.
 
     The one producer is :func:`repro.core.ops.poll_receive`, whose idle
-    wait loops inside the engine (``S_NEXT``, ``D_JUMP``) instead of
+    wait loops inside the engine (``D_JUMP`` back to its head) instead of
     resuming a generator 88 times per receive.  The eight primitives
     themselves yield classic effects on every runtime: a section that
     runs once costs more host time to build and interpret than the

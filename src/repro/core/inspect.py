@@ -11,12 +11,19 @@ diagnostic process that does not participate in the protocol), so on a
 *running* system the snapshot can be torn, exactly as a debugger's view
 of the paper's C structures would be.  On a quiescent segment it is
 exact; tests use it that way.
+
+Every shared list — a circuit's FIFO, a BROADCAST backlog, the send and
+receive descriptor lists — is walked by one bounded walker,
+:func:`walk_list`, whichever reader asks: the dump here, the invariants
+below and :func:`repro.check.deadlock.analyze_stall`.  None of them can
+spin on a cyclic list a fault or a torn snapshot left behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import RegionFormatError
 from .freelist import fl_count
 from .layout import HDR
 from .ops import MPFView, encode_lnvc_id
@@ -37,7 +44,7 @@ from .structs import (
 )
 
 __all__ = ["MessageInfo", "ConnectionInfo", "CircuitInfo", "SegmentInfo",
-           "inspect_segment", "render_segment", "traffic_totals",
+           "inspect_segment", "render_segment", "traffic_totals", "walk_list",
            "InvariantViolation", "collect_violations", "check_invariants"]
 
 
@@ -107,23 +114,53 @@ class SegmentInfo:
         raise KeyError(name)
 
 
-def _walk_messages(view: MPFView, base: int) -> list[MessageInfo]:
+#: Each shared list: its record, link field and the config's pool size.
+_LISTS = {
+    "FIFO": (MSG, "next_msg", "max_messages"),
+    "BROADCAST backlog": (MSG, "next_msg", "max_messages"),
+    "send list": (SEND, "next", "n_send"),
+    "recv list": (RECV, "next", "n_recv"),
+}
+
+
+def _walk(view: MPFView, kind: str, head: int) -> list[int]:
+    """Record offsets along the ``kind`` list from ``head``, stopping
+    after one more than its pool holds: a longer answer means a cycle or
+    a link into another list, and the caller says what that means."""
+    rec, link, pool = _LISTS[kind]
+    cap = getattr(view.cfg, pool)
     r = view.region
-    out = []
-    msg = LNVC.get(r, base, "fifo_head")
-    while msg != NIL:
-        out.append(
-            MessageInfo(
-                seqno=MSG.get(r, msg, "seqno"),
-                length=MSG.get(r, msg, "length"),
-                nblocks=MSG.get(r, msg, "nblocks"),
-                sender=MSG.get(r, msg, "sender"),
-                flags=MsgFlags(MSG.get(r, msg, "flags")),
-                bcast_pending=MSG.get(r, msg, "bcast_pending"),
-            )
-        )
-        msg = MSG.get(r, msg, "next_msg")
+    out: list[int] = []
+    while head != NIL and len(out) <= cap:
+        out.append(head)
+        head = rec.get(r, head, link)
     return out
+
+
+def walk_list(view: MPFView, slot: int, kind: str, head: int) -> list[int]:
+    """The records of circuit ``slot``'s ``kind`` list from ``head``
+    (``"FIFO"``, ``"BROADCAST backlog"``, ``"send list"`` or ``"recv
+    list"``); raises :class:`RegionFormatError` naming both if the list
+    is cyclic or overlong."""
+    out = _walk(view, kind, head)
+    if len(out) > getattr(view.cfg, _LISTS[kind][2]):
+        raise RegionFormatError(f"lnvc slot {slot}: {kind} is cyclic or overlong")
+    return out
+
+
+def _walk_messages(view: MPFView, slot: int, base: int) -> list[MessageInfo]:
+    r = view.region
+    return [
+        MessageInfo(
+            seqno=MSG.get(r, msg, "seqno"),
+            length=MSG.get(r, msg, "length"),
+            nblocks=MSG.get(r, msg, "nblocks"),
+            sender=MSG.get(r, msg, "sender"),
+            flags=MsgFlags(MSG.get(r, msg, "flags")),
+            bcast_pending=MSG.get(r, msg, "bcast_pending"),
+        )
+        for msg in walk_list(view, slot, "FIFO", LNVC.get(r, base, "fifo_head"))
+    ]
 
 
 def _ring_live_slots(view: MPFView, base: int) -> list[tuple[int, int]]:
@@ -169,17 +206,15 @@ def _walk_ring_messages(view: MPFView, base: int) -> list[MessageInfo]:
     return out
 
 
-def _walk_connections(view: MPFView, base: int) -> list[ConnectionInfo]:
+def _walk_connections(view: MPFView, slot: int, base: int) -> list[ConnectionInfo]:
     r = view.region
     is_ring = bool(LNVC.get(r, base, "transport"))
-    out = []
-    desc = LNVC.get(r, base, "send_list")
-    while desc != NIL:
-        out.append(ConnectionInfo(pid=SEND.get(r, desc, "pid"), kind="send",
-                                  protocol=None))
-        desc = SEND.get(r, desc, "next")
-    desc = LNVC.get(r, base, "recv_list")
-    while desc != NIL:
+    out = [
+        ConnectionInfo(pid=SEND.get(r, desc, "pid"), kind="send", protocol=None)
+        for desc in walk_list(view, slot, "send list",
+                              LNVC.get(r, base, "send_list"))
+    ]
+    for desc in walk_list(view, slot, "recv list", LNVC.get(r, base, "recv_list")):
         proto = Protocol(RECV.get(r, desc, "proto"))
         backlog = None
         if proto is Protocol.BROADCAST:
@@ -192,11 +227,8 @@ def _walk_connections(view: MPFView, base: int) -> list[ConnectionInfo]:
                     r, cur, "next_seq"
                 )
             else:
-                backlog = 0
-                msg = RECV.get(r, desc, "head")
-                while msg != NIL:
-                    backlog += 1
-                    msg = MSG.get(r, msg, "next_msg")
+                backlog = len(walk_list(view, slot, "BROADCAST backlog",
+                                        RECV.get(r, desc, "head")))
         out.append(
             ConnectionInfo(
                 pid=RECV.get(r, desc, "pid"),
@@ -206,7 +238,6 @@ def _walk_connections(view: MPFView, base: int) -> list[ConnectionInfo]:
                 backlog=backlog,
             )
         )
-        desc = RECV.get(r, desc, "next")
     return out
 
 
@@ -234,7 +265,11 @@ def traffic_totals(view: MPFView) -> dict[str, int]:
 
 
 def inspect_segment(view: MPFView) -> SegmentInfo:
-    """Walk the segment read-only and return its structured state."""
+    """Walk the segment read-only and return its structured state.
+
+    Raises :class:`RegionFormatError` on a cyclic or overlong list
+    (:func:`walk_list`).
+    """
     r = view.region
     totals = traffic_totals(view)
     circuits = []
@@ -256,9 +291,9 @@ def inspect_segment(view: MPFView) -> SegmentInfo:
                 messages=(
                     _walk_ring_messages(view, base)
                     if is_ring
-                    else _walk_messages(view, base)
+                    else _walk_messages(view, slot, base)
                 ),
-                connections=_walk_connections(view, base),
+                connections=_walk_connections(view, slot, base),
                 transport="ring" if is_ring else "freelist",
             )
         )
@@ -282,18 +317,6 @@ def inspect_segment(view: MPFView) -> SegmentInfo:
 
 class InvariantViolation(AssertionError):
     """A structural invariant of the shared segment does not hold."""
-
-
-def _walk_fifo(r, base, cap: int) -> list[int] | None:
-    """Message header offsets from ``fifo_head``; ``None`` on a cycle."""
-    out: list[int] = []
-    msg = LNVC.get(r, base, "fifo_head")
-    while msg != NIL:
-        if len(out) > cap:
-            return None
-        out.append(msg)
-        msg = MSG.get(r, msg, "next_msg")
-    return out
 
 
 def _ring_circuit_violations(
@@ -458,9 +481,10 @@ def collect_violations(
             fifo_set: set = set()
             out.extend(_ring_circuit_violations(view, base, tag, level))
         else:
-            fifo = _walk_fifo(r, base, cfg.max_messages)
-            if fifo is None:
-                out.append(f"{tag}: FIFO is cyclic or overlong")
+            try:
+                fifo = walk_list(view, slot, "FIFO", LNVC.get(r, base, "fifo_head"))
+            except RegionFormatError as exc:
+                out.append(str(exc))
                 continue
             nmsgs = LNVC.get(r, base, "nmsgs")
             if nmsgs != len(fifo):
@@ -487,22 +511,21 @@ def collect_violations(
         if level == "final":
             fifo_set = set(fifo)
             # Descriptor lists match the counters and carry unique pids.
-            sends, pids, desc = [], set(), LNVC.get(r, base, "send_list")
-            while desc != NIL and len(sends) <= cfg.n_send:
-                sends.append(desc)
+            # An overlong list shows as a count one past its pool.
+            sends = _walk(view, "send list", LNVC.get(r, base, "send_list"))
+            pids = set()
+            for desc in sends:
                 pid = SEND.get(r, desc, "pid")
                 if pid in pids:
                     out.append(f"{tag}: duplicate send descriptor for pid {pid}")
                 pids.add(pid)
-                desc = SEND.get(r, desc, "next")
             if len(sends) != n_senders:
                 out.append(
                     f"{tag}: n_senders={n_senders} but send list holds {len(sends)}"
                 )
-            recvs, pids, desc = [], set(), LNVC.get(r, base, "recv_list")
+            pids = set()
             got_fcfs = got_bcast = 0
-            while desc != NIL and len(recvs) <= cfg.n_recv:
-                recvs.append(desc)
+            for desc in _walk(view, "recv list", LNVC.get(r, base, "recv_list")):
                 pid = RECV.get(r, desc, "pid")
                 if pid in pids:
                     out.append(f"{tag}: duplicate recv descriptor for pid {pid}")
@@ -527,7 +550,6 @@ def collect_violations(
                         )
                 else:
                     got_fcfs += 1
-                desc = RECV.get(r, desc, "next")
             if (got_fcfs, got_bcast) != (n_fcfs, n_bcast):
                 out.append(
                     f"{tag}: receiver counters ({n_fcfs} FCFS, {n_bcast} BCAST) "
@@ -620,13 +642,11 @@ def _cache_violations(view: MPFView) -> list[str]:
     path rests on.  Stale entries (generation or epoch moved on) are
     legal; they just miss.
     """
-    from .ops import _find_recv, _find_send  # local import: cycle guard
-
     r = view.region
     out: list[str] = []
-    for kind, cache, find in (
-        ("send", view._send_cache, _find_send),
-        ("recv", view._recv_cache, _find_recv),
+    for kind, cache, rec in (
+        ("send", view._send_cache, SEND),
+        ("recv", view._recv_cache, RECV),
     ):
         for (slot, pid), (desc, steps, gen, epoch) in cache.items():
             if slot >= view.cfg.max_lnvcs:
@@ -638,7 +658,12 @@ def _cache_violations(view: MPFView) -> list[str]:
                 continue
             if LNVC.get(r, base, "conn_epoch") != epoch:
                 continue
-            found, _, walked = find(view, base, pid)
+            chain = _walk(view, f"{kind} list", LNVC.get(r, base, f"{kind}_list"))
+            found, walked = NIL, len(chain)
+            for i, d in enumerate(chain):
+                if rec.get(r, d, "pid") == pid:
+                    found, walked = d, i + 1
+                    break
             if (found, walked) != (desc, steps):
                 out.append(
                     f"{kind}-descriptor cache incoherent for slot {slot} pid "

@@ -107,9 +107,6 @@ class MPFConfig:
     #: Per-circuit overrides of :attr:`transport`, as ``(name, kind)``
     #: pairs matched against the LNVC name at first open.
     transports: tuple = ()
-    #: Ring pool size; 0 derives it (``max_lnvcs`` when any circuit may
-    #: select the ring transport, else no pool at all).
-    ring_lnvcs: int = 0
     #: Slots per ring.  A full ring blocks senders until a slot retires,
     #: the analogue of the free-list transport's empty block pool.
     ring_slots: int = 64
@@ -139,11 +136,12 @@ class MPFConfig:
             raise MPFConfigError("extension reservations must be >= 0")
         if self.transport not in ("freelist", "ring"):
             raise MPFConfigError(f"unknown transport {self.transport!r}")
+        # Pairs, whatever sequence they came in (a JSON record has lists).
+        object.__setattr__(self, "transports",
+                           tuple(tuple(pair) for pair in self.transports))
         for pair in self.transports:
             if len(pair) != 2 or pair[1] not in ("freelist", "ring"):
                 raise MPFConfigError(f"bad transport override {pair!r}")
-        if self.ring_lnvcs < 0:
-            raise MPFConfigError("ring_lnvcs must be >= 0")
         if self.ring_slots < 2:
             raise MPFConfigError("ring_slots must be >= 2")
         if self.ring_slot_bytes < 1:
@@ -170,9 +168,7 @@ class MPFConfig:
 
     @property
     def n_rings(self) -> int:
-        """Effective ring pool size: 0 unless a circuit may use rings."""
-        if self.ring_lnvcs:
-            return self.ring_lnvcs
+        """Ring pool size: ``max_lnvcs`` when a circuit may use rings, else 0."""
         if self.transport == "ring" or any(k == "ring" for _, k in self.transports):
             return self.max_lnvcs
         return 0
@@ -393,10 +389,16 @@ def check_region(region: SharedRegion, cfg: MPFConfig) -> SegmentLayout:
         ("max_lnvcs", cfg.max_lnvcs),
         ("max_processes", cfg.max_processes),
         ("block_size", cfg.block_size),
+        ("n_send", cfg.n_send),
+        ("n_recv", cfg.n_recv),
         ("n_msgs", cfg.max_messages),
         ("n_blocks", cfg.n_blocks),
         ("n_rings", cfg.n_rings),
     ):
         if HDR.get(region, f) != want:
             raise RegionFormatError(f"segment {f} does not match config")
-    return SegmentLayout(cfg)
+    layout = SegmentLayout(cfg)
+    if region.size < layout.total_size:
+        raise RegionFormatError(f"region of {region.size} bytes is smaller "
+                                f"than its config's {layout.total_size}")
+    return layout

@@ -40,7 +40,6 @@ from .effects import (
     S_CALL,
     S_CHARGE,
     S_MANY,
-    S_NEXT,
     S_REL,
     Acquire,
     Charge,
@@ -1363,7 +1362,7 @@ def _make_poll_section(view, pid, ids, backoff):
     with its generator body between acquire and walk charge as the call.
     The walk finishes the check itself: it jumps to ``walk charge,
     release`` with the circuit's id as the result when there is traffic,
-    else to ``walk charge, release, S_NEXT, <next circuit's head>``; an
+    else to ``walk charge, release, <next circuit's head>``; an
     error bails with ``(lock held, exception)``.  The empty jump is
     memoized under the ``conn_epoch`` it was resolved at (with ``gen``
     that fixes descriptor, protocol and walk length), so an idle check
@@ -1412,7 +1411,7 @@ def _make_poll_section(view, pid, ids, backoff):
                 return (D_JUMP, lnvc_id, tail)
             m_desc, m_fcfs, m_epoch = desc, fcfs, epoch
             m_empty = (D_JUMP, None,
-                       tail + ((S_NEXT, None),) + heads[(i + 1) % len(ids)])
+                       tail + heads[(i + 1) % len(ids)])
             return m_empty
 
         fixed = (S_CHARGE, view._check_fixed_work) if i else (

@@ -34,6 +34,7 @@ from .region import SharedRegion
 __all__ = [
     "Record",
     "LNVC",
+    "RING_TAG",
     "SEND",
     "RECV",
     "MSG",
@@ -169,6 +170,9 @@ LNVC = Record(
     tail_bytes=NAME_MAX + 1,
     u64=("bytes_sent", "bytes_received"),
 )
+
+#: LNVC ``transport`` value of a ring circuit (a free-list circuit holds 0).
+RING_TAG = 1
 
 #: Send connection descriptor: just the owning process and the list link.
 SEND = Record("SEND", ("pid", "next"))

@@ -4,13 +4,13 @@ The MPF *protocol* — LNVC naming, FCFS/BROADCAST delivery, the §3.2
 retirement rule — is independent of how payload bytes physically travel
 through the shared segment.  This module formalizes that split:
 
-* :class:`FreelistTransport` — the paper's 1987 design: variable-length
-  messages as chains of 10-byte blocks from one global free list, linked
-  into a per-circuit FIFO.  Flexible, but every send crosses the global
+* ``"freelist"`` — the paper's 1987 design: variable-length messages
+  as chains of 10-byte blocks from one global free list, linked into a
+  per-circuit FIFO.  Flexible, but every send crosses the global
   ``ALLOC_LOCK`` and the sender's critical section grows with the
   receiver count — the contention collapse of Figure 4 (§4).
-* :class:`RingTransport` — the modern answer, after kzimp's "Memory
-  Passing Sockets" (``mpsoc.h``): a per-circuit array of fixed-size
+* ``"ring"`` — the modern answer, after kzimp's "Memory Passing
+  Sockets" (``mpsoc.h``): a per-circuit array of fixed-size
   cache-line-aligned slots, a monotone write index, per-reader cursors
   each on their own cache line, and a per-slot reader bitmap for
   BROADCAST completion.  No allocator, no list walks; a sender's
@@ -19,7 +19,8 @@ through the shared segment.  This module formalizes that split:
 The transport is chosen per circuit at creation time
 (:attr:`~repro.core.layout.MPFConfig.transport` sets the default,
 :attr:`~repro.core.layout.MPFConfig.transports` overrides by name) and
-recorded in the LNVC's ``transport`` field; :mod:`repro.core.ops`
+recorded in the LNVC's ``transport`` field (0 free-list,
+:data:`~repro.core.structs.RING_TAG` ring); :mod:`repro.core.ops`
 dispatches each hot primitive on that one u32.  Both transports speak
 the same protocol: same primitives, same blocking semantics, same
 retirement rule, same observability hooks.
@@ -67,6 +68,7 @@ from .structs import (
     RECV,
     RING,
     RING_READERS,
+    RING_TAG,
     RSLOT,
     RSLOT_DATA_OFF,
     RSLOT_PENDING_OFF,
@@ -77,9 +79,6 @@ from .structs import (
 from .work import Work
 
 __all__ = [
-    "FreelistTransport",
-    "RingTransport",
-    "TRANSPORTS",
     "RING_READS",
     "RING_STORES",
     "ring_send",
@@ -133,37 +132,6 @@ RING_STORES = {
     "rslot_pins": RING_READS["rslot_pins"],
     "rcur": RING_READS["rcur"],
 }
-
-
-class FreelistTransport:
-    """The paper's block-chain transport (implemented in ops.py).
-
-    Variable-length payloads, one global block pool, per-circuit linked
-    FIFO.  Its contention profile: every send and every reap crosses
-    ``ALLOC_LOCK``, and the sender walks the receiver list under the
-    circuit lock, so critical sections grow with fan-out.
-    """
-
-    kind = "freelist"
-    #: LNVC ``transport`` field value.
-    tag = 0
-
-
-class RingTransport:
-    """The mpsoc-style fixed-slot ring transport (this module).
-
-    Bounded payloads (``ring_slot_bytes``), no shared allocator,
-    constant-size critical sections.  A full ring blocks senders until a
-    slot retires — backpressure instead of the free-list transport's
-    pool-exhaustion error.
-    """
-
-    kind = "ring"
-    tag = 1
-
-
-#: Transport registry, keyed by the config's ``transport`` strings.
-TRANSPORTS = {t.kind: t for t in (FreelistTransport, RingTransport)}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +206,7 @@ def ring_attach(view, slot: int, base: int) -> OpGen:
     for i in range(cfg.ring_slots):
         RSLOT.clear(r, lay.ring_slot_off(ridx, i))
         r.set_u32(lay.ring_slot_off(ridx, i) + RSLOT_PENDING_OFF, 0)
-    LNVC.set(r, base, "transport", RingTransport.tag)
+    LNVC.set(r, base, "transport", RING_TAG)
     LNVC.set(r, base, "ring", ring)
     HDR.add(r, "live_rings", 1)
     yield charge(view.costs.open_fixed // 2, "ring-setup",

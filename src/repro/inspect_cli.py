@@ -5,13 +5,13 @@ to a segment created by :class:`repro.runtime.posix.PosixSegment` from
 any terminal and print its circuits, connections, queues and pool
 occupancy::
 
-    mpf-inspect myapp --max-lnvcs 8 --max-processes 4
+    mpf-inspect myapp
 
-The config flags must match the creator's ``MPFConfig`` (the segment
-header is validated against them, so a mismatch is an error, not a
-garbled dump).  The attach takes no locks; on a busy segment the
-snapshot may be torn — see the consistency caveat in
-:mod:`repro.core.inspect`.
+The name is all it needs: :meth:`~repro.runtime.posix.PosixSegment.attach`
+reads the creator's recorded config and checks it against the segment
+header, so a mismatch is an error, not a garbled dump.  The dump takes
+no locks; on a busy segment the snapshot may be torn — see the
+consistency caveat in :mod:`repro.core.inspect`.
 
 With ``--replay TRACE`` the tool instead re-executes a decision trace
 recorded by ``python -m repro.check`` and dumps the segment the failing
@@ -39,12 +39,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from multiprocessing import shared_memory
 
 from .core.inspect import inspect_segment, render_segment
-from .core.layout import MPFConfig, check_region
-from .core.ops import MPFView
-from .core.region import SharedRegion
 
 
 def _top(argv: list[str]) -> int:
@@ -81,13 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--replay", default=None, metavar="TRACE",
                         help="replay a repro.check decision trace and dump "
                              "the segment it leaves behind")
-    parser.add_argument("--max-lnvcs", type=int, default=32)
-    parser.add_argument("--max-processes", type=int, default=32)
-    parser.add_argument("--block-size", type=int, default=10)
-    parser.add_argument("--max-messages", type=int, default=1024)
-    parser.add_argument("--message-pool-bytes", type=int, default=1 << 20)
-    parser.add_argument("--ext-slots", type=int, default=0)
-    parser.add_argument("--ext-bytes", type=int, default=0)
     parser.add_argument("--flow", action="store_true",
                         help="also print the message flow graph "
                              "(pid -> LNVC -> pid) as Graphviz DOT")
@@ -98,44 +87,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.name is None:
         parser.error("a segment name is required (or use --replay TRACE)")
 
-    cfg = MPFConfig(
-        max_lnvcs=args.max_lnvcs,
-        max_processes=args.max_processes,
-        block_size=args.block_size,
-        max_messages=args.max_messages,
-        message_pool_bytes=args.message_pool_bytes,
-        ext_slots=args.ext_slots,
-        ext_bytes=args.ext_bytes,
-    )
+    from .runtime.posix import PosixSegment
+
     try:
-        shm = shared_memory.SharedMemory(name=args.name)
+        with PosixSegment.attach(args.name) as seg:
+            info = inspect_segment(seg.view)
     except FileNotFoundError:
         print(f"error: no shared segment named {args.name!r}", file=sys.stderr)
         return 2
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals moved
-        pass
-    region = SharedRegion(shm.buf)
-    try:
-        layout = check_region(region, cfg)
-        view = MPFView(region, layout)
-        info = inspect_segment(view)
-        print(render_segment(info))
-        if args.flow:
-            from .obs import flow_dot, flow_from_segment
-
-            print()
-            print(flow_dot(flow_from_segment(info)))
-        return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        region.release()
-        shm.close()
+    print(render_segment(info))
+    if args.flow:
+        from .obs import flow_dot, flow_from_segment
+
+        print()
+        print(flow_dot(flow_from_segment(info)))
+    return 0
 
 
 def _replay(path: str, flow: bool = False) -> int:

@@ -407,21 +407,17 @@ class Engine:
                         if idx < n:
                             op, arg = steps[idx]
                             idx += 1
-                            if op >= 5:  # free, at the current instant
-                                if op == 5:  # S_CALL: generator-body code
-                                    self.now = now
-                                    d = arg()
-                                    if d is not None:
-                                        state[2] = d[1]
-                                        if d[0] == 4:  # D_JUMP
-                                            state[0] = steps = d[2]
-                                            n = len(steps)
-                                            idx = 0
-                                        else:  # D_BAIL: the section ends here
-                                            n = idx
-                                elif op != 6:  # S_NEXT costs nothing
-                                    raise SimulationError(
-                                        f"bad fused step opcode {op!r}")
+                            if op == 5:  # S_CALL: generator-body code, free
+                                self.now = now
+                                d = arg()
+                                if d is not None:
+                                    state[2] = d[1]
+                                    if d[0] == 4:  # D_JUMP
+                                        state[0] = steps = d[2]
+                                        n = len(steps)
+                                        idx = 0
+                                    else:  # D_BAIL: the section ends here
+                                        n = idx
                                 continue
                         else:
                             # Section complete: the generator resumes in

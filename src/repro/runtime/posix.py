@@ -11,6 +11,9 @@ rendezvousing purely by name:
 * the segment is a named POSIX shared-memory object
   (``/dev/shm/<name>``),
 * each MPF lock is an ``flock``-ed file under a per-segment directory,
+  beside ``config.json``, the creator's :class:`MPFConfig` — so an
+  attacher needs the name alone, as the paper's processes only map the
+  segment ``init`` sized (§2, §4),
 * the blocking-receive wait channel degrades to polling (release the
   lock, yield or nap, reacquire, recheck) — correct against the
   ``WaitOn`` contract, merely less efficient than a condition variable.
@@ -27,19 +30,22 @@ Creator side::
 
 Attacher side (any other process)::
 
-    seg = PosixSegment.attach("demo", MPFConfig(max_lnvcs=8, max_processes=4))
+    seg = PosixSegment.attach("demo")
     mpf = seg.client(pid=1)
 """
 
 from __future__ import annotations
 
 import fcntl
+import json
 import os
 import tempfile
 import time
+from dataclasses import asdict
 from multiprocessing import shared_memory
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
+from ..core.errors import RegionFormatError
 from ..core.layout import MPFConfig, SegmentLayout, check_region, format_region
 from ..core.ops import MPFView
 from ..core.region import SharedRegion
@@ -145,6 +151,11 @@ def _lock_dir(name: str) -> str:
     return os.path.join(tempfile.gettempdir(), f"mpf-{name}.locks")
 
 
+def _record(name: str) -> str:
+    """Where the creator's config is kept: JSON, never pickle (``/tmp``)."""
+    return os.path.join(_lock_dir(name), "config.json")
+
+
 class PosixSegment:
     """A named MPF segment shared by unrelated processes."""
 
@@ -171,6 +182,9 @@ class PosixSegment:
         shm = shared_memory.SharedMemory(
             create=True, name=name, size=SegmentLayout(cfg).total_size
         )
+        # Only now: a leaked segment of this name keeps its own record.
+        with open(_record(name), "w") as fh:
+            json.dump(asdict(cfg), fh)
         region = SharedRegion(shm.buf)
         layout = format_region(region, cfg)
         view = MPFView(region, layout, costs)
@@ -178,10 +192,13 @@ class PosixSegment:
         return cls(name, cfg, shm, view, sync, owner=True)
 
     @classmethod
-    def attach(cls, name: str, cfg: MPFConfig | None = None,
-               costs: Costs = DEFAULT_COSTS) -> "PosixSegment":
-        """Attach to an existing named segment; validates the format."""
-        cfg = cfg or MPFConfig()
+    def attach(cls, name: str, costs: Costs = DEFAULT_COSTS) -> "PosixSegment":
+        """Attach to an existing named segment by its name alone.
+
+        The segment is sized by the creator's recorded config, which
+        must agree with every geometry word the header echoes: a missing,
+        unreadable or stale record raises :class:`RegionFormatError`.
+        """
         shm = shared_memory.SharedMemory(name=name)
         # Only the creator owns the segment's lifetime; stop this
         # process's resource tracker from also trying to unlink it.
@@ -193,6 +210,13 @@ class PosixSegment:
             pass
         region = SharedRegion(shm.buf)
         try:
+            try:
+                with open(_record(name)) as fh:
+                    cfg = MPFConfig(**json.load(fh))
+            except (OSError, ValueError, TypeError) as exc:
+                raise RegionFormatError(
+                    f"segment {name!r} has no usable config record: {exc}"
+                ) from exc
             layout = check_region(region, cfg)
         except Exception:
             region.release()
@@ -230,9 +254,9 @@ class PosixSegment:
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
         lock_dir = _lock_dir(self.name)
-        for i in range(self.cfg.n_locks):
+        for f in [f"lock{i}" for i in range(self.cfg.n_locks)] + ["config.json"]:
             try:
-                os.unlink(os.path.join(lock_dir, f"lock{i}"))
+                os.unlink(os.path.join(lock_dir, f))
             except FileNotFoundError:  # pragma: no cover
                 pass
         try:

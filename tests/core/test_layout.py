@@ -36,6 +36,13 @@ class TestConfigValidation:
         with pytest.raises(MPFConfigError):
             MPFConfig(**kwargs)
 
+    def test_transport_overrides_come_back_as_pairs(self):
+        # A config read back from JSON carries lists; it must equal (and
+        # hash like) the one that was written.
+        cfg = MPFConfig(transports=[["f", "freelist"]])
+        assert cfg == MPFConfig(transports=(("f", "freelist"),))
+        assert hash(cfg) == hash(MPFConfig(transports=(("f", "freelist"),)))
+
     def test_derived_descriptor_pools(self):
         cfg = MPFConfig(max_lnvcs=4, max_processes=3)
         assert cfg.n_send == 12
@@ -144,3 +151,19 @@ class TestCheckRegion:
     def test_rejects_tiny_region(self):
         with pytest.raises(RegionFormatError):
             check_region(SharedRegion(bytearray(4)), MPFConfig())
+
+    @pytest.mark.parametrize("pool", ["send_descriptors", "recv_descriptors"])
+    def test_rejects_descriptor_pool_mismatch(self, pool):
+        # The header echoes both pool sizes; a layout built from the
+        # wrong one puts every later pool at the wrong offset.
+        region, _ = _fresh(MPFConfig(**{pool: 7}))
+        with pytest.raises(RegionFormatError, match="n_(send|recv) does not match"):
+            check_region(region, MPFConfig())
+
+    def test_rejects_config_larger_than_region(self):
+        # Ring geometry is not in the header: a config that claims more
+        # slots than the segment was made with must not map past its end.
+        region, _ = _fresh(MPFConfig(transport="ring", ring_slots=4,
+                                     ring_slot_bytes=32))
+        with pytest.raises(RegionFormatError, match="smaller than"):
+            check_region(region, MPFConfig(transport="ring"))

@@ -1,8 +1,8 @@
 """The engine-resident poll section: identity, budget, and step semantics.
 
 ``ops.poll_receive`` retires the idle wait of ``select_receive`` as one
-looping :class:`~repro.core.effects.FusedSection` (``S_NEXT`` boundaries,
-``D_JUMP`` tails).  It rides on the same gate as every engine fast path
+looping :class:`~repro.core.effects.FusedSection` (``D_JUMP`` tails
+that lead back to a circuit's head).  It rides on the same gate as every engine fast path
 — the simulated schedule is the classic one, event for event — and this
 module pins it:
 
@@ -18,9 +18,9 @@ module pins it:
   host-side call count reads;
 * the event budget fires inside a section that never returns to the
   generator (the lone-poller hang);
-* ``S_NEXT`` is exactly "section ends, generator resumes, next section
-  starts", ``D_JUMP`` replaces the remaining steps, and ``drop_wake``
-  leaves poll sections alone.
+* a jump back to the head is exactly "section ends, generator resumes,
+  next section starts", ``D_JUMP`` replaces the remaining steps, and
+  ``drop_wake`` leaves poll sections alone.
 """
 
 import hashlib
@@ -39,7 +39,6 @@ from repro.core.effects import (
     S_CALL,
     S_CHARGE,
     S_MANY,
-    S_NEXT,
     S_REL,
     ChargeMany,
     FusedSection,
@@ -377,7 +376,7 @@ def _looping(rounds):
     def call():
         left[0] -= 1
         if left[0]:
-            return (D_JUMP, None, _CHECK[2:] + ((S_NEXT, None),) + head)
+            return (D_JUMP, None, _CHECK[2:] + head)
         return (D_JUMP, "done", _CHECK[2:])
 
     head = _CHECK[:2] + ((S_CALL, call),)
@@ -445,7 +444,9 @@ def test_unknown_opcode_still_refused():
     def body(op):
         yield FusedSection(((op, 0),))
 
-    for op in (4, 7):  # 4: the retired wake step; 7: past the last one
+    # 4: the retired wake step; 6: the retired section boundary; 7: past
+    # the last one.
+    for op in (4, 6, 7):
         eng = Engine(n_locks=1, n_channels=1)
         eng.spawn("p0", body(op))
         with pytest.raises(SimulationError, match="bad fused step opcode"):

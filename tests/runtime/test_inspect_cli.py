@@ -14,10 +14,6 @@ pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="POSIX shared memory"
 )
 
-CFG_FLAGS = [
-    "--max-lnvcs", "8", "--max-processes", "4",
-    "--max-messages", "64", "--message-pool-bytes", str(1 << 16),
-]
 CFG = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
                 message_pool_bytes=1 << 16)
 
@@ -46,7 +42,7 @@ def test_inspect_live_segment(capsys):
         cid = mpf.open_send("queue")
         mpf.open_receive("queue", FCFS)
         mpf.message_send(cid, b"pending message")
-        assert main([name, *CFG_FLAGS]) == 0
+        assert main([name]) == 0
         out = capsys.readouterr().out
         assert "circuit 'queue'" in out
         assert "1 queued" in out
@@ -56,17 +52,27 @@ def test_inspect_live_segment(capsys):
 
 
 def test_inspect_missing_segment(capsys):
-    assert main([f"mpfcli-{uuid.uuid4().hex[:10]}", *CFG_FLAGS]) == 2
+    assert main([f"mpfcli-{uuid.uuid4().hex[:10]}"]) == 2
     assert "no shared segment" in capsys.readouterr().err
 
 
-def test_inspect_config_mismatch(capsys):
+def test_inspect_ring_segment(capsys):
+    """The name alone opens a ring segment: its geometry comes from the
+    creator's record, which no flag ever covered."""
     name = f"mpfcli-{uuid.uuid4().hex[:10]}"
-    seg = PosixSegment.create(name, CFG)
+    seg = PosixSegment.create(name, MPFConfig(
+        transport="ring", ring_slots=4, ring_slot_bytes=32,
+        max_lnvcs=8, max_processes=4, max_messages=64,
+        message_pool_bytes=1 << 16))
     try:
-        rc = main([name, "--max-lnvcs", "16", *CFG_FLAGS[2:]])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        mpf = seg.client(0)
+        cid = mpf.open_send("rq")
+        mpf.open_receive("rq", FCFS)
+        mpf.message_send(cid, b"in a slot")
+        assert main([name]) == 0
+        out = capsys.readouterr().out
+        assert "circuit 'rq'" in out
+        assert "1 queued" in out
     finally:
         _unlink(seg, name)
 
@@ -79,7 +85,7 @@ def test_inspect_does_not_disturb_segment(capsys):
         cid = mpf.open_send("q")
         mpf.open_receive("q", FCFS)
         mpf.message_send(cid, b"still here")
-        main([name, *CFG_FLAGS])
+        main([name])
         capsys.readouterr()
         assert mpf.message_receive(cid) == b"still here"
     finally:

@@ -1,6 +1,9 @@
 """Tests for the named-segment POSIX runtime (unrelated processes)."""
 
+import dataclasses
 import itertools
+import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -10,9 +13,10 @@ import pytest
 
 import repro.runtime.sync as sync_module
 from repro.core.errors import RegionFormatError
+from repro.core.inspect import inspect_segment
 from repro.core.layout import MPFConfig
 from repro.core.protocol import FCFS
-from repro.runtime.posix import PosixSegment
+from repro.runtime.posix import PosixSegment, _record
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="POSIX shared memory"
@@ -44,7 +48,7 @@ def test_attach_sees_creator_state():
         a = seg.client(0)
         cid = a.open_send("mail")
         a.message_send(cid, b"from creator")
-        other = PosixSegment.attach(name, MPFConfig(**CFG))
+        other = PosixSegment.attach(name)
         try:
             b = other.client(1)
             rid = b.open_receive("mail", FCFS)
@@ -74,20 +78,78 @@ def test_ring_transport_over_named_segment():
         mpf.close_receive(cid)
 
 
+@pytest.mark.parametrize("cfg", [
+    MPFConfig(send_descriptors=7, **CFG),
+    MPFConfig(transport="ring", ring_slots=4, ring_slot_bytes=32,
+              ext_bytes=64, transports=(("f", "freelist"),), **CFG),
+], ids=["descriptors", "ring"])
+def test_attach_by_name_alone(cfg):
+    """The attacher sizes the segment from the creator's record: same
+    config, every pool at the same offset, and traffic both ways."""
+    name = fresh_name()
+    with PosixSegment.create(name, cfg) as seg:
+        other = PosixSegment.attach(name)
+        try:
+            assert other.cfg == cfg
+            assert other.view.layout == seg.view.layout
+            a, b = seg.client(0), other.client(1)
+            for circuit in ("c", "f"):  # "f" is a free-list override
+                to_b = a.open_send(circuit)
+                b.open_receive(circuit, FCFS)
+                to_a = b.open_send(circuit + "!")
+                a.open_receive(circuit + "!", FCFS)
+                a.message_send(to_b, b"ping")
+                assert b.message_receive(to_b) == b"ping"
+                b.message_send(to_a, b"pong")
+                assert a.message_receive(to_a) == b"pong"
+            transports = {c.name: c.transport
+                          for c in inspect_segment(other.view).circuits}
+        finally:
+            other.close()
+    assert transports["f"] == "freelist"
+    assert transports["c"] == cfg.transport
+
+
 def test_attach_validates_config():
+    """A stale or edited record is refused where the header disagrees."""
     name = fresh_name()
     seg = PosixSegment.create(name, MPFConfig(**CFG))
     try:
-        bad = dict(CFG, max_lnvcs=16)
-        with pytest.raises(RegionFormatError):
-            PosixSegment.attach(name, MPFConfig(**bad))
+        with open(_record(name), "w") as fh:
+            json.dump(dataclasses.asdict(MPFConfig(**dict(CFG, max_lnvcs=16))), fh)
+        with pytest.raises(RegionFormatError, match="max_lnvcs"):
+            PosixSegment.attach(name)
     finally:
         seg.unlink()
 
 
+def test_attach_without_a_record():
+    name = fresh_name()
+    seg = PosixSegment.create(name, MPFConfig(**CFG))
+    try:
+        os.unlink(_record(name))
+        with pytest.raises(RegionFormatError, match="config record"):
+            PosixSegment.attach(name)
+    finally:
+        seg.unlink()
+
+
+def test_leaked_segment_keeps_its_record():
+    """A create that finds the name taken leaves the first record alone."""
+    name = fresh_name()
+    cfg = MPFConfig(send_descriptors=7, **CFG)
+    with PosixSegment.create(name, cfg):
+        with pytest.raises(FileExistsError):
+            PosixSegment.create(name, MPFConfig(**CFG))
+        other = PosixSegment.attach(name)
+        assert other.cfg == cfg
+        other.close()
+    assert not os.path.exists(_record(name))
+
+
 def test_attach_missing_segment():
     with pytest.raises(FileNotFoundError):
-        PosixSegment.attach(fresh_name(), MPFConfig(**CFG))
+        PosixSegment.attach(fresh_name())
 
 
 def test_client_pid_validation():
@@ -99,14 +161,11 @@ def test_client_pid_validation():
 CHILD_SCRIPT = textwrap.dedent(
     """
     import sys
-    from repro.core.layout import MPFConfig
     from repro.core.protocol import FCFS
     from repro.runtime.posix import PosixSegment
 
     name = sys.argv[1]
-    cfg = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
-                    message_pool_bytes=1 << 16)
-    seg = PosixSegment.attach(name, cfg)
+    seg = PosixSegment.attach(name)
     try:
         mpf = seg.client(1)
         jobs = mpf.open_receive("jobs", FCFS)
@@ -158,16 +217,13 @@ ECHO_SCRIPT = textwrap.dedent(
     import itertools
     import sys
     import repro.runtime.sync as sync_module
-    from repro.core.layout import MPFConfig
     from repro.core.protocol import FCFS
     from repro.runtime.posix import PosixSegment
 
     name, count = sys.argv[1], int(sys.argv[2])
     # the spin budget counts polls, as in the test that starts this
     sync_module.perf_counter_ns = itertools.count(0, 1000).__next__
-    cfg = MPFConfig(max_lnvcs=8, max_processes=4, max_messages=64,
-                    message_pool_bytes=1 << 16)
-    seg = PosixSegment.attach(name, cfg)
+    seg = PosixSegment.attach(name)
     try:
         mpf = seg.client(1)
         ping = mpf.open_receive("ping", FCFS)
