@@ -242,8 +242,33 @@ def decode_lnvc_id(lnvc_id: int) -> tuple[int, int]:
 class MPFView:
     """A formatted segment plus its layout and cost model.
 
-    One view is shared by every process of a program (the paper's mapped
-    region); it is immutable and carries no per-process state.
+    One view is shared by every worker of a program on the simulator,
+    the thread runtime and the model checker; each forked process of
+    the process runtime works on its own copy.  The region, layout,
+    config and costs never change, and no worker state lives here: what
+    else the view holds is a cache, and each cache entry carries the key
+    that proves it still describes the shared region, so a cache needs no
+    invalidation even when other views (processes) change the segment:
+
+    * ``_send_cache`` / ``_recv_cache``: ``(slot, pid) -> (descriptor,
+      steps, gen, conn_epoch)``.  Valid while the circuit's ``gen``
+      (bumped when the slot is recycled) and ``conn_epoch`` (bumped
+      under the circuit lock on every send / receive list mutation) both
+      match, so a hit is exactly what walking the list would find —
+      including the walk length that feeds the cost model.
+    * ``_fs_poll_cache``: ``(pid, first slot) -> ((ids, backoff),
+      section)``, :func:`poll_receive`'s looping sections.  Valid while
+      the polled ids (generation included) and the back-off match.
+    * ``_drain_memo``: ``None`` or the one BROADCAST message this view
+      drained last, ``((lnvc_id, seqno, header, first block, nblocks,
+      length), blocks, payload)``.  A chain is never written between
+      link and reap, a receiver's claim pins the message until its
+      completion section, and a reused header or block is linked with a
+      new sequence number (a recycled circuit with a new ``gen`` in the
+      id) — so a receiver whose key matches takes the drain instead of
+      walking the same immutable chain again (:func:`message_receive`).
+      FCFS receives never read or write it; on the process runtime each
+      process receives a message once, so its copy never hits.
 
     The view also pre-builds the effect objects the hot primitives yield
     on every call: per-circuit ``Acquire``/``Release``/``Wake``/``WaitOn``
@@ -286,6 +311,7 @@ class MPFView:
         "probe",
         "fuse",
         "_fs_poll_cache",
+        "_drain_memo",
         *(f"_rd_{name}" for name in READS),
         "_rd_block",
         *(f"_wr_{name}" for name in STORES),
@@ -346,19 +372,11 @@ class MPFView:
         self._rd_block = region.reader(block_record(self.cfg.block_size))
         for name, run in STORES.items():
             setattr(self, f"_wr_{name}", region.writer(run))
-        # Connection-descriptor lookup caches: (slot, pid) -> (desc_off,
-        # steps, gen, conn_epoch).  The circuit's ``conn_epoch`` field is
-        # bumped (under the circuit lock) on every send/recv list
-        # mutation, and ``gen`` changes when the slot is recycled, so an
-        # entry matching both is exactly what walking the list would find
-        # — including the walk length that feeds the cost model.  The
-        # region fields are shared, so the cache stays correct even when
-        # other views (processes) reshape the lists.
+        # The caches, each with the rule that validates it: see above.
         self._send_cache: dict = {}
         self._recv_cache: dict = {}
-        # (pid, first slot) -> ((ids, backoff), section): the looping
-        # sections of poll_receive, built once per polled set.
         self._fs_poll_cache: dict = {}
+        self._drain_memo: tuple | None = None
         #: The one observer slot: ``None``, or whatever a runtime's
         #: :meth:`repro.obs.Recorder.attach` put here.  Every observation
         #: instant of the message path tests this once and makes at most
@@ -1202,7 +1220,9 @@ def message_receive(
     receiver; BROADCAST connections read the oldest message past their
     individual head pointer.  The payload copy out of the block chain
     happens outside the circuit lock, so concurrent receivers overlap
-    (Figure 5).  Returns the payload bytes.
+    (Figure 5).  Every receiver is charged its own copy; on the host,
+    BROADCAST receivers sharing a view walk a free-list message's chain
+    once (:class:`MPFView`, ``_drain_memo``).  Returns the payload bytes.
 
     If ``max_len`` is given and the next message is longer, raises
     :class:`BufferOverflowError` *without* consuming the message — the
@@ -1277,12 +1297,27 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
 
     # Copy phase — concurrent with other receivers of the same message.
     # The busy pin keeps the chain as walked here until the completion
-    # section below, which hands ``blocks`` to the reap.
-    try:
-        blocks, payload = drain_chain(r, first, nblk, length,
-                                      view.cfg.block_size, view._rd_block)
-    except RegionFormatError as exc:
-        raise _bad_chain(msg, exc) from None
+    # section below, which hands ``blocks`` to the reap.  A chain is
+    # never written between link and reap, so a BROADCAST receiver whose
+    # view already drained this very message (the key names it: circuit
+    # and generation, sequence number, header, chain, length) takes that
+    # drain's ``(blocks, payload)``; the simulated copy is charged
+    # below either way.  FCFS messages have one reader and skip the memo.
+    if is_fcfs:
+        key = memo = None
+    else:
+        key = (lnvc_id, claimed_seqno, msg, first, nblk, length)
+        memo = view._drain_memo
+    if memo is not None and memo[0] == key:
+        _, blocks, payload = memo
+    else:
+        try:
+            blocks, payload = drain_chain(r, first, nblk, length,
+                                          view.cfg.block_size, view._rd_block)
+        except RegionFormatError as exc:
+            raise _bad_chain(msg, exc) from None
+        if key is not None:
+            view._drain_memo = (key, blocks, payload)
     yield charge(nblk * c.blk_drain + length * c.copy_byte, "recv-copy",
                  length, nblk)
     t_drain = probe.now() if probe is not None else 0.0

@@ -51,7 +51,7 @@ ProcGen = Generator[object, object, object]
 _INF = float("inf")
 
 def set_epoch(on: bool) -> None:
-    """No-op: there is one loop.  Kept until ROADMAP 2(e) drops the ledger's import."""
+    """No-op: there is one loop.  Kept until ROADMAP 1(a) drops the ledger's import."""
 
 
 class SimulationError(RuntimeError):

@@ -48,7 +48,7 @@ class MachineReport:
     #: the mean straight-line run between two queue crossings.
     heap_pushes: int = 0
     heap_pops: int = 0
-    # Constant zero, read by benchmarks/ledger on every rep; goes with ROADMAP 2(e).
+    # Constant zero, read by benchmarks/ledger on every rep; goes with ROADMAP 1(a).
     epoch_batches: int = 0
     epoch_events: int = 0
 

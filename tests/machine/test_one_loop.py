@@ -59,7 +59,7 @@ def test_queue_crossings_pinned(transport, events, crossings):
 
 
 def test_ledger_shims_survive_until_the_ledger_lets_go():
-    """``benchmarks/ledger`` reads these on every rep (ROADMAP 2(e))."""
+    """``benchmarks/ledger`` reads these on every rep (ROADMAP 1(a))."""
     assert set_epoch(False) is None
     fields = MachineReport.__dataclass_fields__
     assert (fields["epoch_batches"].default, fields["epoch_events"].default) == (0, 0)
