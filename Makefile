@@ -112,15 +112,14 @@ serve:
 	      [f'{d[\"runtime\"]}: {d[\"total_mpf_messages\"]} msgs' \
 	       for d in docs])"
 
-# Windowed-telemetry smoke: a quick threads serve probe with the live
-# scrape endpoint up, the archived mpf-serve-timeline/1 document
-# re-validated strictly, and the mid-run scrape + health attribution
-# tests (which poll /metrics while a real threads probe is in flight).
-# See docs/telemetry.md.
+# Windowed-telemetry smoke: a quick threads serve probe, its archived
+# mpf-serve-timeline/1 document re-validated strictly, and the health
+# attribution, fault-recall and timeline-document tests.  See
+# docs/telemetry.md.
 telemetry-smoke:
 	$(PY) -m repro.bench serve --quick --runtime threads \
 		--loads 60,200 --duration 1.5 \
-		--timeline /tmp/mpf_serve-timeline.json --live
+		--timeline /tmp/mpf_serve-timeline.json
 	$(PY) -c "\
 	import json; \
 	from repro.serve.slo import validate_timeline; \
@@ -130,7 +129,7 @@ telemetry-smoke:
 	      len(doc['timeline']['windows']), 'windows,', \
 	      len(doc['findings']), 'finding(s),', \
 	      'clock', doc['timeline']['clock'])"
-	$(PY) -m pytest tests/obs/test_live.py tests/obs/test_health.py \
+	$(PY) -m pytest tests/obs/test_health.py \
 		tests/obs/test_health_recall.py tests/serve/test_timeline_doc.py -q
 
 # Observer wall-overhead budget: the observers must stay observational
@@ -161,9 +160,10 @@ def wall(observers=dict):
 
 LAYERS = {
     "recorder": lambda: {"recorder": Recorder()},
-    "causal": lambda: {"causal": True},
-    "timeline": lambda: {"timeline": True},
-    "causal + timeline": lambda: {"causal": True, "timeline": True},
+    "causal": lambda: {"recorder": Recorder(causal=True)},
+    "timeline": lambda: {"recorder": Recorder(timeline=True)},
+    "causal + timeline": lambda: {
+        "recorder": Recorder(causal=True, timeline=True)},
 }
 
 bare, p0 = wall()

@@ -32,14 +32,14 @@ threads/processes)::
 
     python -m repro.bench trace fig4 --quick
     python -m repro.bench trace fig4 --runtime sim --runtime procs
-    python -m repro.bench trace fig4 --chrome fig4.trace.json --jsonl fig4.jsonl
+    python -m repro.bench trace fig4 --chrome fig4.trace.json
     python -m repro.bench trace fig4 --quick --causal --flow fig4.dot
 
 The ``serve`` subcommand runs the open-loop serving sweep
 (:mod:`repro.serve`) — goodput and SLO latency vs offered load for the
 unbatched baseline against send batching;
 ``--timeline`` writes the traced probe's windowed-telemetry document
-and ``--live`` serves a mid-run scrape endpoint (docs/telemetry.md)::
+with its health findings (docs/telemetry.md)::
 
     python -m repro.bench serve --quick
     python -m repro.bench serve --jobs 4 --json slo.json --prom serve.prom
@@ -52,9 +52,8 @@ nonzero when a figure slowed past the noise-aware threshold::
     python -m repro.bench regress --dir . --tolerance 0.5
 
 ``--chrome`` writes one ``chrome://tracing`` file per runtime (open via
-the "Load" button there or in https://ui.perfetto.dev), ``--jsonl`` one
-JSON-lines event dump per runtime; both describe the largest swept
-receiver count.  ``--causal`` turns on per-message lifecycle tracing
+the "Load" button there or in https://ui.perfetto.dev) describing the
+largest swept receiver count.  ``--causal`` turns on per-message lifecycle tracing
 (sojourn latency columns in the table, a stage breakdown and stall
 report per runtime, async message spans in ``--chrome`` output);
 ``--flow`` then writes the message flow graph as Graphviz DOT and
@@ -107,11 +106,6 @@ def trace_main(argv: list[str]) -> int:
         "--json", metavar="PATH", help="also write raw results as JSON"
     )
     parser.add_argument(
-        "--jsonl", metavar="PATH",
-        help="write the largest point's events as JSON lines, one file "
-        "per runtime (PATH gets a -<runtime> suffix)",
-    )
-    parser.add_argument(
         "--chrome", metavar="PATH",
         help="write the largest point's chrome://tracing file, one per "
         "runtime (PATH gets a -<runtime> suffix)",
@@ -140,6 +134,11 @@ def trace_main(argv: list[str]) -> int:
                      "lifecycle events)")
     kinds = tuple(args.runtimes) if args.runtimes else ("sim", "procs")
 
+    from ..obs import (
+        HealthEngine, flow_dot, flow_from_causal, format_lock_profile,
+        format_sojourn, prometheus_exposition, write_chrome_trace,
+    )
+
     t0 = time.perf_counter()
     result = CONTENTION[args.figure](args.quick, kinds, causal=args.causal,
                                      transport=args.transport)
@@ -158,7 +157,7 @@ def trace_main(argv: list[str]) -> int:
         unit = result.x_label.split(" ", 1)[0]
         print(f"{args.figure} lock profile — {kind} runtime, "
               f"{unit}={top}:")
-        print(rec.format_lock_profile())
+        print(format_lock_profile(rec))
         if rec.machine:
             ev = rec.machine.get("events", 0)
             pops = rec.machine.get("heap_pops", 0)
@@ -167,10 +166,6 @@ def trace_main(argv: list[str]) -> int:
                   f"{pops:,} pops "
                   f"({ev / pops if pops else float('inf'):,.1f} events/pop)")
         if args.causal and rec.causal is not None:
-            from ..obs import (
-                HealthEngine, flow_dot, flow_from_causal, format_sojourn,
-            )
-
             print()
             print(f"{args.figure} message sojourn — {kind} runtime, "
                   f"largest point:")
@@ -189,15 +184,11 @@ def trace_main(argv: list[str]) -> int:
         if args.prom:
             path = _suffixed(args.prom, kind)
             with open(path, "w") as fh:
-                fh.write(rec.prometheus())
-            print(f"wrote {path}")
-        if args.jsonl:
-            path = _suffixed(args.jsonl, kind)
-            rec.write_jsonl(path)
+                fh.write(prometheus_exposition(rec))
             print(f"wrote {path}")
         if args.chrome:
             path = _suffixed(args.chrome, kind)
-            rec.write_chrome_trace(path)
+            write_chrome_trace(rec, path)
             print(f"wrote {path}")
 
     print(f"\n  [{wall:.1f}s wall]")

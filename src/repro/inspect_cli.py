@@ -26,13 +26,9 @@ segment, or from the full lifecycle trace for a replay::
 
     mpf-inspect myapp --flow | dot -Tsvg > flow.svg
 
-``mpf-inspect top`` is the live mode: point it at a run serving
-telemetry (:class:`repro.obs.LiveTelemetryServer`, e.g. ``python -m
-repro.bench serve --quick --live``) and it polls ``/metrics`` and
-redraws a plain-text per-series table — curses-free, one ANSI clear per
-frame::
-
-    mpf-inspect top --url http://127.0.0.1:9377 --interval 0.5
+There is no live mode: a run's windowed series are read after it
+finishes, from the ``bench serve --timeline`` document
+(docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -43,31 +39,7 @@ import sys
 from .core.inspect import inspect_segment, render_segment
 
 
-def _top(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mpf-inspect top",
-        description="Poll a live telemetry endpoint and redraw the "
-        "per-series table (the live analogue of the sojourn tables).",
-    )
-    parser.add_argument("--url", required=True,
-                        help="endpoint base URL or full /metrics URL")
-    parser.add_argument("--interval", type=float, default=1.0, metavar="S",
-                        help="seconds between frames (default 1.0)")
-    parser.add_argument("--iterations", type=int, default=None, metavar="N",
-                        help="frames to draw (default: until interrupted)")
-    parser.add_argument("--no-clear", action="store_true",
-                        help="append frames instead of redrawing in place")
-    args = parser.parse_args(argv)
-    from .obs.live import top_main
-
-    return top_main(args.url, interval=args.interval,
-                    iterations=args.iterations, clear=not args.no_clear)
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "top":
-        return _top(argv[1:])
     parser = argparse.ArgumentParser(
         prog="mpf-inspect",
         description="Dump the live state of a named MPF shared segment.",

@@ -12,9 +12,9 @@ runtime rather than only the simulator:
   log of structured spans.  The simulated engine feeds it simulated
   time; threads, procs and posix runtimes feed it wall-clock time
   measured inside :func:`repro.runtime.threads.drive`;
-* exporters (:mod:`repro.obs.export`) — text tables, JSON lines, the
+* exporters (:mod:`repro.obs.export`) — the lock-profile table, the
   Chrome ``chrome://tracing`` Trace Event Format and the Prometheus
-  text exposition;
+  text exposition, each one module function of the recorder;
 * one store (:mod:`repro.obs.store`) — the counter, gauge, digest,
   log and sample cells every sink above keeps its measurements in, and the
   folds by which :meth:`Recorder.merge` joins two recordings.
@@ -22,24 +22,26 @@ runtime rather than only the simulator:
 Attach a recorder with the runtime's ``recorder=`` parameter::
 
     from repro import Recorder, SimRuntime, ThreadRuntime
+    from repro.obs import format_lock_profile
 
     rec = Recorder()
     SimRuntime(recorder=rec).run(workers)       # simulated seconds
     rec2 = Recorder()
     ThreadRuntime(recorder=rec2).run(workers)   # wall-clock seconds
-    print(rec.format_lock_profile())
+    print(format_lock_profile(rec))
 
-See docs/observability.md for the full guide.
+Every name below is either imported by the package outside
+``repro.obs`` or used in an executed block of ``docs/``
+(tests/obs/test_surfaces.py); docs/observability.md tables each kept
+surface with the question it alone answers and the gate that reads it.
 """
 
 from .causal import (
     CausalTracer,
     MsgEvent,
     busiest_lnvc,
-    causal_async_events,
     format_causal_tail,
     format_sojourn,
-    pair_deliveries,
     peak_depth,
     queue_depth_timeline,
     sojourn_stats,
@@ -47,14 +49,11 @@ from .causal import (
 from .export import (
     chrome_trace,
     format_lock_profile,
-    format_summary,
     read_decision_trace,
-    to_jsonl,
     parse_exposition,
     prometheus_exposition,
     write_chrome_trace,
     write_decision_trace,
-    write_jsonl,
 )
 from .flow import (
     FlowGraph,
@@ -62,10 +61,8 @@ from .flow import (
     flow_dot,
     flow_from_causal,
     flow_from_segment,
-    flow_json,
 )
 from .health import SERVE_TIER_ORDER, Finding, HealthEngine, serve_tier_of
-from .live import LiveTelemetryServer, fetch_metrics, render_top, top_main
 from .recorder import LockStats, Recorder, Span, WorkStats, lock_name
 from .store import Histogram, Store
 from .timeline import Timeline
@@ -81,10 +78,8 @@ __all__ = [
     "CausalTracer",
     "MsgEvent",
     "busiest_lnvc",
-    "causal_async_events",
     "format_causal_tail",
     "format_sojourn",
-    "pair_deliveries",
     "peak_depth",
     "queue_depth_timeline",
     "sojourn_stats",
@@ -93,22 +88,14 @@ __all__ = [
     "flow_dot",
     "flow_from_causal",
     "flow_from_segment",
-    "flow_json",
     "Timeline",
     "Finding",
     "HealthEngine",
     "serve_tier_of",
     "SERVE_TIER_ORDER",
-    "LiveTelemetryServer",
-    "fetch_metrics",
-    "render_top",
-    "top_main",
     "parse_exposition",
     "prometheus_exposition",
     "format_lock_profile",
-    "format_summary",
-    "to_jsonl",
-    "write_jsonl",
     "chrome_trace",
     "write_chrome_trace",
     "write_decision_trace",

@@ -53,13 +53,11 @@ __all__ = [
     "CausalTracer",
     "StageStats",
     "sojourn_stats",
-    "pair_deliveries",
     "queue_depth_timeline",
     "peak_depth",
     "busiest_lnvc",
     "format_sojourn",
     "format_causal_tail",
-    "causal_async_events",
 ]
 
 #: Default bound on a tracer's stored events (its stride sample).

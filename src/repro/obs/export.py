@@ -1,22 +1,21 @@
 """Exporters for :class:`~repro.obs.recorder.Recorder` measurements.
 
-Four output shapes, matching four audiences:
+Three output shapes, one module function each (the recorder has no
+exporter methods):
 
-* :func:`format_lock_profile` / :func:`format_summary` — aligned text
-  tables, for terminals and docs;
-* :func:`to_jsonl` — one JSON object per span, for ad-hoc analysis
-  (``pandas.read_json(..., lines=True)``);
+* :func:`format_lock_profile` — the aligned per-lock table the ``bench
+  trace`` report prints;
 * :func:`chrome_trace` — the Trace Event Format consumed by
   ``chrome://tracing`` and https://ui.perfetto.dev: each worker becomes
   a track, charges and lock holds become duration slices, lock waits
   and channel sleeps become their own slices, so Figure 4's "receivers
   serialize on the circuit lock" is literally visible as stacked
   ``wait lnvc0`` bars;
-* :func:`prometheus_exposition` — the Prometheus text format, so a
-  figure sweep or a long-running posix segment can be scraped or diffed
-  with standard tooling; :func:`parse_exposition` is the matching
-  validator (a strict reader of the subset we emit) that the test suite
-  and the ``make trace-smoke`` CI gate use to assert the exposition
+* :func:`prometheus_exposition` — the Prometheus text format (0.0.4),
+  so a figure sweep or a serve probe can be diffed with standard
+  tooling; :func:`parse_exposition` is the matching validator (a strict
+  reader of the subset we emit) that the test suite and the ``make
+  trace-smoke`` / ``make serve`` gates use to assert the exposition
   stays parseable.
 
 All exporters are observational and deterministic: exporting the same
@@ -34,9 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "format_lock_profile",
-    "format_summary",
-    "to_jsonl",
-    "write_jsonl",
     "chrome_trace",
     "write_chrome_trace",
     "prometheus_exposition",
@@ -77,48 +73,6 @@ def format_lock_profile(rec: "Recorder") -> str:
     if len(rows) == 1:
         return "(no lock activity recorded)"
     return _table(rows)
-
-
-def format_summary(rec: "Recorder") -> str:
-    """Per-work-label table plus per-process effect counts."""
-    unit = "sim-ms" if rec.clock == "sim" else "wall-ms"
-    rows = [["label", "count", "instrs", "flops", unit]]
-    for label in sorted(rec.work, key=lambda k: -rec.work[k].instrs):
-        ws = rec.work[label]
-        rows.append([label, str(ws.count), str(ws.instrs), str(ws.flops),
-                     _ms(ws.seconds)])
-    parts = []
-    if len(rows) > 1:
-        parts.append(_table(rows))
-    if rec.kinds:
-        krows = [["process", "Acquire", "Release", "Charge", "WaitOn", "Wake"]]
-        for p in sorted(rec.kinds):
-            c = rec.kinds[p]
-            krows.append([p] + [str(c.get(k, 0)) for k in
-                                ("Acquire", "Release", "Charge", "WaitOn", "Wake")])
-        parts.append(_table(krows))
-    if rec.dropped_spans:
-        parts.append(
-            f"(!) {rec.dropped_spans} of {rec.total} spans dropped "
-            f"(limit {rec.limit}) — span-based exports are truncated; "
-            f"the counters above remain complete"
-        )
-    return "\n\n".join(parts) if parts else "(nothing recorded)"
-
-
-def to_jsonl(rec: "Recorder") -> str:
-    """Spans as JSON lines (time-ordered)."""
-    spans = sorted(rec.spans, key=lambda s: (s.time, s.process))
-    return "\n".join(
-        json.dumps({"clock": rec.clock, **s._asdict()}, sort_keys=True)
-        for s in spans
-    )
-
-
-def write_jsonl(rec: "Recorder", path: str) -> None:
-    text = to_jsonl(rec)
-    with open(path, "w") as fh:
-        fh.write(text + ("\n" if text else ""))
 
 
 def chrome_trace(rec: "Recorder") -> dict:
@@ -188,6 +142,13 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _escape(value) -> str:
+    """A label value as text format 0.0.4 quotes it: backslash, double
+    quote and newline escaped, every other character as is."""
+    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
+
+
 class _Writer:
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -201,7 +162,7 @@ class _Writer:
         for labels, value in samples:
             if labels:
                 body = ",".join(
-                    f'{k}="{v}"' for k, v in sorted(labels.items())
+                    f'{k}="{_escape(v)}"' for k, v in sorted(labels.items())
                 )
                 self.lines.append(f"{name}{{{body}}} {_fmt(value)}")
             else:
@@ -363,17 +324,39 @@ _HELP_RE = re.compile(rf"^# HELP ({_NAME}) (.*)$")
 _TYPE_RE = re.compile(
     rf"^# TYPE ({_NAME}) (counter|gauge|summary|histogram|untyped)$"
 )
-_SAMPLE_RE = re.compile(rf"^({_NAME})(?:\{{([^}}]*)\}})? (\S+)$")
-_LABEL_RE = re.compile(r'^([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"$')
+_SAMPLE_RE = re.compile(rf"^({_NAME})(?:\{{(.*)\}})? (\S+)$")
+#: One ``key="value"`` pair and the comma (or end) after it; the value
+#: may hold any character but an unescaped quote, backslash or newline.
+_PAIR_RE = re.compile(
+    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"(?:,|$)')
+_UNESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _labels(body: str, lineno: int) -> dict[str, str]:
+    """The label pairs of one sample's ``{...}`` body, unescaped."""
+    labels: dict[str, str] = {}
+    pos = 0
+    while pos < len(body):
+        m = _PAIR_RE.match(body, pos)
+        if not m:
+            raise ValueError(
+                f"line {lineno}: malformed label pair: {body[pos:]!r}")
+        labels[m.group(1)] = _UNESCAPE_RE.sub(
+            lambda e: "\n" if e.group(1) == "n" else e.group(1), m.group(2))
+        pos = m.end()
+    return labels
 
 
 def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
     """Parse (and validate) the subset of the text format we emit.
 
-    Returns ``{metric_name: [(labels, value), ...]}``.  Raises
-    :class:`ValueError` on any malformed line, on samples without a
-    preceding ``# TYPE``, or on unparsable label pairs — this is the
-    assertion the CI trace smoke runs.
+    Returns ``{metric_name: [(labels, value), ...]}``.  A label body is
+    comma-separated ``key="value"`` pairs whose values may hold commas,
+    braces and spaces and escape only backslash, double quote and
+    newline (``\\\\``, ``\\"``, ``\\n``).  Raises :class:`ValueError` on
+    any malformed line, on samples without a preceding ``# TYPE``, or on
+    unparsable label pairs — this is the assertion the CI trace smoke
+    runs.
     """
     out: dict[str, list[tuple[dict, float]]] = {}
     typed: set[str] = set()
@@ -394,14 +377,7 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
         name, labelbody, value = m.groups()
         if name not in typed:
             raise ValueError(f"line {lineno}: sample {name!r} without # TYPE")
-        labels: dict[str, str] = {}
-        if labelbody:
-            for pair in labelbody.split(","):
-                lm = _LABEL_RE.match(pair)
-                if not lm:
-                    raise ValueError(
-                        f"line {lineno}: malformed label pair: {pair!r}")
-                labels[lm.group(1)] = lm.group(2)
+        labels = _labels(labelbody, lineno) if labelbody else {}
         try:
             number = float(value)
         except ValueError:

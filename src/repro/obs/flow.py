@@ -13,14 +13,12 @@ edges.  Two builders feed the same graph shape:
   segments that were never traced — this is what ``mpf-inspect --flow``
   prints.
 
-Exports: Graphviz DOT (:func:`flow_dot`) and plain JSON
-(:func:`flow_json`), both deterministic.  :func:`check_dot` is the
-well-formedness gate used by the tests and the CI trace smoke.
+Export: deterministic Graphviz DOT (:func:`flow_dot`).  :func:`check_dot`
+is the well-formedness gate used by the tests and the CI trace smoke.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -34,7 +32,6 @@ __all__ = [
     "flow_from_causal",
     "flow_from_segment",
     "flow_dot",
-    "flow_json",
     "check_dot",
 ]
 
@@ -151,26 +148,6 @@ def flow_dot(g: FlowGraph) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def flow_json(g: FlowGraph) -> str:
-    """The graph as deterministic JSON (nodes + weighted edges)."""
-    doc = {
-        "lnvcs": [
-            {"slot": slot, "gen": gen, "name": g.lnvcs[(slot, gen)]}
-            for slot, gen in sorted(g.lnvcs)
-        ],
-        "edges": [
-            {"from": f"p{pid}", "to": _lnvc_node(lnvc),
-             "msgs": w[0], "bytes": w[1]}
-            for (pid, lnvc), w in sorted(g.sends.items())
-        ] + [
-            {"from": _lnvc_node(lnvc), "to": f"p{pid}",
-             "msgs": w[0], "bytes": w[1]}
-            for (lnvc, pid), w in sorted(g.recvs.items())
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 _NODE_LINE = re.compile(r'^"[^"]+"(\s*\[[^\]]*\])?;$')

@@ -1,7 +1,7 @@
-"""Online health attribution over a :class:`~repro.obs.timeline.Timeline`.
+"""Health attribution over a :class:`~repro.obs.timeline.Timeline`.
 
 The one place the repo says "something is backing up".  The
-:class:`HealthEngine` folds timeline windows as they close into
+:class:`HealthEngine` folds a finished run's timeline windows into
 structured :class:`Finding`\\ s, each localized to a series and an onset
 window, and each shown to recall an injected fault and to stay silent on
 the archived below-knee serve points (tests/obs/test_health_recall.py,
@@ -19,11 +19,9 @@ There is no tier *order* verdict: every serve tier but the slow one
 drains its inbound circuit into a private backlog, so only one tier's
 circuits grow.
 
-:meth:`poll` is the *online* mode: it re-evaluates after each batch of
-newly closed windows and returns each finding once, while the run is
-still in flight (the live scrape endpoint's ``/findings`` view uses it).
-:meth:`scan` is the terminal fold the ``mpf-serve-timeline/1`` document
-embeds.
+:meth:`HealthEngine.scan` is the one verdict: the ``bench trace
+--causal`` report prints it and the ``mpf-serve-timeline/1`` document
+(and ``serve_slo.json``'s findings) embed it.
 """
 
 from __future__ import annotations
@@ -114,14 +112,12 @@ def _growth(rows: dict[int, Gauge]):
 
 
 class HealthEngine:
-    """Fold the closed windows of ``timeline`` into findings, online or
-    terminally.  Circuits are put in tiers by :func:`serve_tier_of`, so
-    the tier kinds stay silent outside the serve topology."""
+    """Fold the windows of ``timeline`` into findings.  Circuits are put
+    in tiers by :func:`serve_tier_of`, so the tier kinds stay silent
+    outside the serve topology."""
 
     def __init__(self, timeline: Timeline) -> None:
         self.timeline = timeline
-        self._emitted: set[tuple[str, str]] = set()
-        self.findings: list[Finding] = []
 
     # -- detectors -------------------------------------------------------------
 
@@ -192,20 +188,3 @@ class HealthEngine:
         """Evaluate every detector over the whole timeline (idempotent)."""
         return (self._tier_findings() + self._circuit_findings()
                 + self._pool_finding())
-
-    def poll(self) -> list[Finding]:
-        """Online fold: the findings not returned by an earlier poll.
-
-        Call periodically while the run is live (the scrape server does
-        on every ``/findings``); each distinct ``(kind, series)`` finding
-        is returned — and appended to :attr:`findings` — exactly once,
-        with the evidence available when it first crossed its threshold.
-        """
-        fresh = []
-        for f in self.scan():
-            key = (f.kind, f.series)
-            if key not in self._emitted:
-                self._emitted.add(key)
-                self.findings.append(f)
-                fresh.append(f)
-        return fresh

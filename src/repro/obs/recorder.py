@@ -15,8 +15,11 @@ else — and the recorder maintains:
   simulator, instruction budgets on real runtimes where charges are
   free);
 * per-process effect-kind counts (:meth:`Recorder.summary`);
-* a bounded list of structured :class:`Span` events feeding the JSONL
-  and Chrome-trace exporters (:mod:`repro.obs.export`).
+* a bounded list of structured :class:`Span` events feeding the
+  Chrome-trace exporter.
+
+The exporters are functions of a recorder in :mod:`repro.obs.export`,
+not methods of it.
 
 Recorders are *mergeable*: each worker records into its own
 :meth:`~Recorder.child` (no cross-thread contention perturbing the
@@ -520,45 +523,3 @@ class Recorder:
                 if self.timeline is not None:
                     for t2, slot, e2e in late:
                         self.timeline.tap_e2e(t2, slot, e2e)
-
-    # -- exporters (implemented in repro.obs.export) -----------------------------
-
-    def format_lock_profile(self) -> str:
-        """Aligned text table of :meth:`lock_table` (see ``repro.obs.export``)."""
-        from .export import format_lock_profile
-
-        return format_lock_profile(self)
-
-    def format_summary(self) -> str:
-        """Aligned text table of the per-label work split."""
-        from .export import format_summary
-
-        return format_summary(self)
-
-    def jsonl(self) -> str:
-        """Spans as JSON lines."""
-        from .export import to_jsonl
-
-        return to_jsonl(self)
-
-    def chrome_trace(self) -> dict:
-        """Spans as a ``chrome://tracing`` / Perfetto ``traceEvents`` dict."""
-        from .export import chrome_trace
-
-        return chrome_trace(self)
-
-    def write_jsonl(self, path: str) -> None:
-        from .export import write_jsonl
-
-        write_jsonl(self, path)
-
-    def write_chrome_trace(self, path: str) -> None:
-        from .export import write_chrome_trace
-
-        write_chrome_trace(self, path)
-
-    def prometheus(self) -> str:
-        """Metrics (and causal aggregates, if traced) as Prometheus text."""
-        from .export import prometheus_exposition
-
-        return prometheus_exposition(self)

@@ -2,14 +2,16 @@
 
 Sweeps offered load over two configurations of the same service shape
 (unbatched baseline, send batching), prints the SLO table with detected saturation knees, and optionally
-archives the SLO JSON document, Prometheus metrics, and the message
-flow graph of a causally-traced knee point::
+archives the SLO JSON document, and of one causally traced probe at the
+knee its Prometheus metrics, its message flow graph and its windowed
+timeline document with the health findings::
 
     python -m repro.bench serve                     # full sweep (sim)
     python -m repro.bench serve --quick             # CI-sized sweep
     python -m repro.bench serve --runtime threads --quick
     python -m repro.bench serve --jobs 4 --json slo.json
     python -m repro.bench serve --prom serve.prom --flow serve.dot
+    python -m repro.bench serve --quick --timeline serve-timeline.json
 
 The full sweep pushes over a million MPF messages through the
 simulator; ``--jobs N`` spreads the load points over N worker
@@ -70,11 +72,11 @@ def _sends_per_window(timeline) -> list[tuple[float, float]]:
             for idx in sorted(per)]
 
 
-def _closed_loop_comparison(open_tl, runtime: str, width: float) -> dict:
+def _closed_loop_comparison(open_tl, runtime: str) -> dict:
     """Open-loop probe vs closed-loop figure workload, per window.
 
-    Runs Figure 4's closed-loop ``fcfs`` program under the same timeline
-    width and charts both send-rate curves on a shared relative time
+    Runs Figure 4's closed-loop ``fcfs`` program under the probe
+    timeline's width and charts both send-rate curves on a shared relative time
     axis: the closed-loop curve is flat (each message is paced by the
     previous one completing), while the open-loop probe's curve follows
     the arrival schedule and dips where the health findings localize
@@ -85,7 +87,7 @@ def _closed_loop_comparison(open_tl, runtime: str, width: float) -> dict:
     from ..bench.workloads import fcfs_throughput
     from ..obs import Recorder
 
-    closed_rec = Recorder(timeline=True, timeline_width=width)
+    closed_rec = Recorder(timeline=True, timeline_width=open_tl.width)
     fcfs_throughput(4, 64, messages=256, runtime=runtime,
                     recorder=closed_rec)
 
@@ -165,17 +167,6 @@ def serve_main(argv: list[str]) -> int:
         "(default path: next to --json, else serve-timeline.json)",
     )
     parser.add_argument(
-        "--timeline-width", type=float, default=0.05, metavar="S",
-        help="timeline window width in run-timebase seconds "
-        "(default 0.05)",
-    )
-    parser.add_argument(
-        "--live", nargs="?", const=0, default=None, type=int, metavar="PORT",
-        help="serve live telemetry on 127.0.0.1:PORT while the traced "
-        "probe runs — GET /metrics (Prometheus), /findings, /timeline "
-        "(0 or no value = ephemeral port)",
-    )
-    parser.add_argument(
         "--flow", metavar="PATH",
         help="with the same traced knee point, write the message flow "
         "graph as Graphviz DOT",
@@ -202,30 +193,18 @@ def serve_main(argv: list[str]) -> int:
              if c["knee_rps"] is not None]
     probe_rate = min(knees) if knees else loads[-1]
     probe_n = max(1, round(probe_rate * min(duration, 5.0)))
-    from ..obs import HealthEngine, LiveTelemetryServer, Recorder
+    from ..obs import HealthEngine, Recorder, prometheus_exposition
 
-    rec = Recorder(causal=True, timeline=True,
-                   timeline_width=args.timeline_width)
-    health = HealthEngine(rec.timeline)
-    server = None
-    if args.live is not None:
-        server = LiveTelemetryServer(rec, port=args.live, health=health)
-        print(f"live telemetry at {server.start()} "
-              "(/metrics /findings /timeline; up during the probe)")
-    try:
-        point, _ = run_point(configs["batched"], probe_rate, probe_n,
-                             seed=args.seed, runtime=args.runtime,
-                             recorder=rec)
-    finally:
-        if server is not None:
-            server.stop()
+    rec = Recorder(causal=True, timeline=True)
+    point, _ = run_point(configs["batched"], probe_rate, probe_n,
+                         seed=args.seed, runtime=args.runtime, recorder=rec)
+    findings = HealthEngine(rec.timeline).scan()
     tracer = rec.causal
     report.findings.append(
         f"traced probe at {probe_rate:g} rps ({args.runtime}): "
         f"goodput {point['goodput_rps']:.1f} rps, p999 "
         f"{point['p999_ms']:.2f} ms, causal stride 1/{tracer.stride}")
-    health.poll()
-    report.findings.extend(f.detail for f in health.findings)
+    report.findings.extend(f.detail for f in findings)
     wall = time.perf_counter() - t0
 
     print(report.format_table())
@@ -244,16 +223,14 @@ def serve_main(argv: list[str]) -> int:
         print(f"wrote {args.json}")
     if args.prom:
         with open(args.prom, "w") as fh:
-            fh.write(rec.prometheus())
+            fh.write(prometheus_exposition(rec))
         print(f"wrote {args.prom}")
     if args.timeline is not None:
         from .slo import build_timeline_doc, validate_timeline
 
-        comparison = _closed_loop_comparison(
-            rec.timeline, args.runtime, args.timeline_width)
+        comparison = _closed_loop_comparison(rec.timeline, args.runtime)
         tdoc = build_timeline_doc(args.runtime, args.seed, probe_rate,
-                                  rec.timeline, health.findings,
-                                  comparison)
+                                  rec.timeline, findings, comparison)
         validate_timeline(tdoc)
         if isinstance(args.timeline, str):
             tpath = args.timeline

@@ -56,24 +56,18 @@ def run_point(
     runtime: str = "sim",
     schedules: Sequence[Sequence[float]] | None = None,
     machine: MachineConfig | None = None,
-    causal: bool = False,
-    timeline: bool = False,
-    timeline_width: float = 0.05,
     recorder: Recorder | None = None,
 ) -> tuple[dict, Recorder | None]:
     """Run one offered-load point; returns ``(slo_point, recorder)``.
 
     ``schedules`` overrides the generated Poisson arrivals (trace-driven
-    serving: pass one absolute-time schedule per client).  ``causal``
-    attaches a causal tracer, whose e2e delivery sketch feeds the
-    observability exports.  ``timeline`` additionally windows the
-    point's traffic into ``timeline_width``-second buckets
-    (:class:`repro.obs.Timeline`) — the substrate of the
-    ``mpf-serve-timeline/1`` document and of the health findings
+    serving: pass one absolute-time schedule per client).  ``recorder``
+    observes the point and is returned as given (``None``: unobserved).
+    Build it with what the question needs: ``Recorder(causal=True)``
+    for the e2e delivery sketch and the per-message exports,
+    ``Recorder(timeline=True)`` for the windowed series behind the
+    ``mpf-serve-timeline/1`` document and the health findings
     (:class:`repro.obs.HealthEngine`).
-    ``recorder`` supplies a pre-built recorder instead (the live scrape
-    endpoint needs it *before* the run starts); it overrides the
-    ``causal``/``timeline`` construction flags.
     """
     if schedules is None:
         schedules, digest = client_schedules(
@@ -85,24 +79,20 @@ def run_point(
     if machine is None:
         machine = serve_machine(shape)
 
-    rec = recorder
-    if rec is None and (causal or timeline):
-        rec = Recorder(causal=causal, timeline=timeline,
-                       timeline_width=timeline_width)
     workers = build_workers(shape, schedules, runtime=runtime,
                             machine=machine)
     if runtime == "sim":
         from ..runtime.sim import SimRuntime
 
-        rt = SimRuntime(machine=machine, recorder=rec)
+        rt = SimRuntime(machine=machine, recorder=recorder)
     elif runtime == "threads":
         from ..runtime.threads import ThreadRuntime
 
-        rt = ThreadRuntime(recorder=rec, join_timeout=600)
+        rt = ThreadRuntime(recorder=recorder, join_timeout=600)
     elif runtime == "procs":
         from ..runtime.procs import ProcRuntime
 
-        rt = ProcRuntime(recorder=rec)
+        rt = ProcRuntime(recorder=recorder)
     else:
         raise ValueError(f"unknown runtime {runtime!r}")
     result = rt.run(workers, cfg=serve_config(shape))
@@ -128,7 +118,7 @@ def run_point(
         "mpf_messages": result.header["total_sends"],
         "schedule_digest": digest,
     }
-    return point, rec
+    return point, recorder
 
 
 def _measure(rate: float, *, shape: ServeShape, n_per_rps: float,

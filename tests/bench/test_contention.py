@@ -68,20 +68,16 @@ def test_contention_registry_and_result_shape():
 
 def test_trace_cli_prints_profile_and_writes_exports(tmp_path, capsys):
     chrome = tmp_path / "t.trace.json"
-    jsonl = tmp_path / "t.jsonl"
     raw = tmp_path / "raw.json"
     rc = main(["trace", "fig4", "--quick", "--runtime", "sim",
-               "--chrome", str(chrome), "--jsonl", str(jsonl),
-               "--json", str(raw)])
+               "--chrome", str(chrome), "--json", str(raw)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "Figure 4 (contention)" in out
     assert "lock profile — sim runtime" in out
     assert "lnvc0" in out
     suffixed_chrome = tmp_path / "t.trace-sim.json"
-    suffixed_jsonl = tmp_path / "t-sim.jsonl"
     assert "traceEvents" in json.loads(suffixed_chrome.read_text())
-    assert suffixed_jsonl.read_text().splitlines()
     assert json.loads(raw.read_text())["figure"] == "Figure 4 (contention)"
 
 

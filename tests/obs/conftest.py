@@ -10,7 +10,15 @@ import json
 
 import pytest
 
-from repro.obs import Recorder, flow_dot, flow_from_causal, format_sojourn
+from repro.obs import (
+    Recorder,
+    chrome_trace,
+    flow_dot,
+    flow_from_causal,
+    format_lock_profile,
+    format_sojourn,
+    prometheus_exposition,
+)
 
 _EVENT_FIELDS = ("kind", "pid", "slot", "gen", "seqno", "length",
                  "t0", "t1", "t2", "t3", "blocks", "depth", "fcfs", "discard")
@@ -18,11 +26,9 @@ _EVENT_FIELDS = ("kind", "pid", "slot", "gen", "seqno", "length",
 
 def _exports(rec: Recorder) -> dict[str, str]:
     out = {
-        "prometheus": rec.prometheus(),
-        "jsonl": rec.jsonl(),
-        "chrome_trace": json.dumps(rec.chrome_trace(), sort_keys=True),
-        "lock_profile": rec.format_lock_profile(),
-        "summary": rec.format_summary(),
+        "prometheus": prometheus_exposition(rec),
+        "chrome_trace": json.dumps(chrome_trace(rec), sort_keys=True),
+        "lock_profile": format_lock_profile(rec),
     }
     books = [rec.total, rec.dropped_spans, len(rec.spans)]
     if rec.timeline is not None:

@@ -9,7 +9,12 @@ import sys
 import pytest
 
 from repro.core.protocol import BROADCAST, FCFS
-from repro.obs import Recorder, flow_from_causal, parse_exposition
+from repro.obs import (
+    Recorder,
+    flow_from_causal,
+    parse_exposition,
+    prometheus_exposition,
+)
 from repro.obs.causal import (
     DEFAULT_LIMIT,
     CausalTracer,
@@ -100,7 +105,7 @@ def test_traffic_counts_are_exact_past_the_bound():
     SimRuntime(recorder=rec).run([loop_back])
     tracer = rec.causal
     assert tracer.stride == 32
-    prom = parse_exposition(rec.prometheus())
+    prom = parse_exposition(prometheus_exposition(rec))
     for family, n in (("messages_sent", 500), ("message_bytes_sent", 8000),
                       ("messages_received", 500),
                       ("message_bytes_received", 8000)):

@@ -12,7 +12,13 @@ import pytest
 
 from repro.core.protocol import FCFS
 from repro.obs import Recorder
-from repro.obs.export import chrome_trace, format_summary, to_jsonl
+from repro.obs.export import (
+    chrome_trace,
+    format_lock_profile,
+    parse_exposition,
+    prometheus_exposition,
+    write_chrome_trace,
+)
 from repro.obs.recorder import Span
 from repro.patterns import barrier
 from repro.runtime.sim import SimRuntime
@@ -40,19 +46,16 @@ def receiver(env):
 
 def test_empty_recorder_exports_valid_empty_documents(tmp_path):
     rec = Recorder()
-    assert rec.format_summary() == "(nothing recorded)"
-    assert "(no lock activity recorded)" in rec.format_lock_profile()
-    assert to_jsonl(rec) == ""
-    jl = tmp_path / "empty.jsonl"
-    rec.write_jsonl(str(jl))
-    assert jl.read_text() == ""
+    assert format_lock_profile(rec) == "(no lock activity recorded)"
+    assert parse_exposition(prometheus_exposition(rec))["mpf_spans_total"] \
+        == [({}, 0)]
 
     doc = chrome_trace(rec)
     assert doc["traceEvents"] == []
     assert doc["otherData"]["spans_total"] == 0
     assert json.dumps(doc)  # still a loadable trace file
     ct = tmp_path / "empty-trace.json"
-    rec.write_chrome_trace(str(ct))
+    write_chrome_trace(rec, str(ct))
     assert json.loads(ct.read_text())["traceEvents"] == []
 
 
@@ -63,7 +66,6 @@ def test_spans_disabled_recorder_keeps_counters_and_exports():
     assert rec.total > 0
     assert rec.dropped_spans == rec.total
     assert rec.lock_profile()  # counters complete despite zero spans
-    assert to_jsonl(rec) == ""
     doc = chrome_trace(rec)
     assert doc["otherData"]["spans_recorded"] == 0
     assert doc["otherData"]["spans_dropped"] == rec.total
@@ -91,9 +93,9 @@ def test_dropped_spans_invariant_and_warning():
     rec = run_limited(5)
     assert rec.total == len(rec.spans) + rec.dropped_spans
     assert rec.dropped_spans > 0
-    text = rec.format_summary()
-    assert f"{rec.dropped_spans} of {rec.total} spans dropped" in text
-    assert "counters above remain complete" in text
+    metrics = parse_exposition(prometheus_exposition(rec))
+    assert metrics["mpf_spans_dropped"] == [({}, rec.dropped_spans)]
+    assert metrics["mpf_spans_total"] == [({}, rec.total)]
 
 
 def test_a_span_past_the_bound_is_never_built(monkeypatch):
@@ -118,7 +120,8 @@ def test_a_span_past_the_bound_is_never_built(monkeypatch):
 def test_unlimited_recorder_reports_no_drops():
     rec = run_limited(100_000)
     assert rec.dropped_spans == 0
-    assert "dropped" not in rec.format_summary()
+    metrics = parse_exposition(prometheus_exposition(rec))
+    assert metrics["mpf_spans_dropped"] == [({}, 0)]
 
 
 def test_snapshot_roundtrip_preserves_dropped_spans(exports):
@@ -176,11 +179,60 @@ def test_truncated_recorder_chrome_trace_flags_truncation():
 
 
 @pytest.mark.parametrize("limit", [0, 1, 7])
-def test_jsonl_line_count_matches_stored_spans(limit, tmp_path):
+def test_chrome_trace_slices_match_stored_spans(limit, tmp_path):
     rec = run_limited(limit)
-    path = tmp_path / "spans.jsonl"
-    rec.write_jsonl(str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(rec.spans) == min(limit, rec.total)
-    for line in lines:
-        json.loads(line)
+    path = tmp_path / "trace.json"
+    write_chrome_trace(rec, str(path))
+    events = json.loads(path.read_text())["traceEvents"]
+    spans = [e for e in events if e["ph"] != "M"]
+    assert len(spans) == len(rec.spans) == min(limit, rec.total)
+
+
+# -- label values in the exposition -------------------------------------------
+
+
+def _named_pipe(name: str):
+    def producer(env):
+        cid = yield from env.open_send(name)
+        yield from barrier(env, "go", 2)
+        for i in range(6):
+            yield from env.message_send(cid, b"payload-%d" % i)
+        yield from env.message_send(cid, b"")
+        yield from env.close_send(cid)
+
+    def consumer(env):
+        cid = yield from env.open_receive(name, FCFS)
+        yield from barrier(env, "go", 2)
+        while (yield from env.message_receive(cid)):
+            pass
+        yield from env.close_receive(cid)
+
+    return [producer, consumer]
+
+
+@pytest.mark.parametrize("name", [
+    "jobs,a", 'jobs,queue="x"', "back\\slash", "brace} {x", "two\nlines",
+])
+def test_label_values_round_trip_through_the_exposition(name):
+    """A circuit name is a timeline series label: whatever characters it
+    holds, the exposition quotes them (text format 0.0.4 escapes ``\\``,
+    ``"`` and newline) and the parser gives the name back unchanged."""
+    rec = Recorder(causal=True, timeline=True)
+    SimRuntime(recorder=rec).run(_named_pipe(name))
+    metrics = parse_exposition(prometheus_exposition(rec))
+    series = {lbl["series"] for lbl, _ in metrics["mpf_timeline_count_total"]}
+    assert f"circuit:{name}" in series
+    sent = sum(v for lbl, v in metrics["mpf_timeline_count_total"]
+               if lbl == {"series": f"circuit:{name}", "metric": "sent"})
+    assert sent == 7
+
+
+@pytest.mark.parametrize("line", [
+    'm{a="x"b="y"} 1',        # no comma between pairs
+    'm{a="x\\q"} 1',          # an escape the format does not define
+    'm{a="x} 1',              # unterminated value
+    'm{a=x} 1',               # unquoted value
+])
+def test_exposition_parser_refuses_malformed_label_bodies(line):
+    with pytest.raises(ValueError, match="label pair|malformed sample"):
+        parse_exposition("# TYPE m counter\n" + line + "\n")

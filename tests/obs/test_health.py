@@ -1,10 +1,9 @@
-"""Online health attribution: detectors, onset localization, emit-once.
+"""Health attribution: detectors and onset localization.
 
 Synthetic timelines with hand-placed ramps pin each detector's verdict
-exactly — which series, which onset window — and the online ``poll``
-contract (each finding returned exactly once, while the run is still in
-flight).  Whether the kinds recall real faults and stay silent on clean
-runs is tests/obs/test_health_recall.py.
+exactly — which series, which onset window.  Whether the kinds recall
+real faults and stay silent on clean runs is
+tests/obs/test_health_recall.py.
 """
 
 from repro.obs import HealthEngine, Timeline, serve_tier_of
@@ -111,35 +110,6 @@ def test_healthy_run_produces_no_findings():
     for idx in range(10):
         tl.gauge((idx + 0.5) * WIDTH, "circuit:0|depth", 1.0)
     assert HealthEngine(tl).scan() == []
-
-
-def test_poll_emits_each_finding_exactly_once():
-    engine = HealthEngine(ramped_timeline())
-    fresh = engine.poll()
-    assert [(f.kind, f.series) for f in fresh] == [
-        ("saturating-tier", "tier:workers"),
-        ("queue-growth", "circuit:serve.work.0"),
-        ("queue-growth", "circuit:serve.front.0"),
-    ]
-    assert engine.findings == fresh
-    assert engine.poll() == []  # second poll: nothing new
-    assert engine.findings == fresh
-
-
-def test_poll_is_incremental_as_windows_close():
-    tl = Timeline(width=WIDTH)
-    tl.name_slot(0, "serve.work.0")
-    engine = HealthEngine(tl)
-    # Flat early phase: nothing to report yet.
-    for idx in range(4):
-        tl.gauge((idx + 0.5) * WIDTH, "circuit:0|depth", 0.5)
-    assert engine.poll() == []
-    # The ramp arrives mid-run; the next poll finds it online.
-    for idx, d in enumerate([2, 4, 8, 8], start=4):
-        tl.gauge((idx + 0.5) * WIDTH, "circuit:0|depth", float(d))
-    fresh = engine.poll()
-    assert {f.kind for f in fresh} >= {"queue-growth", "saturating-tier"}
-    assert engine.poll() == []
 
 
 def test_finding_to_dict_is_json_shaped():

@@ -53,7 +53,7 @@ DOC = os.path.join(os.path.dirname(__file__), "..", "..", "docs",
 def _serve(shape: ServeShape, rate: float, n: int | None = None):
     def run() -> Recorder:
         _, rec = run_point(shape, rate, n or round(5 * rate), seed=1987,
-                           runtime="sim", timeline=True)
+                           runtime="sim", recorder=Recorder(timeline=True))
         return rec
     return run
 

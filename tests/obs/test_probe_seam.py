@@ -40,7 +40,8 @@ from repro.core.freelist import fl_alloc
 from repro.core.layout import MPFConfig
 from repro.core.ops import MPFView
 from repro.core.protocol import BROADCAST, FCFS
-from repro.obs import CausalTracer, Recorder, pair_deliveries
+from repro.obs import CausalTracer, Recorder
+from repro.obs.causal import pair_deliveries
 from repro.runtime.blocking import MPFSystem
 from repro.runtime.posix import PosixSegment
 from repro.runtime.sim import SimRuntime
@@ -256,30 +257,31 @@ def _serve_knee() -> Recorder:
 #: ``flow_dot`` were re-pinned when the tracer began counting traffic
 #: exactly instead of from its stride sample: only the values of the four
 #: ``mpf_message*_total`` families and the DOT edge lines changed (118
-#: sampled edges became the run's 209).
+#: sampled edges became the run's 209).  The ``jsonl`` and ``summary``
+#: pins went with those two exporters; every other value is as recorded.
 PINNED = {
     _fcfs_freelist: {
         "books": "d59b0d4da199fe2b", "causal_events": "d6c41e64cbcb22a7",
         "chrome_trace": "94ff4d968a0cc104", "e2e": "f0f5e1dfb525e03f",
-        "flow_dot": "e859db96f2bb6270", "jsonl": "ecdae6c37c593892",
+        "flow_dot": "e859db96f2bb6270",
         "lock_profile": "6e80cc6049196688", "prometheus": "7de8f9f3c6c595aa",
-        "sojourn": "5831c63f605cee5a", "summary": "1833bd8db5cf997b",
+        "sojourn": "5831c63f605cee5a",
         "timeline_doc": "93093d18e5577ce6",
     },
     _broadcast_ring: {
         "books": "5797b50d05dbdeca", "causal_events": "cba2f54b837567a6",
         "chrome_trace": "4e310f701e82a4d0", "e2e": "4fd0d5ed293e5ce4",
-        "flow_dot": "d49c3245c3c9b6d0", "jsonl": "beda0658da366540",
+        "flow_dot": "d49c3245c3c9b6d0",
         "lock_profile": "d42c625dd4414661", "prometheus": "10bdbddc9c8e809a",
-        "sojourn": "a1d097e4ae8c063a", "summary": "455f8e19b705a5f1",
+        "sojourn": "a1d097e4ae8c063a",
         "timeline_doc": "6d12d54b175ae885",
     },
     _serve_knee: {
         "books": "457850383d6f6724", "causal_events": "18ca1f148f31919d",
         "chrome_trace": "2f8440e38e9b1d63", "e2e": "ee75a9f2da7314ac",
-        "flow_dot": "a4b625a5ea611763", "jsonl": "9a8ff112fefcaf86",
+        "flow_dot": "a4b625a5ea611763",
         "lock_profile": "93883bf3b289f3a7", "prometheus": "21178fd61e3bf06a",
-        "sojourn": "3770f97d653c662f", "summary": "bc61c998b303a3e9",
+        "sojourn": "3770f97d653c662f",
         "timeline_doc": "44c6225327e9421c",
     },
 }

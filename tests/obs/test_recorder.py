@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.protocol import FCFS, FIRST_LNVC_LOCK
 from repro.obs import Recorder, lock_name
-from repro.obs.export import chrome_trace
+from repro.obs.export import chrome_trace, format_lock_profile, write_chrome_trace
 from repro.patterns import barrier
 from repro.runtime.procs import ProcRuntime
 from repro.runtime.sim import SimRuntime
@@ -182,27 +182,11 @@ def test_histogram_buckets():
 
 def test_format_lock_profile_mentions_clock_and_names():
     rec = run_recorded("sim")
-    text = rec.format_lock_profile()
+    text = format_lock_profile(rec)
     assert "sim-ms" in text
     assert "global" in text and "lnvc0" in text
     wall = run_recorded("threads")
-    assert "wall-ms" in wall.format_lock_profile()
-
-
-def test_format_summary_lists_labels_and_processes():
-    rec = run_recorded("sim")
-    text = rec.format_summary()
-    assert "send-fixed" in text
-    assert "p0" in text and "p1" in text
-
-
-def test_jsonl_sorted_and_parseable():
-    rec = run_recorded("sim")
-    lines = [json.loads(line) for line in rec.jsonl().splitlines()]
-    assert len(lines) == len(rec.spans)
-    times = [(ln["time"], ln["process"]) for ln in lines]
-    assert times == sorted(times)
-    assert {"time", "process", "kind", "name", "duration"} <= set(lines[0])
+    assert "wall-ms" in format_lock_profile(wall)
 
 
 def test_chrome_trace_structure():
@@ -221,8 +205,6 @@ def test_chrome_trace_structure():
 
 def test_write_exporters(tmp_path):
     rec = run_recorded("sim")
-    jl, ct = tmp_path / "ev.jsonl", tmp_path / "trace.json"
-    rec.write_jsonl(str(jl))
-    rec.write_chrome_trace(str(ct))
-    assert len(jl.read_text().splitlines()) == len(rec.spans)
-    assert "traceEvents" in json.loads(ct.read_text())
+    ct = tmp_path / "trace.json"
+    write_chrome_trace(rec, str(ct))
+    assert json.loads(ct.read_text()) == chrome_trace(rec)

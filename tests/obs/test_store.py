@@ -302,10 +302,12 @@ def test_what_the_store_replaced_is_gone():
 
 def test_repro_obs_did_not_grow():
     modules = sorted(p.stem for p in OBS.glob("*.py") if p.stem != "__init__")
-    assert modules == ["causal", "export", "flow", "health", "live",
+    assert modules == ["causal", "export", "flow", "health",
                        "recorder", "store", "timeline"]
     # 46 public names at e7455da; digest_quantile and merge_timelines
-    # went and the store's type came, then EffectLog and TraceEvent went.
-    assert "Store" in repro.obs.__all__ and len(repro.obs.__all__) <= 43
+    # went and the store's type came, then EffectLog and TraceEvent went,
+    # then the live endpoint, JSON lines, flow JSON, the summary table
+    # and two private helpers of the kept exporters (42 -> 32).
+    assert "Store" in repro.obs.__all__ and len(repro.obs.__all__) <= 32
     assert len(set(repro.obs.__all__)) == len(repro.obs.__all__)
     assert all(hasattr(repro.obs, name) for name in repro.obs.__all__)

@@ -27,16 +27,14 @@ KNEE_RPS, KNEE_N = 300.0, 1500
 def knee_probe():
     """One causally-traced, timelined sim point at the baseline knee."""
     point, rec = run_point(ServeShape(policy="shed"), KNEE_RPS, KNEE_N,
-                           seed=1987, runtime="sim", causal=True,
-                           timeline=True)
-    health = HealthEngine(rec.timeline)
-    health.poll()
-    return point, rec, health
+                           seed=1987, runtime="sim",
+                           recorder=Recorder(causal=True, timeline=True))
+    return point, rec, HealthEngine(rec.timeline).scan()
 
 
 def test_knee_findings_name_first_saturating_tier(knee_probe):
-    _, rec, health = knee_probe
-    sat = [f for f in health.findings if f.kind == "saturating-tier"]
+    _, rec, findings = knee_probe
+    sat = [f for f in findings if f.kind == "saturating-tier"]
     assert len(sat) == 1
     assert sat[0].series == "tier:aggregator"
     tier = sat[0].data["tier"]
@@ -47,9 +45,8 @@ def test_knee_findings_name_first_saturating_tier(knee_probe):
 
 
 def test_timeline_doc_builds_and_validates(knee_probe):
-    _, rec, health = knee_probe
-    doc = build_timeline_doc("sim", 1987, KNEE_RPS, rec.timeline,
-                             health.findings)
+    _, rec, findings = knee_probe
+    doc = build_timeline_doc("sim", 1987, KNEE_RPS, rec.timeline, findings)
     validate_timeline(doc)  # strict: raises on any malformation
     assert doc["schema"] == "mpf-serve-timeline/1"
     assert doc["timeline"]["clock"] == "sim"
@@ -66,11 +63,10 @@ def test_timeline_doc_builds_and_validates(knee_probe):
 def test_timeline_doc_embeds_closed_loop_comparison(knee_probe):
     from repro.serve.cli import _closed_loop_comparison
 
-    _, rec, health = knee_probe
-    comparison = _closed_loop_comparison(rec.timeline, "sim",
-                                         rec.timeline.width)
+    _, rec, findings = knee_probe
+    comparison = _closed_loop_comparison(rec.timeline, "sim")
     doc = build_timeline_doc("sim", 1987, KNEE_RPS, rec.timeline,
-                             health.findings, comparison)
+                             findings, comparison)
     validate_timeline(doc)
     for leg in ("open_loop", "closed_loop"):
         assert doc["comparison"][leg]["width"] == rec.timeline.width
@@ -93,9 +89,8 @@ def test_timeline_doc_embeds_closed_loop_comparison(knee_probe):
     (lambda d: d.update(comparison={"open_loop": {}}), "comparison"),
 ])
 def test_validate_timeline_rejects_malformed(knee_probe, mutate, match):
-    _, rec, health = knee_probe
-    doc = build_timeline_doc("sim", 1987, KNEE_RPS, rec.timeline,
-                             health.findings)
+    _, rec, findings = knee_probe
+    doc = build_timeline_doc("sim", 1987, KNEE_RPS, rec.timeline, findings)
     bad = copy.deepcopy(doc)
     mutate(bad)
     with pytest.raises(ValueError, match=match):
@@ -108,62 +103,22 @@ def test_probe_point_unchanged_by_timeline():
     shape = ServeShape(policy="shed").with_load_features(batch=8)
     plain, _ = run_point(shape, 200.0, 200, seed=11, runtime="sim")
     timed, rec = run_point(shape, 200.0, 200, seed=11, runtime="sim",
-                           causal=True, timeline=True)
+                           recorder=Recorder(causal=True, timeline=True))
     assert timed == plain
     assert rec.timeline.windows  # and the telemetry actually recorded
 
 
-def test_prebuilt_recorder_overrides_flags():
-    """The live endpoint hands run_point a recorder built before the
-    run; the flags must not replace it."""
-    shape = ServeShape(policy="shed").with_load_features(batch=8)
-    mine = Recorder(timeline=True, timeline_width=0.1)
-    _, rec = run_point(shape, 100.0, 50, seed=3, runtime="sim",
-                       causal=False, timeline=False, recorder=mine)
-    assert rec is mine
-    assert mine.timeline.windows
-    assert mine.timeline.width == 0.1
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="POSIX runtimes")
-def test_live_scrape_during_threads_probe():
-    """The telemetry-smoke CI gate's shape: a live endpoint over a real
-    threads serve probe, scraped mid-run under a strict parse, then the
-    finished probe archived as a valid timeline document."""
-    import threading
-    import time
-
-    from repro.obs import LiveTelemetryServer, fetch_metrics
-
+def test_finished_threads_probe_archives_a_valid_document():
+    """The telemetry-smoke gate's shape: a real threads serve probe,
+    once finished, gives a timeline document that passes the strict
+    validator on the wall clock."""
     shape = ServeShape(policy="stall").with_load_features(batch=8)
-    rec = Recorder(causal=True, timeline=True)
-    health = HealthEngine(rec.timeline)
-    server = LiveTelemetryServer(rec, health=health)
-    url = server.start()
-    runner = threading.Thread(
-        target=lambda: run_point(shape, 120.0, 180, seed=1987,
-                                 runtime="threads", recorder=rec))
-    runner.start()
-    try:
-        mid = None
-        deadline = time.perf_counter() + 30
-        while time.perf_counter() < deadline:
-            metrics = fetch_metrics(url)  # strict: raises on bad lines
-            windows = next(iter(metrics.get("mpf_timeline_windows",
-                                            [({}, 0.0)])))[1]
-            if windows >= 2:
-                mid = metrics
-                break
-            time.sleep(0.05)
-        assert mid is not None, "no timeline windows appeared mid-run"
-        assert "mpf_timeline_count_total" in mid
-    finally:
-        runner.join(timeout=120)
-        server.stop()
-    health.poll()
+    _, rec = run_point(shape, 120.0, 180, seed=1987, runtime="threads",
+                       recorder=Recorder(causal=True, timeline=True))
     doc = build_timeline_doc("threads", 1987, 120.0, rec.timeline,
-                             health.findings)
+                             HealthEngine(rec.timeline).scan())
     validate_timeline(doc)
     assert doc["timeline"]["clock"] == "wall"
 
@@ -178,7 +133,7 @@ def test_series_parity_sim_vs_threads_by_digest():
 
     def digest(runtime):
         _, rec = run_point(shape, 60.0, 60, seed=7, runtime=runtime,
-                           timeline=True)
+                           recorder=Recorder(timeline=True))
         tl = rec.timeline
         out: dict[str, float] = {}
         for key, n in tl.totals().counters.items():
