@@ -4,13 +4,6 @@ PY ?= python
 # Point-runner processes for figure sweeps; output is byte-identical to
 # a serial run (each point is an independent deterministic simulation).
 JOBS ?= 4
-# Poll-section escape hatch: `make figures FUSION=off` sends every
-# `poll_receive` round through the generator instead of keeping the
-# wait in-engine (the only thing the knob still selects: send, receive
-# and check are classic generators either way).  Output is
-# byte-identical both ways (the section's acceptance gate); the knob
-# exists for debugging and A/B timing.
-FUSION ?= on
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke telemetry-budget procs-smoke regress profile \
@@ -32,9 +25,10 @@ shapes:
 # (repro.check.SCENARIOS: each name and the faults it declares): every
 # scenario clean over seeded schedules on the simulator and over repeated
 # runs on threads and forked processes (both on ProcSync), and every
-# declared fault caught on the simulator, or the target fails.  Two rows
-# more: select-poll with MPF_FUSION=off, and ring-wrap under exhaustive
-# DFS.  CI's check-smoke job runs exactly this target.  See
+# declared fault caught on the simulator, or the target fails.  One row
+# more: ring-wrap under exhaustive DFS.  (The simulator runs select-poll's
+# waits as engine sections; its threads and procs rows explore the
+# per-check loop.)  CI's check-smoke job runs exactly this target.  See
 # docs/checking.md.
 SCENARIO_TABLE = $(PY) -c "from repro.check import SCENARIOS; [print(n, *s.faults) for n, s in SCENARIOS.items()]"
 EXPLORE = $(PY) -m repro.check explore
@@ -51,7 +45,6 @@ check:
 	      --expect-fail || exit 1; \
 	  done; \
 	done
-	MPF_FUSION=off $(EXPLORE) --scenario select-poll --seeds 200
 	$(EXPLORE) --scenario ring-wrap --seeds 200 --policy dfs
 
 # Real-process smoke: both ledger pipes (the benchmark is run, not
@@ -185,28 +178,25 @@ regress:
 	$(PY) -m repro.bench regress
 
 figures:
-	MPF_FUSION=$(FUSION) $(PY) -m repro.bench all --jobs $(JOBS) \
+	$(PY) -m repro.bench all --jobs $(JOBS) \
 		--json figures_full.json | tee figures_full.txt
 
 figures-quick:
-	MPF_FUSION=$(FUSION) $(PY) -m repro.bench all --quick --plot
+	$(PY) -m repro.bench all --quick --plot
 
 # Re-measure against the committed archive (figures_full.json is reused
 # as the reference, not regenerated).
 compare:
-	MPF_FUSION=$(FUSION) $(PY) -m repro.bench all --jobs $(JOBS) \
+	$(PY) -m repro.bench all --jobs $(JOBS) \
 		--json /tmp/mpf_after.json >/dev/null && \
 	$(PY) -m repro.bench.compare figures_full.json /tmp/mpf_after.json
 
 # Byte-identity gate: the full serial sweep must reproduce the committed
-# archive exactly, with the poll-section hatch on and off (~20 s each).
-# Every change to core/, the engine or a runtime runs this.
+# archive exactly (~20 s).  Every change to core/, the engine or a
+# runtime runs this.
 identity:
 	$(PY) -m repro.bench all --json /tmp/mpf_full.json >/dev/null
 	cmp /tmp/mpf_full.json figures_full.json
-	MPF_FUSION=off $(PY) -m repro.bench all \
-		--json /tmp/mpf_full_off.json >/dev/null
-	cmp /tmp/mpf_full_off.json figures_full.json
 
 # Host cost of the message path: the deterministic pin table (Python
 # and C calls, region accessor calls per loop-back send + receive pair,
@@ -218,10 +208,9 @@ hostcost:
 
 # cProfile one figure plus the hottest-effect-label report (one Recorder
 # in SimRuntime.profile; pinned by tests/bench/test_profile_top.py).
-# `make profile FIG=fig6 FUSION=off` profiles with poll waits unfused.
 FIG ?= fig7
 profile:
-	MPF_FUSION=$(FUSION) $(PY) -m repro.bench profile $(FIG) --quick --top 10
+	$(PY) -m repro.bench profile $(FIG) --quick --top 10
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -24,7 +24,7 @@ from ..core.costmodel import DEFAULT_COSTS
 from ..core.errors import DeadlockSuspectedError, MPFError
 from ..core.inspect import traffic_totals
 from ..core.layout import SegmentLayout, format_region
-from ..core.ops import MPFView, fusion_enabled
+from ..core.ops import MPFView
 from ..core.protocol import Protocol
 from ..core.region import SharedRegion
 from ..machine.engine import DeadlockError, Engine, SimulationError, ZeroTimingModel
@@ -265,12 +265,12 @@ def run_schedule(
     region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
     layout = format_region(region, cfg)
     view = MPFView(region, layout, DEFAULT_COSTS)
-    # Poll sections stay on under the controlled scheduler: the engine
-    # parks every section step as its own heap event there, so the
-    # policy sees the identical choice points (and decision traces
-    # replay) either way — while the checker exercises the same section
-    # interpreter the figure runs use.
-    view.fuse = fusion_enabled()
+    # The engine drives this view, so poll waits are sections here too:
+    # the controlled scheduler parks every section step as its own heap
+    # event, so the policy sees the choice points the per-check loop
+    # offers (and decision traces replay), while the checker exercises
+    # the section interpreter the figure runs use.
+    view.fuse = True
     probe = SteadyProbe(view) if check_steady else None
     ctl = ControlledPolicy(policy, probe=probe)
     engine = Engine(

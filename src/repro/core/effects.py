@@ -207,12 +207,12 @@ class FusedSection:
     runs once costs more host time to build and interpret than the
     generator resumes it saves (docs/performance.md).
 
-    Conventions that keep fused and unfused runs byte-identical:
+    Conventions that keep a section byte-identical to that loop:
 
     * Only the sim engine sees this effect.  ``poll_receive`` consults
       ``view.fuse`` (set by :class:`~repro.runtime.sim.SimRuntime` and
       the model checker only) and runs its classic ``check_receive``
-      loop on the real runtimes — and when ``MPF_FUSION=off``.
+      loop on the real runtimes and on ring circuits.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes
       (:func:`repro.check.faults.drop_wake`) forward sections as is.

@@ -29,7 +29,6 @@ concurrently, higher throughputs can be achieved").
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from .costmodel import DEFAULT_COSTS, Costs
@@ -112,31 +111,12 @@ __all__ = [
     "encode_lnvc_id",
     "decode_lnvc_id",
     "SLOT_BITS",
-    "fusion_enabled",
-    "set_fusion",
 ]
-
-# Whether the *simulated* runtimes keep a poll wait inside the engine.
-# The eight primitives are classic effect generators on every runtime;
-# only :func:`poll_receive` yields a FusedSection, and only when
-# ``view.fuse`` is set.  SimRuntime and the model checker set it from
-# this flag, so the real runtimes (threads/procs/posix) never see one.
-# ``MPF_FUSION=off`` is the debugging escape hatch: every poll round
-# goes through the generator, which is byte-identical.
-_fusion_default = os.environ.get("MPF_FUSION", "").lower() not in (
-    "0", "off", "false", "no",
-)
-
-
-def fusion_enabled() -> bool:
-    """Whether sim runtimes run poll waits in-engine (MPF_FUSION env knob)."""
-    return _fusion_default
 
 
 def set_fusion(on: bool) -> None:
-    """Override the fusion default (tests and A/B comparisons)."""
-    global _fusion_default
-    _fusion_default = bool(on)
+    """No-op: sim poll waits always run in the engine.  Kept until ROADMAP 1(a) drops the ledger's import."""
+
 
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 # A 32-bit identifier's bits above the slot carry the generation.
@@ -384,10 +364,9 @@ class MPFView:
         #: cannot perturb a simulated schedule (docs/observability.md,
         #: "Attaching observers").
         self.probe = None
-        #: In-engine poll waits opt-in (sim engine only; see
-        #: :func:`poll_receive`).  Off by default so real runtimes never
-        #: see a :class:`~repro.core.effects.FusedSection`; SimRuntime
-        #: and the model checker set it from :func:`fusion_enabled`.
+        #: "An engine drives this view": :func:`poll_receive` then waits
+        #: in one :class:`~repro.core.effects.FusedSection`.  SimRuntime
+        #: and the model checker set it; the real runtimes never do.
         self.fuse = False
 
     # -- names -------------------------------------------------------------
@@ -1467,8 +1446,9 @@ def poll_receive(
     (compute-only work) fused into the first check of every round.  On
     the simulator the whole wait is one looping section
     (:func:`_make_poll_section`) and the generator is resumed only when a
-    circuit has traffic or a check fails; real runtimes, unfused runs
-    and ring circuits take the loop below.
+    circuit has traffic or a check fails; the real runtimes (no
+    ``view.fuse``) and ring circuits take the loop below, which is the
+    reference the section is tested against.
     """
     ids = tuple(lnvc_ids)
     if not ids:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.layout import HDR, MPFConfig, SegmentLayout, format_region
-from ..core.ops import MPFView, fusion_enabled
+from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from ..machine.balance import BALANCE_21000, MachineConfig
 from ..machine.cpu import BalanceTiming
@@ -40,14 +40,9 @@ class SimRuntime(Runtime):
         machine: MachineConfig = BALANCE_21000,
         until: float | None = None,
         recorder=None,
-        fusion: bool | None = None,
     ) -> None:
         self.machine = machine
         self._until = until
-        #: In-engine poll waits override: ``None`` follows the module
-        #: default (:func:`repro.core.ops.fusion_enabled`, MPF_FUSION env
-        #: knob); tests pass an explicit bool for on-vs-off A/B runs.
-        self.fusion = fusion
         #: Optional :class:`repro.obs.Recorder` fed simulated-time
         #: metrics (lock wait/hold, per-label charges) during runs.
         self.recorder = recorder
@@ -71,7 +66,7 @@ class SimRuntime(Runtime):
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
         view = MPFView(region, layout, costs)
-        view.fuse = fusion_enabled() if self.fusion is None else self.fusion
+        view.fuse = True  # the engine drives it: poll waits run in-engine
 
         timing = BalanceTiming(self.machine, costs)
         timing.vm.set_demand_source(lambda: HDR.get(region, "live_bytes"))

@@ -66,7 +66,7 @@ def test_prefix_policy_is_deterministic_replay():
     assert again.decisions == first.decisions
 
 
-def test_select_poll_offers_the_same_choices_fused_and_unfused():
+def test_select_poll_offers_the_same_choices_fused_and_unfused(poll_loop):
     """The looping poll section parks at every step under the explorer.
 
     Same decision points, same widths, same event counts as the
@@ -74,21 +74,16 @@ def test_select_poll_offers_the_same_choices_fused_and_unfused():
     explorer covers every interleaving of the poll's acquire/walk/release
     with the sender's links.
     """
-    from repro.core import ops
-
     sc = SCENARIOS["select-poll"]
-    prev = ops.fusion_enabled()
 
-    def walk(fused):
-        ops.set_fusion(fused)
+    def walk():
         outs = [run_schedule(sc, RandomPolicy(seed)) for seed in range(12)]
         assert all(o.status == "ok" for o in outs)
         return [(o.decisions, o.widths, o.events) for o in outs]
 
-    try:
-        assert walk(True) == walk(False)
-    finally:
-        ops.set_fusion(prev)
+    fused = walk()
+    with poll_loop():
+        assert walk() == fused
 
 
 def test_bounded_policy_clean():

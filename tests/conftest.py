@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro.core import ops
 from repro.testing import DirectRunner, make_view
 
 
@@ -17,3 +20,20 @@ def view():
 def runner(view):
     """A :class:`repro.testing.DirectRunner` over the ``view`` fixture."""
     return DirectRunner(view)
+
+
+@pytest.fixture
+def poll_loop(monkeypatch):
+    """``with poll_loop():`` runs every poll wait through
+    :func:`repro.core.ops.poll_receive`'s per-check loop, even on an
+    engine-driven view: no section is built, which is the route a ring
+    circuit takes.  The section-vs-loop identity tests compare against
+    it inside one run."""
+
+    @contextlib.contextmanager
+    def loop():
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "_make_poll_section", lambda *args: None)
+            yield
+
+    return loop

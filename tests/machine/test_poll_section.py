@@ -8,8 +8,9 @@ module pins it:
 
 * a 3-poller + 1-sender program gives the same clock, event count,
   per-lock acquire/contended counts, span stream and per-label charge
-  counts with fusion on and off under {plain, ``until``-sliced,
-  controlled seeded walk, ``Recorder``, unobserved} — and the values
+  counts as the per-check loop (a view built with ``view.fuse`` off,
+  as on the real runtimes) under {plain, ``until``-sliced, controlled
+  seeded walk, ``Recorder``, unobserved} — and the values
   the parent commit's three interpreters produced (recorded there,
   pinned here: the engine has one loop now, so there is no second path
   to compare against);
@@ -28,7 +29,6 @@ import hashlib
 import pytest
 
 from repro.apps import gauss_jordan as gj
-from repro.bench.figures import reset_run_cache
 from repro.check.faults import drop_wake
 from repro.check.scheduler import ControlledPolicy, RandomPolicy
 from repro.core import ops
@@ -55,18 +55,11 @@ from repro.runtime.sim import SimRuntime
 from repro.testing import make_view
 
 
-@pytest.fixture
-def restore_hatches():
-    fusion = ops.fusion_enabled()
-    yield
-    ops.set_fusion(fusion)
-    reset_run_cache()
-
-
-def _engine(fusion, nprocs, timing=None, **kw):
-    """An engine over a fresh segment, as SimRuntime would build it."""
+def _engine(fuse, nprocs, timing=None, **kw):
+    """An engine over a fresh segment, as SimRuntime would build it
+    (``fuse=False``: the per-check loop the real runtimes run)."""
     view = make_view(max_processes=max(2, nprocs))
-    view.fuse = fusion
+    view.fuse = fuse
     eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
                  timing or BalanceTiming(BALANCE_21000, DEFAULT_COSTS), **kw)
     return eng, view
@@ -119,7 +112,7 @@ def _sender(env):
 _WORKERS = [_poller, _poller, _poller, _sender]
 
 
-def _run_matrix_cell(mode, fusion):
+def _run_matrix_cell(mode, fuse):
     """``recorder`` keeps every span, ``unobserved`` has no recorder,
     the other modes count labels and locks only (``limit=0``)."""
     recorder = (None if mode == "unobserved" else
@@ -129,7 +122,7 @@ def _run_matrix_cell(mode, fusion):
     if mode == "controlled":
         policy = ControlledPolicy(RandomPolicy(seed=11))
         timing = ZeroTimingModel()  # every pending event is a choice
-    eng, view = _engine(fusion, len(_WORKERS), timing=timing,
+    eng, view = _engine(fuse, len(_WORKERS), timing=timing,
                         recorder=recorder, scheduler=policy)
     _spawn(eng, view, _WORKERS)
     if mode == "sliced":
@@ -164,7 +157,7 @@ def _digest(obj):
 
 
 # What the parent commit (ac1c7dc: classic loop, controlled twin and
-# epoch batcher, all hatch combinations agreeing) produced for the
+# epoch batcher, all switch combinations agreeing) produced for the
 # program above, recorded there with this module's `_run_matrix_cell`.
 _IDLE = {"app-compute": 484, "check-fixed": 971, "check-walk": 971}
 _STEADY = {  # whatever the schedule: one per open, send, receive, ...
@@ -203,8 +196,8 @@ _PARENT = {
     "sliced": _TIMED,
     # (len, sha256) of the run's `Recorder.spans` as (time, process,
     # kind, name, duration, value) tuples, taken at 3b11bc4 — the last
-    # commit with a raw `trace=` stream — in this mode, hatch on and
-    # under MPF_FUSION=off (the same digest both ways).
+    # commit with a raw `trace=` stream — in this mode, with the poll
+    # section and with the per-check loop (the same digest both ways).
     "recorder": {**_TIMED, "trace": (
         4793,
         "dbe98196a43bf3e234ab8db7451b23efba264ce280c4cdd62feb8f5179cfbf38")},
@@ -224,8 +217,9 @@ _PARENT = {
 
 @pytest.mark.parametrize(
     "mode", ["plain", "sliced", "controlled", "recorder", "unobserved"])
-def test_identity_matrix(mode, restore_hatches):
-    """Fusion on or off retires the parent's schedule, per mode."""
+def test_identity_matrix(mode):
+    """The section and the per-check loop retire the parent's schedule,
+    per mode."""
     fused, classic = (_run_matrix_cell(mode, f) for f in (True, False))
     for poller in ("p0", "p1", "p2"):
         got = classic["results"][poller]
@@ -235,7 +229,7 @@ def test_identity_matrix(mode, restore_hatches):
     if mode != "unobserved":
         assert classic["label_counts"]["check-fixed"] > 50, (
             "the program must actually idle-poll for the matrix to mean much")
-    assert fused == classic, f"{mode}: fusion diverged from classic"
+    assert fused == classic, f"{mode}: the section diverged from the loop"
     pinned = dict(classic)
     if "trace" in pinned:
         pinned["trace"] = (len(pinned["trace"]), _digest(pinned["trace"]))
@@ -246,7 +240,7 @@ def test_identity_matrix(mode, restore_hatches):
     assert {k: pinned[k] for k in parent} == parent
 
 
-def test_matrix_modes_agree_on_the_schedule(restore_hatches):
+def test_matrix_modes_agree_on_the_schedule():
     """Observation and slicing are free: same clock, events, lock totals
     as the unobserved run, same labels whatever the span limit."""
     bare = _run_matrix_cell("unobserved", True)
@@ -257,7 +251,7 @@ def test_matrix_modes_agree_on_the_schedule(restore_hatches):
         assert {k: cell[k] for k in plain} == plain, mode
 
 
-def test_gauss64_simulated_checks_per_receive(restore_hatches):
+def test_gauss64_simulated_checks_per_receive():
     """The simulated polling cost, read off the charge stream.
 
     The ledger's ``patterns.select_receive.checks_per_receive`` counts
@@ -292,17 +286,16 @@ def _watcher(traced):
 
 @pytest.mark.parametrize("pollers", [1, 2])
 @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
-@pytest.mark.parametrize("fusion", [True, False],
+@pytest.mark.parametrize("fuse", [True, False],
                          ids=["fusion-on", "fusion-off"])
-def test_lone_pollers_hit_the_event_budget(pollers, fusion, traced,
-                                           restore_hatches):
+def test_lone_pollers_hit_the_event_budget(pollers, fuse, traced):
     """A poll nobody answers must raise, not hang (was: fused, 1 poller)."""
 
     def poller(env):
         box = yield from env.open_receive(f"box{env.rank}", FCFS)
         yield from select_receive(env, (box,))
 
-    eng, view = _engine(fusion, pollers, max_events=50_000,
+    eng, view = _engine(fuse, pollers, max_events=50_000,
                         recorder=_watcher(traced))
     _spawn(eng, view, [poller] * pollers)
     with pytest.raises(SimulationError, match="exceeded 50000 events"):

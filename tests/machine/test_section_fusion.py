@@ -10,7 +10,8 @@ classic stepping; this module pins the load-bearing guarantees:
 * one definition per primitive: send, receive and check yield only
   classic effects with ``view.fuse`` set, on both transports, and a poll
   is exactly one section built from the surviving step vocabulary;
-* reduced fig4 + fig6 sweeps are byte-identical with the hatch on and off;
+* reduced fig4 + fig6 sweeps are byte-identical with poll sections and
+  with every poll run through the per-check loop;
 * a causal tracer sees the identical event stream and sojourn
   quantiles either way, on both transports;
 * a section never runs across an actual lock conflict — it parks at the
@@ -49,14 +50,6 @@ from repro.machine.cpu import BalanceTiming
 from repro.machine.engine import Engine
 from repro.obs import Recorder, sojourn_stats
 from repro.testing import make_view
-
-
-@pytest.fixture
-def restore_fusion():
-    prev = ops.fusion_enabled()
-    yield
-    ops.set_fusion(prev)
-    reset_run_cache()
 
 
 _CLASSIC = (Acquire, Release, Charge, ChargeMany, WaitOn, Wake)
@@ -122,30 +115,36 @@ def test_a_poll_is_one_section_of_the_surviving_step_vocabulary():
 
 
 @pytest.mark.parametrize("fig", [fig4, fig6], ids=["fig4", "fig6"])
-def test_reduced_figures_byte_identical(fig, restore_fusion):
-    """The acceptance gate, in miniature: quick sweeps, hatch on vs off."""
-    ops.set_fusion(True)
-    reset_run_cache()
-    fused = json.dumps(fig(quick=True).to_dict(), sort_keys=True)
-    ops.set_fusion(False)
-    reset_run_cache()
-    classic = json.dumps(fig(quick=True).to_dict(), sort_keys=True)
+def test_reduced_figures_byte_identical(fig, poll_loop):
+    """The acceptance gate, in miniature: quick sweeps, section vs loop."""
+
+    def sweep():
+        reset_run_cache()
+        try:
+            return json.dumps(fig(quick=True).to_dict(), sort_keys=True)
+        finally:
+            reset_run_cache()
+
+    fused = sweep()
+    with poll_loop():
+        classic = sweep()
     assert fused == classic
 
 
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
-def test_causal_stream_and_sojourns_identical(transport, restore_fusion):
-    """The hatch is invisible to the causal tracer, on both transports."""
+def test_causal_stream_and_sojourns_identical(transport, poll_loop):
+    """Section or loop is invisible to the causal tracer, on both
+    transports."""
 
-    def run(fused):
-        ops.set_fusion(fused)
+    def run():
         rec = Recorder(causal=True)
         fcfs_throughput(4, 64, messages=12, recorder=rec,
                         transport=transport)
         return rec
 
-    a = run(True)
-    b = run(False)
+    a = run()
+    with poll_loop():
+        b = run()
     assert a.causal.events == b.causal.events
     assert a.causal.total == b.causal.total
     sa, sb = sojourn_stats(a.causal), sojourn_stats(b.causal)
@@ -194,7 +193,7 @@ def _run_conflict(fused: bool):
     return elapsed, eng.stats, list(rec.spans)
 
 
-def test_fusion_never_fires_across_lock_conflict(restore_fusion):
+def test_fusion_never_fires_across_lock_conflict():
     """The contention guard: a fused section parks at a held lock.
 
     If the section retired atomically despite the conflict, P1's

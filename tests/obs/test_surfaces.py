@@ -5,6 +5,10 @@ the package itself outside ``repro/obs`` imports it, or an executed
 block of ``docs/`` (tests/test_docs_examples.py runs every one) calls it
 to answer the question its page asks.  A surface that loses its last
 use fails here, and so does one that comes back without a use.
+
+The package has no settable surface outside its call signatures either:
+``src/`` reads no environment variable, so no process-wide switch can
+select a second way to run it.
 """
 
 import ast
@@ -74,3 +78,31 @@ def test_importing_repro_does_not_import_an_http_stack():
             "assert 'http.server' not in sys.modules; "
             "assert 'urllib.request' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def _environment_reads(tree: ast.AST) -> list[int]:
+    """Lines that read the environment: ``os.environ`` / ``os.getenv``
+    (``environb`` too), or either imported out of ``os``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in names for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_src_reads_no_environment():
+    """A behaviour an environment variable selects is a second program
+    nobody passes an argument for: what a run does is decided by its
+    call, never by ``os.environ``."""
+    reads = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line in _environment_reads(ast.parse(path.read_text()))]
+    assert reads == [], (
+        f"src/ reads the environment at {reads}: take the value as an "
+        "argument instead")

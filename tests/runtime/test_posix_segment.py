@@ -271,6 +271,9 @@ def test_ping_pong_does_not_pay_the_nap_per_hop(monkeypatch):
         assert child.returncode == 0, err
         mpf.close_send(ping)
         mpf.close_receive(pong)
-    # The peer's count includes its wait for the warm-up message, which
-    # it may be up long before; a nap per hop would be 200 on each side.
-    assert naps <= 5 and int(out) <= 5, (naps, out)
+    # A nap per hop is ~200 on each side (200-230 measured).  A yield
+    # can still outlast the budget when the host runs something else:
+    # with one of two CPUs kept busy, 60 runs napped at most 9 (this
+    # side) and 8 (the peer, whose count includes its wait for the
+    # warm-up message).  40 keeps 4x that tail and 5x the gap to 200.
+    assert naps <= 40 and int(out) <= 40, (naps, out)

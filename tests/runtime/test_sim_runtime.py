@@ -1,5 +1,7 @@
 """Tests for the simulated-machine runtime."""
 
+import contextlib
+
 import pytest
 
 from repro.core.errors import RegionFormatError
@@ -217,8 +219,8 @@ def test_explicit_config_respected():
     assert result.results["p0"] is True
 
 
-@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "classic"])
-def test_reap_refuses_a_cyclic_chain_instead_of_spinning(fusion):
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "classic"])
+def test_reap_refuses_a_cyclic_chain_instead_of_spinning(fused, poll_loop):
     """p2 drains the short message while p1 still copies the long one at
     the FIFO head, so p1's completion reaps a message it never walked.
     Its chain is made cyclic meanwhile: the reap must raise (it used to
@@ -243,7 +245,9 @@ def test_reap_refuses_a_cyclic_chain_instead_of_spinning(fusion):
             yield from env.compute(instrs=5000)  # p1 claims the long one
         yield from env.message_receive(rid)
 
-    with pytest.raises(RegionFormatError, match="message header .* does not end"):
-        SimRuntime(fusion=fusion).run(
+    loop = contextlib.nullcontext() if fused else poll_loop()
+    with loop, pytest.raises(RegionFormatError,
+                             match="message header .* does not end"):
+        SimRuntime().run(
             [sender, receiver, receiver],
             cfg=MPFConfig(max_lnvcs=8, max_processes=3))

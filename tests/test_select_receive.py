@@ -1,5 +1,6 @@
 """Tests for the select_receive polling multiplexer."""
 
+import contextlib
 import enum
 
 import numpy as np
@@ -114,18 +115,20 @@ def test_on_threads_runtime():
 
 # -- the engine-resident poll (ops.poll_receive): edges and errors -----------
 #
-# Each program runs fused and unfused; the fused run idles inside one
-# looping section, and must fail, re-price and fall back exactly where
-# the per-check loop does.
+# Each program runs through the per-check loop and with the section; the
+# section idles inside one engine-resident loop, and must fail, re-price
+# and fall back exactly where the per-check loop does.
 
 
-def _both(workers, cfg=None, trace=False):
-    """Run unfused then fused; assert one schedule; return the fused run."""
+def _both(poll_loop, workers, cfg=None, trace=False):
+    """Run through the per-check loop, then with the section; assert one
+    schedule; return the section's run."""
     runs = []
-    for fusion in (False, True):
+    for loop in (poll_loop(), contextlib.nullcontext()):
         rec = Recorder() if trace else None
-        rt = SimRuntime(fusion=fusion, recorder=rec)
-        result = rt.run(workers, cfg=cfg)
+        rt = SimRuntime(recorder=rec)
+        with loop:
+            result = rt.run(workers, cfg=cfg)
         assert all(lock.owner is None for lock in rt.last_engine.locks)
         runs.append((result.results, result.elapsed, result.report.events,
                      rec and list(rec.spans)))
@@ -158,15 +161,15 @@ def _closing_pollers_connection(keep_circuit, error):
     return [poller, saboteur]
 
 
-def test_circuit_deleted_mid_poll():
+def test_circuit_deleted_mid_poll(poll_loop):
     _, (results, *_) = _both(
-        _closing_pollers_connection(False, UnknownLNVCError))
+        poll_loop, _closing_pollers_connection(False, UnknownLNVCError))
     assert results["p0"][0] == "UnknownLNVCError"
 
 
-def test_connection_closed_mid_poll():
+def test_connection_closed_mid_poll(poll_loop):
     _, (results, *_) = _both(
-        _closing_pollers_connection(True, NotConnectedError))
+        poll_loop, _closing_pollers_connection(True, NotConnectedError))
     assert results["p0"][0] == "NotConnectedError"
 
 
@@ -176,7 +179,7 @@ def _walk_instrs(trace, process="p0"):
             if span.process == process and span.name == "check-walk"}
 
 
-def test_connection_churn_reprices_the_walk():
+def test_connection_churn_reprices_the_walk(poll_loop):
     """A conn_epoch bump drops the probe's memo: the walk length follows."""
 
     def poller(env):
@@ -193,12 +196,13 @@ def test_connection_churn_reprices_the_walk():
         out = yield from env.open_send("news")
         yield from env.message_send(out, b"late")
 
-    _, (results, _, _, trace) = _both([poller, joiner], trace=True)
+    _, (results, _, _, trace) = _both(
+        poll_loop, [poller, joiner], trace=True)
     assert results["p0"] == b"late"
     assert len(_walk_instrs(trace)) == 2  # one descriptor deep, then two
 
 
-def test_more_descriptors_than_memoized_walk_charges():
+def test_more_descriptors_than_memoized_walk_charges(poll_loop):
     """Eight receivers ahead of the poller: an un-memoized check-walk."""
     others = 8
 
@@ -218,13 +222,13 @@ def test_more_descriptors_than_memoized_walk_charges():
         yield from env.message_send(out, b"all")
 
     view, (results, _, _, trace) = _both(
-        [poller] + [listener] * others + [speaker], trace=True)
+        poll_loop, [poller] + [listener] * others + [speaker], trace=True)
     assert set(results.values()) == {b"all", None}
     step = view.costs.list_step
     assert (others + 1) * step in _walk_instrs(trace)
 
 
-def test_ring_circuit_in_the_set_takes_the_classic_loop():
+def test_ring_circuit_in_the_set_takes_the_classic_loop(poll_loop):
     cfg = MPFConfig(max_lnvcs=8, max_processes=4,
                     transports=(("box", "ring"),))
 
@@ -245,12 +249,12 @@ def test_ring_circuit_in_the_set_takes_the_classic_loop():
         news = yield from env.open_send("news")
         yield from env.message_send(news, b"list")
 
-    view, (results, *_) = _both([poller, speaker], cfg=cfg)
+    view, (results, *_) = _both(poll_loop, [poller, speaker], cfg=cfg)
     assert results["p0"] == [b"ring", b"list"]
     assert [ent[1] for ent in view._fs_poll_cache.values()] == [None]
 
 
-def test_id_outside_the_table_is_rejected_at_entry():
+def test_id_outside_the_table_is_rejected_at_entry(poll_loop):
     """Not even the live circuit ahead of it in the set is checked."""
 
     def poller(env):
@@ -262,7 +266,7 @@ def test_id_outside_the_table_is_rejected_at_entry():
         except UnknownLNVCError as exc:
             return str(exc), env.now() - t0
 
-    view, (results, *_) = _both([poller])
+    view, (results, *_) = _both(poll_loop, [poller])
     assert results["p0"] == ("lnvc id 31337: no such slot", 0.0)
     assert not view._fs_poll_cache
 
@@ -270,7 +274,7 @@ def test_id_outside_the_table_is_rejected_at_entry():
 @pytest.mark.parametrize("wrap", [
     np.int64, lambda box: enum.IntEnum("Cid", {"BOX": box}).BOX],
     ids=["numpy", "intenum"])
-def test_ids_need_not_be_exactly_int(wrap):
+def test_ids_need_not_be_exactly_int(wrap, poll_loop):
     """The id handed in comes back, whatever integer type it is."""
 
     def poller(env):
@@ -283,7 +287,7 @@ def test_ids_need_not_be_exactly_int(wrap):
         box = yield from env.open_send("box")
         yield from env.message_send(box, b"typed")
 
-    _, (results, *_) = _both([poller, speaker])
+    _, (results, *_) = _both(poll_loop, [poller, speaker])
     assert results["p0"] == (True, b"typed")
 
 
