@@ -67,7 +67,8 @@ procs-smoke:
 # engine prints any finding (fig4 is closed-loop: nothing can back up,
 # so a finding is a false positive), then validate the Prometheus
 # exposition and the DOT flow graph each exported (per-runtime suffixed
-# files).  See docs/tracing.md.
+# files): each exposition must carry the timeline's queue-depth peaks,
+# the one depth source a run records.  See docs/tracing.md.
 trace-smoke:
 	$(PY) -m repro.bench trace fig4 --quick --causal \
 		--runtime sim --runtime threads --runtime procs \
@@ -78,12 +79,16 @@ trace-smoke:
 	$(PY) -c "\
 	from repro.obs import check_dot, parse_exposition; \
 	kinds = ('sim', 'threads', 'procs'); \
-	[parse_exposition(open(f'/tmp/mpf_fig4-{k}.prom').read()) \
-	 for k in kinds]; \
+	proms = [parse_exposition(open(f'/tmp/mpf_fig4-{k}.prom').read()) \
+	         for k in kinds]; \
+	depth = [sum(lab.get('metric') == 'depth' \
+	             for lab, _ in p.get('mpf_timeline_gauge_max', ())) \
+	         for p in proms]; \
+	assert min(depth) > 0, depth; \
 	edges = [check_dot(open(f'/tmp/mpf_fig4-{k}.dot').read()) \
 	         for k in kinds]; \
 	assert min(edges) > 0, edges; \
-	print(f'trace smoke ok: flow edges {edges}')"
+	print(f'trace smoke ok: depth series {depth}, flow edges {edges}')"
 
 # Open-loop serving smoke: a CI-sized sweep on the simulator and on
 # real threads, then validate the SLO JSON documents and the Prometheus

@@ -693,7 +693,7 @@ def _reap_head(
     if probe is not None:
         probe.msgs_freed(
             view.layout.lnvc_slot(base), view.region.u32(base + _L_GEN),
-            depth_after, freed)
+            freed)
     nblk = _free_chain(view, doomed, chains, nbytes)
     yield view._alloc_rel
     yield charge(len(doomed) * c.msg_discard + nblk * c.blk_free, "reap")
@@ -741,7 +741,7 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
         yield Acquire(ALLOC_LOCK)
         probe = view.probe
         if probe is not None:
-            probe.msgs_freed(slot, LNVC.get(r, base, "gen"), 0, freed,
+            probe.msgs_freed(slot, LNVC.get(r, base, "gen"), freed,
                              discard=1)
         nblk = _free_chain(view, msgs, chains, nbytes)
         yield Release(ALLOC_LOCK)
@@ -1143,7 +1143,7 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     blocks, free_blk = r.follow(free_blk, nblk)
     if len(blocks) < nblk:
         if probe is not None:
-            probe.pool(((_H_FREE_MSG, 1),), dry=_H_FREE_BLK)
+            probe.pool(dry=_H_FREE_BLK)
         yield from _release_and_raise(
             [ALLOC_LOCK],
             OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
@@ -1153,8 +1153,7 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     live = (live + length) & _M32
     view._wr_pool(_H_FREE_MSG, r.u32(hdr), free_blk, live_msgs, live_blk, live)
     if probe is not None:
-        probe.pool(((_H_FREE_MSG, 1), (_H_FREE_BLK, nblk)),
-                   live_blocks=live_blk)
+        probe.pool(live_blocks=live_blk)
     hwm_bytes, hwm_msgs = view._rd_hwm(_H_HWM_LIVE_BYTES)
     if live > hwm_bytes or live_msgs > hwm_msgs:
         view._wr_hwm(_H_HWM_LIVE_BYTES, max(live, hwm_bytes),

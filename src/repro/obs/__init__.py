@@ -42,8 +42,6 @@ from .causal import (
     busiest_lnvc,
     format_causal_tail,
     format_sojourn,
-    peak_depth,
-    queue_depth_timeline,
     sojourn_stats,
 )
 from .export import (
@@ -80,8 +78,6 @@ __all__ = [
     "busiest_lnvc",
     "format_causal_tail",
     "format_sojourn",
-    "peak_depth",
-    "queue_depth_timeline",
     "sojourn_stats",
     "FlowGraph",
     "check_dot",

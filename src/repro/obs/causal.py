@@ -15,8 +15,7 @@ lock in :func:`repro.core.ops.message_send` plus the circuit's
 
 * ``send``  — one per :func:`message_send`, carrying four timestamps:
   primitive entry (``t0``), block allocation complete (``t1``), payload
-  copy-in complete (``t2``), linked at the FIFO tail (``t3``), plus the
-  queue depth the enqueue produced;
+  copy-in complete (``t2``), linked at the FIFO tail (``t3``);
 * ``recv``  — one per :func:`message_receive`: entry (``t0``), claim —
   the FCFS take or per-receiver BROADCAST visit (``t1``), copy-out
   complete (``t2``), retire/unpin done (``t3``);
@@ -28,16 +27,16 @@ that carries it hears the message sites (docs/observability.md,
 "Attaching observers") and hands every hook its timestamps.  Nothing
 here reads a clock or yields an effect, so attaching a tracer never
 adds scheduler round-trips and provably cannot perturb simulated timing
-(pinned by the fig3 byte-identity test).  Free-list pressure arrives
-through :meth:`CausalTracer.on_pool`.
+(pinned by the fig3 byte-identity test).
 
-Everything here is derived from the event list: per-stage sojourn
-latency quantiles (:func:`sojourn_stats`) and queue-depth timelines
-(:func:`queue_depth_timeline`, cross-checkable against the circuit's
-``hwm_nmsgs`` high-water mark).  Flow graphs live in
-:mod:`repro.obs.flow`, the Prometheus exposition in
-:mod:`repro.obs.export`; what is backing up is
-:class:`repro.obs.health.HealthEngine`'s verdict over a timeline.
+The tracer traces messages only.  Queue depth and pool pressure are
+the timeline's (:mod:`repro.obs.timeline`: the ``circuit:<slot>|depth``
+gauge, the ``pool|dry`` counter) and the segment's own (the circuit's
+``hwm_nmsgs`` high-water mark, read by :mod:`repro.core.inspect`).
+Derived from the event list here: per-stage sojourn latency quantiles
+(:func:`sojourn_stats`).  Flow graphs live in :mod:`repro.obs.flow`,
+the Prometheus exposition in :mod:`repro.obs.export`; what is backing
+up is :class:`repro.obs.health.HealthEngine`'s verdict over a timeline.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ __all__ = [
     "CausalTracer",
     "StageStats",
     "sojourn_stats",
-    "queue_depth_timeline",
-    "peak_depth",
     "busiest_lnvc",
     "format_sojourn",
     "format_causal_tail",
@@ -93,7 +90,6 @@ class MsgEvent(NamedTuple):
     t2: float = 0.0
     t3: float = 0.0
     blocks: int = 0    # send: blocks allocated for the payload chain
-    depth: int = 0     # send: queue depth after enqueue; free: after unlink
     fcfs: int = 1      # recv: 1 = FCFS take, 0 = BROADCAST visit
     discard: int = 0   # free: 1 = dropped by circuit deletion, 0 = reaped
 
@@ -107,7 +103,7 @@ class MsgEvent(NamedTuple):
 
 
 class CausalTracer:
-    """Collects :class:`MsgEvent` records plus free-list pressure counts.
+    """Collects :class:`MsgEvent` records, traffic counts and e2e latencies.
 
     The carrying :class:`~repro.obs.recorder.Recorder` calls the ``on_*``
     hooks with timestamps in the run's timebase.  The stored events are
@@ -128,8 +124,8 @@ class CausalTracer:
     message counters and the flow graph stay whole past the bound.
     """
 
-    __slots__ = ("events", "pool_allocs", "pool_failures", "e2e",
-                 "msgs", "nbytes", "_pending", "_orphans", "_grace", "_keep")
+    __slots__ = ("events", "e2e", "msgs", "nbytes",
+                 "_pending", "_orphans", "_grace", "_keep")
 
     def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
         if limit < 1:
@@ -137,10 +133,6 @@ class CausalTracer:
         #: The stored events with their ``total`` / ``dropped`` books, a
         #: :class:`~repro.obs.store.Sample` keyed by seqno.
         self.events: Sample = Sample(limit, attrgetter("seqno"))
-        #: Successful free-list pops, keyed by pool head offset.
-        self.pool_allocs: dict[int, int] = {}
-        #: Pops that found the pool exhausted (returned NIL).
-        self.pool_failures: dict[int, int] = {}
         #: Exact e2e latency sketch, one float per delivery.
         self.e2e = array("d")
         #: Exact messages and payload bytes per ``(kind, pid, slot,
@@ -181,7 +173,7 @@ class CausalTracer:
     # stored, and builds the MsgEvent only then.
 
     def on_send(self, pid: int, slot: int, gen: int, seqno: int,
-                length: int, blocks: int, depth: int,
+                length: int, blocks: int,
                 t0: float, t1: float, t2: float, t3: float) -> None:
         """Message linked at the FIFO tail at ``t3``."""
         self._pending[(slot, gen, seqno)] = t0
@@ -191,7 +183,7 @@ class CausalTracer:
         if self.events.admit(seqno):
             self.events.append(MsgEvent(
                 "send", pid, slot, gen, seqno, length, t0, t1, t2, t3,
-                blocks=blocks, depth=depth))
+                blocks=blocks))
 
     def on_recv(self, pid: int, slot: int, gen: int, seqno: int,
                 length: int, fcfs: int, t0: float, t1: float,
@@ -224,7 +216,7 @@ class CausalTracer:
         return e2e
 
     def on_free(self, sender: int, slot: int, gen: int, seqno: int,
-                length: int, depth: int, t: float, discard: int = 0) -> None:
+                length: int, t: float, discard: int = 0) -> None:
         """Message header returned to the free list at ``t``."""
         # A receive's completion section reaps the message it just
         # retired (``_reap_head``) *before* its own recv hook fires — so
@@ -241,15 +233,7 @@ class CausalTracer:
         if self.events.admit(seqno):
             self.events.append(MsgEvent(
                 "free", sender, slot, gen, seqno, length, t,
-                depth=depth, discard=1 if discard else 0))
-
-    def on_pool(self, popped=(), dry: int | None = None) -> None:
-        """One allocation attempt: ``n`` records popped per ``(head_off,
-        n)`` of ``popped``; the pool at ``dry`` was found exhausted."""
-        for head_off, n in popped:
-            self.pool_allocs[head_off] = self.pool_allocs.get(head_off, 0) + n
-        if dry is not None:
-            self.pool_failures[dry] = self.pool_failures.get(dry, 0) + 1
+                discard=1 if discard else 0))
 
     # -- simple queries ------------------------------------------------------
 
@@ -269,10 +253,6 @@ class CausalTracer:
             kind, pid, slot, gen = key
             yield kind, pid, (slot, gen), n, self.nbytes[key]
 
-    def lnvc_keys(self) -> list[tuple[int, int]]:
-        """Distinct ``(slot, gen)`` pairs seen, sorted."""
-        return sorted({e.lnvc for e in self.events})
-
     def e2e_stats(self) -> "StageStats":
         """Quantiles over the exact e2e sketch."""
         return StageStats(list(self.e2e))
@@ -283,7 +263,7 @@ class CausalTracer:
         """Fold another tracer in (called by :meth:`Recorder.merge
         <repro.obs.recorder.Recorder.merge>` on a snapshot's tracer).
 
-        The sample, the pool and traffic counters and the sketch fold as
+        The sample, the traffic counters and the sketch fold as
         their cells do; what only a tracer knows is how to pair
         deliveries whose send and receive different tracers heard:
         ``other``'s sends against our orphan receives and the reverse.
@@ -292,8 +272,6 @@ class CausalTracer:
         the recorder's timeline.
         """
         self.events.fold(other.events)
-        add_counts(self.pool_allocs, other.pool_allocs)
-        add_counts(self.pool_failures, other.pool_failures)
         add_counts(self.msgs, other.msgs)
         add_counts(self.nbytes, other.nbytes)
         late = []
@@ -401,33 +379,6 @@ def sojourn_stats(
     }
 
 
-def queue_depth_timeline(
-    tracer: CausalTracer, slot: int, gen: int
-) -> list[tuple[float, int]]:
-    """``(time, depth)`` steps for one circuit's message queue.
-
-    Depth changes on enqueue (``send`` events, at ``t3``) and on unlink
-    (``free`` events); both carry the post-transition depth read under
-    the circuit lock, so the timeline is exact, not inferred.  Ties in
-    time (common under the model checker's zero-cost timing) keep event
-    order.
-    """
-    steps = [
-        (e.t3 if e.kind == "send" else e.t0, i, e.depth)
-        for i, e in enumerate(tracer.events)
-        if e.kind in ("send", "free") and e.lnvc == (slot, gen)
-    ]
-    steps.sort()
-    return [(t, depth) for t, _, depth in steps]
-
-
-def peak_depth(tracer: CausalTracer, slot: int, gen: int) -> int:
-    """Maximum queue depth observed on one circuit (0 if never traced)."""
-    return max(
-        (d for _, d in queue_depth_timeline(tracer, slot, gen)), default=0
-    )
-
-
 def busiest_lnvc(tracer: CausalTracer) -> tuple[int, int] | None:
     """The ``(slot, gen)`` with the most sends (``None`` if no sends).
 
@@ -487,12 +438,11 @@ def format_causal_tail(tracer: CausalTracer, n: int = 12) -> str:
     for e in tracer.events[-n:]:
         ident = f"lnvc{e.slot}@g{e.gen}#msg{e.seqno}"
         if e.kind == "send":
-            detail = f"{e.length}B in {e.blocks} blk(s), depth -> {e.depth}"
+            detail = f"{e.length}B in {e.blocks} blk(s)"
         elif e.kind == "recv":
             detail = f"{e.length}B, {'fcfs take' if e.fcfs else 'bcast visit'}"
         else:
-            detail = ("discarded (circuit deleted)" if e.discard
-                      else f"reaped, depth -> {e.depth}")
+            detail = "discarded (circuit deleted)" if e.discard else "reaped"
         who = f"p{e.pid}" + (" (sender)" if e.kind == "free" else "")
         lines.append(f"  {e.kind:<4} {ident:<18} {who:<12} {detail}")
     if tracer.dropped:
@@ -528,8 +478,7 @@ def causal_async_events(tracer: CausalTracer) -> list[dict]:
             if e.kind == "send":
                 events.append({
                     **common, "ph": "n", "ts": round(e.t3 * 1e6, 3),
-                    "args": {"step": "enqueue", "depth": e.depth,
-                             "bytes": e.length},
+                    "args": {"step": "enqueue", "bytes": e.length},
                 })
                 end = max(end, e.t3)
             elif e.kind == "recv":

@@ -266,7 +266,7 @@ def prometheus_exposition(rec: "Recorder") -> str:
 
     tracer = rec.causal
     if tracer is not None:
-        from .causal import peak_depth, sojourn_stats
+        from .causal import sojourn_stats
 
         sent: dict[tuple[int, int], list[int]] = {}
         received: dict[tuple[int, int], list[int]] = {}
@@ -288,10 +288,6 @@ def prometheus_exposition(rec: "Recorder") -> str:
         w.metric("mpf_message_bytes_received_total", "counter",
                  "Payload bytes delivered per circuit (causal trace).",
                  [(lab(k), v[1]) for k, v in sorted(received.items())])
-        w.metric("mpf_queue_depth_peak", "gauge",
-                 "Peak message-queue depth per circuit (causal trace).",
-                 [(lab(k), peak_depth(tracer, *k))
-                  for k in tracer.lnvc_keys()])
         sojourn = [
             ({**lab(key), "stage": stage, "quantile": _fmt(q)},
              stats.quantile(q))
@@ -302,14 +298,6 @@ def prometheus_exposition(rec: "Recorder") -> str:
         w.metric("mpf_message_sojourn_seconds", "summary",
                  "Per-stage message latency quantiles (causal trace).",
                  sojourn)
-        w.metric("mpf_pool_allocs_total", "counter",
-                 "Successful free-list pops per pool head offset.",
-                 [({"pool": str(off)}, n)
-                  for off, n in sorted(tracer.pool_allocs.items())])
-        w.metric("mpf_pool_alloc_failures_total", "counter",
-                 "Free-list pops that found the pool exhausted.",
-                 [({"pool": str(off)}, n)
-                  for off, n in sorted(tracer.pool_failures.items())])
         w.metric("mpf_causal_events_total", "counter",
                  "Causal lifecycle events observed (including dropped).",
                  [({}, tracer.total)])

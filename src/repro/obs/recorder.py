@@ -136,16 +136,14 @@ class Recorder:
     :data:`~repro.obs.causal.DEFAULT_LIMIT` events plus an exact e2e
     latency sketch.  For another bound pass a built tracer,
     ``causal=CausalTracer(limit=N)``.
-    ``timeline=True`` (or a pre-built
-    :class:`~repro.obs.timeline.Timeline`) additionally slices the run
-    into fixed-width time windows of counters, gauges and quantile
-    digests — the time axis the post-hoc aggregates lack;
-    ``timeline_width`` sets the window width in seconds (see
-    docs/telemetry.md).
+    ``timeline=True`` additionally slices the run into fixed-width time
+    windows of counters, gauges and quantile digests — the time axis the
+    post-hoc aggregates lack; for another window width pass a built
+    timeline, ``timeline=Timeline(width=w)`` (see docs/telemetry.md).
     """
 
     def __init__(self, limit: int = 100_000, causal=False,
-                 timeline=False, timeline_width: float = 0.05) -> None:
+                 timeline=False) -> None:
         self.clock = "wall"
         t0 = _time.perf_counter()
         #: Zero-argument "now" in the timebase :attr:`clock` names — the
@@ -178,7 +176,7 @@ class Recorder:
                 else CausalTracer()
         if timeline:
             self.timeline = timeline if isinstance(timeline, Timeline) \
-                else Timeline(width=timeline_width)
+                else Timeline()
 
     @property
     def limit(self) -> int:
@@ -224,15 +222,11 @@ class Recorder:
         if self.timeline is not None:
             self.timeline.name_slot(slot, name)
 
-    def pool(self, popped=(), dry: int | None = None,
+    def pool(self, dry: int | None = None,
              live_blocks: int | None = None) -> None:
-        """One allocation attempt: ``popped`` lists ``(head_off, n)`` for
-        each pool ``n`` records were popped from, ``dry`` is the head
-        offset of the pool that ran out (the pops before it stand in the
-        counts although the caller returns them), ``live_blocks`` the
-        block-pool level a complete allocation left."""
-        if self.causal is not None:
-            self.causal.on_pool(popped, dry)
+        """One allocation attempt: ``dry`` is the head offset of the pool
+        that ran out, ``live_blocks`` the block-pool level a complete
+        allocation left."""
         if self.timeline is not None:
             if live_blocks is not None:
                 self.timeline.tap_pool(self.now(), live_blocks)
@@ -248,7 +242,7 @@ class Recorder:
         claimed) / filled stamps, ``occupancy`` a ring's slots in use."""
         t = self.now()
         if self.causal is not None:
-            self.causal.on_send(pid, slot, gen, seqno, length, blocks, depth,
+            self.causal.on_send(pid, slot, gen, seqno, length, blocks,
                                 t0, t1, t2, t)
         tl = self.timeline
         if tl is not None:
@@ -279,18 +273,15 @@ class Recorder:
         if self.timeline is not None:
             self.timeline.tap_depth(self.now(), slot, depth)
 
-    def msgs_freed(self, slot: int, gen: int, depth: int, msgs,
+    def msgs_freed(self, slot: int, gen: int, msgs,
                    discard: int = 0) -> None:
         """Unlinked headers are returning to the free list.  ``msgs`` is
-        ``(sender, seqno, length)`` per message in FIFO order, ``depth``
-        the queue depth after the last; ``discard`` marks circuit
-        deletion rather than a reap."""
+        ``(sender, seqno, length)`` per message in FIFO order;
+        ``discard`` marks circuit deletion rather than a reap."""
         if self.causal is not None:
             t = self.now()
-            depth += len(msgs)
             for sender, seqno, length in msgs:
-                depth -= 1
-                self.causal.on_free(sender, slot, gen, seqno, length, depth,
+                self.causal.on_free(sender, slot, gen, seqno, length,
                                     t, discard)
 
     def gauge(self, series: str, value: float) -> None:

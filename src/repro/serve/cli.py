@@ -85,9 +85,9 @@ def _closed_loop_comparison(open_tl, runtime: str) -> dict:
     from ..bench.harness import SweepResult
     from ..bench.plot import ascii_plot
     from ..bench.workloads import fcfs_throughput
-    from ..obs import Recorder
+    from ..obs import Recorder, Timeline
 
-    closed_rec = Recorder(timeline=True, timeline_width=open_tl.width)
+    closed_rec = Recorder(timeline=Timeline(width=open_tl.width))
     fcfs_throughput(4, 64, messages=256, runtime=runtime,
                     recorder=closed_rec)
 

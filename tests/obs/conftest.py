@@ -21,7 +21,7 @@ from repro.obs import (
 )
 
 _EVENT_FIELDS = ("kind", "pid", "slot", "gen", "seqno", "length",
-                 "t0", "t1", "t2", "t3", "blocks", "depth", "fcfs", "discard")
+                 "t0", "t1", "t2", "t3", "blocks", "fcfs", "discard")
 
 
 def _exports(rec: Recorder) -> dict[str, str]:
@@ -41,9 +41,7 @@ def _exports(rec: Recorder) -> dict[str, str]:
         out["causal_events"] = repr(
             [tuple(getattr(e, f) for f in _EVENT_FIELDS) for e in c.events])
         out["e2e"] = repr(list(c.e2e))
-        books += [c.total, c.dropped, c.stride,
-                  sorted(c.pool_allocs.items()),
-                  sorted(c.pool_failures.items())]
+        books += [c.total, c.dropped, c.stride]
     out["books"] = repr(tuple(books))
     return out
 

@@ -8,9 +8,8 @@ The load-bearing guarantees pinned here:
   segment's own header/inspect totals (three independent books);
 * the same program produces the same lifecycle counts on the simulator,
   real threads and forked processes;
-* derived analyses (queue timelines, peak depth, flow graphs,
-  Prometheus exposition, Chrome async spans) stay consistent with the
-  raw event list;
+* derived analyses (flow graphs, Prometheus exposition, Chrome async
+  spans) stay consistent with the raw event list;
 * a failed pop reaches the timeline, where the health engine reads it.
 """
 
@@ -35,9 +34,7 @@ from repro.obs import (
     format_causal_tail,
     format_sojourn,
     parse_exposition,
-    peak_depth,
     prometheus_exposition,
-    queue_depth_timeline,
     sojourn_stats,
 )
 from repro.obs.causal import causal_async_events, pair_deliveries
@@ -138,13 +135,13 @@ def _partial_drain(env):
 
 
 def test_conservation_across_three_books():
-    rec = Recorder(causal=True)
+    rec = Recorder(causal=True, timeline=True)
     rt = SimRuntime(recorder=rec)
     rt.run([_partial_drain], cfg=MPFConfig(max_lnvcs=4, max_processes=2))
     c = rec.causal
     info = inspect_segment(rt.last_view)
     circ = info.circuit("loop")
-    (key,) = c.lnvc_keys()
+    (key,) = {e.lnvc for e in c.events}
 
     # Book 1 vs book 2: causal counts match the Recorder's work counters.
     assert len(c.sends()) == rec.work["send-fixed"].count == 5
@@ -163,12 +160,11 @@ def test_conservation_across_three_books():
         e.seqno for e in c.sends()
     } - {e.seqno for e in c.frees()}
 
-    # Depth timeline: exact, ends at the segment's queued count, and its
-    # peak equals the circuit's hwm_nmsgs high-water mark.
-    timeline = queue_depth_timeline(c, *key)
-    assert len(timeline) == 5 + 3
-    assert timeline[-1][1] == circ.queued == 2
-    assert peak_depth(c, *key) == circ.peak_queued == 5
+    # Queue depth is the timeline's, not the tracer's: one sample per
+    # enqueue and per reap, its peak the circuit's hwm_nmsgs.
+    depth = rec.timeline.totals().gauges[f"circuit:{key[0]}|depth"]
+    assert depth.n == 5 + 3
+    assert depth.max == circ.peak_queued == 5
 
 
 # -- tentpole acceptance: tracing cannot perturb the simulation --------------
@@ -239,9 +235,9 @@ def test_format_causal_tail_lists_recent_events():
 
 def test_health_flags_pool_exhaustion():
     rec = Recorder(causal=True, timeline=True)
-    rec.pool([(0, 1)])  # a successful pop
+    rec.pool(live_blocks=1)  # a complete allocation
     rec.pool(dry=0)  # pool exhausted
-    assert rec.causal.pool_failures == {0: 1}
+    assert rec.timeline.totals().counters["pool|dry"] == 1
     (f,) = HealthEngine(rec.timeline).scan()
     assert f.kind == "alloc-pressure" and f.data["failed_pops"] == 1
 
@@ -394,7 +390,7 @@ def test_blocking_client_traces_wall_clock_lifecycles():
 def test_tracer_limit_bounds_events_not_totals():
     c = CausalTracer(limit=2)
     for i in range(5):
-        c.on_send(0, 0, 0, i, 4, 1, 1, 0.0, 0.0, 0.0, 0.0)
+        c.on_send(0, 0, 0, i, 4, 1, 0.0, 0.0, 0.0, 0.0)
     assert len(c.events) == 2
     assert c.total == 5
     assert c.dropped == 3
@@ -404,14 +400,12 @@ def test_tracer_limit_bounds_events_not_totals():
 def test_tracer_merge_accounts_for_drops():
     child = Recorder(causal=CausalTracer(limit=2))
     for i in range(5):
-        child.causal.on_send(0, 0, 0, i, 4, 1, 1, 0.0, 0.0, 0.0, 0.0)
-    child.causal.on_pool([(0, 1)])
+        child.causal.on_send(0, 0, 0, i, 4, 1, 0.0, 0.0, 0.0, 0.0)
     parent = Recorder(causal=CausalTracer(limit=3))
     parent.merge(child.snapshot())
     assert parent.causal.total == 5
     assert len(parent.causal.events) == 2
     assert parent.causal.dropped == 3
-    assert parent.causal.pool_allocs == {0: 1}
 
 
 def test_recorder_snapshot_roundtrip_preserves_causal(exports):

@@ -156,7 +156,7 @@ def _cells(rec: Recorder) -> dict:
 
 def _tracer_cells(c) -> tuple:
     return (c.total, c.dropped, sorted(c.events), c.stride,
-            c.pool_allocs, c.pool_failures, c.msgs, c.nbytes, sorted(c.e2e))
+            c.msgs, c.nbytes, sorted(c.e2e))
 
 
 def _books(rec: Recorder) -> tuple:
@@ -171,9 +171,9 @@ ROOMY = {
     "plain": lambda: Recorder(),
     "causal": lambda: Recorder(causal=True),
     "bounded-causal": lambda: Recorder(causal=CausalTracer(limit=48)),
-    "timeline": lambda: Recorder(timeline=True, timeline_width=0.002),
+    "timeline": lambda: Recorder(timeline=Timeline(width=0.002)),
     "all": lambda: Recorder(causal=CausalTracer(limit=48),
-                            timeline=True, timeline_width=0.002),
+                            timeline=Timeline(width=0.002)),
 }
 
 #: Logs that overflow: a 40-span prefix, a 30-event stride sample.
@@ -235,8 +235,8 @@ def test_the_tape_drives_the_stride_sample(tape):
 
 
 def _bounded() -> Recorder:
-    return Recorder(causal=CausalTracer(limit=8), timeline=True,
-                    timeline_width=0.5)
+    return Recorder(causal=CausalTracer(limit=8),
+                    timeline=Timeline(width=0.5))
 
 
 def _e2e_digest_total(rec: Recorder) -> int:
@@ -258,7 +258,7 @@ def test_bounded_tracer_pairs_deliveries_across_children(order):
     now[0] = 1.0
     first.msg_received(1, 3, 1, 0, 64, 0, 0.625, 0.75, 0.875)
     now[0] = 2.0
-    last.msgs_freed(3, 1, 0, [(0, 0, 64)])
+    last.msgs_freed(3, 1, [(0, 0, 64)])
     last.msg_received(2, 3, 1, 0, 64, 0, 1.25, 1.5, 1.75)
     assert [len(k.causal.e2e) for k in kids] == [0, 0, 0]
     blobs = [pickle.dumps(k.snapshot()) for k in kids]
@@ -288,7 +288,7 @@ def test_a_sender_that_receives_its_own_broadcast_last_keeps_its_stamp(
     now[0] = 1.0
     other.msg_received(1, 3, 1, 0, 64, 0, 0.625, 0.75, 0.875)
     now[0] = 2.0
-    sender.msgs_freed(3, 1, 0, [(0, 0, 64)])
+    sender.msgs_freed(3, 1, [(0, 0, 64)])
     sender.msg_received(0, 3, 1, 0, 64, 0, 1.25, 1.5, 1.625)
     assert [len(k.causal.e2e) for k in kids] == [1, 0]
     blobs = [pickle.dumps(k.snapshot()) for k in kids]
@@ -310,7 +310,7 @@ def _fed(rec: Recorder, process: str = "p0") -> Recorder:
 
 
 def test_refused_merge_leaves_the_recorder_as_it_was(exports):
-    a = _fed(Recorder(timeline=True, timeline_width=0.05))
+    a = _fed(Recorder(timeline=Timeline(width=0.05)))
     before = exports(a)
     wide = _fed(Recorder(timeline=Timeline(width=0.10)), "p1")
     with pytest.raises(ValueError, match="width"):
@@ -319,13 +319,13 @@ def test_refused_merge_leaves_the_recorder_as_it_was(exports):
     assert (a.total, set(a.locks), set(a.work), set(a.kinds)) == (
         3, {2}, {"app"}, {"p0"})
 
-    simulated = _fed(Recorder(timeline=True, timeline_width=0.05), "p1")
+    simulated = _fed(Recorder(timeline=Timeline(width=0.05)), "p1")
     simulated.clock = "sim"
     with pytest.raises(ValueError, match="clock"):
         a.merge(simulated.snapshot())
     assert exports(a) == before
 
-    a.merge(_fed(Recorder(timeline=True, timeline_width=0.05), "p1").snapshot())
+    a.merge(_fed(Recorder(timeline=Timeline(width=0.05)), "p1").snapshot())
     assert a.total == 6 and set(a.kinds) == {"p0", "p1"}
     assert a.locks[2].acquires == 2 and a.work["app"].instrs == 14
     assert a.timeline.totals().gauges["circuit:0|depth"].n == 2

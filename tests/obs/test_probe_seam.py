@@ -37,7 +37,7 @@ from repro.bench.workloads import broadcast_throughput, fcfs_throughput
 from repro.core import ops
 from repro.core.errors import OutOfMessageMemoryError
 from repro.core.freelist import fl_alloc
-from repro.core.layout import MPFConfig
+from repro.core.layout import HDR, MPFConfig
 from repro.core.ops import MPFView
 from repro.core.protocol import BROADCAST, FCFS
 from repro.obs import CausalTracer, Recorder
@@ -133,9 +133,9 @@ def test_one_call_per_message_event(runtime, transport):
     for a in received:
         assert 0 < a[6] < a[7] < a[8], a
 
-    # msgs_freed(slot, gen, depth, [(sender, seqno, length), ...])
+    # msgs_freed(slot, gen, [(sender, seqno, length), ...])
     freed = [(a[0], a[1], seqno) for a, _ in fake.named("msgs_freed")
-             for _, seqno, _ in a[3]]
+             for _, seqno, _ in a[2]]
     if transport == "freelist":
         assert sorted(freed) == sorted(keys)
         assert fake.named("queue_depth")
@@ -156,8 +156,8 @@ def test_circuit_deletion_reports_its_discards_once():
         run(ops.message_send(view, 3, cid, b"unread %d" % i))
     run(ops.close_send(view, 3, cid))  # last connection: circuit deleted
     (args, kwargs), = fake.named("msgs_freed")
-    slot, gen, depth, msgs = args
-    assert (slot, gen, depth) == (cid & 1023, cid >> 10, 0)
+    slot, gen, msgs = args
+    assert (slot, gen) == (cid & 1023, cid >> 10)
     assert msgs == [(3, i, 8) for i in range(3)] and kwargs == {"discard": 1}
     assert len(fake.named("msg_sent")) == 3 and not fake.named("msg_received")
 
@@ -176,11 +176,10 @@ def test_refused_send_reports_the_dry_pool_and_no_message():
     pools = fake.named("pool")
     assert len(pools) == accepted + 1
     # Complete allocations report the level they left; the refused one
-    # names the pool that ran dry and what it had popped by then.
-    assert all("live_blocks" in kw and "dry" not in kw for _, kw in pools[:-1])
-    (popped,), kwargs = pools[-1]
-    assert list(kwargs) == ["dry"] and [n for _, n in popped] == [1]
-    assert kwargs["dry"] not in [off for off, _ in popped]
+    # names the pool that ran dry, and nothing else.
+    assert all(not args and list(kw) == ["live_blocks"]
+               for args, kw in pools[:-1])
+    assert pools[-1] == ((), {"dry": HDR.u32["free_blk"]})
 
 
 # -- the seam's shape in the source --------------------------------------------
@@ -258,29 +257,36 @@ def _serve_knee() -> Recorder:
 #: exactly instead of from its stride sample: only the values of the four
 #: ``mpf_message*_total`` families and the DOT edge lines changed (118
 #: sampled edges became the run's 209).  The ``jsonl`` and ``summary``
-#: pins went with those two exporters; every other value is as recorded.
+#: pins went with those two exporters.  Twelve were re-pinned when the
+#: tracer stopped keeping queue depth and pool counts, each export losing
+#: only the deleted field: ``prometheus`` the three families
+#: ``mpf_queue_depth_peak``, ``mpf_pool_allocs_total`` and
+#: ``mpf_pool_alloc_failures_total``, ``chrome_trace`` the ``depth``
+#: argument of each enqueue instant, ``causal_events`` each event's
+#: ``depth``, ``books`` the tracer's two pool counters.  Every other
+#: value is as recorded.
 PINNED = {
     _fcfs_freelist: {
-        "books": "d59b0d4da199fe2b", "causal_events": "d6c41e64cbcb22a7",
-        "chrome_trace": "94ff4d968a0cc104", "e2e": "f0f5e1dfb525e03f",
+        "books": "12d1798fb9a7d056", "causal_events": "3d7060880ce489c9",
+        "chrome_trace": "cb3366457194263c", "e2e": "f0f5e1dfb525e03f",
         "flow_dot": "e859db96f2bb6270",
-        "lock_profile": "6e80cc6049196688", "prometheus": "7de8f9f3c6c595aa",
+        "lock_profile": "6e80cc6049196688", "prometheus": "d8f6528b1b46cfa4",
         "sojourn": "5831c63f605cee5a",
         "timeline_doc": "93093d18e5577ce6",
     },
     _broadcast_ring: {
-        "books": "5797b50d05dbdeca", "causal_events": "cba2f54b837567a6",
-        "chrome_trace": "4e310f701e82a4d0", "e2e": "4fd0d5ed293e5ce4",
+        "books": "a60177dd8361d38a", "causal_events": "9c425727dd7ffe01",
+        "chrome_trace": "32e1aea5da5c6225", "e2e": "4fd0d5ed293e5ce4",
         "flow_dot": "d49c3245c3c9b6d0",
-        "lock_profile": "d42c625dd4414661", "prometheus": "10bdbddc9c8e809a",
+        "lock_profile": "d42c625dd4414661", "prometheus": "fac1f0f98feee989",
         "sojourn": "a1d097e4ae8c063a",
         "timeline_doc": "6d12d54b175ae885",
     },
     _serve_knee: {
-        "books": "457850383d6f6724", "causal_events": "18ca1f148f31919d",
-        "chrome_trace": "2f8440e38e9b1d63", "e2e": "ee75a9f2da7314ac",
+        "books": "7ee6a5d29817f419", "causal_events": "ae8ca8b2c9054aa1",
+        "chrome_trace": "84aadc896c731398", "e2e": "ee75a9f2da7314ac",
         "flow_dot": "a4b625a5ea611763",
-        "lock_profile": "93883bf3b289f3a7", "prometheus": "21178fd61e3bf06a",
+        "lock_profile": "93883bf3b289f3a7", "prometheus": "f62b0d7cb71f182b",
         "sojourn": "3770f97d653c662f",
         "timeline_doc": "44c6225327e9421c",
     },
@@ -305,10 +311,13 @@ def test_traced_snapshot_is_the_parents(run, exports):
 
 
 #: ``timeline_doc`` / ``prometheus`` of the first two runs at e7455da,
-#: when their tracers kept a prefix and no e2e sketch.
+#: when their tracers kept a prefix and no e2e sketch.  The
+#: ``prometheus`` values are of that exposition without the lines of the
+#: three families the tracer no longer feeds (426a36266e54ceea and
+#: 47e1610e1ef3cd4c with them).
 BEFORE_THE_SKETCH = {
-    _fcfs_freelist: ("d73494471c3ce979", "426a36266e54ceea"),
-    _broadcast_ring: ("b16bc4f9aa772813", "47e1610e1ef3cd4c"),
+    _fcfs_freelist: ("d73494471c3ce979", "c6c2cbe6affba4f3"),
+    _broadcast_ring: ("b16bc4f9aa772813", "b090f42acfb738e5"),
 }
 
 

@@ -128,10 +128,10 @@ def test_records_are_tuples_and_spell_their_dicts():
     span = Span(0.5, "p0", "charge", "app", 0.25, 7)
     assert span._asdict() == {"time": 0.5, "process": "p0", "kind": "charge",
                               "name": "app", "duration": 0.25, "value": 7}
-    ev = MsgEvent("send", 1, 2, 3, 4, 64, 0.1, 0.2, 0.3, 0.4, blocks=7, depth=2)
+    ev = MsgEvent("send", 1, 2, 3, 4, 64, 0.1, 0.2, 0.3, 0.4, blocks=7)
     assert list(ev._asdict()) == [
         "kind", "pid", "slot", "gen", "seqno", "length", "t0", "t1", "t2",
-        "t3", "blocks", "depth", "fcfs", "discard"]
+        "t3", "blocks", "fcfs", "discard"]
     assert (ev.key, ev.lnvc, ev.fcfs, ev.discard) == ((2, 3, 4), (2, 3), 1, 0)
     for record in (span, ev):
         assert isinstance(record, tuple)
@@ -307,7 +307,8 @@ def test_repro_obs_did_not_grow():
     # 46 public names at e7455da; digest_quantile and merge_timelines
     # went and the store's type came, then EffectLog and TraceEvent went,
     # then the live endpoint, JSON lines, flow JSON, the summary table
-    # and two private helpers of the kept exporters (42 -> 32).
-    assert "Store" in repro.obs.__all__ and len(repro.obs.__all__) <= 32
+    # and two private helpers of the kept exporters (42 -> 32), then the
+    # tracer's queue_depth_timeline and peak_depth (32 -> 30).
+    assert "Store" in repro.obs.__all__ and len(repro.obs.__all__) <= 30
     assert len(set(repro.obs.__all__)) == len(repro.obs.__all__)
     assert all(hasattr(repro.obs, name) for name in repro.obs.__all__)
