@@ -6,7 +6,7 @@ PY ?= python
 JOBS ?= 4
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
-	serve telemetry-smoke telemetry-budget procs-smoke regress profile \
+	serve telemetry-smoke telemetry-budget procs-smoke profile \
 	identity hostcost clean
 
 install:
@@ -175,12 +175,6 @@ endef
 export TELEMETRY_BUDGET
 telemetry-budget:
 	$(PY) -c "$$TELEMETRY_BUDGET"
-
-# Wall-clock trajectory gate over the committed BENCH_*.json archives:
-# fails when the newest snapshot regressed figure-by-figure past the
-# noise-aware threshold.  See docs/telemetry.md.
-regress:
-	$(PY) -m repro.bench regress
 
 figures:
 	$(PY) -m repro.bench all --jobs $(JOBS) \

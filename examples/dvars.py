@@ -20,15 +20,18 @@ Operations: ``read``, ``write`` (returns the new version), and
 ``fetch_add`` (atomic read-modify-write of an 8-byte little-endian
 integer — the shared-counter idiom, impossible with plain reads and
 writes).  Versions make the write order observable and testable.
+
+A layer over the public API, not part of the package: ``dvars_demo.py``
+beside it imports it as a local module.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ..core.protocol import FCFS
-from ..patterns import tag, untag
-from ..runtime.base import Env
+from repro.core.protocol import FCFS
+from repro.patterns import tag, untag
+from repro.runtime.base import Env
 
 __all__ = ["dvar_server", "DVarClient"]
 

@@ -11,7 +11,7 @@ Run:  python examples/dvars_demo.py
 """
 
 from repro import SimRuntime
-from repro.ext.dvars import DVarClient, dvar_server
+from dvars import DVarClient, dvar_server  # examples/dvars.py, beside this script
 
 N_WORKERS = 4
 BUMPS = 3

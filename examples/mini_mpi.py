@@ -23,19 +23,22 @@ Semantics notes: point-to-point order is preserved per (source,
 destination) pair, like MPI; ``ANY_SOURCE``/``ANY_TAG`` wildcards are
 supported; all operations are generators (``yield from``), usable on
 every runtime.
+
+A layer over the public API, not part of the package: ``mpi_style.py``
+beside it imports it as a local module.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ..core.protocol import FCFS
-from ..patterns import allreduce as _allreduce
-from ..patterns import barrier as _barrier
-from ..patterns import broadcast as _broadcast
-from ..patterns import gather as _gather
-from ..patterns import scatter as _scatter
-from ..runtime.base import Env
+from repro.core.protocol import FCFS
+from repro.patterns import allreduce as _allreduce
+from repro.patterns import barrier as _barrier
+from repro.patterns import broadcast as _broadcast
+from repro.patterns import gather as _gather
+from repro.patterns import scatter as _scatter
+from repro.runtime.base import Env
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Comm", "Message"]
 

@@ -17,7 +17,7 @@ import math
 import struct
 
 from repro import SimRuntime
-from repro.ext.mini_mpi import Comm
+from mini_mpi import Comm  # examples/mini_mpi.py, beside this script
 
 N_RANKS = 8
 INTERVALS = 4096

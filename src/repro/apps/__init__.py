@@ -4,8 +4,8 @@
   elimination with partial pivoting (arbiter + pivot-row broadcast),
 * :mod:`~repro.apps.sor` — successive over-relaxation Poisson solver on
   an N×N process grid with halo exchange and a convergence monitor,
-* :mod:`~repro.apps.sorting` — odd-even transposition sort on a line of
-  processes (a §5-style message-passing prototype workload).
+* :mod:`~repro.apps.paradigm` — the message-passing vs shared-variable
+  study behind ``study_paradigm``.
 """
 
 from .gauss_jordan import (
@@ -20,7 +20,6 @@ from .sor import (
     sor_sequential,
     sor_per_iteration_speedup,
 )
-from .sorting import make_keys, odd_even_sort_parallel, sort_speedup
 
 __all__ = [
     "gauss_jordan_parallel",
@@ -31,7 +30,4 @@ __all__ = [
     "sor_parallel",
     "sor_sequential",
     "sor_per_iteration_speedup",
-    "make_keys",
-    "odd_even_sort_parallel",
-    "sort_speedup",
 ]

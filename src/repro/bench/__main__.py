@@ -18,7 +18,7 @@ dedicated head-to-head entries are ``ablation_transport_fcfs`` /
 of N worker processes; every point is an independent deterministic
 simulation and results are reassembled in sweep order, so the output is
 byte-identical to a serial run.  ``--timings PATH`` archives per-figure
-wall times as JSON (how BENCH_*.json files are produced).
+wall times as JSON (the format of the frozen ``BENCH_*.json`` history).
 
 The ``profile`` subcommand runs one figure under :mod:`cProfile` and
 prints the hottest functions — the tool that guided the interpreter
@@ -44,12 +44,6 @@ with its health findings (docs/telemetry.md)::
     python -m repro.bench serve --quick
     python -m repro.bench serve --jobs 4 --json slo.json --prom serve.prom
     python -m repro.bench serve --quick --timeline serve-timeline.json
-
-The ``regress`` subcommand compares the newest archived
-``BENCH_*.json`` wall-clock snapshot against its predecessor and exits
-nonzero when a figure slowed past the noise-aware threshold::
-
-    python -m repro.bench regress --dir . --tolerance 0.5
 
 ``--chrome`` writes one ``chrome://tracing`` file per runtime (open via
 the "Load" button there or in https://ui.perfetto.dev) describing the
@@ -311,10 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..serve.cli import serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "regress":
-        from .regress import regress_main
-
-        return regress_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the MPF paper's figures on the simulated "

@@ -1,8 +1,7 @@
 """Compare two archived figure-harness JSON files.
 
-Long-lived performance work needs regression tooling: run
-``python -m repro.bench all --json before.json``, change the code, run
-again, and diff::
+The figure-numerics diff (``make compare``): run ``python -m repro.bench
+all --json before.json``, change the code, run again, and diff::
 
     python -m repro.bench.compare before.json after.json [--tolerance 0.05]
 

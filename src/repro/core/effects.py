@@ -23,7 +23,10 @@ effect                simulated machine              real runtimes
 
 The effect classes are final: frozen, slotted dataclasses that nothing
 subclasses.  Interpreters dispatch on the exact class, and anything else
-a process yields is a ``yielded non-effect`` error.
+a process yields is a ``yielded non-effect`` error.  ``Acquire``,
+``Release``, ``WaitOn`` and ``Wake`` refuse a negative lock or channel
+id when they are built: every runtime indexes a list with the id, and a
+list would wrap it to another lock.
 
 ``WaitOn`` has condition-variable semantics: the caller must hold
 ``lock_id``; on resumption the lock is held again.  This closes the lost
@@ -97,18 +100,28 @@ D_BAIL = 3
 D_JUMP = 4
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Acquire:
     """Take exclusive ownership of lock ``lock_id`` (blocking)."""
 
     lock_id: int
 
+    def __init__(self, lock_id: int) -> None:
+        if lock_id < 0:
+            raise ValueError(f"lock id {lock_id} is negative")
+        object.__setattr__(self, "lock_id", lock_id)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Release:
     """Give up ownership of lock ``lock_id``."""
 
     lock_id: int
+
+    def __init__(self, lock_id: int) -> None:
+        if lock_id < 0:
+            raise ValueError(f"lock id {lock_id} is negative")
+        object.__setattr__(self, "lock_id", lock_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +171,7 @@ class ChargeMany:
     works: tuple[Work, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WaitOn:
     """Sleep on wait channel ``chan``; caller holds ``lock_id``.
 
@@ -171,8 +184,15 @@ class WaitOn:
     chan: int
     lock_id: int
 
+    def __init__(self, chan: int, lock_id: int) -> None:
+        if chan < 0 or lock_id < 0:
+            raise ValueError(
+                f"negative id in WaitOn(chan={chan}, lock_id={lock_id})")
+        object.__setattr__(self, "chan", chan)
+        object.__setattr__(self, "lock_id", lock_id)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Wake:
     """Wake every process sleeping on wait channel ``chan``.
 
@@ -184,6 +204,11 @@ class Wake:
     """
 
     chan: int
+
+    def __init__(self, chan: int) -> None:
+        if chan < 0:
+            raise ValueError(f"wait channel {chan} is negative")
+        object.__setattr__(self, "chan", chan)
 
 
 @dataclass(frozen=True, slots=True)

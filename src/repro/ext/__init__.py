@@ -13,12 +13,14 @@
 * :mod:`~repro.ext.sync_channel` — synchronous (rendezvous) channels
   with direct single-copy transfer,
 * :mod:`~repro.ext.o2o` — one-to-one lock-free SPSC ring channels,
-* :mod:`~repro.ext.dvars` — distributed variables ([Debe86]) layered on
-  LNVCs, the second programming paradigm §1 cites as motivation.
+* :mod:`~repro.ext.shared_vars` — the shared-variable idioms that the
+  ``study_paradigm`` comparison runs against message passing.
+
+Distributed variables and the MPI-style communicator are layers over
+the public API that no figure runs; they live in ``examples/``
+(``dvars.py``, ``mini_mpi.py``) beside the scripts that use them.
 """
 
-from .dvars import DVarClient, dvar_server
-from .mini_mpi import ANY_SOURCE, ANY_TAG, Comm, Message
 from .o2o import O2ORing
 from .shared_vars import CounterBarrier, LockedAccumulator, SharedDoubles
 from .sync_channel import SyncChannels
@@ -26,13 +28,7 @@ from .sync_channel import SyncChannels
 __all__ = [
     "SyncChannels",
     "O2ORing",
-    "DVarClient",
-    "dvar_server",
     "SharedDoubles",
     "LockedAccumulator",
     "CounterBarrier",
-    "Comm",
-    "Message",
-    "ANY_SOURCE",
-    "ANY_TAG",
 ]

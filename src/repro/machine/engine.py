@@ -268,6 +268,11 @@ class Engine:
         self.n_cpus = max(1, n_cpus)
         self.locks = [_SimLock() for _ in range(n_locks)]
         self.channels = [_WaitChannel() for _ in range(n_channels)]
+        # Bounds for the id lookups: a section step's lock id is a raw
+        # int that no effect constructor checked, and a list would wrap a
+        # negative one to another lock.
+        self._n_locks = n_locks
+        self._n_channels = n_channels
         self.processes: list[SimProcess] = []
         self.stats = EngineStats()
         #: The event queue (see the class docstring).  A queued process
@@ -593,22 +598,19 @@ class Engine:
     # resumes, negative when it blocked instead.
 
     def _lock(self, lock_id: int) -> _SimLock:
-        try:
-            return self.locks[lock_id]
-        except IndexError:
-            raise SimulationError(f"lock id {lock_id} out of range") from None
+        if not 0 <= lock_id < self._n_locks:
+            raise SimulationError(f"lock id {lock_id} out of range")
+        return self.locks[lock_id]
 
     def _chan(self, chan: int) -> _WaitChannel:
-        try:
-            return self.channels[chan]
-        except IndexError:
-            raise SimulationError(f"wait channel {chan} out of range") from None
+        if not 0 <= chan < self._n_channels:
+            raise SimulationError(f"wait channel {chan} out of range")
+        return self.channels[chan]
 
     def _do_acquire(self, proc: SimProcess, lock_id: int) -> float:
-        try:
-            lock = self.locks[lock_id]
-        except IndexError:
-            raise SimulationError(f"lock id {lock_id} out of range") from None
+        if not 0 <= lock_id < self._n_locks:
+            raise SimulationError(f"lock id {lock_id} out of range")
+        lock = self.locks[lock_id]
         self.stats.lock_acquires += 1
         if lock.owner is None:
             lock.owner = proc
@@ -630,10 +632,9 @@ class Engine:
         return -1.0
 
     def _do_release(self, proc: SimProcess, lock_id: int) -> float:
-        try:
-            lock = self.locks[lock_id]
-        except IndexError:
-            raise SimulationError(f"lock id {lock_id} out of range") from None
+        if not 0 <= lock_id < self._n_locks:
+            raise SimulationError(f"lock id {lock_id} out of range")
+        lock = self.locks[lock_id]
         if lock.owner is not proc:
             raise SimulationError(
                 f"process {proc.name!r} released lock {lock_id} it does not own"

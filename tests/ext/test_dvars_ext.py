@@ -1,10 +1,15 @@
-"""Tests for distributed variables over LNVCs."""
+"""Tests for distributed variables over LNVCs (``examples/dvars.py``)."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.ext.dvars import DVarClient, dvar_server
 from repro.runtime.sim import SimRuntime
 from repro.runtime.threads import ThreadRuntime
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "examples"))
+from dvars import DVarClient, dvar_server  # noqa: E402
 
 
 def test_read_initial_value():

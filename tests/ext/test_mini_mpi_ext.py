@@ -1,12 +1,16 @@
-"""Tests for the MPI-style communicator layer."""
+"""Tests for the MPI-style communicator layer (``examples/mini_mpi.py``)."""
 
 import struct
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.ext.mini_mpi import ANY_SOURCE, ANY_TAG, Comm
 from repro.runtime.sim import SimRuntime
 from repro.runtime.threads import ThreadRuntime
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "examples"))
+from mini_mpi import ANY_SOURCE, ANY_TAG, Comm  # noqa: E402
 
 
 def run(workers, runtime=None):

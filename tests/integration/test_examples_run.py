@@ -2,7 +2,9 @@
 
 Examples are executable documentation; this keeps them from rotting.
 Each asserts its own correctness internally (solutions verified, totals
-checked), so a zero exit code is a real guarantee.
+checked), so a zero exit code is a real guarantee.  A script is a file
+with a ``__main__`` guard; the others (``dvars.py``, ``mini_mpi.py``)
+are layers the scripts beside them import as local modules.
 """
 
 import pathlib
@@ -11,15 +13,17 @@ import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).resolve().parents[2] / "examples").glob("*.py")
-)
+EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
+EXAMPLES = sorted(p for p in EXAMPLES_DIR.glob("*.py")
+                  if '__name__ == "__main__"' in p.read_text())
 
 
 def test_examples_exist():
     names = {p.name for p in EXAMPLES}
-    assert {"quickstart.py", "gauss_jordan_demo.py", "sor_demo.py"} <= names
-    assert len(EXAMPLES) >= 3
+    assert {"quickstart.py", "gauss_jordan_demo.py", "sor_demo.py",
+            "dvars_demo.py", "mpi_style.py"} <= names
+    assert (EXAMPLES_DIR / "dvars.py").is_file()
+    assert (EXAMPLES_DIR / "mini_mpi.py").is_file()
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.core.effects import Acquire, Charge, Release, WaitOn, Wake
+from repro.core.effects import (
+    S_ACQ,
+    S_REL,
+    Acquire,
+    Charge,
+    FusedSection,
+    Release,
+    WaitOn,
+    Wake,
+)
 from repro.core.work import Work
 from repro.machine.engine import (
     DeadlockError,
@@ -187,38 +196,109 @@ def test_lock_order_deadlock_detected():
         eng.run()
 
 
-def test_self_deadlock_is_structural_error():
+#: How a process takes and drops a lock: a yielded effect, or the
+#: one-step section ``Engine.run`` retires with the same code.  The
+#: structural errors below hold for both.
+LOCK_STEPS = {
+    "effect": (Acquire, Release),
+    "section": (lambda lock: FusedSection(((S_ACQ, lock),)),
+                lambda lock: FusedSection(((S_REL, lock),))),
+}
+by_step = pytest.mark.parametrize("acq,rel", LOCK_STEPS.values(),
+                                  ids=LOCK_STEPS.keys())
+
+
+@by_step
+def test_self_deadlock_is_structural_error(acq, rel):
     eng = make_engine()
 
     def proc():
-        yield Acquire(0)
-        yield Acquire(0)
+        yield acq(0)
+        yield acq(0)
 
     eng.spawn("p", proc())
     with pytest.raises(SimulationError, match="re-acquired"):
         eng.run()
 
 
-def test_release_unowned_lock_is_structural_error():
+@by_step
+def test_release_unowned_lock_is_structural_error(acq, rel):
     eng = make_engine()
 
     def proc():
-        yield Release(0)
+        yield rel(0)
 
     eng.spawn("p", proc())
     with pytest.raises(SimulationError, match="does not own"):
         eng.run()
 
 
-def test_wait_without_lock_is_structural_error():
+@by_step
+@pytest.mark.parametrize("lock_id", [4, 99])
+def test_lock_id_out_of_range_is_structural_error(acq, rel, lock_id):
+    for step in (acq, rel):
+        eng = make_engine()
+
+        def proc():
+            yield step(lock_id)
+
+        eng.spawn("p", proc())
+        with pytest.raises(SimulationError, match=f"lock id {lock_id} out of range"):
+            eng.run()
+
+
+@by_step
+def test_wait_without_lock_is_structural_error(acq, rel):
     eng = make_engine()
 
     def proc():
+        yield acq(1)
+        yield rel(1)  # the wait below no longer holds it
         yield WaitOn(0, 1)
 
     eng.spawn("p", proc())
     with pytest.raises(SimulationError, match="without holding"):
         eng.run()
+
+
+@pytest.mark.parametrize("effect", [
+    lambda: Acquire(-1), lambda: Release(-1), lambda: Wake(-1),
+    lambda: WaitOn(-1, 0), lambda: WaitOn(0, -1),
+], ids=["Acquire", "Release", "Wake", "WaitOn-chan", "WaitOn-lock"])
+def test_effects_refuse_a_negative_id(effect):
+    """A list lookup would wrap -1 to the last lock: on ``Engine(3, 2)``
+    an unchecked ``Acquire(-1)`` takes lock 2."""
+    with pytest.raises(ValueError, match="negative"):
+        effect()
+
+
+def test_yielded_negative_lock_id_fails_the_run():
+    eng = Engine(3, 2)
+
+    def proc():
+        yield Acquire(-1)
+        yield Release(-1)
+
+    eng.spawn("p", proc())
+    with pytest.raises(ValueError, match="lock id -1 is negative"):
+        eng.run()
+    assert eng.stats.lock_acquires == 0
+
+
+@pytest.mark.parametrize("op", [S_ACQ, S_REL], ids=["S_ACQ", "S_REL"])
+def test_section_step_refuses_a_negative_lock_id(op):
+    """A section step carries a raw int no constructor checked."""
+    eng = Engine(3, 2)
+
+    def proc():
+        if op == S_REL:
+            yield FusedSection(((S_ACQ, 2),))  # the lock -1 would wrap to
+        yield FusedSection(((op, -1),))
+
+    eng.spawn("p", proc())
+    with pytest.raises(SimulationError, match="lock id -1 out of range"):
+        eng.run()
+    assert eng.stats.lock_acquires == (op == S_REL)
 
 
 def test_non_effect_yield_is_structural_error():

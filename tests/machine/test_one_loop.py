@@ -11,13 +11,16 @@ produced, recorded there and asserted here:
   wake counters;
 * "did the loop get heavier" has a deterministic answer: the events of
   a run and how many of them crossed the event queue are one value per
-  program (ROADMAP 3(a) in miniature).
+  program (ROADMAP 3(a) in miniature), and so are the Python calls a
+  poll-heavy run makes.
 """
 
 import hashlib
+import sys
 
 import pytest
 
+from repro.apps.gauss_jordan import gauss_jordan_parallel, make_system
 from repro.bench.workloads import fcfs_throughput
 from repro.check.scenarios import SCENARIOS
 from repro.check.scheduler import RandomPolicy, run_schedule
@@ -56,6 +59,44 @@ def test_queue_crossings_pinned(transport, events, crossings):
     assert rep.events == events
     assert rep.heap_pops == crossings
     assert rep.heap_pushes == rep.heap_pops  # a finished run left nothing queued
+
+
+#: Python calls into ``repro`` code of one 32x32 Gauss-Jordan solve on
+#: four workers plus the arbiter, counted at 2943220 before the first
+#: edit of the commit that added this pin.  Lower it when the engine or
+#: the poll path gets lighter; a change that raises it says why.
+PINNED_GJ32_CALLS = 90_198
+
+
+def _gj32_calls() -> int:
+    """``call`` events of ``sys.setprofile`` whose frame runs ``repro``
+    code: numpy's and the standard library's own Python frames depend on
+    their versions, not on this loop."""
+    a, b = make_system(32)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get(
+                "__name__", "").startswith("repro"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        gauss_jordan_parallel(a, b, p=4)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_python_calls_of_a_poll_heavy_run_pinned():
+    """The jitter-free weight of the loop: ``heap_pops`` says where it
+    parks, this says what it costs the interpreter between parks (one
+    ``sim_gauss64`` repetition makes ~657k calls for ~359k events)."""
+    _gj32_calls()  # warm the ``charge`` cache and first-use imports
+    calls = _gj32_calls()
+    assert 0 < calls <= PINNED_GJ32_CALLS
+    assert _gj32_calls() == calls  # it repeats
 
 
 def test_ledger_shims_survive_until_the_ledger_lets_go():

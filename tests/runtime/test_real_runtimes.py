@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from repro.core.effects import Acquire, Release
 from repro.core.errors import DeadlockSuspectedError
 from repro.core.inspect import inspect_segment
 from repro.core.protocol import BROADCAST, FCFS
@@ -135,6 +136,18 @@ def test_threads_worker_exception_propagates():
 
     with pytest.raises(ValueError, match="thread bug"):
         THREADS.run([bad])
+
+
+def test_threads_refuse_a_negative_lock_id():
+    """The sync's lock list would wrap -1 to the last lock."""
+
+    def worker(env):
+        yield Acquire(-1)
+        yield Release(-1)
+        return "ok"
+
+    with pytest.raises(ValueError, match="lock id -1 is negative"):
+        THREADS.run([worker])
 
 
 def test_threads_blocked_worker_times_out():
