@@ -3,7 +3,7 @@ receivers on one view, the shape of Fig 5's largest point.
 
 With ``--benchmark-only`` it records the wall of one send plus sixteen
 receives, the last of which reaps the message: the first receive walks
-the chain (``drain_chain``) and the other fifteen take its drain from the
+the chain (the active kernel set's ``drain``) and the other fifteen take its drain from the
 view's memo.  With ``--benchmark-disable`` (the shapes step) it runs once
 and checks that every receiver got the bytes and that the chain was
 drained exactly once.
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core import ops
+from repro.core import chains, ops
 from repro.core.protocol import BROADCAST
 from repro.testing import DirectRunner, make_view
 
@@ -38,12 +38,12 @@ def test_broadcast_fan_out(benchmark, monkeypatch):
     assert benchmark(_fan_out, runner, view, sid, data) == [data] * RECEIVERS
 
     drains = []
-    real = ops.drain_chain
+    real = chains.ACTIVE.drain
 
     def counted(*args):
-        drains.append(args[2])
+        drains.append(args[2])  # the chain's block count
         return real(*args)
 
-    monkeypatch.setattr(ops, "drain_chain", counted)
+    monkeypatch.setattr(chains.ACTIVE, "drain", counted)
     assert _fan_out(runner, view, sid, data) == [data] * RECEIVERS
     assert drains == [103]

@@ -3,12 +3,12 @@
 With ``--benchmark-disable`` (the shapes step) each case runs once and is
 a check against the per-block loops the kernels replaced; with
 ``--benchmark-only`` it records the wall of one pop + fill + drain +
-splice cycle — divide by ``extra_info["blocks"]`` for ns per block, and
-read the fill's loop / scatter crossover (``_BULK_FILL_MIN``) off the
-six lengths.  2 blocks is the simulator's Gauss-Jordan message, 26 a
-256-byte message, 103 the broadcast figure's 1 KiB, 205 the 2048-byte
-message of the real-process pipe; 14 and 52 sit either side of the
-crossover (10-byte blocks throughout).
+splice cycle through the chain-ends interface the message path calls
+(:mod:`repro.core.chains`), on the C kernels and on the Python reference
+— divide by ``extra_info["blocks"]`` for ns per block.  2 blocks is the
+simulator's Gauss-Jordan message, 26 a 256-byte message, 103 the
+broadcast figure's 1 KiB, 205 the 2048-byte message of the real-process
+pipe (10-byte blocks throughout).
 """
 
 import random
@@ -16,15 +16,8 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.core.freelist import (
-    block_record,
-    drain_chain,
-    fill_chain,
-    fl_free,
-    init_freelist,
-    pop_chain,
-    splice_chain,
-)
+from repro.core import chains
+from repro.core.freelist import fl_free, init_freelist, pop_chain, splice_chain
 from repro.core.protocol import NIL
 from repro.core.region import SharedRegion
 
@@ -65,34 +58,38 @@ def _loop_cycle(region: SharedRegion, nblk: int, data: bytes) -> bytes:
     return b"".join(parts)
 
 
-def _kernel_cycle(region: SharedRegion, read_block, nblk: int, data: bytes) -> bytes:
-    blocks = pop_chain(region, HEAD, nblk)
-    fill_chain(region, blocks, data, BS)
-    walked, payload = drain_chain(region, blocks[0], nblk, len(data), BS,
-                                  read_block)
-    region.set_u32(HEAD, splice_chain(region, region.u32(HEAD), walked))
+def _kernel_cycle(region: SharedRegion, kernels, nblk: int, data: bytes) -> bytes:
+    first = region.u32(HEAD)
+    last, rest = kernels.pop(region, first, nblk)
+    region.set_u32(HEAD, rest)
+    kernels.fill(region, first, nblk, data, BS)
+    last, payload = kernels.drain(region, first, nblk, len(data), BS)
+    region.set_u32(HEAD, splice_chain(region, region.u32(HEAD), first, last))
     return payload
 
 
+@pytest.mark.parametrize("path", ["c", "python"])
 @pytest.mark.parametrize("nblk", [2, 14, 26, 52, 103, 205])
-def test_chain_cycle(benchmark, nblk):
+def test_chain_cycle(benchmark, nblk, path):
+    kernels = chains.C if path == "c" else chains.PYTHON
+    if kernels is None:
+        pytest.skip("no C kernels on this host")
     data = random.Random(nblk).randbytes(nblk * BS - 3)
     size = BASE + POOL * STRIDE
     shm = shared_memory.SharedMemory(create=True, size=size)
     region = SharedRegion(shm.buf)
-    read_block = region.reader(block_record(BS))
     try:
         _scramble(region)
         benchmark.extra_info["blocks"] = nblk
         # A cycle leaves the list as it found it (the chain goes back on
         # top, in order), so every round times the same scrambled blocks.
-        assert benchmark(_kernel_cycle, region, read_block, nblk, data) == data
+        assert benchmark(_kernel_cycle, region, kernels, nblk, data) == data
         # Equality, from the same starting list on both sides: every
         # byte of the region must be what the loops leave.
         want = SharedRegion(bytearray(size))
         _scramble(region)
         _scramble(want)
-        assert _kernel_cycle(region, read_block, nblk, data) == data
+        assert _kernel_cycle(region, kernels, nblk, data) == data
         assert _loop_cycle(want, nblk, data) == data
         assert region.read(0, size) == want.read(0, size)
     finally:

@@ -116,7 +116,8 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     seqno = u32(base + _L_SEQ)
     tail = u32(base + _L_FIFO_TAIL)
     yield Charge(Work(instrs=1, label="fault-torn-window"))
-    _, depth, _ = _link_tail(view, base, hdr, pid, length, blocks,
+    chain = (blocks[0], blocks[-1], nblk) if blocks else (NIL, NIL, 0)
+    _, depth, _ = _link_tail(view, base, hdr, pid, length, chain,
                              stale=(seqno, tail))
     if probe is not None:
         probe.msg_sent(pid, slot, u32(base + _L_GEN), seqno, length, nblk,

@@ -20,17 +20,15 @@ Block-chain kernels
 -------------------
 
 A message body is a chain of blocks popped from the block free list
-(§3.1), and every primitive that touches one — send, receive, reap,
-rollback, the model checker's torn send — goes through the kernels
-below instead of its own per-block loop:
-:func:`pop_chain` takes blocks off a list,
-:func:`fill_chain` terminates them as a chain and copies a payload over
-them, :func:`walk_chain` / :func:`drain_chain` follow a message's chain
-(and collect its payload), :func:`splice_chain` returns a chain to a
-list.  A link word is stored only when it changes: a pop leaves the
-blocks linked in the order popped, which is the order the chain needs,
-and a dead chain is still linked first → … → last, which is all a free
-list needs — so a message costs two link stores (last → ``NIL`` on fill,
+(§3.1).  The kernels below are the reference for every walk of one:
+:func:`pop_chain` takes blocks off a list, :func:`fill_chain`
+terminates them as a chain and copies a payload over them,
+:func:`walk_chain` / :func:`drain_chain` follow a message's chain (and
+collect its payload), :func:`splice_chain` returns a chain to a list.
+A link word is stored only when it changes: a pop leaves the blocks
+linked in the order popped, which is the order the chain needs, and a
+dead chain is still linked first → … → last, which is all a free list
+needs — so a message costs two link stores (last → ``NIL`` on fill,
 last → old head on free) however long it is, and a freed chain is
 handed out again in the order it was filled.  The order of the free
 list is not part of the segment format; everything else a peer can read
@@ -39,10 +37,12 @@ untouched slack in a partial last block), and the simulated *charge*
 stays with the callers, computed per block from the block count: the
 modelled machine still walks.
 
-The walk is a chain of dependent loads, so :func:`drain_chain` takes
-link and payload of a block in one C call, one loop at every length;
-:func:`fill_chain` knows its offsets beforehand and moves a long
-chain's payload with one :meth:`SharedRegion.scatter`.
+These kernels return a chain as a list of offsets, one interpreted step
+per block.  The message path calls :mod:`repro.core.chains` instead,
+which carries a chain as ``(first, last, n)`` and walks it in one C
+loop per call; these lists are its reference, the path it takes where
+no C library could be built, and the error messages of a chain it
+refuses.  The model checker's torn send calls them directly.
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ _LE32 = np.dtype("<u4")
 # chain already.
 assert BLK_NEXT == 0
 _BLK_DATA = BLK_NEXT + 4
-
-#: Chains shorter than this fill with one ``write`` of a payload slice
-#: per block, longer ones with one payload-only ``scatter``.  Measured
-#: crossover (10-byte blocks, scrambled list, real shared memory, us min
-#: of 80 alternating bursts): loop 0.9 against 5.9 at 2 blocks, 7.7
-#: against 7.5 at 26, 9.9 against 8.4 at 32, 66 against 15 at 205; the
-#: table is in docs/performance.md, "Block-chain kernels".
-_BULK_FILL_MIN = 32
-
 
 @lru_cache(maxsize=8)
 def _pool_image(base: int, stride: int, count: int) -> bytes:
@@ -161,6 +152,7 @@ def fl_count(region: SharedRegion, head_off: int, limit: int = 1 << 32) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def block_record(block_size: int) -> struct.Struct:
     """A whole message block, ``[u32 next | block_size payload]``, as one
     record: bound to a region once (:meth:`SharedRegion.reader`) it is
@@ -195,23 +187,14 @@ def fill_chain(region: SharedRegion, blocks: list[int], data, block_size: int) -
     bytes-like object of ``len(blocks)`` blocks' worth (the last may be
     partial).
     """
-    n = len(blocks)
-    if not n:
+    if not blocks:
         return
     region.set_u32(blocks[-1] + BLK_NEXT, NIL)
-    if n < _BULK_FILL_MIN:
-        write = region.write
-        at = 0
-        for blk in blocks:
-            write(blk + _BLK_DATA, data[at : at + block_size])
-            at += block_size
-        return
-    full = len(data) // block_size
-    region.scatter(
-        np.array(blocks[:full], dtype=np.intp) + _BLK_DATA,
-        np.frombuffer(data, np.uint8, full * block_size).reshape(full, block_size))
-    if full < n:
-        region.write(blocks[-1] + _BLK_DATA, data[full * block_size :])
+    write = region.write
+    at = 0
+    for blk in blocks:
+        write(blk + _BLK_DATA, data[at : at + block_size])
+        at += block_size
 
 
 def _outside(region: SharedRegion, first: int, n: int, width: int) -> RegionFormatError:
@@ -283,14 +266,14 @@ def drain_chain(
     return blocks, b"".join(parts)[:length]
 
 
-def splice_chain(region: SharedRegion, head: int, chain: list[int]) -> int:
-    """Free a whole chain with one store: link its last block to the
-    record ``head`` (or ``NIL``) and return the new head, its first.
+def splice_chain(region: SharedRegion, head: int, first: int, last: int) -> int:
+    """Free a whole chain with one store: link its ``last`` block to the
+    record ``head`` (or ``NIL``) and return the new head, its ``first``.
 
-    ``chain`` must be a walked chain — first → … → last, as
-    :func:`walk_chain` / :func:`drain_chain` return it and
-    :func:`fill_chain` leaves it — and not empty.  The list then hands
-    the blocks out again in the order they were filled.
+    The chain must be a walked one, not empty — linked first → … → last,
+    as :func:`walk_chain` / :func:`drain_chain` find it and
+    :func:`fill_chain` leaves it.  The list then hands the blocks out
+    again in the order they were filled.
     """
-    region.set_u32(chain[-1] + BLK_NEXT, head)
-    return chain[0]
+    region.set_u32(last + BLK_NEXT, head)
+    return first

@@ -63,15 +63,8 @@ from .errors import (
     RegionFormatError,
     UnknownLNVCError,
 )
-from .freelist import (
-    block_record,
-    drain_chain,
-    fill_chain,
-    fl_alloc,
-    fl_free,
-    splice_chain,
-    walk_chain,
-)
+from . import chains as _chains
+from .freelist import fl_alloc, fl_free, splice_chain
 from .layout import HDR, MPFConfig, SegmentLayout
 from .protocol import (
     ALLOC_LOCK,
@@ -241,7 +234,7 @@ class MPFView:
       the polled ids (generation included) and the back-off match.
     * ``_drain_memo``: ``None`` or the one BROADCAST message this view
       drained last, ``((lnvc_id, seqno, header, first block, nblocks,
-      length), blocks, payload)``.  A chain is never written between
+      length), last block, payload)``.  A chain is never written between
       link and reap, a receiver's claim pins the message until its
       completion section, and a reused header or block is linked with a
       new sequence number (a recycled circuit with a new ``gen`` in the
@@ -256,9 +249,8 @@ class MPFView:
     Effects are frozen dataclasses, so one instance per lock/channel can
     be yielded forever instead of allocating a fresh object per call.
     Likewise the record accessors: one ``_rd_<run>`` / ``_wr_<run>``
-    callable per entry of :data:`READS` / :data:`STORES`, and
-    ``_rd_block`` over a whole message block of the configured size,
-    bound to the region once.
+    callable per entry of :data:`READS` / :data:`STORES`, bound to the
+    region once.
     """
 
     __slots__ = (
@@ -293,7 +285,6 @@ class MPFView:
         "_fs_poll_cache",
         "_drain_memo",
         *(f"_rd_{name}" for name in READS),
-        "_rd_block",
         *(f"_wr_{name}" for name in STORES),
     )
 
@@ -349,7 +340,6 @@ class MPFView:
         )
         for name, run in READS.items():
             setattr(self, f"_rd_{name}", region.reader(run))
-        self._rd_block = region.reader(block_record(self.cfg.block_size))
         for name, run in STORES.items():
             setattr(self, f"_wr_{name}", region.writer(run))
         # The caches, each with the rule that validates it: see above.
@@ -581,19 +571,21 @@ def _bad_chain(msg: int, exc: RegionFormatError) -> RegionFormatError:
     return RegionFormatError(f"message header {msg}: {exc}")
 
 
-def _msg_chain(view: MPFView, msg: int, first: int, nblocks: int) -> list[int]:
-    """Blocks of the message at ``msg``, whose header says its chain is
-    ``nblocks`` long from ``first``; bounded by that count."""
+def _msg_chain(view: MPFView, msg: int, first: int, nblocks: int) -> tuple:
+    """The chain ``(first, last, nblocks)`` of the message at ``msg``,
+    whose header says it is ``nblocks`` long from ``first``; the walk to
+    its last block is bounded by that count."""
     try:
-        return walk_chain(view.region, first, nblocks)
+        return first, _chains.ACTIVE.last(view.region, first, nblocks), nblocks
     except RegionFormatError as exc:
         raise _bad_chain(msg, exc) from None
 
 
 def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
-    """Return the message headers ``msgs`` and their block ``chains``,
-    ``nbytes`` of payload in all, to the free lists — in order, each
-    chain ahead of its header, as one pass over the pool words.
+    """Return the message headers ``msgs`` and their block ``chains``
+    (each ``(first, last, n)``), ``nbytes`` of payload in all, to the
+    free lists — in order, each chain ahead of its header, as one pass
+    over the pool words.
 
     Each chain is a walked one (the drain's own bounded walk,
     :func:`_msg_chain`, or a send's fresh fill), so it goes back whole,
@@ -607,10 +599,10 @@ def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
     free_msg, free_blk, live_msgs, live_blocks, live_bytes = view._rd_pool(
         _H_FREE_MSG)
     nblk = 0
-    for msg, chain in zip(msgs, chains):
-        if chain:
-            free_blk = splice_chain(r, free_blk, chain)
-            nblk += len(chain)
+    for msg, (first, last, n) in zip(msgs, chains):
+        if n:
+            free_blk = splice_chain(r, free_blk, first, last)
+            nblk += n
         set_u32(msg, free_msg)
         free_msg = msg
     view._wr_pool(_H_FREE_MSG, free_msg, free_blk,
@@ -620,16 +612,16 @@ def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
 
 
 def _unsend(
-    view: MPFView, lock: int, hdr: int, blocks: list, length: int, exc: Exception
+    view: MPFView, lock: int, hdr: int, chain: tuple, length: int, exc: Exception
 ) -> OpGen:
     """Undo a send refused at its link step, then raise ``exc``.
 
-    The header and the chain are allocated and counted but not linked;
-    the caller holds the circuit lock ``lock``.
+    The header and the chain ``(first, last, n)`` are allocated and
+    counted but not linked; the caller holds the circuit lock ``lock``.
     """
     yield Release(lock)
     yield Acquire(ALLOC_LOCK)
-    _free_chain(view, [hdr], [blocks], length)
+    _free_chain(view, [hdr], [chain], length)
     yield from _release_and_raise([ALLOC_LOCK], exc)
 
 
@@ -638,7 +630,7 @@ def _reap_head(
     base: int,
     held: tuple,
     drained: int = NIL,
-    blocks: list | None = None,
+    chain: tuple | None = None,
 ) -> OpGen:
     """Unlink and free retired messages at the FIFO head.
 
@@ -651,15 +643,15 @@ def _reap_head(
     unlinked and before the allocator lock is taken: a corrupt chain
     raises (``held`` released first) while the segment is still
     consistent, and the walks stay out of the allocator's critical
-    section.  ``drained``/``blocks`` name the message the calling
-    receive has just copied out of and the chain it walked doing so — it
-    was busy-pinned from that walk until this lock section, so its chain
-    is still ``blocks`` and is not walked again.
+    section.  ``drained``/``chain`` name the message the calling
+    receive has just copied out of and the chain ``(first, last, n)`` it
+    walked doing so — it was busy-pinned from that walk until this lock
+    section, so its chain is still ``chain`` and is not walked again.
     """
     c = view.costs
     rd_msg = view._rd_msg
     doomed: list[int] = []
-    chains: list[list[int]] = []
+    chains: list[tuple] = []
     freed: list[tuple] = []  # (sender, seqno, length) of each, for the probe
     nbytes = 0
     nmsgs, head, tail, fcfs = view._rd_fifo(base + _L_NMSGS)
@@ -669,7 +661,7 @@ def _reap_head(
             if not flags & _F_RETIRED:
                 break
             doomed.append(head)
-            chains.append(blocks if head == drained
+            chains.append(chain if head == drained
                           else _msg_chain(view, head, first, nblocks))
             freed.append((sender, seqno, length))
             nbytes += length
@@ -722,7 +714,7 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     c = view.costs
     base = view.layout.lnvc_off(slot)
     msgs: list[int] = []
-    chains: list[list[int]] = []
+    chains: list[tuple] = []
     freed: list[tuple] = []  # (sender, seqno, length) of each, for the probe
     nbytes = 0
     msg = LNVC.get(r, base, "fifo_head")
@@ -771,10 +763,11 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
 
 
 def _link_tail(view: MPFView, base: int, hdr: int, pid: int, length: int,
-               blocks: list, stale: tuple | None = None) -> tuple[int, int, int]:
-    """Fill the header ``hdr`` and link it at the FIFO tail of the
-    circuit at ``base`` as its next message; returns ``(sequence number,
-    queue depth, receive descriptors walked)``.
+               chain: tuple, stale: tuple | None = None) -> tuple[int, int, int]:
+    """Fill the header ``hdr`` for the chain ``(first, last, n)`` and
+    link it at the FIFO tail of the circuit at ``base`` as its next
+    message; returns ``(sequence number, queue depth, receive
+    descriptors walked)``.
 
     Yield-free: the queue words are read here, once, and the caller
     holds the circuit lock.  ``stale`` is the seam of
@@ -792,7 +785,8 @@ def _link_tail(view: MPFView, base: int, hdr: int, pid: int, length: int,
         flags |= _F_FCFS_EXPECTED
     if n_fcfs or n_bcast:
         flags |= _F_HAD_RECEIVERS
-    view._wr_msg(hdr, length, len(blocks), blocks[0] if blocks else NIL, NIL,
+    first, _, nblk = chain
+    view._wr_msg(hdr, length, nblk, first if nblk else NIL, NIL,
                  n_bcast, 0, flags, seqno, pid & _M32)
     if tail == NIL:
         fifo_head = hdr
@@ -1140,14 +1134,17 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
         yield from _release_and_raise(
             [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
         )
-    blocks, free_blk = r.follow(free_blk, nblk)
-    if len(blocks) < nblk:
+    first = free_blk
+    popped = _chains.ACTIVE.pop(r, first, nblk)
+    if popped is None:
         if probe is not None:
             probe.pool(dry=_H_FREE_BLK)
         yield from _release_and_raise(
             [ALLOC_LOCK],
             OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
         )
+    last, free_blk = popped
+    chain = (first, last, nblk)
     live_msgs = (live_msgs + 1) & _M32
     live_blk = (live_blk + nblk) & _M32
     live = (live + length) & _M32
@@ -1165,7 +1162,7 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     # Phase 2: fill the private chain — outside every lock.  The blocks
     # are still linked as the walk above found them: a chain but for its
     # last link.
-    fill_chain(r, blocks, data, bs)
+    _chains.ACTIVE.fill(r, first, nblk, data, bs)
     yield charge(nblk * c.blk_fill + length * c.copy_byte, "send-copy",
                  length, nblk, nblk * lay.blk_stride + MSG.size)
     t_fill = probe.now() if probe is not None else 0.0
@@ -1175,9 +1172,9 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     try:
         steps = view.send_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _unsend(view, lock, hdr, blocks, length, exc)
+        yield from _unsend(view, lock, hdr, chain, length, exc)
 
-    seqno, depth, rsteps = _link_tail(view, base, hdr, pid, length, blocks)
+    seqno, depth, rsteps = _link_tail(view, base, hdr, pid, length, chain)
     (sent,) = view._rd_sent(base + _L_BYTES_SENT)
     view._wr_sent(base + _L_BYTES_SENT, (sent + length) & _M64)
     yield charge(c.msg_link + (steps + rsteps) * c.list_step, "send-link")
@@ -1275,11 +1272,11 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
 
     # Copy phase — concurrent with other receivers of the same message.
     # The busy pin keeps the chain as walked here until the completion
-    # section below, which hands ``blocks`` to the reap.  A chain is
+    # section below, which hands its ends to the reap.  A chain is
     # never written between link and reap, so a BROADCAST receiver whose
     # view already drained this very message (the key names it: circuit
     # and generation, sequence number, header, chain, length) takes that
-    # drain's ``(blocks, payload)``; the simulated copy is charged
+    # drain's ``(last, payload)``; the simulated copy is charged
     # below either way.  FCFS messages have one reader and skip the memo.
     if is_fcfs:
         key = memo = None
@@ -1287,15 +1284,15 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
         key = (lnvc_id, claimed_seqno, msg, first, nblk, length)
         memo = view._drain_memo
     if memo is not None and memo[0] == key:
-        _, blocks, payload = memo
+        _, last, payload = memo
     else:
         try:
-            blocks, payload = drain_chain(r, first, nblk, length,
-                                          view.cfg.block_size, view._rd_block)
+            last, payload = _chains.ACTIVE.drain(r, first, nblk, length,
+                                                 view.cfg.block_size)
         except RegionFormatError as exc:
             raise _bad_chain(msg, exc) from None
         if key is not None:
-            view._drain_memo = (key, blocks, payload)
+            view._drain_memo = (key, last, payload)
     yield charge(nblk * c.blk_drain + length * c.copy_byte, "recv-copy",
                  length, nblk)
     t_drain = probe.now() if probe is not None else 0.0
@@ -1304,7 +1301,7 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
     yield view._acq[slot]
     _retire_check(view, msg, 1, 0 if is_fcfs else 1)
     yield view._recv_retire
-    yield from _reap_head(view, base, (lock,), msg, blocks)
+    yield from _reap_head(view, base, (lock,), msg, (first, last, nblk))
     nrecvs, sent, received = view._rd_traffic(base + _L_NRECVS)
     view._wr_traffic(base + _L_NRECVS, (nrecvs + 1) & _M32, sent,
                      (received + length) & _M64)

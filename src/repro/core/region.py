@@ -24,9 +24,6 @@ from __future__ import annotations
 import struct
 from functools import partial
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
 from .protocol import NIL
 
 __all__ = ["SharedRegion", "U32_MASK", "U64_MASK"]
@@ -50,7 +47,7 @@ class SharedRegion:
         length (``bytearray``, ``memoryview``, ``mmap``, shared memory).
     """
 
-    __slots__ = ("_mv", "_windows", "size", "u32", "set_u32", "add_u32",
+    __slots__ = ("_mv", "cbuf", "size", "u32", "set_u32", "add_u32",
                  "follow")
 
     def __init__(self, buf) -> None:
@@ -58,7 +55,9 @@ class SharedRegion:
         if mv.readonly:
             raise ValueError("SharedRegion requires a writable buffer")
         self._mv = mv
-        self._windows: dict = {}
+        #: The C block-chain kernels' export of the buffer, made on
+        #: their first call (:mod:`repro.core.chains`).
+        self.cbuf = None
         self.size = len(mv)
 
         # -- 32-bit words -------------------------------------------------
@@ -192,59 +191,15 @@ class SharedRegion:
             raise IndexError(f"fill [{off}, {off + n}) outside region of {self.size}")
         self._mv[off : off + n] = bytes([byte]) * n
 
-    # -- bulk access over scattered records ---------------------------------
-    #
-    # A message is a chain of small blocks at arbitrary offsets.  Touching
-    # them one ``u32``/``write`` call at a time costs ~0.8 us of
-    # interpreter per block; ``follow`` (bound in ``__init__``) and
-    # ``scatter`` move a whole chain per call (see
-    # :mod:`repro.core.freelist`, the only caller).
-
-    def _rows(self, offs, width: int):
-        """``(index array, window view)`` for a scatter of ``width``.
-
-        Row ``i`` of the window view is ``region[i : i + width]``, so one
-        fancy index over it moves every record without building a
-        per-byte index; its length makes numpy's own bounds check the
-        ``off + width > size`` test of :meth:`read`/:meth:`write`.
-        Negative offsets would wrap silently and are refused here.
-        """
-        idx = np.asarray(offs, dtype=np.intp)
-        if idx.size and idx.min() < 0:
-            raise IndexError(f"offset {idx.min()} outside region of {self.size}")
-        win = self._windows.get(width)
-        if win is None:
-            if not 0 < width <= self.size:
-                raise IndexError(
-                    f"record width {width} outside region of {self.size}")
-            win = self._windows[width] = as_strided(
-                np.frombuffer(self._mv, dtype=np.uint8),
-                shape=(self.size - width + 1, width), strides=(1, 1))
-        return idx, win
-
-    def scatter(self, offs, rows: np.ndarray) -> None:
-        """Copy row ``i`` of the 2-D ``uint8`` array ``rows`` to ``offs[i]``.
-
-        The records must not overlap one another.  Nothing is written
-        when any record reaches outside the region (``IndexError``).
-        """
-        idx, win = self._rows(offs, rows.shape[1])
-        try:
-            win[idx] = rows
-        except IndexError:
-            raise IndexError(
-                f"scatter [{idx.max()}, {idx.max() + rows.shape[1]}) outside "
-                f"region of {self.size}") from None
-
     def release(self) -> None:
         """Release the underlying memoryview.
 
         Required before a ``SharedMemory`` segment can be closed; harmless
-        for plain ``bytearray`` regions.  The array views the bulk
-        accessors keep export the same buffer and must go first, or the
-        memoryview refuses to release.
+        for plain ``bytearray`` regions.  The C kernels' export of the
+        same buffer (:attr:`cbuf`) must go first, or the memoryview
+        refuses to release.
         """
-        self._windows.clear()
+        self.cbuf = None
         self._mv.release()
 
     def __len__(self) -> int:

@@ -6,7 +6,7 @@ import contextlib
 
 import pytest
 
-from repro.core import ops
+from repro.core import chains, ops
 from repro.testing import DirectRunner, make_view
 
 
@@ -37,3 +37,12 @@ def poll_loop(monkeypatch):
             yield
 
     return loop
+
+
+@pytest.fixture
+def python_chains(monkeypatch):
+    """Every block-chain walk of the message path on the Python
+    reference kernels (:data:`repro.core.chains.PYTHON`), whichever set
+    this host built."""
+    monkeypatch.setattr(chains, "ACTIVE", chains.PYTHON)
+    return chains.PYTHON

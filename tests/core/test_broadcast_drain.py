@@ -16,7 +16,7 @@ import pytest
 
 from repro import BROADCAST, FCFS, SimRuntime, ThreadRuntime
 from repro.bench import broadcast_throughput
-from repro.core import ops
+from repro.core import chains, ops
 from repro.core.errors import RegionFormatError
 from repro.core.layout import MPFConfig, SegmentLayout, format_region
 from repro.core.ops import MPFView
@@ -28,15 +28,16 @@ from repro.testing import DirectRunner, make_view
 
 @pytest.fixture
 def drains(monkeypatch):
-    """A list that grows by one per ``drain_chain`` call of the message path."""
+    """A list that grows by one per chain drain of the message path
+    (the active kernel set's ``drain``, C or Python)."""
     calls = []
-    real = ops.drain_chain
+    real = chains.ACTIVE.drain
 
     def counted(*args):
         calls.append(args[2])  # the chain's block count
         return real(*args)
 
-    monkeypatch.setattr(ops, "drain_chain", counted)
+    monkeypatch.setattr(chains.ACTIVE, "drain", counted)
     return calls
 
 

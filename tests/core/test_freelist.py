@@ -148,7 +148,7 @@ def test_splice_frees_a_chain_with_one_store_in_the_order_filled():
     chain = _chain(r, 4)
     rest = r.u32(HEAD)
     before = r.read(0, r.size)
-    r.set_u32(HEAD, splice_chain(r, rest, chain))
+    r.set_u32(HEAD, splice_chain(r, rest, chain[0], chain[-1]))
     after = r.read(0, r.size)
     changed = {i // 4 * 4 for i in range(r.size) if before[i] != after[i]}
     assert changed == {HEAD, chain[-1]}  # the head word and one link

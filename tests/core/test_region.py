@@ -3,9 +3,9 @@
 import struct
 from multiprocessing import shared_memory
 
-import numpy as np
 import pytest
 
+from repro.core import chains
 from repro.core.protocol import NIL
 from repro.core.region import SharedRegion
 
@@ -172,34 +172,6 @@ def test_writes_visible_through_backing():
 # -- bulk accessors (the block-chain kernels' way into the region) -------------
 
 
-def test_scatter_lands_rows_at_unaligned_offsets():
-    r = SharedRegion(bytearray(64))
-    rows = np.arange(15, dtype=np.uint8).reshape(3, 5)
-    r.scatter([3, 21, 50], rows)
-    assert [r.read(off, 5) for off in (3, 21, 50)] == [
-        bytes(range(i, i + 5)) for i in (0, 5, 10)]
-    assert r.read(8, 13) == bytes(13)  # nothing between the records moved
-
-
-def test_scatter_keeps_the_range_checks_of_write():
-    # A memoryview slice past the end silently truncates; the bulk
-    # accessor must refuse exactly what write() refuses.
-    r = SharedRegion(bytearray(16))
-    row = np.ones((1, 4), np.uint8)
-    for bad in ([13], [-1], [4, 1 << 40], [16]):
-        with pytest.raises(IndexError, match="outside region of 16"):
-            r.scatter(bad, row[[0] * len(bad)])
-    r.scatter([12], row)  # the last record that fits
-    assert r.read(12, 4) == bytes([1] * 4)
-
-
-def test_scatter_writes_nothing_when_any_record_is_out_of_range():
-    r = SharedRegion(bytearray(16))
-    with pytest.raises(IndexError):
-        r.scatter([0, 14], np.full((2, 4), 7, np.uint8))
-    assert r.read(0, 16) == bytes(16)
-
-
 def test_follow_walks_links_and_stops_at_nil_or_n():
     r = SharedRegion(bytearray(64))
     for off, nxt in ((8, 30), (30, 17), (17, NIL)):
@@ -218,11 +190,17 @@ def test_follow_refuses_a_link_outside_the_region():
 
 
 def test_release_drops_array_views_before_the_memoryview():
-    # SharedMemory.close() raises BufferError while any export is alive.
+    # SharedMemory.close() raises BufferError while any export is alive;
+    # the C kernels export the buffer as a char[] array on their first
+    # call (``cbuf``).
+    k = chains.ACTIVE
     shm = shared_memory.SharedMemory(create=True, size=4096)
     try:
         r = SharedRegion(shm.buf)
-        r.scatter([0, 100], np.zeros((2, 14), np.uint8))
+        for off, nxt in ((0, 100), (100, NIL)):
+            r.set_u32(off, nxt)
+        assert k.pop(r, 0, 2) == (100, NIL)
+        assert (r.cbuf is not None) == (k.name == "c")
         r.release()
         shm.close()
     finally:

@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import chains
 from repro.core.freelist import (
     block_record,
     drain_chain,
@@ -207,7 +209,8 @@ def test_chain_kernels_leave_the_region_byte_equal_to_the_loops(params):
         head = heads[random.Random(seed + 2).randrange(lists)]
         rest = walk(got, head)
         before = got.read(0, got.size)
-        got.set_u32(head, splice_chain(got, got.u32(head), blocks))
+        got.set_u32(head, splice_chain(got, got.u32(head), blocks[0],
+                                        blocks[-1]))
         after = got.read(0, got.size)
         changed = {i for i in range(got.size) if before[i] != after[i]}
         assert changed <= {*range(head, head + 4),  # the head word, one link
@@ -274,10 +277,12 @@ def test_kernels_follow_the_list_of_lists_model(bs, steps):
                 fill_chain(r, blocks, chain[1], bs)
             elif what == "drain" and payload is not None:
                 assert drain_chain(r, blocks[0], len(blocks), len(payload),
-                                   bs, view._rd_block) == (blocks, payload)
+                                   bs, r.reader(block_record(bs))) == (
+                    blocks, payload)
             elif what == "splice" and payload is not None:
                 # (a chain is one only once a fill has ended it at NIL)
-                r.set_u32(head, splice_chain(r, r.u32(head), blocks))
+                r.set_u32(head, splice_chain(r, r.u32(head), blocks[0],
+                                             blocks[-1]))
                 free[:0] = blocks
                 chains.remove(chain)
         assert walk(r, head) == free
@@ -287,5 +292,85 @@ def test_kernels_follow_the_list_of_lists_model(bs, steps):
     for blocks, payload in chains:
         if payload is None:
             fill_chain(r, blocks, bytes(len(blocks) * bs), bs)
-        r.set_u32(head, splice_chain(r, r.u32(head), blocks))
+        r.set_u32(head, splice_chain(r, r.u32(head), blocks[0], blocks[-1]))
     check_invariants(view)
+
+
+# -- the C kernels against the Python reference ---------------------------------
+#
+# ``repro.core.chains`` carries a chain as ``(first, last, n)`` and walks it
+# in C where it could build the library.  On any chain at all — whole,
+# ``n = 0``, with a partial last block, cyclic, shorter or longer than
+# ``n``, leaving the region or running off its unaligned end — each C
+# kernel must return what the Python reference returns, leave the region
+# byte-equal to what the reference leaves, or raise the same exception
+# with the same message.
+
+ENDS = ("nil", "cycle", "outside", "tail", "last-record", "open")
+
+
+@st.composite
+def any_chain(draw):
+    bs = draw(st.sampled_from([1, 10, 64]))
+    stride = 4 + bs
+    count = draw(st.integers(1, 24))
+    size = BASE + count * stride + draw(st.integers(0, stride - 1))
+    order = draw(st.permutations(range(count)))
+    k = draw(st.integers(0, count))
+    blocks = [BASE + i * stride for i in order[:k]]
+    end = draw(st.sampled_from(ENDS))
+    # n = k ends at the last block, k + 1 follows the end's link
+    n = draw(st.one_of(st.sampled_from([k, k + 1]), st.integers(0, count + 2)))
+    length = draw(st.integers(0, (n + 1) * bs))
+    seed = draw(st.integers(0, 1 << 32))
+    return bs, size, blocks, end, n, length, seed
+
+
+def _chained_region(size, blocks, end, seed):
+    """A region of random bytes with ``blocks`` linked in order and the
+    last one's link (or the start, when there are none) set by ``end``;
+    returns ``(region, first)``."""
+    rng = random.Random(seed)
+    region = SharedRegion(bytearray(rng.randbytes(size)))
+    ending = {
+        "nil": NIL,
+        "cycle": rng.choice(blocks) if blocks else NIL,
+        "outside": size + rng.randrange(0, 64),
+        "tail": size - rng.randrange(1, 8),
+        # a record whose link fits and ends the list, its payload not
+        "last-record": size - 4 - rng.randrange(0, 4),
+        "open": BASE,  # into the pool, whose links are random bytes
+    }[end]
+    if end == "last-record":
+        region.set_u32(ending, NIL)
+    for blk, nxt in zip(blocks, blocks[1:] + [ending]):
+        region.set_u32(blk, nxt)
+    return region, blocks[0] if blocks else ending
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the exception is the result compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.skipif(chains.C is None, reason="no C kernels on this host")
+@given(any_chain())
+@settings(max_examples=400, deadline=None)
+def test_c_kernels_match_the_python_reference(case):
+    bs, size, blocks, end, n, length, seed = case
+    data = random.Random(seed + 1).randbytes(length)
+    calls = {
+        "pop": lambda k, r, first: k.pop(r, first, n),
+        "fill": lambda k, r, first: k.fill(r, first, n, data, bs),
+        "drain": lambda k, r, first: k.drain(r, first, n, length, bs),
+        "last": lambda k, r, first: k.last(r, first, n),
+    }
+    for name, call in calls.items():
+        c_region, first = _chained_region(size, blocks, end, seed)
+        py_region, _ = _chained_region(size, blocks, end, seed)
+        got = _outcome(lambda: call(chains.C, c_region, first))
+        want = _outcome(lambda: call(chains.PYTHON, py_region, first))
+        assert got == want, name
+        assert c_region.read(0, size) == py_region.read(0, size), name
