@@ -7,7 +7,7 @@ JOBS ?= 4
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke telemetry-budget procs-smoke profile \
-	identity hostcost clean
+	identity census hostcost clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -196,6 +196,14 @@ compare:
 identity:
 	$(PY) -m repro.bench all --json /tmp/mpf_full.json >/dev/null
 	cmp /tmp/mpf_full.json figures_full.json
+
+# Parameter census of the simulated machine: every Costs / MachineConfig
+# field at x1/2 and x2, each a fresh child process rerunning `bench all
+# --quick` (70 runs + the baseline: ~7 min of CPU, 3.6 min wall with
+# JOBS=2 on a 2-CPU host), rewrites the table in EXPERIMENTS.md
+# deterministically.  CI's census job fails on any diff.
+census:
+	$(PY) benchmarks/census.py --jobs $(JOBS)
 
 # Host cost of the message path: the deterministic pin table (Python
 # and C calls, region accessor calls per loop-back send + receive pair,

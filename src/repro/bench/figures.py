@@ -21,6 +21,7 @@ Run from the command line::
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Callable
 
@@ -620,7 +621,7 @@ def _ablation_paging_point(msgs: int, paging: bool, p: int) -> tuple[float, dict
         m = random_throughput(p, 1024, messages=msgs)
         return m.throughput, {"faults": m.run.report.page_faults}
     m = random_throughput(p, 1024, messages=msgs,
-                          machine=BALANCE_21000.without_paging())
+                          machine=replace(BALANCE_21000, page_fault_seconds=0))
     return m.throughput, {}
 
 
@@ -651,7 +652,8 @@ def _ablation_cache_point(msgs: int, cache_on: bool, n: int) -> tuple[float, dic
         m = broadcast_throughput(n, 1024, messages=msgs)
         return m.throughput, {"stalls": m.run.report.cache_stalled_blocks}
     m = broadcast_throughput(n, 1024, messages=msgs,
-                             machine=BALANCE_21000.without_cache())
+                             machine=replace(BALANCE_21000,
+                                             cache_miss_seconds=0))
     return m.throughput, {}
 
 

@@ -34,17 +34,10 @@ def _add_explore(sub) -> None:
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--seeds", type=int, default=100,
                    help="number of seeded walks (default 100)")
-    p.add_argument("--seed0", type=int, default=0,
-                   help="first seed (default 0)")
     p.add_argument("--policy", choices=("random", "bounded", "dfs"),
                    default="random")
-    p.add_argument("--bound", type=int, default=2,
-                   help="preemption budget for --policy bounded")
     p.add_argument("--fault", default=None,
                    help="inject a fault (see `list` for names)")
-    p.add_argument("--max-events", type=int, default=50_000)
-    p.add_argument("--no-check-steady", action="store_true",
-                   help="skip steady-tier invariant probes (faster)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write the first failing schedule here")
     p.add_argument("--minimize", action="store_true",
@@ -140,19 +133,11 @@ def _explore(args) -> int:
 
     t0 = time.perf_counter()
     if args.policy == "dfs":
-        result = explore_dfs(
-            scenario, fault=args.fault, max_runs=args.seeds,
-            max_events=args.max_events,
-            check_steady=not args.no_check_steady,
-        )
+        result = explore_dfs(scenario, fault=args.fault, max_runs=args.seeds)
         seed = None
     else:
-        result = explore(
-            scenario, seeds=range(args.seed0, args.seed0 + args.seeds),
-            fault=args.fault, policy=args.policy, bound=args.bound,
-            max_events=args.max_events,
-            check_steady=not args.no_check_steady,
-        )
+        result = explore(scenario, seeds=range(args.seeds),
+                         fault=args.fault, policy=args.policy)
         seed = result.failure_seed
     dt = time.perf_counter() - t0
     counts = ", ".join(f"{k}: {v}" for k, v in sorted(result.by_status.items()))
@@ -171,7 +156,7 @@ def _explore(args) -> int:
         # so the replay reproduces it) reads next to the decision trace.
         causal_out = run_schedule(
             scenario, PrefixPolicy(outcome.decisions), fault=args.fault,
-            max_events=args.max_events, causal=True,
+            causal=True,
         )
         if causal_out.causal is not None and causal_out.causal.events:
             print()
@@ -182,8 +167,7 @@ def _explore(args) -> int:
                                seed=seed, policy=args.policy,
                                causal=causal_out.causal)
             if args.minimize:
-                trace, stats = minimize_trace(trace,
-                                              max_events=args.max_events)
+                trace, stats = minimize_trace(trace)
                 print(f"minimized {stats['original_decisions']} -> "
                       f"{stats['minimized_decisions']} decisions "
                       f"in {stats['replays']} replays")

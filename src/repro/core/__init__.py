@@ -13,7 +13,7 @@ Submodules:
 * :mod:`~repro.core.costmodel` — the calibrated instruction budgets.
 """
 
-from .costmodel import Costs, DEFAULT_COSTS, costs_with, free_costs
+from .costmodel import Costs, DEFAULT_COSTS, free_costs
 from .errors import (
     BufferOverflowError,
     DuplicateConnectionError,
@@ -36,7 +36,6 @@ from .region import SharedRegion
 __all__ = [
     "Costs",
     "DEFAULT_COSTS",
-    "costs_with",
     "free_costs",
     "MPFConfig",
     "SegmentLayout",

@@ -5,35 +5,38 @@ The primitives in :mod:`repro.core.ops` describe their own cost in
 NS32032, roughly 1 MIPS on this kind of pointer-chasing C code).  The
 constants below are the per-activity instruction budgets; converting
 instructions to seconds is the simulated machine's job
-(:class:`repro.machine.cpu.CpuModel`).
+(:class:`repro.machine.cpu.BalanceTiming`).
 
 Calibration
 -----------
-The constants were fit to the paper's measured curves (see EXPERIMENTS.md
-for the resulting paper-vs-measured comparison):
+Figure 3 is the fit (see EXPERIMENTS.md, "Calibration and the parameter
+census", for what every budget moves):
 
-* The **asymptote** of the base benchmark (Figure 3, ≈22–25 KB/s) pins the
-  marginal per-byte cost.  With 10-byte blocks a round trip moves each
-  byte twice (user buffer → blocks → user buffer) and manipulates
-  ``2·L/10`` blocks, so per-block costs dominate:
-  ``blk_alloc + blk_fill + blk_drain + blk_free + 2·10·copy_byte`` ≈ 380
-  instructions per block ⇒ ≈38 µs per payload byte ⇒ ≈26 KB/s ceiling.
-* The **curvature** of Figure 3 (throughput still rising at 1–2 KB
-  messages) pins the fixed per-primitive cost at several thousand
-  instructions — the 1987 library call, descriptor search, queue update
-  and lock traffic.
-* The FCFS plateau of Figure 4 (~45 KB/s at 1024 B) follows from the
-  sender-side share of the same constants, and the broadcast ceiling of
-  Figure 5 (687,245 B/s at 16×1024 B) from receive copies overlapping.
+* Its **asymptote** (≈22–25 KB/s) pins the per-block sum.  With 10-byte
+  blocks a round trip moves each byte twice (user buffer → blocks →
+  user buffer) and manipulates ``2·L/10`` blocks, so per-block costs
+  dominate: ``blk_alloc + blk_fill + blk_drain + blk_free +
+  2·10·copy_byte`` ≈ 365 instructions per block ⇒ ≈37 µs per payload
+  byte ⇒ ≈27 KB/s ceiling.
+* Its **curvature** (throughput still rising at 1–2 KB messages) pins
+  the per-message sum (``send_fixed + recv_fixed + msg_link +
+  msg_retire + msg_discard``) at several thousand instructions — the
+  1987 library call, descriptor search, queue update and lock traffic.
 
-The numbers are *model parameters*, not measurements of this Python code;
-they are deliberately kept in one frozen dataclass so ablations can vary
-them (see ``repro.bench.figures`` ablation entries).
+Only the sums are pinned: the figure cannot tell how each splits.
+Figures 4 and 5 then test the send / receive split out of sample, and
+``list_step`` is the one other budget a figure constrains within a
+factor of two (Figure 5).  The ``ring_*`` budgets and
+``cacheline_xfer`` move only the transport ablations, and the lock,
+wake, open / close and check budgets are assumptions.
+
+The numbers are *model parameters*, not measurements of this Python
+code.  Every budget is a non-negative int, checked at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["Costs", "DEFAULT_COSTS", "free_costs"]
 
@@ -121,17 +124,13 @@ class Costs:
     #: Per message discarded when a circuit is deleted or reaped.
     msg_discard: int = 60
 
-    def scaled(self, factor: float) -> "Costs":
-        """Return a copy with every budget multiplied by ``factor``.
-
-        Used by ablation benchmarks to explore a faster or slower
-        implementation without touching individual constants.
-        """
-        kwargs = {
-            f: max(0, int(round(getattr(self, f) * factor)))
-            for f in self.__dataclass_fields__
-        }
-        return Costs(**kwargs)
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 0:
+                raise ValueError(f"Costs.{name} must be a non-negative "
+                                 f"int, got {value!r}")
 
 
 #: The calibrated default model.
@@ -145,11 +144,3 @@ def free_costs() -> Costs:
     this to assert that op *logic* never depends on cost constants.
     """
     return Costs(**{f: 0 for f in Costs.__dataclass_fields__})
-
-
-def costs_with(**overrides: int) -> Costs:
-    """The default model with selected budgets overridden."""
-    return replace(DEFAULT_COSTS, **overrides)
-
-
-__all__.append("costs_with")

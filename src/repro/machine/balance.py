@@ -7,18 +7,25 @@ are connected to shared memory by a shared bus with a 80 Mbyte/s (maximum)
 transfer rate.  Each processor has a 8K byte, write-through cache and an
 8K byte local memory."
 
-:class:`MachineConfig` captures the published hardware parameters together
-with the small number of *model* parameters (instruction rate, floating
-point rate, bus contention coefficient, paging budget) that calibrate the
-simulation against the paper's measured curves.  EXPERIMENTS.md records
-the calibration.
+:class:`MachineConfig` keeps the published numbers the simulation reads
+(processors, bus rate, cache and page size; the 16 MB of memory bound
+nothing and is not modelled) together with the model parameters that
+calibrate it against the paper's curves (instruction time, floating
+point time, bus contention, resident budget, fault and miss costs).  A
+model term is off when its per-unit cost is zero.  EXPERIMENTS.md's
+parameter census records which figure, if any, pins each field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 __all__ = ["MachineConfig", "BALANCE_21000"]
+
+#: Fields that must be strictly positive; every other field may be zero.
+_POSITIVE = frozenset({"n_cpus", "instr_seconds", "bus_bytes_per_second",
+                       "cache_bytes", "page_bytes"})
 
 
 @dataclass(frozen=True)
@@ -28,10 +35,6 @@ class MachineConfig:
     # -- published hardware (paper §4) --------------------------------------
     #: Processor count.
     n_cpus: int = 20
-    #: Processor clock, Hz (10 MHz NS32032).
-    cpu_hz: float = 10e6
-    #: Main memory, bytes (16 MB).
-    memory_bytes: int = 16 << 20
     #: Shared bus maximum transfer rate, bytes/second (80 MB/s).
     bus_bytes_per_second: float = 80e6
     #: Per-processor write-through cache, bytes (8 KB).
@@ -40,10 +43,10 @@ class MachineConfig:
     page_bytes: int = 512
 
     # -- model parameters (calibrated; see EXPERIMENTS.md) --------------------
-    #: Average cycles per instruction on pointer-heavy C code.  The
+    #: Seconds per average instruction on pointer-heavy C code.  The
     #: NS32032 retired roughly one instruction per 8-12 cycles on such
-    #: code, i.e. ~1 MIPS at 10 MHz; 10 cycles/instr gives exactly that.
-    cycles_per_instr: float = 10.0
+    #: code; 10 cycles at the published 10 MHz is 1 µs, ~1 MIPS.
+    instr_seconds: float = 1e-6
     #: Seconds per double-precision floating point *element operation* —
     #: arithmetic plus the array addressing and loop overhead around it
     #: in compiled C.  The NS32081 FPU plus its slow coupling and the
@@ -60,35 +63,32 @@ class MachineConfig:
     #: high-water message footprint exceeds this, block touches begin to
     #: fault (Figure 6's decline past ~10 processes at 1024-byte messages).
     resident_bytes: int = 24 << 10
-    #: Seconds per page fault.  Calibrated to Figure 6: with 1024-byte
-    #: messages the random benchmark peaks near 10-14 processes and then
-    #: declines, while 256-byte messages only begin to fault at 20
-    #: processes — a 1987 Unix reclaim with occasional disk involvement.
+    #: Seconds per page fault; 0 turns the paging model off.  Calibrated
+    #: to Figure 6: with 1024-byte messages the random benchmark peaks
+    #: near 10-14 processes and then declines, while 256-byte messages
+    #: only begin to fault at 20 processes — a 1987 Unix reclaim with
+    #: occasional disk involvement.
     page_fault_seconds: float = 30e-3
-    #: Enable the paging model (benchmarks that predate it switch it off).
-    paging_enabled: bool = True
     #: Read-miss stall per message block once the cycled block footprint
-    #: exceeds the 8 KB cache (a handful of memory accesses at ~1 µs).
+    #: exceeds the 8 KB cache (a handful of memory accesses at ~1 µs);
+    #: 0 turns the cache model off.
     cache_miss_seconds: float = 4e-6
-    #: Enable the write-through cache model.
-    cache_enabled: bool = True
 
-    @property
-    def instr_seconds(self) -> float:
-        """Seconds per average instruction."""
-        return self.cycles_per_instr / self.cpu_hz
-
-    def with_cpus(self, n_cpus: int) -> "MachineConfig":
-        """Copy with a different processor count."""
-        return replace(self, n_cpus=n_cpus)
-
-    def without_paging(self) -> "MachineConfig":
-        """Copy with the paging model disabled."""
-        return replace(self, paging_enabled=False)
-
-    def without_cache(self) -> "MachineConfig":
-        """Copy with the cache model disabled."""
-        return replace(self, cache_enabled=False)
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, noun = ((Integral, "an int") if f.type == "int"
+                          else (Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"MachineConfig.{f.name} must be {noun}, "
+                                 f"got {value!r}")
+            if f.name in _POSITIVE:
+                if not value > 0:
+                    raise ValueError(f"MachineConfig.{f.name} must be > 0, "
+                                     f"got {value!r}")
+            elif not value >= 0:
+                raise ValueError(f"MachineConfig.{f.name} must be >= 0, "
+                                 f"got {value!r}")
 
 
 #: The paper's testbed.

@@ -25,8 +25,6 @@ class BusModel:
     __slots__ = ("alpha", "active", "peak", "total_copies")
 
     def __init__(self, alpha: float) -> None:
-        if alpha < 0:
-            raise ValueError("bus contention alpha must be >= 0")
         self.alpha = alpha
         #: Copy phases currently in flight.
         self.active = 0

@@ -30,16 +30,12 @@ __all__ = ["CacheModel"]
 class CacheModel:
     """Read-miss surcharge for block-chain traffic."""
 
-    __slots__ = ("cache_bytes", "miss_seconds", "enabled", "_demand",
+    __slots__ = ("cache_bytes", "miss_seconds", "_demand",
                  "stall_time", "stalled_blocks")
 
-    def __init__(self, cache_bytes: int, miss_seconds: float,
-                 enabled: bool = True) -> None:
-        if cache_bytes < 1 or miss_seconds < 0:
-            raise ValueError("invalid cache model parameters")
+    def __init__(self, cache_bytes: int, miss_seconds: float) -> None:
         self.cache_bytes = cache_bytes
         self.miss_seconds = miss_seconds
-        self.enabled = enabled
         self._demand: Callable[[], int] = lambda: 0
         #: Simulated seconds lost to read-miss stalls (statistics).
         self.stall_time = 0.0
@@ -52,16 +48,15 @@ class CacheModel:
 
     def miss_fraction(self) -> float:
         """Fraction of block reads missing the cache right now."""
-        if not self.enabled:
-            return 0.0
         demand = self._demand()
         if demand <= self.cache_bytes or demand <= 0:
             return 0.0
         return (demand - self.cache_bytes) / demand
 
     def penalty(self, blocks: int) -> float:
-        """Stall surcharge for touching ``blocks`` message blocks."""
-        if not self.enabled or blocks <= 0:
+        """Stall surcharge for touching ``blocks`` message blocks (none
+        when a miss costs nothing: the model is off)."""
+        if not self.miss_seconds or blocks <= 0:
             return 0.0
         frac = self.miss_fraction()
         if frac <= 0.0:

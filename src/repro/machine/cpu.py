@@ -5,7 +5,7 @@ of the simulated Balance 21000.  It converts the machine-neutral
 :class:`~repro.core.work.Work` units emitted by MPF primitives and
 application code into simulated seconds:
 
-* ``instrs``  × instruction time (10 cycles at 10 MHz ⇒ 1 µs each),
+* ``instrs``  × instruction time (1 µs: 10 cycles at 10 MHz),
 * ``flops``   × floating point time (software-assisted FPU),
 * ``copy_bytes`` adds the raw bus transfer time (tiny at 80 MB/s, kept
   for completeness) and marks the charge as a copy phase so the bus model
@@ -39,12 +39,10 @@ class BalanceTiming:
             resident_bytes=config.resident_bytes,
             page_bytes=config.page_bytes,
             fault_seconds=config.page_fault_seconds,
-            enabled=config.paging_enabled,
         )
         self.cache = CacheModel(
             cache_bytes=config.cache_bytes,
             miss_seconds=config.cache_miss_seconds,
-            enabled=config.cache_enabled,
         )
         self._t_instr = config.instr_seconds
         self._t_flop = config.flop_seconds

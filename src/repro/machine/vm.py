@@ -36,7 +36,6 @@ class VmModel:
         "resident_bytes",
         "page_bytes",
         "fault_seconds",
-        "enabled",
         "_demand",
         "faults",
         "fault_time",
@@ -48,14 +47,10 @@ class VmModel:
         resident_bytes: int,
         page_bytes: int,
         fault_seconds: float,
-        enabled: bool = True,
     ) -> None:
-        if resident_bytes < 0 or page_bytes < 1 or fault_seconds < 0:
-            raise ValueError("invalid VM model parameters")
         self.resident_bytes = resident_bytes
         self.page_bytes = page_bytes
         self.fault_seconds = fault_seconds
-        self.enabled = enabled
         self._demand: Callable[[], int] = lambda: 0
         #: Page faults charged so far (statistics).
         self.faults = 0.0
@@ -71,8 +66,6 @@ class VmModel:
 
     def fault_fraction(self) -> float:
         """Fraction of newly touched pages that fault right now."""
-        if not self.enabled:
-            return 0.0
         demand = self._demand()
         if demand <= self.resident_bytes or demand <= 0:
             return 0.0
@@ -81,9 +74,10 @@ class VmModel:
     def touch(self, nbytes: int) -> float:
         """Charge for touching ``nbytes`` of message memory.
 
-        Returns the fault surcharge in simulated seconds.
+        Returns the fault surcharge in simulated seconds (none when a
+        fault costs nothing: the model is off).
         """
-        if not self.enabled or nbytes <= 0:
+        if not self.fault_seconds or nbytes <= 0:
             return 0.0
         frac = self.fault_fraction()
         if frac <= 0.0:

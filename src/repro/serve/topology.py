@@ -141,7 +141,7 @@ def serve_machine(shape: ServeShape,
     Balance's.
     """
     return replace(base, n_cpus=max(base.n_cpus, shape.nprocs),
-                   paging_enabled=False, cache_enabled=False)
+                   page_fault_seconds=0, cache_miss_seconds=0)
 
 
 def _sim_pacer(machine: MachineConfig):

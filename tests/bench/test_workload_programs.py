@@ -1,5 +1,7 @@
 """Tests of the §4 synthetic benchmark programs themselves."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.workloads import (
@@ -89,10 +91,9 @@ def test_random_one_byte_messages():
 
 
 def test_machine_override_respected():
-    slow = BALANCE_21000.with_cpus(20)
-    fast_cpu = base_throughput(256, messages=8, machine=slow)
+    fast_cpu = base_throughput(256, messages=8, machine=BALANCE_21000)
     slower_cpu = base_throughput(
         256, messages=8,
-        machine=BALANCE_21000.with_cpus(20).__class__(cpu_hz=1e6),
+        machine=replace(BALANCE_21000, instr_seconds=1e-5),
     )
     assert slower_cpu.throughput < fast_cpu.throughput / 5

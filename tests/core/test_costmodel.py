@@ -1,7 +1,7 @@
 """Unit tests for the cost model and work descriptors."""
 
 from repro.core import ops
-from repro.core.costmodel import Costs, DEFAULT_COSTS, costs_with, free_costs
+from repro.core.costmodel import Costs, DEFAULT_COSTS, free_costs
 from repro.core.protocol import FCFS
 from repro.core.work import Work
 from repro.testing import DirectRunner, make_view
@@ -16,23 +16,6 @@ def test_free_costs_all_zero():
     z = free_costs()
     for f in Costs.__dataclass_fields__:
         assert getattr(z, f) == 0
-
-
-def test_costs_with_overrides_one_field():
-    c = costs_with(send_fixed=1)
-    assert c.send_fixed == 1
-    assert c.recv_fixed == DEFAULT_COSTS.recv_fixed
-
-
-def test_scaled_multiplies_everything():
-    c = DEFAULT_COSTS.scaled(2.0)
-    assert c.send_fixed == 2 * DEFAULT_COSTS.send_fixed
-    assert c.blk_fill == 2 * DEFAULT_COSTS.blk_fill
-
-
-def test_scaled_rounds_to_nonnegative_int():
-    c = DEFAULT_COSTS.scaled(0.0)
-    assert c.send_fixed == 0
 
 
 def test_work_addition():

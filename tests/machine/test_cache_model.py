@@ -1,13 +1,16 @@
 """Tests for the write-through cache model."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.machine.balance import BALANCE_21000, MachineConfig
 from repro.machine.cache import CacheModel
-from repro.machine.balance import BALANCE_21000
+from repro.machine.cpu import BalanceTiming
 
 
-def make(cache=1000, miss=0.001, enabled=True):
-    return CacheModel(cache_bytes=cache, miss_seconds=miss, enabled=enabled)
+def make(cache=1000, miss=0.001):
+    return CacheModel(cache_bytes=cache, miss_seconds=miss)
 
 
 def test_small_working_set_never_stalls():
@@ -32,9 +35,11 @@ def test_miss_fraction_clamped():
 
 
 def test_disabled_model_free():
-    c = make(enabled=False)
-    c.set_demand_source(lambda: 10**9)
+    # A free miss turns the model off: no demand is even read.
+    c = make(miss=0)
+    c.set_demand_source(lambda: 1 / 0)
     assert c.penalty(1000) == 0.0
+    assert c.stalled_blocks == 0
 
 
 def test_zero_blocks_free():
@@ -44,15 +49,16 @@ def test_zero_blocks_free():
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
-        CacheModel(cache_bytes=0, miss_seconds=0.1)
-    with pytest.raises(ValueError):
-        CacheModel(cache_bytes=8, miss_seconds=-1.0)
+    with pytest.raises(ValueError, match="cache_bytes"):
+        MachineConfig(cache_bytes=0)
+    with pytest.raises(ValueError, match="cache_miss_seconds"):
+        MachineConfig(cache_miss_seconds=-1.0)
 
 
 def test_machine_config_cache_switch():
-    assert BALANCE_21000.cache_enabled
-    assert not BALANCE_21000.without_cache().cache_enabled
+    assert BALANCE_21000.cache_miss_seconds > 0
+    off = replace(BALANCE_21000, cache_miss_seconds=0)
+    assert BalanceTiming(off).cache.penalty(10**6) == 0.0
 
 
 def test_cache_effect_is_second_order_on_base():
@@ -62,7 +68,8 @@ def test_cache_effect_is_second_order_on_base():
 
     on = base_throughput(1024, messages=24).throughput
     off = base_throughput(
-        1024, messages=24, machine=BALANCE_21000.without_cache()
+        1024, messages=24,
+        machine=replace(BALANCE_21000, cache_miss_seconds=0),
     ).throughput
     assert abs(on - off) / off < 0.05
 

@@ -1,8 +1,10 @@
 """Unit tests for the bus, VM, CPU timing and machine-config models."""
 
+from dataclasses import fields, replace
+
 import pytest
 
-from repro.core.costmodel import DEFAULT_COSTS
+from repro.core.costmodel import Costs, DEFAULT_COSTS
 from repro.core.work import Work
 from repro.machine.balance import BALANCE_21000, MachineConfig
 from repro.machine.bus import BusModel
@@ -42,15 +44,14 @@ class TestBus:
             bus.finished()
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            BusModel(-0.1)
+        with pytest.raises(ValueError, match="bus_contention_alpha"):
+            MachineConfig(bus_contention_alpha=-0.1)
 
 
 class TestVm:
-    def make(self, resident=1000, fault=0.01, enabled=True):
-        vm = VmModel(resident_bytes=resident, page_bytes=100,
-                     fault_seconds=fault, enabled=enabled)
-        return vm
+    def make(self, resident=1000, fault=0.01):
+        return VmModel(resident_bytes=resident, page_bytes=100,
+                       fault_seconds=fault)
 
     def test_under_budget_never_faults(self):
         vm = self.make()
@@ -77,39 +78,42 @@ class TestVm:
         assert total == pytest.approx(2 * 0.01)  # 10 pages * 0.2
 
     def test_disabled_model_is_free(self):
-        vm = self.make(enabled=False)
-        vm.set_demand_source(lambda: 10**9)
+        # A free fault turns the model off: no demand is even read.
+        vm = self.make(fault=0)
+        vm.set_demand_source(lambda: 1 / 0)
         assert vm.touch(10**6) == 0.0
+        assert vm.faults == 0
 
     def test_zero_touch_is_free(self):
         vm = self.make()
         assert vm.touch(0) == 0.0
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            VmModel(resident_bytes=-1, page_bytes=1, fault_seconds=0)
-        with pytest.raises(ValueError):
-            VmModel(resident_bytes=0, page_bytes=0, fault_seconds=0)
+        with pytest.raises(ValueError, match="resident_bytes"):
+            MachineConfig(resident_bytes=-1)
+        with pytest.raises(ValueError, match="page_bytes"):
+            MachineConfig(page_bytes=0)
 
 
 class TestMachineConfig:
     def test_balance_preset_matches_paper(self):
         # Paper §4 hardware description.
+        # (16 MB of memory binds nothing and is not modelled.)
         assert BALANCE_21000.n_cpus == 20
-        assert BALANCE_21000.cpu_hz == 10e6
-        assert BALANCE_21000.memory_bytes == 16 << 20
         assert BALANCE_21000.bus_bytes_per_second == 80e6
         assert BALANCE_21000.cache_bytes == 8 << 10
+        assert BALANCE_21000.page_bytes == 512
 
     def test_instr_seconds(self):
-        assert BALANCE_21000.instr_seconds == pytest.approx(1e-6)
-
-    def test_with_cpus(self):
-        assert BALANCE_21000.with_cpus(4).n_cpus == 4
-        assert BALANCE_21000.n_cpus == 20  # frozen original untouched
+        # 10 cycles at the published 10 MHz, folded into one field: the
+        # literal is the quotient bit for bit, so every archive holds.
+        assert BALANCE_21000.instr_seconds == 10.0 / 10e6
 
     def test_without_paging(self):
-        assert BALANCE_21000.without_paging().paging_enabled is False
+        t = BalanceTiming(replace(BALANCE_21000, page_fault_seconds=0))
+        t.vm.set_demand_source(lambda: 10**9)
+        assert t.price(Work(page_bytes=1 << 20), running=1) == 0.0
+        assert t.vm.faults == 0
 
 
 class TestBalanceTiming:
@@ -158,3 +162,44 @@ class TestBalanceTiming:
     def test_wake_cost_scales_with_waiters(self):
         t = self.make()
         assert t.wake_cost(10) > t.wake_cost(0)
+
+
+class TestValidation:
+    """Out-of-range values fail at construction, naming the field, so
+    none reaches a run: ``n_cpus=0`` would divide by zero in ``price``,
+    and a negative budget or clock would run to the end and then break
+    the throughput window."""
+
+    BAD_MACHINE = {
+        "n_cpus": (0, -3, 2.0),
+        "instr_seconds": (0, -1e-6, float("nan")),
+        "bus_bytes_per_second": (0, -1.0),
+        "cache_bytes": (0, 8.5),
+        "page_bytes": (0, -512),
+        "flop_seconds": (-1e-6, float("nan")),
+        "bus_contention_alpha": (-0.1,),
+        "resident_bytes": (-1, 1.5),
+        "page_fault_seconds": (-1.0,),
+        "cache_miss_seconds": (-1.0, "4e-6"),
+    }
+
+    def test_every_machine_field_has_bad_values(self):
+        assert self.BAD_MACHINE.keys() == {f.name for f in fields(MachineConfig)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(MachineConfig)])
+    def test_machine_field_rejected(self, name):
+        for bad in self.BAD_MACHINE[name]:
+            with pytest.raises(ValueError, match=rf"MachineConfig\.{name} "):
+                replace(BALANCE_21000, **{name: bad})
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Costs)])
+    def test_costs_field_rejected(self, name):
+        for bad in (-1, 1.5, True, None):
+            with pytest.raises(ValueError, match=rf"Costs\.{name} "):
+                replace(DEFAULT_COSTS, **{name: bad})
+        assert getattr(replace(DEFAULT_COSTS, **{name: 0}), name) == 0
+
+    def test_zero_cost_terms_are_valid(self):
+        MachineConfig(flop_seconds=0, bus_contention_alpha=0,
+                      resident_bytes=0, page_fault_seconds=0,
+                      cache_miss_seconds=0)

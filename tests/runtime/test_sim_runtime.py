@@ -75,7 +75,7 @@ def test_deterministic_across_runs():
 
 
 def test_custom_machine_changes_timing():
-    slow = MachineConfig(cpu_hz=1e6)  # 10x slower CPU
+    slow = MachineConfig(instr_seconds=1e-5)  # 10x slower CPU
     fast = SimRuntime().run([ping, pong]).elapsed
     slower = SimRuntime(machine=slow).run([ping, pong]).elapsed
     assert slower > 5 * fast

@@ -44,7 +44,7 @@ class TestConfig:
         big = ServeShape(clients=16, frontends=16, workers=16)
         m = serve_machine(big)
         assert m.n_cpus >= big.nprocs
-        assert not m.paging_enabled
+        assert m.page_fault_seconds == 0
 
 
 class TestEndToEnd:

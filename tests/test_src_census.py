@@ -16,15 +16,24 @@ A package counts as used when it is imported or any module inside it
 is.  The scan reads import statements (lazy ones inside functions
 included), never attribute chains, so ``import repro.ext`` alone makes
 the package used, not every module its ``__init__`` re-exports.
+
+The simulated machine's knobs take the same census: every field of
+``Costs`` and ``MachineConfig`` has exactly one row, with a status, in
+EXPERIMENTS.md's parameter census (``make census`` regenerates it), so
+a new knob cannot land without saying what pins it.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from test_docs_examples import DOC_FILES, _python_blocks
+
+from repro.core.costmodel import Costs
+from repro.machine.balance import MachineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -147,3 +156,22 @@ def test_each_rule_sees_its_kind_of_use():
     assert _by_scripts() == {"repro.bench.__main__", "repro.inspect_cli"}
     assert "repro.bench.compare" in _by_python_m()  # nothing imports it
     assert "repro.testing" in _by_docs()  # only docs and tests import it
+
+
+def _census_rows() -> list[list[str]]:
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    table = text.partition("<!-- census:begin -->")[2]
+    table = table.partition("<!-- census:end -->")[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| `")]
+
+
+def test_every_machine_knob_has_one_census_row():
+    rows = _census_rows()
+    names = [row[0].strip("`") for row in rows]
+    knobs = {f.name for cls in (Costs, MachineConfig) for f in fields(cls)}
+    assert sorted(set(names)) == sorted(names), "a knob has two rows"
+    assert set(names) == knobs, (
+        f"knobs without a census row: {sorted(knobs - set(names))}; "
+        f"rows for no knob: {sorted(set(names) - knobs)}")
+    assert all(row[-1] for row in rows), "a census row has no status"
