@@ -6,8 +6,8 @@ scenario and require the checker to flag it.  Two mutants cover the two
 failure families a schedule explorer can surface:
 
 * :func:`unlocked_send` — :func:`repro.core.ops.message_send` with its
-  link step (the same ``_link_tail`` helper) run without the circuit
-  lock **and** after a yield that follows the reads of the sequence
+  link step (the same link kernel, ``chains.ACTIVE.link``) run without
+  the circuit lock **and** after a yield that follows the reads of the sequence
   number and the tail, opening a torn-update window.
   Two racing sends through the window orphan a message (allocated and
   counted, but unreachable from the FIFO) — exactly the corruption the
@@ -28,18 +28,11 @@ from __future__ import annotations
 from typing import Generator
 
 from ..core.effects import Acquire, Charge, Release, Wake
+from ..core import chains
+from ..core.chains import _H_FREE_BLK, _H_FREE_MSG, _L_SEQ
 from ..core.freelist import fill_chain, fl_alloc, pop_chain
 from ..core.layout import HDR
-from ..core.ops import (  # private ops internals, on purpose
-    _H_FREE_BLK,
-    _H_FREE_MSG,
-    _L_GEN,
-    _L_SEQ,
-    _SLOT_MASK,
-    MPFView,
-    OpGen,
-    _link_tail,
-)
+from ..core.ops import _L_GEN, _SLOT_MASK, MPFView, OpGen  # private, on purpose
 from ..core.protocol import ALLOC_LOCK, NIL
 from ..core.structs import LNVC
 from ..core.work import Work
@@ -116,9 +109,9 @@ def unlocked_send(view: MPFView, pid: int, lnvc_id: int, data: bytes) -> OpGen:
     seqno = u32(base + _L_SEQ)
     tail = u32(base + _L_FIFO_TAIL)
     yield Charge(Work(instrs=1, label="fault-torn-window"))
-    chain = (blocks[0], blocks[-1], nblk) if blocks else (NIL, NIL, 0)
-    _, depth, _ = _link_tail(view, base, hdr, pid, length, chain,
-                             stale=(seqno, tail))
+    _, depth, _ = chains.ACTIVE.link(view, base, hdr, pid, length,
+                                     blocks[0] if blocks else NIL, nblk,
+                                     stale=(seqno, tail))
     if probe is not None:
         probe.msg_sent(pid, slot, u32(base + _L_GEN), seqno, length, nblk,
                        depth, t_entry, t_entry, t_entry)

@@ -40,7 +40,8 @@ modelled machine still walks.
 These kernels return a chain as a list of offsets, one interpreted step
 per block.  The message path calls :mod:`repro.core.chains` instead,
 which carries a chain as ``(first, last, n)`` and walks it in one C
-loop per call; these lists are its reference, the path it takes where
+loop per call — and runs each whole lock section around these walks as
+one C call too; these lists are its reference, the path it takes where
 no C library could be built, and the error messages of a chain it
 refuses.  The model checker's torn send calls them directly.
 """

@@ -64,7 +64,14 @@ from .errors import (
     UnknownLNVCError,
 )
 from . import chains as _chains
-from .freelist import fl_alloc, fl_free, splice_chain
+from .chains import (
+    _bad_chain,
+    _msg_chain,
+    _reap_head,
+    _retire_check,
+    _splice_chains,
+)
+from .freelist import fl_alloc, fl_free
 from .layout import HDR, MPFConfig, SegmentLayout
 from .protocol import (
     ALLOC_LOCK,
@@ -73,10 +80,9 @@ from .protocol import (
     NAME_MAX,
     NIL,
     SLOT_BITS,
-    MsgFlags,
     Protocol,
 )
-from .region import U32_MASK as _M32, U64_MASK as _M64, SharedRegion
+from .region import SharedRegion
 from .structs import LNVC, MSG, RECV, SEND
 from .transport import (
     RING_READS,
@@ -127,14 +133,11 @@ _GEN_MASK = (1 << (32 - SLOT_BITS)) - 1
 # accessors.
 _L_IN_USE = LNVC.offsets["in_use"]
 _L_GEN = LNVC.offsets["gen"]
-_L_NMSGS = LNVC.offsets["nmsgs"]
 _L_FCFS_HEAD = LNVC.offsets["fcfs_head"]
 _L_SEND_LIST = LNVC.offsets["send_list"]
 _L_RECV_LIST = LNVC.offsets["recv_list"]
-_L_SEQ = LNVC.offsets["seq"]
 _L_CONN_EPOCH = LNVC.offsets["conn_epoch"]
 _L_TRANSPORT = LNVC.offsets["transport"]
-_L_NRECVS = LNVC.offsets["nrecvs"]
 _L_BYTES_SENT = LNVC.offsets["bytes_sent"]
 _L_BYTES_RECEIVED = LNVC.offsets["bytes_received"]
 
@@ -144,15 +147,11 @@ _S_NEXT = SEND.offsets["next"]
 _R_PID = RECV.offsets["pid"]
 _R_HEAD = RECV.offsets["head"]
 _R_NEXT = RECV.offsets["next"]
-_R_NREADS = RECV.offsets["nreads"]
 
 _M_NEXT_MSG = MSG.offsets["next_msg"]
-_M_BCAST_PENDING = MSG.offsets["bcast_pending"]
-_M_BUSY = MSG.offsets["busy"]
 
 _H_FREE_MSG = HDR.u32["free_msg"]
-_H_FREE_BLK = HDR.u32["free_blk"]
-_H_HWM_LIVE_BYTES = HDR.u64["hwm_live_bytes"]
+_H_LIVE_BLOCKS = HDR.u32["live_blocks"]
 
 # Record-at-a-time access.  A lock section reads each record it needs
 # once (one C call unpacks a whole run of adjacent fields), computes in
@@ -193,13 +192,9 @@ STORES = {
     **RING_STORES,
 }
 
-# Enum values as plain ints: constructing MsgFlags/Protocol instances per
-# field read is pure overhead when only bit tests are needed.
+# An enum value as a plain int: constructing a Protocol instance per
+# field read is pure overhead when only a comparison is needed.
 _P_FCFS = int(Protocol.FCFS)
-_F_RETIRED = int(MsgFlags.RETIRED)
-_F_FCFS_TAKEN = int(MsgFlags.FCFS_TAKEN)
-_F_FCFS_EXPECTED = int(MsgFlags.FCFS_EXPECTED)
-_F_HAD_RECEIVERS = int(MsgFlags.HAD_RECEIVERS)
 
 
 def encode_lnvc_id(slot: int, gen: int) -> int:
@@ -540,167 +535,50 @@ def _conn_count(view: MPFView, base: int) -> int:
     )
 
 
-def _retire_check(view: MPFView, msg: int, unpin: int = 0, unread: int = 0) -> bool:
-    """Drop ``unpin`` busy pins and ``unread`` owed broadcast reads from
-    one message header, then apply the retirement rule to it.
-
-    A message retires (becomes reclaimable) when no broadcast receiver
-    still owes it a read, nobody is copying out of it, and its FCFS
-    obligation is discharged: either an FCFS receiver took it, or it never
-    had an FCFS obligation *and* some receiver existed at enqueue time.
-    Messages enqueued into an empty conversation are preserved for a
-    future FCFS joiner (paper §3.2).  Caller holds the circuit lock.
-    """
-    pending, busy, flags = view._rd_pins(msg + _M_BCAST_PENDING)
-    if flags & _F_RETIRED and not (unpin or unread):
-        return True
-    pending = (pending - unread) & _M32
-    busy = (busy - unpin) & _M32
-    retire = not (flags & _F_RETIRED or pending or busy) and bool(
-        flags & _F_FCFS_TAKEN
-        or (flags & _F_HAD_RECEIVERS and not flags & _F_FCFS_EXPECTED))
-    if retire:
-        flags |= _F_RETIRED
-    if retire or unpin or unread:
-        view._wr_pins(msg + _M_BCAST_PENDING, pending, busy, flags)
-    return bool(flags & _F_RETIRED)
-
-
-def _bad_chain(msg: int, exc: RegionFormatError) -> RegionFormatError:
-    """``exc`` from a chain kernel, naming the message header it is under."""
-    return RegionFormatError(f"message header {msg}: {exc}")
-
-
-def _msg_chain(view: MPFView, msg: int, first: int, nblocks: int) -> tuple:
-    """The chain ``(first, last, nblocks)`` of the message at ``msg``,
-    whose header says it is ``nblocks`` long from ``first``; the walk to
-    its last block is bounded by that count."""
-    try:
-        return first, _chains.ACTIVE.last(view.region, first, nblocks), nblocks
-    except RegionFormatError as exc:
-        raise _bad_chain(msg, exc) from None
-
-
-def _free_chain(view: MPFView, msgs: list, chains: list, nbytes: int) -> int:
-    """Return the message headers ``msgs`` and their block ``chains``
-    (each ``(first, last, n)``), ``nbytes`` of payload in all, to the
-    free lists — in order, each chain ahead of its header, as one pass
-    over the pool words.
-
-    Each chain is a walked one (the drain's own bounded walk,
-    :func:`_msg_chain`, or a send's fresh fill), so it goes back whole,
-    with one store.  The host pays per chain; the callers still charge
-    ``nblk * blk_free``, what the modelled machine's block-by-block free
-    costs.  Caller holds ``ALLOC_LOCK``.  Returns the number of blocks
-    freed.
-    """
-    r = view.region
-    set_u32 = r.set_u32
-    free_msg, free_blk, live_msgs, live_blocks, live_bytes = view._rd_pool(
-        _H_FREE_MSG)
-    nblk = 0
-    for msg, (first, last, n) in zip(msgs, chains):
-        if n:
-            free_blk = splice_chain(r, free_blk, first, last)
-            nblk += n
-        set_u32(msg, free_msg)
-        free_msg = msg
-    view._wr_pool(_H_FREE_MSG, free_msg, free_blk,
-                  (live_msgs - len(msgs)) & _M32, (live_blocks - nblk) & _M32,
-                  (live_bytes - nbytes) & _M32)
-    return nblk
-
-
-def _unsend(
-    view: MPFView, lock: int, hdr: int, chain: tuple, length: int, exc: Exception
-) -> OpGen:
+def _unsend(view: MPFView, lock: int, hdr: int, first: int, nblk: int,
+            length: int, exc: Exception) -> OpGen:
     """Undo a send refused at its link step, then raise ``exc``.
 
-    The header and the chain ``(first, last, n)`` are allocated and
-    counted but not linked; the caller holds the circuit lock ``lock``.
+    The header and the filled chain of ``nblk`` blocks from ``first``
+    are allocated and counted but not linked; the caller holds the
+    circuit lock ``lock``.
     """
     yield Release(lock)
     yield Acquire(ALLOC_LOCK)
-    _free_chain(view, [hdr], [chain], length)
+    kernels = _chains.ACTIVE
+    last = kernels.last(view.region, first, nblk) if nblk else NIL
+    kernels.free(view, hdr, 1, first, last, nblk, length)
     yield from _release_and_raise([ALLOC_LOCK], exc)
 
 
-def _reap_head(
-    view: MPFView,
-    base: int,
-    held: tuple,
-    drained: int = NIL,
-    chain: tuple | None = None,
-) -> OpGen:
-    """Unlink and free retired messages at the FIFO head.
-
-    Retirement marks messages lazily; physical reclamation happens here,
-    only from the head, so the singly linked FIFO never needs a backward
-    unlink — our answer to the paper's "particularly vexing" problem.
-    Caller holds the locks ``held`` (the circuit lock first).
-
-    Every doomed chain is collected, read-only, before anything is
-    unlinked and before the allocator lock is taken: a corrupt chain
-    raises (``held`` released first) while the segment is still
-    consistent, and the walks stay out of the allocator's critical
-    section.  ``drained``/``chain`` name the message the calling
-    receive has just copied out of and the chain ``(first, last, n)`` it
-    walked doing so — it was busy-pinned from that walk until this lock
-    section, so its chain is still ``chain`` and is not walked again.
-    """
-    c = view.costs
-    rd_msg = view._rd_msg
-    doomed: list[int] = []
-    chains: list[tuple] = []
-    freed: list[tuple] = []  # (sender, seqno, length) of each, for the probe
-    nbytes = 0
-    nmsgs, head, tail, fcfs = view._rd_fifo(base + _L_NMSGS)
-    try:
-        while head != NIL:
-            length, nblocks, first, nxt, _, _, flags, seqno, sender = rd_msg(head)
-            if not flags & _F_RETIRED:
-                break
-            doomed.append(head)
-            chains.append(chain if head == drained
-                          else _msg_chain(view, head, first, nblocks))
-            freed.append((sender, seqno, length))
-            nbytes += length
-            head = nxt
-    except RegionFormatError as exc:
-        yield from _release_and_raise(held, exc)
-    if not doomed:
-        return 0
-    depth_after = (nmsgs - len(doomed)) & _M32
-    # The shared FCFS head can never point *behind* the new physical head:
-    # if it pointed at a reaped message, advance it to the first survivor
-    # that is not FCFS-taken.
-    if fcfs in doomed:
-        fcfs = _first_untaken(view, head)
-    view._wr_fifo(base + _L_NMSGS, depth_after, head,
-                  NIL if head == NIL else tail, fcfs)
+def _free_reaped(view: MPFView, base: int, reap: tuple) -> OpGen:
+    """Return what :func:`~repro.core.chains._reap_head` unlinked from the
+    circuit at ``base`` — ``reap`` is its ``(head, n, depth, first,
+    last, blocks, bytes)`` — to the free lists, under ``ALLOC_LOCK``
+    nested in the circuit lock the caller holds."""
+    head, n, depth, first, last, nblk, nbytes = reap
     probe = view.probe
     if probe is not None:
-        probe.queue_depth(view.layout.lnvc_slot(base), depth_after)
+        probe.queue_depth(view.layout.lnvc_slot(base), depth)
     yield view._alloc_acq
     if probe is not None:
-        probe.msgs_freed(
-            view.layout.lnvc_slot(base), view.region.u32(base + _L_GEN),
-            freed)
-    nblk = _free_chain(view, doomed, chains, nbytes)
+        probe.msgs_freed(view.layout.lnvc_slot(base),
+                         view.region.u32(base + _L_GEN),
+                         _freed(view, head, n))
+    _chains.ACTIVE.free(view, head, n, first, last, nblk, nbytes)
     yield view._alloc_rel
-    yield charge(len(doomed) * c.msg_discard + nblk * c.blk_free, "reap")
-    return len(doomed)
+    yield charge(n * view.costs.msg_discard + nblk * view.costs.blk_free,
+                 "reap")
 
 
-def _first_untaken(view: MPFView, msg: int) -> int:
-    """First message at or after ``msg`` not yet FCFS-taken (or NIL)."""
-    rd_links = view._rd_links
-    while msg != NIL:
-        nxt, _, _, flags = rd_links(msg + _M_NEXT_MSG)
-        if not flags & _F_FCFS_TAKEN:
-            break
-        msg = nxt
-    return msg
+def _freed(view: MPFView, msg: int, n: int) -> list:
+    """``(sender, seqno, length)`` of the ``n`` headers from ``msg``
+    (linked through ``next_msg``), for the probe."""
+    freed = []
+    for _ in range(n):
+        length, _, _, msg, _, _, _, seqno, sender = view._rd_msg(msg)
+        freed.append((sender, seqno, length))
+    return freed
 
 
 def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
@@ -713,32 +591,30 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     r = view.region
     c = view.costs
     base = view.layout.lnvc_off(slot)
-    msgs: list[int] = []
     chains: list[tuple] = []
-    freed: list[tuple] = []  # (sender, seqno, length) of each, for the probe
     nbytes = 0
-    msg = LNVC.get(r, base, "fifo_head")
+    head = msg = LNVC.get(r, base, "fifo_head")
     try:
         while msg != NIL:
-            length, nblocks, first, nxt, _, _, _, seqno, sender = view._rd_msg(msg)
-            msgs.append(msg)
+            length, nblocks, first, nxt, _, _, _, _, _ = view._rd_msg(msg)
             chains.append(_msg_chain(view, msg, first, nblocks))
-            freed.append((sender, seqno, length))
             nbytes += length
             msg = nxt
     except RegionFormatError as exc:
         yield from _release_and_raise((view.lnvc_lock(slot), GLOBAL_LOCK), exc)
     nblk = 0
-    if msgs:
+    if chains:
+        first, last, nblk = _splice_chains(view, chains)
         yield Acquire(ALLOC_LOCK)
         probe = view.probe
         if probe is not None:
-            probe.msgs_freed(slot, LNVC.get(r, base, "gen"), freed,
-                             discard=1)
-        nblk = _free_chain(view, msgs, chains, nbytes)
+            probe.msgs_freed(slot, LNVC.get(r, base, "gen"),
+                             _freed(view, head, len(chains)), discard=1)
+        _chains.ACTIVE.free(view, head, len(chains), first, last, nblk,
+                            nbytes)
         yield Release(ALLOC_LOCK)
     if LNVC.get(r, base, "transport"):
-        # Ring circuits have no FIFO to discard (msgs is empty above);
+        # Ring circuits have no FIFO to discard (chains is empty above);
         # unread slots die with the ring, which returns to the pool.
         yield from ring_release(view, base)
     # The circuit's lifetime traffic joins the header totals, which only
@@ -757,56 +633,9 @@ def _delete_lnvc(view: MPFView, slot: int) -> OpGen:
     LNVC.set(r, base, "recv_list", NIL)
     HDR.add(r, "live_lnvcs", -1)
     yield charge(
-        len(msgs) * c.msg_discard + nblk * c.blk_free + c.close_fixed // 2,
+        len(chains) * c.msg_discard + nblk * c.blk_free + c.close_fixed // 2,
         "lnvc-delete")
-    return len(msgs)
-
-
-def _link_tail(view: MPFView, base: int, hdr: int, pid: int, length: int,
-               chain: tuple, stale: tuple | None = None) -> tuple[int, int, int]:
-    """Fill the header ``hdr`` for the chain ``(first, last, n)`` and
-    link it at the FIFO tail of the circuit at ``base`` as its next
-    message; returns ``(sequence number, queue depth, receive
-    descriptors walked)``.
-
-    Yield-free: the queue words are read here, once, and the caller
-    holds the circuit lock.  ``stale`` is the seam of
-    :func:`repro.check.faults.unlocked_send`: a ``(seq, fifo_tail)``
-    pair read in an *earlier* section, used in place of the fresh one —
-    which orphans a message, the bug that fault plants on purpose.
-    """
-    set_u32 = view.region.set_u32
-    (nmsgs, fifo_head, tail, fcfs_head, _, desc, _, n_fcfs, n_bcast,
-     seqno, hwm) = view._rd_queue(base + _L_NMSGS)
-    if stale is not None:
-        seqno, tail = stale
-    flags = 0
-    if n_fcfs:
-        flags |= _F_FCFS_EXPECTED
-    if n_fcfs or n_bcast:
-        flags |= _F_HAD_RECEIVERS
-    first, _, nblk = chain
-    view._wr_msg(hdr, length, nblk, first if nblk else NIL, NIL,
-                 n_bcast, 0, flags, seqno, pid & _M32)
-    if tail == NIL:
-        fifo_head = hdr
-    else:
-        set_u32(tail + _M_NEXT_MSG, hdr)
-    depth = (nmsgs + 1) & _M32
-    view._wr_fifo(base + _L_NMSGS, depth, fifo_head, hdr,
-                  hdr if fcfs_head == NIL else fcfs_head)
-    view._wr_seq_hwm(base + _L_SEQ, (seqno + 1) & _M32,
-                     depth if depth > hwm else hwm)
-    # Point every caught-up BROADCAST receiver at the new message.
-    rsteps = 0
-    rd_recv = view._rd_recv
-    while desc != NIL:
-        rsteps += 1
-        _, proto, head, nxt, _ = rd_recv(desc)
-        if proto != _P_FCFS and head == NIL:
-            set_u32(desc + _R_HEAD, hdr)
-        desc = nxt
-    return seqno, depth, rsteps
+    return len(chains)
 
 
 def _open_common(view: MPFView, data: bytes) -> OpGen:
@@ -1052,7 +881,12 @@ def close_receive(view: MPFView, pid: int, lnvc_id: int) -> OpGen:
     yield charge(c.close_fixed + (steps + walked) * c.list_step,
                  "close_receive")
     if not is_ring:
-        yield from _reap_head(view, base, (lock, GLOBAL_LOCK))
+        try:
+            reap = _reap_head(view, base)
+        except RegionFormatError as exc:
+            yield from _release_and_raise((lock, GLOBAL_LOCK), exc)
+        if reap is not None:
+            yield from _free_reaped(view, base, reap)
     if _conn_count(view, base) == 0:
         yield from _delete_lnvc(view, slot)
     yield Release(lock)
@@ -1126,43 +960,25 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     # Phase 1: allocation.  Blocks are private until linked, so only the
     # free lists need the allocator lock.  Nothing is stored until both
     # the header and the whole chain are known to be there.
+    kernels = _chains.ACTIVE
     yield view._alloc_acq
-    hdr, free_blk, live_msgs, live_blk, live = view._rd_pool(_H_FREE_MSG)
-    if hdr == NIL:
+    hdr, first = kernels.alloc(view, nblk, length)
+    if hdr == NIL:  # ``first`` is then the head word of the dry pool
         if probe is not None:
-            probe.pool(dry=_H_FREE_MSG)
-        yield from _release_and_raise(
-            [ALLOC_LOCK], OutOfMessageMemoryError("message header pool exhausted")
-        )
-    first = free_blk
-    popped = _chains.ACTIVE.pop(r, first, nblk)
-    if popped is None:
-        if probe is not None:
-            probe.pool(dry=_H_FREE_BLK)
-        yield from _release_and_raise(
-            [ALLOC_LOCK],
-            OutOfMessageMemoryError(f"block pool exhausted ({nblk}-block message)"),
-        )
-    last, free_blk = popped
-    chain = (first, last, nblk)
-    live_msgs = (live_msgs + 1) & _M32
-    live_blk = (live_blk + nblk) & _M32
-    live = (live + length) & _M32
-    view._wr_pool(_H_FREE_MSG, r.u32(hdr), free_blk, live_msgs, live_blk, live)
+            probe.pool(dry=first)
+        yield from _release_and_raise([ALLOC_LOCK], OutOfMessageMemoryError(
+            "message header pool exhausted" if first == _H_FREE_MSG
+            else f"block pool exhausted ({nblk}-block message)"))
     if probe is not None:
-        probe.pool(live_blocks=live_blk)
-    hwm_bytes, hwm_msgs = view._rd_hwm(_H_HWM_LIVE_BYTES)
-    if live > hwm_bytes or live_msgs > hwm_msgs:
-        view._wr_hwm(_H_HWM_LIVE_BYTES, max(live, hwm_bytes),
-                     max(live_msgs, hwm_msgs))
+        probe.pool(live_blocks=r.u32(_H_LIVE_BLOCKS))
     yield charge((nblk + 1) * c.blk_alloc, "send-alloc")
     yield view._alloc_rel
     t_alloc = probe.now() if probe is not None else 0.0
 
     # Phase 2: fill the private chain — outside every lock.  The blocks
-    # are still linked as the walk above found them: a chain but for its
-    # last link.
-    _chains.ACTIVE.fill(r, first, nblk, data, bs)
+    # are still linked as the pop found them: a chain but for its last
+    # link.
+    kernels.fill(r, first, nblk, data, bs)
     yield charge(nblk * c.blk_fill + length * c.copy_byte, "send-copy",
                  length, nblk, nblk * lay.blk_stride + MSG.size)
     t_fill = probe.now() if probe is not None else 0.0
@@ -1172,11 +988,10 @@ def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
     try:
         steps = view.send_conn(pid, lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _unsend(view, lock, hdr, chain, length, exc)
+        yield from _unsend(view, lock, hdr, first, nblk, length, exc)
 
-    seqno, depth, rsteps = _link_tail(view, base, hdr, pid, length, chain)
-    (sent,) = view._rd_sent(base + _L_BYTES_SENT)
-    view._wr_sent(base + _L_BYTES_SENT, (sent + length) & _M64)
+    seqno, depth, rsteps = kernels.link(view, base, hdr, pid, length, first,
+                                        nblk)
     yield charge(c.msg_link + (steps + rsteps) * c.list_step, "send-link")
     if probe is not None:
         probe.msg_sent(pid, slot, lnvc_id >> SLOT_BITS, seqno, length, nblk,
@@ -1215,8 +1030,6 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
     """:func:`message_receive` over the free-list transport (``slot``,
     ``base``: as for :func:`_freelist_send`)."""
     r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
     c = view.costs
     probe = view.probe
     t_entry = probe.now() if probe is not None else 0.0
@@ -1230,49 +1043,26 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
         yield from _release_and_raise([lock], exc)
     yield charge(steps * c.list_step, "recv-find")
 
-    rd_recv = view._rd_recv
+    kernels = _chains.ACTIVE
     while True:
-        # The descriptor is read again after every sleep: the lock was
-        # released, and a neighbour closing may have relinked ``rnext``.
-        _, proto, msg, rnext, nreads = rd_recv(desc)
-        is_fcfs = proto == _P_FCFS
-        if is_fcfs:
-            msg = u32(base + _L_FCFS_HEAD)
-        if msg != NIL:
+        try:
+            claimed = kernels.claim(view, base, desc, max_len)
+        except BufferOverflowError as exc:
+            yield from _release_and_raise([lock], exc)
+        if claimed is not None:
             break
         # Nothing available: sleep on the circuit's wait channel.  WaitOn
         # atomically releases the lock and reacquires it on wake, closing
         # the lost wake-up window.
         yield view._waiton[slot]
         yield view._recv_wakeup
-
-    (length, nblk, first, next_msg, pending, busy, flags, claimed_seqno,
-     _) = view._rd_msg(msg)
-    if max_len is not None and length > max_len:
-        yield from _release_and_raise(
-            [lock],
-            BufferOverflowError(
-                f"next message is {length} bytes, buffer holds {max_len}"
-            ),
-        )
-
-    # Claim the message under the lock, then copy outside it.
-    busy = (busy + 1) & _M32
-    nreads = (nreads + 1) & _M32
-    if is_fcfs:
-        view._wr_pins(msg + _M_BCAST_PENDING, pending, busy,
-                      flags | _F_FCFS_TAKEN)
-        set_u32(base + _L_FCFS_HEAD, _first_untaken(view, next_msg))
-        set_u32(desc + _R_NREADS, nreads)
-    else:
-        set_u32(msg + _M_BUSY, busy)
-        view._wr_cursor(desc + _R_HEAD, next_msg, rnext, nreads)
+    msg, first, nblk, length, claimed_seqno, is_fcfs = claimed
     t_claim = probe.now() if probe is not None else 0.0
     yield view._rel[slot]
 
     # Copy phase — concurrent with other receivers of the same message.
     # The busy pin keeps the chain as walked here until the completion
-    # section below, which hands its ends to the reap.  A chain is
+    # section below, which hands its last block to the reap.  A chain is
     # never written between link and reap, so a BROADCAST receiver whose
     # view already drained this very message (the key names it: circuit
     # and generation, sequence number, header, chain, length) takes that
@@ -1287,8 +1077,8 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
         _, last, payload = memo
     else:
         try:
-            last, payload = _chains.ACTIVE.drain(r, first, nblk, length,
-                                                 view.cfg.block_size)
+            last, payload = kernels.drain(r, first, nblk, length,
+                                          view.cfg.block_size)
         except RegionFormatError as exc:
             raise _bad_chain(msg, exc) from None
         if key is not None:
@@ -1299,12 +1089,15 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
 
     # Completion: drop the busy pin, account the read, retire and reap.
     yield view._acq[slot]
-    _retire_check(view, msg, 1, 0 if is_fcfs else 1)
+    try:
+        reap = kernels.complete(view, base, msg, 0 if is_fcfs else 1, last,
+                                length)
+    except RegionFormatError as exc:
+        yield view._recv_retire
+        yield from _release_and_raise([lock], exc)
     yield view._recv_retire
-    yield from _reap_head(view, base, (lock,), msg, (first, last, nblk))
-    nrecvs, sent, received = view._rd_traffic(base + _L_NRECVS)
-    view._wr_traffic(base + _L_NRECVS, (nrecvs + 1) & _M32, sent,
-                     (received + length) & _M64)
+    if reap is not None:
+        yield from _free_reaped(view, base, reap)
     yield view._rel[slot]
     if probe is not None:
         probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, claimed_seqno,

@@ -117,22 +117,35 @@ def drive(
             held.append(lock_id)
         elif cls is Release:
             lock_id = effect.lock_id
+            # Off the list first: a lock nobody owns in the sync (a
+            # multiprocessing.Lock has no owner) must not be released for
+            # its holder by a process that does not hold it.
+            try:
+                held.remove(lock_id)
+            except ValueError:
+                raise RuntimeError(
+                    f"process {process!r} released lock {lock_id} it does "
+                    "not own") from None
             sync.release(lock_id)
-            held.remove(lock_id)
             if recorder is not None:
                 now = clock()
                 recorder.on_release(now, process, lock_id,
                                     now - held_since.pop(lock_id, now))
         elif cls is WaitOn:
             lock_id = effect.lock_id
+            # The caller holds the circuit lock; wait() releases it,
+            # sleeps and returns holding it again.
+            try:
+                held.remove(lock_id)
+            except ValueError:
+                raise RuntimeError(
+                    f"process {process!r} waits on channel {effect.chan} "
+                    f"without holding lock {lock_id}") from None
             if recorder is not None:
                 t0 = clock()
                 recorder.on_release(t0, process, lock_id,
                                     t0 - held_since.pop(lock_id, t0),
                                     counted=False)
-            # The caller holds the circuit lock; wait() releases it,
-            # sleeps and returns holding it again.
-            held.remove(lock_id)
             sync.wait(effect.chan, lock_id)
             held.append(lock_id)
             if recorder is not None:

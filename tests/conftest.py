@@ -41,8 +41,8 @@ def poll_loop(monkeypatch):
 
 @pytest.fixture
 def python_chains(monkeypatch):
-    """Every block-chain walk of the message path on the Python
-    reference kernels (:data:`repro.core.chains.PYTHON`), whichever set
-    this host built."""
+    """Every block-chain walk and lock section of the message path on
+    the Python reference kernels (:data:`repro.core.chains.PYTHON`),
+    whichever set this host built."""
     monkeypatch.setattr(chains, "ACTIVE", chains.PYTHON)
     return chains.PYTHON

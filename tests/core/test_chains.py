@@ -1,16 +1,19 @@
-"""The C block-chain kernels: how they are built, loaded and let go of.
+"""The C kernels: how they are built, loaded and let go of.
 
-What they compute is held against the Python reference elsewhere: a
-differential property test (``tests/properties/test_freelist_properties
+What they compute is held against the Python reference elsewhere: two
+differential property tests (``tests/properties/test_freelist_properties
 .py``) and ``test_freelist.py`` / ``test_segment_identity.py`` collected
 again on the Python kernels (``test_python_kernels.py``).  Here: the
-build is found in its cache, a failed build leaves the Python kernels
-running and nothing behind, two processes building cold at once both
-load a whole library, and the runtimes that map a real shared segment
-still close and unlink it once the kernels have exported its buffer.
+records the C side addresses are laid out as ``core/structs.py`` says,
+the build is found in its cache, a failed build leaves the Python
+kernels running and nothing behind, two processes building cold at once
+both load a whole library, and the runtimes that map a real shared
+segment still close and unlink it once the kernels have exported its
+buffer.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,8 +26,9 @@ import pytest
 from repro import ProcRuntime
 from repro.core import chains, ops
 from repro.core.errors import NotConnectedError
-from repro.core.layout import MPFConfig
-from repro.core.protocol import FCFS
+from repro.core.layout import HDR, MPFConfig
+from repro.core.protocol import FCFS, MsgFlags, Protocol
+from repro.core.structs import LNVC, MSG, RECV
 from repro.patterns import barrier
 from repro.runtime.posix import PosixSegment
 from repro.testing import DirectRunner, make_view
@@ -47,6 +51,28 @@ def test_the_c_kernels_are_active_where_they_can_be_built():
     if shutil.which(chains.CC) is None:
         pytest.skip(f"no {chains.CC} on this host")
     assert chains.ACTIVE is chains.C and chains.C.name == "c"
+
+
+def test_the_c_offsets_are_the_records_offsets():
+    """``chains.c`` spells the offsets of every field it touches as
+    constants: ``H_`` segment header, ``L_`` LNVC, ``M_`` message
+    header, ``R_`` receive descriptor (``_SIZE``: the record's size, or
+    for ``L_`` the end of its fields), ``P_`` protocol, ``F_`` flag."""
+    source = chains._SOURCE.read_text()
+    found = re.findall(r"\b([HLMRPF])_([A-Z_]+) = (\d+)", source)
+    records = {"L": (LNVC.offsets, LNVC.tail_off),
+               "M": (MSG.offsets, MSG.size), "R": (RECV.offsets, RECV.size),
+               "H": ({**HDR.u32, **HDR.u64}, HDR.size)}
+    for kind, name, value in found:
+        if kind == "P":
+            want = Protocol[name]
+        elif kind == "F":
+            want = MsgFlags[name]
+        else:
+            offsets, size = records[kind]
+            want = size if name == "SIZE" else offsets[name.lower()]
+        assert int(value) == want, f"{kind}_{name}"
+    assert len(found) >= 40
 
 
 @needs_c

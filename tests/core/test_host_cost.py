@@ -13,9 +13,9 @@ the drain's read of a whole block, link and payload, is one record
 read), with the payload movers ``read`` / ``write`` kept apart
 ("bulk"), and the stores that land on a block's link word ("links": two
 per message, however many blocks it has).  The free-list counts are the
-C chain kernels' (:mod:`repro.core.chains`), whose loops make no
-accessor call: the region sees the splice's one link store per pair, so
-the link count is taken on the Python kernels.  "Did the hot
+C kernels' (:mod:`repro.core.chains`), whose loops and lock sections
+make no accessor call: the region sees no link store at all, so the link
+count is taken on the Python kernels.  "Did the hot
 path get heavier" is answered here, not by a host whose walls drift
 1.7x (ROADMAP item 1(b)).
 
@@ -31,7 +31,11 @@ channel's wait bytes and takes no lock, where ``RealSync`` took the
 circuit lock for a ``Condition.notify_all`` every time.  The C chain
 kernels lowered the free list's to 88 Python + 65 C calls per pair
 (112 + 197 at 4eb23e1, counted before the first edit) and its accessor
-calls at 16 B from 36 to 32, with no payload mover left.
+calls at 16 B from 36 to 32, with no payload mover left; the C lock
+sections (alloc, link, claim, completion, free: one kernel call each)
+to 85 + 56 and 4 (88 + 65 and 32 at 5536dbc, counted before the first
+edit) — what is left is each primitive's transport dispatch and its
+connection check.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table and
@@ -225,24 +229,29 @@ PARENT = {
              "words16": 3360, "bulk16": 120},
 }
 
-#: What the path costs now: per pair 88 Python + 65 C calls and 32
+#: What the path costs now: per pair 85 Python + 56 C calls and 4
 #: accessor calls on the free list (238 + 340 and 99 at the parent), 70 +
 #: 43 and 33 on the ring (145 + 110 and 56); 117 + 201 and 75 + 47 at
-#: 8ab74ca, 112 + 197 and 36 at 4eb23e1 (see the module docstring).
+#: 8ab74ca, 112 + 197 and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc (see
+#: the module docstring).
 PINNED = {
-    "freelist": {"py": 5280, "c": 3901, "work_inits": 0,
-                 "words16": 1920, "bulk16": 0},
+    "freelist": {"py": 5100, "c": 3361, "work_inits": 0,
+                 "words16": 240, "bulk16": 0},
     "ring": {"py": 4200, "c": 2581, "work_inits": 0,
              "words16": 1980, "bulk16": 120},
 }
 
-#: Accessor calls a 16 B pair may make.  The ring's 33 are 14 for the
-#: send (its one lock section reads four records and stores to three),
-#: 10 for the lock-free claim and 9 for the completion section; what is
-#: left apart are words that are apart in the segment (``nmsgs``, ``seq``
-#: and the traffic counters of one LNVC record) or that may not share a
-#: store (the commit word, the pending bitmap, the epoch word).
-WORDS16_PER_PAIR = {"freelist": 32, "ring": 33}
+#: Accessor calls a 16 B pair may make.  The free list's 4 are, for the
+#: send and the receive each, the transport dispatch's word and the
+#: connection check's LNVC read (its lock sections are C kernels, whose
+#: loads and stores the region does not see).  The ring's 33 are 14 for
+#: the send (its one lock section reads four records and stores to
+#: three), 10 for the lock-free claim and 9 for the completion section;
+#: what is left apart are words that are apart in the segment
+#: (``nmsgs``, ``seq`` and the traffic counters of one LNVC record) or
+#: that may not share a store (the commit word, the pending bitmap, the
+#: epoch word).
+WORDS16_PER_PAIR = {"freelist": 4, "ring": 33}
 
 #: Stores over block link words per free-list pair, by message size:
 #: counted at cc8178e before the first edit (every link once by the
@@ -258,9 +267,9 @@ def rows():
 
 
 def _pinned(transport):
-    """Skip a free-list pin where the C chain kernels were not built."""
+    """Skip a free-list pin where the C kernels were not built."""
     if transport == "freelist" and chains.ACTIVE is not chains.C:
-        pytest.skip("the free-list pins count the C chain kernels")
+        pytest.skip("the free-list pins count the C kernels")
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -318,7 +327,7 @@ if __name__ == "__main__":
                   f"{row[key] / PAIRS:>9.1f}")
     print("  per size:              us/pair   words    bulk   links"
           "   (ThreadRuntime; us: min of 5 x 200 pairs;\n"
-          f"  {chains.ACTIVE.name} chain kernels: a C store is not counted)")
+          f"  {chains.ACTIVE.name} kernels: a C store is not counted)")
     for transport in TRANSPORTS:
         for size in SIZES:
             us = min(measure(transport, (size,) * 200, count=None)["us"]

@@ -39,7 +39,7 @@ import sys
 import pytest
 
 from repro import ThreadRuntime
-from repro.core import ops, transport
+from repro.core import chains, ops, transport
 from repro.core.errors import (
     BufferOverflowError,
     NotConnectedError,
@@ -333,17 +333,17 @@ GUARDS = {
     "seq_hwm": (LNVC, "seq", "hwm_nmsgs", "circuit",
                 {"_link_tail", "ring_send"}),
     "sent": (LNVC, "bytes_sent", "bytes_sent_hi", "circuit",
-             {"_freelist_send", "ring_send"}),
+             {"_link_tail", "ring_send"}),
     "traffic": (LNVC, "nrecvs", "bytes_received_hi", "circuit",
-                {"_freelist_receive", "ring_receive"}),
-    "cursor": (RECV, "head", "nreads", "circuit", {"_freelist_receive"}),
+                {"_complete_receive", "ring_receive"}),
+    "cursor": (RECV, "head", "nreads", "circuit", {"_claim_next"}),
     "msg": (MSG, "length", "sender", "circuit", {"_link_tail"}),
     "pins": (MSG, "bcast_pending", "flags", "circuit",
-             {"_retire_check", "_freelist_receive"}),
+             {"_retire_check", "_claim_next"}),
     "pool": (HDR, "free_msg", "live_bytes", "alloc",
-             {"_freelist_send", "_free_chain"}),
+             {"_alloc_message", "_free_chain"}),
     "hwm": (HDR, "hwm_live_bytes", "hwm_live_msgs", "alloc",
-            {"_freelist_send"}),
+            {"_alloc_message"}),
     "rslot_body": (RSLOT, "length", "busy", "circuit", {"ring_send"}),
     "rslot_pins": (RSLOT, "state", "busy", "circuit",
                    {"ring_retire_check", "ring_receive"}),
@@ -382,10 +382,12 @@ def _attrs(node, prefix):
 def test_no_store_outside_the_table():
     """``region.writer`` is called in one place — the loop over
     ``STORES`` in ``MPFView.__init__`` — and each bound ``_wr_<run>`` is
-    used by exactly the functions the table names."""
+    used by exactly the functions the table names (the Python lock
+    sections of ``core/chains.py`` among them; their C twins store the
+    same words under the same locks)."""
     users: dict = {}
     writer_calls = []
-    for module in (ops, transport):
+    for module in (ops, transport, chains):
         for fn in _functions(module):
             nested = {id(n) for inner in ast.walk(fn) if inner is not fn
                       and isinstance(inner, ast.FunctionDef)
@@ -439,7 +441,8 @@ def _reader(*names):
 
 
 def test_lock_free_reads_take_the_commit_word_first():
-    fns = {fn.name: fn for m in (ops, transport) for fn in _functions(m)}
+    fns = {fn.name: fn for m in (ops, transport, chains)
+           for fn in _functions(m)}
     # cached_recv: the connection epoch, then (in_use, gen).
     fn = fns["cached_recv"]
     assert _first_line(fn, _u32_of("_L_CONN_EPOCH")) < _first_line(

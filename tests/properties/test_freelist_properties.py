@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import chains
+from repro.core import chains, ops
+from repro.core.errors import NotConnectedError, OutOfMessageMemoryError
 from repro.core.freelist import (
     block_record,
     drain_chain,
@@ -19,9 +20,11 @@ from repro.core.freelist import (
 )
 from repro.core.inspect import check_invariants
 from repro.core.layout import HDR
-from repro.core.protocol import NIL
+from repro.core.ops import MPFView
+from repro.core.protocol import BROADCAST, FCFS, NIL
 from repro.core.region import SharedRegion
-from repro.testing import make_view
+from repro.core.structs import LNVC, MSG, RECV
+from repro.testing import DirectRunner, make_view
 
 HEAD, BASE = 0, 16
 
@@ -374,3 +377,160 @@ def test_c_kernels_match_the_python_reference(case):
         want = _outcome(lambda: call(chains.PYTHON, py_region, first))
         assert got == want, name
         assert c_region.read(0, size) == py_region.read(0, size), name
+
+
+# -- the section kernels against the Python reference ---------------------------
+#
+# The same rule for the five lock-section kernels, each run on a segment a
+# small program left — one circuit, up to two receivers, a few messages
+# queued, some of them read — with the section's own prerequisites done
+# (a send's allocation and fill before its link, a claim and drain before
+# a completion, a completion before its free), and then, or not, one word
+# corrupted: a header's chain or link, a block link, a receive list link,
+# a pool head, a queue word.  The corruptions make no list of messages or
+# descriptors cyclic, where the reference itself would spin; a block chain
+# may be, its walks being bounded.
+
+SECTIONS = ("alloc", "link", "claim", "complete", "free")
+RECEIVERS = ((), (FCFS,), (BROADCAST,), (FCFS, FCFS), (FCFS, BROADCAST),
+             (BROADCAST, BROADCAST))
+TARGETS = ("msg.first_blk", "msg.nblocks", "msg.next_msg", "msg.flags",
+           "block", "recv.next", "hdr.free_msg", "hdr.free_blk",
+           "lnvc.fifo_tail", "lnvc.fcfs_head")
+
+
+@st.composite
+def any_section(draw):
+    sizes = draw(st.lists(st.integers(0, 45), min_size=1, max_size=5))
+    corrupt = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(TARGETS), st.integers(0, 7), st.integers(0, 5))))
+    return (draw(st.sampled_from(SECTIONS)), draw(st.sampled_from(RECEIVERS)),
+            sizes, draw(st.integers(0, len(sizes) - 1)),
+            draw(st.integers(0, 45)),
+            draw(st.one_of(st.none(), st.integers(-1, 50))),
+            draw(st.booleans()), corrupt)
+
+
+def _program(receivers, sizes, reads):
+    """The segment after the program, its circuit's LNVC offset and id."""
+    view = make_view(max_lnvcs=2, max_processes=4, max_messages=6,
+                     message_pool_bytes=200)
+    runner = DirectRunner(view)
+    sid = runner.run(ops.open_send(view, 0, "c"))
+    for pid, proto in enumerate(receivers, 1):
+        runner.run(ops.open_receive(view, pid, "c", proto))
+    for salt, size in enumerate(sizes):
+        try:
+            runner.run(ops.message_send(view, 0, sid, bytes([salt]) * size))
+        except OutOfMessageMemoryError:
+            break
+    base = view.layout.lnvc_off(0)
+    for _ in range(reads if receivers else 0):
+        if runner.run(ops.check_receive(view, 1, sid)):
+            runner.run(ops.message_receive(view, 1, sid))
+    return view, base, sid
+
+
+def _section_args(section, view, base, sid, size, max_len, flag):
+    """The arguments of ``section`` on ``view``, its prerequisites done
+    by the reference; ``None`` where the program leaves nothing to do.
+    ``flag``: a link is given stale values (the fault's seam), a
+    completion is overtaken by a second receiver."""
+    k, r, bs = chains.PYTHON, view.region, view.cfg.block_size
+    nblk = -(-size // bs)
+    if section == "alloc":
+        return nblk, size
+    if section == "link":
+        hdr, first = k.alloc(view, nblk, size)
+        if hdr == NIL:
+            return None
+        k.fill(r, first, nblk, bytes(size), bs)
+        seq = (r.u32(base + LNVC.offsets["seq"]),
+               r.u32(base + LNVC.offsets["fifo_tail"]))
+        return base, hdr, 0, size, first, nblk, seq if flag else None
+    try:
+        desc, _ = view.recv_conn(1, sid)
+    except NotConnectedError:
+        return None
+    if section == "claim":
+        return base, desc, max_len
+    claimed = k.claim(view, base, desc, None)
+    if claimed is None:
+        return None
+    runner = DirectRunner(view)
+    try:  # a second receiver overtakes: its message may retire first
+        if flag and runner.run(ops.check_receive(view, 2, sid)):
+            runner.run(ops.message_receive(view, 2, sid))
+    except NotConnectedError:
+        pass
+    msg, first, nblk, length, _, fcfs = claimed
+    last, _ = k.drain(r, first, nblk, length, bs)
+    if section == "complete":
+        return base, msg, 0 if fcfs else 1, last, length
+    reap = k.complete(view, base, msg, 0 if fcfs else 1, last, length)
+    if reap is None:
+        return None
+    head, n, _, first, last, nblk, nbytes = reap
+    return head, n, first, last, nblk, nbytes
+
+
+def _corrupt(view, base, target, pick, value):
+    """Store one of a few bad values over the word ``target`` names."""
+    r = view.region
+    headers, msg = [], r.u32(base + LNVC.offsets["fifo_head"])
+    while msg != NIL and len(headers) < 8:
+        headers.append(msg)
+        msg = r.u32(msg + MSG.offsets["next_msg"])
+    record, _, field = target.partition(".")
+    if record == "msg" or record == "block":
+        if not headers:
+            return
+        msg = headers[pick % len(headers)]
+        if record == "block":
+            first = r.u32(msg + MSG.offsets["first_blk"])
+            blocks, _ = r.follow(first, r.u32(msg + MSG.offsets["nblocks"]))
+            if not blocks:
+                return
+            off = blocks[pick % len(blocks)]
+            bad = (NIL, r.size + 8, r.size - 2, first, blocks[-1], r.size - 6)
+        elif field == "nblocks":
+            n = r.u32(msg + MSG.offsets["nblocks"])
+            off, bad = msg + MSG.offsets[field], (0, n - 1 & 0xFFFFFFFF, n + 1)
+        elif field == "flags":
+            off, bad = msg + MSG.offsets[field], (0, 2, 8, 10, 12)
+        else:
+            off = msg + MSG.offsets[field]
+            bad = (NIL, r.size + 8, r.size - 2, r.size - 20)
+    elif record == "recv":
+        desc = r.u32(base + LNVC.offsets["recv_list"])
+        if desc == NIL:
+            return
+        off, bad = desc + RECV.offsets[field], (NIL, r.size + 8, r.size - 2)
+    elif record == "hdr":
+        off = HDR.u32[field]
+        bad = (NIL, r.size + 8, r.size - 2, r.size - 20)
+    else:
+        off = base + LNVC.offsets[field]
+        bad = (NIL, r.size + 8, r.size - 2, r.size - 20)
+    r.set_u32(off, bad[value % len(bad)])
+
+
+@pytest.mark.skipif(chains.C is None, reason="no C kernels on this host")
+@given(any_section())
+@settings(max_examples=600, deadline=None)
+def test_c_section_kernels_match_the_python_reference(case):
+    section, receivers, sizes, reads, size, max_len, flag, corrupt = case
+    view, base, sid = _program(receivers, sizes, reads)
+    args = _section_args(section, view, base, sid, size, max_len, flag)
+    assume(args is not None)
+    if corrupt is not None:
+        _corrupt(view, base, *corrupt)
+    image = view.region.read(0, view.region.size)
+    after = {}
+    for kernels in (chains.C, chains.PYTHON):
+        twin = MPFView(SharedRegion(bytearray(image)), view.layout, view.costs)
+        after[kernels.name] = (
+            _outcome(lambda: getattr(kernels, section)(twin, *args)),
+            twin.region.read(0, twin.region.size))
+    assert after["c"][0] == after["python"][0], section
+    assert after["c"][1] == after["python"][1], section

@@ -7,13 +7,14 @@ must outlive its sender.
 
 import os
 import sys
+import time
 
 import pytest
 
-from repro.core.effects import Acquire, Release
+from repro.core.effects import Acquire, Release, WaitOn
 from repro.core.errors import DeadlockSuspectedError
 from repro.core.inspect import inspect_segment
-from repro.core.protocol import BROADCAST, FCFS
+from repro.core.protocol import BROADCAST, FCFS, FIRST_LNVC_LOCK, GLOBAL_LOCK
 from repro.obs import Recorder
 from repro.patterns import all_to_all, barrier, broadcast, gather
 from repro.runtime.procs import ProcRuntime
@@ -148,6 +149,50 @@ def test_threads_refuse_a_negative_lock_id():
 
     with pytest.raises(ValueError, match="lock id -1 is negative"):
         THREADS.run([worker])
+
+
+@pytest.mark.parametrize("runtime", [ThreadRuntime, ProcRuntime],
+                         ids=["threads", "procs"])
+def test_releasing_a_lock_another_worker_holds_fails_the_releaser(runtime):
+    """A lock with no owner in the sync (a ``multiprocessing.Lock``) used
+    to be freed for its holder: the holder's own release then failed,
+    "released too many times", and the offender went unnamed.  Now the
+    offender fails naming itself and the lock, and the holder's release
+    goes through (a failed holder would be the one reported: p0 < p1)."""
+
+    def holder(env):
+        sid = yield from env.open_send("held")
+        rid = yield from env.open_receive("ready", FCFS)
+        yield from env.message_receive(rid)  # p1 is connected
+        yield Acquire(GLOBAL_LOCK)
+        yield from env.message_send(sid, b"held")
+        time.sleep(0.3)  # p1 fails meanwhile
+        yield Release(GLOBAL_LOCK)
+        yield from env.close_send(sid)
+        yield from env.close_receive(rid)
+
+    def offender(env):
+        rid = yield from env.open_receive("held", FCFS)
+        sid = yield from env.open_send("ready")
+        yield from env.message_send(sid, b"up")
+        yield from env.message_receive(rid)  # p0 holds the lock
+        yield Release(GLOBAL_LOCK)
+
+    with pytest.raises(RuntimeError, match=(
+            f"process 'p1' released lock {GLOBAL_LOCK} it does not own")):
+        runtime(join_timeout=60).run([holder, offender])
+
+
+@pytest.mark.parametrize("runtime", [ThreadRuntime, ProcRuntime],
+                         ids=["threads", "procs"])
+def test_waiting_without_the_lock_names_the_process(runtime):
+    def worker(env):
+        yield WaitOn(0, FIRST_LNVC_LOCK)
+
+    with pytest.raises(RuntimeError, match=(
+            "process 'p0' waits on channel 0 without holding lock "
+            f"{FIRST_LNVC_LOCK}")):
+        runtime(join_timeout=60).run([worker])
 
 
 def test_threads_blocked_worker_times_out():

@@ -21,6 +21,11 @@ The simulated machine's knobs take the same census: every field of
 ``Costs`` and ``MachineConfig`` has exactly one row, with a status, in
 EXPERIMENTS.md's parameter census (``make census`` regenerates it), so
 a new knob cannot land without saying what pins it.
+
+So do the command lines: every long flag an ``add_argument`` call in
+``src/`` declares is named in the Makefile, a CI workflow, ``docs/``,
+the README or a verification skill (``SKILL.md``) — a flag nobody runs
+or documents is a way in nobody knows about.
 """
 
 from __future__ import annotations
@@ -175,3 +180,36 @@ def test_every_machine_knob_has_one_census_row():
         f"knobs without a census row: {sorted(knobs - set(names))}; "
         f"rows for no knob: {sorted(set(names) - knobs)}")
     assert all(row[-1] for row in rows), "a census row has no status"
+
+
+def cli_flags() -> set[str]:
+    """Every long flag an ``add_argument`` call under ``src/`` declares."""
+    flags = set()
+    for path in MODULES.values():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                flags |= {arg.value for arg in node.args
+                          if isinstance(arg, ast.Constant)
+                          and str(arg.value).startswith("--")}
+    return flags
+
+
+def _flag_texts() -> str:
+    paths = [ROOT / "Makefile", ROOT / "README.md",
+             *sorted((ROOT / ".github").rglob("*.yml")),
+             *sorted((ROOT / "docs").rglob("*.md")),
+             *sorted(ROOT.glob(".*/skills/*/SKILL.md"))]
+    return "\n".join(path.read_text() for path in paths if path.exists())
+
+
+def test_every_cli_flag_is_named_where_someone_runs_it():
+    flags = cli_flags()
+    assert "--scenario" in flags and "--jobs" in flags  # the scan sees some
+    texts = _flag_texts()
+    unnamed = sorted(flag for flag in flags if not re.search(
+        rf"(?<![\w-]){re.escape(flag)}(?![\w-])", texts))
+    assert not unnamed, (
+        f"flags no Makefile, CI, docs, README or skill line names: "
+        f"{unnamed}")
