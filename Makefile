@@ -7,7 +7,7 @@ JOBS ?= 4
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke telemetry-budget procs-smoke profile \
-	identity census hostcost clean
+	identity census hostcost asan clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -212,6 +212,22 @@ census:
 # docs/performance.md, "Host cost of the message path".
 hostcost:
 	$(PY) tests/core/test_host_cost.py
+
+# The C kernels against their Python references under AddressSanitizer:
+# the differential property tests (every test named `test_c_*` in them)
+# build chains.c again with -fsanitize=address once they find its
+# runtime in the process (tests/conftest.py, the `c_kernels` fixture), so
+# a kernel that reads or writes outside the region it was handed fails
+# the run.  Python's own allocator is switched off so that a region's
+# bytearray is a heap block of its own size, and leak checking with it
+# (the interpreter keeps its heap at exit).
+ASAN_ENV = LD_PRELOAD=$$(gcc -print-file-name=libasan.so) \
+	PYTHONMALLOC=malloc ASAN_OPTIONS=detect_leaks=0
+asan:
+	$(ASAN_ENV) $(PY) -c "import ctypes; ctypes.CDLL(None).__asan_init"
+	$(ASAN_ENV) $(PY) -m pytest -q -p no:cacheprovider --capture=sys -k test_c_ \
+		tests/properties/test_freelist_properties.py \
+		tests/properties/test_ring_properties.py
 
 # cProfile one figure plus the hottest-effect-label report (one Recorder
 # in SimRuntime.profile; pinned by tests/bench/test_profile_top.py).

@@ -17,20 +17,27 @@
 #define NIL 0xFFFFFFFFu
 #define BAD ((int64_t)-1)
 
+/* The segment's words are little-endian, at any alignment. */
+static uint32_t le32(uint32_t v)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    return __builtin_bswap32(v);
+#else
+    return v;
+#endif
+}
+
 static uint32_t link_at(const unsigned char *b, uint64_t off)
 {
-    const unsigned char *p = b + off;
-    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16
-           | (uint32_t)p[3] << 24;
+    uint32_t v;
+    memcpy(&v, b + off, sizeof v);
+    return le32(v);
 }
 
 static void store_link(unsigned char *b, uint64_t off, uint32_t v)
 {
-    unsigned char *p = b + off;
-    p[0] = v & 0xFF;
-    p[1] = v >> 8 & 0xFF;
-    p[2] = v >> 16 & 0xFF;
-    p[3] = v >> 24;
+    v = le32(v);
+    memcpy(b + off, &v, sizeof v);
 }
 
 /* Walk n links from first: (last << 32 | next), where next is the link
@@ -482,4 +489,368 @@ int64_t sec_free(char *base, uint64_t size, uint64_t head, uint64_t n,
     store_link(b, H_LIVE_BLOCKS, link_at(b, H_LIVE_BLOCKS) - (uint32_t)nblk);
     store_link(b, H_LIVE_BYTES, link_at(b, H_LIVE_BYTES) - (uint32_t)nbytes);
     return 0;
+}
+
+
+/* ------------------------------------------------------------------------
+ * Ring kernels: the per-message sections of the ring transport
+ * (core/transport.py; the Python references are in chains.py), one call
+ * for each stretch between two effects its generators yield.  A ring is
+ * found from its LNVC record's ring word and the layout's ring bases,
+ * passed in as (ctrl, curs, data, stride, nslots): control block k at
+ * ctrl + k * G_SIZE, reader b's cursor of ring k at curs + (k * READERS
+ * + b) * C_SIZE, slot i of ring k at data + (k * nslots + i) * stride.
+ * As above, each kernel checks every record it will touch before it
+ * stores to any, and is refused, having written nothing, on a record
+ * outside the region (or a control block before the pool), a reader bit
+ * of READERS or more, a message longer than the receive's buffer, and a
+ * full or empty ring: the caller then runs the reference, which waits,
+ * raises or does the work.  (The lock-free take answers an empty ring
+ * itself: it never waits, and writes nothing either way.)
+ *
+ * A slot's commit word seq is the seqlock of the lock-free take: the
+ * send stores it last, with release order, after everything it
+ * publishes, and the take loads it with acquire order before it reads
+ * what it vouches for — the two sides of core/transport.py's protocol
+ * made explicit where a compiler could otherwise reorder them.  Only
+ * those two accesses are atomic; they need a 4-byte aligned word
+ * (every formatted slot is cache-line aligned).
+ * ---------------------------------------------------------------------- */
+
+/* More offsets as core/structs.py lays the records out: G_ the ring
+ * control block, S_ the slot (S_PENDING its bitmap, S_DATA its
+ * payload), C_ a reader's cursor, RS_ the slot state bits. */
+enum {
+    L_IN_USE = 0, L_GEN = 4, L_CONN_EPOCH = 56, L_RING = 64,
+    G_NEXT_WRITE = 0, G_FCFS_NEXT = 4, G_READER_MASK = 8, G_SIZE = 64,
+    S_SEQ = 0, S_LENGTH = 4, S_SEQNO = 8, S_SENDER = 12, S_STATE = 16,
+    S_BUSY = 20, S_SIZE = 24, S_PENDING = 64, S_DATA = 128,
+    C_NEXT_SEQ = 0, C_NREADS = 4, C_SIZE = 64,
+    RS_FCFS_AVAILABLE = 1, RS_FCFS_TAKEN = 2, RS_RETIRED = 4,
+    READERS = 32
+};
+
+typedef struct {
+    uint64_t ctrl, curs, data, stride, nslots;
+} geom_t;
+
+/* The commit word at off can be accessed atomically. */
+static int word_aligned(const unsigned char *b, uint64_t off)
+{
+    return ((uintptr_t)(b + off) & 3) == 0;
+}
+
+/* The ring control block of the LNVC record at lnvc, and its pool
+ * index; 0 when the record or the block's words leave the region, or
+ * the block lies before the pool. */
+static int ring_of(const unsigned char *b, uint64_t size, const geom_t *g,
+                   uint64_t lnvc, uint64_t *ring, uint64_t *ridx)
+{
+    if (!inside(lnvc, L_SIZE, size) || !g->nslots)
+        return 0;
+    *ring = link_at(b, lnvc + L_RING);
+    if (*ring < g->ctrl || !inside(*ring, G_READER_MASK + 4, size))
+        return 0;
+    *ridx = (*ring - g->ctrl) / G_SIZE;
+    return 1;
+}
+
+/* The slot that message index idx of ring ridx lives in. */
+static uint64_t slot_of(const geom_t *g, uint64_t ridx, uint64_t idx)
+{
+    return g->data + (ridx * g->nslots + idx % g->nslots) * g->stride;
+}
+
+/* A slot's header words and its pending bitmap lie inside the region. */
+static int slot_inside(uint64_t sl, uint64_t size)
+{
+    return inside(sl, S_SIZE, size) && inside(sl + S_PENDING, 4, size);
+}
+
+typedef struct {
+    uint32_t st, busy, pend;
+    int retire;
+} pins_t;
+
+/* ring_retire_check's rule for the slot at sl once unpin busy pins and
+ * the pending bits unread are dropped: what it would store. */
+static pins_t ring_pins(const unsigned char *b, uint64_t sl, uint32_t unpin,
+                        uint32_t unread)
+{
+    pins_t p;
+    p.st = link_at(b, sl + S_STATE);
+    p.busy = link_at(b, sl + S_BUSY) - unpin;
+    p.pend = link_at(b, sl + S_PENDING) & ~unread;
+    p.retire = !(p.st & RS_RETIRED || p.pend || p.busy
+                 || (p.st & RS_FCFS_AVAILABLE && !(p.st & RS_FCFS_TAKEN)));
+    if (p.retire)
+        p.st |= RS_RETIRED;
+    return p;
+}
+
+/* Store what ring_pins worked out for the slot at sl of the LNVC record
+ * at lnvc: the bitmap (with unread), the circuit's depth (on a retire)
+ * and the state and pins (on a retire or with unpin); whether the slot
+ * is retired now. */
+static int ring_retire(unsigned char *b, uint64_t lnvc, uint64_t sl,
+                       pins_t p, uint32_t unpin, uint32_t unread)
+{
+    if (unread)
+        store_link(b, sl + S_PENDING, p.pend);
+    if (p.retire)
+        store_link(b, lnvc + L_NMSGS, link_at(b, lnvc + L_NMSGS) - 1);
+    if (p.retire || unpin) {
+        store_link(b, sl + S_STATE, p.st);
+        store_link(b, sl + S_BUSY, p.busy);
+    }
+    return (p.st & RS_RETIRED) != 0;
+}
+
+typedef struct {
+    uint32_t seq, sl, seqno, depth;
+    int ok;
+} rfill_t;
+
+/* message_send's section over a ring (the circuit lock of the LNVC
+ * record at lnvc): claim the next message index, count the message in
+ * (depth, sequence number and its high-water mark, bytes sent) and fill
+ * its slot — the header words behind the commit word, the readers that
+ * owe it a read, the length-byte payload — leaving the commit word to
+ * ring_commit.  The commit word's value seq, the slot, the message's
+ * sequence number and the depth it makes; ok 0 when refused (a full
+ * ring: the slot's previous message has not retired). */
+rfill_t ring_fill(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
+                  uint64_t data, uint64_t stride, uint64_t nslots,
+                  uint64_t lnvc, uint64_t pid, const char *payload,
+                  uint64_t length)
+{
+    unsigned char *b = (unsigned char *)base;
+    const geom_t g = {ctrl, curs, data, stride, nslots};
+    rfill_t out = {0, 0, 0, 0, 0};
+    uint64_t ring, ridx, sl;
+    uint32_t w, pending, seq, st, n_fcfs, n_bcast, hwm, state = 0;
+    if (!ring_of(b, size, &g, lnvc, &ring, &ridx) || length > NIL)
+        return out;
+    w = link_at(b, ring + G_NEXT_WRITE);
+    pending = link_at(b, ring + G_READER_MASK);
+    sl = slot_of(&g, ridx, w);
+    if (!slot_inside(sl, size) || !inside(sl + S_DATA, length, size))
+        return out;
+    seq = link_at(b, sl + S_SEQ);
+    st = link_at(b, sl + S_STATE);
+    if (seq != 0 && !(st & RS_RETIRED))
+        return out;
+    n_fcfs = link_at(b, lnvc + L_N_FCFS);
+    n_bcast = link_at(b, lnvc + L_N_BCAST);
+    if (n_fcfs || !(pending || n_bcast))
+        state = RS_FCFS_AVAILABLE;
+    store_link(b, ring + G_NEXT_WRITE, w + 1);
+    out.depth = link_at(b, lnvc + L_NMSGS) + 1;
+    out.seqno = link_at(b, lnvc + L_SEQ);
+    hwm = link_at(b, lnvc + L_HWM_NMSGS);
+    store_link(b, lnvc + L_NMSGS, out.depth);
+    store_link(b, lnvc + L_SEQ, out.seqno + 1);
+    store_link(b, lnvc + L_HWM_NMSGS, out.depth > hwm ? out.depth : hwm);
+    store64(b, lnvc + L_BYTES_SENT, load64(b, lnvc + L_BYTES_SENT) + length);
+    store_link(b, sl + S_LENGTH, (uint32_t)length);
+    store_link(b, sl + S_SEQNO, out.seqno);
+    store_link(b, sl + S_SENDER, (uint32_t)pid);
+    store_link(b, sl + S_STATE, state);
+    store_link(b, sl + S_BUSY, 0);
+    store_link(b, sl + S_PENDING, pending);
+    memcpy(b + sl + S_DATA, payload, length);
+    out.seq = w + 1;
+    out.sl = (uint32_t)sl;
+    out.ok = 1;
+    return out;
+}
+
+/* The end of message_send's section over a ring: publish the slot at sl
+ * by storing seq into its commit word (release order: after everything
+ * ring_fill stored), then retire it at once if nobody is owed it (no
+ * pending reader, no FCFS obligation).  0; BAD when refused. */
+int64_t ring_commit(char *base, uint64_t size, uint64_t lnvc, uint64_t sl,
+                    uint64_t seq)
+{
+    unsigned char *b = (unsigned char *)base;
+    pins_t p;
+    if (!inside(lnvc, L_SIZE, size) || !slot_inside(sl, size)
+        || !word_aligned(b, sl + S_SEQ) || seq > NIL)
+        return BAD;
+    __atomic_store_n((uint32_t *)(b + sl + S_SEQ), le32((uint32_t)seq),
+                     __ATOMIC_RELEASE);
+    if (!link_at(b, sl + S_PENDING) && !link_at(b, sl + S_STATE)) {
+        p = ring_pins(b, sl, 0, 0);
+        ring_retire(b, lnvc, sl, p, 0, 0);
+    }
+    return 0;
+}
+
+typedef struct {
+    uint32_t sl, length, seqno, unread, idx;
+    int got;
+} rtake_t;
+
+/* The message at BROADCAST reader bit's cursor of ring ridx, taken if
+ * committed — cursor, its read count and the descriptor desc's nreads
+ * moved — for the receive descriptor desc: 1, with out's slot, length,
+ * sequence number, pending bit owed and index; 0 when the cursor's slot
+ * is not committed, nothing written; -1 when refused (a cursor or slot
+ * outside the region, a bit of READERS or more, a message longer than
+ * max_len).  The commit word is an acquire load, as ring_take needs (it
+ * holds no lock); under the lock it costs nothing.  desc lies inside the
+ * region. */
+static int cursor_take(unsigned char *b, uint64_t size, const geom_t *g,
+                       uint64_t ridx, uint32_t bit, uint64_t desc,
+                       int64_t max_len, rtake_t *out)
+{
+    uint64_t cur, sl;
+    uint32_t idx;
+    if (bit >= READERS)
+        return -1;
+    cur = g->curs + (ridx * READERS + bit) * C_SIZE;
+    if (!inside(cur, C_NREADS + 4, size))
+        return -1;
+    idx = link_at(b, cur + C_NEXT_SEQ);
+    sl = slot_of(g, ridx, idx);
+    if (!inside(sl, S_SIZE, size) || !word_aligned(b, sl + S_SEQ))
+        return -1;
+    if (le32(__atomic_load_n((const uint32_t *)(b + sl + S_SEQ),
+                             __ATOMIC_ACQUIRE)) != (uint64_t)idx + 1)
+        return 0;
+    out->length = link_at(b, sl + S_LENGTH);
+    if ((int64_t)out->length > max_len)
+        return -1;
+    out->seqno = link_at(b, sl + S_SEQNO);
+    store_link(b, cur + C_NEXT_SEQ, idx + 1);
+    store_link(b, cur + C_NREADS, link_at(b, cur + C_NREADS) + 1);
+    store_link(b, desc + R_NREADS, link_at(b, desc + R_NREADS) + 1);
+    out->sl = (uint32_t)sl;
+    out->unread = 1u << bit;
+    out->idx = idx;
+    return 1;
+}
+
+/* message_receive's lock-free take (no lock held): for the receive
+ * descriptor desc that the connection cache vouches for as of epoch on
+ * the circuit's generation gen, the message at its BROADCAST cursor, if
+ * committed, taken (cursor_take).  got 1: the slot, the message's
+ * length and sequence number, the pending bit it owes (unread) and its
+ * index; got 0: nothing to take here (a stale cache entry, a dead
+ * circuit, an FCFS descriptor or an uncommitted slot), nothing written;
+ * got -1: refused. */
+rtake_t ring_take(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
+                  uint64_t data, uint64_t stride, uint64_t nslots,
+                  uint64_t lnvc, uint64_t desc, uint64_t gen, uint64_t epoch,
+                  int64_t max_len)
+{
+    unsigned char *b = (unsigned char *)base;
+    const geom_t g = {ctrl, curs, data, stride, nslots};
+    rtake_t out = {0, 0, 0, 0, 0, -1};
+    uint64_t ring, ridx;
+    if (!inside(lnvc, L_SIZE, size))
+        return out;
+    if (link_at(b, lnvc + L_CONN_EPOCH) != epoch
+        || !link_at(b, lnvc + L_IN_USE) || link_at(b, lnvc + L_GEN) != gen) {
+        out.got = 0;
+        return out;
+    }
+    if (!inside(desc, R_SIZE, size))
+        return out;
+    if (link_at(b, desc + R_PROTO) == P_FCFS) {
+        out.got = 0;
+        return out;
+    }
+    if (!ring_of(b, size, &g, lnvc, &ring, &ridx))
+        return out;
+    out.got = cursor_take(b, size, &g, ridx, link_at(b, desc + R_HEAD), desc,
+                          max_len, &out);
+    return out;
+}
+
+/* message_receive's claim over a ring (the circuit lock of the LNVC
+ * record at lnvc), for the receive descriptor desc: an FCFS receiver
+ * scans the shared FCFS cursor over committed slots to the first one an
+ * FCFS receiver must take, marks it taken, pins it busy and moves the
+ * cursor past it; a BROADCAST receiver takes the message at its own
+ * cursor (cursor_take, as ring_take does).  Either way the receive is counted.  As
+ * ring_take's got 1 (unread 0 for an FCFS claim); got -1 when refused —
+ * nothing committed to take included. */
+rtake_t ring_claim(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
+                   uint64_t data, uint64_t stride, uint64_t nslots,
+                   uint64_t lnvc, uint64_t desc, int64_t max_len)
+{
+    unsigned char *b = (unsigned char *)base;
+    const geom_t g = {ctrl, curs, data, stride, nslots};
+    rtake_t out = {0, 0, 0, 0, 0, -1};
+    uint64_t ring, ridx, sl = 0;
+    uint32_t idx, w, st;
+    if (!inside(desc, R_SIZE, size) || !ring_of(b, size, &g, lnvc, &ring, &ridx))
+        return out;
+    if (link_at(b, desc + R_PROTO) != P_FCFS) {
+        if (cursor_take(b, size, &g, ridx, link_at(b, desc + R_HEAD), desc,
+                        max_len, &out) == 1)
+            out.got = 1;
+        return out;
+    }
+    w = link_at(b, ring + G_NEXT_WRITE);
+    /* Each slot holds one index per lap, so the scan stops within nslots
+     * + 1 steps whatever the cursors say. */
+    for (idx = link_at(b, ring + G_FCFS_NEXT);; idx++) {
+        if (idx >= w)
+            return out;
+        sl = slot_of(&g, ridx, idx);
+        if (!inside(sl, S_SIZE, size))
+            return out;
+        if (link_at(b, sl + S_SEQ) != idx + 1)
+            return out;
+        st = link_at(b, sl + S_STATE);
+        if (st & RS_FCFS_AVAILABLE && !(st & (RS_FCFS_TAKEN | RS_RETIRED)))
+            break;
+    }
+    out.length = link_at(b, sl + S_LENGTH);
+    if ((int64_t)out.length > max_len)
+        return out;
+    out.seqno = link_at(b, sl + S_SEQNO);
+    store_link(b, ring + G_FCFS_NEXT, idx + 1);
+    store_link(b, sl + S_STATE, st | RS_FCFS_TAKEN);
+    store_link(b, sl + S_BUSY, link_at(b, sl + S_BUSY) + 1);
+    store_link(b, desc + R_NREADS, link_at(b, desc + R_NREADS) + 1);
+    out.sl = (uint32_t)sl;
+    out.idx = idx;
+    out.got = 1;
+    return out;
+}
+
+/* message_receive's completion over a ring (the circuit lock of the LNVC
+ * record at lnvc), for the length-byte message index idx it copied out
+ * of the slot at sl: drop its pin — the pending bit unread, or for an
+ * FCFS claim (unread 0) a busy pin — apply the retirement rule and count
+ * the receive.  1 when the slot retired and it is the one a blocked
+ * sender waits for (the ring's next write lands there), else 0; BAD
+ * when refused. */
+int64_t ring_complete(char *base, uint64_t size, uint64_t nslots,
+                      uint64_t lnvc, uint64_t sl, uint64_t unread,
+                      uint64_t idx, uint64_t length)
+{
+    unsigned char *b = (unsigned char *)base;
+    uint64_t ring = 0;
+    uint32_t unpin = unread ? 0 : 1;
+    int wake = 0;
+    pins_t p;
+    if (!inside(lnvc, L_SIZE, size) || !slot_inside(sl, size) || !nslots
+        || unread > NIL || idx > NIL)
+        return BAD;
+    p = ring_pins(b, sl, unpin, (uint32_t)unread);
+    if (p.st & RS_RETIRED) {
+        ring = link_at(b, lnvc + L_RING);
+        if (!inside(ring, G_NEXT_WRITE + 4, size))
+            return BAD;
+        wake = idx % nslots == link_at(b, ring + G_NEXT_WRITE) % nslots;
+    }
+    ring_retire(b, lnvc, sl, p, unpin, (uint32_t)unread);
+    store_link(b, lnvc + L_NRECVS, link_at(b, lnvc + L_NRECVS) + 1);
+    store64(b, lnvc + L_BYTES_RECEIVED,
+            load64(b, lnvc + L_BYTES_RECEIVED) + length);
+    return wake;
 }

@@ -55,19 +55,46 @@ returns plain values:
 ``free(view, head, n, first, last, nblk, nbytes)`` — ``ALLOC_LOCK``
     ``n`` headers from ``head`` and one chain back to the free lists.
 
+The ring kernels are the same for :mod:`repro.core.transport`, whose
+generators keep the effects, the connection check, the wait loops and
+the probe calls:
+
+``ring_fill(view, base, pid, data)`` — circuit
+    ``(commit word value, slot, seqno, depth)``: the next index claimed,
+    the message counted in and its slot filled — all but the commit
+    word; ``None`` on a full ring;
+``ring_commit(view, base, slot, seq)`` — circuit
+    the commit word stored, a message nobody is owed retired;
+``ring_take(view, base, pid, lnvc_id, max_len)`` — no lock
+    the lock-free BROADCAST take on a connection-cache hit: ``(slot,
+    length, seqno, pending bit owed, index)``, or ``None``;
+``ring_claim(view, base, desc, max_len)`` — circuit
+    the same for the locked BROADCAST take or the FCFS scan (bit 0),
+    ``None`` when there is nothing yet;
+``ring_complete(view, base, slot, unread, idx, length)`` — circuit
+    the pin dropped, the retirement rule applied, the receive counted:
+    whether to wake a sender waiting for that slot.
+
+The take and the claim raise :class:`BufferOverflowError` past
+``max_len``, taking nothing.
+
 The C source is ``chains.c``.  A kernel that refuses its input writes
 nothing and hands the same arguments to the Python reference
 (:data:`PYTHON`: the list kernels of :mod:`repro.core.freelist` and the
 sections below), which raises the error every reader of the segment
 knows, waits or does the work: a chain kernel refuses a chain it will
 not follow, a section kernel a dry pool, a record or chain that leaves
-the region or does not end, an overflowing receive and an empty queue.
-The C functions keep no state, so threads call them with the
-interpreter lock released.
+the region or does not end, an overflowing receive and an empty queue,
+a ring kernel a record outside the region, a reader bit of 32 or more,
+an overflowing receive and a full or empty ring.  (The lock-free take
+answers "nothing to take" itself: it writes nothing either way, and the
+waits are the locked claim's.)  The C functions keep no state, so
+threads call them with the interpreter lock released.
 
-At first import gcc builds ``chains.c`` as a cffi extension into a file
-beside this module, named by the hash of what goes into it (source,
-declarations, cffi backend; the file suffix names the interpreter), and
+At first import gcc (:data:`CC`, with :data:`CFLAGS`) builds
+``chains.c`` as a cffi extension into a file beside this module, named
+by the hash of what goes into it (source, declarations, cffi backend,
+flags; the file suffix names the interpreter), and
 later imports load it.  The build compiles in a temporary directory
 beside the target and renames the library into place, so processes
 importing at once each load a whole one.
@@ -94,14 +121,26 @@ from .freelist import (
     walk_chain,
 )
 from .layout import HDR
-from .protocol import NIL, MsgFlags, Protocol
+from .protocol import NIL, SLOT_BITS, MsgFlags, Protocol
 from .region import U32_MASK as _M32, U64_MASK as _M64
-from .structs import LNVC, MSG, RECV
+from .structs import (
+    LNVC,
+    MSG,
+    RECV,
+    RING,
+    RSLOT,
+    RSLOT_DATA_OFF,
+    RSLOT_PENDING_OFF,
+    RS_FCFS_AVAILABLE,
+    RS_FCFS_TAKEN,
+    RS_RETIRED,
+)
 
 __all__ = ["Kernels", "PYTHON", "C", "ACTIVE"]
 
-#: The compiler the build runs.
+#: The compiler the build runs, and the flags it compiles with.
 CC = "gcc"
+CFLAGS = ("-O2",)
 
 _HERE = Path(__file__).parent
 _SOURCE = _HERE / "chains.c"
@@ -129,6 +168,17 @@ reap_t sec_complete(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                     uint64_t, uint64_t);
 int64_t sec_free(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
                  uint64_t, uint64_t);
+typedef struct { uint32_t seq, sl, seqno, depth; int ok; } rfill_t;
+typedef struct { uint32_t sl, length, seqno, unread, idx; int got; } rtake_t;
+rfill_t ring_fill(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
+                  uint64_t, uint64_t, uint64_t, const char *, uint64_t);
+int64_t ring_commit(char *, uint64_t, uint64_t, uint64_t, uint64_t);
+rtake_t ring_take(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
+                  uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, int64_t);
+rtake_t ring_claim(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
+                   uint64_t, uint64_t, uint64_t, int64_t);
+int64_t ring_complete(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                      uint64_t, uint64_t, uint64_t);
 """
 _REFUSED = (1 << 64) - 1  # chain_pop's "not n records", sec_alloc's refusal
 _NO_LIMIT = (1 << 63) - 1  # sec_claim's max_len for "any length"
@@ -152,17 +202,30 @@ _F_RETIRED = int(MsgFlags.RETIRED)
 _F_FCFS_TAKEN = int(MsgFlags.FCFS_TAKEN)
 _F_FCFS_EXPECTED = int(MsgFlags.FCFS_EXPECTED)
 _F_HAD_RECEIVERS = int(MsgFlags.HAD_RECEIVERS)
+# ... and the ring sections (core/transport.py names the runs).
+_L_RING = LNVC.offsets["ring"]
+_RG_NEXT_WRITE = RING.offsets["next_write"]
+_RG_FCFS_NEXT = RING.offsets["fcfs_next"]
+_RS_SEQ = RSLOT.offsets["seq"]
+_RS_LENGTH = RSLOT.offsets["length"]
+_RS_STATE = RSLOT.offsets["state"]
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class Kernels:
-    """One implementation of the four chain kernels and the five section
-    kernels (see the module docstring)."""
+    """One implementation of the four chain kernels, the five free-list
+    section kernels and the five ring kernels (see the module
+    docstring)."""
 
     __slots__ = ("name", "pop", "fill", "drain", "last",
-                 "alloc", "link", "claim", "complete", "free")
+                 "alloc", "link", "claim", "complete", "free",
+                 "ring_fill", "ring_commit", "ring_take", "ring_claim",
+                 "ring_complete")
 
     def __init__(self, name: str, pop, fill, drain, last,
-                 alloc, link, claim, complete, free) -> None:
+                 alloc, link, claim, complete, free,
+                 ring_fill, ring_commit, ring_take, ring_claim,
+                 ring_complete) -> None:
         self.name = name
         self.pop = pop
         self.fill = fill
@@ -173,6 +236,11 @@ class Kernels:
         self.claim = claim
         self.complete = complete
         self.free = free
+        self.ring_fill = ring_fill
+        self.ring_commit = ring_commit
+        self.ring_take = ring_take
+        self.ring_claim = ring_claim
+        self.ring_complete = ring_complete
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernels({self.name!r})"
@@ -496,9 +564,228 @@ def _free_chain(view, head: int, n: int, first: int, last: int, nblk: int,
                   (live_blocks - nblk) & _M32, (live_bytes - nbytes) & _M32)
 
 
+# ---------------------------------------------------------------------------
+# the Python reference: the ring sections
+# ---------------------------------------------------------------------------
+#
+# The per-message work of core/transport.py's generators, from one effect
+# they yield to the next.  Like the free-list sections, each reads a
+# record once and stores each run it changed once, and none yields.
+
+
+def _overflow(length: int, max_len: int) -> BufferOverflowError:
+    return BufferOverflowError(
+        f"next message is {length} bytes, buffer holds {max_len}")
+
+
+def _ring_retire_check(view, base: int, sl: int, unpin: int = 0,
+                       unread: int = 0) -> bool:
+    """Drop ``unpin`` busy pins and the pending bits ``unread`` from the
+    slot at ``sl``, then apply the retirement rule to it; True if it
+    retires (now or earlier).
+
+    Mirrors :func:`_retire_check`: a slot retires when its pending
+    reader bitmap is empty, nobody is copying out of it, and its FCFS
+    obligation is discharged.  ``RS_FCFS_AVAILABLE`` covers both the
+    "an FCFS receiver must take this" case and the "no receivers at
+    enqueue — hold for a future FCFS joiner" case (paper §3.2).
+    Caller holds the circuit lock.
+    """
+    r = view.region
+    st, busy = view._rd_rslot_pins(sl + _RS_STATE)
+    pend = r.u32(sl + RSLOT_PENDING_OFF)
+    if unread:
+        pend &= ~unread
+        r.set_u32(sl + RSLOT_PENDING_OFF, pend)
+    busy = (busy - unpin) & _M32
+    retire = not (st & RS_RETIRED or pend or busy
+                  or (st & RS_FCFS_AVAILABLE and not st & RS_FCFS_TAKEN))
+    if retire:
+        st |= RS_RETIRED
+        r.add_u32(base + _L_NMSGS, -1)
+    if retire or unpin:
+        view._wr_rslot_pins(sl + _RS_STATE, st, busy)
+    return bool(st & RS_RETIRED)
+
+
+def _ring_fill(view, base: int, pid: int, data: bytes):
+    """``message_send``'s section over a ring (the circuit lock of the
+    LNVC at ``base``) up to its commit word: claim the next message
+    index, count the message in — depth, sequence number and its
+    high-water mark, bytes sent — and fill its slot: the header words
+    behind the commit word, the readers that owe it a read (a snapshot
+    of the reader mask, exact under the lock), the payload.  ``(commit
+    word value, slot, sequence number, depth)``, or ``None`` when the
+    ring is full — the slot's previous message has not retired — having
+    stored nothing."""
+    r = view.region
+    set_u32 = r.set_u32
+    lay = view.layout
+    ring = r.u32(base + _L_RING)
+    w, _, pending = view._rd_ring(ring)
+    sl = lay.ring_slot_off(lay.ring_index(ring), w % view.cfg.ring_slots)
+    seq, _, _, _, st, _ = view._rd_rslot(sl)
+    if seq and not st & RS_RETIRED:
+        return None
+    set_u32(ring + _RG_NEXT_WRITE, w + 1)
+    (nmsgs, _, _, _, _, _, _, n_fcfs, n_bcast, seqno,
+     hwm) = view._rd_queue(base + _L_NMSGS)
+    # Receivers-at-enqueue snapshot, as in the free-list transport: an
+    # FCFS obligation when FCFS receivers exist, and a hold-for-future-
+    # joiner obligation when no receiver of either kind exists.
+    state = RS_FCFS_AVAILABLE if n_fcfs or not (pending or n_bcast) else 0
+    depth = (nmsgs + 1) & _M32
+    set_u32(base + _L_NMSGS, depth)
+    view._wr_seq_hwm(base + _L_SEQ, (seqno + 1) & _M32,
+                     depth if depth > hwm else hwm)
+    length = len(data)
+    (sent,) = view._rd_sent(base + _L_BYTES_SENT)
+    view._wr_sent(base + _L_BYTES_SENT, (sent + length) & _M64)
+    view._wr_rslot_body(sl + _RS_LENGTH, length, seqno, pid & _M32, state, 0)
+    set_u32(sl + RSLOT_PENDING_OFF, pending)
+    r.write(sl + RSLOT_DATA_OFF, data)
+    return (w + 1) & _M32, sl, seqno, depth
+
+
+def _ring_commit(view, base: int, sl: int, seq: int) -> None:
+    """The end of ``message_send``'s section over a ring: store ``seq``
+    into the commit word of the slot at ``sl`` — last, after everything
+    :func:`_ring_fill` stored — and retire the message at once if nobody
+    is owed it (no pending reader, no FCFS obligation: the rule cannot
+    fire for it otherwise)."""
+    r = view.region
+    r.set_u32(sl + _RS_SEQ, seq)
+    if not (r.u32(sl + RSLOT_PENDING_OFF) or r.u32(sl + _RS_STATE)):
+        _ring_retire_check(view, base, sl)
+
+
+def _ring_cursor_take(view, ridx: int, bit: int, desc: int, nreads: int,
+                      max_len: int | None):
+    """The message at BROADCAST reader ``bit``'s cursor of ring ``ridx``,
+    taken if committed — the cursor line and the receive descriptor
+    ``desc``'s ``nreads`` (``nreads`` as read) moved: ``(slot, length,
+    sequence number, pending bit owed, message index)``, or ``None``
+    when the cursor's slot is not committed, having stored nothing.  A
+    message longer than ``max_len`` raises
+    :class:`BufferOverflowError`, taken by nobody.
+
+    The reads follow the seqlock discipline, which the lock-free take
+    (:func:`_ring_take`) needs: the sender stores the commit word last,
+    so a slot whose ``seq`` matches the cursor is fully filled — which
+    is why ``seq`` is a word read of its own, ahead of the record read
+    of the fields it publishes.  The stores cover only what this reader
+    owns: its cursor line and its descriptor's ``nreads`` word."""
+    r = view.region
+    lay = view.layout
+    cur = lay.ring_cur_off(ridx, bit)
+    idx, creads = view._rd_rcur(cur)
+    sl = lay.ring_slot_off(ridx, idx % view.cfg.ring_slots)
+    if r.u32(sl + _RS_SEQ) != idx + 1:
+        return None
+    length, seqno = view._rd_rslot_msg(sl + _RS_LENGTH)
+    if max_len is not None and length > max_len:
+        raise _overflow(length, max_len)
+    view._wr_rcur(cur, (idx + 1) & _M32, (creads + 1) & _M32)
+    r.set_u32(desc + _R_NREADS, nreads + 1)
+    return sl, length, seqno, 1 << bit, idx
+
+
+def _ring_take(view, base: int, pid: int, lnvc_id: int,
+               max_len: int | None):
+    """``message_receive``'s lock-free take over a ring (no lock held):
+    valid only on a connection-cache hit (:meth:`MPFView.cached_recv
+    <repro.core.ops.MPFView.cached_recv>`) for a BROADCAST descriptor,
+    it takes the message at the reader's cursor if it is committed
+    (:func:`_ring_cursor_take`).  As that, and ``None`` too when the
+    cache does not vouch or the descriptor is FCFS."""
+    desc = view.cached_recv(pid, lnvc_id)
+    if desc == NIL:
+        return None
+    _, proto, bit, _, nreads = view._rd_recv(desc)
+    if proto == _P_FCFS:
+        return None
+    ridx = view.layout.ring_index(view.region.u32(base + _L_RING))
+    return _ring_cursor_take(view, ridx, bit, desc, nreads, max_len)
+
+
+def _ring_claim(view, base: int, desc: int, max_len: int | None):
+    """``message_receive``'s claim over a ring (the circuit lock of the
+    LNVC at ``base``) for the receive descriptor ``desc``, and the
+    receive counted: as :func:`_ring_take` (the pending bit owed is 0
+    for an FCFS claim), or ``None`` when there is nothing to claim yet.
+
+    An FCFS receiver advances the *shared* ``fcfs_next`` cursor over
+    committed slots, skipping those with no FCFS obligation, stops at
+    the first FCFS-available one — and where it stops without one, at
+    the first uncommitted index, stores the cursor there (commits
+    happen in claim order per slot, but a later index may commit before
+    an earlier one: FCFS order waits).  It pins its slot with the
+    ``busy`` count while copying, its claim leaving no pending bit to
+    protect it.  A BROADCAST receiver takes the message at its own
+    cursor (:func:`_ring_cursor_take`)."""
+    r = view.region
+    u32 = r.u32
+    set_u32 = r.set_u32
+    lay = view.layout
+    nslots = view.cfg.ring_slots
+    # ``nreads`` is this receiver's own word: no sleep stales it.
+    _, proto, bit, _, nreads = view._rd_recv(desc)
+    ring = u32(base + _L_RING)
+    ridx = lay.ring_index(ring)
+    if proto != _P_FCFS:
+        return _ring_cursor_take(view, ridx, bit, desc, nreads, max_len)
+    w, idx, _ = view._rd_ring(ring)
+    found = False
+    while idx < w:
+        sl = lay.ring_slot_off(ridx, idx % nslots)
+        seq, length, seqno, _, st, busy = view._rd_rslot(sl)
+        if seq != idx + 1:
+            break
+        if st & RS_FCFS_AVAILABLE and not st & (RS_FCFS_TAKEN | RS_RETIRED):
+            found = True
+            break
+        idx += 1
+    if not found or max_len is not None and length > max_len:
+        set_u32(ring + _RG_FCFS_NEXT, idx)
+        if not found:
+            return None
+        raise _overflow(length, max_len)
+    set_u32(ring + _RG_FCFS_NEXT, idx + 1)
+    view._wr_rslot_pins(sl + _RS_STATE, st | RS_FCFS_TAKEN,
+                        (busy + 1) & _M32)
+    set_u32(desc + _R_NREADS, nreads + 1)
+    return sl, length, seqno, 0, idx
+
+
+def _ring_complete(view, base: int, sl: int, unread: int, idx: int,
+                   length: int) -> bool:
+    """``message_receive``'s completion over a ring (the circuit lock of
+    the LNVC at ``base``), for the ``length``-byte message index ``idx``
+    copied out of the slot at ``sl``: drop its pin — the pending bit
+    ``unread``, or for an FCFS claim (``unread`` 0) a busy pin — apply
+    the retirement rule and count the receive.  True when the slot
+    retired and a blocked sender may be waiting for it.
+
+    A blocked sender always parks on slot ``next_write % nslots`` (it
+    waits *before* claiming), so a retire elsewhere in the ring cannot
+    unblock anyone: waking only on a match spares the receiver herd a
+    futile wakeup per message.  (``idx`` is the message the slot holds:
+    nothing can reuse it before this section retires it.)"""
+    u32 = view.region.u32
+    nslots = view.cfg.ring_slots
+    retired = _ring_retire_check(view, base, sl, 0 if unread else 1, unread)
+    wake = retired and (
+        idx % nslots == u32(u32(base + _L_RING) + _RG_NEXT_WRITE) % nslots)
+    nrecvs, sent, received = view._rd_traffic(base + _L_NRECVS)
+    view._wr_traffic(base + _L_NRECVS, (nrecvs + 1) & _M32, sent,
+                     (received + length) & _M64)
+    return wake
+
+
 PYTHON = Kernels("python", _py_pop, _py_fill, _py_drain, _py_last,
                  _alloc_message, _link_tail, _claim_next, _complete_receive,
-                 _free_chain)
+                 _free_chain, _ring_fill, _ring_commit, _ring_take,
+                 _ring_claim, _ring_complete)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +812,7 @@ def _compile(name: str, source: bytes, target: Path) -> None:
         ffi.emit_c_code(str(c_file))
         try:
             subprocess.run(
-                [CC, "-O2", "-shared", "-fPIC",
+                [CC, *CFLAGS, "-shared", "-fPIC",
                  "-I" + sysconfig.get_paths()["include"],
                  "-o", str(so_file), str(c_file)],
                 check=True, capture_output=True, timeout=120)
@@ -543,7 +830,8 @@ def _build(where: Path):
         return None
     source = _SOURCE.read_bytes()
     key = zlib.crc32(b"\0".join((
-        source, _CDEF.encode(), _cffi_backend.__version__.encode())))
+        source, _CDEF.encode(), _cffi_backend.__version__.encode(),
+        " ".join(CFLAGS).encode())))
     name = f"_chains_{key:08x}"
     target = where / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
     try:
@@ -564,14 +852,45 @@ def _c_kernels(module) -> Kernels:
     c_fill, c_drain = lib.chain_fill, lib.chain_drain
     c_alloc, c_link, c_claim = lib.sec_alloc, lib.sec_link, lib.sec_claim
     c_complete, c_free = lib.sec_complete, lib.sec_free
-    from_buffer = ffi.from_buffer
+    c_ring_fill, c_ring_commit = lib.ring_fill, lib.ring_commit
+    c_ring_take, c_ring_claim = lib.ring_take, lib.ring_claim
+    c_ring_complete = lib.ring_complete
+    from_buffer, cast, release = ffi.from_buffer, ffi.cast, ffi.release
 
     def buf(region):
-        """The region's buffer as the C side sees it: exported once,
-        dropped by :meth:`SharedRegion.release`."""
+        """The region's buffer as the C side sees it: a ``char *`` to its
+        first byte, made once, dropped by :meth:`SharedRegion.release`.
+
+        It points into an export of the object under the region's
+        memoryview (``mv.obj``: the bytearray, mmap or shared memory),
+        not of the memoryview.  A memoryview with an export outstanding
+        cannot be released, and the garbage collector does not ask:
+        when a region, its memoryview and an export of it were garbage
+        in one cycle, clearing the memoryview first raised
+        ``BufferError`` inside ``tp_clear`` and left the export pointing
+        into freed memory — a crash.  A bytearray or an mmap refers to
+        nothing, so it is in no cycle.  The region may be a slice of
+        that object: the pointer is the export plus the slice's offset,
+        which a short-lived export of the memoryview gives, and the
+        export it points into is kept in :attr:`SharedRegion.cown`.
+        Where that object exports nothing that covers the region, the
+        memoryview's own export is taken."""
         cbuf = region.cbuf
         if cbuf is None:
-            cbuf = region.cbuf = from_buffer(region._mv)
+            mv = region._mv
+            try:
+                owner = from_buffer(mv.obj, require_writable=True)
+                whole = from_buffer(mv)
+                start = cast("char *", whole) - cast("char *", owner)
+                release(whole)
+            except (TypeError, BufferError):
+                start = -1
+            if 0 <= start <= len(owner) - region.size:
+                region.cown = owner
+                cbuf = cast("char *", owner) + start
+            else:
+                cbuf = from_buffer(mv)
+            region.cbuf = cbuf
         return cbuf
 
     def pop(region, first, n):
@@ -647,8 +966,67 @@ def _c_kernels(module) -> Kernels:
                   nbytes) < 0:
             _free_chain(view, head, n, first, last, nblk, nbytes)
 
+    # The ring kernels: the layout's ring bases ride along with each call.
+
+    def ring_fill(view, base, pid, data):
+        region, lay = view.region, view.layout
+        got = c_ring_fill(buf(region), region.size, lay.ring_ctrl_base,
+                          lay.ring_cur_base, lay.ring_data_base,
+                          lay.ring_stride, view.cfg.ring_slots, base,
+                          pid & _M32, data, len(data))
+        if not got.ok:
+            return _ring_fill(view, base, pid, data)
+        return got.seq, got.sl, got.seqno, got.depth
+
+    def ring_commit(view, base, sl, seq):
+        region = view.region
+        if c_ring_commit(buf(region), region.size, base, sl, seq) < 0:
+            _ring_commit(view, base, sl, seq)
+
+    def ring_take(view, base, pid, lnvc_id, max_len):
+        # MPFView.cached_recv's rule, its segment half in C: an entry
+        # (ops.Conn) vouches while the circuit is live in its generation
+        # and its epoch word matches.
+        gen = lnvc_id >> SLOT_BITS
+        hit = view._recv_cache.get((lnvc_id & _SLOT_MASK, pid))
+        if hit is None or hit.gen != gen:
+            return None
+        region, lay = view.region, view.layout
+        got = c_ring_take(buf(region), region.size, lay.ring_ctrl_base,
+                          lay.ring_cur_base, lay.ring_data_base,
+                          lay.ring_stride, view.cfg.ring_slots, base,
+                          hit.desc, gen, hit.epoch,
+                          _NO_LIMIT if max_len is None or max_len > _NO_LIMIT
+                          else max_len)
+        if got.got > 0:
+            return got.sl, got.length, got.seqno, got.unread, got.idx
+        if got.got < 0:
+            return _ring_take(view, base, pid, lnvc_id, max_len)
+        return None
+
+    def ring_claim(view, base, desc, max_len):
+        region, lay = view.region, view.layout
+        got = c_ring_claim(buf(region), region.size, lay.ring_ctrl_base,
+                           lay.ring_cur_base, lay.ring_data_base,
+                           lay.ring_stride, view.cfg.ring_slots, base, desc,
+                           _NO_LIMIT if max_len is None or max_len > _NO_LIMIT
+                           else max_len)
+        if got.got < 0:
+            return _ring_claim(view, base, desc, max_len)
+        return got.sl, got.length, got.seqno, got.unread, got.idx
+
+    def ring_complete(view, base, sl, unread, idx, length):
+        region = view.region
+        got = c_ring_complete(buf(region), region.size, view.cfg.ring_slots,
+                              base, sl, unread, idx, length)
+        if got < 0:
+            return _ring_complete(view, base, sl, unread, idx, length)
+        return got == 1
+
     return Kernels("c", pop, fill, drain, last,
-                   alloc, link, claim, complete, free)
+                   alloc, link, claim, complete, free,
+                   ring_fill, ring_commit, ring_take, ring_claim,
+                   ring_complete)
 
 
 def _select(where: Path = _HERE) -> Kernels:

@@ -29,7 +29,7 @@ concurrently, higher throughputs can be achieved").
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .costmodel import DEFAULT_COSTS, Costs
 from .effects import (
@@ -207,6 +207,19 @@ def decode_lnvc_id(lnvc_id: int) -> tuple[int, int]:
     return lnvc_id & _SLOT_MASK, lnvc_id >> SLOT_BITS
 
 
+class Conn(NamedTuple):
+    """A connection-cache entry of :class:`MPFView`: the descriptor, the
+    list-walk length to it, and the circuit's ``gen`` and ``conn_epoch``
+    that vouch for both.  Read by field name; besides this module,
+    :data:`repro.core.chains.C`'s ``ring_take`` reads the receive
+    entries (it applies :meth:`MPFView.cached_recv`'s rule in C)."""
+
+    desc: int
+    steps: int
+    gen: int
+    epoch: int
+
+
 class MPFView:
     """A formatted segment plus its layout and cost model.
 
@@ -218,8 +231,8 @@ class MPFView:
     that proves it still describes the shared region, so a cache needs no
     invalidation even when other views (processes) change the segment:
 
-    * ``_send_cache`` / ``_recv_cache``: ``(slot, pid) -> (descriptor,
-      steps, gen, conn_epoch)``.  Valid while the circuit's ``gen``
+    * ``_send_cache`` / ``_recv_cache``: ``(slot, pid) ->`` :class:`Conn`
+      ``(desc, steps, gen, epoch)``.  Valid while the circuit's ``gen``
       (bumped when the slot is recycled) and ``conn_epoch`` (bumped
       under the circuit lock on every send / receive list mutation) both
       match, so a hit is exactly what walking the list would find —
@@ -424,12 +437,12 @@ class MPFView:
         if not in_use or g != gen:
             self.resolve(lnvc_id)  # raises with the precise message
         hit = self._recv_cache.get((slot, pid))
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            return hit[0], hit[1]
+        if hit is not None and hit.gen == gen and hit.epoch == epoch:
+            return hit.desc, hit.steps
         desc, _, steps = _find_recv(self, base, pid)
         if desc == NIL:
             raise NotConnectedError(f"pid {pid} holds no receive connection here")
-        self._recv_cache[(slot, pid)] = (desc, steps, gen, epoch)
+        self._recv_cache[(slot, pid)] = Conn(desc, steps, gen, epoch)
         return desc, steps
 
     def cached_recv(self, pid: int, lnvc_id: int) -> int:
@@ -442,14 +455,14 @@ class MPFView:
         gen = lnvc_id >> SLOT_BITS
         base = self.layout.lnvc_off(slot)
         hit = self._recv_cache.get((slot, pid))
-        if hit is None or hit[2] != gen:
+        if hit is None or hit.gen != gen:
             return NIL
-        if self.region.u32(base + _L_CONN_EPOCH) != hit[3]:
+        if self.region.u32(base + _L_CONN_EPOCH) != hit.epoch:
             return NIL
         in_use, g = self._rd_live(base)
         if not in_use or g != gen:
             return NIL
-        return hit[0]
+        return hit.desc
 
     def send_conn(self, pid: int, lnvc_id: int) -> int:
         """Walk length to ``pid``'s send descriptor on the live circuit
@@ -461,12 +474,12 @@ class MPFView:
         if not in_use or g != gen:
             self.resolve(lnvc_id)  # raises with the precise message
         hit = self._send_cache.get((slot, pid))
-        if hit is not None and hit[2] == gen and hit[3] == epoch:
-            return hit[1]
+        if hit is not None and hit.gen == gen and hit.epoch == epoch:
+            return hit.steps
         sd, _, steps = _find_send(self, base, pid)
         if sd == NIL:
             raise NotConnectedError(f"pid {pid} holds no send connection here")
-        self._send_cache[(slot, pid)] = (sd, steps, gen, epoch)
+        self._send_cache[(slot, pid)] = Conn(sd, steps, gen, epoch)
         return steps
 
     # -- table search (caller holds GLOBAL_LOCK) ----------------------------

@@ -47,7 +47,7 @@ class SharedRegion:
         length (``bytearray``, ``memoryview``, ``mmap``, shared memory).
     """
 
-    __slots__ = ("_mv", "cbuf", "size", "u32", "set_u32", "add_u32",
+    __slots__ = ("_mv", "cbuf", "cown", "size", "u32", "set_u32", "add_u32",
                  "follow")
 
     def __init__(self, buf) -> None:
@@ -55,9 +55,10 @@ class SharedRegion:
         if mv.readonly:
             raise ValueError("SharedRegion requires a writable buffer")
         self._mv = mv
-        #: The C block-chain kernels' export of the buffer, made on
-        #: their first call (:mod:`repro.core.chains`).
+        #: The C kernels' pointer to the buffer, made on their first
+        #: call, and the export it points into (:mod:`repro.core.chains`).
         self.cbuf = None
+        self.cown = None
         self.size = len(mv)
 
         # -- 32-bit words -------------------------------------------------
@@ -196,10 +197,10 @@ class SharedRegion:
 
         Required before a ``SharedMemory`` segment can be closed; harmless
         for plain ``bytearray`` regions.  The C kernels' export of the
-        same buffer (:attr:`cbuf`) must go first, or the memoryview
-        refuses to release.
+        same buffer (:attr:`cown`, or :attr:`cbuf` itself) goes first:
+        while it lives, the segment cannot be closed.
         """
-        self.cbuf = None
+        self.cbuf = self.cown = None
         self._mv.release()
 
     def __len__(self) -> int:

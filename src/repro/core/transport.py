@@ -49,6 +49,8 @@ lock and *models* the coherence cost of the lock-free original
 
 from __future__ import annotations
 
+from . import chains as _chains
+from .chains import _ring_retire_check
 from .effects import ChargeMany, OpGen, _release_and_raise, charge
 from .errors import (
     BufferOverflowError,
@@ -60,7 +62,6 @@ from .errors import (
 from .freelist import fl_alloc, fl_free
 from .layout import HDR
 from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, SLOT_BITS, Protocol
-from .region import U32_MASK as _M32, U64_MASK as _M64
 from .structs import (
     CACHE_LINE,
     LNVC,
@@ -93,19 +94,12 @@ __all__ = [
 # Constant-folded field offsets, as in ops.py: the ring primitives run
 # once per message in figure sweeps.
 _L_NMSGS = LNVC.offsets["nmsgs"]
-_L_SEQ = LNVC.offsets["seq"]
 _L_RING = LNVC.offsets["ring"]
-_L_NRECVS = LNVC.offsets["nrecvs"]
-_L_BYTES_SENT = LNVC.offsets["bytes_sent"]
-
-_R_NREADS = RECV.offsets["nreads"]
 
 _RG_NEXT_WRITE = RING.offsets["next_write"]
-_RG_FCFS_NEXT = RING.offsets["fcfs_next"]
 _RG_READER_MASK = RING.offsets["reader_mask"]
 
 _RS_SEQ = RSLOT.offsets["seq"]
-_RS_LENGTH = RSLOT.offsets["length"]
 _RS_STATE = RSLOT.offsets["state"]
 
 _RC_NEXT_SEQ = RCUR.offsets["next_seq"]
@@ -142,36 +136,6 @@ RING_STORES = {
 def _lines(length: int) -> int:
     """Cache lines one message touches: header + bitmap + payload."""
     return 2 + (length + CACHE_LINE - 1) // CACHE_LINE
-
-
-def ring_retire_check(view, base: int, sl: int, unpin: int = 0,
-                      unread: int = 0) -> bool:
-    """Drop ``unpin`` busy pins and the pending bits ``unread`` from the
-    slot at ``sl``, then apply the retirement rule to it; True if it
-    retires (now or earlier).
-
-    Mirrors ops._retire_check: a slot retires when its pending reader
-    bitmap is empty, nobody is copying out of it, and its FCFS
-    obligation is discharged.  ``RS_FCFS_AVAILABLE`` covers both the
-    "an FCFS receiver must take this" case and the "no receivers at
-    enqueue — hold for a future FCFS joiner" case (paper §3.2).
-    Caller holds the circuit lock.
-    """
-    r = view.region
-    st, busy = view._rd_rslot_pins(sl + _RS_STATE)
-    pend = r.u32(sl + RSLOT_PENDING_OFF)
-    if unread:
-        pend &= ~unread
-        r.set_u32(sl + RSLOT_PENDING_OFF, pend)
-    busy = (busy - unpin) & _M32
-    retire = not (st & RS_RETIRED or pend or busy
-                  or (st & RS_FCFS_AVAILABLE and not st & RS_FCFS_TAKEN))
-    if retire:
-        st |= RS_RETIRED
-        r.add_u32(base + _L_NMSGS, -1)
-    if retire or unpin:
-        view._wr_rslot_pins(sl + _RS_STATE, st, busy)
-    return bool(st & RS_RETIRED)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +246,7 @@ def ring_unregister_reader(view, base: int, desc: int) -> bool:
         if u32(sl + _RS_STATE) & RS_RETIRED:
             continue
         if u32(sl + RSLOT_PENDING_OFF) & (1 << bit):
-            if ring_retire_check(view, base, sl, unread=1 << bit):
+            if _ring_retire_check(view, base, sl, unread=1 << bit):
                 retired = True
     return retired
 
@@ -309,15 +273,17 @@ def ring_send(view, pid: int, slot: int, base: int, lnvc_id: int, data: bytes,
     close mid-fill.)  Blocks (WaitOn) when the ring is full —
     backpressure where the free-list transport raises
     ``OutOfMessageMemoryError``.
+
+    The section's work is two kernel calls (:mod:`repro.core.chains`):
+    the claim and fill, and the commit, which stores the commit word
+    only once the fill's charge has been yielded — a lock-free reader
+    on the simulator sees the message no earlier in simulated time than
+    the fill ends.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
     data = bytes(data)
-    r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
     c = view.costs
-    lay = view.layout
     cfg = view.cfg
     length = len(data)
     if length > cfg.ring_slot_bytes:
@@ -338,58 +304,29 @@ def ring_send(view, pid: int, slot: int, base: int, lnvc_id: int, data: bytes,
     except (UnknownLNVCError, NotConnectedError) as exc:
         yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
 
-    ring = u32(base + _L_RING)
-    slot0 = lay.ring_slot_off(lay.ring_index(ring), 0)
-    stride = lay.ring_stride
-    nslots = cfg.ring_slots
-    rd_ring, rd_rslot = view._rd_ring, view._rd_rslot
-    # Claim: wait until the target slot's previous tenant has retired.
+    # Claim and fill: wait until the target slot's previous tenant has
+    # retired.  The fill is still under the lock, so the pending
+    # snapshot stays exact (nobody can open or close a receive
+    # connection mid-fill), and no reader can see it before the commit.
+    kernels = _chains.ACTIVE
     while True:
-        w, _, pending = rd_ring(ring)
-        sl = slot0 + (w % nslots) * stride
-        seq, _, _, _, st, _ = rd_rslot(sl)
-        if seq == 0 or st & RS_RETIRED:
+        claimed = kernels.ring_fill(view, base, pid, data)
+        if claimed is not None:
             break
         yield view._waiton[slot]
         yield view._recv_wakeup
-    set_u32(ring + _RG_NEXT_WRITE, w + 1)
-    (nmsgs, _, _, _, _, _, _, n_fcfs, n_bcast, seqno,
-     hwm) = view._rd_queue(base + _L_NMSGS)
-    # Receivers-at-enqueue snapshot, as in the free-list transport: an
-    # FCFS obligation when FCFS receivers exist, and a hold-for-future-
-    # joiner obligation when no receiver of either kind exists.
-    if n_fcfs or not (pending or n_bcast):
-        state = RS_FCFS_AVAILABLE
-    else:
-        state = 0
-    depth = (nmsgs + 1) & _M32
-    set_u32(base + _L_NMSGS, depth)
-    view._wr_seq_hwm(base + _L_SEQ, (seqno + 1) & _M32,
-                     depth if depth > hwm else hwm)
-    (sent,) = view._rd_sent(base + _L_BYTES_SENT)
-    view._wr_sent(base + _L_BYTES_SENT, (sent + length) & _M64)
+    seq, sl, seqno, depth = claimed
     yield view._ring_claim
     t_claim = probe.now() if probe is not None else 0.0
-
-    # Fill — still under the lock, so the pending snapshot above stays
-    # exact (nobody can open or close a receive connection mid-fill).
-    # The header words behind the commit word are one store; the bitmap
-    # sits on a line of its own.
-    view._wr_rslot_body(sl + _RS_LENGTH, length, seqno, pid & _M32, state, 0)
-    set_u32(sl + RSLOT_PENDING_OFF, pending)
-    r.write(sl + RSLOT_DATA_OFF, data)
     yield charge(
         length * c.copy_byte + _lines(length) * c.cacheline_xfer
         + steps * c.list_step,
-        "ring-fill", length, 0, stride)
+        "ring-fill", length, 0, view.layout.ring_stride)
     t_fill = probe.now() if probe is not None else 0.0
 
     # Commit: store the commit word, retire a degenerate message whose
-    # audience is empty (nothing pending, no FCFS obligation: the rule
-    # cannot fire otherwise), release the single lock section.
-    set_u32(sl + _RS_SEQ, w + 1)
-    if not (pending or state):
-        ring_retire_check(view, base, sl)
+    # audience is empty, release the single lock section.
+    kernels.ring_commit(view, base, sl, seq)
     yield view._ring_commit
     yield view._rel[slot]
     if probe is not None:
@@ -411,66 +348,31 @@ def ring_receive(view, pid: int, slot: int, base: int, lnvc_id: int,
     is self-validating, and its pending bit already pins the slot
     against retirement until the completion section clears it, so
     observing and claiming a committed message needs no lock at all.
-    The circuit lock is taken only to park race-free when the cursor
-    has caught up with the sender (check-then-WaitOn under the lock, so
-    the sender's commit+wake cannot be lost) and for the completion
-    section.
+    The take is valid only on a connection-cache hit: our own receive
+    connection being open is what forbids circuit deletion and
+    generation reuse, and the epoch check proves the cached descriptor
+    offset is what a fresh (locked) walk would find.  The circuit lock
+    is taken only to park race-free when the cursor has caught up with
+    the sender (check-then-WaitOn under the lock, so the sender's
+    commit+wake cannot be lost) and for the completion section.
 
     An FCFS reader always goes through the lock: it advances the
-    *shared* ``fcfs_next`` cursor over committed slots, skipping those
-    with no FCFS obligation, and pins its slot with the ``busy`` count
-    while copying (its claim leaves no pending bit to protect it).
+    *shared* ``fcfs_next`` cursor and pins its slot with the ``busy``
+    count while copying.
 
     Either way the payload copy runs outside the circuit lock, exactly
-    as in the free-list transport.
+    as in the free-list transport.  Take, claim and completion are one
+    kernel call each (:mod:`repro.core.chains`).
     """
-    r = view.region
-    u32 = r.u32
-    set_u32 = r.set_u32
     c = view.costs
-    lay = view.layout
     probe = view.probe
     t_entry = probe.now() if probe is not None else 0.0
     lock = FIRST_LNVC_LOCK + slot
     yield view._ring_recv_fixed
-    nslots = view.cfg.ring_slots
-    stride = lay.ring_stride
-    rd_recv, rd_rcur = view._rd_recv, view._rd_rcur
 
-    # -- lock-free BROADCAST fast path -----------------------------------
-    # Valid only on a connection-cache hit: our own receive connection
-    # being open is what forbids circuit deletion and generation reuse,
-    # and the epoch check proves the cached descriptor offset is what a
-    # fresh (locked) walk would find.  Reads here follow the seqlock
-    # discipline: the sender publishes the commit word *last*, so any
-    # slot whose ``seq`` matches our cursor is fully filled — which is
-    # why ``seq`` is a word read of its own, ahead of the record read of
-    # the fields it publishes.  Stores cover only what this reader owns:
-    # its cursor line, and its descriptor's ``nreads`` word.
-    is_fcfs = True
-    taken = False
-    desc = view.cached_recv(pid, lnvc_id)
-    if desc != NIL:
-        _, proto, bit, _, nreads = rd_recv(desc)
-        if proto != _P_FCFS:
-            is_fcfs = False
-            ring = u32(base + _L_RING)
-            ridx = lay.ring_index(ring)
-            cur = lay.ring_cur_off(ridx, bit)
-            idx, creads = rd_rcur(cur)
-            sl = lay.ring_slot_off(ridx, 0) + (idx % nslots) * stride
-            if u32(sl + _RS_SEQ) == idx + 1:
-                length, seqno = view._rd_rslot_msg(sl + _RS_LENGTH)
-                if max_len is not None and length > max_len:
-                    raise BufferOverflowError(
-                        f"next message is {length} bytes, "
-                        f"buffer holds {max_len}"
-                    )
-                view._wr_rcur(cur, (idx + 1) & _M32, (creads + 1) & _M32)
-                set_u32(desc + _R_NREADS, nreads + 1)
-                taken = True
-
-    if taken:
+    kernels = _chains.ACTIVE
+    taken = kernels.ring_take(view, base, pid, lnvc_id, max_len)
+    if taken is not None:
         yield view._ring_cursor
         t_claim = probe.now() if probe is not None else 0.0
     else:
@@ -480,110 +382,40 @@ def ring_receive(view, pid: int, slot: int, base: int, lnvc_id: int,
         except (UnknownLNVCError, NotConnectedError) as exc:
             yield from _release_and_raise([lock], exc)
         yield charge(steps * c.list_step, "recv-find")
-
-        ring = u32(base + _L_RING)
-        ridx = lay.ring_index(ring)
-        slot0 = lay.ring_slot_off(ridx, 0)
-        rd_rslot = view._rd_rslot
-        # ``nreads`` is this receiver's own word: no sleep below stales it.
-        _, proto, bit, _, nreads = rd_recv(desc)
-        is_fcfs = proto == _P_FCFS
-        if is_fcfs:
-            # Scan the shared cursor forward over committed slots; stop
-            # at the first FCFS-available one, park at the first
-            # uncommitted index (commits happen in claim order per slot,
-            # but a later index may commit before an earlier one — FCFS
-            # order waits).
-            while True:
-                w, idx, _ = view._rd_ring(ring)
-                found = False
-                while idx < w:
-                    sl = slot0 + (idx % nslots) * stride
-                    seq, length, seqno, _, st, busy = rd_rslot(sl)
-                    if seq != idx + 1:
-                        break
-                    if st & RS_FCFS_AVAILABLE and not st & (
-                        RS_FCFS_TAKEN | RS_RETIRED
-                    ):
-                        found = True
-                        break
-                    idx += 1
-                if found:
-                    break
-                set_u32(ring + _RG_FCFS_NEXT, idx)
-                yield view._waiton[slot]
-                yield view._recv_wakeup
-            if max_len is not None and length > max_len:
-                set_u32(ring + _RG_FCFS_NEXT, idx)
-                yield from _release_and_raise(
-                    [lock],
-                    BufferOverflowError(
-                        f"next message is {length} bytes, "
-                        f"buffer holds {max_len}"
-                    ),
-                )
-            set_u32(ring + _RG_FCFS_NEXT, idx + 1)
-            # Pin against retirement while we copy outside the lock: an
-            # FCFS claim clears no pending bit, so ``busy`` is its pin.
-            view._wr_rslot_pins(sl + _RS_STATE, st | RS_FCFS_TAKEN,
-                                (busy + 1) & _M32)
-            yield view._ring_claim
-        else:
-            cur = lay.ring_cur_off(ridx, bit)
-            while True:
-                idx, creads = rd_rcur(cur)
-                sl = slot0 + (idx % nslots) * stride
-                if u32(sl + _RS_SEQ) == idx + 1:
-                    break
-                yield view._waiton[slot]
-                yield view._recv_wakeup
-            length, seqno = view._rd_rslot_msg(sl + _RS_LENGTH)
-            if max_len is not None and length > max_len:
-                yield from _release_and_raise(
-                    [lock],
-                    BufferOverflowError(
-                        f"next message is {length} bytes, "
-                        f"buffer holds {max_len}"
-                    ),
-                )
-            view._wr_rcur(cur, (idx + 1) & _M32, (creads + 1) & _M32)
-            yield view._ring_cursor
-        set_u32(desc + _R_NREADS, nreads + 1)
+        while True:
+            try:
+                taken = kernels.ring_claim(view, base, desc, max_len)
+            except BufferOverflowError as exc:
+                yield from _release_and_raise([lock], exc)
+            if taken is not None:
+                break
+            yield view._waiton[slot]
+            yield view._recv_wakeup
+        # (a BROADCAST take owes a pending bit, an FCFS claim none)
+        yield view._ring_cursor if taken[3] else view._ring_claim
         t_claim = probe.now() if probe is not None else 0.0
         yield view._rel[slot]
+    sl, length, seqno, unread, idx = taken
 
     # Copy phase — concurrent with other readers of the same slot.
-    payload = r.read(sl + RSLOT_DATA_OFF, length)
+    payload = view.region.read(sl + RSLOT_DATA_OFF, length)
     yield charge(length * c.copy_byte + _lines(length) * c.cacheline_xfer,
                  "ring-copy", length)
     t_drain = probe.now() if probe is not None else 0.0
 
     # Completion: drop the pin (busy for FCFS, our pending bit for
-    # BROADCAST), retire.
+    # BROADCAST), retire, count; wake a sender only if it waits for
+    # this very slot.
     yield view._acq[slot]
-    if is_fcfs:
-        retired = ring_retire_check(view, base, sl, unpin=1)
-    else:
-        retired = ring_retire_check(view, base, sl, unread=1 << bit)
-    # A blocked sender always parks on slot ``next_write % nslots`` (it
-    # waits *before* claiming), so a retire elsewhere in the ring cannot
-    # unblock anyone: waking only on a match spares the receiver herd a
-    # futile wakeup per message.  (``idx`` is the message this slot
-    # holds: nothing can reuse it before this section retires it.)
-    wake_sender = retired and (
-        idx % nslots == u32(ring + _RG_NEXT_WRITE) % nslots
-    )
+    wake_sender = kernels.ring_complete(view, base, sl, unread, idx, length)
     yield view._ring_consume
-    nrecvs, sent, received = view._rd_traffic(base + _L_NRECVS)
-    view._wr_traffic(base + _L_NRECVS, (nrecvs + 1) & _M32, sent,
-                     (received + length) & _M64)
     yield view._rel[slot]
     if wake_sender:
         yield view._wake[slot]
     if probe is not None:
         probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, seqno, length,
-                           is_fcfs, t_entry, t_claim, t_drain,
-                           occupancy=u32(base + _L_NMSGS))
+                           not unread, t_entry, t_claim, t_drain,
+                           occupancy=view.region.u32(base + _L_NMSGS))
     return payload
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 
 import pytest
 
@@ -46,3 +47,32 @@ def python_chains(monkeypatch):
     whichever set this host built."""
     monkeypatch.setattr(chains, "ACTIVE", chains.PYTHON)
     return chains.PYTHON
+
+
+#: What ``make asan`` builds the C kernels with, beyond ``chains.CFLAGS``.
+ASAN_CFLAGS = ("-fsanitize=address", "-fno-omit-frame-pointer", "-g")
+
+
+def asan_loaded() -> bool:
+    """AddressSanitizer's runtime is in this process (``make asan``
+    preloads it: an instrumented library cannot load without it)."""
+    return hasattr(ctypes.CDLL(None), "__asan_init")
+
+
+@pytest.fixture(scope="session")
+def c_kernels(tmp_path_factory):
+    """The C kernels the differential tests hold against the Python
+    reference: :data:`repro.core.chains.C` — or, in a process that runs
+    under AddressSanitizer, the same source built again with
+    ``ASAN_CFLAGS`` (``chains.CFLAGS`` patched, as tests patch
+    ``chains.CC``), so that a kernel reading or writing outside the
+    region it was handed fails the run."""
+    if chains.C is None:
+        pytest.skip("no C kernels on this host")
+    if not asan_loaded():
+        return chains.C
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "CFLAGS", chains.CFLAGS + ASAN_CFLAGS)
+        kernels = chains._select(tmp_path_factory.mktemp("asan"))
+    assert kernels.name == "c", "the AddressSanitizer build failed"
+    return kernels

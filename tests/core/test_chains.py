@@ -1,15 +1,17 @@
 """The C kernels: how they are built, loaded and let go of.
 
-What they compute is held against the Python reference elsewhere: two
+What they compute is held against the Python reference elsewhere: the
 differential property tests (``tests/properties/test_freelist_properties
-.py``) and ``test_freelist.py`` / ``test_segment_identity.py`` collected
-again on the Python kernels (``test_python_kernels.py``).  Here: the
-records the C side addresses are laid out as ``core/structs.py`` says,
-the build is found in its cache, a failed build leaves the Python
-kernels running and nothing behind, two processes building cold at once
-both load a whole library, and the runtimes that map a real shared
-segment still close and unlink it once the kernels have exported its
-buffer.
+.py``, ``test_ring_properties.py``) and ``test_freelist.py`` /
+``test_segment_identity.py`` collected again on the Python kernels
+(``test_python_kernels.py``).  Here: the records and ring addresses the
+C side uses are laid out as ``core/structs.py`` and the layout say, the
+build is found in its cache, a failed build leaves the Python kernels
+running and nothing behind, two processes building cold at once both
+load a whole library, a region's export survives the garbage collector
+and addresses a sliced region right, and the runtimes that map a real
+shared segment still close and unlink it once the kernels have exported
+its buffer.
 """
 
 import os
@@ -27,8 +29,22 @@ from repro import ProcRuntime
 from repro.core import chains, ops
 from repro.core.errors import NotConnectedError
 from repro.core.layout import HDR, MPFConfig
-from repro.core.protocol import FCFS, MsgFlags, Protocol
-from repro.core.structs import LNVC, MSG, RECV
+from repro.core.protocol import BROADCAST, FCFS, MsgFlags, Protocol
+from repro.core.region import SharedRegion
+from repro.core.structs import (
+    LNVC,
+    MSG,
+    RCUR,
+    RECV,
+    RING,
+    RING_READERS,
+    RSLOT,
+    RSLOT_DATA_OFF,
+    RSLOT_PENDING_OFF,
+    RS_FCFS_AVAILABLE,
+    RS_FCFS_TAKEN,
+    RS_RETIRED,
+)
 from repro.patterns import barrier
 from repro.runtime.posix import PosixSegment
 from repro.testing import DirectRunner, make_view
@@ -53,26 +69,69 @@ def test_the_c_kernels_are_active_where_they_can_be_built():
     assert chains.ACTIVE is chains.C and chains.C.name == "c"
 
 
+def _c_constants():
+    """Every ``NAME = value`` of ``chains.c``'s enums."""
+    source = chains._SOURCE.read_text()
+    return {name: int(value) for name, value in
+            re.findall(r"\b([A-Z][A-Z_]*) = (\d+)\b", source)}
+
+
 def test_the_c_offsets_are_the_records_offsets():
     """``chains.c`` spells the offsets of every field it touches as
     constants: ``H_`` segment header, ``L_`` LNVC, ``M_`` message
-    header, ``R_`` receive descriptor (``_SIZE``: the record's size, or
-    for ``L_`` the end of its fields), ``P_`` protocol, ``F_`` flag."""
-    source = chains._SOURCE.read_text()
-    found = re.findall(r"\b([HLMRPF])_([A-Z_]+) = (\d+)", source)
+    header, ``R_`` receive descriptor, ``G_`` ring control block, ``S_``
+    ring slot (``S_PENDING`` its bitmap, ``S_DATA`` its payload), ``C_``
+    reader cursor (``_SIZE``: the record's size, or for ``L_`` the end
+    of its fields), ``P_`` protocol, ``F_`` flag, ``RS_`` slot state
+    bit, and ``READERS`` readers per ring."""
+    found = _c_constants()
     records = {"L": (LNVC.offsets, LNVC.tail_off),
                "M": (MSG.offsets, MSG.size), "R": (RECV.offsets, RECV.size),
-               "H": ({**HDR.u32, **HDR.u64}, HDR.size)}
-    for kind, name, value in found:
-        if kind == "P":
+               "H": ({**HDR.u32, **HDR.u64}, HDR.size),
+               "G": (RING.offsets, RING.size),
+               "S": ({**RSLOT.offsets, "pending": RSLOT_PENDING_OFF,
+                      "data": RSLOT_DATA_OFF}, RSLOT.size),
+               "C": (RCUR.offsets, RCUR.size)}
+    bits = {"RS_FCFS_AVAILABLE": RS_FCFS_AVAILABLE,
+            "RS_FCFS_TAKEN": RS_FCFS_TAKEN, "RS_RETIRED": RS_RETIRED,
+            "READERS": RING_READERS}
+    for constant, value in found.items():
+        kind, _, name = constant.partition("_")
+        if constant in bits:
+            want = bits[constant]
+        elif kind == "P":
             want = Protocol[name]
         elif kind == "F":
             want = MsgFlags[name]
         else:
             offsets, size = records[kind]
             want = size if name == "SIZE" else offsets[name.lower()]
-        assert int(value) == want, f"{kind}_{name}"
-    assert len(found) >= 40
+        assert value == want, constant
+    assert len(found) >= 60
+    assert set(bits) <= set(found)
+
+
+@pytest.mark.parametrize("slots, slot_bytes, lnvcs", [
+    (2, 1, 1), (4, 64, 2), (64, 1024, 4), (16, 2048, 3), (5, 100, 7)])
+def test_the_c_ring_addresses_are_the_layouts(slots, slot_bytes, lnvcs):
+    """The ring kernels find a ring's cursors and slots from the
+    layout's ring bases, as ``chains.c``'s header comment spells it;
+    that arithmetic is :class:`SegmentLayout`'s."""
+    k = _c_constants()
+    lay = make_view(max_lnvcs=lnvcs, transport="ring", ring_slots=slots,
+                    ring_slot_bytes=slot_bytes).layout
+    for ridx in range(lnvcs):
+        ring = lay.ring_ctrl_base + ridx * k["G_SIZE"]
+        assert lay.ring_index(ring) == ridx
+        for bit in (0, 1, k["READERS"] - 1):
+            assert lay.ring_cur_off(ridx, bit) == lay.ring_cur_base + (
+                ridx * k["READERS"] + bit) * k["C_SIZE"]
+        for idx in (0, 1, slots - 1, slots, 3 * slots + 1, 2**32 - 1):
+            assert lay.ring_slot_off(ridx, idx % slots) == (
+                lay.ring_data_base
+                + (ridx * slots + idx % slots) * lay.ring_stride)
+    # every slot's commit word can be accessed atomically
+    assert lay.ring_data_base % 4 == lay.ring_stride % 4 == 0
 
 
 @needs_c
@@ -151,6 +210,70 @@ def test_two_processes_building_cold_at_once_both_load_a_whole_library(
         assert proc.returncode == 0, err.decode()
     built = list(tmp_path.iterdir())
     assert len(built) == 1 and built[0].suffix == ".so", built
+
+
+_CYCLE = textwrap.dedent("""
+    import gc
+    from repro.core import chains
+    from repro.core.protocol import NIL
+    from repro.core.region import SharedRegion
+
+    class Holder:
+        pass
+
+    for make in (lambda: bytearray(4096),
+                 lambda: memoryview(bytearray(4200))[100:4196]):
+        for _ in range(3):
+            h = Holder()
+            h.region = SharedRegion(make())
+            chains.ACTIVE.last(h.region, NIL, 0)  # exports the buffer
+            assert (h.region.cbuf is None) == (chains.ACTIVE.name != "c")
+            h.cbuf, h.cown, h.me = h.region.cbuf, h.region.cown, h
+            del h
+            gc.collect()
+""")
+
+
+def test_a_region_and_its_export_in_a_garbage_cycle_are_collected():
+    """A region, its memoryview and the C kernels' export of its buffer,
+    garbage in one cycle: the collector may clear the memoryview first,
+    which must not find an export of its own outstanding (it raised
+    ``BufferError`` in ``tp_clear`` and then crashed the interpreter)."""
+    proc = subprocess.run([sys.executable, "-c", _CYCLE],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"BufferError" not in proc.stderr, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("pad", [1, 3, 64, 199])
+def test_a_sliced_region_runs_the_c_kernels_at_its_own_offsets(
+        c_kernels, monkeypatch, pad):
+    """A region over a slice of a larger buffer: the C kernels address
+    the slice, not the object under it, and the bytes around the slice
+    stay as they were — on both transports, a ring lapped twice."""
+    monkeypatch.setattr(chains, "ACTIVE", c_kernels)
+    outer = bytearray(bytes(range(256)) * 1024)
+    for transport in ("freelist", "ring"):
+        plain = make_view(transport=transport, ring_slots=4,
+                          ring_slot_bytes=64)
+        size = plain.region.size
+        assert pad + size <= len(outer)
+        around = outer[:pad] + outer[pad + size:]
+        outer[pad:pad + size] = plain.region.read(0, size)
+        sliced = ops.MPFView(SharedRegion(memoryview(outer)[pad:pad + size]),
+                             plain.layout, plain.costs)
+        for view in (sliced, plain):
+            runner = DirectRunner(view)
+            sid = runner.run(ops.open_send(view, 0, "c"))
+            runner.run(ops.open_receive(view, 1, "c", BROADCAST))
+            for i in range(8):
+                data = _payload(i * 7, i)
+                runner.run(ops.message_send(view, 0, sid, data))
+                assert runner.run(ops.message_receive(view, 1, sid)) == data
+        assert sliced.region.cbuf is not None
+        assert bytes(outer[pad:pad + size]) == plain.region.read(0, size)
+        assert outer[:pad] + outer[pad + size:] == around
+        sliced.region.release()
 
 
 def _pipe(env):

@@ -12,9 +12,10 @@ and the ``c_call`` events of ``sys.setprofile``, and with a counting
 the drain's read of a whole block, link and payload, is one record
 read), with the payload movers ``read`` / ``write`` kept apart
 ("bulk"), and the stores that land on a block's link word ("links": two
-per message, however many blocks it has).  The free-list counts are the
-C kernels' (:mod:`repro.core.chains`), whose loops and lock sections
-make no accessor call: the region sees no link store at all, so the link
+per message, however many blocks it has).  The counts are pinned for
+each kernel set (:mod:`repro.core.chains`): the Python one everywhere,
+the C one where it was built.  The C kernels' loops and sections make
+no accessor call: the region sees no link store at all, so the link
 count is taken on the Python kernels.  "Did the hot
 path get heavier" is answered here, not by a host whose walls drift
 1.7x (ROADMAP item 1(b)).
@@ -35,7 +36,10 @@ calls at 16 B from 36 to 32, with no payload mover left; the C lock
 sections (alloc, link, claim, completion, free: one kernel call each)
 to 85 + 56 and 4 (88 + 65 and 32 at 5536dbc, counted before the first
 edit) — what is left is each primitive's transport dispatch and its
-connection check.
+connection check.  The C ring kernels (claim and fill, commit,
+lock-free take, completion: one kernel call each) lowered the ring's to
+56 + 33 and 3, with one payload mover, the receive's copy, left (70 + 43
+and 33, two movers, at fb1699e, counted before the first edit).
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table and
@@ -229,29 +233,43 @@ PARENT = {
              "words16": 3360, "bulk16": 120},
 }
 
-#: What the path costs now: per pair 85 Python + 56 C calls and 4
-#: accessor calls on the free list (238 + 340 and 99 at the parent), 70 +
-#: 43 and 33 on the ring (145 + 110 and 56); 117 + 201 and 75 + 47 at
-#: 8ab74ca, 112 + 197 and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc (see
-#: the module docstring).
+#: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
+#: the C kernels, per pair 85 Python + 56 C calls and 4 accessor calls on
+#: the free list (238 + 340 and 99 at the parent), 56 + 33 and 3 on the
+#: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
+#: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
+#: 33 at fb1699e (see the module docstring).  On the Python kernels, 123 +
+#: 243 and 38 on the free list, as at fb1699e, and 77 + 46 and 35 on the
+#: ring, where fb1699e's generators made 70 + 43 and 33: the generator
+#: now calls one reference per section (fill, commit, take and its
+#: cursor take, completion: five entries more, the retirement check was
+#: one already), and two words are read again across a section's
+#: boundary — the commit reads the pending bitmap the fill stored, the
+#: completion the circuit's ring word the take read.
 PINNED = {
-    "freelist": {"py": 5100, "c": 3361, "work_inits": 0,
-                 "words16": 240, "bulk16": 0},
-    "ring": {"py": 4200, "c": 2581, "work_inits": 0,
-             "words16": 1980, "bulk16": 120},
+    "c": {
+        "freelist": {"py": 5100, "c": 3361, "work_inits": 0,
+                     "words16": 240, "bulk16": 0},
+        "ring": {"py": 3360, "c": 1981, "work_inits": 0,
+                 "words16": 180, "bulk16": 60},
+    },
+    "python": {
+        "freelist": {"py": 7380, "c": 14581, "work_inits": 0,
+                     "words16": 2280, "bulk16": 120},
+        "ring": {"py": 4620, "c": 2761, "work_inits": 0,
+                 "words16": 2100, "bulk16": 120},
+    },
 }
 
-#: Accessor calls a 16 B pair may make.  The free list's 4 are, for the
-#: send and the receive each, the transport dispatch's word and the
-#: connection check's LNVC read (its lock sections are C kernels, whose
-#: loads and stores the region does not see).  The ring's 33 are 14 for
-#: the send (its one lock section reads four records and stores to
-#: three), 10 for the lock-free claim and 9 for the completion section;
-#: what is left apart are words that are apart in the segment
-#: (``nmsgs``, ``seq`` and the traffic counters of one LNVC record) or
-#: that may not share a store (the commit word, the pending bitmap, the
-#: epoch word).
-WORDS16_PER_PAIR = {"freelist": 4, "ring": 33}
+#: Accessor calls a 16 B pair may make on the C kernels.  The free
+#: list's 4 are, for the send and the receive each, the transport
+#: dispatch's word and the connection check's LNVC read (its lock
+#: sections are C kernels, whose loads and stores the region does not
+#: see).  The ring's 3 are the send's dispatch word and connection check
+#: and the receive's dispatch word: its lock-free take checks the
+#: connection cache in C (33 at fb1699e: 14 for the send's section, 10
+#: for the take, 9 for the completion).
+WORDS16_PER_PAIR = {"freelist": 4, "ring": 3}
 
 #: Stores over block link words per free-list pair, by message size:
 #: counted at cc8178e before the first edit (every link once by the
@@ -261,25 +279,34 @@ PARENT_LINKS = {16: 4, 256: 52, 2048: 410}
 LINKS_PER_PAIR = 2
 
 
+#: The kernel sets pinned, by name; the C one is ``None`` where it could
+#: not be built.
+KERNEL_SETS = {"c": chains.C, "python": chains.PYTHON}
+
+
 @pytest.fixture(scope="module")
 def rows():
-    return table()
-
-
-def _pinned(transport):
-    """Skip a free-list pin where the C kernels were not built."""
-    if transport == "freelist" and chains.ACTIVE is not chains.C:
-        pytest.skip("the free-list pins count the C kernels")
+    """``table()`` on each kernel set this host has, by name: every pin
+    below holds for the Python set everywhere, for the C set where it
+    was built."""
+    out = {}
+    for name, kernels in KERNEL_SETS.items():
+        if kernels is not None:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(chains, "ACTIVE", kernels)
+                out[name] = table()
+    return out
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_accessor_calls_per_pair(rows, transport):
-    _pinned(transport)
-    row = rows[transport]
-    assert row["words16"] <= WORDS16_PER_PAIR[transport] * PAIRS
-    assert row["words16"] <= PINNED[transport]["words16"]
-    # payload movers: what the parent made, no more
-    assert row["bulk16"] <= PARENT[transport]["bulk16"]
+    for kernels, by_transport in rows.items():
+        row = by_transport[transport]
+        assert row["words16"] <= PINNED[kernels][transport]["words16"], kernels
+        if kernels == "c":
+            assert row["words16"] <= WORDS16_PER_PAIR[transport] * PAIRS
+        # payload movers: what the parent made, no more
+        assert row["bulk16"] <= PARENT[transport]["bulk16"], kernels
 
 
 @pytest.mark.usefixtures("python_chains")  # C stores are not counted
@@ -293,29 +320,34 @@ def test_two_link_stores_per_message(size):
                     reason="call events were counted on CPython 3.11")
 @pytest.mark.parametrize("transport, drop", [("freelist", 0.15),
                                              ("ring", 0.20)])
-def test_calls_per_pair(rows, transport, drop):
-    _pinned(transport)
-    row = rows[transport]
-    assert 0 < row["py"] <= PINNED[transport]["py"], row
-    assert 0 < row["c"] <= PINNED[transport]["c"], row
-    assert row["py"] <= (1 - drop) * PARENT[transport]["py"]
-    again = measure(transport)
-    again.pop("us")
-    assert again == {k: row[k] for k in again}  # it repeats
+def test_calls_per_pair(rows, transport, drop, monkeypatch):
+    for kernels, by_transport in rows.items():
+        row = by_transport[transport]
+        pin = PINNED[kernels][transport]
+        assert 0 < row["py"] <= pin["py"], (kernels, row)
+        assert 0 < row["c"] <= pin["c"], (kernels, row)
+        assert row["py"] <= (1 - drop) * PARENT[transport]["py"], kernels
+        monkeypatch.setattr(chains, "ACTIVE", KERNEL_SETS[kernels])
+        again = measure(transport)
+        again.pop("us")
+        assert again == {k: row[k] for k in again}, kernels  # it repeats
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_no_work_is_built_after_warm_up(rows, transport):
     """Every variable charge of the message path comes from the memo
     (``repro.core.effects.charge``): after one pair of each size, none
-    constructs a ``Work``."""
-    assert rows[transport]["work_inits"] == 0
+    constructs a ``Work``, on either kernel set."""
+    for kernels in rows:
+        assert rows[kernels][transport]["work_inits"] == 0, kernels
 
 
 if __name__ == "__main__":
     print(f"per loop-back send + receive pair ({PAIRS} pairs; calls over a "
-          "seeded 16/256/2048 B mix,\naccessor calls at 16 B)"
-          "            parent 40d5717   pinned      now")
+          "seeded 16/256/2048 B mix,\naccessor calls at 16 B; "
+          f"{chains.ACTIVE.name} kernels)"
+          "    parent 40d5717   pinned      now")
+    pinned = PINNED[chains.ACTIVE.name]
     for transport, row in table().items():
         for key, what in (("py", "Python calls"), ("c", "C calls"),
                           ("work_inits", "Work() built"),
@@ -323,7 +355,7 @@ if __name__ == "__main__":
                           ("bulk16", "payload mover calls")):
             print(f"  {transport:<9} {what:<28}"
                   f"{PARENT[transport][key] / PAIRS:>14.1f}"
-                  f"{PINNED[transport][key] / PAIRS:>9.1f}"
+                  f"{pinned[transport][key] / PAIRS:>9.1f}"
                   f"{row[key] / PAIRS:>9.1f}")
     print("  per size:              us/pair   words    bulk   links"
           "   (ThreadRuntime; us: min of 5 x 200 pairs;\n"

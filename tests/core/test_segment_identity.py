@@ -32,6 +32,7 @@ guards all of its words, and every lock-free function reads its commit
 """
 
 import ast
+import re
 import hashlib
 import inspect
 import sys
@@ -331,11 +332,11 @@ GUARDS = {
     "fifo": (LNVC, "nmsgs", "fcfs_head", "circuit",
              {"_reap_head", "_link_tail"}),
     "seq_hwm": (LNVC, "seq", "hwm_nmsgs", "circuit",
-                {"_link_tail", "ring_send"}),
+                {"_link_tail", "_ring_fill"}),
     "sent": (LNVC, "bytes_sent", "bytes_sent_hi", "circuit",
-             {"_link_tail", "ring_send"}),
+             {"_link_tail", "_ring_fill"}),
     "traffic": (LNVC, "nrecvs", "bytes_received_hi", "circuit",
-                {"_complete_receive", "ring_receive"}),
+                {"_complete_receive", "_ring_complete"}),
     "cursor": (RECV, "head", "nreads", "circuit", {"_claim_next"}),
     "msg": (MSG, "length", "sender", "circuit", {"_link_tail"}),
     "pins": (MSG, "bcast_pending", "flags", "circuit",
@@ -344,10 +345,10 @@ GUARDS = {
              {"_alloc_message", "_free_chain"}),
     "hwm": (HDR, "hwm_live_bytes", "hwm_live_msgs", "alloc",
             {"_alloc_message"}),
-    "rslot_body": (RSLOT, "length", "busy", "circuit", {"ring_send"}),
+    "rslot_body": (RSLOT, "length", "busy", "circuit", {"_ring_fill"}),
     "rslot_pins": (RSLOT, "state", "busy", "circuit",
-                   {"ring_retire_check", "ring_receive"}),
-    "rcur": (RCUR, "next_seq", "nreads", "reader", {"ring_receive"}),
+                   {"_ring_retire_check", "_ring_claim"}),
+    "rcur": (RCUR, "next_seq", "nreads", "reader", {"_ring_cursor_take"}),
 }
 
 
@@ -448,19 +449,59 @@ def test_lock_free_reads_take_the_commit_word_first():
     assert _first_line(fn, _u32_of("_L_CONN_EPOCH")) < _first_line(
         fn, _reader("_rd_live"))
     assert not _attrs(fn, "_wr_")
-    # ring_receive's BROADCAST fast path: the slot's commit word, then
-    # the fields it publishes; until then only the reader's own records
-    # (its descriptor, its cursor line) are read.
-    fn = fns["ring_receive"]
+    # The lock-free BROADCAST take (its reference; the C kernel is
+    # below): a cache hit first, then the reader's descriptor, and its
+    # cursor take stores nothing of its own.
+    fn = fns["_ring_take"]
+    assert _first_line(fn, _reader("cached_recv")) < _first_line(
+        fn, _reader("_rd_recv"))
+    assert not _attrs(fn, "_wr_")
+    # The cursor take: the slot's commit word, then the fields it
+    # publishes; until then only the reader's own records (its
+    # descriptor, its cursor line) are read.
+    fn = fns["_ring_cursor_take"]
     commit = _first_line(fn, _u32_of("_RS_SEQ"))
     assert commit < _first_line(
         fn, _reader("_rd_rslot", "_rd_rslot_msg", "_rd_rslot_pins"))
-    locked = _first_line(fn, lambda n: isinstance(n, ast.Attribute)
-                         and n.attr == "_acq")
     stores = sorted((n.lineno, n.attr) for n in _attrs(fn, "_wr_"))
-    # the only run stored before the first Acquire is the reader's own
-    assert [a for line, a in stores if line < locked] == ["_wr_rcur"]
+    # the only run it stores is the reader's own
+    assert [a for _, a in stores] == ["_wr_rcur"]
     assert commit < stores[0][0]
+    # The generator takes before it locks anything.
+    fn = fns["ring_receive"]
+    assert _first_line(fn, lambda n: isinstance(n, ast.Attribute)
+                       and n.attr == "ring_take") < _first_line(
+        fn, lambda n: isinstance(n, ast.Attribute) and n.attr == "_acq")
+
+
+def _c_function(source, name):
+    """The body of the C function ``name`` in ``source``."""
+    start = re.search(rf"^\w[^\n]* {name}\(", source, re.M).start()
+    return source[start:source.index("\n}\n", start)]
+
+
+def test_the_c_commit_word_is_a_release_store_and_an_acquire_load():
+    """The C side of rule 2, where the interpreter lock is released: the
+    send's commit stores ``seq`` with release order and stores nothing
+    before it, the cursor take (the lock-free take's, and the locked
+    BROADCAST claim's) loads it with acquire order before it reads the
+    slot's other words, and no other access to a slot's ``seq`` in the
+    ring kernels is atomic or needs to be (the rest hold the lock)."""
+    source = chains._SOURCE.read_text()
+    commit = _c_function(source, "ring_commit")
+    assert commit.count("__atomic_store_n(") == 1
+    assert "__ATOMIC_RELEASE" in commit
+    assert commit.index("__atomic_store_n(") < commit.index("ring_retire(")
+    take = _c_function(source, "cursor_take")
+    assert take.count("__atomic_load_n(") == 1
+    assert "__ATOMIC_ACQUIRE" in take
+    load = take.index("__atomic_load_n(")
+    assert load < take.index("S_LENGTH") and load < take.index("S_SEQNO")
+    assert load < take.index("store_link(")
+    for name in ("ring_take", "ring_claim"):
+        assert "cursor_take(" in _c_function(source, name)
+    assert "S_SEQ)" not in _c_function(source, "ring_take")
+    assert source.count("__atomic_") == 2
 
 
 def test_the_poll_peek_holds_the_circuit_lock():

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import chains, ops
@@ -358,10 +357,9 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-@pytest.mark.skipif(chains.C is None, reason="no C kernels on this host")
 @given(any_chain())
 @settings(max_examples=400, deadline=None)
-def test_c_kernels_match_the_python_reference(case):
+def test_c_kernels_match_the_python_reference(c_kernels, case):
     bs, size, blocks, end, n, length, seed = case
     data = random.Random(seed + 1).randbytes(length)
     calls = {
@@ -373,7 +371,7 @@ def test_c_kernels_match_the_python_reference(case):
     for name, call in calls.items():
         c_region, first = _chained_region(size, blocks, end, seed)
         py_region, _ = _chained_region(size, blocks, end, seed)
-        got = _outcome(lambda: call(chains.C, c_region, first))
+        got = _outcome(lambda: call(c_kernels, c_region, first))
         want = _outcome(lambda: call(chains.PYTHON, py_region, first))
         assert got == want, name
         assert c_region.read(0, size) == py_region.read(0, size), name
@@ -515,10 +513,9 @@ def _corrupt(view, base, target, pick, value):
     r.set_u32(off, bad[value % len(bad)])
 
 
-@pytest.mark.skipif(chains.C is None, reason="no C kernels on this host")
 @given(any_section())
 @settings(max_examples=600, deadline=None)
-def test_c_section_kernels_match_the_python_reference(case):
+def test_c_section_kernels_match_the_python_reference(c_kernels, case):
     section, receivers, sizes, reads, size, max_len, flag, corrupt = case
     view, base, sid = _program(receivers, sizes, reads)
     args = _section_args(section, view, base, sid, size, max_len, flag)
@@ -527,7 +524,7 @@ def test_c_section_kernels_match_the_python_reference(case):
         _corrupt(view, base, *corrupt)
     image = view.region.read(0, view.region.size)
     after = {}
-    for kernels in (chains.C, chains.PYTHON):
+    for kernels in (c_kernels, chains.PYTHON):
         twin = MPFView(SharedRegion(bytearray(image)), view.layout, view.costs)
         after[kernels.name] = (
             _outcome(lambda: getattr(kernels, section)(twin, *args)),
