@@ -207,18 +207,21 @@ census:
 
 # Host cost of the message path: the deterministic pin table (Python
 # and C calls, region accessor calls per loop-back send + receive pair,
-# per transport — what tests/core/test_host_cost.py pins) and the
-# loop-back microseconds per size, min of 5 x 200 pairs.  See
+# per transport — what tests/core/test_host_cost.py pins), the accessor
+# counts per size, and the repro Python calls per simulated event of the
+# pinned 32x32 Gauss-Jordan run.  Counts only: a loop-back wall time
+# moves 1.5x between two launches of one commit.  See
 # docs/performance.md, "Host cost of the message path".
 hostcost:
 	$(PY) tests/core/test_host_cost.py
 
-# The C kernels against their Python references under AddressSanitizer:
-# the differential property tests (every test named `test_c_*` in them)
-# build chains.c again with -fsanitize=address once they find its
-# runtime in the process (tests/conftest.py, the `c_kernels` fixture), so
-# a kernel that reads or writes outside the region it was handed fails
-# the run.  Python's own allocator is switched off so that a region's
+# The C kernels and the C engine loop against their Python references
+# under AddressSanitizer: the differential property tests (every test
+# named `test_c_*` in them) build chains.c and engine.c again with
+# -fsanitize=address once they find its runtime in the process
+# (tests/conftest.py, the `c_kernels` and `c_engine` fixtures), so a
+# kernel that reads or writes outside the region it was handed, or a
+# loop that touches an object it no longer holds, fails the run.  Python's own allocator is switched off so that a region's
 # bytearray is a heap block of its own size, and leak checking with it
 # (the interpreter keeps its heap at exit).
 ASAN_ENV = LD_PRELOAD=$$(gcc -print-file-name=libasan.so) \
@@ -227,7 +230,8 @@ asan:
 	$(ASAN_ENV) $(PY) -c "import ctypes; ctypes.CDLL(None).__asan_init"
 	$(ASAN_ENV) $(PY) -m pytest -q -p no:cacheprovider --capture=sys -k test_c_ \
 		tests/properties/test_freelist_properties.py \
-		tests/properties/test_ring_properties.py
+		tests/properties/test_ring_properties.py \
+		tests/properties/test_engine_properties.py
 
 # cProfile one figure plus the hottest-effect-label report (one Recorder
 # in SimRuntime.profile; pinned by tests/bench/test_profile_top.py).

@@ -97,7 +97,10 @@ by the hash of what goes into it (source, declarations, cffi backend,
 flags; the file suffix names the interpreter), and
 later imports load it.  The build compiles in a temporary directory
 beside the target and renames the library into place, so processes
-importing at once each load a whole one.
+importing at once each load a whole one.  :func:`build_extension` is
+that build for any extension kept beside its module: the engine's step
+interpreter (``repro/machine/engine.c``) is built, named and cached by
+it too.
 Without cffi, without a compiler, or in a directory it may not write,
 the build fails and the Python kernels run: :data:`ACTIVE` is the set in
 use and ``ACTIVE.name`` says which — what the platform allowed, not a
@@ -136,7 +139,7 @@ from .structs import (
     RS_RETIRED,
 )
 
-__all__ = ["Kernels", "PYTHON", "C", "ACTIVE"]
+__all__ = ["Kernels", "PYTHON", "C", "ACTIVE", "build_extension"]
 
 #: The compiler the build runs, and the flags it compiles with.
 CC = "gcc"
@@ -793,26 +796,21 @@ PYTHON = Kernels("python", _py_pop, _py_fill, _py_drain, _py_last,
 # ---------------------------------------------------------------------------
 
 
-def _compile(name: str, source: bytes, target: Path) -> None:
-    """gcc ``source`` into the extension module ``name`` at ``target``
-    (what only a cold cache pays for, imports included); ``OSError``
-    when it cannot be done."""
+def _compile(name: str, emit, target: Path, flags: tuple[str, ...]) -> None:
+    """gcc the C file ``emit(path)`` writes into the extension at
+    ``target`` (what only a cold cache pays for, imports included);
+    ``OSError`` when it cannot be done."""
     import subprocess
     import sysconfig
     import tempfile
 
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
-    ffi.set_source(name, source.decode(), compiler_verbose=False)
     with tempfile.TemporaryDirectory(prefix=name + ".",
                                      dir=target.parent) as tmp:
         c_file, so_file = Path(tmp, name + ".c"), Path(tmp, target.name)
-        ffi.emit_c_code(str(c_file))
+        emit(c_file)
         try:
             subprocess.run(
-                [CC, *CFLAGS, "-shared", "-fPIC",
+                [CC, *flags, "-shared", "-fPIC",
                  "-I" + sysconfig.get_paths()["include"],
                  "-o", str(so_file), str(c_file)],
                 check=True, capture_output=True, timeout=120)
@@ -821,28 +819,52 @@ def _compile(name: str, source: bytes, target: Path) -> None:
         os.replace(so_file, target)
 
 
-def _build(where: Path):
-    """Build (or find) the extension in ``where`` and import it; ``None``
-    when that cannot be done here."""
-    try:
-        import _cffi_backend
-    except ImportError:
-        return None
-    source = _SOURCE.read_bytes()
-    key = zlib.crc32(b"\0".join((
-        source, _CDEF.encode(), _cffi_backend.__version__.encode(),
-        " ".join(CFLAGS).encode())))
-    name = f"_chains_{key:08x}"
+def build_extension(where: Path, stem: str, source: bytes,
+                    flags: tuple[str, ...], salt: tuple[bytes, ...] = (),
+                    emit=None, module: str | None = None):
+    """Build (or find) the extension ``<stem>_<hash>`` in ``where`` and
+    import it; ``None`` when that cannot be done here.
+
+    The hash is the CRC-32 of ``source``, ``salt`` (whatever else goes
+    into the C file) and ``flags``; the file suffix names the
+    interpreter.  ``emit(path)`` writes the C file to compile (``source``
+    itself by default), and ``module`` is the name the library's init
+    function carries when it is not the file's stem — a plain C-API
+    extension's ``PyInit_<module>`` is fixed in its source."""
+    key = zlib.crc32(b"\0".join((source, *salt, " ".join(flags).encode())))
+    name = f"{stem}_{key:08x}"
     target = where / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
     try:
         if not target.exists():
-            _compile(name, source, target)
-        spec = importlib.util.spec_from_file_location(name, target)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+            _compile(name, emit or (lambda path: path.write_bytes(source)),
+                     target, flags)
+        spec = importlib.util.spec_from_file_location(module or name, target)
+        lib = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lib)
     except (ImportError, OSError):
         return None
-    return module
+    return lib
+
+
+def _build(where: Path):
+    """Build (or find) the cffi extension of ``chains.c`` in ``where`` and
+    import it; ``None`` when that cannot be done here."""
+    try:
+        import _cffi_backend
+        import cffi
+    except ImportError:
+        return None
+    source = _SOURCE.read_bytes()
+
+    def emit(path: Path) -> None:
+        ffi = cffi.FFI()
+        ffi.cdef(_CDEF)
+        ffi.set_source(path.stem, source.decode(), compiler_verbose=False)
+        ffi.emit_c_code(str(path))
+
+    return build_extension(
+        where, "_chains", source, CFLAGS,
+        salt=(_CDEF.encode(), _cffi_backend.__version__.encode()), emit=emit)
 
 
 def _c_kernels(module) -> Kernels:

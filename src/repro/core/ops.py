@@ -238,8 +238,11 @@ class MPFView:
       match, so a hit is exactly what walking the list would find —
       including the walk length that feeds the cost model.
     * ``_fs_poll_cache``: ``(pid, first slot) -> ((ids, backoff),
-      section)``, :func:`poll_receive`'s looping sections.  Valid while
-      the polled ids (generation included) and the back-off match.
+      (section, heads, memo cells) or None)``, :func:`poll_receive`'s
+      looping sections.  Valid while the polled ids (generation
+      included) and the back-off match.  A looping section refers to
+      itself, so :meth:`forget_poll_sections` unlinks each before
+      dropping it.
     * ``_drain_memo``: ``None`` or the one BROADCAST message this view
       drained last, ``((lnvc_id, seqno, header, first block, nblocks,
       length), last block, payload)``.  A chain is never written between
@@ -366,6 +369,26 @@ class MPFView:
         #: in one :class:`~repro.core.effects.FusedSection`.  SimRuntime
         #: and the model checker set it; the real runtimes never do.
         self.fuse = False
+
+    def forget_poll_sections(self) -> None:
+        """Drop every section ``_fs_poll_cache`` holds, unlinked first.
+
+        A looping section's heads and its walks' memos refer to each
+        other, and its closures to this view: left linked, each run's
+        sections kept its view and region alive until a full garbage
+        collection, one segment per run (``SimRuntime.run`` calls this
+        at the end of a run).  Unlinking empties the heads list the walks
+        index and resets every walk to "resolve again" with nothing
+        memoized (each empty-jump memo holds the next head's walk).  The
+        entries of sets that build no section stay."""
+        cache = self._fs_poll_cache
+        for key, (_, built) in list(cache.items()):
+            if built is not None:
+                _, heads, memos = built
+                heads.clear()
+                for cell in memos:
+                    cell.cell_contents = None
+                del cache[key]
 
     # -- names -------------------------------------------------------------
 
@@ -1183,8 +1206,11 @@ def _make_poll_section(view, pid, ids, backoff):
     memoized under the ``conn_epoch`` it was resolved at (with ``gen``
     that fixes descriptor, protocol and walk length), so an idle check
     is one read of the LNVC record and allocates nothing.  Returns
-    ``None`` when a circuit is a ring (``check_receive`` routes those
-    itself); ``ids`` are inside the table.
+    ``(section, heads, memo cells)`` — what
+    :meth:`MPFView.forget_poll_sections` clears to break the section's
+    references to itself — or ``None`` when a circuit is a ring
+    (``check_receive`` routes those itself); ``ids`` are inside the
+    table.
     """
     r = view.region
     u32, lay = r.u32, view.layout
@@ -1193,6 +1219,7 @@ def _make_poll_section(view, pid, ids, backoff):
     peek, rd_recv = view._rd_peek, view._rd_recv
     list_step = view.costs.list_step
     heads: list = []
+    memos: list = []  # each walk's m_epoch and m_empty cells
 
     def head(i, lnvc_id):
         slot = lnvc_id & _SLOT_MASK
@@ -1200,7 +1227,7 @@ def _make_poll_section(view, pid, ids, backoff):
         base = lay.lnvc_off(slot)
         lock = FIRST_LNVC_LOCK + slot
         rel = (S_REL, lock)
-        m_epoch = -1  # conn_epoch the three cells below were resolved at
+        m_epoch = None  # conn_epoch the three cells below were resolved at
         m_desc = m_fcfs = m_empty = None
 
         def _walk():
@@ -1232,10 +1259,13 @@ def _make_poll_section(view, pid, ids, backoff):
 
         fixed = (S_CHARGE, view._check_fixed_work) if i else (
             S_MANY, (backoff, view._check_fixed_work))
+        names, cells = _walk.__code__.co_freevars, _walk.__closure__
+        memos.append(cells[names.index("m_epoch")])
+        memos.append(cells[names.index("m_empty")])
         return (fixed, (S_ACQ, lock), (S_CALL, _walk))
 
     heads.extend(head(i, cid) for i, cid in enumerate(ids))
-    return FusedSection(heads[0])
+    return FusedSection(heads[0]), heads, memos
 
 
 def poll_receive(
@@ -1266,7 +1296,7 @@ def poll_receive(
             ent = view._fs_poll_cache[key] = (
                 (ids, backoff), _make_poll_section(view, pid, ids, backoff))
         if ent[1] is not None:
-            res = yield ent[1]
+            res = yield ent[1][0]
             if res.__class__ is not tuple:  # a bail is (lock, error)
                 return res
             yield from _release_and_raise([res[0]], res[1])

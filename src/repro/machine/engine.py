@@ -24,8 +24,10 @@ from __future__ import annotations
 from bisect import insort as _insort
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Generator, Protocol as TypingProtocol
 
+from ..core import chains
 from ..core.effects import (
     Acquire,
     Charge,
@@ -119,7 +121,7 @@ _DONE = "done"
 _FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class SimProcess:
     """One simulated process: a generator plus scheduling state."""
 
@@ -296,6 +298,10 @@ class Engine:
         # instead of a method call per acquire/release event.
         self._t_acquire = self.timing.acquire_cost()
         self._t_release = self.timing.release_cost()
+        #: The interpreter the last :meth:`run` took: ``"c"`` (the step
+        #: interpreter of ``engine.c``) or ``"python"``; ``None`` before
+        #: the first.
+        self.loop: str | None = None
 
     # -- process management --------------------------------------------------
 
@@ -331,7 +337,17 @@ class Engine:
         before anything that can observe them — handler calls,
         ``S_CALL`` closures, generator resumes, the scheduler — and
         unconditionally on exit.
+
+        Where the C kernels are the ones in use (``chains.ACTIVE.name ==
+        "c"``) and ``engine.c`` built, :data:`C_RUN` runs this loop
+        instead, statement for statement; the code below is its
+        reference and the loop of every host without a compiler.
+        :attr:`loop` says which one the last run took.
         """
+        if C_RUN is not None and chains.ACTIVE.name == "c":
+            self.loop = "c"
+            return C_RUN(self, until)
+        self.loop = "python"
         if until is not None and until <= self.now:
             return self.now
         sched = self._scheduler
@@ -728,3 +744,26 @@ class Engine:
                 sleeper._implicit_reacquire = True
                 lock.waiters.append(sleeper)
         return self.now + self.timing.wake_cost(n)
+
+
+def _load(where: Path = Path(__file__).parent):
+    """The C step interpreter's ``run``, built (or found) in ``where`` by
+    :func:`repro.core.chains.build_extension` with the kernels' flags
+    and ``-ffp-contract=off`` (no multiply-add is fused, so every float
+    expression rounds as Python's does), bound to this module's classes;
+    ``None`` where it cannot be built."""
+    source = (Path(__file__).parent / "engine.c").read_bytes()
+    lib = chains.build_extension(
+        where, "_engine", source, chains.CFLAGS + ("-ffp-contract=off",),
+        module="_engine")
+    if lib is None:
+        return None
+    lib.bind(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
+             Wake, Work, SimProcess, _SimLock, _WaitChannel, SimulationError,
+             _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN, _DONE, _FAILED)
+    return lib.run
+
+
+#: ``run(engine, until)``: :meth:`Engine.run` compiled (``engine.c``),
+#: or ``None`` where it could not be built.
+C_RUN = _load()

@@ -156,6 +156,11 @@ def _record(name: str) -> str:
     return os.path.join(_lock_dir(name), "config.json")
 
 
+#: Names of the segments this process created and has not unlinked (a
+#: forked child inherits them with its parent's resource tracker).
+_CREATED: set[str] = set()
+
+
 class PosixSegment:
     """A named MPF segment shared by unrelated processes."""
 
@@ -182,6 +187,7 @@ class PosixSegment:
         shm = shared_memory.SharedMemory(
             create=True, name=name, size=SegmentLayout(cfg).total_size
         )
+        _CREATED.add(name)
         # Only now: a leaked segment of this name keeps its own record.
         with open(_record(name), "w") as fh:
             json.dump(asdict(cfg), fh)
@@ -201,13 +207,18 @@ class PosixSegment:
         """
         shm = shared_memory.SharedMemory(name=name)
         # Only the creator owns the segment's lifetime; stop this
-        # process's resource tracker from also trying to unlink it.
-        try:
-            from multiprocessing import resource_tracker
+        # process's resource tracker from also trying to unlink it.  The
+        # creator's own tracker holds the name once (the attach's
+        # registration adds nothing) until its unlink takes it out, so
+        # there it is left alone: taken out twice, the tracker prints a
+        # KeyError at exit.
+        if name not in _CREATED:
+            try:
+                from multiprocessing import resource_tracker
 
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
+                resource_tracker.unregister(shm._name, "shared_memory")
+            except Exception:  # pragma: no cover - tracker internals moved
+                pass
         region = SharedRegion(shm.buf)
         try:
             try:
@@ -253,6 +264,7 @@ class PosixSegment:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+        _CREATED.discard(self.name)
         lock_dir = _lock_dir(self.name)
         for f in [f"lock{i}" for i in range(self.cfg.n_locks)] + ["config.json"]:
             try:

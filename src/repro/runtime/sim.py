@@ -97,6 +97,7 @@ class SimRuntime(Runtime):
         try:
             elapsed = engine.run(until=self._until)
         finally:
+            view.forget_poll_sections()
             if rec is not None:
                 # Surface the engine's event-queue counters on the
                 # recorder so the Prometheus exposition and the bench

@@ -8,6 +8,7 @@ import ctypes
 import pytest
 
 from repro.core import chains, ops
+from repro.machine import engine
 from repro.testing import DirectRunner, make_view
 
 
@@ -76,3 +77,20 @@ def c_kernels(tmp_path_factory):
         kernels = chains._select(tmp_path_factory.mktemp("asan"))
     assert kernels.name == "c", "the AddressSanitizer build failed"
     return kernels
+
+
+@pytest.fixture(scope="session")
+def c_engine(tmp_path_factory):
+    """The C step interpreter the differential test holds against the
+    Python loop: :data:`repro.machine.engine.C_RUN` — or, under
+    AddressSanitizer, ``engine.c`` built again with ``ASAN_CFLAGS``, as
+    :func:`c_kernels` rebuilds the kernels."""
+    if engine.C_RUN is None:
+        pytest.skip("no C engine on this host")
+    if not asan_loaded():
+        return engine.C_RUN
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "CFLAGS", chains.CFLAGS + ASAN_CFLAGS)
+        run = engine._load(tmp_path_factory.mktemp("asan-engine"))
+    assert run is not None, "the AddressSanitizer build failed"
+    return run

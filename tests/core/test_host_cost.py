@@ -42,14 +42,17 @@ lock-free take, completion: one kernel call each) lowered the ring's to
 and 33, two movers, at fb1699e, counted before the first edit).
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
-tests/core/test_host_cost.py`` (``make hostcost``) prints the table and
-the loop-back microseconds.
+tests/core/test_host_cost.py`` (``make hostcost``) prints the table, the
+per-size counts and the ``repro`` Python calls per simulated event of
+``tests/machine/test_one_loop.py``'s pinned 32x32 Gauss-Jordan run —
+counts only: two launches at one commit read 27.2 and 17.5 us for the
+same loop-back pair, so no wall time here can compare two commits.
 """
 
 import collections
 import random
 import sys
-import time
+from pathlib import Path
 
 import pytest
 
@@ -140,14 +143,12 @@ class CountingRegion(SharedRegion):
         super().write(off, data)
 
 
-def measure(transport: str, sizes=MIX, count: str | None = "calls") -> dict:
+def measure(transport: str, sizes=MIX, count: str = "calls") -> dict:
     """``len(sizes)`` loop-back pairs after a warm-up pair of each size.
 
     ``count="calls"`` gives ``{"py", "c", "work_inits"}``, ``"region"``
     gives ``{"words", "bulk", "links"}`` (``links``: stores over block
-    link words) and ``None`` counts nothing, so that
-    ``"us"`` (wall microseconds per pair, always present) is the bare
-    path's."""
+    link words)."""
     out: dict = {}
     payloads = {s: bytes(range(256)) * (s // 256) + bytes(s % 256)
                 for s in SIZES}
@@ -174,9 +175,8 @@ def measure(transport: str, sizes=MIX, count: str | None = "calls") -> dict:
             env.view.region.pool = (lay.blk_base, lay.blk_stride,
                                     env.view.cfg.n_blocks)
             before = +env.view.region.counts
-        elif count == "calls":
+        else:
             sys.setprofile(profile)
-        t0 = time.perf_counter_ns()
         try:
             for s in sizes:
                 yield from env.message_send(sid, payloads[s])
@@ -184,13 +184,12 @@ def measure(transport: str, sizes=MIX, count: str | None = "calls") -> dict:
                 assert len(got) == s
         finally:
             sys.setprofile(None)
-        out["us"] = (time.perf_counter_ns() - t0) / 1e3 / len(sizes)
         if count == "region":
             delta = env.view.region.counts - before
             out["words"] = sum(n * delta[k] for k, n in WORDS.items())
             out["bulk"] = sum(delta[k] for k in BULK)
             out["links"] = delta["links"]
-        elif count == "calls":
+        else:
             # the closing ``sys.setprofile(None)`` is the one C call of
             # the harness itself inside the window
             out.update(py=calls["py"], c=calls["c"] - 1,
@@ -217,7 +216,6 @@ def table() -> dict:
     rows = {}
     for transport in TRANSPORTS:
         row = measure(transport)
-        row.pop("us")
         small = measure(transport, (16,) * PAIRS, count="region")
         row["words16"], row["bulk16"] = small["words"], small["bulk"]
         rows[transport] = row
@@ -329,7 +327,6 @@ def test_calls_per_pair(rows, transport, drop, monkeypatch):
         assert row["py"] <= (1 - drop) * PARENT[transport]["py"], kernels
         monkeypatch.setattr(chains, "ACTIVE", KERNEL_SETS[kernels])
         again = measure(transport)
-        again.pop("us")
         assert again == {k: row[k] for k in again}, kernels  # it repeats
 
 
@@ -357,16 +354,23 @@ if __name__ == "__main__":
                   f"{PARENT[transport][key] / PAIRS:>14.1f}"
                   f"{pinned[transport][key] / PAIRS:>9.1f}"
                   f"{row[key] / PAIRS:>9.1f}")
-    print("  per size:              us/pair   words    bulk   links"
-          "   (ThreadRuntime; us: min of 5 x 200 pairs;\n"
-          f"  {chains.ACTIVE.name} kernels: a C store is not counted)")
+    print(f"  {'per size':<17}{'words':>8}{'bulk':>8}{'links':>8}"
+          "   (a C store is not counted)")
     for transport in TRANSPORTS:
         for size in SIZES:
-            us = min(measure(transport, (size,) * 200, count=None)["us"]
-                     for _ in range(5))
             row = measure(transport, (size,) * PAIRS, count="region")
-            print(f"  {transport:<9} {size:>5} B {us:>12.1f}"
+            print(f"  {transport:<9} {size:>5} B"
                   + "".join(f"{row[k] / PAIRS:>8.1f}"
                             for k in ("words", "bulk", "links"))
                   + (f"   (links at cc8178e: {PARENT_LINKS[size]})"
                      if transport == "freelist" else ""))
+    sys.path.insert(0, str(Path(__file__).parents[1] / "machine"))
+    from test_one_loop import PINNED_GJ32_CALLS, gj32_calls
+
+    gj32_calls()  # warm the ``charge`` cache and first-use imports
+    calls, events = gj32_calls()
+    name = chains.ACTIVE.name
+    print(f"32x32 Gauss-Jordan on p=4 ({name} kernels and engine loop): "
+          f"{calls:,} repro Python calls for {events:,} events, "
+          f"{calls / events:.3f} per event (pinned <= "
+          f"{PINNED_GJ32_CALLS[name]:,})")

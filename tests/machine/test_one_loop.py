@@ -13,8 +13,14 @@ produced, recorded there and asserted here:
   a run and how many of them crossed the event queue are one value per
   program (ROADMAP 3(a) in miniature), and so are the Python calls a
   poll-heavy run makes.
+
+The loop runs as the C step interpreter (``engine.c``) where it was
+built and as the Python reference everywhere; every pin but the call
+count holds on both, and each test that pins the schedule runs on each
+loop this host has (``_loops``).
 """
 
+import contextlib
 import hashlib
 import sys
 
@@ -25,24 +31,59 @@ from repro.bench.workloads import fcfs_throughput
 from repro.check.scenarios import SCENARIOS
 from repro.check.scheduler import RandomPolicy, run_schedule
 from repro.core import chains
+from repro.machine import engine
 from repro.machine.engine import set_epoch
 from repro.machine.stats import MachineReport
+from repro.runtime.sim import SimRuntime
+
+def _loops() -> tuple[str, ...]:
+    """The engine loops this host has: the C one wherever it and the C
+    kernels were built, the Python one always."""
+    if engine.C_RUN is not None and chains.C is not None:
+        return ("c", "python")
+    return ("python",)
+
+
+def _idle():
+    return
+    yield
+
+
+@contextlib.contextmanager
+def _on(loop):
+    """Engines built inside take ``loop``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if loop == "c":
+            patch.setattr(chains, "ACTIVE", chains.C)
+        else:
+            patch.setattr(engine, "C_RUN", None)
+        probe = engine.Engine(1, 0)
+        probe.spawn("p", _idle())
+        probe.run()
+        assert probe.loop == loop
+        yield
 
 
 def test_controlled_walk_pinned_against_parent():
-    out = run_schedule(SCENARIOS["fcfs-race"], RandomPolicy(seed=7))
-    assert (out.status, len(out.decisions), out.events) == ("ok", 316, 462)
-    assert (sum(out.decisions), sum(out.widths)) == (224, 785)
-    assert hashlib.sha256(
-        repr((out.decisions, out.widths)).encode()).hexdigest() == (
-        "79eaf4747e22ad4bce0d7d38d73f322b51c6e6b8a12c2236c1ae804e02649671")
+    for loop in _loops():
+        with _on(loop):
+            out = run_schedule(SCENARIOS["fcfs-race"], RandomPolicy(seed=7))
+        assert (out.status, len(out.decisions), out.events) == (
+            "ok", 316, 462), loop
+        assert (sum(out.decisions), sum(out.widths)) == (224, 785), loop
+        assert hashlib.sha256(
+            repr((out.decisions, out.widths)).encode()).hexdigest() == (
+            "79eaf4747e22ad4bce0d7d38d73f322b51c6e6b8a12c2236c1ae804e02649671"
+        ), loop
 
 
 def test_fcfs_report_pinned_against_parent():
-    rep = fcfs_throughput(4, 64, messages=60).run.report
-    assert (rep.sim_seconds, rep.events, rep.lock_acquires,
-            rep.lock_contended, rep.wakes, rep.woken) == (
-        0.44038499999999636, 2545, 570, 53, 76, 258)
+    for loop in _loops():
+        with _on(loop):
+            rep = fcfs_throughput(4, 64, messages=60).run.report
+        assert (rep.sim_seconds, rep.events, rep.lock_acquires,
+                rep.lock_contended, rep.wakes, rep.woken) == (
+            0.44038499999999636, 2545, 570, 53, 76, 258), loop
 
 
 @pytest.mark.parametrize("transport,events,crossings", [
@@ -56,29 +97,40 @@ def test_queue_crossings_pinned(transport, events, crossings):
     reverse) moves ``heap_pops`` and nothing else: update the pin only
     with the reason in hand.
     """
-    rep = fcfs_throughput(4, 64, messages=400, transport=transport).run.report
-    assert rep.events == events
-    assert rep.heap_pops == crossings
-    assert rep.heap_pushes == rep.heap_pops  # a finished run left nothing queued
+    for loop in _loops():
+        with _on(loop):
+            rep = fcfs_throughput(4, 64, messages=400,
+                                  transport=transport).run.report
+        assert rep.events == events, loop
+        assert rep.heap_pops == crossings, loop
+        # a finished run left nothing queued
+        assert rep.heap_pushes == rep.heap_pops, loop
 
 
 #: Python calls into ``repro`` code of one 32x32 Gauss-Jordan solve on
 #: four workers plus the arbiter, by the kernel set in use
-#: (``chains.ACTIVE.name``): counted at 2943220 before the first edit of
-#: the commit that added this pin (90,198), and again when the lock
-#: sections became kernels — 89,745 / 91,235 at 5536dbc before the first
-#: edit, 89,201 / 92,739 after.  The Python path pays one call per lock
-#: section for its reference functions, which both kernel sets share
-#: with the tests.  Lower a pin when the engine or the poll path gets
-#: lighter; a change that raises one says why.
-PINNED_GJ32_CALLS = {"c": 89_201, "python": 92_739}
+#: (``chains.ACTIVE.name``, which also picks the engine loop): counted at
+#: 2943220 before the first edit of the commit that added this pin
+#: (90,198), and again when the lock sections became kernels — 89,745 /
+#: 91,235 at 5536dbc before the first edit, 89,201 / 92,739 after.  The
+#: Python path pays one call per lock section for its reference
+#: functions, which both kernel sets share with the tests.  The C engine
+#: loop took the "c" count from 89,201 (6ec7c48, before the first edit)
+#: to 64,585: ``Engine.run``'s handlers and parks are no Python frames
+#: there (the count includes the one call that unlinks the run's poll
+#: sections, ``MPFView.forget_poll_sections``).  Lower a pin when the
+#: engine or the poll path gets lighter; a change that raises one says
+#: why.
+PINNED_GJ32_CALLS = {"c": 64_585, "python": 92_739}
 
 
-def _gj32_calls() -> int:
+def gj32_calls() -> tuple[int, int]:
     """``call`` events of ``sys.setprofile`` whose frame runs ``repro``
-    code: numpy's and the standard library's own Python frames depend on
-    their versions, not on this loop."""
+    code, and the run's engine events: numpy's and the standard
+    library's own Python frames depend on their versions, not on this
+    loop."""
     a, b = make_system(32)
+    rt = SimRuntime()
     calls = 0
 
     def profile(frame, event, arg):
@@ -89,20 +141,20 @@ def _gj32_calls() -> int:
 
     sys.setprofile(profile)
     try:
-        gauss_jordan_parallel(a, b, p=4)
+        gauss_jordan_parallel(a, b, p=4, runtime=rt)
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, rt.last_engine.stats.events
 
 
 def test_python_calls_of_a_poll_heavy_run_pinned():
     """The jitter-free weight of the loop: ``heap_pops`` says where it
     parks, this says what it costs the interpreter between parks (one
     ``sim_gauss64`` repetition makes ~657k calls for ~359k events)."""
-    _gj32_calls()  # warm the ``charge`` cache and first-use imports
-    calls = _gj32_calls()
+    gj32_calls()  # warm the ``charge`` cache and first-use imports
+    calls, _ = gj32_calls()
     assert 0 < calls <= PINNED_GJ32_CALLS[chains.ACTIVE.name]
-    assert _gj32_calls() == calls  # it repeats
+    assert gj32_calls()[0] == calls  # it repeats
 
 
 def test_ledger_shims_survive_until_the_ledger_lets_go():

@@ -462,4 +462,4 @@ def test_drop_wake_passes_poll_sections_untouched():
     _spawn(eng, view, [lambda env: opener()])
     eng.run()
     (section,) = seen
-    assert section is next(iter(view._fs_poll_cache.values()))[1]
+    assert section is next(iter(view._fs_poll_cache.values()))[1][0]

@@ -212,6 +212,33 @@ def test_truly_independent_processes():
         seg.unlink()
 
 
+SAME_PROCESS_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from repro.core.layout import MPFConfig
+    from repro.runtime.posix import PosixSegment
+
+    seg = PosixSegment.create(sys.argv[1], MPFConfig(
+        max_lnvcs=8, max_processes=4, max_messages=64,
+        message_pool_bytes=1 << 16))
+    PosixSegment.attach(sys.argv[1]).close()
+    seg.unlink()
+    """
+)
+
+
+def test_an_attach_where_the_segment_was_created_leaves_stderr_empty():
+    """Create, attach in the same process, unlink: the process's resource
+    tracker holds the name once, from the create, and the unlink takes it
+    out — an attach that took it out as well left the tracker printing
+    ``KeyError: '/mpftest-...'`` at exit."""
+    done = subprocess.run(
+        [sys.executable, "-c", SAME_PROCESS_SCRIPT, fresh_name()],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 ECHO_SCRIPT = textwrap.dedent(
     """
     import itertools
