@@ -606,104 +606,70 @@ chan_at(run_t *R, PyObject *chan)  /* borrowed */
     return PyList_GET_ITEM(R->chans, i);
 }
 
-/* rec.on_acquire(now, name, lock_id, wait, contended=..[, counted=..]) */
+/* rec.<method>(now, proc.name, a, x, **kw) — x is stolen; kwnames names
+ * the keyword values kw1[, kw2] (NULL: none). */
 static int
-hook_acquire(run_t *R, PyObject *name, PyObject *lock_id, double wait,
-             int contended, int counted)
+hook(run_t *R, PyObject *method, PyObject *proc, PyObject *a, PyObject *x,
+     PyObject *kwnames, PyObject *kw1, PyObject *kw2)
 {
-    PyObject *now, *w, *args[7], *r = NULL;
-    if (flush(R) < 0)
-        return -1;
-    now = PyFloat_FromDouble(R->now);
-    w = PyFloat_FromDouble(wait);
-    if (now != NULL && w != NULL) {
-        args[0] = R->rec;
-        args[1] = now;
-        args[2] = name;
-        args[3] = lock_id;
-        args[4] = w;
-        args[5] = contended ? Py_True : Py_False;
-        args[6] = counted ? Py_True : Py_False;
-        r = PyObject_VectorcallMethod(
-            K_ON_ACQUIRE, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
-            counted < 0 ? KW_CONTENDED : KW_CONTENDED_COUNTED);
-    }
-    Py_XDECREF(now);
-    Py_XDECREF(w);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* rec.on_release(now, name, lock_id, hold[, counted=False]) */
-static int
-hook_release(run_t *R, PyObject *name, PyObject *lock_id, double hold,
-             int counted)
-{
-    PyObject *now, *h, *args[6], *r = NULL;
-    if (flush(R) < 0)
-        return -1;
-    now = PyFloat_FromDouble(R->now);
-    h = PyFloat_FromDouble(hold);
-    if (now != NULL && h != NULL) {
-        args[0] = R->rec;
-        args[1] = now;
-        args[2] = name;
-        args[3] = lock_id;
-        args[4] = h;
-        args[5] = Py_False;
-        r = PyObject_VectorcallMethod(
-            K_ON_RELEASE, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET,
-            counted ? NULL : KW_COUNTED);
-    }
-    Py_XDECREF(now);
-    Py_XDECREF(h);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* rec.<hook>(now, name, a, b) */
-static int
-hook4(run_t *R, PyObject *hook, PyObject *name, PyObject *a, PyObject *b)
-{
-    PyObject *now = NULL, *args[5], *r = NULL;
-    if (b != NULL && flush(R) == 0)
+    PyObject *now = NULL, *name = NULL, *r = NULL;
+    if (x != NULL && flush(R) == 0 && (name = get(proc, P_NAME)) != NULL)
         now = PyFloat_FromDouble(R->now);
     if (now != NULL) {
-        args[0] = R->rec;
-        args[1] = now;
-        args[2] = name;
-        args[3] = a;
-        args[4] = b;
+        PyObject *args[7] = {R->rec, now, name, a, x, kw1, kw2};
         r = PyObject_VectorcallMethod(
-            hook, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            method, args, 5 | PY_VECTORCALL_ARGUMENTS_OFFSET, kwnames);
     }
     Py_XDECREF(now);
-    Py_XDECREF(b);
+    Py_XDECREF(name);
+    Py_XDECREF(x);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
     return 0;
+}
+
+/* SimulationError(fmt with proc.name, a, b) */
+static void
+proc_error(PyObject *proc, const char *fmt, PyObject *a, PyObject *b)
+{
+    PyObject *name = get(proc, P_NAME);
+    if (name != NULL) {
+        sim_error(PyUnicode_FromFormat(fmt, name, a, b));
+        Py_DECREF(name);
+    }
+}
+
+/* Block ``proc`` in ``state`` behind ``queue`` (a lock's waiters or a
+ * channel's sleepers) until a grant or a wake. */
+static double
+block(run_t *R, PyObject *proc, PyObject *state, PyObject *lock_id,
+      PyObject *queue)
+{
+    if (queue == NULL || set(proc, P_STATE, state) < 0
+        || add_runnable(R, -1) < 0 || set(proc, P_WAIT_LOCK, lock_id) < 0
+        || set_double(proc, P_SINCE, R->now) < 0
+        || call_method1_void(queue, K_APPEND, proc) < 0) {
+        Py_XDECREF(queue);
+        return NAN;
+    }
+    Py_DECREF(queue);
+    return -1.0;
 }
 
 /* Engine._grant_next: hand the lock to its next FIFO waiter, or free it. */
 static int
 grant_next(run_t *R, PyObject *lock_id, PyObject *lock)
 {
-    PyObject *waiters = get(lock, L_WAITERS), *nxt = NULL, *name = NULL;
+    PyObject *waiters = get(lock, L_WAITERS), *nxt = NULL;
     double since, waited;
     int has, implicit, rc = -1;
 
     if (waiters == NULL)
         return -1;
     has = PyObject_IsTrue(waiters);
-    if (has < 0)
-        goto out;
-    if (!has) {
-        rc = set(lock, L_OWNER, Py_None);
+    if (has <= 0) {
+        rc = has < 0 ? -1 : set(lock, L_OWNER, Py_None);
         goto out;
     }
     nxt = call_method0(waiters, K_POPLEFT);
@@ -713,16 +679,14 @@ grant_next(run_t *R, PyObject *lock_id, PyObject *lock)
         || set(nxt, P_WAIT_LOCK, Py_None) < 0
         || get_double(nxt, P_SINCE, &since) < 0
         || get_double(nxt, P_WAITED, &waited) < 0
-        || set_double(nxt, P_WAITED, waited + (R->now - since)) < 0)
+        || set_double(nxt, P_WAITED, waited + (R->now - since)) < 0
+        || (implicit = truth(nxt, P_IMPLICIT)) < 0)
         goto out;
-    if (R->rec != Py_None) {
-        implicit = truth(nxt, P_IMPLICIT);
-        name = get(nxt, P_NAME);
-        if (implicit < 0 || name == NULL
-            || hook_acquire(R, name, lock_id, R->now - since, 1,
-                            !implicit) < 0)
-            goto out;
-    }
+    if (R->rec != Py_None
+        && hook(R, K_ON_ACQUIRE, nxt, lock_id,
+                PyFloat_FromDouble(R->now - since), KW_CONTENDED_COUNTED,
+                Py_True, implicit ? Py_False : Py_True) < 0)
+        goto out;
     if (set(nxt, P_IMPLICIT, Py_False) < 0
         || park(R, nxt, R->now + R->t_acquire) < 0)
         goto out;
@@ -730,97 +694,71 @@ grant_next(run_t *R, PyObject *lock_id, PyObject *lock)
 out:
     Py_DECREF(waiters);
     Py_XDECREF(nxt);
-    Py_XDECREF(name);
     return rc;
+}
+
+/* The lock ``lock_id`` names if ``proc`` holds it (borrowed), else NULL
+ * with SimulationError(fmt with proc.name, a, lock_id). */
+static PyObject *
+held(run_t *R, PyObject *proc, PyObject *lock_id, const char *fmt,
+     PyObject *a)
+{
+    PyObject *lock = lock_at(R, lock_id), *owner;
+    if (lock == NULL || (owner = get(lock, L_OWNER)) == NULL)
+        return NULL;
+    Py_DECREF(owner);
+    if (owner != proc) {
+        proc_error(proc, fmt, a, lock_id);
+        return NULL;
+    }
+    return lock;
 }
 
 /* Engine._do_acquire: the resume time, -1.0 when blocked, NAN on error. */
 static double
 do_acquire(run_t *R, PyObject *proc, PyObject *lock_id)
 {
-    PyObject *lock = lock_at(R, lock_id), *owner, *name, *waiters;
-    double t = NAN;
+    PyObject *lock = lock_at(R, lock_id), *owner;
     if (lock == NULL)
         return NAN;
     R->stat[ST_ACQUIRES] += 1;
     owner = get(lock, L_OWNER);
     if (owner == NULL)
         return NAN;
+    Py_DECREF(owner);  /* compared by identity only */
     if (owner == Py_None) {
-        Py_DECREF(owner);
-        if (set(lock, L_OWNER, proc) < 0 || set_double(lock, L_AT, R->now) < 0)
+        if (set(lock, L_OWNER, proc) < 0
+            || set_double(lock, L_AT, R->now) < 0
+            || (R->rec != Py_None
+                && hook(R, K_ON_ACQUIRE, proc, lock_id, PyFloat_FromDouble(0.0),
+                        KW_CONTENDED, Py_False, NULL) < 0))
             return NAN;
-        if (R->rec != Py_None) {
-            name = get(proc, P_NAME);
-            if (name == NULL)
-                return NAN;
-            if (hook_acquire(R, name, lock_id, 0.0, 0, -1) < 0) {
-                Py_DECREF(name);
-                return NAN;
-            }
-            Py_DECREF(name);
-        }
         return R->now + R->t_acquire;
     }
     if (owner == proc) {
-        Py_DECREF(owner);
-        name = get(proc, P_NAME);
-        if (name != NULL) {
-            sim_error(PyUnicode_FromFormat(
-                "process %R re-acquired lock %S (self-deadlock)", name,
-                lock_id));
-            Py_DECREF(name);
-        }
+        proc_error(proc, "process %R re-acquired lock %S (self-deadlock)",
+                   lock_id, NULL);
         return NAN;
     }
-    Py_DECREF(owner);
     R->stat[ST_CONTENDED] += 1;
-    waiters = get(lock, L_WAITERS);
-    if (waiters != NULL && set(proc, P_STATE, S_WAIT_LOCK) == 0
-        && add_runnable(R, -1) == 0 && set(proc, P_WAIT_LOCK, lock_id) == 0
-        && set_double(proc, P_SINCE, R->now) == 0
-        && call_method1_void(waiters, K_APPEND, proc) == 0)
-        t = -1.0;
-    Py_XDECREF(waiters);
-    return t;
+    return block(R, proc, S_WAIT_LOCK, lock_id, get(lock, L_WAITERS));
 }
 
 /* Engine._do_release */
 static double
 do_release(run_t *R, PyObject *proc, PyObject *lock_id)
 {
-    PyObject *lock = lock_at(R, lock_id), *owner, *name;
     double at;
-    int mine;
-    if (lock == NULL)
-        return NAN;
-    owner = get(lock, L_OWNER);
-    if (owner == NULL)
-        return NAN;
-    mine = owner == proc;
-    Py_DECREF(owner);
-    if (!mine) {
-        name = get(proc, P_NAME);
-        if (name != NULL) {
-            sim_error(PyUnicode_FromFormat(
-                "process %R released lock %S it does not own", name,
-                lock_id));
-            Py_DECREF(name);
-        }
-        return NAN;
-    }
-    if (R->rec != Py_None) {
-        name = get(proc, P_NAME);
-        if (name == NULL)
-            return NAN;
-        if (get_double(lock, L_AT, &at) < 0
-            || hook_release(R, name, lock_id, R->now - at, 1) < 0) {
-            Py_DECREF(name);
-            return NAN;
-        }
-        Py_DECREF(name);
-    }
-    if (grant_next(R, lock_id, lock) < 0)
+    PyObject *lock = held(R, proc, lock_id,
+                          "process %R released lock %S it does not own",
+                          lock_id);
+    if (lock == NULL
+        || (R->rec != Py_None
+            && (get_double(lock, L_AT, &at) < 0
+                || hook(R, K_ON_RELEASE, proc, lock_id,
+                        PyFloat_FromDouble(R->now - at), NULL, NULL,
+                        NULL) < 0))
+        || grant_next(R, lock_id, lock) < 0)
         return NAN;
     return R->now + R->t_release;
 }
@@ -829,58 +767,32 @@ do_release(run_t *R, PyObject *proc, PyObject *lock_id)
 static double
 do_wait(run_t *R, PyObject *proc, PyObject *chan, PyObject *lock_id)
 {
-    PyObject *lock = lock_at(R, lock_id), *owner, *name, *channel, *sleepers;
-    double at, t = NAN;
-    int mine;
-    if (lock == NULL)
+    double at;
+    PyObject *channel, *lock = held(
+        R, proc, lock_id,
+        "process %R waits on channel %S without holding lock %S", chan);
+    if (lock == NULL || (channel = chan_at(R, chan)) == NULL)
         return NAN;
-    owner = get(lock, L_OWNER);
-    if (owner == NULL)
+    /* WaitOn releases the lock on the caller's behalf: the hold span
+     * ends without counting a Release effect */
+    if ((R->rec != Py_None
+         && (get_double(lock, L_AT, &at) < 0
+             || hook(R, K_ON_RELEASE, proc, lock_id,
+                     PyFloat_FromDouble(R->now - at), KW_COUNTED, Py_False,
+                     NULL) < 0))
+        || grant_next(R, lock_id, lock) < 0)
         return NAN;
-    mine = owner == proc;
-    Py_DECREF(owner);
-    if (!mine) {
-        name = get(proc, P_NAME);
-        if (name != NULL) {
-            sim_error(PyUnicode_FromFormat(
-                "process %R waits on channel %S without holding lock %S",
-                name, chan, lock_id));
-            Py_DECREF(name);
-        }
-        return NAN;
-    }
-    channel = chan_at(R, chan);
-    if (channel == NULL)
-        return NAN;
-    if (R->rec != Py_None) {
-        name = get(proc, P_NAME);
-        if (name == NULL)
-            return NAN;
-        if (get_double(lock, L_AT, &at) < 0
-            || hook_release(R, name, lock_id, R->now - at, 0) < 0) {
-            Py_DECREF(name);
-            return NAN;
-        }
-        Py_DECREF(name);
-    }
-    if (grant_next(R, lock_id, lock) < 0)
-        return NAN;
-    sleepers = get(channel, CH_SLEEPERS);
-    if (sleepers != NULL && set(proc, P_STATE, S_WAIT_CHAN) == 0
-        && add_runnable(R, -1) == 0 && set(proc, P_WAIT_LOCK, lock_id) == 0
-        && set_double(proc, P_SINCE, R->now) == 0
-        && call_method1_void(sleepers, K_APPEND, proc) == 0)
-        t = -1.0;
-    Py_XDECREF(sleepers);
-    return t;
+    return block(R, proc, S_WAIT_CHAN, lock_id, get(channel, CH_SLEEPERS));
 }
 
-/* One sleeper of a Wake: its sleep ends, it takes or queues for its lock. */
+/* One sleeper of a Wake: its sleep ends (what elapsed was channel
+ * sleep, what follows lock wait; lock_wait_time takes both), then it
+ * takes its lock or queues for it. */
 static int
 wake_one(run_t *R, PyObject *sleeper, PyObject *chan)
 {
     PyObject *lock_id = get(sleeper, P_WAIT_LOCK), *lock, *owner = NULL;
-    PyObject *name = NULL, *waiters = NULL;
+    PyObject *waiters = NULL;
     double since, waited, slept;
     int rc = -1;
 
@@ -892,43 +804,34 @@ wake_one(run_t *R, PyObject *sleeper, PyObject *chan)
         goto out;
     slept = R->now - since;
     if (set_double(sleeper, P_WAITED, waited + slept) < 0
-        || set_double(sleeper, P_SINCE, R->now) < 0)
-        goto out;
-    if (R->rec != Py_None) {
-        name = get(sleeper, P_NAME);
-        if (name == NULL
-            || hook4(R, K_ON_CHAN_WAIT, name, chan,
-                     PyFloat_FromDouble(slept)) < 0)
-            goto out;
-    }
-    owner = get(lock, L_OWNER);
-    if (owner == NULL)
+        || set_double(sleeper, P_SINCE, R->now) < 0
+        || (R->rec != Py_None
+            && hook(R, K_ON_CHAN_WAIT, sleeper, chan,
+                    PyFloat_FromDouble(slept), NULL, NULL, NULL) < 0)
+        || (owner = get(lock, L_OWNER)) == NULL)
         goto out;
     if (owner == Py_None) {
         if (set(lock, L_OWNER, sleeper) < 0
             || set_double(lock, L_AT, R->now) < 0
             || set(sleeper, P_STATE, S_RUNNABLE) < 0
             || add_runnable(R, 1) < 0
-            || set(sleeper, P_WAIT_LOCK, Py_None) < 0)
-            goto out;
-        if (R->rec != Py_None
-            && hook_acquire(R, name, lock_id, 0.0, 0, 0) < 0)
-            goto out;
-        if (park(R, sleeper, R->now + R->t_acquire) < 0)
-            goto out;
-    }
-    else {
-        waiters = get(lock, L_WAITERS);
-        if (waiters == NULL || set(sleeper, P_STATE, S_WAIT_LOCK) < 0
-            || set(sleeper, P_IMPLICIT, Py_True) < 0
-            || call_method1_void(waiters, K_APPEND, sleeper) < 0)
+            || set(sleeper, P_WAIT_LOCK, Py_None) < 0
+            || (R->rec != Py_None
+                && hook(R, K_ON_ACQUIRE, sleeper, lock_id,
+                        PyFloat_FromDouble(0.0), KW_CONTENDED_COUNTED,
+                        Py_False, Py_False) < 0)
+            || park(R, sleeper, R->now + R->t_acquire) < 0)
             goto out;
     }
+    else if ((waiters = get(lock, L_WAITERS)) == NULL
+             || set(sleeper, P_STATE, S_WAIT_LOCK) < 0
+             || set(sleeper, P_IMPLICIT, Py_True) < 0
+             || call_method1_void(waiters, K_APPEND, sleeper) < 0)
+        goto out;
     rc = 0;
 out:
     Py_DECREF(lock_id);
     Py_XDECREF(owner);
-    Py_XDECREF(name);
     Py_XDECREF(waiters);
     return rc;
 }
@@ -937,37 +840,24 @@ out:
 static double
 do_wake(run_t *R, PyObject *proc, PyObject *chan)
 {
-    PyObject *channel = chan_at(R, chan), *sleepers, *sleeper, *name, *cost;
+    PyObject *channel = chan_at(R, chan), *sleepers, *sleeper, *nn = NULL;
+    PyObject *cost = NULL;
     Py_ssize_t n;
     double t = NAN, c;
     int more;
 
-    if (channel == NULL)
-        return NAN;
-    sleepers = get(channel, CH_SLEEPERS);
-    if (sleepers == NULL)
+    if (channel == NULL || (sleepers = get(channel, CH_SLEEPERS)) == NULL)
         return NAN;
     n = PyObject_Length(sleepers);
     if (n < 0)
         goto out;
     R->stat[ST_WAKES] += 1;
     R->stat[ST_WOKEN] += n;
-    if (R->rec != Py_None) {
-        name = get(proc, P_NAME);
-        if (name == NULL)
-            goto out;
-        if (hook4(R, K_ON_WAKE, name, chan, PyLong_FromSsize_t(n)) < 0) {
-            Py_DECREF(name);
-            goto out;
-        }
-        Py_DECREF(name);
-    }
-    for (;;) {
-        more = PyObject_IsTrue(sleepers);
-        if (more < 0)
-            goto out;
-        if (!more)
-            break;
+    if (R->rec != Py_None
+        && hook(R, K_ON_WAKE, proc, chan, PyLong_FromSsize_t(n), NULL, NULL,
+                NULL) < 0)
+        goto out;
+    while ((more = PyObject_IsTrue(sleepers)) > 0) {
         sleeper = call_method0(sleepers, K_POPLEFT);
         if (sleeper == NULL)
             goto out;
@@ -977,22 +867,18 @@ do_wake(run_t *R, PyObject *proc, PyObject *chan)
         }
         Py_DECREF(sleeper);
     }
-    {
-        PyObject *nn = PyLong_FromSsize_t(n), *args[2];
-        if (nn == NULL)
-            goto out;
-        args[0] = R->timing;
-        args[1] = nn;
-        cost = flush(R) < 0 ? NULL : PyObject_VectorcallMethod(
-            K_WAKE_COST, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-        Py_DECREF(nn);
-    }
-    if (cost == NULL)
+    if (more < 0 || (nn = PyLong_FromSsize_t(n)) == NULL || flush(R) < 0)
         goto out;
-    if (as_double(cost, &c) == 0)
+    {
+        PyObject *args[2] = {R->timing, nn};
+        cost = PyObject_VectorcallMethod(
+            K_WAKE_COST, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    }
+    if (cost != NULL && as_double(cost, &c) == 0)
         t = R->now + c;
-    Py_DECREF(cost);
 out:
+    Py_XDECREF(nn);
+    Py_XDECREF(cost);
     Py_DECREF(sleepers);
     return t;
 }
@@ -1064,22 +950,9 @@ price_part(run_t *R, PyObject *price, const analytic_t *A, PyObject *work,
     else
         Py_DECREF(v);
     /* `arg.copy_bytes > 0`: only a single charge opens a copy phase */
-    v = get(work, W_COPY);
-    if (v == NULL)
+    if (get_double(work, W_COPY, &x) < 0)
         return -1;
-    {
-        PyObject *zero = PyLong_FromLong(0);
-        if (zero == NULL) {
-            Py_DECREF(v);
-            return -1;
-        }
-        c = PyObject_RichCompareBool(v, zero, Py_GT);
-        Py_DECREF(zero);
-    }
-    Py_DECREF(v);
-    if (c < 0)
-        return -1;
-    *copying = c;
+    *copying = x > 0;
     return 0;
 }
 

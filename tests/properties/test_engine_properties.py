@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.check.scheduler import RandomPolicy
 from repro.core.effects import (
@@ -265,7 +265,29 @@ def _plain(obj):
     return obj
 
 
+def _charges(*works):
+    return [("charge", w) for w in works]
+
+
+COPY = Work(instrs=10, copy_bytes=100, label="copy")
+
+
 @settings(max_examples=400, deadline=None)
+# Ties: two processes at time 0 under zero timing, each step parks.
+@example(program=[_charges(Work(instrs=1)), _charges(Work(instrs=1))],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
+# A bound a lone process's step ends on exactly (its second charge).
+@example(program=[_charges(Work(instrs=5), Work(instrs=7), Work(instrs=7)),
+                  []],
+         seed=None, untils=[], on_end=1, max_events=200_000_000)
+# Copy phases that end at a take while another copy is priced.
+@example(program=[_charges(COPY, COPY), _charges(COPY, COPY)],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
+# Parts whose back-to-back sum rounds apart from their total: 1 us, then
+# 1 + 4 us.
+@example(program=[[("charge", Work(instrs=1)),
+                   ("many", [Work(instrs=1), Work(instrs=4)])], []],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
 @given(program=programs,
        seed=st.one_of(st.none(), st.integers(0, 2**16)),
        untils=st.lists(st.floats(0.0, 3e-3), max_size=2),
