@@ -138,9 +138,10 @@ int64_t chain_drain(char *base, uint64_t size, uint64_t first, uint64_t n,
  * its generator (core/ops.py; the Python reference is in chains.py).
  * Each reads and checks every record it will touch before it stores to
  * any, and is refused, having written nothing, on a dry pool, a record
- * or chain that leaves the region or does not end, a message longer
- * than the receive's buffer and an empty queue: the caller then runs
- * the reference, which waits, raises or does the work.  (Only records
+ * or chain that leaves the region or does not end and a message longer
+ * than the receive's buffer: the caller then runs the reference, which
+ * raises or does the work.  (The claim answers an empty queue itself,
+ * writing nothing: its caller waits.  Only records
  * that overlap each other, which no formatted segment has, can make
  * the stores move what the checks saw; the walks that follow them stay
  * inside the region.)  The caller holds the lock each kernel names.
@@ -319,18 +320,20 @@ link_t sec_link(char *base, uint64_t size, uint64_t lnvc, uint64_t hdr,
 typedef struct {
     uint32_t msg, first, nblk, length, seqno;
     _Bool fcfs;
+    int got;
 } claim_t;
 
 /* message_receive's claim section (the circuit lock of the LNVC record
  * at lnvc): the next message for the receive descriptor desc, pinned
  * busy and counted as read; for FCFS, marked taken and the shared FCFS
- * head moved past it.  The message and its header's chain, length and
- * sequence number; msg is NIL when refused. */
+ * head moved past it.  got 1: the message and its header's chain,
+ * length and sequence number; got 0: the queue holds nothing for desc,
+ * nothing written; got -1: refused. */
 claim_t sec_claim(char *base, uint64_t size, uint64_t lnvc, uint64_t desc,
                   int64_t max_len)
 {
     unsigned char *b = (unsigned char *)base;
-    claim_t out = {NIL, 0, 0, 0, 0, 0};
+    claim_t out = {NIL, 0, 0, 0, 0, 0, -1};
     uint64_t msg;
     int64_t fcfs_head = NIL;
     _Bool fcfs;
@@ -338,6 +341,10 @@ claim_t sec_claim(char *base, uint64_t size, uint64_t lnvc, uint64_t desc,
         return out;
     fcfs = link_at(b, desc + R_PROTO) == P_FCFS;
     msg = link_at(b, fcfs ? lnvc + L_FCFS_HEAD : desc + R_HEAD);
+    if (msg == NIL) {
+        out.got = 0;
+        return out;
+    }
     if (!inside(msg, M_SIZE, size)
         || (int64_t)link_at(b, msg + M_LENGTH) > max_len)
         return out;
@@ -351,6 +358,7 @@ claim_t sec_claim(char *base, uint64_t size, uint64_t lnvc, uint64_t desc,
     out.first = link_at(b, msg + M_FIRST_BLK);
     out.seqno = link_at(b, msg + M_SEQNO);
     out.fcfs = fcfs;
+    out.got = 1;
     store_link(b, msg + M_BUSY, link_at(b, msg + M_BUSY) + 1);
     store_link(b, desc + R_NREADS, link_at(b, desc + R_NREADS) + 1);
     if (fcfs) {
@@ -853,4 +861,43 @@ int64_t ring_complete(char *base, uint64_t size, uint64_t nslots,
     store64(b, lnvc + L_BYTES_RECEIVED,
             load64(b, lnvc + L_BYTES_RECEIVED) + length);
     return wake;
+}
+
+
+/* ------------------------------------------------------------------------
+ * The poll walk: one circuit's check in poll_receive's looping section
+ * (core/ops.py, _make_poll_section), as far as the walk's memo reaches.
+ * The memo is the receive descriptor desc (FCFS when fcfs) the walk
+ * resolved while the LNVC record at lnvc was in use in generation gen at
+ * connection epoch epoch; while all three still hold, desc and the walk
+ * length the cost model charges are what resolving again would find.
+ * The engine's loop calls this kernel in place of the walk's Python body
+ * (repro/machine/engine.c) and runs that body only on a refusal.
+ * ---------------------------------------------------------------------- */
+
+/* While the memo holds, the number of messages queued for desc (0: the
+ * memoized "nothing here"); BAD when it does not (the epoch or the
+ * generation moved, the circuit is not in use) and for a record outside
+ * the region or a queue longer than the headers the region can hold.
+ * Reads only. */
+int64_t poll_walk(char *base, uint64_t size, uint64_t lnvc, uint64_t gen,
+                  uint64_t epoch, uint64_t desc, int fcfs)
+{
+    const unsigned char *b = (const unsigned char *)base;
+    uint64_t msg;
+    int64_t count = 0;
+    if (!inside(lnvc, L_SIZE, size)
+        || link_at(b, lnvc + L_CONN_EPOCH) != epoch
+        || link_at(b, lnvc + L_GEN) != gen || !link_at(b, lnvc + L_IN_USE))
+        return BAD;
+    if (fcfs)
+        msg = link_at(b, lnvc + L_FCFS_HEAD);
+    else if (inside(desc, R_SIZE, size))
+        msg = link_at(b, desc + R_HEAD);
+    else
+        return BAD;
+    for (; msg != NIL; msg = link_at(b, msg + M_NEXT_MSG))
+        if (!inside(msg, M_SIZE, size) || ++count > (int64_t)(size / M_SIZE))
+            return BAD;
+    return count;
 }

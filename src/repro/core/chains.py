@@ -45,7 +45,8 @@ returns plain values:
     bytes counted; ``stale`` is the torn-send fault's seam;
 ``claim(view, base, desc, max_len)`` — circuit
     ``(header, first, nblk, length, seqno, is FCFS)`` of the message
-    claimed for a receive descriptor, ``None`` on an empty queue,
+    claimed for a receive descriptor, ``None`` on an empty queue (the C
+    kernel's own answer, nothing written),
     :class:`~repro.core.errors.BufferOverflowError` past ``max_len``;
 ``complete(view, base, msg, unread, last, length)`` — circuit
     the pin dropped, the retirement rule applied, the retired head of
@@ -78,17 +79,25 @@ the probe calls:
 The take and the claim raise :class:`BufferOverflowError` past
 ``max_len``, taking nothing.
 
+One more kernel has no Python wrapper: ``poll_walk``, a poll section's
+walk of one circuit (:class:`repro.core.ops.PollWalk`) as far as its
+memo reaches — the messages queued for the memoized descriptor while
+the circuit's ``conn_epoch`` and generation are the memo's, else a
+refusal.  Its address, :attr:`Kernels.poll_walk`, is what the engine's
+C loop is bound to (``repro/machine/engine.c``); the walk's Python body
+is its reference.
+
 The C source is ``chains.c``.  A kernel that refuses its input writes
 nothing and hands the same arguments to the Python reference
 (:data:`PYTHON`: the list kernels of :mod:`repro.core.freelist` and the
 sections below), which raises the error every reader of the segment
 knows, waits or does the work: a chain kernel refuses a chain it will
 not follow, a section kernel a dry pool, a record or chain that leaves
-the region or does not end, an overflowing receive and an empty queue,
-a ring kernel a record outside the region, a reader bit of 32 or more,
-an overflowing receive and a full or empty ring.  (The lock-free take
-answers "nothing to take" itself: it writes nothing either way, and the
-waits are the locked claim's.)  The C functions keep no state, so
+the region or does not end and an overflowing receive, a ring kernel a
+record outside the region, a reader bit of 32 or more, an overflowing
+receive and a full or empty ring.  (The free-list claim
+and the lock-free ring take answer "nothing to take" themselves,
+writing nothing: the caller waits.)  The C functions keep no state, so
 threads call them with the interpreter lock released.
 
 At first import gcc (:data:`CC`, with :data:`CFLAGS`) builds
@@ -158,6 +167,7 @@ typedef struct { uint32_t seqno, depth, rsteps, ok; } link_t;
 typedef struct {
     uint32_t msg, first, nblk, length, seqno;
     _Bool fcfs;
+    int got;
 } claim_t;
 typedef struct {
     uint64_t nblk, nbytes;
@@ -182,6 +192,8 @@ rtake_t ring_claim(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
                    uint64_t, uint64_t, uint64_t, int64_t);
 int64_t ring_complete(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                       uint64_t, uint64_t, uint64_t);
+int64_t poll_walk(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
+                  int);
 """
 _REFUSED = (1 << 64) - 1  # chain_pop's "not n records", sec_alloc's refusal
 _NO_LIMIT = (1 << 63) - 1  # sec_claim's max_len for "any length"
@@ -218,17 +230,18 @@ _SLOT_MASK = (1 << SLOT_BITS) - 1
 class Kernels:
     """One implementation of the four chain kernels, the five free-list
     section kernels and the five ring kernels (see the module
-    docstring)."""
+    docstring), and ``poll_walk``: the address of the C poll walk the
+    engine's C loop calls, ``None`` in the Python set."""
 
     __slots__ = ("name", "pop", "fill", "drain", "last",
                  "alloc", "link", "claim", "complete", "free",
                  "ring_fill", "ring_commit", "ring_take", "ring_claim",
-                 "ring_complete")
+                 "ring_complete", "poll_walk")
 
     def __init__(self, name: str, pop, fill, drain, last,
                  alloc, link, claim, complete, free,
                  ring_fill, ring_commit, ring_take, ring_claim,
-                 ring_complete) -> None:
+                 ring_complete, poll_walk: int | None = None) -> None:
         self.name = name
         self.pop = pop
         self.fill = fill
@@ -244,6 +257,7 @@ class Kernels:
         self.ring_take = ring_take
         self.ring_claim = ring_claim
         self.ring_complete = ring_complete
+        self.poll_walk = poll_walk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernels({self.name!r})"
@@ -967,8 +981,9 @@ def _c_kernels(module) -> Kernels:
         got = c_claim(buf(region), region.size, base, desc,
                       _NO_LIMIT if max_len is None or max_len > _NO_LIMIT
                       else max_len)
-        if got.msg == NIL:
-            return _claim_next(view, base, desc, max_len)
+        if got.got <= 0:
+            return None if got.got == 0 else _claim_next(view, base, desc,
+                                                          max_len)
         return got.msg, got.first, got.nblk, got.length, got.seqno, got.fcfs
 
     def complete(view, base, msg, unread, last, length):
@@ -1048,7 +1063,8 @@ def _c_kernels(module) -> Kernels:
     return Kernels("c", pop, fill, drain, last,
                    alloc, link, claim, complete, free,
                    ring_fill, ring_commit, ring_take, ring_claim,
-                   ring_complete)
+                   ring_complete,
+                   int(cast("uintptr_t", ffi.addressof(lib, "poll_walk"))))
 
 
 def _select(where: Path = _HERE) -> Kernels:

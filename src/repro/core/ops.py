@@ -238,7 +238,7 @@ class MPFView:
       match, so a hit is exactly what walking the list would find —
       including the walk length that feeds the cost model.
     * ``_fs_poll_cache``: ``(pid, first slot) -> ((ids, backoff),
-      (section, heads, memo cells) or None)``, :func:`poll_receive`'s
+      (section, heads, walks) or None)``, :func:`poll_receive`'s
       looping sections.  Valid while the polled ids (generation
       included) and the back-off match.  A looping section refers to
       itself, so :meth:`forget_poll_sections` unlinks each before
@@ -374,7 +374,7 @@ class MPFView:
         """Drop every section ``_fs_poll_cache`` holds, unlinked first.
 
         A looping section's heads and its walks' memos refer to each
-        other, and its closures to this view: left linked, each run's
+        other, and its walks to this view: left linked, each run's
         sections kept its view and region alive until a full garbage
         collection, one segment per run (``SimRuntime.run`` calls this
         at the end of a run).  Unlinking empties the heads list the walks
@@ -384,10 +384,10 @@ class MPFView:
         cache = self._fs_poll_cache
         for key, (_, built) in list(cache.items()):
             if built is not None:
-                _, heads, memos = built
+                _, heads, walks = built
                 heads.clear()
-                for cell in memos:
-                    cell.cell_contents = None
+                for walk in walks:
+                    walk.unlink()
                 del cache[key]
 
     # -- names -------------------------------------------------------------
@@ -1193,79 +1193,115 @@ def _freelist_check(view: MPFView, pid: int, slot: int, base: int,
     return count
 
 
+class PollWalk:
+    """One circuit's walk call in :func:`poll_receive`'s looping section
+    (:func:`_make_poll_section`): what the ``S_CALL`` step after the
+    circuit's acquire runs.
+
+    Called, it finishes :func:`check_receive` on the circuit: a
+    ``D_JUMP`` to ``walk charge, release`` with the circuit's id as the
+    result when there is traffic, else to ``walk charge, release, <next
+    circuit's head>``; an error bails with ``(lock held, exception)``.
+    The empty jump is memoized (:attr:`empty`) under the ``conn_epoch``
+    it was resolved at (:attr:`epoch`, with the descriptor :attr:`desc`,
+    :attr:`fcfs` and ``gen``, which fix the walk length), so an idle
+    check is one read of the LNVC record and allocates nothing; a jump
+    with traffic is memoized by its message count (:attr:`tails`) under
+    the same epoch.
+
+    The engine's C loop does not call it while the memo holds: it hands
+    the memo to the kernel :attr:`repro.core.chains.Kernels.poll_walk`,
+    which counts the queue in C, and takes :attr:`empty` or
+    ``tails[count]`` itself (``repro/machine/engine.c``).  This method
+    is the reference, and what runs on any refusal.
+    """
+
+    __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "seg", "rel",
+                 "heads", "next", "epoch", "desc", "fcfs", "empty", "tails")
+
+    def __init__(self, view, pid, lnvc_id, heads, nxt) -> None:
+        slot = lnvc_id & _SLOT_MASK
+        self.view = view
+        self.pid = pid
+        self.lnvc_id = lnvc_id
+        self.gen = int(lnvc_id >> SLOT_BITS)
+        self.base = view.layout.lnvc_off(slot)
+        #: The segment's bytes, as the kernel reads them.
+        self.seg = view.region._mv
+        self.rel = (S_REL, FIRST_LNVC_LOCK + slot)
+        #: The section's heads, and the index of the one after this walk.
+        self.heads = heads
+        self.next = nxt
+        #: The memo: ``None`` until resolved, then the ``conn_epoch``
+        #: that vouches for the three below.
+        self.epoch = None
+        self.desc = self.fcfs = self.empty = None
+        self.tails: dict = {}
+
+    def __call__(self):
+        view = self.view
+        in_use, g, fcfs_head, epoch = view._rd_peek(self.base)
+        held = epoch == self.epoch and g == self.gen and in_use
+        if held and (fcfs_head if self.fcfs else
+                     view.region.u32(self.desc + _R_HEAD)) == NIL:
+            return self.empty
+        lnvc_id = self.lnvc_id
+        try:
+            desc, steps = view.recv_conn(self.pid, lnvc_id)
+        except (UnknownLNVCError, NotConnectedError) as exc:
+            return (D_BAIL, (self.rel[1], exc))
+        _, proto, msg, _, _ = view._rd_recv(desc)
+        fcfs = proto == _P_FCFS
+        if fcfs:
+            msg = fcfs_head
+        count = 0
+        u32 = view.region.u32
+        while msg != NIL:
+            count += 1
+            msg = u32(msg + _M_NEXT_MSG)
+        tail = ((S_CHARGE, charge((steps + count) * view.costs.list_step,
+                                  "check-walk").work), self.rel)
+        if count:
+            got = (D_JUMP, lnvc_id, tail)
+            if held:
+                self.tails[count] = got
+            return got
+        self.desc, self.fcfs, self.epoch = desc, fcfs, epoch
+        self.empty = (D_JUMP, None, tail + self.heads[self.next])
+        self.tails.clear()
+        return self.empty
+
+    def unlink(self) -> None:
+        """Forget the memo: "resolve again", with nothing memoized (each
+        memoized jump holds the next head's walk)."""
+        self.epoch = self.empty = None
+        self.tails.clear()
+
+
 def _make_poll_section(view, pid, ids, backoff):
     """Build :func:`poll_receive`'s looping section over circuits ``ids``.
 
     One head per circuit — entry charge (the first circuit's carries the
     backoff), acquire, walk call — the steps of :func:`check_receive`
-    with its generator body between acquire and walk charge as the call.
-    The walk finishes the check itself: it jumps to ``walk charge,
-    release`` with the circuit's id as the result when there is traffic,
-    else to ``walk charge, release, <next circuit's head>``; an
-    error bails with ``(lock held, exception)``.  The empty jump is
-    memoized under the ``conn_epoch`` it was resolved at (with ``gen``
-    that fixes descriptor, protocol and walk length), so an idle check
-    is one read of the LNVC record and allocates nothing.  Returns
-    ``(section, heads, memo cells)`` — what
+    with its generator body between acquire and walk charge as the call
+    (:class:`PollWalk`).  Returns ``(section, heads, walks)`` — what
     :meth:`MPFView.forget_poll_sections` clears to break the section's
     references to itself — or ``None`` when a circuit is a ring
     (``check_receive`` routes those itself); ``ids`` are inside the
     table.
     """
-    r = view.region
-    u32, lay = r.u32, view.layout
+    u32, lay = view.region.u32, view.layout
     if any(u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT) for cid in ids):
         return None
-    peek, rd_recv = view._rd_peek, view._rd_recv
-    list_step = view.costs.list_step
     heads: list = []
-    memos: list = []  # each walk's m_epoch and m_empty cells
-
-    def head(i, lnvc_id):
-        slot = lnvc_id & _SLOT_MASK
-        gen = lnvc_id >> SLOT_BITS
-        base = lay.lnvc_off(slot)
-        lock = FIRST_LNVC_LOCK + slot
-        rel = (S_REL, lock)
-        m_epoch = None  # conn_epoch the three cells below were resolved at
-        m_desc = m_fcfs = m_empty = None
-
-        def _walk():
-            nonlocal m_epoch, m_desc, m_fcfs, m_empty
-            in_use, g, fcfs_head, epoch = peek(base)
-            if epoch == m_epoch and g == gen and in_use and (
-                    fcfs_head if m_fcfs else u32(m_desc + _R_HEAD)) == NIL:
-                return m_empty
-            try:
-                desc, steps = view.recv_conn(pid, lnvc_id)
-            except (UnknownLNVCError, NotConnectedError) as exc:
-                return (D_BAIL, (lock, exc))
-            _, proto, msg, _, _ = rd_recv(desc)
-            fcfs = proto == _P_FCFS
-            if fcfs:
-                msg = fcfs_head
-            count = 0
-            while msg != NIL:
-                count += 1
-                msg = u32(msg + _M_NEXT_MSG)
-            tail = ((S_CHARGE, charge((steps + count) * list_step,
-                                      "check-walk").work), rel)
-            if count:
-                return (D_JUMP, lnvc_id, tail)
-            m_desc, m_fcfs, m_epoch = desc, fcfs, epoch
-            m_empty = (D_JUMP, None,
-                       tail + heads[(i + 1) % len(ids)])
-            return m_empty
-
-        fixed = (S_CHARGE, view._check_fixed_work) if i else (
-            S_MANY, (backoff, view._check_fixed_work))
-        names, cells = _walk.__code__.co_freevars, _walk.__closure__
-        memos.append(cells[names.index("m_epoch")])
-        memos.append(cells[names.index("m_empty")])
-        return (fixed, (S_ACQ, lock), (S_CALL, _walk))
-
-    heads.extend(head(i, cid) for i, cid in enumerate(ids))
-    return FusedSection(heads[0]), heads, memos
+    walks = [PollWalk(view, pid, cid, heads, (i + 1) % len(ids))
+             for i, cid in enumerate(ids)]
+    heads.extend(
+        ((S_CHARGE, view._check_fixed_work) if i else
+         (S_MANY, (backoff, view._check_fixed_work)),
+         (S_ACQ, FIRST_LNVC_LOCK + (cid & _SLOT_MASK)), (S_CALL, walk))
+        for i, (cid, walk) in enumerate(zip(ids, walks)))
+    return FusedSection(heads[0]), heads, walks
 
 
 def poll_receive(

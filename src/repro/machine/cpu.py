@@ -19,13 +19,31 @@ application code into simulated seconds:
 from __future__ import annotations
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
+from ..core.layout import HDR
 from ..core.work import Work
 from .balance import MachineConfig
 from .bus import BusModel
 from .cache import CacheModel
 from .vm import VmModel
 
-__all__ = ["BalanceTiming"]
+__all__ = ["BalanceTiming", "SegmentWord"]
+
+
+class SegmentWord:
+    """A demand source that reads the u32 word at byte ``off`` of a
+    segment, times ``scale``: a callable, as the models expect, that the
+    engine's C loop evaluates without calling it
+    (:attr:`BalanceTiming.closed_form`)."""
+
+    __slots__ = ("region", "off", "scale")
+
+    def __init__(self, region, off: int, scale: int = 1) -> None:
+        self.region = region
+        self.off = off
+        self.scale = scale
+
+    def __call__(self) -> int:
+        return self.region.u32(self.off) * self.scale
 
 
 class BalanceTiming:
@@ -55,6 +73,35 @@ class BalanceTiming:
         # bit-for-bit.  Timing models without this attribute (custom
         # test models) simply take the per-call price() path.
         self.analytic_charge = (self._t_instr, self._t_flop, self._n_cpus)
+
+    def set_demand(self, region, stride: int) -> None:
+        """Wire the models' demand to the segment header of ``region``:
+        the cache sees ``live_blocks`` times ``stride`` (the block
+        stride) bytes, the VM ``live_bytes``."""
+        self.cache.set_demand_source(
+            SegmentWord(region, HDR.u32["live_blocks"], stride))
+        self.vm.set_demand_source(SegmentWord(region, HDR.u32["live_bytes"]))
+
+    @property
+    def closed_form(self):
+        """What the engine's C loop needs to evaluate :meth:`price`,
+        ``copy_started`` / ``copy_finished`` and :meth:`wake_cost`
+        itself, operation for operation, beside :attr:`analytic_charge`:
+        ``(bus byte time, wake instructions, bus, cache, vm, segment
+        bytes, live_blocks offset, stride, live_bytes offset)``.  The
+        loop reads α, the cache size and miss time, and the VM's
+        resident bytes, page size and fault time off the three models
+        once per run, and their statistics (copies, peak, stalls, faults,
+        ``_carry``) as it goes, writing each back where the model would.
+        ``None`` unless both demand sources are :class:`SegmentWord` s
+        of one segment (:meth:`set_demand`): any other source is Python
+        the loop would have to call, so it calls :meth:`price`."""
+        cd, vd = self.cache._demand, self.vm._demand
+        if (type(cd) is not SegmentWord or type(vd) is not SegmentWord
+                or cd.region is not vd.region or vd.scale != 1):
+            return None
+        return (self._bus_byte, self.costs.wake, self.bus, self.cache,
+                self.vm, cd.region._mv, cd.off, cd.scale, vd.off)
 
     # -- TimingModel interface ------------------------------------------------
 

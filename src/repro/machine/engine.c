@@ -9,12 +9,17 @@
  * (and at or before the run's bound), then parks it behind a fresh seq.
  * A yielded Charge / ChargeMany / Acquire / Release and the section
  * steps S_CHARGE / S_MANY / S_ACQ / S_REL are executed here, and so are
- * the lock and channel handlers (grant-next, WaitOn, Wake).  What stays
- * Python is called from here with the arguments the reference passes:
- * the generator's send, S_CALL closures, TimingModel.price for work the
- * analytic contract does not cover, copy_started / copy_finished /
- * wake_cost, the Recorder hooks, the scheduler's attach / choose, and
- * the engine's _over_budget / _raise_if_stalled.
+ * the lock and channel handlers (grant-next, WaitOn, Wake).  So are a
+ * poll walk whose memo holds (an S_CALL of a core/ops.py PollWalk: the
+ * kernel chains.c exports counts the queue, and the memoized jump is
+ * taken) and, under BalanceTiming's closed form, the pricing of copy,
+ * block and page work, copy_started / copy_finished and wake_cost.
+ * What stays Python is called from here with the arguments the
+ * reference passes: the generator's send, other S_CALL closures and a
+ * walk the kernel refuses, TimingModel.price and the model methods for
+ * a timing model without the closed form or work it does not cover,
+ * the Recorder hooks, the scheduler's attach / choose, and the engine's
+ * _over_budget / _raise_if_stalled.
  *
  * The state is the engine's own: the queue list, engine.now (written
  * before each resume, closure call, handler and scheduler call, as the
@@ -47,10 +52,16 @@
 /* -- the classes and strings bind() hands over --------------------------- */
 
 enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_SECTION, T_WAIT, T_WAKE, T_WORK,
-       T_PROC, T_LOCK, T_CHAN, N_TYPES };
+       T_PROC, T_LOCK, T_CHAN, T_WALK, T_BUS, T_CACHE, T_VM, N_TYPES };
 static PyTypeObject *TYPES[N_TYPES];
 static PyObject *SIM_ERROR;
 static PyObject *S_RUNNABLE, *S_WAIT_LOCK, *S_WAIT_CHAN, *S_DONE, *S_FAILED;
+
+/* The poll walk kernel the C kernels export (core/chains.c, poll_walk):
+ * NULL where they were not built. */
+typedef int64_t (*walk_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                           uint64_t, int);
+static walk_fn WALK;
 
 /* A field of one of those classes: its slot offset when it is a plain
  * object slot of exactly that class, else -1 (getattr / setattr). */
@@ -65,7 +76,10 @@ enum { W_INSTRS, W_COPY, W_BLOCKS, W_FLOPS, W_PAGES, W_LABEL, C_WORK,
        M_WORKS, A_LOCK, R_LOCK, S_STEPS, O_CHAN, O_LOCK, WK_CHAN, L_OWNER,
        L_WAITERS, L_AT, CH_SLEEPERS, P_NAME, P_GEN, P_STATE, P_INBOX,
        P_RESULT, P_ERROR, P_WAIT_LOCK, P_IMPLICIT, P_WAITED, P_SINCE,
-       P_COPYING, P_FUSED, N_FIELDS };
+       P_COPYING, P_FUSED, PW_BASE, PW_GEN, PW_EPOCH, PW_DESC, PW_FCFS,
+       PW_EMPTY, PW_TAILS, PW_SEG, BU_ALPHA, BU_ACTIVE, BU_PEAK, BU_TOTAL,
+       CA_BYTES, CA_MISS, CA_STALL, CA_STALLED, VM_RESIDENT, VM_PAGE,
+       VM_FAULT_S, VM_FAULTS, VM_FAULT_TIME, VM_CARRY, N_FIELDS };
 
 static field_t F[N_FIELDS] = {
     [W_INSTRS] = {T_WORK, "instrs", NULL, -1},
@@ -98,13 +112,36 @@ static field_t F[N_FIELDS] = {
     [P_SINCE] = {T_PROC, "_blocked_since", NULL, -1},
     [P_COPYING] = {T_PROC, "_copying", NULL, -1},
     [P_FUSED] = {T_PROC, "_fused", NULL, -1},
+    [PW_BASE] = {T_WALK, "base", NULL, -1},
+    [PW_GEN] = {T_WALK, "gen", NULL, -1},
+    [PW_EPOCH] = {T_WALK, "epoch", NULL, -1},
+    [PW_DESC] = {T_WALK, "desc", NULL, -1},
+    [PW_FCFS] = {T_WALK, "fcfs", NULL, -1},
+    [PW_EMPTY] = {T_WALK, "empty", NULL, -1},
+    [PW_TAILS] = {T_WALK, "tails", NULL, -1},
+    [PW_SEG] = {T_WALK, "seg", NULL, -1},
+    [BU_ALPHA] = {T_BUS, "alpha", NULL, -1},
+    [BU_ACTIVE] = {T_BUS, "active", NULL, -1},
+    [BU_PEAK] = {T_BUS, "peak", NULL, -1},
+    [BU_TOTAL] = {T_BUS, "total_copies", NULL, -1},
+    [CA_BYTES] = {T_CACHE, "cache_bytes", NULL, -1},
+    [CA_MISS] = {T_CACHE, "miss_seconds", NULL, -1},
+    [CA_STALL] = {T_CACHE, "stall_time", NULL, -1},
+    [CA_STALLED] = {T_CACHE, "stalled_blocks", NULL, -1},
+    [VM_RESIDENT] = {T_VM, "resident_bytes", NULL, -1},
+    [VM_PAGE] = {T_VM, "page_bytes", NULL, -1},
+    [VM_FAULT_S] = {T_VM, "fault_seconds", NULL, -1},
+    [VM_FAULTS] = {T_VM, "faults", NULL, -1},
+    [VM_FAULT_TIME] = {T_VM, "fault_time", NULL, -1},
+    [VM_CARRY] = {T_VM, "_carry", NULL, -1},
 };
 
 /* Attribute and method names, interned once. */
 static PyObject *K_NOW, *K_QUEUE, *K_SEQ, *K_RUNNABLE, *K_STATS, *K_TIMING,
     *K_PRICE, *K_RECORDER, *K_MAX_EVENTS, *K_SCHEDULER, *K_ATTACH, *K_CHOOSE,
     *K_LOCKS, *K_CHANNELS, *K_N_LOCKS, *K_N_CHANNELS, *K_T_ACQUIRE,
-    *K_T_RELEASE, *K_ANALYTIC, *K_COPY_STARTED, *K_COPY_FINISHED,
+    *K_T_RELEASE, *K_ANALYTIC, *K_CLOSED_FORM, *K_COPY_STARTED,
+    *K_COPY_FINISHED,
     *K_WAKE_COST, *K_OVER_BUDGET, *K_STALLED, *K_APPEND, *K_POPLEFT, *K_SEND,
     *K_ON_CHARGE, *K_ON_ACQUIRE, *K_ON_RELEASE, *K_ON_WAKE, *K_ON_CHAN_WAIT,
     *KW_CONTENDED, *KW_CONTENDED_COUNTED, *KW_COUNTED;
@@ -199,6 +236,52 @@ truth(PyObject *o, int f)  /* bool(o.<f>), -1 on error */
     rc = PyObject_IsTrue(v);
     Py_DECREF(v);
     return rc;
+}
+
+/* 2**53: the ints a double holds exactly, so that float(n) is n. */
+#define EXACT (1LL << 53)
+
+/* o.<f> as a long long when it is an int of magnitude at most 2**53: 1;
+ * 0 when it is anything else (the caller takes the Python way); -1 on
+ * error. */
+static int
+get_exact(PyObject *o, int f, long long *out)
+{
+    int overflow, rc = 0;
+    PyObject *v = get(o, f);
+    if (v == NULL)
+        return -1;
+    if (PyLong_CheckExact(v)) {
+        *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (*out == -1 && PyErr_Occurred())
+            rc = -1;
+        else
+            rc = !overflow && -EXACT <= *out && *out <= EXACT;
+    }
+    Py_DECREF(v);
+    return rc;
+}
+
+/* o.<f> when it is a float: 1; 0 when it is anything else; -1 on error. */
+static int
+get_float(PyObject *o, int f, double *out)
+{
+    int rc = 0;
+    PyObject *v = get(o, f);
+    if (v == NULL)
+        return -1;
+    if (PyFloat_CheckExact(v)) {
+        *out = PyFloat_AS_DOUBLE(v);
+        rc = 1;
+    }
+    Py_DECREF(v);
+    return rc;
+}
+
+static int
+set_ll(PyObject *o, int f, long long x)
+{
+    return set_new(o, f, PyLong_FromLongLong(x));
 }
 
 static int
@@ -319,6 +402,25 @@ typedef struct {
     PyObject *proc;
 } ent_t;
 
+/* BalanceTiming's analytic contract (machine/cpu.py, analytic_charge). */
+typedef struct {
+    int on;
+    double t_instr, t_flop, n_cpus;
+    long long cpus;
+} analytic_t;
+
+/* BalanceTiming's closed form (machine/cpu.py, closed_form), read once
+ * per run: its constants, and the bus, cache and VM models whose
+ * statistics the pricing reads and writes as it goes (borrowed from the
+ * form tuple the run holds). */
+typedef struct {
+    int on;
+    double bus_byte, alpha, miss, fault_s, t_instr;
+    long long wake, cache_bytes, resident, page, blocks_off, stride,
+        bytes_off;
+    PyObject *bus, *cache, *vm, *seg;
+} balance_t;
+
 typedef struct {
     PyObject *engine, *dict, *queue, *timing, *rec, *locks, *chans;
     ent_t *q;  /* the queue while the loop runs */
@@ -332,6 +434,10 @@ typedef struct {
     long long seq, runnable;
     long long stat[N_STATS];
     double t_ch;
+    balance_t B;
+    PyObject *form;   /* the closed form tuple, when B.on */
+    PyObject *seg;    /* the segment memoryview exported in segbuf */
+    Py_buffer segbuf;
 } run_t;
 
 static void
@@ -836,6 +942,304 @@ out:
     return rc;
 }
 
+/* -- the segment ---------------------------------------------------------
+ *
+ * The poll walks and the demand sources read a simulated segment's bytes
+ * through its memoryview.  The first one a run needs is exported once
+ * and released on the way out; a walk or a source over another segment
+ * takes the Python way. */
+
+static const char *
+seg_bytes(run_t *R, PyObject *mv, uint64_t *len)
+{
+    if (R->seg == NULL) {
+        if (!PyMemoryView_Check(mv))
+            return NULL;
+        if (PyObject_GetBuffer(mv, &R->segbuf, PyBUF_SIMPLE) < 0) {
+            PyErr_Clear();  /* released: the Python way raises */
+            return NULL;
+        }
+        R->seg = Py_NewRef(mv);
+    }
+    if (mv != R->seg)
+        return NULL;
+    *len = (uint64_t)R->segbuf.len;
+    return (const char *)R->segbuf.buf;
+}
+
+/* The little-endian u32 at off of the segment mv into *out: 1; 0 when
+ * it cannot be read here. */
+static int
+seg_u32(run_t *R, PyObject *mv, long long off, long long *out)
+{
+    uint64_t len;
+    const char *b = seg_bytes(R, mv, &len);
+    unsigned char w[4];
+    if (b == NULL || off < 0 || (uint64_t)off + 4 > len)
+        return 0;
+    memcpy(w, b + off, 4);
+    *out = (long long)((uint32_t)w[0] | (uint32_t)w[1] << 8
+                       | (uint32_t)w[2] << 16 | (uint32_t)w[3] << 24);
+    return 1;
+}
+
+/* A PollWalk's call (core/ops.py) made by the C kernel: the memoized
+ * jump for an empty queue or for its message count (a new reference),
+ * or NULL — with an error set on failure, without one when the walk's
+ * Python body must run (nothing memoized, the memo no longer holds, the
+ * count not memoized yet, the kernel refused). */
+static PyObject *
+walk(run_t *R, PyObject *w)
+{
+    long long base, gen, epoch, desc = 0;
+    uint64_t len;
+    int64_t n;
+    int fcfs, rc;
+    const char *b;
+    PyObject *seg, *tails, *key, *d;
+
+    if (WALK == NULL)
+        return NULL;
+    if ((rc = get_exact(w, PW_EPOCH, &epoch)) <= 0
+        || (rc = get_exact(w, PW_BASE, &base)) <= 0
+        || (rc = get_exact(w, PW_GEN, &gen)) <= 0
+        || (fcfs = rc = truth(w, PW_FCFS)) < 0
+        || (!fcfs && (rc = get_exact(w, PW_DESC, &desc)) <= 0))
+        return NULL;  /* an error stays set */
+    if (base < 0 || gen < 0 || epoch < 0 || desc < 0
+        || (seg = get(w, PW_SEG)) == NULL)
+        return NULL;
+    b = seg_bytes(R, seg, &len);
+    Py_DECREF(seg);
+    if (b == NULL)
+        return NULL;
+    n = WALK((char *)b, len, (uint64_t)base, (uint64_t)gen,
+             (uint64_t)epoch, (uint64_t)desc, fcfs);
+    if (n < 0)
+        return NULL;
+    if (n == 0)
+        return get(w, PW_EMPTY);
+    if ((tails = get(w, PW_TAILS)) == NULL)
+        return NULL;
+    d = NULL;
+    if (PyDict_CheckExact(tails) && (key = PyLong_FromLongLong(n)) != NULL) {
+        d = Py_XNewRef(PyDict_GetItemWithError(tails, key));
+        Py_DECREF(key);
+    }
+    Py_DECREF(tails);
+    return d;
+}
+
+/* -- BalanceTiming, evaluated here ----------------------------------------
+ *
+ * machine/cpu.py's price(), BusModel.started / finished and wake_cost,
+ * operation for operation over the same values: an int operand of a
+ * float operation is converted first (every int here is within 2**53, so
+ * exactly), an int / int is divided as doubles (correctly rounded, as
+ * Python's true division), and each statistic is read off its model and
+ * stored back where the model stores it.  Work or state outside what
+ * that covers — a field that is not an int, a statistic of another
+ * type, a demand word the segment does not hold — is priced by calling
+ * the model, having written nothing. */
+
+/* The closed form, or B->on = 0 where there is none or it holds what
+ * this loop does not evaluate. */
+static int
+load_balance(run_t *R, const double t_instr)
+{
+    balance_t *B = &R->B;
+    PyObject *form = PyObject_GetAttr(R->timing, K_CLOSED_FORM), *it[9];
+    int i, ok;
+
+    memset(B, 0, sizeof *B);
+    if (form == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+        return 0;
+    }
+    if (!PyTuple_CheckExact(form) || PyTuple_GET_SIZE(form) != 9) {
+        Py_DECREF(form);
+        return 0;
+    }
+    for (i = 0; i < 9; i++)
+        it[i] = PyTuple_GET_ITEM(form, i);
+    B->bus = it[2];
+    B->cache = it[3];
+    B->vm = it[4];
+    B->seg = it[5];
+    B->t_instr = t_instr;
+    ok = PyFloat_CheckExact(it[0]) && PyLong_CheckExact(it[1])
+         && PyLong_CheckExact(it[6]) && PyLong_CheckExact(it[7])
+         && PyLong_CheckExact(it[8]);
+    if (ok) {
+        B->bus_byte = PyFloat_AS_DOUBLE(it[0]);
+        B->wake = PyLong_AsLongLong(it[1]);
+        B->blocks_off = PyLong_AsLongLong(it[6]);
+        B->stride = PyLong_AsLongLong(it[7]);
+        B->bytes_off = PyLong_AsLongLong(it[8]);
+        if (PyErr_Occurred()) {
+            PyErr_Clear();
+            ok = 0;
+        }
+    }
+    /* the constants a model reads off itself, each once */
+    if (ok && ((ok = get_exact(B->cache, CA_BYTES, &B->cache_bytes)) == 1)
+        && ((ok = get_exact(B->vm, VM_RESIDENT, &B->resident)) == 1))
+        ok = get_exact(B->vm, VM_PAGE, &B->page);
+    if (ok < 0 || (ok && (get_double(B->bus, BU_ALPHA, &B->alpha) < 0
+                          || get_double(B->cache, CA_MISS, &B->miss) < 0
+                          || get_double(B->vm, VM_FAULT_S,
+                                        &B->fault_s) < 0))) {
+        Py_DECREF(form);
+        return -1;
+    }
+    /* wake + 20 * n stays exact for any n a wake sees */
+    B->on = ok && B->page > 0 && 0 <= B->stride && B->stride <= (1 << 20)
+            && -EXACT / 2 < B->wake && B->wake < EXACT / 2;
+    if (B->on)
+        R->form = form;
+    else
+        Py_DECREF(form);
+    return 0;
+}
+
+/* One of the two demand sources: the u32 at off times scale. */
+static int
+demand(run_t *R, long long off, long long scale, long long *out)
+{
+    if (!seg_u32(R, R->B.seg, off, out))
+        return 0;
+    *out *= scale;
+    return 1;
+}
+
+/* (demand - size) / demand, or 0.0 at or below size (CacheModel's miss
+ * fraction, VmModel's fault fraction). */
+static double
+over(long long demand, long long size)
+{
+    if (demand <= size || demand <= 0)
+        return 0.0;
+    return (double)(demand - size) / (double)demand;
+}
+
+/* price(work, r): 0 with *dt (and *copying: the work opens a copy
+ * phase), 1 when the model must be called, -1 on error. */
+static int
+price_balance(run_t *R, const analytic_t *A, PyObject *work, long long r,
+              double *dt, int *copying)
+{
+    balance_t *B = &R->B;
+    long long instrs, copy, blocks, flops, pages, active = 0, dem;
+    double d, cfrac = 0.0, vfrac = 0.0, stalled_blocks = 0.0,
+        stall_time = 0.0, carry = 0.0, faults = 0.0, fault_time = 0.0;
+    int rc;
+
+    if ((rc = get_exact(work, W_INSTRS, &instrs)) <= 0
+        || (rc = get_exact(work, W_COPY, &copy)) <= 0
+        || (rc = get_exact(work, W_BLOCKS, &blocks)) <= 0
+        || (rc = get_exact(work, W_FLOPS, &flops)) <= 0
+        || (rc = get_exact(work, W_PAGES, &pages)) <= 0)
+        return rc < 0 ? -1 : 1;
+    /* everything read, and checked, before anything is written */
+    if (copy && (rc = get_exact(B->bus, BU_ACTIVE, &active)) <= 0)
+        return rc < 0 ? -1 : 1;
+    if (blocks > 0 && B->miss != 0.0) {
+        if (!demand(R, B->blocks_off, B->stride, &dem))
+            return 1;
+        cfrac = over(dem, B->cache_bytes);
+        if (cfrac > 0.0
+            && ((rc = get_float(B->cache, CA_STALLED, &stalled_blocks)) <= 0
+                || (rc = get_float(B->cache, CA_STALL, &stall_time)) <= 0))
+            return rc < 0 ? -1 : 1;
+    }
+    if (pages > 0 && B->fault_s != 0.0) {
+        if (!demand(R, B->bytes_off, 1, &dem))
+            return 1;
+        vfrac = over(dem, B->resident);
+        if (vfrac > 0.0
+            && ((rc = get_float(B->vm, VM_CARRY, &carry)) <= 0
+                || (rc = get_float(B->vm, VM_FAULTS, &faults)) <= 0
+                || (rc = get_float(B->vm, VM_FAULT_TIME, &fault_time)) <= 0))
+            return rc < 0 ? -1 : 1;
+        if (vfrac > 0.0 && !(0.0 <= carry && carry < 1.0))
+            return 1;
+    }
+
+    d = (double)instrs * A->t_instr;
+    if (flops)
+        d += (double)flops * A->t_flop;
+    if (copy) {
+        d += (double)copy * B->bus_byte;
+        d *= 1.0 + B->alpha * (double)active;  /* bus.slowdown() */
+    }
+    if (r > A->cpus)
+        d *= (double)r / A->n_cpus;
+    if (blocks) {  /* cache.penalty(blocks) */
+        double pen = 0.0;
+        if (cfrac > 0.0) {
+            double stalled = (double)blocks * cfrac;
+            pen = stalled * B->miss;
+            if (set_double(B->cache, CA_STALLED, stalled_blocks + stalled) < 0
+                || set_double(B->cache, CA_STALL, stall_time + pen) < 0)
+                return -1;
+        }
+        d += pen;
+    }
+    if (pages) {  /* vm.touch(pages) */
+        double t = 0.0;
+        if (vfrac > 0.0) {
+            long long np = (pages + B->page - 1) / B->page;
+            double expected = (double)np * vfrac + carry;
+            long long whole = (long long)expected;  /* int(): toward 0 */
+            if (set_double(B->vm, VM_CARRY, expected - (double)whole) < 0)
+                return -1;
+            if (whole != 0) {
+                t = (double)whole * B->fault_s;
+                if (set_double(B->vm, VM_FAULTS, faults + (double)whole) < 0
+                    || set_double(B->vm, VM_FAULT_TIME, fault_time + t) < 0)
+                    return -1;
+            }
+        }
+        d += t;
+    }
+    *dt = d;
+    *copying = copy > 0;
+    return 0;
+}
+
+/* timing.copy_started() / copy_finished(): BusModel.started / finished
+ * here, else the method. */
+static int
+copy_phase(run_t *R, int start)
+{
+    balance_t *B = &R->B;
+    long long active = 0, total = 0, peak = 0;
+    int rc = 0;
+    if (B->on) {
+        rc = get_exact(B->bus, BU_ACTIVE, &active);
+        if (rc > 0 && start)
+            rc = get_exact(B->bus, BU_TOTAL, &total);
+        if (rc > 0 && start)
+            rc = get_exact(B->bus, BU_PEAK, &peak);
+        if (rc < 0)
+            return -1;
+    }
+    if (rc > 0 && start)
+        return set_ll(B->bus, BU_ACTIVE, active + 1) < 0
+               || set_ll(B->bus, BU_TOTAL, total + 1) < 0
+               || (active + 1 > peak
+                   && set_ll(B->bus, BU_PEAK, active + 1) < 0) ? -1 : 0;
+    if (rc > 0 && active > 0)
+        return set_ll(B->bus, BU_ACTIVE, active - 1);
+    /* no closed form, or a finish without a start, which raises there */
+    if (flush(R) < 0)
+        return -1;
+    return call_method0_void(R->timing,
+                             start ? K_COPY_STARTED : K_COPY_FINISHED);
+}
+
 /* Engine._do_wake */
 static double
 do_wake(run_t *R, PyObject *proc, PyObject *chan)
@@ -867,7 +1271,13 @@ do_wake(run_t *R, PyObject *proc, PyObject *chan)
         }
         Py_DECREF(sleeper);
     }
-    if (more < 0 || (nn = PyLong_FromSsize_t(n)) == NULL || flush(R) < 0)
+    if (more < 0)
+        goto out;
+    if (R->B.on && n < (1LL << 40)) {  /* wake_cost(n), evaluated here */
+        t = R->now + (double)(R->B.wake + 20 * (long long)n) * R->B.t_instr;
+        goto out;
+    }
+    if ((nn = PyLong_FromSsize_t(n)) == NULL || flush(R) < 0)
         goto out;
     {
         PyObject *args[2] = {R->timing, nn};
@@ -885,15 +1295,9 @@ out:
 
 /* -- the loop ----------------------------------------------------------- */
 
-typedef struct {
-    int on;
-    double t_instr, t_flop, n_cpus;
-    long long cpus;
-} analytic_t;
-
-/* Price one part: the analytic contract inline, else timing.price(work,
- * r).  *dt_obj, when asked for, is the price as the recorder hears it
- * (new reference). */
+/* Price one part: the analytic contract inline, else the closed form
+ * inline, else timing.price(work, r).  *dt_obj, when asked for, is the
+ * price as the recorder hears it (new reference). */
 static int
 price_part(run_t *R, PyObject *price, const analytic_t *A, PyObject *work,
            long long r, double *dt, PyObject **dt_obj, int *copying)
@@ -932,6 +1336,12 @@ price_part(run_t *R, PyObject *price, const analytic_t *A, PyObject *work,
             *dt_obj = PyFloat_FromDouble(*dt);
             return *dt_obj == NULL ? -1 : 0;
         }
+    }
+    if (R->B.on && (f = price_balance(R, A, work, r, dt, copying)) <= 0) {
+        if (f < 0 || dt_obj == NULL)
+            return f;
+        *dt_obj = PyFloat_FromDouble(*dt);
+        return *dt_obj == NULL ? -1 : 0;
     }
     if (flush(R) < 0 || (rr = PyLong_FromLongLong(r)) == NULL)
         return -1;
@@ -1239,6 +1649,8 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         if (rc < 0)
             goto fail_early;
         A.on = 1;
+        if (load_balance(&R, A.t_instr) < 0)
+            goto fail_early;
     }
     if (until == Py_None)
         until_f = HUGE_VAL;
@@ -1339,8 +1751,8 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         if (rc < 0)
             goto fail;
         if (rc) {  /* the charge that just completed was a copy phase */
-            if (set(S.proc, P_COPYING, Py_False) < 0 || flush(&R) < 0
-                || call_method0_void(R.timing, K_COPY_FINISHED) < 0)
+            if (set(S.proc, P_COPYING, Py_False) < 0
+                || copy_phase(&R, 0) < 0)
                 goto fail;
         }
         r = R.runnable;
@@ -1369,14 +1781,21 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                     S.idx++;
                     op = small_int(S.op_obj);
                     if (op == OP_CALL) {  /* generator-body code, free */
-                        PyObject *d;
+                        PyObject *d = NULL;
                         note_now(&R);
-                        if (flush(&R) < 0)
+                        /* a poll walk whose memo holds: the kernel */
+                        if (Py_TYPE(S.arg) == TYPES[T_WALK]
+                            && (d = walk(&R, S.arg)) == NULL
+                            && PyErr_Occurred())
                             goto fail;
-                        d = PyObject_CallNoArgs(S.arg);
-                        if (d == NULL || reload(&R) < 0) {
-                            Py_XDECREF(d);
-                            goto fail;
+                        if (d == NULL) {
+                            if (flush(&R) < 0)
+                                goto fail;
+                            d = PyObject_CallNoArgs(S.arg);
+                            if (d == NULL || reload(&R) < 0) {
+                                Py_XDECREF(d);
+                                goto fail;
+                            }
                         }
                         if (d != Py_None) {
                             PyObject *tag, *val;
@@ -1534,8 +1953,7 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                     goto fail;
                 if (copying) {
                     if (set(S.proc, P_COPYING, Py_True) < 0
-                        || flush(&R) < 0
-                        || call_method0_void(R.timing, K_COPY_STARTED) < 0) {
+                        || copy_phase(&R, 1) < 0) {
                         Py_XDECREF(dt_obj);
                         goto fail;
                     }
@@ -1681,9 +2099,7 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                 if (rc < 0)
                     goto fail;
                 if (rc && (set(S.proc, P_COPYING, Py_False) < 0
-                           || flush(&R) < 0
-                           || call_method0_void(R.timing,
-                                                K_COPY_FINISHED) < 0))
+                           || copy_phase(&R, 0) < 0))
                     goto fail;
                 continue;
             }
@@ -1741,6 +2157,11 @@ done:
             result = now_obj;
     }
 fail_early:
+    if (R.seg != NULL) {
+        PyBuffer_Release(&R.segbuf);
+        Py_DECREF(R.seg);
+    }
+    Py_XDECREF(R.form);
     Py_XDECREF(now0);
     Py_XDECREF(sched);
     Py_XDECREF(stats);
@@ -1770,13 +2191,23 @@ bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
     int i;
     (void)mod;
-    if (nargs != N_TYPES + 6) {
+    if (nargs != N_TYPES + 7) {
         PyErr_SetString(PyExc_TypeError,
                         "bind(Charge, ChargeMany, Acquire, Release, "
                         "FusedSection, WaitOn, Wake, Work, SimProcess, "
-                        "_SimLock, _WaitChannel, SimulationError, runnable, "
-                        "wait-lock, wait-chan, done, failed)");
+                        "_SimLock, _WaitChannel, PollWalk, BusModel, "
+                        "CacheModel, VmModel, SimulationError, runnable, "
+                        "wait-lock, wait-chan, done, failed, poll walk "
+                        "kernel address or None)");
         return NULL;
+    }
+    if (args[N_TYPES + 6] == Py_None)
+        WALK = NULL;
+    else {
+        unsigned long long a = PyLong_AsUnsignedLongLong(args[N_TYPES + 6]);
+        if (a == (unsigned long long)-1 && PyErr_Occurred())
+            return NULL;
+        WALK = (walk_fn)(uintptr_t)a;
     }
     for (i = 0; i < N_TYPES; i++) {
         if (!PyType_Check(args[i])) {
@@ -1814,8 +2245,8 @@ bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
-     "bind(classes..., SimulationError, states...): what run() dispatches "
-     "on and stores."},
+     "bind(classes..., SimulationError, states..., walk): what run() "
+     "dispatches on and stores, and the poll walk kernel it calls."},
     {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL,
      "run(engine, until): Engine.run's loop; returns the final time."},
     {NULL, NULL, 0, NULL},
@@ -1842,6 +2273,7 @@ PyInit__engine(void)
         {&K_CHANNELS, "channels"}, {&K_N_LOCKS, "_n_locks"},
         {&K_N_CHANNELS, "_n_channels"}, {&K_T_ACQUIRE, "_t_acquire"},
         {&K_T_RELEASE, "_t_release"}, {&K_ANALYTIC, "analytic_charge"},
+        {&K_CLOSED_FORM, "closed_form"},
         {&K_COPY_STARTED, "copy_started"},
         {&K_COPY_FINISHED, "copy_finished"}, {&K_WAKE_COST, "wake_cost"},
         {&K_OVER_BUDGET, "_over_budget"},

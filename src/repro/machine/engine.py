@@ -37,7 +37,11 @@ from ..core.effects import (
     WaitOn,
     Wake,
 )
+from ..core.ops import PollWalk
 from ..core.work import Work
+from .bus import BusModel
+from .cache import CacheModel
+from .vm import VmModel
 
 __all__ = [
     "DeadlockError",
@@ -746,21 +750,26 @@ class Engine:
         return self.now + self.timing.wake_cost(n)
 
 
-def _load(where: Path = Path(__file__).parent):
+def _load(where: Path = Path(__file__).parent, kernels=None):
     """The C step interpreter's ``run``, built (or found) in ``where`` by
     :func:`repro.core.chains.build_extension` with the kernels' flags
     and ``-ffp-contract=off`` (no multiply-add is fused, so every float
-    expression rounds as Python's does), bound to this module's classes;
-    ``None`` where it cannot be built."""
+    expression rounds as Python's does), bound to this module's classes,
+    the timing models' and the poll walk of ``kernels`` (by default
+    :data:`repro.core.chains.C`: the loop knows no segment layout, the
+    kernel does); ``None`` where it cannot be built."""
     source = (Path(__file__).parent / "engine.c").read_bytes()
     lib = chains.build_extension(
         where, "_engine", source, chains.CFLAGS + ("-ffp-contract=off",),
         module="_engine")
     if lib is None:
         return None
+    kernels = kernels or chains.C
     lib.bind(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
-             Wake, Work, SimProcess, _SimLock, _WaitChannel, SimulationError,
-             _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN, _DONE, _FAILED)
+             Wake, Work, SimProcess, _SimLock, _WaitChannel, PollWalk,
+             BusModel, CacheModel, VmModel, SimulationError,
+             _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN, _DONE, _FAILED,
+             None if kernels is None else kernels.poll_walk)
     return lib.run
 
 

@@ -124,6 +124,12 @@ class Histogram:
             out.append((label, self.counts[b]))
         return out
 
+    def __eq__(self, other: object) -> bool:
+        """Equal digests count the same durations in the same buckets."""
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return self.counts == other.counts
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({dict(sorted(self.counts.items()))})"
 

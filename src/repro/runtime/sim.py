@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
-from ..core.layout import HDR, MPFConfig, SegmentLayout, format_region
+from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from ..machine.balance import BALANCE_21000, MachineConfig
@@ -69,11 +69,7 @@ class SimRuntime(Runtime):
         view.fuse = True  # the engine drives it: poll waits run in-engine
 
         timing = BalanceTiming(self.machine, costs)
-        timing.vm.set_demand_source(lambda: HDR.get(region, "live_bytes"))
-        stride = layout.blk_stride
-        timing.cache.set_demand_source(
-            lambda: HDR.get(region, "live_blocks") * stride
-        )
+        timing.set_demand(region, layout.blk_stride)
         # The engine has one observer: this run's recorder, else the
         # profile's; with both, a child of this run's, folded into both.
         own, profile = self.recorder, self.profile

@@ -80,17 +80,19 @@ def c_kernels(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def c_engine(tmp_path_factory):
+def c_engine(tmp_path_factory, c_kernels):
     """The C step interpreter the differential test holds against the
     Python loop: :data:`repro.machine.engine.C_RUN` — or, under
     AddressSanitizer, ``engine.c`` built again with ``ASAN_CFLAGS``, as
-    :func:`c_kernels` rebuilds the kernels."""
+    :func:`c_kernels` rebuilds the kernels, and bound to that build's
+    poll walk."""
     if engine.C_RUN is None:
         pytest.skip("no C engine on this host")
     if not asan_loaded():
         return engine.C_RUN
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chains, "CFLAGS", chains.CFLAGS + ASAN_CFLAGS)
-        run = engine._load(tmp_path_factory.mktemp("asan-engine"))
+        run = engine._load(tmp_path_factory.mktemp("asan-engine"),
+                           c_kernels)
     assert run is not None, "the AddressSanitizer build failed"
     return run

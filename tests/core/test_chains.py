@@ -135,6 +135,37 @@ def test_the_c_ring_addresses_are_the_layouts(slots, slot_bytes, lnvcs):
 
 
 @needs_c
+@needs_c
+@pytest.mark.parametrize("program", ["fcfs_throughput", "broadcast_throughput"])
+def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, program):
+    """A receive that finds its queue empty sleeps on the C claim's own
+    answer: the reference claim (``chains._claim_next``) runs only on a
+    refusal, which no formatted segment gives — 0 calls, on runs whose
+    receivers do find their queues empty."""
+    from repro.bench import workloads
+
+    reference, empty = [], []
+    real_reference, real_claim = chains._claim_next, chains.C.claim
+
+    def counted_reference(*args):
+        reference.append(args)
+        return real_reference(*args)
+
+    def claim(*args):
+        got = real_claim(*args)
+        empty.append(got is None)
+        return got
+
+    monkeypatch.setattr(chains, "_claim_next", counted_reference)
+    monkeypatch.setattr(chains.C, "claim", claim)
+    monkeypatch.setattr(chains, "ACTIVE", chains.C)
+    getattr(workloads, program)(4, 64, messages=60)
+    assert sum(empty) > 0
+    assert len(reference) == 0
+
+
+@pytest.mark.skipif(shutil.which(chains.CC) is None,
+                    reason="no compiler to build the library with")
 def test_the_library_is_built_once_and_then_found(tmp_path):
     assert chains._select(tmp_path).name == "c"
     built = sorted(tmp_path.iterdir())

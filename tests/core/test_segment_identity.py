@@ -505,11 +505,15 @@ def test_the_c_commit_word_is_a_release_store_and_an_acquire_load():
 
 
 def test_the_poll_peek_holds_the_circuit_lock():
-    """``_walk`` peeks four words of the LNVC record in one read; it is
-    not a lock-free reader: its section step follows the acquire."""
-    fn = next(f for f in _functions(ops) if f.name == "head")
-    ret = next(n for n in ast.walk(fn) if isinstance(n, ast.Return))
-    order = [e.elts[0].id for e in ret.value.elts if isinstance(e, ast.Tuple)]
+    """A poll walk (``PollWalk``, or the C kernel in its place) peeks
+    four words of the LNVC record in one read; it is not a lock-free
+    reader: its section step follows the acquire in each head."""
+    fn = next(f for f in _functions(ops) if f.name == "_make_poll_section")
+    heads = [n for n in ast.walk(fn) if isinstance(n, ast.Tuple) and any(
+        isinstance(e, ast.Tuple) and isinstance(e.elts[0], ast.Name)
+        and e.elts[0].id == "S_CALL" for e in n.elts)]
+    assert len(heads) == 1
+    order = [e.elts[0].id for e in heads[0].elts if isinstance(e, ast.Tuple)]
     assert order == ["S_ACQ", "S_CALL"]
 
 

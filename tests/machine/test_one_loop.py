@@ -11,7 +11,7 @@ produced, recorded there and asserted here:
   wake counters;
 * "did the loop get heavier" has a deterministic answer: the events of
   a run and how many of them crossed the event queue are one value per
-  program (ROADMAP 3(a) in miniature), and so are the Python calls a
+  program (ROADMAP 1(b) in miniature), and so are the Python calls a
   poll-heavy run makes.
 
 The loop runs as the C step interpreter (``engine.c``) where it was
@@ -118,10 +118,16 @@ def test_queue_crossings_pinned(transport, events, crossings):
 #: loop took the "c" count from 89,201 (6ec7c48, before the first edit)
 #: to 64,585: ``Engine.run``'s handlers and parks are no Python frames
 #: there (the count includes the one call that unlinks the run's poll
-#: sections, ``MPFView.forget_poll_sections``).  Lower a pin when the
-#: engine or the poll path gets lighter; a change that raises one says
-#: why.
-PINNED_GJ32_CALLS = {"c": 64_585, "python": 92_739}
+#: sections, ``MPFView.forget_poll_sections``).  The C loop's poll walk
+#: kernel and its inline Balance pricing, with the C claim answering an
+#: empty queue itself, took it to 48,655 (67db521: 64,585), ~1.47 per
+#: event: what is left is generator resumes (worker, arbiter,
+#: ``select_receive``, the send / receive / check generators) and the
+#: region and layout accessors their bodies call.  The Python count fell
+#: from 92,739 with the demand sources (``SegmentWord``: one call fewer
+#: per sample).  Lower a pin when the engine or the poll path gets
+#: lighter; a change that raises one says why.
+PINNED_GJ32_CALLS = {"c": 48_655, "python": 92_024}
 
 
 def gj32_calls() -> tuple[int, int]:
@@ -155,6 +161,59 @@ def test_python_calls_of_a_poll_heavy_run_pinned():
     calls, _ = gj32_calls()
     assert 0 < calls <= PINNED_GJ32_CALLS[chains.ACTIVE.name]
     assert gj32_calls()[0] == calls  # it repeats
+
+
+def _idle_poll(wait_instrs):
+    """``repro`` Python calls and engine events of a run in which one
+    process waits in ``select_receive`` over two circuits for
+    ``wait_instrs`` of the other's compute."""
+    from repro.core.protocol import BROADCAST, FCFS
+    from repro.patterns import select_receive
+
+    def poller(env):
+        ids = [(yield from env.open_receive("news", BROADCAST)),
+               (yield from env.open_receive("box", FCFS))]
+        cid, payload = yield from select_receive(env, ids)
+        return ids.index(cid), payload
+
+    def sender(env):
+        box = yield from env.open_send("box")
+        yield from env.compute(instrs=wait_instrs)
+        yield from env.message_send(box, b"late")
+
+    rt = SimRuntime()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get(
+                "__name__", "").startswith("repro"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        res = rt.run([poller, sender])
+    finally:
+        sys.setprofile(None)
+    assert res.results["p0"] == (1, b"late")
+    return calls, rt.last_engine.stats.events
+
+
+def test_an_idle_poll_round_makes_no_python_call_on_the_c_loop():
+    """Each round of a wait that finds nothing is a section's steps and
+    one poll walk whose memo holds: the C loop runs the walk's kernel and
+    calls no Python, so tripling the wait adds events and not one call;
+    the Python loop calls the walk once per circuit per round."""
+    for loop in _loops():
+        with _on(loop):
+            _idle_poll(1_000)  # warm the ``charge`` cache
+            short, e_short = _idle_poll(100_000)
+            long, e_long = _idle_poll(300_000)
+        assert e_long > e_short + 500, loop
+        if loop == "c":
+            assert long - short == 0
+        else:
+            assert long - short > 0
 
 
 def test_ledger_shims_survive_until_the_ledger_lets_go():

@@ -6,7 +6,7 @@ simulated broadcast (``sys.setprofile``; the simulator is deterministic,
 so is the count — C calls, generated ``NamedTuple`` / dataclass
 constructors and everything outside ``repro.obs`` are not in it).  "Did
 an observer get heavier" is answered here, not by a host whose walls
-drift 10% (ROADMAP items 3(a) and 5).
+drift 10% (ROADMAP 1(b)).
 
 ``PINNED`` was first counted at e7455da — the parent of the commit that
 put one store behind the observer seam — with this file's ``obs_calls``

@@ -52,6 +52,36 @@ def test_digest_is_the_lock_histogram():
     assert isinstance(Store().digests["any"], Histogram)
 
 
+def test_digests_compare_by_their_counts():
+    """Two digests are equal when they count the same durations in the
+    same buckets; a digest equals no other kind of value."""
+    assert Histogram({0: 2, 3: 1}) == Histogram({3: 1, 0: 2})
+    assert Histogram({0: 2}) != Histogram({0: 3})
+    assert Histogram() != {}
+    assert LockStats() == LockStats()
+    stats = LockStats()
+    stats.wait_hist.add_bucket(4)
+    assert stats != LockStats()
+
+
+def test_two_snapshots_of_one_program_compare_equal():
+    """A simulated program is deterministic, so two runs of it record
+    the same measurements, lock digests included: their snapshots — and
+    a pickled copy of one — compare equal."""
+    from repro.bench.workloads import fcfs_throughput
+
+    def snap():
+        rec = Recorder()
+        fcfs_throughput(3, 64, messages=30, recorder=rec)
+        return rec.snapshot()
+
+    one, two = snap(), snap()
+    assert one["locks"] and any(
+        s.wait_hist.total for s in one["locks"].values())
+    assert one == two
+    assert pickle.loads(pickle.dumps(one)) == two
+
+
 def test_store_folds_cell_by_cell():
     a, b = Store(), Store()
     a.counters["sent"] += 2

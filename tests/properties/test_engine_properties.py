@@ -5,13 +5,22 @@
 program of two to five processes — charges with copy, block and page
 work, multi-part charges, nested lock blocks, channel waits and wakes,
 fused sections whose ``S_CALL`` steps jump and bail, bodies that spawn,
-and the errors a program can make — run once on each loop under both
-timing models, with and without a recorder, optionally under a seeded
-random scheduler and in ``until=`` slices.  The two runs must agree on
-everything a caller can see: the clock to the last bit, every
+stores to the header words the cache and VM models read, and the errors
+a program can make — run once on each loop under three timing models
+(zero; ``BalanceTiming`` with callable demand sources, which the C loop
+prices by calling ``price``; ``BalanceTiming`` reading a segment header,
+which it prices itself), with and without a recorder, optionally under a
+seeded random scheduler and in ``until=`` slices.  The two runs must
+agree on everything a caller can see: the clock to the last bit, every
 ``EngineStats`` counter, each process's state, result, error and lock
-wait, the recorder's snapshot, and the type and message of whatever the
-run raised.
+wait, the bus, cache and VM models' statistics, the recorder's snapshot,
+and the type and message of whatever the run raised.
+
+The second test does the same for whole MPF programs on ``SimRuntime``
+whose receivers wait in ``select_receive``: the C loop runs the poll
+walk kernel in place of the walk's Python body while its memo holds,
+and the two runs must agree on the clock, every ``MachineReport``
+field, the results, the header and the segment's bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +31,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.check.scheduler import RandomPolicy
+from repro.core import chains
+from repro.core.layout import HDR, MPFConfig
+from repro.core.protocol import BROADCAST, FCFS
+from repro.core.region import SharedRegion
 from repro.core.effects import (
     D_BAIL,
     D_JUMP,
@@ -44,6 +57,8 @@ from repro.machine.balance import BALANCE_21000
 from repro.machine.cpu import BalanceTiming
 from repro.machine.engine import Engine, ZeroTimingModel
 from repro.obs import Recorder
+from repro.patterns import select_receive
+from repro.runtime.sim import SimRuntime
 
 N_LOCKS, N_CHANS = 3, 2
 #: Two processors, so that three runnable processes stretch a charge.
@@ -81,6 +96,9 @@ leaf_ops = st.one_of(
                                          max_size=4)),
     st.tuples(st.just("wake"), chans),
     st.tuples(st.just("section"), section_steps),
+    # live_blocks (x STRIDE: the cache's 8 KiB at 512) and live_bytes (the
+    # VM's 24 KiB) as a segment would hold them
+    st.tuples(st.just("demand"), st.integers(0, 2000), st.integers(0, 60000)),
     # what a program can get wrong
     st.tuples(st.just("bad-lock"), st.integers(N_LOCKS, N_LOCKS + 2)),
     st.tuples(st.just("release-unowned"), lock_ids),
@@ -137,7 +155,11 @@ def _section(steps, log):
     return FusedSection(tuple(built))
 
 
-def _body(engine, name, program, log):
+#: The block stride the ``"segment"`` timing model's cache demand uses.
+STRIDE = 16
+
+
+def _body(engine, name, program, log, region):
     spawned = [0]
 
     def run(ops, held):
@@ -151,6 +173,9 @@ def _body(engine, name, program, log):
                 yield Wake(op[1])
             elif kind == "section":
                 log.append((yield _section(op[1], log)))
+            elif kind == "demand":
+                region.set_u32(HDR.u32["live_blocks"], op[1])
+                region.set_u32(HDR.u32["live_bytes"], op[2])
             elif kind == "bad-lock":
                 yield Acquire(op[1])
             elif kind == "release-unowned":
@@ -178,7 +203,7 @@ def _body(engine, name, program, log):
             elif kind == "spawn":
                 spawned[0] += 1
                 child = f"{name}.{spawned[0]}"
-                engine.spawn(child, _body(engine, child, op[1], log))
+                engine.spawn(child, _body(engine, child, op[1], log, region))
                 log.append(("spawned", child, engine.now))
 
     def body():
@@ -190,13 +215,18 @@ def _body(engine, name, program, log):
 
 
 def _engine(program, balance, rec, seed, max_events, log):
-    eng = Engine(N_LOCKS, N_CHANS,
-                 timing=BalanceTiming(TWO_CPUS) if balance
-                 else ZeroTimingModel(),
+    """``balance``: ``False`` zero timing, ``True`` BalanceTiming with its
+    default (callable) demand sources, ``"segment"`` BalanceTiming whose
+    demand is a segment header's words — the closed form."""
+    region = SharedRegion(bytearray(HDR.size))
+    timing = BalanceTiming(TWO_CPUS) if balance else ZeroTimingModel()
+    if balance == "segment":
+        timing.set_demand(region, STRIDE)
+    eng = Engine(N_LOCKS, N_CHANS, timing=timing,
                  max_events=max_events, recorder=rec,
                  scheduler=None if seed is None else RandomPolicy(seed))
     for i, ops in enumerate(program):
-        eng.spawn(f"p{i}", _body(eng, f"p{i}", ops, log))
+        eng.spawn(f"p{i}", _body(eng, f"p{i}", ops, log, region))
     return eng
 
 
@@ -242,7 +272,19 @@ def _observe(program, balance, recorded, seed, untils, max_events, loop):
             "sleepers": [[p.name for p in ch.sleepers]
                          for ch in eng.channels],
             "queue": [(float.hex(t), s, p.name) for t, s, p in eng._queue],
+            "models": _models(eng.timing),
             "recorder": None if rec is None else _plain(rec.snapshot())}
+
+
+def _models(timing):
+    """The bus, cache and VM models' state: what ``collect_report`` reads
+    and what the next charge prices from (floats as hex, so an int where
+    the model keeps a float differs)."""
+    if not isinstance(timing, BalanceTiming):
+        return None
+    bus, cache, vm = timing.bus, timing.cache, timing.vm
+    return _plain((bus.active, bus.peak, bus.total_copies, cache.stall_time,
+                   cache.stalled_blocks, vm.faults, vm.fault_time, vm._carry))
 
 
 def _plain(obj):
@@ -288,6 +330,28 @@ COPY = Work(instrs=10, copy_bytes=100, label="copy")
 @example(program=[[("charge", Work(instrs=1)),
                    ("many", [Work(instrs=1), Work(instrs=4)])], []],
          seed=None, untils=[], on_end=None, max_events=200_000_000)
+# The closed form: block work while the cache demand (1000 x 16 B) is
+# above its 8 KiB, beside another copier (bus contention > 0).
+@example(program=[[("demand", 1000, 0),
+                   ("charge", Work(instrs=5, copy_bytes=64, blocks=7,
+                                   label="copy"))],
+                  _charges(COPY, COPY)],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
+# The VM's carry across charges: 0.39 of a fault per 2-page touch, so the
+# first leaves a carry and the second faults.
+@example(program=[[("demand", 0, 40000),
+                   *_charges(*[Work(instrs=1, page_bytes=700, label="copy")]
+                             * 3)], []],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
+# Touches a whole number of pages long.
+@example(program=[[("demand", 0, 60000),
+                   *_charges(*[Work(instrs=1, page_bytes=1024, label="copy")]
+                             * 2)], []],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
+# A wake that finds a sleeper.
+@example(program=[[("wait", 0, 0, [])],
+                  [("charge", Work(instrs=50)), ("wake", 0)]],
+         seed=None, untils=[], on_end=None, max_events=200_000_000)
 @given(program=programs,
        seed=st.one_of(st.none(), st.integers(0, 2**16)),
        untils=st.lists(st.floats(0.0, 3e-3), max_size=2),
@@ -299,11 +363,135 @@ def test_c_engine_matches_the_python_reference(c_engine, program, seed,
     if ends:
         untils = [*untils, ends[on_end % len(ends)]]
     untils = sorted(untils)
-    for balance in (False, True):
+    for balance in (False, True, "segment"):
         for recorded in (False, True):
             args = (program, balance, recorded, seed, untils, max_events)
             assert _observe(*args, c_engine) == _observe(*args, None), (
                 balance, recorded)
+
+
+# -- poll walks on whole programs ----------------------------------------------
+
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def poll_programs(draw):
+    """Pollers in ``select_receive`` over two or three circuits (each
+    FCFS or BROADCAST, one perhaps a ring), senders, and churners that
+    open and close receive connections on the polled circuits — each
+    open or close moves the circuit's ``conn_epoch`` under a poller's
+    memo.  Small cache and resident budgets put the models' demand above
+    them."""
+    n = draw(st.integers(2, 3))
+    return {
+        "protos": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        "ring": draw(st.one_of(st.none(), st.integers(0, n - 1))),
+        "pollers": draw(st.integers(1, 2)),
+        "backoff": draw(st.integers(0, 3000)),
+        "sends": draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, 30_000),
+                                         st.integers(0, 200)), max_size=8)),
+        "churn": draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, 30_000),
+                                         st.booleans()), max_size=3)),
+        "cache_bytes": draw(st.sampled_from((64, 8 << 10))),
+        "resident_bytes": draw(st.sampled_from((256, 24 << 10))),
+    }
+
+
+def _poll_workers(prog):
+    names = NAMES[:len(prog["protos"])]
+    protos = [FCFS if fcfs else BROADCAST for fcfs in prog["protos"]]
+
+    def poller(env):
+        ids = []
+        for name, proto in zip(names, protos):
+            ids.append((yield from env.open_receive(name, proto)))
+        got = []
+        for _ in range(len(prog["sends"])):
+            cid, payload = yield from select_receive(env, ids,
+                                                     prog["backoff"])
+            got.append((ids.index(cid), len(payload), env.now()))
+        return got
+
+    def sender(env):
+        ids = []
+        for name in names:
+            ids.append((yield from env.open_send(name)))
+        for k, (c, instrs, size) in enumerate(prog["sends"]):
+            yield from env.compute(instrs=instrs)
+            yield from env.message_send(ids[c], bytes([k]) * size)
+        return env.now()
+
+    def churner(env):
+        for c, instrs, fcfs in prog["churn"]:
+            yield from env.compute(instrs=instrs)
+            cid = yield from env.open_receive(names[c],
+                                              FCFS if fcfs else BROADCAST)
+            yield from env.compute(instrs=instrs // 2)
+            yield from env.close_receive(cid)
+        return env.now()
+
+    return [poller] * prog["pollers"] + [sender, churner]
+
+
+def _poll_run(prog, recorded, loop, kernels):
+    """``prog`` on ``SimRuntime`` with ``loop`` as the engine's C loop
+    (``None``: the Python loop) and ``kernels`` as the message path's;
+    everything a caller can see."""
+    cfg = MPFConfig(max_lnvcs=8, max_processes=8, ring_slots=4,
+                    transports=() if prog["ring"] is None
+                    else ((NAMES[prog["ring"]], "ring"),))
+    machine = replace(TWO_CPUS, cache_bytes=prog["cache_bytes"],
+                      resident_bytes=prog["resident_bytes"])
+    rec = Recorder() if recorded else None
+    rt = SimRuntime(machine, until=0.4, recorder=rec)
+    out, error = None, None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "C_RUN", loop)
+        patch.setattr(chains, "ACTIVE", kernels)
+        try:
+            res = rt.run(_poll_workers(prog), cfg)
+            out = (float.hex(res.elapsed), repr(res.results), res.header,
+                   _plain(res.report.as_dict()))
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            error = (type(exc).__name__, str(exc))
+    eng = rt.last_engine
+    assert eng.loop == ("python" if loop is None else "c")
+    return {"out": out, "error": error, "now": float.hex(eng.now),
+            "stats": eng.stats.as_dict(), "models": _models(eng.timing),
+            "segment": bytes(rt.last_view.region._mv),
+            "recorder": None if rec is None else _plain(rec.snapshot())}
+
+
+def _prog(protos, sends, churn=(), ring=None, pollers=1, backoff=400,
+          cache_bytes=64, resident_bytes=256):
+    return {"protos": list(protos), "ring": ring, "pollers": pollers,
+            "backoff": backoff, "sends": list(sends), "churn": list(churn),
+            "cache_bytes": cache_bytes, "resident_bytes": resident_bytes}
+
+
+@settings(max_examples=120, deadline=None)
+# A connect and a close mid-poll move conn_epoch under the memo; the walk
+# length the next check charges grows and shrinks with them.
+@example(prog=_prog([False, True], [(0, 30_000, 10), (1, 5_000, 20)],
+                    churn=[(0, 4_000, False), (1, 2_000, True)]),
+         recorded=False)
+# A ring circuit in the set: the per-check loop, on the C loop.
+@example(prog=_prog([True, False], [(0, 20_000, 8), (1, 9_000, 8)], ring=0),
+         recorded=False)
+# Walks that find traffic: bursts of two queued on each circuit while two
+# pollers wait (the count memoized, then taken by the kernel).
+@example(prog=_prog([True, False],
+                    [(0, 20_000, 5), (0, 0, 5), (1, 20_000, 5), (1, 0, 5),
+                     (0, 20_000, 5), (0, 0, 5)], pollers=2),
+         recorded=True)
+@given(prog=poll_programs(), recorded=st.booleans())
+def test_c_poll_walks_match_the_python_reference(c_engine, c_kernels, prog,
+                                                 recorded):
+    assert (_poll_run(prog, recorded, c_engine, c_kernels)
+            == _poll_run(prog, recorded, None, chains.PYTHON))
 
 
 def test_the_c_engine_runs_where_the_c_kernels_do():
