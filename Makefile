@@ -7,7 +7,7 @@ JOBS ?= 4
 
 .PHONY: install test bench shapes figures figures-quick check trace-smoke \
 	serve telemetry-smoke telemetry-budget procs-smoke profile \
-	identity census hostcost asan clean
+	identity census hostcost asan tsan mutants clean
 
 install:
 	pip install -e '.[dev]' || pip install -e '.[dev]' --no-build-isolation
@@ -231,7 +231,31 @@ asan:
 	$(ASAN_ENV) $(PY) -m pytest -q -p no:cacheprovider --capture=sys -k test_c_ \
 		tests/properties/test_freelist_properties.py \
 		tests/properties/test_ring_properties.py \
-		tests/properties/test_engine_properties.py
+		tests/properties/test_engine_properties.py \
+		tests/properties/test_sync_properties.py
+
+# The lock words and wait bytes of runtime/sync.c under ThreadSanitizer:
+# a standalone pthread harness (tests/tsan/sync_harness.c; CPython does
+# not load the TSan runtime here) must pass — mutual exclusion by a
+# guarded counter, no lost wake within its alarm — and the same harness
+# built with a relaxed lock release must be reported as a data race.
+TSAN_CC = gcc -std=c99 -O1 -g -Wall -Wextra -fsanitize=thread -pthread
+tsan:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(TSAN_CC) -o "$$tmp/ok" tests/tsan/sync_harness.c && \
+	"$$tmp/ok" && \
+	$(TSAN_CC) -DSYNC_RELEASE_ORDER=__ATOMIC_RELAXED -o "$$tmp/relaxed" \
+		tests/tsan/sync_harness.c && \
+	if "$$tmp/relaxed" > "$$tmp/relaxed.txt" 2>&1; then \
+	  echo "a relaxed lock release went unreported"; exit 1; fi && \
+	grep -q "ThreadSanitizer: data race" "$$tmp/relaxed.txt" && \
+	echo "tsan ok: the planted relaxed release is reported as a data race"
+
+# The committed mutant list (tests/mutants.json): each entry's exact
+# text replaced in a temporary copy of the tree, only its listed tests
+# run there, and any mutant they do not kill fails the target.
+mutants:
+	$(PY) tests/mutants.py
 
 # cProfile one figure plus the hottest-effect-label report (one Recorder
 # in SimRuntime.profile; pinned by tests/bench/test_profile_top.py).

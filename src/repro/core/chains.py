@@ -896,6 +896,7 @@ def _c_kernels(module) -> Kernels:
     def buf(region):
         """The region's buffer as the C side sees it: a ``char *`` to its
         first byte, made once, dropped by :meth:`SharedRegion.release`.
+        The wrappers read ``region.cbuf`` and call this only on a miss.
 
         It points into an export of the object under the region's
         memoryview (``mv.obj``: the bytearray, mmap or shared memory),
@@ -932,45 +933,51 @@ def _c_kernels(module) -> Kernels:
     def pop(region, first, n):
         if not n:
             return NIL, first
-        got = c_pop(buf(region), region.size, first, n)
+        p = region.cbuf or buf(region)
+        got = c_pop(p, region.size, first, n)
         if got == _REFUSED:
             return _py_pop(region, first, n)
         return got >> 32, got & _M32
 
     def fill(region, first, n, data, bs):
-        if c_fill(buf(region), region.size, first, n, data, len(data), bs) < 0:
+        p = region.cbuf or buf(region)
+        if c_fill(p, region.size, first, n, data, len(data), bs) < 0:
             _py_fill(region, first, n, data, bs)
 
     def drain(region, first, n, length, bs):
         if length > region.size:  # no chain carries it: not worth a buffer
             return _py_drain(region, first, n, length, bs)
         out = bytearray(length)
-        last = c_drain(buf(region), region.size, first, n, length, bs,
+        p = region.cbuf or buf(region)
+        last = c_drain(p, region.size, first, n, length, bs,
                        from_buffer(out))
         if last < 0:
             return _py_drain(region, first, n, length, bs)
         return last, bytes(out)
 
     def last(region, first, n):
-        got = c_last(buf(region), region.size, first, n)
+        p = region.cbuf or buf(region)
+        got = c_last(p, region.size, first, n)
         return _py_last(region, first, n) if got < 0 else got
 
     # The sections: a refusal hands the same arguments to the reference.
 
     def alloc(view, nblk, length):
         region = view.region
-        got = c_alloc(buf(region), region.size, nblk, length)
+        p = region.cbuf or buf(region)
+        got = c_alloc(p, region.size, nblk, length)
         if got == _REFUSED:
             return _alloc_message(view, nblk, length)
         return got >> 32, got & _M32
 
     def link(view, base, hdr, pid, length, first, nblk, stale=None):
         region = view.region
+        p = region.cbuf or buf(region)
         if stale is None:
-            got = c_link(buf(region), region.size, base, hdr, pid & _M32,
+            got = c_link(p, region.size, base, hdr, pid & _M32,
                          length, first, nblk, 0, 0, 0)
         else:
-            got = c_link(buf(region), region.size, base, hdr, pid & _M32,
+            got = c_link(p, region.size, base, hdr, pid & _M32,
                          length, first, nblk, 1, *stale)
         if not got.ok:
             return _link_tail(view, base, hdr, pid, length, first, nblk, stale)
@@ -978,7 +985,8 @@ def _c_kernels(module) -> Kernels:
 
     def claim(view, base, desc, max_len):
         region = view.region
-        got = c_claim(buf(region), region.size, base, desc,
+        p = region.cbuf or buf(region)
+        got = c_claim(p, region.size, base, desc,
                       _NO_LIMIT if max_len is None or max_len > _NO_LIMIT
                       else max_len)
         if got.got <= 0:
@@ -988,7 +996,8 @@ def _c_kernels(module) -> Kernels:
 
     def complete(view, base, msg, unread, last, length):
         region = view.region
-        got = c_complete(buf(region), region.size, base, msg, unread, last,
+        p = region.cbuf or buf(region)
+        got = c_complete(p, region.size, base, msg, unread, last,
                          length)
         if not got.ok:
             return _complete_receive(view, base, msg, unread, last, length)
@@ -999,7 +1008,8 @@ def _c_kernels(module) -> Kernels:
 
     def free(view, head, n, first, last, nblk, nbytes):
         region = view.region
-        if c_free(buf(region), region.size, head, n, first, last, nblk,
+        p = region.cbuf or buf(region)
+        if c_free(p, region.size, head, n, first, last, nblk,
                   nbytes) < 0:
             _free_chain(view, head, n, first, last, nblk, nbytes)
 
@@ -1007,7 +1017,8 @@ def _c_kernels(module) -> Kernels:
 
     def ring_fill(view, base, pid, data):
         region, lay = view.region, view.layout
-        got = c_ring_fill(buf(region), region.size, lay.ring_ctrl_base,
+        p = region.cbuf or buf(region)
+        got = c_ring_fill(p, region.size, lay.ring_ctrl_base,
                           lay.ring_cur_base, lay.ring_data_base,
                           lay.ring_stride, view.cfg.ring_slots, base,
                           pid & _M32, data, len(data))
@@ -1017,7 +1028,8 @@ def _c_kernels(module) -> Kernels:
 
     def ring_commit(view, base, sl, seq):
         region = view.region
-        if c_ring_commit(buf(region), region.size, base, sl, seq) < 0:
+        p = region.cbuf or buf(region)
+        if c_ring_commit(p, region.size, base, sl, seq) < 0:
             _ring_commit(view, base, sl, seq)
 
     def ring_take(view, base, pid, lnvc_id, max_len):
@@ -1029,7 +1041,8 @@ def _c_kernels(module) -> Kernels:
         if hit is None or hit.gen != gen:
             return None
         region, lay = view.region, view.layout
-        got = c_ring_take(buf(region), region.size, lay.ring_ctrl_base,
+        p = region.cbuf or buf(region)
+        got = c_ring_take(p, region.size, lay.ring_ctrl_base,
                           lay.ring_cur_base, lay.ring_data_base,
                           lay.ring_stride, view.cfg.ring_slots, base,
                           hit.desc, gen, hit.epoch,
@@ -1043,7 +1056,8 @@ def _c_kernels(module) -> Kernels:
 
     def ring_claim(view, base, desc, max_len):
         region, lay = view.region, view.layout
-        got = c_ring_claim(buf(region), region.size, lay.ring_ctrl_base,
+        p = region.cbuf or buf(region)
+        got = c_ring_claim(p, region.size, lay.ring_ctrl_base,
                            lay.ring_cur_base, lay.ring_data_base,
                            lay.ring_stride, view.cfg.ring_slots, base, desc,
                            _NO_LIMIT if max_len is None or max_len > _NO_LIMIT
@@ -1054,7 +1068,8 @@ def _c_kernels(module) -> Kernels:
 
     def ring_complete(view, base, sl, unread, idx, length):
         region = view.region
-        got = c_ring_complete(buf(region), region.size, view.cfg.ring_slots,
+        p = region.cbuf or buf(region)
+        got = c_ring_complete(p, region.size, view.cfg.ring_slots,
                               base, sl, unread, idx, length)
         if got < 0:
             return _ring_complete(view, base, sl, unread, idx, length)

@@ -130,7 +130,9 @@ _GEN_MASK = (1 << (32 - SLOT_BITS)) - 1
 # folded to a constant exactly as a C compiler folds ``lnvc->fifo_head`` —
 # and several fields of one record as one run (``READS`` / ``STORES``
 # below).  Cold paths (open/close) keep the self-describing Record
-# accessors.
+# accessors.  A record's base is the same arithmetic, ``view.lnvc_base +
+# slot * _LNVC_SIZE`` (``SegmentLayout.lnvc_off`` without the call).
+_LNVC_SIZE = LNVC.size
 _L_IN_USE = LNVC.offsets["in_use"]
 _L_GEN = LNVC.offsets["gen"]
 _L_FCFS_HEAD = LNVC.offsets["fcfs_head"]
@@ -269,6 +271,7 @@ class MPFView:
         "layout",
         "cfg",
         "costs",
+        "lnvc_base",
         "_acq",
         "_rel",
         "_wake",
@@ -309,6 +312,8 @@ class MPFView:
         self.layout = layout
         self.cfg: MPFConfig = layout.cfg
         self.costs = costs
+        #: ``layout.lnvc_base``, bound for the message path's addressing.
+        self.lnvc_base = layout.lnvc_base
         n = self.cfg.max_lnvcs
         self._acq = tuple(Acquire(FIRST_LNVC_LOCK + s) for s in range(n))
         self._rel = tuple(Release(FIRST_LNVC_LOCK + s) for s in range(n))
@@ -403,12 +408,12 @@ class MPFView:
         return data
 
     def read_name(self, slot: int) -> bytes:
-        base = self.layout.lnvc_off(slot)
+        base = self.lnvc_base + slot * _LNVC_SIZE
         n = LNVC.get(self.region, base, "name_len")
         return self.region.read(base + LNVC.tail_off, n)
 
     def write_name(self, slot: int, data: bytes) -> None:
-        base = self.layout.lnvc_off(slot)
+        base = self.lnvc_base + slot * _LNVC_SIZE
         LNVC.set(self.region, base, "name_len", len(data))
         self.region.write(base + LNVC.tail_off, data)
 
@@ -433,7 +438,7 @@ class MPFView:
         Caller must hold either the global lock or the slot's lock.
         """
         slot = self.slot_of(lnvc_id)
-        base = self.layout.lnvc_off(slot)
+        base = self.lnvc_base + slot * _LNVC_SIZE
         u32 = self.region.u32
         if not u32(base + _L_IN_USE):
             raise UnknownLNVCError(f"lnvc id {lnvc_id}: circuit deleted")
@@ -455,7 +460,7 @@ class MPFView:
         """
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
-        base = self.layout.lnvc_off(slot)
+        base = self.lnvc_base + slot * _LNVC_SIZE
         in_use, g, epoch = self._rd_ident(base)
         if not in_use or g != gen:
             self.resolve(lnvc_id)  # raises with the precise message
@@ -476,7 +481,7 @@ class MPFView:
         lock-free reader may not assume one call sees one instant."""
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
-        base = self.layout.lnvc_off(slot)
+        base = self.lnvc_base + slot * _LNVC_SIZE
         hit = self._recv_cache.get((slot, pid))
         if hit is None or hit.gen != gen:
             return NIL
@@ -492,7 +497,7 @@ class MPFView:
         ``lnvc_id``; the send-side twin of :meth:`recv_conn`."""
         slot = lnvc_id & _SLOT_MASK
         gen = lnvc_id >> SLOT_BITS
-        base = self.layout.lnvc_off(slot)
+        base = self.lnvc_base + slot * _LNVC_SIZE
         in_use, g, epoch = self._rd_ident(base)
         if not in_use or g != gen:
             self.resolve(lnvc_id)  # raises with the precise message
@@ -513,22 +518,22 @@ class MPFView:
         Returns ``(slot_or_None, slots_examined)``; the examination count
         feeds the cost model.
         """
-        r, lay = self.region, self.layout
+        r = self.region
         steps = 0
         for slot in range(self.cfg.max_lnvcs):
             steps += 1
-            base = lay.lnvc_off(slot)
+            base = self.lnvc_base + slot * _LNVC_SIZE
             if LNVC.get(r, base, "in_use") and self.read_name(slot) == data:
                 return slot, steps
         return None, steps
 
     def find_free_slot(self) -> tuple[int | None, int]:
         """Scan for an unused table slot; returns ``(slot_or_None, steps)``."""
-        r, lay = self.region, self.layout
+        r = self.region
         steps = 0
         for slot in range(self.cfg.max_lnvcs):
             steps += 1
-            if not LNVC.get(r, lay.lnvc_off(slot), "in_use"):
+            if not LNVC.get(r, self.lnvc_base + slot * _LNVC_SIZE, "in_use"):
                 return slot, steps
         return None, steps
 
@@ -965,7 +970,7 @@ def message_send(
     # added, so either transport runs two frames below its caller.  A
     # stale identifier is caught by the generation check either way.
     slot = view.slot_of(lnvc_id)
-    base = view.layout.lnvc_off(slot)
+    base = view.lnvc_base + slot * _LNVC_SIZE
     if view.region.u32(base + _L_TRANSPORT):
         return ring_send(view, pid, slot, base, lnvc_id, data, prelude)
     return _freelist_send(view, pid, slot, base, lnvc_id, data, prelude)
@@ -1055,7 +1060,7 @@ def message_receive(
     safe analogue of the C interface's caller-supplied buffer.
     """
     slot = view.slot_of(lnvc_id)
-    base = view.layout.lnvc_off(slot)
+    base = view.lnvc_base + slot * _LNVC_SIZE
     if view.region.u32(base + _L_TRANSPORT):
         return ring_receive(view, pid, slot, base, lnvc_id, max_len)
     return _freelist_receive(view, pid, slot, base, lnvc_id, max_len)
@@ -1160,7 +1165,7 @@ def check_receive(
     :func:`repro.patterns.select_receive`).
     """
     slot = view.slot_of(lnvc_id)
-    base = view.layout.lnvc_off(slot)
+    base = view.lnvc_base + slot * _LNVC_SIZE
     if view.region.u32(base + _L_TRANSPORT):
         return ring_check(view, pid, slot, base, lnvc_id, prelude)
     return _freelist_check(view, pid, slot, base, lnvc_id, prelude)

@@ -6,8 +6,9 @@ by MPF is implemented by mapping a region of physical memory into the
 virtual address space of each process" (§4).  Here the region is a POSIX
 shared-memory segment, workers are forked Unix processes, and locks and
 wait channels are :class:`~repro.runtime.sync.ProcSync`: spin-then-park
-over ``multiprocessing.Lock``, shared wait bytes and one semaphore per
-process.
+over lock words, shared wait bytes and one futex word per process in a
+mapping every worker inherits, worked by ``sync.c`` (``multiprocessing``
+locks and semaphores where it cannot be built).
 
 Requires the ``fork`` start method (workers may be closures and inherit
 the open segment); the runtime raises a clear error on platforms without
@@ -46,6 +47,9 @@ class ProcRuntime(Runtime):
         #: snapshot rides home with the worker's result; the parent merges
         #: the snapshots in rank order after the join.
         self.recorder = recorder
+        #: The :class:`~repro.runtime.sync.ProcSync` of the latest run, set
+        #: before its workers fork; its ``impl`` says which sync ran.
+        self.last_sync: ProcSync | None = None
 
     def run(
         self,
@@ -81,7 +85,7 @@ class ProcRuntime(Runtime):
 
         shm = shared_memory.SharedMemory(create=True, size=SegmentLayout(cfg).total_size)
         region = SharedRegion(shm.buf)
-        sync = ProcSync(cfg, ctx, nprocs)
+        sync = self.last_sync = ProcSync(cfg, ctx, nprocs)
         procs: list = []
         try:
             layout = format_region(region, cfg)

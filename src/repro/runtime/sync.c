@@ -1,0 +1,840 @@
+/* The real runtimes' synchronization and effect loop, compiled:
+ * ProcSync's four methods (repro/runtime/sync.py) over words in one
+ * MAP_SHARED mapping, and drive (repro/runtime/threads.py) over them.
+ *
+ * The mapping is the one ProcSync already makes and a fork inherits:
+ *
+ *   [wait bytes]   one byte per (channel, rank), at chan * nprocs + rank:
+ *                  idle, spinning or parked, written only under the
+ *                  channel's circuit lock
+ *   [status rows]  one "3i5i" row per rank (kind, id, nheld, held...),
+ *                  the deadlock dump's, written on the slow paths only
+ *   [lock words]   one u32 per lock, each on a cache line of its own:
+ *                  0 when free, else the owner's rank + 1, plus WAITERS
+ *   [futex words]  one u32 per rank, on a line of its own: the tokens
+ *                  posted to a parked waiter (the reference's semaphore)
+ *
+ * A lock is taken by a CAS; a failed first attempt yield-spins for the
+ * handle's lock budget, then sets WAITERS and sleeps in FUTEX_WAIT on
+ * the word.  A release exchanges the word to 0 and calls FUTEX_WAKE only
+ * when WAITERS was set.  The futexes are not FUTEX_PRIVATE: forked
+ * processes park on the same page.  The wait-byte rules are the Python
+ * reference's (mechanisms P, F and W in sync.py): the waiter marks its
+ * byte spinning under the lock, spins on it for the wait budget, and only
+ * then marks it parked and sleeps on its futex word; a wake that finds
+ * no byte set takes no lock, and one that does clears every set byte and
+ * posts one token per parked sleeper.  Every spin and sleep runs with
+ * the GIL released.
+ *
+ * drive(gen, handle, process) is the Python drive's loop without a
+ * recorder: it resumes the generator, dispatches on the exact effect
+ * class, skips Charge / ChargeMany, and sends lock and channel effects
+ * to the functions above.  The held list is the handle's own Python
+ * list, which the Python drive keeps too; "released a lock it does not
+ * own" is read off the owner in the word.
+ *
+ * With SYNC_NO_PYTHON defined, only the lock-word and wait-byte code is
+ * compiled (no Python.h): tests/tsan/sync_harness.c includes this file
+ * that way.  SYNC_RELEASE_ORDER is the memory order of a lock release;
+ * the harness plants __ATOMIC_RELAXED through it to show that it would
+ * catch the race.
+ */
+
+#define _GNU_SOURCE 1
+
+#ifndef SYNC_NO_PYTHON
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#endif
+
+#include <errno.h>
+#include <linux/futex.h>
+#include <sched.h>
+#include <stdint.h>
+#include <string.h>
+#include <sys/syscall.h>
+#include <time.h>
+#include <unistd.h>
+
+#ifndef SYNC_RELEASE_ORDER
+#define SYNC_RELEASE_ORDER __ATOMIC_RELEASE
+#endif
+
+/* Bytes between two lock words, and between two futex words. */
+#define LINE 64
+#define WAITERS 0x80000000u
+
+enum { IDLE, SPINNING, PARKED };
+enum { RUNNING, ON_LOCK, ON_CHAN, DONE };
+#define MAX_HELD 5
+
+/* The nine per-handle counters, in sync.COUNTERS order. */
+enum { ACQUIRES, BY_SPIN, BY_BLOCK, WAITS, WOKE_SPINNING, N_PARKED,
+       WAKES_SKIPPED, WAKES_LOCKED, WAKES_POSTED, N_COUNTERS };
+
+typedef struct core {
+    unsigned char *mem;
+    uint32_t rank, nprocs, nchan, nlocks, first_chan_lock;
+    size_t status_off, lock_off, futex_off;
+    int64_t lock_spin_ns, wait_spin_ns;
+    long long ctr[N_COUNTERS];
+} core_t;
+
+/* Whatever the caller must give up around a spin or a sleep (the GIL),
+ * and what it publishes for the deadlock dump before it sleeps. */
+#ifdef SYNC_NO_PYTHON
+#define UNLOCKED_BEGIN {
+#define UNLOCKED_END }
+static void publish(core_t *c, int kind, long ident)
+{
+    (void)c, (void)kind, (void)ident;
+}
+#else
+#define UNLOCKED_BEGIN { PyThreadState *ts_ = PyEval_SaveThread();
+#define UNLOCKED_END PyEval_RestoreThread(ts_); }
+static void publish(core_t *c, int kind, long ident);
+#endif
+
+static int64_t
+now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+static void
+futex_wait(uint32_t *word, uint32_t expected)
+{
+    /* EAGAIN (the word moved) and EINTR both send the caller round its
+     * loop again, which re-reads the word. */
+    syscall(SYS_futex, word, FUTEX_WAIT, expected, NULL, NULL, 0);
+}
+
+static void
+futex_wake(uint32_t *word, int n)
+{
+    syscall(SYS_futex, word, FUTEX_WAKE, n, NULL, NULL, 0);
+}
+
+/* -- lock words -------------------------------------------------------- */
+
+static uint32_t *
+lock_word(const core_t *c, uint32_t id)
+{
+    return (uint32_t *)(c->mem + c->lock_off + (size_t)id * LINE);
+}
+
+static int
+lock_try(uint32_t *w, uint32_t me)
+{
+    uint32_t expected = 0;
+    return __atomic_compare_exchange_n(w, &expected, me, 0, __ATOMIC_ACQUIRE,
+                                       __ATOMIC_RELAXED);
+}
+
+/* Sleep until the lock is ours.  Taken after a sleep, the word keeps
+ * WAITERS: another sleeper may be behind, and its wake is the release's
+ * job. */
+static void
+lock_block(uint32_t *w, uint32_t me)
+{
+    for (;;) {
+        uint32_t v = __atomic_load_n(w, __ATOMIC_RELAXED);
+        if (v == 0) {
+            if (__atomic_compare_exchange_n(w, &v, me | WAITERS, 0,
+                                            __ATOMIC_ACQUIRE,
+                                            __ATOMIC_RELAXED))
+                return;
+            continue;
+        }
+        if (!(v & WAITERS)
+            && !__atomic_compare_exchange_n(w, &v, v | WAITERS, 0,
+                                            __ATOMIC_RELAXED,
+                                            __ATOMIC_RELAXED))
+            continue;
+        futex_wait(w, v | WAITERS);
+    }
+}
+
+static void
+lock_release(uint32_t *w)
+{
+    uint32_t old = __atomic_exchange_n(w, 0, SYNC_RELEASE_ORDER);
+    if (old & WAITERS)
+        futex_wake(w, 1);
+}
+
+/* Whether this handle's rank holds lock ``id``. */
+static int
+lock_owned(const core_t *c, uint32_t id)
+{
+    return (__atomic_load_n(lock_word(c, id), __ATOMIC_RELAXED) & ~WAITERS)
+           == c->rank + 1;
+}
+
+/* Take lock ``id`` (mechanism L); returns whether the first attempt
+ * failed. */
+static int
+core_acquire(core_t *c, uint32_t id)
+{
+    uint32_t *w = lock_word(c, id), me = c->rank + 1;
+    int64_t deadline;
+    int got = 0;
+
+    c->ctr[ACQUIRES]++;
+    if (lock_try(w, me))
+        return 0;
+    deadline = now_ns() + c->lock_spin_ns;
+    UNLOCKED_BEGIN
+    while (now_ns() < deadline) {
+        sched_yield();
+        if (__atomic_load_n(w, __ATOMIC_RELAXED) == 0 && lock_try(w, me)) {
+            got = 1;
+            break;
+        }
+    }
+    UNLOCKED_END
+    if (got) {
+        c->ctr[BY_SPIN]++;
+        return 1;
+    }
+    c->ctr[BY_BLOCK]++;
+    publish(c, ON_LOCK, (long)id);
+    UNLOCKED_BEGIN
+    lock_block(w, me);
+    UNLOCKED_END
+    publish(c, RUNNING, 0);
+    return 1;
+}
+
+/* -- wait bytes and the futex word per rank ------------------------------ */
+
+static unsigned char *
+wait_byte(const core_t *c, uint32_t chan, uint32_t rank)
+{
+    return c->mem + (size_t)chan * c->nprocs + rank;
+}
+
+static uint32_t *
+futex_word(const core_t *c, uint32_t rank)
+{
+    return (uint32_t *)(c->mem + c->futex_off + (size_t)rank * LINE);
+}
+
+static void
+post(core_t *c, uint32_t rank)
+{
+    uint32_t *f = futex_word(c, rank);
+    __atomic_add_fetch(f, 1, __ATOMIC_RELEASE);
+    futex_wake(f, 1);
+}
+
+/* Sleep until a token is posted to this rank, and take it. */
+static void
+take_token(core_t *c)
+{
+    uint32_t *f = futex_word(c, c->rank);
+    for (;;) {
+        uint32_t v = __atomic_load_n(f, __ATOMIC_ACQUIRE);
+        if (v == 0)
+            futex_wait(f, 0);
+        else if (__atomic_compare_exchange_n(f, &v, v - 1, 0,
+                                             __ATOMIC_ACQUIRE,
+                                             __ATOMIC_RELAXED))
+            return;
+    }
+}
+
+static void
+set_byte(unsigned char *b, unsigned char v)
+{
+    __atomic_store_n(b, v, __ATOMIC_RELAXED);
+}
+
+static unsigned char
+get_byte(const unsigned char *b)
+{
+    return __atomic_load_n(b, __ATOMIC_RELAXED);
+}
+
+/* WaitOn (mechanisms P and W): called holding ``lock_id``, the circuit
+ * lock of ``chan``; returns holding it again. */
+static void
+core_wait(core_t *c, uint32_t chan, uint32_t lock_id)
+{
+    unsigned char *mine = wait_byte(c, chan, c->rank);
+    uint32_t *w = lock_word(c, lock_id);
+    int64_t deadline;
+
+    c->ctr[WAITS]++;
+    set_byte(mine, SPINNING);  /* under the circuit lock, like every write */
+    lock_release(w);
+    deadline = now_ns() + c->wait_spin_ns;
+    UNLOCKED_BEGIN
+    while (get_byte(mine) != IDLE && now_ns() < deadline)
+        sched_yield();
+    UNLOCKED_END
+    core_acquire(c, lock_id);
+    if (get_byte(mine) == IDLE) {
+        c->ctr[WOKE_SPINNING]++;
+        return;
+    }
+    set_byte(mine, PARKED);
+    lock_release(w);
+    c->ctr[N_PARKED]++;
+    publish(c, ON_CHAN, (long)chan);
+    UNLOCKED_BEGIN
+    take_token(c);
+    UNLOCKED_END
+    publish(c, RUNNING, 0);
+    core_acquire(c, lock_id);
+}
+
+/* Wake (mechanisms P and F): resume every sleeper of ``chan``; returns
+ * how many. */
+static int
+core_wake(core_t *c, uint32_t chan)
+{
+    uint32_t r, lock_id = c->first_chan_lock + chan;
+    int woken = 0;
+
+    for (r = 0; r < c->nprocs; r++)
+        if (get_byte(wait_byte(c, chan, r)) != IDLE)
+            break;
+    if (r == c->nprocs) {
+        c->ctr[WAKES_SKIPPED]++;
+        return 0;
+    }
+    c->ctr[WAKES_LOCKED]++;
+    core_acquire(c, lock_id);
+    for (r = 0; r < c->nprocs; r++) {
+        unsigned char *b = wait_byte(c, chan, r);
+        unsigned char state = get_byte(b);
+        if (state != IDLE) {
+            set_byte(b, IDLE);
+            woken++;
+            if (state == PARKED) {
+                post(c, r);
+                c->ctr[WAKES_POSTED]++;
+            }
+        }
+    }
+    lock_release(lock_word(c, lock_id));
+    return woken;
+}
+
+#ifndef SYNC_NO_PYTHON
+
+#ifndef Py_T_OBJECT_EX
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_T_UINT T_UINT
+#define Py_READONLY READONLY
+#endif
+
+/* -- the classes classes() hands over ------------------------------------ */
+
+enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_WAIT, T_WAKE, N_TYPES };
+static PyTypeObject *TYPES[N_TYPES];
+/* Slot offsets of Acquire.lock_id, Release.lock_id, WaitOn.chan,
+ * WaitOn.lock_id and Wake.chan. */
+enum { F_ACQ_LOCK, F_REL_LOCK, F_WAIT_CHAN, F_WAIT_LOCK, F_WAKE_CHAN,
+       N_FIELDS };
+static Py_ssize_t OFF[N_FIELDS];
+static uint32_t FIRST_CHAN_LOCK;
+
+static const char *const COUNTER_NAMES[N_COUNTERS] = {
+    "acquires", "acquired_by_spin", "acquired_by_block",
+    "waits", "woke_spinning", "parked",
+    "wakes_skipped", "wakes_locked", "wakes_posted",
+};
+
+/* -- the handle ----------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    core_t c;
+    Py_buffer view;
+    /* Lock ids the worker holds, in acquisition order; kept by drive
+     * (this file's or the Python one) for the deadlock dump. */
+    PyObject *held;
+} handle_t;
+
+static PyTypeObject HandleType;
+
+static void
+publish(core_t *c, int kind, long ident)
+{
+    handle_t *h = (handle_t *)((char *)c - offsetof(handle_t, c));
+    Py_ssize_t n = PyList_GET_SIZE(h->held), first = n - MAX_HELD, i;
+    int32_t row[3 + MAX_HELD] = {0};
+
+    if (first < 0)
+        first = 0;
+    row[0] = kind;
+    row[1] = (int32_t)ident;
+    row[2] = (int32_t)(n - first);
+    for (i = first; i < n; i++)
+        row[3 + i - first] =
+            (int32_t)PyLong_AsLong(PyList_GET_ITEM(h->held, i));
+    PyErr_Clear();  /* an id that is no int reads -1: the dump goes on */
+    memcpy(c->mem + c->status_off + (size_t)c->rank * sizeof row, row,
+           sizeof row);
+}
+
+static PyObject *
+handle_new(PyTypeObject *type, PyObject *args, PyObject *kw)
+{
+    static char *names[] = {"mem", "rank", "nprocs", "nchan", "nlocks",
+                            "status_off", "lock_off", "futex_off",
+                            "lock_spin_ns", "wait_spin_ns", NULL};
+    PyObject *mem;
+    unsigned int rank, nprocs, nchan, nlocks;
+    Py_ssize_t status_off, lock_off, futex_off;
+    long long lock_spin, wait_spin;
+    handle_t *h;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OIIIInnnLL", names, &mem,
+                                     &rank, &nprocs, &nchan, &nlocks,
+                                     &status_off, &lock_off, &futex_off,
+                                     &lock_spin, &wait_spin))
+        return NULL;
+    h = (handle_t *)type->tp_alloc(type, 0);
+    if (h == NULL)
+        return NULL;
+    if (PyObject_GetBuffer(mem, &h->view, PyBUF_WRITABLE) < 0) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    if (rank >= nprocs || FIRST_CHAN_LOCK + nchan > nlocks
+        || status_off < (Py_ssize_t)nchan * nprocs
+        || lock_off % LINE || futex_off < lock_off + (Py_ssize_t)nlocks * LINE
+        || futex_off % LINE || h->view.len < futex_off + nprocs * LINE
+        || status_off + (Py_ssize_t)nprocs * 4 * (3 + MAX_HELD) > lock_off
+        || ((uintptr_t)h->view.buf) % LINE) {
+        PyBuffer_Release(&h->view);
+        Py_DECREF(h);
+        PyErr_SetString(PyExc_ValueError, "sync mapping geometry mismatch");
+        return NULL;
+    }
+    h->held = PyList_New(0);
+    if (h->held == NULL) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    h->c.mem = h->view.buf;
+    h->c.rank = rank;
+    h->c.nprocs = nprocs;
+    h->c.nchan = nchan;
+    h->c.nlocks = nlocks;
+    h->c.first_chan_lock = FIRST_CHAN_LOCK;
+    h->c.status_off = (size_t)status_off;
+    h->c.lock_off = (size_t)lock_off;
+    h->c.futex_off = (size_t)futex_off;
+    h->c.lock_spin_ns = lock_spin;
+    h->c.wait_spin_ns = wait_spin;
+    return (PyObject *)h;
+}
+
+static void
+handle_dealloc(handle_t *h)
+{
+    if (h->view.obj != NULL)
+        PyBuffer_Release(&h->view);
+    Py_XDECREF(h->held);
+    Py_TYPE(h)->tp_free((PyObject *)h);
+}
+
+/* A lock id or channel id off a Python int, checked against its table. */
+static int
+id_of(PyObject *o, uint32_t n, const char *what, uint32_t *out)
+{
+    long v = PyLong_AsLong(o);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (v < 0 || (unsigned long)v >= n) {
+        PyErr_Format(PyExc_IndexError, "%s id %ld outside [0, %u)", what, v,
+                     n);
+        return -1;
+    }
+    *out = (uint32_t)v;
+    return 0;
+}
+
+/* WaitOn must name the channel's own circuit lock: wake takes exactly
+ * that lock to find the sleepers. */
+static int
+check_wait(const core_t *c, uint32_t chan, uint32_t lock_id)
+{
+    if (lock_id != c->first_chan_lock + chan) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "WaitOn(chan=%u) under lock %u; expected circuit lock %u",
+                     chan, lock_id, c->first_chan_lock + chan);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+h_acquire(handle_t *h, PyObject *arg)
+{
+    uint32_t id;
+    if (id_of(arg, h->c.nlocks, "lock", &id) < 0)
+        return NULL;
+    return PyBool_FromLong(core_acquire(&h->c, id));
+}
+
+static PyObject *
+h_release(handle_t *h, PyObject *arg)
+{
+    uint32_t id;
+    if (id_of(arg, h->c.nlocks, "lock", &id) < 0)
+        return NULL;
+    if (!lock_owned(&h->c, id)) {
+        PyErr_Format(PyExc_RuntimeError, "rank %u released lock %u it does "
+                     "not own", h->c.rank, id);
+        return NULL;
+    }
+    lock_release(lock_word(&h->c, id));
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+h_wait(handle_t *h, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint32_t chan, id;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "wait(chan, lock_id)");
+        return NULL;
+    }
+    if (id_of(args[0], h->c.nchan, "channel", &chan) < 0
+        || id_of(args[1], h->c.nlocks, "lock", &id) < 0
+        || check_wait(&h->c, chan, id) < 0)
+        return NULL;
+    core_wait(&h->c, chan, id);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+h_wake(handle_t *h, PyObject *arg)
+{
+    uint32_t chan;
+    if (id_of(arg, h->c.nchan, "channel", &chan) < 0)
+        return NULL;
+    return PyLong_FromLong(core_wake(&h->c, chan));
+}
+
+static PyObject *
+h_finish(handle_t *h, PyObject *Py_UNUSED(ignored))
+{
+    publish(&h->c, DONE, 0);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+h_counters(handle_t *h, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *d = PyDict_New();
+    int i;
+    if (d == NULL)
+        return NULL;
+    for (i = 0; i < N_COUNTERS; i++) {
+        PyObject *v = PyLong_FromLongLong(h->c.ctr[i]);
+        if (v == NULL || PyDict_SetItemString(d, COUNTER_NAMES[i], v) < 0) {
+            Py_XDECREF(v);
+            Py_DECREF(d);
+            return NULL;
+        }
+        Py_DECREF(v);
+    }
+    return d;
+}
+
+static PyMethodDef handle_methods[] = {
+    {"acquire", (PyCFunction)h_acquire, METH_O,
+     "acquire(lock_id): take the lock; whether the first attempt failed."},
+    {"release", (PyCFunction)h_release, METH_O, "release(lock_id)"},
+    {"wait", (PyCFunction)(void (*)(void))h_wait, METH_FASTCALL,
+     "wait(chan, lock_id): WaitOn, called holding the circuit lock."},
+    {"wake", (PyCFunction)h_wake, METH_O,
+     "wake(chan): resume every sleeper; how many it resumed."},
+    {"finish", (PyCFunction)h_finish, METH_NOARGS,
+     "Mark this worker done in its status row."},
+    {"counters", (PyCFunction)h_counters, METH_NOARGS,
+     "The nine counters, in sync.COUNTERS order."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef handle_members[] = {
+    {"held", Py_T_OBJECT_EX, offsetof(handle_t, held), Py_READONLY,
+     "Lock ids held, in acquisition order."},
+    {"rank", Py_T_UINT, offsetof(handle_t, c) + offsetof(core_t, rank),
+     Py_READONLY, "The worker's rank."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject HandleType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_sync.Handle",
+    .tp_basicsize = sizeof(handle_t),
+    .tp_dealloc = (destructor)handle_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One worker's handle on a ProcSync mapping "
+              "(repro/runtime/sync.c).",
+    .tp_methods = handle_methods,
+    .tp_members = handle_members,
+    .tp_new = handle_new,
+};
+
+/* -- drive ----------------------------------------------------------------- */
+
+/* gen.send(value): a generator's own send, else the object's ``send``
+ * method, whose StopIteration carries the return value. */
+static PySendResult
+send(PyObject *gen, PyObject *value, PyObject **out)
+{
+    PyObject *exc;
+    if (PyGen_CheckExact(gen))
+        return PyIter_Send(gen, value, out);
+    *out = PyObject_CallMethod(gen, "send", "O", value);
+    if (*out != NULL)
+        return PYGEN_NEXT;
+    if (!PyErr_ExceptionMatches(PyExc_StopIteration))
+        return PYGEN_ERROR;
+#if PY_VERSION_HEX >= 0x030C0000
+    exc = PyErr_GetRaisedException();
+#else
+    {
+        PyObject *type, *tb;
+        PyErr_Fetch(&type, &exc, &tb);
+        PyErr_NormalizeException(&type, &exc, &tb);
+        Py_XDECREF(type);
+        Py_XDECREF(tb);
+    }
+#endif
+    *out = exc == NULL ? NULL : PyObject_GetAttrString(exc, "value");
+    Py_XDECREF(exc);
+    return *out == NULL ? PYGEN_ERROR : PYGEN_RETURN;
+}
+
+static PyObject *
+field(PyObject *effect, int f)  /* borrowed */
+{
+    return *(PyObject **)((char *)effect + OFF[f]);
+}
+
+/* Take ``lock_id`` off the held list (its first entry, as list.remove);
+ * 0 when it was not there. */
+static int
+held_remove(PyObject *held, uint32_t lock_id)
+{
+    Py_ssize_t i, n = PyList_GET_SIZE(held);
+    for (i = 0; i < n; i++) {
+        long v = PyLong_AsLong(PyList_GET_ITEM(held, i));
+        if (v == (long)lock_id)
+            return PySequence_DelItem(held, i) < 0 ? -1 : 1;
+    }
+    PyErr_Clear();
+    return 0;
+}
+
+/* Whether lock ``o`` is an id of the table that this handle's rank
+ * holds; -1 when ``o`` is no int. */
+static int
+owns(const core_t *c, PyObject *o, uint32_t *id)
+{
+    long v = PyLong_AsLong(o);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *id = (uint32_t)v;
+    return v >= 0 && (unsigned long)v < c->nlocks && lock_owned(c, *id);
+}
+
+/* One effect; -1 with an exception set when the worker must fail. */
+static int
+step(handle_t *h, PyObject *effect, PyObject *process)
+{
+    PyTypeObject *tp = Py_TYPE(effect);
+    core_t *c = &h->c;
+    uint32_t id, chan;
+    PyObject *o;
+    int rc;
+
+    if (tp == TYPES[T_ACQ]) {
+        o = field(effect, F_ACQ_LOCK);
+        if (id_of(o, c->nlocks, "lock", &id) < 0)
+            return -1;
+        core_acquire(c, id);
+        return PyList_Append(h->held, o);
+    }
+    if (tp == TYPES[T_REL]) {
+        o = field(effect, F_REL_LOCK);
+        if ((rc = owns(c, o, &id)) <= 0) {
+            if (rc == 0)
+                PyErr_Format(PyExc_RuntimeError,
+                             "process %R released lock %S it does not own",
+                             process, o);
+            return -1;
+        }
+        if (held_remove(h->held, id) < 0)
+            return -1;
+        lock_release(lock_word(c, id));
+        return 0;
+    }
+    if (tp == TYPES[T_WAIT]) {
+        o = field(effect, F_WAIT_LOCK);
+        if ((rc = owns(c, o, &id)) <= 0) {
+            if (rc == 0)
+                PyErr_Format(PyExc_RuntimeError,
+                             "process %R waits on channel %S without "
+                             "holding lock %S", process,
+                             field(effect, F_WAIT_CHAN), o);
+            return -1;
+        }
+        /* A held lock that is the channel's circuit lock names a
+         * channel of the table. */
+        chan = (uint32_t)PyLong_AsUnsignedLong(field(effect, F_WAIT_CHAN));
+        if ((chan == (uint32_t)-1 && PyErr_Occurred())
+            || held_remove(h->held, id) < 0 || check_wait(c, chan, id) < 0)
+            return -1;
+        core_wait(c, chan, id);
+        return PyList_Append(h->held, o);
+    }
+    if (tp == TYPES[T_WAKE]) {
+        if (id_of(field(effect, F_WAKE_CHAN), c->nchan, "channel", &chan) < 0)
+            return -1;
+        core_wake(c, chan);
+        return 0;
+    }
+    PyErr_Format(PyExc_RuntimeError, "non-effect %R yielded to real runtime",
+                 effect);
+    return -1;
+}
+
+static PyObject *
+drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *gen, *process, *out;
+    handle_t *h;
+
+    if (nargs != 3 || !Py_IS_TYPE(args[1], &HandleType)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "drive(gen, handle: Handle, process)");
+        return NULL;
+    }
+    if (TYPES[T_ACQ] == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "classes() was never called");
+        return NULL;
+    }
+    gen = args[0];
+    h = (handle_t *)args[1];
+    process = args[2];
+    for (;;) {
+        PyTypeObject *tp;
+        int rc;
+        switch (send(gen, Py_None, &out)) {
+        case PYGEN_RETURN:
+            return out;
+        case PYGEN_ERROR:
+            return NULL;
+        case PYGEN_NEXT:
+            break;
+        }
+        /* Effects are final classes: the exact class, most frequent
+         * first, as the Python drive and Engine.run dispatch. */
+        tp = Py_TYPE(out);
+        rc = tp == TYPES[T_CHARGE] || tp == TYPES[T_MANY]
+                 ? 0 : step(h, out, process);
+        Py_DECREF(out);
+        if (rc < 0)
+            return NULL;
+    }
+}
+
+/* classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
+ * FIRST_LNVC_LOCK): what drive dispatches on and reads. */
+static PyObject *
+classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct { int type; const char *name; } fields[N_FIELDS] = {
+        {T_ACQ, "lock_id"}, {T_REL, "lock_id"}, {T_WAIT, "chan"},
+        {T_WAIT, "lock_id"}, {T_WAKE, "chan"},
+    };
+    int i;
+    long first;
+
+    if (nargs != N_TYPES + 1) {
+        PyErr_SetString(PyExc_TypeError, "classes(6 classes, first lock)");
+        return NULL;
+    }
+    for (i = 0; i < N_TYPES; i++)
+        if (!PyType_Check(args[i])) {
+            PyErr_SetString(PyExc_TypeError, "classes: not a class");
+            return NULL;
+        }
+    first = PyLong_AsLong(args[N_TYPES]);
+    if (first == -1 && PyErr_Occurred())
+        return NULL;
+    for (i = 0; i < N_FIELDS; i++) {
+        PyTypeObject *tp = (PyTypeObject *)args[fields[i].type];
+        PyObject *d = PyObject_GetAttrString((PyObject *)tp, fields[i].name);
+        PyMemberDescrObject *m = (PyMemberDescrObject *)d;
+        if (d == NULL)
+            return NULL;
+        if (!Py_IS_TYPE(d, &PyMemberDescr_Type) || m->d_common.d_type != tp
+            || m->d_member->type != Py_T_OBJECT_EX) {
+            Py_DECREF(d);
+            PyErr_Format(PyExc_TypeError, "%s.%s is not a slot",
+                         tp->tp_name, fields[i].name);
+            return NULL;
+        }
+        OFF[i] = m->d_member->offset;
+        Py_DECREF(d);
+    }
+    for (i = 0; i < N_TYPES; i++) {
+        Py_INCREF(args[i]);
+        Py_XSETREF(TYPES[i], (PyTypeObject *)args[i]);
+    }
+    FIRST_CHAN_LOCK = (uint32_t)first;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef methods[] = {
+    {"classes", (PyCFunction)(void (*)(void))classes, METH_FASTCALL,
+     "classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake, "
+     "FIRST_LNVC_LOCK): what drive() dispatches on."},
+    {"drive", (PyCFunction)(void (*)(void))drive, METH_FASTCALL,
+     "drive(gen, handle, process): the effect loop; returns the "
+     "generator's return value."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_sync",
+    .m_doc = "Lock words, wait bytes and the effect loop of the real "
+             "runtimes (repro/runtime/sync.c).",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC
+PyInit__sync(void)
+{
+    PyObject *m;
+    if (PyType_Ready(&HandleType) < 0)
+        return NULL;
+    m = PyModule_Create(&module);
+    if (m == NULL)
+        return NULL;
+    Py_INCREF(&HandleType);
+    if (PyModule_AddObject(m, "Handle", (PyObject *)&HandleType) < 0) {
+        Py_DECREF(&HandleType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}
+
+#endif /* SYNC_NO_PYTHON */

@@ -16,15 +16,21 @@ things and nothing else, so that is the whole interface here:
     resumed (0 where the host cannot tell).
 
 :class:`ProcSync` hosts them for every set of workers that shares an
-ancestor — threads of one process (``ctx`` is the ``threading`` module)
-and forked processes (a ``multiprocessing`` context) — on shared wait
-bytes plus one semaphore per worker.  :class:`repro.runtime.posix.FlockSync`
-hosts them on flock files for processes that only share a segment's
-*name*: the kernel drops a flock when its holder dies, where a named
-semaphore held by a dead process stays taken.  ``sync.bind(rank)``
-hands each worker its own handle (shared locks, private counters and
-held-lock list), so the counters are exact without any locking of
-their own.
+ancestor — threads of one process and forked processes — in one shared
+mapping: wait bytes, status rows, one lock word per lock and one futex
+word per worker.  Where ``sync.c`` builds (and the C kernels are the
+ones in use), ``sync.bind(rank)`` hands out a C handle: the lock words
+and wait bytes are worked by C, and :func:`~repro.runtime.threads.drive`
+runs its whole effect loop in C over it (:data:`C_SYNC`).  The Python
+methods below are the reference and the path of a host without a
+compiler; they keep ``ctx``'s locks and one semaphore per worker in
+place of the words.  :attr:`ProcSync.impl` says which one a sync runs.
+:class:`repro.runtime.posix.FlockSync` hosts the four methods on flock
+files for processes that only share a segment's *name*: the kernel
+drops a flock when its holder dies, where a lock word held by a dead
+process stays taken.  ``sync.bind(rank)`` hands each worker its own
+handle (shared locks, private counters and held-lock list), so the
+counters are exact without any locking of their own.
 
 Why processes do not simply use ``multiprocessing.Lock`` and
 ``multiprocessing.Condition``
@@ -51,12 +57,16 @@ import copy
 import mmap
 import os
 import struct
+from pathlib import Path
 from time import perf_counter_ns
 
+from ..core import chains
+from ..core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
 from ..core.layout import MPFConfig
 from ..core.protocol import FIRST_LNVC_LOCK
 
 __all__ = [
+    "C_SYNC",
     "COUNTERS",
     "LOCK_SPIN_NS",
     "WAIT_SPIN_NS",
@@ -190,28 +200,55 @@ _IDLE, _SPINNING, _PARKED = 0, 1, 2
 _RUNNING, _ON_LOCK, _ON_CHAN, _DONE = 0, 1, 2, 3
 _MAX_HELD = 5
 _STATUS = struct.Struct(f"3i{_MAX_HELD}i")  # kind, id, nheld, held...
+#: Bytes between two lock words, and between two futex words (``sync.c``).
+_LINE = 64
+
+
+def _load(where: Path = Path(__file__).parent):
+    """``sync.c`` built (or found) in ``where`` by
+    :func:`repro.core.chains.build_extension` with the kernels' flags and
+    bound to the effect classes; ``None`` where it cannot be built."""
+    source = (Path(__file__).parent / "sync.c").read_bytes()
+    lib = chains.build_extension(where, "_sync", source, chains.CFLAGS,
+                                 module="_sync")
+    if lib is not None:
+        lib.classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
+                    FIRST_LNVC_LOCK)
+    return lib
+
+
+#: The compiled sync and effect loop (``sync.c``: ``Handle``, ``drive``),
+#: or ``None`` where it could not be built.
+C_SYNC = _load()
 
 
 class ProcSync(SyncBase):
     """Spin-then-park locks and wait channels for threads or forked
     processes.
 
-    ``ctx`` supplies ``Lock()`` and ``Semaphore(0)``: a ``multiprocessing``
-    context for forked processes, the ``threading`` module for threads
-    (to which the anonymous mmap is plain shared memory).
+    One anonymous ``MAP_SHARED`` mapping, inherited across fork, holds
+    the wait bytes, one status row per rank, one lock word per lock and
+    one futex word per rank.  With :data:`C_SYNC` built and the C kernels
+    in use (``chains.ACTIVE``, as for the engine's loop), :meth:`bind`
+    returns a ``sync.c`` handle that works the words (:attr:`impl` is
+    ``"c"``).  Otherwise the methods below run over ``ctx``'s ``Lock()``
+    and ``Semaphore(0)`` — a ``multiprocessing`` context for forked
+    processes, the ``threading`` module for threads — and the words go
+    unused (:attr:`impl` is ``"python"``).  The spin budgets are read
+    when a C handle is bound, and at each call by the Python methods.
 
     Four cooperating mechanisms (ablation in docs/performance.md):
 
-    **L, the adaptive lock.**  ``acquire(False)``; then a yield-spin
-    try-loop for :data:`LOCK_SPIN_NS`; only then the blocking (futex)
-    acquire.
+    **L, the adaptive lock.**  A first attempt; then a yield-spin
+    try-loop for :data:`LOCK_SPIN_NS`; only then a futex sleep (on the
+    lock word in C, in the semaphore's acquire here).
 
     **P, the parking condition.**  One shared byte per (channel, rank):
     idle, spinning or parked, *written only under the circuit lock*;
-    one semaphore per worker (a worker sleeps on at most one
-    channel).  ``wake`` clears every set byte of the channel and posts
-    exactly one token per parked sleeper; it never waits for an
-    acknowledgment.
+    one futex word (here: one semaphore) per worker, since a worker
+    sleeps on at most one channel.  ``wake`` clears every set byte of
+    the channel and posts exactly one token per parked sleeper; it never
+    waits for an acknowledgment.
 
     **F, the lock-free wake skip.**  Every ``Wake`` in ``core/ops``,
     ``core/transport``, ``ext/sync_channel`` and ``ext/shared_vars``
@@ -226,22 +263,55 @@ class ProcSync(SyncBase):
 
     **W, the waiter spin.**  The waiter yield-spins on its own byte for
     :data:`WAIT_SPIN_NS` before it upgrades spinning -> parked under
-    the lock and sleeps on its semaphore.
+    the lock and sleeps on its futex word (semaphore).
     """
 
     def __init__(self, cfg: MPFConfig, ctx, nprocs: int) -> None:
         super().__init__()
-        self.locks = [ctx.Lock() for _ in range(cfg.n_locks)]
+        self._c = C_SYNC if chains.ACTIVE.name == "c" else None
+        #: Which sync the handles run: ``"c"`` (``sync.c``, driven by its
+        #: own effect loop unless a recorder is attached) or ``"python"``.
+        self.impl = "python" if self._c is None else "c"
         self._nprocs = nprocs
-        self._sems = [ctx.Semaphore(0) for _ in range(nprocs)]
+        self._n_channels = cfg.n_channels
+        self._n_locks = cfg.n_locks
         self._status_off = cfg.n_channels * nprocs
-        # Anonymous MAP_SHARED memory, inherited across fork: the wait
-        # bytes, then one status row per rank.
-        self._mem = mmap.mmap(-1, self._status_off + nprocs * _STATUS.size)
+        self._lock_off = -(-(self._status_off + nprocs * _STATUS.size)
+                           // _LINE) * _LINE
+        self._futex_off = self._lock_off + cfg.n_locks * _LINE
+        self._mem = mmap.mmap(-1, self._futex_off + nprocs * _LINE)
         self._idle_row = bytes(nprocs)
+        if self._c is None:
+            self.locks = [ctx.Lock() for _ in range(cfg.n_locks)]
+            self._sems = [ctx.Semaphore(0) for _ in range(nprocs)]
+
+    def bind(self, rank: int):
+        """A handle for worker ``rank``: ``sync.c``'s, or (Python sync) a
+        copy of this one with its own counters and held list."""
+        if self._c is None:
+            return super().bind(rank)
+        return self._c.Handle(
+            self._mem, rank, self._nprocs, self._n_channels, self._n_locks,
+            self._status_off, self._lock_off, self._futex_off,
+            LOCK_SPIN_NS, WAIT_SPIN_NS)
 
     def close(self) -> None:
-        self._mem.close()
+        """Unmap the Python sync's mapping.  A C handle holds the mapping
+        itself, so it goes with the last handle: a worker abandoned by a
+        join timeout may still touch it."""
+        if self._c is None:
+            self._mem.close()
+
+    def locked(self, lock_id: int) -> bool:
+        """Whether some worker holds lock ``lock_id`` now."""
+        if self._c is not None:
+            return struct.unpack_from(
+                "I", self._mem, self._lock_off + lock_id * _LINE)[0] != 0
+        lock = self.locks[lock_id]
+        if lock.acquire(False):
+            lock.release()
+            return False
+        return True
 
     # -- the deadlock dump ----------------------------------------------------
 

@@ -1,12 +1,15 @@
-"""The thread runtime: MPF over real ``threading`` primitives.
+"""The thread runtime: MPF over real threads.
 
 Here the shared region is a plain ``bytearray`` visible to every thread,
 and locks and per-circuit wait channels are the process runtime's own
-spin-then-park :class:`~repro.runtime.sync.ProcSync` built over
-``threading.Lock`` / ``threading.Semaphore`` — one sync for every set of
-workers that shares an ancestor.  :func:`drive`, the effect trampoline
-every real runtime shares, lives here too; it talks to the host only
-through the four :mod:`~repro.runtime.sync` methods.
+spin-then-park :class:`~repro.runtime.sync.ProcSync` — lock words and
+wait bytes worked by ``sync.c`` where it builds, else ``threading.Lock``
+/ ``threading.Semaphore`` — one sync for every set of workers that
+shares an ancestor.  :func:`drive`, the effect trampoline every real
+runtime shares, lives here too; it talks to the host only through the
+four :mod:`~repro.runtime.sync` methods, and hands a ``sync.c`` handle
+with no recorder to the same loop compiled (``sync.c``'s ``drive``),
+which releases the GIL whenever it spins or sleeps.
 
 The GIL means threads cannot add parallel *speed*, however many CPUs the
 host has, but they add real *concurrency*:
@@ -28,9 +31,13 @@ from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from .base import Env, RunResult, Runtime, Worker, snapshot_header
-from .sync import ProcSync, SyncBase
+from .sync import C_SYNC, ProcSync, SyncBase
 
 __all__ = ["ThreadRuntime", "drive", "deadlock_error"]
+
+#: ``sync.c``'s handle class and effect loop; ``None`` where it was not built.
+_C_HANDLE, _c_drive = ((C_SYNC.Handle, C_SYNC.drive) if C_SYNC is not None
+                       else (None, None))
 
 
 def deadlock_error(stuck: dict[str, dict], died: dict[str, str],
@@ -77,8 +84,12 @@ def drive(
     condition sleep time — the same profile the simulated engine records
     in simulated time.  ``Charge`` labels are tallied by instruction
     budget (their wall time is zero: real compute takes real time by
-    itself).  Without one, no branch makes a call of its own.
+    itself).  Without one, no branch makes a call of its own, and a
+    ``sync.c`` handle runs the whole loop in C (``sync.c``'s ``drive``:
+    the same dispatch, "does not own" read off the lock word's owner).
     """
+    if recorder is None and sync.__class__ is _C_HANDLE:
+        return _c_drive(gen, sync, process)
     if recorder is not None:
         clock = recorder.now
         held_since: dict[int, float] = {}
@@ -180,6 +191,9 @@ class ThreadRuntime(Runtime):
         #: start: after a timeout or a worker exception it holds the
         #: state to inspect.
         self.last_view: MPFView | None = None
+        #: The :class:`~repro.runtime.sync.ProcSync` of the latest run,
+        #: set with :attr:`last_view`; its ``impl`` says which sync ran.
+        self.last_sync: ProcSync | None = None
 
     def run(
         self,
@@ -195,7 +209,7 @@ class ThreadRuntime(Runtime):
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
         view = self.last_view = MPFView(region, layout, costs)
-        sync = ProcSync(cfg, threading, nprocs)
+        sync = self.last_sync = ProcSync(cfg, threading, nprocs)
         syncs = [sync.bind(rank) for rank in range(nprocs)]
 
         t0 = time.perf_counter()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import chains, ops
 from repro.machine import engine
+from repro.runtime import sync
 from repro.testing import DirectRunner, make_view
 
 
@@ -96,3 +97,21 @@ def c_engine(tmp_path_factory, c_kernels):
                            c_kernels)
     assert run is not None, "the AddressSanitizer build failed"
     return run
+
+
+@pytest.fixture(scope="session")
+def c_sync(tmp_path_factory):
+    """The compiled sync and effect loop the differential tests hold
+    against the Python ``ProcSync`` and ``drive``:
+    :data:`repro.runtime.sync.C_SYNC` — or, under AddressSanitizer,
+    ``sync.c`` built again with ``ASAN_CFLAGS``, as :func:`c_kernels`
+    rebuilds the kernels."""
+    if sync.C_SYNC is None or chains.ACTIVE.name != "c":
+        pytest.skip("no C sync on this host")
+    if not asan_loaded():
+        return sync.C_SYNC
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "CFLAGS", chains.CFLAGS + ASAN_CFLAGS)
+        lib = sync._load(tmp_path_factory.mktemp("asan-sync"))
+    assert lib is not None, "the AddressSanitizer build failed"
+    return lib

@@ -39,7 +39,14 @@ edit) — what is left is each primitive's transport dispatch and its
 connection check.  The C ring kernels (claim and fill, commit,
 lock-free take, completion: one kernel call each) lowered the ring's to
 56 + 33 and 3, with one payload mover, the receive's copy, left (70 + 43
-and 33, two movers, at fb1699e, counted before the first edit).
+and 33, two movers, at fb1699e, counted before the first edit).  The
+compiled sync and effect loop (``runtime/sync.c``: ``drive``, lock words,
+wait bytes) took the C set to 63 + 16 on the free list and 44 + 12 on the
+ring (85 + 56 and 56 + 33 at d5caed8, counted before the first edit):
+no ``gen.send``, sync method or held-list call is left in Python, and
+the kernel wrappers read ``region.cbuf`` and the view's ``lnvc_base``
+instead of calling for them (four Python calls fewer per pair on either
+kernel set).
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table, the
@@ -232,12 +239,13 @@ PARENT = {
 }
 
 #: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
-#: the C kernels, per pair 85 Python + 56 C calls and 4 accessor calls on
-#: the free list (238 + 340 and 99 at the parent), 56 + 33 and 3 on the
+#: the C kernels, per pair 63 Python + 16 C calls and 4 accessor calls on
+#: the free list (238 + 340 and 99 at the parent), 44 + 12 and 3 on the
 #: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
 #: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
-#: 33 at fb1699e (see the module docstring).  On the Python kernels, 123 +
-#: 243 and 38 on the free list, as at fb1699e, and 77 + 46 and 35 on the
+#: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8 (see the module
+#: docstring).  On the Python kernels, 119 + 243 and 38 on the free list
+#: (123 + 243 at fb1699e), and 73 + 46 and 35 on the
 #: ring, where fb1699e's generators made 70 + 43 and 33: the generator
 #: now calls one reference per section (fill, commit, take and its
 #: cursor take, completion: five entries more, the retirement check was
@@ -246,15 +254,15 @@ PARENT = {
 #: completion the circuit's ring word the take read.
 PINNED = {
     "c": {
-        "freelist": {"py": 5100, "c": 3361, "work_inits": 0,
+        "freelist": {"py": 3780, "c": 960, "work_inits": 0,
                      "words16": 240, "bulk16": 0},
-        "ring": {"py": 3360, "c": 1981, "work_inits": 0,
+        "ring": {"py": 2640, "c": 720, "work_inits": 0,
                  "words16": 180, "bulk16": 60},
     },
     "python": {
-        "freelist": {"py": 7380, "c": 14581, "work_inits": 0,
+        "freelist": {"py": 7140, "c": 14580, "work_inits": 0,
                      "words16": 2280, "bulk16": 120},
-        "ring": {"py": 4620, "c": 2761, "work_inits": 0,
+        "ring": {"py": 4380, "c": 2760, "work_inits": 0,
                  "words16": 2100, "bulk16": 120},
     },
 }

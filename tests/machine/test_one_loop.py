@@ -125,9 +125,13 @@ def test_queue_crossings_pinned(transport, events, crossings):
 #: ``select_receive``, the send / receive / check generators) and the
 #: region and layout accessors their bodies call.  The Python count fell
 #: from 92,739 with the demand sources (``SegmentWord``: one call fewer
-#: per sample).  Lower a pin when the engine or the poll path gets
-#: lighter; a change that raises one says why.
-PINNED_GJ32_CALLS = {"c": 48_655, "python": 92_024}
+#: per sample).  Reading ``region.cbuf`` in the kernel wrappers (a call
+#: of ``buf`` only on a miss) and the LNVC record's offset from the
+#: view's bound ``lnvc_base`` (no ``SegmentLayout.lnvc_off`` call on the
+#: message path or in the table scans) took them to 44,245 / 89,205
+#: (d5caed8: 48,655 / 92,024).  Lower a pin when the engine or the poll
+#: path gets lighter; a change that raises one says why.
+PINNED_GJ32_CALLS = {"c": 44_245, "python": 89_205}
 
 
 def gj32_calls() -> tuple[int, int]:

@@ -1,0 +1,202 @@
+"""The compiled sync and effect loop against the Python reference.
+
+``runtime/sync.c`` (a ``ProcSync`` handle and ``drive``) is held to the
+Python ``ProcSync`` methods and the Python ``drive`` on generated effect
+programs: the same return value or error, counters, held list, lock
+states and mapping bytes, with and without a recorder (which runs the
+Python ``drive`` over the C handle's four methods).  Then two threads
+pass a token over one channel through each, and the counter identities
+hold.  ``make asan`` runs the ``test_c_*`` tests here against an
+AddressSanitizer build (the ``c_sync`` fixture).
+"""
+
+import threading
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
+from repro.core.layout import MPFConfig
+from repro.core.protocol import FIRST_LNVC_LOCK
+from repro.core.work import Work
+from repro.obs import Recorder
+from repro.runtime import sync as sync_mod
+from repro.runtime.sync import COUNTERS, ProcSync
+from repro.runtime.threads import drive
+
+CFG = MPFConfig(max_lnvcs=3, max_processes=2)
+N_LOCKS, N_CHAN = CFG.n_locks, CFG.n_channels
+WORK = Work(instrs=7, label="w")
+
+OPS = st.one_of(
+    st.tuples(st.just("charge")),
+    st.tuples(st.just("many")),
+    st.tuples(st.just("acq"), st.integers(0, N_LOCKS - 1)),
+    st.tuples(st.just("rel"), st.integers(0, N_LOCKS - 1)),
+    st.tuples(st.just("wake"), st.integers(0, N_CHAN - 1)),
+    st.tuples(st.just("waiton"), st.integers(0, N_CHAN - 1),
+              st.integers(0, N_LOCKS - 1)),
+    st.tuples(st.just("junk")),
+    st.tuples(st.just("raise")),
+)
+
+
+def program(ops):
+    """The effects ``ops`` name, skipping what would block a lone worker
+    for good: an ``Acquire`` of a lock it holds, a ``WaitOn`` it could
+    only be woken from."""
+    held = set()
+    for op in ops:
+        kind = op[0]
+        if kind == "charge":
+            yield Charge(WORK)
+        elif kind == "many":
+            yield ChargeMany((WORK, WORK))
+        elif kind == "acq" and op[1] not in held:
+            yield Acquire(op[1])
+            held.add(op[1])
+        elif kind == "rel":
+            yield Release(op[1])
+            held.discard(op[1])
+        elif kind == "wake":
+            yield Wake(op[1])
+        elif kind == "waiton" and not (op[2] in held
+                                       and op[2] == FIRST_LNVC_LOCK + op[1]):
+            yield WaitOn(op[1], op[2])
+        elif kind == "junk":
+            yield "junk"
+        elif kind == "raise":
+            raise KeyError("inner")
+    return len(ops)
+
+
+def make(c) -> ProcSync:
+    """A two-worker ``ProcSync`` on ``c`` (a built ``sync.c``), or the
+    Python one for ``None``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sync_mod, "C_SYNC", c)
+        shared = ProcSync(CFG, threading, 2)
+    assert shared.impl == ("python" if c is None else "c")
+    return shared
+
+
+def run(c, gen, handle, rec, process):
+    """``drive`` as the runtimes call it — by ``c``'s own compiled loop
+    for a C handle without a recorder (``c`` may be a build other than
+    the one ``threads.drive`` dispatches to)."""
+    if c is not None and rec is None:
+        return c.drive(gen, handle, process)
+    return drive(gen, handle, recorder=rec, process=process)
+
+
+def observe(c, ops, recorded: bool) -> dict:
+    shared = make(c)
+    handle = shared.bind(0)
+    rec = Recorder() if recorded else None
+    try:
+        out = ("return", run(c, program(ops), handle, rec, "p0"))
+    except Exception as exc:  # compared by type and message
+        out = (type(exc).__name__, str(exc))
+    got = {
+        "out": out,
+        "counters": handle.counters(),
+        "held": list(handle.held),
+        "locked": [shared.locked(i) for i in range(N_LOCKS)],
+        # wait bytes and status rows (the lock and futex words are C's)
+        "mem": bytes(shared._mem[:shared._lock_off]),
+        "summary": rec.summary() if rec else None,
+    }
+    shared.close()
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(OPS, max_size=24), recorded=st.booleans())
+@example(ops=[("acq", 2), ("wake", 0), ("rel", 2)], recorded=False)
+@example(ops=[("acq", 3), ("rel", 2)], recorded=False)
+@example(ops=[("acq", 0), ("rel", 0), ("rel", 0)], recorded=True)
+@example(ops=[("waiton", 0, 2)], recorded=False)
+@example(ops=[("acq", 3), ("waiton", 0, 3)], recorded=False)
+@example(ops=[("acq", 0), ("acq", 1), ("charge",), ("junk",)],
+         recorded=False)
+@example(ops=[("acq", 1), ("many",), ("raise",)], recorded=True)
+def test_c_drive_matches_the_python_reference(c_sync, ops, recorded):
+    assert observe(c_sync, ops, recorded) == observe(None, ops, recorded)
+
+
+def test_c_ids_outside_the_tables_fail_as_the_reference_does(c_sync):
+    """An ``Acquire`` past the lock table is an ``IndexError`` on both
+    (the wording differs), a ``Release`` one a lock the worker does not
+    own, and a ``Wake`` past the channel table an ``IndexError`` in C
+    (the reference reads past its wait bytes)."""
+    def outcome(c, effect):
+        shared = make(c)
+        try:
+            run(c, (e for e in [effect]), shared.bind(0), None, "p0")
+        except Exception as exc:
+            return type(exc), str(exc)
+        finally:
+            shared.close()
+
+    assert outcome(c_sync, Acquire(N_LOCKS))[0] is IndexError
+    assert outcome(None, Acquire(N_LOCKS))[0] is IndexError
+    assert (outcome(c_sync, Release(N_LOCKS))
+            == outcome(None, Release(N_LOCKS))
+            == (RuntimeError,
+                f"process 'p0' released lock {N_LOCKS} it does not own"))
+    assert outcome(c_sync, Wake(N_CHAN))[0] is IndexError
+
+
+def token_pass(c, rounds: int, recorded: bool) -> list[dict]:
+    """Two threads pass a token ``rounds`` times each over channel 0:
+    Acquire, WaitOn until it is their turn, pass it, Release, Wake.
+    Rank 1 parks on every wait it does not win at once."""
+    shared = make(c)
+    lock = FIRST_LNVC_LOCK
+    state = {"turn": 0}
+
+    def player(rank):
+        for _ in range(rounds):
+            yield Acquire(lock)
+            while state["turn"] != rank:
+                yield WaitOn(0, lock)
+            state["turn"] = 1 - rank
+            yield Release(lock)
+            yield Wake(0)
+        return rank
+
+    handles = []
+    for rank, spin in enumerate((sync_mod.WAIT_SPIN_NS, 0)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sync_mod, "WAIT_SPIN_NS", spin)
+            handles.append(shared.bind(rank))
+    results = {}
+
+    def body(rank):
+        rec = Recorder() if recorded else None
+        results[rank] = run(c, player(rank), handles[rank], rec, f"p{rank}")
+
+    threads = [threading.Thread(target=body, args=(r,), daemon=True)
+               for r in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads), "a wake was lost"
+    assert results == {0: 0, 1: 1}
+    assert not shared.locked(lock)
+    assert bytes(shared._mem[:N_CHAN * 2]) == bytes(N_CHAN * 2)
+    return [h.counters() for h in handles]
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["bare", "recorded"])
+def test_c_token_passing_keeps_the_counter_identities(c_sync, recorded):
+    for c in (c_sync, None):
+        counters = token_pass(c, 300, recorded)
+        total = {k: sum(h[k] for h in counters) for k in COUNTERS}
+        assert total["waits"] == total["woke_spinning"] + total["parked"], c
+        assert total["parked"] == total["wakes_posted"], c
+        assert total["wakes_skipped"] + total["wakes_locked"] == 600, c
+        assert total["acquires"] == (
+            600 + total["waits"] + total["parked"] + total["wakes_locked"]), c

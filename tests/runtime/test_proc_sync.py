@@ -7,7 +7,10 @@ know which state it has reached.  The stress at the end is the
 probabilistic net under them — a lost wake-up hangs it, and
 ``join_timeout`` turns the hang into a failure.  The ``host`` fixture
 says where the peers run: here forked processes; ``test_sync_threads``
-collects the same cases again with threads of the test process.
+collects the same cases again with threads of the test process.  Both
+run on whichever sync ``ProcSync`` builds here (``sync.c`` where it was
+built); ``test_sync_python`` collects them once more on the Python
+sync, on both hosts.
 """
 
 import multiprocessing as mp
@@ -100,8 +103,14 @@ class Harness:
         return got
 
     def leftover_tokens(self) -> int:
+        """Wake-ups posted to the waiter and never taken: its futex
+        word's count (C), or its semaphore's (Python)."""
+        sync = self.sync
+        if sync.impl == "c":
+            return struct.unpack_from(
+                "I", sync._mem, sync._futex_off + WAITER * sync_mod._LINE)[0]
         n = 0
-        while self.sync._sems[WAITER].acquire(False):
+        while sync._sems[WAITER].acquire(False):
             n += 1
         return n
 

@@ -14,7 +14,8 @@ import pytest
 from repro.core.effects import Acquire, Release, WaitOn
 from repro.core.errors import DeadlockSuspectedError
 from repro.core.inspect import inspect_segment
-from repro.core.protocol import BROADCAST, FCFS, FIRST_LNVC_LOCK, GLOBAL_LOCK
+from repro.core.protocol import (
+    ALLOC_LOCK, BROADCAST, FCFS, FIRST_LNVC_LOCK, GLOBAL_LOCK)
 from repro.obs import Recorder
 from repro.patterns import all_to_all, barrier, broadcast, gather
 from repro.runtime.procs import ProcRuntime
@@ -193,6 +194,30 @@ def test_waiting_without_the_lock_names_the_process(runtime):
             "process 'p0' waits on channel 0 without holding lock "
             f"{FIRST_LNVC_LOCK}")):
         runtime(join_timeout=60).run([worker])
+
+
+@pytest.mark.parametrize("runtime", [ThreadRuntime, ProcRuntime],
+                         ids=["threads", "procs"])
+def test_a_lock_order_deadlock_names_what_each_worker_waits_for_and_holds(
+        runtime):
+    """Two workers take two locks in opposite orders: the join timeout's
+    dump names, for each, the lock it sleeps on and the one it holds
+    (published by the sync when it went to sleep)."""
+
+    def first(mine, theirs):
+        def worker(env):
+            yield Acquire(mine)
+            time.sleep(0.3)  # the peer takes its first lock meanwhile
+            yield Acquire(theirs)
+        return worker
+
+    with pytest.raises(DeadlockSuspectedError) as excinfo:
+        runtime(join_timeout=1.5).run([first(ALLOC_LOCK, GLOBAL_LOCK),
+                                       first(GLOBAL_LOCK, ALLOC_LOCK)])
+    assert excinfo.value.threads == {
+        "p0": {"blocked_on": ("lock", GLOBAL_LOCK), "held": [ALLOC_LOCK]},
+        "p1": {"blocked_on": ("lock", ALLOC_LOCK), "held": [GLOBAL_LOCK]},
+    }
 
 
 def test_threads_blocked_worker_times_out():
