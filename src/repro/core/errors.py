@@ -28,6 +28,7 @@ __all__ = [
     "BufferOverflowError",
     "RegionFormatError",
     "DeadlockSuspectedError",
+    "LockOwnerDiedError",
 ]
 
 
@@ -127,3 +128,11 @@ class DeadlockSuspectedError(MPFError, TimeoutError):
         super().__init__(msg)
         #: per-thread dump: ``{name: {"blocked_on": ..., "held": [...]}}``
         self.threads = threads or {}
+
+
+
+class LockOwnerDiedError(MPFError, RuntimeError):
+    """A lock's word names an owner whose process is gone: a sleeper on
+    the lock asks after the owner's pid each time its timed wait expires,
+    and raises this (naming the lock, the rank and the pid) instead of
+    hanging on a lock nobody will release."""

@@ -11,7 +11,12 @@ The name is all it needs: :meth:`~repro.runtime.posix.PosixSegment.attach`
 reads the creator's recorded config and checks it against the segment
 header, so a mismatch is an error, not a garbled dump.  The dump takes
 no locks; on a busy segment the snapshot may be torn — see the
-consistency caveat in :mod:`repro.core.inspect`.
+consistency caveat in :mod:`repro.core.inspect`.  After the circuits it
+prints who holds what and who sleeps on what, read from the segment's
+sync tail: each taken lock word's holder (rank and pid; the Python
+sync's locks keep no owner), and each bound rank's pid, what it is
+blocked on and the locks it held when it last slept — the picture of a
+hang.
 
 With ``--replay TRACE`` the tool instead re-executes a decision trace
 recorded by ``python -m repro.check`` and dumps the segment the failing
@@ -64,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with PosixSegment.attach(args.name) as seg:
             info = inspect_segment(seg.view)
+            sync = _holders_and_sleepers(seg.sync, seg.cfg)
     except FileNotFoundError:
         print(f"error: no shared segment named {args.name!r}", file=sys.stderr)
         return 2
@@ -71,12 +77,31 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(render_segment(info))
+    print()
+    print("\n".join(sync))
     if args.flow:
         from .obs import flow_dot, flow_from_segment
 
         print()
         print(flow_dot(flow_from_segment(info)))
     return 0
+
+
+def _holders_and_sleepers(sync, cfg) -> list[str]:
+    """The dump's sync lines: lock words, then status rows."""
+    lines = [f"sync ({sync.impl}):"]
+    for lock_id in range(cfg.n_locks):
+        rank = sync.owner(lock_id)
+        if rank is not None:
+            lines.append(f"  lock {lock_id}: held by rank {rank} "
+                         f"(pid {sync.pid(rank)})")
+    for rank in range(cfg.max_processes):
+        pid = sync.pid(rank)
+        if pid:
+            st = sync.status(rank)
+            lines.append(f"  rank {rank} (pid {pid}): "
+                         f"blocked_on={st['blocked_on']} held={st['held']}")
+    return lines
 
 
 def _replay(path: str, flow: bool = False) -> int:

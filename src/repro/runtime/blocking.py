@@ -27,7 +27,7 @@ from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.protocol import Protocol
 from ..core.region import SharedRegion
-from .sync import ProcSync, SyncBase
+from .sync import ProcSync
 from .threads import drive
 
 __all__ = ["MPFSystem", "BlockingMPF"]
@@ -66,7 +66,7 @@ class BlockingMPF:
 
     __slots__ = ("view", "sync", "pid", "recorder", "process")
 
-    def __init__(self, view: MPFView, sync: SyncBase, pid: int,
+    def __init__(self, view: MPFView, sync: ProcSync, pid: int,
                  recorder=None, process: str | None = None) -> None:
         self.view = view
         self.sync = sync

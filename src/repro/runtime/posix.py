@@ -9,17 +9,17 @@ common parent (separate ``python`` invocations, different scripts)
 rendezvousing purely by name:
 
 * the segment is a named POSIX shared-memory object
-  (``/dev/shm/<name>``),
-* each MPF lock is an ``flock``-ed file under a per-segment directory,
-  beside ``config.json``, the creator's :class:`MPFConfig` — so an
-  attacher needs the name alone, as the paper's processes only map the
-  segment ``init`` sized (§2, §4),
-* the blocking-receive wait channel degrades to polling (release the
-  lock, yield or nap, reacquire, recheck) — correct against the
-  ``WaitOn`` contract, merely less efficient than a condition variable.
-  This is exactly the spirit of the paper's portability claim: any
-  system with "locking and memory sharing between concurrently
-  executing processes" can host MPF, trading elegance for reach.
+  (``/dev/shm/<name>``): the MPF layout, rounded up to a page, then the
+  :class:`~repro.runtime.sync.ProcSync` mapping every attacher maps, so
+  named clients lock, park and wake as forked workers do, and a sleeper
+  on a lock whose owner died raises instead of hanging;
+* ``config.json`` in a per-segment directory records the creator's
+  :class:`MPFConfig` and its sync (``"c"`` or ``"python"``): an attacher
+  needs the name alone, as the paper's processes only map the segment
+  ``init`` sized (§2, §4), and one that would run the other sync is
+  refused (the two would not exclude each other);
+* the Python sync's locks (no compiler) are flock files in that
+  directory, and its parked waiters nap on their futex words.
 
 Creator side::
 
@@ -37,12 +37,15 @@ Attacher side (any other process)::
 from __future__ import annotations
 
 import fcntl
+import itertools
 import json
+import mmap
 import os
 import tempfile
-import time
+import threading
 from dataclasses import asdict
 from multiprocessing import shared_memory
+from types import SimpleNamespace
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.errors import RegionFormatError
@@ -50,101 +53,40 @@ from ..core.layout import MPFConfig, SegmentLayout, check_region, format_region
 from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from .blocking import BlockingMPF
-from .sync import WAIT_SPIN_NS, SpinBudget, SyncBase
+from .sync import ProcSync
 
-__all__ = ["FileLock", "FlockSync", "PosixSegment"]
-
-#: Seconds a waiter naps between polls once its spin budget is spent.
-POLL_INTERVAL = 0.002
+__all__ = ["FileLock", "PosixSegment"]
 
 
 class FileLock:
-    """An exclusive ``flock`` on one file; one instance per process."""
+    """An exclusive ``flock`` on one file, behind an in-process lock: the
+    flock excludes other processes, which open the file themselves, and
+    the in-process lock the other handles of this one, which share its
+    open file description (where flock cannot tell them apart)."""
 
-    __slots__ = ("path", "_fh")
+    __slots__ = ("_fh", "_local")
 
     def __init__(self, path: str) -> None:
-        self.path = path
         self._fh = open(path, "a+b")  # noqa: SIM115 - held for object lifetime
+        self._local = threading.Lock()
 
     def acquire(self, blocking: bool = True) -> bool:
-        if not blocking:
-            try:
-                fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                return False
-            return True
-        fcntl.flock(self._fh, fcntl.LOCK_EX)
+        if not self._local.acquire(blocking):
+            return False
+        try:
+            fcntl.flock(self._fh, fcntl.LOCK_EX
+                        | (0 if blocking else fcntl.LOCK_NB))
+        except BlockingIOError:
+            self._local.release()
+            return False
         return True
 
     def release(self) -> None:
         fcntl.flock(self._fh, fcntl.LOCK_UN)
-
-    def __enter__(self) -> "FileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
+        self._local.release()
 
     def close(self) -> None:
         self._fh.close()
-
-
-class FlockSync(SyncBase):
-    """The four :mod:`~repro.runtime.sync` methods over flock files.
-
-    There is nothing to sleep on between unrelated processes, so
-    ``wait`` polls: unlock, pause, relock, and let the caller's
-    ``WaitOn`` loop re-read its predicate; ``wake`` has nothing to do.
-    The pause climbs the same ladder as :class:`ProcSync`'s waiter: the
-    polls of one wait episode yield the CPU for the first
-    :data:`~repro.runtime.sync.WAIT_SPIN_NS` (a peer that answers in
-    microseconds is seen in microseconds), then nap :data:`POLL_INTERVAL`
-    each.  An episode ends when the waiter releases the circuit lock
-    itself — it found what it was waiting for.  (Why flock and not
-    :class:`~repro.runtime.sync.ProcSync`: see that module.)
-    """
-
-    def __init__(self, lock_dir: str, cfg: MPFConfig) -> None:
-        super().__init__()
-        self.locks = [
-            FileLock(os.path.join(lock_dir, f"lock{i}"))
-            for i in range(cfg.n_locks)
-        ]
-        #: lock id -> spin budget of the wait episode in progress on it.
-        self._episodes: dict[int, SpinBudget] = {}
-
-    def bind(self, rank: int) -> "FlockSync":
-        handle = super().bind(rank)
-        handle._episodes = {}
-        return handle
-
-    def release(self, lock_id: int) -> None:
-        if self._episodes:
-            self._episodes.pop(lock_id, None)
-        super().release(lock_id)
-
-    def wait(self, chan: int, lock_id: int) -> None:
-        self.check_wait(chan, lock_id)
-        self.waits += 1
-        budget = self._episodes.get(lock_id)
-        if budget is None:
-            budget = self._episodes[lock_id] = SpinBudget(WAIT_SPIN_NS)
-        lock = self.locks[lock_id]
-        lock.release()
-        if not budget.spin():
-            self.parked += 1  # a nap; nobody posts a wake for it
-            time.sleep(POLL_INTERVAL)
-        lock.acquire()
-
-    def wake(self, chan: int) -> int:  # sleepers poll; nothing to do
-        self.wakes_skipped += 1
-        return 0
-
-    def close(self) -> None:
-        for lock in self.locks:
-            lock.close()
 
 
 def _lock_dir(name: str) -> str:
@@ -156,6 +98,26 @@ def _record(name: str) -> str:
     return os.path.join(_lock_dir(name), "config.json")
 
 
+def _tail(cfg: MPFConfig) -> tuple[int, int]:
+    """Where a segment's sync tail starts — its MPF layout rounded up to
+    a page — and the tail's size."""
+    page = mmap.ALLOCATIONGRANULARITY
+    return (-(-SegmentLayout(cfg).total_size // page) * page,
+            ProcSync.geometry(cfg, cfg.max_processes)[-1])
+
+
+def _sync(name: str, shm, cfg: MPFConfig) -> ProcSync:
+    """The segment's :class:`ProcSync` over its tail (the Python sync's
+    locks: the lock files)."""
+    off, size = _tail(cfg)
+    if shm.size < off + size:
+        raise RegionFormatError(f"segment {name!r} has no sync tail")
+    paths = (os.path.join(_lock_dir(name), f"lock{i}")
+             for i in itertools.count())
+    return ProcSync(cfg, SimpleNamespace(Lock=lambda: FileLock(next(paths))),
+                    cfg.max_processes, mmap.mmap(shm._fd, size, offset=off))
+
+
 #: Names of the segments this process created and has not unlinked (a
 #: forked child inherits them with its parent's resource tracker).
 _CREATED: set[str] = set()
@@ -165,12 +127,13 @@ class PosixSegment:
     """A named MPF segment shared by unrelated processes."""
 
     def __init__(self, name: str, cfg: MPFConfig, shm, view: MPFView,
-                 sync: FlockSync, owner: bool) -> None:
+                 sync: ProcSync, owner: bool) -> None:
         self.name = name
         self.cfg = cfg
         self._shm = shm
         self.view = view
-        self._sync = sync
+        #: The segment's :class:`ProcSync`, over its tail.
+        self.sync = sync
         self._owner = owner
 
     # -- lifecycle --------------------------------------------------------------
@@ -178,23 +141,18 @@ class PosixSegment:
     @classmethod
     def create(cls, name: str, cfg: MPFConfig | None = None,
                costs: Costs = DEFAULT_COSTS) -> "PosixSegment":
-        """Create and format the named segment and its lock files."""
+        """Create and format the named segment and its sync tail."""
         cfg = cfg or MPFConfig()
-        lock_dir = _lock_dir(name)
-        os.makedirs(lock_dir, exist_ok=True)
-        for i in range(cfg.n_locks):
-            open(os.path.join(lock_dir, f"lock{i}"), "a").close()
-        shm = shared_memory.SharedMemory(
-            create=True, name=name, size=SegmentLayout(cfg).total_size
-        )
+        os.makedirs(_lock_dir(name), exist_ok=True)
+        shm = shared_memory.SharedMemory(create=True, name=name,
+                                         size=sum(_tail(cfg)))
         _CREATED.add(name)
+        sync = _sync(name, shm, cfg)
         # Only now: a leaked segment of this name keeps its own record.
         with open(_record(name), "w") as fh:
-            json.dump(asdict(cfg), fh)
+            json.dump({**asdict(cfg), "sync": sync.impl}, fh)
         region = SharedRegion(shm.buf)
-        layout = format_region(region, cfg)
-        view = MPFView(region, layout, costs)
-        sync = FlockSync(lock_dir, cfg)
+        view = MPFView(region, format_region(region, cfg), costs)
         return cls(name, cfg, shm, view, sync, owner=True)
 
     @classmethod
@@ -203,7 +161,8 @@ class PosixSegment:
 
         The segment is sized by the creator's recorded config, which
         must agree with every geometry word the header echoes: a missing,
-        unreadable or stale record raises :class:`RegionFormatError`.
+        unreadable or stale record raises :class:`RegionFormatError`, and
+        so does a record of the other sync than this process runs.
         """
         shm = shared_memory.SharedMemory(name=name)
         # Only the creator owns the segment's lifetime; stop this
@@ -223,37 +182,43 @@ class PosixSegment:
         try:
             try:
                 with open(_record(name)) as fh:
-                    cfg = MPFConfig(**json.load(fh))
-            except (OSError, ValueError, TypeError) as exc:
+                    record = json.load(fh)
+                impl = record.pop("sync", None)
+                cfg = MPFConfig(**record)
+            except (OSError, ValueError, TypeError, AttributeError) as exc:
                 raise RegionFormatError(
                     f"segment {name!r} has no usable config record: {exc}"
                 ) from exc
             layout = check_region(region, cfg)
+            sync = _sync(name, shm, cfg)
+            if sync.impl != impl:
+                raise RegionFormatError(
+                    f"segment {name!r} runs the {impl} sync; this process "
+                    f"would run the {sync.impl} one")
         except Exception:
             region.release()
             shm.close()
             raise
-        view = MPFView(region, layout, costs)
-        sync = FlockSync(_lock_dir(name), cfg)
-        return cls(name, cfg, shm, view, sync, owner=False)
+        return cls(name, cfg, shm, MPFView(region, layout, costs), sync,
+                   owner=False)
 
     def client(self, pid: int, recorder=None) -> BlockingMPF:
         """A blocking MPF client bound to process id ``pid``.
 
         ``recorder`` (a :class:`repro.obs.Recorder`) makes this client
-        record wall-clock lock-contention and work metrics — over flock
-        files the non-blocking first attempt uses ``LOCK_NB``, so
-        contended and uncontended acquisitions are distinguished exactly
-        as with in-process locks.
+        record wall-clock lock-contention and work metrics, contended and
+        uncontended acquisitions told apart by the sync's first attempt
+        as on every real runtime.
         """
         if not 0 <= pid < self.cfg.max_processes:
             raise ValueError(f"pid {pid} outside [0, {self.cfg.max_processes})")
-        return BlockingMPF(self.view, self._sync.bind(pid), pid,
+        return BlockingMPF(self.view, self.sync.bind(pid), pid,
                            recorder=recorder)
 
     def close(self) -> None:
         """Detach this process (the segment itself survives)."""
-        self._sync.close()
+        for lock in getattr(self.sync, "locks", ()):
+            lock.close()
         self.view.region.release()
         self._shm.close()
 

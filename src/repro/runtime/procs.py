@@ -187,7 +187,6 @@ class ProcRuntime(Runtime):
                 if proc.is_alive():
                     proc.kill()
                     proc.join()
-            sync.close()
             region.release()
             shm.close()
             shm.unlink()

@@ -2,13 +2,15 @@
  * ProcSync's four methods (repro/runtime/sync.py) over words in one
  * MAP_SHARED mapping, and drive (repro/runtime/threads.py) over them.
  *
- * The mapping is the one ProcSync already makes and a fork inherits:
+ * The mapping is the one ProcSync makes and a fork inherits, or the tail
+ * of a named segment that every attacher maps:
  *
  *   [wait bytes]   one byte per (channel, rank), at chan * nprocs + rank:
  *                  idle, spinning or parked, written only under the
  *                  channel's circuit lock
- *   [status rows]  one "3i5i" row per rank (kind, id, nheld, held...),
- *                  the deadlock dump's, written on the slow paths only
+ *   [status rows]  one "4i5i" row per rank (kind, id, nheld, pid,
+ *                  held...), the deadlock dump's, written at bind and on
+ *                  the slow paths only
  *   [lock words]   one u32 per lock, each on a cache line of its own:
  *                  0 when free, else the owner's rank + 1, plus WAITERS
  *   [futex words]  one u32 per rank, on a line of its own: the tokens
@@ -16,15 +18,16 @@
  *
  * A lock is taken by a CAS; a failed first attempt yield-spins for the
  * handle's lock budget, then sets WAITERS and sleeps in FUTEX_WAIT on
- * the word.  A release exchanges the word to 0 and calls FUTEX_WAKE only
- * when WAITERS was set.  The futexes are not FUTEX_PRIVATE: forked
- * processes park on the same page.  The wait-byte rules are the Python
- * reference's (mechanisms P, F and W in sync.py): the waiter marks its
- * byte spinning under the lock, spins on it for the wait budget, and only
- * then marks it parked and sleeps on its futex word; a wake that finds
- * no byte set takes no lock, and one that does clears every set byte and
- * posts one token per parked sleeper.  Every spin and sleep runs with
- * the GIL released.
+ * the word, the handle's owner-check period at a time, giving up when
+ * kill(pid, 0) says the owner's process is gone.  A release exchanges the word to 0 and
+ * calls FUTEX_WAKE only when WAITERS was set.  The futexes are not
+ * FUTEX_PRIVATE: forked and attaching processes park on the same page.
+ * The wait-byte rules are the Python reference's (mechanisms P, F and W
+ * in sync.py): the waiter marks its byte spinning under the lock, spins
+ * on it for the wait budget, and only then marks it parked and sleeps on
+ * its futex word; a wake that finds no byte set takes no lock, and one
+ * that does clears every set byte and posts one token per parked
+ * sleeper.  Every spin and sleep runs with the GIL released.
  *
  * drive(gen, handle, process) is the Python drive's loop without a
  * recorder: it resumes the generator, dispatches on the exact effect
@@ -51,6 +54,7 @@
 #include <errno.h>
 #include <linux/futex.h>
 #include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
 #include <sys/syscall.h>
@@ -68,6 +72,8 @@
 enum { IDLE, SPINNING, PARKED };
 enum { RUNNING, ON_LOCK, ON_CHAN, DONE };
 #define MAX_HELD 5
+/* Bytes of a status row: kind, id, nheld, pid, the held ids. */
+#define STATUS_ROW (4 * (4 + MAX_HELD))
 
 /* The nine per-handle counters, in sync.COUNTERS order. */
 enum { ACQUIRES, BY_SPIN, BY_BLOCK, WAITS, WOKE_SPINNING, N_PARKED,
@@ -77,8 +83,11 @@ typedef struct core {
     unsigned char *mem;
     uint32_t rank, nprocs, nchan, nlocks, first_chan_lock;
     size_t status_off, lock_off, futex_off;
-    int64_t lock_spin_ns, wait_spin_ns;
+    int64_t lock_spin_ns, wait_spin_ns, owner_check_ns;
     long long ctr[N_COUNTERS];
+    /* What owner_gone read last: the lock, its owner's rank and pid. */
+    uint32_t dead_lock, dead_rank;
+    int32_t dead_pid;
 } core_t;
 
 /* Whatever the caller must give up around a spin or a sleep (the GIL),
@@ -104,12 +113,14 @@ now_ns(void)
     return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-static void
-futex_wait(uint32_t *word, uint32_t expected)
+/* 0, or the errno: ETIMEDOUT after ``timeout`` (NULL: none); EAGAIN (the
+ * word moved) and EINTR send the caller round its loop again, which
+ * re-reads the word. */
+static int
+futex_wait(uint32_t *word, uint32_t expected, const struct timespec *timeout)
 {
-    /* EAGAIN (the word moved) and EINTR both send the caller round its
-     * loop again, which re-reads the word. */
-    syscall(SYS_futex, word, FUTEX_WAIT, expected, NULL, NULL, 0);
+    return syscall(SYS_futex, word, FUTEX_WAIT, expected, timeout, NULL, 0)
+           < 0 ? errno : 0;
 }
 
 static void
@@ -134,19 +145,38 @@ lock_try(uint32_t *w, uint32_t me)
                                        __ATOMIC_RELAXED);
 }
 
-/* Sleep until the lock is ours.  Taken after a sleep, the word keeps
- * WAITERS: another sleeper may be behind, and its wake is the release's
- * job. */
-static void
-lock_block(uint32_t *w, uint32_t me)
+/* Whether the process of lock ``id``'s owner (its word without WAITERS)
+ * is gone: the pid in the owner's status row answers kill(pid, 0) with
+ * ESRCH (a row with no pid yet counts as alive).  Keeps what it read for
+ * the error. */
+static int
+owner_gone(core_t *c, uint32_t id, uint32_t owner)
 {
+    if (owner - 1 >= c->nprocs)
+        return 0;
+    c->dead_lock = id;
+    c->dead_rank = owner - 1;
+    memcpy(&c->dead_pid, c->mem + c->status_off + (owner - 1) * STATUS_ROW
+                             + 12, sizeof c->dead_pid);
+    return c->dead_pid > 0 && kill(c->dead_pid, 0) < 0 && errno == ESRCH;
+}
+
+/* Sleep until lock ``id`` is ours; -1 when its owner's process is gone.
+ * Taken after a sleep, the word keeps WAITERS: another sleeper may be
+ * behind, and its wake is the release's job. */
+static int
+lock_block(core_t *c, uint32_t id, uint32_t me)
+{
+    const struct timespec check = {(time_t)(c->owner_check_ns / 1000000000),
+                                   (long)(c->owner_check_ns % 1000000000)};
+    uint32_t *w = lock_word(c, id);
     for (;;) {
         uint32_t v = __atomic_load_n(w, __ATOMIC_RELAXED);
         if (v == 0) {
             if (__atomic_compare_exchange_n(w, &v, me | WAITERS, 0,
                                             __ATOMIC_ACQUIRE,
                                             __ATOMIC_RELAXED))
-                return;
+                return 0;
             continue;
         }
         if (!(v & WAITERS)
@@ -154,7 +184,9 @@ lock_block(uint32_t *w, uint32_t me)
                                             __ATOMIC_RELAXED,
                                             __ATOMIC_RELAXED))
             continue;
-        futex_wait(w, v | WAITERS);
+        if (futex_wait(w, v | WAITERS, &check) == ETIMEDOUT
+            && owner_gone(c, id, v & ~WAITERS))
+            return -1;
     }
 }
 
@@ -175,7 +207,7 @@ lock_owned(const core_t *c, uint32_t id)
 }
 
 /* Take lock ``id`` (mechanism L); returns whether the first attempt
- * failed. */
+ * failed, or -1 when the owner's process is gone (owner_gone). */
 static int
 core_acquire(core_t *c, uint32_t id)
 {
@@ -203,10 +235,10 @@ core_acquire(core_t *c, uint32_t id)
     c->ctr[BY_BLOCK]++;
     publish(c, ON_LOCK, (long)id);
     UNLOCKED_BEGIN
-    lock_block(w, me);
+    got = lock_block(c, id, me);
     UNLOCKED_END
     publish(c, RUNNING, 0);
-    return 1;
+    return got < 0 ? -1 : 1;
 }
 
 /* -- wait bytes and the futex word per rank ------------------------------ */
@@ -239,7 +271,7 @@ take_token(core_t *c)
     for (;;) {
         uint32_t v = __atomic_load_n(f, __ATOMIC_ACQUIRE);
         if (v == 0)
-            futex_wait(f, 0);
+            futex_wait(f, 0, NULL);
         else if (__atomic_compare_exchange_n(f, &v, v - 1, 0,
                                              __ATOMIC_ACQUIRE,
                                              __ATOMIC_RELAXED))
@@ -260,8 +292,8 @@ get_byte(const unsigned char *b)
 }
 
 /* WaitOn (mechanisms P and W): called holding ``lock_id``, the circuit
- * lock of ``chan``; returns holding it again. */
-static void
+ * lock of ``chan``; returns holding it again, or -1 as core_acquire. */
+static int
 core_wait(core_t *c, uint32_t chan, uint32_t lock_id)
 {
     unsigned char *mine = wait_byte(c, chan, c->rank);
@@ -276,10 +308,11 @@ core_wait(core_t *c, uint32_t chan, uint32_t lock_id)
     while (get_byte(mine) != IDLE && now_ns() < deadline)
         sched_yield();
     UNLOCKED_END
-    core_acquire(c, lock_id);
+    if (core_acquire(c, lock_id) < 0)
+        return -1;
     if (get_byte(mine) == IDLE) {
         c->ctr[WOKE_SPINNING]++;
-        return;
+        return 0;
     }
     set_byte(mine, PARKED);
     lock_release(w);
@@ -289,11 +322,11 @@ core_wait(core_t *c, uint32_t chan, uint32_t lock_id)
     take_token(c);
     UNLOCKED_END
     publish(c, RUNNING, 0);
-    core_acquire(c, lock_id);
+    return core_acquire(c, lock_id) < 0 ? -1 : 0;
 }
 
 /* Wake (mechanisms P and F): resume every sleeper of ``chan``; returns
- * how many. */
+ * how many, or -1 as core_acquire. */
 static int
 core_wake(core_t *c, uint32_t chan)
 {
@@ -308,7 +341,8 @@ core_wake(core_t *c, uint32_t chan)
         return 0;
     }
     c->ctr[WAKES_LOCKED]++;
-    core_acquire(c, lock_id);
+    if (core_acquire(c, lock_id) < 0)
+        return -1;
     for (r = 0; r < c->nprocs; r++) {
         unsigned char *b = wait_byte(c, chan, r);
         unsigned char state = get_byte(b);
@@ -343,6 +377,8 @@ enum { F_ACQ_LOCK, F_REL_LOCK, F_WAIT_CHAN, F_WAIT_LOCK, F_WAKE_CHAN,
        N_FIELDS };
 static Py_ssize_t OFF[N_FIELDS];
 static uint32_t FIRST_CHAN_LOCK;
+/* LockOwnerDiedError, raised by owner_died. */
+static PyObject *OWNER_DIED;
 
 static const char *const COUNTER_NAMES[N_COUNTERS] = {
     "acquires", "acquired_by_spin", "acquired_by_block",
@@ -368,15 +404,16 @@ publish(core_t *c, int kind, long ident)
 {
     handle_t *h = (handle_t *)((char *)c - offsetof(handle_t, c));
     Py_ssize_t n = PyList_GET_SIZE(h->held), first = n - MAX_HELD, i;
-    int32_t row[3 + MAX_HELD] = {0};
+    int32_t row[STATUS_ROW / 4] = {0};
 
     if (first < 0)
         first = 0;
     row[0] = kind;
     row[1] = (int32_t)ident;
     row[2] = (int32_t)(n - first);
+    row[3] = (int32_t)getpid();
     for (i = first; i < n; i++)
-        row[3 + i - first] =
+        row[4 + i - first] =
             (int32_t)PyLong_AsLong(PyList_GET_ITEM(h->held, i));
     PyErr_Clear();  /* an id that is no int reads -1: the dump goes on */
     memcpy(c->mem + c->status_off + (size_t)c->rank * sizeof row, row,
@@ -388,17 +425,18 @@ handle_new(PyTypeObject *type, PyObject *args, PyObject *kw)
 {
     static char *names[] = {"mem", "rank", "nprocs", "nchan", "nlocks",
                             "status_off", "lock_off", "futex_off",
-                            "lock_spin_ns", "wait_spin_ns", NULL};
+                            "lock_spin_ns", "wait_spin_ns",
+                            "owner_check_ns", NULL};
     PyObject *mem;
     unsigned int rank, nprocs, nchan, nlocks;
     Py_ssize_t status_off, lock_off, futex_off;
-    long long lock_spin, wait_spin;
+    long long lock_spin, wait_spin, owner_check;
     handle_t *h;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OIIIInnnLL", names, &mem,
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OIIIInnnLLL", names, &mem,
                                      &rank, &nprocs, &nchan, &nlocks,
                                      &status_off, &lock_off, &futex_off,
-                                     &lock_spin, &wait_spin))
+                                     &lock_spin, &wait_spin, &owner_check))
         return NULL;
     h = (handle_t *)type->tp_alloc(type, 0);
     if (h == NULL)
@@ -411,7 +449,7 @@ handle_new(PyTypeObject *type, PyObject *args, PyObject *kw)
         || status_off < (Py_ssize_t)nchan * nprocs
         || lock_off % LINE || futex_off < lock_off + (Py_ssize_t)nlocks * LINE
         || futex_off % LINE || h->view.len < futex_off + nprocs * LINE
-        || status_off + (Py_ssize_t)nprocs * 4 * (3 + MAX_HELD) > lock_off
+        || status_off + (Py_ssize_t)nprocs * STATUS_ROW > lock_off
         || ((uintptr_t)h->view.buf) % LINE) {
         PyBuffer_Release(&h->view);
         Py_DECREF(h);
@@ -434,6 +472,8 @@ handle_new(PyTypeObject *type, PyObject *args, PyObject *kw)
     h->c.futex_off = (size_t)futex_off;
     h->c.lock_spin_ns = lock_spin;
     h->c.wait_spin_ns = wait_spin;
+    h->c.owner_check_ns = owner_check;
+    publish(&h->c, RUNNING, 0);
     return (PyObject *)h;
 }
 
@@ -462,6 +502,15 @@ id_of(PyObject *o, uint32_t n, const char *what, uint32_t *out)
     return 0;
 }
 
+/* Raise what owner_gone found; -1. */
+static int
+owner_died(const core_t *c)
+{
+    PyErr_Format(OWNER_DIED, "lock %u is held by rank %u, whose process "
+                 "%d is gone", c->dead_lock, c->dead_rank, (int)c->dead_pid);
+    return -1;
+}
+
 /* WaitOn must name the channel's own circuit lock: wake takes exactly
  * that lock to find the sleepers. */
 static int
@@ -480,9 +529,12 @@ static PyObject *
 h_acquire(handle_t *h, PyObject *arg)
 {
     uint32_t id;
+    int rc;
     if (id_of(arg, h->c.nlocks, "lock", &id) < 0)
         return NULL;
-    return PyBool_FromLong(core_acquire(&h->c, id));
+    if ((rc = core_acquire(&h->c, id)) < 0)
+        return owner_died(&h->c), NULL;
+    return PyBool_FromLong(rc);
 }
 
 static PyObject *
@@ -512,7 +564,8 @@ h_wait(handle_t *h, PyObject *const *args, Py_ssize_t nargs)
         || id_of(args[1], h->c.nlocks, "lock", &id) < 0
         || check_wait(&h->c, chan, id) < 0)
         return NULL;
-    core_wait(&h->c, chan, id);
+    if (core_wait(&h->c, chan, id) < 0)
+        return owner_died(&h->c), NULL;
     Py_RETURN_NONE;
 }
 
@@ -520,9 +573,12 @@ static PyObject *
 h_wake(handle_t *h, PyObject *arg)
 {
     uint32_t chan;
+    int n;
     if (id_of(arg, h->c.nchan, "channel", &chan) < 0)
         return NULL;
-    return PyLong_FromLong(core_wake(&h->c, chan));
+    if ((n = core_wake(&h->c, chan)) < 0)
+        return owner_died(&h->c), NULL;
+    return PyLong_FromLong(n);
 }
 
 static PyObject *
@@ -665,7 +721,8 @@ step(handle_t *h, PyObject *effect, PyObject *process)
         o = field(effect, F_ACQ_LOCK);
         if (id_of(o, c->nlocks, "lock", &id) < 0)
             return -1;
-        core_acquire(c, id);
+        if (core_acquire(c, id) < 0)
+            return owner_died(c);
         return PyList_Append(h->held, o);
     }
     if (tp == TYPES[T_REL]) {
@@ -698,14 +755,14 @@ step(handle_t *h, PyObject *effect, PyObject *process)
         if ((chan == (uint32_t)-1 && PyErr_Occurred())
             || held_remove(h->held, id) < 0 || check_wait(c, chan, id) < 0)
             return -1;
-        core_wait(c, chan, id);
+        if (core_wait(c, chan, id) < 0)
+            return owner_died(c);
         return PyList_Append(h->held, o);
     }
     if (tp == TYPES[T_WAKE]) {
         if (id_of(field(effect, F_WAKE_CHAN), c->nchan, "channel", &chan) < 0)
             return -1;
-        core_wake(c, chan);
-        return 0;
+        return core_wake(c, chan) < 0 ? owner_died(c) : 0;
     }
     PyErr_Format(PyExc_RuntimeError, "non-effect %R yielded to real runtime",
                  effect);
@@ -753,7 +810,8 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
- * FIRST_LNVC_LOCK): what drive dispatches on and reads. */
+ * FIRST_LNVC_LOCK, LockOwnerDiedError): what drive dispatches on and
+ * reads, and what a dead lock owner raises. */
 static PyObject *
 classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -764,8 +822,9 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     int i;
     long first;
 
-    if (nargs != N_TYPES + 1) {
-        PyErr_SetString(PyExc_TypeError, "classes(6 classes, first lock)");
+    if (nargs != N_TYPES + 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "classes(6 classes, first lock, error class)");
         return NULL;
     }
     for (i = 0; i < N_TYPES; i++)
@@ -797,13 +856,15 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         Py_XSETREF(TYPES[i], (PyTypeObject *)args[i]);
     }
     FIRST_CHAN_LOCK = (uint32_t)first;
+    Py_INCREF(args[N_TYPES + 1]);
+    Py_XSETREF(OWNER_DIED, args[N_TYPES + 1]);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
     {"classes", (PyCFunction)(void (*)(void))classes, METH_FASTCALL,
      "classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake, "
-     "FIRST_LNVC_LOCK): what drive() dispatches on."},
+     "FIRST_LNVC_LOCK, LockOwnerDiedError): what drive() dispatches on."},
     {"drive", (PyCFunction)(void (*)(void))drive, METH_FASTCALL,
      "drive(gen, handle, process): the effect loop; returns the "
      "generator's return value."},

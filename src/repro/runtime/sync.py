@@ -1,4 +1,4 @@
-"""Synchronization for the real runtimes: one interface, two syncs.
+"""Synchronization for the real runtimes: one interface, one sync.
 
 The effect protocol (:mod:`repro.core.effects`) asks a runtime for four
 things and nothing else, so that is the whole interface here:
@@ -15,40 +15,30 @@ things and nothing else, so that is the whole interface here:
     ``Wake``: resume every sleeper of the channel; returns how many it
     resumed (0 where the host cannot tell).
 
-:class:`ProcSync` hosts them for every set of workers that shares an
-ancestor — threads of one process and forked processes — in one shared
-mapping: wait bytes, status rows, one lock word per lock and one futex
-word per worker.  Where ``sync.c`` builds (and the C kernels are the
-ones in use), ``sync.bind(rank)`` hands out a C handle: the lock words
-and wait bytes are worked by C, and :func:`~repro.runtime.threads.drive`
-runs its whole effect loop in C over it (:data:`C_SYNC`).  The Python
+:class:`ProcSync` hosts them for every real runtime in one shared
+mapping: wait bytes, status rows (with each rank's OS pid), one lock
+word per lock and one futex word per worker.  Threads of one process and
+forked processes share an anonymous mapping the sync makes itself;
+processes that only share a segment's *name* map the tail of the named
+segment (:class:`repro.runtime.posix.PosixSegment`).  Where ``sync.c``
+builds (and the C kernels are the ones in use), ``sync.bind(rank)``
+hands out a C handle: the lock words and wait bytes are worked by C, and
+:func:`~repro.runtime.threads.drive` runs its whole effect loop in C
+over it (:data:`C_SYNC`); a C sleeper on a held lock asks every
+:data:`OWNER_CHECK_NS` whether the owner's process is still there, and raises
+:class:`~repro.core.errors.LockOwnerDiedError` if it is not.  The Python
 methods below are the reference and the path of a host without a
-compiler; they keep ``ctx``'s locks and one semaphore per worker in
-place of the words.  :attr:`ProcSync.impl` says which one a sync runs.
-:class:`repro.runtime.posix.FlockSync` hosts the four methods on flock
-files for processes that only share a segment's *name*: the kernel
-drops a flock when its holder dies, where a lock word held by a dead
-process stays taken.  ``sync.bind(rank)`` hands each worker its own
+compiler.  :attr:`ProcSync.impl` says which one a sync runs.  ``sync.bind(rank)`` hands each worker its own
 handle (shared locks, private counters and held-lock list), so the
 counters are exact without any locking of their own.
 
-Why processes do not simply use ``multiprocessing.Lock`` and
-``multiprocessing.Condition``
-------------------------------------------------------------------
-MPF's lock sections are a few dozen instructions (paper §3.1) and the
-Balance's locks were busy-wait hardware locks.  A bare
-``multiprocessing.Lock`` is a POSIX semaphore that goes to a futex sleep
-on the *first* failed attempt, and ``Condition.notify_all`` re-takes the
-circuit lock and then blocks until every sleeper acknowledges.  Between
-two pinned processes that turned a 12 µs ring send into 55-70 µs and
-made the two-CPU pipe 3.5x slower than the same pipe confined to one CPU
-(ledger, ``procs_pipe_ring``: 13.1-14.3k msgs/s on two CPUs, 48-49k
-under ``taskset -c 0``).  :class:`ProcSync` spins briefly — always through
-``sched_yield``, so a host with fewer CPUs than processes hands the CPU
-to the lock holder instead of burning a timeslice against it — and only
-then sleeps.  Threads take the same path: its lock-free wake skip spares
-them a condition variable's ``notify_all`` under the circuit lock on
-every ``Wake``.
+Why not ``multiprocessing.Lock`` and ``Condition``: a bare lock sleeps
+on the *first* failed attempt, and ``notify_all`` re-takes the circuit
+lock and waits for every sleeper — the two-CPU ring pipe ran 3.5x slower
+than the same pipe on one CPU.  :class:`ProcSync` spins briefly, always
+through ``sched_yield`` (a host with fewer CPUs than processes hands the
+CPU to the holder), and only then sleeps (docs/performance.md,
+"Real-process synchronization").
 """
 
 from __future__ import annotations
@@ -57,11 +47,13 @@ import copy
 import mmap
 import os
 import struct
+import time
 from pathlib import Path
 from time import perf_counter_ns
 
 from ..core import chains
 from ..core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
+from ..core.errors import LockOwnerDiedError
 from ..core.layout import MPFConfig
 from ..core.protocol import FIRST_LNVC_LOCK
 
@@ -69,44 +61,28 @@ __all__ = [
     "C_SYNC",
     "COUNTERS",
     "LOCK_SPIN_NS",
+    "OWNER_CHECK_NS",
     "WAIT_SPIN_NS",
-    "SpinBudget",
-    "SyncBase",
     "ProcSync",
 ]
 
-#: Adaptive-lock spin budget (mechanism L): longer than the longest lock
-#: section the library has, on a slow spell of the host.  One park/unpark
-#: round trip between two pinned processes — ``a.release(); b.acquire()``
-#: against ``a.acquire(); b.release()`` on two
-#: ``multiprocessing.Semaphore`` — measures 45-50 µs on the 2-vCPU
-#: reference host, and a ring lock section is 10-20 µs of Python (the
-#: ring pipe's contended acquires wait 2 µs at the median, 8 µs at p99),
-#: so one round trip — the classic 2-competitive budget — would do for the
-#: ring.  The free-list transport allocates and reaps a message's whole
-#: block chain under a lock (up to 205 blocks): the ledger's free-list
-#: sender waits 12 µs at the median, 69 µs at p90 and 94-138 µs at p99,
-#: and the host slows by up to 1.7x for minutes (p99 -> 235 µs).  A 50 µs
-#: budget sits inside that distribution — a quarter of the contended
-#: acquires outlast it and go to the futex, more when the host slows —
-#: and the pipe's calibrated rate then reads 6.4-6.9k msgs/s in some runs
-#: and 8.3k in others (quartile distance over ten runs 1.5-1.7k).  500 µs
-#: is twice the slowed p99: 0-5 acquires of 8,000 messages outlast it,
-#: the rate reads 7.3-8.8k across slow spells (quartile distance 0.7k,
-#: 0.09k on a quiet host), the ring and the one-CPU runs read the same,
-#: and CPU per message falls (0.219 -> 0.206 s/kmsg).
+#: Adaptive-lock spin budget (mechanism L): twice the free-list sender's
+#: p99 contended acquire (138 µs) on a 1.7x slow spell of the host.  A
+#: budget inside that distribution is a cliff: at 50 µs a quarter of those
+#: acquires went on to a 45-50 µs park and ten runs of the pipe spread
+#: between two modes (docs/performance.md, "Real-process
+#: synchronization").
 LOCK_SPIN_NS = 500_000
 
 #: Waiter spin budget (mechanism W) before a ``WaitOn`` parks: one peer
-#: send on a slow spell of the host.  In a streaming pipe the next
-#: message is one send away, and a waiter that parks pays the 45-50 µs
-#: round trip on top of the wait *and* makes its waker pay a semaphore
-#: post (7-9 µs).  The free-list receiver's waits in the stream last
-#: 30 µs at the median and 84-106 µs at p90 (a 2048 B send is 200 µs), so
-#: a 100 µs budget parks 50-1,600 of them per 8,000 messages depending
-#: on the host's speed; 500 µs parks 1-2.  An idle receiver burns at most
-#: 0.5 ms per wait before it sleeps.
+#: send on a slow spell of the host, so a streaming receiver seldom pays a
+#: park and its waker a post (1-2 parks per 8,000 free-list waits; 50-1,600
+#: at 100 µs).  An idle receiver burns at most 0.5 ms per wait.
 WAIT_SPIN_NS = 500_000
+
+#: How long a C sleeper on a held lock sleeps before it asks whether the
+#: owner's process is still there (``kill(pid, 0)``).
+OWNER_CHECK_NS = 100_000_000
 
 #: Per-worker counters every sync keeps (``RunResult.sync[name]``).
 #: ``acquires`` counts every lock acquisition, the internal ones of
@@ -121,77 +97,15 @@ COUNTERS = (
 )
 
 
-class SpinBudget:
-    """A bounded yield-spin: ``while not ready() and budget.spin(): ...``.
-
-    ``spin()`` yields the CPU once and reports whether the budget still
-    had time left *before* the yield.  On an oversubscribed host one
-    yield may outlast the whole budget — which is the point: the caller
-    re-tests its condition after the peer has run and only then gives up.
-    """
-
-    __slots__ = ("deadline",)
-
-    def __init__(self, budget_ns: int) -> None:
-        self.deadline = perf_counter_ns() + budget_ns
-
-    def spin(self) -> bool:
-        if perf_counter_ns() >= self.deadline:
-            return False
+def _spins(budget_ns: int):
+    """A bounded yield-spin: ``for _ in _spins(ns): if ready(): break``.
+    Each round yields the CPU once if the budget has time left; on an
+    oversubscribed host one yield may outlast the whole budget — which is
+    the point: the caller re-tests after the peer has run."""
+    deadline = perf_counter_ns() + budget_ns
+    while perf_counter_ns() < deadline:
         os.sched_yield()
-        return True
-
-
-class SyncBase:
-    """Counters, binding, the ``WaitOn`` sanity check, and the plain
-    try-then-block lock over ``self.locks`` (anything with
-    ``acquire(blocking)`` / ``release()``)."""
-
-    rank = 0
-    locks: list
-
-    def __init__(self) -> None:
-        self._zero()
-
-    def _zero(self) -> None:
-        for name in COUNTERS:
-            setattr(self, name, 0)
-        #: Lock ids the worker holds, in acquisition order; kept by
-        #: :func:`~repro.runtime.threads.drive` for the deadlock dump.
-        self.held: list[int] = []
-
-    def bind(self, rank: int) -> "SyncBase":
-        """A handle for worker ``rank``: shared primitives, own counters."""
-        handle = copy.copy(self)
-        handle._zero()
-        handle.rank = rank
-        return handle
-
-    def counters(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in COUNTERS}
-
-    def acquire(self, lock_id: int) -> bool:
-        self.acquires += 1
-        lock = self.locks[lock_id]
-        if lock.acquire(False):
-            return False
-        lock.acquire()
-        self.acquired_by_block += 1
-        return True
-
-    def release(self, lock_id: int) -> None:
-        self.locks[lock_id].release()
-
-    @staticmethod
-    def check_wait(chan: int, lock_id: int) -> None:
-        """``WaitOn`` must name the channel's own circuit lock: ``wake``
-        takes exactly that lock to find the sleepers."""
-        expected = FIRST_LNVC_LOCK + chan
-        if lock_id != expected:
-            raise RuntimeError(
-                f"WaitOn(chan={chan}) under lock {lock_id}; "
-                f"expected circuit lock {expected}"
-            )
+        yield
 
 
 _IDLE, _SPINNING, _PARKED = 0, 1, 2
@@ -199,9 +113,14 @@ _IDLE, _SPINNING, _PARKED = 0, 1, 2
 #: What a worker is blocked on, published for the runtime's deadlock dump.
 _RUNNING, _ON_LOCK, _ON_CHAN, _DONE = 0, 1, 2, 3
 _MAX_HELD = 5
-_STATUS = struct.Struct(f"3i{_MAX_HELD}i")  # kind, id, nheld, held...
+_STATUS = struct.Struct(f"4i{_MAX_HELD}i")  # kind, id, nheld, pid, held...
+_U32 = struct.Struct("I")
 #: Bytes between two lock words, and between two futex words (``sync.c``).
 _LINE = 64
+#: A lock word's bit for "someone sleeps on it" (``sync.c``).
+_WAITERS = 0x8000_0000
+#: Seconds a parked Python waiter on a named segment naps between looks.
+_TOKEN_NAP_S = 0.002
 
 
 def _load(where: Path = Path(__file__).parent):
@@ -213,7 +132,7 @@ def _load(where: Path = Path(__file__).parent):
                                  module="_sync")
     if lib is not None:
         lib.classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
-                    FIRST_LNVC_LOCK)
+                    FIRST_LNVC_LOCK, LockOwnerDiedError)
     return lib
 
 
@@ -222,52 +141,70 @@ def _load(where: Path = Path(__file__).parent):
 C_SYNC = _load()
 
 
-class ProcSync(SyncBase):
-    """Spin-then-park locks and wait channels for threads or forked
-    processes.
+class _Token:
+    """The Python sync's semaphore where processes share only the mapping:
+    a byte of the rank's futex word.  One post per park goes to a parked
+    rank only, and only that rank takes it (a yield-spin, then a nap of
+    :data:`_TOKEN_NAP_S` between looks): one writer at a time."""
 
-    One anonymous ``MAP_SHARED`` mapping, inherited across fork, holds
-    the wait bytes, one status row per rank, one lock word per lock and
-    one futex word per rank.  With :data:`C_SYNC` built and the C kernels
-    in use (``chains.ACTIVE``, as for the engine's loop), :meth:`bind`
-    returns a ``sync.c`` handle that works the words (:attr:`impl` is
-    ``"c"``).  Otherwise the methods below run over ``ctx``'s ``Lock()``
-    and ``Semaphore(0)`` — a ``multiprocessing`` context for forked
-    processes, the ``threading`` module for threads — and the words go
-    unused (:attr:`impl` is ``"python"``).  The spin budgets are read
-    when a C handle is bound, and at each call by the Python methods.
+    __slots__ = ("mem", "off")
 
-    Four cooperating mechanisms (ablation in docs/performance.md):
+    def __init__(self, mem, off: int) -> None:
+        self.mem, self.off = mem, off
 
-    **L, the adaptive lock.**  A first attempt; then a yield-spin
-    try-loop for :data:`LOCK_SPIN_NS`; only then a futex sleep (on the
-    lock word in C, in the semaphore's acquire here).
+    def release(self) -> None:
+        self.mem[self.off] = 1
 
-    **P, the parking condition.**  One shared byte per (channel, rank):
-    idle, spinning or parked, *written only under the circuit lock*;
-    one futex word (here: one semaphore) per worker, since a worker
-    sleeps on at most one channel.  ``wake`` clears every set byte of
-    the channel and posts exactly one token per parked sleeper; it never
-    waits for an acknowledgment.
+    def acquire(self) -> None:
+        for _ in _spins(WAIT_SPIN_NS):
+            if self.mem[self.off]:
+                break
+        while not self.mem[self.off]:
+            time.sleep(_TOKEN_NAP_S)
+        self.mem[self.off] = 0
 
-    **F, the lock-free wake skip.**  Every ``Wake`` in ``core/ops``,
-    ``core/transport``, ``ext/sync_channel`` and ``ext/shared_vars``
-    follows a state change made under, and a ``Release`` of, that
-    channel's own lock; every ``WaitOn`` sits in a loop that re-reads
-    its predicate under the same lock after ``wait`` has registered the
-    byte.  So a waiter whose lock section preceded the waker's has its
-    byte visible to the waker's read (release/acquire of the lock orders
-    them), and one whose section follows it sees the new state.  "No
-    byte set", read after the waker's own release, therefore means
-    nobody needs this wake, and the lock is not re-taken.
 
-    **W, the waiter spin.**  The waiter yield-spins on its own byte for
-    :data:`WAIT_SPIN_NS` before it upgrades spinning -> parked under
-    the lock and sleeps on its futex word (semaphore).
+class ProcSync:
+    """Spin-then-park locks and wait channels for the real runtimes.
+
+    One ``MAP_SHARED`` mapping holds the wait bytes, one status row per
+    rank, one lock word per lock and one futex word per rank: ``mem`` (a
+    named segment's zeroed tail, sized by :meth:`geometry`), or an
+    anonymous mapping a fork inherits.  With :data:`C_SYNC` built and the
+    C kernels in use (``chains.ACTIVE``), :meth:`bind` returns a
+    ``sync.c`` handle that works the words (:attr:`impl` ``"c"``, spin
+    budgets read at bind).  Otherwise the methods below run over
+    ``ctx.Lock()`` — a ``multiprocessing`` context's, ``threading``'s or
+    a named segment's lock files — and a ``ctx.Semaphore(0)`` per rank,
+    or with ``mem`` a :class:`_Token` in the rank's futex word; the lock
+    words go unused (``"python"``, budgets read at each call).  The
+    mapping lives while the sync or a handle does: a worker abandoned by a
+    join timeout may still touch it.
+
+    Four mechanisms (ablation in docs/performance.md).  **L**, the
+    adaptive lock: a try, a yield-spin try-loop for :data:`LOCK_SPIN_NS`,
+    then a futex sleep (here: the lock's blocking acquire).  **P**, the
+    parking condition: one byte per (channel, rank) — idle, spinning or
+    parked, *written only under the circuit lock* — and one futex word
+    (here: semaphore) per rank; ``wake`` clears every set byte and posts
+    one token per parked sleeper, never waiting for an acknowledgment.
+    **W**, the waiter spin: the waiter yield-spins on its byte for
+    :data:`WAIT_SPIN_NS` before it upgrades spinning -> parked under the
+    lock and sleeps.  **F**, the lock-free wake skip: every ``Wake`` in
+    ``core/ops``, ``core/transport``, ``ext/sync_channel`` and
+    ``ext/shared_vars`` follows a state change made under, and a
+    ``Release`` of, that channel's own lock, and every ``WaitOn`` sits in
+    a loop that re-reads its predicate under the same lock after ``wait``
+    registered the byte.  So a waiter whose section preceded the waker's
+    has its byte visible to the waker's read, and one whose section
+    follows sees the new state: "no byte set", read after the waker's own
+    release, means nobody needs this wake, and the lock is not re-taken.
     """
 
-    def __init__(self, cfg: MPFConfig, ctx, nprocs: int) -> None:
-        super().__init__()
+    rank = 0
+
+    def __init__(self, cfg: MPFConfig, ctx, nprocs: int, mem=None) -> None:
+        self._zero()
         self._c = C_SYNC if chains.ACTIVE.name == "c" else None
         #: Which sync the handles run: ``"c"`` (``sync.c``, driven by its
         #: own effect loop unless a recorder is attached) or ``"python"``.
@@ -275,38 +212,61 @@ class ProcSync(SyncBase):
         self._nprocs = nprocs
         self._n_channels = cfg.n_channels
         self._n_locks = cfg.n_locks
-        self._status_off = cfg.n_channels * nprocs
-        self._lock_off = -(-(self._status_off + nprocs * _STATUS.size)
-                           // _LINE) * _LINE
-        self._futex_off = self._lock_off + cfg.n_locks * _LINE
-        self._mem = mmap.mmap(-1, self._futex_off + nprocs * _LINE)
+        self._status_off, self._lock_off, self._futex_off, size = (
+            self.geometry(cfg, nprocs))
+        self._mem = mmap.mmap(-1, size) if mem is None else mem
         self._idle_row = bytes(nprocs)
         if self._c is None:
             self.locks = [ctx.Lock() for _ in range(cfg.n_locks)]
-            self._sems = [ctx.Semaphore(0) for _ in range(nprocs)]
+            self._sems = [
+                ctx.Semaphore(0) if mem is None
+                else _Token(mem, self._futex_off + rank * _LINE)
+                for rank in range(nprocs)]
+
+    @staticmethod
+    def geometry(cfg: MPFConfig, nprocs: int) -> tuple[int, int, int, int]:
+        """Where the status rows, lock words and futex words of the
+        mapping for ``nprocs`` ranks start, and its size."""
+        status = cfg.n_channels * nprocs
+        lock = -(-(status + nprocs * _STATUS.size) // _LINE) * _LINE
+        futex = lock + cfg.n_locks * _LINE
+        return status, lock, futex, futex + nprocs * _LINE
+
+    def _zero(self) -> None:
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        #: Lock ids the worker holds, in acquisition order; kept by
+        #: :func:`~repro.runtime.threads.drive` for the deadlock dump.
+        self.held: list[int] = []
 
     def bind(self, rank: int):
         """A handle for worker ``rank``: ``sync.c``'s, or (Python sync) a
-        copy of this one with its own counters and held list."""
-        if self._c is None:
-            return super().bind(rank)
-        return self._c.Handle(
-            self._mem, rank, self._nprocs, self._n_channels, self._n_locks,
-            self._status_off, self._lock_off, self._futex_off,
-            LOCK_SPIN_NS, WAIT_SPIN_NS)
+        copy of this one with its own counters and held list.  Either
+        writes the rank's status row, its pid included."""
+        if self._c is not None:
+            return self._c.Handle(
+                self._mem, rank, self._nprocs, self._n_channels,
+                self._n_locks, self._status_off, self._lock_off,
+                self._futex_off, LOCK_SPIN_NS, WAIT_SPIN_NS, OWNER_CHECK_NS)
+        handle = copy.copy(self)
+        handle._zero()
+        handle.rank = rank
+        handle._publish(_RUNNING)
+        return handle
 
-    def close(self) -> None:
-        """Unmap the Python sync's mapping.  A C handle holds the mapping
-        itself, so it goes with the last handle: a worker abandoned by a
-        join timeout may still touch it."""
-        if self._c is None:
-            self._mem.close()
+    def counters(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in COUNTERS}
+
+    def owner(self, lock_id: int) -> int | None:
+        """The rank whose lock word holds lock ``lock_id``, or ``None``:
+        free, or the Python sync's, whose locks keep no owner."""
+        word = _U32.unpack_from(self._mem, self._lock_off + lock_id * _LINE)[0]
+        return (word & ~_WAITERS) - 1 if word else None
 
     def locked(self, lock_id: int) -> bool:
         """Whether some worker holds lock ``lock_id`` now."""
         if self._c is not None:
-            return struct.unpack_from(
-                "I", self._mem, self._lock_off + lock_id * _LINE)[0] != 0
+            return self.owner(lock_id) is not None
         lock = self.locks[lock_id]
         if lock.acquire(False):
             lock.release()
@@ -319,7 +279,8 @@ class ProcSync(SyncBase):
         held = self.held[-_MAX_HELD:]
         _STATUS.pack_into(
             self._mem, self._status_off + self.rank * _STATUS.size,
-            kind, ident, len(held), *held, *([0] * (_MAX_HELD - len(held))),
+            kind, ident, len(held), os.getpid(), *held,
+            *([0] * (_MAX_HELD - len(held))),
         )
 
     def finish(self) -> None:
@@ -336,13 +297,19 @@ class ProcSync(SyncBase):
         is running (or spinning) and ``held`` is then its locks as of
         the last time it slept.
         """
-        kind, ident, nheld, *held = _STATUS.unpack_from(
+        kind, ident, nheld, _, *held = _STATUS.unpack_from(
             self._mem, self._status_off + rank * _STATUS.size)
         on = {
             _RUNNING: None, _ON_LOCK: ("lock", ident),
             _ON_CHAN: ("chan", ident), _DONE: ("done",),
         }[kind]
         return {"blocked_on": on, "held": held[:nheld]}
+
+    def pid(self, rank: int) -> int:
+        """The OS pid of the process that bound ``rank`` last; 0 if none
+        has."""
+        return _STATUS.unpack_from(
+            self._mem, self._status_off + rank * _STATUS.size)[3]
 
     # -- the four methods -----------------------------------------------------
 
@@ -351,8 +318,7 @@ class ProcSync(SyncBase):
         acquire = self.locks[lock_id].acquire
         if acquire(False):
             return False
-        budget = SpinBudget(LOCK_SPIN_NS)
-        while budget.spin():
+        for _ in _spins(LOCK_SPIN_NS):
             if acquire(False):
                 self.acquired_by_spin += 1
                 return True
@@ -362,16 +328,22 @@ class ProcSync(SyncBase):
         self._publish(_RUNNING)
         return True
 
+    def release(self, lock_id: int) -> None:
+        self.locks[lock_id].release()
+
     def wait(self, chan: int, lock_id: int) -> None:
-        self.check_wait(chan, lock_id)
+        # ``wake`` takes exactly the channel's circuit lock to find it.
+        if lock_id != FIRST_LNVC_LOCK + chan:
+            raise RuntimeError(f"WaitOn(chan={chan}) under lock {lock_id}; "
+                               f"expected circuit lock {FIRST_LNVC_LOCK + chan}")
         self.waits += 1
         mem = self._mem
         mine = chan * self._nprocs + self.rank
         mem[mine] = _SPINNING  # under the circuit lock, like every write
         self.locks[lock_id].release()
-        budget = SpinBudget(WAIT_SPIN_NS)
-        while mem[mine] != _IDLE and budget.spin():
-            pass
+        for _ in _spins(WAIT_SPIN_NS):
+            if mem[mine] == _IDLE:
+                break
         self.acquire(lock_id)
         if mem[mine] == _IDLE:
             self.woke_spinning += 1

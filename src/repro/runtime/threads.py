@@ -31,7 +31,7 @@ from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
 from ..core.region import SharedRegion
 from .base import Env, RunResult, Runtime, Worker, snapshot_header
-from .sync import C_SYNC, ProcSync, SyncBase
+from .sync import C_SYNC, ProcSync
 
 __all__ = ["ThreadRuntime", "drive", "deadlock_error"]
 
@@ -64,16 +64,17 @@ def deadlock_error(stuck: dict[str, dict], died: dict[str, str],
 
 def drive(
     gen: Generator,
-    sync: SyncBase,
+    sync: ProcSync,
     recorder=None,
     process: str = "p0",
 ) -> object:
     """Trampoline: run an effect generator against real primitives.
 
     Returns the generator's return value.  ``Charge`` effects are free —
-    real time passes on its own.  ``sync`` is any
-    :class:`~repro.runtime.sync.SyncBase` handle: one code path per
-    effect, whatever hosts the locks; ``sync.held`` tracks the locks
+    real time passes on its own.  ``sync`` is a bound
+    :class:`~repro.runtime.sync.ProcSync` handle (the Python one or
+    ``sync.c``'s): one code path per effect, whatever hosts the locks;
+    ``sync.held`` tracks the locks
     the worker holds, which the sync publishes when it blocks.
 
     With a :class:`repro.obs.Recorder` attached, the trampoline measures
@@ -242,35 +243,32 @@ class ThreadRuntime(Runtime):
             threading.Thread(target=body, args=(n, i, w), name=n, daemon=True)
             for i, (n, w) in enumerate(zip(names, workers))
         ]
-        try:
-            for t in threads:
-                t.start()
-            stuck: dict[str, dict] = {}
-            for t in threads:
-                t.join(self.join_timeout)
-                if t.is_alive():
-                    stuck = {th.name: sync.status(rank)
-                             for rank, th in enumerate(threads)
-                             if th.is_alive()}
-                    break
-            if self.recorder is not None:
-                for name in names:  # finished workers, deterministic order
-                    rec = children.get(name)
-                    if rec is not None and name not in stuck:
-                        self.recorder.merge(rec.snapshot())
-            if stuck:
-                raise deadlock_error(
-                    stuck, {n: repr(e) for n, e in errors.items()},
-                    self.join_timeout)
-            if errors:
-                raise errors[sorted(errors)[0]]
-            return RunResult(
-                results=results,
-                elapsed=time.perf_counter() - t0,
-                kind=self.kind,
-                header=snapshot_header(view),
-                sync={name: syncs[rank].counters()
-                      for rank, name in enumerate(names)},
-            )
-        finally:
-            sync.close()
+        for t in threads:
+            t.start()
+        stuck: dict[str, dict] = {}
+        for t in threads:
+            t.join(self.join_timeout)
+            if t.is_alive():
+                stuck = {th.name: sync.status(rank)
+                         for rank, th in enumerate(threads)
+                         if th.is_alive()}
+                break
+        if self.recorder is not None:
+            for name in names:  # finished workers, deterministic order
+                rec = children.get(name)
+                if rec is not None and name not in stuck:
+                    self.recorder.merge(rec.snapshot())
+        if stuck:
+            raise deadlock_error(
+                stuck, {n: repr(e) for n, e in errors.items()},
+                self.join_timeout)
+        if errors:
+            raise errors[sorted(errors)[0]]
+        return RunResult(
+            results=results,
+            elapsed=time.perf_counter() - t0,
+            kind=self.kind,
+            header=snapshot_header(view),
+            sync={name: syncs[rank].counters()
+                  for rank, name in enumerate(names)},
+        )

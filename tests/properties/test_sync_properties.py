@@ -98,7 +98,7 @@ def observe(c, ops, recorded: bool) -> dict:
         out = ("return", run(c, program(ops), handle, rec, "p0"))
     except Exception as exc:  # compared by type and message
         out = (type(exc).__name__, str(exc))
-    got = {
+    return {
         "out": out,
         "counters": handle.counters(),
         "held": list(handle.held),
@@ -107,8 +107,6 @@ def observe(c, ops, recorded: bool) -> dict:
         "mem": bytes(shared._mem[:shared._lock_off]),
         "summary": rec.summary() if rec else None,
     }
-    shared.close()
-    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,8 +134,6 @@ def test_c_ids_outside_the_tables_fail_as_the_reference_does(c_sync):
             run(c, (e for e in [effect]), shared.bind(0), None, "p0")
         except Exception as exc:
             return type(exc), str(exc)
-        finally:
-            shared.close()
 
     assert outcome(c_sync, Acquire(N_LOCKS))[0] is IndexError
     assert outcome(None, Acquire(N_LOCKS))[0] is IndexError

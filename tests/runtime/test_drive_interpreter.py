@@ -23,9 +23,7 @@ from repro.runtime.threads import drive
 @pytest.fixture
 def shared():
     """A two-worker ``ProcSync`` on the threads host."""
-    shared = ProcSync(MPFConfig(max_lnvcs=4, max_processes=2), threading, 2)
-    yield shared
-    shared.close()
+    return ProcSync(MPFConfig(max_lnvcs=4, max_processes=2), threading, 2)
 
 
 @pytest.fixture

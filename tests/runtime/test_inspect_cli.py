@@ -1,12 +1,15 @@
 """Tests for the mpf-inspect command-line tool."""
 
+import subprocess
 import sys
+import textwrap
+import time
 import uuid
 
 import pytest
 
 from repro.core.layout import MPFConfig
-from repro.core.protocol import FCFS
+from repro.core.protocol import FCFS, FIRST_LNVC_LOCK
 from repro.inspect_cli import main
 from repro.runtime.posix import PosixSegment
 
@@ -89,4 +92,56 @@ def test_inspect_does_not_disturb_segment(capsys):
         capsys.readouterr()
         assert mpf.message_receive(cid) == b"still here"
     finally:
+        _unlink(seg, name)
+
+
+PARKED_CHILD = textwrap.dedent(
+    """
+    import sys
+    from repro.core.protocol import FCFS
+    from repro.runtime.posix import PosixSegment
+
+    seg = PosixSegment.attach(sys.argv[1])
+    mpf = seg.client(1)
+    rid = mpf.open_receive("empty", FCFS)
+    print("open", flush=True)
+    mpf.message_receive(rid)
+    seg.close()
+    """
+)
+
+
+def test_inspect_names_the_holders_and_sleepers_of_a_hang(capsys):
+    """A child process parks on an empty circuit: the dump reads its
+    status row from the segment's sync tail and names its rank, its pid
+    and the channel it sleeps on; a lock this process holds is named by
+    its word (on the C sync; the Python sync's locks keep no owner)."""
+    name = f"mpfcli-{uuid.uuid4().hex[:10]}"
+    seg = PosixSegment.create(name, CFG)
+    child = subprocess.Popen([sys.executable, "-c", PARKED_CHILD, name],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        mpf = seg.client(0)
+        cid = mpf.open_send("empty")
+        assert child.stdout.readline() == "open\n"
+        sleeper = f"rank 1 (pid {child.pid}): blocked_on=('chan', {cid}) held=[]"
+        deadline = time.monotonic() + 10
+        while True:
+            assert main([name]) == 0
+            out = capsys.readouterr().out
+            if sleeper in out or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert sleeper in out
+        assert f"sync ({seg.sync.impl}):" in out
+        mpf.sync.acquire(FIRST_LNVC_LOCK)
+        main([name])
+        out = capsys.readouterr().out
+        holder = f"lock {FIRST_LNVC_LOCK}: held by rank 0"
+        assert (holder in out) == (seg.sync.impl == "c")
+        mpf.sync.release(FIRST_LNVC_LOCK)
+        mpf.message_send(cid, b"wake up")
+        child.wait(30)
+    finally:
+        child.kill()
         _unlink(seg, name)

@@ -1,24 +1,25 @@
 """Tests for the named-segment POSIX runtime (unrelated processes)."""
 
 import dataclasses
-import itertools
 import json
 import os
 import subprocess
 import sys
 import textwrap
-import types
+import threading
+import time
 import uuid
+import zlib
 
 import pytest
 
-import repro.runtime.posix as posix_module
 import repro.runtime.sync as sync_module
-from repro.core.errors import RegionFormatError
+from repro.core import chains
+from repro.core.errors import LockOwnerDiedError, RegionFormatError
 from repro.core.inspect import inspect_segment
 from repro.core.layout import MPFConfig
 from repro.core.protocol import FCFS, FIRST_LNVC_LOCK
-from repro.runtime.posix import FlockSync, PosixSegment, _record
+from repro.runtime.posix import PosixSegment, _record
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="POSIX shared memory"
@@ -72,7 +73,7 @@ def test_ring_transport_over_named_segment():
         cid = mpf.open_send("loop")
         mpf.open_receive("loop", FCFS)
         # 8 messages through 4 slots: the ring wraps on a real shm
-        # segment with flock-file locks, same semantics as in-memory.
+        # segment with its sync in the tail, same semantics as in-memory.
         for i in range(8):
             mpf.message_send(cid, b"slot %d" % i)
             assert mpf.message_receive(cid) == b"slot %d" % i
@@ -289,56 +290,204 @@ def test_ping_pong_between_unrelated_processes_keeps_message_order():
         mpf.close_receive(pong)
 
 
-class _StubLock:
-    """A lock that only checks it is used in turn."""
+# -- one sync for every real runtime: the segment's tail ---------------------
 
-    def __init__(self) -> None:
-        self.held = False
+C_SYNC_BUILT = sync_module.C_SYNC
+C_BUILT = C_SYNC_BUILT is not None and chains.ACTIVE.name == "c"
+needs_c = pytest.mark.skipif(not C_BUILT, reason="sync.c is not in use here")
 
-    def acquire(self, blocking: bool = True) -> bool:
-        assert not self.held
-        self.held = True
-        return True
+#: Makes a child interpreter run the sync its first argument names.
+CHOOSE_SYNC = textwrap.dedent(
+    """
+    import sys
+    import repro.runtime.sync as sync_module
+    if sys.argv[1] == "python":
+        sync_module.C_SYNC = None
+    """
+)
 
-    def release(self) -> None:
-        assert self.held
-        self.held = False
+
+@pytest.fixture(params=["c", "python"])
+def impl(request, monkeypatch):
+    """The sync every segment of the case runs (and its children)."""
+    if request.param == "c" and not C_BUILT:
+        pytest.skip("sync.c is not in use here")
+    if request.param == "python":
+        monkeypatch.setattr(sync_module, "C_SYNC", None)
+    return request.param
 
 
-def test_flock_wait_yields_for_its_budget_then_naps_until_its_own_release(
-        tmp_path, monkeypatch):
-    """``FlockSync.wait``'s ladder, exactly.  The clock advances 1 us per
-    reading and the budget is 10 us, so one wait episode's polls 1-9
-    yield the CPU and every later poll naps ``POLL_INTERVAL`` (a peer
-    that answers in microseconds is seen in microseconds; a flat nap per
-    empty poll made 200 round trips cost 400 naps).  Every poll returns
-    holding the circuit lock, and the waiter's own release of that lock
-    ends the episode: the next wait yields again."""
-    events = []
-    monkeypatch.setattr(sync_module, "perf_counter_ns",
-                        itertools.count(0, 1000).__next__)
-    monkeypatch.setattr(sync_module, "os", types.SimpleNamespace(
-        sched_yield=lambda: events.append("yield")))
-    monkeypatch.setattr(posix_module, "WAIT_SPIN_NS", 10_000)
-    monkeypatch.setattr(posix_module, "time", types.SimpleNamespace(
-        sleep=lambda s: events.append(("nap", s))))
-    cfg = MPFConfig(**CFG)
-    handle = FlockSync(str(tmp_path), cfg).bind(0)
-    handle.locks = [_StubLock() for _ in range(cfg.n_locks)]
-    lock = FIRST_LNVC_LOCK + 1
+def spawn(script, impl, *args):
+    return subprocess.Popen(
+        [sys.executable, "-c", CHOOSE_SYNC + script, impl, *map(str, args)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
 
-    handle.acquire(lock)
-    for _ in range(12):
-        handle.wait(1, lock)
-        assert handle.locks[lock].held
-    nap = ("nap", posix_module.POLL_INTERVAL)
-    assert events == ["yield"] * 9 + [nap] * 3
-    got = handle.counters()
-    assert (got["waits"], got["parked"]) == (12, 3)
 
-    handle.release(lock)  # found what it waited for
-    events.clear()
-    handle.acquire(lock)
-    handle.wait(1, lock)
-    assert events == ["yield"]
-    handle.release(lock)
+def until(predicate, what, seconds=10):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
+
+
+def test_two_threads_on_one_segment_exclude_each_other(impl):
+    """Clients 0 and 1 of one ``PosixSegment`` in two threads: a lock one
+    handle holds is refused to the other (it sleeps on it until the
+    release), and a contended stream with credits arrives in order with
+    every CRC intact.  (The flock sync this replaced shared one open file
+    description per lock between the handles of a process, so the second
+    handle's try took a held lock.)"""
+    with PosixSegment.create(fresh_name(), MPFConfig(**CFG)) as seg:
+        assert seg.sync.impl == impl
+        a, b = seg.client(0), seg.client(1)
+        lock = FIRST_LNVC_LOCK
+        assert a.sync.acquire(lock) is False
+        got = []
+        taker = threading.Thread(target=lambda: got.append(
+            b.sync.acquire(lock)))
+        taker.start()
+        until(lambda: seg.sync.status(1)["blocked_on"] == ("lock", lock),
+              "the second handle never slept on the held lock")
+        assert got == [] and seg.sync.locked(lock)
+        a.sync.release(lock)
+        taker.join(10)
+        assert got == [True]
+        assert b.sync.counters()["acquired_by_block"] == 1
+        b.sync.release(lock)
+
+        data, credit = a.open_send("data"), b.open_send("credit")
+        b.open_receive("data", FCFS)
+        a.open_receive("credit", FCFS)
+        n, window = 320, 16
+
+        def send():
+            for i in range(n):
+                body = i.to_bytes(4, "little") + bytes(
+                    (i * 7 + k) & 0xFF for k in range(i % 200))
+                a.message_send(data, body + zlib.crc32(body).to_bytes(4, "little"))
+                if i % window == window - 1:
+                    a.message_receive(credit)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        for i in range(n):
+            msg = b.message_receive(data)
+            body = msg[:-4]
+            assert zlib.crc32(body) == int.from_bytes(msg[-4:], "little")
+            assert int.from_bytes(body[:4], "little") == i
+            if i % window == window - 1:
+                b.message_send(credit, b"go")
+        sender.join(30)
+        assert not sender.is_alive()
+
+
+PARK_SCRIPT = textwrap.dedent(
+    """
+    import json
+    from repro.core.protocol import FCFS
+    from repro.runtime.posix import PosixSegment
+
+    seg = PosixSegment.attach(sys.argv[2])
+    mpf = seg.client(1)
+    rid = mpf.open_receive("jobs", FCFS)
+    print("open", flush=True)
+    msg = mpf.message_receive(rid)
+    mpf.close_receive(rid)
+    print(json.dumps({"msg": msg.decode(), **mpf.sync.counters()}))
+    seg.close()
+    """
+)
+
+
+def test_a_named_attach_parks_and_is_woken(impl):
+    """A receiver in an unrelated process parks on an empty circuit (its
+    status row says so) and the sender's ``Wake`` posts to its futex
+    word: it wakes with the message, having parked, and the sender
+    counts the post."""
+    name = fresh_name()
+    with PosixSegment.create(name, MPFConfig(**CFG)) as seg:
+        mpf = seg.client(0)
+        cid = mpf.open_send("jobs")
+        child = spawn(PARK_SCRIPT, impl, name)
+        try:
+            assert child.stdout.readline() == "open\n", child.stderr.read()
+            until(lambda: seg.sync.status(1)["blocked_on"] == ("chan", cid),
+                  "the receiver never parked")
+            mpf.message_send(cid, b"job")
+            out, err = child.communicate(timeout=30)
+        finally:
+            child.kill()
+        assert child.returncode == 0, err
+        got = json.loads(out)
+        assert got["msg"] == "job" and got["parked"] >= 1
+        assert mpf.sync.counters()["wakes_posted"] >= 1
+        mpf.close_send(cid)
+
+
+DIE_HOLDING_SCRIPT = textwrap.dedent(
+    """
+    import os
+    from repro.runtime.posix import PosixSegment
+
+    seg = PosixSegment.attach(sys.argv[2])
+    seg.client(1).sync.acquire(int(sys.argv[3]))
+    os._exit(0)
+    """
+)
+
+
+def test_a_lock_whose_owner_died_is_an_error_within_a_second(impl):
+    """An unrelated process takes a lock and exits holding it.  On the C
+    sync the word still names it: the next acquirer's timed sleep asks
+    after the owner's pid and raises, naming the lock, the rank and the
+    pid, well inside a second.  On the Python sync the kernel dropped
+    the dead process's flock, and the next acquirer takes the lock."""
+    name = fresh_name()
+    lock = FIRST_LNVC_LOCK + 2
+    with PosixSegment.create(name, MPFConfig(**CFG)) as seg:
+        child = spawn(DIE_HOLDING_SCRIPT, impl, name, lock)
+        _, err = child.communicate(timeout=30)
+        assert child.returncode == 0, err  # and reaped: no zombie is alive
+        handle = seg.client(0).sync
+        got = []
+
+        def take():
+            try:
+                got.append(handle.acquire(lock))
+            except LockOwnerDiedError as exc:
+                got.append(exc)
+
+        start = time.monotonic()
+        taker = threading.Thread(target=take, daemon=True)
+        taker.start()
+        taker.join(5)
+        assert got, "the acquirer hangs on a dead owner's lock"
+        assert time.monotonic() - start < 1.0
+        if impl == "python":
+            assert got == [False]
+            handle.release(lock)
+            return
+        (exc,) = got
+        assert isinstance(exc, LockOwnerDiedError)
+        assert str(exc) == (f"lock {lock} is held by rank 1, whose process "
+                            f"{child.pid} is gone")
+
+
+@needs_c
+@pytest.mark.parametrize("creator", ["c", "python"])
+def test_an_attacher_running_the_other_sync_is_refused(creator, monkeypatch):
+    """Mixed C and Python attachers would not exclude each other (lock
+    words against lock files), so the creator records its sync and an
+    attacher that would run the other is refused."""
+    name = fresh_name()
+    if creator == "python":
+        monkeypatch.setattr(sync_module, "C_SYNC", None)
+    with PosixSegment.create(name, MPFConfig(**CFG)) as seg:
+        assert seg.sync.impl == creator
+        monkeypatch.setattr(sync_module, "C_SYNC",
+                            None if creator == "c" else C_SYNC_BUILT)
+        with pytest.raises(RegionFormatError,
+                           match=f"runs the {creator} sync"):
+            PosixSegment.attach(name)
+

@@ -128,7 +128,6 @@ def harness(host):
     if h.proc is not None and h.proc.is_alive() and hasattr(h.proc, "kill"):
         h.proc.kill()
         h.proc.join()
-    h.sync.close()
 
 
 def test_wake_before_waiter_registers(harness):
@@ -219,6 +218,8 @@ def test_contended_lock_released_inside_the_budget_is_taken_by_a_spin(
 def test_contended_lock_past_the_budget_sleeps_and_says_so(
         harness, monkeypatch):
     monkeypatch.setattr(sync_mod, "LOCK_SPIN_NS", 0)
+    # only the release may wake the sleeper, not its owner check
+    monkeypatch.setattr(sync_mod, "OWNER_CHECK_NS", 3600 * 10**9)
 
     def until_published() -> None:
         deadline = time.monotonic() + 10

@@ -33,7 +33,6 @@
 #define NLOCKS (FIRST_CHAN_LOCK + NCHAN)
 #define ITERS 20000
 #define ROUNDS 3000
-#define STATUS_ROW 32
 
 static unsigned char *mem;
 static long counter;   /* guarded by lock 0 */
@@ -118,6 +117,7 @@ main(void)
          * wait that does not find its turn: both futex paths run */
         c->lock_spin_ns = i == 0 ? 0 : 2000;
         c->wait_spin_ns = i == 1 ? 0 : 2000;
+        c->owner_check_ns = 100000000;
     }
     alarm(120);  /* a lost wake hangs; SIGALRM fails the run */
 
