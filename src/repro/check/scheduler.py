@@ -328,6 +328,8 @@ def run_schedule(
         return out("crash", f"{type(exc).__name__}: {exc}")
     except (RuntimeError, AssertionError) as exc:
         return out("crash", f"{type(exc).__name__}: {exc}")
+    finally:
+        view.forget_sections()
 
     results = engine.results()
     violations = collect_violations(view, level="final", expect_empty=True)

@@ -901,3 +901,26 @@ int64_t poll_walk(char *base, uint64_t size, uint64_t lnvc, uint64_t gen,
             return BAD;
     return count;
 }
+
+
+/* ------------------------------------------------------------------------
+ * The receive's connection memo (core/ops.py, RecvSection): the receive
+ * descriptor, and the walk length the cost model charges for finding it,
+ * that message_receive's connection lookup resolved while the LNVC record
+ * at lnvc was in use in generation gen at connection epoch epoch.  Every
+ * change to the receive list moves the epoch under the circuit lock, so
+ * while the three hold, resolving again finds what the memo holds.  The
+ * engine's loop asks this kernel in place of the lookup's Python body
+ * (repro/machine/engine.c).
+ * ---------------------------------------------------------------------- */
+
+/* 1 while the memo holds, 0 when it does not or the record lies outside
+ * the region.  Reads only. */
+int64_t conn_holds(char *base, uint64_t size, uint64_t lnvc, uint64_t gen,
+                   uint64_t epoch)
+{
+    const unsigned char *b = (const unsigned char *)base;
+    return inside(lnvc, L_SIZE, size) && link_at(b, lnvc + L_IN_USE)
+           && link_at(b, lnvc + L_GEN) == gen
+           && link_at(b, lnvc + L_CONN_EPOCH) == epoch;
+}

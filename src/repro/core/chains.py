@@ -79,13 +79,17 @@ the probe calls:
 The take and the claim raise :class:`BufferOverflowError` past
 ``max_len``, taking nothing.
 
-One more kernel has no Python wrapper: ``poll_walk``, a poll section's
-walk of one circuit (:class:`repro.core.ops.PollWalk`) as far as its
-memo reaches — the messages queued for the memoized descriptor while
-the circuit's ``conn_epoch`` and generation are the memo's, else a
-refusal.  Its address, :attr:`Kernels.poll_walk`, is what the engine's
-C loop is bound to (``repro/machine/engine.c``); the walk's Python body
-is its reference.
+Two more kernels have no Python wrapper: ``poll_walk``, a poll
+section's walk of one circuit (:class:`repro.core.ops.PollWalk`) as far
+as its memo reaches — the messages queued for the memoized descriptor
+while the circuit's ``conn_epoch`` and generation are the memo's, else a
+refusal — and ``conn_holds``, whether a receive section's connection
+memo (:class:`repro.core.ops.RecvSection`) still holds by the same
+rule.  The engine's C loop is bound to their addresses and to those of
+``sec_claim``, ``sec_complete`` and ``sec_free`` (:attr:`Kernels.
+addresses`, ``repro/machine/engine.c``): it runs a poll walk and a
+free-list receive's stages itself, and the Python bodies of those are
+their references.
 
 The C source is ``chains.c``.  A kernel that refuses its input writes
 nothing and hands the same arguments to the Python reference
@@ -194,6 +198,7 @@ int64_t ring_complete(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                       uint64_t, uint64_t, uint64_t);
 int64_t poll_walk(char *, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
                   int);
+int64_t conn_holds(char *, uint64_t, uint64_t, uint64_t, uint64_t);
 """
 _REFUSED = (1 << 64) - 1  # chain_pop's "not n records", sec_alloc's refusal
 _NO_LIMIT = (1 << 63) - 1  # sec_claim's max_len for "any length"
@@ -226,22 +231,27 @@ _RS_LENGTH = RSLOT.offsets["length"]
 _RS_STATE = RSLOT.offsets["state"]
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
+#: The C functions the engine's C loop calls itself, in the order its
+#: ``bind`` takes their addresses (:attr:`Kernels.addresses`).
+ENGINE_KERNELS = ("poll_walk", "conn_holds", "sec_claim", "sec_complete",
+                  "sec_free")
+
 
 class Kernels:
     """One implementation of the four chain kernels, the five free-list
     section kernels and the five ring kernels (see the module
-    docstring), and ``poll_walk``: the address of the C poll walk the
-    engine's C loop calls, ``None`` in the Python set."""
+    docstring), and ``addresses``: those of the C functions the engine's
+    C loop calls (:data:`ENGINE_KERNELS`), ``None`` in the Python set."""
 
     __slots__ = ("name", "pop", "fill", "drain", "last",
                  "alloc", "link", "claim", "complete", "free",
                  "ring_fill", "ring_commit", "ring_take", "ring_claim",
-                 "ring_complete", "poll_walk")
+                 "ring_complete", "addresses")
 
     def __init__(self, name: str, pop, fill, drain, last,
                  alloc, link, claim, complete, free,
                  ring_fill, ring_commit, ring_take, ring_claim,
-                 ring_complete, poll_walk: int | None = None) -> None:
+                 ring_complete, addresses: tuple | None = None) -> None:
         self.name = name
         self.pop = pop
         self.fill = fill
@@ -257,7 +267,7 @@ class Kernels:
         self.ring_take = ring_take
         self.ring_claim = ring_claim
         self.ring_complete = ring_complete
-        self.poll_walk = poll_walk
+        self.addresses = addresses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernels({self.name!r})"
@@ -1079,7 +1089,8 @@ def _c_kernels(module) -> Kernels:
                    alloc, link, claim, complete, free,
                    ring_fill, ring_commit, ring_take, ring_claim,
                    ring_complete,
-                   int(cast("uintptr_t", ffi.addressof(lib, "poll_walk"))))
+                   tuple(int(cast("uintptr_t", ffi.addressof(lib, name)))
+                         for name in ENGINE_KERNELS))
 
 
 def _select(where: Path = _HERE) -> Kernels:

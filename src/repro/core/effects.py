@@ -225,22 +225,35 @@ class FusedSection:
     events, clock arithmetic and recorder/trace stream are those of the
     effect-per-yield sequence, without the generator round-trips.
 
-    The one producer is :func:`repro.core.ops.poll_receive`, whose idle
-    wait loops inside the engine (``D_JUMP`` back to its head) instead of
-    resuming a generator 88 times per receive.  The eight primitives
-    themselves yield classic effects on every runtime: a section that
-    runs once costs more host time to build and interpret than the
-    generator resumes it saves (docs/performance.md).
+    Two producers: :func:`repro.core.ops.poll_receive`, whose idle wait
+    loops inside the engine (``D_JUMP`` back to its head) instead of
+    resuming a generator 88 times per receive, and the free-list
+    :func:`~repro.core.ops.message_receive`, one cached
+    :class:`~repro.core.ops.RecvSection` per process and circuit whose
+    ``S_CALL`` stages the C engine loop runs with the lock-section
+    kernels while their memos hold.  A section is worth it only where the
+    loop runs its calls in C: a prototype with plain Python closures for
+    the stages cut the receive's generator calls per ``sim_bcast16``
+    repetition from 77,596 to 27,801 and the rate did not move, the
+    closures doing the generator's work (29,511 closure calls took
+    30-35 ms of a ~93 ms repetition); with the stages in C (19,388
+    calls, 2.4 per receive: entry, result, and two per sleep) it moved
+    ~1.5x (docs/performance.md).  The other primitives yield classic
+    effects on every runtime.
 
-    Conventions that keep a section byte-identical to that loop:
+    Conventions that keep a section byte-identical to the classic
+    effects:
 
-    * Only the sim engine sees this effect.  ``poll_receive`` consults
-      ``view.fuse`` (set by :class:`~repro.runtime.sim.SimRuntime` and
-      the model checker only) and runs its classic ``check_receive``
-      loop on the real runtimes and on ring circuits.
+    * Only the sim engine sees this effect.  ``poll_receive`` and
+      ``message_receive`` consult ``view.fuse`` (set by
+      :class:`~repro.runtime.sim.SimRuntime` and the model checker only)
+      and run their classic code on the real runtimes, on ring circuits
+      and (the receive) under a probe-carrying recorder.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes
-      (:func:`repro.check.faults.drop_wake`) forward sections as is.
+      (:func:`repro.check.faults.drop_wake`) forward sections as is.  A
+      receive that finds its queue empty bails with the lock held, and
+      its generator yields the ``WaitOn`` itself.
     * Copy charges (``copy_bytes > 0``) are allowed: the engine opens
       and closes the bus-tracking copy phase at the same instants as
       the unfused charge.

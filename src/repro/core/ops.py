@@ -243,8 +243,14 @@ class MPFView:
       (section, heads, walks) or None)``, :func:`poll_receive`'s
       looping sections.  Valid while the polled ids (generation
       included) and the back-off match.  A looping section refers to
-      itself, so :meth:`forget_poll_sections` unlinks each before
-      dropping it.
+      itself, so :meth:`forget_sections` unlinks each before dropping
+      it.
+    * ``_fs_recv_cache``: ``(pid, slot) ->`` :class:`RecvSection`, the
+      free-list :func:`message_receive` of a process on a circuit as one
+      section.  Valid while the receive's id (generation included) is
+      the section's; its own memos carry their keys.  Its stages and step
+      tuples refer to each other, so :meth:`forget_sections` unlinks
+      each too.
     * ``_drain_memo``: ``None`` or the one BROADCAST message this view
       drained last, ``((lnvc_id, seqno, header, first block, nblocks,
       length), last block, payload)``.  A chain is never written between
@@ -297,6 +303,7 @@ class MPFView:
         "probe",
         "fuse",
         "_fs_poll_cache",
+        "_fs_recv_cache",
         "_drain_memo",
         *(f"_rd_{name}" for name in READS),
         *(f"_wr_{name}" for name in STORES),
@@ -362,6 +369,7 @@ class MPFView:
         self._send_cache: dict = {}
         self._recv_cache: dict = {}
         self._fs_poll_cache: dict = {}
+        self._fs_recv_cache: dict = {}
         self._drain_memo: tuple | None = None
         #: The one observer slot: ``None``, or whatever a runtime's
         #: :meth:`repro.obs.Recorder.attach` put here.  Every observation
@@ -371,21 +379,25 @@ class MPFView:
         #: "Attaching observers").
         self.probe = None
         #: "An engine drives this view": :func:`poll_receive` then waits
-        #: in one :class:`~repro.core.effects.FusedSection`.  SimRuntime
-        #: and the model checker set it; the real runtimes never do.
+        #: in one :class:`~repro.core.effects.FusedSection`, and a
+        #: free-list :func:`message_receive` is one.  SimRuntime and the
+        #: model checker set it; the real runtimes never do.
         self.fuse = False
 
-    def forget_poll_sections(self) -> None:
-        """Drop every section ``_fs_poll_cache`` holds, unlinked first.
+    def forget_sections(self) -> None:
+        """Drop every section ``_fs_poll_cache`` and ``_fs_recv_cache``
+        hold, unlinked first.
 
         A looping section's heads and its walks' memos refer to each
-        other, and its walks to this view: left linked, each run's
-        sections kept its view and region alive until a full garbage
-        collection, one segment per run (``SimRuntime.run`` calls this
-        at the end of a run).  Unlinking empties the heads list the walks
+        other, a receive section's stages and steps likewise, and both
+        to this view: left linked, each run's sections kept its view and
+        region alive until a full garbage collection, one segment per
+        run (``SimRuntime.run`` and the model checker call this at the
+        end of a run).  Unlinking empties the heads list the walks
         index and resets every walk to "resolve again" with nothing
-        memoized (each empty-jump memo holds the next head's walk).  The
-        entries of sets that build no section stay."""
+        memoized (each empty-jump memo holds the next head's walk), and
+        drops a receive section's steps and memos.  The entries of poll
+        sets that build no section stay."""
         cache = self._fs_poll_cache
         for key, (_, built) in list(cache.items()):
             if built is not None:
@@ -394,6 +406,9 @@ class MPFView:
                 for walk in walks:
                     walk.unlink()
                 del cache[key]
+        for sec in self._fs_recv_cache.values():
+            sec.unlink()
+        self._fs_recv_cache.clear()
 
     # -- names -------------------------------------------------------------
 
@@ -1069,7 +1084,32 @@ def message_receive(
 def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
                       lnvc_id: int, max_len: int | None) -> OpGen:
     """:func:`message_receive` over the free-list transport (``slot``,
-    ``base``: as for :func:`_freelist_send`)."""
+    ``base``: as for :func:`_freelist_send`).
+
+    On the simulator (``view.fuse``) with no probe attached, the receive
+    is one :class:`RecvSection`, cached per process and circuit: the
+    generator is resumed once when the message is in hand, and once more
+    per sleep (it yields the ``WaitOn`` itself, then the section's claim
+    again).  The code below the section is the classic receive: the real
+    runtimes, a probe-carrying recorder and a section another receive of
+    the same process holds take it, and it is the reference the section
+    is tested against."""
+    sec = (_recv_section(view, pid, slot, lnvc_id)
+           if view.fuse and view.probe is None else None)
+    if sec is not None:
+        sec.busy = True
+        sec.max_len = max_len
+        try:
+            res = yield sec.head
+            while res is None:  # nothing queued: the lock is held
+                yield view._waiton[slot]
+                res = yield sec.again
+        finally:
+            sec.busy = False
+            sec.payload = None
+        if res.__class__ is not tuple:
+            return res
+        yield from _release_and_raise(*res)  # a bail: (locks, error)
     r = view.region
     c = view.costs
     probe = view.probe
@@ -1146,6 +1186,233 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
     return payload
 
 
+def _recv_section(view: MPFView, pid: int, slot: int, lnvc_id: int):
+    """``pid``'s :class:`RecvSection` on circuit ``lnvc_id`` (``slot``),
+    built on first use; ``None`` while another receive of ``pid`` runs
+    it.  One entry per (process, slot) keeps the cache bounded by the
+    table; a receive on a recycled slot's new circuit rebuilds it,
+    unlinking the old one unless a receive still runs it."""
+    key = (pid, slot)
+    sec = view._fs_recv_cache.get(key)
+    if sec is None or sec.lnvc_id != lnvc_id:
+        if sec is not None and not sec.busy:
+            sec.unlink()
+        sec = view._fs_recv_cache[key] = RecvSection(view, pid, lnvc_id)
+    return None if sec.busy else sec
+
+
+#: A receive section's per-shape memos (copy tails by message shape, reap
+#: tails by reap size) start over past this many entries.
+_SHAPES_MAX = 64
+
+
+class RecvSection:
+    """:func:`message_receive` over the free-list transport as one
+    :class:`~repro.core.effects.FusedSection`, for one process (``pid``)
+    on one circuit (``lnvc_id``) of an engine-driven view; built once and
+    cached (``MPFView._fs_recv_cache``).
+
+    The steps are the classic receive's effects in order, each stretch of
+    generator body between two of them an ``S_CALL`` of a
+    :class:`RecvStage`:
+
+    * :attr:`head`: ``recv-fixed``, acquire the circuit lock, the
+      connection stage — which jumps to ``recv-find``, the claim stage;
+    * a claim jumps to release, the drain stage — which jumps to
+      ``recv-copy``, acquire, the completion stage — which jumps to
+      ``recv-retire`` and release, or on a reap to ``recv-retire``,
+      acquire ``ALLOC_LOCK``, the free stage — which jumps to its
+      release, ``reap`` and the circuit's release.  The result is the
+      payload;
+    * an empty queue bails with the lock held and ``None``: the
+      generator yields the ``WaitOn`` and then :attr:`again`
+      (``recv-wakeup``, the claim stage);
+    * an error bails as ``(locks to release, exception)``.
+
+    The stage bodies are :data:`_RECV_STAGES`; what one hands the next
+    (the claimed message, its drain, the reap) lives in the slots below,
+    with the memos that let the engine's C loop run a stage itself
+    (``repro/machine/engine.c``): the connection (:attr:`desc`,
+    :attr:`found` under :attr:`gen` and :attr:`epoch`, checked against
+    the LNVC record as :class:`PollWalk` checks its memo) and the tails
+    by message shape (:attr:`copies`) and reap size (:attr:`reaps`),
+    under int keys ``a << 32 | b``.  :attr:`busy` is set while a receive
+    runs the section, so a second receive of the same ``pid`` takes the
+    classic generator.
+    """
+
+    __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "lock", "seg",
+                 "bs", "busy", "max_len", "desc", "epoch", "found",
+                 "msg", "first", "nblk", "length", "seqno", "fcfs", "last",
+                 "payload", "reap", "head", "again", "claimed", "copies",
+                 "retired", "reaping", "failed", "reaps", "stages")
+
+    def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
+        slot = lnvc_id & _SLOT_MASK
+        self.view = view
+        self.pid = pid
+        self.lnvc_id = lnvc_id
+        self.gen = int(lnvc_id >> SLOT_BITS)
+        self.base = view.lnvc_base + slot * _LNVC_SIZE
+        self.lock = lock = FIRST_LNVC_LOCK + slot
+        #: The segment's bytes, as the kernels read them.
+        self.seg = view.region._mv
+        self.bs = view.cfg.block_size
+        self.busy = False
+        self.max_len = None
+        #: The connection memo: ``None`` until resolved.
+        self.desc = self.epoch = self.found = None
+        self.msg = self.first = self.nblk = self.length = None
+        self.seqno = self.fcfs = self.last = self.payload = self.reap = None
+        self.stages = conn, claim, drain, complete, free = tuple(
+            RecvStage(self, kind) for kind in range(len(_RECV_STAGES)))
+        self.head = FusedSection(((S_CHARGE, view._recv_fixed.work),
+                                  (S_ACQ, lock), (S_CALL, conn)))
+        self.again = FusedSection(((S_CHARGE, view._recv_wakeup.work),
+                                   (S_CALL, claim)))
+        self.claimed = ((S_REL, lock), (S_CALL, drain))
+        retire = (S_CHARGE, view._recv_retire.work)
+        self.failed = (retire,)
+        self.retired = (retire, (S_REL, lock))
+        self.reaping = (retire, (S_ACQ, ALLOC_LOCK), (S_CALL, free))
+        self.copies: dict = {}
+        self.reaps: dict = {}
+
+    def unlink(self) -> None:
+        """Drop every step tuple and memo: each holds stages, and the
+        stages hold this section."""
+        self.head = self.again = self.found = self.claimed = None
+        self.failed = self.retired = self.reaping = self.stages = None
+        self.epoch = self.payload = self.reap = None
+        self.copies.clear()
+        self.reaps.clear()
+
+
+def _shape_memo(memo: dict, key: int, build):
+    """``memo[key]``, built by ``build()`` on a miss (a full memo starts
+    over)."""
+    steps = memo.get(key)
+    if steps is None:
+        if len(memo) >= _SHAPES_MAX:
+            memo.clear()
+        steps = memo[key] = build()
+    return steps
+
+
+def _recv_conn(sec: RecvSection):
+    view = sec.view
+    try:
+        desc, steps = view.recv_conn(sec.pid, sec.lnvc_id)
+    except (UnknownLNVCError, NotConnectedError) as exc:
+        return (D_BAIL, ((sec.lock,), exc))
+    sec.desc = desc
+    sec.epoch = view.region.u32(sec.base + _L_CONN_EPOCH)
+    sec.found = ((S_CHARGE, charge(steps * view.costs.list_step,
+                                   "recv-find").work),
+                 (S_CALL, sec.stages[1]))
+    return (D_JUMP, None, sec.found)
+
+
+def _recv_claim(sec: RecvSection):
+    try:
+        got = _chains.ACTIVE.claim(sec.view, sec.base, sec.desc, sec.max_len)
+    except BufferOverflowError as exc:
+        return (D_BAIL, ((sec.lock,), exc))
+    if got is None:
+        return (D_BAIL, None)
+    sec.msg, sec.first, sec.nblk, sec.length, sec.seqno, sec.fcfs = got
+    return (D_JUMP, None, sec.claimed)
+
+
+def _recv_drain(sec: RecvSection):
+    view = sec.view
+    msg, first, nblk, length = sec.msg, sec.first, sec.nblk, sec.length
+    if sec.fcfs:
+        key = memo = None
+    else:
+        key = (sec.lnvc_id, sec.seqno, msg, first, nblk, length)
+        memo = view._drain_memo
+    if memo is not None and memo[0] == key:
+        _, last, payload = memo
+    else:
+        try:
+            last, payload = _chains.ACTIVE.drain(view.region, first, nblk,
+                                                 length, sec.bs)
+        except RegionFormatError as exc:
+            return (D_BAIL, ((), _bad_chain(msg, exc)))
+        if key is not None:
+            view._drain_memo = (key, last, payload)
+    sec.last, sec.payload = last, payload
+    c = view.costs
+    return (D_JUMP, payload, _shape_memo(
+        sec.copies, length << 32 | nblk, lambda: (
+            (S_CHARGE, charge(nblk * c.blk_drain + length * c.copy_byte,
+                              "recv-copy", length, nblk).work),
+            (S_ACQ, sec.lock), (S_CALL, sec.stages[3]))))
+
+
+def _recv_complete(sec: RecvSection):
+    try:
+        reap = _chains.ACTIVE.complete(sec.view, sec.base, sec.msg,
+                                       0 if sec.fcfs else 1, sec.last,
+                                       sec.length)
+    except RegionFormatError as exc:
+        return (D_JUMP, ((sec.lock,), exc), sec.failed)
+    if reap is None:
+        return (D_JUMP, sec.payload, sec.retired)
+    sec.reap = reap
+    return (D_JUMP, sec.payload, sec.reaping)
+
+
+def _recv_free(sec: RecvSection):
+    view = sec.view
+    head, n, _, first, last, nblk, nbytes = sec.reap
+    _chains.ACTIVE.free(view, head, n, first, last, nblk, nbytes)
+    c = view.costs
+    return (D_JUMP, sec.payload, _shape_memo(
+        sec.reaps, n << 32 | nblk, lambda: (
+            (S_REL, ALLOC_LOCK),
+            (S_CHARGE, charge(n * c.msg_discard + nblk * c.blk_free,
+                              "reap").work),
+            (S_REL, sec.lock))))
+
+
+#: The stage bodies of a :class:`RecvSection`, by :attr:`RecvStage.kind`:
+#: connection, claim, drain, completion, reap free.
+_RECV_STAGES = (_recv_conn, _recv_claim, _recv_drain, _recv_complete,
+                _recv_free)
+
+
+class RecvStage:
+    """One ``S_CALL`` of a :class:`RecvSection`: stage :attr:`kind` of
+    :data:`_RECV_STAGES` over :attr:`sec`.
+
+    The engine's C loop runs the stage itself while the section's memo
+    for it holds — the connection memo, a copy or reap tail memoized for
+    the shape at hand, a BROADCAST message this view drained already —
+    calling the kernels ``conn_holds``, ``sec_claim``, ``sec_complete``
+    and ``sec_free`` (:attr:`repro.core.chains.Kernels.addresses`).
+    Called, it runs the stage's Python body: the reference, and what
+    runs on any miss or kernel refusal.  A drain that is not a memo hit
+    is always the body's, through the kernel set's ``drain``: a chain is
+    drained once per message and view, in one place.  An exception the
+    body does not answer bails as ``((), exception)``, so the generator
+    raises it holding the locks the classic receive would hold.
+    """
+
+    __slots__ = ("sec", "kind")
+
+    def __init__(self, sec: RecvSection, kind: int) -> None:
+        self.sec = sec
+        self.kind = kind
+
+    def __call__(self):
+        try:
+            return _RECV_STAGES[self.kind](self.sec)
+        except Exception as exc:  # noqa: BLE001 - raised by the generator
+            return (D_BAIL, ((), exc))
+
+
 def check_receive(
     view: MPFView, pid: int, lnvc_id: int, prelude: Work | None = None
 ) -> OpGen:
@@ -1215,8 +1482,9 @@ class PollWalk:
     the same epoch.
 
     The engine's C loop does not call it while the memo holds: it hands
-    the memo to the kernel :attr:`repro.core.chains.Kernels.poll_walk`,
-    which counts the queue in C, and takes :attr:`empty` or
+    the memo to the kernel ``poll_walk`` (one of
+    :attr:`repro.core.chains.Kernels.addresses`), which counts the queue
+    in C, and takes :attr:`empty` or
     ``tails[count]`` itself (``repro/machine/engine.c``).  This method
     is the reference, and what runs on any refusal.
     """
@@ -1290,7 +1558,7 @@ def _make_poll_section(view, pid, ids, backoff):
     backoff), acquire, walk call — the steps of :func:`check_receive`
     with its generator body between acquire and walk charge as the call
     (:class:`PollWalk`).  Returns ``(section, heads, walks)`` — what
-    :meth:`MPFView.forget_poll_sections` clears to break the section's
+    :meth:`MPFView.forget_sections` clears to break the section's
     references to itself — or ``None`` when a circuit is a ring
     (``check_receive`` routes those itself); ``ids`` are inside the
     table.

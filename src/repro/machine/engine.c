@@ -12,14 +12,19 @@
  * the lock and channel handlers (grant-next, WaitOn, Wake).  So are a
  * poll walk whose memo holds (an S_CALL of a core/ops.py PollWalk: the
  * kernel chains.c exports counts the queue, and the memoized jump is
- * taken) and, under BalanceTiming's closed form, the pricing of copy,
- * block and page work, copy_started / copy_finished and wake_cost.
- * What stays Python is called from here with the arguments the
- * reference passes: the generator's send, other S_CALL closures and a
- * walk the kernel refuses, TimingModel.price and the model methods for
- * a timing model without the closed form or work it does not cover,
- * the Recorder hooks, the scheduler's attach / choose, and the engine's
- * _over_budget / _raise_if_stalled.
+ * taken), the stages of a free-list receive section whose memos hold
+ * (an S_CALL of a core/ops.py RecvStage: the connection check, claim,
+ * completion and free kernels chains.c exports, a BROADCAST drain taken
+ * from the view's drain memo, and the memoized tails), and, under
+ * BalanceTiming's closed form, the pricing of copy, block and page
+ * work, copy_started / copy_finished and wake_cost.  What stays Python
+ * is called from here with the arguments the reference passes: the
+ * generator's send, other S_CALL closures and a walk or receive stage
+ * whose memo misses or whose kernel refuses (the stage's Python body,
+ * run before the C stage writes anything), TimingModel.price and the
+ * model methods for a timing model without the closed form or work it
+ * does not cover, the Recorder hooks, the scheduler's attach / choose,
+ * and the engine's _over_budget / _raise_if_stalled.
  *
  * The state is the engine's own: the queue list, engine.now (written
  * before each resume, closure call, handler and scheduler call, as the
@@ -52,16 +57,37 @@
 /* -- the classes and strings bind() hands over --------------------------- */
 
 enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_SECTION, T_WAIT, T_WAKE, T_WORK,
-       T_PROC, T_LOCK, T_CHAN, T_WALK, T_BUS, T_CACHE, T_VM, N_TYPES };
+       T_PROC, T_LOCK, T_CHAN, T_WALK, T_BUS, T_CACHE, T_VM, T_STAGE, T_RSEC,
+       T_VIEW, N_TYPES };
 static PyTypeObject *TYPES[N_TYPES];
 static PyObject *SIM_ERROR;
 static PyObject *S_RUNNABLE, *S_WAIT_LOCK, *S_WAIT_CHAN, *S_DONE, *S_FAILED;
 
-/* The poll walk kernel the C kernels export (core/chains.c, poll_walk):
- * NULL where they were not built. */
+/* The kernels the C kernels export that this loop calls itself
+ * (core/chains.c; chains.ENGINE_KERNELS names them in bind()'s order):
+ * the poll walk, the receive's connection memo check, and the claim,
+ * completion and free of a free-list receive.  NULL where they were not
+ * built.  claim_t and reap_t are chains.c's. */
 typedef int64_t (*walk_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                            uint64_t, int);
-static walk_fn WALK;
+typedef int64_t (*holds_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t);
+typedef struct {
+    uint32_t msg, first, nblk, length, seqno;
+    _Bool fcfs;
+    int got;
+} claim_t;
+typedef claim_t (*claim_fn)(char *, uint64_t, uint64_t, uint64_t, int64_t);
+typedef struct {
+    uint64_t nblk, nbytes;
+    uint32_t head, n, depth, first, last, ok;
+} reap_t;
+typedef reap_t (*complete_fn)(char *, uint64_t, uint64_t, uint64_t,
+                              uint64_t, uint64_t, uint64_t);
+typedef int64_t (*free_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                           uint64_t, uint64_t, uint64_t);
+enum { K_WALK, K_HOLDS, K_CLAIM, K_COMPLETE, K_FREE, N_KERNELS };
+static void *KERNEL[N_KERNELS];
+#define WALK ((walk_fn)KERNEL[K_WALK])
 
 /* A field of one of those classes: its slot offset when it is a plain
  * object slot of exactly that class, else -1 (getattr / setattr). */
@@ -77,7 +103,12 @@ enum { W_INSTRS, W_COPY, W_BLOCKS, W_FLOPS, W_PAGES, W_LABEL, C_WORK,
        L_WAITERS, L_AT, CH_SLEEPERS, P_NAME, P_GEN, P_STATE, P_INBOX,
        P_RESULT, P_ERROR, P_WAIT_LOCK, P_IMPLICIT, P_WAITED, P_SINCE,
        P_COPYING, P_FUSED, PW_BASE, PW_GEN, PW_EPOCH, PW_DESC, PW_FCFS,
-       PW_EMPTY, PW_TAILS, PW_SEG, BU_ALPHA, BU_ACTIVE, BU_PEAK, BU_TOTAL,
+       PW_EMPTY, PW_TAILS, PW_SEG, RS_SEC, RS_KIND, RC_VIEW, RC_LNVC_ID,
+       RC_GEN, RC_BASE, RC_SEG, RC_MAX_LEN, RC_DESC, RC_EPOCH,
+       RC_FOUND, RC_MSG, RC_FIRST, RC_NBLK, RC_LENGTH, RC_SEQNO, RC_FCFS,
+       RC_LAST, RC_PAYLOAD, RC_REAP, RC_CLAIMED, RC_COPIES, RC_RETIRED,
+       RC_REAPING, RC_REAPS, V_DRAIN_MEMO, BU_ALPHA, BU_ACTIVE, BU_PEAK,
+       BU_TOTAL,
        CA_BYTES, CA_MISS, CA_STALL, CA_STALLED, VM_RESIDENT, VM_PAGE,
        VM_FAULT_S, VM_FAULTS, VM_FAULT_TIME, VM_CARRY, N_FIELDS };
 
@@ -120,6 +151,32 @@ static field_t F[N_FIELDS] = {
     [PW_EMPTY] = {T_WALK, "empty", NULL, -1},
     [PW_TAILS] = {T_WALK, "tails", NULL, -1},
     [PW_SEG] = {T_WALK, "seg", NULL, -1},
+    [RS_SEC] = {T_STAGE, "sec", NULL, -1},
+    [RS_KIND] = {T_STAGE, "kind", NULL, -1},
+    [RC_VIEW] = {T_RSEC, "view", NULL, -1},
+    [RC_LNVC_ID] = {T_RSEC, "lnvc_id", NULL, -1},
+    [RC_GEN] = {T_RSEC, "gen", NULL, -1},
+    [RC_BASE] = {T_RSEC, "base", NULL, -1},
+    [RC_SEG] = {T_RSEC, "seg", NULL, -1},
+    [RC_MAX_LEN] = {T_RSEC, "max_len", NULL, -1},
+    [RC_DESC] = {T_RSEC, "desc", NULL, -1},
+    [RC_EPOCH] = {T_RSEC, "epoch", NULL, -1},
+    [RC_FOUND] = {T_RSEC, "found", NULL, -1},
+    [RC_MSG] = {T_RSEC, "msg", NULL, -1},
+    [RC_FIRST] = {T_RSEC, "first", NULL, -1},
+    [RC_NBLK] = {T_RSEC, "nblk", NULL, -1},
+    [RC_LENGTH] = {T_RSEC, "length", NULL, -1},
+    [RC_SEQNO] = {T_RSEC, "seqno", NULL, -1},
+    [RC_FCFS] = {T_RSEC, "fcfs", NULL, -1},
+    [RC_LAST] = {T_RSEC, "last", NULL, -1},
+    [RC_PAYLOAD] = {T_RSEC, "payload", NULL, -1},
+    [RC_REAP] = {T_RSEC, "reap", NULL, -1},
+    [RC_CLAIMED] = {T_RSEC, "claimed", NULL, -1},
+    [RC_COPIES] = {T_RSEC, "copies", NULL, -1},
+    [RC_RETIRED] = {T_RSEC, "retired", NULL, -1},
+    [RC_REAPING] = {T_RSEC, "reaping", NULL, -1},
+    [RC_REAPS] = {T_RSEC, "reaps", NULL, -1},
+    [V_DRAIN_MEMO] = {T_VIEW, "_drain_memo", NULL, -1},
     [BU_ALPHA] = {T_BUS, "alpha", NULL, -1},
     [BU_ACTIVE] = {T_BUS, "active", NULL, -1},
     [BU_PEAK] = {T_BUS, "peak", NULL, -1},
@@ -1521,6 +1578,363 @@ load_state(step_t *S)
     return S->idx == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
+/* The section in flight jumps: its result becomes value (stolen; NULL
+ * keeps the result) and steps (borrowed) its remaining steps. */
+static int
+sec_jump(step_t *S, PyObject *value, PyObject *steps)
+{
+    Py_ssize_t n = PyObject_Length(steps);
+    if (n < 0) {
+        Py_XDECREF(value);
+        return -1;
+    }
+    if (value != NULL && PyList_SetItem(S->state, 2, value) < 0)
+        return -1;
+    if (PyList_SetItem(S->state, 0, Py_NewRef(steps)) < 0)
+        return -1;
+    Py_XSETREF(S->steps, Py_NewRef(steps));
+    S->n = n;
+    S->idx = 0;
+    return 0;
+}
+
+/* The section in flight ends here with the result value (stolen). */
+static int
+sec_bail(step_t *S, PyObject *value)
+{
+    if (PyList_SetItem(S->state, 2, value) < 0)
+        return -1;
+    S->n = S->idx;
+    return 0;
+}
+
+/* What an S_CALL returned, applied: None goes on; (D_JUMP, value, steps)
+ * or (D_BAIL, value). */
+static int
+apply_directive(step_t *S, PyObject *d)
+{
+    PyObject *tag, *val, *steps;
+    int rc;
+    if (d == Py_None)
+        return 0;
+    if ((tag = PySequence_GetItem(d, 0)) == NULL)
+        return -1;
+    if ((val = PySequence_GetItem(d, 1)) == NULL) {
+        Py_DECREF(tag);
+        return -1;
+    }
+    if (small_int(tag) == 4) {  /* D_JUMP */
+        steps = PySequence_GetItem(d, 2);
+        rc = steps == NULL ? -1 : sec_jump(S, val, steps);
+        if (steps == NULL)
+            Py_DECREF(val);
+        Py_XDECREF(steps);
+    }
+    else  /* D_BAIL: the section ends here */
+        rc = sec_bail(S, val);
+    Py_DECREF(tag);
+    return rc;
+}
+
+/* -- a free-list receive's stages (core/ops.py, RecvSection) -------------
+ *
+ * A RecvStage's call made here, with the kernels chains.c exports: the
+ * stage's memo is read off its RecvSection at slot offsets, checked,
+ * and the section moved exactly as the stage's Python body moves it;
+ * what one stage hands the next (the claimed message, the drain, the
+ * reap) is stored back on the section, where the Python bodies keep it.
+ * Each returns 1 when it ran, 0 when the Python body must run instead
+ * (a memo not filled or that no longer holds, a value of a type the
+ * body reads some other way, a kernel refusal: nothing is written
+ * before the refusals a kernel may answer), -1 on error. */
+
+/* sec.<f> as an offset or a 32-bit word: 1 when it is an int in
+ * [0, 2**32), 0 when it is anything else, -1 on error. */
+static int
+get_u32(PyObject *sec, int f, uint64_t *out)
+{
+    long long v;
+    int rc = get_exact(sec, f, &v);
+    if (rc <= 0)
+        return rc;
+    if (v < 0 || v > 0xFFFFFFFFLL)
+        return 0;
+    *out = (uint64_t)v;
+    return 1;
+}
+
+/* sec.<f> when it is a tuple (a new reference), else NULL, with an error
+ * set only on failure. */
+static PyObject *
+get_tuple(PyObject *sec, int f)
+{
+    PyObject *t = get(sec, f);
+    if (t != NULL && !PyTuple_CheckExact(t))
+        Py_CLEAR(t);
+    return t;
+}
+
+/* memo[key], where memo is sec.<f>, a dict of step tuples keyed by
+ * a << 32 | b (a new reference), else NULL, with an error set only on
+ * failure. */
+static PyObject *
+shape_memo(PyObject *sec, int f, uint64_t a, uint64_t b)
+{
+    PyObject *memo = get(sec, f), *key, *steps = NULL;
+    if (memo == NULL)
+        return NULL;
+    if (PyDict_CheckExact(memo)
+        && (key = PyLong_FromUnsignedLongLong(a << 32 | b)) != NULL) {
+        steps = Py_XNewRef(PyDict_GetItemWithError(memo, key));
+        Py_DECREF(key);
+    }
+    Py_DECREF(memo);
+    if (steps != NULL && !PyTuple_CheckExact(steps))
+        Py_CLEAR(steps);
+    return steps;
+}
+
+/* The connection: while the memo holds, recv-find and the claim. */
+static int
+recv_conn(step_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, gen, epoch;
+    PyObject *found;
+    int rc;
+    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
+        || (rc = get_u32(sec, RC_GEN, &gen)) <= 0
+        || (rc = get_u32(sec, RC_EPOCH, &epoch)) <= 0)
+        return rc;
+    if (((holds_fn)KERNEL[K_HOLDS])(b, len, base, gen, epoch) != 1)
+        return 0;
+    if ((found = get_tuple(sec, RC_FOUND)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    rc = sec_jump(S, Py_NewRef(Py_None), found);
+    Py_DECREF(found);
+    return rc < 0 ? -1 : 1;
+}
+
+/* The claim: the release and the drain; an empty queue ends the section
+ * with the lock held and None. */
+static int
+recv_claim(step_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, desc;
+    long long limit;
+    int rc, overflow;
+    PyObject *max_len, *claimed;
+    claim_t got;
+    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
+        || (rc = get_u32(sec, RC_DESC, &desc)) <= 0)
+        return rc;
+    if ((max_len = get(sec, RC_MAX_LEN)) == NULL)
+        return -1;
+    rc = 1;
+    limit = INT64_MAX;  /* None: any length */
+    if (PyLong_CheckExact(max_len)) {
+        limit = PyLong_AsLongLongAndOverflow(max_len, &overflow);
+        rc = limit == -1 && PyErr_Occurred() ? -1 : !overflow;
+    }
+    else if (max_len != Py_None)
+        rc = 0;  /* not an int: the Python way */
+    Py_DECREF(max_len);
+    if (rc <= 0)
+        return rc;
+    if ((claimed = get_tuple(sec, RC_CLAIMED)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    got = ((claim_fn)KERNEL[K_CLAIM])(b, len, base, desc, limit);
+    if (got.got < 0)
+        rc = 0;
+    else if (got.got == 0)
+        rc = sec_bail(S, Py_NewRef(Py_None)) < 0 ? -1 : 1;
+    else if (set_ll(sec, RC_MSG, got.msg) < 0
+             || set_ll(sec, RC_FIRST, got.first) < 0
+             || set_ll(sec, RC_NBLK, got.nblk) < 0
+             || set_ll(sec, RC_LENGTH, got.length) < 0
+             || set_ll(sec, RC_SEQNO, got.seqno) < 0
+             || set(sec, RC_FCFS, got.fcfs ? Py_True : Py_False) < 0
+             || sec_jump(S, Py_NewRef(Py_None), claimed) < 0)
+        rc = -1;
+    Py_DECREF(claimed);
+    return rc;
+}
+
+/* memo[i] equals v, memo being a tuple of ints. */
+static int
+memo_is(PyObject *memo, Py_ssize_t i, uint64_t v)
+{
+    PyObject *x = PyTuple_GET_ITEM(memo, i);
+    int overflow;
+    long long got;
+    if (!PyLong_CheckExact(x))
+        return 0;
+    got = PyLong_AsLongLongAndOverflow(x, &overflow);
+    return !overflow && got == (long long)v;
+}
+
+/* The drain of a BROADCAST message this view drained already: its
+ * (last block, payload) from the view's drain memo, then recv-copy, the
+ * acquire and the completion.  Every other drain is the Python body's,
+ * through the kernel set's drain, which fills the memo: a message's
+ * chain is drained once per view. */
+static int
+recv_drain(step_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t msg, first, nblk, length, lnvc_id, seqno;
+    PyObject *fcfs, *view, *memo = NULL, *key, *steps;
+    int rc;
+    (void)b, (void)len;
+    if ((fcfs = get(sec, RC_FCFS)) == NULL)
+        return -1;
+    Py_DECREF(fcfs);  /* compared by identity only */
+    if (fcfs != Py_False)
+        return 0;
+    if ((rc = get_u32(sec, RC_MSG, &msg)) <= 0
+        || (rc = get_u32(sec, RC_FIRST, &first)) <= 0
+        || (rc = get_u32(sec, RC_NBLK, &nblk)) <= 0
+        || (rc = get_u32(sec, RC_LENGTH, &length)) <= 0
+        || (rc = get_u32(sec, RC_LNVC_ID, &lnvc_id)) <= 0
+        || (rc = get_u32(sec, RC_SEQNO, &seqno)) <= 0)
+        return rc;
+    if ((view = get(sec, RC_VIEW)) == NULL)
+        return -1;
+    if (Py_TYPE(view) == TYPES[T_VIEW])
+        memo = get(view, V_DRAIN_MEMO);
+    Py_DECREF(view);
+    if (memo == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    rc = 0;
+    if (PyTuple_CheckExact(memo) && PyTuple_GET_SIZE(memo) == 3
+        && PyTuple_CheckExact(key = PyTuple_GET_ITEM(memo, 0))
+        && PyTuple_GET_SIZE(key) == 6
+        && memo_is(key, 0, lnvc_id) && memo_is(key, 1, seqno)
+        && memo_is(key, 2, msg) && memo_is(key, 3, first)
+        && memo_is(key, 4, nblk) && memo_is(key, 5, length)) {
+        if ((steps = shape_memo(sec, RC_COPIES, length, nblk)) == NULL)
+            rc = PyErr_Occurred() ? -1 : 0;
+        else {
+            PyObject *payload = PyTuple_GET_ITEM(memo, 2);
+            rc = set(sec, RC_LAST, PyTuple_GET_ITEM(memo, 1)) < 0
+                 || set(sec, RC_PAYLOAD, payload) < 0
+                 || sec_jump(S, Py_NewRef(payload), steps) < 0 ? -1 : 1;
+            Py_DECREF(steps);
+        }
+    }
+    Py_DECREF(memo);
+    return rc;
+}
+
+/* The completion: recv-retire and the release, or on a reap recv-retire,
+ * the allocator lock and the free.  The result stays the payload. */
+static int
+recv_complete(step_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, msg, last, length;
+    PyObject *fcfs, *retired, *reaping = NULL, *reap;
+    reap_t got;
+    int rc;
+    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
+        || (rc = get_u32(sec, RC_MSG, &msg)) <= 0
+        || (rc = get_u32(sec, RC_LAST, &last)) <= 0
+        || (rc = get_u32(sec, RC_LENGTH, &length)) <= 0)
+        return rc;
+    if ((fcfs = get(sec, RC_FCFS)) == NULL)
+        return -1;
+    Py_DECREF(fcfs);  /* compared by identity only */
+    if (fcfs != Py_True && fcfs != Py_False)
+        return 0;
+    if ((retired = get_tuple(sec, RC_RETIRED)) == NULL
+        || (reaping = get_tuple(sec, RC_REAPING)) == NULL) {
+        Py_XDECREF(retired);
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    got = ((complete_fn)KERNEL[K_COMPLETE])(b, len, base, msg,
+                                            fcfs == Py_True ? 0 : 1, last,
+                                            length);
+    if (!got.ok)
+        rc = 0;
+    else if (got.n == 0)
+        rc = sec_jump(S, NULL, retired) < 0 ? -1 : 1;
+    else {
+        reap = Py_BuildValue("(IIIIIKK)", got.head, got.n, got.depth,
+                             got.first, got.last,
+                             (unsigned long long)got.nblk,
+                             (unsigned long long)got.nbytes);
+        rc = set_new(sec, RC_REAP, reap) < 0
+             || sec_jump(S, NULL, reaping) < 0 ? -1 : 1;
+    }
+    Py_DECREF(retired);
+    Py_DECREF(reaping);
+    return rc;
+}
+
+/* The free of a reap: the allocator lock's release, reap and the
+ * circuit's release.  The result stays the payload. */
+static int
+recv_free(step_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    unsigned long long head, n, depth, first, last, nblk, nbytes;
+    PyObject *reap, *steps;
+    int rc;
+    if ((reap = get_tuple(sec, RC_REAP)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    rc = PyTuple_GET_SIZE(reap) == 7;
+    if (rc)
+        rc = PyArg_ParseTuple(reap, "KKKKKKK", &head, &n, &depth, &first,
+                              &last, &nblk, &nbytes);
+    Py_DECREF(reap);
+    if (!rc) {
+        PyErr_Clear();  /* not seven ints: the Python way */
+        return 0;
+    }
+    if (n > 0xFFFFFFFFULL || nblk > 0xFFFFFFFFULL)
+        return 0;
+    if ((steps = shape_memo(sec, RC_REAPS, n, nblk)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (((free_fn)KERNEL[K_FREE])(b, len, head, n, first, last, nblk,
+                                  nbytes) < 0)
+        rc = 0;
+    else
+        rc = sec_jump(S, NULL, steps) < 0 ? -1 : 1;
+    Py_DECREF(steps);
+    return rc;
+}
+
+/* A RecvStage's call (core/ops.py): 1 when the stage ran here, 0 when its
+ * Python body must run, -1 on error. */
+static int
+recv_stage(run_t *R, step_t *S, PyObject *stage)
+{
+    static int (*const STAGE[])(step_t *, PyObject *, char *, uint64_t) = {
+        recv_conn, recv_claim, recv_drain, recv_complete, recv_free};
+    long long kind;
+    uint64_t len;
+    const char *b;
+    PyObject *sec, *seg;
+    int rc;
+    if (KERNEL[K_CLAIM] == NULL)
+        return 0;
+    if ((rc = get_exact(stage, RS_KIND, &kind)) <= 0)
+        return rc;
+    if (kind < 0 || kind >= (long long)(sizeof STAGE / sizeof STAGE[0]))
+        return 0;
+    if ((sec = get(stage, RS_SEC)) == NULL)
+        return -1;
+    rc = 0;
+    if (Py_TYPE(sec) == TYPES[T_RSEC]) {
+        if ((seg = get(sec, RC_SEG)) == NULL)
+            rc = -1;
+        else {
+            b = seg_bytes(R, seg, &len);
+            Py_DECREF(seg);
+            if (b != NULL && !R->segbuf.readonly)
+                rc = STAGE[kind](S, sec, (char *)b, len);
+        }
+    }
+    Py_DECREF(sec);
+    return rc;
+}
+
 static PyObject *
 run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1788,6 +2202,13 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                             && (d = walk(&R, S.arg)) == NULL
                             && PyErr_Occurred())
                             goto fail;
+                        /* a receive stage whose memo holds: the kernels */
+                        if (Py_TYPE(S.arg) == TYPES[T_STAGE]) {
+                            if ((rc = recv_stage(&R, &S, S.arg)) < 0)
+                                goto fail;
+                            if (rc > 0)
+                                continue;
+                        }
                         if (d == NULL) {
                             if (flush(&R) < 0)
                                 goto fail;
@@ -1797,43 +2218,10 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                                 goto fail;
                             }
                         }
-                        if (d != Py_None) {
-                            PyObject *tag, *val;
-                            tag = PySequence_GetItem(d, 0);
-                            val = tag == NULL ? NULL
-                                              : PySequence_GetItem(d, 1);
-                            if (val == NULL
-                                || PyList_SetItem(S.state, 2, val) < 0) {
-                                Py_XDECREF(tag);
-                                Py_DECREF(d);
-                                goto fail;
-                            }
-                            if (small_int(tag) == 4) {  /* D_JUMP */
-                                PyObject *steps = PySequence_GetItem(d, 2);
-                                Py_ssize_t n;
-                                if (steps == NULL
-                                    || (n = PyObject_Length(steps)) < 0) {
-                                    Py_XDECREF(steps);
-                                    Py_DECREF(tag);
-                                    Py_DECREF(d);
-                                    goto fail;
-                                }
-                                Py_INCREF(steps);
-                                if (PyList_SetItem(S.state, 0, steps) < 0) {
-                                    Py_DECREF(steps);
-                                    Py_DECREF(tag);
-                                    Py_DECREF(d);
-                                    goto fail;
-                                }
-                                Py_XSETREF(S.steps, steps);
-                                S.n = n;
-                                S.idx = 0;
-                            }
-                            else  /* D_BAIL: the section ends here */
-                                S.n = S.idx;
-                            Py_DECREF(tag);
-                        }
+                        rc = apply_directive(&S, d);
                         Py_DECREF(d);
+                        if (rc < 0)
+                            goto fail;
                         continue;
                     }
                     if (op == OP_NONE)
@@ -2196,18 +2584,35 @@ bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                         "bind(Charge, ChargeMany, Acquire, Release, "
                         "FusedSection, WaitOn, Wake, Work, SimProcess, "
                         "_SimLock, _WaitChannel, PollWalk, BusModel, "
-                        "CacheModel, VmModel, SimulationError, runnable, "
-                        "wait-lock, wait-chan, done, failed, poll walk "
-                        "kernel address or None)");
+                        "CacheModel, VmModel, RecvStage, RecvSection, "
+                        "MPFView, SimulationError, runnable, wait-lock, "
+                        "wait-chan, done, failed, kernel addresses or "
+                        "None)");
         return NULL;
     }
-    if (args[N_TYPES + 6] == Py_None)
-        WALK = NULL;
-    else {
-        unsigned long long a = PyLong_AsUnsignedLongLong(args[N_TYPES + 6]);
-        if (a == (unsigned long long)-1 && PyErr_Occurred())
+    memset(KERNEL, 0, sizeof KERNEL);
+    if (args[N_TYPES + 6] != Py_None) {
+        PyObject *fast = PySequence_Fast(args[N_TYPES + 6],
+                                         "the kernel addresses");
+        if (fast == NULL)
             return NULL;
-        WALK = (walk_fn)(uintptr_t)a;
+        if (PySequence_Fast_GET_SIZE(fast) != N_KERNELS) {
+            Py_DECREF(fast);
+            PyErr_Format(PyExc_ValueError, "bind() takes %d kernel "
+                         "addresses", N_KERNELS);
+            return NULL;
+        }
+        for (i = 0; i < N_KERNELS; i++) {
+            unsigned long long a = PyLong_AsUnsignedLongLong(
+                PySequence_Fast_GET_ITEM(fast, i));
+            if (a == (unsigned long long)-1 && PyErr_Occurred()) {
+                Py_DECREF(fast);
+                memset(KERNEL, 0, sizeof KERNEL);
+                return NULL;
+            }
+            KERNEL[i] = (void *)(uintptr_t)a;
+        }
+        Py_DECREF(fast);
     }
     for (i = 0; i < N_TYPES; i++) {
         if (!PyType_Check(args[i])) {
@@ -2245,8 +2650,8 @@ bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
-     "bind(classes..., SimulationError, states..., walk): what run() "
-     "dispatches on and stores, and the poll walk kernel it calls."},
+     "bind(classes..., SimulationError, states..., kernels): what run() "
+     "dispatches on and stores, and the kernels it calls."},
     {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL,
      "run(engine, until): Engine.run's loop; returns the final time."},
     {NULL, NULL, 0, NULL},

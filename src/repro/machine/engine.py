@@ -37,7 +37,7 @@ from ..core.effects import (
     WaitOn,
     Wake,
 )
-from ..core.ops import PollWalk
+from ..core.ops import MPFView, PollWalk, RecvSection, RecvStage
 from ..core.work import Work
 from .bus import BusModel
 from .cache import CacheModel
@@ -755,9 +755,11 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     :func:`repro.core.chains.build_extension` with the kernels' flags
     and ``-ffp-contract=off`` (no multiply-add is fused, so every float
     expression rounds as Python's does), bound to this module's classes,
-    the timing models' and the poll walk of ``kernels`` (by default
+    the timing models', the poll walk's and the receive section's, and
+    to the kernels of ``kernels`` it calls itself
+    (:attr:`~repro.core.chains.Kernels.addresses`; by default
     :data:`repro.core.chains.C`: the loop knows no segment layout, the
-    kernel does); ``None`` where it cannot be built."""
+    kernels do); ``None`` where it cannot be built."""
     source = (Path(__file__).parent / "engine.c").read_bytes()
     lib = chains.build_extension(
         where, "_engine", source, chains.CFLAGS + ("-ffp-contract=off",),
@@ -767,9 +769,9 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     kernels = kernels or chains.C
     lib.bind(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
              Wake, Work, SimProcess, _SimLock, _WaitChannel, PollWalk,
-             BusModel, CacheModel, VmModel, SimulationError,
-             _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN, _DONE, _FAILED,
-             None if kernels is None else kernels.poll_walk)
+             BusModel, CacheModel, VmModel, RecvStage, RecvSection, MPFView,
+             SimulationError, _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN, _DONE,
+             _FAILED, None if kernels is None else kernels.addresses)
     return lib.run
 
 

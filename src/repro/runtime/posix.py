@@ -123,6 +123,28 @@ def _sync(name: str, shm, cfg: MPFConfig) -> ProcSync:
 _CREATED: set[str] = set()
 
 
+class _SegmentRegion(SharedRegion):
+    """A named segment's region, which keeps the ``SharedMemory`` it maps.
+
+    A ``SharedMemory`` closes itself when it is finalized, and the close
+    fails (``BufferError``, printed as "Exception ignored") while the
+    region still exports its buffer.  A segment dropped without
+    :meth:`PosixSegment.close` — ``PosixSegment.attach(name).client(1)``
+    as one expression — would finalize it under its client's region.  So
+    the region holds it: it is finalized only with the region, which
+    releases its own buffers first."""
+
+    __slots__ = ("shm",)
+
+    def __init__(self, shm) -> None:
+        super().__init__(shm.buf)
+        self.shm = shm
+
+    def __del__(self) -> None:
+        self.release()
+        self.shm.close()
+
+
 class PosixSegment:
     """A named MPF segment shared by unrelated processes."""
 
@@ -151,7 +173,7 @@ class PosixSegment:
         # Only now: a leaked segment of this name keeps its own record.
         with open(_record(name), "w") as fh:
             json.dump({**asdict(cfg), "sync": sync.impl}, fh)
-        region = SharedRegion(shm.buf)
+        region = _SegmentRegion(shm)
         view = MPFView(region, format_region(region, cfg), costs)
         return cls(name, cfg, shm, view, sync, owner=True)
 
@@ -178,7 +200,7 @@ class PosixSegment:
                 resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:  # pragma: no cover - tracker internals moved
                 pass
-        region = SharedRegion(shm.buf)
+        region = _SegmentRegion(shm)
         try:
             try:
                 with open(_record(name)) as fh:

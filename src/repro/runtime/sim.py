@@ -93,7 +93,7 @@ class SimRuntime(Runtime):
         try:
             elapsed = engine.run(until=self._until)
         finally:
-            view.forget_poll_sections()
+            view.forget_sections()
             if rec is not None:
                 # Surface the engine's event-queue counters on the
                 # recorder so the Prometheus exposition and the bench

@@ -19,7 +19,8 @@
  * A lock is taken by a CAS; a failed first attempt yield-spins for the
  * handle's lock budget, then sets WAITERS and sleeps in FUTEX_WAIT on
  * the word, the handle's owner-check period at a time, giving up when
- * kill(pid, 0) says the owner's process is gone.  A release exchanges the word to 0 and
+ * the owner's process is gone (kill(pid, 0) says ESRCH, or procfs says
+ * it exited and waits to be reaped).  A release exchanges the word to 0 and
  * calls FUTEX_WAKE only when WAITERS was set.  The futexes are not
  * FUTEX_PRIVATE: forked and attaching processes park on the same page.
  * The wait-byte rules are the Python reference's (mechanisms P, F and W
@@ -52,10 +53,12 @@
 #endif
 
 #include <errno.h>
+#include <fcntl.h>
 #include <linux/futex.h>
 #include <sched.h>
 #include <signal.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -145,10 +148,32 @@ lock_try(uint32_t *w, uint32_t me)
                                        __ATOMIC_RELAXED);
 }
 
+/* Whether process pid has exited and waits to be reaped: state Z in
+ * /proc/<pid>/stat (after the command's closing parenthesis, since the
+ * command may hold both).  kill(pid, 0) still succeeds on such a
+ * process.  0 where procfs cannot say. */
+static int
+zombie(int32_t pid)
+{
+    char path[32], buf[512], *p;
+    ssize_t n;
+    int fd;
+    snprintf(path, sizeof path, "/proc/%d/stat", (int)pid);
+    if ((fd = open(path, O_RDONLY | O_CLOEXEC)) < 0)
+        return 0;
+    n = read(fd, buf, sizeof buf - 1);
+    close(fd);
+    if (n <= 0)
+        return 0;
+    buf[n] = '\0';
+    p = strrchr(buf, ')');
+    return p != NULL && p[1] == ' ' && p[2] == 'Z';
+}
+
 /* Whether the process of lock ``id``'s owner (its word without WAITERS)
  * is gone: the pid in the owner's status row answers kill(pid, 0) with
- * ESRCH (a row with no pid yet counts as alive).  Keeps what it read for
- * the error. */
+ * ESRCH, or names a zombie (a row with no pid yet counts as alive).
+ * Keeps what it read for the error. */
 static int
 owner_gone(core_t *c, uint32_t id, uint32_t owner)
 {
@@ -158,7 +183,9 @@ owner_gone(core_t *c, uint32_t id, uint32_t owner)
     c->dead_rank = owner - 1;
     memcpy(&c->dead_pid, c->mem + c->status_off + (owner - 1) * STATUS_ROW
                              + 12, sizeof c->dead_pid);
-    return c->dead_pid > 0 && kill(c->dead_pid, 0) < 0 && errno == ESRCH;
+    return c->dead_pid > 0
+           && ((kill(c->dead_pid, 0) < 0 && errno == ESRCH)
+               || zombie(c->dead_pid));
 }
 
 /* Sleep until lock ``id`` is ours; -1 when its owner's process is gone.

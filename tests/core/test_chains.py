@@ -137,7 +137,8 @@ def test_the_c_ring_addresses_are_the_layouts(slots, slot_bytes, lnvcs):
 @needs_c
 @needs_c
 @pytest.mark.parametrize("program", ["fcfs_throughput", "broadcast_throughput"])
-def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, program):
+def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, recv_loop,
+                                                  program):
     """A receive that finds its queue empty sleeps on the C claim's own
     answer: the reference claim (``chains._claim_next``) runs only on a
     refusal, which no formatted segment gives — 0 calls, on runs whose
@@ -159,8 +160,13 @@ def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, program):
     monkeypatch.setattr(chains, "_claim_next", counted_reference)
     monkeypatch.setattr(chains.C, "claim", claim)
     monkeypatch.setattr(chains, "ACTIVE", chains.C)
-    getattr(workloads, program)(4, 64, messages=60)
+    with recv_loop():  # the classic receive calls the kernel's wrapper
+        getattr(workloads, program)(4, 64, messages=60)
     assert sum(empty) > 0
+    assert len(reference) == 0
+    # A receive section's claim is the engine's call of the kernel: no
+    # reference either.
+    getattr(workloads, program)(4, 64, messages=60)
     assert len(reference) == 0
 
 

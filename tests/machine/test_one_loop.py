@@ -117,8 +117,8 @@ def test_queue_crossings_pinned(transport, events, crossings):
 #: functions, which both kernel sets share with the tests.  The C engine
 #: loop took the "c" count from 89,201 (6ec7c48, before the first edit)
 #: to 64,585: ``Engine.run``'s handlers and parks are no Python frames
-#: there (the count includes the one call that unlinks the run's poll
-#: sections, ``MPFView.forget_poll_sections``).  The C loop's poll walk
+#: there (the count includes the one call that unlinks the run's
+#: sections, now ``MPFView.forget_sections``).  The C loop's poll walk
 #: kernel and its inline Balance pricing, with the C claim answering an
 #: empty queue itself, took it to 48,655 (67db521: 64,585), ~1.47 per
 #: event: what is left is generator resumes (worker, arbiter,
@@ -129,9 +129,14 @@ def test_queue_crossings_pinned(transport, events, crossings):
 #: of ``buf`` only on a miss) and the LNVC record's offset from the
 #: view's bound ``lnvc_base`` (no ``SegmentLayout.lnvc_off`` call on the
 #: message path or in the table scans) took them to 44,245 / 89,205
-#: (d5caed8: 48,655 / 92,024).  Lower a pin when the engine or the poll
-#: path gets lighter; a change that raises one says why.
-PINNED_GJ32_CALLS = {"c": 44_245, "python": 89_205}
+#: (d5caed8: 48,655 / 92,024).  The free-list receive as one section
+#: (``ops.RecvSection``), whose stages the C loop runs with the kernels
+#: while their memos hold, took them to 34,299 / 83,095 (006fd52:
+#: 44,245 / 89,205): a receive resumes its generator once, not ~9 times,
+#: and on the Python loop its stage calls cost less than the resumes.
+#: Lower a pin when the engine or the poll path gets lighter; a change
+#: that raises one says why.
+PINNED_GJ32_CALLS = {"c": 34_299, "python": 83_095}
 
 
 def gj32_calls() -> tuple[int, int]:
@@ -225,3 +230,43 @@ def test_ledger_shims_survive_until_the_ledger_lets_go():
     assert set_epoch(False) is None
     fields = MachineReport.__dataclass_fields__
     assert (fields["epoch_batches"].default, fields["epoch_events"].default) == (0, 0)
+
+
+def _fanout_stage_calls(messages):
+    """Python calls of each receive-section stage (``ops.RecvStage``) in
+    a run where four BROADCAST receivers take ``messages`` 64-byte
+    messages, and the messages the run sent."""
+    from repro.bench.workloads import broadcast_throughput
+    from repro.core import ops
+
+    calls = {f.__name__: 0 for f in ops._RECV_STAGES}
+    real = ops.RecvStage.__call__
+
+    def counted(stage):
+        calls[ops._RECV_STAGES[stage.kind].__name__] += 1
+        return real(stage)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops.RecvStage, "__call__", counted)
+        m = broadcast_throughput(4, 64, messages=messages)
+    return calls, m.run.header["total_sends"]
+
+
+@pytest.mark.skipif("c" not in _loops(), reason="no C loop on this host")
+def test_a_broadcast_receive_makes_no_python_stage_call_on_the_c_loop():
+    """Once a receive section's memos hold — the connection, the copy
+    and reap tails of the shapes at hand — the C loop runs its
+    connection, claim, completion and free stages with the kernels and
+    calls no Python for them; a drain is the Python body's only when the
+    view's drain memo names another message, which is once per message
+    (the first receiver's drain fills the memo the other three take).
+    So tripling the traffic adds exactly one stage call per added
+    message, a drain, and nothing else."""
+    with _on("c"):
+        _fanout_stage_calls(10)  # warm the ``charge`` cache
+        short, sent_short = _fanout_stage_calls(20)
+        long, sent_long = _fanout_stage_calls(60)
+    added = {stage: long[stage] - short[stage] for stage in long}
+    assert added == {"_recv_conn": 0, "_recv_claim": 0,
+                     "_recv_drain": sent_long - sent_short,
+                     "_recv_complete": 0, "_recv_free": 0}

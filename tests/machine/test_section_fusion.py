@@ -3,13 +3,14 @@
 The engine can retire a run of protocol steps as one
 :class:`~repro.core.effects.FusedSection` effect and fast-forward the
 clock across steps no other process can observe.  The one producer is
-``ops.poll_receive``'s idle wait; the eight primitives are classic
-generators on every runtime.  All of it is gated on byte-identity with
-classic stepping; this module pins the load-bearing guarantees:
+``ops.poll_receive``'s idle wait and the free-list ``message_receive``;
+the other primitives are classic generators on every runtime.  All of
+it is gated on byte-identity with classic stepping; this module pins the
+load-bearing guarantees:
 
-* one definition per primitive: send, receive and check yield only
-  classic effects with ``view.fuse`` set, on both transports, and a poll
-  is exactly one section built from the surviving step vocabulary;
+* send and check yield only classic effects with ``view.fuse`` set, on
+  both transports, and so does a ring receive; a free-list receive and a
+  poll are each one section built from the surviving step vocabulary;
 * reduced fig4 + fig6 sweeps are byte-identical with poll sections and
   with every poll run through the per-check loop;
 * a causal tracer sees the identical event stream and sojourn
@@ -65,8 +66,36 @@ def _drive(gen, effects):
         return stop.value
 
 
+def _run_section(section, held):
+    """Run ``section`` alone (every acquire granted, charges dropped),
+    checking that every step tuple it is handed is of the surviving
+    vocabulary; returns its result."""
+    steps, idx, result = section.steps, 0, None
+    while idx < len(steps):
+        assert {op for op, _ in steps} <= _STEP_OPS
+        op, arg = steps[idx]
+        idx += 1
+        if op == S_ACQ:
+            held.append(arg)
+        elif op == S_REL:
+            held.remove(arg)
+        elif op == S_CALL:
+            d = arg()
+            if d is not None:
+                result = d[1]
+                if d[0] == D_JUMP:
+                    steps, idx = d[2], 0
+                else:
+                    assert d[0] == D_BAIL
+                    break
+    return result
+
+
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
-def test_primitives_are_classic_generators_even_with_the_hatch_on(transport):
+def test_the_free_list_receive_alone_is_a_section(transport):
+    """With ``view.fuse`` set, send and check yield classic effects on
+    both transports, and so does a ring receive; a free-list receive is
+    one section."""
     view = make_view(transport=transport)
     view.fuse = True
     seen = []
@@ -75,7 +104,20 @@ def test_primitives_are_classic_generators_even_with_the_hatch_on(transport):
     prelude = Work(instrs=3, label="app-compute")
     _drive(ops.message_send(view, 0, cid, b"payload", prelude), seen)
     assert _drive(ops.check_receive(view, 0, cid, prelude), seen) == 1
-    assert _drive(ops.message_receive(view, 0, cid), seen) == b"payload"
+    recv = ops.message_receive(view, 0, cid)
+    if transport == "ring":
+        assert _drive(recv, seen) == b"payload"
+    else:
+        # One section, from the fixed charge to the last release: the
+        # generator is resumed once, with the payload.
+        section = next(recv)
+        assert section.__class__ is FusedSection
+        held = []
+        result = _run_section(section, held)
+        assert result == b"payload" and held == []
+        with pytest.raises(StopIteration) as done:
+            recv.send(result)
+        assert done.value.value == b"payload"
     assert _drive(ops.check_receive(view, 0, cid), seen) == 0
     assert seen and all(e.__class__ in _CLASSIC for e in seen)
 

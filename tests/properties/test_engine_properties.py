@@ -508,3 +508,157 @@ def test_the_c_engine_runs_where_the_c_kernels_do():
     expect = ("c" if engine_module.C_RUN is not None
               and chains.ACTIVE.name == "c" else "python")
     assert eng.loop == expect
+
+
+# -- free-list receive sections on whole programs ------------------------------
+
+
+@st.composite
+def recv_programs(draw):
+    """One sender on one circuit; receivers (FCFS or BROADCAST, some
+    with a ``max_len`` a message may overflow) that wait for its traffic
+    or find it queued; churners that open and close receive connections
+    on it, moving its ``conn_epoch`` under a receiver's memo; perhaps a
+    chain the sender breaks after sending it.  Ten-byte blocks make most
+    payloads chains of several blocks, and every retirement a reap."""
+    sends = draw(st.lists(st.tuples(st.integers(0, 20_000),
+                                    st.integers(0, 60)), max_size=8))
+    return {
+        "receivers": draw(st.lists(
+            st.tuples(st.booleans(),
+                      st.one_of(st.none(), st.integers(0, 40)),
+                      st.integers(0, len(sends)), st.integers(0, 30_000)),
+            min_size=1, max_size=4)),
+        "sends": sends,
+        "churn": draw(st.lists(st.tuples(st.integers(0, 30_000),
+                                         st.booleans()), max_size=3)),
+        "corrupt": draw(st.one_of(st.none(), st.integers(0, 7))),
+        "cache_bytes": draw(st.sampled_from((64, 8 << 10))),
+    }
+
+
+def _recv_workers(prog):
+    from repro.core.errors import BufferOverflowError
+    from repro.core.structs import LNVC, MSG
+
+    def sender(env):
+        cid = yield from env.open_send("data")
+        for k, (instrs, size) in enumerate(prog["sends"]):
+            yield from env.compute(instrs=instrs)
+            yield from env.message_send(cid, bytes([k]) * size)
+            if prog["corrupt"] == k and size:
+                # The chain just linked at the tail leaves the segment.
+                view = env.view
+                r = view.region
+                msg = LNVC.get(r, view.layout.lnvc_off(0), "fifo_tail")
+                r.set_u32(MSG.get(r, msg, "first_blk"), r.size + 100)
+        return env.now()
+
+    def receiver(fcfs, max_len, count, instrs):
+        def body(env):
+            cid = yield from env.open_receive("data",
+                                              FCFS if fcfs else BROADCAST)
+            yield from env.compute(instrs=instrs)
+            got = []
+            for _ in range(count):
+                try:
+                    data = yield from env.message_receive(cid, max_len)
+                except BufferOverflowError:
+                    got.append("overflow")
+                    data = yield from env.message_receive(cid)
+                got.append((len(data), data[:1], env.now()))
+            yield from env.close_receive(cid)
+            return got
+        return body
+
+    def churner(env):
+        for instrs, fcfs in prog["churn"]:
+            yield from env.compute(instrs=instrs)
+            cid = yield from env.open_receive("data",
+                                              FCFS if fcfs else BROADCAST)
+            yield from env.compute(instrs=instrs // 2)
+            yield from env.close_receive(cid)
+        return env.now()
+
+    return ([sender] + [receiver(*r) for r in prog["receivers"]]
+            + [churner])
+
+
+def _recv_run(prog, recorded, loop, kernels, classic=False):
+    """``prog`` on ``SimRuntime`` as :func:`_poll_run` runs a poll program;
+    ``classic``: every receive the classic generator, not a section."""
+    from repro.core import ops
+
+    cfg = MPFConfig(max_lnvcs=4, max_processes=8, block_size=10,
+                    max_messages=64, message_pool_bytes=1 << 14)
+    machine = replace(TWO_CPUS, cache_bytes=prog["cache_bytes"],
+                      resident_bytes=256)
+    rec = Recorder() if recorded else None
+    rt = SimRuntime(machine, until=0.4, recorder=rec)
+    out, error = None, None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "C_RUN", loop)
+        patch.setattr(chains, "ACTIVE", kernels)
+        if classic:
+            patch.setattr(ops, "_recv_section", lambda *args: None)
+        try:
+            res = rt.run(_recv_workers(prog), cfg)
+            out = (float.hex(res.elapsed), repr(res.results), res.header,
+                   _plain(res.report.as_dict()))
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            error = (type(exc).__name__, str(exc))
+    eng = rt.last_engine
+    assert eng.loop == ("python" if loop is None else "c")
+    return {"out": out, "error": error, "now": float.hex(eng.now),
+            "stats": eng.stats.as_dict(), "models": _models(eng.timing),
+            "segment": bytes(rt.last_view.region._mv),
+            "recorder": None if rec is None else _plain(rec.snapshot())}
+
+
+def _rprog(receivers, sends, churn=(), corrupt=None, cache_bytes=64):
+    return {"receivers": list(receivers), "sends": list(sends),
+            "churn": list(churn), "corrupt": corrupt,
+            "cache_bytes": cache_bytes}
+
+
+@settings(max_examples=100, deadline=None)
+# Receivers that wait first, then wake to a message each: two BROADCAST
+# receivers, the second taking each drain from the view's memo and
+# reaping the message (chains of three blocks, one, three: its last
+# block is the memo's, not the previous message's).
+@example(prog=_rprog([(False, None, 3, 0), (False, None, 3, 0)],
+                     [(20_000, 25), (20_000, 7), (20_000, 25)]),
+         recorded=True)
+# An FCFS race: three receivers woken by every send, one wins each.
+@example(prog=_rprog([(True, None, 1, 0)] * 3,
+                     [(10_000, 12), (0, 30), (3_000, 0)]),
+         recorded=False)
+# A connect and a close in mid-receive move conn_epoch under the
+# sleeping receivers' memos; a BROADCAST churner owes reads it sheds.
+@example(prog=_rprog([(False, None, 2, 0), (True, None, 1, 0)],
+                     [(30_000, 15), (30_000, 15)],
+                     churn=[(4_000, False), (2_000, True)]),
+         recorded=False)
+# max_len overflow: the kernel refuses the claim, the reference raises,
+# and the message is taken by the next, unbounded receive.
+@example(prog=_rprog([(False, 10, 2, 20_000), (True, 4, 1, 20_000)],
+                     [(0, 30), (0, 3), (0, 50)]),
+         recorded=True)
+# Queued traffic reaped several headers at a time under the nested
+# allocator lock: the receivers start late, the BROADCAST one last.
+@example(prog=_rprog([(True, None, 3, 40_000), (False, None, 4, 90_000)],
+                     [(0, 20), (0, 11), (0, 0), (0, 40)]),
+         recorded=False)
+# A chain broken after its send: the drain refuses it and the reference
+# raises the segment's error at the receiver.
+@example(prog=_rprog([(False, None, 2, 0), (False, None, 2, 0)],
+                     [(10_000, 20), (10_000, 20)], corrupt=1),
+         recorded=False)
+@given(prog=recv_programs(), recorded=st.booleans())
+def test_c_receive_sections_match_the_python_reference(c_engine, c_kernels,
+                                                       prog, recorded):
+    seen = _recv_run(prog, recorded, c_engine, c_kernels)
+    assert seen == _recv_run(prog, recorded, None, chains.PYTHON)
+    # ... and both are the classic receive's run.
+    assert seen == _recv_run(prog, recorded, None, chains.PYTHON,
+                             classic=True)

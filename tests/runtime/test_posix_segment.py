@@ -474,6 +474,71 @@ def test_a_lock_whose_owner_died_is_an_error_within_a_second(impl):
                             f"{child.pid} is gone")
 
 
+DROP_SCRIPT = textwrap.dedent(
+    """
+    from repro.runtime.posix import PosixSegment
+
+    mpf = PosixSegment.attach(sys.argv[2]).client(1)  # the segment dropped
+    mpf.close_send(mpf.open_send("drop"))
+    print("done")
+    """
+)
+
+
+def test_a_segment_dropped_without_close_leaves_stderr_empty(impl):
+    """A client outlives the segment it came from: the segment's shared
+    memory is finalized with the client's region, after the region let
+    go of it (it used to print a ``BufferError`` from
+    ``SharedMemory.__del__``)."""
+    name = fresh_name()
+    with PosixSegment.create(name, MPFConfig(**CFG)):
+        child = spawn(DROP_SCRIPT, impl, name)
+        out, err = child.communicate(timeout=30)
+    assert (child.returncode, out, err) == (0, "done\n", "")
+
+
+def _state(pid):
+    """The state letter of process ``pid`` in ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as stat:
+        return stat.read().rpartition(")")[2].split()[0]
+
+
+@needs_c
+def test_a_lock_whose_owner_exited_unreaped_is_an_error_within_a_second():
+    """The same dead owner, met before its parent reaps it: ``kill(pid,
+    0)`` still succeeds on the zombie, so the owner check reads procfs
+    too and the acquirer raises well inside a second."""
+    name = fresh_name()
+    lock = FIRST_LNVC_LOCK + 2
+    with PosixSegment.create(name, MPFConfig(**CFG)) as seg:
+        child = spawn(DIE_HOLDING_SCRIPT, "c", name, lock)
+        try:
+            assert child.stderr.read() == ""  # EOF: the child has exited
+            until(lambda: _state(child.pid) == "Z", "the child is a zombie")
+            handle = seg.client(0).sync
+            got = []
+
+            def take():
+                try:
+                    got.append(handle.acquire(lock))
+                except LockOwnerDiedError as exc:
+                    got.append(exc)
+
+            start = time.monotonic()
+            taker = threading.Thread(target=take, daemon=True)
+            taker.start()
+            taker.join(5)
+            assert got, "the acquirer hangs on a zombie owner's lock"
+            assert time.monotonic() - start < 1.0
+            assert _state(child.pid) == "Z"  # still unreaped
+            (exc,) = got
+            assert str(exc) == (f"lock {lock} is held by rank 1, whose "
+                                f"process {child.pid} is gone")
+        finally:
+            child.communicate(timeout=30)
+        assert child.returncode == 0
+
+
 @needs_c
 @pytest.mark.parametrize("creator", ["c", "python"])
 def test_an_attacher_running_the_other_sync_is_refused(creator, monkeypatch):
