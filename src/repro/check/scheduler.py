@@ -265,12 +265,10 @@ def run_schedule(
     region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
     layout = format_region(region, cfg)
     view = MPFView(region, layout, DEFAULT_COSTS)
-    # The engine drives this view, so poll waits are sections here too:
-    # the controlled scheduler parks every section step as its own heap
-    # event, so the policy sees the choice points the per-check loop
-    # offers (and decision traces replay), while the checker exercises
-    # the section interpreter the figure runs use.
-    view.fuse = True
+    # Poll waits and free-list receives are sections here too: the
+    # controlled scheduler parks every section step as its own heap
+    # event, so the policy sees the choice points the effect-per-yield
+    # stream offers (and decision traces replay).
     probe = SteadyProbe(view) if check_steady else None
     ctl = ControlledPolicy(policy, probe=probe)
     engine = Engine(

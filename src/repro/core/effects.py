@@ -6,20 +6,23 @@ shared memory allocation and synchronization" — is realized here as an
 mutate the shared region directly but **yield** every system-dependent
 action as a small effect object.  Each runtime interprets the effects:
 
-====================  ============================  =========================
-effect                simulated machine              real runtimes
-====================  ============================  =========================
-:class:`Acquire`      queue on a simulated lock,    ``lock.acquire()``
-                      advancing the virtual clock
-:class:`Release`      hand the lock to the next     ``lock.release()``
-                      waiter
-:class:`Charge`       price the work and advance    ignored (time passes on
-                      the clock                     its own)
-:class:`WaitOn`       atomically release the lock,  ``condition.wait()``
-                      sleep on a channel, reacquire
-                      on wake
-:class:`Wake`         wake every channel sleeper    ``condition.notify_all()``
-====================  ============================  =========================
+=====================  ============================  =========================
+effect                 simulated machine              real runtimes
+=====================  ============================  =========================
+:class:`Acquire`       queue on a simulated lock,    ``lock.acquire()``
+                       advancing the virtual clock
+:class:`Release`       hand the lock to the next     ``lock.release()``
+                       waiter
+:class:`Charge`        price the work and advance    ignored (time passes on
+                       the clock                     its own)
+:class:`WaitOn`        atomically release the lock,  ``condition.wait()``
+                       sleep on a channel, reacquire
+                       on wake
+:class:`Wake`          wake every channel sleeper    ``condition.notify_all()``
+:class:`FusedSection`  each step as the effect it    the same, step by step
+                       stands for; ``S_CALL`` runs
+                       primitive code in between
+=====================  ============================  =========================
 
 The effect classes are final: frozen, slotted dataclasses that nothing
 subclasses.  Interpreters dispatch on the exact class, and anything else
@@ -62,6 +65,7 @@ __all__ = [
     "S_CALL",
     "D_BAIL",
     "D_JUMP",
+    "unfold",
 ]
 
 # -- fused-section step opcodes and call directives -------------------------
@@ -213,16 +217,19 @@ class Wake:
 
 @dataclass(frozen=True, slots=True)
 class FusedSection:
-    """A run of protocol steps retired as one effect (sim engine only).
+    """A run of protocol steps retired as one effect.
 
     ``steps`` is a tuple of ``(opcode, arg)`` pairs (see the ``S_*``
     constants above): acquires, charges and releases interleaved with
     ``S_CALL`` closures holding the generator-body code that runs
-    between the equivalent classic yields.  ``Engine.run`` executes an
-    ``S_CHARGE`` / ``S_MANY`` / ``S_ACQ`` / ``S_REL`` step with the very
-    code that executes a yielded ``Charge`` / ``ChargeMany`` /
-    ``Acquire`` / ``Release`` (an effect is a one-step section), so the
-    events, clock arithmetic and recorder/trace stream are those of the
+    between the equivalent classic yields.  Every interpreter runs it —
+    ``Engine.run`` and ``machine/engine.c``, the real runtimes' ``drive``
+    (``runtime/threads.py``) and ``runtime/sync.c``'s, and
+    :func:`repro.testing.unfold` — and executes an ``S_CHARGE`` /
+    ``S_MANY`` / ``S_ACQ`` / ``S_REL`` step with the very code that
+    executes a yielded ``Charge`` / ``ChargeMany`` / ``Acquire`` /
+    ``Release`` (an effect is a one-step section), so the events, clock
+    arithmetic, locking and recorder/trace stream are those of the
     effect-per-yield sequence, without the generator round-trips.
 
     Two producers: :func:`repro.core.ops.poll_receive`, whose idle wait
@@ -231,7 +238,8 @@ class FusedSection:
     :func:`~repro.core.ops.message_receive`, one cached
     :class:`~repro.core.ops.RecvSection` per process and circuit whose
     ``S_CALL`` stages the C engine loop runs with the lock-section
-    kernels while their memos hold.  A section is worth it only where the
+    kernels while their memos hold (the real runtimes' drives call
+    them).  On the simulator a section is worth it only where the
     loop runs its calls in C: a prototype with plain Python closures for
     the stages cut the receive's generator calls per ``sim_bcast16``
     repetition from 77,596 to 27,801 and the rate did not move, the
@@ -244,11 +252,10 @@ class FusedSection:
     Conventions that keep a section byte-identical to the classic
     effects:
 
-    * Only the sim engine sees this effect.  ``poll_receive`` and
-      ``message_receive`` consult ``view.fuse`` (set by
-      :class:`~repro.runtime.sim.SimRuntime` and the model checker only)
-      and run their classic code on the real runtimes, on ring circuits
-      and (the receive) under a probe-carrying recorder.
+    * Ring circuits build no section: ``poll_receive`` over a set that
+      includes one takes its per-check loop, and the ring receive is a
+      classic generator.  A probe-carrying recorder's stamps are stages
+      of the receive section, which emit no effect.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes
       (:func:`repro.check.faults.drop_wake`) forward sections as is.  A
@@ -267,6 +274,43 @@ Effect = Acquire | Release | Charge | ChargeMany | WaitOn | Wake | FusedSection
 #: What a primitive is: a generator of effects whose return value is the
 #: primitive's result.
 OpGen = Generator[Effect, None, object]
+
+
+#: The effect each step opcode of a section stands for.
+_STEP_EFFECTS = {S_CHARGE: Charge, S_MANY: ChargeMany, S_ACQ: Acquire,
+                 S_REL: Release}
+
+
+def unfold(gen: OpGen) -> OpGen:
+    """``gen`` with every :class:`FusedSection` it yields run step by step:
+    each step yielded as the effect it stands for, every ``S_CALL`` run
+    in between (its ``D_JUMP`` / ``D_BAIL`` applied as the engine applies
+    it), and the section's result sent into ``gen`` when its steps run
+    out; an unknown opcode is refused.  The real runtimes' Python
+    ``drive`` and :class:`repro.testing.DirectRunner` run sections this
+    way, and a test can stop an op between any two of its steps."""
+    value = None
+    while True:
+        try:
+            effect = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        if effect.__class__ is not FusedSection:
+            value = yield effect
+            continue
+        steps, idx, value = effect.steps, 0, None
+        while idx < len(steps):
+            op, arg = steps[idx]
+            idx += 1
+            if op in _STEP_EFFECTS:
+                yield _STEP_EFFECTS[op](arg)
+            elif op != S_CALL:
+                raise RuntimeError(f"bad fused step opcode {op!r}")
+            elif (d := arg()) is not None:
+                value = d[1]
+                if d[0] != D_JUMP:  # D_BAIL: the section ends here
+                    break
+                steps, idx = d[2], 0
 
 
 def _release_and_raise(locks: Iterable[int], exc: Exception) -> OpGen:

@@ -247,10 +247,11 @@ class MPFView:
       it.
     * ``_fs_recv_cache``: ``(pid, slot) ->`` :class:`RecvSection`, the
       free-list :func:`message_receive` of a process on a circuit as one
-      section.  Valid while the receive's id (generation included) is
-      the section's; its own memos carry their keys.  Its stages and step
-      tuples refer to each other, so :meth:`forget_sections` unlinks
-      each too.
+      section.  Valid while the receive's id (generation included) and
+      the view's probe are the section's; its own memos carry their
+      keys.  A receive holds its section out of the cache while it runs
+      it.  Its stages and step tuples refer to each other, so
+      :meth:`forget_sections` unlinks each too.
     * ``_drain_memo``: ``None`` or the one BROADCAST message this view
       drained last, ``((lnvc_id, seqno, header, first block, nblocks,
       length), last block, payload)``.  A chain is never written between
@@ -301,7 +302,6 @@ class MPFView:
         "_send_cache",
         "_recv_cache",
         "probe",
-        "fuse",
         "_fs_poll_cache",
         "_fs_recv_cache",
         "_drain_memo",
@@ -378,11 +378,6 @@ class MPFView:
         #: cannot perturb a simulated schedule (docs/observability.md,
         #: "Attaching observers").
         self.probe = None
-        #: "An engine drives this view": :func:`poll_receive` then waits
-        #: in one :class:`~repro.core.effects.FusedSection`, and a
-        #: free-list :func:`message_receive` is one.  SimRuntime and the
-        #: model checker set it; the real runtimes never do.
-        self.fuse = False
 
     def forget_sections(self) -> None:
         """Drop every section ``_fs_poll_cache`` and ``_fs_recv_cache``
@@ -392,12 +387,17 @@ class MPFView:
         other, a receive section's stages and steps likewise, and both
         to this view: left linked, each run's sections kept its view and
         region alive until a full garbage collection, one segment per
-        run (``SimRuntime.run`` and the model checker call this at the
-        end of a run).  Unlinking empties the heads list the walks
-        index and resets every walk to "resolve again" with nothing
-        memoized (each empty-jump memo holds the next head's walk), and
-        drops a receive section's steps and memos.  The entries of poll
-        sets that build no section stay."""
+        run (``SimRuntime.run``, ``ThreadRuntime.run`` and the model
+        checker call this at the end of a run, a closed
+        :class:`~repro.runtime.blocking.BlockingMPF` or
+        :class:`~repro.runtime.posix.PosixSegment` when it closes).
+        Unlinking empties the heads list the walks index and resets
+        every walk to "resolve again" with nothing memoized (each
+        empty-jump memo holds the next head's walk), and drops a receive
+        section's steps and memos.  The entries of poll sets that build
+        no section stay.  A receive section leaves its cache by one
+        ``pop``, so receives that other threads run on this view
+        meanwhile, holding theirs out of it, lose nothing."""
         cache = self._fs_poll_cache
         for key, (_, built) in list(cache.items()):
             if built is not None:
@@ -406,9 +406,11 @@ class MPFView:
                 for walk in walks:
                     walk.unlink()
                 del cache[key]
-        for sec in self._fs_recv_cache.values():
-            sec.unlink()
-        self._fs_recv_cache.clear()
+        recv = self._fs_recv_cache
+        for key in list(recv):
+            sec = recv.pop(key, None)
+            if sec is not None:
+                sec.unlink()
 
     # -- names -------------------------------------------------------------
 
@@ -1084,121 +1086,41 @@ def message_receive(
 def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
                       lnvc_id: int, max_len: int | None) -> OpGen:
     """:func:`message_receive` over the free-list transport (``slot``,
-    ``base``: as for :func:`_freelist_send`).
+    ``base``: as for :func:`_freelist_send`): one :class:`RecvSection`,
+    cached per process and circuit, on every runtime.  The generator is
+    resumed once when the message is in hand, and once more per sleep
+    (it yields the ``WaitOn`` itself, then the section's claim again).
 
-    On the simulator (``view.fuse``) with no probe attached, the receive
-    is one :class:`RecvSection`, cached per process and circuit: the
-    generator is resumed once when the message is in hand, and once more
-    per sleep (it yields the ``WaitOn`` itself, then the section's claim
-    again).  The code below the section is the classic receive: the real
-    runtimes, a probe-carrying recorder and a section another receive of
-    the same process holds take it, and it is the reference the section
-    is tested against."""
-    sec = (_recv_section(view, pid, slot, lnvc_id)
-           if view.fuse and view.probe is None else None)
-    if sec is not None:
-        sec.busy = True
-        sec.max_len = max_len
-        try:
-            res = yield sec.head
-            while res is None:  # nothing queued: the lock is held
-                yield view._waiton[slot]
-                res = yield sec.again
-        finally:
-            sec.busy = False
-            sec.payload = None
-        if res.__class__ is not tuple:
-            return res
-        yield from _release_and_raise(*res)  # a bail: (locks, error)
-    r = view.region
-    c = view.costs
-    probe = view.probe
-    t_entry = probe.now() if probe is not None else 0.0
-    lock = FIRST_LNVC_LOCK + slot
-
-    yield view._recv_fixed
-    yield view._acq[slot]
-    try:
-        desc, steps = view.recv_conn(pid, lnvc_id)
-    except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _release_and_raise([lock], exc)
-    yield charge(steps * c.list_step, "recv-find")
-
-    kernels = _chains.ACTIVE
-    while True:
-        try:
-            claimed = kernels.claim(view, base, desc, max_len)
-        except BufferOverflowError as exc:
-            yield from _release_and_raise([lock], exc)
-        if claimed is not None:
-            break
-        # Nothing available: sleep on the circuit's wait channel.  WaitOn
-        # atomically releases the lock and reacquires it on wake, closing
-        # the lost wake-up window.
-        yield view._waiton[slot]
-        yield view._recv_wakeup
-    msg, first, nblk, length, claimed_seqno, is_fcfs = claimed
-    t_claim = probe.now() if probe is not None else 0.0
-    yield view._rel[slot]
-
-    # Copy phase — concurrent with other receivers of the same message.
-    # The busy pin keeps the chain as walked here until the completion
-    # section below, which hands its last block to the reap.  A chain is
-    # never written between link and reap, so a BROADCAST receiver whose
-    # view already drained this very message (the key names it: circuit
-    # and generation, sequence number, header, chain, length) takes that
-    # drain's ``(last, payload)``; the simulated copy is charged
-    # below either way.  FCFS messages have one reader and skip the memo.
-    if is_fcfs:
-        key = memo = None
-    else:
-        key = (lnvc_id, claimed_seqno, msg, first, nblk, length)
-        memo = view._drain_memo
-    if memo is not None and memo[0] == key:
-        _, last, payload = memo
-    else:
-        try:
-            last, payload = kernels.drain(r, first, nblk, length,
-                                          view.cfg.block_size)
-        except RegionFormatError as exc:
-            raise _bad_chain(msg, exc) from None
-        if key is not None:
-            view._drain_memo = (key, last, payload)
-    yield charge(nblk * c.blk_drain + length * c.copy_byte, "recv-copy",
-                 length, nblk)
-    t_drain = probe.now() if probe is not None else 0.0
-
-    # Completion: drop the busy pin, account the read, retire and reap.
-    yield view._acq[slot]
-    try:
-        reap = kernels.complete(view, base, msg, 0 if is_fcfs else 1, last,
-                                length)
-    except RegionFormatError as exc:
-        yield view._recv_retire
-        yield from _release_and_raise([lock], exc)
-    yield view._recv_retire
-    if reap is not None:
-        yield from _free_reaped(view, base, reap)
-    yield view._rel[slot]
-    if probe is not None:
-        probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, claimed_seqno,
-                           length, is_fcfs, t_entry, t_claim, t_drain)
-    return payload
-
-
-def _recv_section(view: MPFView, pid: int, slot: int, lnvc_id: int):
-    """``pid``'s :class:`RecvSection` on circuit ``lnvc_id`` (``slot``),
-    built on first use; ``None`` while another receive of ``pid`` runs
-    it.  One entry per (process, slot) keeps the cache bounded by the
-    table; a receive on a recycled slot's new circuit rebuilds it,
-    unlinking the old one unless a receive still runs it."""
+    The receive takes its section out of ``view._fs_recv_cache`` while
+    it runs it (a ``pop``, atomic under the GIL) and puts it back
+    afterwards, so a nested receive, or one of the same pid on another
+    thread of a shared view, builds a section of its own (the one put
+    back last stays cached)."""
     key = (pid, slot)
-    sec = view._fs_recv_cache.get(key)
-    if sec is None or sec.lnvc_id != lnvc_id:
-        if sec is not None and not sec.busy:
+    cache = view._fs_recv_cache
+    sec = cache.pop(key, None)
+    probe = view.probe
+    if sec is None or sec.lnvc_id != lnvc_id or sec.probe is not probe:
+        if sec is not None:  # a recycled slot's old id, or a new probe
             sec.unlink()
-        sec = view._fs_recv_cache[key] = RecvSection(view, pid, lnvc_id)
-    return None if sec.busy else sec
+        sec = RecvSection(view, pid, lnvc_id)
+    t_entry = probe.now() if probe is not None else 0.0
+    sec.max_len = max_len
+    try:
+        res = yield sec.head
+        while res is None:  # nothing queued: the lock is held
+            yield view._waiton[slot]
+            res = yield sec.again
+        if probe is not None and res.__class__ is not tuple:
+            probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, sec.seqno,
+                               sec.length, sec.fcfs, t_entry, sec.t_claim,
+                               sec.t_drain)
+    finally:
+        sec.payload = None
+        cache[key] = sec
+    if res.__class__ is not tuple:
+        return res
+    yield from _release_and_raise(*res)  # a bail: (locks, error)
 
 
 #: A receive section's per-shape memos (copy tails by message shape, reap
@@ -1209,11 +1131,11 @@ _SHAPES_MAX = 64
 class RecvSection:
     """:func:`message_receive` over the free-list transport as one
     :class:`~repro.core.effects.FusedSection`, for one process (``pid``)
-    on one circuit (``lnvc_id``) of an engine-driven view; built once and
-    cached (``MPFView._fs_recv_cache``).
+    on one circuit (``lnvc_id``) of a view; built once and cached
+    (``MPFView._fs_recv_cache``).
 
-    The steps are the classic receive's effects in order, each stretch of
-    generator body between two of them an ``S_CALL`` of a
+    The steps are the receive's effects in order, each stretch of
+    primitive code between two of them an ``S_CALL`` of a
     :class:`RecvStage`:
 
     * :attr:`head`: ``recv-fixed``, acquire the circuit lock, the
@@ -1229,23 +1151,31 @@ class RecvSection:
       (``recv-wakeup``, the claim stage);
     * an error bails as ``(locks to release, exception)``.
 
+    The copy phase runs outside the lock, concurrent with other
+    receivers of the same message; the claim's busy pin keeps the chain
+    as walked until the completion, which hands its last block to the
+    reap.  A section built under a probe (:attr:`probe`, the view's when
+    it was built) carries the probe's stages too: the claim stamp after
+    the claim, the drain stamp after ``recv-copy``, and on a reap the
+    queue depth before ``ALLOC_LOCK`` and the freed messages under it —
+    each where the receive's effect stream puts that instant.
+
     The stage bodies are :data:`_RECV_STAGES`; what one hands the next
-    (the claimed message, its drain, the reap) lives in the slots below,
-    with the memos that let the engine's C loop run a stage itself
-    (``repro/machine/engine.c``): the connection (:attr:`desc`,
-    :attr:`found` under :attr:`gen` and :attr:`epoch`, checked against
-    the LNVC record as :class:`PollWalk` checks its memo) and the tails
-    by message shape (:attr:`copies`) and reap size (:attr:`reaps`),
-    under int keys ``a << 32 | b``.  :attr:`busy` is set while a receive
-    runs the section, so a second receive of the same ``pid`` takes the
-    classic generator.
+    (the claimed message, its drain, the reap, the probe's stamps) lives
+    in the slots below, with the memos that let the engine's C loop run
+    a stage itself (``repro/machine/engine.c``): the connection
+    (:attr:`desc`, :attr:`found` under :attr:`gen` and :attr:`epoch`,
+    checked against the LNVC record as :class:`PollWalk` checks its
+    memo) and the tails by message shape (:attr:`copies`) and reap size
+    (:attr:`reaps`), under int keys ``a << 32 | b``.
     """
 
     __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "lock", "seg",
-                 "bs", "busy", "max_len", "desc", "epoch", "found",
+                 "bs", "probe", "max_len", "desc", "epoch", "found",
                  "msg", "first", "nblk", "length", "seqno", "fcfs", "last",
-                 "payload", "reap", "head", "again", "claimed", "copies",
-                 "retired", "reaping", "failed", "reaps", "stages")
+                 "payload", "reap", "t_claim", "t_drain", "head", "again",
+                 "claimed", "copied", "copies", "retired", "reaping",
+                 "failed", "reaps", "stages")
 
     def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
         slot = lnvc_id & _SLOT_MASK
@@ -1258,23 +1188,32 @@ class RecvSection:
         #: The segment's bytes, as the kernels read them.
         self.seg = view.region._mv
         self.bs = view.cfg.block_size
-        self.busy = False
+        self.probe = probe = view.probe
         self.max_len = None
         #: The connection memo: ``None`` until resolved.
         self.desc = self.epoch = self.found = None
         self.msg = self.first = self.nblk = self.length = None
         self.seqno = self.fcfs = self.last = self.payload = self.reap = None
-        self.stages = conn, claim, drain, complete, free = tuple(
+        self.t_claim = self.t_drain = 0.0
+        self.stages = stages = tuple(
             RecvStage(self, kind) for kind in range(len(_RECV_STAGES)))
+        conn, claim, drain, complete, free = stages[:5]
         self.head = FusedSection(((S_CHARGE, view._recv_fixed.work),
                                   (S_ACQ, lock), (S_CALL, conn)))
         self.again = FusedSection(((S_CHARGE, view._recv_wakeup.work),
                                    (S_CALL, claim)))
-        self.claimed = ((S_REL, lock), (S_CALL, drain))
         retire = (S_CHARGE, view._recv_retire.work)
         self.failed = (retire,)
         self.retired = (retire, (S_REL, lock))
-        self.reaping = (retire, (S_ACQ, ALLOC_LOCK), (S_CALL, free))
+
+        def tap(kind: int) -> tuple:
+            """Stage ``kind``'s step: a probe's stage, so none without."""
+            return ((S_CALL, stages[kind]),) if probe is not None else ()
+
+        self.claimed = tap(5) + ((S_REL, lock), (S_CALL, drain))
+        self.copied = tap(6) + ((S_ACQ, lock), (S_CALL, complete))
+        self.reaping = (retire,) + tap(7) + (
+            (S_ACQ, ALLOC_LOCK), (S_CALL, free if probe is None else stages[8]))
         self.copies: dict = {}
         self.reaps: dict = {}
 
@@ -1282,31 +1221,30 @@ class RecvSection:
         """Drop every step tuple and memo: each holds stages, and the
         stages hold this section."""
         self.head = self.again = self.found = self.claimed = None
-        self.failed = self.retired = self.reaping = self.stages = None
-        self.epoch = self.payload = self.reap = None
+        self.copied = self.failed = self.retired = self.reaping = None
+        self.stages = self.epoch = self.payload = self.reap = None
         self.copies.clear()
         self.reaps.clear()
 
 
-def _shape_memo(memo: dict, key: int, build):
-    """``memo[key]``, built by ``build()`` on a miss (a full memo starts
-    over)."""
-    steps = memo.get(key)
-    if steps is None:
-        if len(memo) >= _SHAPES_MAX:
-            memo.clear()
-        steps = memo[key] = build()
+def _shape_memo(memo: dict, key: int, steps: tuple) -> tuple:
+    """Memoize ``steps`` under ``key`` (a full memo starts over)."""
+    if len(memo) >= _SHAPES_MAX:
+        memo.clear()
+    memo[key] = steps
     return steps
 
 
 def _recv_conn(sec: RecvSection):
     view = sec.view
+    in_use, gen, epoch = view._rd_ident(sec.base)
+    if in_use and gen == sec.gen and epoch == sec.epoch:
+        return (D_JUMP, None, sec.found)  # the memo holds
     try:
         desc, steps = view.recv_conn(sec.pid, sec.lnvc_id)
     except (UnknownLNVCError, NotConnectedError) as exc:
         return (D_BAIL, ((sec.lock,), exc))
-    sec.desc = desc
-    sec.epoch = view.region.u32(sec.base + _L_CONN_EPOCH)
+    sec.desc, sec.epoch = desc, epoch
     sec.found = ((S_CHARGE, charge(steps * view.costs.list_step,
                                    "recv-find").work),
                  (S_CALL, sec.stages[1]))
@@ -1325,6 +1263,12 @@ def _recv_claim(sec: RecvSection):
 
 
 def _recv_drain(sec: RecvSection):
+    # A chain is never written between link and reap, so a BROADCAST
+    # receiver whose view already drained this very message (the key
+    # names it: circuit and generation, sequence number, header, chain,
+    # length) takes that drain's ``(last, payload)``; the simulated copy
+    # is charged either way.  FCFS messages have one reader and skip the
+    # memo.
     view = sec.view
     msg, first, nblk, length = sec.msg, sec.first, sec.nblk, sec.length
     if sec.fcfs:
@@ -1343,12 +1287,14 @@ def _recv_drain(sec: RecvSection):
         if key is not None:
             view._drain_memo = (key, last, payload)
     sec.last, sec.payload = last, payload
-    c = view.costs
-    return (D_JUMP, payload, _shape_memo(
-        sec.copies, length << 32 | nblk, lambda: (
-            (S_CHARGE, charge(nblk * c.blk_drain + length * c.copy_byte,
-                              "recv-copy", length, nblk).work),
-            (S_ACQ, sec.lock), (S_CALL, sec.stages[3]))))
+    shape = length << 32 | nblk
+    steps = sec.copies.get(shape)
+    if steps is None:
+        c = view.costs
+        steps = _shape_memo(sec.copies, shape, ((
+            S_CHARGE, charge(nblk * c.blk_drain + length * c.copy_byte,
+                             "recv-copy", length, nblk).work),) + sec.copied)
+    return (D_JUMP, payload, steps)
 
 
 def _recv_complete(sec: RecvSection):
@@ -1368,19 +1314,44 @@ def _recv_free(sec: RecvSection):
     view = sec.view
     head, n, _, first, last, nblk, nbytes = sec.reap
     _chains.ACTIVE.free(view, head, n, first, last, nblk, nbytes)
-    c = view.costs
-    return (D_JUMP, sec.payload, _shape_memo(
-        sec.reaps, n << 32 | nblk, lambda: (
+    shape = n << 32 | nblk
+    steps = sec.reaps.get(shape)
+    if steps is None:
+        c = view.costs
+        steps = _shape_memo(sec.reaps, shape, (
             (S_REL, ALLOC_LOCK),
             (S_CHARGE, charge(n * c.msg_discard + nblk * c.blk_free,
                               "reap").work),
-            (S_REL, sec.lock))))
+            (S_REL, sec.lock)))
+    return (D_JUMP, sec.payload, steps)
+
+
+def _recv_stamp_claim(sec: RecvSection):
+    sec.t_claim = sec.probe.now()
+
+
+def _recv_stamp_drain(sec: RecvSection):
+    sec.t_drain = sec.probe.now()
+
+
+def _recv_depth(sec: RecvSection):
+    sec.probe.queue_depth(sec.lock - FIRST_LNVC_LOCK, sec.reap[2])
+
+
+def _recv_free_traced(sec: RecvSection):
+    head, n = sec.reap[:2]
+    sec.probe.msgs_freed(sec.lock - FIRST_LNVC_LOCK, sec.gen,
+                         _freed(sec.view, head, n))
+    return _recv_free(sec)
 
 
 #: The stage bodies of a :class:`RecvSection`, by :attr:`RecvStage.kind`:
-#: connection, claim, drain, completion, reap free.
+#: connection, claim, drain, completion, reap free; then the probe's
+#: (which the engine's C loop always hands to Python): claim stamp, drain
+#: stamp, queue depth, reap free with the freed messages.
 _RECV_STAGES = (_recv_conn, _recv_claim, _recv_drain, _recv_complete,
-                _recv_free)
+                _recv_free, _recv_stamp_claim, _recv_stamp_drain,
+                _recv_depth, _recv_free_traced)
 
 
 class RecvStage:
@@ -1392,12 +1363,13 @@ class RecvStage:
     the shape at hand, a BROADCAST message this view drained already —
     calling the kernels ``conn_holds``, ``sec_claim``, ``sec_complete``
     and ``sec_free`` (:attr:`repro.core.chains.Kernels.addresses`).
-    Called, it runs the stage's Python body: the reference, and what
-    runs on any miss or kernel refusal.  A drain that is not a memo hit
-    is always the body's, through the kernel set's ``drain``: a chain is
-    drained once per message and view, in one place.  An exception the
-    body does not answer bails as ``((), exception)``, so the generator
-    raises it holding the locks the classic receive would hold.
+    Called, it runs the stage's Python body: the reference, what runs on
+    any miss or kernel refusal, and what the real runtimes' drives run.
+    A drain that is not a memo hit is always the body's, through the
+    kernel set's ``drain``: a chain is drained once per message and
+    view, in one place.  An exception the body does not answer bails as
+    ``((), exception)``, so the generator raises it holding the locks
+    the receive holds at that step.
     """
 
     __slots__ = ("sec", "kind")
@@ -1584,31 +1556,29 @@ def poll_receive(
 
     Not a ninth primitive: the effect stream is exactly that of
     :func:`check_receive` on each circuit in turn, ``backoff``
-    (compute-only work) fused into the first check of every round.  On
-    the simulator the whole wait is one looping section
-    (:func:`_make_poll_section`) and the generator is resumed only when a
-    circuit has traffic or a check fails; the real runtimes (no
-    ``view.fuse``) and ring circuits take the loop below, which is the
-    reference the section is tested against.
+    (compute-only work) fused into the first check of every round.  Over
+    free-list circuits the whole wait is one looping section
+    (:func:`_make_poll_section`), on every runtime, and the generator is
+    resumed only when a circuit has traffic or a check fails; a set that
+    includes a ring circuit takes the per-check loop below.
     """
     ids = tuple(lnvc_ids)
     if not ids:
         raise ValueError("need at least one circuit to poll")
     for cid in ids:  # or a bad id is refused only once its turn comes
         view.slot_of(cid)
-    if view.fuse:
-        # One entry per (process, first slot) keeps the cache bounded by
-        # the table; polling another set from there rebuilds it.
-        key = (pid, ids[0] & _SLOT_MASK)
-        ent = view._fs_poll_cache.get(key)
-        if ent is None or ent[0] != (ids, backoff):
-            ent = view._fs_poll_cache[key] = (
-                (ids, backoff), _make_poll_section(view, pid, ids, backoff))
-        if ent[1] is not None:
-            res = yield ent[1][0]
-            if res.__class__ is not tuple:  # a bail is (lock, error)
-                return res
-            yield from _release_and_raise([res[0]], res[1])
+    # One entry per (process, first slot) keeps the cache bounded by the
+    # table; polling another set from there rebuilds it.
+    key = (pid, ids[0] & _SLOT_MASK)
+    ent = view._fs_poll_cache.get(key)
+    if ent is None or ent[0] != (ids, backoff):
+        ent = view._fs_poll_cache[key] = (
+            (ids, backoff), _make_poll_section(view, pid, ids, backoff))
+    if ent[1] is not None:
+        res = yield ent[1][0]
+        if res.__class__ is not tuple:  # a bail is (lock, error)
+            return res
+        yield from _release_and_raise([res[0]], res[1])
     pending: Work | None = backoff
     while True:
         for cid in ids:

@@ -13,10 +13,9 @@ header, so a mismatch is an error, not a garbled dump.  The dump takes
 no locks; on a busy segment the snapshot may be torn — see the
 consistency caveat in :mod:`repro.core.inspect`.  After the circuits it
 prints who holds what and who sleeps on what, read from the segment's
-sync tail: each taken lock word's holder (rank and pid; the Python
-sync's locks keep no owner), and each bound rank's pid, what it is
-blocked on and the locks it held when it last slept — the picture of a
-hang.
+sync tail: each taken lock word's holder (rank and pid), and each
+bound rank's pid, what it is blocked on and the locks it held when it
+last slept — the picture of a hang.
 
 With ``--replay TRACE`` the tool instead re-executes a decision trace
 recorded by ``python -m repro.check`` and dumps the segment the failing

@@ -115,3 +115,10 @@ class BlockingMPF:
     def check_receive(self, lnvc_id: int) -> int:
         """Count messages currently available to this process."""
         return self._drive(ops.check_receive(self.view, self.pid, lnvc_id))
+
+    def close(self) -> None:
+        """Done with this client: drop the sections cached on its view
+        (:meth:`MPFView.forget_sections`; the receives of other clients
+        running meanwhile hold theirs out of the cache).  A call after
+        this one builds them again."""
+        self.view.forget_sections()

@@ -238,7 +238,9 @@ class PosixSegment:
                            recorder=recorder)
 
     def close(self) -> None:
-        """Detach this process (the segment itself survives)."""
+        """Detach this process (the segment itself survives), its
+        clients' sections dropped first (they hold the region)."""
+        self.view.forget_sections()
         for lock in getattr(self.sync, "locks", ()):
             lock.close()
         self.view.region.release()

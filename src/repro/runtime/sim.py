@@ -66,7 +66,6 @@ class SimRuntime(Runtime):
         region = SharedRegion(bytearray(SegmentLayout(cfg).total_size))
         layout = format_region(region, cfg)
         view = MPFView(region, layout, costs)
-        view.fuse = True  # the engine drives it: poll waits run in-engine
 
         timing = BalanceTiming(self.machine, costs)
         timing.set_demand(region, layout.blk_stride)

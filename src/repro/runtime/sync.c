@@ -33,9 +33,13 @@
  * drive(gen, handle, process) is the Python drive's loop without a
  * recorder: it resumes the generator, dispatches on the exact effect
  * class, skips Charge / ChargeMany, and sends lock and channel effects
- * to the functions above.  The held list is the handle's own Python
- * list, which the Python drive keeps too; "released a lock it does not
- * own" is read off the owner in the word.
+ * to the functions above.  A FusedSection runs step by step: S_CHARGE /
+ * S_MANY are skipped, S_ACQ / S_REL run the code of Acquire / Release
+ * (an effect is a one-step section), an S_CALL's callable runs and the
+ * D_JUMP or D_BAIL it returns is applied as engine.c applies it, and
+ * any other opcode is refused.  The held list is the handle's own
+ * Python list, which the Python drive keeps too; "released a lock it
+ * does not own" is read off the owner in the word.
  *
  * With SYNC_NO_PYTHON defined, only the lock-word and wait-byte code is
  * compiled (no Python.h): tests/tsan/sync_harness.c includes this file
@@ -396,12 +400,16 @@ core_wake(core_t *c, uint32_t chan)
 
 /* -- the classes classes() hands over ------------------------------------ */
 
-enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_WAIT, T_WAKE, N_TYPES };
+enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_WAIT, T_WAKE, T_SECTION, N_TYPES };
 static PyTypeObject *TYPES[N_TYPES];
 /* Slot offsets of Acquire.lock_id, Release.lock_id, WaitOn.chan,
- * WaitOn.lock_id and Wake.chan. */
+ * WaitOn.lock_id, Wake.chan and FusedSection.steps. */
 enum { F_ACQ_LOCK, F_REL_LOCK, F_WAIT_CHAN, F_WAIT_LOCK, F_WAKE_CHAN,
-       N_FIELDS };
+       F_STEPS, N_FIELDS };
+/* Section step opcodes and the jump directive (core/effects.py); every
+ * other directive tag is a bail, as in engine.c. */
+enum { S_CHARGE = 0, S_MANY = 1, S_ACQ = 2, S_REL = 3, S_CALL = 5 };
+#define D_JUMP 4
 static Py_ssize_t OFF[N_FIELDS];
 static uint32_t FIRST_CHAN_LOCK;
 /* LockOwnerDiedError, raised by owner_died. */
@@ -734,6 +742,36 @@ owns(const core_t *c, PyObject *o, uint32_t *id)
     return v >= 0 && (unsigned long)v < c->nlocks && lock_owned(c, *id);
 }
 
+/* An S_ACQ or S_REL of lock ``o``, the code of an Acquire or a Release
+ * too (an effect is a one-step section); -1 with an exception set when
+ * the worker must fail. */
+static int
+lock_step(handle_t *h, long op, PyObject *o, PyObject *process)
+{
+    core_t *c = &h->c;
+    uint32_t id;
+    int rc;
+
+    if (op == S_ACQ) {
+        if (id_of(o, c->nlocks, "lock", &id) < 0)
+            return -1;
+        if (core_acquire(c, id) < 0)
+            return owner_died(c);
+        return PyList_Append(h->held, o);
+    }
+    if ((rc = owns(c, o, &id)) <= 0) {
+        if (rc == 0)
+            PyErr_Format(PyExc_RuntimeError,
+                         "process %R released lock %S it does not own",
+                         process, o);
+        return -1;
+    }
+    if (held_remove(h->held, id) < 0)
+        return -1;
+    lock_release(lock_word(c, id));
+    return 0;
+}
+
 /* One effect; -1 with an exception set when the worker must fail. */
 static int
 step(handle_t *h, PyObject *effect, PyObject *process)
@@ -744,28 +782,10 @@ step(handle_t *h, PyObject *effect, PyObject *process)
     PyObject *o;
     int rc;
 
-    if (tp == TYPES[T_ACQ]) {
-        o = field(effect, F_ACQ_LOCK);
-        if (id_of(o, c->nlocks, "lock", &id) < 0)
-            return -1;
-        if (core_acquire(c, id) < 0)
-            return owner_died(c);
-        return PyList_Append(h->held, o);
-    }
-    if (tp == TYPES[T_REL]) {
-        o = field(effect, F_REL_LOCK);
-        if ((rc = owns(c, o, &id)) <= 0) {
-            if (rc == 0)
-                PyErr_Format(PyExc_RuntimeError,
-                             "process %R released lock %S it does not own",
-                             process, o);
-            return -1;
-        }
-        if (held_remove(h->held, id) < 0)
-            return -1;
-        lock_release(lock_word(c, id));
-        return 0;
-    }
+    if (tp == TYPES[T_ACQ])
+        return lock_step(h, S_ACQ, field(effect, F_ACQ_LOCK), process);
+    if (tp == TYPES[T_REL])
+        return lock_step(h, S_REL, field(effect, F_REL_LOCK), process);
     if (tp == TYPES[T_WAIT]) {
         o = field(effect, F_WAIT_LOCK);
         if ((rc = owns(c, o, &id)) <= 0) {
@@ -796,10 +816,90 @@ step(handle_t *h, PyObject *effect, PyObject *process)
     return -1;
 }
 
+/* The section in flight: its steps (NULL when none), the next one's
+ * index and their count, and what the generator is sent next. */
+typedef struct {
+    PyObject *steps, *value;
+    Py_ssize_t idx, n;
+} flight_t;
+
+/* An opcode or a directive tag as a C long; -1 for anything else. */
+static long
+small_int(PyObject *o)
+{
+    long v = PyLong_Check(o) ? PyLong_AsLong(o) : -1;
+    if (v == -1)
+        PyErr_Clear();
+    return v;
+}
+
+/* Run ``steps`` from the first. */
+static int
+enter(flight_t *F, PyObject *steps)
+{
+    Py_ssize_t n = PySequence_Size(steps);
+    if (n < 0)
+        return -1;
+    Py_XSETREF(F->steps, Py_NewRef(steps));
+    F->idx = 0;
+    F->n = n;
+    return 0;
+}
+
+/* The next step of the section in flight: S_CHARGE and S_MANY are
+ * skipped, S_ACQ and S_REL run as an Acquire and a Release do, and of
+ * what an S_CALL returns None goes on, (D_JUMP, value, steps) replaces
+ * the steps left and any other tag, (D_BAIL, value), ends the section,
+ * as engine.c's apply_directive has it; any other opcode is refused.
+ * Steps and directives are tuples (a FusedSection's, a stage's). */
+static int
+section_step(handle_t *h, flight_t *F, PyObject *process)
+{
+    PyObject *step = PySequence_GetItem(F->steps, F->idx++), *op, *d;
+    long code;
+    int rc = -1;
+
+    if (step == NULL)
+        return -1;
+    if (!PyTuple_Check(step) || PyTuple_GET_SIZE(step) != 2) {
+        PyErr_Format(PyExc_TypeError, "section step %R is no "
+                     "(opcode, arg) pair", step);
+        goto done;
+    }
+    op = PyTuple_GET_ITEM(step, 0);
+    code = small_int(op);
+    if (code == S_CHARGE || code == S_MANY)
+        rc = 0;
+    else if (code == S_ACQ || code == S_REL)
+        rc = lock_step(h, code, PyTuple_GET_ITEM(step, 1), process);
+    else if (code != S_CALL)
+        PyErr_Format(PyExc_RuntimeError, "bad fused step opcode %R", op);
+    else if ((d = PyObject_CallNoArgs(PyTuple_GET_ITEM(step, 1))) != NULL) {
+        if (d == Py_None)
+            rc = 0;
+        else if (!PyTuple_Check(d) || PyTuple_GET_SIZE(d) < 2)
+            PyErr_Format(PyExc_TypeError, "bad directive %R", d);
+        else if (small_int(PyTuple_GET_ITEM(d, 0)) != D_JUMP) {
+            F->n = F->idx;  /* D_BAIL: the section ends here */
+            rc = 0;
+        }
+        else  /* a jump with no steps fails: None has no length */
+            rc = enter(F, PyTuple_GET_SIZE(d) > 2 ? PyTuple_GET_ITEM(d, 2)
+                                                  : Py_None);
+        if (rc == 0 && d != Py_None)
+            Py_SETREF(F->value, Py_NewRef(PyTuple_GET_ITEM(d, 1)));
+        Py_DECREF(d);
+    }
+done:
+    Py_DECREF(step);
+    return rc;
+}
+
 static PyObject *
 drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *gen, *process, *out;
+    PyObject *gen, *process, *out, *result = NULL;
+    flight_t F = {NULL, NULL, 0, 0};
     handle_t *h;
 
     if (nargs != 3 || !Py_IS_TYPE(args[1], &HandleType)) {
@@ -814,44 +914,52 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     gen = args[0];
     h = (handle_t *)args[1];
     process = args[2];
+    F.value = Py_NewRef(Py_None);
     for (;;) {
         PyTypeObject *tp;
         int rc;
-        switch (send(gen, Py_None, &out)) {
-        case PYGEN_RETURN:
-            return out;
-        case PYGEN_ERROR:
-            return NULL;
-        case PYGEN_NEXT:
-            break;
+        if (F.idx < F.n) {
+            if (section_step(h, &F, process) < 0)
+                break;
+            continue;
         }
+        rc = send(gen, F.value, &out);
+        if (rc == PYGEN_RETURN)
+            result = out;
+        if (rc != PYGEN_NEXT)
+            break;
+        Py_SETREF(F.value, Py_NewRef(Py_None));
         /* Effects are final classes: the exact class, most frequent
          * first, as the Python drive and Engine.run dispatch. */
         tp = Py_TYPE(out);
         rc = tp == TYPES[T_CHARGE] || tp == TYPES[T_MANY]
-                 ? 0 : step(h, out, process);
+                 ? 0 : tp == TYPES[T_SECTION] ? enter(&F, field(out, F_STEPS))
+                 : step(h, out, process);
         Py_DECREF(out);
         if (rc < 0)
-            return NULL;
+            break;
     }
+    Py_XDECREF(F.steps);
+    Py_DECREF(F.value);
+    return result;
 }
 
 /* classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
- * FIRST_LNVC_LOCK, LockOwnerDiedError): what drive dispatches on and
- * reads, and what a dead lock owner raises. */
+ * FusedSection, FIRST_LNVC_LOCK, LockOwnerDiedError): what drive
+ * dispatches on and reads, and what a dead lock owner raises. */
 static PyObject *
 classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct { int type; const char *name; } fields[N_FIELDS] = {
         {T_ACQ, "lock_id"}, {T_REL, "lock_id"}, {T_WAIT, "chan"},
-        {T_WAIT, "lock_id"}, {T_WAKE, "chan"},
+        {T_WAIT, "lock_id"}, {T_WAKE, "chan"}, {T_SECTION, "steps"},
     };
     int i;
     long first;
 
     if (nargs != N_TYPES + 2) {
         PyErr_SetString(PyExc_TypeError,
-                        "classes(6 classes, first lock, error class)");
+                        "classes(7 classes, first lock, error class)");
         return NULL;
     }
     for (i = 0; i < N_TYPES; i++)
@@ -891,7 +999,8 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"classes", (PyCFunction)(void (*)(void))classes, METH_FASTCALL,
      "classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake, "
-     "FIRST_LNVC_LOCK, LockOwnerDiedError): what drive() dispatches on."},
+     "FusedSection, FIRST_LNVC_LOCK, LockOwnerDiedError): what drive() "
+     "dispatches on."},
     {"drive", (PyCFunction)(void (*)(void))drive, METH_FASTCALL,
      "drive(gen, handle, process): the effect loop; returns the "
      "generator's return value."},

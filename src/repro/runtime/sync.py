@@ -53,6 +53,7 @@ from time import perf_counter_ns
 
 from ..core import chains
 from ..core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
+from ..core.effects import FusedSection
 from ..core.errors import LockOwnerDiedError
 from ..core.layout import MPFConfig
 from ..core.protocol import FIRST_LNVC_LOCK
@@ -132,7 +133,7 @@ def _load(where: Path = Path(__file__).parent):
                                  module="_sync")
     if lib is not None:
         lib.classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
-                    FIRST_LNVC_LOCK, LockOwnerDiedError)
+                    FusedSection, FIRST_LNVC_LOCK, LockOwnerDiedError)
     return lib
 
 
@@ -176,10 +177,15 @@ class ProcSync:
     budgets read at bind).  Otherwise the methods below run over
     ``ctx.Lock()`` — a ``multiprocessing`` context's, ``threading``'s or
     a named segment's lock files — and a ``ctx.Semaphore(0)`` per rank,
-    or with ``mem`` a :class:`_Token` in the rank's futex word; the lock
-    words go unused (``"python"``, budgets read at each call).  The
-    mapping lives while the sync or a handle does: a worker abandoned by a
-    join timeout may still touch it.
+    or with ``mem`` a :class:`_Token` in the rank's futex word
+    (``"python"``, budgets read at each call).  Either sync writes the
+    owner's rank + 1 into a lock's word while it holds the lock, and
+    clears it before the unlock: an acquirer that gets a lock whose word
+    still names another rank (a named segment whose holder died, and
+    whose lock file the kernel let go) raises
+    :class:`~repro.core.errors.LockOwnerDiedError`, as a C sleeper does.
+    The mapping lives while the sync or a handle does: a worker abandoned
+    by a join timeout may still touch it.
 
     Four mechanisms (ablation in docs/performance.md).  **L**, the
     adaptive lock: a try, a yield-spin try-loop for :data:`LOCK_SPIN_NS`,
@@ -258,20 +264,14 @@ class ProcSync:
         return {name: getattr(self, name) for name in COUNTERS}
 
     def owner(self, lock_id: int) -> int | None:
-        """The rank whose lock word holds lock ``lock_id``, or ``None``:
-        free, or the Python sync's, whose locks keep no owner."""
+        """The rank whose lock word holds lock ``lock_id``, or ``None``
+        when it is free."""
         word = _U32.unpack_from(self._mem, self._lock_off + lock_id * _LINE)[0]
         return (word & ~_WAITERS) - 1 if word else None
 
     def locked(self, lock_id: int) -> bool:
         """Whether some worker holds lock ``lock_id`` now."""
-        if self._c is not None:
-            return self.owner(lock_id) is not None
-        lock = self.locks[lock_id]
-        if lock.acquire(False):
-            lock.release()
-            return False
-        return True
+        return self.owner(lock_id) is not None
 
     # -- the deadlock dump ----------------------------------------------------
 
@@ -316,19 +316,29 @@ class ProcSync:
     def acquire(self, lock_id: int) -> bool:
         self.acquires += 1
         acquire = self.locks[lock_id].acquire
-        if acquire(False):
-            return False
-        for _ in _spins(LOCK_SPIN_NS):
-            if acquire(False):
-                self.acquired_by_spin += 1
-                return True
-        self.acquired_by_block += 1
-        self._publish(_ON_LOCK, lock_id)
-        acquire()
-        self._publish(_RUNNING)
-        return True
+        contended = not acquire(False)
+        if contended:
+            for _ in _spins(LOCK_SPIN_NS):
+                if acquire(False):
+                    self.acquired_by_spin += 1
+                    break
+            else:
+                self.acquired_by_block += 1
+                self._publish(_ON_LOCK, lock_id)
+                acquire()
+                self._publish(_RUNNING)
+        off = self._lock_off + lock_id * _LINE
+        word = _U32.unpack_from(self._mem, off)[0]
+        if word and word != self.rank + 1:
+            self.locks[lock_id].release()
+            raise LockOwnerDiedError(
+                f"lock {lock_id} is held by rank {word - 1}, whose process "
+                f"{self.pid(word - 1)} is gone")
+        _U32.pack_into(self._mem, off, self.rank + 1)
+        return contended
 
     def release(self, lock_id: int) -> None:
+        _U32.pack_into(self._mem, self._lock_off + lock_id * _LINE, 0)
         self.locks[lock_id].release()
 
     def wait(self, chan: int, lock_id: int) -> None:
@@ -340,7 +350,7 @@ class ProcSync:
         mem = self._mem
         mine = chan * self._nprocs + self.rank
         mem[mine] = _SPINNING  # under the circuit lock, like every write
-        self.locks[lock_id].release()
+        self.release(lock_id)
         for _ in _spins(WAIT_SPIN_NS):
             if mem[mine] == _IDLE:
                 break
@@ -349,7 +359,7 @@ class ProcSync:
             self.woke_spinning += 1
             return
         mem[mine] = _PARKED
-        self.locks[lock_id].release()
+        self.release(lock_id)
         self.parked += 1
         self._publish(_ON_CHAN, chan)
         self._sems[self.rank].acquire()
@@ -373,5 +383,5 @@ class ProcSync:
                 if state == _PARKED:
                     self._sems[rank].release()
                     self.wakes_posted += 1
-        self.locks[lock_id].release()
+        self.release(lock_id)
         return woken

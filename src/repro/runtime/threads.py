@@ -26,6 +26,7 @@ from typing import Generator, Sequence
 
 from ..core.costmodel import Costs, DEFAULT_COSTS
 from ..core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
+from ..core.effects import unfold
 from ..core.errors import DeadlockSuspectedError
 from ..core.layout import MPFConfig, SegmentLayout, format_region
 from ..core.ops import MPFView
@@ -75,7 +76,10 @@ def drive(
     :class:`~repro.runtime.sync.ProcSync` handle (the Python one or
     ``sync.c``'s): one code path per effect, whatever hosts the locks;
     ``sync.held`` tracks the locks
-    the worker holds, which the sync publishes when it blocks.
+    the worker holds, which the sync publishes when it blocks.  A
+    :class:`~repro.core.effects.FusedSection` runs step by step, each
+    step by the code of the effect it stands for
+    (:func:`~repro.core.effects.unfold`).
 
     With a :class:`repro.obs.Recorder` attached, the trampoline measures
     each blocking primitive on the recorder's clock
@@ -91,6 +95,7 @@ def drive(
     """
     if recorder is None and sync.__class__ is _C_HANDLE:
         return _c_drive(gen, sync, process)
+    gen = unfold(gen)
     if recorder is not None:
         clock = recorder.now
         held_since: dict[int, float] = {}
@@ -253,6 +258,8 @@ class ThreadRuntime(Runtime):
                          for rank, th in enumerate(threads)
                          if th.is_alive()}
                 break
+        if not stuck:  # a worker still running may hold its sections
+            view.forget_sections()
         if self.recorder is not None:
             for name in names:  # finished workers, deterministic order
                 rec = children.get(name)

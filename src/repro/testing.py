@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .core.costmodel import DEFAULT_COSTS, Costs
 from .core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
+from .core.effects import unfold
 from .core.layout import MPFConfig, SegmentLayout, format_region
 from .core.ops import MPFView
 from .core.region import SharedRegion
@@ -35,7 +36,10 @@ class DirectRunner:
 
     Interprets lock effects as bookkeeping (asserting they balance),
     accumulates charged :class:`~repro.core.work.Work`, records wakes,
-    and raises :class:`BlockedError` on ``WaitOn``.
+    and raises :class:`BlockedError` on ``WaitOn``.  A
+    :class:`~repro.core.effects.FusedSection` runs step by step, each
+    step checked as the effect it stands for
+    (:func:`~repro.core.effects.unfold`).
     """
 
     def __init__(self, view: MPFView) -> None:
@@ -53,6 +57,7 @@ class DirectRunner:
         Raises :class:`BlockedError` if the op waits on a channel, and
         ``AssertionError`` if the op violates the locking discipline.
         """
+        gen = unfold(gen)
         try:
             value = None
             while True:

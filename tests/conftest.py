@@ -43,23 +43,6 @@ def poll_loop(monkeypatch):
 
 
 @pytest.fixture
-def recv_loop(monkeypatch):
-    """``with recv_loop():`` runs every free-list receive as the classic
-    generator of :func:`repro.core.ops.message_receive`, even on an
-    engine-driven view: no receive section is handed out, which is the
-    route the real runtimes take.  The section-vs-classic identity tests
-    compare against it."""
-
-    @contextlib.contextmanager
-    def loop():
-        with monkeypatch.context() as patch:
-            patch.setattr(ops, "_recv_section", lambda *args: None)
-            yield
-
-    return loop
-
-
-@pytest.fixture
 def python_chains(monkeypatch):
     """Every block-chain walk and lock section of the message path on
     the Python reference kernels (:data:`repro.core.chains.PYTHON`),

@@ -45,6 +45,7 @@ from repro.core.structs import (
     RS_FCFS_TAKEN,
     RS_RETIRED,
 )
+from repro.machine import engine
 from repro.patterns import barrier
 from repro.runtime.posix import PosixSegment
 from repro.testing import DirectRunner, make_view
@@ -137,8 +138,7 @@ def test_the_c_ring_addresses_are_the_layouts(slots, slot_bytes, lnvcs):
 @needs_c
 @needs_c
 @pytest.mark.parametrize("program", ["fcfs_throughput", "broadcast_throughput"])
-def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, recv_loop,
-                                                  program):
+def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, program):
     """A receive that finds its queue empty sleeps on the C claim's own
     answer: the reference claim (``chains._claim_next``) runs only on a
     refusal, which no formatted segment gives — 0 calls, on runs whose
@@ -160,7 +160,9 @@ def test_the_c_claim_answers_an_empty_queue_itself(monkeypatch, recv_loop,
     monkeypatch.setattr(chains, "_claim_next", counted_reference)
     monkeypatch.setattr(chains.C, "claim", claim)
     monkeypatch.setattr(chains, "ACTIVE", chains.C)
-    with recv_loop():  # the classic receive calls the kernel's wrapper
+    with monkeypatch.context() as patch:
+        # The Python loop runs the claim stage's body: the kernel's wrapper.
+        patch.setattr(engine, "C_RUN", None)
         getattr(workloads, program)(4, 64, messages=60)
     assert sum(empty) > 0
     assert len(reference) == 0

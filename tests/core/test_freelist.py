@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.core import ops
+from repro.core.effects import unfold
 from repro.core.errors import RegionFormatError
 from repro.core.freelist import (
     _pool_image,
@@ -270,7 +271,7 @@ def test_reap_of_another_receivers_message_checks_its_chain():
         runner.run(ops.open_receive(view, pid, "c", FCFS))
     runner.run(ops.message_send(view, 0, sid, b"a" * 25))
     runner.run(ops.message_send(view, 0, sid, b"b" * 25))
-    slow = ops.message_receive(view, 1, sid)
+    slow = unfold(ops.message_receive(view, 1, sid))  # step by step
 
     def until_copy():
         effect = next(slow)

@@ -46,7 +46,22 @@ ring (85 + 56 and 56 + 33 at d5caed8, counted before the first edit):
 no ``gen.send``, sync method or held-list call is left in Python, and
 the kernel wrappers read ``region.cbuf`` and the view's ``lnvc_base``
 instead of calling for them (four Python calls fewer per pair on either
-kernel set).
+kernel set).  The free-list receive as one section on every runtime
+took the C set's free list to 48 + 18 (63 + 16 at 1d093b6, counted
+before the first edit): its generator is resumed twice per receive,
+not twelve times, against five stage calls, and its connection stage
+checks its memo with one record read; the two C calls more are the
+``dict.pop`` that takes the section out of its cache while it runs (so
+two threads of one view never share one) and the copy and reap tails'
+``dict.get`` in their shape memos, where the connection check's lookup
+went.  The Python set's counts rose, the free list's to 135 + 287 and
+the ring's to 86 + 65 (119 + 243 and 73 + 46 at 1d093b6): the Python
+``drive`` runs sections through ``effects.unfold`` — one generator
+resume more per effect, an effect built per section step, the stage
+calls of the receive in Python — and the Python sync now writes the
+owner into a lock's word while it holds it (a ``struct`` read and
+write per acquire, a write per release), which is how a dead owner of
+a named segment's lock is caught.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table, the
@@ -239,13 +254,14 @@ PARENT = {
 }
 
 #: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
-#: the C kernels, per pair 63 Python + 16 C calls and 4 accessor calls on
+#: the C kernels, per pair 48 Python + 18 C calls and 4 accessor calls on
 #: the free list (238 + 340 and 99 at the parent), 44 + 12 and 3 on the
 #: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
 #: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
-#: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8 (see the module
-#: docstring).  On the Python kernels, 119 + 243 and 38 on the free list
-#: (123 + 243 at fb1699e), and 73 + 46 and 35 on the
+#: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8, 63 + 16 at 1d093b6
+#: (see the module docstring).  On the Python kernels, 135 + 287 and 38
+#: on the free list (123 + 243 at fb1699e, 119 + 243 at 1d093b6), and
+#: 86 + 65 (73 + 46 at 1d093b6) and 35 on the
 #: ring, where fb1699e's generators made 70 + 43 and 33: the generator
 #: now calls one reference per section (fill, commit, take and its
 #: cursor take, completion: five entries more, the retirement check was
@@ -254,15 +270,15 @@ PARENT = {
 #: completion the circuit's ring word the take read.
 PINNED = {
     "c": {
-        "freelist": {"py": 3780, "c": 960, "work_inits": 0,
+        "freelist": {"py": 2880, "c": 1080, "work_inits": 0,
                      "words16": 240, "bulk16": 0},
         "ring": {"py": 2640, "c": 720, "work_inits": 0,
                  "words16": 180, "bulk16": 60},
     },
     "python": {
-        "freelist": {"py": 7140, "c": 14580, "work_inits": 0,
+        "freelist": {"py": 8100, "c": 17220, "work_inits": 0,
                      "words16": 2280, "bulk16": 120},
-        "ring": {"py": 4380, "c": 2760, "work_inits": 0,
+        "ring": {"py": 5160, "c": 3900, "work_inits": 0,
                  "words16": 2100, "bulk16": 120},
     },
 }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ops
-from repro.core.effects import Acquire, Release
+from repro.core.effects import Acquire, Release, unfold
 from repro.core.errors import NotConnectedError, UnknownLNVCError
 from repro.core.inspect import check_invariants, inspect_segment
 from repro.core.protocol import ALLOC_LOCK, FCFS, NIL
@@ -132,7 +132,7 @@ class TestIdsOutsideTheTable:
         if how == "recycled":
             r.run(ops.open_send(v, 0, "c"))
         lock = v.lnvc_lock(decode_lnvc_id(stale)[0])
-        gen, seen = _HOT_OPS[op](v, 0, stale), []
+        gen, seen = unfold(_HOT_OPS[op](v, 0, stale)), []
         with pytest.raises(UnknownLNVCError, match=match):
             while True:
                 seen.append(gen.send(None))

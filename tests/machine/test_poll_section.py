@@ -8,8 +8,8 @@ module pins it:
 
 * a 3-poller + 1-sender program gives the same clock, event count,
   per-lock acquire/contended counts, span stream and per-label charge
-  counts as the per-check loop (a view built with ``view.fuse`` off,
-  as on the real runtimes) under {plain, ``until``-sliced, controlled
+  counts as the per-check loop (``check_receive`` on each circuit in
+  turn, written out in :class:`_LoopEnv`) under {plain, ``until``-sliced, controlled
   seeded walk, ``Recorder``, unobserved} — and the values
   the parent commit's three interpreters produced (recorded there,
   pinned here: the engine has one loop now, so there is no second path
@@ -55,19 +55,32 @@ from repro.runtime.sim import SimRuntime
 from repro.testing import make_view
 
 
-def _engine(fuse, nprocs, timing=None, **kw):
-    """An engine over a fresh segment, as SimRuntime would build it
-    (``fuse=False``: the per-check loop the real runtimes run)."""
+def _engine(nprocs, timing=None, **kw):
+    """An engine over a fresh segment, as SimRuntime would build it."""
     view = make_view(max_processes=max(2, nprocs))
-    view.fuse = fuse
     eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
                  timing or BalanceTiming(BALANCE_21000, DEFAULT_COSTS), **kw)
     return eng, view
 
 
-def _spawn(eng, view, workers):
+class _LoopEnv(Env):
+    """``poll_receive`` as the per-check loop: the section's reference."""
+
+    def poll_receive(self, lnvc_ids, backoff):
+        pending = backoff  # fused into the first check of every round
+        while True:
+            for cid in lnvc_ids:
+                if (yield from self.check_receive(cid, pending)):
+                    return cid
+                pending = None
+            pending = backoff
+
+
+def _spawn(eng, view, workers, fuse=True):
+    """``workers`` on ``view``; ``fuse=False`` polls by :class:`_LoopEnv`."""
     for rank, worker in enumerate(workers):
-        env = Env(view, rank, len(workers), lambda: eng.now)
+        env = (Env if fuse else _LoopEnv)(view, rank, len(workers),
+                                          lambda: eng.now)
         eng.spawn(f"p{rank}", worker(env))
 
 
@@ -122,9 +135,9 @@ def _run_matrix_cell(mode, fuse):
     if mode == "controlled":
         policy = ControlledPolicy(RandomPolicy(seed=11))
         timing = ZeroTimingModel()  # every pending event is a choice
-    eng, view = _engine(fuse, len(_WORKERS), timing=timing,
-                        recorder=recorder, scheduler=policy)
-    _spawn(eng, view, _WORKERS)
+    eng, view = _engine(len(_WORKERS), timing=timing, recorder=recorder,
+                        scheduler=policy)
+    _spawn(eng, view, _WORKERS, fuse)
     if mode == "sliced":
         t = 0.0
         while any(p.state not in ("done", "failed") for p in eng.processes):
@@ -295,9 +308,9 @@ def test_lone_pollers_hit_the_event_budget(pollers, fuse, traced):
         box = yield from env.open_receive(f"box{env.rank}", FCFS)
         yield from select_receive(env, (box,))
 
-    eng, view = _engine(fuse, pollers, max_events=50_000,
+    eng, view = _engine(pollers, max_events=50_000,
                         recorder=_watcher(traced))
-    _spawn(eng, view, [poller] * pollers)
+    _spawn(eng, view, [poller] * pollers, fuse)
     with pytest.raises(SimulationError, match="exceeded 50000 events"):
         eng.run()
     assert eng.stats.events == 50_001
@@ -448,7 +461,7 @@ def test_unknown_opcode_still_refused():
 
 def test_drop_wake_passes_poll_sections_untouched():
     """No section can wake anybody: the injector forwards the very object."""
-    eng, view = _engine(True, 1)
+    eng, view = _engine(1)
     seen = []
 
     def opener():

@@ -1,105 +1,315 @@
-"""The free-list receive as one section, against the classic generator.
+"""The free-list receive: one section on every runtime.
 
-On an engine-driven view ``message_receive`` over the free list is one
-:class:`~repro.core.ops.RecvSection` (``ops._recv_section`` hands it
-out); the ``recv_loop`` fixture takes it away, so every receive runs the
-classic generator the real runtimes run.  The two must be the same run:
-the clock to the last bit, every engine counter, the ``MachineReport``,
-the header, a plain recorder's snapshot and every byte of the segment,
-on Figure 4's and Figure 5's programs over both transports (a ring
-receive is classic either way) and on a serving point.  The C loop runs
-the section's stages with the kernels, the Python loop their bodies
-(``tests/properties/test_engine_properties.py`` holds the two against
-each other on generated programs); these run whichever loop the host
-has.
+``message_receive`` over the free list is one
+:class:`~repro.core.ops.RecvSection` whatever drives it — the
+simulator's two loops, the real runtimes' two drives.  Its effect
+stream is pinned here as golden lists: a test-local unfolding runs the
+section's steps one by one (every acquire granted) and names each step
+by class and label or lock id, for an FCFS receive, a BROADCAST receive
+that takes its drain from the view's memo, a reap of two messages, a
+sleep and its wake, an overflow and a stale id; with a probe attached the
+stream is the same, and the probe's stamps fall where the stream puts
+them.  Then the edge cases on both engine loops (a deleted circuit's old
+id, a record reading not in use, a completion the kernel refuses — the C
+loop runs the stages with the kernels, the Python loop their bodies),
+two receives as one pid, and that no section outlives a run or a closed
+client.  ``tests/properties/test_engine_properties.py`` holds the two
+engine loops to each other on generated programs, and
+``tests/properties/test_sync_properties.py`` the two drives.
 """
 
 import contextlib
 import gc
-import pickle
 
 import pytest
 
-from repro import BROADCAST, FCFS
-from repro.bench.workloads import broadcast_throughput, fcfs_throughput
-from repro.core import ops
+from repro import BROADCAST, FCFS, ThreadRuntime
+from repro.bench.workloads import broadcast_throughput
+from repro.core import chains, ops
+from repro.core.effects import (
+    D_JUMP,
+    S_ACQ,
+    S_CALL,
+    S_CHARGE,
+    S_REL,
+    FusedSection,
+)
 from repro.core.errors import UnknownLNVCError
-from repro.core.protocol import NIL
+from repro.core.layout import HDR, MPFConfig
+from repro.core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, NIL
 from repro.core.structs import LNVC, MSG
+from repro.machine import engine
 from repro.machine.engine import Engine
-from repro.obs import Recorder
+from repro.patterns import select_receive
+from repro.runtime.blocking import MPFSystem
 from repro.runtime.sim import SimRuntime
-from repro.serve.sweep import run_point
-from repro.serve.topology import ServeShape
-from repro.testing import make_view
+from repro.testing import DirectRunner, make_view
+
+# -- golden effect streams ----------------------------------------------------
+
+_STEP_NAMES = {S_CHARGE: "Charge", S_ACQ: "Acquire", S_REL: "Release"}
 
 
-def _observe(monkeypatch, program, loop):
-    """What ``program(recorder)`` returns, and per simulated run the
-    clock, the engine's counters and the segment's bytes, with every
-    receive inside ``loop``; the recorder's snapshot, pickled."""
-    runs = []
-    real = SimRuntime.run
-
-    def run(self, *args, **kwargs):
+def _unfolded(gen):
+    """``gen`` run alone, each effect and each step of a section as
+    ``(class, label or lock id)``; returns ``gen``'s result."""
+    value = None
+    while True:
         try:
-            return real(self, *args, **kwargs)
-        finally:
-            eng = self.last_engine
-            runs.append((float.hex(eng.now), eng.stats.as_dict(),
-                         bytes(self.last_view.region._mv)))
-
-    rec = Recorder()
-    with monkeypatch.context() as patch:
-        patch.setattr(SimRuntime, "run", run)
-        with loop:
-            got = program(rec)
-    return got, runs, pickle.dumps(rec.snapshot())
-
-
-def _measured(m):
-    return (float.hex(m.throughput), m.run.header, m.run.report.as_dict(),
-            repr(m.run.results))
-
-
-def _fig4(transport):
-    return lambda rec: [_measured(fcfs_throughput(
-        n, length, messages=40, recorder=rec, transport=transport))
-        for n in (1, 4) for length in (16, 1024)]
-
-
-def _fig5(transport):
-    return lambda rec: [_measured(broadcast_throughput(
-        n, length, messages=40, recorder=rec, transport=transport))
-        for n in (1, 4, 16) for length in (16, 1024)]
+            effect = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = None
+        if effect.__class__ is not FusedSection:
+            kind = effect.__class__.__name__
+            yield kind, (effect.work.label if kind == "Charge"
+                         else effect.lock_id)
+            continue
+        steps, idx = effect.steps, 0
+        while idx < len(steps):
+            op, arg = steps[idx]
+            idx += 1
+            if op == S_CALL:
+                d = arg()
+                if d is not None:
+                    value = d[1]
+                    if d[0] != D_JUMP:  # a bail ends the section
+                        break
+                    steps, idx = d[2], 0
+            else:
+                yield _STEP_NAMES[op], arg.label if op == S_CHARGE else arg
 
 
-def _serve(rec):
-    point, _ = run_point(ServeShape(), 300.0, 200, seed=1987,
-                         runtime="sim", recorder=rec)
-    return point
+class _Probe:
+    """A probe whose clock reads how much of ``stream`` has run; it logs
+    each call it gets as ``(name, clock, args)``."""
+
+    def __init__(self, stream):
+        self.stream, self.log = stream, []
+
+    def now(self):
+        return len(self.stream)
+
+    def __getattr__(self, name):
+        return lambda *args: self.log.append((name, len(self.stream), args))
 
 
-@pytest.mark.parametrize("transport", ["freelist", "ring"])
-@pytest.mark.parametrize("fig", ["fig4", "fig5"])
-def test_a_figure_is_the_same_run_with_sections_and_classic_receives(
-        monkeypatch, recv_loop, fig, transport):
-    program = (_fig4 if fig == "fig4" else _fig5)(transport)
-    fused = _observe(monkeypatch, program, contextlib.nullcontext())
-    assert fused == _observe(monkeypatch, program, recv_loop())
+def _stream(view, gen, probed=False, after=None):
+    """What ``_unfolded(gen)`` yields, and the result or the error; with
+    ``probed`` a :class:`_Probe` on the view meanwhile, and its log.
+    ``after(stream)`` runs after each step, with no probe on the view."""
+    stream = []
+    probe = _Probe(stream) if probed else None
+    view.probe = probe
+    steps = _unfolded(gen)
+    try:
+        while True:
+            stream.append(next(steps))
+            if after is not None:
+                view.probe = None
+                after(stream)
+                view.probe = probe
+    except StopIteration as stop:
+        out = stop.value
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        out = (type(exc).__name__, str(exc))
+    view.probe = None
+    return stream, out, probe and probe.log
 
 
-def test_a_serving_point_is_the_same_run_with_sections_and_classic_receives(
-        monkeypatch, recv_loop):
-    fused = _observe(monkeypatch, _serve, contextlib.nullcontext())
-    assert fused == _observe(monkeypatch, _serve, recv_loop())
+def _circuit(*protocols, messages=()):
+    """A circuit ``c`` (slot 0) that pid 0 sends on, one receiver per
+    protocol (pids 1, 2, ...), ``messages`` queued; a runner for setup."""
+    view = make_view()
+    run = DirectRunner(view).run
+    sid = run(ops.open_send(view, 0, "c"))
+    for pid, proto in enumerate(protocols, 1):
+        run(ops.open_receive(view, pid, "c", proto))
+    for data in messages:
+        run(ops.message_send(view, 0, sid, data))
+    return view, run, sid
 
 
-def test_a_receive_on_a_deleted_circuits_id_is_refused(recv_loop):
+L = FIRST_LNVC_LOCK  # the circuit's lock
+A = ALLOC_LOCK
+
+
+def _fcfs(probed):
+    view, _, sid = _circuit(FCFS, messages=[b"one"])
+    return _stream(view, ops.message_receive(view, 1, sid), probed=probed)
+
+
+def _broadcast_memo_hit(probed, monkeypatch):
+    view, run, sid = _circuit(BROADCAST, BROADCAST, BROADCAST,
+                              messages=[b"all"])
+    assert run(ops.message_receive(view, 1, sid)) == b"all"
+    drains = []
+    real = chains.ACTIVE.drain
+    monkeypatch.setattr(chains.ACTIVE, "drain",
+                        lambda *args: drains.append(args) or real(*args))
+    got = _stream(view, ops.message_receive(view, 2, sid), probed=probed)
+    assert drains == []  # the view's drain memo named this message
+    return got
+
+
+def _reap(probed):
+    """Two FCFS receivers: pid 1 claims and drains "a"; pid 2 takes "b"
+    meanwhile and finds "a" unretired at the head, so reaps nothing;
+    pid 1's completion reaps both."""
+    view, _, sid = _circuit(FCFS, FCFS, messages=[b"a", b"b"])
+
+    def fast(stream):
+        if stream == [("Charge", "recv-fixed"), ("Acquire", L),
+                      ("Charge", "recv-find"), ("Release", L),
+                      ("Charge", "recv-copy")]:
+            assert _stream(view, ops.message_receive(view, 2, sid)) == (
+                [("Charge", "recv-fixed"), ("Acquire", L),
+                 ("Charge", "recv-find"), ("Release", L),
+                 ("Charge", "recv-copy"), ("Acquire", L),
+                 ("Charge", "recv-retire"), ("Release", L)], b"b", None)
+
+    got = _stream(view, ops.message_receive(view, 1, sid), probed, fast)
+    assert HDR.get(view.region, "live_msgs") == 0
+    return got
+
+
+def _sleep_and_wake(probed):
+    view, run, sid = _circuit(FCFS)
+
+    def wake(stream):
+        if stream[-1][0] == "WaitOn":
+            run(ops.message_send(view, 0, sid, b"late"))
+
+    return _stream(view, ops.message_receive(view, 1, sid), probed, wake)
+
+
+def _overflow(probed):
+    view, _, sid = _circuit(FCFS, messages=[b"x" * 100])
+    return _stream(view, ops.message_receive(view, 1, sid, 10),
+                   probed=probed)
+
+
+def _stale_id(probed):
+    view, run, old = _circuit()
+    run(ops.close_send(view, 0, old))
+    run(ops.open_send(view, 0, "c"))  # slot 0 again, a new generation
+    return _stream(view, ops.message_receive(view, 0, old), probed=probed)
+
+
+GOLDEN = {
+    "fcfs": (_fcfs, [
+        ("Charge", "recv-fixed"), ("Acquire", L), ("Charge", "recv-find"),
+        ("Release", L), ("Charge", "recv-copy"), ("Acquire", L),
+        ("Charge", "recv-retire"), ("Acquire", A), ("Release", A),
+        ("Charge", "reap"), ("Release", L)], b"one"),
+    "broadcast-memo-hit": (_broadcast_memo_hit, [
+        ("Charge", "recv-fixed"), ("Acquire", L), ("Charge", "recv-find"),
+        ("Release", L), ("Charge", "recv-copy"), ("Acquire", L),
+        ("Charge", "recv-retire"), ("Release", L)], b"all"),
+    "reap": (_reap, [
+        ("Charge", "recv-fixed"), ("Acquire", L), ("Charge", "recv-find"),
+        ("Release", L), ("Charge", "recv-copy"), ("Acquire", L),
+        ("Charge", "recv-retire"), ("Acquire", A), ("Release", A),
+        ("Charge", "reap"), ("Release", L)], b"a"),
+    "sleep-and-wake": (_sleep_and_wake, [
+        ("Charge", "recv-fixed"), ("Acquire", L), ("Charge", "recv-find"),
+        ("WaitOn", L), ("Charge", "recv-wakeup"), ("Release", L),
+        ("Charge", "recv-copy"), ("Acquire", L), ("Charge", "recv-retire"),
+        ("Acquire", A), ("Release", A), ("Charge", "reap"),
+        ("Release", L)], b"late"),
+    "overflow": (_overflow, [
+        ("Charge", "recv-fixed"), ("Acquire", L), ("Charge", "recv-find"),
+        ("Release", L)],
+        ("BufferOverflowError", "next message is 100 bytes, buffer holds 10")),
+    "stale-id": (_stale_id, [
+        ("Charge", "recv-fixed"), ("Acquire", L), ("Release", L)],
+        ("UnknownLNVCError", "lnvc id 0: stale generation")),
+}
+
+
+def _case(name, probed, monkeypatch):
+    make = GOLDEN[name][0]
+    if make is _broadcast_memo_hit:
+        return make(probed, monkeypatch)
+    return make(probed)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_a_receive_is_its_golden_effect_stream(name, monkeypatch):
+    _, stream, out = GOLDEN[name]
+    assert _case(name, False, monkeypatch) == (stream, out, None)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_a_probe_stamps_the_receive_where_its_stream_puts_the_instants(
+        name, monkeypatch):
+    """With a probe attached the section carries the probe's stages and
+    yields the same stream.  The probe's clock reads the steps run so
+    far: the entry stamp is 0, the claim's falls after ``recv-find``
+    (3, or 5 past a sleep), the drain's after ``recv-copy``; on a reap
+    the queue depth is read after ``recv-retire`` and the freed messages
+    under the allocator lock; the receive is reported after the last
+    release."""
+    _, stream, out = GOLDEN[name]
+    got, got_out, log = _case(name, True, monkeypatch)
+    assert (got, got_out) == (stream, out)
+    if isinstance(out, tuple):  # an error: nothing is reported
+        assert log == []
+        return
+    done = len(stream)
+    reaped = ([("queue_depth", done - 4), ("msgs_freed", done - 3)]
+              if ("Charge", "reap") in stream else [])
+    assert [(call, at) for call, at, _ in log] == (
+        reaped + [("msg_received", done)])
+    claim = 5 if name == "sleep-and-wake" else 3  # past recv-wakeup
+    assert log[-1][2][-3:] == (0, claim, claim + 2)
+
+
+# -- the edge cases, on both engine loops --------------------------------------
+
+
+def _loops():
+    """The engine loops this host has (``tests/machine/test_one_loop.py``)."""
+    if engine.C_RUN is not None and chains.C is not None:
+        return ("c", "python")
+    return ("python",)
+
+
+@contextlib.contextmanager
+def _on(loop):
+    with pytest.MonkeyPatch.context() as patch:
+        if loop == "c":
+            patch.setattr(chains, "ACTIVE", chains.C)
+        else:
+            patch.setattr(engine, "C_RUN", None)
+        yield
+
+
+def _both(workers):
+    """``workers`` on each engine loop: the results or the error, the
+    clock, the segment — the same on both."""
+    def run():
+        rt = SimRuntime()
+        try:
+            out = rt.run(workers).results
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            out = (type(exc).__name__, str(exc))
+        return (out, float.hex(rt.last_engine.now),
+                bytes(rt.last_view.region._mv))
+
+    seen = []
+    for loop in _loops():
+        with _on(loop):
+            seen.append(run())
+    assert all(got == seen[0] for got in seen)
+    return seen[0]
+
+
+def test_a_receive_on_a_deleted_circuits_id_is_refused():
     """The section's connection memo is checked against the circuit's
     generation: once the circuit is deleted and its slot reopened, the
-    old id is refused with the classic receive's error, although the new
-    circuit's connection epoch reads what the memo holds."""
+    old id is refused, although the new circuit's connection epoch reads
+    what the memo holds."""
     def worker(env):
         old = yield from env.open_receive("c", FCFS)
         sid = yield from env.open_send("c")
@@ -115,98 +325,14 @@ def test_a_receive_on_a_deleted_circuits_id_is_refused(recv_loop):
         except UnknownLNVCError as exc:
             return str(exc)
 
-    fused = SimRuntime().run([worker]).results["p0"]
-    with recv_loop():
-        assert SimRuntime().run([worker]).results["p0"] == fused
-    assert fused.endswith("stale generation")
+    out, _, _ = _both([worker])
+    assert out["p0"].endswith("stale generation")
 
 
-def _one_pid_twice():
-    """Two processes receiving as pid 1 on one BROADCAST connection (so
-    taking turns at its head), and a sender of two messages: what each
-    got, the clock, and whether a receive section was left busy; the
-    first receive's first yield, and the second's while it runs."""
-    view = make_view()
-    view.fuse = True
-    eng = Engine(view.cfg.n_locks, view.cfg.n_channels)
-
-    def setup():
-        yield from ops.open_receive(view, 1, "c", BROADCAST)
-        return (yield from ops.open_send(view, 0, "c"))
-
-    def receiver():
-        return (yield from ops.message_receive(view, 1, cid))
-
-    def sender():
-        for data in (b"a", b"b"):
-            yield from ops.message_send(view, 0, cid, data)
-
-    eng.spawn("setup", setup())
-    eng.run()
-    cid = eng.processes[0].result
-    first, second = receiver(), receiver()
-    yields = (next(first).__class__.__name__, next(second).__class__.__name__)
-    first.close()
-    second.close()
-    for name, gen in (("r1", receiver()), ("r2", receiver()),
-                      ("s", sender())):
-        eng.spawn(name, gen)
-    eng.run()
-    got = (eng.results(), float.hex(eng.now),
-           any(sec.busy for sec in view._fs_recv_cache.values()))
-    return yields, got
-
-
-def test_a_second_receive_of_one_pid_takes_the_classic_generator(recv_loop):
-    """Nothing stops a program from receiving as one pid in two processes:
-    the section is the first receive's until it returns, and the second
-    runs the classic generator meanwhile — the same run as with classic
-    receives only."""
-    yields, got = _one_pid_twice()
-    assert yields == ("FusedSection", "Charge")
-    with recv_loop():
-        assert _one_pid_twice() == (("Charge", "Charge"), got)
-    results, _, busy = got
-    assert (results["r1"], results["r2"], busy) == (b"a", b"b", False)
-
-
-def test_a_run_leaves_no_receive_section_behind():
-    """``SimRuntime.run`` unlinks its receive sections with its poll
-    sections (``MPFView.forget_sections``): they are freed with the run,
-    not kept, with the segment they hold, until a full collection."""
-    gc.collect()
-    gc.disable()
-    try:
-        broadcast_throughput(4, 64, messages=10)
-        left = [o for o in gc.get_objects()
-                if type(o) in (ops.RecvSection, ops.RecvStage)]
-    finally:
-        gc.enable()
-    assert left == []
-
-
-def _both(recv_loop, workers):
-    """``workers`` run with receive sections and with classic receives:
-    the results or the error, the clock, the segment; the sections' run."""
-    def run():
-        rt = SimRuntime()
-        try:
-            out = rt.run(workers).results
-        except Exception as exc:  # noqa: BLE001 - compared, not handled
-            out = (type(exc).__name__, str(exc))
-        return (out, float.hex(rt.last_engine.now),
-                bytes(rt.last_view.region._mv))
-
-    fused = run()
-    with recv_loop():
-        assert run() == fused
-    return fused
-
-
-def test_a_record_that_reads_not_in_use_is_refused(recv_loop):
+def test_a_record_that_reads_not_in_use_is_refused():
     """A circuit record whose in-use word was cleared under a receiver's
     connection memo (generation and epoch as memoized) refuses the next
-    receive with the classic receive's error."""
+    receive."""
     def worker(env):
         rid = yield from env.open_receive("c", FCFS)
         sid = yield from env.open_send("c")
@@ -218,15 +344,14 @@ def test_a_record_that_reads_not_in_use_is_refused(recv_loop):
         LNVC.set(view.region, base, "in_use", 0)
         yield from env.message_receive(rid)
 
-    out, _, _ = _both(recv_loop, [worker])
+    out, _, _ = _both([worker])
     assert out[0] == "UnknownLNVCError" and out[1].endswith("circuit deleted")
 
 
-def test_a_completion_the_kernel_refuses_is_the_references(recv_loop):
+def test_a_completion_the_kernel_refuses_is_the_references():
     """The FIFO head leaves the segment while a receiver copies a long
     message out: its completion kernel refuses the record, and the
-    reference raises what reading it raises, as the classic receive
-    does."""
+    reference raises what reading it raises."""
     def receiver(env):
         rid = yield from env.open_receive("c", FCFS)
         return (yield from env.message_receive(rid))
@@ -247,5 +372,109 @@ def test_a_completion_the_kernel_refuses_is_the_references(recv_loop):
                 break
         LNVC.set(r, base, "fifo_head", r.size + 100)
 
-    out, _, _ = _both(recv_loop, [receiver, sender, corrupter])
+    out, _, _ = _both([receiver, sender, corrupter])
     assert out[0] == "error"
+
+
+def _one_pid_twice():
+    """Two processes receiving as pid 1 on one BROADCAST connection (so
+    taking turns at its head), and a sender of two messages: what each
+    got, the clock and the sections cached after; the first yield of two
+    receives of pid 1 started one after the other."""
+    view = make_view()
+    eng = Engine(view.cfg.n_locks, view.cfg.n_channels)
+
+    def setup():
+        yield from ops.open_receive(view, 1, "c", BROADCAST)
+        return (yield from ops.open_send(view, 0, "c"))
+
+    def receiver():
+        return (yield from ops.message_receive(view, 1, cid))
+
+    def sender():
+        for data in (b"a", b"b"):
+            yield from ops.message_send(view, 0, cid, data)
+
+    eng.spawn("setup", setup())
+    eng.run()
+    cid = eng.processes[0].result
+    first, second = receiver(), receiver()
+    yields = (next(first), next(second))
+    assert yields[0] is not yields[1]  # the second built its own section
+    first.close()
+    second.close()
+    for name, gen in (("r1", receiver()), ("r2", receiver()),
+                      ("s", sender())):
+        eng.spawn(name, gen)
+    eng.run()
+    return ([y.__class__.__name__ for y in yields], eng.results(),
+            list(view._fs_recv_cache))
+
+
+def test_a_second_receive_of_one_pid_builds_its_own_section():
+    """Nothing stops a program from receiving as one pid in two processes:
+    the section is the first receive's until it returns, and the second
+    builds one of its own meanwhile; one stays cached."""
+    yields, results, cached = _one_pid_twice()
+    assert yields == ["FusedSection", "FusedSection"]
+    assert (results["r1"], results["r2"]) == (b"a", b"b")
+    assert cached == [(1, 0)]
+
+
+def _sections_left(run):
+    """The receive sections, their stages and poll walks that ``run()``
+    left alive, with the collector off from before it."""
+    kinds = (ops.RecvSection, ops.RecvStage, ops.PollWalk)
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(o) for o in gc.get_objects() if type(o) in kinds}
+        run()
+        return [o for o in gc.get_objects()
+                if type(o) in kinds and id(o) not in before]
+    finally:
+        gc.enable()
+
+
+def test_a_run_leaves_no_receive_section_behind():
+    """``SimRuntime.run`` unlinks its receive sections with its poll
+    sections (``MPFView.forget_sections``): they are freed with the run,
+    not kept, with the segment they hold, until a full collection."""
+    assert _sections_left(
+        lambda: broadcast_throughput(4, 64, messages=10)) == []
+
+
+def test_a_thread_run_or_a_closed_client_leaves_no_section_behind():
+    """So do ``ThreadRuntime.run`` after the join and a closed
+    ``BlockingMPF``: a poll wait and free-list receives ran sections."""
+    def poller(env):
+        box = yield from env.open_receive("box", FCFS)
+        yield from env.open_send("ack")
+        got = []
+        for _ in range(2):
+            got.append((yield from select_receive(env, (box,)))[1])
+        return got
+
+    def sender(env):
+        ack = yield from env.open_receive("ack", FCFS)
+        box = yield from env.open_send("box")
+        for data in (b"one", b"two"):
+            yield from env.message_send(box, data)
+        yield from env.close_receive(ack)
+
+    def threads():
+        rt = ThreadRuntime(join_timeout=60)
+        assert rt.run([poller, sender]).results["p0"] == [b"one", b"two"]
+
+    def client():
+        system = MPFSystem(MPFConfig(max_lnvcs=4, max_processes=2))
+        mpf = system.client(0)
+        cid = mpf.open_send("c")
+        rid = mpf.open_receive("c", FCFS)
+        mpf.message_send(cid, b"x")
+        assert mpf.message_receive(rid) == b"x"
+        assert system.view._fs_recv_cache
+        mpf.close()
+
+    assert _sections_left(threads) == []
+    assert _sections_left(client) == []

@@ -8,9 +8,9 @@ the other primitives are classic generators on every runtime.  All of
 it is gated on byte-identity with classic stepping; this module pins the
 load-bearing guarantees:
 
-* send and check yield only classic effects with ``view.fuse`` set, on
-  both transports, and so does a ring receive; a free-list receive and a
-  poll are each one section built from the surviving step vocabulary;
+* send and check yield only classic effects on both transports, and so
+  does a ring receive; a free-list receive and a poll are each one
+  section built from the surviving step vocabulary;
 * reduced fig4 + fig6 sweeps are byte-identical with poll sections and
   with every poll run through the per-check loop;
 * a causal tracer sees the identical event stream and sojourn
@@ -93,11 +93,9 @@ def _run_section(section, held):
 
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
 def test_the_free_list_receive_alone_is_a_section(transport):
-    """With ``view.fuse`` set, send and check yield classic effects on
-    both transports, and so does a ring receive; a free-list receive is
-    one section."""
+    """Send and check yield classic effects on both transports, and so
+    does a ring receive; a free-list receive is one section."""
     view = make_view(transport=transport)
-    view.fuse = True
     seen = []
     _drive(ops.open_send(view, 0, "c"), [])
     cid = _drive(ops.open_receive(view, 0, "c", BROADCAST), [])
@@ -124,7 +122,6 @@ def test_the_free_list_receive_alone_is_a_section(transport):
 
 def test_a_poll_is_one_section_of_the_surviving_step_vocabulary():
     view = make_view()
-    view.fuse = True
     _drive(ops.open_send(view, 0, "c"), [])
     cid = _drive(ops.open_receive(view, 0, "c", FCFS), [])
     poll = ops.poll_receive(view, 0, (cid,), Work(instrs=9, label="app-compute"))

@@ -584,11 +584,8 @@ def _recv_workers(prog):
             + [churner])
 
 
-def _recv_run(prog, recorded, loop, kernels, classic=False):
-    """``prog`` on ``SimRuntime`` as :func:`_poll_run` runs a poll program;
-    ``classic``: every receive the classic generator, not a section."""
-    from repro.core import ops
-
+def _recv_run(prog, recorded, loop, kernels):
+    """``prog`` on ``SimRuntime`` as :func:`_poll_run` runs a poll program."""
     cfg = MPFConfig(max_lnvcs=4, max_processes=8, block_size=10,
                     max_messages=64, message_pool_bytes=1 << 14)
     machine = replace(TWO_CPUS, cache_bytes=prog["cache_bytes"],
@@ -599,8 +596,6 @@ def _recv_run(prog, recorded, loop, kernels, classic=False):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "C_RUN", loop)
         patch.setattr(chains, "ACTIVE", kernels)
-        if classic:
-            patch.setattr(ops, "_recv_section", lambda *args: None)
         try:
             res = rt.run(_recv_workers(prog), cfg)
             out = (float.hex(res.elapsed), repr(res.results), res.header,
@@ -657,8 +652,5 @@ def _rprog(receivers, sends, churn=(), corrupt=None, cache_bytes=64):
 @given(prog=recv_programs(), recorded=st.booleans())
 def test_c_receive_sections_match_the_python_reference(c_engine, c_kernels,
                                                        prog, recorded):
-    seen = _recv_run(prog, recorded, c_engine, c_kernels)
-    assert seen == _recv_run(prog, recorded, None, chains.PYTHON)
-    # ... and both are the classic receive's run.
-    assert seen == _recv_run(prog, recorded, None, chains.PYTHON,
-                             classic=True)
+    assert (_recv_run(prog, recorded, c_engine, c_kernels)
+            == _recv_run(prog, recorded, None, chains.PYTHON))

@@ -2,11 +2,13 @@
 
 ``runtime/sync.c`` (a ``ProcSync`` handle and ``drive``) is held to the
 Python ``ProcSync`` methods and the Python ``drive`` on generated effect
-programs: the same return value or error, counters, held list, lock
-states and mapping bytes, with and without a recorder (which runs the
-Python ``drive`` over the C handle's four methods).  Then two threads
-pass a token over one channel through each, and the counter identities
-hold.  ``make asan`` runs the ``test_c_*`` tests here against an
+programs — sections among them, whose calls jump, bail (perhaps with a
+lock held) or raise, and whose steps may carry an opcode no interpreter
+knows: the same return value or error, counters, held list, lock states
+and mapping bytes (lock words included: both syncs write the owner's),
+with and without a recorder (which runs the Python ``drive`` over the C
+handle's four methods).  Then two threads pass a token over one channel
+through each, and the counter identities hold.  ``make asan`` runs the ``test_c_*`` tests here against an
 AddressSanitizer build (the ``c_sync`` fixture).
 """
 
@@ -16,7 +18,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.effects import Acquire, Charge, ChargeMany, Release, WaitOn, Wake
+from repro.core.effects import (
+    D_BAIL,
+    D_JUMP,
+    S_ACQ,
+    S_CALL,
+    S_CHARGE,
+    S_MANY,
+    S_REL,
+    Acquire,
+    Charge,
+    ChargeMany,
+    FusedSection,
+    Release,
+    WaitOn,
+    Wake,
+)
 from repro.core.layout import MPFConfig
 from repro.core.protocol import FIRST_LNVC_LOCK
 from repro.core.work import Work
@@ -42,14 +59,76 @@ OPS = st.one_of(
 )
 
 
+STEPS = st.one_of(
+    st.tuples(st.just("charge")),
+    st.tuples(st.just("many")),
+    st.tuples(st.just("acq"), st.integers(0, N_LOCKS - 1)),
+    st.tuples(st.just("rel"), st.integers(0, N_LOCKS - 1)),
+    st.tuples(st.just("op"), st.sampled_from([4, 6, -1, "x"])),
+)
+
+#: A section: steps, a call and the steps after it.  The call goes on
+#: (``None``), jumps to a tail with a value, bails with a value or raises.
+SECTIONS = st.tuples(
+    st.just("section"), st.lists(STEPS, max_size=3),
+    st.one_of(st.tuples(st.just("none")),
+              st.tuples(st.just("jump"), st.integers(0, 9),
+                        st.lists(STEPS, max_size=3)),
+              st.tuples(st.just("bail"), st.integers(0, 9)),
+              st.tuples(st.just("boom"))),
+    st.lists(STEPS, max_size=3))
+
+
+def step(spec, held: set) -> tuple:
+    """The section step ``spec`` names, for a worker holding ``held``
+    when it runs (an acquire of a held lock is a charge instead)."""
+    kind = spec[0]
+    if kind == "charge":
+        return (S_CHARGE, WORK)
+    if kind == "many":
+        return (S_MANY, (WORK, WORK))
+    if kind == "acq" and spec[1] not in held:
+        held.add(spec[1])
+        return (S_ACQ, spec[1])
+    if kind == "rel":
+        held.discard(spec[1])
+        return (S_REL, spec[1])
+    return (spec[1], None) if kind == "op" else (S_CHARGE, WORK)
+
+
+def section(spec, held: set) -> FusedSection:
+    """The section ``spec`` names; ``held`` follows the steps that run."""
+    _, pre, call, after = spec
+    steps = [step(s, held) for s in pre]
+    kind = call[0]
+    if kind == "jump":
+        d = (D_JUMP, call[1], tuple(step(s, held) for s in call[2]))
+    elif kind == "bail":
+        d = (D_BAIL, call[1])
+    else:
+        d = None
+    if kind == "boom":
+        def fn():
+            raise KeyError("stage")
+    else:
+        def fn():
+            return d
+    runs = held if kind == "none" else set(held)
+    return FusedSection(tuple(steps) + ((S_CALL, fn),)
+                        + tuple(step(s, runs) for s in after))
+
+
 def program(ops):
     """The effects ``ops`` name, skipping what would block a lone worker
     for good: an ``Acquire`` of a lock it holds, a ``WaitOn`` it could
-    only be woken from."""
+    only be woken from; returns what each section sent it."""
     held = set()
+    sent = []
     for op in ops:
         kind = op[0]
-        if kind == "charge":
+        if kind == "section":
+            sent.append((yield section(op, held)))
+        elif kind == "charge":
             yield Charge(WORK)
         elif kind == "many":
             yield ChargeMany((WORK, WORK))
@@ -68,7 +147,7 @@ def program(ops):
             yield "junk"
         elif kind == "raise":
             raise KeyError("inner")
-    return len(ops)
+    return len(ops), sent
 
 
 def make(c) -> ProcSync:
@@ -103,8 +182,8 @@ def observe(c, ops, recorded: bool) -> dict:
         "counters": handle.counters(),
         "held": list(handle.held),
         "locked": [shared.locked(i) for i in range(N_LOCKS)],
-        # wait bytes and status rows (the lock and futex words are C's)
-        "mem": bytes(shared._mem[:shared._lock_off]),
+        # wait bytes, status rows, lock words, futex words
+        "mem": bytes(shared._mem),
         "summary": rec.summary() if rec else None,
     }
 
@@ -120,6 +199,35 @@ def observe(c, ops, recorded: bool) -> dict:
          recorded=False)
 @example(ops=[("acq", 1), ("many",), ("raise",)], recorded=True)
 def test_c_drive_matches_the_python_reference(c_sync, ops, recorded):
+    assert observe(c_sync, ops, recorded) == observe(None, ops, recorded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.one_of(OPS, SECTIONS), max_size=12),
+       recorded=st.booleans())
+# A bail ends the section with its value: read as a jump, it has no tail.
+@example(ops=[("section", [("charge",)], ("bail", 7), [("many",)])],
+         recorded=False)
+# A bail with a lock held, which the generator releases later.
+@example(ops=[("section", [("acq", 2)], ("bail", 3), [("rel", 2)]),
+              ("rel", 2)], recorded=False)
+# A release step, of the lock the section took.
+@example(ops=[("section", [("acq", 3), ("rel", 3)], ("none",), [])],
+         recorded=False)
+# A jump's value is what the generator is sent; its tail runs.
+@example(ops=[("section", [], ("jump", 5, [("acq", 1), ("rel", 1)]),
+               [("acq", 0)])], recorded=False)
+# Opcode 4 is no step: refused, whatever runs after it.
+@example(ops=[("section", [("charge",), ("op", 4)], ("none",), [])],
+         recorded=False)
+# A call that raises: the run fails with its error, the lock still held
+# (with a recorder, both sides run the Python drive).
+@example(ops=[("section", [("acq", 1)], ("boom",), [("rel", 1)])],
+         recorded=False)
+@example(ops=[("section", [("acq", 1)], ("boom",), [("rel", 1)])],
+         recorded=True)
+def test_c_drive_runs_sections_as_the_python_reference(c_sync, ops,
+                                                       recorded):
     assert observe(c_sync, ops, recorded) == observe(None, ops, recorded)
 
 
