@@ -85,11 +85,12 @@ as its memo reaches — the messages queued for the memoized descriptor
 while the circuit's ``conn_epoch`` and generation are the memo's, else a
 refusal — and ``conn_holds``, whether a receive section's connection
 memo (:class:`repro.core.ops.RecvSection`) still holds by the same
-rule.  The engine's C loop is bound to their addresses and to those of
-``sec_claim``, ``sec_complete`` and ``sec_free`` (:attr:`Kernels.
-addresses`, ``repro/machine/engine.c``): it runs a poll walk and a
-free-list receive's stages itself, and the Python bodies of those are
-their references.
+rule.  The C section runner (``sections.c`` beside this module, which
+the engine's loop and ``runtime/sync.c``'s drive both include) is bound
+to their addresses and to those of ``sec_claim``, ``sec_complete``,
+``sec_free`` and ``chain_drain`` (:attr:`Kernels.addresses`): it runs
+a poll walk and a free-list receive's stages itself, and the Python
+bodies of those are their references.
 
 The C source is ``chains.c``.  A kernel that refuses its input writes
 nothing and hands the same arguments to the Python reference
@@ -160,6 +161,9 @@ CFLAGS = ("-O2",)
 
 _HERE = Path(__file__).parent
 _SOURCE = _HERE / "chains.c"
+#: The section runner the engine's and the sync's extensions include: its
+#: bytes go into both libraries' hashes.
+SECTIONS = _HERE / "sections.c"
 _CDEF = """
 uint64_t chain_pop(char *, uint64_t, uint64_t, uint64_t);
 int64_t chain_last(char *, uint64_t, uint64_t, uint64_t);
@@ -231,17 +235,19 @@ _RS_LENGTH = RSLOT.offsets["length"]
 _RS_STATE = RSLOT.offsets["state"]
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
-#: The C functions the engine's C loop calls itself, in the order its
-#: ``bind`` takes their addresses (:attr:`Kernels.addresses`).
+#: The C functions the C section runner calls itself, in the order the
+#: engine's ``bind`` and the sync's ``classes`` take their addresses
+#: (:attr:`Kernels.addresses`).
 ENGINE_KERNELS = ("poll_walk", "conn_holds", "sec_claim", "sec_complete",
-                  "sec_free")
+                  "sec_free", "chain_drain")
 
 
 class Kernels:
     """One implementation of the four chain kernels, the five free-list
     section kernels and the five ring kernels (see the module
-    docstring), and ``addresses``: those of the C functions the engine's
-    C loop calls (:data:`ENGINE_KERNELS`), ``None`` in the Python set."""
+    docstring), and ``addresses``: those of the C functions the C
+    section runner calls (:data:`ENGINE_KERNELS`), ``None`` in the
+    Python set."""
 
     __slots__ = ("name", "pop", "fill", "drain", "last",
                  "alloc", "link", "claim", "complete", "free",
@@ -820,10 +826,12 @@ PYTHON = Kernels("python", _py_pop, _py_fill, _py_drain, _py_last,
 # ---------------------------------------------------------------------------
 
 
-def _compile(name: str, emit, target: Path, flags: tuple[str, ...]) -> None:
+def _compile(name: str, emit, target: Path, flags: tuple[str, ...],
+             include: Path | None = None) -> None:
     """gcc the C file ``emit(path)`` writes into the extension at
-    ``target`` (what only a cold cache pays for, imports included);
-    ``OSError`` when it cannot be done."""
+    ``target``, searching ``include`` for what it includes (what only a
+    cold cache pays for, imports included); ``OSError`` when it cannot be
+    done."""
     import subprocess
     import sysconfig
     import tempfile
@@ -835,6 +843,7 @@ def _compile(name: str, emit, target: Path, flags: tuple[str, ...]) -> None:
         try:
             subprocess.run(
                 [CC, *flags, "-shared", "-fPIC",
+                 *(("-I" + str(include),) if include is not None else ()),
                  "-I" + sysconfig.get_paths()["include"],
                  "-o", str(so_file), str(c_file)],
                 check=True, capture_output=True, timeout=120)
@@ -845,23 +854,26 @@ def _compile(name: str, emit, target: Path, flags: tuple[str, ...]) -> None:
 
 def build_extension(where: Path, stem: str, source: bytes,
                     flags: tuple[str, ...], salt: tuple[bytes, ...] = (),
-                    emit=None, module: str | None = None):
+                    emit=None, module: str | None = None,
+                    include: Path | None = None):
     """Build (or find) the extension ``<stem>_<hash>`` in ``where`` and
     import it; ``None`` when that cannot be done here.
 
     The hash is the CRC-32 of ``source``, ``salt`` (whatever else goes
-    into the C file) and ``flags``; the file suffix names the
-    interpreter.  ``emit(path)`` writes the C file to compile (``source``
-    itself by default), and ``module`` is the name the library's init
-    function carries when it is not the file's stem — a plain C-API
-    extension's ``PyInit_<module>`` is fixed in its source."""
+    into the C file: the bytes of a file it includes) and ``flags``; the
+    file suffix names the interpreter.  ``emit(path)`` writes the C file
+    to compile (``source`` itself by default), ``include`` is the
+    directory its includes are resolved from (the source's own, since
+    the build compiles a copy elsewhere), and ``module`` is the name the
+    library's init function carries when it is not the file's stem — a
+    plain C-API extension's ``PyInit_<module>`` is fixed in its source."""
     key = zlib.crc32(b"\0".join((source, *salt, " ".join(flags).encode())))
     name = f"{stem}_{key:08x}"
     target = where / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
     try:
         if not target.exists():
             _compile(name, emit or (lambda path: path.write_bytes(source)),
-                     target, flags)
+                     target, flags, include)
         spec = importlib.util.spec_from_file_location(module or name, target)
         lib = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(lib)

@@ -1162,8 +1162,8 @@ class RecvSection:
 
     The stage bodies are :data:`_RECV_STAGES`; what one hands the next
     (the claimed message, its drain, the reap, the probe's stamps) lives
-    in the slots below, with the memos that let the engine's C loop run
-    a stage itself (``repro/machine/engine.c``): the connection
+    in the slots below, with the memos that let the C section runner run
+    a stage itself (``repro/core/sections.c``): the connection
     (:attr:`desc`, :attr:`found` under :attr:`gen` and :attr:`epoch`,
     checked against the LNVC record as :class:`PollWalk` checks its
     memo) and the tails by message shape (:attr:`copies`) and reap size
@@ -1347,7 +1347,7 @@ def _recv_free_traced(sec: RecvSection):
 
 #: The stage bodies of a :class:`RecvSection`, by :attr:`RecvStage.kind`:
 #: connection, claim, drain, completion, reap free; then the probe's
-#: (which the engine's C loop always hands to Python): claim stamp, drain
+#: (which the C section runner always hands to Python): claim stamp, drain
 #: stamp, queue depth, reap free with the freed messages.
 _RECV_STAGES = (_recv_conn, _recv_claim, _recv_drain, _recv_complete,
                 _recv_free, _recv_stamp_claim, _recv_stamp_drain,
@@ -1358,18 +1358,21 @@ class RecvStage:
     """One ``S_CALL`` of a :class:`RecvSection`: stage :attr:`kind` of
     :data:`_RECV_STAGES` over :attr:`sec`.
 
-    The engine's C loop runs the stage itself while the section's memo
-    for it holds — the connection memo, a copy or reap tail memoized for
-    the shape at hand, a BROADCAST message this view drained already —
-    calling the kernels ``conn_holds``, ``sec_claim``, ``sec_complete``
-    and ``sec_free`` (:attr:`repro.core.chains.Kernels.addresses`).
-    Called, it runs the stage's Python body: the reference, what runs on
-    any miss or kernel refusal, and what the real runtimes' drives run.
-    A drain that is not a memo hit is always the body's, through the
-    kernel set's ``drain``: a chain is drained once per message and
-    view, in one place.  An exception the body does not answer bails as
-    ``((), exception)``, so the generator raises it holding the locks
-    the receive holds at that step.
+    The C section runner (``repro/core/sections.c``, in the engine's
+    loop and in ``sync.c``'s drive) runs the stage itself while the
+    section's memo for it holds — the connection memo, a copy or reap
+    tail memoized for the shape at hand, and for a BROADCAST drain a
+    message this view drained already — calling the kernels
+    ``conn_holds``, ``sec_claim``, ``chain_drain`` (an FCFS message,
+    into a ``bytes`` it builds), ``sec_complete`` and ``sec_free``
+    (:attr:`repro.core.chains.Kernels.addresses`).  Called, it runs the
+    stage's Python body: the reference, and what runs on any miss or
+    kernel refusal and under the Python drive.  A BROADCAST drain that
+    is not a memo hit is always the body's, through the kernel set's
+    ``drain``: a chain is drained once per message and view, in one
+    place.  An exception the body does not answer bails as ``((),
+    exception)``, so the generator raises it holding the locks the
+    receive holds at that step.
     """
 
     __slots__ = ("sec", "kind")
@@ -1453,12 +1456,13 @@ class PollWalk:
     with traffic is memoized by its message count (:attr:`tails`) under
     the same epoch.
 
-    The engine's C loop does not call it while the memo holds: it hands
-    the memo to the kernel ``poll_walk`` (one of
+    The C section runner does not call it while the memo holds: it
+    hands the memo to the kernel ``poll_walk`` (one of
     :attr:`repro.core.chains.Kernels.addresses`), which counts the queue
-    in C, and takes :attr:`empty` or
-    ``tails[count]`` itself (``repro/machine/engine.c``).  This method
-    is the reference, and what runs on any refusal.
+    in C, and takes :attr:`empty` or ``tails[count]`` itself
+    (``repro/core/sections.c``, on the engine and under ``sync.c``'s
+    drive).  This method is the reference, and what runs on any
+    refusal.
     """
 
     __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "seg", "rel",

@@ -9,22 +9,17 @@
  * (and at or before the run's bound), then parks it behind a fresh seq.
  * A yielded Charge / ChargeMany / Acquire / Release and the section
  * steps S_CHARGE / S_MANY / S_ACQ / S_REL are executed here, and so are
- * the lock and channel handlers (grant-next, WaitOn, Wake).  So are a
- * poll walk whose memo holds (an S_CALL of a core/ops.py PollWalk: the
- * kernel chains.c exports counts the queue, and the memoized jump is
- * taken), the stages of a free-list receive section whose memos hold
- * (an S_CALL of a core/ops.py RecvStage: the connection check, claim,
- * completion and free kernels chains.c exports, a BROADCAST drain taken
- * from the view's drain memo, and the memoized tails), and, under
+ * the lock and channel handlers (grant-next, WaitOn, Wake) and, under
  * BalanceTiming's closed form, the pricing of copy, block and page
- * work, copy_started / copy_finished and wake_cost.  What stays Python
- * is called from here with the arguments the reference passes: the
- * generator's send, other S_CALL closures and a walk or receive stage
- * whose memo misses or whose kernel refuses (the stage's Python body,
- * run before the C stage writes anything), TimingModel.price and the
- * model methods for a timing model without the closed form or work it
- * does not cover, the Recorder hooks, the scheduler's attach / choose,
- * and the engine's _over_budget / _raise_if_stalled.
+ * work, copy_started / copy_finished and wake_cost.  An S_CALL is the
+ * section runner's (core/sections.c, shared with runtime/sync.c): a
+ * poll walk or a receive stage whose memo holds runs there.  What stays
+ * Python is called from here with the arguments the reference passes:
+ * the generator's send, the S_CALLs the runner hands back,
+ * TimingModel.price and the model methods for a timing model without
+ * the closed form or work it does not cover, the Recorder hooks, the
+ * scheduler's attach / choose, and the engine's _over_budget /
+ * _raise_if_stalled.
  *
  * The state is the engine's own: the queue list, engine.now (written
  * before each resume, closure call, handler and scheduler call, as the
@@ -50,148 +45,39 @@
 #include <math.h>
 #include <string.h>
 
-#ifndef Py_T_OBJECT_EX
-#define Py_T_OBJECT_EX T_OBJECT_EX
-#endif
+/* -- the classes and strings bind() hands over ---------------------------
+ *
+ * The engine's own classes and slots follow the section runner's
+ * (core/sections.c: the effects, the poll walk and the receive section). */
 
-/* -- the classes and strings bind() hands over --------------------------- */
+#define HOST_TYPES(X) X(T_WORK) X(T_PROC) X(T_LOCK) X(T_CHAN) X(T_BUS) \
+    X(T_CACHE) X(T_VM)
+#define HOST_FIELDS(X) X(W_INSTRS, T_WORK, "instrs")                        \
+    X(W_COPY, T_WORK, "copy_bytes") X(W_BLOCKS, T_WORK, "blocks")           \
+    X(W_FLOPS, T_WORK, "flops") X(W_PAGES, T_WORK, "page_bytes")            \
+    X(W_LABEL, T_WORK, "label") X(C_WORK, T_CHARGE, "work")                 \
+    X(M_WORKS, T_MANY, "works") X(L_OWNER, T_LOCK, "owner")                 \
+    X(L_WAITERS, T_LOCK, "waiters") X(L_AT, T_LOCK, "acquired_at")          \
+    X(CH_SLEEPERS, T_CHAN, "sleepers") X(P_NAME, T_PROC, "name")            \
+    X(P_GEN, T_PROC, "gen") X(P_STATE, T_PROC, "state")                     \
+    X(P_INBOX, T_PROC, "_inbox") X(P_RESULT, T_PROC, "result")              \
+    X(P_ERROR, T_PROC, "error") X(P_WAIT_LOCK, T_PROC, "_wait_lock")        \
+    X(P_IMPLICIT, T_PROC, "_implicit_reacquire")                            \
+    X(P_WAITED, T_PROC, "lock_wait_time")                                   \
+    X(P_SINCE, T_PROC, "_blocked_since") X(P_COPYING, T_PROC, "_copying")   \
+    X(P_FUSED, T_PROC, "_fused") X(BU_ALPHA, T_BUS, "alpha")                \
+    X(BU_ACTIVE, T_BUS, "active") X(BU_PEAK, T_BUS, "peak")                 \
+    X(BU_TOTAL, T_BUS, "total_copies") X(CA_BYTES, T_CACHE, "cache_bytes")  \
+    X(CA_MISS, T_CACHE, "miss_seconds") X(CA_STALL, T_CACHE, "stall_time")  \
+    X(CA_STALLED, T_CACHE, "stalled_blocks")                                \
+    X(VM_RESIDENT, T_VM, "resident_bytes") X(VM_PAGE, T_VM, "page_bytes")   \
+    X(VM_FAULT_S, T_VM, "fault_seconds") X(VM_FAULTS, T_VM, "faults")       \
+    X(VM_FAULT_TIME, T_VM, "fault_time") X(VM_CARRY, T_VM, "_carry")
 
-enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_SECTION, T_WAIT, T_WAKE, T_WORK,
-       T_PROC, T_LOCK, T_CHAN, T_WALK, T_BUS, T_CACHE, T_VM, T_STAGE, T_RSEC,
-       T_VIEW, N_TYPES };
-static PyTypeObject *TYPES[N_TYPES];
+#include "../core/sections.c"
+
 static PyObject *SIM_ERROR;
 static PyObject *S_RUNNABLE, *S_WAIT_LOCK, *S_WAIT_CHAN, *S_DONE, *S_FAILED;
-
-/* The kernels the C kernels export that this loop calls itself
- * (core/chains.c; chains.ENGINE_KERNELS names them in bind()'s order):
- * the poll walk, the receive's connection memo check, and the claim,
- * completion and free of a free-list receive.  NULL where they were not
- * built.  claim_t and reap_t are chains.c's. */
-typedef int64_t (*walk_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
-                           uint64_t, int);
-typedef int64_t (*holds_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t);
-typedef struct {
-    uint32_t msg, first, nblk, length, seqno;
-    _Bool fcfs;
-    int got;
-} claim_t;
-typedef claim_t (*claim_fn)(char *, uint64_t, uint64_t, uint64_t, int64_t);
-typedef struct {
-    uint64_t nblk, nbytes;
-    uint32_t head, n, depth, first, last, ok;
-} reap_t;
-typedef reap_t (*complete_fn)(char *, uint64_t, uint64_t, uint64_t,
-                              uint64_t, uint64_t, uint64_t);
-typedef int64_t (*free_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
-                           uint64_t, uint64_t, uint64_t);
-enum { K_WALK, K_HOLDS, K_CLAIM, K_COMPLETE, K_FREE, N_KERNELS };
-static void *KERNEL[N_KERNELS];
-#define WALK ((walk_fn)KERNEL[K_WALK])
-
-/* A field of one of those classes: its slot offset when it is a plain
- * object slot of exactly that class, else -1 (getattr / setattr). */
-typedef struct {
-    int owner;
-    const char *name;
-    PyObject *key;
-    Py_ssize_t off;
-} field_t;
-
-enum { W_INSTRS, W_COPY, W_BLOCKS, W_FLOPS, W_PAGES, W_LABEL, C_WORK,
-       M_WORKS, A_LOCK, R_LOCK, S_STEPS, O_CHAN, O_LOCK, WK_CHAN, L_OWNER,
-       L_WAITERS, L_AT, CH_SLEEPERS, P_NAME, P_GEN, P_STATE, P_INBOX,
-       P_RESULT, P_ERROR, P_WAIT_LOCK, P_IMPLICIT, P_WAITED, P_SINCE,
-       P_COPYING, P_FUSED, PW_BASE, PW_GEN, PW_EPOCH, PW_DESC, PW_FCFS,
-       PW_EMPTY, PW_TAILS, PW_SEG, RS_SEC, RS_KIND, RC_VIEW, RC_LNVC_ID,
-       RC_GEN, RC_BASE, RC_SEG, RC_MAX_LEN, RC_DESC, RC_EPOCH,
-       RC_FOUND, RC_MSG, RC_FIRST, RC_NBLK, RC_LENGTH, RC_SEQNO, RC_FCFS,
-       RC_LAST, RC_PAYLOAD, RC_REAP, RC_CLAIMED, RC_COPIES, RC_RETIRED,
-       RC_REAPING, RC_REAPS, V_DRAIN_MEMO, BU_ALPHA, BU_ACTIVE, BU_PEAK,
-       BU_TOTAL,
-       CA_BYTES, CA_MISS, CA_STALL, CA_STALLED, VM_RESIDENT, VM_PAGE,
-       VM_FAULT_S, VM_FAULTS, VM_FAULT_TIME, VM_CARRY, N_FIELDS };
-
-static field_t F[N_FIELDS] = {
-    [W_INSTRS] = {T_WORK, "instrs", NULL, -1},
-    [W_COPY] = {T_WORK, "copy_bytes", NULL, -1},
-    [W_BLOCKS] = {T_WORK, "blocks", NULL, -1},
-    [W_FLOPS] = {T_WORK, "flops", NULL, -1},
-    [W_PAGES] = {T_WORK, "page_bytes", NULL, -1},
-    [W_LABEL] = {T_WORK, "label", NULL, -1},
-    [C_WORK] = {T_CHARGE, "work", NULL, -1},
-    [M_WORKS] = {T_MANY, "works", NULL, -1},
-    [A_LOCK] = {T_ACQ, "lock_id", NULL, -1},
-    [R_LOCK] = {T_REL, "lock_id", NULL, -1},
-    [S_STEPS] = {T_SECTION, "steps", NULL, -1},
-    [O_CHAN] = {T_WAIT, "chan", NULL, -1},
-    [O_LOCK] = {T_WAIT, "lock_id", NULL, -1},
-    [WK_CHAN] = {T_WAKE, "chan", NULL, -1},
-    [L_OWNER] = {T_LOCK, "owner", NULL, -1},
-    [L_WAITERS] = {T_LOCK, "waiters", NULL, -1},
-    [L_AT] = {T_LOCK, "acquired_at", NULL, -1},
-    [CH_SLEEPERS] = {T_CHAN, "sleepers", NULL, -1},
-    [P_NAME] = {T_PROC, "name", NULL, -1},
-    [P_GEN] = {T_PROC, "gen", NULL, -1},
-    [P_STATE] = {T_PROC, "state", NULL, -1},
-    [P_INBOX] = {T_PROC, "_inbox", NULL, -1},
-    [P_RESULT] = {T_PROC, "result", NULL, -1},
-    [P_ERROR] = {T_PROC, "error", NULL, -1},
-    [P_WAIT_LOCK] = {T_PROC, "_wait_lock", NULL, -1},
-    [P_IMPLICIT] = {T_PROC, "_implicit_reacquire", NULL, -1},
-    [P_WAITED] = {T_PROC, "lock_wait_time", NULL, -1},
-    [P_SINCE] = {T_PROC, "_blocked_since", NULL, -1},
-    [P_COPYING] = {T_PROC, "_copying", NULL, -1},
-    [P_FUSED] = {T_PROC, "_fused", NULL, -1},
-    [PW_BASE] = {T_WALK, "base", NULL, -1},
-    [PW_GEN] = {T_WALK, "gen", NULL, -1},
-    [PW_EPOCH] = {T_WALK, "epoch", NULL, -1},
-    [PW_DESC] = {T_WALK, "desc", NULL, -1},
-    [PW_FCFS] = {T_WALK, "fcfs", NULL, -1},
-    [PW_EMPTY] = {T_WALK, "empty", NULL, -1},
-    [PW_TAILS] = {T_WALK, "tails", NULL, -1},
-    [PW_SEG] = {T_WALK, "seg", NULL, -1},
-    [RS_SEC] = {T_STAGE, "sec", NULL, -1},
-    [RS_KIND] = {T_STAGE, "kind", NULL, -1},
-    [RC_VIEW] = {T_RSEC, "view", NULL, -1},
-    [RC_LNVC_ID] = {T_RSEC, "lnvc_id", NULL, -1},
-    [RC_GEN] = {T_RSEC, "gen", NULL, -1},
-    [RC_BASE] = {T_RSEC, "base", NULL, -1},
-    [RC_SEG] = {T_RSEC, "seg", NULL, -1},
-    [RC_MAX_LEN] = {T_RSEC, "max_len", NULL, -1},
-    [RC_DESC] = {T_RSEC, "desc", NULL, -1},
-    [RC_EPOCH] = {T_RSEC, "epoch", NULL, -1},
-    [RC_FOUND] = {T_RSEC, "found", NULL, -1},
-    [RC_MSG] = {T_RSEC, "msg", NULL, -1},
-    [RC_FIRST] = {T_RSEC, "first", NULL, -1},
-    [RC_NBLK] = {T_RSEC, "nblk", NULL, -1},
-    [RC_LENGTH] = {T_RSEC, "length", NULL, -1},
-    [RC_SEQNO] = {T_RSEC, "seqno", NULL, -1},
-    [RC_FCFS] = {T_RSEC, "fcfs", NULL, -1},
-    [RC_LAST] = {T_RSEC, "last", NULL, -1},
-    [RC_PAYLOAD] = {T_RSEC, "payload", NULL, -1},
-    [RC_REAP] = {T_RSEC, "reap", NULL, -1},
-    [RC_CLAIMED] = {T_RSEC, "claimed", NULL, -1},
-    [RC_COPIES] = {T_RSEC, "copies", NULL, -1},
-    [RC_RETIRED] = {T_RSEC, "retired", NULL, -1},
-    [RC_REAPING] = {T_RSEC, "reaping", NULL, -1},
-    [RC_REAPS] = {T_RSEC, "reaps", NULL, -1},
-    [V_DRAIN_MEMO] = {T_VIEW, "_drain_memo", NULL, -1},
-    [BU_ALPHA] = {T_BUS, "alpha", NULL, -1},
-    [BU_ACTIVE] = {T_BUS, "active", NULL, -1},
-    [BU_PEAK] = {T_BUS, "peak", NULL, -1},
-    [BU_TOTAL] = {T_BUS, "total_copies", NULL, -1},
-    [CA_BYTES] = {T_CACHE, "cache_bytes", NULL, -1},
-    [CA_MISS] = {T_CACHE, "miss_seconds", NULL, -1},
-    [CA_STALL] = {T_CACHE, "stall_time", NULL, -1},
-    [CA_STALLED] = {T_CACHE, "stalled_blocks", NULL, -1},
-    [VM_RESIDENT] = {T_VM, "resident_bytes", NULL, -1},
-    [VM_PAGE] = {T_VM, "page_bytes", NULL, -1},
-    [VM_FAULT_S] = {T_VM, "fault_seconds", NULL, -1},
-    [VM_FAULTS] = {T_VM, "faults", NULL, -1},
-    [VM_FAULT_TIME] = {T_VM, "fault_time", NULL, -1},
-    [VM_CARRY] = {T_VM, "_carry", NULL, -1},
-};
 
 /* Attribute and method names, interned once. */
 static PyObject *K_NOW, *K_QUEUE, *K_SEQ, *K_RUNNABLE, *K_STATS, *K_TIMING,
@@ -199,7 +85,7 @@ static PyObject *K_NOW, *K_QUEUE, *K_SEQ, *K_RUNNABLE, *K_STATS, *K_TIMING,
     *K_LOCKS, *K_CHANNELS, *K_N_LOCKS, *K_N_CHANNELS, *K_T_ACQUIRE,
     *K_T_RELEASE, *K_ANALYTIC, *K_CLOSED_FORM, *K_COPY_STARTED,
     *K_COPY_FINISHED,
-    *K_WAKE_COST, *K_OVER_BUDGET, *K_STALLED, *K_APPEND, *K_POPLEFT, *K_SEND,
+    *K_WAKE_COST, *K_OVER_BUDGET, *K_STALLED, *K_APPEND, *K_POPLEFT,
     *K_ON_CHARGE, *K_ON_ACQUIRE, *K_ON_RELEASE, *K_ON_WAKE, *K_ON_CHAN_WAIT,
     *KW_CONTENDED, *KW_CONTENDED_COUNTED, *KW_COUNTED;
 
@@ -210,46 +96,6 @@ static const char *STAT_NAMES[N_STATS] = {
     "events", "charges", "charged_seconds", "lock_acquires",
     "lock_contended", "wakes", "woken"};
 static PyObject *K_STAT[N_STATS], *K_PUSHES, *K_POPS;
-
-static PyObject *
-get(PyObject *o, int f)  /* new reference */
-{
-    const field_t *d = &F[f];
-    if (d->off >= 0 && Py_TYPE(o) == TYPES[d->owner]) {
-        PyObject *v = *(PyObject **)((char *)o + d->off);
-        if (v != NULL) {
-            Py_INCREF(v);
-            return v;
-        }
-    }
-    return PyObject_GetAttr(o, d->key);
-}
-
-static int
-set(PyObject *o, int f, PyObject *v)  /* v borrowed */
-{
-    const field_t *d = &F[f];
-    if (d->off >= 0 && Py_TYPE(o) == TYPES[d->owner]) {
-        PyObject **slot = (PyObject **)((char *)o + d->off);
-        PyObject *old = *slot;
-        Py_INCREF(v);
-        *slot = v;
-        Py_XDECREF(old);
-        return 0;
-    }
-    return PyObject_SetAttr(o, d->key, v);
-}
-
-static int
-set_new(PyObject *o, int f, PyObject *v)  /* steals v */
-{
-    int rc;
-    if (v == NULL)
-        return -1;
-    rc = set(o, f, v);
-    Py_DECREF(v);
-    return rc;
-}
 
 static int
 set_double(PyObject *o, int f, double x)
@@ -283,42 +129,6 @@ get_double(PyObject *o, int f, double *out)
     return rc;
 }
 
-static int
-truth(PyObject *o, int f)  /* bool(o.<f>), -1 on error */
-{
-    int rc;
-    PyObject *v = get(o, f);
-    if (v == NULL)
-        return -1;
-    rc = PyObject_IsTrue(v);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* 2**53: the ints a double holds exactly, so that float(n) is n. */
-#define EXACT (1LL << 53)
-
-/* o.<f> as a long long when it is an int of magnitude at most 2**53: 1;
- * 0 when it is anything else (the caller takes the Python way); -1 on
- * error. */
-static int
-get_exact(PyObject *o, int f, long long *out)
-{
-    int overflow, rc = 0;
-    PyObject *v = get(o, f);
-    if (v == NULL)
-        return -1;
-    if (PyLong_CheckExact(v)) {
-        *out = PyLong_AsLongLongAndOverflow(v, &overflow);
-        if (*out == -1 && PyErr_Occurred())
-            rc = -1;
-        else
-            rc = !overflow && -EXACT <= *out && *out <= EXACT;
-    }
-    Py_DECREF(v);
-    return rc;
-}
-
 /* o.<f> when it is a float: 1; 0 when it is anything else; -1 on error. */
 static int
 get_float(PyObject *o, int f, double *out)
@@ -333,12 +143,6 @@ get_float(PyObject *o, int f, double *out)
     }
     Py_DECREF(v);
     return rc;
-}
-
-static int
-set_ll(PyObject *o, int f, long long x)
-{
-    return set_new(o, f, PyLong_FromLongLong(x));
 }
 
 static int
@@ -400,24 +204,6 @@ raise_obj(PyObject *exc)
 {
     PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
     Py_DECREF(exc);
-}
-
-/* The exception being raised, taken off the indicator (new reference). */
-static PyObject *
-take_exc(void)
-{
-#if PY_VERSION_HEX >= 0x030C0000
-    return PyErr_GetRaisedException();
-#else
-    PyObject *t, *v, *tb;
-    PyErr_Fetch(&t, &v, &tb);
-    PyErr_NormalizeException(&t, &v, &tb);
-    if (tb != NULL)
-        PyException_SetTraceback(v, tb);
-    Py_XDECREF(t);
-    Py_XDECREF(tb);
-    return v;
-#endif
 }
 
 /* Raise ``exc`` again, as taken by take_exc (steals it). */
@@ -493,8 +279,7 @@ typedef struct {
     double t_ch;
     balance_t B;
     PyObject *form;   /* the closed form tuple, when B.on */
-    PyObject *seg;    /* the segment memoryview exported in segbuf */
-    Py_buffer segbuf;
+    seg_t G;          /* the segment the walks, stages and demands read */
 } run_t;
 
 static void
@@ -999,38 +784,13 @@ out:
     return rc;
 }
 
-/* -- the segment ---------------------------------------------------------
- *
- * The poll walks and the demand sources read a simulated segment's bytes
- * through its memoryview.  The first one a run needs is exported once
- * and released on the way out; a walk or a source over another segment
- * takes the Python way. */
-
-static const char *
-seg_bytes(run_t *R, PyObject *mv, uint64_t *len)
-{
-    if (R->seg == NULL) {
-        if (!PyMemoryView_Check(mv))
-            return NULL;
-        if (PyObject_GetBuffer(mv, &R->segbuf, PyBUF_SIMPLE) < 0) {
-            PyErr_Clear();  /* released: the Python way raises */
-            return NULL;
-        }
-        R->seg = Py_NewRef(mv);
-    }
-    if (mv != R->seg)
-        return NULL;
-    *len = (uint64_t)R->segbuf.len;
-    return (const char *)R->segbuf.buf;
-}
-
 /* The little-endian u32 at off of the segment mv into *out: 1; 0 when
  * it cannot be read here. */
 static int
 seg_u32(run_t *R, PyObject *mv, long long off, long long *out)
 {
     uint64_t len;
-    const char *b = seg_bytes(R, mv, &len);
+    const char *b = seg_bytes(&R->G, mv, &len);
     unsigned char w[4];
     if (b == NULL || off < 0 || (uint64_t)off + 4 > len)
         return 0;
@@ -1038,53 +798,6 @@ seg_u32(run_t *R, PyObject *mv, long long off, long long *out)
     *out = (long long)((uint32_t)w[0] | (uint32_t)w[1] << 8
                        | (uint32_t)w[2] << 16 | (uint32_t)w[3] << 24);
     return 1;
-}
-
-/* A PollWalk's call (core/ops.py) made by the C kernel: the memoized
- * jump for an empty queue or for its message count (a new reference),
- * or NULL — with an error set on failure, without one when the walk's
- * Python body must run (nothing memoized, the memo no longer holds, the
- * count not memoized yet, the kernel refused). */
-static PyObject *
-walk(run_t *R, PyObject *w)
-{
-    long long base, gen, epoch, desc = 0;
-    uint64_t len;
-    int64_t n;
-    int fcfs, rc;
-    const char *b;
-    PyObject *seg, *tails, *key, *d;
-
-    if (WALK == NULL)
-        return NULL;
-    if ((rc = get_exact(w, PW_EPOCH, &epoch)) <= 0
-        || (rc = get_exact(w, PW_BASE, &base)) <= 0
-        || (rc = get_exact(w, PW_GEN, &gen)) <= 0
-        || (fcfs = rc = truth(w, PW_FCFS)) < 0
-        || (!fcfs && (rc = get_exact(w, PW_DESC, &desc)) <= 0))
-        return NULL;  /* an error stays set */
-    if (base < 0 || gen < 0 || epoch < 0 || desc < 0
-        || (seg = get(w, PW_SEG)) == NULL)
-        return NULL;
-    b = seg_bytes(R, seg, &len);
-    Py_DECREF(seg);
-    if (b == NULL)
-        return NULL;
-    n = WALK((char *)b, len, (uint64_t)base, (uint64_t)gen,
-             (uint64_t)epoch, (uint64_t)desc, fcfs);
-    if (n < 0)
-        return NULL;
-    if (n == 0)
-        return get(w, PW_EMPTY);
-    if ((tails = get(w, PW_TAILS)) == NULL)
-        return NULL;
-    d = NULL;
-    if (PyDict_CheckExact(tails) && (key = PyLong_FromLongLong(n)) != NULL) {
-        d = Py_XNewRef(PyDict_GetItemWithError(tails, key));
-        Py_DECREF(key);
-    }
-    Py_DECREF(tails);
-    return d;
 }
 
 /* -- BalanceTiming, evaluated here ----------------------------------------
@@ -1462,72 +1175,6 @@ over_budget(run_t *R)
     return -1;
 }
 
-/* The int value of a step opcode or directive tag, -1 for anything else. */
-static long
-small_int(PyObject *o)
-{
-    long v;
-    if (!PyLong_Check(o))
-        return -1;
-    v = PyLong_AsLong(o);
-    if (v == -1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        return -1;
-    }
-    return v;
-}
-
-/* Unpack `op, arg = step` (new references). */
-static int
-unpack_step(PyObject *step, PyObject **op, PyObject **arg)
-{
-    if (PyTuple_CheckExact(step) && PyTuple_GET_SIZE(step) == 2) {
-        *op = Py_NewRef(PyTuple_GET_ITEM(step, 0));
-        *arg = Py_NewRef(PyTuple_GET_ITEM(step, 1));
-        return 0;
-    }
-    {
-        PyObject *fast = PySequence_Fast(step, "cannot unpack non-iterable "
-                                               "step");
-        Py_ssize_t n;
-        if (fast == NULL)
-            return -1;
-        n = PySequence_Fast_GET_SIZE(fast);
-        if (n != 2) {
-            PyErr_Format(PyExc_ValueError,
-                         n < 2 ? "not enough values to unpack (expected 2, "
-                                 "got %zd)"
-                               : "too many values to unpack (expected 2)",
-                         n);
-            Py_DECREF(fast);
-            return -1;
-        }
-        *op = Py_NewRef(PySequence_Fast_GET_ITEM(fast, 0));
-        *arg = Py_NewRef(PySequence_Fast_GET_ITEM(fast, 1));
-        Py_DECREF(fast);
-        return 0;
-    }
-}
-
-/* proc.gen.send(value): a generator's own send, else the object's
- * ``send`` method, whose StopIteration carries the return value. */
-static PySendResult
-send(PyObject *gen, PyObject *value, PyObject **out)
-{
-    PyObject *exc;
-    if (PyGen_CheckExact(gen))
-        return PyIter_Send(gen, value, out);
-    *out = PyObject_CallMethodOneArg(gen, K_SEND, value);
-    if (*out != NULL)
-        return PYGEN_NEXT;
-    if (!PyErr_ExceptionMatches(PyExc_StopIteration))
-        return PYGEN_ERROR;
-    exc = take_exc();
-    *out = PyObject_GetAttrString(exc, "value");
-    Py_DECREF(exc);
-    return *out == NULL ? PYGEN_ERROR : PYGEN_RETURN;
-}
-
 /* state[1] = idx */
 static int
 store_idx(PyObject *state, Py_ssize_t idx)
@@ -1538,21 +1185,22 @@ store_idx(PyObject *state, Py_ssize_t idx)
     return PyList_SetItem(state, 1, v);
 }
 
-enum { OP_NONE = -1, OP_CHARGE = 0, OP_MANY = 1, OP_ACQ = 2, OP_REL = 3,
-       OP_CALL = 5 };
+/* An effect with no step form, dispatched on its class. */
+#define OP_NONE (-1)
 
-/* Everything Engine.run holds between taking an entry and parking it. */
+/* Everything Engine.run holds between taking an entry and parking it:
+ * the section in flight keeps its state cell, proc._fused. */
 typedef struct {
-    PyObject *proc, *state, *steps, *op_obj, *arg, *yielded;
-    Py_ssize_t n, idx;
+    PyObject *proc, *op_obj, *arg, *yielded;
+    flight_t f;
 } step_t;
 
 static void
 step_clear(step_t *S)
 {
     Py_CLEAR(S->proc);
-    Py_CLEAR(S->state);
-    Py_CLEAR(S->steps);
+    Py_CLEAR(S->f.state);
+    Py_CLEAR(S->f.steps);
     Py_CLEAR(S->op_obj);
     Py_CLEAR(S->arg);
     Py_CLEAR(S->yielded);
@@ -1560,7 +1208,7 @@ step_clear(step_t *S)
 
 /* Load a FusedSection state list [steps, idx, result] into S. */
 static int
-load_state(step_t *S)
+load_state(flight_t *S)
 {
     PyObject *steps;
     Py_ssize_t n;
@@ -1578,361 +1226,19 @@ load_state(step_t *S)
     return S->idx == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* The section in flight jumps: its result becomes value (stolen; NULL
- * keeps the result) and steps (borrowed) its remaining steps. */
-static int
-sec_jump(step_t *S, PyObject *value, PyObject *steps)
-{
-    Py_ssize_t n = PyObject_Length(steps);
-    if (n < 0) {
-        Py_XDECREF(value);
-        return -1;
-    }
-    if (value != NULL && PyList_SetItem(S->state, 2, value) < 0)
-        return -1;
-    if (PyList_SetItem(S->state, 0, Py_NewRef(steps)) < 0)
-        return -1;
-    Py_XSETREF(S->steps, Py_NewRef(steps));
-    S->n = n;
-    S->idx = 0;
-    return 0;
-}
-
-/* The section in flight ends here with the result value (stolen). */
-static int
-sec_bail(step_t *S, PyObject *value)
-{
-    if (PyList_SetItem(S->state, 2, value) < 0)
-        return -1;
-    S->n = S->idx;
-    return 0;
-}
-
-/* What an S_CALL returned, applied: None goes on; (D_JUMP, value, steps)
- * or (D_BAIL, value). */
-static int
-apply_directive(step_t *S, PyObject *d)
-{
-    PyObject *tag, *val, *steps;
-    int rc;
-    if (d == Py_None)
-        return 0;
-    if ((tag = PySequence_GetItem(d, 0)) == NULL)
-        return -1;
-    if ((val = PySequence_GetItem(d, 1)) == NULL) {
-        Py_DECREF(tag);
-        return -1;
-    }
-    if (small_int(tag) == 4) {  /* D_JUMP */
-        steps = PySequence_GetItem(d, 2);
-        rc = steps == NULL ? -1 : sec_jump(S, val, steps);
-        if (steps == NULL)
-            Py_DECREF(val);
-        Py_XDECREF(steps);
-    }
-    else  /* D_BAIL: the section ends here */
-        rc = sec_bail(S, val);
-    Py_DECREF(tag);
-    return rc;
-}
-
-/* -- a free-list receive's stages (core/ops.py, RecvSection) -------------
- *
- * A RecvStage's call made here, with the kernels chains.c exports: the
- * stage's memo is read off its RecvSection at slot offsets, checked,
- * and the section moved exactly as the stage's Python body moves it;
- * what one stage hands the next (the claimed message, the drain, the
- * reap) is stored back on the section, where the Python bodies keep it.
- * Each returns 1 when it ran, 0 when the Python body must run instead
- * (a memo not filled or that no longer holds, a value of a type the
- * body reads some other way, a kernel refusal: nothing is written
- * before the refusals a kernel may answer), -1 on error. */
-
-/* sec.<f> as an offset or a 32-bit word: 1 when it is an int in
- * [0, 2**32), 0 when it is anything else, -1 on error. */
-static int
-get_u32(PyObject *sec, int f, uint64_t *out)
-{
-    long long v;
-    int rc = get_exact(sec, f, &v);
-    if (rc <= 0)
-        return rc;
-    if (v < 0 || v > 0xFFFFFFFFLL)
-        return 0;
-    *out = (uint64_t)v;
-    return 1;
-}
-
-/* sec.<f> when it is a tuple (a new reference), else NULL, with an error
- * set only on failure. */
+/* An S_CALL's Python body, called as the reference calls it: the
+ * engine's attributes written first, what a spawn moved read back. */
 static PyObject *
-get_tuple(PyObject *sec, int f)
+call_body(void *ctx, PyObject *fn)
 {
-    PyObject *t = get(sec, f);
-    if (t != NULL && !PyTuple_CheckExact(t))
-        Py_CLEAR(t);
-    return t;
-}
-
-/* memo[key], where memo is sec.<f>, a dict of step tuples keyed by
- * a << 32 | b (a new reference), else NULL, with an error set only on
- * failure. */
-static PyObject *
-shape_memo(PyObject *sec, int f, uint64_t a, uint64_t b)
-{
-    PyObject *memo = get(sec, f), *key, *steps = NULL;
-    if (memo == NULL)
+    run_t *R = ctx;
+    PyObject *d;
+    if (flush(R) < 0)
         return NULL;
-    if (PyDict_CheckExact(memo)
-        && (key = PyLong_FromUnsignedLongLong(a << 32 | b)) != NULL) {
-        steps = Py_XNewRef(PyDict_GetItemWithError(memo, key));
-        Py_DECREF(key);
-    }
-    Py_DECREF(memo);
-    if (steps != NULL && !PyTuple_CheckExact(steps))
-        Py_CLEAR(steps);
-    return steps;
-}
-
-/* The connection: while the memo holds, recv-find and the claim. */
-static int
-recv_conn(step_t *S, PyObject *sec, char *b, uint64_t len)
-{
-    uint64_t base, gen, epoch;
-    PyObject *found;
-    int rc;
-    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
-        || (rc = get_u32(sec, RC_GEN, &gen)) <= 0
-        || (rc = get_u32(sec, RC_EPOCH, &epoch)) <= 0)
-        return rc;
-    if (((holds_fn)KERNEL[K_HOLDS])(b, len, base, gen, epoch) != 1)
-        return 0;
-    if ((found = get_tuple(sec, RC_FOUND)) == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    rc = sec_jump(S, Py_NewRef(Py_None), found);
-    Py_DECREF(found);
-    return rc < 0 ? -1 : 1;
-}
-
-/* The claim: the release and the drain; an empty queue ends the section
- * with the lock held and None. */
-static int
-recv_claim(step_t *S, PyObject *sec, char *b, uint64_t len)
-{
-    uint64_t base, desc;
-    long long limit;
-    int rc, overflow;
-    PyObject *max_len, *claimed;
-    claim_t got;
-    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
-        || (rc = get_u32(sec, RC_DESC, &desc)) <= 0)
-        return rc;
-    if ((max_len = get(sec, RC_MAX_LEN)) == NULL)
-        return -1;
-    rc = 1;
-    limit = INT64_MAX;  /* None: any length */
-    if (PyLong_CheckExact(max_len)) {
-        limit = PyLong_AsLongLongAndOverflow(max_len, &overflow);
-        rc = limit == -1 && PyErr_Occurred() ? -1 : !overflow;
-    }
-    else if (max_len != Py_None)
-        rc = 0;  /* not an int: the Python way */
-    Py_DECREF(max_len);
-    if (rc <= 0)
-        return rc;
-    if ((claimed = get_tuple(sec, RC_CLAIMED)) == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    got = ((claim_fn)KERNEL[K_CLAIM])(b, len, base, desc, limit);
-    if (got.got < 0)
-        rc = 0;
-    else if (got.got == 0)
-        rc = sec_bail(S, Py_NewRef(Py_None)) < 0 ? -1 : 1;
-    else if (set_ll(sec, RC_MSG, got.msg) < 0
-             || set_ll(sec, RC_FIRST, got.first) < 0
-             || set_ll(sec, RC_NBLK, got.nblk) < 0
-             || set_ll(sec, RC_LENGTH, got.length) < 0
-             || set_ll(sec, RC_SEQNO, got.seqno) < 0
-             || set(sec, RC_FCFS, got.fcfs ? Py_True : Py_False) < 0
-             || sec_jump(S, Py_NewRef(Py_None), claimed) < 0)
-        rc = -1;
-    Py_DECREF(claimed);
-    return rc;
-}
-
-/* memo[i] equals v, memo being a tuple of ints. */
-static int
-memo_is(PyObject *memo, Py_ssize_t i, uint64_t v)
-{
-    PyObject *x = PyTuple_GET_ITEM(memo, i);
-    int overflow;
-    long long got;
-    if (!PyLong_CheckExact(x))
-        return 0;
-    got = PyLong_AsLongLongAndOverflow(x, &overflow);
-    return !overflow && got == (long long)v;
-}
-
-/* The drain of a BROADCAST message this view drained already: its
- * (last block, payload) from the view's drain memo, then recv-copy, the
- * acquire and the completion.  Every other drain is the Python body's,
- * through the kernel set's drain, which fills the memo: a message's
- * chain is drained once per view. */
-static int
-recv_drain(step_t *S, PyObject *sec, char *b, uint64_t len)
-{
-    uint64_t msg, first, nblk, length, lnvc_id, seqno;
-    PyObject *fcfs, *view, *memo = NULL, *key, *steps;
-    int rc;
-    (void)b, (void)len;
-    if ((fcfs = get(sec, RC_FCFS)) == NULL)
-        return -1;
-    Py_DECREF(fcfs);  /* compared by identity only */
-    if (fcfs != Py_False)
-        return 0;
-    if ((rc = get_u32(sec, RC_MSG, &msg)) <= 0
-        || (rc = get_u32(sec, RC_FIRST, &first)) <= 0
-        || (rc = get_u32(sec, RC_NBLK, &nblk)) <= 0
-        || (rc = get_u32(sec, RC_LENGTH, &length)) <= 0
-        || (rc = get_u32(sec, RC_LNVC_ID, &lnvc_id)) <= 0
-        || (rc = get_u32(sec, RC_SEQNO, &seqno)) <= 0)
-        return rc;
-    if ((view = get(sec, RC_VIEW)) == NULL)
-        return -1;
-    if (Py_TYPE(view) == TYPES[T_VIEW])
-        memo = get(view, V_DRAIN_MEMO);
-    Py_DECREF(view);
-    if (memo == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    rc = 0;
-    if (PyTuple_CheckExact(memo) && PyTuple_GET_SIZE(memo) == 3
-        && PyTuple_CheckExact(key = PyTuple_GET_ITEM(memo, 0))
-        && PyTuple_GET_SIZE(key) == 6
-        && memo_is(key, 0, lnvc_id) && memo_is(key, 1, seqno)
-        && memo_is(key, 2, msg) && memo_is(key, 3, first)
-        && memo_is(key, 4, nblk) && memo_is(key, 5, length)) {
-        if ((steps = shape_memo(sec, RC_COPIES, length, nblk)) == NULL)
-            rc = PyErr_Occurred() ? -1 : 0;
-        else {
-            PyObject *payload = PyTuple_GET_ITEM(memo, 2);
-            rc = set(sec, RC_LAST, PyTuple_GET_ITEM(memo, 1)) < 0
-                 || set(sec, RC_PAYLOAD, payload) < 0
-                 || sec_jump(S, Py_NewRef(payload), steps) < 0 ? -1 : 1;
-            Py_DECREF(steps);
-        }
-    }
-    Py_DECREF(memo);
-    return rc;
-}
-
-/* The completion: recv-retire and the release, or on a reap recv-retire,
- * the allocator lock and the free.  The result stays the payload. */
-static int
-recv_complete(step_t *S, PyObject *sec, char *b, uint64_t len)
-{
-    uint64_t base, msg, last, length;
-    PyObject *fcfs, *retired, *reaping = NULL, *reap;
-    reap_t got;
-    int rc;
-    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
-        || (rc = get_u32(sec, RC_MSG, &msg)) <= 0
-        || (rc = get_u32(sec, RC_LAST, &last)) <= 0
-        || (rc = get_u32(sec, RC_LENGTH, &length)) <= 0)
-        return rc;
-    if ((fcfs = get(sec, RC_FCFS)) == NULL)
-        return -1;
-    Py_DECREF(fcfs);  /* compared by identity only */
-    if (fcfs != Py_True && fcfs != Py_False)
-        return 0;
-    if ((retired = get_tuple(sec, RC_RETIRED)) == NULL
-        || (reaping = get_tuple(sec, RC_REAPING)) == NULL) {
-        Py_XDECREF(retired);
-        return PyErr_Occurred() ? -1 : 0;
-    }
-    got = ((complete_fn)KERNEL[K_COMPLETE])(b, len, base, msg,
-                                            fcfs == Py_True ? 0 : 1, last,
-                                            length);
-    if (!got.ok)
-        rc = 0;
-    else if (got.n == 0)
-        rc = sec_jump(S, NULL, retired) < 0 ? -1 : 1;
-    else {
-        reap = Py_BuildValue("(IIIIIKK)", got.head, got.n, got.depth,
-                             got.first, got.last,
-                             (unsigned long long)got.nblk,
-                             (unsigned long long)got.nbytes);
-        rc = set_new(sec, RC_REAP, reap) < 0
-             || sec_jump(S, NULL, reaping) < 0 ? -1 : 1;
-    }
-    Py_DECREF(retired);
-    Py_DECREF(reaping);
-    return rc;
-}
-
-/* The free of a reap: the allocator lock's release, reap and the
- * circuit's release.  The result stays the payload. */
-static int
-recv_free(step_t *S, PyObject *sec, char *b, uint64_t len)
-{
-    unsigned long long head, n, depth, first, last, nblk, nbytes;
-    PyObject *reap, *steps;
-    int rc;
-    if ((reap = get_tuple(sec, RC_REAP)) == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    rc = PyTuple_GET_SIZE(reap) == 7;
-    if (rc)
-        rc = PyArg_ParseTuple(reap, "KKKKKKK", &head, &n, &depth, &first,
-                              &last, &nblk, &nbytes);
-    Py_DECREF(reap);
-    if (!rc) {
-        PyErr_Clear();  /* not seven ints: the Python way */
-        return 0;
-    }
-    if (n > 0xFFFFFFFFULL || nblk > 0xFFFFFFFFULL)
-        return 0;
-    if ((steps = shape_memo(sec, RC_REAPS, n, nblk)) == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    if (((free_fn)KERNEL[K_FREE])(b, len, head, n, first, last, nblk,
-                                  nbytes) < 0)
-        rc = 0;
-    else
-        rc = sec_jump(S, NULL, steps) < 0 ? -1 : 1;
-    Py_DECREF(steps);
-    return rc;
-}
-
-/* A RecvStage's call (core/ops.py): 1 when the stage ran here, 0 when its
- * Python body must run, -1 on error. */
-static int
-recv_stage(run_t *R, step_t *S, PyObject *stage)
-{
-    static int (*const STAGE[])(step_t *, PyObject *, char *, uint64_t) = {
-        recv_conn, recv_claim, recv_drain, recv_complete, recv_free};
-    long long kind;
-    uint64_t len;
-    const char *b;
-    PyObject *sec, *seg;
-    int rc;
-    if (KERNEL[K_CLAIM] == NULL)
-        return 0;
-    if ((rc = get_exact(stage, RS_KIND, &kind)) <= 0)
-        return rc;
-    if (kind < 0 || kind >= (long long)(sizeof STAGE / sizeof STAGE[0]))
-        return 0;
-    if ((sec = get(stage, RS_SEC)) == NULL)
-        return -1;
-    rc = 0;
-    if (Py_TYPE(sec) == TYPES[T_RSEC]) {
-        if ((seg = get(sec, RC_SEG)) == NULL)
-            rc = -1;
-        else {
-            b = seg_bytes(R, seg, &len);
-            Py_DECREF(seg);
-            if (b != NULL && !R->segbuf.readonly)
-                rc = STAGE[kind](S, sec, (char *)b, len);
-        }
-    }
-    Py_DECREF(sec);
-    return rc;
+    d = PyObject_CallNoArgs(fn);
+    if (d != NULL && reload(R) < 0)
+        Py_CLEAR(d);
+    return d;
 }
 
 static PyObject *
@@ -2170,73 +1476,39 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                 goto fail;
         }
         r = R.runnable;
-        S.state = get(S.proc, P_FUSED);
-        if (S.state == NULL)
+        S.f.state = get(S.proc, P_FUSED);
+        if (S.f.state == NULL)
             goto fail;
-        if (S.state == Py_None)
-            Py_CLEAR(S.state);
-        else if (load_state(&S) < 0)
+        if (S.f.state == Py_None)
+            Py_CLEAR(S.f.state);
+        else if (load_state(&S.f) < 0)
             goto fail;
 
         for (;;) {  /* one step of `proc` per iteration, at `now` */
             /* ---- fetch: the section in flight, else the generator ---- */
             op = OP_NONE;
-            if (S.state != NULL) {
-                if (S.idx < S.n) {
-                    PyObject *step = PySequence_GetItem(S.steps, S.idx);
-                    if (step == NULL)
+            if (S.f.state != NULL) {
+                if (S.f.idx < S.f.n) {
+                    if ((op = sec_fetch(&S.f, &S.op_obj, &S.arg)) == -1)
                         goto fail;
-                    Py_CLEAR(S.op_obj);
-                    Py_CLEAR(S.arg);
-                    rc = unpack_step(step, &S.op_obj, &S.arg);
-                    Py_DECREF(step);
-                    if (rc < 0)
-                        goto fail;
-                    S.idx++;
-                    op = small_int(S.op_obj);
-                    if (op == OP_CALL) {  /* generator-body code, free */
-                        PyObject *d = NULL;
+                    if (op == S_CALL) {  /* generator-body code, free */
                         note_now(&R);
-                        /* a poll walk whose memo holds: the kernel */
-                        if (Py_TYPE(S.arg) == TYPES[T_WALK]
-                            && (d = walk(&R, S.arg)) == NULL
-                            && PyErr_Occurred())
-                            goto fail;
-                        /* a receive stage whose memo holds: the kernels */
-                        if (Py_TYPE(S.arg) == TYPES[T_STAGE]) {
-                            if ((rc = recv_stage(&R, &S, S.arg)) < 0)
-                                goto fail;
-                            if (rc > 0)
-                                continue;
-                        }
-                        if (d == NULL) {
-                            if (flush(&R) < 0)
-                                goto fail;
-                            d = PyObject_CallNoArgs(S.arg);
-                            if (d == NULL || reload(&R) < 0) {
-                                Py_XDECREF(d);
-                                goto fail;
-                            }
-                        }
-                        rc = apply_directive(&S, d);
-                        Py_DECREF(d);
-                        if (rc < 0)
+                        if (sec_call(&S.f, &R.G, S.arg, call_body, &R) < 0)
                             goto fail;
                         continue;
                     }
-                    if (op == OP_NONE)
-                        op = -2;  /* not an int: a bad opcode below */
                 }
                 else {
                     /* Section complete: the generator resumes in this
                      * same event with the section's result. */
-                    if (set(S.proc, P_INBOX, PyList_GET_ITEM(S.state, 2)) < 0
+                    if (set(S.proc, P_INBOX,
+                            PyList_GET_ITEM(S.f.state, 2)) < 0
                         || set(S.proc, P_FUSED, Py_None) < 0)
                         goto fail;
-                    Py_CLEAR(S.state);
+                    Py_CLEAR(S.f.state);
                 }
             }
-            if (S.state == NULL) {
+            if (S.f.state == NULL) {
                 PyObject *gen, *value, *out = NULL;
                 PySendResult sent;
                 PyTypeObject *cls;
@@ -2289,19 +1561,19 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                 cls = Py_TYPE(out);
                 Py_CLEAR(S.arg);
                 if (cls == TYPES[T_CHARGE]) {
-                    op = OP_CHARGE;
+                    op = S_CHARGE;
                     S.arg = get(out, C_WORK);
                 }
                 else if (cls == TYPES[T_ACQ]) {
-                    op = OP_ACQ;
+                    op = S_ACQ;
                     S.arg = get(out, A_LOCK);
                 }
                 else if (cls == TYPES[T_REL]) {
-                    op = OP_REL;
+                    op = S_REL;
                     S.arg = get(out, R_LOCK);
                 }
                 else if (cls == TYPES[T_MANY]) {
-                    op = OP_MANY;
+                    op = S_MANY;
                     S.arg = get(out, M_WORKS);
                 }
                 else if (cls == TYPES[T_SECTION]) {
@@ -2310,19 +1582,19 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                     if (steps == NULL)
                         goto fail;
                     n = PyObject_Length(steps);
-                    if (n < 0 || (S.state = PyList_New(3)) == NULL) {
+                    if (n < 0 || (S.f.state = PyList_New(3)) == NULL) {
                         Py_DECREF(steps);
                         goto fail;
                     }
-                    PyList_SET_ITEM(S.state, 0, steps);
-                    PyList_SET_ITEM(S.state, 1, PyLong_FromLong(0));
-                    PyList_SET_ITEM(S.state, 2, Py_NewRef(Py_None));
-                    if (PyList_GET_ITEM(S.state, 1) == NULL
-                        || set(S.proc, P_FUSED, S.state) < 0)
+                    PyList_SET_ITEM(S.f.state, 0, steps);
+                    PyList_SET_ITEM(S.f.state, 1, PyLong_FromLong(0));
+                    PyList_SET_ITEM(S.f.state, 2, Py_NewRef(Py_None));
+                    if (PyList_GET_ITEM(S.f.state, 1) == NULL
+                        || set(S.proc, P_FUSED, S.f.state) < 0)
                         goto fail;
-                    Py_XSETREF(S.steps, Py_NewRef(steps));
-                    S.n = n;
-                    S.idx = 0;
+                    Py_XSETREF(S.f.steps, Py_NewRef(steps));
+                    S.f.n = n;
+                    S.f.idx = 0;
                     continue;
                 }
                 else {
@@ -2333,7 +1605,7 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                     goto fail;
             }
             /* ---- execute one time-advancing step, ending at t2 -------- */
-            if (op == OP_CHARGE) {
+            if (op == S_CHARGE) {
                 PyObject *dt_obj = NULL;
                 if (price_part(&R, price, &A, S.arg, r, &dt,
                                R.rec != Py_None ? &dt_obj : NULL,
@@ -2363,7 +1635,7 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                 }
                 Py_XDECREF(dt_obj);
             }
-            else if (op == OP_MANY) {
+            else if (op == S_MANY) {
                 /* each part priced on its own and the clock advanced by
                  * ((now + dt1) + dt2) ..., never by the sum */
                 PyObject *fast = PySequence_Fast(S.arg, "ChargeMany.works "
@@ -2411,14 +1683,14 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                 }
             }
             else {
-                if (S.state != NULL && store_idx(S.state, S.idx) < 0)
+                if (S.f.state != NULL && store_idx(S.f.state, S.f.idx) < 0)
                     goto fail;  /* an acquire may block mid-section */
                 note_now(&R);
-                if (op == OP_ACQ)
+                if (op == S_ACQ)
                     t2 = do_acquire(&R, S.proc, S.arg);
-                else if (op == OP_REL)
+                else if (op == S_REL)
                     t2 = do_release(&R, S.proc, S.arg);
-                else if (S.state == NULL) {
+                else if (S.f.state == NULL) {
                     PyTypeObject *cls = Py_TYPE(S.arg);
                     if (cls == TYPES[T_WAKE]) {
                         PyObject *chan = get(S.arg, WK_CHAN);
@@ -2491,7 +1763,7 @@ run(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                     goto fail;
                 continue;
             }
-            if (S.state != NULL && store_idx(S.state, S.idx) < 0)
+            if (S.f.state != NULL && store_idx(S.f.state, S.f.idx) < 0)
                 goto fail;
             if (park(&R, S.proc, t2) < 0)
                 goto fail;
@@ -2545,10 +1817,7 @@ done:
             result = now_obj;
     }
 fail_early:
-    if (R.seg != NULL) {
-        PyBuffer_Release(&R.segbuf);
-        Py_DECREF(R.seg);
-    }
+    seg_release(&R.G);
     Py_XDECREF(R.form);
     Py_XDECREF(now0);
     Py_XDECREF(sched);
@@ -2566,85 +1835,23 @@ fail_early:
 
 /* -- binding -------------------------------------------------------------- */
 
-static int
-intern(PyObject **slot, const char *s)
-{
-    if (*slot == NULL)
-        *slot = PyUnicode_InternFromString(s);
-    return *slot == NULL ? -1 : 0;
-}
-
 static PyObject *
 bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
-    int i;
     (void)mod;
     if (nargs != N_TYPES + 7) {
-        PyErr_SetString(PyExc_TypeError,
-                        "bind(Charge, ChargeMany, Acquire, Release, "
-                        "FusedSection, WaitOn, Wake, Work, SimProcess, "
-                        "_SimLock, _WaitChannel, PollWalk, BusModel, "
-                        "CacheModel, VmModel, RecvStage, RecvSection, "
-                        "MPFView, SimulationError, runnable, wait-lock, "
-                        "wait-chan, done, failed, kernel addresses or "
-                        "None)");
+        PyErr_SetString(PyExc_TypeError, "bind(classes..., SimulationError, "
+                        "states..., kernel addresses or None)");
         return NULL;
     }
-    memset(KERNEL, 0, sizeof KERNEL);
-    if (args[N_TYPES + 6] != Py_None) {
-        PyObject *fast = PySequence_Fast(args[N_TYPES + 6],
-                                         "the kernel addresses");
-        if (fast == NULL)
-            return NULL;
-        if (PySequence_Fast_GET_SIZE(fast) != N_KERNELS) {
-            Py_DECREF(fast);
-            PyErr_Format(PyExc_ValueError, "bind() takes %d kernel "
-                         "addresses", N_KERNELS);
-            return NULL;
-        }
-        for (i = 0; i < N_KERNELS; i++) {
-            unsigned long long a = PyLong_AsUnsignedLongLong(
-                PySequence_Fast_GET_ITEM(fast, i));
-            if (a == (unsigned long long)-1 && PyErr_Occurred()) {
-                Py_DECREF(fast);
-                memset(KERNEL, 0, sizeof KERNEL);
-                return NULL;
-            }
-            KERNEL[i] = (void *)(uintptr_t)a;
-        }
-        Py_DECREF(fast);
-    }
-    for (i = 0; i < N_TYPES; i++) {
-        if (!PyType_Check(args[i])) {
-            PyErr_SetString(PyExc_TypeError, "bind() takes the classes");
-            return NULL;
-        }
-        Py_XSETREF(TYPES[i], (PyTypeObject *)Py_NewRef(args[i]));
-    }
+    if (bind_classes(args, args[N_TYPES + 6]) < 0)
+        return NULL;
     Py_XSETREF(SIM_ERROR, Py_NewRef(args[N_TYPES]));
     Py_XSETREF(S_RUNNABLE, Py_NewRef(args[N_TYPES + 1]));
     Py_XSETREF(S_WAIT_LOCK, Py_NewRef(args[N_TYPES + 2]));
     Py_XSETREF(S_WAIT_CHAN, Py_NewRef(args[N_TYPES + 3]));
     Py_XSETREF(S_DONE, Py_NewRef(args[N_TYPES + 4]));
     Py_XSETREF(S_FAILED, Py_NewRef(args[N_TYPES + 5]));
-    for (i = 0; i < N_FIELDS; i++) {
-        PyObject *d;
-        F[i].off = -1;
-        if (intern(&F[i].key, F[i].name) < 0)
-            return NULL;
-        d = PyObject_GetAttr((PyObject *)TYPES[F[i].owner], F[i].key);
-        if (d == NULL) {
-            PyErr_Clear();  /* not a class attribute: getattr per access */
-            continue;
-        }
-        if (Py_IS_TYPE(d, &PyMemberDescr_Type)) {
-            PyMemberDescrObject *m = (PyMemberDescrObject *)d;
-            if (m->d_common.d_type == TYPES[F[i].owner]
-                && m->d_member->type == Py_T_OBJECT_EX)
-                F[i].off = m->d_member->offset;
-        }
-        Py_DECREF(d);
-    }
     Py_RETURN_NONE;
 }
 
@@ -2683,7 +1890,7 @@ PyInit__engine(void)
         {&K_COPY_FINISHED, "copy_finished"}, {&K_WAKE_COST, "wake_cost"},
         {&K_OVER_BUDGET, "_over_budget"},
         {&K_STALLED, "_raise_if_stalled"}, {&K_APPEND, "append"},
-        {&K_POPLEFT, "popleft"}, {&K_SEND, "send"},
+        {&K_POPLEFT, "popleft"},
         {&K_ON_CHARGE, "on_charge"},
         {&K_ON_ACQUIRE, "on_acquire"}, {&K_ON_RELEASE, "on_release"},
         {&K_ON_WAKE, "on_wake"}, {&K_ON_CHAN_WAIT, "on_chan_wait"},

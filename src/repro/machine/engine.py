@@ -754,24 +754,26 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     """The C step interpreter's ``run``, built (or found) in ``where`` by
     :func:`repro.core.chains.build_extension` with the kernels' flags
     and ``-ffp-contract=off`` (no multiply-add is fused, so every float
-    expression rounds as Python's does), bound to this module's classes,
+    expression rounds as Python's does), the section runner it includes
+    (``core/sections.c``) in its hash, bound to this module's classes,
     the timing models', the poll walk's and the receive section's, and
     to the kernels of ``kernels`` it calls itself
     (:attr:`~repro.core.chains.Kernels.addresses`; by default
     :data:`repro.core.chains.C`: the loop knows no segment layout, the
     kernels do); ``None`` where it cannot be built."""
-    source = (Path(__file__).parent / "engine.c").read_bytes()
+    here = Path(__file__).parent
     lib = chains.build_extension(
-        where, "_engine", source, chains.CFLAGS + ("-ffp-contract=off",),
-        module="_engine")
+        where, "_engine", (here / "engine.c").read_bytes(),
+        chains.CFLAGS + ("-ffp-contract=off",),
+        salt=(chains.SECTIONS.read_bytes(),), module="_engine", include=here)
     if lib is None:
         return None
     kernels = kernels or chains.C
     lib.bind(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
-             Wake, Work, SimProcess, _SimLock, _WaitChannel, PollWalk,
-             BusModel, CacheModel, VmModel, RecvStage, RecvSection, MPFView,
-             SimulationError, _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN, _DONE,
-             _FAILED, None if kernels is None else kernels.addresses)
+             Wake, PollWalk, RecvStage, RecvSection, MPFView, Work,
+             SimProcess, _SimLock, _WaitChannel, BusModel, CacheModel,
+             VmModel, SimulationError, _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN,
+             _DONE, _FAILED, None if kernels is None else kernels.addresses)
     return lib.run
 
 

@@ -34,12 +34,10 @@
  * recorder: it resumes the generator, dispatches on the exact effect
  * class, skips Charge / ChargeMany, and sends lock and channel effects
  * to the functions above.  A FusedSection runs step by step: S_CHARGE /
- * S_MANY are skipped, S_ACQ / S_REL run the code of Acquire / Release
- * (an effect is a one-step section), an S_CALL's callable runs and the
- * D_JUMP or D_BAIL it returns is applied as engine.c applies it, and
- * any other opcode is refused.  The held list is the handle's own
- * Python list, which the Python drive keeps too; "released a lock it
- * does not own" is read off the owner in the word.
+ * S_MANY are skipped, S_ACQ / S_REL run the code of Acquire / Release,
+ * an S_CALL is the section runner's (core/sections.c, shared with the
+ * engine's loop), any other opcode is refused.  The held list is the
+ * handle's own Python list, which the Python drive keeps too.
  *
  * With SYNC_NO_PYTHON defined, only the lock-word and wait-byte code is
  * compiled (no Python.h): tests/tsan/sync_harness.c includes this file
@@ -82,9 +80,11 @@ enum { RUNNING, ON_LOCK, ON_CHAN, DONE };
 /* Bytes of a status row: kind, id, nheld, pid, the held ids. */
 #define STATUS_ROW (4 * (4 + MAX_HELD))
 
-/* The nine per-handle counters, in sync.COUNTERS order. */
+/* The per-handle counters, in sync.COUNTERS order: the locks and waits'
+ * nine, and the S_CALLs drive ran in C and handed to Python. */
 enum { ACQUIRES, BY_SPIN, BY_BLOCK, WAITS, WOKE_SPINNING, N_PARKED,
-       WAKES_SKIPPED, WAKES_LOCKED, WAKES_POSTED, N_COUNTERS };
+       WAKES_SKIPPED, WAKES_LOCKED, WAKES_POSTED, STAGES_C, STAGES_PY,
+       N_COUNTERS };
 
 typedef struct core {
     unsigned char *mem;
@@ -392,25 +392,18 @@ core_wake(core_t *c, uint32_t chan)
 
 #ifndef SYNC_NO_PYTHON
 
-#ifndef Py_T_OBJECT_EX
-#define Py_T_OBJECT_EX T_OBJECT_EX
+#ifndef Py_T_UINT
 #define Py_T_UINT T_UINT
 #define Py_READONLY READONLY
 #endif
 
 /* -- the classes classes() hands over ------------------------------------ */
 
-enum { T_CHARGE, T_MANY, T_ACQ, T_REL, T_WAIT, T_WAKE, T_SECTION, N_TYPES };
-static PyTypeObject *TYPES[N_TYPES];
-/* Slot offsets of Acquire.lock_id, Release.lock_id, WaitOn.chan,
- * WaitOn.lock_id, Wake.chan and FusedSection.steps. */
-enum { F_ACQ_LOCK, F_REL_LOCK, F_WAIT_CHAN, F_WAIT_LOCK, F_WAKE_CHAN,
-       F_STEPS, N_FIELDS };
-/* Section step opcodes and the jump directive (core/effects.py); every
- * other directive tag is a bail, as in engine.c. */
-enum { S_CHARGE = 0, S_MANY = 1, S_ACQ = 2, S_REL = 3, S_CALL = 5 };
-#define D_JUMP 4
-static Py_ssize_t OFF[N_FIELDS];
+/* The section runner's classes and slots are all this file reads. */
+#define HOST_TYPES(X)
+#define HOST_FIELDS(X)
+#include "../core/sections.c"
+
 static uint32_t FIRST_CHAN_LOCK;
 /* LockOwnerDiedError, raised by owner_died. */
 static PyObject *OWNER_DIED;
@@ -418,7 +411,7 @@ static PyObject *OWNER_DIED;
 static const char *const COUNTER_NAMES[N_COUNTERS] = {
     "acquires", "acquired_by_spin", "acquired_by_block",
     "waits", "woke_spinning", "parked",
-    "wakes_skipped", "wakes_locked", "wakes_posted",
+    "wakes_skipped", "wakes_locked", "wakes_posted", "stages_c", "stages_py",
 };
 
 /* -- the handle ----------------------------------------------------------- */
@@ -653,7 +646,7 @@ static PyMethodDef handle_methods[] = {
     {"finish", (PyCFunction)h_finish, METH_NOARGS,
      "Mark this worker done in its status row."},
     {"counters", (PyCFunction)h_counters, METH_NOARGS,
-     "The nine counters, in sync.COUNTERS order."},
+     "The counters, in sync.COUNTERS order."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -680,39 +673,12 @@ static PyTypeObject HandleType = {
 
 /* -- drive ----------------------------------------------------------------- */
 
-/* gen.send(value): a generator's own send, else the object's ``send``
- * method, whose StopIteration carries the return value. */
-static PySendResult
-send(PyObject *gen, PyObject *value, PyObject **out)
-{
-    PyObject *exc;
-    if (PyGen_CheckExact(gen))
-        return PyIter_Send(gen, value, out);
-    *out = PyObject_CallMethod(gen, "send", "O", value);
-    if (*out != NULL)
-        return PYGEN_NEXT;
-    if (!PyErr_ExceptionMatches(PyExc_StopIteration))
-        return PYGEN_ERROR;
-#if PY_VERSION_HEX >= 0x030C0000
-    exc = PyErr_GetRaisedException();
-#else
-    {
-        PyObject *type, *tb;
-        PyErr_Fetch(&type, &exc, &tb);
-        PyErr_NormalizeException(&type, &exc, &tb);
-        Py_XDECREF(type);
-        Py_XDECREF(tb);
-    }
-#endif
-    *out = exc == NULL ? NULL : PyObject_GetAttrString(exc, "value");
-    Py_XDECREF(exc);
-    return *out == NULL ? PYGEN_ERROR : PYGEN_RETURN;
-}
-
+/* An effect's slot (borrowed: the effect holds it); classes() checked
+ * that each field read here is a slot. */
 static PyObject *
-field(PyObject *effect, int f)  /* borrowed */
+field(PyObject *effect, int f)
 {
-    return *(PyObject **)((char *)effect + OFF[f]);
+    return *(PyObject **)((char *)effect + F[f].off);
 }
 
 /* Take ``lock_id`` off the held list (its first entry, as list.remove);
@@ -783,22 +749,22 @@ step(handle_t *h, PyObject *effect, PyObject *process)
     int rc;
 
     if (tp == TYPES[T_ACQ])
-        return lock_step(h, S_ACQ, field(effect, F_ACQ_LOCK), process);
+        return lock_step(h, S_ACQ, field(effect, A_LOCK), process);
     if (tp == TYPES[T_REL])
-        return lock_step(h, S_REL, field(effect, F_REL_LOCK), process);
+        return lock_step(h, S_REL, field(effect, R_LOCK), process);
     if (tp == TYPES[T_WAIT]) {
-        o = field(effect, F_WAIT_LOCK);
+        o = field(effect, O_LOCK);
         if ((rc = owns(c, o, &id)) <= 0) {
             if (rc == 0)
                 PyErr_Format(PyExc_RuntimeError,
                              "process %R waits on channel %S without "
                              "holding lock %S", process,
-                             field(effect, F_WAIT_CHAN), o);
+                             field(effect, O_CHAN), o);
             return -1;
         }
         /* A held lock that is the channel's circuit lock names a
          * channel of the table. */
-        chan = (uint32_t)PyLong_AsUnsignedLong(field(effect, F_WAIT_CHAN));
+        chan = (uint32_t)PyLong_AsUnsignedLong(field(effect, O_CHAN));
         if ((chan == (uint32_t)-1 && PyErr_Occurred())
             || held_remove(h->held, id) < 0 || check_wait(c, chan, id) < 0)
             return -1;
@@ -807,7 +773,7 @@ step(handle_t *h, PyObject *effect, PyObject *process)
         return PyList_Append(h->held, o);
     }
     if (tp == TYPES[T_WAKE]) {
-        if (id_of(field(effect, F_WAKE_CHAN), c->nchan, "channel", &chan) < 0)
+        if (id_of(field(effect, WK_CHAN), c->nchan, "channel", &chan) < 0)
             return -1;
         return core_wake(c, chan) < 0 ? owner_died(c) : 0;
     }
@@ -816,91 +782,14 @@ step(handle_t *h, PyObject *effect, PyObject *process)
     return -1;
 }
 
-/* The section in flight: its steps (NULL when none), the next one's
- * index and their count, and what the generator is sent next. */
-typedef struct {
-    PyObject *steps, *value;
-    Py_ssize_t idx, n;
-} flight_t;
-
-/* An opcode or a directive tag as a C long; -1 for anything else. */
-static long
-small_int(PyObject *o)
-{
-    long v = PyLong_Check(o) ? PyLong_AsLong(o) : -1;
-    if (v == -1)
-        PyErr_Clear();
-    return v;
-}
-
-/* Run ``steps`` from the first. */
-static int
-enter(flight_t *F, PyObject *steps)
-{
-    Py_ssize_t n = PySequence_Size(steps);
-    if (n < 0)
-        return -1;
-    Py_XSETREF(F->steps, Py_NewRef(steps));
-    F->idx = 0;
-    F->n = n;
-    return 0;
-}
-
-/* The next step of the section in flight: S_CHARGE and S_MANY are
- * skipped, S_ACQ and S_REL run as an Acquire and a Release do, and of
- * what an S_CALL returns None goes on, (D_JUMP, value, steps) replaces
- * the steps left and any other tag, (D_BAIL, value), ends the section,
- * as engine.c's apply_directive has it; any other opcode is refused.
- * Steps and directives are tuples (a FusedSection's, a stage's). */
-static int
-section_step(handle_t *h, flight_t *F, PyObject *process)
-{
-    PyObject *step = PySequence_GetItem(F->steps, F->idx++), *op, *d;
-    long code;
-    int rc = -1;
-
-    if (step == NULL)
-        return -1;
-    if (!PyTuple_Check(step) || PyTuple_GET_SIZE(step) != 2) {
-        PyErr_Format(PyExc_TypeError, "section step %R is no "
-                     "(opcode, arg) pair", step);
-        goto done;
-    }
-    op = PyTuple_GET_ITEM(step, 0);
-    code = small_int(op);
-    if (code == S_CHARGE || code == S_MANY)
-        rc = 0;
-    else if (code == S_ACQ || code == S_REL)
-        rc = lock_step(h, code, PyTuple_GET_ITEM(step, 1), process);
-    else if (code != S_CALL)
-        PyErr_Format(PyExc_RuntimeError, "bad fused step opcode %R", op);
-    else if ((d = PyObject_CallNoArgs(PyTuple_GET_ITEM(step, 1))) != NULL) {
-        if (d == Py_None)
-            rc = 0;
-        else if (!PyTuple_Check(d) || PyTuple_GET_SIZE(d) < 2)
-            PyErr_Format(PyExc_TypeError, "bad directive %R", d);
-        else if (small_int(PyTuple_GET_ITEM(d, 0)) != D_JUMP) {
-            F->n = F->idx;  /* D_BAIL: the section ends here */
-            rc = 0;
-        }
-        else  /* a jump with no steps fails: None has no length */
-            rc = enter(F, PyTuple_GET_SIZE(d) > 2 ? PyTuple_GET_ITEM(d, 2)
-                                                  : Py_None);
-        if (rc == 0 && d != Py_None)
-            Py_SETREF(F->value, Py_NewRef(PyTuple_GET_ITEM(d, 1)));
-        Py_DECREF(d);
-    }
-done:
-    Py_DECREF(step);
-    return rc;
-}
-
 static PyObject *
 drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *gen, *process, *out, *result = NULL;
-    flight_t F = {NULL, NULL, 0, 0};
+    PyObject *gen, *process, *out, *op = NULL, *arg = NULL, *result = NULL;
+    flight_t S = {NULL, NULL, NULL, 0, 0, 0, 0};
+    seg_t G;
     handle_t *h;
+    unsigned steps = 0;
 
     if (nargs != 3 || !Py_IS_TYPE(args[1], &HandleType)) {
         PyErr_SetString(PyExc_TypeError,
@@ -914,93 +803,99 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     gen = args[0];
     h = (handle_t *)args[1];
     process = args[2];
-    F.value = Py_NewRef(Py_None);
+    memset(&G, 0, sizeof G);
+    S.value = Py_NewRef(Py_None);
     for (;;) {
         PyTypeObject *tp;
         int rc;
-        if (F.idx < F.n) {
-            if (section_step(h, &F, process) < 0)
+        if (S.idx < S.n) {
+            /* S_CHARGE and S_MANY are skipped, S_ACQ and S_REL run as an
+             * Acquire and a Release do, an S_CALL is the section runner's
+             * and any other opcode is refused */
+            long code = sec_fetch(&S, &op, &arg);
+            rc = code == S_CALL ? sec_call(&S, &G, arg, NULL, NULL)
+                 : code == S_ACQ || code == S_REL
+                 ? lock_step(h, code, arg, process)
+                 : code == S_CHARGE || code == S_MANY ? 0 : -1;
+            if (code == S_BAD)
+                PyErr_Format(PyExc_RuntimeError, "bad fused step opcode %R",
+                             op);
+            if (rc < 0)
                 break;
+            /* A looping section (a poll wait whose walks run here) hands
+             * the GIL round and takes signals, as the eval loop would. */
+            if (++steps % 1024 == 0) {
+                UNLOCKED_BEGIN
+                UNLOCKED_END
+                if (PyErr_CheckSignals() < 0)
+                    break;
+            }
             continue;
         }
-        rc = send(gen, F.value, &out);
+        rc = send(gen, S.value, &out);
         if (rc == PYGEN_RETURN)
             result = out;
         if (rc != PYGEN_NEXT)
             break;
-        Py_SETREF(F.value, Py_NewRef(Py_None));
+        Py_SETREF(S.value, Py_NewRef(Py_None));
         /* Effects are final classes: the exact class, most frequent
          * first, as the Python drive and Engine.run dispatch. */
         tp = Py_TYPE(out);
         rc = tp == TYPES[T_CHARGE] || tp == TYPES[T_MANY]
-                 ? 0 : tp == TYPES[T_SECTION] ? enter(&F, field(out, F_STEPS))
+                 ? 0 : tp == TYPES[T_SECTION]
+                 ? sec_jump(&S, NULL, field(out, S_STEPS))
                  : step(h, out, process);
         Py_DECREF(out);
         if (rc < 0)
             break;
     }
-    Py_XDECREF(F.steps);
-    Py_DECREF(F.value);
+    h->c.ctr[STAGES_C] += S.ran_c;
+    h->c.ctr[STAGES_PY] += S.ran_py;
+    seg_release(&G);
+    Py_XDECREF(op);
+    Py_XDECREF(arg);
+    Py_XDECREF(S.steps);
+    Py_DECREF(S.value);
     return result;
 }
 
-/* classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
- * FusedSection, FIRST_LNVC_LOCK, LockOwnerDiedError): what drive
- * dispatches on and reads, and what a dead lock owner raises. */
+/* classes(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
+ * Wake, PollWalk, RecvStage, RecvSection, MPFView, FIRST_LNVC_LOCK,
+ * LockOwnerDiedError, kernel addresses or None): what drive dispatches
+ * on and reads, what a dead lock owner raises, and the kernels the
+ * section runner calls. */
 static PyObject *
 classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    static const struct { int type; const char *name; } fields[N_FIELDS] = {
-        {T_ACQ, "lock_id"}, {T_REL, "lock_id"}, {T_WAIT, "chan"},
-        {T_WAIT, "lock_id"}, {T_WAKE, "chan"}, {T_SECTION, "steps"},
-    };
-    int i;
     long first;
+    int i;
 
-    if (nargs != N_TYPES + 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "classes(7 classes, first lock, error class)");
+    if (nargs != N_TYPES + 3) {
+        PyErr_SetString(PyExc_TypeError, "classes(11 classes, first lock, "
+                        "error class, kernel addresses or None)");
         return NULL;
     }
-    for (i = 0; i < N_TYPES; i++)
-        if (!PyType_Check(args[i])) {
-            PyErr_SetString(PyExc_TypeError, "classes: not a class");
-            return NULL;
-        }
     first = PyLong_AsLong(args[N_TYPES]);
-    if (first == -1 && PyErr_Occurred())
+    if ((first == -1 && PyErr_Occurred()) || bind_classes(args,
+                                                          args[N_TYPES + 2]))
         return NULL;
-    for (i = 0; i < N_FIELDS; i++) {
-        PyTypeObject *tp = (PyTypeObject *)args[fields[i].type];
-        PyObject *d = PyObject_GetAttrString((PyObject *)tp, fields[i].name);
-        PyMemberDescrObject *m = (PyMemberDescrObject *)d;
-        if (d == NULL)
-            return NULL;
-        if (!Py_IS_TYPE(d, &PyMemberDescr_Type) || m->d_common.d_type != tp
-            || m->d_member->type != Py_T_OBJECT_EX) {
-            Py_DECREF(d);
+    for (i = 0; i <= WK_CHAN; i++)  /* the effects' slots field() reads */
+        if (F[i].off < 0) {
             PyErr_Format(PyExc_TypeError, "%s.%s is not a slot",
-                         tp->tp_name, fields[i].name);
+                         TYPES[F[i].owner]->tp_name, F[i].name);
+            Py_CLEAR(TYPES[T_ACQ]);
             return NULL;
         }
-        OFF[i] = m->d_member->offset;
-        Py_DECREF(d);
-    }
-    for (i = 0; i < N_TYPES; i++) {
-        Py_INCREF(args[i]);
-        Py_XSETREF(TYPES[i], (PyTypeObject *)args[i]);
-    }
     FIRST_CHAN_LOCK = (uint32_t)first;
-    Py_INCREF(args[N_TYPES + 1]);
-    Py_XSETREF(OWNER_DIED, args[N_TYPES + 1]);
+    Py_XSETREF(OWNER_DIED, Py_NewRef(args[N_TYPES + 1]));
     Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
     {"classes", (PyCFunction)(void (*)(void))classes, METH_FASTCALL,
-     "classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake, "
-     "FusedSection, FIRST_LNVC_LOCK, LockOwnerDiedError): what drive() "
-     "dispatches on."},
+     "classes(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn, "
+     "Wake, PollWalk, RecvStage, RecvSection, MPFView, FIRST_LNVC_LOCK, "
+     "LockOwnerDiedError, kernels): what drive() dispatches on and calls."},
     {"drive", (PyCFunction)(void (*)(void))drive, METH_FASTCALL,
      "drive(gen, handle, process): the effect loop; returns the "
      "generator's return value."},

@@ -61,6 +61,7 @@ from ..core.protocol import FIRST_LNVC_LOCK
 __all__ = [
     "C_SYNC",
     "COUNTERS",
+    "STAGE_COUNTERS",
     "LOCK_SPIN_NS",
     "OWNER_CHECK_NS",
     "WAIT_SPIN_NS",
@@ -91,11 +92,20 @@ OWNER_CHECK_NS = 100_000_000
 #: ``acquired_by_spin`` plus ``acquired_by_block``.  Every ``wake`` is
 #: either ``wakes_skipped`` (no lock taken) or ``wakes_locked``;
 #: ``wakes_posted`` counts semaphore tokens, one per ``parked`` sleeper.
+#: :data:`STAGE_COUNTERS` close the tuple.
 COUNTERS = (
     "acquires", "acquired_by_spin", "acquired_by_block",
     "waits", "woke_spinning", "parked",
     "wakes_skipped", "wakes_locked", "wakes_posted",
+    "stages_c", "stages_py",
 )
+
+#: The section steps ``S_CALL`` that ``sync.c``'s drive ran in C (a poll
+#: walk or a receive stage whose memo holds, ``core/sections.c``) and
+#: those it handed to Python (a memo miss, a kernel refusal, a probe's
+#: stage, any other call).  The Python drive runs every ``S_CALL``
+#: through :func:`~repro.core.effects.unfold` and counts none.
+STAGE_COUNTERS = COUNTERS[-2:]
 
 
 def _spins(budget_ns: int):
@@ -124,16 +134,27 @@ _WAITERS = 0x8000_0000
 _TOKEN_NAP_S = 0.002
 
 
-def _load(where: Path = Path(__file__).parent):
+def _load(where: Path = Path(__file__).parent, kernels=None):
     """``sync.c`` built (or found) in ``where`` by
-    :func:`repro.core.chains.build_extension` with the kernels' flags and
-    bound to the effect classes; ``None`` where it cannot be built."""
-    source = (Path(__file__).parent / "sync.c").read_bytes()
-    lib = chains.build_extension(where, "_sync", source, chains.CFLAGS,
-                                 module="_sync")
+    :func:`repro.core.chains.build_extension` with the kernels' flags,
+    the section runner it includes (``core/sections.c``) in its hash, and
+    bound to the effect classes, the poll walk's and the receive
+    section's, and to the kernels of ``kernels`` its runner calls
+    (:attr:`~repro.core.chains.Kernels.addresses`; by default
+    :data:`repro.core.chains.C`, as the engine's); ``None`` where it
+    cannot be built."""
+    from ..core.ops import MPFView, PollWalk, RecvSection, RecvStage
+
+    here = Path(__file__).parent
+    lib = chains.build_extension(
+        where, "_sync", (here / "sync.c").read_bytes(), chains.CFLAGS,
+        salt=(chains.SECTIONS.read_bytes(),), module="_sync", include=here)
     if lib is not None:
-        lib.classes(Charge, ChargeMany, Acquire, Release, WaitOn, Wake,
-                    FusedSection, FIRST_LNVC_LOCK, LockOwnerDiedError)
+        kernels = kernels or chains.C
+        lib.classes(Charge, ChargeMany, Acquire, Release, FusedSection,
+                    WaitOn, Wake, PollWalk, RecvStage, RecvSection, MPFView,
+                    FIRST_LNVC_LOCK, LockOwnerDiedError,
+                    None if kernels is None else kernels.addresses)
     return lib
 
 

@@ -100,18 +100,33 @@ def c_engine(tmp_path_factory, c_kernels):
 
 
 @pytest.fixture(scope="session")
-def c_sync(tmp_path_factory):
+def c_sync(tmp_path_factory, c_kernels):
     """The compiled sync and effect loop the differential tests hold
     against the Python ``ProcSync`` and ``drive``:
     :data:`repro.runtime.sync.C_SYNC` — or, under AddressSanitizer,
     ``sync.c`` built again with ``ASAN_CFLAGS``, as :func:`c_kernels`
-    rebuilds the kernels."""
+    rebuilds the kernels, and bound to that build's kernels."""
     if sync.C_SYNC is None or chains.ACTIVE.name != "c":
         pytest.skip("no C sync on this host")
     if not asan_loaded():
         return sync.C_SYNC
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chains, "CFLAGS", chains.CFLAGS + ASAN_CFLAGS)
-        lib = sync._load(tmp_path_factory.mktemp("asan-sync"))
+        lib = sync._load(tmp_path_factory.mktemp("asan-sync"), c_kernels)
     assert lib is not None, "the AddressSanitizer build failed"
+    return lib
+
+
+@pytest.fixture(scope="session")
+def py_stages_sync(tmp_path_factory, c_sync):
+    """``sync.c`` built again beside :func:`c_sync` and bound to no
+    kernels (those of :data:`repro.core.chains.PYTHON`): its drive hands
+    every section call to the Python body, the reference a differential
+    test holds :func:`c_sync`'s stages to."""
+    flags = chains.CFLAGS + (ASAN_CFLAGS if asan_loaded() else ())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "CFLAGS", flags)
+        lib = sync._load(tmp_path_factory.mktemp("py-stages-sync"),
+                         chains.PYTHON)
+    assert lib is not None, "the build failed"
     return lib

@@ -184,6 +184,28 @@ def test_the_library_is_built_once_and_then_found(tmp_path):
     assert built[0].stat().st_mtime_ns == stamp
 
 
+def test_an_edit_of_the_section_runner_renames_both_libraries(
+        tmp_path, monkeypatch):
+    """``core/sections.c`` is compiled into the engine's and the sync's
+    extension: its bytes are in both hashes, so an edit of that file
+    alone builds new ``_engine_*`` and ``_sync_*`` libraries instead of
+    loading the ones built before it."""
+    from repro.runtime import sync
+
+    if engine.C_RUN is None or sync.C_SYNC is None:
+        pytest.skip("no C engine or sync on this host")
+    before = {Path(engine.C_RUN.__self__.__file__).name,
+              Path(sync.C_SYNC.__file__).name}
+    edited = tmp_path / "sections.c"
+    edited.write_bytes(chains.SECTIONS.read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(chains, "SECTIONS", edited)
+    after = {Path(engine._load(tmp_path).__self__.__file__).name,
+             Path(sync._load(tmp_path).__file__).name}
+    assert {p.name for p in tmp_path.glob("_*")} == after
+    assert {n.split("_")[1] for n in after} == {"engine", "sync"}
+    assert not after & before
+
+
 def _traffic(kernels, monkeypatch):
     """Sends and receives of every size through one FCFS circuit, a
     refused send, and a close that discards what is left, on

@@ -61,7 +61,12 @@ resume more per effect, an effect built per section step, the stage
 calls of the receive in Python — and the Python sync now writes the
 owner into a lock's word while it holds it (a ``struct`` read and
 write per acquire, a write per release), which is how a dead owner of
-a named segment's lock is caught.
+a named segment's lock is caught.  One section runner in C for both
+drives (``core/sections.c``) took the C set's free list to 34 + 11 and 3
+(48 + 18 and 4 at 475ceb3, counted before the first edit): ``sync.c``'s
+drive runs the five receive stages itself while their memos hold — the
+FCFS drain included, into a ``bytes`` it builds — so no ``RecvStage``
+call, stage body, kernel wrapper or wrapper's connection read is left.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table, the
@@ -254,12 +259,12 @@ PARENT = {
 }
 
 #: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
-#: the C kernels, per pair 48 Python + 18 C calls and 4 accessor calls on
+#: the C kernels, per pair 34 Python + 11 C calls and 3 accessor calls on
 #: the free list (238 + 340 and 99 at the parent), 44 + 12 and 3 on the
 #: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
 #: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
-#: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8, 63 + 16 at 1d093b6
-#: (see the module docstring).  On the Python kernels, 135 + 287 and 38
+#: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8, 63 + 16 at 1d093b6,
+#: 48 + 18 and 4 at 475ceb3 (see the module docstring).  On the Python kernels, 135 + 287 and 38
 #: on the free list (123 + 243 at fb1699e, 119 + 243 at 1d093b6), and
 #: 86 + 65 (73 + 46 at 1d093b6) and 35 on the
 #: ring, where fb1699e's generators made 70 + 43 and 33: the generator
@@ -270,8 +275,8 @@ PARENT = {
 #: completion the circuit's ring word the take read.
 PINNED = {
     "c": {
-        "freelist": {"py": 2880, "c": 1080, "work_inits": 0,
-                     "words16": 240, "bulk16": 0},
+        "freelist": {"py": 2040, "c": 660, "work_inits": 0,
+                     "words16": 180, "bulk16": 0},
         "ring": {"py": 2640, "c": 720, "work_inits": 0,
                  "words16": 180, "bulk16": 60},
     },
@@ -284,14 +289,14 @@ PINNED = {
 }
 
 #: Accessor calls a 16 B pair may make on the C kernels.  The free
-#: list's 4 are, for the send and the receive each, the transport
-#: dispatch's word and the connection check's LNVC read (its lock
-#: sections are C kernels, whose loads and stores the region does not
-#: see).  The ring's 3 are the send's dispatch word and connection check
+#: list's 3 are the send's and the receive's transport dispatch word and
+#: the send's connection check (its lock sections are C kernels, whose
+#: loads and stores the region does not see, and the receive's
+#: connection check is the section runner's).  The ring's 3 are the send's dispatch word and connection check
 #: and the receive's dispatch word: its lock-free take checks the
 #: connection cache in C (33 at fb1699e: 14 for the send's section, 10
 #: for the take, 9 for the completion).
-WORDS16_PER_PAIR = {"freelist": 4, "ring": 3}
+WORDS16_PER_PAIR = {"freelist": 3, "ring": 3}
 
 #: Stores over block link words per free-list pair, by message size:
 #: counted at cc8178e before the first edit (every link once by the

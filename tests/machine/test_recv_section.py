@@ -478,3 +478,50 @@ def test_a_thread_run_or_a_closed_client_leaves_no_section_behind():
 
     assert _sections_left(threads) == []
     assert _sections_left(client) == []
+
+
+@pytest.mark.parametrize("runtime", ["threads", "procs"])
+def test_a_free_list_pipe_runs_its_receive_stages_in_c(runtime):
+    """Without a recorder, ``sync.c``'s drive runs nearly every receive
+    stage of a free-list pipe in C (``RunResult.sync``: ``stages_c``
+    against ``stages_py``): only the first connection check and the
+    first drain and reap of each message shape miss their memos.  The
+    pipe sends 600 FCFS messages of 16, 256 and 2048 B, at most 32 ahead
+    of the receiver's acknowledgements on a second circuit."""
+    from repro import ProcRuntime
+    from repro.runtime import sync as sync_mod
+
+    if sync_mod.C_SYNC is None or chains.ACTIVE.name != "c":
+        pytest.skip("no C sync on this host")
+    n, window = 600, 32
+    sizes = [(16, 256, 2048)[i % 3] for i in range(n)]
+
+    def sender(env):
+        out = yield from env.open_send("data")
+        ack = yield from env.open_receive("ack", FCFS)
+        for i, size in enumerate(sizes):
+            if i >= window:
+                yield from env.message_receive(ack)
+            yield from env.message_send(out, bytes([i & 0xFF]) * size)
+        for _ in range(min(n, window)):
+            yield from env.message_receive(ack)
+
+    def receiver(env):
+        got = yield from env.open_receive("data", FCFS)
+        ack = yield from env.open_send("ack")
+        for i, size in enumerate(sizes):
+            assert (yield from env.message_receive(got)) == (
+                bytes([i & 0xFF]) * size)
+            yield from env.message_send(ack, b"k")
+        return n
+
+    rt = (ThreadRuntime if runtime == "threads" else ProcRuntime)(
+        join_timeout=60)
+    result = rt.run([sender, receiver],
+                    cfg=MPFConfig(max_lnvcs=4, max_processes=2,
+                                  max_messages=2 * window + 4,
+                                  message_pool_bytes=1 << 17))
+    assert result.results["p1"] == n
+    ran = [sum(c[k] for c in result.sync.values())
+           for k in ("stages_c", "stages_py")]
+    assert ran[0] >= 0.99 * sum(ran) and sum(ran) >= 5 * 2 * n, ran

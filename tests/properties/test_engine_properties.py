@@ -566,7 +566,7 @@ def _recv_workers(prog):
                 except BufferOverflowError:
                     got.append("overflow")
                     data = yield from env.message_receive(cid)
-                got.append((len(data), data[:1], env.now()))
+                got.append((data, env.now()))
             yield from env.close_receive(cid)
             return got
         return body

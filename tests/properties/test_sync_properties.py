@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import ops
 from repro.core.effects import (
     D_BAIL,
     D_JUMP,
@@ -34,13 +35,16 @@ from repro.core.effects import (
     WaitOn,
     Wake,
 )
+from repro.core.errors import MPFError, RegionFormatError
 from repro.core.layout import MPFConfig
-from repro.core.protocol import FIRST_LNVC_LOCK
+from repro.core.protocol import BROADCAST, FCFS, FIRST_LNVC_LOCK
+from repro.core.structs import LNVC
 from repro.core.work import Work
 from repro.obs import Recorder
 from repro.runtime import sync as sync_mod
-from repro.runtime.sync import COUNTERS, ProcSync
+from repro.runtime.sync import COUNTERS, STAGE_COUNTERS, ProcSync
 from repro.runtime.threads import drive
+from repro.testing import make_view
 
 CFG = MPFConfig(max_lnvcs=3, max_processes=2)
 N_LOCKS, N_CHAN = CFG.n_locks, CFG.n_channels
@@ -79,6 +83,10 @@ SECTIONS = st.tuples(
     st.lists(STEPS, max_size=3))
 
 
+#: The section calls made, in order (``observe`` empties it).
+CALLS: list = []
+
+
 def step(spec, held: set) -> tuple:
     """The section step ``spec`` names, for a worker holding ``held``
     when it runs (an acquire of a held lock is a charge instead)."""
@@ -109,9 +117,11 @@ def section(spec, held: set) -> FusedSection:
         d = None
     if kind == "boom":
         def fn():
+            CALLS.append(fn)
             raise KeyError("stage")
     else:
         def fn():
+            CALLS.append(fn)
             return d
     runs = held if kind == "none" else set(held)
     return FusedSection(tuple(steps) + ((S_CALL, fn),)
@@ -150,12 +160,12 @@ def program(ops):
     return len(ops), sent
 
 
-def make(c) -> ProcSync:
-    """A two-worker ``ProcSync`` on ``c`` (a built ``sync.c``), or the
-    Python one for ``None``."""
+def make(c, cfg: MPFConfig = CFG) -> ProcSync:
+    """A two-worker ``ProcSync`` for ``cfg`` on ``c`` (a built
+    ``sync.c``), or the Python one for ``None``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sync_mod, "C_SYNC", c)
-        shared = ProcSync(CFG, threading, 2)
+        shared = ProcSync(cfg, threading, 2)
     assert shared.impl == ("python" if c is None else "c")
     return shared
 
@@ -170,16 +180,24 @@ def run(c, gen, handle, rec, process):
 
 
 def observe(c, ops, recorded: bool) -> dict:
+    """What a run of ``ops`` leaves.  The stage counters are checked here
+    and left out: only ``sync.c``'s drive counts the section calls, each
+    of these one it hands to Python (none is a walk or a stage)."""
     shared = make(c)
     handle = shared.bind(0)
     rec = Recorder() if recorded else None
+    CALLS.clear()
     try:
         out = ("return", run(c, program(ops), handle, rec, "p0"))
     except Exception as exc:  # compared by type and message
         out = (type(exc).__name__, str(exc))
+    counters = handle.counters()
+    bare_c = c is not None and rec is None
+    assert [counters.pop(k) for k in STAGE_COUNTERS] == [
+        0, len(CALLS) if bare_c else 0]
     return {
         "out": out,
-        "counters": handle.counters(),
+        "counters": counters,
         "held": list(handle.held),
         "locked": [shared.locked(i) for i in range(N_LOCKS)],
         # wait bytes, status rows, lock words, futex words
@@ -304,3 +322,164 @@ def test_c_token_passing_keeps_the_counter_identities(c_sync, recorded):
         assert total["wakes_skipped"] + total["wakes_locked"] == 600, c
         assert total["acquires"] == (
             600 + total["waits"] + total["parked"] + total["wakes_locked"]), c
+
+
+# -- receive sections over a real segment: C stages against Python bodies
+
+#: Two circuits, an FCFS one and a BROADCAST one, each with a sender
+#: (pid 0) and receivers 1 and 2; a pool small enough to run dry, and
+#: few message sizes, so that a receive finds its shape memoized.
+RCFG = dict(max_lnvcs=4, max_processes=3, max_messages=8,
+            message_pool_bytes=1 << 12)
+PROTOCOLS = (FCFS, BROADCAST)
+
+ACTIONS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 1),
+              st.sampled_from((0, 1, 40, 90, 300))),
+    st.tuples(st.just("recv"), st.integers(0, 1), st.integers(1, 2),
+              st.one_of(st.none(), st.integers(0, 200))),
+    st.tuples(st.just("recycle"), st.integers(0, 1)),
+    st.tuples(st.just("corrupt"), st.integers(0, 1)),
+)
+
+
+def outcome(value):
+    """A section's result as a comparable value: the payload, ``None``,
+    or a bail's locks with its error's type and message."""
+    if value.__class__ is tuple:
+        locks, exc = value
+        return (tuple(locks), type(exc).__name__, str(exc))
+    return value
+
+
+def receive(view, pid, rid, log: list, max_len=None):
+    """``message_receive``'s section as it runs it (the one the view
+    caches for the pid and slot), up to its first result, so that it
+    never waits: the message, or ``None`` with the circuit lock held,
+    or a bail with the locks to release, which are released."""
+    key = (pid, view.slot_of(rid))
+    sec = view._fs_recv_cache.pop(key, None)
+    if sec is None or sec.lnvc_id != rid:
+        sec = ops.RecvSection(view, pid, rid)
+    sec.max_len = max_len
+    got = yield sec.head
+    view._fs_recv_cache[key] = sec
+    log.append(outcome(got))
+    for lock in (sec.lock,) if got is None else (
+            got[0] if got.__class__ is tuple else ()):
+        yield Release(lock)
+
+
+def receive_program(view, actions, log: list):
+    """Open both circuits, then run ``actions``: a send of a payload of
+    that size (a dry pool is logged), a receive (``receive``: what is
+    queued, or nothing; an overflow is a bail), a circuit deleted and
+    opened again with a receive more on its old id, or a circuit's FIFO
+    head pointed outside the segment and a last receive on it (the
+    completion kernel refuses the record; the claim does not read it).
+    An error read off a corrupt record ends the program."""
+    ids = {}
+
+    def open_circuit(c):
+        ids[c, 0] = yield from ops.open_send(view, 0, f"c{c}")
+        for r in (1, 2):
+            ids[c, r] = yield from ops.open_receive(view, r, f"c{c}",
+                                                    PROTOCOLS[c])
+
+    for c in (0, 1):
+        yield from open_circuit(c)
+    for n, act in enumerate(actions):
+        kind, c = act[0], act[1]
+        try:
+            if kind == "send":
+                data = bytes((n + i) & 0xFF for i in range(act[2]))
+                yield from ops.message_send(view, 0, ids[c, 0], data)
+            elif kind == "recv":
+                yield from receive(view, act[2], ids[c, act[2]], log, act[3])
+            elif kind == "corrupt":
+                r = view.region
+                LNVC.set(r, view.layout.lnvc_off(view.slot_of(ids[c, 0])),
+                         "fifo_head", r.size + 100)
+                yield from receive(view, 1, ids[c, 1], log)
+                break  # what fails now may leave its locks held
+            else:
+                old = ids[c, 1]
+                yield from ops.close_send(view, 0, ids[c, 0])
+                for r in (1, 2):
+                    yield from ops.close_receive(view, r, ids[c, r])
+                yield from open_circuit(c)
+                yield from receive(view, 1, old, log)
+        except Exception as exc:  # noqa: BLE001 - logged, then on
+            log.append((kind, type(exc).__name__))
+            if isinstance(exc, RegionFormatError) or not isinstance(
+                    exc, MPFError):
+                break  # raised off a corrupt record: locks may stay held
+    return len(log)
+
+
+def drive_receives(lib, actions) -> dict:
+    """``actions`` on a fresh segment through ``lib``'s drive."""
+    shared = make(lib, MPFConfig(**RCFG))
+    handle = shared.bind(0)
+    view = make_view(**RCFG)
+    log: list = []
+    out = lib.drive(receive_program(view, actions, log), handle, "p0")
+    counters = handle.counters()
+    return {"out": out, "log": log, "held": list(handle.held),
+            "locked": [shared.locked(i) for i in range(shared._n_locks)],
+            "segment": bytes(view.region._mv),
+            "stages": [counters[k] for k in STAGE_COUNTERS]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions=st.lists(ACTIONS, max_size=24))
+# FCFS: a claim, a drain in C and a reap; then the drain-memo miss and
+# hit of two BROADCAST receivers of one message.
+@example(actions=[("send", 0, 40), ("recv", 0, 1, None), ("send", 1, 90),
+                  ("recv", 1, 1, None), ("recv", 1, 2, None)])
+# FCFS receives of one shape: the drain in C, into a bytes of its own;
+# then three queued at once, each ending in a block of its own.
+@example(actions=[("send", 0, 40), ("recv", 0, 1, None)] * 3)
+@example(actions=[("send", 0, 40)] * 3 + [("recv", 0, 1, None),
+                                          ("recv", 0, 2, None)] * 2)
+# An overflow bails with the circuit lock; the message stays queued.
+@example(actions=[("send", 0, 100), ("recv", 0, 2, 99), ("recv", 0, 2, 100)])
+# A receive on a recycled circuit's old id is refused.
+@example(actions=[("send", 0, 8), ("recv", 0, 1, None), ("recycle", 0),
+                  ("send", 0, 8), ("recv", 0, 2, None)])
+# A BROADCAST message in the header and chain of one reaped before it:
+# the drain memo must not take it for the old one.
+@example(actions=[("send", 1, 30), ("recv", 1, 1, None),
+                  ("recv", 1, 2, None), ("send", 1, 30), ("recv", 1, 1, None),
+                  ("recv", 1, 2, None)])
+# A completion the kernel refuses: the reference's error.
+@example(actions=[("send", 0, 30), ("recv", 0, 1, None), ("send", 0, 30),
+                  ("corrupt", 0)])
+def test_c_receive_stages_match_their_python_bodies(c_sync, py_stages_sync,
+                                                    actions):
+    """Every receive section driven by ``sync.c`` with its stages in C,
+    and again with each handed to its Python body: the same values sent
+    to the program, locks held and segment bytes."""
+    got = drive_receives(c_sync, actions)
+    ref = drive_receives(py_stages_sync, actions)
+    assert ref["stages"][0] == 0
+    assert sum(got["stages"]) == sum(ref["stages"])
+    got.pop("stages"), ref.pop("stages")
+    assert got == ref
+
+
+@pytest.mark.parametrize("actions, stages", [
+    # A new section's connection misses its memo; an empty claim is C's.
+    ([("recv", 0, 1, None)], [1, 1]),
+    # The first FCFS receive fills the connection, copy and reap memos;
+    # the next two run all five stages in C.
+    ([("send", 0, 40), ("recv", 0, 1, None)] * 3, [12, 3]),
+    # Receiver 2 takes each BROADCAST message from the drain memo
+    # receiver 1 fills, and reaps it.
+    ([("send", 1, 90), ("recv", 1, 1, None), ("recv", 1, 2, None)] * 3,
+     [20, 7]),
+])
+def test_c_receive_stages_run_in_c(c_sync, actions, stages):
+    """Which stages ``sync.c``'s drive ran in C and which it handed to
+    Python (``stages_c``, ``stages_py``)."""
+    assert drive_receives(c_sync, actions)["stages"] == stages
