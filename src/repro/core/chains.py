@@ -860,20 +860,23 @@ def build_extension(where: Path, stem: str, source: bytes,
     import it; ``None`` when that cannot be done here.
 
     The hash is the CRC-32 of ``source``, ``salt`` (whatever else goes
-    into the C file: the bytes of a file it includes) and ``flags``; the
-    file suffix names the interpreter.  ``emit(path)`` writes the C file
-    to compile (``source`` itself by default), ``include`` is the
-    directory its includes are resolved from (the source's own, since
-    the build compiles a copy elsewhere), and ``module`` is the name the
+    into the C file), the bytes of ``include`` and ``flags``; the file
+    suffix names the interpreter.  ``emit(path)`` writes the C file to
+    compile (``source`` itself by default), ``include`` is the one file
+    it includes by bare name (compiled from its own directory, so the
+    bytes hashed are the bytes built), and ``module`` is the name the
     library's init function carries when it is not the file's stem — a
     plain C-API extension's ``PyInit_<module>`` is fixed in its source."""
+    if include is not None:
+        salt = (*salt, include.read_bytes())
     key = zlib.crc32(b"\0".join((source, *salt, " ".join(flags).encode())))
     name = f"{stem}_{key:08x}"
     target = where / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
     try:
         if not target.exists():
             _compile(name, emit or (lambda path: path.write_bytes(source)),
-                     target, flags, include)
+                     target, flags,
+                     None if include is None else include.parent)
         spec = importlib.util.spec_from_file_location(module or name, target)
         lib = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(lib)

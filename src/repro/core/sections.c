@@ -621,6 +621,9 @@ drain_memo(PyObject *sec, uint64_t msg, uint64_t first, uint64_t nblk,
     return rc;
 }
 
+/* The FCFS chains drained here since the load (the engine's drains()). */
+static long long FCFS_DRAINS;
+
 /* An FCFS message's chain drained straight into a new bytes object: its
  * (last block, payload) (new references); 0 when the kernel refuses. */
 static int
@@ -640,15 +643,12 @@ drain_fcfs(PyObject *sec, char *b, uint64_t len, uint64_t first,
         return -1;
     got = ((drain_fn)KERNEL[K_DRAIN])(b, len, first, nblk, length, bs,
                                       PyBytes_AS_STRING(*payload));
-    if (got < 0) {
-        Py_CLEAR(*payload);
-        return 0;
+    if (got >= 0 && (*last = PyLong_FromLongLong(got)) != NULL) {
+        FCFS_DRAINS++;
+        return 1;
     }
-    if ((*last = PyLong_FromLongLong(got)) == NULL) {
-        Py_CLEAR(*payload);
-        return -1;
-    }
-    return 1;
+    Py_CLEAR(*payload);
+    return got < 0 ? 0 : -1;
 }
 
 /* The drain: an FCFS message's chain drained here, a BROADCAST message's

@@ -74,7 +74,7 @@
     X(VM_FAULT_S, T_VM, "fault_seconds") X(VM_FAULTS, T_VM, "faults")       \
     X(VM_FAULT_TIME, T_VM, "fault_time") X(VM_CARRY, T_VM, "_carry")
 
-#include "../core/sections.c"
+#include "sections.c"
 
 static PyObject *SIM_ERROR;
 static PyObject *S_RUNNABLE, *S_WAIT_LOCK, *S_WAIT_CHAN, *S_DONE, *S_FAILED;
@@ -84,9 +84,9 @@ static PyObject *K_NOW, *K_QUEUE, *K_SEQ, *K_RUNNABLE, *K_STATS, *K_TIMING,
     *K_PRICE, *K_RECORDER, *K_MAX_EVENTS, *K_SCHEDULER, *K_ATTACH, *K_CHOOSE,
     *K_LOCKS, *K_CHANNELS, *K_N_LOCKS, *K_N_CHANNELS, *K_T_ACQUIRE,
     *K_T_RELEASE, *K_ANALYTIC, *K_CLOSED_FORM, *K_COPY_STARTED,
-    *K_COPY_FINISHED,
-    *K_WAKE_COST, *K_OVER_BUDGET, *K_STALLED, *K_APPEND, *K_POPLEFT,
-    *K_ON_CHARGE, *K_ON_ACQUIRE, *K_ON_RELEASE, *K_ON_WAKE, *K_ON_CHAN_WAIT,
+    *K_COPY_FINISHED, *K_WAKE_COST, *K_OVER_BUDGET, *K_STALLED, *K_APPEND,
+    *K_POPLEFT, *K_ON_CHARGE, *K_ON_ACQUIRE, *K_ON_RELEASE, *K_ON_WAKE,
+    *K_ON_CHAN_WAIT,
     *KW_CONTENDED, *KW_CONTENDED_COUNTED, *KW_COUNTED;
 
 /* The EngineStats counters, in the order of STAT_NAMES. */
@@ -159,12 +159,9 @@ attr_ll(PyObject *o, PyObject *key, long long *out)
 static int
 set_attr_ll(PyObject *o, PyObject *key, long long x)
 {
-    int rc;
     PyObject *v = PyLong_FromLongLong(x);
-    if (v == NULL)
-        return -1;
-    rc = PyObject_SetAttr(o, key, v);
-    Py_DECREF(v);
+    int rc = v == NULL ? -1 : PyObject_SetAttr(o, key, v);
+    Py_XDECREF(v);
     return rc;
 }
 
@@ -180,10 +177,8 @@ static int
 call_method0_void(PyObject *o, PyObject *name)
 {
     PyObject *r = call_method0(o, name);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
 }
 
 static int
@@ -192,10 +187,8 @@ call_method1_void(PyObject *o, PyObject *name, PyObject *arg)
     PyObject *args[2] = {o, arg};
     PyObject *r = PyObject_VectorcallMethod(
         name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
 }
 
 /* Raise the exception ``exc`` (steals it). */
@@ -1855,12 +1848,21 @@ bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* drains(): FCFS_DRAINS, the chains the section runner drained itself. */
+static PyObject *
+drains(PyObject *Py_UNUSED(mod), PyObject *Py_UNUSED(arg))
+{
+    return PyLong_FromLongLong(FCFS_DRAINS);
+}
+
 static PyMethodDef methods[] = {
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
      "bind(classes..., SimulationError, states..., kernels): what run() "
      "dispatches on and stores, and the kernels it calls."},
     {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL,
      "run(engine, until): Engine.run's loop; returns the final time."},
+    {"drains", drains, METH_NOARGS,
+     "drains(): the FCFS chains the section runner drained in C."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -765,7 +765,7 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     lib = chains.build_extension(
         where, "_engine", (here / "engine.c").read_bytes(),
         chains.CFLAGS + ("-ffp-contract=off",),
-        salt=(chains.SECTIONS.read_bytes(),), module="_engine", include=here)
+        module="_engine", include=chains.SECTIONS)
     if lib is None:
         return None
     kernels = kernels or chains.C

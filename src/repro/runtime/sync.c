@@ -402,7 +402,7 @@ core_wake(core_t *c, uint32_t chan)
 /* The section runner's classes and slots are all this file reads. */
 #define HOST_TYPES(X)
 #define HOST_FIELDS(X)
-#include "../core/sections.c"
+#include "sections.c"
 
 static uint32_t FIRST_CHAN_LOCK;
 /* LockOwnerDiedError, raised by owner_died. */
@@ -809,9 +809,6 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyTypeObject *tp;
         int rc;
         if (S.idx < S.n) {
-            /* S_CHARGE and S_MANY are skipped, S_ACQ and S_REL run as an
-             * Acquire and a Release do, an S_CALL is the section runner's
-             * and any other opcode is refused */
             long code = sec_fetch(&S, &op, &arg);
             rc = code == S_CALL ? sec_call(&S, &G, arg, NULL, NULL)
                  : code == S_ACQ || code == S_REL

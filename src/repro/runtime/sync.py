@@ -148,7 +148,7 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     here = Path(__file__).parent
     lib = chains.build_extension(
         where, "_sync", (here / "sync.c").read_bytes(), chains.CFLAGS,
-        salt=(chains.SECTIONS.read_bytes(),), module="_sync", include=here)
+        module="_sync", include=chains.SECTIONS)
     if lib is not None:
         kernels = kernels or chains.C
         lib.classes(Charge, ChargeMany, Acquire, Release, FusedSection,

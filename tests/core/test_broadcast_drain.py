@@ -22,6 +22,7 @@ from repro.core.layout import MPFConfig, SegmentLayout, format_region
 from repro.core.ops import MPFView
 from repro.core.region import SharedRegion
 from repro.core.structs import LNVC, MSG
+from repro.machine import engine
 from repro.patterns import barrier
 from repro.testing import DirectRunner, make_view
 
@@ -37,8 +38,7 @@ def drains(monkeypatch, kernels):
     """``kernels`` made the active set, and a list that grows by one per
     chain drain through its ``drain``.  (On the C loop the receive's
     drain stage drains an FCFS message whose copy shape it has seen
-    itself, past this wrapper: the Python loop's count is the one with
-    every drain in it.)"""
+    itself, past this wrapper: :func:`c_drains` counts those.)"""
     calls = []
     real = kernels.drain
 
@@ -49,6 +49,20 @@ def drains(monkeypatch, kernels):
     monkeypatch.setattr(kernels, "drain", counted)
     monkeypatch.setattr(chains, "ACTIVE", kernels)
     return calls
+
+
+def c_drains(name):
+    """The FCFS chains the C loop's section runner has drained itself so
+    far (``engine.c``'s ``drains()``); 0 for the Python loop."""
+    return engine.C_RUN.__self__.drains() if name == "c" else 0
+
+
+#: (drains through the kernel set's wrapper, FCFS drains in the C loop)
+#: per kernel set, for the twelve-message fan-out and for fig 5: every
+#: BROADCAST message and each FCFS copy shape's first message take the
+#: wrapper, the other FCFS messages the C stage.
+PINNED = {"fanout": {"c": (16, 32), "python": (48, 0)},
+          "fig5": {"c": (504, 64), "python": (568, 0)}}
 
 
 def _fanout(n_receivers, payloads):
@@ -82,29 +96,31 @@ def test_sixteen_simulated_receivers_drain_each_message_once(monkeypatch):
     payloads = [rng.randbytes(1024) for _ in range(12)]
     for name, kernels in KERNEL_SETS.items():
         calls = drains(monkeypatch, kernels)
+        before = c_drains(name)
         result = SimRuntime().run(_fanout(16, payloads))
+        in_c = c_drains(name) - before
         assert result.result_list()[1:] == [payloads] * 16
         # The barriers' messages are short and FCFS: one drain per
-        # message sent, the C loop's own of those not through the wrapper.
+        # message sent, through the wrapper or in the C stage.
         assert [n for n in calls if n == 103] == [103] * len(payloads)
-        sends = result.header["total_sends"]
-        assert len(calls) == sends if name == "python" else (
-            len(payloads) < len(calls) < sends)
+        assert len(calls) + in_c == result.header["total_sends"]
+        assert (len(calls), in_c) == PINNED["fanout"][name]
 
 
 def test_fig5_program_drains_once_per_sent_message(monkeypatch):
     """``sim_bcast16``'s program, both points: 568 drains for 8,072
-    receives (one per receive before the memo), all but the C loop's
-    own FCFS drains through the wrapper."""
+    receives (one per receive before the memo), each through the wrapper
+    or in the C loop's drain stage."""
     for name, kernels in KERNEL_SETS.items():
         calls = drains(monkeypatch, kernels)
+        before = c_drains(name)
         runs = [broadcast_throughput(n, length, messages).run
                 for n, length, messages in ((16, 16, 400), (16, 1024, 96))]
+        in_c = c_drains(name) - before
         assert sum(r.header["total_receives"] for r in runs) == 8072
-        sends = sum(r.header["total_sends"] for r in runs)
-        assert sends == 568
-        assert len(calls) == sends if name == "python" else (
-            len(calls) < sends)
+        assert sum(r.header["total_sends"] for r in runs) == 568
+        assert len(calls) + in_c == 568
+        assert (len(calls), in_c) == PINNED["fig5"][name]
 
 
 def _two_receivers(view):

@@ -189,7 +189,8 @@ def test_an_edit_of_the_section_runner_renames_both_libraries(
     """``core/sections.c`` is compiled into the engine's and the sync's
     extension: its bytes are in both hashes, so an edit of that file
     alone builds new ``_engine_*`` and ``_sync_*`` libraries instead of
-    loading the ones built before it."""
+    loading the ones built before it, and the file hashed is the file
+    compiled (an edit that cannot compile builds neither)."""
     from repro.runtime import sync
 
     if engine.C_RUN is None or sync.C_SYNC is None:
@@ -204,6 +205,9 @@ def test_an_edit_of_the_section_runner_renames_both_libraries(
     assert {p.name for p in tmp_path.glob("_*")} == after
     assert {n.split("_")[1] for n in after} == {"engine", "sync"}
     assert not after & before
+    edited.write_bytes(chains.SECTIONS.read_bytes()
+                       + b"#error the edited copy is the one compiled\n")
+    assert engine._load(tmp_path) is None and sync._load(tmp_path) is None
 
 
 def _traffic(kernels, monkeypatch):

@@ -6,14 +6,16 @@ hold to their Python references.  Each entry gives a ``file``, the exact
 ``text`` in it, its ``replacement``, the ``tests`` (pytest node ids) that
 must fail on the mutant, and ``why`` it is wrong.  For each entry the
 tree's ``src/`` and ``tests/`` are copied into a temporary directory, the
-text — which must occur exactly once — is replaced there, and only the
-listed tests run on the copy (the copy builds its mutated extension
-itself: the build cache is keyed by the source's hash).  A mutant is
-killed when they fail (pytest's exit status 1) or hang past
-``TIMEOUT``; one that passes survives, and any survivor or stale entry
-fails the run.  So does a listed test that fails on an unmutated copy,
-which the run checks first: a kill means something only where the test
-passes without the mutant.
+text — which must occur exactly once — is replaced there, and each
+listed test runs on the copy in a pytest of its own (the copy builds its
+mutated extension itself: the build cache is keyed by the source's
+hash).  A mutant is killed when every listed test fails (pytest's exit
+status 1) or hangs past ``TIMEOUT``: an entry that names an engine test
+and a ``sync.c`` test of the shared section runner is killed under both
+extensions, not under whichever runs first.  One listed test that passes
+is a survivor, and any survivor or stale entry fails the run.  So does a
+listed test that fails on an unmutated copy, which the run checks first:
+a kill means something only where the test passes without the mutant.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIST = ROOT / "tests" / "mutants.json"
-#: Seconds one entry's tests may take before its mutant counts as killed
-#: by a hang.
+#: Seconds one listed test may take before it counts as killing its
+#: mutant by a hang.
 TIMEOUT = 600
 
 
@@ -46,9 +48,30 @@ def apply(copy: Path, entry: dict) -> None:
     path.write_text(source.replace(entry["text"], entry["replacement"]))
 
 
+def pytest(copy: Path, tests: list[str]) -> str:
+    """``tests`` run in one pytest on ``copy``: ``"killed"``, ``"killed
+    (hang)"``, ``"SURVIVED"`` (they passed) or an error."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "killed (hang)"
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "SURVIVED"
+    return (f"ERROR: pytest exited {done.returncode}\n"
+            + done.stdout[-2000:] + done.stderr[-2000:])
+
+
 def run(entry: dict, where: Path) -> str:
-    """``"killed"``, ``"killed (hang)"``, ``"SURVIVED"`` or an error; an
-    entry with no ``text`` runs its tests on the copy as it is."""
+    """``"killed"``, ``"killed (hang)"``, ``"SURVIVED"`` or an error, the
+    last two naming the listed test that did not fail.  An entry with no
+    ``text`` runs its tests together on the copy as it is."""
     copy = where / entry["id"]
     skip = shutil.ignore_patterns("__pycache__", ".pytest_cache",
                                   ".hypothesis")
@@ -56,27 +79,19 @@ def run(entry: dict, where: Path) -> str:
         shutil.copytree(ROOT / part, copy / part, ignore=skip)
     shutil.copy(ROOT / "pyproject.toml", copy)
     try:
-        if entry.get("text"):
-            apply(copy, entry)
+        if not entry.get("text"):
+            return pytest(copy, entry["tests"])
+        apply(copy, entry)
+        verdicts = {test: pytest(copy, [test]) for test in entry["tests"]}
     except ValueError as exc:
         return f"STALE: {exc}"
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", *entry["tests"]],
-            cwd=copy, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT)
-    except subprocess.TimeoutExpired:
-        return "killed (hang)"
     finally:
         shutil.rmtree(copy, ignore_errors=True)
-    if done.returncode == 1:
-        return "killed"
-    if done.returncode == 0:
-        return "SURVIVED"
-    return (f"ERROR: pytest exited {done.returncode}\n"
-            + done.stdout[-2000:] + done.stderr[-2000:])
+    for test, verdict in verdicts.items():
+        if not verdict.startswith("killed"):
+            return f"{verdict} ({test.rsplit('::', 1)[-1]})"
+    return ("killed (hang)" if "killed (hang)" in verdicts.values()
+            else "killed")
 
 
 def main(ids: list[str]) -> int:

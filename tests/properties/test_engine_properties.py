@@ -649,6 +649,12 @@ def _rprog(receivers, sends, churn=(), corrupt=None, cache_bytes=64):
 @example(prog=_rprog([(False, None, 2, 0), (False, None, 2, 0)],
                      [(10_000, 20), (10_000, 20)], corrupt=1),
          recorded=False)
+# FCFS messages of one shape: after the first, the C stage drains each
+# chain itself, every byte of it.
+@example(prog=_rprog([(True, None, 4, 0)],
+                     [(10_000, 25), (10_000, 25), (10_000, 25),
+                      (10_000, 25)]),
+         recorded=False)
 @given(prog=recv_programs(), recorded=st.booleans())
 def test_c_receive_sections_match_the_python_reference(c_engine, c_kernels,
                                                        prog, recorded):
