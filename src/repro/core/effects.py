@@ -232,10 +232,12 @@ class FusedSection:
     arithmetic, locking and recorder/trace stream are those of the
     effect-per-yield sequence, without the generator round-trips.
 
-    Two producers: :func:`repro.core.ops.poll_receive`, whose idle wait
-    loops inside the engine (``D_JUMP`` back to its head) instead of
-    resuming a generator 88 times per receive, and the free-list
-    :func:`~repro.core.ops.message_receive`, one cached
+    Three producers: :func:`repro.core.ops.poll_receive`, whose idle
+    wait loops inside the engine (``D_JUMP`` back to its head) instead
+    of resuming a generator 88 times per receive; the free-list
+    :func:`~repro.core.ops.check_receive`, one head of that loop whose
+    walk (:class:`~repro.core.ops.PollWalk`) returns the count; and the
+    free-list :func:`~repro.core.ops.message_receive`, one cached
     :class:`~repro.core.ops.RecvSection` per process and circuit whose
     ``S_CALL`` stages the C engine loop runs with the lock-section
     kernels while their memos hold (the real runtimes' drives call
@@ -253,8 +255,8 @@ class FusedSection:
     effects:
 
     * Ring circuits build no section: ``poll_receive`` over a set that
-      includes one takes its per-check loop, and the ring receive is a
-      classic generator.  A probe-carrying recorder's stamps are stages
+      includes one takes its per-check loop, and the ring check and
+      receive are classic generators.  A probe-carrying recorder's stamps are stages
       of the receive section, which emit no effect.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes

@@ -245,6 +245,12 @@ class MPFView:
       included) and the back-off match.  A looping section refers to
       itself, so :meth:`forget_sections` unlinks each before dropping
       it.
+    * ``_fs_check_cache``: ``(pid, slot) ->`` the one-circuit section of
+      a free-list :func:`check_receive` (its walk, a counting
+      :class:`PollWalk`, is ``steps[2][1]``).  Valid while the walk's id
+      (generation included) is the check's; the walk's memo carries its
+      key.  Nothing in it refers back to the section, so
+      :meth:`forget_sections` only empties it.
     * ``_fs_recv_cache``: ``(pid, slot) ->`` :class:`RecvSection`, the
       free-list :func:`message_receive` of a process on a circuit as one
       section.  Valid while the receive's id (generation included) and
@@ -303,6 +309,7 @@ class MPFView:
         "_recv_cache",
         "probe",
         "_fs_poll_cache",
+        "_fs_check_cache",
         "_fs_recv_cache",
         "_drain_memo",
         *(f"_rd_{name}" for name in READS),
@@ -369,6 +376,7 @@ class MPFView:
         self._send_cache: dict = {}
         self._recv_cache: dict = {}
         self._fs_poll_cache: dict = {}
+        self._fs_check_cache: dict = {}
         self._fs_recv_cache: dict = {}
         self._drain_memo: tuple | None = None
         #: The one observer slot: ``None``, or whatever a runtime's
@@ -380,8 +388,8 @@ class MPFView:
         self.probe = None
 
     def forget_sections(self) -> None:
-        """Drop every section ``_fs_poll_cache`` and ``_fs_recv_cache``
-        hold, unlinked first.
+        """Drop every section ``_fs_poll_cache``, ``_fs_check_cache`` and
+        ``_fs_recv_cache`` hold, unlinked first.
 
         A looping section's heads and its walks' memos refer to each
         other, a receive section's stages and steps likewise, and both
@@ -406,6 +414,7 @@ class MPFView:
                 for walk in walks:
                     walk.unlink()
                 del cache[key]
+        self._fs_check_cache.clear()
         recv = self._fs_recv_cache
         for key in list(recv):
             sec = recv.pop(key, None)
@@ -1410,45 +1419,42 @@ def check_receive(
     base = view.lnvc_base + slot * _LNVC_SIZE
     if view.region.u32(base + _L_TRANSPORT):
         return ring_check(view, pid, slot, base, lnvc_id, prelude)
-    return _freelist_check(view, pid, slot, base, lnvc_id, prelude)
+    return _freelist_check(view, pid, slot, lnvc_id, prelude)
 
 
-def _freelist_check(view: MPFView, pid: int, slot: int, base: int,
-                    lnvc_id: int, prelude: Work | None) -> OpGen:
-    """:func:`check_receive` over the free-list transport (``slot``,
-    ``base``: as for :func:`_freelist_send`)."""
-    u32 = view.region.u32
-
-    if prelude is None:
-        yield view._check_fixed
-    else:
-        yield ChargeMany((prelude, view._check_fixed_work))
-    yield view._acq[slot]
-    try:
-        desc, steps = view.recv_conn(pid, lnvc_id)
-    except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
-    _, proto, msg, _, _ = view._rd_recv(desc)
-    if proto == _P_FCFS:
-        msg = u32(base + _L_FCFS_HEAD)
-    count = 0
-    while msg != NIL:
-        count += 1
-        msg = u32(msg + _M_NEXT_MSG)
-    yield charge((steps + count) * view.costs.list_step, "check-walk")
-    yield view._rel[slot]
-    return count
+def _freelist_check(view: MPFView, pid: int, slot: int, lnvc_id: int,
+                    prelude: Work | None) -> OpGen:
+    """:func:`check_receive` over the free-list transport: one section,
+    cached per process and slot (``view._fs_check_cache``), whose walk
+    (a :class:`PollWalk` with no next head) counts; a ``prelude`` takes
+    the place of its entry charge for this call."""
+    sec = view._fs_check_cache.get((pid, slot))
+    if sec is None or sec.steps[2][1].lnvc_id != lnvc_id:
+        sec = view._fs_check_cache[pid, slot] = FusedSection((
+            (S_CHARGE, view._check_fixed_work),
+            (S_ACQ, FIRST_LNVC_LOCK + slot),
+            (S_CALL, PollWalk(view, pid, lnvc_id, None, None))))
+    if prelude is not None:
+        sec = FusedSection(((S_MANY, (prelude, view._check_fixed_work)),)
+                           + sec.steps[1:])
+    res = yield sec
+    if res.__class__ is not tuple:  # a bail is (lock, error)
+        return res
+    yield from _release_and_raise([res[0]], res[1])
 
 
 class PollWalk:
     """One circuit's walk call in :func:`poll_receive`'s looping section
-    (:func:`_make_poll_section`): what the ``S_CALL`` step after the
-    circuit's acquire runs.
+    (:func:`_make_poll_section`) or in a free-list :func:`check_receive`'s
+    section: what the ``S_CALL`` step after the circuit's acquire runs.
 
     Called, it finishes :func:`check_receive` on the circuit: a
     ``D_JUMP`` to ``walk charge, release`` with the circuit's id as the
     result when there is traffic, else to ``walk charge, release, <next
-    circuit's head>``; an error bails with ``(lock held, exception)``.
+    circuit's head>``; with no next head (``nxt`` ``None``: a check) the
+    result is the message count and an empty queue jumps to ``walk
+    charge, release`` with 0.  An error bails with ``(lock held,
+    exception)``.
     The empty jump is memoized (:attr:`empty`) under the ``conn_epoch``
     it was resolved at (:attr:`epoch`, with the descriptor :attr:`desc`,
     :attr:`fcfs` and ``gen``, which fix the walk length), so an idle
@@ -1511,12 +1517,13 @@ class PollWalk:
         tail = ((S_CHARGE, charge((steps + count) * view.costs.list_step,
                                   "check-walk").work), self.rel)
         if count:
-            got = (D_JUMP, lnvc_id, tail)
+            got = (D_JUMP, count if self.next is None else lnvc_id, tail)
             if held:
                 self.tails[count] = got
             return got
         self.desc, self.fcfs, self.epoch = desc, fcfs, epoch
-        self.empty = (D_JUMP, None, tail + self.heads[self.next])
+        self.empty = ((D_JUMP, 0, tail) if self.next is None else
+                      (D_JUMP, None, tail + self.heads[self.next]))
         self.tails.clear()
         return self.empty
 

@@ -782,6 +782,9 @@ step(handle_t *h, PyObject *effect, PyObject *process)
     return -1;
 }
 
+/* How long a looping section gives the GIL up for (see drive). */
+static const struct timespec HANDOFF = {0, 1000};
+
 static PyObject *
 drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -820,15 +823,21 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             if (rc < 0)
                 break;
             /* A looping section (a poll wait whose walks run here) hands
-             * the GIL round and takes signals, as the eval loop would. */
+             * the GIL round and takes signals, as the eval loop would.
+             * The release signals a thread waiting for the GIL, but a
+             * re-take at once wins the race to it, and bumps the GIL's
+             * switch count, so the waiter's interval never ends in a
+             * drop request: the pause lets the signalled waiter in. */
             if (++steps % 1024 == 0) {
                 UNLOCKED_BEGIN
+                nanosleep(&HANDOFF, NULL);
                 UNLOCKED_END
                 if (PyErr_CheckSignals() < 0)
                     break;
             }
             continue;
         }
+        steps = 0;  /* only a looping section reaches the handoff */
         rc = send(gen, S.value, &out);
         if (rc == PYGEN_RETURN)
             result = out;

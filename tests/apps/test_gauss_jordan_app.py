@@ -1,5 +1,7 @@
 """Tests for the Gauss–Jordan application (Figure 7)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,14 @@ def test_parallel_uneven_partition():
 
 
 def test_parallel_on_threads_runtime():
+    """A poll wait that ``sync.c``'s drive runs hands the GIL to the
+    worker that computes: the run takes ~0.01 s.  A poller that gives
+    the GIL up and takes it straight back starves that worker, and the
+    run took 15-40 s (the join timeout ends it sooner)."""
     a, b = make_system(12)
-    r = gauss_jordan_parallel(a, b, 2, runtime=ThreadRuntime(join_timeout=60))
+    t0 = time.perf_counter()
+    r = gauss_jordan_parallel(a, b, 2, runtime=ThreadRuntime(join_timeout=10))
+    assert time.perf_counter() - t0 <= 2.0
     assert np.allclose(r.x, np.linalg.solve(a, b))
 
 

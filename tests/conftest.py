@@ -29,9 +29,10 @@ def runner(view):
 def poll_loop(monkeypatch):
     """``with poll_loop():`` runs every poll wait through
     :func:`repro.core.ops.poll_receive`'s per-check loop, even on an
-    engine-driven view: no section is built, which is the route a ring
-    circuit takes.  The section-vs-loop identity tests compare against
-    it inside one run."""
+    engine-driven view: no looping section is built, which is the route
+    a ring circuit takes (each free-list check is still its own
+    section).  The section-vs-loop identity tests compare against it
+    inside one run."""
 
     @contextlib.contextmanager
     def loop():
@@ -130,3 +131,17 @@ def py_stages_sync(tmp_path_factory, c_sync):
                          chains.PYTHON)
     assert lib is not None, "the build failed"
     return lib
+
+
+@pytest.fixture(scope="session")
+def py_stages_engine(tmp_path_factory, c_engine):
+    """``engine.c`` built again beside :func:`c_engine` and bound to no
+    kernels: its loop hands every section call to the Python body, as
+    :func:`py_stages_sync`'s drive does."""
+    flags = chains.CFLAGS + (ASAN_CFLAGS if asan_loaded() else ())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "CFLAGS", flags)
+        run = engine._load(tmp_path_factory.mktemp("py-stages-engine"),
+                           chains.PYTHON)
+    assert run is not None, "the build failed"
+    return run

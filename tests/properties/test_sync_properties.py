@@ -8,7 +8,10 @@ knows: the same return value or error, counters, held list, lock states
 and mapping bytes (lock words included: both syncs write the owner's),
 with and without a recorder (which runs the Python ``drive`` over the C
 handle's four methods).  Then two threads pass a token over one channel
-through each, and the counter identities hold.  ``make asan`` runs the ``test_c_*`` tests here against an
+through each, and the counter identities hold.  Receive and check
+programs over a real segment run their sections' calls in C and again
+as their Python bodies (the check's on ``engine.c``'s loop too).
+``make asan`` runs the ``test_c_*`` tests here against an
 AddressSanitizer build (the ``c_sync`` fixture).
 """
 
@@ -18,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ops
+from repro.core import chains, ops
+from repro.core.costmodel import DEFAULT_COSTS
 from repro.core.effects import (
     D_BAIL,
     D_JUMP,
@@ -40,6 +44,10 @@ from repro.core.layout import MPFConfig
 from repro.core.protocol import BROADCAST, FCFS, FIRST_LNVC_LOCK
 from repro.core.structs import LNVC
 from repro.core.work import Work
+from repro.machine import engine as engine_module
+from repro.machine.balance import BALANCE_21000
+from repro.machine.cpu import BalanceTiming
+from repro.machine.engine import Engine
 from repro.obs import Recorder
 from repro.runtime import sync as sync_mod
 from repro.runtime.sync import COUNTERS, STAGE_COUNTERS, ProcSync
@@ -483,3 +491,138 @@ def test_c_receive_stages_run_in_c(c_sync, actions, stages):
     """Which stages ``sync.c``'s drive ran in C and which it handed to
     Python (``stages_c``, ``stages_py``)."""
     assert drive_receives(c_sync, actions)["stages"] == stages
+
+
+# -- the free-list check's section, on both C loops ----------------------------
+
+CHECKS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from((0, 40))),
+    st.tuples(st.just("check"), st.integers(0, 1), st.integers(1, 2),
+              st.booleans()),
+    st.tuples(st.just("recv"), st.integers(0, 1), st.integers(1, 2)),
+    st.tuples(st.just("churn"), st.integers(0, 1)),
+    st.tuples(st.just("recycle"), st.integers(0, 1)),
+)
+PRELUDE = Work(instrs=400, label="app-compute")
+
+
+def check_program(view, actions, log: list):
+    """Open both circuits, then run ``actions``: a send, a check by
+    receiver 1 or 2 (its count, its fixed charge fused with ``PRELUDE``
+    or not), a receive that never waits (``receive``), receiver 2's
+    connection closed or opened again (the circuit's ``conn_epoch``
+    moves under every check's memo, and a check of the closed connection
+    bails), or the circuit deleted and opened again with a check more on
+    its old id.  Every refusal is logged."""
+    ids, joined = {}, {}
+
+    def open_circuit(c):
+        ids[c, 0] = yield from ops.open_send(view, 0, f"c{c}")
+        for r in (1, 2):
+            ids[c, r] = yield from ops.open_receive(view, r, f"c{c}",
+                                                    PROTOCOLS[c])
+        joined[c] = True
+
+    for c in (0, 1):
+        yield from open_circuit(c)
+    for act in actions:
+        kind, c = act[0], act[1]
+        try:
+            if kind == "send":
+                yield from ops.message_send(view, 0, ids[c, 0], bytes(act[2]))
+            elif kind == "check":
+                log.append((yield from ops.check_receive(
+                    view, act[2], ids[c, act[2]], PRELUDE if act[3] else None)))
+            elif kind == "recv":
+                yield from receive(view, act[2], ids[c, act[2]], log)
+            elif kind == "churn" and joined[c]:
+                yield from ops.close_receive(view, 2, ids[c, 2])
+                joined[c] = False
+            elif kind == "churn":
+                ids[c, 2] = yield from ops.open_receive(view, 2, f"c{c}",
+                                                        PROTOCOLS[c])
+                joined[c] = True
+            else:
+                old = ids[c, 1]
+                yield from ops.close_send(view, 0, ids[c, 0])
+                for r in (1, 2) if joined[c] else (1,):
+                    yield from ops.close_receive(view, r, ids[c, r])
+                yield from open_circuit(c)
+                log.append((yield from ops.check_receive(view, 1, old)))
+        except MPFError as exc:
+            log.append((kind, type(exc).__name__))
+    return len(log)
+
+
+def sync_checks(lib, actions) -> dict:
+    """``actions`` on a fresh segment through ``lib``'s drive."""
+    shared = make(lib, MPFConfig(**RCFG))
+    handle = shared.bind(0)
+    view = make_view(**RCFG)
+    log: list = []
+    out = lib.drive(check_program(view, actions, log), handle, "p0")
+    counters = handle.counters()
+    return {"out": out, "log": log, "held": list(handle.held),
+            "locked": [shared.locked(i) for i in range(shared._n_locks)],
+            "segment": bytes(view.region._mv),
+            "calls": [counters[k] for k in STAGE_COUNTERS]}
+
+
+def engine_checks(run, kernels, actions) -> dict:
+    """``actions`` on a fresh segment as one process of ``run``, a built
+    ``engine.c``'s loop, over ``kernels``; its ``calls`` are the walks'
+    Python bodies."""
+    view = make_view(**RCFG)
+    eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
+                 BalanceTiming(BALANCE_21000, DEFAULT_COSTS))
+    log: list = []
+    eng.spawn("p0", check_program(view, actions, log))
+    body, calls = ops.PollWalk.__call__, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "C_RUN", run)
+        patch.setattr(chains, "ACTIVE", kernels)
+        patch.setattr(ops.PollWalk, "__call__",
+                      lambda walk: calls.append(walk) or body(walk))
+        eng.run()
+    assert eng.loop == "c"
+    return {"out": eng.results()["p0"], "log": log, "now": float.hex(eng.now),
+            "held": [i for i, lock in enumerate(eng.locks) if lock.owner],
+            "segment": bytes(view.region._mv), "calls": len(calls)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions=st.lists(CHECKS, max_size=24))
+# Counts of one and two on each protocol, the first of each memoized by
+# the walk, then taken by the kernel (an FCFS queue read from its head).
+@example(actions=[act for c in (0, 1) for act in (
+    ("check", c, 1, False), ("send", c, 0), ("check", c, 1, False),
+    ("check", c, 1, True), ("send", c, 40), ("check", c, 1, False),
+    ("check", c, 1, False))])
+# Receiver 2 leaves and joins again: each move of the epoch sends the
+# next check of a memoized walk to its Python body, and receiver 2's
+# check of its closed connection bails.
+@example(actions=[act for c in (0, 1) for act in (
+    ("check", c, 1, False), ("check", c, 2, False), ("check", c, 1, False),
+    ("churn", c), ("check", c, 1, False), ("check", c, 1, False),
+    ("check", c, 2, True), ("churn", c), ("send", c, 0),
+    ("check", c, 2, False), ("check", c, 1, True), ("check", c, 2, False))])
+# A recycled circuit: the old id is refused, the new one checked anew.
+@example(actions=[("send", 0, 0), ("check", 0, 1, False), ("recycle", 0),
+                  ("send", 0, 0), ("check", 0, 1, False), ("recv", 0, 1),
+                  ("check", 0, 2, False)])
+def test_c_check_walks_match_their_python_bodies(
+        c_kernels, c_engine, py_stages_engine, c_sync, py_stages_sync,
+        actions):
+    """Every free-list check section run by ``engine.c``'s loop and by
+    ``sync.c``'s drive with its walk in C, and again with each walk
+    handed to its Python body: the same counts and refusals, clock,
+    locks held and segment bytes."""
+    got = engine_checks(c_engine, c_kernels, actions)
+    ref = engine_checks(py_stages_engine, c_kernels, actions)
+    assert got.pop("calls") <= ref.pop("calls")
+    assert got == ref
+    got = sync_checks(c_sync, actions)
+    ref = sync_checks(py_stages_sync, actions)
+    assert ref["calls"][0] == 0
+    assert sum(got.pop("calls")) == sum(ref.pop("calls"))
+    assert got == ref
