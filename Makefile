@@ -26,11 +26,11 @@ shapes:
 # scenario clean over seeded schedules on the simulator and over repeated
 # runs on threads and forked processes (both on ProcSync), and every
 # declared fault caught on the simulator, or the target fails.  One row
-# more: ring-wrap under exhaustive DFS.  (Select-poll's waits and
+# more: ring-wrap under exhaustive DFS.  (Select-poll's waits, over
+# free-list circuits and in select-poll-ring over ring ones too, and
 # free-list receives are sections on every runtime: the engine runs them
 # on the simulator, the drives on threads and procs.)  CI's check-smoke
-# job runs exactly this target.  See
-# docs/checking.md.
+# job runs exactly this target.  See docs/checking.md.
 SCENARIO_TABLE = $(PY) -c "from repro.check import SCENARIOS; [print(n, *s.faults) for n, s in SCENARIOS.items()]"
 EXPLORE = $(PY) -m repro.check explore
 check:

@@ -35,7 +35,7 @@ no other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..core.layout import MPFConfig
@@ -379,6 +379,10 @@ def _poll_build() -> list[Worker]:
 # registry
 # ---------------------------------------------------------------------------
 
+#: The segment most scenarios run in.
+_CFG = MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
+                 message_pool_bytes=1 << 12)
+
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
@@ -386,8 +390,7 @@ SCENARIOS: dict[str, Scenario] = {
             name="fcfs-race",
             doc=f"{_RACE_SENDERS} senders race {_RACE_RECEIVERS} FCFS "
                 "receivers on one circuit (exactly-once, FIFO per sender)",
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
-                          message_pool_bytes=1 << 12),
+            cfg=_CFG,
             build=_race_build,
             faults=("torn-send",),
         ),
@@ -395,8 +398,7 @@ SCENARIOS: dict[str, Scenario] = {
             name="connect-churn",
             doc=f"{_CHURN_PROCS} senders churn open/send/close for "
                 f"{_CHURN_ROUNDS} rounds against one stable receiver",
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
-                          message_pool_bytes=1 << 12),
+            cfg=_CFG,
             build=_churn_build,
             faults=("torn-send",),
         ),
@@ -404,10 +406,8 @@ SCENARIOS: dict[str, Scenario] = {
             name="freelist-churn",
             doc="senders exhaust a 3-header message pool, back off on "
                 "OutOfMessageMemoryError and retry while a receiver drains",
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=3,
-                          message_pool_bytes=1 << 10),
+            cfg=replace(_CFG, max_messages=3, message_pool_bytes=1 << 10),
             build=_pool_build,
-            faults=(),
         ),
         Scenario(
             name="block-churn",
@@ -416,10 +416,8 @@ SCENARIOS: dict[str, Scenario] = {
                 "and retry, racing the receiver's concurrent frees "
                 "(block conservation, exact payload multiset)",
             # 14 blocks, 3-block messages: the pool holds 4 in flight.
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=16,
-                          message_pool_bytes=196),
+            cfg=replace(_CFG, max_messages=16, message_pool_bytes=196),
             build=_blk_build,
-            faults=(),
         ),
         Scenario(
             name="ring-wrap",
@@ -427,9 +425,8 @@ SCENARIOS: dict[str, Scenario] = {
                 f"{_WRAP_SLOTS}-slot ring with 1 FCFS + {_WRAP_BCAST} "
                 "BROADCAST receivers (slot reuse, generation aliasing, "
                 "full-ring backpressure)",
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
-                          message_pool_bytes=1 << 12, transport="ring",
-                          ring_slots=_WRAP_SLOTS, ring_slot_bytes=16),
+            cfg=replace(_CFG, transport="ring", ring_slots=_WRAP_SLOTS,
+                        ring_slot_bytes=16),
             build=_wrap_build,
             faults=("drop-wake",),
         ),
@@ -438,17 +435,22 @@ SCENARIOS: dict[str, Scenario] = {
             doc=f"{_POLL_POLLERS} pollers select_receive over a shared "
                 "BROADCAST circuit and a private FCFS mailbox each while "
                 "one sender feeds both (each payload once, pollers finish)",
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
-                          message_pool_bytes=1 << 12),
+            cfg=_CFG,
             build=_poll_build,
-            faults=(),
+        ),
+        Scenario(
+            name="select-poll-ring",
+            doc="select-poll with the BROADCAST circuit and the first "
+                "poller's mailbox on the ring transport",
+            cfg=replace(_CFG, ring_slots=4, ring_slot_bytes=16,
+                        transports=(("news", "ring"), ("box1", "ring"))),
+            build=_poll_build,
         ),
         Scenario(
             name="mixed-protocol",
             doc=f"{len(_MIX_FCFS)} FCFS and {_MIX_BCAST} BROADCAST receivers "
                 "share a circuit (exactly-once vs every-receiver delivery)",
-            cfg=MPFConfig(max_lnvcs=4, max_processes=8, max_messages=32,
-                          message_pool_bytes=1 << 12),
+            cfg=_CFG,
             build=_mix_build,
             faults=("drop-wake",),
         ),

@@ -123,6 +123,7 @@ setting.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import os
@@ -866,22 +867,40 @@ def build_extension(where: Path, stem: str, source: bytes,
     it includes by bare name (compiled from its own directory, so the
     bytes hashed are the bytes built), and ``module`` is the name the
     library's init function carries when it is not the file's stem — a
-    plain C-API extension's ``PyInit_<module>`` is fixed in its source."""
+    plain C-API extension's ``PyInit_<module>`` is fixed in its source.
+
+    Once the library has imported, every other ``<stem>_<hash>`` library
+    of this interpreter in ``where`` is deleted: one is built per source
+    hash, and the others are what earlier sources left.  A library that
+    another process deleted between this build and its import is built
+    once more."""
     if include is not None:
         salt = (*salt, include.read_bytes())
     key = zlib.crc32(b"\0".join((source, *salt, " ".join(flags).encode())))
     name = f"{stem}_{key:08x}"
-    target = where / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
-    try:
-        if not target.exists():
-            _compile(name, emit or (lambda path: path.write_bytes(source)),
-                     target, flags,
-                     None if include is None else include.parent)
-        spec = importlib.util.spec_from_file_location(module or name, target)
-        lib = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(lib)
-    except (ImportError, OSError):
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    target = where / (name + suffix)
+    for _ in range(2):
+        try:
+            if not target.exists():
+                _compile(name, emit or (lambda path: path.write_bytes(source)),
+                         target, flags,
+                         None if include is None else include.parent)
+            spec = importlib.util.spec_from_file_location(module or name,
+                                                          target)
+            lib = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(lib)
+            break
+        except ImportError:  # deleted before its import: build it again
+            pass
+        except OSError:
+            return None
+    else:
         return None
+    for old in where.glob(stem + "_" + "[0-9a-f]" * 8 + suffix):
+        if old != target:
+            with contextlib.suppress(OSError):  # gone already, or not ours
+                old.unlink()
     return lib
 
 

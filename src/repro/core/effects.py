@@ -225,7 +225,7 @@ class FusedSection:
     between the equivalent classic yields.  Every interpreter runs it —
     ``Engine.run`` and ``machine/engine.c``, the real runtimes' ``drive``
     (``runtime/threads.py``) and ``runtime/sync.c``'s, and
-    :func:`repro.testing.unfold` — and executes an ``S_CHARGE`` /
+    :func:`repro.core.effects.unfold` — and executes an ``S_CHARGE`` /
     ``S_MANY`` / ``S_ACQ`` / ``S_REL`` step with the very code that
     executes a yielded ``Charge`` / ``ChargeMany`` / ``Acquire`` /
     ``Release`` (an effect is a one-step section), so the events, clock
@@ -234,9 +234,10 @@ class FusedSection:
 
     Three producers: :func:`repro.core.ops.poll_receive`, whose idle
     wait loops inside the engine (``D_JUMP`` back to its head) instead
-    of resuming a generator 88 times per receive; the free-list
+    of resuming a generator 88 times per receive;
     :func:`~repro.core.ops.check_receive`, one head of that loop whose
-    walk (:class:`~repro.core.ops.PollWalk`) returns the count; and the
+    walk (:class:`~repro.core.ops.PollWalk`) returns the count, on
+    either transport; and the
     free-list :func:`~repro.core.ops.message_receive`, one cached
     :class:`~repro.core.ops.RecvSection` per process and circuit whose
     ``S_CALL`` stages the C engine loop runs with the lock-section
@@ -254,10 +255,9 @@ class FusedSection:
     Conventions that keep a section byte-identical to the classic
     effects:
 
-    * Ring circuits build no section: ``poll_receive`` over a set that
-      includes one takes its per-check loop, and the ring check and
-      receive are classic generators.  A probe-carrying recorder's stamps are stages
-      of the receive section, which emit no effect.
+    * A ring receive is a classic generator; a probe-carrying
+      recorder's stamps are stages of the free-list receive section,
+      which emit no effect.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes
       (:func:`repro.check.faults.drop_wake`) forward sections as is.  A

@@ -88,7 +88,7 @@ from .transport import (
     RING_READS,
     RING_STORES,
     ring_attach,
-    ring_check,
+    ring_count,
     ring_receive,
     ring_register_reader,
     ring_release,
@@ -240,16 +240,16 @@ class MPFView:
       match, so a hit is exactly what walking the list would find —
       including the walk length that feeds the cost model.
     * ``_fs_poll_cache``: ``(pid, first slot) -> ((ids, backoff),
-      (section, heads, walks) or None)``, :func:`poll_receive`'s
-      looping sections.  Valid while the polled ids (generation
-      included) and the back-off match.  A looping section refers to
-      itself, so :meth:`forget_sections` unlinks each before dropping
-      it.
+      (section, heads, walks))``, :func:`poll_receive`'s looping
+      sections, on either transport.  Valid while the polled ids
+      (generation included) and the back-off match.  A looping section
+      refers to itself, so :meth:`forget_sections` unlinks each before
+      dropping it.
     * ``_fs_check_cache``: ``(pid, slot) ->`` the one-circuit section of
-      a free-list :func:`check_receive` (its walk, a counting
-      :class:`PollWalk`, is ``steps[2][1]``).  Valid while the walk's id
-      (generation included) is the check's; the walk's memo carries its
-      key.  Nothing in it refers back to the section, so
+      a :func:`check_receive` (its walk, a counting :class:`PollWalk`,
+      is ``steps[2][1]``).  Valid while the walk's id (generation
+      included) is the check's; the walk's memo carries its key.
+      Nothing in it refers back to the section, so
       :meth:`forget_sections` only empties it.
     * ``_fs_recv_cache``: ``(pid, slot) ->`` :class:`RecvSection`, the
       free-list :func:`message_receive` of a process on a circuit as one
@@ -295,7 +295,6 @@ class MPFView:
         "_send_fixed",
         "_recv_fixed",
         "_check_fixed_work",
-        "_check_fixed",
         "_recv_retire",
         "_recv_wakeup",
         "_ring_send_fixed_work",
@@ -339,7 +338,6 @@ class MPFView:
         self._send_fixed = Charge(self._send_fixed_work)
         self._recv_fixed = Charge(Work(instrs=costs.recv_fixed, label="recv-fixed"))
         self._check_fixed_work = Work(instrs=costs.check_fixed, label="check-fixed")
-        self._check_fixed = Charge(self._check_fixed_work)
         self._recv_retire = Charge(Work(instrs=costs.msg_retire, label="recv-retire"))
         self._recv_wakeup = Charge(
             Work(instrs=costs.waiter_wakeup, label="recv-wakeup")
@@ -402,18 +400,15 @@ class MPFView:
         Unlinking empties the heads list the walks index and resets
         every walk to "resolve again" with nothing memoized (each
         empty-jump memo holds the next head's walk), and drops a receive
-        section's steps and memos.  The entries of poll sets that build
-        no section stay.  A receive section leaves its cache by one
-        ``pop``, so receives that other threads run on this view
+        section's steps and memos.  A receive section leaves its cache
+        by one ``pop``, so receives that other threads run on this view
         meanwhile, holding theirs out of it, lose nothing."""
         cache = self._fs_poll_cache
-        for key, (_, built) in list(cache.items()):
-            if built is not None:
-                _, heads, walks = built
-                heads.clear()
-                for walk in walks:
-                    walk.unlink()
-                del cache[key]
+        for key, (_, (_, heads, walks)) in list(cache.items()):
+            heads.clear()
+            for walk in walks:
+                walk.unlink()
+            del cache[key]
         self._fs_check_cache.clear()
         recv = self._fs_recv_cache
         for key in list(recv):
@@ -1414,20 +1409,13 @@ def check_receive(
     :class:`~repro.core.effects.ChargeMany` — the fast path for polling
     loops that back off with compute between rounds (see
     :func:`repro.patterns.select_receive`).
+
+    On either transport the check is one section — entry charge,
+    acquire, a :class:`PollWalk` with no next head that counts — cached
+    per process and slot (``view._fs_check_cache``); a ``prelude`` takes
+    the place of its entry charge for this call.
     """
     slot = view.slot_of(lnvc_id)
-    base = view.lnvc_base + slot * _LNVC_SIZE
-    if view.region.u32(base + _L_TRANSPORT):
-        return ring_check(view, pid, slot, base, lnvc_id, prelude)
-    return _freelist_check(view, pid, slot, lnvc_id, prelude)
-
-
-def _freelist_check(view: MPFView, pid: int, slot: int, lnvc_id: int,
-                    prelude: Work | None) -> OpGen:
-    """:func:`check_receive` over the free-list transport: one section,
-    cached per process and slot (``view._fs_check_cache``), whose walk
-    (a :class:`PollWalk` with no next head) counts; a ``prelude`` takes
-    the place of its entry charge for this call."""
     sec = view._fs_check_cache.get((pid, slot))
     if sec is None or sec.steps[2][1].lnvc_id != lnvc_id:
         sec = view._fs_check_cache[pid, slot] = FusedSection((
@@ -1437,6 +1425,12 @@ def _freelist_check(view: MPFView, pid: int, slot: int, lnvc_id: int,
     if prelude is not None:
         sec = FusedSection(((S_MANY, (prelude, view._check_fixed_work)),)
                            + sec.steps[1:])
+    return _run_check(sec)
+
+
+def _run_check(sec: FusedSection) -> OpGen:
+    """Run a check's section: its count, or the bail's error raised once
+    the lock it holds is released."""
     res = yield sec
     if res.__class__ is not tuple:  # a bail is (lock, error)
         return res
@@ -1445,8 +1439,8 @@ def _freelist_check(view: MPFView, pid: int, slot: int, lnvc_id: int,
 
 class PollWalk:
     """One circuit's walk call in :func:`poll_receive`'s looping section
-    (:func:`_make_poll_section`) or in a free-list :func:`check_receive`'s
-    section: what the ``S_CALL`` step after the circuit's acquire runs.
+    (:func:`_make_poll_section`) or in :func:`check_receive`'s section:
+    what the ``S_CALL`` step after the circuit's acquire runs.
 
     Called, it finishes :func:`check_receive` on the circuit: a
     ``D_JUMP`` to ``walk charge, release`` with the circuit's id as the
@@ -1454,25 +1448,30 @@ class PollWalk:
     circuit's head>``; with no next head (``nxt`` ``None``: a check) the
     result is the message count and an empty queue jumps to ``walk
     charge, release`` with 0.  An error bails with ``(lock held,
-    exception)``.
-    The empty jump is memoized (:attr:`empty`) under the ``conn_epoch``
-    it was resolved at (:attr:`epoch`, with the descriptor :attr:`desc`,
-    :attr:`fcfs` and ``gen``, which fix the walk length), so an idle
-    check is one read of the LNVC record and allocates nothing; a jump
-    with traffic is memoized by its message count (:attr:`tails`) under
-    the same epoch.
+    exception)``.  The circuit's transport word is read once, when the
+    walk is built: a ring circuit is counted by
+    :func:`~repro.core.transport.ring_count`.
+    A free-list walk's empty jump is memoized (:attr:`empty`) under the
+    ``conn_epoch`` it was resolved at (:attr:`epoch`, with the
+    descriptor :attr:`desc`, :attr:`fcfs` and ``gen``, which fix the
+    walk length), so an idle check is one read of the LNVC record and
+    allocates nothing; a jump with traffic is memoized by its message
+    count (:attr:`tails`) under the same epoch.  A ring walk memoizes
+    nothing (its queue is not the record's list): its :attr:`epoch`
+    stays ``None``.
 
     The C section runner does not call it while the memo holds: it
     hands the memo to the kernel ``poll_walk`` (one of
     :attr:`repro.core.chains.Kernels.addresses`), which counts the queue
     in C, and takes :attr:`empty` or ``tails[count]`` itself
     (``repro/core/sections.c``, on the engine and under ``sync.c``'s
-    drive).  This method is the reference, and what runs on any
-    refusal.
+    drive).  This method is the reference, and what runs on any refusal
+    and on every ring walk.
     """
 
     __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "seg", "rel",
-                 "heads", "next", "epoch", "desc", "fcfs", "empty", "tails")
+                 "ring", "heads", "next", "epoch", "desc", "fcfs", "empty",
+                 "tails")
 
     def __init__(self, view, pid, lnvc_id, heads, nxt) -> None:
         slot = lnvc_id & _SLOT_MASK
@@ -1484,6 +1483,7 @@ class PollWalk:
         #: The segment's bytes, as the kernel reads them.
         self.seg = view.region._mv
         self.rel = (S_REL, FIRST_LNVC_LOCK + slot)
+        self.ring = bool(view.region.u32(self.base + _L_TRANSPORT))
         #: The section's heads, and the index of the one after this walk.
         self.heads = heads
         self.next = nxt
@@ -1507,13 +1507,16 @@ class PollWalk:
             return (D_BAIL, (self.rel[1], exc))
         _, proto, msg, _, _ = view._rd_recv(desc)
         fcfs = proto == _P_FCFS
-        if fcfs:
-            msg = fcfs_head
-        count = 0
-        u32 = view.region.u32
-        while msg != NIL:
-            count += 1
-            msg = u32(msg + _M_NEXT_MSG)
+        if self.ring:  # msg is a BROADCAST receiver's reader bit
+            count = ring_count(view, self.base, fcfs, msg)
+        else:
+            if fcfs:
+                msg = fcfs_head
+            count = 0
+            u32 = view.region.u32
+            while msg != NIL:
+                count += 1
+                msg = u32(msg + _M_NEXT_MSG)
         tail = ((S_CHARGE, charge((steps + count) * view.costs.list_step,
                                   "check-walk").work), self.rel)
         if count:
@@ -1521,11 +1524,13 @@ class PollWalk:
             if held:
                 self.tails[count] = got
             return got
-        self.desc, self.fcfs, self.epoch = desc, fcfs, epoch
-        self.empty = ((D_JUMP, 0, tail) if self.next is None else
-                      (D_JUMP, None, tail + self.heads[self.next]))
-        self.tails.clear()
-        return self.empty
+        empty = ((D_JUMP, 0, tail) if self.next is None else
+                 (D_JUMP, None, tail + self.heads[self.next]))
+        if not self.ring:
+            self.desc, self.fcfs, self.epoch = desc, fcfs, epoch
+            self.empty = empty
+            self.tails.clear()
+        return empty
 
     def unlink(self) -> None:
         """Forget the memo: "resolve again", with nothing memoized (each
@@ -1535,20 +1540,15 @@ class PollWalk:
 
 
 def _make_poll_section(view, pid, ids, backoff):
-    """Build :func:`poll_receive`'s looping section over circuits ``ids``.
+    """Build :func:`poll_receive`'s looping section over circuits ``ids``
+    (inside the table), on either transport.
 
     One head per circuit — entry charge (the first circuit's carries the
     backoff), acquire, walk call — the steps of :func:`check_receive`
-    with its generator body between acquire and walk charge as the call
-    (:class:`PollWalk`).  Returns ``(section, heads, walks)`` — what
-    :meth:`MPFView.forget_sections` clears to break the section's
-    references to itself — or ``None`` when a circuit is a ring
-    (``check_receive`` routes those itself); ``ids`` are inside the
-    table.
+    (:class:`PollWalk` is the call).  Returns ``(section, heads,
+    walks)``: what :meth:`MPFView.forget_sections` clears to break the
+    section's references to itself.
     """
-    u32, lay = view.region.u32, view.layout
-    if any(u32(lay.lnvc_off(cid & _SLOT_MASK) + _L_TRANSPORT) for cid in ids):
-        return None
     heads: list = []
     walks = [PollWalk(view, pid, cid, heads, (i + 1) % len(ids))
              for i, cid in enumerate(ids)]
@@ -1567,11 +1567,10 @@ def poll_receive(
 
     Not a ninth primitive: the effect stream is exactly that of
     :func:`check_receive` on each circuit in turn, ``backoff``
-    (compute-only work) fused into the first check of every round.  Over
-    free-list circuits the whole wait is one looping section
-    (:func:`_make_poll_section`), on every runtime, and the generator is
-    resumed only when a circuit has traffic or a check fails; a set that
-    includes a ring circuit takes the per-check loop below.
+    (compute-only work) fused into the first check of every round.  The
+    whole wait is one looping section (:func:`_make_poll_section`) on
+    every runtime and transport, and the generator is resumed only when
+    a circuit has traffic or a check fails.
     """
     ids = tuple(lnvc_ids)
     if not ids:
@@ -1585,15 +1584,7 @@ def poll_receive(
     if ent is None or ent[0] != (ids, backoff):
         ent = view._fs_poll_cache[key] = (
             (ids, backoff), _make_poll_section(view, pid, ids, backoff))
-    if ent[1] is not None:
-        res = yield ent[1][0]
-        if res.__class__ is not tuple:  # a bail is (lock, error)
-            return res
-        yield from _release_and_raise([res[0]], res[1])
-    pending: Work | None = backoff
-    while True:
-        for cid in ids:
-            if (yield from check_receive(view, pid, cid, pending)):
-                return cid
-            pending = None
-        pending = backoff
+    res = yield ent[1][0]
+    if res.__class__ is not tuple:  # a bail is (lock, error)
+        return res
+    yield from _release_and_raise([res[0]], res[1])

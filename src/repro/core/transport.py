@@ -21,7 +21,9 @@ The transport is chosen per circuit at creation time
 :attr:`~repro.core.layout.MPFConfig.transports` overrides by name) and
 recorded in the LNVC's ``transport`` field (0 free-list,
 :data:`~repro.core.structs.RING_TAG` ring); :mod:`repro.core.ops`
-dispatches each hot primitive on that one u32.  Both transports speak
+dispatches send and receive on that one u32, and a check's
+:class:`~repro.core.ops.PollWalk` reads it once, when it is built, to
+count with :func:`ring_count`.  Both transports speak
 the same protocol: same primitives, same blocking semantics, same
 retirement rule, same observability hooks.
 
@@ -61,7 +63,7 @@ from .errors import (
 )
 from .freelist import fl_alloc, fl_free
 from .layout import HDR
-from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, SLOT_BITS, Protocol
+from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, SLOT_BITS
 from .structs import (
     CACHE_LINE,
     LNVC,
@@ -84,7 +86,7 @@ __all__ = [
     "RING_STORES",
     "ring_send",
     "ring_receive",
-    "ring_check",
+    "ring_count",
     "ring_attach",
     "ring_release",
     "ring_register_reader",
@@ -106,8 +108,6 @@ _RC_NEXT_SEQ = RCUR.offsets["next_seq"]
 _RC_NREADS = RCUR.offsets["nreads"]
 
 _H_FREE_RING = HDR.u32["free_ring"]
-
-_P_FCFS = int(Protocol.FCFS)
 
 #: The ring records' share of :data:`repro.core.ops.READS` / ``STORES``
 #: (which see): runs of adjacent fields moved by one call.  A slot's
@@ -252,8 +252,8 @@ def ring_unregister_reader(view, base: int, desc: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hot primitives (dispatched to from ops.message_send / message_receive /
-# check_receive when the circuit's transport field says "ring")
+# hot primitives (dispatched to from ops.message_send / message_receive
+# when the circuit's transport field says "ring"; ops.PollWalk counts)
 # ---------------------------------------------------------------------------
 
 
@@ -419,30 +419,21 @@ def ring_receive(view, pid: int, slot: int, base: int, lnvc_id: int,
     return payload
 
 
-def ring_check(view, pid: int, slot: int, base: int, lnvc_id: int,
-               prelude: Work | None = None) -> OpGen:
-    """check_receive over the ring transport (advisory, as ever for
-    FCFS; ``slot``, ``base``: as for :func:`ring_send`)."""
+def ring_count(view, base: int, fcfs: bool, bit: int) -> int:
+    """The messages a receiver of the ring circuit whose LNVC record is
+    at ``base`` can take now (advisory, as ever for FCFS): the body of
+    :func:`~repro.core.ops.check_receive` on a ring, which its
+    :class:`~repro.core.ops.PollWalk` runs with the circuit lock held.
+    ``bit`` is a BROADCAST receiver's reader bit."""
     u32 = view.region.u32
     lay = view.layout
-
-    if prelude is None:
-        yield view._check_fixed
-    else:
-        yield ChargeMany((prelude, view._check_fixed_work))
-    yield view._acq[slot]
-    try:
-        desc, steps = view.recv_conn(pid, lnvc_id)
-    except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
     ring = u32(base + _L_RING)
     ridx = lay.ring_index(ring)
     slot0 = lay.ring_slot_off(ridx, 0)
     stride = lay.ring_stride
     nslots = view.cfg.ring_slots
     count = 0
-    _, proto, bit, _, _ = view._rd_recv(desc)
-    if proto == _P_FCFS:
+    if fcfs:
         rd_rslot = view._rd_rslot
         w, idx, _ = view._rd_ring(ring)
         while idx < w:
@@ -457,6 +448,4 @@ def ring_check(view, pid: int, slot: int, base: int, lnvc_id: int,
         while u32(slot0 + (idx % nslots) * stride + _RS_SEQ) == idx + 1:
             count += 1
             idx += 1
-    yield charge((steps + count) * view.costs.list_step, "check-walk")
-    yield view._rel[slot]
     return count

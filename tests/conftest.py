@@ -25,19 +25,36 @@ def runner(view):
     return DirectRunner(view)
 
 
+def poll_by_checks(view, pid, lnvc_ids, backoff):
+    """:func:`repro.core.ops.poll_receive` as a loop of
+    :func:`repro.core.ops.check_receive` calls, ``backoff`` fused into
+    the first check of every round: the reference its looping section
+    is held to (the same effect stream, one section per check)."""
+    ids = tuple(lnvc_ids)
+    if not ids:
+        raise ValueError("need at least one circuit to poll")
+    for cid in ids:  # or a bad id is refused only once its turn comes
+        view.slot_of(cid)
+    pending = backoff
+    while True:
+        for cid in ids:
+            if (yield from ops.check_receive(view, pid, cid, pending)):
+                return cid
+            pending = None
+        pending = backoff
+
+
 @pytest.fixture
 def poll_loop(monkeypatch):
     """``with poll_loop():`` runs every poll wait through
-    :func:`repro.core.ops.poll_receive`'s per-check loop, even on an
-    engine-driven view: no looping section is built, which is the route
-    a ring circuit takes (each free-list check is still its own
-    section).  The section-vs-loop identity tests compare against it
-    inside one run."""
+    :func:`poll_by_checks`, on either transport and every runtime: no
+    looping section is built, and each check is its own section.  The
+    section-vs-loop identity tests compare against it inside one run."""
 
     @contextlib.contextmanager
     def loop():
         with monkeypatch.context() as patch:
-            patch.setattr(ops, "_make_poll_section", lambda *args: None)
+            patch.setattr(ops, "poll_receive", poll_by_checks)
             yield
 
     return loop

@@ -14,6 +14,7 @@ shared segment still close and unlink it once the kernels have exported
 its buffer.
 """
 
+import importlib.machinery
 import os
 import re
 import shutil
@@ -182,6 +183,50 @@ def test_the_library_is_built_once_and_then_found(tmp_path):
     assert chains._select(tmp_path).name == "c"
     assert sorted(tmp_path.iterdir()) == built
     assert built[0].stat().st_mtime_ns == stamp
+
+
+_TINY = b"""#include <Python.h>
+static struct PyModuleDef def = {PyModuleDef_HEAD_INIT, "tiny", NULL, -1};
+PyMODINIT_FUNC PyInit_tiny(void) { return PyModule_Create(&def); }
+"""
+
+
+@pytest.mark.skipif(shutil.which(chains.CC) is None,
+                    reason="no compiler to build the library with")
+def test_a_new_library_deletes_the_ones_older_sources_left(tmp_path):
+    """One library is kept per stem: what an earlier hash built goes once
+    a library of the current hash has imported; other names stay."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    kept = {tmp_path / ("_tinyx_0123abcd" + suffix),
+            tmp_path / "_tiny_0123abcd.c"}
+    for path in kept:
+        path.write_bytes(b"")
+    for flags in (("-O0",), ("-O1",)):
+        lib = chains.build_extension(tmp_path, "_tiny", _TINY, flags,
+                                     module="tiny")
+        assert lib is not None and lib.__name__ == "tiny"
+        assert set(tmp_path.iterdir()) == kept | {Path(lib.__file__)}
+
+
+@pytest.mark.skipif(shutil.which(chains.CC) is None,
+                    reason="no compiler to build the library with")
+def test_a_library_deleted_before_its_import_is_built_again(
+        tmp_path, monkeypatch):
+    """Another process's cleanup can delete the library between this
+    build and its import: it is built once more, not given up."""
+    built, compile_ = [], chains._compile
+
+    def compile_then_lose(name, emit, target, *args):
+        compile_(name, emit, target, *args)
+        built.append(target)
+        if len(built) == 1:
+            target.unlink()
+
+    monkeypatch.setattr(chains, "_compile", compile_then_lose)
+    lib = chains.build_extension(tmp_path, "_tiny", _TINY, ("-O0",),
+                                 module="tiny")
+    assert lib is not None and len(built) == 2
+    assert list(tmp_path.iterdir()) == [built[0]]
 
 
 def test_an_edit_of_the_section_runner_renames_both_libraries(

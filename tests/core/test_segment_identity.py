@@ -508,10 +508,10 @@ def test_the_poll_peek_holds_the_circuit_lock():
     """A poll walk (``PollWalk``, or the C kernel in its place) peeks
     four words of the LNVC record in one read; it is not a lock-free
     reader: its section step follows the acquire in each head, a poll
-    section's and a free-list check's."""
+    section's and a check's."""
     for builder, steps in (("_make_poll_section", ["S_ACQ", "S_CALL"]),
-                           ("_freelist_check", ["S_CHARGE", "S_ACQ",
-                                                "S_CALL"])):
+                           ("check_receive", ["S_CHARGE", "S_ACQ",
+                                              "S_CALL"])):
         fn = next(f for f in _functions(ops) if f.name == builder)
         heads = [n for n in ast.walk(fn) if isinstance(n, ast.Tuple) and any(
             isinstance(e, ast.Tuple) and isinstance(e.elts[0], ast.Name)

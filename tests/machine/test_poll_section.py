@@ -25,13 +25,14 @@ module pins it:
 """
 
 import hashlib
+import time
 
 import pytest
 
 from repro.apps import gauss_jordan as gj
 from repro.check.faults import drop_wake
 from repro.check.scheduler import ControlledPolicy, RandomPolicy
-from repro.core import ops
+from repro.core import chains, ops
 from repro.core.costmodel import DEFAULT_COSTS
 from repro.core.effects import (
     D_JUMP,
@@ -43,15 +44,19 @@ from repro.core.effects import (
     ChargeMany,
     FusedSection,
 )
+from repro.core.layout import MPFConfig
 from repro.core.protocol import BROADCAST, FCFS
 from repro.core.work import Work
 from repro.machine.balance import BALANCE_21000
 from repro.machine.cpu import BalanceTiming
+from repro.machine import engine as engine_module
 from repro.machine.engine import Engine, SimulationError, ZeroTimingModel
 from repro.obs import Recorder
-from repro.patterns import select_receive
+from repro.patterns import barrier, select_receive
+from repro.runtime import sync
 from repro.runtime.base import Env
 from repro.runtime.sim import SimRuntime
+from repro.runtime.threads import ThreadRuntime
 from repro.testing import make_view
 
 
@@ -476,3 +481,65 @@ def test_drop_wake_passes_poll_sections_untouched():
     eng.run()
     (section,) = seen
     assert section is next(iter(view._fs_poll_cache.values()))[1][0]
+
+
+# -- a ring circuit's walk -----------------------------------------------------
+
+
+@pytest.mark.parametrize("loop", ["c", "python", "sync.c"])
+def test_a_ring_walk_is_never_memoized(loop, monkeypatch):
+    """A ring FCFS circuit checked and polled while empty, then fed: the
+    poll returns on both engine loops and on ``sync.c``'s drive, and
+    every ring walk keeps ``epoch`` ``None``.  A memoized empty jump
+    would be taken by the C kernel, which counts the record's free-list
+    queue (empty on a ring), and by the walk's own fast path: the poll
+    would never return."""
+    if loop == "c" and engine_module.C_RUN is None:
+        pytest.skip("no C engine on this host")
+    if loop == "sync.c" and (sync.C_SYNC is None
+                             or chains.ACTIVE.name != "c"):
+        pytest.skip("no C sync on this host")
+    if loop == "python":
+        monkeypatch.setattr(engine_module, "C_RUN", None)
+    cfg = dict(max_lnvcs=4, max_processes=2, transports=(("box", "ring"),))
+    body, calls, epochs = ops.PollWalk.__call__, [], []
+    monkeypatch.setattr(ops.PollWalk, "__call__",
+                        lambda walk: calls.append(walk) or body(walk))
+
+    def poller(env):
+        box = yield from env.open_receive("box", FCFS)
+        yield from barrier(env, "go", 2)
+        assert (yield from env.check_receive(box)) == 0
+        cid = yield from env.poll_receive(
+            (box,), Work(instrs=400, label="app-compute"))
+        assert (yield from env.check_receive(box)) == 1
+        view = env.view
+        epochs.extend(walk.epoch for _, (_, _, walks)
+                      in view._fs_poll_cache.values() for walk in walks)
+        epochs.extend(sec.steps[2][1].epoch
+                      for sec in view._fs_check_cache.values())
+        return bytes((yield from env.message_receive(cid)))
+
+    def feeder(env):
+        box = yield from env.open_send("box")
+        yield from barrier(env, "go", 2)
+        yield from env.compute(instrs=50_000)  # the poller idles meanwhile
+        time.sleep(0.05)  # ... on real threads too
+        yield from env.message_send(box, b"fed")
+
+    if loop == "sync.c":
+        rt = ThreadRuntime(join_timeout=10)
+        result = rt.run([poller, feeder], cfg=MPFConfig(**cfg))
+        assert rt.last_sync.impl == "c"
+        assert result.results["p0"] == b"fed"
+    else:
+        view = make_view(**cfg)
+        eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
+                     BalanceTiming(BALANCE_21000, DEFAULT_COSTS),
+                     max_events=50_000)
+        _spawn(eng, view, [poller, feeder])
+        eng.run()
+        assert eng.loop == loop
+        assert eng.results()["p0"] == b"fed"
+    assert len(calls) >= 4  # the empty check, empty rounds, two counts
+    assert epochs == [None, None]

@@ -3,15 +3,14 @@
 The engine can retire a run of protocol steps as one
 :class:`~repro.core.effects.FusedSection` effect and fast-forward the
 clock across steps no other process can observe.  The producers are
-``ops.poll_receive``'s idle wait, the free-list ``check_receive`` and
-the free-list ``message_receive``; the other primitives are classic
-generators on every runtime.  All of it is gated on byte-identity with
+``ops.poll_receive``'s idle wait, ``check_receive`` and the free-list
+``message_receive``; the other primitives are classic generators on
+every runtime.  All of it is gated on byte-identity with
 classic stepping; this module pins the load-bearing guarantees:
 
-* send yields only classic effects on both transports, and so do a
-  ring receive and a ring check; a free-list receive, a free-list check
-  and a poll are each one section built from the surviving step
-  vocabulary;
+* send yields only classic effects on both transports, and so does a
+  ring receive; a free-list receive, a check and a poll are each one
+  section built from the surviving step vocabulary;
 * reduced fig4 + fig6 sweeps are byte-identical with poll sections and
   with every poll run through the per-check loop;
 * a causal tracer sees the identical event stream and sojourn
@@ -94,39 +93,37 @@ def _run_section(section, held):
 
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
 def test_the_free_list_receive_alone_is_a_section(transport):
-    """Send yields classic effects on both transports, and so do a ring
-    receive and a ring check; a free-list receive is one section, and
-    so is a free-list check (its prelude the head's first step)."""
+    """Send yields classic effects on both transports, and so does a
+    ring receive; a free-list receive is one section, and so is a check
+    on either transport (its prelude the head's first step)."""
     view = make_view(transport=transport)
     seen = []
     _drive(ops.open_send(view, 0, "c"), [])
     cid = _drive(ops.open_receive(view, 0, "c", BROADCAST), [])
     prelude = Work(instrs=3, label="app-compute")
     _drive(ops.message_send(view, 0, cid, b"payload", prelude), seen)
-    check = ops.check_receive(view, 0, cid, prelude)
-    recv = ops.message_receive(view, 0, cid)
-    if transport == "ring":
-        assert _drive(check, seen) == 1
-        assert _drive(recv, seen) == b"payload"
-        assert _drive(ops.check_receive(view, 0, cid), seen) == 0
-    else:
-        # One section each, from the fixed charge to the last release:
-        # the generator is resumed once, with the result.
-        lock = view.lnvc_lock(ops.decode_lnvc_id(cid)[0])
-        for op, first, result in (
-                (check, (S_MANY, (prelude, view._check_fixed_work)), 1),
-                (recv, None, b"payload"),
-                (ops.check_receive(view, 0, cid),
-                 (S_CHARGE, view._check_fixed_work), 0)):
-            section = next(op)
-            assert section.__class__ is FusedSection
-            if first is not None:
-                assert section.steps[:2] == (first, (S_ACQ, lock))
-            held = []
-            assert _run_section(section, held) == result and held == []
-            with pytest.raises(StopIteration) as done:
-                op.send(result)
-            assert done.value.value == result
+    lock = view.lnvc_lock(ops.decode_lnvc_id(cid)[0])
+    # One section each, from the fixed charge to the last release: the
+    # generator is resumed once, with the result.
+    for op, first, result in (
+            (lambda: ops.check_receive(view, 0, cid, prelude),
+             (S_MANY, (prelude, view._check_fixed_work)), 1),
+            (lambda: ops.message_receive(view, 0, cid), None, b"payload"),
+            (lambda: ops.check_receive(view, 0, cid),
+             (S_CHARGE, view._check_fixed_work), 0)):
+        op = op()
+        if first is None and transport == "ring":  # a classic receive
+            assert _drive(op, seen) == result
+            continue
+        section = next(op)
+        assert section.__class__ is FusedSection
+        if first is not None:
+            assert section.steps[:2] == (first, (S_ACQ, lock))
+        held = []
+        assert _run_section(section, held) == result and held == []
+        with pytest.raises(StopIteration) as done:
+            op.send(result)
+        assert done.value.value == result
     assert seen and all(e.__class__ in _CLASSIC for e in seen)
 
 

@@ -493,37 +493,42 @@ def test_c_receive_stages_run_in_c(c_sync, actions, stages):
     assert drive_receives(c_sync, actions)["stages"] == stages
 
 
-# -- the free-list check's section, on both C loops ----------------------------
+# -- the check's section, on both C loops and both transports ------------------
 
+#: The check tests' circuits: RCFG's two on the free list, and the same
+#: pair (FCFS, BROADCAST) on the ring, with a slot for every send.
+CCFG = dict(RCFG, transports=(("c2", "ring"), ("c3", "ring")),
+            ring_slots=32, ring_slot_bytes=64)
 CHECKS = st.one_of(
-    st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from((0, 40))),
-    st.tuples(st.just("check"), st.integers(0, 1), st.integers(1, 2),
+    st.tuples(st.just("send"), st.integers(0, 3), st.sampled_from((0, 40))),
+    st.tuples(st.just("check"), st.integers(0, 3), st.integers(1, 2),
               st.booleans()),
-    st.tuples(st.just("recv"), st.integers(0, 1), st.integers(1, 2)),
-    st.tuples(st.just("churn"), st.integers(0, 1)),
-    st.tuples(st.just("recycle"), st.integers(0, 1)),
+    st.tuples(st.just("recv"), st.integers(0, 3), st.integers(1, 2)),
+    st.tuples(st.just("churn"), st.integers(0, 3)),
+    st.tuples(st.just("recycle"), st.integers(0, 3)),
 )
 PRELUDE = Work(instrs=400, label="app-compute")
 
 
 def check_program(view, actions, log: list):
-    """Open both circuits, then run ``actions``: a send, a check by
+    """Open the four circuits, then run ``actions``: a send, a check by
     receiver 1 or 2 (its count, its fixed charge fused with ``PRELUDE``
-    or not), a receive that never waits (``receive``), receiver 2's
-    connection closed or opened again (the circuit's ``conn_epoch``
-    moves under every check's memo, and a check of the closed connection
-    bails), or the circuit deleted and opened again with a check more on
-    its old id.  Every refusal is logged."""
+    or not), a receive that never waits (``receive``; on a ring, a
+    classic receive after a check that counts), receiver 2's connection
+    closed or opened again (the circuit's ``conn_epoch`` moves under
+    every check's memo, and a check of the closed connection bails), or
+    the circuit deleted and opened again with a check more on its old
+    id.  Every refusal is logged."""
     ids, joined = {}, {}
 
     def open_circuit(c):
         ids[c, 0] = yield from ops.open_send(view, 0, f"c{c}")
         for r in (1, 2):
             ids[c, r] = yield from ops.open_receive(view, r, f"c{c}",
-                                                    PROTOCOLS[c])
+                                                    PROTOCOLS[c % 2])
         joined[c] = True
 
-    for c in (0, 1):
+    for c in range(4):
         yield from open_circuit(c)
     for act in actions:
         kind, c = act[0], act[1]
@@ -533,14 +538,19 @@ def check_program(view, actions, log: list):
             elif kind == "check":
                 log.append((yield from ops.check_receive(
                     view, act[2], ids[c, act[2]], PRELUDE if act[3] else None)))
-            elif kind == "recv":
+            elif kind == "recv" and c < 2:
                 yield from receive(view, act[2], ids[c, act[2]], log)
+            elif kind == "recv":
+                rid = ids[c, act[2]]
+                if (yield from ops.check_receive(view, act[2], rid)):
+                    log.append(bytes((yield from ops.message_receive(
+                        view, act[2], rid))))
             elif kind == "churn" and joined[c]:
                 yield from ops.close_receive(view, 2, ids[c, 2])
                 joined[c] = False
             elif kind == "churn":
                 ids[c, 2] = yield from ops.open_receive(view, 2, f"c{c}",
-                                                        PROTOCOLS[c])
+                                                        PROTOCOLS[c % 2])
                 joined[c] = True
             else:
                 old = ids[c, 1]
@@ -556,9 +566,9 @@ def check_program(view, actions, log: list):
 
 def sync_checks(lib, actions) -> dict:
     """``actions`` on a fresh segment through ``lib``'s drive."""
-    shared = make(lib, MPFConfig(**RCFG))
+    shared = make(lib, MPFConfig(**CCFG))
     handle = shared.bind(0)
-    view = make_view(**RCFG)
+    view = make_view(**CCFG)
     log: list = []
     out = lib.drive(check_program(view, actions, log), handle, "p0")
     counters = handle.counters()
@@ -572,7 +582,7 @@ def engine_checks(run, kernels, actions) -> dict:
     """``actions`` on a fresh segment as one process of ``run``, a built
     ``engine.c``'s loop, over ``kernels``; its ``calls`` are the walks'
     Python bodies."""
-    view = make_view(**RCFG)
+    view = make_view(**CCFG)
     eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
                  BalanceTiming(BALANCE_21000, DEFAULT_COSTS))
     log: list = []
@@ -610,13 +620,22 @@ def engine_checks(run, kernels, actions) -> dict:
 @example(actions=[("send", 0, 0), ("check", 0, 1, False), ("recycle", 0),
                   ("send", 0, 0), ("check", 0, 1, False), ("recv", 0, 1),
                   ("check", 0, 2, False)])
+# The ring pair: counts of one and two, a receive of each protocol's
+# first, receiver 2 out and in again, and a recycled circuit's old id.
+# A ring walk is never memoized: every ring check runs its Python body.
+@example(actions=[act for c in (2, 3) for act in (
+    ("check", c, 1, False), ("send", c, 0), ("check", c, 1, True),
+    ("send", c, 40), ("check", c, 2, False), ("recv", c, 1),
+    ("check", c, 1, False), ("churn", c), ("check", c, 2, False),
+    ("churn", c), ("check", c, 2, True), ("recycle", c),
+    ("check", c, 1, False))])
 def test_c_check_walks_match_their_python_bodies(
         c_kernels, c_engine, py_stages_engine, c_sync, py_stages_sync,
         actions):
-    """Every free-list check section run by ``engine.c``'s loop and by
-    ``sync.c``'s drive with its walk in C, and again with each walk
-    handed to its Python body: the same counts and refusals, clock,
-    locks held and segment bytes."""
+    """Every check section, over either transport, run by ``engine.c``'s
+    loop and by ``sync.c``'s drive with its walk in C, and again with
+    each walk handed to its Python body: the same counts and refusals,
+    clock, locks held and segment bytes."""
     got = engine_checks(c_engine, c_kernels, actions)
     ref = engine_checks(py_stages_engine, c_kernels, actions)
     assert got.pop("calls") <= ref.pop("calls")

@@ -228,9 +228,13 @@ def test_more_descriptors_than_memoized_walk_charges(poll_loop):
     assert (others + 1) * step in _walk_instrs(trace)
 
 
-def test_ring_circuit_in_the_set_takes_the_classic_loop(poll_loop):
+def test_a_ring_set_polls_as_one_section(poll_loop):
+    """A set with a ring circuit in it is one looping section, as a
+    free-list set is, with the per-check loop's schedule; the ring's
+    walk memoizes nothing."""
     cfg = MPFConfig(max_lnvcs=8, max_processes=4,
                     transports=(("box", "ring"),))
+    walks = []
 
     def poller(env):
         news = yield from env.open_receive("news", BROADCAST)
@@ -239,6 +243,9 @@ def test_ring_circuit_in_the_set_takes_the_classic_loop(poll_loop):
         for _ in range(2):
             which, payload = yield from select_receive(env, (news, box))
             got.append(payload)
+        walks.append([(walk.ring, walk.epoch is None)
+                      for _, (_, _, built) in env.view._fs_poll_cache.values()
+                      for walk in built])
         return got
 
     def speaker(env):
@@ -249,9 +256,9 @@ def test_ring_circuit_in_the_set_takes_the_classic_loop(poll_loop):
         news = yield from env.open_send("news")
         yield from env.message_send(news, b"list")
 
-    view, (results, *_) = _both(poll_loop, [poller, speaker], cfg=cfg)
+    _, (results, *_) = _both(poll_loop, [poller, speaker], cfg=cfg)
     assert results["p0"] == [b"ring", b"list"]
-    assert [ent[1] for ent in view._fs_poll_cache.values()] == [None]
+    assert walks == [[], [(False, False), (True, True)]]
 
 
 def test_id_outside_the_table_is_rejected_at_entry(poll_loop):
@@ -299,10 +306,13 @@ def test_poll_receive_needs_a_circuit():
         SimRuntime().run([poller])
 
 
-@pytest.mark.parametrize("runtime", [ThreadRuntime, ProcRuntime],
-                         ids=["threads", "procs"])
-def test_same_program_on_real_runtimes(runtime):
-    """Real runtimes interpret classic effects: the per-check loop."""
+@pytest.mark.parametrize("runtime, box", [
+    (ThreadRuntime, "freelist"), (ProcRuntime, "freelist"),
+    (ThreadRuntime, "ring"), (ProcRuntime, "ring")],
+    ids=["threads", "procs", "threads-ring", "procs-ring"])
+def test_same_program_on_real_runtimes(runtime, box):
+    """The real runtimes' drives run the poll's looping section too,
+    with the mailbox on either transport."""
 
     def chooser(env):
         news = yield from env.open_receive("news", BROADCAST)
@@ -326,6 +336,7 @@ def test_same_program_on_real_runtimes(runtime):
         yield from env.close_send(news)
         yield from env.close_send(box)
 
-    result = runtime(join_timeout=60).run([chooser, speaker])
+    cfg = MPFConfig(max_lnvcs=32, max_processes=2, transports=(("box", box),))
+    result = runtime(join_timeout=60).run([chooser, speaker], cfg=cfg)
     assert result.results["p0"] == [
         ("box", b"one"), ("box", b"three"), ("news", b"two")]
