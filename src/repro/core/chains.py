@@ -83,14 +83,16 @@ Two more kernels have no Python wrapper: ``poll_walk``, a poll
 section's walk of one circuit (:class:`repro.core.ops.PollWalk`) as far
 as its memo reaches — the messages queued for the memoized descriptor
 while the circuit's ``conn_epoch`` and generation are the memo's, else a
-refusal — and ``conn_holds``, whether a receive section's connection
-memo (:class:`repro.core.ops.RecvSection`) still holds by the same
-rule.  The C section runner (``sections.c`` beside this module, which
-the engine's loop and ``runtime/sync.c``'s drive both include) is bound
-to their addresses and to those of ``sec_claim``, ``sec_complete``,
-``sec_free`` and ``chain_drain`` (:attr:`Kernels.addresses`): it runs
-a poll walk and a free-list receive's stages itself, and the Python
-bodies of those are their references.
+refusal — and ``conn_holds``, whether a section's connection memo
+(:class:`repro.core.ops.RecvSection`, :class:`~repro.core.ops.SendSection`)
+still holds by the same rule.  The C section runner (``sections.c``
+beside this module, which the engine's loop and ``runtime/sync.c``'s
+drive both include) is bound to their addresses and to those of
+``sec_claim``, ``sec_complete``, ``sec_free``, ``chain_drain``,
+``sec_alloc``, ``chain_fill`` and ``sec_link``
+(:attr:`Kernels.addresses`): it runs a poll walk and a free-list
+receive's and send's stages itself, and the Python bodies of those are
+their references.
 
 The C source is ``chains.c``.  A kernel that refuses its input writes
 nothing and hands the same arguments to the Python reference
@@ -240,7 +242,8 @@ _SLOT_MASK = (1 << SLOT_BITS) - 1
 #: engine's ``bind`` and the sync's ``classes`` take their addresses
 #: (:attr:`Kernels.addresses`).
 ENGINE_KERNELS = ("poll_walk", "conn_holds", "sec_claim", "sec_complete",
-                  "sec_free", "chain_drain")
+                  "sec_free", "chain_drain", "sec_alloc", "chain_fill",
+                  "sec_link")
 
 
 class Kernels:

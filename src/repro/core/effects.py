@@ -232,37 +232,39 @@ class FusedSection:
     arithmetic, locking and recorder/trace stream are those of the
     effect-per-yield sequence, without the generator round-trips.
 
-    Three producers: :func:`repro.core.ops.poll_receive`, whose idle
+    Four producers: :func:`repro.core.ops.poll_receive`, whose idle
     wait loops inside the engine (``D_JUMP`` back to its head) instead
     of resuming a generator 88 times per receive;
     :func:`~repro.core.ops.check_receive`, one head of that loop whose
     walk (:class:`~repro.core.ops.PollWalk`) returns the count, on
-    either transport; and the
-    free-list :func:`~repro.core.ops.message_receive`, one cached
-    :class:`~repro.core.ops.RecvSection` per process and circuit whose
-    ``S_CALL`` stages the C engine loop runs with the lock-section
-    kernels while their memos hold (the real runtimes' drives call
-    them).  On the simulator a section is worth it only where the
-    loop runs its calls in C: a prototype with plain Python closures for
-    the stages cut the receive's generator calls per ``sim_bcast16``
-    repetition from 77,596 to 27,801 and the rate did not move, the
-    closures doing the generator's work (29,511 closure calls took
-    30-35 ms of a ~93 ms repetition); with the stages in C (19,388
+    either transport; and the free-list
+    :func:`~repro.core.ops.message_receive` and
+    :func:`~repro.core.ops.message_send`, one cached
+    :class:`~repro.core.ops.RecvSection` / :class:`~repro.core.ops.SendSection`
+    per process and circuit whose ``S_CALL`` stages the C section runner
+    (the engine's loop and ``sync.c``'s drive) runs with the lock-section
+    kernels while their memos hold.  On the simulator a section is worth
+    it only where the loop runs its calls in C: a prototype with plain
+    Python closures for the receive's stages cut its generator calls per
+    ``sim_bcast16`` repetition from 77,596 to 27,801 and the rate did not
+    move, the closures doing the generator's work (29,511 closure calls
+    took 30-35 ms of a ~93 ms repetition); with the stages in C (19,388
     calls, 2.4 per receive: entry, result, and two per sleep) it moved
-    ~1.5x (docs/performance.md).  The other primitives yield classic
-    effects on every runtime.
+    ~1.5x (docs/performance.md).  The ring transport's send and receive
+    yield classic effects on every runtime, and so do open and close.
 
     Conventions that keep a section byte-identical to the classic
     effects:
 
-    * A ring receive is a classic generator; a probe-carrying
-      recorder's stamps are stages of the free-list receive section,
-      which emit no effect.
+    * A ring send or receive is a classic generator; a probe-carrying
+      recorder's stamps are stages of the free-list sections, which
+      emit no effect.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes
       (:func:`repro.check.faults.drop_wake`) forward sections as is.  A
       receive that finds its queue empty bails with the lock held, and
-      its generator yields the ``WaitOn`` itself.
+      its generator yields the ``WaitOn`` itself; a send's generator
+      yields its ``Wake`` after its section.
     * Copy charges (``copy_bytes > 0``) are allowed: the engine opens
       and closes the bus-tracking copy phase at the same instants as
       the unfused charge.
@@ -283,6 +285,29 @@ _STEP_EFFECTS = {S_CHARGE: Charge, S_MANY: ChargeMany, S_ACQ: Acquire,
                  S_REL: Release}
 
 
+#: ``key -> (arg, effect)``: the effect each section step ``(op, arg)``
+#: stands for, built once and shared by every run of the step (effects
+#: are frozen).  A lock step's key is ``(op, arg)``; any other's is ``(op,
+#: id(arg))``: a ``Work``'s hash and equality are Python functions, which
+#: an equality key would call per step.  An entry holds its argument, so
+#: no other object takes its id meanwhile.  Starts over past 4,096
+#: entries.
+_STEP_MEMO: dict = {}
+_BY_VALUE = frozenset((S_ACQ, S_REL))
+
+
+def _step_effect(op: int, arg):
+    """The :data:`_STEP_MEMO` entry of the step ``(op, arg)``, made; an
+    unknown opcode is refused."""
+    if op not in _STEP_EFFECTS:
+        raise RuntimeError(f"bad fused step opcode {op!r}")
+    if len(_STEP_MEMO) >= 4096:
+        _STEP_MEMO.clear()
+    entry = _STEP_MEMO[(op, arg) if op in _BY_VALUE else (op, id(arg))] = (
+        arg, _STEP_EFFECTS[op](arg))
+    return entry
+
+
 def unfold(gen: OpGen) -> OpGen:
     """``gen`` with every :class:`FusedSection` it yields run step by step:
     each step yielded as the effect it stands for, every ``S_CALL`` run
@@ -300,19 +325,23 @@ def unfold(gen: OpGen) -> OpGen:
         if effect.__class__ is not FusedSection:
             value = yield effect
             continue
-        steps, idx, value = effect.steps, 0, None
-        while idx < len(steps):
-            op, arg = steps[idx]
-            idx += 1
-            if op in _STEP_EFFECTS:
-                yield _STEP_EFFECTS[op](arg)
-            elif op != S_CALL:
-                raise RuntimeError(f"bad fused step opcode {op!r}")
-            elif (d := arg()) is not None:
-                value = d[1]
-                if d[0] != D_JUMP:  # D_BAIL: the section ends here
+        steps, value = effect.steps, None
+        while steps:
+            for op, arg in steps:
+                if op != S_CALL:
+                    try:  # a subscript, not a call: the steps' hot path
+                        entry = _STEP_MEMO[(op, arg) if op in _BY_VALUE
+                                           else (op, id(arg))]
+                    except KeyError:
+                        entry = _step_effect(op, arg)
+                    yield entry[1]
+                elif (d := arg()) is not None:
+                    value = d[1]
+                    # D_JUMP goes on with its steps; D_BAIL ends here
+                    steps = d[2] if d[0] == D_JUMP else ()
                     break
-                steps, idx = d[2], 0
+            else:
+                break
 
 
 def _release_and_raise(locks: Iterable[int], exc: Exception) -> OpGen:

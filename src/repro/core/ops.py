@@ -258,6 +258,9 @@ class MPFView:
       keys.  A receive holds its section out of the cache while it runs
       it.  Its stages and step tuples refer to each other, so
       :meth:`forget_sections` unlinks each too.
+    * ``_fs_send_cache``: ``(pid, slot) ->`` :class:`SendSection`, the
+      free-list :func:`message_send` as one section, kept by the same
+      rules as ``_fs_recv_cache``.
     * ``_drain_memo``: ``None`` or the one BROADCAST message this view
       drained last, ``((lnvc_id, seqno, header, first block, nblocks,
       length), last block, payload)``.  A chain is never written between
@@ -292,7 +295,6 @@ class MPFView:
         "_alloc_acq",
         "_alloc_rel",
         "_send_fixed_work",
-        "_send_fixed",
         "_recv_fixed",
         "_check_fixed_work",
         "_recv_retire",
@@ -310,6 +312,7 @@ class MPFView:
         "_fs_poll_cache",
         "_fs_check_cache",
         "_fs_recv_cache",
+        "_fs_send_cache",
         "_drain_memo",
         *(f"_rd_{name}" for name in READS),
         *(f"_wr_{name}" for name in STORES),
@@ -335,7 +338,6 @@ class MPFView:
         self._alloc_acq = Acquire(ALLOC_LOCK)
         self._alloc_rel = Release(ALLOC_LOCK)
         self._send_fixed_work = Work(instrs=costs.send_fixed, label="send-fixed")
-        self._send_fixed = Charge(self._send_fixed_work)
         self._recv_fixed = Charge(Work(instrs=costs.recv_fixed, label="recv-fixed"))
         self._check_fixed_work = Work(instrs=costs.check_fixed, label="check-fixed")
         self._recv_retire = Charge(Work(instrs=costs.msg_retire, label="recv-retire"))
@@ -376,6 +378,7 @@ class MPFView:
         self._fs_poll_cache: dict = {}
         self._fs_check_cache: dict = {}
         self._fs_recv_cache: dict = {}
+        self._fs_send_cache: dict = {}
         self._drain_memo: tuple | None = None
         #: The one observer slot: ``None``, or whatever a runtime's
         #: :meth:`repro.obs.Recorder.attach` put here.  Every observation
@@ -386,13 +389,13 @@ class MPFView:
         self.probe = None
 
     def forget_sections(self) -> None:
-        """Drop every section ``_fs_poll_cache``, ``_fs_check_cache`` and
-        ``_fs_recv_cache`` hold, unlinked first.
+        """Drop every section ``_fs_poll_cache``, ``_fs_check_cache``,
+        ``_fs_recv_cache`` and ``_fs_send_cache`` hold, unlinked first.
 
         A looping section's heads and its walks' memos refer to each
-        other, a receive section's stages and steps likewise, and both
-        to this view: left linked, each run's sections kept its view and
-        region alive until a full garbage collection, one segment per
+        other, a receive or send section's stages and steps likewise,
+        and all to this view: left linked, each run's sections kept its
+        view and region alive until a full garbage collection, one segment per
         run (``SimRuntime.run``, ``ThreadRuntime.run`` and the model
         checker call this at the end of a run, a closed
         :class:`~repro.runtime.blocking.BlockingMPF` or
@@ -400,9 +403,9 @@ class MPFView:
         Unlinking empties the heads list the walks index and resets
         every walk to "resolve again" with nothing memoized (each
         empty-jump memo holds the next head's walk), and drops a receive
-        section's steps and memos.  A receive section leaves its cache
-        by one ``pop``, so receives that other threads run on this view
-        meanwhile, holding theirs out of it, lose nothing."""
+        or send section's steps and memos.  Those leave their caches by
+        one ``pop`` each, so primitives that other threads run on this
+        view meanwhile, holding theirs out of it, lose nothing."""
         cache = self._fs_poll_cache
         for key, (_, (_, heads, walks)) in list(cache.items()):
             heads.clear()
@@ -410,11 +413,11 @@ class MPFView:
                 walk.unlink()
             del cache[key]
         self._fs_check_cache.clear()
-        recv = self._fs_recv_cache
-        for key in list(recv):
-            sec = recv.pop(key, None)
-            if sec is not None:
-                sec.unlink()
+        for cache in (self._fs_recv_cache, self._fs_send_cache):
+            for key in list(cache):
+                sec = cache.pop(key, None)
+                if sec is not None:
+                    sec.unlink()
 
     # -- names -------------------------------------------------------------
 
@@ -985,6 +988,11 @@ def message_send(
 
     Raises :class:`OutOfMessageMemoryError` when the header or block pool
     is exhausted — the hard edge of the ``init()`` sizing estimate.
+
+    Over the free list the send is one cached :class:`SendSection` on
+    every runtime (its alloc, fill and link stages, which the C section
+    runner runs with the kernels while their memos hold), then the
+    ``Wake``; over the ring it is a classic generator.
     """
     # Transport dispatch on a plain u32 read, and the transport's own
     # generator handed back as is: no effect is yielded and no frame is
@@ -994,73 +1002,45 @@ def message_send(
     base = view.lnvc_base + slot * _LNVC_SIZE
     if view.region.u32(base + _L_TRANSPORT):
         return ring_send(view, pid, slot, base, lnvc_id, data, prelude)
-    return _freelist_send(view, pid, slot, base, lnvc_id, data, prelude)
+    return _freelist_send(view, pid, slot, lnvc_id, data, prelude)
 
 
-def _freelist_send(view: MPFView, pid: int, slot: int, base: int,
-                   lnvc_id: int, data: bytes, prelude: Work | None) -> OpGen:
+def _freelist_send(view: MPFView, pid: int, slot: int, lnvc_id: int,
+                   data: bytes, prelude: Work | None) -> OpGen:
     """:func:`message_send` over the free-list transport (``slot`` is
-    ``lnvc_id``'s, inside the table, ``base`` its descriptor's offset)."""
+    ``lnvc_id``'s, inside the table): one :class:`SendSection`, cached
+    per process and circuit and held out of ``view._fs_send_cache``
+    while it runs, as :func:`_freelist_receive` holds its own.  The
+    generator is resumed once with the section's result, then yields
+    the ``Wake``; a link refused for a stale or unconnected id undoes
+    the send (:func:`_unsend`)."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("message payload must be bytes-like")
-    data = bytes(data)
-    r = view.region
-    c = view.costs
-    lay = view.layout
-    bs = view.cfg.block_size
-    length = len(data)
-    nblk = (length + bs - 1) // bs
+    key = (pid, slot)
+    cache = view._fs_send_cache
+    sec = cache.pop(key, None)
     probe = view.probe
-    t_entry = probe.now() if probe is not None else 0.0
-    lock = FIRST_LNVC_LOCK + slot
-
-    if prelude is None:
-        yield view._send_fixed
-    else:
-        yield ChargeMany((prelude, view._send_fixed_work))
-
-    # Phase 1: allocation.  Blocks are private until linked, so only the
-    # free lists need the allocator lock.  Nothing is stored until both
-    # the header and the whole chain are known to be there.
-    kernels = _chains.ACTIVE
-    yield view._alloc_acq
-    hdr, first = kernels.alloc(view, nblk, length)
-    if hdr == NIL:  # ``first`` is then the head word of the dry pool
-        if probe is not None:
-            probe.pool(dry=first)
-        yield from _release_and_raise([ALLOC_LOCK], OutOfMessageMemoryError(
-            "message header pool exhausted" if first == _H_FREE_MSG
-            else f"block pool exhausted ({nblk}-block message)"))
+    if sec is None or sec.lnvc_id != lnvc_id or sec.probe is not probe:
+        if sec is not None:  # a recycled slot's old id, or a new probe
+            sec.unlink()
+        sec = SendSection(view, pid, lnvc_id)
+    sec.data = bytes(data)
     if probe is not None:
-        probe.pool(live_blocks=r.u32(_H_LIVE_BLOCKS))
-    yield charge((nblk + 1) * c.blk_alloc, "send-alloc")
-    yield view._alloc_rel
-    t_alloc = probe.now() if probe is not None else 0.0
-
-    # Phase 2: fill the private chain — outside every lock.  The blocks
-    # are still linked as the pop found them: a chain but for its last
-    # link.
-    kernels.fill(r, first, nblk, data, bs)
-    yield charge(nblk * c.blk_fill + length * c.copy_byte, "send-copy",
-                 length, nblk, nblk * lay.blk_stride + MSG.size)
-    t_fill = probe.now() if probe is not None else 0.0
-
-    # Phase 3: link at the FIFO tail under the circuit lock.
-    yield view._acq[slot]
+        sec.t_entry = probe.now()
+    head = sec.head if prelude is None else FusedSection(
+        ((S_MANY, (prelude, view._send_fixed_work)),) + sec.head.steps[1:])
     try:
-        steps = view.send_conn(pid, lnvc_id)
-    except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _unsend(view, lock, hdr, first, nblk, length, exc)
-
-    seqno, depth, rsteps = kernels.link(view, base, hdr, pid, length, first,
-                                        nblk)
-    yield charge(c.msg_link + (steps + rsteps) * c.list_step, "send-link")
-    if probe is not None:
-        probe.msg_sent(pid, slot, lnvc_id >> SLOT_BITS, seqno, length, nblk,
-                       depth, t_entry, t_alloc, t_fill)
-    yield view._rel[slot]
+        res = yield head
+        if res.__class__ is tuple and res[0] is None:  # refused at the link
+            yield from _unsend(view, sec.lock, sec.hdr, sec.first, sec.nblk,
+                               sec.length, res[1])
+    finally:
+        sec.data = None
+        cache[key] = sec
+    if res.__class__ is tuple:
+        yield from _release_and_raise(*res)  # a bail: (locks, error)
     yield view._wake[slot]
-    return seqno
+    return res
 
 
 def message_receive(
@@ -1089,8 +1069,8 @@ def message_receive(
 
 def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
                       lnvc_id: int, max_len: int | None) -> OpGen:
-    """:func:`message_receive` over the free-list transport (``slot``,
-    ``base``: as for :func:`_freelist_send`): one :class:`RecvSection`,
+    """:func:`message_receive` over the free-list transport (``slot`` is
+    ``lnvc_id``'s, inside the table): one :class:`RecvSection`,
     cached per process and circuit, on every runtime.  The generator is
     resumed once when the message is in hand, and once more per sleep
     (it yields the ``WaitOn`` itself, then the section's claim again).
@@ -1140,7 +1120,7 @@ class RecvSection:
 
     The steps are the receive's effects in order, each stretch of
     primitive code between two of them an ``S_CALL`` of a
-    :class:`RecvStage`:
+    :class:`Stage`:
 
     * :attr:`head`: ``recv-fixed``, acquire the circuit lock, the
       connection stage — which jumps to ``recv-find``, the claim stage;
@@ -1164,7 +1144,7 @@ class RecvSection:
     queue depth before ``ALLOC_LOCK`` and the freed messages under it —
     each where the receive's effect stream puts that instant.
 
-    The stage bodies are :data:`_RECV_STAGES`; what one hands the next
+    The stage bodies are :data:`_STAGES`; what one hands the next
     (the claimed message, its drain, the reap, the probe's stamps) lives
     in the slots below, with the memos that let the C section runner run
     a stage itself (``repro/core/sections.c``): the connection
@@ -1199,8 +1179,7 @@ class RecvSection:
         self.msg = self.first = self.nblk = self.length = None
         self.seqno = self.fcfs = self.last = self.payload = self.reap = None
         self.t_claim = self.t_drain = 0.0
-        self.stages = stages = tuple(
-            RecvStage(self, kind) for kind in range(len(_RECV_STAGES)))
+        self.stages = stages = tuple(Stage(self, k) for k in _RECV_KINDS)
         conn, claim, drain, complete, free = stages[:5]
         self.head = FusedSection(((S_CHARGE, view._recv_fixed.work),
                                   (S_ACQ, lock), (S_CALL, conn)))
@@ -1349,26 +1328,172 @@ def _recv_free_traced(sec: RecvSection):
     return _recv_free(sec)
 
 
-#: The stage bodies of a :class:`RecvSection`, by :attr:`RecvStage.kind`:
-#: connection, claim, drain, completion, reap free; then the probe's
-#: (which the C section runner always hands to Python): claim stamp, drain
-#: stamp, queue depth, reap free with the freed messages.
-_RECV_STAGES = (_recv_conn, _recv_claim, _recv_drain, _recv_complete,
-                _recv_free, _recv_stamp_claim, _recv_stamp_drain,
-                _recv_depth, _recv_free_traced)
+class SendSection:
+    """:func:`message_send` over the free-list transport as one
+    :class:`~repro.core.effects.FusedSection`, for one process (``pid``)
+    on one circuit (``lnvc_id``) of a view; built once and cached
+    (``MPFView._fs_send_cache``), as :class:`RecvSection` is.
+
+    The steps are the send's effects in order, the paper's three
+    phases each a :class:`Stage` between two of them: :attr:`head` is
+    ``send-fixed``, acquire ``ALLOC_LOCK`` and the alloc stage, which
+    jumps to ``send-alloc``, release, the fill stage, ``send-copy``,
+    acquire the circuit lock and the link stage, which jumps to
+    ``send-link`` and release.  The result is the sequence number; the
+    generator yields the ``Wake`` after it.  A dry pool bails as
+    ``((ALLOC_LOCK,), error)``, an id the link refuses as ``(None,
+    error)``: the generator then undoes the send (:func:`_unsend`).
+    Under a probe (:attr:`probe`) the probe's stages join the tails
+    where the classic send observed: the pool after the alloc, the
+    alloc stamp after its release, the fill stamp after ``send-copy``
+    and the report after ``send-link``.
+
+    What one stage hands the next (the payload, the message's header,
+    chain and shape, its sequence number and queue depth) lives in the
+    slots below, with the memos that let the C section runner run a
+    stage itself: the tails by message shape (:attr:`allocs`, keyed
+    ``length << 32 | nblk``) and the link's tail (:attr:`linked`),
+    which holds while the circuit's ``gen`` and ``conn_epoch`` are
+    :attr:`gen` and :attr:`epoch` — its walk lengths are the
+    connection's and the receive list's, which only a connection
+    change, one that moves the epoch, can move.
+    """
+
+    __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "lock", "seg",
+                 "bs", "probe", "data", "hdr", "first", "nblk", "length",
+                 "seqno", "depth", "epoch", "linked", "allocs", "taps",
+                 "t_entry", "t_alloc", "t_fill", "head", "stages")
+
+    def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
+        slot = lnvc_id & _SLOT_MASK
+        self.view = view
+        self.pid = pid
+        self.lnvc_id = lnvc_id
+        self.gen = int(lnvc_id >> SLOT_BITS)
+        self.base = view.lnvc_base + slot * _LNVC_SIZE
+        self.lock = FIRST_LNVC_LOCK + slot
+        self.seg = view.region._mv
+        self.bs = view.cfg.block_size
+        self.probe = probe = view.probe
+        self.data = self.hdr = self.first = self.nblk = self.length = None
+        self.seqno = self.depth = self.epoch = self.linked = None
+        self.t_entry = self.t_alloc = self.t_fill = 0.0
+        self.stages = stages = tuple(Stage(self, k) for k in _SEND_KINDS)
+        self.head = FusedSection(((S_CHARGE, view._send_fixed_work),
+                                  (S_ACQ, ALLOC_LOCK), (S_CALL, stages[0])))
+        #: The probe's steps: pool, alloc stamp, fill stamp, report.
+        self.taps = tuple(((S_CALL, stage),) if probe is not None else ()
+                          for stage in stages[3:])
+        self.allocs: dict = {}
+
+    def unlink(self) -> None:
+        """Drop every step tuple and memo: each holds stages, and the
+        stages hold this section."""
+        self.head = self.linked = self.taps = self.stages = None
+        self.epoch = self.data = None
+        self.allocs.clear()
 
 
-class RecvStage:
-    """One ``S_CALL`` of a :class:`RecvSection`: stage :attr:`kind` of
-    :data:`_RECV_STAGES` over :attr:`sec`.
+def _send_alloc(sec: SendSection):
+    view = sec.view
+    length = len(sec.data)
+    nblk = (length + sec.bs - 1) // sec.bs
+    hdr, first = _chains.ACTIVE.alloc(view, nblk, length)
+    if hdr == NIL:  # ``first`` is then the head word of the dry pool
+        if sec.probe is not None:
+            sec.probe.pool(dry=first)
+        return (D_BAIL, ((ALLOC_LOCK,), OutOfMessageMemoryError(
+            "message header pool exhausted" if first == _H_FREE_MSG
+            else f"block pool exhausted ({nblk}-block message)")))
+    sec.hdr, sec.first, sec.nblk, sec.length = hdr, first, nblk, length
+    shape = length << 32 | nblk
+    steps = sec.allocs.get(shape)
+    if steps is None:
+        c = view.costs
+        pool, alloced, filled, _ = sec.taps
+        steps = _shape_memo(sec.allocs, shape, pool + (
+            (S_CHARGE, charge((nblk + 1) * c.blk_alloc, "send-alloc").work),
+            (S_REL, ALLOC_LOCK)) + alloced + ((S_CALL, sec.stages[1]), (
+                S_CHARGE, charge(nblk * c.blk_fill + length * c.copy_byte,
+                                 "send-copy", length, nblk,
+                                 nblk * view.layout.blk_stride + MSG.size
+                                 ).work)) + filled + (
+            (S_ACQ, sec.lock), (S_CALL, sec.stages[2])))
+    return (D_JUMP, None, steps)
+
+
+def _send_fill(sec: SendSection):
+    # The chain is private until linked: filled outside every lock.
+    _chains.ACTIVE.fill(sec.view.region, sec.first, sec.nblk, sec.data,
+                        sec.bs)
+
+
+def _send_link(sec: SendSection):
+    view = sec.view
+    in_use, gen, epoch = view._rd_ident(sec.base)
+    held = in_use and gen == sec.gen and epoch == sec.epoch
+    if not held:
+        try:
+            steps = view.send_conn(sec.pid, sec.lnvc_id)
+        except (UnknownLNVCError, NotConnectedError) as exc:
+            return (D_BAIL, (None, exc))
+    sec.seqno, sec.depth, rsteps = _chains.ACTIVE.link(
+        view, sec.base, sec.hdr, sec.pid, sec.length, sec.first, sec.nblk)
+    if not held:
+        c = view.costs
+        sec.epoch = epoch
+        sec.linked = ((S_CHARGE, charge(
+            c.msg_link + (steps + rsteps) * c.list_step, "send-link").work),
+        ) + sec.taps[3] + ((S_REL, sec.lock),)
+    return (D_JUMP, sec.seqno, sec.linked)
+
+
+def _send_pool(sec: SendSection):
+    sec.probe.pool(live_blocks=sec.view.region.u32(_H_LIVE_BLOCKS))
+
+
+def _send_stamp_alloc(sec: SendSection):
+    sec.t_alloc = sec.probe.now()
+
+
+def _send_stamp_fill(sec: SendSection):
+    sec.t_fill = sec.probe.now()
+
+
+def _send_sent(sec: SendSection):
+    sec.probe.msg_sent(sec.pid, sec.lock - FIRST_LNVC_LOCK, sec.gen,
+                       sec.seqno, sec.length, sec.nblk, sec.depth,
+                       sec.t_entry, sec.t_alloc, sec.t_fill)
+
+
+#: The stage bodies of both sections, by :attr:`Stage.kind`: a
+#: :class:`RecvSection`'s connection, claim, drain, completion and reap
+#: free, a :class:`SendSection`'s alloc, fill and link; then the probe's
+#: (which the C section runner always hands to Python): the receive's
+#: claim stamp, drain stamp, queue depth and reap free with the freed
+#: messages, the send's pool, alloc stamp, fill stamp and report.
+_STAGES = (_recv_conn, _recv_claim, _recv_drain, _recv_complete, _recv_free,
+           _send_alloc, _send_fill, _send_link,
+           _recv_stamp_claim, _recv_stamp_drain, _recv_depth,
+           _recv_free_traced,
+           _send_pool, _send_stamp_alloc, _send_stamp_fill, _send_sent)
+#: Each section's stages, indexed as its ``stages`` tuple.
+_RECV_KINDS = (0, 1, 2, 3, 4, 8, 9, 10, 11)
+_SEND_KINDS = (5, 6, 7, 12, 13, 14, 15)
+
+
+class Stage:
+    """One ``S_CALL`` of a :class:`RecvSection` or a :class:`SendSection`:
+    stage :attr:`kind` of :data:`_STAGES` over :attr:`sec`.
 
     The C section runner (``repro/core/sections.c``, in the engine's
     loop and in ``sync.c``'s drive) runs the stage itself while the
-    section's memo for it holds — the connection memo, a copy or reap
-    tail memoized for the shape at hand, and for a BROADCAST drain a
-    message this view drained already — calling the kernels
-    ``conn_holds``, ``sec_claim``, ``chain_drain`` (an FCFS message,
-    into a ``bytes`` it builds), ``sec_complete`` and ``sec_free``
+    section's memo for it holds — the connection memo, a tail memoized
+    for the shape at hand, and for a BROADCAST drain a message this view
+    drained already — calling the kernels ``conn_holds``, ``sec_claim``,
+    ``chain_drain`` (an FCFS message, into a ``bytes`` it builds),
+    ``sec_complete`` and ``sec_free`` for a receive, ``sec_alloc``,
+    ``chain_fill`` and ``sec_link`` for a send
     (:attr:`repro.core.chains.Kernels.addresses`).  Called, it runs the
     stage's Python body: the reference, and what runs on any miss or
     kernel refusal and under the Python drive.  A BROADCAST drain that
@@ -1376,18 +1501,18 @@ class RecvStage:
     ``drain``: a chain is drained once per message and view, in one
     place.  An exception the body does not answer bails as ``((),
     exception)``, so the generator raises it holding the locks the
-    receive holds at that step.
+    primitive holds at that step.
     """
 
     __slots__ = ("sec", "kind")
 
-    def __init__(self, sec: RecvSection, kind: int) -> None:
+    def __init__(self, sec, kind: int) -> None:
         self.sec = sec
         self.kind = kind
 
     def __call__(self):
         try:
-            return _RECV_STAGES[self.kind](self.sec)
+            return _STAGES[self.kind](self.sec)
         except Exception as exc:  # noqa: BLE001 - raised by the generator
             return (D_BAIL, ((), exc))
 

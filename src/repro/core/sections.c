@@ -7,11 +7,13 @@
  * slot-offset binding of the classes both drives read, the step fetch,
  * the directive an S_CALL returns applied (apply_directive, sec_jump,
  * sec_bail), and the S_CALLs that run here while their memo holds — a
- * poll walk (core/ops.py PollWalk, counted by the kernel poll_walk) and
- * the five stages of a free-list receive (core/ops.py RecvStage over a
+ * poll walk (core/ops.py PollWalk, counted by the kernel poll_walk), the
+ * five stages of a free-list receive (core/ops.py Stage over a
  * RecvSection: the connection check, claim, drain, completion and free,
  * with the kernels conn_holds, sec_claim, chain_drain, sec_complete and
- * sec_free of core/chains.c).  Every other S_CALL, a memo miss, a
+ * sec_free of core/chains.c) and the three of a free-list send (a Stage
+ * over a SendSection: the alloc, fill and link, with sec_alloc,
+ * chain_fill, conn_holds and sec_link).  Every other S_CALL, a memo miss, a
  * kernel refusal and a probe's stage is handed back to the includer's
  * `body`, which calls the Python body: the reference, run before the C
  * stage writes anything.  The includer runs the other steps itself:
@@ -30,7 +32,7 @@
 /* -- the classes and slots bind_classes() hands over --------------------- */
 
 #define SEC_TYPES(X) X(T_CHARGE) X(T_MANY) X(T_ACQ) X(T_REL) X(T_SECTION) \
-    X(T_WAIT) X(T_WAKE) X(T_WALK) X(T_STAGE) X(T_RSEC) X(T_VIEW)
+    X(T_WAIT) X(T_WAKE) X(T_WALK) X(T_STAGE) X(T_RSEC) X(T_SSEC) X(T_VIEW)
 #define SEC_FIELDS(X) X(A_LOCK, T_ACQ, "lock_id")                           \
     X(R_LOCK, T_REL, "lock_id") X(S_STEPS, T_SECTION, "steps")              \
     X(O_CHAN, T_WAIT, "chan") X(O_LOCK, T_WAIT, "lock_id")                  \
@@ -40,8 +42,9 @@
     X(PW_EMPTY, T_WALK, "empty") X(PW_TAILS, T_WALK, "tails")               \
     X(PW_SEG, T_WALK, "seg") X(RS_SEC, T_STAGE, "sec")                      \
     X(RS_KIND, T_STAGE, "kind") X(V_DRAIN_MEMO, T_VIEW, "_drain_memo")      \
-    RC_FIELDS(X)
-/* RecvSection's slots: field RC_<NAME> is slot <name>. */
+    RC_FIELDS(X) SC_FIELDS(X)
+/* RecvSection's slots: field RC_<NAME> is slot <name>; SendSection's
+ * are SC_<NAME>. */
 #define RC_FIELDS(X) RC(X, VIEW, view) RC(X, LNVC_ID, lnvc_id)              \
     RC(X, GEN, gen) RC(X, BASE, base) RC(X, SEG, seg) RC(X, BS, bs)         \
     RC(X, MAX_LEN, max_len) RC(X, DESC, desc) RC(X, EPOCH, epoch)           \
@@ -51,6 +54,12 @@
     RC(X, REAP, reap) RC(X, CLAIMED, claimed) RC(X, COPIES, copies)         \
     RC(X, RETIRED, retired) RC(X, REAPING, reaping) RC(X, REAPS, reaps)
 #define RC(X, f, s) X(RC_##f, T_RSEC, #s)
+#define SC_FIELDS(X) SC(X, BASE, base) SC(X, GEN, gen) SC(X, PID, pid)     \
+    SC(X, SEG, seg) SC(X, BS, bs) SC(X, DATA, data) SC(X, HDR, hdr)         \
+    SC(X, FIRST, first) SC(X, NBLK, nblk) SC(X, LENGTH, length)             \
+    SC(X, SEQNO, seqno) SC(X, DEPTH, depth) SC(X, EPOCH, epoch)             \
+    SC(X, LINKED, linked) SC(X, ALLOCS, allocs)
+#define SC(X, f, s) X(SC_##f, T_SSEC, #s)
 
 #define TYPE_ENUM(t) t,
 #define FIELD_ENUM(f, t, s) f,
@@ -77,9 +86,10 @@ enum { S_CHARGE = 0, S_MANY = 1, S_ACQ = 2, S_REL = 3, D_JUMP = 4,
 
 /* The kernels the C kernels export that the runner calls itself
  * (core/chains.c; chains.ENGINE_KERNELS names them in bind order): the
- * poll walk, the receive's connection memo check, the claim, completion
- * and free of a free-list receive and the chain drain.  NULL where they
- * were not built.  claim_t and reap_t are chains.c's. */
+ * poll walk, the connection memo check, the claim, completion and free
+ * of a free-list receive, the chain drain, and the alloc, chain fill and
+ * link of a free-list send.  NULL where they were not built.  claim_t,
+ * reap_t and link_t are chains.c's. */
 typedef int64_t (*walk_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                            uint64_t, int);
 typedef int64_t (*holds_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t);
@@ -99,7 +109,17 @@ typedef int64_t (*free_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                            uint64_t, uint64_t, uint64_t);
 typedef int64_t (*drain_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                             uint64_t, char *);
-enum { K_WALK, K_HOLDS, K_CLAIM, K_COMPLETE, K_FREE, K_DRAIN, N_KERNELS };
+typedef uint64_t (*alloc_fn)(char *, uint64_t, uint64_t, uint64_t);
+typedef int64_t (*fill_fn)(char *, uint64_t, uint64_t, uint64_t,
+                           const char *, uint64_t, uint64_t);
+typedef struct {
+    uint32_t seqno, depth, rsteps, ok;
+} link_t;
+typedef link_t (*link_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                          uint64_t, uint64_t, uint64_t, int, uint64_t,
+                          uint64_t);
+enum { K_WALK, K_HOLDS, K_CLAIM, K_COMPLETE, K_FREE, K_DRAIN, K_ALLOC,
+       K_FILL, K_LINK, N_KERNELS };
 static void *KERNEL[N_KERNELS];
 #define WALK ((walk_fn)KERNEL[K_WALK])
 
@@ -453,7 +473,7 @@ walk(seg_t *G, PyObject *w)
 
 /* -- a free-list receive's stages (core/ops.py, RecvSection) -------------
  *
- * A RecvStage's call made here, with the kernels: the stage's memo is
+ * A Stage's call made here, with the kernels: the stage's memo is
  * read off its RecvSection at slot offsets, checked, and the section
  * moved exactly as the stage's Python body moves it; what one stage
  * hands the next (the claimed message, the drain, the reap) is stored
@@ -762,13 +782,126 @@ recv_free(flight_t *S, PyObject *sec, char *b, uint64_t len)
     return rc;
 }
 
-/* A RecvStage's call (core/ops.py): 1 when the stage ran here, 0 when its
- * Python body must run, -1 on error. */
+/* -- a free-list send's stages (core/ops.py, SendSection) ----------------
+ *
+ * The same for a send: each stage reads what it needs off its
+ * SendSection and stores back what the next one reads, as the Python
+ * bodies do. */
+
+/* The alloc: while the tail of the payload's shape is memoized, the
+ * header and chain off the free lists, then that tail (send-alloc, the
+ * release, the fill, send-copy, the acquire and the link).  A dry pool
+ * is the Python body's: it reports and bails. */
 static int
-recv_stage(flight_t *S, seg_t *G, PyObject *stage)
+send_alloc(flight_t *S, PyObject *sec, char *b, uint64_t len)
 {
-    static int (*const STAGE[])(flight_t *, PyObject *, char *, uint64_t) = {
-        recv_conn, recv_claim, recv_drain, recv_complete, recv_free};
+    uint64_t bs, length, nblk, got;
+    PyObject *data, *steps;
+    int rc;
+    if ((rc = get_u32(sec, SC_BS, &bs)) <= 0)
+        return rc;
+    if ((data = get(sec, SC_DATA)) == NULL)
+        return -1;
+    rc = PyBytes_CheckExact(data) && bs > 0;
+    length = rc ? (uint64_t)PyBytes_GET_SIZE(data) : 0;
+    Py_DECREF(data);
+    if (!rc || length > 0xFFFFFFFFULL)
+        return 0;
+    nblk = (length + bs - 1) / bs;
+    if ((steps = shape_memo(sec, SC_ALLOCS, length, nblk)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    got = ((alloc_fn)KERNEL[K_ALLOC])(b, len, nblk, length);
+    if (got == UINT64_MAX)
+        rc = 0;
+    else
+        rc = set_ll(sec, SC_HDR, (long long)(got >> 32)) < 0
+             || set_ll(sec, SC_FIRST, (long long)(got & 0xFFFFFFFFULL)) < 0
+             || set_ll(sec, SC_NBLK, (long long)nblk) < 0
+             || set_ll(sec, SC_LENGTH, (long long)length) < 0
+             || sec_jump(S, Py_NewRef(Py_None), steps) < 0 ? -1 : 1;
+    Py_DECREF(steps);
+    return rc;
+}
+
+/* The fill: the payload copied over the popped chain, which it ends.  No
+ * directive: the section goes on to send-copy. */
+static int
+send_fill(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t first, nblk, bs;
+    PyObject *data;
+    int rc;
+    (void)S;
+    if ((rc = get_u32(sec, SC_FIRST, &first)) <= 0
+        || (rc = get_u32(sec, SC_NBLK, &nblk)) <= 0
+        || (rc = get_u32(sec, SC_BS, &bs)) <= 0)
+        return rc;
+    if ((data = get(sec, SC_DATA)) == NULL)
+        return -1;
+    rc = PyBytes_CheckExact(data)
+         && ((fill_fn)KERNEL[K_FILL])(b, len, first, nblk,
+                                      PyBytes_AS_STRING(data),
+                                      (uint64_t)PyBytes_GET_SIZE(data),
+                                      bs) >= 0;
+    Py_DECREF(data);
+    return rc;
+}
+
+/* The link: while the connection memo holds, the message linked at the
+ * FIFO tail, its sequence number and queue depth stored, then the memoized
+ * tail (send-link and the release) with the sequence number as the
+ * result.  A stale or unconnected id is the Python body's: it bails. */
+static int
+send_link(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, gen, epoch, pid, hdr, first, nblk, length;
+    PyObject *linked, *seqno;
+    link_t got;
+    int rc;
+    if ((rc = get_u32(sec, SC_BASE, &base)) <= 0
+        || (rc = get_u32(sec, SC_GEN, &gen)) <= 0
+        || (rc = get_u32(sec, SC_EPOCH, &epoch)) <= 0
+        || (rc = get_u32(sec, SC_PID, &pid)) <= 0
+        || (rc = get_u32(sec, SC_HDR, &hdr)) <= 0
+        || (rc = get_u32(sec, SC_FIRST, &first)) <= 0
+        || (rc = get_u32(sec, SC_NBLK, &nblk)) <= 0
+        || (rc = get_u32(sec, SC_LENGTH, &length)) <= 0)
+        return rc;
+    if (((holds_fn)KERNEL[K_HOLDS])(b, len, base, gen, epoch) != 1
+        || (linked = get_tuple(sec, SC_LINKED)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    got = ((link_fn)KERNEL[K_LINK])(b, len, base, hdr, pid, length, first,
+                                    nblk, 0, 0, 0);
+    rc = 0;
+    if (got.ok) {
+        seqno = PyLong_FromUnsignedLong(got.seqno);
+        rc = seqno == NULL || set(sec, SC_SEQNO, seqno) < 0
+             || set_ll(sec, SC_DEPTH, got.depth) < 0 ? -1 : 1;
+        if (rc > 0)
+            rc = sec_jump(S, seqno, linked) < 0 ? -1 : 1;  /* steals it */
+        else
+            Py_XDECREF(seqno);
+    }
+    Py_DECREF(linked);
+    return rc;
+}
+
+/* A Stage's call (core/ops.py): 1 when the stage ran here, 0 when its
+ * Python body must run, -1 on error.  The table is indexed by the stage's
+ * kind, each row naming the section class it runs over and that class's
+ * segment slot; a probe's stages lie past it. */
+static int
+run_stage(flight_t *S, seg_t *G, PyObject *stage)
+{
+    typedef int (*stage_fn)(flight_t *, PyObject *, char *, uint64_t);
+    static const struct {
+        stage_fn run;
+        int type, seg;
+    } STAGE[] = {
+        {recv_conn, T_RSEC, RC_SEG}, {recv_claim, T_RSEC, RC_SEG},
+        {recv_drain, T_RSEC, RC_SEG}, {recv_complete, T_RSEC, RC_SEG},
+        {recv_free, T_RSEC, RC_SEG}, {send_alloc, T_SSEC, SC_SEG},
+        {send_fill, T_SSEC, SC_SEG}, {send_link, T_SSEC, SC_SEG}};
     long long kind;
     uint64_t len;
     const char *b;
@@ -783,21 +916,21 @@ recv_stage(flight_t *S, seg_t *G, PyObject *stage)
     if ((sec = get(stage, RS_SEC)) == NULL)
         return -1;
     rc = 0;
-    if (Py_TYPE(sec) == TYPES[T_RSEC]) {
-        if ((seg = get(sec, RC_SEG)) == NULL)
+    if (Py_TYPE(sec) == TYPES[STAGE[kind].type]) {
+        if ((seg = get(sec, STAGE[kind].seg)) == NULL)
             rc = -1;
         else {
             b = seg_bytes(G, seg, &len);
             Py_DECREF(seg);
             if (b != NULL && !G->buf.readonly)
-                rc = STAGE[kind](S, sec, (char *)b, len);
+                rc = STAGE[kind].run(S, sec, (char *)b, len);
         }
     }
     Py_DECREF(sec);
     return rc;
 }
 
-/* An S_CALL of ``fn``: a poll walk or a receive stage whose memo holds
+/* An S_CALL of ``fn``: a poll walk or a section's stage whose memo holds
  * runs here; any other call is ``body(ctx, fn)``'s (the includer calls
  * the Python body, writing back what it must around it; NULL: a plain
  * call), and the directive it returns is applied. */
@@ -811,8 +944,8 @@ sec_call(flight_t *S, seg_t *G, PyObject *fn,
     if (Py_TYPE(fn) == TYPES[T_WALK] && (d = walk(G, fn)) == NULL
         && PyErr_Occurred())
         return -1;
-    /* a receive stage whose memo holds: the kernels */
-    if (Py_TYPE(fn) == TYPES[T_STAGE] && (rc = recv_stage(S, G, fn)) != 0) {
+    /* a stage whose memo holds: the kernels */
+    if (Py_TYPE(fn) == TYPES[T_STAGE] && (rc = run_stage(S, G, fn)) != 0) {
         S->ran_c += rc > 0;
         return rc < 0 ? -1 : 0;
     }

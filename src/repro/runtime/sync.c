@@ -866,7 +866,7 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* classes(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
- * Wake, PollWalk, RecvStage, RecvSection, MPFView, FIRST_LNVC_LOCK,
+ * Wake, PollWalk, Stage, RecvSection, SendSection, MPFView, FIRST_LNVC_LOCK,
  * LockOwnerDiedError, kernel addresses or None): what drive dispatches
  * on and reads, what a dead lock owner raises, and the kernels the
  * section runner calls. */
@@ -877,7 +877,7 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     int i;
 
     if (nargs != N_TYPES + 3) {
-        PyErr_SetString(PyExc_TypeError, "classes(11 classes, first lock, "
+        PyErr_SetString(PyExc_TypeError, "classes(12 classes, first lock, "
                         "error class, kernel addresses or None)");
         return NULL;
     }
@@ -900,8 +900,9 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"classes", (PyCFunction)(void (*)(void))classes, METH_FASTCALL,
      "classes(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn, "
-     "Wake, PollWalk, RecvStage, RecvSection, MPFView, FIRST_LNVC_LOCK, "
-     "LockOwnerDiedError, kernels): what drive() dispatches on and calls."},
+     "Wake, PollWalk, Stage, RecvSection, SendSection, MPFView, "
+     "FIRST_LNVC_LOCK, LockOwnerDiedError, kernels): what drive() "
+     "dispatches on and calls."},
     {"drive", (PyCFunction)(void (*)(void))drive, METH_FASTCALL,
      "drive(gen, handle, process): the effect loop; returns the "
      "generator's return value."},

@@ -67,6 +67,15 @@ drives (``core/sections.c``) took the C set's free list to 34 + 11 and 3
 drive runs the five receive stages itself while their memos hold — the
 FCFS drain included, into a ``bytes`` it builds — so no ``RecvStage``
 call, stage body, kernel wrapper or wrapper's connection read is left.
+The free-list send as one section on every runtime took the C set's
+free list to 16 + 6 and 2 (34 + 11 and 3 at c462b33, counted before the
+first edit): ``sync.c``'s drive runs its alloc, fill and link stages
+with the kernels, and the link's connection memo is checked in C, so
+the send's generator is resumed twice (the section's result, the
+``Wake``) and reads one word, its transport's.  The Python set's free
+list went to 115 + 273 (135 + 287): ``effects.unfold`` builds each
+step's effect once (``_STEP_MEMO``, keyed by identity, so that no
+``Work`` hash or equality runs) instead of per step.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table, the
@@ -259,13 +268,14 @@ PARENT = {
 }
 
 #: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
-#: the C kernels, per pair 34 Python + 11 C calls and 3 accessor calls on
+#: the C kernels, per pair 16 Python + 6 C calls and 2 accessor calls on
 #: the free list (238 + 340 and 99 at the parent), 44 + 12 and 3 on the
 #: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
 #: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
 #: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8, 63 + 16 at 1d093b6,
-#: 48 + 18 and 4 at 475ceb3 (see the module docstring).  On the Python kernels, 135 + 287 and 38
-#: on the free list (123 + 243 at fb1699e, 119 + 243 at 1d093b6), and
+#: 48 + 18 and 4 at 475ceb3, 34 + 11 and 3 at c462b33 (see the module
+#: docstring).  On the Python kernels, 115 + 273 and 38 on the free list
+#: (123 + 243 at fb1699e, 119 + 243 at 1d093b6, 135 + 287 at c462b33), and
 #: 86 + 65 (73 + 46 at 1d093b6) and 35 on the
 #: ring, where fb1699e's generators made 70 + 43 and 33: the generator
 #: now calls one reference per section (fill, commit, take and its
@@ -275,13 +285,13 @@ PARENT = {
 #: completion the circuit's ring word the take read.
 PINNED = {
     "c": {
-        "freelist": {"py": 2040, "c": 660, "work_inits": 0,
-                     "words16": 180, "bulk16": 0},
+        "freelist": {"py": 960, "c": 360, "work_inits": 0,
+                     "words16": 120, "bulk16": 0},
         "ring": {"py": 2640, "c": 720, "work_inits": 0,
                  "words16": 180, "bulk16": 60},
     },
     "python": {
-        "freelist": {"py": 8100, "c": 17220, "work_inits": 0,
+        "freelist": {"py": 6900, "c": 16380, "work_inits": 0,
                      "words16": 2280, "bulk16": 120},
         "ring": {"py": 5160, "c": 3900, "work_inits": 0,
                  "words16": 2100, "bulk16": 120},
@@ -289,14 +299,13 @@ PINNED = {
 }
 
 #: Accessor calls a 16 B pair may make on the C kernels.  The free
-#: list's 3 are the send's and the receive's transport dispatch word and
-#: the send's connection check (its lock sections are C kernels, whose
-#: loads and stores the region does not see, and the receive's
-#: connection check is the section runner's).  The ring's 3 are the send's dispatch word and connection check
+#: list's 2 are the send's and the receive's transport dispatch word
+#: (their lock sections are C kernels, whose loads and stores the region
+#: does not see, and both connection checks are the section runner's).  The ring's 3 are the send's dispatch word and connection check
 #: and the receive's dispatch word: its lock-free take checks the
 #: connection cache in C (33 at fb1699e: 14 for the send's section, 10
 #: for the take, 9 for the completion).
-WORDS16_PER_PAIR = {"freelist": 3, "ring": 3}
+WORDS16_PER_PAIR = {"freelist": 2, "ring": 3}
 
 #: Stores over block link words per free-list pair, by message size:
 #: counted at cc8178e before the first edit (every link once by the

@@ -144,9 +144,13 @@ def test_queue_crossings_pinned(transport, events, crossings):
 #: (aada3f8: 33,384 / 81,935): a check resumes its generator once.
 #: A check that reads no transport word (its ``PollWalk`` reads it once,
 #: when built) took them to 28,756 / 77,821 (b22250b: 29,088 / 78,153).
+#: The free-list send as one section (``ops.SendSection``: alloc, fill
+#: and link stages, run by the C loop with the kernels while their memos
+#: hold) took them to 24,422 / 75,107 (c462b33: 28,756 / 77,821): a send
+#: resumes its generator twice, not ten times.
 #: Lower a pin when the engine or the poll path gets lighter; a change
 #: that raises one says why.
-PINNED_GJ32_CALLS = {"c": 28_756, "python": 77_821}
+PINNED_GJ32_CALLS = {"c": 24_422, "python": 75_107}
 
 
 def gj32_calls() -> tuple[int, int]:
@@ -243,21 +247,21 @@ def test_ledger_shims_survive_until_the_ledger_lets_go():
 
 
 def _fanout_stage_calls(messages):
-    """Python calls of each receive-section stage (``ops.RecvStage``) in
-    a run where four BROADCAST receivers take ``messages`` 64-byte
-    messages, and the messages the run sent."""
+    """Python calls of each section stage (``ops.Stage``: the receives'
+    and the sends') in a run where four BROADCAST receivers take
+    ``messages`` 64-byte messages, and the messages the run sent."""
     from repro.bench.workloads import broadcast_throughput
     from repro.core import ops
 
-    calls = {f.__name__: 0 for f in ops._RECV_STAGES}
-    real = ops.RecvStage.__call__
+    calls = {f.__name__: 0 for f in ops._STAGES}
+    real = ops.Stage.__call__
 
     def counted(stage):
-        calls[ops._RECV_STAGES[stage.kind].__name__] += 1
+        calls[ops._STAGES[stage.kind].__name__] += 1
         return real(stage)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ops.RecvStage, "__call__", counted)
+        patch.setattr(ops.Stage, "__call__", counted)
         m = broadcast_throughput(4, 64, messages=messages)
     return calls, m.run.header["total_sends"]
 
@@ -271,7 +275,9 @@ def test_a_broadcast_receive_makes_no_python_stage_call_on_the_c_loop():
     view's drain memo names another message, which is once per message
     (the first receiver's drain fills the memo the other three take).
     So tripling the traffic adds exactly one stage call per added
-    message, a drain, and nothing else."""
+    message, a drain, and nothing else: the sender's alloc, fill and
+    link stages run in C too, once the tail of the one message shape
+    and the link's connection memo hold."""
     with _on("c"):
         _fanout_stage_calls(10)  # warm the ``charge`` cache
         short, sent_short = _fanout_stage_calls(20)
@@ -280,6 +286,9 @@ def test_a_broadcast_receive_makes_no_python_stage_call_on_the_c_loop():
     assert added == {"_recv_conn": 0, "_recv_claim": 0,
                      "_recv_drain": sent_long - sent_short,
                      "_recv_complete": 0, "_recv_free": 0,
+                     "_send_alloc": 0, "_send_fill": 0, "_send_link": 0,
                      # no probe: no probe stage in the section
                      "_recv_stamp_claim": 0, "_recv_stamp_drain": 0,
-                     "_recv_depth": 0, "_recv_free_traced": 0}
+                     "_recv_depth": 0, "_recv_free_traced": 0,
+                     "_send_pool": 0, "_send_stamp_alloc": 0,
+                     "_send_stamp_fill": 0, "_send_sent": 0}

@@ -422,9 +422,9 @@ def test_a_second_receive_of_one_pid_builds_its_own_section():
 
 
 def _sections_left(run):
-    """The receive sections, their stages and poll walks that ``run()``
-    left alive, with the collector off from before it."""
-    kinds = (ops.RecvSection, ops.RecvStage, ops.PollWalk)
+    """The receive and send sections, their stages and poll walks that
+    ``run()`` left alive, with the collector off from before it."""
+    kinds = (ops.RecvSection, ops.SendSection, ops.Stage, ops.PollWalk)
     gc.collect()
     gc.disable()
     try:
@@ -446,7 +446,8 @@ def test_a_run_leaves_no_receive_section_behind():
 
 def test_a_thread_run_or_a_closed_client_leaves_no_section_behind():
     """So do ``ThreadRuntime.run`` after the join and a closed
-    ``BlockingMPF``: a poll wait and free-list receives ran sections."""
+    ``BlockingMPF``: a poll wait and free-list sends and receives ran
+    sections."""
     def poller(env):
         box = yield from env.open_receive("box", FCFS)
         yield from env.open_send("ack")
@@ -473,7 +474,7 @@ def test_a_thread_run_or_a_closed_client_leaves_no_section_behind():
         rid = mpf.open_receive("c", FCFS)
         mpf.message_send(cid, b"x")
         assert mpf.message_receive(rid) == b"x"
-        assert system.view._fs_recv_cache
+        assert system.view._fs_recv_cache and system.view._fs_send_cache
         mpf.close()
 
     assert _sections_left(threads) == []

@@ -4,13 +4,13 @@ The engine can retire a run of protocol steps as one
 :class:`~repro.core.effects.FusedSection` effect and fast-forward the
 clock across steps no other process can observe.  The producers are
 ``ops.poll_receive``'s idle wait, ``check_receive`` and the free-list
-``message_receive``; the other primitives are classic generators on
-every runtime.  All of it is gated on byte-identity with
+``message_send`` and ``message_receive``; the other primitives are
+classic generators on every runtime.  All of it is gated on byte-identity with
 classic stepping; this module pins the load-bearing guarantees:
 
-* send yields only classic effects on both transports, and so does a
-  ring receive; a free-list receive, a check and a poll are each one
-  section built from the surviving step vocabulary;
+* a ring send and a ring receive yield only classic effects; a
+  free-list send (and its ``Wake``), a free-list receive, a check and a
+  poll are each one section built from the surviving step vocabulary;
 * reduced fig4 + fig6 sweeps are byte-identical with poll sections and
   with every poll run through the per-check loop;
 * a causal tracer sees the identical event stream and sojourn
@@ -44,7 +44,7 @@ from repro.core.effects import (
     WaitOn,
     Wake,
 )
-from repro.core.protocol import BROADCAST, FCFS
+from repro.core.protocol import ALLOC_LOCK, BROADCAST, FCFS
 from repro.core.work import Work
 from repro.machine.balance import BALANCE_21000
 from repro.machine.cpu import BalanceTiming
@@ -58,10 +58,16 @@ _STEP_OPS = {S_CHARGE, S_MANY, S_ACQ, S_REL, S_CALL}
 
 
 def _drive(gen, effects):
-    """Run ``gen`` alone (every acquire granted), collecting its effects."""
+    """Run ``gen`` alone (every acquire granted), collecting its effects;
+    a section it yields is run (:func:`_run_section`) and its result
+    sent back."""
+    value = None
     try:
         while True:
-            effects.append(next(gen))
+            effect = gen.send(value)
+            effects.append(effect)
+            value = (_run_section(effect, []) if effect.__class__ is
+                     FusedSection else None)
     except StopIteration as stop:
         return stop.value
 
@@ -92,17 +98,31 @@ def _run_section(section, held):
 
 
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
-def test_the_free_list_receive_alone_is_a_section(transport):
-    """Send yields classic effects on both transports, and so does a
-    ring receive; a free-list receive is one section, and so is a check
-    on either transport (its prelude the head's first step)."""
+def test_the_free_list_send_and_receive_are_sections(transport):
+    """A ring send and a ring receive yield classic effects; a free-list
+    send is one section and its ``Wake``, a free-list receive is one
+    section, and so is a check on either transport (a prelude is the
+    head's first step)."""
     view = make_view(transport=transport)
     seen = []
     _drive(ops.open_send(view, 0, "c"), [])
     cid = _drive(ops.open_receive(view, 0, "c", BROADCAST), [])
     prelude = Work(instrs=3, label="app-compute")
-    _drive(ops.message_send(view, 0, cid, b"payload", prelude), seen)
+    send = ops.message_send(view, 0, cid, b"payload", prelude)
     lock = view.lnvc_lock(ops.decode_lnvc_id(cid)[0])
+    if transport == "ring":  # a classic send
+        _drive(send, seen)
+    else:
+        section = next(send)
+        assert section.__class__ is FusedSection
+        assert section.steps[:2] == (
+            (S_MANY, (prelude, view._send_fixed_work)), (S_ACQ, ALLOC_LOCK))
+        held = []
+        assert _run_section(section, held) == 0 and held == []
+        assert send.send(0) == Wake(ops.decode_lnvc_id(cid)[0])
+        with pytest.raises(StopIteration) as done:
+            next(send)
+        assert done.value.value == 0
     # One section each, from the fixed charge to the last release: the
     # generator is resumed once, with the result.
     for op, first, result in (
@@ -124,7 +144,9 @@ def test_the_free_list_receive_alone_is_a_section(transport):
         with pytest.raises(StopIteration) as done:
             op.send(result)
         assert done.value.value == result
-    assert seen and all(e.__class__ in _CLASSIC for e in seen)
+    # the ring's classic send and receive
+    assert bool(seen) == (transport == "ring")
+    assert all(e.__class__ in _CLASSIC for e in seen)
 
 
 def test_a_poll_is_one_section_of_the_surviving_step_vocabulary():

@@ -56,7 +56,7 @@ from repro.machine import engine as engine_module
 from repro.machine.balance import BALANCE_21000
 from repro.machine.cpu import BalanceTiming
 from repro.machine.engine import Engine, ZeroTimingModel
-from repro.obs import Recorder
+from repro.obs import Recorder, Timeline
 from repro.patterns import select_receive
 from repro.runtime.sim import SimRuntime
 
@@ -660,3 +660,142 @@ def test_c_receive_sections_match_the_python_reference(c_engine, c_kernels,
                                                        prog, recorded):
     assert (_recv_run(prog, recorded, c_engine, c_kernels)
             == _recv_run(prog, recorded, None, chains.PYTHON))
+
+
+# -- free-list send sections on whole programs ---------------------------------
+
+
+@st.composite
+def send_programs(draw):
+    """Senders on one circuit, each a list of ``(instrs, size, fused)``
+    sends (the compute a prelude of the send, or a charge of its own);
+    receivers (FCFS or BROADCAST) that take some messages after a
+    compute of their own, a BROADCAST one caught up whenever a send
+    links after it read everything;
+    perhaps a stranger that sends holding only a receive connection, and
+    a FIFO tail the first sender points outside the segment after its
+    ``corrupt``-th send (the link kernel refuses the record, and the
+    reference raises).  Sizes run from nothing to 2,048 B (205 ten-byte
+    blocks), over a pool of 8 headers and 400 blocks that runs dry of
+    either."""
+    sends = st.lists(st.tuples(st.integers(0, 20_000),
+                               st.sampled_from((0, 1, 10, 25, 300, 2048)),
+                               st.booleans()), max_size=6)
+    return {
+        "senders": draw(st.lists(sends, min_size=1, max_size=2)),
+        "receivers": draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40_000),
+                      st.integers(0, 4)), max_size=3)),
+        "stranger": draw(st.one_of(st.none(), st.integers(0, 30_000))),
+        "corrupt": draw(st.one_of(st.none(), st.integers(0, 5))),
+    }
+
+
+def _send_workers(prog):
+    from repro.core.errors import MPFError
+    from repro.core.structs import LNVC
+
+    def sender(sends, corrupt):
+        def body(env):
+            cid = yield from env.open_send("data")
+            got = []
+            for k, (instrs, size, fused) in enumerate(sends):
+                prelude = None
+                if fused:
+                    prelude = Work(instrs=instrs + 1, label="app-compute")
+                else:
+                    yield from env.compute(instrs=instrs)
+                try:
+                    got.append((yield from env.message_send(
+                        cid, bytes([k]) * size, prelude)))
+                except MPFError as exc:
+                    got.append((type(exc).__name__, str(exc)))
+                if k == corrupt:
+                    r = env.view.region
+                    LNVC.set(r, env.view.layout.lnvc_off(0), "fifo_tail",
+                             r.size + 100)
+            return got
+        return body
+
+    def receiver(fcfs, instrs, count):
+        def body(env):
+            cid = yield from env.open_receive("data",
+                                              FCFS if fcfs else BROADCAST)
+            yield from env.compute(instrs=instrs)
+            got = []
+            for _ in range(count):
+                got.append((yield from env.message_receive(cid)))
+            yield from env.close_receive(cid)
+            return got
+        return body
+
+    def stranger(env):
+        yield from env.compute(instrs=prog["stranger"])
+        cid = yield from env.open_receive("data", BROADCAST)
+        try:
+            yield from env.message_send(cid, bytes(30))
+        except MPFError as exc:
+            return (type(exc).__name__, str(exc), HDR.get(
+                env.view.region, "live_blocks"))
+        finally:
+            yield from env.close_receive(cid)
+
+    return ([sender(s, prog["corrupt"] if not i else None)
+             for i, s in enumerate(prog["senders"])]
+            + [receiver(*r) for r in prog["receivers"]]
+            + ([stranger] if prog["stranger"] is not None else []))
+
+
+def _send_run(prog, recorded, loop, kernels):
+    """``prog`` on ``SimRuntime`` as :func:`_recv_run` runs its program."""
+    cfg = MPFConfig(max_lnvcs=2, max_processes=8, block_size=10,
+                    max_messages=8, message_pool_bytes=400 * 14)
+    # a timeline: the probe's report of a send carries its queue depth
+    rec = Recorder(timeline=Timeline()) if recorded else None
+    rt = SimRuntime(TWO_CPUS, until=0.4, recorder=rec)
+    out, error = None, None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "C_RUN", loop)
+        patch.setattr(chains, "ACTIVE", kernels)
+        try:
+            res = rt.run(_send_workers(prog), cfg)
+            out = (float.hex(res.elapsed), repr(res.results), res.header,
+                   _plain(res.report.as_dict()))
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            error = (type(exc).__name__, str(exc))
+    eng = rt.last_engine
+    assert eng.loop == ("python" if loop is None else "c")
+    return {"out": out, "error": error, "now": float.hex(eng.now),
+            "stats": eng.stats.as_dict(), "models": _models(eng.timing),
+            "segment": bytes(rt.last_view.region._mv),
+            "recorder": None if rec is None else _plain(rec.snapshot())}
+
+
+def _sprog(senders, receivers=(), stranger=None, corrupt=None):
+    return {"senders": list(senders), "receivers": list(receivers),
+            "stranger": stranger, "corrupt": corrupt}
+
+
+@settings(max_examples=60, deadline=None)
+# Sends of one shape, the alloc and link stages in C after the first,
+# fused with a prelude or not; a 0-byte payload and 2048 B ones between,
+# to a BROADCAST receiver caught up when each links.
+@example(prog=_sprog([[(1_000, 25, False), (1_000, 25, True), (0, 0, False),
+                       (2_000, 2048, True), (1_000, 25, False)]],
+                     [(False, 0, 5)]), recorded=True)
+# Two senders run the header pool dry, then the blocks: each refused
+# send leaves the pool as it found it.
+@example(prog=_sprog([[(0, 1, False)] * 6, [(0, 2048, False), (0, 2048, True)]
+                     + [(0, 1, False)] * 3], [(True, 200_000, 4)]),
+         recorded=False)
+# A stranger's send is refused at the link, and undone.
+@example(prog=_sprog([[(5_000, 10, False), (5_000, 10, True)]],
+                     [(True, 0, 2)], stranger=7_000), recorded=True)
+# A FIFO tail outside the segment: the link kernel refuses the record.
+@example(prog=_sprog([[(1_000, 10, False)] * 3], [(False, 50_000, 1)],
+                     corrupt=1), recorded=False)
+@given(prog=send_programs(), recorded=st.booleans())
+def test_c_send_sections_match_the_python_reference(c_engine, c_kernels,
+                                                    prog, recorded):
+    assert (_send_run(prog, recorded, c_engine, c_kernels)
+            == _send_run(prog, recorded, None, chains.PYTHON))

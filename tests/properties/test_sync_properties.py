@@ -40,7 +40,7 @@ from repro.core.effects import (
     Wake,
 )
 from repro.core.errors import MPFError, RegionFormatError
-from repro.core.layout import MPFConfig
+from repro.core.layout import HDR, MPFConfig
 from repro.core.protocol import BROADCAST, FCFS, FIRST_LNVC_LOCK
 from repro.core.structs import LNVC
 from repro.core.work import Work
@@ -480,12 +480,14 @@ def test_c_receive_stages_match_their_python_bodies(c_sync, py_stages_sync,
     # A new section's connection misses its memo; an empty claim is C's.
     ([("recv", 0, 1, None)], [1, 1]),
     # The first FCFS receive fills the connection, copy and reap memos;
-    # the next two run all five stages in C.
-    ([("send", 0, 40), ("recv", 0, 1, None)] * 3, [12, 3]),
+    # the next two run all five stages in C.  The sends are sections
+    # too: the first one's alloc and link fill their memos, and the
+    # next two run their three stages in C (7 + 2 of the counts).
+    ([("send", 0, 40), ("recv", 0, 1, None)] * 3, [19, 5]),
     # Receiver 2 takes each BROADCAST message from the drain memo
     # receiver 1 fills, and reaps it.
     ([("send", 1, 90), ("recv", 1, 1, None), ("recv", 1, 2, None)] * 3,
-     [20, 7]),
+     [27, 9]),
 ])
 def test_c_receive_stages_run_in_c(c_sync, actions, stages):
     """Which stages ``sync.c``'s drive ran in C and which it handed to
@@ -644,4 +646,177 @@ def test_c_check_walks_match_their_python_bodies(
     ref = sync_checks(py_stages_sync, actions)
     assert ref["calls"][0] == 0
     assert sum(got.pop("calls")) == sum(ref.pop("calls"))
+    assert got == ref
+
+
+# -- the send's section, on both C loops --------------------------------------
+
+#: The send tests' circuits: RCFG's FCFS and BROADCAST ones, whose pool
+#: of 8 headers and 292 ten-byte blocks runs dry of either; pid 3 holds
+#: no send connection.
+SCFG = dict(RCFG, max_processes=4)
+SENDS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 1),
+              st.sampled_from((0, 1, 40, 300, 2048)), st.booleans()),
+    st.tuples(st.just("recv"), st.integers(0, 1), st.integers(1, 2)),
+    st.tuples(st.just("churn"), st.integers(0, 1)),
+    st.tuples(st.just("recycle"), st.integers(0, 1)),
+    st.tuples(st.just("stranger"), st.integers(0, 1)),
+    st.tuples(st.just("corrupt"), st.integers(0, 1)),
+)
+
+
+def pool_counts(view) -> tuple:
+    return tuple(HDR.get(view.region, f"live_{what}")
+                 for what in ("msgs", "blocks", "bytes"))
+
+
+def send(view, pid, cid, data, log: list, prelude=None):
+    """``message_send``, logged: its sequence number, or its error — and
+    a refused send leaves the pool's counts as it found them."""
+    before = pool_counts(view)
+    try:
+        log.append((yield from ops.message_send(view, pid, cid, data,
+                                                prelude)))
+    except MPFError as exc:
+        log.append((type(exc).__name__, str(exc)))
+        assert pool_counts(view) == before
+
+
+def send_program(view, actions, log: list):
+    """Open both circuits, then run ``actions``: a send by pid 0 of a
+    payload of that size (its fixed charge fused with ``PRELUDE`` or
+    not), a receive that never waits (``receive``), receiver 2's
+    connection closed or opened again (the circuit's ``conn_epoch``
+    moves under the send's link memo; a BROADCAST receiver that joins is
+    caught up, and the next send points it at its message), the circuit
+    deleted and opened again with a send more on its old id, a send by
+    pid 3, which holds no send connection, or the circuit's FIFO tail
+    pointed outside the segment and a last send on it (the link kernel
+    refuses the record; the reference's error ends the program)."""
+    ids, joined = {}, {}
+
+    def open_circuit(c):
+        ids[c, 0] = yield from ops.open_send(view, 0, f"c{c}")
+        for r in (1, 2):
+            ids[c, r] = yield from ops.open_receive(view, r, f"c{c}",
+                                                    PROTOCOLS[c])
+        joined[c] = True
+
+    for c in (0, 1):
+        yield from open_circuit(c)
+    for n, act in enumerate(actions):
+        kind, c = act[0], act[1]
+        if kind == "send":
+            data = bytes((n + i) & 0xFF for i in range(act[2]))
+            yield from send(view, 0, ids[c, 0], data, log,
+                            PRELUDE if act[3] else None)
+        elif kind == "recv":
+            yield from receive(view, act[2], ids[c, act[2]], log)
+        elif kind == "churn" and joined[c]:
+            yield from ops.close_receive(view, 2, ids[c, 2])
+            joined[c] = False
+        elif kind == "churn":
+            ids[c, 2] = yield from ops.open_receive(view, 2, f"c{c}",
+                                                    PROTOCOLS[c])
+            joined[c] = True
+        elif kind == "stranger":
+            yield from send(view, 3, ids[c, 0], bytes(25), log)
+        elif kind == "corrupt":
+            r = view.region
+            LNVC.set(r, view.layout.lnvc_off(view.slot_of(ids[c, 0])),
+                     "fifo_tail", r.size + 100)
+            try:
+                yield from ops.message_send(view, 0, ids[c, 0], bytes(25))
+            except Exception as exc:  # noqa: BLE001 - logged, then out
+                log.append(("corrupt", type(exc).__name__))
+            break  # what fails now may leave its locks held
+        else:
+            old = ids[c, 0]
+            yield from ops.close_send(view, 0, ids[c, 0])
+            for r in (1, 2) if joined[c] else (1,):
+                yield from ops.close_receive(view, r, ids[c, r])
+            yield from open_circuit(c)
+            yield from send(view, 0, old, b"stale", log)
+    return len(log)
+
+
+def sync_sends(lib, actions) -> dict:
+    """``actions`` on a fresh segment through ``lib``'s drive."""
+    shared = make(lib, MPFConfig(**SCFG))
+    handle = shared.bind(0)
+    view = make_view(**SCFG)
+    log: list = []
+    out = lib.drive(send_program(view, actions, log), handle, "p0")
+    counters = handle.counters()
+    return {"out": out, "log": log, "held": list(handle.held),
+            "locked": [shared.locked(i) for i in range(shared._n_locks)],
+            "segment": bytes(view.region._mv),
+            "stages": [counters[k] for k in STAGE_COUNTERS]}
+
+
+def engine_sends(run, kernels, actions) -> dict:
+    """``actions`` on a fresh segment as one process of ``run``, a built
+    ``engine.c``'s loop, over ``kernels``; its ``stages`` are the stage
+    bodies it called."""
+    view = make_view(**SCFG)
+    eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
+                 BalanceTiming(BALANCE_21000, DEFAULT_COSTS))
+    log: list = []
+    eng.spawn("p0", send_program(view, actions, log))
+    body, calls = ops.Stage.__call__, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "C_RUN", run)
+        patch.setattr(chains, "ACTIVE", kernels)
+        patch.setattr(ops.Stage, "__call__",
+                      lambda stage: calls.append(stage.kind) or body(stage))
+        eng.run()
+    assert eng.loop == "c"
+    return {"out": eng.results()["p0"], "log": log, "now": float.hex(eng.now),
+            "held": [i for i, lock in enumerate(eng.locks) if lock.owner],
+            "segment": bytes(view.region._mv), "stages": calls}
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions=st.lists(SENDS, max_size=24))
+# Sends of one shape after the first: alloc, fill and link in C; a
+# 0-byte payload (no block) and 2048 B ones (205 blocks) between.
+@example(actions=[("send", 0, 40, False), ("recv", 0, 1), ("send", 0, 40,
+                  True), ("recv", 0, 2), ("send", 0, 0, False),
+                  ("recv", 0, 1), ("send", 0, 2048, False), ("recv", 0, 1),
+                  ("send", 0, 2048, True), ("recv", 0, 2),
+                  ("send", 0, 40, False)])
+# The header pool runs dry, then the block pool: each refused send
+# releases the allocator lock and leaves the counts as they were.
+@example(actions=[("send", 0, 1, False)] * 9 + [("recv", 0, 1)] * 8
+         + [("send", 1, 2048, False)] * 2)
+# Caught-up BROADCAST receivers, one of them leaving and joining again
+# (the epoch moves under the link memo).
+@example(actions=[("send", 1, 40, False), ("recv", 1, 1), ("recv", 1, 2),
+                  ("churn", 1), ("send", 1, 40, False), ("churn", 1),
+                  ("send", 1, 40, False), ("recv", 1, 2), ("recv", 1, 1),
+                  ("recv", 1, 1), ("recv", 1, 2)])
+# A FIFO tail outside the segment: the link kernel refuses the record.
+@example(actions=[("send", 1, 40, False), ("send", 1, 40, False),
+                  ("corrupt", 1)])
+# A recycled circuit's old id and a stranger: the link refuses both and
+# the send is undone.
+@example(actions=[("send", 0, 40, False), ("recycle", 0), ("recv", 0, 1),
+                  ("stranger", 0), ("send", 0, 40, False), ("stranger", 1),
+                  ("send", 1, 300, True)])
+def test_c_send_stages_match_their_python_bodies(
+        c_kernels, c_engine, py_stages_engine, c_sync, py_stages_sync,
+        actions):
+    """Every send section run by ``engine.c``'s loop and by ``sync.c``'s
+    drive with its stages in C, and again with each stage handed to its
+    Python body: the same sequence numbers and errors, clock, locks held
+    and segment bytes, and as many stages run."""
+    got = engine_sends(c_engine, c_kernels, actions)
+    ref = engine_sends(py_stages_engine, c_kernels, actions)
+    assert len(got.pop("stages")) <= len(ref.pop("stages"))
+    assert got == ref
+    got = sync_sends(c_sync, actions)
+    ref = sync_sends(py_stages_sync, actions)
+    assert ref["stages"][0] == 0
+    assert sum(got.pop("stages")) == sum(ref.pop("stages"))
     assert got == ref
