@@ -625,8 +625,9 @@ typedef struct {
  * its slot — the header words behind the commit word, the readers that
  * owe it a read, the length-byte payload — leaving the commit word to
  * ring_commit.  The commit word's value seq, the slot, the message's
- * sequence number and the depth it makes; ok 0 when refused (a full
- * ring: the slot's previous message has not retired). */
+ * sequence number and the depth it makes, ok 1; ok 0 on a full ring (the
+ * slot's previous message has not retired), nothing written; ok -1 when
+ * refused. */
 rfill_t ring_fill(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
                   uint64_t data, uint64_t stride, uint64_t nslots,
                   uint64_t lnvc, uint64_t pid, const char *payload,
@@ -634,7 +635,7 @@ rfill_t ring_fill(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
 {
     unsigned char *b = (unsigned char *)base;
     const geom_t g = {ctrl, curs, data, stride, nslots};
-    rfill_t out = {0, 0, 0, 0, 0};
+    rfill_t out = {0, 0, 0, 0, -1};
     uint64_t ring, ridx, sl;
     uint32_t w, pending, seq, st, n_fcfs, n_bcast, hwm, state = 0;
     if (!ring_of(b, size, &g, lnvc, &ring, &ridx) || length > NIL)
@@ -646,8 +647,10 @@ rfill_t ring_fill(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
         return out;
     seq = link_at(b, sl + S_SEQ);
     st = link_at(b, sl + S_STATE);
-    if (seq != 0 && !(st & RS_RETIRED))
+    if (seq != 0 && !(st & RS_RETIRED)) {
+        out.ok = 0;
         return out;
+    }
     n_fcfs = link_at(b, lnvc + L_N_FCFS);
     n_bcast = link_at(b, lnvc + L_N_BCAST);
     if (n_fcfs || !(pending || n_bcast))
@@ -781,9 +784,11 @@ rtake_t ring_take(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
  * scans the shared FCFS cursor over committed slots to the first one an
  * FCFS receiver must take, marks it taken, pins it busy and moves the
  * cursor past it; a BROADCAST receiver takes the message at its own
- * cursor (cursor_take, as ring_take does).  Either way the receive is counted.  As
- * ring_take's got 1 (unread 0 for an FCFS claim); got -1 when refused —
- * nothing committed to take included. */
+ * cursor (cursor_take, as ring_take does).  Either way the receive is
+ * counted.  As ring_take's got 1 (unread 0 for an FCFS claim); got 0
+ * when there is nothing to claim yet — an FCFS scan stores the cursor
+ * where it stopped, a BROADCAST one writes nothing; got -1 when
+ * refused. */
 rtake_t ring_claim(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
                    uint64_t data, uint64_t stride, uint64_t nslots,
                    uint64_t lnvc, uint64_t desc, int64_t max_len)
@@ -793,25 +798,30 @@ rtake_t ring_claim(char *base, uint64_t size, uint64_t ctrl, uint64_t curs,
     rtake_t out = {0, 0, 0, 0, 0, -1};
     uint64_t ring, ridx, sl = 0;
     uint32_t idx, w, st;
+    int got;
     if (!inside(desc, R_SIZE, size) || !ring_of(b, size, &g, lnvc, &ring, &ridx))
         return out;
     if (link_at(b, desc + R_PROTO) != P_FCFS) {
-        if (cursor_take(b, size, &g, ridx, link_at(b, desc + R_HEAD), desc,
-                        max_len, &out) == 1)
-            out.got = 1;
+        got = cursor_take(b, size, &g, ridx, link_at(b, desc + R_HEAD), desc,
+                          max_len, &out);
+        if (got >= 0)
+            out.got = got;
         return out;
     }
     w = link_at(b, ring + G_NEXT_WRITE);
     /* Each slot holds one index per lap, so the scan stops within nslots
      * + 1 steps whatever the cursors say. */
     for (idx = link_at(b, ring + G_FCFS_NEXT);; idx++) {
-        if (idx >= w)
+        if (idx < w) {
+            sl = slot_of(&g, ridx, idx);
+            if (!inside(sl, S_SIZE, size))
+                return out;
+        }
+        if (idx >= w || link_at(b, sl + S_SEQ) != idx + 1) {
+            store_link(b, ring + G_FCFS_NEXT, idx);
+            out.got = 0;
             return out;
-        sl = slot_of(&g, ridx, idx);
-        if (!inside(sl, S_SIZE, size))
-            return out;
-        if (link_at(b, sl + S_SEQ) != idx + 1)
-            return out;
+        }
         st = link_at(b, sl + S_STATE);
         if (st & RS_FCFS_AVAILABLE && !(st & (RS_FCFS_TAKEN | RS_RETIRED)))
             break;

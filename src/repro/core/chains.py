@@ -56,9 +56,10 @@ returns plain values:
 ``free(view, head, n, first, last, nblk, nbytes)`` — ``ALLOC_LOCK``
     ``n`` headers from ``head`` and one chain back to the free lists.
 
-The ring kernels are the same for :mod:`repro.core.transport`, whose
-generators keep the effects, the connection check, the wait loops and
-the probe calls:
+The ring kernels are the same for the ring's sections
+(:class:`repro.core.ops.RingSendSection`,
+:class:`~repro.core.ops.RingRecvSection`), whose steps keep the effects,
+the connection check, the waits and the probe calls:
 
 ``ring_fill(view, base, pid, data)`` — circuit
     ``(commit word value, slot, seqno, depth)``: the next index claimed,
@@ -89,10 +90,10 @@ still holds by the same rule.  The C section runner (``sections.c``
 beside this module, which the engine's loop and ``runtime/sync.c``'s
 drive both include) is bound to their addresses and to those of
 ``sec_claim``, ``sec_complete``, ``sec_free``, ``chain_drain``,
-``sec_alloc``, ``chain_fill`` and ``sec_link``
-(:attr:`Kernels.addresses`): it runs a poll walk and a free-list
-receive's and send's stages itself, and the Python bodies of those are
-their references.
+``sec_alloc``, ``chain_fill``, ``sec_link`` and the five ring kernels
+(:attr:`Kernels.addresses`): it runs a poll walk and the stages of
+either transport's receive and send itself, and the Python bodies of
+those are their references.
 
 The C source is ``chains.c``.  A kernel that refuses its input writes
 nothing and hands the same arguments to the Python reference
@@ -101,10 +102,11 @@ sections below), which raises the error every reader of the segment
 knows, waits or does the work: a chain kernel refuses a chain it will
 not follow, a section kernel a dry pool, a record or chain that leaves
 the region or does not end and an overflowing receive, a ring kernel a
-record outside the region, a reader bit of 32 or more, an overflowing
-receive and a full or empty ring.  (The free-list claim
-and the lock-free ring take answer "nothing to take" themselves,
-writing nothing: the caller waits.)  The C functions keep no state, so
+record outside the region, a reader bit of 32 or more and an
+overflowing receive.  (The free-list claim and the ring take and claim
+answer "nothing to take", the ring fill "full", themselves — writing
+nothing, but for the FCFS ring claim's cursor, stored where its scan
+stopped as the reference stores it: the caller waits.)  The C functions keep no state, so
 threads call them with the interpreter lock released.
 
 At first import gcc (:data:`CC`, with :data:`CFLAGS`) builds
@@ -243,7 +245,8 @@ _SLOT_MASK = (1 << SLOT_BITS) - 1
 #: (:attr:`Kernels.addresses`).
 ENGINE_KERNELS = ("poll_walk", "conn_holds", "sec_claim", "sec_complete",
                   "sec_free", "chain_drain", "sec_alloc", "chain_fill",
-                  "sec_link")
+                  "sec_link", "ring_fill", "ring_commit", "ring_take",
+                  "ring_claim", "ring_complete")
 
 
 class Kernels:
@@ -1069,9 +1072,9 @@ def _c_kernels(module) -> Kernels:
                           lay.ring_cur_base, lay.ring_data_base,
                           lay.ring_stride, view.cfg.ring_slots, base,
                           pid & _M32, data, len(data))
-        if not got.ok:
+        if got.ok < 0:
             return _ring_fill(view, base, pid, data)
-        return got.seq, got.sl, got.seqno, got.depth
+        return (got.seq, got.sl, got.seqno, got.depth) if got.ok else None
 
     def ring_commit(view, base, sl, seq):
         region = view.region
@@ -1111,7 +1114,8 @@ def _c_kernels(module) -> Kernels:
                            else max_len)
         if got.got < 0:
             return _ring_claim(view, base, desc, max_len)
-        return got.sl, got.length, got.seqno, got.unread, got.idx
+        return ((got.sl, got.length, got.seqno, got.unread, got.idx)
+                if got.got else None)
 
     def ring_complete(view, base, sl, unread, idx, length):
         region = view.region

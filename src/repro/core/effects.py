@@ -237,11 +237,10 @@ class FusedSection:
     of resuming a generator 88 times per receive;
     :func:`~repro.core.ops.check_receive`, one head of that loop whose
     walk (:class:`~repro.core.ops.PollWalk`) returns the count, on
-    either transport; and the free-list
-    :func:`~repro.core.ops.message_receive` and
+    either transport; and :func:`~repro.core.ops.message_receive` and
     :func:`~repro.core.ops.message_send`, one cached
-    :class:`~repro.core.ops.RecvSection` / :class:`~repro.core.ops.SendSection`
-    per process and circuit whose ``S_CALL`` stages the C section runner
+    :class:`~repro.core.ops.Section` per process and circuit on either
+    transport, whose ``S_CALL`` stages the C section runner
     (the engine's loop and ``sync.c``'s drive) runs with the lock-section
     kernels while their memos hold.  On the simulator a section is worth
     it only where the loop runs its calls in C: a prototype with plain
@@ -250,21 +249,20 @@ class FusedSection:
     move, the closures doing the generator's work (29,511 closure calls
     took 30-35 ms of a ~93 ms repetition); with the stages in C (19,388
     calls, 2.4 per receive: entry, result, and two per sleep) it moved
-    ~1.5x (docs/performance.md).  The ring transport's send and receive
-    yield classic effects on every runtime, and so do open and close.
+    ~1.5x (docs/performance.md).  Open and close yield classic effects
+    on every runtime.
 
     Conventions that keep a section byte-identical to the classic
     effects:
 
-    * A ring send or receive is a classic generator; a probe-carrying
-      recorder's stamps are stages of the free-list sections, which
-      emit no effect.
+    * A probe-carrying recorder's stamps are stages of the sections,
+      which emit no effect.
     * Sections never sleep or wake: ``WaitOn`` and ``Wake`` have no
       step form, so fault injectors that filter wakes
       (:func:`repro.check.faults.drop_wake`) forward sections as is.  A
-      receive that finds its queue empty bails with the lock held, and
-      its generator yields the ``WaitOn`` itself; a send's generator
-      yields its ``Wake`` after its section.
+      receive that finds its queue empty, or a ring send its ring full,
+      bails with the lock held, and its generator yields the ``WaitOn``
+      itself; a send's generator yields its ``Wake`` after its section.
     * Copy charges (``copy_bytes > 0``) are allowed: the engine opens
       and closes the bus-tracking copy phase at the same instants as
       the unfused charge.

@@ -42,7 +42,6 @@ from .effects import (
     S_REL,
     Acquire,
     Charge,
-    ChargeMany,
     FusedSection,
     OpGen,
     Release,
@@ -83,16 +82,14 @@ from .protocol import (
     Protocol,
 )
 from .region import SharedRegion
-from .structs import LNVC, MSG, RECV, SEND
+from .structs import CACHE_LINE, LNVC, MSG, RECV, RSLOT_DATA_OFF, SEND
 from .transport import (
     RING_READS,
     RING_STORES,
     ring_attach,
     ring_count,
-    ring_receive,
     ring_register_reader,
     ring_release,
-    ring_send,
     ring_unregister_reader,
 )
 from .work import Work
@@ -134,8 +131,8 @@ _GEN_MASK = (1 << (32 - SLOT_BITS)) - 1
 # slot * _LNVC_SIZE`` (``SegmentLayout.lnvc_off`` without the call).
 _LNVC_SIZE = LNVC.size
 _L_IN_USE = LNVC.offsets["in_use"]
+_L_NMSGS = LNVC.offsets["nmsgs"]
 _L_GEN = LNVC.offsets["gen"]
-_L_FCFS_HEAD = LNVC.offsets["fcfs_head"]
 _L_SEND_LIST = LNVC.offsets["send_list"]
 _L_RECV_LIST = LNVC.offsets["recv_list"]
 _L_CONN_EPOCH = LNVC.offsets["conn_epoch"]
@@ -251,16 +248,17 @@ class MPFView:
       included) is the check's; the walk's memo carries its key.
       Nothing in it refers back to the section, so
       :meth:`forget_sections` only empties it.
-    * ``_fs_recv_cache``: ``(pid, slot) ->`` :class:`RecvSection`, the
-      free-list :func:`message_receive` of a process on a circuit as one
-      section.  Valid while the receive's id (generation included) and
-      the view's probe are the section's; its own memos carry their
-      keys.  A receive holds its section out of the cache while it runs
-      it.  Its stages and step tuples refer to each other, so
+    * ``_fs_recv_cache``: ``(pid, slot) ->`` :class:`RecvSection` or
+      :class:`RingRecvSection`, the :func:`message_receive` of a process
+      on a circuit as one section.  Valid while the receive's id
+      (generation included, and so the circuit's transport) and the
+      view's probe are the section's; its own memos carry their keys.
+      A receive holds its section out of the cache while it runs it.
+      Its stages and step tuples refer to each other, so
       :meth:`forget_sections` unlinks each too.
-    * ``_fs_send_cache``: ``(pid, slot) ->`` :class:`SendSection`, the
-      free-list :func:`message_send` as one section, kept by the same
-      rules as ``_fs_recv_cache``.
+    * ``_fs_send_cache``: ``(pid, slot) ->`` :class:`SendSection` or
+      :class:`RingSendSection`, the :func:`message_send` as one section,
+      kept by the same rules as ``_fs_recv_cache``.
     * ``_drain_memo``: ``None`` or the one BROADCAST message this view
       drained last, ``((lnvc_id, seqno, header, first block, nblocks,
       length), last block, payload)``.  A chain is never written between
@@ -989,56 +987,78 @@ def message_send(
     Raises :class:`OutOfMessageMemoryError` when the header or block pool
     is exhausted — the hard edge of the ``init()`` sizing estimate.
 
-    Over the free list the send is one cached :class:`SendSection` on
-    every runtime (its alloc, fill and link stages, which the C section
-    runner runs with the kernels while their memos hold), then the
-    ``Wake``; over the ring it is a classic generator.
+    The send is one cached section on every runtime and either
+    transport, then the ``Wake``: a :class:`SendSection` over the free
+    list, a :class:`RingSendSection` over the ring (which blocks on a
+    full ring instead of raising), whose stages the C section runner
+    runs with the kernels while their memos hold.
     """
-    # Transport dispatch on a plain u32 read, and the transport's own
-    # generator handed back as is: no effect is yielded and no frame is
-    # added, so either transport runs two frames below its caller.  A
-    # stale identifier is caught by the generation check either way.
+    # Transport dispatch on a plain u32 read, and the generator handed
+    # back as is: no effect is yielded and no frame is added, so a send
+    # runs two frames below its caller.  A stale identifier is caught
+    # by the generation check either way.
     slot = view.slot_of(lnvc_id)
-    base = view.lnvc_base + slot * _LNVC_SIZE
-    if view.region.u32(base + _L_TRANSPORT):
-        return ring_send(view, pid, slot, base, lnvc_id, data, prelude)
-    return _freelist_send(view, pid, slot, lnvc_id, data, prelude)
+    return _send(view, pid, slot, lnvc_id, data, prelude, RingSendSection if
+                 view.region.u32(view.lnvc_base + slot * _LNVC_SIZE
+                                 + _L_TRANSPORT) else SendSection)
 
 
-def _freelist_send(view: MPFView, pid: int, slot: int, lnvc_id: int,
-                   data: bytes, prelude: Work | None) -> OpGen:
-    """:func:`message_send` over the free-list transport (``slot`` is
-    ``lnvc_id``'s, inside the table): one :class:`SendSection`, cached
-    per process and circuit and held out of ``view._fs_send_cache``
-    while it runs, as :func:`_freelist_receive` holds its own.  The
-    generator is resumed once with the section's result, then yields
-    the ``Wake``; a link refused for a stale or unconnected id undoes
-    the send (:func:`_unsend`)."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError("message payload must be bytes-like")
-    key = (pid, slot)
+def _fresh(sec, cls, view: MPFView, pid: int, lnvc_id: int):
+    """A new ``cls`` section in place of ``sec``, a primitive's cached
+    one (or ``None``), which is of another id (a recycled slot's old id),
+    probe or class: unlinked.
+
+    A primitive takes its section out of its cache while it runs it (a
+    ``pop``, atomic under the GIL: a nested primitive, or one of the same
+    pid on another thread of a shared view, builds one of its own, and
+    the one put back last stays cached)."""
+    if sec is not None:
+        sec.unlink()
+    return cls(view, pid, lnvc_id)
+
+
+def _send(view: MPFView, pid: int, slot: int, lnvc_id: int, data: bytes,
+          prelude: Work | None, cls) -> OpGen:
+    """:func:`message_send` as one section of ``cls`` (``slot`` is
+    ``lnvc_id``'s, inside the table), held out of
+    ``view._fs_send_cache`` while it runs (:func:`_fresh`).  The
+    generator is resumed with the section's result — and on a full ring
+    once more per sleep: it yields the ``WaitOn`` itself, then the
+    section's fill again — then yields the ``Wake``.  A free-list link
+    refused for a stale or unconnected id undoes the send
+    (:func:`_unsend`)."""
+    if data.__class__ is not bytes:
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError("message payload must be bytes-like")
+        data = bytes(data)
+    # (a slice, not a ``len`` call: longer than a ring slot)
+    if cls is RingSendSection and data[view.cfg.ring_slot_bytes:]:
+        raise BufferOverflowError(
+            f"{len(data)}-byte message exceeds ring slot capacity "
+            f"of {view.cfg.ring_slot_bytes} bytes")
     cache = view._fs_send_cache
-    sec = cache.pop(key, None)
-    probe = view.probe
-    if sec is None or sec.lnvc_id != lnvc_id or sec.probe is not probe:
-        if sec is not None:  # a recycled slot's old id, or a new probe
-            sec.unlink()
-        sec = SendSection(view, pid, lnvc_id)
-    sec.data = bytes(data)
-    if probe is not None:
-        sec.t_entry = probe.now()
+    sec = cache.pop((pid, slot), None)
+    if (sec is None or sec.lnvc_id != lnvc_id or sec.probe is not view.probe
+            or sec.__class__ is not cls):
+        sec = _fresh(sec, cls, view, pid, lnvc_id)
+    sec.data = data
+    if sec.probe is not None:
+        sec.t_entry = sec.probe.now()
     head = sec.head if prelude is None else FusedSection(
-        ((S_MANY, (prelude, view._send_fixed_work)),) + sec.head.steps[1:])
+        ((S_MANY, (prelude, sec.head.steps[0][1])),) + sec.head.steps[1:])
     try:
         res = yield head
-        if res.__class__ is tuple and res[0] is None:  # refused at the link
-            yield from _unsend(view, sec.lock, sec.hdr, sec.first, sec.nblk,
-                               sec.length, res[1])
+        while res is None:  # a full ring: the lock is held
+            yield view._waiton[slot]
+            res = yield sec.again
+        if res.__class__ is tuple:  # a bail: (locks, error)
+            if res[0] is None:  # refused at the link
+                yield from _unsend(view, sec.lock, sec.hdr, sec.first,
+                                   sec.nblk, sec.length, res[1])
+            yield from _release_and_raise(*res)
     finally:
         sec.data = None
-        cache[key] = sec
-    if res.__class__ is tuple:
-        yield from _release_and_raise(*res)  # a bail: (locks, error)
+        cache[(pid, slot)] = sec
     yield view._wake[slot]
     return res
 
@@ -1059,35 +1079,32 @@ def message_receive(
     If ``max_len`` is given and the next message is longer, raises
     :class:`BufferOverflowError` *without* consuming the message — the
     safe analogue of the C interface's caller-supplied buffer.
+
+    The receive is one cached section on every runtime and either
+    transport: a :class:`RecvSection` over the free list, a
+    :class:`RingRecvSection` over the ring.
     """
     slot = view.slot_of(lnvc_id)
-    base = view.lnvc_base + slot * _LNVC_SIZE
-    if view.region.u32(base + _L_TRANSPORT):
-        return ring_receive(view, pid, slot, base, lnvc_id, max_len)
-    return _freelist_receive(view, pid, slot, base, lnvc_id, max_len)
+    return _receive(view, pid, slot, lnvc_id, max_len, RingRecvSection if
+                    view.region.u32(view.lnvc_base + slot * _LNVC_SIZE
+                                    + _L_TRANSPORT) else RecvSection)
 
 
-def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
-                      lnvc_id: int, max_len: int | None) -> OpGen:
-    """:func:`message_receive` over the free-list transport (``slot`` is
-    ``lnvc_id``'s, inside the table): one :class:`RecvSection`,
-    cached per process and circuit, on every runtime.  The generator is
-    resumed once when the message is in hand, and once more per sleep
-    (it yields the ``WaitOn`` itself, then the section's claim again).
-
-    The receive takes its section out of ``view._fs_recv_cache`` while
-    it runs it (a ``pop``, atomic under the GIL) and puts it back
-    afterwards, so a nested receive, or one of the same pid on another
-    thread of a shared view, builds a section of its own (the one put
-    back last stays cached)."""
-    key = (pid, slot)
+def _receive(view: MPFView, pid: int, slot: int, lnvc_id: int,
+             max_len: int | None, cls) -> OpGen:
+    """:func:`message_receive` as one section of ``cls`` (``slot`` is
+    ``lnvc_id``'s, inside the table), held out of
+    ``view._fs_recv_cache`` while it runs (:func:`_fresh`).  The
+    generator is resumed once when the message is in hand, and once more
+    per sleep (it yields the ``WaitOn`` itself, then the section's claim
+    again); a ring receive whose completion retired the slot a blocked
+    sender waits for yields the ``Wake`` after it."""
     cache = view._fs_recv_cache
-    sec = cache.pop(key, None)
-    probe = view.probe
-    if sec is None or sec.lnvc_id != lnvc_id or sec.probe is not probe:
-        if sec is not None:  # a recycled slot's old id, or a new probe
-            sec.unlink()
-        sec = RecvSection(view, pid, lnvc_id)
+    sec = cache.pop((pid, slot), None)
+    if (sec is None or sec.lnvc_id != lnvc_id or sec.probe is not view.probe
+            or sec.__class__ is not cls):
+        sec = _fresh(sec, cls, view, pid, lnvc_id)
+    probe = sec.probe
     t_entry = probe.now() if probe is not None else 0.0
     sec.max_len = max_len
     try:
@@ -1095,32 +1112,81 @@ def _freelist_receive(view: MPFView, pid: int, slot: int, base: int,
         while res is None:  # nothing queued: the lock is held
             yield view._waiton[slot]
             res = yield sec.again
-        if probe is not None and res.__class__ is not tuple:
-            probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, sec.seqno,
-                               sec.length, sec.fcfs, t_entry, sec.t_claim,
-                               sec.t_drain)
+        if res.__class__ is tuple:  # a bail: (locks, error)
+            yield from _release_and_raise(*res)
+        if sec.wake:
+            yield view._wake[slot]
+        if probe is not None:
+            probe.msg_received(pid, slot, sec.gen, sec.seqno, sec.length,
+                               sec.fcfs, t_entry, sec.t_claim, sec.t_drain,
+                               **sec.ring_fields)
     finally:
         sec.payload = None
-        cache[key] = sec
-    if res.__class__ is not tuple:
-        return res
-    yield from _release_and_raise(*res)  # a bail: (locks, error)
+        cache[(pid, slot)] = sec
+    return res
 
 
-#: A receive section's per-shape memos (copy tails by message shape, reap
+#: A section's per-shape memos (tails by message shape or length, reap
 #: tails by reap size) start over past this many entries.
 _SHAPES_MAX = 64
 
 
-class RecvSection:
-    """:func:`message_receive` over the free-list transport as one
-    :class:`~repro.core.effects.FusedSection`, for one process (``pid``)
-    on one circuit (``lnvc_id``) of a view; built once and cached
-    (``MPFView._fs_recv_cache``).
+class Section:
+    """One primitive of one process (``pid``) on one circuit
+    (``lnvc_id``) of a view as one :class:`~repro.core.effects.FusedSection`,
+    built once and cached per process and circuit
+    (``MPFView._fs_send_cache`` / ``_fs_recv_cache``, :func:`_fresh`):
+    what the four message sections — :class:`RecvSection`,
+    :class:`SendSection`, :class:`RingSendSection` and
+    :class:`RingRecvSection` — hold alike.
 
-    The steps are the receive's effects in order, each stretch of
+    The steps are the primitive's effects in order, each stretch of
     primitive code between two of them an ``S_CALL`` of a
-    :class:`Stage`:
+    :class:`Stage` over the section (:attr:`stages`, one per kind the
+    subclass names); :attr:`head` is the first, :attr:`again` (a
+    receive's, a ring send's) what runs after a sleep.  What one stage
+    hands the next lives in the subclass's slots, with the memos that
+    let the C section runner (``repro/core/sections.c``) run a stage
+    itself: here the connection memo, which holds while the circuit's
+    ``gen`` and ``conn_epoch`` are :attr:`gen` and :attr:`epoch` (a
+    receive's :attr:`found`, the steps its connection resolved to), and
+    :attr:`wake`, which a ring receive sets when its completion retired
+    the slot a blocked sender waits for.  A section built under a probe
+    (:attr:`probe`, the view's when it was built) carries the probe's
+    stages too, where the classic primitive observed.
+    """
+
+    __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "lock", "seg",
+                 "probe", "epoch", "found", "head", "again", "stages", "wake")
+
+    def __init__(self, view: MPFView, pid: int, lnvc_id: int,
+                 kinds: tuple) -> None:
+        self.unlink()  # every slot starts as None
+        slot = lnvc_id & _SLOT_MASK
+        self.view, self.pid, self.lnvc_id = view, pid, lnvc_id
+        self.gen = int(lnvc_id >> SLOT_BITS)
+        self.base = view.lnvc_base + slot * _LNVC_SIZE
+        self.lock = FIRST_LNVC_LOCK + slot
+        # (``seg``: the segment's bytes, as the kernels read them)
+        self.seg, self.probe = view.region._mv, view.probe
+        # (a list display: one call, where a generator resumes per item)
+        self.stages = tuple([Stage(self, k) for k in kinds])
+
+    def tap(self, i: int) -> tuple:
+        """Stage ``i``'s step: a probe's stage, so none without."""
+        return ((S_CALL, self.stages[i]),) if self.probe is not None else ()
+
+    def unlink(self) -> None:
+        """Set every slot to ``None``: the step tuples and memos hold
+        stages, and the stages hold this section."""
+        for cls in type(self).__mro__[:-1]:
+            for name in cls.__slots__:
+                setattr(self, name, None)
+
+
+class RecvSection(Section):
+    """:func:`message_receive` over the free-list transport as one
+    :class:`Section`.
 
     * :attr:`head`: ``recv-fixed``, acquire the circuit lock, the
       connection stage — which jumps to ``recv-find``, the claim stage;
@@ -1138,49 +1204,27 @@ class RecvSection:
     The copy phase runs outside the lock, concurrent with other
     receivers of the same message; the claim's busy pin keeps the chain
     as walked until the completion, which hands its last block to the
-    reap.  A section built under a probe (:attr:`probe`, the view's when
-    it was built) carries the probe's stages too: the claim stamp after
-    the claim, the drain stamp after ``recv-copy``, and on a reap the
-    queue depth before ``ALLOC_LOCK`` and the freed messages under it —
-    each where the receive's effect stream puts that instant.
-
-    The stage bodies are :data:`_STAGES`; what one hands the next
-    (the claimed message, its drain, the reap, the probe's stamps) lives
-    in the slots below, with the memos that let the C section runner run
-    a stage itself (``repro/core/sections.c``): the connection
-    (:attr:`desc`, :attr:`found` under :attr:`gen` and :attr:`epoch`,
-    checked against the LNVC record as :class:`PollWalk` checks its
-    memo) and the tails by message shape (:attr:`copies`) and reap size
-    (:attr:`reaps`), under int keys ``a << 32 | b``.
+    reap.  Under a probe: the claim stamp after the claim, the drain
+    stamp after ``recv-copy``, and on a reap the queue depth before
+    ``ALLOC_LOCK`` and the freed messages under it.  The memos: the
+    connection (:attr:`desc` and the ``found`` steps, checked against
+    the LNVC record as :class:`PollWalk` checks its memo) and the tails
+    by message shape (:attr:`copies`) and reap size (:attr:`reaps`),
+    under int keys ``a << 32 | b``.
     """
 
-    __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "lock", "seg",
-                 "bs", "probe", "max_len", "desc", "epoch", "found",
-                 "msg", "first", "nblk", "length", "seqno", "fcfs", "last",
-                 "payload", "reap", "t_claim", "t_drain", "head", "again",
-                 "claimed", "copied", "copies", "retired", "reaping",
-                 "failed", "reaps", "stages")
+    __slots__ = ("bs", "max_len", "desc", "msg", "first", "nblk", "length",
+                 "seqno", "fcfs", "last", "payload", "reap", "t_claim",
+                 "t_drain", "claimed", "copied", "copies", "retired",
+                 "reaping", "failed", "reaps")
+    #: A probe's report of the receive has no ring field.
+    ring_fields: dict = {}
 
     def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
-        slot = lnvc_id & _SLOT_MASK
-        self.view = view
-        self.pid = pid
-        self.lnvc_id = lnvc_id
-        self.gen = int(lnvc_id >> SLOT_BITS)
-        self.base = view.lnvc_base + slot * _LNVC_SIZE
-        self.lock = lock = FIRST_LNVC_LOCK + slot
-        #: The segment's bytes, as the kernels read them.
-        self.seg = view.region._mv
+        super().__init__(view, pid, lnvc_id, _RECV_KINDS)
+        lock, tap = self.lock, self.tap
+        conn, claim, drain, complete, free = self.stages[:5]
         self.bs = view.cfg.block_size
-        self.probe = probe = view.probe
-        self.max_len = None
-        #: The connection memo: ``None`` until resolved.
-        self.desc = self.epoch = self.found = None
-        self.msg = self.first = self.nblk = self.length = None
-        self.seqno = self.fcfs = self.last = self.payload = self.reap = None
-        self.t_claim = self.t_drain = 0.0
-        self.stages = stages = tuple(Stage(self, k) for k in _RECV_KINDS)
-        conn, claim, drain, complete, free = stages[:5]
         self.head = FusedSection(((S_CHARGE, view._recv_fixed.work),
                                   (S_ACQ, lock), (S_CALL, conn)))
         self.again = FusedSection(((S_CHARGE, view._recv_wakeup.work),
@@ -1188,26 +1232,13 @@ class RecvSection:
         retire = (S_CHARGE, view._recv_retire.work)
         self.failed = (retire,)
         self.retired = (retire, (S_REL, lock))
-
-        def tap(kind: int) -> tuple:
-            """Stage ``kind``'s step: a probe's stage, so none without."""
-            return ((S_CALL, stages[kind]),) if probe is not None else ()
-
         self.claimed = tap(5) + ((S_REL, lock), (S_CALL, drain))
         self.copied = tap(6) + ((S_ACQ, lock), (S_CALL, complete))
         self.reaping = (retire,) + tap(7) + (
-            (S_ACQ, ALLOC_LOCK), (S_CALL, free if probe is None else stages[8]))
+            (S_ACQ, ALLOC_LOCK),
+            (S_CALL, free if self.probe is None else self.stages[8]))
         self.copies: dict = {}
         self.reaps: dict = {}
-
-    def unlink(self) -> None:
-        """Drop every step tuple and memo: each holds stages, and the
-        stages hold this section."""
-        self.head = self.again = self.found = self.claimed = None
-        self.copied = self.failed = self.retired = self.reaping = None
-        self.stages = self.epoch = self.payload = self.reap = None
-        self.copies.clear()
-        self.reaps.clear()
 
 
 def _shape_memo(memo: dict, key: int, steps: tuple) -> tuple:
@@ -1218,7 +1249,8 @@ def _shape_memo(memo: dict, key: int, steps: tuple) -> tuple:
     return steps
 
 
-def _recv_conn(sec: RecvSection):
+def _recv_conn(sec: Section):
+    # Either receive's: its claim is its ``stages[1]``.
     view = sec.view
     in_use, gen, epoch = view._rd_ident(sec.base)
     if in_use and gen == sec.gen and epoch == sec.epoch:
@@ -1328,70 +1360,42 @@ def _recv_free_traced(sec: RecvSection):
     return _recv_free(sec)
 
 
-class SendSection:
-    """:func:`message_send` over the free-list transport as one
-    :class:`~repro.core.effects.FusedSection`, for one process (``pid``)
-    on one circuit (``lnvc_id``) of a view; built once and cached
-    (``MPFView._fs_send_cache``), as :class:`RecvSection` is.
 
-    The steps are the send's effects in order, the paper's three
-    phases each a :class:`Stage` between two of them: :attr:`head` is
-    ``send-fixed``, acquire ``ALLOC_LOCK`` and the alloc stage, which
-    jumps to ``send-alloc``, release, the fill stage, ``send-copy``,
-    acquire the circuit lock and the link stage, which jumps to
-    ``send-link`` and release.  The result is the sequence number; the
-    generator yields the ``Wake`` after it.  A dry pool bails as
-    ``((ALLOC_LOCK,), error)``, an id the link refuses as ``(None,
-    error)``: the generator then undoes the send (:func:`_unsend`).
-    Under a probe (:attr:`probe`) the probe's stages join the tails
-    where the classic send observed: the pool after the alloc, the
+
+class SendSection(Section):
+    """:func:`message_send` over the free-list transport as one
+    :class:`Section`.
+
+    The paper's three phases are each a :class:`Stage` between the
+    send's effects: :attr:`head` is ``send-fixed``, acquire
+    ``ALLOC_LOCK`` and the alloc stage, which jumps to ``send-alloc``,
+    release, the fill stage, ``send-copy``, acquire the circuit lock and
+    the link stage, which jumps to ``send-link`` and release.  The
+    result is the sequence number; the generator yields the ``Wake``
+    after it.  A dry pool bails as ``((ALLOC_LOCK,), error)``, an id the
+    link refuses as ``(None, error)``: the generator then undoes the
+    send (:func:`_unsend`).  Under a probe the probe's stages join the
+    tails where the classic send observed: the pool after the alloc, the
     alloc stamp after its release, the fill stamp after ``send-copy``
     and the report after ``send-link``.
 
-    What one stage hands the next (the payload, the message's header,
-    chain and shape, its sequence number and queue depth) lives in the
-    slots below, with the memos that let the C section runner run a
-    stage itself: the tails by message shape (:attr:`allocs`, keyed
-    ``length << 32 | nblk``) and the link's tail (:attr:`linked`),
-    which holds while the circuit's ``gen`` and ``conn_epoch`` are
-    :attr:`gen` and :attr:`epoch` — its walk lengths are the
+    The memos: the tails by message shape (:attr:`allocs`, keyed
+    ``length << 32 | nblk``) and the link's tail (:attr:`linked`), which
+    holds with the connection memo — its walk lengths are the
     connection's and the receive list's, which only a connection
     change, one that moves the epoch, can move.
     """
 
-    __slots__ = ("view", "pid", "lnvc_id", "gen", "base", "lock", "seg",
-                 "bs", "probe", "data", "hdr", "first", "nblk", "length",
-                 "seqno", "depth", "epoch", "linked", "allocs", "taps",
-                 "t_entry", "t_alloc", "t_fill", "head", "stages")
+    __slots__ = ("bs", "data", "hdr", "first", "nblk", "length", "seqno",
+                 "depth", "linked", "allocs", "t_entry", "t_alloc", "t_fill")
 
     def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
-        slot = lnvc_id & _SLOT_MASK
-        self.view = view
-        self.pid = pid
-        self.lnvc_id = lnvc_id
-        self.gen = int(lnvc_id >> SLOT_BITS)
-        self.base = view.lnvc_base + slot * _LNVC_SIZE
-        self.lock = FIRST_LNVC_LOCK + slot
-        self.seg = view.region._mv
+        super().__init__(view, pid, lnvc_id, _SEND_KINDS)
         self.bs = view.cfg.block_size
-        self.probe = probe = view.probe
-        self.data = self.hdr = self.first = self.nblk = self.length = None
-        self.seqno = self.depth = self.epoch = self.linked = None
-        self.t_entry = self.t_alloc = self.t_fill = 0.0
-        self.stages = stages = tuple(Stage(self, k) for k in _SEND_KINDS)
         self.head = FusedSection(((S_CHARGE, view._send_fixed_work),
-                                  (S_ACQ, ALLOC_LOCK), (S_CALL, stages[0])))
-        #: The probe's steps: pool, alloc stamp, fill stamp, report.
-        self.taps = tuple(((S_CALL, stage),) if probe is not None else ()
-                          for stage in stages[3:])
+                                  (S_ACQ, ALLOC_LOCK),
+                                  (S_CALL, self.stages[0])))
         self.allocs: dict = {}
-
-    def unlink(self) -> None:
-        """Drop every step tuple and memo: each holds stages, and the
-        stages hold this section."""
-        self.head = self.linked = self.taps = self.stages = None
-        self.epoch = self.data = None
-        self.allocs.clear()
 
 
 def _send_alloc(sec: SendSection):
@@ -1410,7 +1414,8 @@ def _send_alloc(sec: SendSection):
     steps = sec.allocs.get(shape)
     if steps is None:
         c = view.costs
-        pool, alloced, filled, _ = sec.taps
+        # the probe's steps: pool, alloc stamp, fill stamp
+        pool, alloced, filled = sec.tap(3), sec.tap(4), sec.tap(5)
         steps = _shape_memo(sec.allocs, shape, pool + (
             (S_CHARGE, charge((nblk + 1) * c.blk_alloc, "send-alloc").work),
             (S_REL, ALLOC_LOCK)) + alloced + ((S_CALL, sec.stages[1]), (
@@ -1444,7 +1449,7 @@ def _send_link(sec: SendSection):
         sec.epoch = epoch
         sec.linked = ((S_CHARGE, charge(
             c.msg_link + (steps + rsteps) * c.list_step, "send-link").work),
-        ) + sec.taps[3] + ((S_REL, sec.lock),)
+        ) + sec.tap(6) + ((S_REL, sec.lock),)
     return (D_JUMP, sec.seqno, sec.linked)
 
 
@@ -1456,7 +1461,7 @@ def _send_stamp_alloc(sec: SendSection):
     sec.t_alloc = sec.probe.now()
 
 
-def _send_stamp_fill(sec: SendSection):
+def _send_stamp_fill(sec: Section):
     sec.t_fill = sec.probe.now()
 
 
@@ -1466,25 +1471,252 @@ def _send_sent(sec: SendSection):
                        sec.t_entry, sec.t_alloc, sec.t_fill)
 
 
-#: The stage bodies of both sections, by :attr:`Stage.kind`: a
-#: :class:`RecvSection`'s connection, claim, drain, completion and reap
-#: free, a :class:`SendSection`'s alloc, fill and link; then the probe's
-#: (which the C section runner always hands to Python): the receive's
-#: claim stamp, drain stamp, queue depth and reap free with the freed
-#: messages, the send's pool, alloc stamp, fill stamp and report.
+def _ring_lines(length: int) -> int:
+    """Cache lines one ring message touches: header + bitmap + payload."""
+    return 2 + (length + CACHE_LINE - 1) // CACHE_LINE
+
+
+class RingSendSection(Section):
+    """:func:`message_send` over the ring transport as one
+    :class:`Section`: claim an index, fill the slot and store the commit
+    word in ONE circuit-lock section.
+
+    A single section matters: the sender queues behind the receiver
+    herd's lock sections once per message — exactly as often as the
+    free-list sender queues for its link step — so it can run ahead and
+    build a backlog instead of lock-stepping with its readers.  (Holding
+    the lock across the fill also makes the pending snapshot exact: no
+    reader can register or close mid-fill.)
+
+    :attr:`head` is ``ring-send-fixed``, acquire the circuit lock and
+    the fill stage: the connection memo (a miss resolves the send
+    connection: the walk length, :attr:`steps`, that the fill charges),
+    then the claim and fill kernel, which jumps to ``ring-claim``,
+    ``ring-fill``, the commit stage (the commit word, stored only once
+    the fill's charge has passed: a lock-free reader on the simulator
+    sees the message no earlier in simulated time than the fill ends),
+    ``ring-commit`` and release.  The result is the sequence number;
+    the generator yields the ``Wake`` after it.  A full ring bails with
+    the lock held and ``None``: the generator yields the ``WaitOn`` and
+    then :attr:`again` (``recv-wakeup``, the fill without the
+    connection memo, as the classic send resolved it once) — the ring's
+    backpressure, where the free list raises
+    ``OutOfMessageMemoryError``.  Under a probe: the claim stamp after
+    ``ring-claim``, the fill stamp after ``ring-fill``, the report after
+    the release.  The memo: the tails by payload length
+    (:attr:`fills`), which a new walk length empties.
+    """
+
+    __slots__ = ("geom", "data", "steps", "seq", "sl", "seqno", "depth",
+                 "fills", "t_entry", "t_claim", "t_fill")
+
+    def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
+        super().__init__(view, pid, lnvc_id, _RING_SEND_KINDS)
+        self.geom = _ring_geom(view)
+        self.head = FusedSection(((S_CHARGE, view._ring_send_fixed_work),
+                                  (S_ACQ, self.lock), (S_CALL, self.stages[0])))
+        self.again = FusedSection(((S_CHARGE, view._recv_wakeup.work),
+                                   (S_CALL, self.stages[1])))
+        self.fills: dict = {}
+
+
+def _ring_geom(view: MPFView) -> tuple:
+    """Where the ring kernels find a ring's records: the layout's ring
+    control, cursor and slot bases, the slot stride and the slots per
+    ring."""
+    lay = view.layout
+    return (lay.ring_ctrl_base, lay.ring_cur_base, lay.ring_data_base,
+            lay.ring_stride, view.cfg.ring_slots)
+
+
+def _rsend_fill(sec: RingSendSection):
+    view = sec.view
+    in_use, gen, epoch = view._rd_ident(sec.base)
+    if not (in_use and gen == sec.gen and epoch == sec.epoch):
+        try:
+            steps = view.send_conn(sec.pid, sec.lnvc_id)
+        except (UnknownLNVCError, NotConnectedError) as exc:
+            return (D_BAIL, ((sec.lock,), exc))
+        sec.epoch, sec.steps = epoch, steps
+        sec.fills.clear()  # its tails charge the walk length
+    return _rsend_refill(sec)
+
+
+def _rsend_refill(sec: RingSendSection):
+    # Wait until the target slot's previous tenant has retired: the fill
+    # is under the lock, so no reader can see it before the commit.
+    claimed = _chains.ACTIVE.ring_fill(sec.view, sec.base, sec.pid,
+                                       sec.data)
+    if claimed is None:
+        return (D_BAIL, None)  # a full ring: the lock is held
+    sec.seq, sec.sl, sec.seqno, sec.depth = claimed
+    length = len(sec.data)
+    steps = sec.fills.get(length)
+    if steps is None:
+        view = sec.view
+        c = view.costs
+        steps = _shape_memo(sec.fills, length, (
+            (S_CHARGE, view._ring_claim.work),) + sec.tap(3) + ((
+                S_CHARGE, charge(length * c.copy_byte
+                                 + _ring_lines(length) * c.cacheline_xfer
+                                 + sec.steps * c.list_step, "ring-fill",
+                                 length, 0, view.layout.ring_stride).work),
+        ) + sec.tap(4) + ((S_CALL, sec.stages[2]),
+                          (S_CHARGE, view._ring_commit.work),
+                          (S_REL, sec.lock)) + sec.tap(5))
+    return (D_JUMP, sec.seqno, steps)
+
+
+def _rsend_commit(sec: RingSendSection):
+    # The commit word; a message nobody is owed retires at once.
+    _chains.ACTIVE.ring_commit(sec.view, sec.base, sec.sl, sec.seq)
+
+
+def _rsend_sent(sec: RingSendSection):
+    length = len(sec.data)
+    sec.probe.msg_sent(sec.pid, sec.lock - FIRST_LNVC_LOCK, sec.gen,
+                       sec.seqno, length, _ring_lines(length), sec.depth,
+                       sec.t_entry, sec.t_claim, sec.t_fill,
+                       occupancy=sec.depth)
+
+
+class RingRecvSection(Section):
+    """:func:`message_receive` over the ring transport as one
+    :class:`Section`.
+
+    :attr:`head` is ``ring-recv-fixed`` and the take stage: the
+    *lock-free* BROADCAST take — the mpsoc read side.  The reader's
+    cursor is private (one cache line, written only by this reader), the
+    commit word ``seq == index + 1`` is self-validating, and its pending
+    bit already pins the slot against retirement until the completion
+    clears it, so observing and claiming a committed message needs no
+    lock.  The take is valid only on a connection-cache hit: our own
+    receive connection being open is what forbids circuit deletion and
+    generation reuse, and the epoch check proves the cached descriptor
+    is what a fresh (locked) walk would find.  A take jumps to
+    ``ring-cursor`` and the copy stage; a miss (an FCFS reader, a cache
+    that does not vouch, a slot not committed yet) to acquire and the
+    connection stage, which jumps to ``recv-find`` and the claim stage:
+    a BROADCAST take or the FCFS scan of the *shared* ``fcfs_next``
+    cursor, pinning its slot with the ``busy`` count while copying.  A
+    claim jumps to ``ring-cursor`` (a take owes a pending bit) or
+    ``ring-claim``, release and the copy stage.  An empty ring bails with
+    the lock held and ``None`` (the generator yields the ``WaitOn`` and
+    :attr:`again`: ``recv-wakeup``, the claim), an overflow as ``((lock,),
+    error)``.  Either way the copy runs outside the circuit lock and
+    builds the payload, then ``ring-copy``, acquire, the completion stage
+    — drop the pin, retire, count — ``ring-consume`` and release; the
+    generator yields the ``Wake`` when the completion retired the very
+    slot a blocked sender waits for (:attr:`wake`).  Under a probe: the
+    claim stamp after the take's or claim's charge, the drain stamp
+    after ``ring-copy``.  The memos: the connection (``desc`` and the
+    ``found`` steps; the take reads the view's connection cache, the C
+    runner this memo, which the view's cache holds whenever it holds),
+    and the copy tails by payload length (:attr:`copies`).
+    """
+
+    __slots__ = ("geom", "max_len", "desc", "sl", "length", "seqno",
+                 "unread", "idx", "payload", "t_claim", "t_drain",
+                 "hit", "missed", "claimed", "copied", "copies", "consumed")
+
+    def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
+        super().__init__(view, pid, lnvc_id, _RING_RECV_KINDS)
+        lock, tap = self.lock, self.tap
+        conn, claim, take, copy, complete = self.stages[:5]
+        self.geom = _ring_geom(view)
+        self.head = FusedSection(((S_CHARGE, view._ring_recv_fixed.work),
+                                  (S_CALL, take)))
+        self.again = FusedSection(((S_CHARGE, view._recv_wakeup.work),
+                                   (S_CALL, claim)))
+        cursor = (S_CHARGE, view._ring_cursor.work)
+        self.hit = (cursor,) + tap(5) + ((S_CALL, copy),)
+        self.missed = ((S_ACQ, lock), (S_CALL, conn))
+        #: By the pending bit a claim owes: an FCFS claim's tail, a take's.
+        self.claimed = tuple(
+            (charged,) + tap(5) + ((S_REL, lock), (S_CALL, copy))
+            for charged in ((S_CHARGE, view._ring_claim.work), cursor))
+        self.copied = tap(6) + ((S_ACQ, lock), (S_CALL, complete))
+        self.consumed = ((S_CHARGE, view._ring_consume.work), (S_REL, lock))
+        self.copies: dict = {}
+
+    @property
+    def fcfs(self) -> bool:
+        """An FCFS claim owes no pending bit."""
+        return not self.unread
+
+    @property
+    def ring_fields(self) -> dict:
+        """A probe report's ring field: the ring's slots in use."""
+        return {"occupancy": self.view.region.u32(self.base + _L_NMSGS)}
+
+
+def _rrecv_take(sec: RingRecvSection):
+    taken = _chains.ACTIVE.ring_take(sec.view, sec.base, sec.pid,
+                                     sec.lnvc_id, sec.max_len)
+    if taken is None:
+        return (D_JUMP, None, sec.missed)
+    sec.sl, sec.length, sec.seqno, sec.unread, sec.idx = taken
+    return (D_JUMP, None, sec.hit)
+
+
+def _rrecv_claim(sec: RingRecvSection):
+    try:
+        taken = _chains.ACTIVE.ring_claim(sec.view, sec.base, sec.desc,
+                                          sec.max_len)
+    except BufferOverflowError as exc:
+        return (D_BAIL, ((sec.lock,), exc))
+    if taken is None:
+        return (D_BAIL, None)
+    sec.sl, sec.length, sec.seqno, sec.unread, sec.idx = taken
+    return (D_JUMP, None, sec.claimed[sec.unread != 0])
+
+
+def _rrecv_copy(sec: RingRecvSection):
+    # Concurrent with other readers of the same slot: the pin holds it.
+    view, length = sec.view, sec.length
+    sec.payload = view.region.read(sec.sl + RSLOT_DATA_OFF, length)
+    steps = sec.copies.get(length)
+    if steps is None:
+        c = view.costs
+        steps = _shape_memo(sec.copies, length, ((S_CHARGE, charge(
+            length * c.copy_byte + _ring_lines(length) * c.cacheline_xfer,
+            "ring-copy", length).work),) + sec.copied)
+    return (D_JUMP, sec.payload, steps)
+
+
+def _rrecv_complete(sec: RingRecvSection):
+    sec.wake = _chains.ACTIVE.ring_complete(sec.view, sec.base, sec.sl,
+                                            sec.unread, sec.idx, sec.length)
+    return (D_JUMP, sec.payload, sec.consumed)
+
+
+#: The stage bodies of the four sections, by :attr:`Stage.kind`: either
+#: receive's connection (:func:`_recv_conn`), a :class:`RecvSection`'s
+#: claim, drain, completion and reap free, a :class:`SendSection`'s
+#: alloc, fill and link, a :class:`RingSendSection`'s fill, fill after a
+#: sleep and commit, a :class:`RingRecvSection`'s take, claim, copy and
+#: completion; then the probe's (which the C section runner always hands
+#: to Python): the claim stamp, drain stamp, queue depth and reap free
+#: with the freed messages, the free-list send's pool, alloc stamp, fill
+#: stamp and report, and the ring send's report.
 _STAGES = (_recv_conn, _recv_claim, _recv_drain, _recv_complete, _recv_free,
            _send_alloc, _send_fill, _send_link,
+           _rsend_fill, _rsend_refill, _rsend_commit,
+           _rrecv_take, _rrecv_claim, _rrecv_copy, _rrecv_complete,
            _recv_stamp_claim, _recv_stamp_drain, _recv_depth,
            _recv_free_traced,
-           _send_pool, _send_stamp_alloc, _send_stamp_fill, _send_sent)
+           _send_pool, _send_stamp_alloc, _send_stamp_fill, _send_sent,
+           _rsend_sent)
 #: Each section's stages, indexed as its ``stages`` tuple.
-_RECV_KINDS = (0, 1, 2, 3, 4, 8, 9, 10, 11)
-_SEND_KINDS = (5, 6, 7, 12, 13, 14, 15)
+_RECV_KINDS = (0, 1, 2, 3, 4, 15, 16, 17, 18)
+_SEND_KINDS = (5, 6, 7, 19, 20, 21, 22)
+_RING_SEND_KINDS = (8, 9, 10, 15, 21, 23)
+_RING_RECV_KINDS = (0, 12, 11, 13, 14, 15, 16)
 
 
 class Stage:
-    """One ``S_CALL`` of a :class:`RecvSection` or a :class:`SendSection`:
-    stage :attr:`kind` of :data:`_STAGES` over :attr:`sec`.
+    """One ``S_CALL`` of a :class:`Section`: stage :attr:`kind` of
+    :data:`_STAGES` over :attr:`sec`.
 
     The C section runner (``repro/core/sections.c``, in the engine's
     loop and in ``sync.c``'s drive) runs the stage itself while the
@@ -1492,8 +1724,11 @@ class Stage:
     for the shape at hand, and for a BROADCAST drain a message this view
     drained already — calling the kernels ``conn_holds``, ``sec_claim``,
     ``chain_drain`` (an FCFS message, into a ``bytes`` it builds),
-    ``sec_complete`` and ``sec_free`` for a receive, ``sec_alloc``,
-    ``chain_fill`` and ``sec_link`` for a send
+    ``sec_complete`` and ``sec_free`` for a free-list receive,
+    ``sec_alloc``, ``chain_fill`` and ``sec_link`` for a free-list send,
+    ``ring_fill`` and ``ring_commit`` for a ring send, ``ring_take``,
+    ``ring_claim`` and ``ring_complete`` for a ring receive, whose copy
+    it builds from the slot itself
     (:attr:`repro.core.chains.Kernels.addresses`).  Called, it runs the
     stage's Python body: the reference, and what runs on any miss or
     kernel refusal and under the Python drive.  A BROADCAST drain that

@@ -32,7 +32,8 @@
 /* -- the classes and slots bind_classes() hands over --------------------- */
 
 #define SEC_TYPES(X) X(T_CHARGE) X(T_MANY) X(T_ACQ) X(T_REL) X(T_SECTION) \
-    X(T_WAIT) X(T_WAKE) X(T_WALK) X(T_STAGE) X(T_RSEC) X(T_SSEC) X(T_VIEW)
+    X(T_WAIT) X(T_WAKE) X(T_WALK) X(T_STAGE) X(T_RSEC) X(T_SSEC)            \
+    X(T_GSEC) X(T_GREC) X(T_SEC) X(T_VIEW)
 #define SEC_FIELDS(X) X(A_LOCK, T_ACQ, "lock_id")                           \
     X(R_LOCK, T_REL, "lock_id") X(S_STEPS, T_SECTION, "steps")              \
     X(O_CHAN, T_WAIT, "chan") X(O_LOCK, T_WAIT, "lock_id")                  \
@@ -42,24 +43,39 @@
     X(PW_EMPTY, T_WALK, "empty") X(PW_TAILS, T_WALK, "tails")               \
     X(PW_SEG, T_WALK, "seg") X(RS_SEC, T_STAGE, "sec")                      \
     X(RS_KIND, T_STAGE, "kind") X(V_DRAIN_MEMO, T_VIEW, "_drain_memo")      \
-    RC_FIELDS(X) SC_FIELDS(X)
-/* RecvSection's slots: field RC_<NAME> is slot <name>; SendSection's
- * are SC_<NAME>. */
-#define RC_FIELDS(X) RC(X, VIEW, view) RC(X, LNVC_ID, lnvc_id)              \
-    RC(X, GEN, gen) RC(X, BASE, base) RC(X, SEG, seg) RC(X, BS, bs)         \
-    RC(X, MAX_LEN, max_len) RC(X, DESC, desc) RC(X, EPOCH, epoch)           \
-    RC(X, FOUND, found) RC(X, MSG, msg) RC(X, FIRST, first)                 \
-    RC(X, NBLK, nblk) RC(X, LENGTH, length) RC(X, SEQNO, seqno)             \
-    RC(X, FCFS, fcfs) RC(X, LAST, last) RC(X, PAYLOAD, payload)             \
-    RC(X, REAP, reap) RC(X, CLAIMED, claimed) RC(X, COPIES, copies)         \
-    RC(X, RETIRED, retired) RC(X, REAPING, reaping) RC(X, REAPS, reaps)
+    SB_FIELDS(X) RC_FIELDS(X) SC_FIELDS(X) GS_FIELDS(X) GR_FIELDS(X)
+/* The slots every section has (core/ops.py Section): field SB_<NAME> is
+ * slot <name>, read off any direct subclass.  RecvSection's own are
+ * RC_<NAME>, SendSection's SC_<NAME>, RingSendSection's GS_<NAME> and
+ * RingRecvSection's GR_<NAME>. */
+#define SB_FIELDS(X) SB(X, VIEW, view) SB(X, PID, pid)                      \
+    SB(X, LNVC_ID, lnvc_id) SB(X, GEN, gen) SB(X, BASE, base)               \
+    SB(X, SEG, seg) SB(X, EPOCH, epoch) SB(X, FOUND, found)               \
+    SB(X, WAKE, wake)
+#define SB(X, f, s) X(SB_##f, T_SEC, #s)
+#define RC_FIELDS(X) RC(X, BS, bs) RC(X, MAX_LEN, max_len) RC(X, DESC, desc) \
+    RC(X, MSG, msg) RC(X, FIRST, first) RC(X, NBLK, nblk)                   \
+    RC(X, LENGTH, length) RC(X, SEQNO, seqno) RC(X, FCFS, fcfs)             \
+    RC(X, LAST, last) RC(X, PAYLOAD, payload) RC(X, REAP, reap)             \
+    RC(X, CLAIMED, claimed) RC(X, COPIES, copies) RC(X, RETIRED, retired)   \
+    RC(X, REAPING, reaping) RC(X, REAPS, reaps)
 #define RC(X, f, s) X(RC_##f, T_RSEC, #s)
-#define SC_FIELDS(X) SC(X, BASE, base) SC(X, GEN, gen) SC(X, PID, pid)     \
-    SC(X, SEG, seg) SC(X, BS, bs) SC(X, DATA, data) SC(X, HDR, hdr)         \
+#define SC_FIELDS(X) SC(X, BS, bs) SC(X, DATA, data) SC(X, HDR, hdr)       \
     SC(X, FIRST, first) SC(X, NBLK, nblk) SC(X, LENGTH, length)             \
-    SC(X, SEQNO, seqno) SC(X, DEPTH, depth) SC(X, EPOCH, epoch)             \
-    SC(X, LINKED, linked) SC(X, ALLOCS, allocs)
+    SC(X, SEQNO, seqno) SC(X, DEPTH, depth) SC(X, LINKED, linked)           \
+    SC(X, ALLOCS, allocs)
 #define SC(X, f, s) X(SC_##f, T_SSEC, #s)
+#define GS_FIELDS(X) GS(X, GEOM, geom) GS(X, DATA, data) GS(X, SEQ, seq)   \
+    GS(X, SL, sl) GS(X, SEQNO, seqno) GS(X, DEPTH, depth)                   \
+    GS(X, FILLS, fills)
+#define GS(X, f, s) X(GS_##f, T_GSEC, #s)
+#define GR_FIELDS(X) GR(X, GEOM, geom) GR(X, MAX_LEN, max_len)             \
+    GR(X, DESC, desc) GR(X, SL, sl) GR(X, LENGTH, length)                   \
+    GR(X, SEQNO, seqno) GR(X, UNREAD, unread) GR(X, IDX, idx)               \
+    GR(X, PAYLOAD, payload) GR(X, HIT, hit)                                 \
+    GR(X, MISSED, missed) GR(X, CLAIMED, claimed) GR(X, COPIES, copies)     \
+    GR(X, CONSUMED, consumed)
+#define GR(X, f, s) X(GR_##f, T_GREC, #s)
 
 #define TYPE_ENUM(t) t,
 #define FIELD_ENUM(f, t, s) f,
@@ -87,9 +103,11 @@ enum { S_CHARGE = 0, S_MANY = 1, S_ACQ = 2, S_REL = 3, D_JUMP = 4,
 /* The kernels the C kernels export that the runner calls itself
  * (core/chains.c; chains.ENGINE_KERNELS names them in bind order): the
  * poll walk, the connection memo check, the claim, completion and free
- * of a free-list receive, the chain drain, and the alloc, chain fill and
- * link of a free-list send.  NULL where they were not built.  claim_t,
- * reap_t and link_t are chains.c's. */
+ * of a free-list receive, the chain drain, the alloc, chain fill and
+ * link of a free-list send, and the five ring kernels: the send's fill
+ * and commit, the receive's take, claim and completion.  NULL where they
+ * were not built.  claim_t, reap_t, link_t, rfill_t and rtake_t are
+ * chains.c's. */
 typedef int64_t (*walk_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                            uint64_t, int);
 typedef int64_t (*holds_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t);
@@ -118,18 +136,44 @@ typedef struct {
 typedef link_t (*link_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
                           uint64_t, uint64_t, uint64_t, int, uint64_t,
                           uint64_t);
+typedef struct {
+    uint32_t seq, sl, seqno, depth;
+    int ok;
+} rfill_t;
+typedef rfill_t (*rfill_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                            uint64_t, uint64_t, uint64_t, uint64_t,
+                            const char *, uint64_t);
+typedef int64_t (*rcommit_fn)(char *, uint64_t, uint64_t, uint64_t,
+                              uint64_t);
+typedef struct {
+    uint32_t sl, length, seqno, unread, idx;
+    int got;
+} rtake_t;
+typedef rtake_t (*rtake_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                            uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
+                            uint64_t, int64_t);
+typedef rtake_t (*rclaim_fn)(char *, uint64_t, uint64_t, uint64_t, uint64_t,
+                             uint64_t, uint64_t, uint64_t, uint64_t, int64_t);
+typedef int64_t (*rcomplete_fn)(char *, uint64_t, uint64_t, uint64_t,
+                                uint64_t, uint64_t, uint64_t, uint64_t);
 enum { K_WALK, K_HOLDS, K_CLAIM, K_COMPLETE, K_FREE, K_DRAIN, K_ALLOC,
-       K_FILL, K_LINK, N_KERNELS };
+       K_FILL, K_LINK, K_RFILL, K_RCOMMIT, K_RTAKE, K_RCLAIM, K_RCOMPLETE,
+       N_KERNELS };
 static void *KERNEL[N_KERNELS];
 #define WALK ((walk_fn)KERNEL[K_WALK])
 
 static PyObject *K_SEND;
 
+/* o is of the class that owns field d, or of a direct subclass of it:
+ * the owner's slots lie at the same offsets in both. */
+#define OWNS(d, o) (Py_TYPE(o) == TYPES[(d)->owner]                          \
+                    || Py_TYPE(o)->tp_base == TYPES[(d)->owner])
+
 static PyObject *
 get(PyObject *o, int f)  /* new reference */
 {
     const field_t *d = &F[f];
-    if (d->off >= 0 && Py_TYPE(o) == TYPES[d->owner]) {
+    if (d->off >= 0 && OWNS(d, o)) {
         PyObject *v = *(PyObject **)((char *)o + d->off);
         if (v != NULL) {
             Py_INCREF(v);
@@ -143,7 +187,7 @@ static int
 set(PyObject *o, int f, PyObject *v)  /* v borrowed */
 {
     const field_t *d = &F[f];
-    if (d->off >= 0 && Py_TYPE(o) == TYPES[d->owner]) {
+    if (d->off >= 0 && OWNS(d, o)) {
         PyObject **slot = (PyObject **)((char *)o + d->off);
         PyObject *old = *slot;
         Py_INCREF(v);
@@ -529,20 +573,43 @@ shape_memo(PyObject *sec, int f, uint64_t a, uint64_t b)
     return steps;
 }
 
-/* The connection: while the memo holds, recv-find and the claim. */
+/* sec.<f> as a receive's length limit (INT64_MAX for None): 1, or 0 when
+ * it is no int (the Python way), -1 on error. */
 static int
-recv_conn(flight_t *S, PyObject *sec, char *b, uint64_t len)
+get_limit(PyObject *sec, int f, int64_t *limit)
+{
+    long long v;
+    int rc = 1, overflow;
+    PyObject *max_len = get(sec, f);
+    if (max_len == NULL)
+        return -1;
+    *limit = INT64_MAX;  /* None: any length */
+    if (PyLong_CheckExact(max_len)) {
+        v = PyLong_AsLongLongAndOverflow(max_len, &overflow);
+        rc = v == -1 && PyErr_Occurred() ? -1 : !overflow;
+        *limit = v;
+    }
+    else if (max_len != Py_None)
+        rc = 0;  /* not an int: the Python way */
+    Py_DECREF(max_len);
+    return rc;
+}
+
+/* Either receive's connection: while the memo holds, recv-find and the
+ * claim. */
+static int
+sec_conn(flight_t *S, PyObject *sec, char *b, uint64_t len)
 {
     uint64_t base, gen, epoch;
     PyObject *found;
     int rc;
-    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
-        || (rc = get_u32(sec, RC_GEN, &gen)) <= 0
-        || (rc = get_u32(sec, RC_EPOCH, &epoch)) <= 0)
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, SB_GEN, &gen)) <= 0
+        || (rc = get_u32(sec, SB_EPOCH, &epoch)) <= 0)
         return rc;
     if (((holds_fn)KERNEL[K_HOLDS])(b, len, base, gen, epoch) != 1)
         return 0;
-    if ((found = get_tuple(sec, RC_FOUND)) == NULL)
+    if ((found = get_tuple(sec, SB_FOUND)) == NULL)
         return PyErr_Occurred() ? -1 : 0;
     rc = sec_jump(S, Py_NewRef(Py_None), found);
     Py_DECREF(found);
@@ -555,25 +622,13 @@ static int
 recv_claim(flight_t *S, PyObject *sec, char *b, uint64_t len)
 {
     uint64_t base, desc;
-    long long limit;
-    int rc, overflow;
-    PyObject *max_len, *claimed;
+    int64_t limit;
+    int rc;
+    PyObject *claimed;
     claim_t got;
-    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
-        || (rc = get_u32(sec, RC_DESC, &desc)) <= 0)
-        return rc;
-    if ((max_len = get(sec, RC_MAX_LEN)) == NULL)
-        return -1;
-    rc = 1;
-    limit = INT64_MAX;  /* None: any length */
-    if (PyLong_CheckExact(max_len)) {
-        limit = PyLong_AsLongLongAndOverflow(max_len, &overflow);
-        rc = limit == -1 && PyErr_Occurred() ? -1 : !overflow;
-    }
-    else if (max_len != Py_None)
-        rc = 0;  /* not an int: the Python way */
-    Py_DECREF(max_len);
-    if (rc <= 0)
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, RC_DESC, &desc)) <= 0
+        || (rc = get_limit(sec, RC_MAX_LEN, &limit)) <= 0)
         return rc;
     if ((claimed = get_tuple(sec, RC_CLAIMED)) == NULL)
         return PyErr_Occurred() ? -1 : 0;
@@ -616,10 +671,10 @@ drain_memo(PyObject *sec, uint64_t msg, uint64_t first, uint64_t nblk,
     uint64_t lnvc_id, seqno;
     PyObject *view, *memo = NULL, *key;
     int rc;
-    if ((rc = get_u32(sec, RC_LNVC_ID, &lnvc_id)) <= 0
+    if ((rc = get_u32(sec, SB_LNVC_ID, &lnvc_id)) <= 0
         || (rc = get_u32(sec, RC_SEQNO, &seqno)) <= 0)
         return rc;
-    if ((view = get(sec, RC_VIEW)) == NULL)
+    if ((view = get(sec, SB_VIEW)) == NULL)
         return -1;
     if (Py_TYPE(view) == TYPES[T_VIEW])
         memo = get(view, V_DRAIN_MEMO);
@@ -715,7 +770,7 @@ recv_complete(flight_t *S, PyObject *sec, char *b, uint64_t len)
     PyObject *fcfs, *retired, *reaping = NULL, *reap;
     reap_t got;
     int rc;
-    if ((rc = get_u32(sec, RC_BASE, &base)) <= 0
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
         || (rc = get_u32(sec, RC_MSG, &msg)) <= 0
         || (rc = get_u32(sec, RC_LAST, &last)) <= 0
         || (rc = get_u32(sec, RC_LENGTH, &length)) <= 0)
@@ -858,10 +913,10 @@ send_link(flight_t *S, PyObject *sec, char *b, uint64_t len)
     PyObject *linked, *seqno;
     link_t got;
     int rc;
-    if ((rc = get_u32(sec, SC_BASE, &base)) <= 0
-        || (rc = get_u32(sec, SC_GEN, &gen)) <= 0
-        || (rc = get_u32(sec, SC_EPOCH, &epoch)) <= 0
-        || (rc = get_u32(sec, SC_PID, &pid)) <= 0
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, SB_GEN, &gen)) <= 0
+        || (rc = get_u32(sec, SB_EPOCH, &epoch)) <= 0
+        || (rc = get_u32(sec, SB_PID, &pid)) <= 0
         || (rc = get_u32(sec, SC_HDR, &hdr)) <= 0
         || (rc = get_u32(sec, SC_FIRST, &first)) <= 0
         || (rc = get_u32(sec, SC_NBLK, &nblk)) <= 0
@@ -886,25 +941,312 @@ send_link(flight_t *S, PyObject *sec, char *b, uint64_t len)
     return rc;
 }
 
+/* -- the ring's stages (core/ops.py, RingSendSection, RingRecvSection) ----
+ *
+ * The same for the ring's send and receive, with the five ring kernels.
+ * A ring section's geom slot says where they find the rings (the
+ * layout's ring control, cursor and slot bases, the slot stride and the
+ * slots per ring), and a slot's payload lies RING_DATA bytes into it. */
+
+enum { RING_DATA = 128 };  /* core/structs.py, RSLOT_DATA_OFF */
+
+typedef struct {
+    uint64_t ctrl, curs, data, stride, nslots;
+} ring_t;
+
+/* sec.<f> as the ring geometry: 1 when it is a tuple of five ints in
+ * [0, 2**32), 0 when it is anything else, -1 on error. */
+static int
+get_ring(PyObject *sec, int f, ring_t *g)
+{
+    uint64_t v[5];
+    long long n;
+    int i, overflow, rc;
+    PyObject *t = get_tuple(sec, f);
+    if (t == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    rc = PyTuple_GET_SIZE(t) == 5;
+    for (i = 0; rc > 0 && i < 5; i++) {
+        PyObject *x = PyTuple_GET_ITEM(t, i);
+        if (!PyLong_CheckExact(x)) {
+            rc = 0;
+            break;
+        }
+        n = PyLong_AsLongLongAndOverflow(x, &overflow);
+        if (n == -1 && PyErr_Occurred())
+            rc = -1;
+        else if (overflow || n < 0 || n > 0xFFFFFFFFLL)
+            rc = 0;
+        else
+            v[i] = (uint64_t)n;
+    }
+    Py_DECREF(t);
+    if (rc > 0) {
+        g->ctrl = v[0];
+        g->curs = v[1];
+        g->data = v[2];
+        g->stride = v[3];
+        g->nslots = v[4];
+    }
+    return rc;
+}
+
+/* The fill (the lock held): while the tail of the payload's length is
+ * memoized and — unless the section just slept (resolved: the classic
+ * send resolved the connection once) — the connection memo holds, the
+ * next index claimed and its slot filled, then that tail (ring-claim,
+ * ring-fill, the commit, ring-commit and the release) with the sequence
+ * number as the result; a full ring ends the section with the lock held
+ * and None.  A stale or unconnected id is the Python body's: it bails. */
+static int
+rsend_fill_at(flight_t *S, PyObject *sec, char *b, uint64_t len,
+              int resolved)
+{
+    uint64_t base, pid, gen, epoch, length;
+    PyObject *data, *steps, *seqno;
+    ring_t g;
+    rfill_t got;
+    int rc;
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, SB_PID, &pid)) <= 0
+        || (rc = get_ring(sec, GS_GEOM, &g)) <= 0)
+        return rc;
+    if (!resolved
+        && ((rc = get_u32(sec, SB_GEN, &gen)) <= 0
+            || (rc = get_u32(sec, SB_EPOCH, &epoch)) <= 0
+            || (rc = ((holds_fn)KERNEL[K_HOLDS])(b, len, base, gen, epoch))
+               != 1))
+        return rc < 0 ? -1 : 0;
+    if ((data = get(sec, GS_DATA)) == NULL)
+        return -1;
+    rc = 0;
+    if (PyBytes_CheckExact(data)) {
+        length = (uint64_t)PyBytes_GET_SIZE(data);
+        if ((steps = shape_memo(sec, GS_FILLS, 0, length)) == NULL)
+            rc = PyErr_Occurred() ? -1 : 0;
+        else {
+            got = ((rfill_fn)KERNEL[K_RFILL])(b, len, g.ctrl, g.curs, g.data,
+                                              g.stride, g.nslots, base, pid,
+                                              PyBytes_AS_STRING(data),
+                                              length);
+            if (got.ok == 0)  /* a full ring: the lock stays held */
+                rc = sec_bail(S, Py_NewRef(Py_None)) < 0 ? -1 : 1;
+            else if (got.ok > 0) {
+                seqno = PyLong_FromUnsignedLong(got.seqno);
+                rc = seqno == NULL || set(sec, GS_SEQNO, seqno) < 0
+                     || set_ll(sec, GS_SEQ, got.seq) < 0
+                     || set_ll(sec, GS_SL, got.sl) < 0
+                     || set_ll(sec, GS_DEPTH, got.depth) < 0 ? -1 : 1;
+                if (rc > 0)
+                    rc = sec_jump(S, seqno, steps) < 0 ? -1 : 1;  /* steals */
+                else
+                    Py_XDECREF(seqno);
+            }
+            Py_DECREF(steps);
+        }
+    }
+    Py_DECREF(data);
+    return rc;
+}
+
+static int
+rsend_fill(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    return rsend_fill_at(S, sec, b, len, 0);
+}
+
+/* The fill again, after a sleep on a full ring. */
+static int
+rsend_refill(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    return rsend_fill_at(S, sec, b, len, 1);
+}
+
+/* The commit: the commit word stored, a message nobody is owed retired.
+ * No directive: the section goes on to ring-commit. */
+static int
+rsend_commit(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, sl, seq;
+    int rc;
+    (void)S;
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, GS_SL, &sl)) <= 0
+        || (rc = get_u32(sec, GS_SEQ, &seq)) <= 0)
+        return rc;
+    return ((rcommit_fn)KERNEL[K_RCOMMIT])(b, len, base, sl, seq) >= 0;
+}
+
+/* What a take or a claim took, stored on the section: the slot, the
+ * message's length and sequence number, the pending bit it owes and its
+ * index. */
+static int
+set_taken(PyObject *sec, rtake_t got)
+{
+    return set_ll(sec, GR_SL, got.sl) < 0
+           || set_ll(sec, GR_LENGTH, got.length) < 0
+           || set_ll(sec, GR_SEQNO, got.seqno) < 0
+           || set_ll(sec, GR_UNREAD, got.unread) < 0
+           || set_ll(sec, GR_IDX, got.idx) < 0 ? -1 : 0;
+}
+
+/* The lock-free take: while the connection memo holds (the view's
+ * connection cache, which the Python body reads, then holds the same
+ * descriptor), the message at the reader's BROADCAST cursor if it is
+ * committed, then ring-cursor and the copy; for an FCFS reader or a
+ * slot not committed yet, the acquire and the connection. */
+static int
+rrecv_take(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, gen, epoch, desc;
+    int64_t limit;
+    PyObject *hit, *missed;
+    ring_t g;
+    rtake_t got;
+    int rc;
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, SB_GEN, &gen)) <= 0
+        || (rc = get_u32(sec, SB_EPOCH, &epoch)) <= 0
+        || (rc = get_u32(sec, GR_DESC, &desc)) <= 0
+        || (rc = get_limit(sec, GR_MAX_LEN, &limit)) <= 0
+        || (rc = get_ring(sec, GR_GEOM, &g)) <= 0)
+        return rc;
+    if (((holds_fn)KERNEL[K_HOLDS])(b, len, base, gen, epoch) != 1)
+        return 0;
+    if ((hit = get_tuple(sec, GR_HIT)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if ((missed = get_tuple(sec, GR_MISSED)) == NULL) {
+        Py_DECREF(hit);
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    got = ((rtake_fn)KERNEL[K_RTAKE])(b, len, g.ctrl, g.curs, g.data,
+                                      g.stride, g.nslots, base, desc, gen,
+                                      epoch, limit);
+    if (got.got < 0)
+        rc = 0;
+    else if (got.got == 0)
+        rc = sec_jump(S, Py_NewRef(Py_None), missed) < 0 ? -1 : 1;
+    else
+        rc = set_taken(sec, got) < 0
+             || sec_jump(S, Py_NewRef(Py_None), hit) < 0 ? -1 : 1;
+    Py_DECREF(hit);
+    Py_DECREF(missed);
+    return rc;
+}
+
+/* The claim (the lock held): a BROADCAST take or the FCFS scan, then
+ * ring-cursor or ring-claim, the release and the copy; nothing to claim
+ * yet ends the section with the lock held and None. */
+static int
+rrecv_claim(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, desc;
+    int64_t limit;
+    PyObject *claimed, *tail;
+    ring_t g;
+    rtake_t got;
+    int rc;
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, GR_DESC, &desc)) <= 0
+        || (rc = get_limit(sec, GR_MAX_LEN, &limit)) <= 0
+        || (rc = get_ring(sec, GR_GEOM, &g)) <= 0)
+        return rc;
+    if ((claimed = get_tuple(sec, GR_CLAIMED)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    rc = 0;
+    if (PyTuple_GET_SIZE(claimed) == 2) {
+        got = ((rclaim_fn)KERNEL[K_RCLAIM])(b, len, g.ctrl, g.curs, g.data,
+                                            g.stride, g.nslots, base, desc,
+                                            limit);
+        tail = PyTuple_GET_ITEM(claimed, got.unread != 0);
+        if (got.got == 0)
+            rc = sec_bail(S, Py_NewRef(Py_None)) < 0 ? -1 : 1;
+        else if (got.got > 0)
+            rc = set_taken(sec, got) < 0
+                 || sec_jump(S, Py_NewRef(Py_None), tail) < 0 ? -1 : 1;
+    }
+    Py_DECREF(claimed);
+    return rc;
+}
+
+/* The copy (no lock held: the pin keeps the slot): the payload built
+ * from the slot, then the memoized tail of its length (ring-copy, the
+ * acquire and the completion) with the payload as the result. */
+static int
+rrecv_copy(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t sl, length;
+    PyObject *steps, *payload;
+    int rc;
+    if ((rc = get_u32(sec, GR_SL, &sl)) <= 0
+        || (rc = get_u32(sec, GR_LENGTH, &length)) <= 0)
+        return rc;
+    if (sl + RING_DATA + length > len)
+        return 0;
+    if ((steps = shape_memo(sec, GR_COPIES, 0, length)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    payload = PyBytes_FromStringAndSize(b + sl + RING_DATA,
+                                        (Py_ssize_t)length);
+    rc = payload == NULL || set(sec, GR_PAYLOAD, payload) < 0
+         || sec_jump(S, Py_NewRef(payload), steps) < 0 ? -1 : 1;
+    Py_XDECREF(payload);
+    Py_DECREF(steps);
+    return rc;
+}
+
+/* The completion (the lock held): the pin dropped, the retirement rule
+ * applied, the receive counted and whether a blocked sender waits for
+ * this very slot stored (wake), then ring-consume and the release.  The
+ * result stays the payload. */
+static int
+rrecv_complete(flight_t *S, PyObject *sec, char *b, uint64_t len)
+{
+    uint64_t base, sl, unread, idx, length;
+    PyObject *consumed;
+    ring_t g;
+    int64_t wake;
+    int rc;
+    if ((rc = get_u32(sec, SB_BASE, &base)) <= 0
+        || (rc = get_u32(sec, GR_SL, &sl)) <= 0
+        || (rc = get_u32(sec, GR_UNREAD, &unread)) <= 0
+        || (rc = get_u32(sec, GR_IDX, &idx)) <= 0
+        || (rc = get_u32(sec, GR_LENGTH, &length)) <= 0
+        || (rc = get_ring(sec, GR_GEOM, &g)) <= 0)
+        return rc;
+    if ((consumed = get_tuple(sec, GR_CONSUMED)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    wake = ((rcomplete_fn)KERNEL[K_RCOMPLETE])(b, len, g.nslots, base, sl,
+                                               unread, idx, length);
+    rc = 0;
+    if (wake >= 0)
+        rc = set(sec, SB_WAKE, wake ? Py_True : Py_False) < 0
+             || sec_jump(S, NULL, consumed) < 0 ? -1 : 1;
+    Py_DECREF(consumed);
+    return rc;
+}
+
 /* A Stage's call (core/ops.py): 1 when the stage ran here, 0 when its
  * Python body must run, -1 on error.  The table is indexed by the stage's
- * kind, each row naming the section class it runs over and that class's
- * segment slot; a probe's stages lie past it. */
+ * kind, each row naming the section class it runs over (a row of
+ * Section's runs over any section); a probe's stages lie past it. */
 static int
 run_stage(flight_t *S, seg_t *G, PyObject *stage)
 {
     typedef int (*stage_fn)(flight_t *, PyObject *, char *, uint64_t);
     static const struct {
         stage_fn run;
-        int type, seg;
+        int type;
     } STAGE[] = {
-        {recv_conn, T_RSEC, RC_SEG}, {recv_claim, T_RSEC, RC_SEG},
-        {recv_drain, T_RSEC, RC_SEG}, {recv_complete, T_RSEC, RC_SEG},
-        {recv_free, T_RSEC, RC_SEG}, {send_alloc, T_SSEC, SC_SEG},
-        {send_fill, T_SSEC, SC_SEG}, {send_link, T_SSEC, SC_SEG}};
+        {sec_conn, T_SEC}, {recv_claim, T_RSEC}, {recv_drain, T_RSEC},
+        {recv_complete, T_RSEC}, {recv_free, T_RSEC}, {send_alloc, T_SSEC},
+        {send_fill, T_SSEC}, {send_link, T_SSEC}, {rsend_fill, T_GSEC},
+        {rsend_refill, T_GSEC}, {rsend_commit, T_GSEC},
+        {rrecv_take, T_GREC}, {rrecv_claim, T_GREC}, {rrecv_copy, T_GREC},
+        {rrecv_complete, T_GREC}};
     long long kind;
     uint64_t len;
     const char *b;
+    PyTypeObject *type;
     PyObject *sec, *seg;
     int rc;
     if (KERNEL[K_CLAIM] == NULL)
@@ -916,8 +1258,9 @@ run_stage(flight_t *S, seg_t *G, PyObject *stage)
     if ((sec = get(stage, RS_SEC)) == NULL)
         return -1;
     rc = 0;
-    if (Py_TYPE(sec) == TYPES[STAGE[kind].type]) {
-        if ((seg = get(sec, STAGE[kind].seg)) == NULL)
+    type = TYPES[STAGE[kind].type];
+    if (Py_TYPE(sec) == type || Py_TYPE(sec)->tp_base == type) {
+        if ((seg = get(sec, SB_SEG)) == NULL)
             rc = -1;
         else {
             b = seg_bytes(G, seg, &len);

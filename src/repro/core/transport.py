@@ -21,9 +21,14 @@ The transport is chosen per circuit at creation time
 :attr:`~repro.core.layout.MPFConfig.transports` overrides by name) and
 recorded in the LNVC's ``transport`` field (0 free-list,
 :data:`~repro.core.structs.RING_TAG` ring); :mod:`repro.core.ops`
-dispatches send and receive on that one u32, and a check's
+dispatches send and receive on that one u32 — each transport's send and
+receive is one cached section there, the ring's
+:class:`~repro.core.ops.RingSendSection` and
+:class:`~repro.core.ops.RingRecvSection`, whose stages call the ring
+kernels of :mod:`repro.core.chains` — and a check's
 :class:`~repro.core.ops.PollWalk` reads it once, when it is built, to
-count with :func:`ring_count`.  Both transports speak
+count with :func:`ring_count`.  This module keeps what a circuit's
+lifecycle does to its ring.  Both transports speak
 the same protocol: same primitives, same blocking semantics, same
 retirement rule, same observability hooks.
 
@@ -51,21 +56,13 @@ lock and *models* the coherence cost of the lock-free original
 
 from __future__ import annotations
 
-from . import chains as _chains
 from .chains import _ring_retire_check
-from .effects import ChargeMany, OpGen, _release_and_raise, charge
-from .errors import (
-    BufferOverflowError,
-    NotConnectedError,
-    OutOfDescriptorsError,
-    OutOfMessageMemoryError,
-    UnknownLNVCError,
-)
+from .effects import OpGen, _release_and_raise, charge
+from .errors import OutOfDescriptorsError, OutOfMessageMemoryError
 from .freelist import fl_alloc, fl_free
 from .layout import HDR
-from .protocol import FIRST_LNVC_LOCK, GLOBAL_LOCK, NIL, SLOT_BITS
+from .protocol import GLOBAL_LOCK, NIL
 from .structs import (
-    CACHE_LINE,
     LNVC,
     RCUR,
     RECV,
@@ -73,19 +70,15 @@ from .structs import (
     RING_READERS,
     RING_TAG,
     RSLOT,
-    RSLOT_DATA_OFF,
     RSLOT_PENDING_OFF,
     RS_FCFS_AVAILABLE,
     RS_FCFS_TAKEN,
     RS_RETIRED,
 )
-from .work import Work
 
 __all__ = [
     "RING_READS",
     "RING_STORES",
-    "ring_send",
-    "ring_receive",
     "ring_count",
     "ring_attach",
     "ring_release",
@@ -93,9 +86,7 @@ __all__ = [
     "ring_unregister_reader",
 ]
 
-# Constant-folded field offsets, as in ops.py: the ring primitives run
-# once per message in figure sweeps.
-_L_NMSGS = LNVC.offsets["nmsgs"]
+# Constant-folded field offsets, as in ops.py.
 _L_RING = LNVC.offsets["ring"]
 
 _RG_NEXT_WRITE = RING.offsets["next_write"]
@@ -126,16 +117,6 @@ RING_STORES = {
     "rslot_pins": RING_READS["rslot_pins"],
     "rcur": RING_READS["rcur"],
 }
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _lines(length: int) -> int:
-    """Cache lines one message touches: header + bitmap + payload."""
-    return 2 + (length + CACHE_LINE - 1) // CACHE_LINE
 
 
 # ---------------------------------------------------------------------------
@@ -252,171 +233,9 @@ def ring_unregister_reader(view, base: int, desc: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hot primitives (dispatched to from ops.message_send / message_receive
-# when the circuit's transport field says "ring"; ops.PollWalk counts)
+# the check's count (ops.PollWalk runs it; the send and receive are the
+# sections of core/ops.py, RingSendSection and RingRecvSection)
 # ---------------------------------------------------------------------------
-
-
-def ring_send(view, pid: int, slot: int, base: int, lnvc_id: int, data: bytes,
-              prelude: Work | None = None) -> OpGen:
-    """message_send over the ring transport (``slot`` is ``lnvc_id``'s,
-    inside the table, ``base`` its descriptor's offset — what the
-    dispatch in :mod:`repro.core.ops` has worked out already).
-
-    Claim an index, fill the slot and store the commit word in ONE
-    circuit-lock section, then wake.  A single section matters: the
-    sender queues behind the receiver herd's lock sections once per
-    message — exactly as often as the free-list sender queues for its
-    link step — so it can run ahead and build a backlog instead of
-    lock-stepping with its readers.  (Holding the lock across the fill
-    also makes the pending snapshot exact: no reader can register or
-    close mid-fill.)  Blocks (WaitOn) when the ring is full —
-    backpressure where the free-list transport raises
-    ``OutOfMessageMemoryError``.
-
-    The section's work is two kernel calls (:mod:`repro.core.chains`):
-    the claim and fill, and the commit, which stores the commit word
-    only once the fill's charge has been yielded — a lock-free reader
-    on the simulator sees the message no earlier in simulated time than
-    the fill ends.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError("message payload must be bytes-like")
-    data = bytes(data)
-    c = view.costs
-    cfg = view.cfg
-    length = len(data)
-    if length > cfg.ring_slot_bytes:
-        raise BufferOverflowError(
-            f"{length}-byte message exceeds ring slot capacity "
-            f"of {cfg.ring_slot_bytes} bytes"
-        )
-    probe = view.probe
-    t_entry = probe.now() if probe is not None else 0.0
-    if prelude is None:
-        yield view._ring_send_fixed
-    else:
-        yield ChargeMany((prelude, view._ring_send_fixed_work))
-
-    yield view._acq[slot]
-    try:
-        steps = view.send_conn(pid, lnvc_id)
-    except (UnknownLNVCError, NotConnectedError) as exc:
-        yield from _release_and_raise([FIRST_LNVC_LOCK + slot], exc)
-
-    # Claim and fill: wait until the target slot's previous tenant has
-    # retired.  The fill is still under the lock, so the pending
-    # snapshot stays exact (nobody can open or close a receive
-    # connection mid-fill), and no reader can see it before the commit.
-    kernels = _chains.ACTIVE
-    while True:
-        claimed = kernels.ring_fill(view, base, pid, data)
-        if claimed is not None:
-            break
-        yield view._waiton[slot]
-        yield view._recv_wakeup
-    seq, sl, seqno, depth = claimed
-    yield view._ring_claim
-    t_claim = probe.now() if probe is not None else 0.0
-    yield charge(
-        length * c.copy_byte + _lines(length) * c.cacheline_xfer
-        + steps * c.list_step,
-        "ring-fill", length, 0, view.layout.ring_stride)
-    t_fill = probe.now() if probe is not None else 0.0
-
-    # Commit: store the commit word, retire a degenerate message whose
-    # audience is empty, release the single lock section.
-    kernels.ring_commit(view, base, sl, seq)
-    yield view._ring_commit
-    yield view._rel[slot]
-    if probe is not None:
-        probe.msg_sent(pid, slot, lnvc_id >> SLOT_BITS, seqno, length,
-                       _lines(length), depth, t_entry, t_claim, t_fill,
-                       occupancy=depth)
-    yield view._wake[slot]
-    return seqno
-
-
-def ring_receive(view, pid: int, slot: int, base: int, lnvc_id: int,
-                 max_len: int | None = None) -> OpGen:
-    """message_receive over the ring transport (``slot``, ``base``: as
-    for :func:`ring_send`).
-
-    A BROADCAST reader takes committed slots on a *lock-free* fast
-    path — the mpsoc read side.  Its cursor is private (one cache line,
-    written only by this reader), the commit word ``seq == index + 1``
-    is self-validating, and its pending bit already pins the slot
-    against retirement until the completion section clears it, so
-    observing and claiming a committed message needs no lock at all.
-    The take is valid only on a connection-cache hit: our own receive
-    connection being open is what forbids circuit deletion and
-    generation reuse, and the epoch check proves the cached descriptor
-    offset is what a fresh (locked) walk would find.  The circuit lock
-    is taken only to park race-free when the cursor has caught up with
-    the sender (check-then-WaitOn under the lock, so the sender's
-    commit+wake cannot be lost) and for the completion section.
-
-    An FCFS reader always goes through the lock: it advances the
-    *shared* ``fcfs_next`` cursor and pins its slot with the ``busy``
-    count while copying.
-
-    Either way the payload copy runs outside the circuit lock, exactly
-    as in the free-list transport.  Take, claim and completion are one
-    kernel call each (:mod:`repro.core.chains`).
-    """
-    c = view.costs
-    probe = view.probe
-    t_entry = probe.now() if probe is not None else 0.0
-    lock = FIRST_LNVC_LOCK + slot
-    yield view._ring_recv_fixed
-
-    kernels = _chains.ACTIVE
-    taken = kernels.ring_take(view, base, pid, lnvc_id, max_len)
-    if taken is not None:
-        yield view._ring_cursor
-        t_claim = probe.now() if probe is not None else 0.0
-    else:
-        yield view._acq[slot]
-        try:
-            desc, steps = view.recv_conn(pid, lnvc_id)
-        except (UnknownLNVCError, NotConnectedError) as exc:
-            yield from _release_and_raise([lock], exc)
-        yield charge(steps * c.list_step, "recv-find")
-        while True:
-            try:
-                taken = kernels.ring_claim(view, base, desc, max_len)
-            except BufferOverflowError as exc:
-                yield from _release_and_raise([lock], exc)
-            if taken is not None:
-                break
-            yield view._waiton[slot]
-            yield view._recv_wakeup
-        # (a BROADCAST take owes a pending bit, an FCFS claim none)
-        yield view._ring_cursor if taken[3] else view._ring_claim
-        t_claim = probe.now() if probe is not None else 0.0
-        yield view._rel[slot]
-    sl, length, seqno, unread, idx = taken
-
-    # Copy phase — concurrent with other readers of the same slot.
-    payload = view.region.read(sl + RSLOT_DATA_OFF, length)
-    yield charge(length * c.copy_byte + _lines(length) * c.cacheline_xfer,
-                 "ring-copy", length)
-    t_drain = probe.now() if probe is not None else 0.0
-
-    # Completion: drop the pin (busy for FCFS, our pending bit for
-    # BROADCAST), retire, count; wake a sender only if it waits for
-    # this very slot.
-    yield view._acq[slot]
-    wake_sender = kernels.ring_complete(view, base, sl, unread, idx, length)
-    yield view._ring_consume
-    yield view._rel[slot]
-    if wake_sender:
-        yield view._wake[slot]
-    if probe is not None:
-        probe.msg_received(pid, slot, lnvc_id >> SLOT_BITS, seqno, length,
-                           not unread, t_entry, t_claim, t_drain,
-                           occupancy=view.region.u32(base + _L_NMSGS))
-    return payload
 
 
 def ring_count(view, base: int, fcfs: bool, bit: int) -> int:

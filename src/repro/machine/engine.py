@@ -37,7 +37,8 @@ from ..core.effects import (
     WaitOn,
     Wake,
 )
-from ..core.ops import MPFView, PollWalk, RecvSection, SendSection, Stage
+from ..core.ops import (MPFView, PollWalk, RecvSection, RingRecvSection,
+                        RingSendSection, Section, SendSection, Stage)
 from ..core.work import Work
 from .bus import BusModel
 from .cache import CacheModel
@@ -756,7 +757,7 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     and ``-ffp-contract=off`` (no multiply-add is fused, so every float
     expression rounds as Python's does), the section runner it includes
     (``core/sections.c``) in its hash, bound to this module's classes,
-    the timing models', the poll walk's and the two sections', and
+    the timing models', the poll walk's and the four sections', and
     to the kernels of ``kernels`` it calls itself
     (:attr:`~repro.core.chains.Kernels.addresses`; by default
     :data:`repro.core.chains.C`: the loop knows no segment layout, the
@@ -770,7 +771,8 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
         return None
     kernels = kernels or chains.C
     lib.bind(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
-             Wake, PollWalk, Stage, RecvSection, SendSection, MPFView, Work,
+             Wake, PollWalk, Stage, RecvSection, SendSection, RingSendSection,
+             RingRecvSection, Section, MPFView, Work,
              SimProcess, _SimLock, _WaitChannel, BusModel, CacheModel,
              VmModel, SimulationError, _RUNNABLE, _WAIT_LOCK, _WAIT_CHAN,
              _DONE, _FAILED, None if kernels is None else kernels.addresses)

@@ -866,8 +866,9 @@ drive(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* classes(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn,
- * Wake, PollWalk, Stage, RecvSection, SendSection, MPFView, FIRST_LNVC_LOCK,
- * LockOwnerDiedError, kernel addresses or None): what drive dispatches
+ * Wake, PollWalk, Stage, RecvSection, SendSection, RingSendSection,
+ * RingRecvSection, Section, MPFView, FIRST_LNVC_LOCK, LockOwnerDiedError,
+ * kernel addresses or None): what drive dispatches
  * on and reads, what a dead lock owner raises, and the kernels the
  * section runner calls. */
 static PyObject *
@@ -877,7 +878,7 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     int i;
 
     if (nargs != N_TYPES + 3) {
-        PyErr_SetString(PyExc_TypeError, "classes(12 classes, first lock, "
+        PyErr_SetString(PyExc_TypeError, "classes(15 classes, first lock, "
                         "error class, kernel addresses or None)");
         return NULL;
     }
@@ -900,7 +901,8 @@ classes(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"classes", (PyCFunction)(void (*)(void))classes, METH_FASTCALL,
      "classes(Charge, ChargeMany, Acquire, Release, FusedSection, WaitOn, "
-     "Wake, PollWalk, Stage, RecvSection, SendSection, MPFView, "
+     "Wake, PollWalk, Stage, RecvSection, SendSection, RingSendSection, "
+     "RingRecvSection, Section, MPFView, "
      "FIRST_LNVC_LOCK, LockOwnerDiedError, kernels): what drive() "
      "dispatches on and calls."},
     {"drive", (PyCFunction)(void (*)(void))drive, METH_FASTCALL,

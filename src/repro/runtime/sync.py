@@ -138,12 +138,13 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
     """``sync.c`` built (or found) in ``where`` by
     :func:`repro.core.chains.build_extension` with the kernels' flags,
     the section runner it includes (``core/sections.c``) in its hash, and
-    bound to the effect classes, the poll walk's and the receive and
-    send sections', and to the kernels of ``kernels`` its runner calls
+    bound to the effect classes, the poll walk's and the four message
+    sections', and to the kernels of ``kernels`` its runner calls
     (:attr:`~repro.core.chains.Kernels.addresses`; by default
     :data:`repro.core.chains.C`, as the engine's); ``None`` where it
     cannot be built."""
-    from ..core.ops import MPFView, PollWalk, RecvSection, SendSection, Stage
+    from ..core.ops import (MPFView, PollWalk, RecvSection, RingRecvSection,
+                            RingSendSection, Section, SendSection, Stage)
 
     here = Path(__file__).parent
     lib = chains.build_extension(
@@ -153,7 +154,7 @@ def _load(where: Path = Path(__file__).parent, kernels=None):
         kernels = kernels or chains.C
         lib.classes(Charge, ChargeMany, Acquire, Release, FusedSection,
                     WaitOn, Wake, PollWalk, Stage, RecvSection, SendSection,
-                    MPFView,
+                    RingSendSection, RingRecvSection, Section, MPFView,
                     FIRST_LNVC_LOCK, LockOwnerDiedError,
                     None if kernels is None else kernels.addresses)
     return lib

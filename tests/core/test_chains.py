@@ -85,7 +85,8 @@ def test_the_c_offsets_are_the_records_offsets():
     ring slot (``S_PENDING`` its bitmap, ``S_DATA`` its payload), ``C_``
     reader cursor (``_SIZE``: the record's size, or for ``L_`` the end
     of its fields), ``P_`` protocol, ``F_`` flag, ``RS_`` slot state
-    bit, and ``READERS`` readers per ring."""
+    bit, and ``READERS`` readers per ring; ``sections.c`` spells one,
+    ``RING_DATA``, a slot's payload."""
     found = _c_constants()
     records = {"L": (LNVC.offsets, LNVC.tail_off),
                "M": (MSG.offsets, MSG.size), "R": (RECV.offsets, RECV.size),
@@ -111,6 +112,9 @@ def test_the_c_offsets_are_the_records_offsets():
         assert value == want, constant
     assert len(found) >= 60
     assert set(bits) <= set(found)
+    # the section runner's one offset: where a ring slot's payload lies
+    assert re.findall(r"\bRING_DATA = (\d+)\b", chains.SECTIONS.read_text()
+                      ) == [str(RSLOT_DATA_OFF)]
 
 
 @pytest.mark.parametrize("slots, slot_bytes, lnvcs", [

@@ -75,7 +75,18 @@ the send's generator is resumed twice (the section's result, the
 ``Wake``) and reads one word, its transport's.  The Python set's free
 list went to 115 + 273 (135 + 287): ``effects.unfold`` builds each
 step's effect once (``_STEP_MEMO``, keyed by identity, so that no
-``Work`` hash or equality runs) instead of per step.
+``Work`` hash or equality runs) instead of per step.  The ring's send
+and receive as sections on every runtime took the C set's ring to 16 +
+5 and 2, with no payload mover (44 + 12 and 3, one mover, at f8a2aa3,
+counted before the first edit): ``sync.c``'s drive runs their fill,
+commit, take, claim, copy and completion stages with the ring kernels,
+the copy into a ``bytes`` it builds, so a ring pair resumes its
+generators as a free-list pair does.  Both transports' sends skip the
+``isinstance`` of a payload that is exactly ``bytes`` (the free list's
+C calls 6 → 5 per pair), and a ring send tests a payload against the
+slot size by slicing it, not with ``len``.  The Python set's ring went
+to 74 + 65 (86 + 65): the ring's stages through ``effects.unfold``
+resume fewer generators than its classic effects did.
 Lower ``PINNED`` when a change makes the path lighter; a change that
 needs to raise it says why in its PR.  ``python
 tests/core/test_host_cost.py`` (``make hostcost``) prints the table, the
@@ -268,44 +279,44 @@ PARENT = {
 }
 
 #: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
-#: the C kernels, per pair 16 Python + 6 C calls and 2 accessor calls on
-#: the free list (238 + 340 and 99 at the parent), 44 + 12 and 3 on the
+#: the C kernels, per pair 16 Python + 5 C calls and 2 accessor calls on
+#: the free list (238 + 340 and 99 at the parent), 16 + 5 and 2 on the
 #: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
 #: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
 #: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8, 63 + 16 at 1d093b6,
-#: 48 + 18 and 4 at 475ceb3, 34 + 11 and 3 at c462b33 (see the module
-#: docstring).  On the Python kernels, 115 + 273 and 38 on the free list
-#: (123 + 243 at fb1699e, 119 + 243 at 1d093b6, 135 + 287 at c462b33), and
-#: 86 + 65 (73 + 46 at 1d093b6) and 35 on the
-#: ring, where fb1699e's generators made 70 + 43 and 33: the generator
-#: now calls one reference per section (fill, commit, take and its
-#: cursor take, completion: five entries more, the retirement check was
-#: one already), and two words are read again across a section's
-#: boundary — the commit reads the pending bitmap the fill stored, the
-#: completion the circuit's ring word the take read.
+#: 48 + 18 and 4 at 475ceb3, 34 + 11 and 3 at c462b33, 16 + 6 and 2 and
+#: the ring's 44 + 12 and 3 at f8a2aa3 (see the module docstring).  On
+#: the Python kernels, 115 + 272 and 38 on the free list (123 + 243 at
+#: fb1699e, 119 + 243 at 1d093b6, 135 + 287 at c462b33, 115 + 273 at
+#: f8a2aa3), and 74 + 65 (73 + 46 at 1d093b6, 86 + 65 at f8a2aa3) and 35
+#: on the ring, where fb1699e's generators made 70 + 43 and 33: the
+#: sections call one reference per stage (fill, commit, take and its
+#: cursor take, claim, completion), and two words are read again across
+#: a stage's boundary — the commit reads the pending bitmap the fill
+#: stored, the completion the circuit's ring word the take read.
 PINNED = {
     "c": {
-        "freelist": {"py": 960, "c": 360, "work_inits": 0,
+        "freelist": {"py": 960, "c": 300, "work_inits": 0,
                      "words16": 120, "bulk16": 0},
-        "ring": {"py": 2640, "c": 720, "work_inits": 0,
-                 "words16": 180, "bulk16": 60},
+        "ring": {"py": 960, "c": 300, "work_inits": 0,
+                 "words16": 120, "bulk16": 0},
     },
     "python": {
-        "freelist": {"py": 6900, "c": 16380, "work_inits": 0,
+        "freelist": {"py": 6900, "c": 16320, "work_inits": 0,
                      "words16": 2280, "bulk16": 120},
-        "ring": {"py": 5160, "c": 3900, "work_inits": 0,
+        "ring": {"py": 4440, "c": 3900, "work_inits": 0,
                  "words16": 2100, "bulk16": 120},
     },
 }
 
-#: Accessor calls a 16 B pair may make on the C kernels.  The free
-#: list's 2 are the send's and the receive's transport dispatch word
-#: (their lock sections are C kernels, whose loads and stores the region
-#: does not see, and both connection checks are the section runner's).  The ring's 3 are the send's dispatch word and connection check
-#: and the receive's dispatch word: its lock-free take checks the
-#: connection cache in C (33 at fb1699e: 14 for the send's section, 10
-#: for the take, 9 for the completion).
-WORDS16_PER_PAIR = {"freelist": 2, "ring": 3}
+#: Accessor calls a 16 B pair may make on the C kernels: on either
+#: transport the send's and the receive's transport dispatch word (their
+#: lock sections are C kernels, whose loads and stores the region does
+#: not see, and both connection checks are the section runner's).  The
+#: ring's were 3 at f8a2aa3 (its send's connection check read a word)
+#: and 33 at fb1699e (14 for the send's section, 10 for the take, 9 for
+#: the completion).
+WORDS16_PER_PAIR = {"freelist": 2, "ring": 2}
 
 #: Stores over block link words per free-list pair, by message size:
 #: counted at cc8178e before the first edit (every link once by the

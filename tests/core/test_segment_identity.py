@@ -41,6 +41,7 @@ import pytest
 
 from repro import ThreadRuntime
 from repro.core import chains, ops, transport
+from repro.core.effects import S_ACQ, S_CALL
 from repro.core.errors import (
     BufferOverflowError,
     NotConnectedError,
@@ -467,11 +468,19 @@ def test_lock_free_reads_take_the_commit_word_first():
     # the only run it stores is the reader's own
     assert [a for _, a in stores] == ["_wr_rcur"]
     assert commit < stores[0][0]
-    # The generator takes before it locks anything.
-    fn = fns["ring_receive"]
-    assert _first_line(fn, lambda n: isinstance(n, ast.Attribute)
-                       and n.attr == "ring_take") < _first_line(
-        fn, lambda n: isinstance(n, ast.Attribute) and n.attr == "_acq")
+    # The receive section takes before it locks anything: its head's
+    # take stage (which calls the lock-free take and stores nothing of
+    # its own) comes before any acquire.
+    fn = fns["_rrecv_take"]
+    assert _first_line(fn, _reader("ring_take"))
+    assert not _attrs(fn, "_wr_") and not _attrs(fn, "_acq")
+    view = make_view(transport="ring")
+    cid = DirectRunner(view).run(ops.open_send(view, 0, "c"))
+    steps = ops.RingRecvSection(view, 0, cid).head.steps
+    calls = [i for i, (op, arg) in enumerate(steps) if op == S_CALL]
+    acquires = [i for i, (op, _) in enumerate(steps) if op == S_ACQ]
+    assert ops._STAGES[steps[calls[0]][1].kind] is ops._rrecv_take
+    assert all(calls[0] < i for i in acquires)
 
 
 def _c_function(source, name):

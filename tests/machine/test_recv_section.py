@@ -13,9 +13,12 @@ them.  Then the edge cases on both engine loops (a deleted circuit's old
 id, a record reading not in use, a completion the kernel refuses — the C
 loop runs the stages with the kernels, the Python loop their bodies),
 two receives as one pid, and that no section outlives a run or a closed
-client.  ``tests/properties/test_engine_properties.py`` holds the two
+client.  The ring's send and receive are sections on every runtime too,
+and a real pipe runs their stages in C.
+``tests/properties/test_engine_properties.py`` holds the two
 engine loops to each other on generated programs, and
-``tests/properties/test_sync_properties.py`` the two drives.
+``tests/properties/test_sync_properties.py`` the two drives (the ring's
+stages on both C loops).
 """
 
 import contextlib
@@ -40,7 +43,7 @@ from repro.core.protocol import ALLOC_LOCK, FIRST_LNVC_LOCK, NIL
 from repro.core.structs import LNVC, MSG
 from repro.machine import engine
 from repro.machine.engine import Engine
-from repro.patterns import select_receive
+from repro.patterns import barrier, select_receive
 from repro.runtime.blocking import MPFSystem
 from repro.runtime.sim import SimRuntime
 from repro.testing import DirectRunner, make_view
@@ -479,6 +482,84 @@ def test_a_thread_run_or_a_closed_client_leaves_no_section_behind():
 
     assert _sections_left(threads) == []
     assert _sections_left(client) == []
+
+
+@pytest.mark.parametrize("runtime", ["sim", "threads", "procs"])
+def test_the_ring_send_and_receive_are_sections_on_every_runtime(runtime):
+    """A ring send and receive each leave their section in the view's
+    caches, whichever runtime drives them."""
+    from repro import ProcRuntime
+
+    def worker(env):
+        cid = yield from env.open_send("c")
+        rid = yield from env.open_receive("c", BROADCAST)
+        yield from env.message_send(cid, b"x")
+        assert (yield from env.message_receive(rid)) == b"x"
+        view = env.view
+        return [type(s).__name__ for s in (*view._fs_send_cache.values(),
+                                           *view._fs_recv_cache.values())]
+
+    rt = {"sim": SimRuntime, "threads": ThreadRuntime,
+          "procs": ProcRuntime}[runtime]()
+    got = rt.run([worker], cfg=MPFConfig(max_lnvcs=4, max_processes=2,
+                                         transport="ring"))
+    assert got.results["p0"] == ["RingSendSection", "RingRecvSection"]
+
+
+@pytest.mark.parametrize("runtime", ["threads", "procs"])
+def test_a_ring_pipe_runs_its_stages_in_c(runtime):
+    """Without a recorder, ``sync.c``'s drive runs nearly every stage of
+    a ring pipe's sends and receives in C: only a fresh section's first
+    stages, which fill its memos, are the Python bodies'.  The pipe
+    sends 600 BROADCAST messages of 16, 256 and 2048 B over a ring of 8
+    slots, at most 16 ahead of the receiver, who returns 8 credits per
+    message on a second ring circuit: the sender finds the data ring
+    full, and its FCFS receives find the credit ring empty."""
+    from repro import ProcRuntime
+    from repro.runtime import sync as sync_mod
+
+    if sync_mod.C_SYNC is None or chains.ACTIVE.name != "c":
+        pytest.skip("no C sync on this host")
+    n, window, credit = 600, 16, 8
+    sizes = [(16, 256, 2048)[i % 3] for i in range(n)]
+
+    def sender(env):
+        out = yield from env.open_send("data")
+        ack = yield from env.open_receive("ack", FCFS)
+        # (a BROADCAST reader joins at the tail: sent before it opened,
+        # a message would wait for an FCFS reader and fill the ring)
+        yield from barrier(env, "go", 2)
+        credits = window
+        for i, size in enumerate(sizes):
+            if not credits:
+                yield from env.message_receive(ack)
+                credits = credit
+            yield from env.message_send(out, bytes([i & 0xFF]) * size)
+            credits -= 1
+        yield from barrier(env, "done", 2)
+
+    def receiver(env):
+        got = yield from env.open_receive("data", BROADCAST)
+        ack = yield from env.open_send("ack")
+        yield from barrier(env, "go", 2)
+        for i, size in enumerate(sizes):
+            assert (yield from env.message_receive(got)) == (
+                bytes([i & 0xFF]) * size)
+            if i % credit == credit - 1:
+                yield from env.message_send(ack, b"k")
+        yield from barrier(env, "done", 2)
+        return n
+
+    rt = (ThreadRuntime if runtime == "threads" else ProcRuntime)(
+        join_timeout=60)
+    result = rt.run([sender, receiver],
+                    cfg=MPFConfig(max_lnvcs=6, max_processes=2,
+                                  transport="ring", ring_slots=8,
+                                  ring_slot_bytes=2048))
+    assert result.results["p1"] == n
+    ran = [sum(c[k] for c in result.sync.values())
+           for k in ("stages_c", "stages_py")]
+    assert ran[1] <= 0.02 * sum(ran) and sum(ran) >= 5 * n, ran
 
 
 @pytest.mark.parametrize("runtime", ["threads", "procs"])

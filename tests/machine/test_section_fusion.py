@@ -3,14 +3,14 @@
 The engine can retire a run of protocol steps as one
 :class:`~repro.core.effects.FusedSection` effect and fast-forward the
 clock across steps no other process can observe.  The producers are
-``ops.poll_receive``'s idle wait, ``check_receive`` and the free-list
-``message_send`` and ``message_receive``; the other primitives are
-classic generators on every runtime.  All of it is gated on byte-identity with
+``ops.poll_receive``'s idle wait, ``check_receive``, ``message_send``
+and ``message_receive``; open and close are classic generators on
+every runtime.  All of it is gated on byte-identity with
 classic stepping; this module pins the load-bearing guarantees:
 
-* a ring send and a ring receive yield only classic effects; a
-  free-list send (and its ``Wake``), a free-list receive, a check and a
-  poll are each one section built from the surviving step vocabulary;
+* a send (and its ``Wake``), a receive, a check and a poll are each
+  one section built from the surviving step vocabulary, on either
+  transport;
 * reduced fig4 + fig6 sweeps are byte-identical with poll sections and
   with every poll run through the per-check loop;
 * a causal tracer sees the identical event stream and sojourn
@@ -38,10 +38,8 @@ from repro.core.effects import (
     S_REL,
     Acquire,
     Charge,
-    ChargeMany,
     FusedSection,
     Release,
-    WaitOn,
     Wake,
 )
 from repro.core.protocol import ALLOC_LOCK, BROADCAST, FCFS
@@ -53,7 +51,6 @@ from repro.obs import Recorder, sojourn_stats
 from repro.testing import make_view
 
 
-_CLASSIC = (Acquire, Release, Charge, ChargeMany, WaitOn, Wake)
 _STEP_OPS = {S_CHARGE, S_MANY, S_ACQ, S_REL, S_CALL}
 
 
@@ -98,31 +95,29 @@ def _run_section(section, held):
 
 
 @pytest.mark.parametrize("transport", ["freelist", "ring"])
-def test_the_free_list_send_and_receive_are_sections(transport):
-    """A ring send and a ring receive yield classic effects; a free-list
-    send is one section and its ``Wake``, a free-list receive is one
-    section, and so is a check on either transport (a prelude is the
-    head's first step)."""
+def test_the_send_and_receive_are_sections(transport):
+    """On either transport a send is one section and its ``Wake``, a
+    receive is one section, and so is a check (a prelude is the head's
+    first step); a ring receive's head takes lock-free before it
+    acquires anything."""
     view = make_view(transport=transport)
-    seen = []
     _drive(ops.open_send(view, 0, "c"), [])
     cid = _drive(ops.open_receive(view, 0, "c", BROADCAST), [])
     prelude = Work(instrs=3, label="app-compute")
     send = ops.message_send(view, 0, cid, b"payload", prelude)
     lock = view.lnvc_lock(ops.decode_lnvc_id(cid)[0])
-    if transport == "ring":  # a classic send
-        _drive(send, seen)
-    else:
-        section = next(send)
-        assert section.__class__ is FusedSection
-        assert section.steps[:2] == (
-            (S_MANY, (prelude, view._send_fixed_work)), (S_ACQ, ALLOC_LOCK))
-        held = []
-        assert _run_section(section, held) == 0 and held == []
-        assert send.send(0) == Wake(ops.decode_lnvc_id(cid)[0])
-        with pytest.raises(StopIteration) as done:
-            next(send)
-        assert done.value.value == 0
+    section = next(send)
+    assert section.__class__ is FusedSection
+    assert section.steps[:2] == (
+        ((S_MANY, (prelude, view._ring_send_fixed_work)), (S_ACQ, lock))
+        if transport == "ring" else
+        ((S_MANY, (prelude, view._send_fixed_work)), (S_ACQ, ALLOC_LOCK)))
+    held = []
+    assert _run_section(section, held) == 0 and held == []
+    assert send.send(0) == Wake(ops.decode_lnvc_id(cid)[0])
+    with pytest.raises(StopIteration) as done:
+        next(send)
+    assert done.value.value == 0
     # One section each, from the fixed charge to the last release: the
     # generator is resumed once, with the result.
     for op, first, result in (
@@ -132,21 +127,17 @@ def test_the_free_list_send_and_receive_are_sections(transport):
             (lambda: ops.check_receive(view, 0, cid),
              (S_CHARGE, view._check_fixed_work), 0)):
         op = op()
-        if first is None and transport == "ring":  # a classic receive
-            assert _drive(op, seen) == result
-            continue
         section = next(op)
         assert section.__class__ is FusedSection
         if first is not None:
             assert section.steps[:2] == (first, (S_ACQ, lock))
+        elif transport == "ring":
+            assert [o for o, _ in section.steps] == [S_CHARGE, S_CALL]
         held = []
         assert _run_section(section, held) == result and held == []
         with pytest.raises(StopIteration) as done:
             op.send(result)
         assert done.value.value == result
-    # the ring's classic send and receive
-    assert bool(seen) == (transport == "ring")
-    assert all(e.__class__ in _CLASSIC for e in seen)
 
 
 def test_a_poll_is_one_section_of_the_surviving_step_vocabulary():

@@ -227,3 +227,31 @@ def test_c_ring_kernels_match_the_python_reference_on_every_corruption(
                     ran += _same(c_kernels, kernel, receivers, sizes, reads,
                                  9, None, pid, pid == 3, (target, pid, value))
     assert ran == len(KERNELS) * 3 * len(TARGETS) * N_BAD
+
+
+def test_c_fcfs_claim_past_messages_no_fcfs_reader_is_owed(c_kernels):
+    """An FCFS reader that joins after BROADCAST-only messages: its claim
+    scans past them, finds nothing and stores the shared cursor where
+    its scan stopped — the C kernel's own answer, as the reference's."""
+    view = make_view(max_lnvcs=2, max_processes=3, transport="ring",
+                     ring_slots=SLOTS, ring_slot_bytes=SLOT_BYTES)
+    runner = DirectRunner(view)
+    sid = runner.run(ops.open_send(view, 0, "c"))
+    runner.run(ops.open_receive(view, 1, "c", BROADCAST))
+    for salt in range(2):
+        runner.run(ops.message_send(view, 0, sid, bytes([salt]) * 8))
+    runner.run(ops.open_receive(view, 2, "c", FCFS))
+    desc, _ = view.recv_conn(2, sid)
+    base = view.layout.lnvc_off(0)
+    image = view.region.read(0, view.region.size)
+    after = {}
+    for kernels in (c_kernels, chains.PYTHON):
+        twin = MPFView(SharedRegion(bytearray(image)), view.layout, view.costs)
+        after[kernels.name] = (
+            _outcome(lambda: kernels.ring_claim(twin, base, desc, None)),
+            twin.region.read(0, twin.region.size))
+    assert after["c"] == after["python"]
+    assert after["c"][0] == ("ok", None)
+    ring = LNVC.get(view.region, base, "ring")
+    assert RING.get(SharedRegion(bytearray(after["c"][1])), ring,
+                    "fcfs_next") == 2

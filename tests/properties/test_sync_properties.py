@@ -820,3 +820,239 @@ def test_c_send_stages_match_their_python_bodies(
     assert ref["stages"][0] == 0
     assert sum(got.pop("stages")) == sum(ref.pop("stages"))
     assert got == ref
+
+
+# -- the ring's sections, on both C loops --------------------------------------
+
+#: The ring tests' circuits: RCFG's FCFS and BROADCAST pair on rings of
+#: four 64-byte slots, so that a few sends fill a ring and a few more
+#: wrap it; pid 3 joins either late, as a receiver of the other
+#: protocol.
+GCFG = dict(RCFG, max_processes=4, transport="ring", ring_slots=4,
+            ring_slot_bytes=64)
+RING_ACTIONS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 1),
+              st.sampled_from((0, 1, 40, 64)), st.booleans()),
+    st.tuples(st.just("recv"), st.integers(0, 1), st.integers(1, 3),
+              st.one_of(st.none(), st.integers(0, 64))),
+    st.tuples(st.just("check"), st.integers(0, 1), st.integers(1, 2)),
+    st.tuples(st.just("churn"), st.integers(0, 1)),
+    st.tuples(st.just("late"), st.integers(0, 1)),
+    st.tuples(st.just("recycle"), st.integers(0, 1)),
+)
+#: What a ring section hands from one stage to the next, logged after
+#: each run of it.
+RING_SLOTS = {
+    ops.RingSendSection: ("epoch", "steps", "seq", "sl", "seqno", "depth"),
+    ops.RingRecvSection: ("epoch", "desc", "sl", "length", "seqno",
+                          "unread", "idx", "payload", "wake"),
+}
+
+
+def ring_op(view, cls, pid, cid, log: list, again=False, **fields):
+    """A ring section as its primitive runs it (the one the view caches
+    for the pid and slot, ``fields`` set on it), up to its first result,
+    so that it never waits: the result or the bail and the section's
+    slots logged, and the lock a full or empty ring or a bail leaves
+    held released.  ``again``: a send's section after a sleep on a full
+    ring — its fill again, with the lock taken back (a section not run
+    yet runs its head)."""
+    cache = (view._fs_send_cache if cls is ops.RingSendSection
+             else view._fs_recv_cache)
+    key = (pid, view.slot_of(cid))
+    sec = cache.pop(key, None)
+    section = sec.head if sec is not None and sec.lnvc_id == cid else None
+    if section is None:
+        sec = cls(view, pid, cid)
+        section = sec.head
+    elif again:
+        yield Acquire(sec.lock)
+        section = sec.again
+    for name, value in fields.items():
+        setattr(sec, name, value)
+    got = yield section
+    cache[key] = sec
+    log.append((outcome(got),
+                tuple(getattr(sec, name) for name in RING_SLOTS[cls])))
+    for lock in (sec.lock,) if got is None else (
+            got[0] if got.__class__ is tuple else ()):
+        yield Release(lock)
+
+
+def ring_program(view, actions, log: list):
+    """Open both ring circuits, then run ``actions``: a send by pid 0 of
+    a payload of that size (``ring_op``: a full ring is logged; or its
+    fill after a sleep), a receive by pid 1, 2 or 3 (``ring_op``: what
+    is there, or nothing; an overflow past the receive's ``max_len`` and
+    an unconnected pid bail), a check by receiver 1 or 2 (which resolves
+    the connection into the view's cache, not into a receive section's
+    memo), receiver 2's connection closed or opened again (the
+    circuit's ``conn_epoch`` moves under the sections' memos), pid 3
+    opening a receive connection of the circuit's other protocol (a
+    late reader: a BROADCAST one joins at the tail, an FCFS one scans
+    past the messages no FCFS receiver is owed) or closing it, or the circuit deleted and opened again with a
+    receive and an 8-byte send more on its old id."""
+    ids, joined = {}, {}
+
+    def open_circuit(c):
+        ids[c] = yield from ops.open_send(view, 0, f"c{c}")
+        for r in (1, 2):
+            yield from ops.open_receive(view, r, f"c{c}", PROTOCOLS[c])
+        joined[c] = {1, 2}
+
+    for c in (0, 1):
+        yield from open_circuit(c)
+    for n, act in enumerate(actions):
+        kind, c = act[0], act[1]
+        if kind == "send":
+            data = bytes((n + i) & 0xFF for i in range(act[2]))
+            yield from ring_op(view, ops.RingSendSection, 0, ids[c], log,
+                               again=act[3], data=data)
+        elif kind == "recv":
+            yield from ring_op(view, ops.RingRecvSection, act[2], ids[c],
+                               log, max_len=act[3])
+        elif kind == "check" and act[2] in joined[c]:
+            log.append((yield from ops.check_receive(view, act[2], ids[c])))
+        elif kind in ("churn", "late"):
+            r = 2 if kind == "churn" else 3
+            if r in joined[c]:
+                yield from ops.close_receive(view, r, ids[c])
+                joined[c].discard(r)
+            else:
+                yield from ops.open_receive(view, r, f"c{c}", PROTOCOLS[
+                    1 - c if kind == "late" else c])
+                joined[c].add(r)
+        elif kind == "recycle":
+            old = ids[c]
+            yield from ops.close_send(view, 0, old)
+            for r in sorted(joined[c]):
+                yield from ops.close_receive(view, r, old)
+            yield from open_circuit(c)
+            yield from ring_op(view, ops.RingRecvSection, 1, old, log)
+            yield from ring_op(view, ops.RingSendSection, 0, old, log,
+                               data=bytes(8))
+    return len(log)
+
+
+def sync_rings(lib, actions) -> dict:
+    """``actions`` on a fresh segment through ``lib``'s drive."""
+    shared = make(lib, MPFConfig(**GCFG))
+    handle = shared.bind(0)
+    view = make_view(**GCFG)
+    log: list = []
+    out = lib.drive(ring_program(view, actions, log), handle, "p0")
+    counters = handle.counters()
+    return {"out": out, "log": log, "held": list(handle.held),
+            "locked": [shared.locked(i) for i in range(shared._n_locks)],
+            "segment": bytes(view.region._mv),
+            "stages": [counters[k] for k in STAGE_COUNTERS]}
+
+
+def engine_rings(run, kernels, actions) -> dict:
+    """``actions`` on a fresh segment as one process of ``run``, a built
+    ``engine.c``'s loop, over ``kernels``; its ``stages`` are the stage
+    bodies it called."""
+    view = make_view(**GCFG)
+    eng = Engine(view.cfg.n_locks, view.cfg.n_channels,
+                 BalanceTiming(BALANCE_21000, DEFAULT_COSTS))
+    log: list = []
+    eng.spawn("p0", ring_program(view, actions, log))
+    body, calls = ops.Stage.__call__, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "C_RUN", run)
+        patch.setattr(chains, "ACTIVE", kernels)
+        patch.setattr(ops.Stage, "__call__",
+                      lambda stage: calls.append(stage.kind) or body(stage))
+        eng.run()
+    assert eng.loop == "c"
+    return {"out": eng.results()["p0"], "log": log, "now": float.hex(eng.now),
+            "held": [i for i, lock in enumerate(eng.locks) if lock.owner],
+            "segment": bytes(view.region._mv), "stages": calls}
+
+
+#: Programs every ring test runs besides the generated ones.
+RING_EXAMPLES = (
+    # FCFS sends and receives of one length wrap the ring twice: after
+    # the first, every stage runs in C, the empty claim included.
+    [("send", 0, 40, False), ("recv", 0, 1, None), ("recv", 0, 2, None)]
+    * 9,
+    # A full BROADCAST ring: the fifth send finds it full, both readers
+    # take the first message (the completion retires the slot the sender
+    # waits for), and the fill after the sleep goes in; a lock-free take
+    # past max_len is refused.
+    [("send", 1, 40, False)] * 5 + [("recv", 1, 1, None),
+                                    ("recv", 1, 2, None),
+                                    ("send", 1, 40, True),
+                                    ("send", 1, 40, True),
+                                    ("recv", 1, 1, 10), ("recv", 1, 1, 64),
+                                    ("recv", 1, 1, None)],
+    # A late BROADCAST reader hears only what is sent after it joins; an
+    # unconnected one is refused; an FCFS claim past max_len too.
+    [("send", 0, 1, False), ("late", 0), ("send", 0, 0, False),
+     ("recv", 0, 3, None), ("recv", 0, 3, None), ("recv", 0, 1, None),
+     ("recv", 1, 3, None), ("send", 0, 64, False), ("recv", 0, 1, 63),
+     ("recv", 0, 2, None)],
+    # A late FCFS reader: its claim scans past the two messages no FCFS
+    # receiver is owed and stores the shared cursor where it stops (the
+    # program ends there: a later claim would store it as well).
+    [("send", 1, 40, False), ("send", 1, 40, False), ("late", 1),
+     ("recv", 1, 3, None)],
+    # Receiver 2 leaves and joins again (the epoch moves under both
+    # readers' memos); receiver 1's check resolves its connection into
+    # the view's cache, whose lock-free take the C take must not
+    # second-guess with its stale memo.
+    [("send", 1, 40, False), ("recv", 1, 1, None), ("recv", 1, 2, None),
+     ("churn", 1), ("send", 1, 40, False), ("churn", 1),
+     ("check", 1, 1), ("send", 1, 40, False), ("recv", 1, 1, None),
+     ("recv", 1, 1, None), ("recv", 1, 2, None)],
+    # A recycled circuit's old id: the receive and the send (of a length
+    # its section's fill memo holds) are refused.
+    [("send", 0, 8, False), ("recv", 0, 1, None), ("recycle", 0),
+     ("send", 0, 8, False), ("recv", 0, 2, None), ("recycle", 1)],
+)
+
+
+def _ring_cases(test):
+    """``test`` over generated ring programs and ``RING_EXAMPLES``."""
+    for actions in RING_EXAMPLES:
+        test = example(actions=actions)(test)
+    return settings(max_examples=60, deadline=None)(
+        given(actions=st.lists(RING_ACTIONS, max_size=24))(test))
+
+
+@_ring_cases
+def test_c_ring_stages_on_the_engine_match_their_python_bodies(
+        c_kernels, c_engine, py_stages_engine, actions):
+    """Every ring section run by ``engine.c``'s loop with its stages in C,
+    and again with each handed to its Python body: the same results,
+    bails and section slots, clock, locks held and segment bytes, and
+    no more stages run in Python."""
+    got = engine_rings(c_engine, c_kernels, actions)
+    ref = engine_rings(py_stages_engine, c_kernels, actions)
+    assert len(got.pop("stages")) <= len(ref.pop("stages"))
+    assert got == ref
+
+
+@_ring_cases
+def test_c_ring_stages_on_sync_match_their_python_bodies(
+        c_sync, py_stages_sync, actions):
+    """The same through ``sync.c``'s drive over a real segment: the same
+    results, bails and section slots, locks held and segment bytes, and
+    as many stages run."""
+    got = sync_rings(c_sync, actions)
+    ref = sync_rings(py_stages_sync, actions)
+    assert ref["stages"][0] == 0
+    assert sum(got.pop("stages")) == sum(ref.pop("stages"))
+    assert got == ref
+
+
+def test_c_ring_stages_run_in_c(c_sync):
+    """Once a ring section's memos hold, ``sync.c``'s drive runs every
+    stage of a ring send and receive in C (``stages_c`` against
+    ``stages_py``), a full ring and an empty one included: Python runs
+    only the first fill, each receiver's first take, connection and copy
+    (an empty claim's take and connection), and the refused take past
+    ``max_len``."""
+    wrap, full = RING_EXAMPLES[:2]
+    assert sync_rings(c_sync, wrap)["stages"] == [84, 1 + 3 + 2]
+    assert sync_rings(c_sync, full)["stages"] == [21, 1 + 3 + 3 + 1]
