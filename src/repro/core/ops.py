@@ -993,60 +993,62 @@ def message_send(
     full ring instead of raising), whose stages the C section runner
     runs with the kernels while their memos hold.
     """
-    # Transport dispatch on a plain u32 read, and the generator handed
-    # back as is: no effect is yielded and no frame is added, so a send
-    # runs two frames below its caller.  A stale identifier is caught
-    # by the generation check either way.
-    slot = view.slot_of(lnvc_id)
-    return _send(view, pid, slot, lnvc_id, data, prelude, RingSendSection if
-                 view.region.u32(view.lnvc_base + slot * _LNVC_SIZE
-                                 + _L_TRANSPORT) else SendSection)
+    # The generator handed back as is: no effect is yielded and no frame
+    # is added, so a send runs two frames below its caller.
+    return _send(view, pid, view.slot_of(lnvc_id), lnvc_id, data, prelude)
 
 
-def _fresh(sec, cls, view: MPFView, pid: int, lnvc_id: int):
-    """A new ``cls`` section in place of ``sec``, a primitive's cached
-    one (or ``None``), which is of another id (a recycled slot's old id),
-    probe or class: unlinked.
+def _section(view: MPFView, cache: dict, pid: int, slot: int, lnvc_id: int,
+             free_list: type, ring: type) -> Section:
+    """``pid``'s section on circuit ``lnvc_id`` (at ``slot``), taken out
+    of ``cache`` while its primitive runs it: the cached one if it was
+    built for this id and the view's probe, else a new one — a
+    ``free_list`` or a ``ring`` section by the circuit's transport word
+    — in place of the old, which is unlinked.  An id names its
+    circuit's generation and so its transport: a hit reads no transport
+    word.
 
-    A primitive takes its section out of its cache while it runs it (a
-    ``pop``, atomic under the GIL: a nested primitive, or one of the same
-    pid on another thread of a shared view, builds one of its own, and
-    the one put back last stays cached)."""
-    if sec is not None:
-        sec.unlink()
-    return cls(view, pid, lnvc_id)
+    The ``pop`` is atomic under the GIL: a nested primitive, or one of
+    the same pid on another thread of a shared view, builds a section of
+    its own, and the one put back last stays cached."""
+    sec = cache.pop((pid, slot), None)
+    if sec is None or sec.lnvc_id != lnvc_id or sec.probe is not view.probe:
+        if sec is not None:
+            sec.unlink()
+        sec = (ring if view.region.u32(view.lnvc_base + slot * _LNVC_SIZE
+                                       + _L_TRANSPORT) else free_list)(
+            view, pid, lnvc_id)
+    return sec
 
 
 def _send(view: MPFView, pid: int, slot: int, lnvc_id: int, data: bytes,
-          prelude: Work | None, cls) -> OpGen:
-    """:func:`message_send` as one section of ``cls`` (``slot`` is
-    ``lnvc_id``'s, inside the table), held out of
-    ``view._fs_send_cache`` while it runs (:func:`_fresh`).  The
-    generator is resumed with the section's result — and on a full ring
-    once more per sleep: it yields the ``WaitOn`` itself, then the
-    section's fill again — then yields the ``Wake``.  A free-list link
-    refused for a stale or unconnected id undoes the send
-    (:func:`_unsend`)."""
+          prelude: Work | None) -> OpGen:
+    """:func:`message_send` as one section (``slot`` is ``lnvc_id``'s,
+    inside the table), held out of ``view._fs_send_cache`` while it runs
+    (:func:`_section`).  The generator is resumed with the section's
+    result — and on a full ring once more per sleep: it yields the
+    ``WaitOn`` itself, then the section's fill again — then yields the
+    ``Wake``.  A free-list link refused for a stale or unconnected id
+    undoes the send (:func:`_unsend`)."""
     if data.__class__ is not bytes:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise TypeError("message payload must be bytes-like")
         data = bytes(data)
-    # (a slice, not a ``len`` call: longer than a ring slot)
-    if cls is RingSendSection and data[view.cfg.ring_slot_bytes:]:
-        raise BufferOverflowError(
-            f"{len(data)}-byte message exceeds ring slot capacity "
-            f"of {view.cfg.ring_slot_bytes} bytes")
     cache = view._fs_send_cache
-    sec = cache.pop((pid, slot), None)
-    if (sec is None or sec.lnvc_id != lnvc_id or sec.probe is not view.probe
-            or sec.__class__ is not cls):
-        sec = _fresh(sec, cls, view, pid, lnvc_id)
+    sec = _section(view, cache, pid, slot, lnvc_id, SendSection,
+                   RingSendSection)
     sec.data = data
     if sec.probe is not None:
         sec.t_entry = sec.probe.now()
     head = sec.head if prelude is None else FusedSection(
         ((S_MANY, (prelude, sec.head.steps[0][1])),) + sec.head.steps[1:])
     try:
+        # (a slice, not a ``len`` call: longer than a ring slot)
+        if (sec.__class__ is RingSendSection
+                and data[view.cfg.ring_slot_bytes:]):
+            raise BufferOverflowError(
+                f"{len(data)}-byte message exceeds ring slot capacity "
+                f"of {view.cfg.ring_slot_bytes} bytes")
         res = yield head
         while res is None:  # a full ring: the lock is held
             yield view._waiton[slot]
@@ -1084,26 +1086,21 @@ def message_receive(
     transport: a :class:`RecvSection` over the free list, a
     :class:`RingRecvSection` over the ring.
     """
-    slot = view.slot_of(lnvc_id)
-    return _receive(view, pid, slot, lnvc_id, max_len, RingRecvSection if
-                    view.region.u32(view.lnvc_base + slot * _LNVC_SIZE
-                                    + _L_TRANSPORT) else RecvSection)
+    return _receive(view, pid, view.slot_of(lnvc_id), lnvc_id, max_len)
 
 
 def _receive(view: MPFView, pid: int, slot: int, lnvc_id: int,
-             max_len: int | None, cls) -> OpGen:
-    """:func:`message_receive` as one section of ``cls`` (``slot`` is
+             max_len: int | None) -> OpGen:
+    """:func:`message_receive` as one section (``slot`` is
     ``lnvc_id``'s, inside the table), held out of
-    ``view._fs_recv_cache`` while it runs (:func:`_fresh`).  The
+    ``view._fs_recv_cache`` while it runs (:func:`_section`).  The
     generator is resumed once when the message is in hand, and once more
     per sleep (it yields the ``WaitOn`` itself, then the section's claim
     again); a ring receive whose completion retired the slot a blocked
     sender waits for yields the ``Wake`` after it."""
     cache = view._fs_recv_cache
-    sec = cache.pop((pid, slot), None)
-    if (sec is None or sec.lnvc_id != lnvc_id or sec.probe is not view.probe
-            or sec.__class__ is not cls):
-        sec = _fresh(sec, cls, view, pid, lnvc_id)
+    sec = _section(view, cache, pid, slot, lnvc_id, RecvSection,
+                   RingRecvSection)
     probe = sec.probe
     t_entry = probe.now() if probe is not None else 0.0
     sec.max_len = max_len
@@ -1117,9 +1114,7 @@ def _receive(view: MPFView, pid: int, slot: int, lnvc_id: int,
         if sec.wake:
             yield view._wake[slot]
         if probe is not None:
-            probe.msg_received(pid, slot, sec.gen, sec.seqno, sec.length,
-                               sec.fcfs, t_entry, sec.t_claim, sec.t_drain,
-                               **sec.ring_fields)
+            sec.report(t_entry)
     finally:
         sec.payload = None
         cache[(pid, slot)] = sec
@@ -1135,7 +1130,7 @@ class Section:
     """One primitive of one process (``pid``) on one circuit
     (``lnvc_id``) of a view as one :class:`~repro.core.effects.FusedSection`,
     built once and cached per process and circuit
-    (``MPFView._fs_send_cache`` / ``_fs_recv_cache``, :func:`_fresh`):
+    (``MPFView._fs_send_cache`` / ``_fs_recv_cache``, :func:`_section`):
     what the four message sections — :class:`RecvSection`,
     :class:`SendSection`, :class:`RingSendSection` and
     :class:`RingRecvSection` — hold alike.
@@ -1217,8 +1212,6 @@ class RecvSection(Section):
                  "seqno", "fcfs", "last", "payload", "reap", "t_claim",
                  "t_drain", "claimed", "copied", "copies", "retired",
                  "reaping", "failed", "reaps")
-    #: A probe's report of the receive has no ring field.
-    ring_fields: dict = {}
 
     def __init__(self, view: MPFView, pid: int, lnvc_id: int) -> None:
         super().__init__(view, pid, lnvc_id, _RECV_KINDS)
@@ -1239,6 +1232,12 @@ class RecvSection(Section):
             (S_CALL, free if self.probe is None else self.stages[8]))
         self.copies: dict = {}
         self.reaps: dict = {}
+
+    def report(self, t_entry: float) -> None:
+        """Report the receive, entered at ``t_entry``, to the probe."""
+        self.probe.msg_received(self.pid, self.lock - FIRST_LNVC_LOCK,
+                                self.gen, self.seqno, self.length, self.fcfs,
+                                t_entry, self.t_claim, self.t_drain)
 
 
 def _shape_memo(memo: dict, key: int, steps: tuple) -> tuple:
@@ -1644,10 +1643,13 @@ class RingRecvSection(Section):
         """An FCFS claim owes no pending bit."""
         return not self.unread
 
-    @property
-    def ring_fields(self) -> dict:
-        """A probe report's ring field: the ring's slots in use."""
-        return {"occupancy": self.view.region.u32(self.base + _L_NMSGS)}
+    def report(self, t_entry: float) -> None:
+        """Report the receive, entered at ``t_entry``, with the ring's
+        slots in use, to the probe."""
+        self.probe.msg_received(
+            self.pid, self.lock - FIRST_LNVC_LOCK, self.gen, self.seqno,
+            self.length, self.fcfs, t_entry, self.t_claim, self.t_drain,
+            occupancy=self.view.region.u32(self.base + _L_NMSGS))
 
 
 def _rrecv_take(sec: RingRecvSection):
