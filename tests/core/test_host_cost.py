@@ -279,16 +279,16 @@ PARENT = {
 }
 
 #: What the path costs now, per kernel set (``chains.ACTIVE.name``).  On
-#: the C kernels, per pair 16 Python + 5 C calls and 2 accessor calls on
-#: the free list (238 + 340 and 99 at the parent), 16 + 5 and 2 on the
+#: the C kernels, per pair 16 Python + 3 C calls and no accessor call on
+#: the free list (238 + 340 and 99 at the parent), 16 + 3 and none on the
 #: ring (145 + 110 and 56); 117 + 201 and 75 + 47 at 8ab74ca, 112 + 197
 #: and 36 at 4eb23e1, 88 + 65 and 32 at 5536dbc, the ring's 70 + 43 and
 #: 33 at fb1699e, 85 + 56 and 56 + 33 at d5caed8, 63 + 16 at 1d093b6,
 #: 48 + 18 and 4 at 475ceb3, 34 + 11 and 3 at c462b33, 16 + 6 and 2 and
 #: the ring's 44 + 12 and 3 at f8a2aa3 (see the module docstring).  On
-#: the Python kernels, 115 + 272 and 38 on the free list (123 + 243 at
+#: the Python kernels, 115 + 270 and 36 on the free list (123 + 243 at
 #: fb1699e, 119 + 243 at 1d093b6, 135 + 287 at c462b33, 115 + 273 at
-#: f8a2aa3), and 74 + 65 (73 + 46 at 1d093b6, 86 + 65 at f8a2aa3) and 35
+#: f8a2aa3), and 74 + 63 (73 + 46 at 1d093b6, 86 + 65 at f8a2aa3) and 33
 #: on the ring, where fb1699e's generators made 70 + 43 and 33: the
 #: sections call one reference per stage (fill, commit, take and its
 #: cursor take, claim, completion), and two words are read again across
@@ -296,27 +296,28 @@ PARENT = {
 #: stored, the completion the circuit's ring word the take read.
 PINNED = {
     "c": {
-        "freelist": {"py": 960, "c": 300, "work_inits": 0,
-                     "words16": 120, "bulk16": 0},
-        "ring": {"py": 960, "c": 300, "work_inits": 0,
-                 "words16": 120, "bulk16": 0},
+        "freelist": {"py": 960, "c": 180, "work_inits": 0,
+                     "words16": 0, "bulk16": 0},
+        "ring": {"py": 960, "c": 180, "work_inits": 0,
+                 "words16": 0, "bulk16": 0},
     },
     "python": {
-        "freelist": {"py": 6900, "c": 16320, "work_inits": 0,
-                     "words16": 2280, "bulk16": 120},
-        "ring": {"py": 4440, "c": 3900, "work_inits": 0,
-                 "words16": 2100, "bulk16": 120},
+        "freelist": {"py": 6900, "c": 16200, "work_inits": 0,
+                     "words16": 2160, "bulk16": 120},
+        "ring": {"py": 4440, "c": 3780, "work_inits": 0,
+                 "words16": 1980, "bulk16": 120},
     },
 }
 
-#: Accessor calls a 16 B pair may make on the C kernels: on either
-#: transport the send's and the receive's transport dispatch word (their
-#: lock sections are C kernels, whose loads and stores the region does
-#: not see, and both connection checks are the section runner's).  The
-#: ring's were 3 at f8a2aa3 (its send's connection check read a word)
-#: and 33 at fb1699e (14 for the send's section, 10 for the take, 9 for
-#: the completion).
-WORDS16_PER_PAIR = {"freelist": 2, "ring": 2}
+#: Accessor calls a 16 B pair may make on the C kernels: none on either
+#: transport (the lock sections are C kernels, whose loads and stores
+#: the region does not see, both connection checks are the section
+#: runner's, and a cached section reads no transport word).  Each was 2
+#: before the sections were cached by id alone (the send's and the
+#: receive's transport dispatch word); the ring's were 3 at f8a2aa3 (its
+#: send's connection check read a word) and 33 at fb1699e (14 for the
+#: send's section, 10 for the take, 9 for the completion).
+WORDS16_PER_PAIR = {"freelist": 0, "ring": 0}
 
 #: Stores over block link words per free-list pair, by message size:
 #: counted at cc8178e before the first edit (every link once by the
